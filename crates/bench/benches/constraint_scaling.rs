@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rtic_bench::experiments::{fleet_catalog, fleet_constraints, fleet_stream};
-use rtic_core::{Checker, ConstraintSet, IncrementalChecker, Parallelism};
+use rtic_core::{Checker, ConstraintSet, IncrementalChecker};
 use rtic_relation::Update;
 use std::sync::Arc;
 
@@ -56,27 +56,21 @@ fn bench(c: &mut Criterion) {
             })
         });
 
-        for (label, par) in [
-            ("set_dispatch", Parallelism::Sequential),
-            ("set_4_workers", Parallelism::N(4)),
-        ] {
-            group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
-                let mut set = ConstraintSet::new(constraints.iter().cloned(), Arc::clone(&cat))
-                    .map_err(|(_, e)| e)
-                    .unwrap()
-                    .with_parallelism(par);
-                for tr in &warmup {
-                    set.step(tr.time, &tr.update).unwrap();
-                }
-                let mut t = WARMUP_STEPS as u64;
-                let mut i = 0usize;
-                b.iter(|| {
-                    t += 1;
-                    i = (i + 1) % updates.len();
-                    set.step(t.into(), &updates[i]).unwrap()
-                })
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("set_dispatch", n), &n, |b, _| {
+            let mut set = ConstraintSet::new(constraints.iter().cloned(), Arc::clone(&cat))
+                .map_err(|(_, e)| e)
+                .unwrap();
+            for tr in &warmup {
+                set.step(tr.time, &tr.update).unwrap();
+            }
+            let mut t = WARMUP_STEPS as u64;
+            let mut i = 0usize;
+            b.iter(|| {
+                t += 1;
+                i = (i + 1) % updates.len();
+                set.step(t.into(), &updates[i]).unwrap()
+            })
+        });
     }
     group.finish();
 }

@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rtic_bench::experiments::{shard_catalog, shard_constraint, shard_stream};
-use rtic_core::{ConstraintSet, Parallelism};
+use rtic_core::ConstraintSet;
 use std::sync::Arc;
 
 const WARMUP_STEPS: usize = 128;
@@ -27,17 +27,12 @@ fn bench(c: &mut Criterion) {
         // times keep advancing so windows stay live.
         let steady = shard_stream(keys, 96, 43);
 
-        for (label, sharded, par) in [
-            ("unsharded", false, Parallelism::Sequential),
-            ("sharded", true, Parallelism::Sequential),
-            ("sharded_4_workers", true, Parallelism::N(4)),
-        ] {
+        for (label, sharded) in [("unsharded", false), ("sharded", true)] {
             group.bench_with_input(BenchmarkId::new(label, keys), &keys, |b, _| {
                 let mut set = ConstraintSet::new([constraint.clone()], Arc::clone(&catalog))
                     .map_err(|(_, e)| e)
                     .unwrap()
-                    .with_sharding(sharded)
-                    .with_parallelism(par);
+                    .with_sharding(sharded);
                 for tr in &warmup {
                     set.step(tr.time, &tr.update).unwrap();
                 }

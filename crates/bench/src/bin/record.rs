@@ -105,12 +105,8 @@ fn run(args: &[String]) -> Result<i32, String> {
         for p in &points {
             println!(
                 "shard-scaling keys={}: unsharded {:.0} steps/s, sharded {:.0} steps/s, \
-                 sharded+4 workers {:.0} steps/s, peak {} shard(s)",
-                p.keys,
-                p.unsharded_steps_per_sec,
-                p.sharded_steps_per_sec,
-                p.sharded_parallel_steps_per_sec,
-                p.peak_shards
+                 peak {} shard(s)",
+                p.keys, p.unsharded_steps_per_sec, p.sharded_steps_per_sec, p.peak_shards
             );
         }
         println!("recorded shard-scaling ({steps} steps/point, seed {seed}) -> {out_path}");

@@ -11,7 +11,7 @@ use std::time::Instant;
 use rtic_active::ActiveChecker;
 use rtic_core::{
     BackendId, Checker, ConstraintSet, EncodingOptions, IncrementalChecker, NaiveChecker,
-    Parallelism, WindowedChecker,
+    WindowedChecker,
 };
 use rtic_history::Transition;
 use rtic_relation::{tuple, Schema, Sort, Update};
@@ -753,9 +753,8 @@ pub fn batch_stream(
 }
 
 /// T8 — fleet scaling: mean step latency vs #constraints with a fixed
-/// number of affected constraints per step, for three engines — `n`
-/// independent incremental checkers, a [`ConstraintSet`] with relevance
-/// dispatch, and the same set stepping with four workers.
+/// number of affected constraints per step — `n` independent incremental
+/// checkers against a [`ConstraintSet`] with relevance dispatch.
 pub fn t8_constraint_scaling(scale: &Scale) -> Table {
     let mut t = Table::new(
         "T8",
@@ -766,14 +765,12 @@ pub fn t8_constraint_scaling(scale: &Scale) -> Table {
             "independent",
             "independent (interp)",
             "set (dispatch)",
-            "set (4 workers)",
             "absorbed",
         ],
     );
     t.note("claim: with a fixed number of affected constraints per step, relevance");
     t.note("dispatch absorbs the quiescent rest, so set step latency grows sub-linearly");
     t.note("in fleet size while n independent checkers pay full price for every one;");
-    t.note("workers only pay off once per-constraint evaluation outweighs fan-out cost;");
     t.note("'independent (interp)' runs the same checkers without compiled plans");
     let steps = scale.run_length;
     for &n in &scale.fleet_sizes {
@@ -826,20 +823,16 @@ pub fn t8_constraint_scaling(scale: &Scale) -> Table {
             }
             let independent_interp = start.elapsed();
 
-            let run_set = |par: Parallelism| {
-                let mut set = ConstraintSet::new(constraints.iter().cloned(), Arc::clone(&cat))
-                    .map_err(|(_, e)| e)
-                    .expect("generated constraint compiles")
-                    .with_parallelism(par);
-                let start = Instant::now();
-                for tr in &stream {
-                    set.step(tr.time, &tr.update)
-                        .expect("generated stream is monotone");
-                }
-                (start.elapsed(), set.dispatch_stats())
-            };
-            let (seq, stats) = run_set(Parallelism::Sequential);
-            let (par4, _) = run_set(Parallelism::N(4));
+            let mut set = ConstraintSet::new(constraints.iter().cloned(), Arc::clone(&cat))
+                .map_err(|(_, e)| e)
+                .expect("generated constraint compiles");
+            let start = Instant::now();
+            for tr in &stream {
+                set.step(tr.time, &tr.update)
+                    .expect("generated stream is monotone");
+            }
+            let seq = start.elapsed();
+            let stats = set.dispatch_stats();
 
             let per_step = |d: std::time::Duration| d.as_secs_f64() * 1e6 / steps as f64;
             let absorbed = 100.0 * stats.skipped as f64 / stats.total().max(1) as f64;
@@ -849,7 +842,6 @@ pub fn t8_constraint_scaling(scale: &Scale) -> Table {
                 fmt_micros(per_step(independent)),
                 fmt_micros(per_step(independent_interp)),
                 fmt_micros(per_step(seq)),
-                fmt_micros(per_step(par4)),
                 format!("{absorbed:.0}%"),
             ]);
         }

@@ -179,9 +179,6 @@ pub struct ShardCurvePoint {
     pub unsharded_steps_per_sec: f64,
     /// Steps/second with `--shard auto` semantics (sharding on).
     pub sharded_steps_per_sec: f64,
-    /// Steps/second sharded with four workers — per-shard jobs of one
-    /// constraint spread over the scoped-thread pool.
-    pub sharded_parallel_steps_per_sec: f64,
     /// High-water mark of live shards across the sharded run.
     pub peak_shards: usize,
 }
@@ -197,20 +194,17 @@ pub fn shard_curve(
     seed: u64,
 ) -> Result<Vec<ShardCurvePoint>, String> {
     use crate::experiments::{shard_catalog, shard_constraint, shard_stream};
-    use rtic_core::{ConstraintSet, Parallelism};
+    use rtic_core::ConstraintSet;
 
     let catalog = shard_catalog();
     let constraint = shard_constraint();
     let mut points = Vec::with_capacity(key_counts.len());
     for &keys in key_counts {
         let transitions = shard_stream(keys, steps, seed);
-        let run = |sharded: bool,
-                   parallelism: Parallelism|
-         -> Result<(f64, usize, Vec<String>), String> {
+        let run = |sharded: bool| -> Result<(f64, usize, Vec<String>), String> {
             let mut set = ConstraintSet::new([constraint.clone()], std::sync::Arc::clone(&catalog))
                 .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?
-                .with_sharding(sharded)
-                .with_parallelism(parallelism);
+                .with_sharding(sharded);
             let mut lines = Vec::new();
             let start = Instant::now();
             for tr in &transitions {
@@ -233,10 +227,9 @@ pub fn shard_curve(
             };
             Ok((throughput, peak, lines))
         };
-        let (unsharded, _, plain_lines) = run(false, Parallelism::Sequential)?;
-        let (sharded, peak, sharded_lines) = run(true, Parallelism::Sequential)?;
-        let (sharded_par, _, par_lines) = run(true, Parallelism::N(4))?;
-        if plain_lines != sharded_lines || plain_lines != par_lines {
+        let (unsharded, _, plain_lines) = run(false)?;
+        let (sharded, peak, sharded_lines) = run(true)?;
+        if plain_lines != sharded_lines {
             return Err(format!(
                 "shard curve at {keys} key(s): sharded reports diverge from unsharded"
             ));
@@ -245,7 +238,6 @@ pub fn shard_curve(
             keys,
             unsharded_steps_per_sec: unsharded,
             sharded_steps_per_sec: sharded,
-            sharded_parallel_steps_per_sec: sharded_par,
             peak_shards: peak,
         });
     }
@@ -262,10 +254,6 @@ pub fn shard_curve_to_json(points: &[ShardCurvePoint], steps: usize, seed: u64, 
                 .set("keys", p.keys as u64)
                 .set("unsharded_steps_per_sec", round3(p.unsharded_steps_per_sec))
                 .set("sharded_steps_per_sec", round3(p.sharded_steps_per_sec))
-                .set(
-                    "sharded_parallel_steps_per_sec",
-                    round3(p.sharded_parallel_steps_per_sec),
-                )
                 .set("peak_shards", p.peak_shards as u64)
         })
         .collect();
@@ -666,11 +654,7 @@ fn metric_rows(doc: &Json) -> Vec<(String, f64, bool)> {
         "shard-scaling" => {
             rows = each(doc, "shard_curve", &mut |p, out| {
                 let Some(keys) = num(p, "keys") else { return };
-                for m in [
-                    "unsharded_steps_per_sec",
-                    "sharded_steps_per_sec",
-                    "sharded_parallel_steps_per_sec",
-                ] {
+                for m in ["unsharded_steps_per_sec", "sharded_steps_per_sec"] {
                     if let Some(v) = num(p, m) {
                         out.push((format!("shard_curve[keys={keys}].{m}"), v, true));
                     }

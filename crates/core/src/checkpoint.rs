@@ -59,7 +59,6 @@ use std::sync::Arc;
 use rtic_relation::{Catalog, Database, Symbol, Tuple, Value};
 use rtic_temporal::{Constraint, TimePoint};
 
-use crate::checker::Checker as _;
 use crate::encode::HistInfDump;
 use crate::error::CompileError;
 use crate::incremental::{EncodingOptions, IncrementalChecker, NodeEngine, NodeState};
@@ -875,39 +874,6 @@ fn restore_node(
         Some((_, "endnode")) => Ok(()),
         _ => Err(r.err("expected `endnode`")),
     }
-}
-
-/// [`save`] with observation: emits a
-/// [`StepEvent::CheckpointSave`](crate::observe::StepEvent) carrying the
-/// serialized size.
-pub fn save_observed(
-    checker: &IncrementalChecker,
-    obs: &mut dyn crate::observe::StepObserver,
-) -> String {
-    let text = save(checker);
-    obs.observe(&crate::observe::StepEvent::CheckpointSave {
-        constraint: checker.constraint().name,
-        bytes: text.len(),
-    });
-    text
-}
-
-/// [`restore`] with observation: emits a
-/// [`StepEvent::CheckpointRestore`](crate::observe::StepEvent) on success
-/// only — a failed restore produced no usable checker.
-pub fn restore_observed(
-    constraint: Constraint,
-    catalog: Arc<Catalog>,
-    options: EncodingOptions,
-    text: &str,
-    obs: &mut dyn crate::observe::StepObserver,
-) -> Result<IncrementalChecker, CheckpointError> {
-    let checker = restore(constraint, catalog, options, text)?;
-    obs.observe(&crate::observe::StepEvent::CheckpointRestore {
-        constraint: checker.constraint().name,
-        bytes: text.len(),
-    });
-    Ok(checker)
 }
 
 #[cfg(test)]

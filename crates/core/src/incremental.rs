@@ -48,6 +48,18 @@ pub(crate) enum NodeState {
     HistInf(HistInfState),
 }
 
+impl NodeState {
+    /// `(keys, timestamps)` currently stored.
+    fn space(&self) -> (usize, usize) {
+        match self {
+            NodeState::Prev(p) => p.space(),
+            NodeState::Once(w) | NodeState::Since(w) => w.space(),
+            NodeState::HistFinite(h) => h.space(),
+            NodeState::HistInf(h) => h.space(),
+        }
+    }
+}
+
 /// A snapshot of one temporal node's auxiliary footprint
 /// (see [`IncrementalChecker::node_stats`]).
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -446,16 +458,28 @@ impl NodeEngine {
         let mut keys = 0;
         let mut stamps = 0;
         for s in &self.states {
-            let (k, t) = match s {
-                NodeState::Prev(p) => p.space(),
-                NodeState::Once(w) | NodeState::Since(w) => w.space(),
-                NodeState::HistFinite(h) => h.space(),
-                NodeState::HistInf(h) => h.space(),
-            };
+            let (k, t) = s.space();
             keys += k;
             stamps += t;
         }
         (keys, stamps)
+    }
+
+    /// Each temporal node's auxiliary footprint, children-first.
+    pub(crate) fn node_stats(&self) -> Vec<NodeStat> {
+        self.compiled
+            .nodes
+            .iter()
+            .zip(&self.states)
+            .map(|(node, state)| {
+                let (keys, timestamps) = state.space();
+                NodeStat {
+                    formula: node.to_string(),
+                    keys,
+                    timestamps,
+                }
+            })
+            .collect()
     }
 }
 
@@ -528,25 +552,7 @@ impl IncrementalChecker {
     /// Per-temporal-node observability: what each auxiliary structure is
     /// holding right now. Ordered children-first (the update order).
     pub fn node_stats(&self) -> Vec<NodeStat> {
-        self.engine
-            .compiled
-            .nodes
-            .iter()
-            .zip(&self.engine.states)
-            .map(|(node, state)| {
-                let (keys, timestamps) = match state {
-                    NodeState::Prev(p) => p.space(),
-                    NodeState::Once(w) | NodeState::Since(w) => w.space(),
-                    NodeState::HistFinite(h) => h.space(),
-                    NodeState::HistInf(h) => h.space(),
-                };
-                NodeStat {
-                    formula: node.to_string(),
-                    keys,
-                    timestamps,
-                }
-            })
-            .collect()
+        self.engine.node_stats()
     }
 
     pub(crate) fn parts_mut(&mut self) -> (&mut Database, &mut NodeEngine, &mut usize) {

@@ -81,6 +81,6 @@ pub use plan::{
     RuntimePlanStats,
 };
 pub use report::{SpaceStats, StepReport};
-pub use set::{ConstraintSet, DispatchStats, FleetHealth, Parallelism};
+pub use set::{ConstraintSet, DispatchStats, FleetHealth};
 pub use shard::{ShardStats, DEFAULT_EVICT_AFTER};
 pub use windowed::WindowedChecker;

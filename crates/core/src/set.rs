@@ -5,21 +5,18 @@
 //! constraint's auxiliary engine against it, instead of paying for one
 //! database copy per constraint as separate [`IncrementalChecker`]s would.
 //!
-//! Two scaling levers on top of that, both semantics-preserving:
-//!
-//! * **Relevance dispatch** — each compiled constraint knows which
-//!   relations its body reads; an update touching none of them is a pure
-//!   clock tick for that constraint, and when the engine's shape allows it
-//!   ([`NodeEngine`]'s quiescent fast path) the tick is absorbed into the
-//!   auxiliary state without re-running denial-body evaluation.
-//! * **Parallel stepping** — engines that do need full evaluation are
-//!   independent given the shared (immutable during the step) database, so
-//!   they can fan out over scoped worker threads ([`Parallelism`]). Reports
-//!   are always returned in constraint insertion order and are
-//!   byte-identical to the sequential path.
+//! One scaling lever on top of that, semantics-preserving: **relevance
+//! dispatch**. Each compiled constraint knows which relations its body
+//! reads; an update touching none of them is a pure clock tick for that
+//! constraint, and when the engine's shape allows it ([`NodeEngine`]'s
+//! quiescent fast path) the tick is absorbed into the auxiliary state
+//! without re-running denial-body evaluation. Constraints step one after
+//! another on the calling thread, in insertion order — the paper's checker
+//! is sequential by construction, and a per-step worker pool measured
+//! slower at every recorded point (EXPERIMENTS.md T8, PERFORMANCE.md §6a).
 //!
 //! ```
-//! use rtic_core::{ConstraintSet, Parallelism};
+//! use rtic_core::ConstraintSet;
 //! use rtic_relation::{tuple, Catalog, Schema, Sort, Update};
 //! use rtic_temporal::parser::parse_constraint;
 //! use rtic_temporal::TimePoint;
@@ -37,8 +34,7 @@
 //!     ],
 //!     catalog,
 //! )
-//! .unwrap()
-//! .with_parallelism(Parallelism::N(2));
+//! .unwrap();
 //! let reports = set
 //!     .step(TimePoint(1), &Update::new().with_insert("job", tuple![7]))
 //!     .unwrap();
@@ -57,38 +53,10 @@ use rtic_temporal::{Constraint, TimePoint};
 
 use crate::compile::CompiledConstraint;
 use crate::error::CompileError;
-use crate::incremental::{EncodingOptions, NodeEngine};
+use crate::incremental::{EncodingOptions, NodeEngine, NodeStat};
 use crate::observe::{NopObserver, StepEvent, StepObserver};
 use crate::report::{SpaceStats, StepReport};
-use crate::shard::{Shard, ShardStats, ShardedEngine};
-
-/// Worker budget for the full-evaluation phase of [`ConstraintSet::step`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Parallelism {
-    /// Everything on the calling thread.
-    #[default]
-    Sequential,
-    /// At most this many scoped worker threads (`0` and `1` both mean
-    /// sequential). Threads are spawned per step and joined before the
-    /// step returns; no pool outlives a call.
-    N(usize),
-    /// One worker per available core.
-    Auto,
-}
-
-impl Parallelism {
-    /// Number of workers to actually use for `jobs` independent engines.
-    fn workers(self, jobs: usize) -> usize {
-        let cap = match self {
-            Parallelism::Sequential => 1,
-            Parallelism::N(n) => n.max(1),
-            Parallelism::Auto => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        };
-        cap.min(jobs).max(1)
-    }
-}
+use crate::shard::{ShardStats, ShardedEngine};
 
 /// Best-effort rendering of a caught panic payload.
 fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
@@ -156,23 +124,12 @@ pub struct ConstraintSet {
     shards: Vec<Option<ShardedEngine>>,
     last_time: Option<TimePoint>,
     steps: usize,
-    parallelism: Parallelism,
     dispatch: DispatchStats,
     /// Per-engine quarantine reason; `Some` once the engine panicked.
     quarantined: Vec<Option<String>>,
     /// Fault injection: 1-based transition number at which each engine
     /// should panic (test/chaos tooling via [`ConstraintSet::arm_panic`]).
     armed_panics: Vec<Option<u64>>,
-}
-
-/// One unit of work for the full-evaluation phase: a whole unsharded
-/// engine, or a single shard of a sharded one.
-enum Job<'a> {
-    Engine {
-        inject: bool,
-        engine: &'a mut NodeEngine,
-    },
-    Shard(&'a mut Shard),
 }
 
 /// Mutable view of a [`ConstraintSet`] for checkpoint restore.
@@ -218,7 +175,6 @@ impl ConstraintSet {
             shards: vec![None; n],
             last_time: None,
             steps: 0,
-            parallelism: Parallelism::Sequential,
             dispatch: DispatchStats::default(),
             quarantined: vec![None; n],
             armed_panics: vec![None; n],
@@ -267,22 +223,6 @@ impl ConstraintSet {
             .zip(&self.shards)
             .filter_map(|(e, s)| s.as_ref().map(|s| (e.compiled.constraint.name, s.stats())))
             .collect()
-    }
-
-    /// Sets the worker budget (builder form).
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> ConstraintSet {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Sets the worker budget.
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.parallelism = parallelism;
-    }
-
-    /// The configured worker budget.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
     }
 
     /// Relevance-dispatch tallies accumulated so far.
@@ -409,8 +349,7 @@ impl ConstraintSet {
     }
 
     /// Processes one transition; returns one report per constraint, in
-    /// insertion order. Uses relevance dispatch and the configured
-    /// [`Parallelism`]; both are report-for-report invisible.
+    /// insertion order. Relevance dispatch is report-for-report invisible.
     pub fn step(
         &mut self,
         time: TimePoint,
@@ -422,10 +361,9 @@ impl ConstraintSet {
     /// [`ConstraintSet::step`] with observation: one `StepStart`/`StepEnd`
     /// pair brackets the logical step, with one `ConstraintEval` (and
     /// `Violation` when witnesses were found) per constraint in insertion
-    /// order — regardless of how many worker threads evaluated them.
-    /// Worker results are fanned back into insertion-order slots before
-    /// any per-constraint event is emitted, so observers never see
-    /// scheduling order. On error, events after `StepStart` are withheld.
+    /// order. A constraint that panics emits `ConstraintQuarantined` in
+    /// place of its report and stays silent from then on. On error, events
+    /// after `StepStart` are withheld.
     pub fn step_observed(
         &mut self,
         time: TimePoint,
@@ -445,222 +383,93 @@ impl ConstraintSet {
         let step_start = Instant::now();
         self.db.apply(update)?;
 
-        let n = self.engines.len();
-        let mut slots: Vec<Option<(StepReport, u64)>> = (0..n).map(|_| None).collect();
-        let (mut skipped, mut quiescent_full, mut affected) = (0u64, 0u64, 0u64);
-        let mut quarantine_ticks = 0u64;
         let nth_step = self.steps as u64 + 1;
-
-        // Dispatch phase: absorb quiescent ticks on the calling thread
-        // (the fast path is cheap by construction); collect everything
-        // else for full evaluation. Quarantined engines are skipped
-        // entirely, and an engine armed to panic this step is forced onto
-        // the full path so the panic surfaces inside `catch_unwind`.
-        // Sharded constraints contribute one job per live shard (plus the
-        // phantom), flattening into the same worker pool as the plain
-        // engines; their per-shard advance_time fast path replaces the
-        // constraint-level one.
-        let mut panicked: Vec<(usize, String)> = Vec::new();
-        let mut full: Vec<(usize, Job<'_>)> = Vec::new();
-        for (idx, (engine, sharded)) in self
-            .engines
-            .iter_mut()
-            .zip(self.shards.iter_mut())
-            .enumerate()
-        {
+        let mut reports = Vec::with_capacity(self.engines.len());
+        let mut total_violations = 0usize;
+        for idx in 0..self.engines.len() {
             if self.quarantined[idx].is_some() {
-                quarantine_ticks += 1;
+                self.dispatch.quarantined += 1;
                 continue;
             }
-            let inject_panic = self.armed_panics[idx] == Some(nth_step);
-            if let Some(sharded) = sharded {
-                if engine.is_quiescent(update) {
-                    quiescent_full += 1;
-                } else {
-                    affected += 1;
-                }
-                if inject_panic {
-                    panicked.push((idx, "injected engine panic (failpoint)".to_string()));
-                    continue;
-                }
-                sharded.begin_step(update);
-                for shard in sharded.jobs() {
-                    full.push((idx, Job::Shard(shard)));
-                }
-                continue;
-            }
-            if !inject_panic && engine.is_quiescent(update) {
-                let eval_start = Instant::now();
-                if let Some(violations) = engine.advance_time(time) {
-                    skipped += 1;
-                    let report = StepReport {
-                        constraint: engine.compiled.constraint.name,
-                        time,
-                        violations,
-                    };
-                    slots[idx] = Some((report, eval_start.elapsed().as_nanos() as u64));
-                    continue;
-                }
-                quiescent_full += 1;
+            let db = &self.db;
+            let engine = &mut self.engines[idx];
+            let sharded = self.shards[idx].as_mut();
+            let constraint = engine.compiled.constraint.name;
+            // An unsharded engine armed to panic this step counts as
+            // affected, which forces it onto the full path so the panic
+            // surfaces inside `catch_unwind`.
+            let inject = self.armed_panics[idx] == Some(nth_step);
+            let quiescent = engine.is_quiescent(update) && !(inject && sharded.is_none());
+            let eval_start = Instant::now();
+            // A sharded constraint's per-shard fast path replaces this one.
+            let absorbed = if quiescent && sharded.is_none() {
+                engine.advance_time(time)
             } else {
-                affected += 1;
-            }
-            full.push((
-                idx,
-                Job::Engine {
-                    inject: inject_panic,
-                    engine,
-                },
-            ));
-        }
-        self.dispatch.skipped += skipped;
-        self.dispatch.quiescent_full += quiescent_full;
-        self.dispatch.affected += affected;
-        self.dispatch.quarantined += quarantine_ticks;
-
-        // Full-evaluation phase, fanned out over scoped workers when
-        // configured. Chunks are static: determinism comes from scattering
-        // results back by engine index, not from scheduling. Each job
-        // runs inside `catch_unwind`, so one poisoned constraint cannot
-        // take down the fleet — it is quarantined at fan-in instead (a
-        // panicking shard quarantines its whole constraint).
-        let workers = self.parallelism.workers(full.len());
-        let db = &self.db;
-        let eval_job = |job: &mut Job<'_>| -> Result<Option<(StepReport, u64)>, String> {
-            match job {
-                Job::Engine { inject, engine } => {
-                    let eval_start = Instant::now();
-                    let name = engine.compiled.constraint.name;
-                    let inject = *inject;
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                None
+            };
+            let outcome = match absorbed {
+                Some(violations) => {
+                    self.dispatch.skipped += 1;
+                    Ok(violations)
+                }
+                None => {
+                    if quiescent {
+                        self.dispatch.quiescent_full += 1;
+                    } else {
+                        self.dispatch.affected += 1;
+                    }
+                    // One poisoned constraint cannot take down the fleet:
+                    // it is quarantined below instead (a panicking shard
+                    // quarantines its whole constraint).
+                    catch_unwind(AssertUnwindSafe(|| {
                         if inject {
                             panic!("injected engine panic (failpoint)");
                         }
-                        engine.advance(db, time);
-                        engine.violations(db, time)
-                    }));
-                    match outcome {
-                        Ok(violations) => Ok(Some((
-                            StepReport {
-                                constraint: name,
-                                time,
-                                violations,
-                            },
-                            eval_start.elapsed().as_nanos() as u64,
-                        ))),
-                        Err(payload) => Err(panic_detail(payload.as_ref())),
-                    }
-                }
-                Job::Shard(shard) => match catch_unwind(AssertUnwindSafe(|| shard.eval(time))) {
-                    Ok(()) => Ok(None),
-                    Err(payload) => Err(panic_detail(payload.as_ref())),
-                },
-            }
-        };
-        if workers <= 1 {
-            for (idx, mut job) in full {
-                match eval_job(&mut job) {
-                    Ok(Some(done)) => slots[idx] = Some(done),
-                    Ok(None) => {}
-                    Err(detail) => panicked.push((idx, detail)),
-                }
-            }
-        } else {
-            let chunk_len = full.len().div_ceil(workers);
-            let batches = std::thread::scope(|scope| {
-                let handles: Vec<_> = full
-                    .chunks_mut(chunk_len)
-                    .map(|batch| {
-                        scope.spawn(|| {
-                            batch
-                                .iter_mut()
-                                .map(|(idx, job)| (*idx, eval_job(job)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-            });
-            drop(full);
-            for joined in batches {
-                match joined {
-                    Ok(batch) => {
-                        for (idx, outcome) in batch {
-                            match outcome {
-                                Ok(Some(done)) => slots[idx] = Some(done),
-                                Ok(None) => {}
-                                Err(detail) => panicked.push((idx, detail)),
+                        match sharded {
+                            Some(sharded) => sharded.step(update, time),
+                            None => {
+                                engine.advance(db, time);
+                                engine.violations(db, time)
                             }
                         }
-                    }
-                    // A panic outside the per-engine catch (worker
-                    // infrastructure, not constraint evaluation) is not
-                    // quarantinable — propagate it.
-                    Err(payload) => std::panic::resume_unwind(payload),
+                    }))
                 }
-            }
-        }
-        for (idx, detail) in &panicked {
-            self.quarantined[*idx] =
-                Some(format!("panicked at step {nth_step} (t={time}): {detail}"));
-        }
-
-        // Fan-in: emit per-constraint events and assemble reports in
-        // insertion order. Sharded constraints merge their per-shard
-        // violation sets in ascending key order here, so reports are
-        // byte-identical to the unsharded path. Newly quarantined
-        // constraints emit a quarantine event in place of their report;
-        // previously quarantined ones stay silent.
-        let mut reports = Vec::with_capacity(n);
-        let mut total_violations = 0usize;
-        for (idx, slot) in slots.iter_mut().enumerate() {
-            if let Some((_, detail)) = panicked.iter().find(|(p, _)| *p == idx) {
-                obs.observe(&StepEvent::ConstraintQuarantined {
-                    checker: "set",
-                    constraint: self.engines[idx].compiled.constraint.name,
-                    time,
-                    detail: detail.clone(),
-                });
-                continue;
-            }
-            let slot = if let Some(sharded) = self.shards[idx].as_mut() {
-                if self.quarantined[idx].is_some() {
-                    continue;
-                }
-                let (violations, latency_ns) = sharded.finish_step();
-                Some((
-                    StepReport {
-                        constraint: self.engines[idx].compiled.constraint.name,
+            };
+            match outcome {
+                Ok(violations) => {
+                    let report = StepReport {
+                        constraint,
                         time,
                         violations,
-                    },
-                    latency_ns,
-                ))
-            } else {
-                debug_assert!(
-                    slot.is_some() || self.quarantined[idx].is_some(),
-                    "every healthy engine produces a report"
-                );
-                slot.take()
-            };
-            let Some((report, latency_ns)) = slot else {
-                continue;
-            };
-            total_violations += report.violation_count();
-            obs.observe(&StepEvent::ConstraintEval {
-                checker: "set",
-                constraint: report.constraint,
-                time,
-                violations: report.violation_count(),
-                latency_ns,
-            });
-            if !report.ok() {
-                obs.observe(&StepEvent::Violation {
-                    checker: "set",
-                    report: &report,
-                });
+                    };
+                    total_violations += report.violation_count();
+                    obs.observe(&StepEvent::ConstraintEval {
+                        checker: "set",
+                        constraint,
+                        time,
+                        violations: report.violation_count(),
+                        latency_ns: eval_start.elapsed().as_nanos() as u64,
+                    });
+                    if !report.ok() {
+                        obs.observe(&StepEvent::Violation {
+                            checker: "set",
+                            report: &report,
+                        });
+                    }
+                    reports.push(report);
+                }
+                Err(payload) => {
+                    let detail = panic_detail(payload.as_ref());
+                    self.quarantined[idx] =
+                        Some(format!("panicked at step {nth_step} (t={time}): {detail}"));
+                    obs.observe(&StepEvent::ConstraintQuarantined {
+                        checker: "set",
+                        constraint,
+                        time,
+                        detail,
+                    });
+                }
             }
-            reports.push(report);
         }
         obs.observe(&StepEvent::StepEnd {
             checker: "set",
@@ -674,8 +483,8 @@ impl ConstraintSet {
     }
 
     /// Processes a micro-batch of transitions as one ingestion unit:
-    /// every line steps in order through the normal (relevance-dispatched,
-    /// possibly parallel) path, then a single
+    /// every line steps in order through the normal relevance-dispatched
+    /// path, then a single
     /// [`StepEvent::BatchIngest`] records the realized batch size.
     ///
     /// Semantics are exactly those of calling
@@ -754,20 +563,6 @@ impl ConstraintSet {
         }
     }
 
-    /// [`ConstraintSet::step`] with one worker per core for this call,
-    /// regardless of the configured [`Parallelism`].
-    pub fn step_parallel(
-        &mut self,
-        time: TimePoint,
-        update: &Update,
-    ) -> Result<Vec<StepReport>, HistoryError> {
-        let configured = self.parallelism;
-        self.parallelism = Parallelism::Auto;
-        let result = self.step(time, update);
-        self.parallelism = configured;
-        result
-    }
-
     /// Aggregate space: the single shared state plus every engine's aux
     /// (summed across live shards for sharded constraints).
     pub fn space(&self) -> SpaceStats {
@@ -787,6 +582,19 @@ impl ConstraintSet {
             stored_states: 1,
             stored_tuples: self.db.total_tuples(),
         }
+    }
+
+    /// Per-temporal-node auxiliary footprint of the named constraint
+    /// ([`crate::IncrementalChecker::node_stats`] for a fleet member).
+    /// Empty for an unknown name and for a sharded constraint, whose
+    /// state lives in its shards ([`ConstraintSet::shard_stats`]).
+    pub fn node_stats(&self, constraint: &str) -> Vec<NodeStat> {
+        self.engines
+            .iter()
+            .zip(&self.shards)
+            .find(|(e, _)| e.compiled.constraint.name.as_str() == constraint)
+            .filter(|(_, sharded)| sharded.is_none())
+            .map_or_else(Vec::new, |(e, _)| e.node_stats())
     }
 
     /// Aggregate compiled-plan statistics across every engine: plan shape
@@ -907,40 +715,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_step_matches_sequential() {
-        let cat = catalog();
-        let mut seq = ConstraintSet::new(constraints(), Arc::clone(&cat)).unwrap();
-        for workers in [2usize, 3, 8] {
-            let mut par = ConstraintSet::new(constraints(), Arc::clone(&cat))
-                .unwrap()
-                .with_parallelism(Parallelism::N(workers));
-            let mut seq2 = ConstraintSet::new(constraints(), Arc::clone(&cat)).unwrap();
-            for t in 1..40u64 {
-                let u = match t % 4 {
-                    0 => Update::new()
-                        .with_insert("p", tuple!["a"])
-                        .with_insert("q", tuple!["b"]),
-                    1 => Update::new().with_insert("q", tuple!["a"]),
-                    2 => Update::new().with_delete("p", tuple!["a"]),
-                    _ => Update::new(),
-                };
-                let a = seq2.step(TimePoint(t), &u).unwrap();
-                let b = par.step(TimePoint(t), &u).unwrap();
-                assert_eq!(a, b, "parallelism {workers} diverged at {t}");
-            }
-            assert_eq!(seq2.space(), par.space());
-        }
-        // The legacy entry point still matches too.
-        let mut legacy = ConstraintSet::new(constraints(), Arc::clone(&cat)).unwrap();
-        for t in 1..10u64 {
-            let u = updates(t);
-            let a = seq.step(TimePoint(t), &u).unwrap();
-            let b = legacy.step_parallel(TimePoint(t), &u).unwrap();
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
     fn relevance_dispatch_partitions_engines() {
         let cat = catalog();
         // `deny qonly` only reads q; an update touching just p is
@@ -966,10 +740,9 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_and_parallelism_preserve_reports() {
-        // A fleet where some constraints are quiescent most steps, stepped
-        // at various worker counts, must match plain per-constraint
-        // checkers byte for byte.
+    fn dispatch_preserves_reports() {
+        // A fleet where some constraints are quiescent most steps must
+        // match plain per-constraint checkers byte for byte.
         let cat = catalog();
         let cs = vec![
             parse_constraint("deny a: p(x) && once[0,3] q(x)").unwrap(),
@@ -977,74 +750,54 @@ mod tests {
             parse_constraint("deny c: p(x) && hist[0,2] p(x)").unwrap(),
             parse_constraint("deny d: q(x) && once[1,4] q(x)").unwrap(),
         ];
-        for par in [
-            Parallelism::Sequential,
-            Parallelism::N(2),
-            Parallelism::Auto,
-        ] {
-            let mut set = ConstraintSet::new(cs.clone(), Arc::clone(&cat))
-                .unwrap()
-                .with_parallelism(par);
-            let mut singles: Vec<IncrementalChecker> = cs
-                .iter()
-                .map(|c| IncrementalChecker::new(c.clone(), Arc::clone(&cat)).unwrap())
-                .collect();
-            for t in 1..60u64 {
-                let u = match t % 7 {
-                    0 => Update::new().with_insert("p", tuple!["a"]),
-                    1 => Update::new().with_insert("q", tuple!["a"]),
-                    3 => Update::new().with_delete("p", tuple!["a"]),
-                    5 => Update::new().with_delete("q", tuple!["a"]),
-                    _ => Update::new(), // quiescent for everyone
-                };
-                let rs = set.step(TimePoint(t), &u).unwrap();
-                for (i, single) in singles.iter_mut().enumerate() {
-                    let r = single.step(TimePoint(t), &u).unwrap();
-                    assert_eq!(rs[i], r, "{par:?}: constraint {i} diverged at t={t}");
-                }
+        let mut set = ConstraintSet::new(cs.clone(), Arc::clone(&cat)).unwrap();
+        let mut singles: Vec<IncrementalChecker> = cs
+            .iter()
+            .map(|c| IncrementalChecker::new(c.clone(), Arc::clone(&cat)).unwrap())
+            .collect();
+        for t in 1..60u64 {
+            let u = match t % 7 {
+                0 => Update::new().with_insert("p", tuple!["a"]),
+                1 => Update::new().with_insert("q", tuple!["a"]),
+                3 => Update::new().with_delete("p", tuple!["a"]),
+                5 => Update::new().with_delete("q", tuple!["a"]),
+                _ => Update::new(), // quiescent for everyone
+            };
+            let rs = set.step(TimePoint(t), &u).unwrap();
+            for (i, single) in singles.iter_mut().enumerate() {
+                let r = single.step(TimePoint(t), &u).unwrap();
+                assert_eq!(rs[i], r, "constraint {i} diverged at t={t}");
             }
-            assert!(
-                set.dispatch_stats().skipped > 0,
-                "{par:?}: fast path never engaged"
-            );
         }
+        assert!(set.dispatch_stats().skipped > 0, "fast path never engaged");
     }
 
     #[test]
     fn observed_events_are_insertion_ordered() {
-        let cat = catalog();
-        let mut obs_seq = CollectingObserver::default();
-        let mut obs_par = CollectingObserver::default();
-        let mut seq = ConstraintSet::new(constraints(), Arc::clone(&cat)).unwrap();
-        let mut par = ConstraintSet::new(constraints(), Arc::clone(&cat))
-            .unwrap()
-            .with_parallelism(Parallelism::N(3));
+        let mut obs = CollectingObserver::default();
+        let mut set = ConstraintSet::new(constraints(), catalog()).unwrap();
         for t in 1..20u64 {
-            let u = updates(t);
-            seq.step_observed(TimePoint(t), &u, &mut obs_seq).unwrap();
-            par.step_observed(TimePoint(t), &u, &mut obs_par).unwrap();
+            set.step_observed(TimePoint(t), &updates(t), &mut obs)
+                .unwrap();
         }
-        assert_eq!(obs_seq.events.len(), obs_par.events.len());
-        for (a, b) in obs_seq.events.iter().zip(&obs_par.events) {
-            assert_eq!(a.kind(), b.kind());
-            if let (
-                StepEvent::ConstraintEval {
-                    constraint: ca,
-                    violations: va,
-                    time: ta,
-                    ..
-                },
-                StepEvent::ConstraintEval {
-                    constraint: cb,
-                    violations: vb,
-                    time: tb,
-                    ..
-                },
-            ) = (a, b)
-            {
-                assert_eq!((ca, va, ta), (cb, vb, tb));
+        // Per step: the bracket, and between it one eval per constraint in
+        // insertion order, each violation right after its own eval.
+        let mut evals: Vec<&str> = Vec::new();
+        for e in &obs.events {
+            match e {
+                StepEvent::StepStart { .. } => assert!(evals.is_empty()),
+                StepEvent::ConstraintEval { constraint, .. } => evals.push(constraint.as_str()),
+                StepEvent::Violation { report, .. } => {
+                    assert_eq!(evals.last(), Some(&report.constraint.as_str()));
+                }
+                StepEvent::StepEnd { .. } => {
+                    assert_eq!(evals, ["both", "lingering", "steady"]);
+                    evals.clear();
+                }
+                other => panic!("unexpected event `{}`", other.kind()),
             }
         }
+        assert!(obs.events.iter().any(|e| e.kind() == "violation"));
     }
 
     #[test]
@@ -1144,35 +897,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_panic_is_quarantined_identically() {
-        let cat = catalog();
-        for par in [
-            Parallelism::Sequential,
-            Parallelism::N(3),
-            Parallelism::Auto,
-        ] {
-            let mut set = ConstraintSet::new(constraints(), Arc::clone(&cat))
-                .unwrap()
-                .with_parallelism(par);
-            set.arm_panic("both", 1);
-            let r = set
-                .step(TimePoint(1), &Update::new().with_insert("p", tuple!["a"]))
-                .unwrap();
-            assert_eq!(r.len(), 2, "{par:?}: victim dropped");
-            assert_eq!(set.quarantined().len(), 1, "{par:?}: quarantined");
-            let r2 = set
-                .step(TimePoint(2), &Update::new().with_insert("q", tuple!["a"]))
-                .unwrap();
-            assert_eq!(r2.len(), 2, "{par:?}: fleet keeps stepping");
-        }
-    }
-
-    #[test]
     fn quarantine_reports_stay_insertion_ordered() {
         let cat = catalog();
-        let mut set = ConstraintSet::new(constraints(), Arc::clone(&cat))
-            .unwrap()
-            .with_parallelism(Parallelism::N(2));
+        let mut set = ConstraintSet::new(constraints(), Arc::clone(&cat)).unwrap();
         set.arm_panic("steady", 1);
         let mut obs = CollectingObserver::default();
         set.step_observed(
@@ -1216,37 +943,34 @@ mod tests {
     #[test]
     fn sharded_set_matches_unsharded_byte_for_byte() {
         let cat = catalog();
-        for par in [Parallelism::Sequential, Parallelism::N(3)] {
-            let mut plain = ConstraintSet::new(constraints(), Arc::clone(&cat)).unwrap();
-            let mut sharded = ConstraintSet::new(constraints(), Arc::clone(&cat))
-                .unwrap()
-                .with_sharding(true)
-                .with_parallelism(par);
-            // Small idle horizon so eviction actually happens mid-run.
-            sharded.set_shard_eviction(2);
-            assert_eq!(
-                sharded.sharded_constraints(),
-                3,
-                "`x` is shared by every atom of every body"
-            );
-            for t in 1..80u64 {
-                let u = entity_updates(t);
-                let a = plain.step(TimePoint(t), &u).unwrap();
-                let b = sharded.step(TimePoint(t), &u).unwrap();
-                assert_eq!(a, b, "{par:?}: diverged at t={t}");
-            }
-            let stats = sharded.shard_stats();
-            assert_eq!(stats.len(), 3);
-            assert!(
-                stats.iter().any(|(_, s)| s.created > 1),
-                "keys materialized shards: {stats:?}"
-            );
-            assert!(
-                stats.iter().any(|(_, s)| s.evicted > 0),
-                "idle shards were evicted: {stats:?}"
-            );
-            assert!(stats.iter().all(|(_, s)| s.peak >= s.live));
+        let mut plain = ConstraintSet::new(constraints(), Arc::clone(&cat)).unwrap();
+        let mut sharded = ConstraintSet::new(constraints(), Arc::clone(&cat))
+            .unwrap()
+            .with_sharding(true);
+        // Small idle horizon so eviction actually happens mid-run.
+        sharded.set_shard_eviction(2);
+        assert_eq!(
+            sharded.sharded_constraints(),
+            3,
+            "`x` is shared by every atom of every body"
+        );
+        for t in 1..80u64 {
+            let u = entity_updates(t);
+            let a = plain.step(TimePoint(t), &u).unwrap();
+            let b = sharded.step(TimePoint(t), &u).unwrap();
+            assert_eq!(a, b, "diverged at t={t}");
         }
+        let stats = sharded.shard_stats();
+        assert_eq!(stats.len(), 3);
+        assert!(
+            stats.iter().any(|(_, s)| s.created > 1),
+            "keys materialized shards: {stats:?}"
+        );
+        assert!(
+            stats.iter().any(|(_, s)| s.evicted > 0),
+            "idle shards were evicted: {stats:?}"
+        );
+        assert!(stats.iter().all(|(_, s)| s.peak >= s.live));
     }
 
     #[test]
@@ -1291,29 +1015,26 @@ mod tests {
     #[test]
     fn sharded_panic_quarantines_the_whole_constraint() {
         let cat = catalog();
-        for par in [Parallelism::Sequential, Parallelism::N(2)] {
-            let mut set = ConstraintSet::new(constraints(), Arc::clone(&cat))
-                .unwrap()
-                .with_sharding(true)
-                .with_parallelism(par);
-            let mut healthy = ConstraintSet::new(constraints(), Arc::clone(&cat)).unwrap();
-            set.arm_panic("lingering", 2);
-            for t in 1..12u64 {
-                let u = entity_updates(t);
-                let r = set.step(TimePoint(t), &u).unwrap();
-                let h = healthy.step(TimePoint(t), &u).unwrap();
-                if t == 1 {
-                    assert_eq!(r, h, "{par:?}: all healthy before the panic");
-                } else {
-                    assert_eq!(r.len(), 2, "{par:?}: victim dropped at t={t}");
-                    assert_eq!(r[0], h[0]);
-                    assert_eq!(r[1], h[2]);
-                }
+        let mut set = ConstraintSet::new(constraints(), Arc::clone(&cat))
+            .unwrap()
+            .with_sharding(true);
+        let mut healthy = ConstraintSet::new(constraints(), Arc::clone(&cat)).unwrap();
+        set.arm_panic("lingering", 2);
+        for t in 1..12u64 {
+            let u = entity_updates(t);
+            let r = set.step(TimePoint(t), &u).unwrap();
+            let h = healthy.step(TimePoint(t), &u).unwrap();
+            if t == 1 {
+                assert_eq!(r, h, "all healthy before the panic");
+            } else {
+                assert_eq!(r.len(), 2, "victim dropped at t={t}");
+                assert_eq!(r[0], h[0]);
+                assert_eq!(r[1], h[2]);
             }
-            let q = set.quarantined();
-            assert_eq!(q.len(), 1, "{par:?}");
-            assert!(q[0].1.contains("injected engine panic"), "{}", q[0].1);
         }
+        let q = set.quarantined();
+        assert_eq!(q.len(), 1);
+        assert!(q[0].1.contains("injected engine panic"), "{}", q[0].1);
     }
 
     #[test]

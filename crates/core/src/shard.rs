@@ -31,7 +31,6 @@
 //! delays the drop to avoid create/evict churn on flapping keys.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use rtic_relation::{Database, Update, Value};
 use rtic_temporal::TimePoint;
@@ -66,9 +65,6 @@ pub(crate) struct Shard {
     pub(crate) engine: NodeEngine,
     /// Whether this step's transition routed tuples here.
     touched: bool,
-    /// This step's violations, set by [`Shard::eval`].
-    violations: Option<Bindings>,
-    latency_ns: u64,
     /// Consecutive steps the eviction gate has held.
     idle: u32,
 }
@@ -80,33 +76,29 @@ impl Shard {
             db,
             engine,
             touched: false,
-            violations: None,
-            latency_ns: 0,
             idle: 0,
         }
     }
 
-    /// Advances this shard one transition. Untouched shards try the
-    /// quiescent fast path first (their sub-database did not change);
-    /// everything else runs the full evaluation against the shard-local
-    /// database — shard-local cache stamps make the memo scratch
-    /// shard-local too.
-    pub(crate) fn eval(&mut self, time: TimePoint) {
-        let start = Instant::now();
+    /// Advances this shard one transition and returns its violations.
+    /// Untouched shards try the quiescent fast path first (their
+    /// sub-database did not change); everything else runs the full
+    /// evaluation against the shard-local database — shard-local cache
+    /// stamps make the memo scratch shard-local too.
+    fn eval(&mut self, time: TimePoint) -> Bindings {
         let fast = if self.touched {
             None
         } else {
             self.engine.advance_time(time)
         };
-        let violations = match fast {
+        self.touched = false;
+        match fast {
             Some(v) => v,
             None => {
                 self.engine.advance(&self.db, time);
                 self.engine.violations(&self.db, time)
             }
-        };
-        self.violations = Some(violations);
-        self.latency_ns = start.elapsed().as_nanos() as u64;
+        }
     }
 }
 
@@ -181,9 +173,8 @@ impl ShardedEngine {
     /// sub-update actually inserts something — deletes against an
     /// unmaterialized key are no-ops under set semantics, exactly as they
     /// are against the phantom's empty database. Must run after the
-    /// update was validated against the shared database and before
-    /// [`ShardedEngine::jobs`].
-    pub(crate) fn begin_step(&mut self, update: &Update) {
+    /// update was validated against the shared database.
+    fn route(&mut self, update: &Update) {
         let mut subs: BTreeMap<Value, Update> = BTreeMap::new();
         for (rel, tuples) in update.inserts() {
             if let Some(&col) = self.key.columns.get(&rel) {
@@ -228,32 +219,17 @@ impl ShardedEngine {
         self.peak = self.peak.max(self.shards.len());
     }
 
-    /// The step's independent work items — the phantom plus every live
-    /// shard — for the caller to distribute over its worker pool.
-    pub(crate) fn jobs(&mut self) -> impl Iterator<Item = &mut Shard> {
-        std::iter::once(&mut self.phantom).chain(self.shards.values_mut())
-    }
-
-    /// Merges the per-shard violation sets in ascending key order and
-    /// runs the eviction pass. Returns the merged violations plus the
-    /// summed per-shard evaluation time. Every job from
-    /// [`ShardedEngine::jobs`] must have been evaluated first.
-    pub(crate) fn finish_step(&mut self) -> (Bindings, u64) {
-        let mut latency = self.phantom.latency_ns;
-        let mut merged = self
-            .phantom
-            .violations
-            .take()
-            .expect("phantom evaluated this step");
+    /// Advances the constraint one transition: routes `update` to its
+    /// shards, steps the phantom and every live shard, merges the
+    /// per-shard violation sets in ascending key order, and runs the
+    /// eviction pass.
+    pub(crate) fn step(&mut self, update: &Update, time: TimePoint) -> Bindings {
+        self.route(update);
+        let mut merged = self.phantom.eval(time);
         debug_assert!(merged.is_empty(), "the phantom's database is empty");
-        self.phantom.touched = false;
         let mut evict: Vec<Value> = Vec::new();
         for (key, shard) in self.shards.iter_mut() {
-            let violations = shard
-                .violations
-                .take()
-                .expect("every live shard evaluated this step");
-            latency += shard.latency_ns;
+            let violations = shard.eval(time);
             // Eviction gate: empty sub-database, no keyed auxiliary
             // state, clean report — the shard's remaining state is the
             // time-only bookkeeping the phantom shares, so dropping it
@@ -262,7 +238,6 @@ impl ShardedEngine {
                 && shard.db.total_tuples() == 0
                 && shard.engine.aux_space().0 == 0;
             merged.union_in_place(&violations);
-            shard.touched = false;
             if phantom_equivalent {
                 shard.idle += 1;
                 if shard.idle >= self.evict_after {
@@ -276,7 +251,7 @@ impl ShardedEngine {
             self.shards.remove(&key);
             self.evicted += 1;
         }
-        (merged, latency)
+        merged
     }
 
     // ——— checkpoint plumbing (see `crate::checkpoint`) ———

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rtic_core::{ConstraintSet, EncodingOptions, NopObserver, Parallelism};
+use rtic_core::{ConstraintSet, EncodingOptions, NopObserver};
 use rtic_history::Transition;
 use rtic_relation::{tuple, Catalog, Schema, Sort, Update};
 use rtic_temporal::parser::parse_constraint;
@@ -120,8 +120,7 @@ proptest! {
             EncodingOptions { vectorize, ..Default::default() },
         )
         .map_err(|(c, e)| format!("`{c}`: {e}"))
-        .unwrap()
-        .with_parallelism(Parallelism::Sequential);
+        .unwrap();
 
         let expected: Vec<_> = ts
             .iter()

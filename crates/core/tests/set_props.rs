@@ -1,15 +1,15 @@
-//! Property: a [`ConstraintSet`] — with relevance dispatch always on and
-//! any worker budget — produces step reports identical to stepping one
-//! independent [`IncrementalChecker`] per constraint, over random fleets
-//! and random streams.
+//! Property: a [`ConstraintSet`] — with relevance dispatch always on —
+//! produces step reports identical to stepping one independent
+//! [`IncrementalChecker`] per constraint, over random fleets and random
+//! streams.
 //!
-//! This is the semantic contract of the parallel fleet engine: dispatch
-//! and parallelism are performance features, never visible in reports.
+//! This is the semantic contract of the fleet engine: dispatch is a
+//! performance feature, never visible in reports.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rtic_core::{Checker, ConstraintSet, IncrementalChecker, Parallelism};
+use rtic_core::{Checker, ConstraintSet, IncrementalChecker};
 use rtic_history::Transition;
 use rtic_relation::{tuple, Catalog, Schema, Sort, Update};
 use rtic_temporal::parser::parse_constraint;
@@ -101,22 +101,11 @@ fn transitions() -> impl Strategy<Value = Vec<Transition>> {
     )
 }
 
-fn parallelism() -> impl Strategy<Value = Parallelism> {
-    prop_oneof![
-        Just(Parallelism::Sequential),
-        Just(Parallelism::N(2)),
-        Just(Parallelism::N(3)),
-        Just(Parallelism::N(8)),
-        Just(Parallelism::Auto),
-    ]
-}
-
 proptest! {
     #[test]
     fn fleet_matches_independent_checkers(
         constraints in fleet(),
         ts in transitions(),
-        par in parallelism(),
     ) {
         let cat = catalog();
         let mut singles: Vec<IncrementalChecker> = constraints
@@ -128,21 +117,14 @@ proptest! {
             .collect();
         let mut set = ConstraintSet::new(constraints.iter().cloned(), Arc::clone(&cat))
             .map_err(|(c, e)| format!("`{c}`: {e}"))
-            .unwrap()
-            .with_parallelism(par);
+            .unwrap();
         for tr in &ts {
             let expected: Vec<_> = singles
                 .iter_mut()
                 .map(|s| s.step(tr.time, &tr.update).expect("monotone stream"))
                 .collect();
             let got = set.step(tr.time, &tr.update).expect("monotone stream");
-            prop_assert_eq!(
-                &got,
-                &expected,
-                "fleet diverged at t={} under {:?}",
-                tr.time,
-                par
-            );
+            prop_assert_eq!(&got, &expected, "fleet diverged at t={}", tr.time);
         }
         // The set's shared database matches any single checker's count.
         prop_assert_eq!(

@@ -1,6 +1,6 @@
 //! Property: killing a constraint fleet at *any* step, checkpointing at
 //! that cut, and restoring yields a fleet whose remaining reports are
-//! identical to an uninterrupted run's — under every parallelism mode.
+//! identical to an uninterrupted run's.
 //! This is the core recovery-equivalence guarantee the CLI's
 //! `--resume` path builds on.
 
@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use rtic_core::checkpoint::{restore_set, save_set};
-use rtic_core::{ConstraintSet, Parallelism};
+use rtic_core::ConstraintSet;
 use rtic_history::Transition;
 use rtic_relation::{tuple, Catalog, Schema, Sort, Update};
 use rtic_temporal::parser::parse_constraint;
@@ -73,20 +73,12 @@ proptest! {
         mask in 1u8..16,
         ts in transitions(),
         cut_frac in 0.0f64..1.0,
-        par_pick in 0u8..3,
     ) {
         let cat = catalog();
-        let par = match par_pick {
-            0 => Parallelism::Sequential,
-            1 => Parallelism::N(2),
-            _ => Parallelism::Auto,
-        };
         let cut = ((ts.len() as f64) * cut_frac) as usize;
 
         // Uninterrupted reference run.
-        let mut reference = ConstraintSet::new(fleet(mask), Arc::clone(&cat))
-            .unwrap()
-            .with_parallelism(par);
+        let mut reference = ConstraintSet::new(fleet(mask), Arc::clone(&cat)).unwrap();
         let mut expected = Vec::new();
         for tr in &ts {
             expected.push(reference.step(tr.time, &tr.update).unwrap());
@@ -94,9 +86,7 @@ proptest! {
 
         // Killed-and-recovered run: step to the cut, "crash" (drop the
         // set, keeping only the checkpoint sections), restore, continue.
-        let mut head = ConstraintSet::new(fleet(mask), Arc::clone(&cat))
-            .unwrap()
-            .with_parallelism(par);
+        let mut head = ConstraintSet::new(fleet(mask), Arc::clone(&cat)).unwrap();
         let mut got = Vec::new();
         for tr in &ts[..cut] {
             got.push(head.step(tr.time, &tr.update).unwrap());
@@ -105,13 +95,12 @@ proptest! {
         let cursor = head.last_time();
         drop(head);
         let mut resumed = restore_set(fleet(mask), Arc::clone(&cat), &sections)
-            .unwrap_or_else(|e| panic!("restore_set failed at cut {cut}: {e}"))
-            .with_parallelism(par);
+            .unwrap_or_else(|e| panic!("restore_set failed at cut {cut}: {e}"));
         prop_assert_eq!(resumed.last_time(), cursor, "replay cursor survives");
         for tr in &ts[cut..] {
             got.push(resumed.step(tr.time, &tr.update).unwrap());
         }
-        prop_assert_eq!(got, expected, "mask {:04b} cut {} {:?}", mask, cut, par);
+        prop_assert_eq!(got, expected, "mask {:04b} cut {}", mask, cut);
         // Space accounting also survives the round trip.
         prop_assert_eq!(resumed.space(), reference.space());
     }

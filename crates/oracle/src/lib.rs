@@ -10,8 +10,8 @@
 //!    random histories (timestamp clusters, horizon-expiring clock gaps,
 //!    relation churn, empty states).
 //! 2. [`modes`] runs each case through every checker realization — naive
-//!    reference, incremental, windowed, active, `ConstraintSet` sequential
-//!    and parallel, and a kill-at-a-random-step checkpoint/resume stitch —
+//!    reference, incremental, windowed, active, `ConstraintSet`, and a
+//!    kill-at-a-random-step checkpoint/resume stitch —
 //!    and [`diff`] asserts byte-identical violation reports.
 //! 3. On divergence, [`shrink`] minimizes both the history and the formula
 //!    while preserving the disagreement, and [`repro`] serializes a

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use rtic_active::ActiveChecker;
 use rtic_core::{
     checkpoint, BackendId, Checker, ConstraintSet, EncodingOptions, IncrementalChecker,
-    NaiveChecker, NopObserver, Parallelism, WindowedChecker,
+    NaiveChecker, NopObserver, WindowedChecker,
 };
 use rtic_history::Transition;
 use rtic_relation::Catalog;
@@ -33,10 +33,8 @@ pub enum Mode {
     /// evaluator (`EncodingOptions::interpret_eval`) — the converse
     /// plan-vs-interpret probe, through the bounded encoding.
     IncrementalInterpreted,
-    /// [`ConstraintSet`] stepped sequentially (relevance dispatch on).
+    /// A one-constraint [`ConstraintSet`] (relevance dispatch on).
     SetSequential,
-    /// [`ConstraintSet`] with [`Parallelism::Auto`] worker fan-out.
-    SetParallel,
     /// Kill the fleet at a seed-derived step, checkpoint, restore into a
     /// fresh process image, and stitch the two report halves together.
     Stitch,
@@ -65,7 +63,7 @@ impl Mode {
     /// Every mode, reference first. The naive checker re-evaluates the
     /// full stored history through the interpreting evaluator and is the
     /// semantics-defining baseline all other modes are diffed against.
-    pub const ALL: [Mode; 13] = [
+    pub const ALL: [Mode; 12] = [
         Mode::Single(BackendId::Naive),
         Mode::Single(BackendId::Incremental),
         Mode::Single(BackendId::Windowed),
@@ -73,7 +71,6 @@ impl Mode {
         Mode::NaivePlanned,
         Mode::IncrementalInterpreted,
         Mode::SetSequential,
-        Mode::SetParallel,
         Mode::Stitch,
         Mode::FleetSharded,
         Mode::IncrementalVectorized,
@@ -88,7 +85,6 @@ impl Mode {
             Mode::NaivePlanned => "naive-plan",
             Mode::IncrementalInterpreted => "inc-interp",
             Mode::SetSequential => "set",
-            Mode::SetParallel => "set-par",
             Mode::Stitch => "stitch",
             Mode::FleetSharded => "fleet-sharded",
             Mode::IncrementalVectorized => "inc-vec",
@@ -153,8 +149,7 @@ pub fn run_constraint(
                     .map_err(err)?;
             run_single(Box::new(checker), transitions)
         }
-        Mode::SetSequential => run_set(constraint, catalog, transitions, Parallelism::Sequential),
-        Mode::SetParallel => run_set(constraint, catalog, transitions, Parallelism::Auto),
+        Mode::SetSequential => run_set(constraint, catalog, transitions),
         Mode::Stitch => run_stitch(constraint, catalog, transitions, seed),
         Mode::FleetSharded => run_fleet_sharded(
             constraint,
@@ -225,11 +220,9 @@ fn run_set(
     constraint: &Constraint,
     catalog: &Arc<Catalog>,
     transitions: &[Transition],
-    parallelism: Parallelism,
 ) -> Result<Vec<String>, String> {
     let mut set = ConstraintSet::new([constraint.clone()], Arc::clone(catalog))
-        .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?
-        .with_parallelism(parallelism);
+        .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?;
     let mut lines = Vec::with_capacity(transitions.len());
     for t in transitions {
         let reports = set.step(t.time, &t.update).map_err(|e| e.to_string())?;

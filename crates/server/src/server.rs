@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use rtic_core::{checkpoint, ConstraintSet, EncodingOptions, Parallelism, StepEvent, StepObserver};
+use rtic_core::{checkpoint, ConstraintSet, EncodingOptions, StepEvent, StepObserver};
 use rtic_history::Transition;
 use rtic_obs::MetricsRegistry;
 use rtic_relation::{Catalog, Symbol, Update};
@@ -96,8 +96,6 @@ pub struct ServeConfig {
     pub sharding: bool,
     /// Idle-shard eviction horizon (requires `sharding`).
     pub shard_evict: Option<u32>,
-    /// Fleet worker threads.
-    pub parallelism: Option<Parallelism>,
     /// Micro-batch bound: after popping a job the engine drains up to
     /// this many queued jobs and applies them as one ingestion unit —
     /// one checkpoint write, one metrics sample, and one `batch_ingest`
@@ -130,7 +128,6 @@ impl ServeConfig {
             resume: false,
             sharding: false,
             shard_evict: None,
-            parallelism: None,
             batch: 1,
             vectorize: false,
             faults: FailPlan::default(),
@@ -372,7 +369,6 @@ pub fn serve(
         resume,
         sharding,
         shard_evict,
-        parallelism,
         batch,
         vectorize,
         faults,
@@ -466,9 +462,6 @@ pub fn serve(
     };
     if let Some(horizon) = shard_evict {
         set.set_shard_eviction(horizon);
-    }
-    if let Some(par) = parallelism {
-        set = set.with_parallelism(par);
     }
     for (name, nth) in faults.engine_panics() {
         if !set.arm_panic(&name, nth) {

@@ -9,16 +9,14 @@
 
 use std::sync::Arc;
 
-use rtic_core::{ConstraintSet, Parallelism};
+use rtic_core::ConstraintSet;
 use rtic_workload::Generated;
 
 /// How a sample's history is checked.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
-    /// One `ConstraintSet`, sequential dispatch.
+    /// One `ConstraintSet`, every constraint unsharded.
     Sequential,
-    /// One `ConstraintSet`, worker-pool dispatch (`Parallelism::Auto`).
-    Parallel,
     /// One `ConstraintSet` with the entity-key sharded data plane.
     Sharded,
     /// A live `rtic serve` daemon driven over a unix socket (soak mode);
@@ -29,18 +27,12 @@ pub enum Backend {
 
 impl Backend {
     /// All batch + soak backends, in registry order.
-    pub const ALL: [Backend; 4] = [
-        Backend::Sequential,
-        Backend::Parallel,
-        Backend::Sharded,
-        Backend::Soak,
-    ];
+    pub const ALL: [Backend; 3] = [Backend::Sequential, Backend::Sharded, Backend::Soak];
 
     /// CLI-facing name.
     pub fn as_str(&self) -> &'static str {
         match self {
             Backend::Sequential => "sequential",
-            Backend::Parallel => "parallel",
             Backend::Sharded => "fleet-sharded",
             Backend::Soak => "soak-serve",
         }
@@ -50,11 +42,10 @@ impl Backend {
     pub fn parse(name: &str) -> Result<Backend, String> {
         match name {
             "sequential" | "set" => Ok(Backend::Sequential),
-            "parallel" | "set-parallel" => Ok(Backend::Parallel),
             "fleet-sharded" | "sharded" => Ok(Backend::Sharded),
             "soak-serve" | "soak" => Ok(Backend::Soak),
             other => Err(format!(
-                "unknown backend `{other}` (sequential|parallel|fleet-sharded|soak-serve)"
+                "unknown backend `{other}` (sequential|fleet-sharded|soak-serve)"
             )),
         }
     }
@@ -73,7 +64,6 @@ pub fn run_batch(gen: &Generated, backend: Backend) -> Result<Vec<String>, Strin
         .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?;
     match backend {
         Backend::Sequential => {}
-        Backend::Parallel => set.set_parallelism(Parallelism::Auto),
         Backend::Sharded => set.set_sharding(true),
         Backend::Soak => return Err("soak samples run through crate::soak, not run_batch".into()),
     }
@@ -109,6 +99,7 @@ mod tests {
         assert_eq!(Backend::parse("sharded").unwrap(), Backend::Sharded);
         assert_eq!(Backend::parse("soak").unwrap(), Backend::Soak);
         assert!(Backend::parse("naive").is_err());
+        assert!(Backend::parse("parallel").is_err(), "removed with the pool");
     }
 
     #[test]
@@ -123,13 +114,11 @@ mod tests {
         let gen = library::find("ratelimit").unwrap().generate(&params);
         let sequential = run_batch(&gen, Backend::Sequential).unwrap();
         assert!(!sequential.is_empty(), "seed must inject violations");
-        for backend in [Backend::Parallel, Backend::Sharded] {
-            assert_eq!(
-                run_batch(&gen, backend).unwrap(),
-                sequential,
-                "{backend} diverged from sequential"
-            );
-        }
+        assert_eq!(
+            run_batch(&gen, Backend::Sharded).unwrap(),
+            sequential,
+            "fleet-sharded diverged from sequential"
+        );
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!
 //! Three backends cross-validate the whole stack on the way:
 //!
-//! * batch backends ([`Backend::Sequential`], [`Backend::Parallel`],
-//!   [`Backend::Sharded`]) step a `ConstraintSet` in-process;
+//! * batch backends ([`Backend::Sequential`], [`Backend::Sharded`]) step
+//!   a `ConstraintSet` in-process;
 //! * the soak backend ([`Backend::Soak`]) drives a live `rtic serve`
 //!   daemon per sample over a unix socket and cross-checks its drained
 //!   report byte-for-byte against the sequential batch run;

@@ -1,12 +1,12 @@
 //! A constraint *fleet*: many constraints over one shared database, with
 //! relevance dispatch deciding per step which constraints actually need
-//! evaluation and optional worker threads stepping the affected slice.
+//! evaluation.
 //!
 //! Run with: `cargo run --example fleet`
 
 use std::sync::Arc;
 
-use rtic::core::{ConstraintSet, Parallelism};
+use rtic::core::ConstraintSet;
 use rtic::relation::{tuple, Catalog, Schema, Sort, Update};
 use rtic::temporal::parser::parse_constraint;
 use rtic::temporal::TimePoint;
@@ -39,11 +39,8 @@ fn main() {
         parse_constraint("deny unanswered: alarm(z) && !once[0,2] reset(z)").unwrap(),
     ];
 
-    // `Parallelism::Auto` fans the affected slice out over one scoped
-    // worker per core; reports stay in registration order either way.
-    let mut fleet = ConstraintSet::new(constraints, Arc::clone(&catalog))
-        .unwrap()
-        .with_parallelism(Parallelism::Auto);
+    // Constraints step in registration order; reports come back in it.
+    let mut fleet = ConstraintSet::new(constraints, Arc::clone(&catalog)).unwrap();
     println!(
         "fleet: {} constraints over one shared database\n",
         fleet.len()

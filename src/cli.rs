@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! rtic check <constraints.rtic> <log.rticlog> [--checker NAME] [--quiet] [--stats] [--explain]
-//!            [--constraints FILE]... [--parallel N|auto] [--profile]
+//!            [--constraints FILE]... [--profile]
 //!            [--batch N] [--vectorize]
 //!            [--shard auto|off] [--shard-evict N]
 //!            [--checkpoint FILE] [--resume FILE] [--checkpoint-every N]
@@ -35,14 +35,14 @@ use std::time::Duration;
 use rtic_active::ActiveChecker;
 use rtic_core::observe;
 use rtic_core::{checkpoint, explain, BackendId, Checker, CompiledConstraint, EncodingOptions};
-use rtic_core::{ConstraintSet, IncrementalChecker, NaiveChecker, Parallelism, WindowedChecker};
+use rtic_core::{ConstraintSet, NaiveChecker, WindowedChecker};
 use rtic_core::{StepEvent, StepObserver};
 use rtic_history::log::{format_log, LogErrorKind, LogReader};
 use rtic_history::Transition;
 use rtic_obs::{
     json, report, ChromeTraceWriter, MetricsRegistry, MultiObserver, SpaceSampler, TraceWriter,
 };
-use rtic_relation::{Catalog, Symbol, Update};
+use rtic_relation::{Symbol, Update};
 use rtic_resilience::{
     container, write_atomic, CheckpointPolicy, CheckpointTicker, FailAction, FailPlan, Rotation,
 };
@@ -57,7 +57,7 @@ rtic — real-time integrity constraints (Chomicki, PODS 1992)
 
 USAGE:
   rtic check <constraints-file> <log-file> [--checker incremental|naive|windowed|active]
-             [--constraints FILE]... [--parallel N|auto] [--profile]
+             [--constraints FILE]... [--profile]
              [--batch N] [--vectorize]
              [--shard auto|off] [--shard-evict N]
              [--quiet] [--stats] [--explain] [--checkpoint FILE] [--resume FILE]
@@ -70,15 +70,15 @@ USAGE:
   rtic generate <scenario>|--list [--steps N] [--entities N] [--events N] [--seed N]
              [--violation-rate R]
   rtic smc <scenario> [--samples auto|N] [--confidence C] [--epsilon E]
-             [--backend sequential|parallel|fleet-sharded|soak-serve]
+             [--backend sequential|fleet-sharded|soak-serve]
              [--steps N] [--entities N] [--events N] [--violation-rate R] [--seed N]
              [--min-samples N] [--oracle-every K] [--out FILE] [--metrics FILE]
              [--soak-dir DIR] [--soak-keep] [--resume] [--failpoints SPEC]
   rtic serve <constraints-file> --listen unix:PATH|tcp:HOST:PORT
              [--constraints FILE]... [--queue N] [--retry-ms MS] [--write-timeout-ms MS]
              [--checkpoint FILE] [--resume] [--checkpoint-every N] [--checkpoint-secs T]
-             [--checkpoint-keep K] [--parallel N|auto] [--shard auto|off] [--shard-evict N]
-             [--batch N] [--vectorize] [--failpoints SPEC] [--report FILE] [--metrics FILE]
+             [--checkpoint-keep K] [--shard auto|off] [--shard-evict N] [--batch N]
+             [--vectorize] [--failpoints SPEC] [--report FILE] [--metrics FILE]
   rtic send <log-file> --connect unix:PATH|tcp:HOST:PORT [--drain] [--quiet]
              [--connect-timeout-ms MS]
 
@@ -105,13 +105,14 @@ cross-check mismatch exits 1. `--soak-dir` + `--soak-keep` + `--resume` +
 
 Multi-constraint fleets: `--constraints FILE` (repeatable) merges more
 constraint files into the run — relation declarations shared between
-files must agree exactly, constraint names must be unique. `--parallel N`
-(or `auto`) checks the whole fleet as one shared-state constraint set
-with relevance dispatch, evaluating affected constraints on up to N
-worker threads; reports and telemetry are identical to the sequential
-run. Requires the incremental checker. A constraint engine that panics
-mid-step is quarantined — it stops reporting while the rest of the fleet
-keeps checking — and is listed in the summary and `--stats`.
+files must agree exactly, constraint names must be unique. The
+incremental checker (the default) checks the whole fleet as one
+shared-state constraint set with relevance dispatch: each transition is
+applied once and only the constraints it touches are re-evaluated. A
+constraint engine that panics mid-step is quarantined — it stops
+reporting while the rest of the fleet keeps checking — and is listed in
+the summary and `--stats`. `--checker naive|windowed|active` run one
+independent reference checker per constraint instead.
 
 Columnar execution: `--vectorize` switches the incremental engine onto
 the block-backed evaluation path — column-sliced hash joins, columnar
@@ -121,8 +122,8 @@ byte-identical to the scalar path (the differential oracle pins this).
 parsed and buffered first, then applied as one ingestion unit
 (per-line semantics preserved exactly; checkpoint ticks and space
 samples coalesce to batch boundaries). Both require the incremental
-checker and compose with `--parallel`, `--shard`, checkpoints, and
-`--resume` replay cursors.
+checker and compose with `--shard`, checkpoints, and `--resume` replay
+cursors.
 
 Sharding: `--shard auto` partitions each constraint's state by its
 compile-time entity key (the variable shared by every atom) and steps
@@ -130,9 +131,9 @@ only the shards an update touches; constraints with no such key run
 unsharded alongside. Reports are byte-identical to `--shard off` (the
 default). Idle shards are evicted after `--shard-evict N` quiet steps.
 Shard counts appear under `--stats`/`--profile` and in `--metrics`
-snapshots. Requires the incremental checker; composes with `--parallel`
-and checkpoints (a checkpoint records which data plane wrote it, and
-must be resumed with the same `--shard` setting).
+snapshots. Requires the incremental checker; composes with checkpoints
+(a checkpoint records which data plane wrote it, and must be resumed
+with the same `--shard` setting).
 
 Checkpoints: `--checkpoint FILE` durably saves the checkers' bounded
 state (checksummed container, written atomically) after the run and,
@@ -141,8 +142,7 @@ it. Writes rotate through FILE, FILE.1, … (`--checkpoint-keep K`,
 default 3). `--resume FILE` restores before the run, falling back to the
 newest intact rotation entry if a candidate is corrupt, and skips log
 lines at or before the checkpoint cursor, so a log can be checked in
-consecutive segments. Works with `--parallel` fleets (incremental
-checker only).
+consecutive segments. Incremental checker only.
 
 Bad input: `--on-bad-line skip` skips malformed log lines (up to
 `--bad-line-budget N`, default 100) instead of aborting; skipped lines
@@ -178,13 +178,12 @@ deferred past the batch checkpoint so checkpoint-before-ack still holds.
 streams a log to a serving daemon with backoff+jitter retries, printing
 violations as they come.
 
-Profiling: `--profile` (incremental checker, with or without
-`--parallel`) turns on per-plan-node counters — inclusive wall time,
-cardinalities, memo-cache hits — and prints an EXPLAIN-ANALYZE-style
-table per constraint after the run; the profile also lands in
-`--metrics` snapshots and traces. `rtic explain FILE --profile LOG`
-additionally replays LOG and annotates each constraint's report with the
-measured plan profile.";
+Profiling: `--profile` (incremental checker) turns on per-plan-node
+counters — inclusive wall time, cardinalities, memo-cache hits — and
+prints an EXPLAIN-ANALYZE-style table per constraint after the run; the
+profile also lands in `--metrics` snapshots and traces. `rtic explain
+FILE --profile LOG` additionally replays LOG and annotates each
+constraint's report with the measured plan profile.";
 
 /// Runs the CLI; returns the process exit code. All output goes through
 /// `out` so tests can capture it.
@@ -205,21 +204,37 @@ pub fn run(args: &[String], out: &mut String) -> Result<i32, String> {
     }
 }
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// The value of `--flag VALUE`, if the flag is present. A value flag that
+/// ends the command line, or is followed by another `--flag`, is a usage
+/// error — silently dropping it would skip the checkpoint, report or
+/// metrics file the caller asked for.
+fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+    Ok(flag_values(args, name)?.into_iter().next())
 }
 
 /// All values of a repeatable `--flag VALUE` pair, in order.
-fn flag_values<'a>(args: &'a [String], name: &str) -> Vec<&'a str> {
+fn flag_values<'a>(args: &'a [String], name: &str) -> Result<Vec<&'a str>, String> {
     args.iter()
         .enumerate()
         .filter(|(_, a)| *a == name)
-        .filter_map(|(i, _)| args.get(i + 1))
-        .map(String::as_str)
+        .map(|(i, _)| match args.get(i + 1) {
+            Some(v) if !v.starts_with("--") => Ok(v.as_str()),
+            _ => Err(format!("{name} needs a value; try --help")),
+        })
         .collect()
+}
+
+/// `--parallel` selected a per-step worker pool that no longer exists;
+/// say so instead of ignoring the flag like any other unknown one.
+fn reject_parallel(args: &[String]) -> Result<(), String> {
+    if args.iter().any(|a| a == "--parallel") {
+        return Err(
+            "--parallel was removed: the worker pool was slower than sequential stepping \
+             at every measured point (EXPERIMENTS.md T8, docs/PERFORMANCE.md §6a); drop the flag"
+                .into(),
+        );
+    }
+    Ok(())
 }
 
 fn load_constraints(path: &str) -> Result<ConstraintFile, String> {
@@ -254,13 +269,23 @@ fn load_merged_constraints(primary: &str, extras: &[&str]) -> Result<ConstraintF
     Ok(file)
 }
 
-/// The two evaluation engines behind `rtic check`: one independent
-/// checker per constraint (any backend), or a shared-state
-/// [`ConstraintSet`] fleet with relevance dispatch and optional worker
-/// threads (`--parallel`).
+/// The two evaluation engines behind `rtic check`: the incremental
+/// backend always runs as one shared-state [`ConstraintSet`] fleet with
+/// relevance dispatch; the reference backends (`naive|windowed|active`)
+/// run one independent checker per constraint and never checkpoint,
+/// profile, batch or shard.
 enum CheckEngine {
     Independent(Vec<Box<dyn Checker>>),
     Fleet(Box<ConstraintSet>),
+}
+
+impl CheckEngine {
+    fn fleet(&self) -> Option<&ConstraintSet> {
+        match self {
+            CheckEngine::Fleet(set) => Some(set),
+            CheckEngine::Independent(_) => None,
+        }
+    }
 }
 
 /// The trace writer behind `--trace`, in the format `--trace-format`
@@ -295,63 +320,18 @@ impl StepObserver for AnyTrace {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn build_checkers(
-    file: &ConstraintFile,
-    catalog: &Arc<Catalog>,
-    backend: BackendId,
-    options: EncodingOptions,
-    show_explain: bool,
-    resume_path: Option<&str>,
-    resume_sections: &[String],
-    registry: &mut MetricsRegistry,
-    trace: &mut Option<AnyTrace>,
-    out: &mut String,
-) -> Result<Vec<Box<dyn Checker>>, String> {
-    let mut checkers: Vec<Box<dyn Checker>> = Vec::new();
-    for c in &file.constraints {
-        let compiled = CompiledConstraint::compile(c.clone(), Arc::clone(catalog))
-            .map_err(|e| format!("constraint `{}`: {e}", c.name))?;
-        if show_explain {
-            let _ = writeln!(out, "{}", explain::explain(&compiled));
-        }
-        checkers.push(match backend {
-            BackendId::Incremental => {
-                let section = resume_sections
-                    .iter()
-                    .find(|s| s.lines().any(|l| l == format!("constraint {}", c.name)));
-                match (resume_path, section) {
-                    (Some(path), None) => {
-                        return Err(format!(
-                            "checkpoint `{path}` has no section for constraint `{}`",
-                            c.name
-                        ))
-                    }
-                    (Some(_), Some(section)) => {
-                        let mut obs = MultiObserver::new().with(registry);
-                        if let Some(t) = trace.as_mut() {
-                            obs.push(t);
-                        }
-                        Box::new(
-                            checkpoint::restore_observed(
-                                c.clone(),
-                                Arc::clone(catalog),
-                                options,
-                                section,
-                                &mut obs,
-                            )
-                            .map_err(|e| e.to_string())?,
-                        )
-                    }
-                    (None, _) => Box::new(IncrementalChecker::from_compiled(compiled, options)),
-                }
-            }
-            BackendId::Naive => Box::new(NaiveChecker::from_compiled(compiled)),
-            BackendId::Windowed => Box::new(WindowedChecker::from_compiled(compiled)),
-            BackendId::Active => Box::new(ActiveChecker::from_compiled(compiled)),
-        });
+/// Builds one reference checker from a compiled constraint.
+type MakeReference = fn(CompiledConstraint) -> Box<dyn Checker>;
+
+/// The reference backends' constructors; `None` for the incremental
+/// backend, which runs as a [`ConstraintSet`].
+fn reference_backend(backend: BackendId) -> Option<MakeReference> {
+    match backend {
+        BackendId::Incremental => None,
+        BackendId::Naive => Some(|c| Box::new(NaiveChecker::from_compiled(c))),
+        BackendId::Windowed => Some(|c| Box::new(WindowedChecker::from_compiled(c))),
+        BackendId::Active => Some(|c| Box::new(ActiveChecker::from_compiled(c))),
     }
-    Ok(checkers)
 }
 
 fn check(args: &[String], out: &mut String) -> Result<i32, String> {
@@ -359,11 +339,12 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     let [constraints_path, log_path] = positional.as_slice() else {
         return Err("check needs <constraints-file> and <log-file>; try --help".into());
     };
+    reject_parallel(args)?;
     let quiet = args.iter().any(|a| a == "--quiet");
     let stats = args.iter().any(|a| a == "--stats");
     let show_explain = args.iter().any(|a| a == "--explain");
     let profile = args.iter().any(|a| a == "--profile");
-    let backend: BackendId = flag_value(args, "--checker")
+    let backend: BackendId = flag_value(args, "--checker")?
         .unwrap_or("incremental")
         .parse()?;
     if profile && backend != BackendId::Incremental {
@@ -373,7 +354,7 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     if vectorize && backend != BackendId::Incremental {
         return Err("--vectorize requires the incremental checker".into());
     }
-    let batch_size: usize = flag_value(args, "--batch")
+    let batch_size: usize = flag_value(args, "--batch")?
         .map(|v| v.parse().map_err(|e| format!("bad --batch: {e}")))
         .transpose()?
         .unwrap_or(1);
@@ -388,28 +369,12 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
         vectorize,
         ..Default::default()
     };
-    let checkpoint_path = flag_value(args, "--checkpoint");
-    let resume_path = flag_value(args, "--resume");
+    let checkpoint_path = flag_value(args, "--checkpoint")?;
+    let resume_path = flag_value(args, "--resume")?;
     if (checkpoint_path.is_some() || resume_path.is_some()) && backend != BackendId::Incremental {
         return Err("--checkpoint/--resume require the incremental checker".into());
     }
-    let parallelism = match flag_value(args, "--parallel") {
-        None => None,
-        Some("auto") => Some(Parallelism::Auto),
-        Some(n) => {
-            let n: usize = n
-                .parse()
-                .map_err(|e| format!("bad --parallel `{n}`: {e}"))?;
-            if n == 0 {
-                return Err("--parallel needs at least one worker (or `auto`)".into());
-            }
-            Some(Parallelism::N(n))
-        }
-    };
-    if parallelism.is_some() && backend != BackendId::Incremental {
-        return Err("--parallel requires the incremental checker".into());
-    }
-    let shard_enabled = match flag_value(args, "--shard") {
+    let shard_enabled = match flag_value(args, "--shard")? {
         None | Some("off") => false,
         Some("auto") => true,
         Some(other) => return Err(format!("bad --shard `{other}` (auto|off)")),
@@ -417,7 +382,7 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     if shard_enabled && backend != BackendId::Incremental {
         return Err("--shard requires the incremental checker".into());
     }
-    let shard_evict: Option<u32> = flag_value(args, "--shard-evict")
+    let shard_evict: Option<u32> = flag_value(args, "--shard-evict")?
         .map(|v| v.parse().map_err(|e| format!("bad --shard-evict: {e}")))
         .transpose()?;
     if shard_evict.is_some() && !shard_enabled {
@@ -426,55 +391,55 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     if let Some(0) = shard_evict {
         return Err("--shard-evict needs at least one step of idleness".into());
     }
-    let checkpoint_keep: usize = flag_value(args, "--checkpoint-keep")
+    let checkpoint_keep: usize = flag_value(args, "--checkpoint-keep")?
         .map(|v| v.parse().map_err(|e| format!("bad --checkpoint-keep: {e}")))
         .transpose()?
         .unwrap_or(3);
     if checkpoint_keep == 0 {
         return Err("--checkpoint-keep needs at least one generation".into());
     }
-    let checkpoint_every: Option<u64> = flag_value(args, "--checkpoint-every")
+    let checkpoint_every: Option<u64> = flag_value(args, "--checkpoint-every")?
         .map(|v| {
             v.parse()
                 .map_err(|e| format!("bad --checkpoint-every: {e}"))
         })
         .transpose()?;
-    let checkpoint_secs: Option<f64> = flag_value(args, "--checkpoint-secs")
+    let checkpoint_secs: Option<f64> = flag_value(args, "--checkpoint-secs")?
         .map(|v| v.parse().map_err(|e| format!("bad --checkpoint-secs: {e}")))
         .transpose()?;
     if (checkpoint_every.is_some() || checkpoint_secs.is_some()) && checkpoint_path.is_none() {
         return Err("--checkpoint-every/--checkpoint-secs require --checkpoint".into());
     }
-    let skip_bad_lines = match flag_value(args, "--on-bad-line") {
+    let skip_bad_lines = match flag_value(args, "--on-bad-line")? {
         None | Some("strict") => false,
         Some("skip") => true,
         Some(other) => return Err(format!("bad --on-bad-line `{other}` (strict|skip)")),
     };
-    let bad_line_budget: u64 = flag_value(args, "--bad-line-budget")
+    let bad_line_budget: u64 = flag_value(args, "--bad-line-budget")?
         .map(|v| v.parse().map_err(|e| format!("bad --bad-line-budget: {e}")))
         .transpose()?
         .unwrap_or(100);
-    if flag_value(args, "--bad-line-budget").is_some() && !skip_bad_lines {
+    if flag_value(args, "--bad-line-budget")?.is_some() && !skip_bad_lines {
         return Err("--bad-line-budget requires --on-bad-line skip".into());
     }
-    let faults = match flag_value(args, "--failpoints") {
+    let faults = match flag_value(args, "--failpoints")? {
         Some(spec) => FailPlan::parse(spec).map_err(|e| format!("bad --failpoints: {e}"))?,
         None => {
             FailPlan::from_env().map_err(|e| format!("bad {}: {e}", rtic_resilience::ENV_VAR))?
         }
     };
-    let extra_constraint_paths = flag_values(args, "--constraints");
-    let metrics_path = flag_value(args, "--metrics");
-    let trace_path = flag_value(args, "--trace");
-    let trace_chrome = match flag_value(args, "--trace-format") {
+    let extra_constraint_paths = flag_values(args, "--constraints")?;
+    let metrics_path = flag_value(args, "--metrics")?;
+    let trace_path = flag_value(args, "--trace")?;
+    let trace_chrome = match flag_value(args, "--trace-format")? {
         None | Some("json") => false,
         Some("chrome") => true,
         Some(other) => return Err(format!("bad --trace-format `{other}` (json|chrome)")),
     };
-    if flag_value(args, "--trace-format").is_some() && trace_path.is_none() {
+    if flag_value(args, "--trace-format")?.is_some() && trace_path.is_none() {
         return Err("--trace-format requires --trace".into());
     }
-    let sample_every: u64 = flag_value(args, "--sample-space")
+    let sample_every: u64 = flag_value(args, "--sample-space")?
         .map(|v| v.parse().map_err(|e| format!("bad --sample-space: {e}")))
         .transpose()?
         .unwrap_or(0);
@@ -536,12 +501,18 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
         }
         None => None,
     };
-    let resume_sections: Vec<String> = resume_recovery
-        .as_ref()
-        .map(|(_, sections, _)| sections.clone())
-        .unwrap_or_default();
-
-    let mut engine = if parallelism.is_some() || shard_enabled || batch_size > 1 {
+    let mut engine = if let Some(make) = reference_backend(backend) {
+        let mut checkers = Vec::with_capacity(file.constraints.len());
+        for c in &file.constraints {
+            let compiled = CompiledConstraint::compile(c.clone(), Arc::clone(&catalog))
+                .map_err(|e| format!("constraint `{}`: {e}", c.name))?;
+            if show_explain {
+                let _ = writeln!(out, "{}", explain::explain(&compiled));
+            }
+            checkers.push(make(compiled));
+        }
+        CheckEngine::Independent(checkers)
+    } else {
         let mut set = if let Some((found_path, sections, _)) = &resume_recovery {
             let set = checkpoint::restore_set_sharded(
                 file.constraints.iter().cloned(),
@@ -576,37 +547,21 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
         if let Some(horizon) = shard_evict {
             set.set_shard_eviction(horizon);
         }
-        if let Some(par) = parallelism {
-            set = set.with_parallelism(par);
-        }
         if show_explain {
             for compiled in set.compiled() {
                 let _ = writeln!(out, "{}", explain::explain(compiled));
             }
         }
         CheckEngine::Fleet(Box::new(set))
-    } else {
-        CheckEngine::Independent(build_checkers(
-            &file,
-            &catalog,
-            backend,
-            options,
-            show_explain,
-            resume_path,
-            &resume_sections,
-            &mut registry,
-            &mut trace,
-            out,
-        )?)
     };
 
-    // Armed engine panics (failpoint `engine-panic:<constraint>`) are a
-    // fleet feature: the constraint-set step path quarantines a panicking
-    // engine instead of crashing the run.
+    // Armed engine panics (failpoint `engine-panic:<constraint>`): the
+    // constraint-set step path quarantines a panicking engine instead of
+    // crashing the run.
     for (name, nth) in faults.engine_panics() {
         let CheckEngine::Fleet(set) = &mut engine else {
             return Err(format!(
-                "failpoint `engine-panic:{name}` requires --parallel (fleet mode)"
+                "failpoint `engine-panic:{name}` requires the incremental checker"
             ));
         };
         if !set.arm_panic(&name, nth) {
@@ -619,18 +574,9 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     // The replay cursor: transitions at or before this time were already
     // checked by the run that wrote the checkpoint, so the resumed run
     // skips them instead of double-reporting.
-    let resume_cursor: Option<TimePoint> = if resume_recovery.is_some() {
-        match &engine {
-            CheckEngine::Fleet(set) => set.last_time(),
-            CheckEngine::Independent(checkers) => checkers
-                .iter()
-                .filter_map(|ch| ch.as_any().downcast_ref::<IncrementalChecker>())
-                .filter_map(IncrementalChecker::last_time)
-                .max(),
-        }
-    } else {
-        None
-    };
+    let resume_cursor: Option<TimePoint> = resume_recovery
+        .as_ref()
+        .and_then(|_| engine.fleet()?.last_time());
     if let Some((found_path, _, format)) = &resume_recovery {
         match resume_cursor {
             Some(t) => {
@@ -723,30 +669,26 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
             pending.push((tr.time, tr.update));
             pending_meta.push((line, step_index));
             if pending.len() >= batch_size {
-                let ticked = {
-                    let CheckEngine::Fleet(set) = &mut engine else {
-                        return Err("--batch requires the fleet engine".into());
-                    };
-                    flush_batch(
-                        set,
-                        &mut pending,
-                        &mut pending_meta,
-                        &mut registry,
-                        &mut trace,
-                        &mut sampler,
-                        &mut ticker,
-                        checkpoint_rotation.is_some(),
-                        quiet,
-                        log_path,
-                        &mut total_violations,
-                        &mut violated_states,
-                        out,
-                    )?
+                let CheckEngine::Fleet(set) = &mut engine else {
+                    return Err("--batch requires the incremental checker".into());
                 };
-                if ticked {
-                    if let Some(rotation) = &checkpoint_rotation {
-                        write_checkpoint(&engine, rotation, &faults, &mut registry, &mut trace)?;
-                    }
+                let ticked = flush_batch(
+                    set,
+                    &mut pending,
+                    &mut pending_meta,
+                    &mut registry,
+                    &mut trace,
+                    &mut sampler,
+                    &mut ticker,
+                    checkpoint_rotation.is_some(),
+                    quiet,
+                    log_path,
+                    &mut total_violations,
+                    &mut violated_states,
+                    out,
+                )?;
+                if let (true, Some(rotation)) = (ticked, &checkpoint_rotation) {
+                    write_checkpoint(set, rotation, &faults, &mut registry, &mut trace)?;
                 }
             }
             continue;
@@ -786,9 +728,9 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
         if state_bad {
             violated_states += 1;
         }
-        if let Some(rotation) = &checkpoint_rotation {
+        if let (Some(rotation), Some(set)) = (&checkpoint_rotation, engine.fleet()) {
             if ticker.step_completed() {
-                write_checkpoint(&engine, rotation, &faults, &mut registry, &mut trace)?;
+                write_checkpoint(set, rotation, &faults, &mut registry, &mut trace)?;
             }
         }
     }
@@ -796,7 +738,7 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
         // The final, possibly short batch. Its coalesced checkpoint ticks
         // are covered by the unconditional end-of-run write below.
         let CheckEngine::Fleet(set) = &mut engine else {
-            return Err("--batch requires the fleet engine".into());
+            return Err("--batch requires the incremental checker".into());
         };
         flush_batch(
             set,
@@ -852,8 +794,8 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
             }
         }
     }
-    if let Some(rotation) = &checkpoint_rotation {
-        let bytes = write_checkpoint(&engine, rotation, &faults, &mut registry, &mut trace)?;
+    if let (Some(rotation), Some(set)) = (&checkpoint_rotation, engine.fleet()) {
+        let bytes = write_checkpoint(set, rotation, &faults, &mut registry, &mut trace)?;
         let _ = writeln!(
             out,
             "checkpoint written to {} ({bytes} bytes)",
@@ -879,33 +821,26 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
             "skipped {bad_lines} malformed line(s) (--on-bad-line skip, budget {bad_line_budget})"
         );
     }
-    if let CheckEngine::Fleet(set) = &engine {
-        for (name, detail) in set.quarantined() {
-            let _ = writeln!(out, "quarantined `{name}`: {detail}");
-        }
+    // Everything below that is fleet-only (quarantine, profiles, shard and
+    // dispatch tallies, per-node footprints) is simply absent for the
+    // reference backends.
+    let fleet = engine.fleet();
+    for (name, detail) in fleet.map(ConstraintSet::quarantined).unwrap_or_default() {
+        let _ = writeln!(out, "quarantined `{name}`: {detail}");
     }
-    if profile {
-        let profiles: Vec<(Symbol, rtic_core::PlanProfile)> = match &engine {
-            CheckEngine::Independent(checkers) => checkers
-                .iter()
-                .filter_map(|ch| ch.plan_profile().map(|p| (ch.constraint().name, p)))
-                .collect(),
-            CheckEngine::Fleet(set) => set.plan_profiles(),
-        };
-        for (name, prof) in &profiles {
+    if let (true, Some(set)) = (profile, fleet) {
+        for (name, prof) in &set.plan_profiles() {
             let _ = writeln!(out, "profile[{name}]:");
             out.push_str(&explain::render_profile(prof));
         }
     }
-    if profile || stats {
-        if let CheckEngine::Fleet(set) = &engine {
-            for (name, st) in set.shard_stats() {
-                let _ = writeln!(
-                    out,
-                    "shards[{name}]: {} live, {} created, {} evicted, peak {}",
-                    st.live, st.created, st.evicted, st.peak
-                );
-            }
+    if let (true, Some(set)) = (profile || stats, fleet) {
+        for (name, st) in set.shard_stats() {
+            let _ = writeln!(
+                out,
+                "shards[{name}]: {} live, {} created, {} evicted, peak {}",
+                st.live, st.created, st.evicted, st.peak
+            );
         }
     }
     if stats {
@@ -913,24 +848,15 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
         // the final space sample above).
         for (constraint, _, space) in registry.latest_space_by_constraint() {
             let _ = writeln!(out, "space[{constraint}]: {space}");
-            let inc = match &engine {
-                CheckEngine::Independent(checkers) => checkers
-                    .iter()
-                    .find(|ch| ch.constraint().name.as_str() == constraint)
-                    .and_then(|ch| ch.as_any().downcast_ref::<IncrementalChecker>()),
-                CheckEngine::Fleet(_) => None,
-            };
-            if let Some(inc) = inc {
-                for stat in inc.node_stats() {
-                    let _ = writeln!(
-                        out,
-                        "  node `{}`: {} key(s), {} timestamp(s)",
-                        stat.formula, stat.keys, stat.timestamps
-                    );
-                }
+            for stat in fleet.map_or_else(Vec::new, |set| set.node_stats(constraint)) {
+                let _ = writeln!(
+                    out,
+                    "  node `{}`: {} key(s), {} timestamp(s)",
+                    stat.formula, stat.keys, stat.timestamps
+                );
             }
         }
-        if let CheckEngine::Fleet(set) = &engine {
+        if let Some(set) = fleet {
             let d = set.dispatch_stats();
             let _ = writeln!(
                 out,
@@ -1010,31 +936,18 @@ fn section_constraint_name(section: &str) -> Option<&str> {
         .find_map(|line| line.strip_prefix("constraint "))
 }
 
-/// Serializes the engine's state into one multi-section v2 container and
+/// Serializes the fleet's state into one multi-section v2 container and
 /// writes it through the rotation set (atomic temp-file + fsync +
 /// rename; previous generations shift to `.1`, `.2`, …). Emits one
 /// `CheckpointSave` event per section. Returns the sealed size in bytes.
 fn write_checkpoint(
-    engine: &CheckEngine,
+    set: &ConstraintSet,
     rotation: &Rotation,
     faults: &FailPlan,
     registry: &mut MetricsRegistry,
     trace: &mut Option<AnyTrace>,
 ) -> Result<usize, String> {
-    let sections: Vec<(Symbol, String)> = match engine {
-        CheckEngine::Fleet(set) => checkpoint::save_set(set),
-        CheckEngine::Independent(checkers) => {
-            let mut sections = Vec::with_capacity(checkers.len());
-            for checker in checkers {
-                let inc = checker
-                    .as_any()
-                    .downcast_ref::<IncrementalChecker>()
-                    .ok_or("--checkpoint requires the incremental checker")?;
-                sections.push((inc.constraint().name, checkpoint::save(inc)));
-            }
-            sections
-        }
-    };
+    let sections = checkpoint::save_set(set);
     let mut obs = MultiObserver::new().with(registry);
     if let Some(t) = trace.as_mut() {
         obs.push(t);
@@ -1120,54 +1033,43 @@ fn explain_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
     let [path] = positional.as_slice() else {
         return Err("explain needs <constraints-file>; try --help".into());
     };
-    let profile_log = flag_value(args, "--profile");
+    let profile_log = flag_value(args, "--profile")?;
     let file = load_constraints(path)?;
     let catalog = Arc::new(file.catalog.clone());
 
     // Without --profile this is a pure compile-time report. With it, the
-    // log is replayed through profiling incremental checkers first, so
-    // each constraint's report ends with measured per-node annotations —
-    // an EXPLAIN ANALYZE for the compiled plans.
-    let mut profiles: Vec<Option<rtic_core::PlanProfile>> = vec![None; file.constraints.len()];
+    // log is replayed through a profiling fleet first, so each
+    // constraint's report ends with measured per-node annotations — an
+    // EXPLAIN ANALYZE for the compiled plans.
+    let mut profiles: Vec<(Symbol, rtic_core::PlanProfile)> = Vec::new();
     if let Some(log_path) = profile_log {
-        let mut checkers: Vec<IncrementalChecker> = file
-            .constraints
-            .iter()
-            .map(|c| {
-                IncrementalChecker::with_options(
-                    c.clone(),
-                    Arc::clone(&catalog),
-                    EncodingOptions {
-                        profile_plans: true,
-                        ..Default::default()
-                    },
-                )
-                .map_err(|e| format!("constraint `{}`: {e}", c.name))
-            })
-            .collect::<Result<_, String>>()?;
+        let mut set = ConstraintSet::with_options(
+            file.constraints.iter().cloned(),
+            Arc::clone(&catalog),
+            EncodingOptions {
+                profile_plans: true,
+                ..Default::default()
+            },
+        )
+        .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?;
         let log_file = std::fs::File::open(log_path)
             .map_err(|e| format!("cannot read log file `{log_path}`: {e}"))?;
         let mut reader = LogReader::new(std::io::BufReader::new(log_file));
         while let Some(item) = reader.next() {
             let tr: Transition = item.map_err(|e| format!("{log_path}:{e}"))?;
             let line = reader.lines_read();
-            for checker in &mut checkers {
-                checker
-                    .step(tr.time, &tr.update)
-                    .map_err(|e| format!("{log_path}:line {line}: at {}: {e}", tr.time))?;
-            }
+            set.step(tr.time, &tr.update)
+                .map_err(|e| format!("{log_path}:line {line}: at {}: {e}", tr.time))?;
         }
-        for (slot, checker) in profiles.iter_mut().zip(&checkers) {
-            *slot = checker.plan_profile();
-        }
+        profiles = set.plan_profiles();
     }
 
-    for (c, profile) in file.constraints.iter().zip(&profiles) {
+    for c in &file.constraints {
         let compiled = CompiledConstraint::compile(c.clone(), Arc::clone(&catalog))
             .map_err(|e| format!("constraint `{}`: {e}", c.name))?;
         let text = explain::explain(&compiled);
-        match profile {
-            Some(p) => {
+        match profiles.iter().find(|(name, _)| *name == c.name) {
+            Some((_, p)) => {
                 out.push_str(text.trim_end());
                 let _ = writeln!(out);
                 out.push_str(&explain::render_profile(p));
@@ -1184,19 +1086,19 @@ fn explain_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
 /// Parses the shared scenario-shape flags over the given defaults.
 fn scenario_params(args: &[String], defaults: ScenarioParams) -> Result<ScenarioParams, String> {
     let mut p = defaults;
-    if let Some(v) = flag_value(args, "--steps") {
+    if let Some(v) = flag_value(args, "--steps")? {
         p.steps = v.parse().map_err(|e| format!("bad --steps: {e}"))?;
     }
-    if let Some(v) = flag_value(args, "--entities") {
+    if let Some(v) = flag_value(args, "--entities")? {
         p.entities = v.parse().map_err(|e| format!("bad --entities: {e}"))?;
         if p.entities == 0 {
             return Err("--entities needs at least one entity".into());
         }
     }
-    if let Some(v) = flag_value(args, "--events") {
+    if let Some(v) = flag_value(args, "--events")? {
         p.events_per_step = v.parse().map_err(|e| format!("bad --events: {e}"))?;
     }
-    if let Some(v) = flag_value(args, "--violation-rate") {
+    if let Some(v) = flag_value(args, "--violation-rate")? {
         p.violation_rate = v
             .parse()
             .map_err(|e| format!("bad --violation-rate: {e}"))?;
@@ -1204,7 +1106,7 @@ fn scenario_params(args: &[String], defaults: ScenarioParams) -> Result<Scenario
             return Err("--violation-rate must be in [0, 1]".into());
         }
     }
-    if let Some(v) = flag_value(args, "--seed") {
+    if let Some(v) = flag_value(args, "--seed")? {
         p.seed = v.parse().map_err(|e| format!("bad --seed: {e}"))?;
     }
     Ok(p)
@@ -1287,7 +1189,7 @@ fn smc_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
             ScenarioParams::default()
         },
     )?;
-    config.samples = match flag_value(args, "--samples") {
+    config.samples = match flag_value(args, "--samples")? {
         None => {
             if smoke {
                 SampleMode::Fixed(4)
@@ -1298,28 +1200,28 @@ fn smc_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
         Some("auto") => SampleMode::Auto,
         Some(v) => SampleMode::Fixed(v.parse().map_err(|e| format!("bad --samples: {e}"))?),
     };
-    let confidence: f64 = flag_value(args, "--confidence")
+    let confidence: f64 = flag_value(args, "--confidence")?
         .map(|v| v.parse().map_err(|e| format!("bad --confidence: {e}")))
         .transpose()?
         .unwrap_or(0.95);
-    let epsilon: f64 = flag_value(args, "--epsilon")
+    let epsilon: f64 = flag_value(args, "--epsilon")?
         .map(|v| v.parse().map_err(|e| format!("bad --epsilon: {e}")))
         .transpose()?
         .unwrap_or(0.05);
     config.precision = rtic_smc::Precision::new(confidence, epsilon)?;
-    if let Some(v) = flag_value(args, "--min-samples") {
+    if let Some(v) = flag_value(args, "--min-samples")? {
         config.min_samples = v.parse().map_err(|e| format!("bad --min-samples: {e}"))?;
     }
-    if let Some(v) = flag_value(args, "--backend") {
+    if let Some(v) = flag_value(args, "--backend")? {
         config.backend = rtic_smc::Backend::parse(v)?;
     }
-    if let Some(v) = flag_value(args, "--oracle-every") {
+    if let Some(v) = flag_value(args, "--oracle-every")? {
         config.oracle_every = v.parse().map_err(|e| format!("bad --oracle-every: {e}"))?;
     }
-    config.soak_dir = flag_value(args, "--soak-dir").map(std::path::PathBuf::from);
+    config.soak_dir = flag_value(args, "--soak-dir")?.map(std::path::PathBuf::from);
     config.soak_keep = args.iter().any(|a| a == "--soak-keep");
     config.soak_resume = args.iter().any(|a| a == "--resume");
-    config.soak_failpoints = flag_value(args, "--failpoints").map(String::from);
+    config.soak_failpoints = flag_value(args, "--failpoints")?.map(String::from);
     if config.backend != rtic_smc::Backend::Soak
         && (config.soak_dir.is_some()
             || config.soak_keep
@@ -1331,12 +1233,13 @@ fn smc_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
         );
     }
 
-    let metrics_path = flag_value(args, "--metrics");
+    let metrics_path = flag_value(args, "--metrics")?;
+    let out_path = flag_value(args, "--out")?;
     let mut registry = MetricsRegistry::new();
     let report = rtic_smc::run(&config, &mut registry)?;
 
     out.push_str(&artifact::render_summary(&report));
-    if let Some(path) = flag_value(args, "--out") {
+    if let Some(path) = out_path {
         write_atomic(Path::new(path), artifact::render(&report).as_bytes())
             .map_err(|e| format!("cannot write artifact `{path}`: {e}"))?;
         let _ = writeln!(out, "artifact written to {path}");
@@ -1367,19 +1270,20 @@ fn serve_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
     let [constraints_path] = positional.as_slice() else {
         return Err("serve needs <constraints-file>; try --help".into());
     };
+    reject_parallel(args)?;
     let listen_spec =
-        flag_value(args, "--listen").ok_or("serve needs --listen unix:<path>|tcp:<host:port>")?;
+        flag_value(args, "--listen")?.ok_or("serve needs --listen unix:<path>|tcp:<host:port>")?;
     let mut config = ServeConfig::new(Listen::parse(listen_spec)?);
-    if let Some(v) = flag_value(args, "--queue") {
+    if let Some(v) = flag_value(args, "--queue")? {
         config.queue_capacity = v.parse().map_err(|e| format!("bad --queue: {e}"))?;
         if config.queue_capacity == 0 {
             return Err("--queue needs capacity for at least one update".into());
         }
     }
-    if let Some(v) = flag_value(args, "--retry-ms") {
+    if let Some(v) = flag_value(args, "--retry-ms")? {
         config.retry_ms = v.parse().map_err(|e| format!("bad --retry-ms: {e}"))?;
     }
-    if let Some(v) = flag_value(args, "--write-timeout-ms") {
+    if let Some(v) = flag_value(args, "--write-timeout-ms")? {
         let ms: u64 = v
             .parse()
             .map_err(|e| format!("bad --write-timeout-ms: {e}"))?;
@@ -1388,21 +1292,21 @@ fn serve_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
         }
         config.write_timeout = Duration::from_millis(ms);
     }
-    config.checkpoint = flag_value(args, "--checkpoint").map(String::from);
-    config.checkpoint_keep = flag_value(args, "--checkpoint-keep")
+    config.checkpoint = flag_value(args, "--checkpoint")?.map(String::from);
+    config.checkpoint_keep = flag_value(args, "--checkpoint-keep")?
         .map(|v| v.parse().map_err(|e| format!("bad --checkpoint-keep: {e}")))
         .transpose()?
         .unwrap_or(3);
     if config.checkpoint_keep == 0 {
         return Err("--checkpoint-keep needs at least one generation".into());
     }
-    let checkpoint_every: Option<u64> = flag_value(args, "--checkpoint-every")
+    let checkpoint_every: Option<u64> = flag_value(args, "--checkpoint-every")?
         .map(|v| {
             v.parse()
                 .map_err(|e| format!("bad --checkpoint-every: {e}"))
         })
         .transpose()?;
-    let checkpoint_secs: Option<f64> = flag_value(args, "--checkpoint-secs")
+    let checkpoint_secs: Option<f64> = flag_value(args, "--checkpoint-secs")?
         .map(|v| v.parse().map_err(|e| format!("bad --checkpoint-secs: {e}")))
         .transpose()?;
     if (checkpoint_every.is_some() || checkpoint_secs.is_some()) && config.checkpoint.is_none() {
@@ -1416,12 +1320,12 @@ fn serve_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
     if config.resume && config.checkpoint.is_none() {
         return Err("--resume requires --checkpoint (the rotation to recover from)".into());
     }
-    config.sharding = match flag_value(args, "--shard") {
+    config.sharding = match flag_value(args, "--shard")? {
         None | Some("off") => false,
         Some("auto") => true,
         Some(other) => return Err(format!("bad --shard `{other}` (auto|off)")),
     };
-    config.shard_evict = flag_value(args, "--shard-evict")
+    config.shard_evict = flag_value(args, "--shard-evict")?
         .map(|v| v.parse().map_err(|e| format!("bad --shard-evict: {e}")))
         .transpose()?;
     if config.shard_evict.is_some() && !config.sharding {
@@ -1430,36 +1334,23 @@ fn serve_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
     if let Some(0) = config.shard_evict {
         return Err("--shard-evict needs at least one step of idleness".into());
     }
-    config.parallelism = match flag_value(args, "--parallel") {
-        None => None,
-        Some("auto") => Some(Parallelism::Auto),
-        Some(n) => {
-            let n: usize = n
-                .parse()
-                .map_err(|e| format!("bad --parallel `{n}`: {e}"))?;
-            if n == 0 {
-                return Err("--parallel needs at least one worker (or `auto`)".into());
-            }
-            Some(Parallelism::N(n))
-        }
-    };
-    if let Some(v) = flag_value(args, "--batch") {
+    if let Some(v) = flag_value(args, "--batch")? {
         config.batch = v.parse().map_err(|e| format!("bad --batch: {e}"))?;
         if config.batch == 0 {
             return Err("--batch needs at least one update per batch".into());
         }
     }
     config.vectorize = args.iter().any(|a| a == "--vectorize");
-    config.faults = match flag_value(args, "--failpoints") {
+    config.faults = match flag_value(args, "--failpoints")? {
         Some(spec) => FailPlan::parse(spec).map_err(|e| format!("bad --failpoints: {e}"))?,
         None => {
             FailPlan::from_env().map_err(|e| format!("bad {}: {e}", rtic_resilience::ENV_VAR))?
         }
     };
-    config.report_path = flag_value(args, "--report").map(String::from);
-    config.metrics_path = flag_value(args, "--metrics").map(String::from);
+    config.report_path = flag_value(args, "--report")?.map(String::from);
+    config.metrics_path = flag_value(args, "--metrics")?.map(String::from);
 
-    let extra_constraint_paths = flag_values(args, "--constraints");
+    let extra_constraint_paths = flag_values(args, "--constraints")?;
     let file = load_merged_constraints(constraints_path, &extra_constraint_paths)?;
     let catalog = Arc::new(file.catalog.clone());
     rtic_server::serve(file.constraints, catalog, config, out)
@@ -1471,11 +1362,11 @@ fn send_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
         return Err("send needs <log-file>; try --help".into());
     };
     let connect_spec =
-        flag_value(args, "--connect").ok_or("send needs --connect unix:<path>|tcp:<host:port>")?;
+        flag_value(args, "--connect")?.ok_or("send needs --connect unix:<path>|tcp:<host:port>")?;
     let listen = Listen::parse(connect_spec)?;
     let quiet = args.iter().any(|a| a == "--quiet");
     let do_drain = args.iter().any(|a| a == "--drain");
-    let connect_timeout: u64 = flag_value(args, "--connect-timeout-ms")
+    let connect_timeout: u64 = flag_value(args, "--connect-timeout-ms")?
         .map(|v| {
             v.parse()
                 .map_err(|e| format!("bad --connect-timeout-ms: {e}"))

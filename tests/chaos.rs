@@ -112,24 +112,61 @@ fn kill_and_resume(tag: &str, extra: &[&str]) {
     );
 }
 
+/// Two constraints, so the checkpoint is a multi-section container.
 #[test]
-fn kill_and_resume_is_byte_identical_sequential() {
-    kill_and_resume("seq", &[]);
+fn kill_and_resume_is_byte_identical_fleet() {
+    kill_and_resume("fleet", &[]);
 }
 
+/// Checkpoints outlive binaries: before the incremental backend always
+/// ran as a fleet, plain `rtic check` wrote one section per independent
+/// checker — no `dispatch` line. The committed fixture is such a file
+/// (written at d35c513 over `CONSTRAINTS` and the first six lines of
+/// `LOG`); it must resume through the fleet with the stitched report
+/// byte-identical to an uninterrupted run.
 #[test]
-fn kill_and_resume_is_byte_identical_parallel_fleet() {
-    kill_and_resume("fleet", &["--parallel", "auto"]);
+fn checkpoint_from_the_old_independent_path_resumes_through_the_fleet() {
+    let fixture = include_str!("fixtures/independent-path.ckpt");
+    assert!(
+        !fixture.contains("\ndispatch "),
+        "fixture predates dispatch"
+    );
+    let c = temp_file("oldpath.rtic", CONSTRAINTS);
+    let l = temp_file("oldpath.rticlog", LOG);
+    let head_log: String = LOG
+        .trim_start()
+        .lines()
+        .take(6)
+        .collect::<Vec<_>>()
+        .join("\n");
+    let head = temp_file("oldpath-head.rticlog", &head_log);
+    let ckpt = temp_file("oldpath.ckpt", fixture);
+
+    let (code, uninterrupted) = run(&["check", c.to_str().unwrap(), l.to_str().unwrap()]);
+    assert_eq!(code.unwrap(), 1, "{uninterrupted}");
+    let (code, first) = run(&["check", c.to_str().unwrap(), head.to_str().unwrap()]);
+    assert_eq!(code.unwrap(), 1, "{first}");
+    let (code, resumed) = run(&[
+        "check",
+        c.to_str().unwrap(),
+        l.to_str().unwrap(),
+        "--resume",
+        ckpt.to_str().unwrap(),
+    ]);
+    assert_eq!(code.unwrap(), 1, "{resumed}");
+    assert!(resumed.contains("at t=@5"), "{resumed}");
+    assert!(
+        resumed.contains("skipped 6 transition(s) already covered"),
+        "{resumed}"
+    );
+    let mut stitched = violations(&first);
+    stitched.extend(violations(&resumed));
+    assert_eq!(stitched, violations(&uninterrupted));
 }
 
 #[test]
 fn kill_and_resume_is_byte_identical_sharded() {
     kill_and_resume("shard", &["--shard", "auto"]);
-}
-
-#[test]
-fn kill_and_resume_is_byte_identical_sharded_parallel() {
-    kill_and_resume("shardpar", &["--shard", "auto", "--parallel", "2"]);
 }
 
 /// Kill the run *mid-batch*: with `--batch 4` and a checkpoint every 3
@@ -374,21 +411,13 @@ fn corrupted_checkpoint_write_is_caught_on_the_next_resume() {
 fn panicking_engine_is_quarantined_and_the_fleet_keeps_reporting() {
     let c = temp_file("qp.rtic", CONSTRAINTS);
     let l = temp_file("qp.rticlog", LOG);
-    let (code, healthy) = run(&[
-        "check",
-        c.to_str().unwrap(),
-        l.to_str().unwrap(),
-        "--parallel",
-        "2",
-    ]);
+    let (code, healthy) = run(&["check", c.to_str().unwrap(), l.to_str().unwrap()]);
     assert_eq!(code.unwrap(), 1, "{healthy}");
 
     let (code, out) = run(&[
         "check",
         c.to_str().unwrap(),
         l.to_str().unwrap(),
-        "--parallel",
-        "2",
         "--stats",
         "--failpoints",
         "engine-panic:unconfirmed=panic@2",
@@ -421,17 +450,21 @@ fn panicking_engine_is_quarantined_and_the_fleet_keeps_reporting() {
 }
 
 #[test]
-fn quarantine_requires_fleet_mode() {
+fn quarantine_requires_the_incremental_checker() {
     let c = temp_file("qf.rtic", CONSTRAINTS);
     let l = temp_file("qf.rticlog", LOG);
     let (code, _) = run(&[
         "check",
         c.to_str().unwrap(),
         l.to_str().unwrap(),
+        "--checker",
+        "naive",
         "--failpoints",
         "engine-panic:unconfirmed=panic",
     ]);
-    assert!(code.unwrap_err().contains("--parallel"));
+    assert!(code
+        .unwrap_err()
+        .contains("requires the incremental checker"));
 }
 
 const BAD_LOG: &str = r#"
@@ -612,40 +645,32 @@ relation confirmed(p: str, f: int)
 deny unconfirmed: reserved(p, f) && once[3,*] reserved(p, f) && !once confirmed(p, f)
 deny reconfirm: confirmed(p, f) && once[1,*] confirmed(p, f)
 "#;
-    for (tag, extra) in [
-        ("bodyseq", &[][..]),
-        ("bodyfleet", &["--parallel", "2"][..]),
-    ] {
-        let c = temp_file(&format!("{tag}.rtic"), CONSTRAINTS);
-        let l = temp_file(&format!("{tag}.rticlog"), LOG);
-        let ckpt = temp_file(&format!("{tag}.ckpt"), "");
-        std::fs::remove_file(&ckpt).ok();
-        let mut args = vec![
-            "check",
-            c.to_str().unwrap(),
-            l.to_str().unwrap(),
-            "--checkpoint",
-            ckpt.to_str().unwrap(),
-        ];
-        args.extend_from_slice(extra);
-        run(&args).0.unwrap();
+    let c = temp_file("body.rtic", CONSTRAINTS);
+    let l = temp_file("body.rticlog", LOG);
+    let ckpt = temp_file("body.ckpt", "");
+    std::fs::remove_file(&ckpt).ok();
+    run(&[
+        "check",
+        c.to_str().unwrap(),
+        l.to_str().unwrap(),
+        "--checkpoint",
+        ckpt.to_str().unwrap(),
+    ])
+    .0
+    .unwrap();
 
-        let c2 = temp_file(&format!("{tag}-changed.rtic"), changed);
-        let mut args = vec![
-            "check",
-            c2.to_str().unwrap(),
-            l.to_str().unwrap(),
-            "--resume",
-            ckpt.to_str().unwrap(),
-        ];
-        args.extend_from_slice(extra);
-        let err = run(&args).0.unwrap_err();
-        assert!(err.contains("`unconfirmed`"), "{tag}: {err}");
-        assert!(
-            err.contains("changed since this checkpoint"),
-            "{tag}: {err}"
-        );
-    }
+    let c2 = temp_file("body-changed.rtic", changed);
+    let err = run(&[
+        "check",
+        c2.to_str().unwrap(),
+        l.to_str().unwrap(),
+        "--resume",
+        ckpt.to_str().unwrap(),
+    ])
+    .0
+    .unwrap_err();
+    assert!(err.contains("`unconfirmed`"), "{err}");
+    assert!(err.contains("changed since this checkpoint"), "{err}");
 }
 
 /// Composition of the two recovery mechanisms: a fleet that quarantines a

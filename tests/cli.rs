@@ -71,7 +71,17 @@ fn check_clean_log_exits_zero() {
     assert_eq!(code.unwrap(), 0);
     assert!(out.contains("0 violation witness(es)"), "{out}");
     assert!(out.contains("space[unconfirmed]"), "{out}");
-    assert!(out.contains("plan[incremental]"), "{out}");
+    // Per-node footprints under each space line (docs/TUTORIAL.md §4).
+    assert!(
+        out.contains("  node `once[2,*] reserved(p, f)`: 1 key(s), 1 timestamp(s)"),
+        "{out}"
+    );
+    assert!(
+        out.contains("  node `once confirmed(p, f)`: 1 key(s), 1 timestamp(s)"),
+        "{out}"
+    );
+    assert!(out.contains("dispatch: 3 evaluation(s) total"), "{out}");
+    assert!(out.contains("plan[set]"), "{out}");
 }
 
 #[test]
@@ -121,26 +131,40 @@ fn check_rejects_bad_inputs() {
 }
 
 #[test]
-fn parallel_check_matches_sequential_output() {
-    let c = temp_file("par.rtic", CONSTRAINTS);
-    let l = temp_file("par.rticlog", LOG);
-    let (code, seq) = run(&["check", c.to_str().unwrap(), l.to_str().unwrap()]);
+fn fleet_check_matches_reference_backend_output() {
+    // The incremental backend runs as a shared-state fleet; what it
+    // prints must equal one independent reference checker per constraint,
+    // line for line (only the backend tag in the summary differs).
+    let c1 = temp_file("ref1.rtic", CONSTRAINTS);
+    let c2 = temp_file("ref2.rtic", EXTRA_CONSTRAINTS);
+    let l = temp_file(
+        "ref.rticlog",
+        "@0 +reserved(\"ann\", 17)\n@1 +vip(\"zoe\")\n@2\n@3 +confirmed(\"ann\", 17)\n@4\n",
+    );
+    let base = [
+        "check",
+        c1.to_str().unwrap(),
+        l.to_str().unwrap(),
+        "--constraints",
+        c2.to_str().unwrap(),
+    ];
+    let (code, fleet) = run(&base);
     assert_eq!(code.unwrap(), 1);
-    for workers in ["1", "3", "auto"] {
-        let (code, par) = run(&[
-            "check",
-            c.to_str().unwrap(),
-            l.to_str().unwrap(),
-            "--parallel",
-            workers,
-        ]);
-        assert_eq!(code.unwrap(), 1, "--parallel {workers}");
-        assert_eq!(par, seq, "--parallel {workers} changed the output");
+    for backend in ["naive", "windowed", "active"] {
+        let mut args = base.to_vec();
+        args.extend_from_slice(&["--checker", backend]);
+        let (code, reference) = run(&args);
+        assert_eq!(code.unwrap(), 1, "{backend}");
+        assert_eq!(
+            reference.replace(&format!("[{backend}]"), "[incremental]"),
+            fleet,
+            "fleet diverged from independent {backend} checkers"
+        );
     }
 }
 
 #[test]
-fn parallel_check_keeps_trace_and_metrics_working() {
+fn fleet_check_keeps_trace_and_metrics_working() {
     let c = temp_file("parm.rtic", CONSTRAINTS);
     let l = temp_file("parm.rticlog", LOG);
     let m = temp_file("parm.json", "");
@@ -149,8 +173,6 @@ fn parallel_check_keeps_trace_and_metrics_working() {
         "check",
         c.to_str().unwrap(),
         l.to_str().unwrap(),
-        "--parallel",
-        "2",
         "--quiet",
         "--metrics",
         m.to_str().unwrap(),
@@ -185,24 +207,20 @@ fn repeatable_constraints_flag_merges_files() {
         "merge.rticlog",
         "@0 +reserved(\"ann\", 17)\n@1 +vip(\"zoe\")\n@2\n@3 +confirmed(\"ann\", 17)\n@4\n",
     );
-    for parallel in [&[][..], &["--parallel", "2"][..]] {
-        let mut args = vec![
-            "check",
-            c1.to_str().unwrap(),
-            l.to_str().unwrap(),
-            "--constraints",
-            c2.to_str().unwrap(),
-        ];
-        args.extend_from_slice(parallel);
-        let (code, out) = run(&args);
-        assert_eq!(code.unwrap(), 1, "{out}");
-        assert!(out.contains("2 constraint(s)"), "{out}");
-        assert!(out.contains("unconfirmed"), "violation from file 1: {out}");
-        assert!(
-            out.contains("vip_unreserved"),
-            "violation from file 2: {out}"
-        );
-    }
+    let (code, out) = run(&[
+        "check",
+        c1.to_str().unwrap(),
+        l.to_str().unwrap(),
+        "--constraints",
+        c2.to_str().unwrap(),
+    ]);
+    assert_eq!(code.unwrap(), 1, "{out}");
+    assert!(out.contains("2 constraint(s)"), "{out}");
+    assert!(out.contains("unconfirmed"), "violation from file 1: {out}");
+    assert!(
+        out.contains("vip_unreserved"),
+        "violation from file 2: {out}"
+    );
 }
 
 #[test]
@@ -236,34 +254,78 @@ fn constraints_flag_rejects_conflicts() {
 }
 
 #[test]
-fn parallel_flag_validation() {
+fn parallel_flag_is_rejected_as_removed() {
     let c = temp_file("pv.rtic", CONSTRAINTS);
     let l = temp_file("pv.rticlog", LOG);
     let base = [c.to_str().unwrap(), l.to_str().unwrap()];
-    let (code, _) = run(&["check", base[0], base[1], "--parallel", "0"]);
-    assert!(code.unwrap_err().contains("--parallel"));
-    let (code, _) = run(&["check", base[0], base[1], "--parallel", "two"]);
-    assert!(code.unwrap_err().contains("bad --parallel"));
-    let (code, _) = run(&[
-        "check",
-        base[0],
-        base[1],
-        "--parallel",
-        "2",
-        "--checker",
-        "naive",
-    ]);
-    assert!(code.unwrap_err().contains("incremental"));
-    // Checkpointing composes with --parallel: the fleet is saved as one
-    // multi-section container.
+    for args in [
+        &["check", base[0], base[1], "--parallel", "2"][..],
+        &["check", base[0], base[1], "--parallel"][..],
+        &[
+            "serve",
+            base[0],
+            "--listen",
+            "unix:/tmp/unused",
+            "--parallel",
+            "auto",
+        ][..],
+    ] {
+        let (code, _) = run(args);
+        let err = code.unwrap_err();
+        assert!(
+            err.contains("--parallel was removed") && err.contains("slower"),
+            "{args:?}: {err}"
+        );
+    }
+}
+
+#[test]
+fn value_flag_without_a_value_is_a_usage_error() {
+    let c = temp_file("vf.rtic", CONSTRAINTS);
+    let l = temp_file("vf.rticlog", LOG);
+    let base = [c.to_str().unwrap(), l.to_str().unwrap()];
+    // A trailing value flag used to vanish silently (no checkpoint, no
+    // metrics, exit as if nothing had been asked for).
+    for flag in [
+        "--checkpoint",
+        "--resume",
+        "--batch",
+        "--metrics",
+        "--shard",
+    ] {
+        let (code, _) = run(&["check", base[0], base[1], flag]);
+        let err = code.unwrap_err();
+        assert!(err.contains(&format!("{flag} needs a value")), "{err}");
+        // Followed by another flag is just as missing.
+        let (code, _) = run(&["check", base[0], base[1], flag, "--quiet"]);
+        assert!(code.unwrap_err().contains(&format!("{flag} needs a value")));
+    }
+    let (code, _) = run(&["check", base[0], base[1], "--constraints"]);
+    assert!(code.unwrap_err().contains("--constraints needs a value"));
+    let (code, _) = run(&["serve", base[0], "--listen"]);
+    assert!(code.unwrap_err().contains("--listen needs a value"));
+    let (code, _) = run(&["serve", base[0], "--listen", "unix:/tmp/unused", "--report"]);
+    assert!(code.unwrap_err().contains("--report needs a value"));
+    let (code, _) = run(&["send", base[1], "--connect"]);
+    assert!(code.unwrap_err().contains("--connect needs a value"));
+    let (code, _) = run(&["generate", "reservations", "--steps"]);
+    assert!(code.unwrap_err().contains("--steps needs a value"));
+    let (code, _) = run(&["smc", "ratelimit", "--samples"]);
+    assert!(code.unwrap_err().contains("--samples needs a value"));
+    let (code, _) = run(&["explain", base[0], "--profile"]);
+    assert!(code.unwrap_err().contains("--profile needs a value"));
+}
+
+#[test]
+fn fleet_checkpoint_is_one_multi_section_container() {
+    let c = temp_file("pvc.rtic", CONSTRAINTS);
+    let l = temp_file("pvc.rticlog", LOG);
     let ckpt = temp_file("pv.ckpt", "");
     std::fs::remove_file(&ckpt).ok();
     let (code, out) = run(&[
         "check",
-        base[0],
-        base[1],
-        "--parallel",
-        "2",
+        c.to_str().unwrap(),
+        l.to_str().unwrap(),
         "--checkpoint",
         ckpt.to_str().unwrap(),
     ]);
@@ -647,21 +709,23 @@ fn check_profile_flag_validation() {
 }
 
 #[test]
-fn parallel_check_profiles_the_fleet() {
-    let c = temp_file("prof-par.rtic", CONSTRAINTS);
-    let l = temp_file("prof-par.rticlog", LOG);
+fn check_profiles_every_constraint_of_a_fleet() {
+    let c1 = temp_file("prof-fleet1.rtic", CONSTRAINTS);
+    let c2 = temp_file("prof-fleet2.rtic", EXTRA_CONSTRAINTS);
+    let l = temp_file("prof-fleet.rticlog", LOG);
     let (code, out) = run(&[
         "check",
-        c.to_str().unwrap(),
+        c1.to_str().unwrap(),
         l.to_str().unwrap(),
+        "--constraints",
+        c2.to_str().unwrap(),
         "--quiet",
         "--profile",
-        "--parallel",
-        "2",
     ]);
     assert_eq!(code.unwrap(), 1);
     assert!(out.contains("profile[unconfirmed]"), "{out}");
-    assert!(out.contains("plan profile"), "{out}");
+    assert!(out.contains("profile[vip_unreserved]"), "{out}");
+    assert_eq!(out.matches("plan profile").count(), 2, "{out}");
 }
 
 #[test]
@@ -937,7 +1001,7 @@ fn vectorize_matches_scalar_output() {
     ]);
     assert_eq!(code.unwrap(), 1);
     assert_eq!(vec_out, scalar, "--vectorize changed the output");
-    // Vectorize composes with batching and the fleet.
+    // Vectorize composes with batching.
     let (code, both) = run(&[
         "check",
         c.to_str().unwrap(),
@@ -945,11 +1009,9 @@ fn vectorize_matches_scalar_output() {
         "--vectorize",
         "--batch",
         "2",
-        "--parallel",
-        "2",
     ]);
     assert_eq!(code.unwrap(), 1);
-    assert_eq!(both, scalar, "--vectorize --batch --parallel diverged");
+    assert_eq!(both, scalar, "--vectorize --batch diverged");
 }
 
 #[test]

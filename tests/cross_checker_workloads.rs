@@ -4,8 +4,8 @@
 //!
 //! Cross-backend agreement goes through the `rtic-oracle` differential
 //! harness, so these workloads exercise the full mode list (naive,
-//! incremental, windowed, active, fleet sequential/parallel, and the
-//! checkpoint/resume stitch), not just the four standalone checkers.
+//! incremental, windowed, active, the fleet, and the checkpoint/resume
+//! stitch), not just the four standalone checkers.
 
 use std::sync::Arc;
 

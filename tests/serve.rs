@@ -369,8 +369,6 @@ fn engine_panic_degrades_status_but_the_daemon_keeps_serving() {
         c.to_str().unwrap(),
         "--listen",
         &format!("unix:{}", sock.display()),
-        "--parallel",
-        "2",
         "--failpoints",
         "engine-panic:unconfirmed=panic@2",
     ]);
