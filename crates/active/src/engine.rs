@@ -616,6 +616,7 @@ impl Checker for ActiveChecker {
         Some(rtic_core::RuntimePlanStats {
             plan: self.compiled.plans.stats(),
             scratch_high_water: self.scratch.high_water(),
+            rows_copied: self.scratch.rows_copied(),
         })
     }
 

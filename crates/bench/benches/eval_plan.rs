@@ -3,12 +3,11 @@
 //! same way as F1: one step taken after an n-length warmup. Plan-once/
 //! execute-many stepping amortizes conjunct ordering, join column maps,
 //! and projection vectors across steps, memoizes database-pure relation
-//! scans by database generation, and skips idempotent window re-recording
-//! on unchanged extensions — so steady-state planned stepping beats
-//! re-interpreting the formula tree on every transition. The `vectorized`
-//! entry additionally turns on the columnar kernels with the
-//! per-relation-generation memo and monotone probe partitions
-//! (`EncodingOptions::vectorize`).
+//! scans by per-relation generation (refreshing them in place from the
+//! tuple delta), advances monotone probe partitions from row deltas, and
+//! skips idempotent window re-recording on unchanged extensions — so
+//! steady-state planned stepping beats re-interpreting the formula tree on
+//! every transition.
 //!
 //! `RTIC_BENCH_SMOKE=1` shrinks the sweep to one short history — used by
 //! CI to keep the bench compiling and running without paying for a full
@@ -38,13 +37,6 @@ fn bench(c: &mut Criterion) {
         .generate();
         let options = [
             ("planned", EncodingOptions::default()),
-            (
-                "vectorized",
-                EncodingOptions {
-                    vectorize: true,
-                    ..Default::default()
-                },
-            ),
             (
                 "interpreted",
                 EncodingOptions {

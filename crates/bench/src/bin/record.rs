@@ -112,11 +112,10 @@ fn run(args: &[String]) -> Result<i32, String> {
         println!("recorded shard-scaling ({steps} steps/point, seed {seed}) -> {out_path}");
         doc
     } else if workload == "batch-exec" {
-        // The batch-exec recording writes the columnar-execution
-        // document: a tuples/sec-vs-active-domain curve (scalar
-        // line-at-a-time vs vectorized batched ingestion, reports
-        // asserted byte-identical) plus a batch-size sweep at the
-        // largest domain.
+        // The batch-exec recording writes the batched-ingestion
+        // document: a tuples/sec-vs-active-domain curve (64-line
+        // batches, reports asserted byte-identical to line-at-a-time)
+        // plus a batch-size sweep at the largest domain.
         let smoke = std::env::var("RTIC_BENCH_SMOKE").is_ok();
         let entity_counts: &[usize] = if smoke {
             &[256]
@@ -145,13 +144,8 @@ fn run(args: &[String]) -> Result<i32, String> {
         write_doc(&out_path, &doc)?;
         for p in &curve {
             println!(
-                "batch-exec entities={}: scalar {:.0} tuples/s, vectorized {:.0} tuples/s \
-                 ({:.2}x) over {} tuples",
-                p.entities,
-                p.scalar_tuples_per_sec,
-                p.vectorized_tuples_per_sec,
-                p.speedup,
-                p.tuples
+                "batch-exec entities={}: {:.0} tuples/s over {} tuples",
+                p.entities, p.vectorized_tuples_per_sec, p.tuples
             );
         }
         for p in &sweep {

@@ -370,8 +370,8 @@ pub fn scenario_sweep_to_json(points: &[ScenarioPoint], seed: u64, rev: &str) ->
         .set("scenarios", Json::Arr(rows))
 }
 
-/// One point of the batch-exec throughput curve: the same ingestion
-/// stream checked scalar line-at-a-time and vectorized in micro-batches.
+/// One point of the batch-exec throughput curve: an ingestion stream
+/// checked through the compiled plans in micro-batches.
 #[derive(Clone, Debug)]
 pub struct BatchExecPoint {
     /// Entity-key domain size (the active domain the stream grows to).
@@ -380,21 +380,19 @@ pub struct BatchExecPoint {
     pub steps: usize,
     /// Total update tuples ingested.
     pub tuples: usize,
-    /// Tuples/second through the scalar path, one line at a time.
-    pub scalar_tuples_per_sec: f64,
-    /// Tuples/second through the vectorized path, batched ingestion.
+    /// Tuples/second, batched ingestion. (The name dates from when the
+    /// columnar kernels were one of two compiled paths; it is kept so the
+    /// committed trajectory stays comparable.)
     pub vectorized_tuples_per_sec: f64,
-    /// `vectorized / scalar`.
-    pub speedup: f64,
 }
 
-/// One point of the batch-size sweep: the vectorized path's throughput
-/// as a function of lines per `apply_batch` call, at a fixed domain.
+/// One point of the batch-size sweep: throughput as a function of lines
+/// per `apply_batch` call, at a fixed domain.
 #[derive(Clone, Debug)]
 pub struct BatchSweepPoint {
     /// Lines per ingestion batch (1 = line-at-a-time).
     pub batch: usize,
-    /// Tuples/second through the vectorized path at this batch size.
+    /// Tuples/second at this batch size.
     pub tuples_per_sec: f64,
 }
 
@@ -406,13 +404,12 @@ pub struct BatchSweepPoint {
 /// numbers.
 fn run_batch_exec(
     transitions: &[rtic_history::Transition],
-    options: EncodingOptions,
     chunk: usize,
 ) -> Result<(f64, usize, Vec<String>), String> {
     use crate::experiments::{shard_catalog, shard_constraint};
     use rtic_core::{ConstraintSet, NopObserver};
 
-    let mut set = ConstraintSet::with_options([shard_constraint()], shard_catalog(), options)
+    let mut set = ConstraintSet::new([shard_constraint()], shard_catalog())
         .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?;
     let tuples: usize = transitions.iter().map(|t| t.update.len()).sum();
     let mut lines = Vec::new();
@@ -448,10 +445,9 @@ fn run_batch_exec(
 }
 
 /// The tuples/sec-vs-active-domain curve: for each entity count, the
-/// same stream through the scalar line-at-a-time path and the
-/// vectorized batched path (64-line batches). Report lines are asserted
-/// byte-identical — a curve over diverging engines would be
-/// meaningless.
+/// stream ingested in 64-line batches. Report lines are asserted
+/// byte-identical to a line-at-a-time pass — a curve over a diverging
+/// engine would be meaningless.
 pub fn batch_exec_curve(
     entity_counts: &[usize],
     steps: usize,
@@ -463,40 +459,26 @@ pub fn batch_exec_curve(
     for &entities in entity_counts {
         let events = entities.div_ceil(steps.max(1)).max(1);
         let transitions = batch_stream(entities, steps, events, seed);
-        let (scalar, tuples, scalar_lines) =
-            run_batch_exec(&transitions, EncodingOptions::default(), 1)?;
-        let (vectorized, _, vec_lines) = run_batch_exec(
-            &transitions,
-            EncodingOptions {
-                vectorize: true,
-                ..Default::default()
-            },
-            64,
-        )?;
-        if scalar_lines != vec_lines {
+        let (_, tuples, reference) = run_batch_exec(&transitions, 1)?;
+        let (vectorized_tuples_per_sec, _, lines) = run_batch_exec(&transitions, 64)?;
+        if lines != reference {
             return Err(format!(
-                "batch-exec at {entities} entities: vectorized reports diverge from scalar"
+                "batch-exec at {entities} entities: batched reports diverge from line-at-a-time"
             ));
         }
         points.push(BatchExecPoint {
             entities,
             steps: transitions.len(),
             tuples,
-            scalar_tuples_per_sec: scalar,
-            vectorized_tuples_per_sec: vectorized,
-            speedup: if scalar > 0.0 {
-                vectorized / scalar
-            } else {
-                0.0
-            },
+            vectorized_tuples_per_sec,
         });
     }
     Ok(points)
 }
 
-/// The batch-size sweep: the vectorized path's throughput at one domain
-/// size across ingestion batch sizes, each run asserted byte-identical
-/// to the scalar line-at-a-time reference.
+/// The batch-size sweep: throughput at one domain size across ingestion
+/// batch sizes, each run asserted byte-identical to the line-at-a-time
+/// reference.
 pub fn batch_size_sweep(
     entities: usize,
     steps: usize,
@@ -507,20 +489,13 @@ pub fn batch_size_sweep(
 
     let events = entities.div_ceil(steps.max(1)).max(1);
     let transitions = batch_stream(entities, steps, events, seed);
-    let (_, _, reference) = run_batch_exec(&transitions, EncodingOptions::default(), 1)?;
+    let (_, _, reference) = run_batch_exec(&transitions, 1)?;
     let mut points = Vec::with_capacity(batches.len());
     for &batch in batches {
-        let (tuples_per_sec, _, lines) = run_batch_exec(
-            &transitions,
-            EncodingOptions {
-                vectorize: true,
-                ..Default::default()
-            },
-            batch,
-        )?;
+        let (tuples_per_sec, _, lines) = run_batch_exec(&transitions, batch)?;
         if lines != reference {
             return Err(format!(
-                "batch-exec sweep at batch {batch}: reports diverge from scalar"
+                "batch-exec sweep at batch {batch}: reports diverge from line-at-a-time"
             ));
         }
         points.push(BatchSweepPoint {
@@ -548,12 +523,10 @@ pub fn batch_exec_to_json(
                 .set("entities", p.entities as u64)
                 .set("steps", p.steps as u64)
                 .set("tuples", p.tuples as u64)
-                .set("scalar_tuples_per_sec", round3(p.scalar_tuples_per_sec))
                 .set(
                     "vectorized_tuples_per_sec",
                     round3(p.vectorized_tuples_per_sec),
                 )
-                .set("speedup", round3(p.speedup))
         })
         .collect();
     let sweep_rows: Vec<Json> = sweep
@@ -676,14 +649,10 @@ fn metric_rows(doc: &Json) -> Vec<(String, f64, bool)> {
                 let Some(entities) = num(p, "entities") else {
                     return;
                 };
-                for m in [
-                    "scalar_tuples_per_sec",
-                    "vectorized_tuples_per_sec",
-                    "speedup",
-                ] {
-                    if let Some(v) = num(p, m) {
-                        out.push((format!("domain_curve[entities={entities}].{m}"), v, true));
-                    }
+                if let Some(v) = num(p, "vectorized_tuples_per_sec") {
+                    let label =
+                        format!("domain_curve[entities={entities}].vectorized_tuples_per_sec");
+                    out.push((label, v, true));
                 }
             });
             rows.extend(each(doc, "batch_sweep", &mut |p, out| {
@@ -882,26 +851,24 @@ mod tests {
     #[test]
     fn compare_understands_curve_schemas() {
         // batch-exec: rows are keyed by sweep parameter, so only points
-        // measured at the same scale compare, and a slower vectorized
-        // path at a matching domain warns.
+        // measured at the same scale compare, and a slower path at a
+        // matching domain warns.
         let base = json::parse(
             r#"{"workload": "batch-exec",
                 "domain_curve": [
-                  {"entities": 1000, "scalar_tuples_per_sec": 100.0,
-                   "vectorized_tuples_per_sec": 400.0, "speedup": 4.0}],
+                  {"entities": 1000, "vectorized_tuples_per_sec": 400.0}],
                 "batch_sweep": [{"batch": 64, "tuples_per_sec": 400.0}]}"#,
         )
         .unwrap();
         let worse = json::parse(
             r#"{"workload": "batch-exec",
                 "domain_curve": [
-                  {"entities": 1000, "scalar_tuples_per_sec": 100.0,
-                   "vectorized_tuples_per_sec": 150.0, "speedup": 1.5}],
+                  {"entities": 1000, "vectorized_tuples_per_sec": 150.0}],
                 "batch_sweep": [{"batch": 64, "tuples_per_sec": 150.0}]}"#,
         )
         .unwrap();
         let warnings = compare(&worse, &base, 25.0);
-        assert_eq!(warnings.len(), 3, "{warnings:?}");
+        assert_eq!(warnings.len(), 2, "{warnings:?}");
         assert!(
             warnings
                 .iter()
@@ -913,8 +880,7 @@ mod tests {
         let smoke = json::parse(
             r#"{"workload": "batch-exec",
                 "domain_curve": [
-                  {"entities": 256, "scalar_tuples_per_sec": 1.0,
-                   "vectorized_tuples_per_sec": 1.0, "speedup": 1.0}],
+                  {"entities": 256, "vectorized_tuples_per_sec": 1.0}],
                 "batch_sweep": [{"batch": 8, "tuples_per_sec": 1.0}]}"#,
         )
         .unwrap();
@@ -1025,20 +991,18 @@ mod tests {
     }
 
     #[test]
-    fn batch_exec_curve_measures_both_paths() {
+    fn batch_exec_curve_measures_batched_ingestion() {
         // Smoke scale; the real acceptance point runs at 10⁵ entities.
-        // `batch_exec_curve` itself asserts the vectorized reports are
-        // byte-identical to the scalar ones, so a pass here is also a
-        // correctness check on the vectorized execution path.
+        // `batch_exec_curve` itself asserts the batched reports are
+        // byte-identical to the line-at-a-time ones, so a pass here is
+        // also a correctness check on batched ingestion.
         let points = batch_exec_curve(&[128], 30, 11).unwrap();
         assert_eq!(points.len(), 1);
         let p = &points[0];
         assert_eq!(p.entities, 128);
         assert_eq!(p.steps, 30);
         assert!(p.tuples > 0);
-        assert!(p.scalar_tuples_per_sec > 0.0);
         assert!(p.vectorized_tuples_per_sec > 0.0);
-        assert!(p.speedup > 0.0);
     }
 
     #[test]
@@ -1069,7 +1033,7 @@ mod tests {
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get("entities").and_then(Json::as_u64), Some(64));
         assert!(rows[0]
-            .get("speedup")
+            .get("vectorized_tuples_per_sec")
             .and_then(Json::as_f64)
             .is_some_and(|s| s > 0.0));
         let sweep_rows = doc

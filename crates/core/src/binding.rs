@@ -20,95 +20,101 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use rtic_relation::{Relation, Symbol, Tuple, TupleBlock, Value};
 use rtic_temporal::ast::{Term, Var};
 
 /// A finite set of assignments over a sorted variable list.
 ///
-/// The row set is behind an `Arc`: every relational operation builds a
-/// fresh set, so sharing is safe, and it makes cloning — in particular
-/// replaying a memoized plan result on a quiescent step — a refcount bump
-/// instead of an O(rows) rehash.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// The row set is behind an `Arc`, so cloning — in particular replaying a
+/// memoized plan result on a quiescent step — is a refcount bump instead
+/// of an O(rows) rehash. Every row-set *version* carries a process-unique
+/// token: fresh on build and on mutation, copied by `clone`, ignored by
+/// `==`. Equal tokens imply equal contents, so a consumer that cached
+/// state against a row set remembers the token, not the rows — nothing
+/// has to stay alive for the comparison to be sound.
+#[derive(Clone, Debug)]
 pub struct Bindings {
     vars: Vec<Var>,
-    rows: std::sync::Arc<HashSet<Tuple>>,
+    rows: Arc<HashSet<Tuple>>,
+    version: u64,
+}
+
+impl PartialEq for Bindings {
+    fn eq(&self, other: &Bindings) -> bool {
+        self.vars == other.vars && self.rows == other.rows
+    }
+}
+
+impl Eq for Bindings {}
+
+fn fresh_version() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Reusable executor scratch: the probe-key buffer join kernels fill once
-/// per input row, plus a memo of database-pure plan-node results keyed by
-/// the database's cache stamp. Threading one `Scratch` through a whole run
-/// means steady-state stepping reuses a single key allocation instead of
-/// building a fresh `Vec` on every probe, and quiescent steps replay
-/// memoized relation scans instead of re-hashing every tuple.
+/// per input row, the memo of database-pure plan-node results, and the
+/// row-delta records that let downstream consumers advance in O(|delta|).
+/// Threading one `Scratch` through a whole run means steady-state stepping
+/// reuses a single key allocation instead of building a fresh `Vec` on
+/// every probe, and steps that leave a subtree's relations alone replay
+/// its memoized result instead of re-hashing every tuple.
 #[derive(Clone, Debug, Default)]
 pub struct Scratch {
     key: Vec<Value>,
     high_water: usize,
-    ext_cache: HashMap<usize, ((u64, u64), Bindings)>,
-    /// Fine-grained memo for vectorized execution: results keyed by the
-    /// per-relation generations the cached subtree reads, so an update
-    /// touching *other* relations leaves the entry — and its row-storage
-    /// `Arc` identity — intact.
-    ext_cache_vec: HashMap<usize, VecCacheEntry>,
-    /// Per-slot record of the most recent incremental (delta) refresh,
-    /// consumed by window-maintenance fast paths.
-    refreshed: HashMap<usize, RefreshedExt>,
-    /// Per-producer-node record of the last output transition (old rows →
-    /// new rows plus the net added/removed tuples), so downstream probe
-    /// nodes can advance their cached partitions in O(|delta|).
+    /// Memo of database-pure unit-input subtrees, keyed by cache slot and
+    /// validated against the per-relation generations the subtree reads,
+    /// so an update touching *other* relations leaves the entry — and its
+    /// row-set version — intact.
+    memo: HashMap<usize, MemoEntry>,
+    /// Per-producer-node record of the last output transition (old
+    /// version → new version plus the net added/removed tuples), so
+    /// downstream probes and windows advance in O(|delta|).
     deltas: HashMap<usize, RowDelta>,
     /// Per-probe-node passed/failed partition of the node's last input,
     /// valid only for monotone windows (see `Oracle::probe_monotone`).
     probes: HashMap<usize, ProbePartition>,
-    /// Whether the vectorized kernels and the per-relation-stamp memo are
-    /// active on this scratch.
-    vectorize: bool,
-    /// Column blocks streamed by vectorized kernels.
+    /// Column blocks streamed by the kernels.
     blocks: u64,
     /// Total rows across those blocks (`block_rows / blocks` = mean
     /// rows-per-block).
     block_rows: u64,
+    /// Rows duplicated because a memoized or partitioned row set had
+    /// another holder when a delta or flip arrived.
+    rows_copied: u64,
+    /// Fault injection: treat a broken version chain as intact.
+    accept_stale: bool,
     /// Per-node profiler counters, indexed by plan node id. `None` keeps
     /// the executor's fast path a single discriminant check.
     profile: Option<Vec<crate::plan::NodeCounters>>,
 }
 
-/// One vectorized memo entry: the cached result plus the exact per-relation
+/// One memo entry: the cached result plus the exact per-relation
 /// generations it was computed against (for the database instance `db_id`).
 #[derive(Clone, Debug)]
-pub(crate) struct VecCacheEntry {
+pub(crate) struct MemoEntry {
     /// [`rtic_relation::Database::instance_id`] of the producing database.
     pub(crate) db_id: u64,
     /// `(relation, rel_gen)` for every relation the subtree reads.
     pub(crate) gens: Vec<(Symbol, u64)>,
-    /// The memoized result.
+    /// The memoized result — the canonical holder of its row set.
     pub(crate) rows: Bindings,
 }
 
-/// What an incremental (delta) refresh of a memoized extension changed:
-/// the pre-refresh bindings and the rows the refresh added. Consumers that
-/// held `base` (pointer-identical) need only absorb `added`.
-#[derive(Clone, Debug)]
-pub(crate) struct RefreshedExt {
-    /// The bindings the refresh started from.
-    pub(crate) base: Bindings,
-    /// Rows present after the refresh that were not in `base`.
-    pub(crate) added: Vec<Tuple>,
-}
-
 /// One producer node's output transition: the exact net row changes that
-/// turned `from` into `to`. Consumers whose cached state was computed
-/// against `from` (pointer-identical) advance by replaying `added` and
-/// `removed` instead of rescanning `to`.
+/// turned version `from` into version `to`. Consumers whose cached state
+/// was computed against `from` advance by replaying `added` and `removed`
+/// instead of rescanning the new rows.
 #[derive(Clone, Debug)]
 pub(crate) struct RowDelta {
-    /// The producer's previous output (held alive so its row-storage `Arc`
-    /// identity stays valid for pointer comparisons).
-    pub(crate) from: Bindings,
-    /// The producer's current output.
-    pub(crate) to: Bindings,
+    /// Version of the producer's previous output.
+    pub(crate) from: u64,
+    /// Version of the producer's current output.
+    pub(crate) to: u64,
     /// Rows in `to` but not `from`.
     pub(crate) added: Vec<Tuple>,
     /// Rows in `from` but not `to`.
@@ -122,8 +128,9 @@ pub(crate) struct RowDelta {
 /// input's net delta — O(|failed| + |delta|) instead of O(|input|).
 #[derive(Clone, Debug)]
 pub(crate) struct ProbePartition {
-    /// The input the partition covers (`passed ∪ failed == input`).
-    pub(crate) input: Bindings,
+    /// Version of the input the partition covers
+    /// (`passed ∪ failed == input`).
+    pub(crate) input: u64,
     /// Rows whose projected key satisfied the window.
     pub(crate) passed: Bindings,
     /// Rows whose projected key did not (yet) satisfy the window.
@@ -133,80 +140,48 @@ pub(crate) struct ProbePartition {
 impl ProbePartition {
     /// Partitions `input` from scratch with one probe per row.
     pub(crate) fn full(input: &Bindings, mut holds: impl FnMut(&Tuple) -> bool) -> ProbePartition {
-        let mut passed = HashSet::new();
-        let mut failed = HashSet::new();
-        for row in input.rows() {
-            if holds(row) {
-                passed.insert(row.clone());
-            } else {
-                failed.insert(row.clone());
-            }
-        }
+        let (passed, failed) = input.rows.iter().cloned().partition(|row| holds(row));
         ProbePartition {
-            input: input.clone(),
-            passed: Bindings {
-                vars: input.vars.clone(),
-                rows: std::sync::Arc::new(passed),
-            },
-            failed: Bindings {
-                vars: input.vars.clone(),
-                rows: std::sync::Arc::new(failed),
-            },
+            input: input.version,
+            passed: Bindings::build(input.vars.clone(), passed),
+            failed: Bindings::build(input.vars.clone(), failed),
         }
     }
 
-    /// Advances the partition to `input` (= the covered input plus
-    /// `added` minus `removed`, as net sets), re-probing only the failed
-    /// rows and the additions — sound exactly when the window's verdicts
-    /// are monotone. Returns the new partition plus the net rows the
+    /// Advances the partition in place to the input version `input` (=
+    /// the covered input plus `added` minus `removed`, as net sets),
+    /// re-probing only the failed rows and the additions — sound exactly
+    /// when the window's verdicts are monotone. Returns the net rows the
     /// *passed* side gained and lost (the node's own output delta).
     ///
-    /// When nothing changed, the passed/failed row storage is returned
-    /// untouched, preserving `Arc` identity for downstream fast paths.
+    /// When nothing changed, both sides keep their version, preserving
+    /// downstream fast paths. A side another holder still shares is
+    /// copied first (tallied in `scratch`), so the result never depends on
+    /// who else is looking.
     pub(crate) fn advance(
-        self,
-        input: &Bindings,
+        &mut self,
+        input: u64,
         added: &[Tuple],
         removed: &[Tuple],
         mut holds: impl FnMut(&Tuple) -> bool,
-    ) -> (ProbePartition, Vec<Tuple>, Vec<Tuple>) {
-        debug_assert!(added.iter().all(|r| !self.input.contains(r)));
-        debug_assert!(removed.iter().all(|r| self.input.contains(r)));
-        if added.is_empty() && removed.is_empty() {
-            // Failed rows whose key aged into (or was newly recorded by)
-            // the window since the last probe.
-            let flips: Vec<Tuple> = self.failed.rows().filter(|r| holds(r)).cloned().collect();
-            if flips.is_empty() {
-                let part = ProbePartition {
-                    input: input.clone(),
-                    passed: self.passed,
-                    failed: self.failed,
-                };
-                return (part, Vec::new(), Vec::new());
-            }
-            let mut passed = (*self.passed.rows).clone();
-            let mut failed = (*self.failed.rows).clone();
-            for row in &flips {
-                failed.remove(row);
-                passed.insert(row.clone());
-            }
-            let part = ProbePartition {
-                input: input.clone(),
-                passed: Bindings {
-                    vars: self.passed.vars,
-                    rows: std::sync::Arc::new(passed),
-                },
-                failed: Bindings {
-                    vars: self.failed.vars,
-                    rows: std::sync::Arc::new(failed),
-                },
-            };
-            return (part, flips, Vec::new());
+        scratch: &mut Scratch,
+    ) -> (Vec<Tuple>, Vec<Tuple>) {
+        debug_assert!(added.iter().all(|r| !self.covers(r)));
+        debug_assert!(removed.iter().all(|r| self.covers(r)));
+        self.input = input;
+        // Failed rows whose key aged into (or was newly recorded by) the
+        // window since the last probe.
+        let flips: Vec<Tuple> = (self.failed.rows.iter())
+            .filter(|r| holds(r))
+            .cloned()
+            .collect();
+        if added.is_empty() && removed.is_empty() && flips.is_empty() {
+            return (Vec::new(), Vec::new());
         }
+        let passed = self.passed.rows_mut(&mut scratch.rows_copied);
+        let failed = self.failed.rows_mut(&mut scratch.rows_copied);
         // Removals first, so a removed row can never also surface as a
         // failed→passed flip (the output deltas must be net sets).
-        let mut passed = (*self.passed.rows).clone();
-        let mut failed = (*self.failed.rows).clone();
         let mut passed_removed = Vec::new();
         for row in removed {
             if passed.remove(row) {
@@ -215,11 +190,12 @@ impl ProbePartition {
                 failed.remove(row);
             }
         }
-        let flips: Vec<Tuple> = failed.iter().filter(|r| holds(r)).cloned().collect();
-        let mut passed_added = flips.clone();
-        for row in &flips {
-            failed.remove(row);
-            passed.insert(row.clone());
+        let mut passed_added = Vec::with_capacity(flips.len() + added.len());
+        for row in flips {
+            if failed.remove(&row) {
+                passed.insert(row.clone());
+                passed_added.push(row);
+            }
         }
         for row in added {
             if holds(row) {
@@ -229,18 +205,11 @@ impl ProbePartition {
                 failed.insert(row.clone());
             }
         }
-        let part = ProbePartition {
-            input: input.clone(),
-            passed: Bindings {
-                vars: self.passed.vars,
-                rows: std::sync::Arc::new(passed),
-            },
-            failed: Bindings {
-                vars: self.failed.vars,
-                rows: std::sync::Arc::new(failed),
-            },
-        };
-        (part, passed_added, passed_removed)
+        (passed_added, passed_removed)
+    }
+
+    fn covers(&self, row: &Tuple) -> bool {
+        self.passed.contains(row) || self.failed.contains(row)
     }
 }
 
@@ -255,56 +224,51 @@ impl Scratch {
         self.high_water
     }
 
-    /// Switches the vectorized kernels and the per-relation-stamp memo on
-    /// or off for every execution threaded through this scratch.
-    pub fn set_vectorize(&mut self, on: bool) {
-        self.vectorize = on;
-    }
-
-    /// Whether vectorized execution is active.
-    #[inline]
-    pub fn vectorize(&self) -> bool {
-        self.vectorize
-    }
-
-    /// Tallies one column block of `rows` rows streamed by a vectorized
-    /// kernel.
+    /// Tallies one column block of `rows` rows streamed by a kernel.
     #[inline]
     pub(crate) fn note_block(&mut self, rows: u64) {
         self.blocks += 1;
         self.block_rows += rows;
     }
 
-    /// `(blocks, total rows across blocks)` streamed by vectorized kernels
-    /// so far; rows-per-block is their ratio.
+    /// `(blocks, total rows across blocks)` streamed by the kernels so
+    /// far; rows-per-block is their ratio.
     pub fn block_counts(&self) -> (u64, u64) {
         (self.blocks, self.block_rows)
     }
 
-    /// The vectorized memo entry for a cache slot, if any.
-    pub(crate) fn cached_ext_vec(&self, slot: usize) -> Option<&VecCacheEntry> {
-        self.ext_cache_vec.get(&slot)
+    /// Rows duplicated so far because a row set was shared when a delta
+    /// or flip arrived — zero in steady state, where each memoized or
+    /// partitioned set has exactly one holder between steps.
+    pub fn rows_copied(&self) -> u64 {
+        self.rows_copied
     }
 
-    /// Removes and returns the vectorized memo entry for a cache slot.
-    pub(crate) fn take_ext_vec(&mut self, slot: usize) -> Option<VecCacheEntry> {
-        self.ext_cache_vec.remove(&slot)
+    /// Fault injection for the differential oracle's mutation smoke: from
+    /// now on a probe partition whose input version neither matches nor
+    /// chains through a recorded delta is trusted instead of rebuilt.
+    pub(crate) fn arm_stale_versions(&mut self) {
+        self.accept_stale = true;
     }
 
-    /// Stores a vectorized memo entry for a cache slot.
-    pub(crate) fn store_ext_vec(&mut self, slot: usize, entry: VecCacheEntry) {
-        self.ext_cache_vec.insert(slot, entry);
+    /// Whether [`Scratch::arm_stale_versions`] planted the bug.
+    pub(crate) fn accepts_stale(&self) -> bool {
+        self.accept_stale
     }
 
-    /// Records what a delta refresh of `slot` changed.
-    pub(crate) fn note_refresh(&mut self, slot: usize, base: Bindings, added: Vec<Tuple>) {
-        self.refreshed.insert(slot, RefreshedExt { base, added });
+    /// The memo entry for a cache slot, if any.
+    pub(crate) fn memo_entry(&self, slot: usize) -> Option<&MemoEntry> {
+        self.memo.get(&slot)
     }
 
-    /// Removes and returns the refresh record for `slot`, if one was
-    /// produced since the last take.
-    pub(crate) fn take_refresh(&mut self, slot: usize) -> Option<RefreshedExt> {
-        self.refreshed.remove(&slot)
+    /// Removes and returns the memo entry for a cache slot.
+    pub(crate) fn take_memo(&mut self, slot: usize) -> Option<MemoEntry> {
+        self.memo.remove(&slot)
+    }
+
+    /// Stores a memo entry for a cache slot.
+    pub(crate) fn store_memo(&mut self, slot: usize, entry: MemoEntry) {
+        self.memo.insert(slot, entry);
     }
 
     /// Records producer node `node`'s output transition (replacing any
@@ -313,10 +277,10 @@ impl Scratch {
         self.deltas.insert(node, delta);
     }
 
-    /// The recorded transition that *produced* `to` (row storage pointer
-    /// match), if any producer left one behind.
-    pub(crate) fn delta_into(&self, to: &Bindings) -> Option<&RowDelta> {
-        self.deltas.values().find(|d| d.to.same_rows(to))
+    /// The recorded transition that *produced* row-set version `to`, if
+    /// any producer left one behind.
+    pub(crate) fn delta_into(&self, to: u64) -> Option<&RowDelta> {
+        self.deltas.values().find(|d| d.to == to)
     }
 
     /// The cached probe partition for plan node `node`, if any.
@@ -388,21 +352,6 @@ impl Scratch {
             crate::plan::CacheTouch::Miss => slot.cache_misses += 1,
             crate::plan::CacheTouch::Untouched => {}
         }
-    }
-
-    /// The memoized result for a cache slot, if it was produced against a
-    /// database with this exact stamp.
-    pub(crate) fn cached_ext(&self, slot: usize, stamp: (u64, u64)) -> Option<&Bindings> {
-        match self.ext_cache.get(&slot) {
-            Some((s, rows)) if *s == stamp => Some(rows),
-            _ => None,
-        }
-    }
-
-    /// Memoizes a cache slot's result for the given database stamp,
-    /// replacing any earlier generation.
-    pub(crate) fn store_ext(&mut self, slot: usize, stamp: (u64, u64), rows: Bindings) {
-        self.ext_cache.insert(slot, (stamp, rows));
     }
 
     fn note_width(&mut self, width: usize) {
@@ -556,12 +505,32 @@ impl Bindings {
     /// The unit: no variables, one (empty) row. Identity for joins;
     /// represents "true".
     pub fn unit() -> Bindings {
-        let mut rows = HashSet::with_capacity(1);
-        rows.insert(Tuple::empty());
+        Bindings::build(Vec::new(), HashSet::from([Tuple::empty()]))
+    }
+
+    /// A new row set over sorted `vars`, stamped with a fresh version.
+    fn build(vars: Vec<Var>, rows: HashSet<Tuple>) -> Bindings {
         Bindings {
-            vars: Vec::new(),
-            rows: std::sync::Arc::new(rows),
+            vars,
+            rows: Arc::new(rows),
+            version: fresh_version(),
         }
+    }
+
+    /// This row set's version token: equal tokens imply equal contents.
+    pub(crate) fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// The rows for in-place mutation, under a fresh version. When another
+    /// holder still shares the storage it is copied first and the copy
+    /// tallied in `copied` — results never depend on who else holds it.
+    fn rows_mut(&mut self, copied: &mut u64) -> &mut HashSet<Tuple> {
+        if Arc::get_mut(&mut self.rows).is_none() {
+            *copied += self.rows.len() as u64;
+        }
+        self.version = fresh_version();
+        Arc::make_mut(&mut self.rows)
     }
 
     /// No rows over the given variables; represents "false".
@@ -569,10 +538,7 @@ impl Bindings {
         let mut vars: Vec<Var> = vars.into_iter().collect();
         vars.sort_unstable();
         vars.dedup();
-        Bindings {
-            vars,
-            rows: std::sync::Arc::new(HashSet::new()),
-        }
+        Bindings::build(vars, HashSet::new())
     }
 
     /// Builds from rows whose columns follow `vars` (any order; columns are
@@ -595,10 +561,7 @@ impl Bindings {
                 t.project(&order)
             })
             .collect();
-        Bindings {
-            vars: sorted_vars,
-            rows: std::sync::Arc::new(rows),
-        }
+        Bindings::build(sorted_vars, rows)
     }
 
     /// The sorted variable list.
@@ -645,13 +608,6 @@ impl Bindings {
         self.rows.contains(row)
     }
 
-    /// Whether both binding sets share the same row storage (pointer
-    /// equality) — a cheap sufficient test for equal contents, used by
-    /// maintenance fast paths on memoized extensions.
-    pub(crate) fn same_rows(&self, other: &Bindings) -> bool {
-        std::sync::Arc::ptr_eq(&self.rows, &other.rows)
-    }
-
     /// Position of `v` in the column order.
     pub fn position(&self, v: Var) -> Option<usize> {
         self.vars.binary_search(&v).ok()
@@ -677,26 +633,22 @@ impl Bindings {
 
     /// Keeps only rows satisfying `pred`.
     pub fn filter(&self, mut pred: impl FnMut(&Tuple) -> bool) -> Bindings {
-        Bindings {
-            vars: self.vars.clone(),
-            rows: std::sync::Arc::new(self.rows.iter().filter(|r| pred(r)).cloned().collect()),
-        }
+        let rows = self.rows.iter().filter(|r| pred(r)).cloned().collect();
+        Bindings::build(self.vars.clone(), rows)
     }
 
     /// Union; both sides must have the same variables.
     pub fn union(&self, other: &Bindings) -> Bindings {
         assert_eq!(self.vars, other.vars, "union over different variable sets");
-        Bindings {
-            vars: self.vars.clone(),
-            rows: std::sync::Arc::new(self.rows.union(&other.rows).cloned().collect()),
-        }
+        let rows = self.rows.union(&other.rows).cloned().collect();
+        Bindings::build(self.vars.clone(), rows)
     }
 
     /// In-place union; both sides must have the same variables. Use this
     /// in accumulation loops — repeated [`Bindings::union`] is quadratic.
     pub fn union_in_place(&mut self, other: &Bindings) {
         assert_eq!(self.vars, other.vars, "union over different variable sets");
-        std::sync::Arc::make_mut(&mut self.rows).extend(other.rows.iter().cloned());
+        self.rows_mut(&mut 0).extend(other.rows.iter().cloned());
     }
 
     /// Projection onto `keep` (must be a subset of the variables);
@@ -713,10 +665,8 @@ impl Bindings {
             .iter()
             .map(|v| self.position(*v).expect("projection variable not present"))
             .collect();
-        Bindings {
-            vars: keep,
-            rows: std::sync::Arc::new(self.rows.iter().map(|r| r.project(&positions)).collect()),
-        }
+        let rows = self.rows.iter().map(|r| r.project(&positions)).collect();
+        Bindings::build(keep, rows)
     }
 
     /// Drops the variables in `remove` (projection onto the complement).
@@ -732,15 +682,11 @@ impl Bindings {
         self.project(&keep)
     }
 
-    /// Vectorized [`Bindings::project_away`]: the dropped variables become
-    /// column drops on a [`TupleBlock`] (gather the kept columns, re-unique)
-    /// instead of per-row tuple rebuilds. Falls back to the row kernel when
-    /// the scratch is not in vectorized mode. Output is logically identical
-    /// either way.
+    /// Columnar [`Bindings::project_away`] — the compiled plans' `exists`
+    /// kernel: the dropped variables become column drops on a
+    /// [`TupleBlock`] (gather the kept columns, re-unique) instead of
+    /// per-row tuple rebuilds. Output is logically identical.
     pub(crate) fn project_away_vec(&self, remove: &[Var], scratch: &mut Scratch) -> Bindings {
-        if !scratch.vectorize() {
-            return self.project_away(remove);
-        }
         let mut removed: Vec<Var> = remove.to_vec();
         removed.sort_unstable();
         let mut keep_vars: Vec<Var> = Vec::with_capacity(self.vars.len());
@@ -757,18 +703,11 @@ impl Bindings {
         if self.rows.is_empty() {
             // An empty row set materializes a zero-column block; there is
             // nothing to gather.
-            return Bindings {
-                vars: keep_vars,
-                rows: std::sync::Arc::new(HashSet::new()),
-            };
+            return Bindings::build(keep_vars, HashSet::new());
         }
         let block = TupleBlock::from_tuples(self.rows.iter().cloned());
         scratch.note_block(block.len() as u64);
-        let projected = block.project(&keep_pos);
-        Bindings {
-            vars: keep_vars,
-            rows: std::sync::Arc::new(projected.iter().collect()),
-        }
+        Bindings::build(keep_vars, block.project(&keep_pos).iter().collect())
     }
 
     /// Incrementally refreshes a memoized **unit-input atom scan** against
@@ -782,20 +721,24 @@ impl Bindings {
     /// add/remove events therefore reproduces exactly the rows a full
     /// rescan would produce.
     ///
-    /// Returns the refreshed bindings plus the **net** added and removed
-    /// rows (for window maintenance and downstream delta consumers). Net
-    /// means relative to the pre-refresh rows: a row inserted and deleted
-    /// within the same delta appears in neither list.
+    /// Refreshes in place, under a fresh version — O(|events|) when this is
+    /// the row set's only holder; a set still shared is copied first and
+    /// tallied in `scratch`. Returns the **net** added and removed rows (for
+    /// window maintenance and downstream delta consumers). Net means
+    /// relative to the pre-refresh rows: a row inserted and deleted within
+    /// the same delta appears in neither list.
     pub(crate) fn apply_atom_delta(
-        &self,
+        &mut self,
         shape: &AtomShape,
         events: &[(Tuple, bool)],
-    ) -> (Bindings, Vec<Tuple>, Vec<Tuple>) {
+        scratch: &mut Scratch,
+    ) -> (Vec<Tuple>, Vec<Tuple>) {
         debug_assert!(
             shape.bound_positions.is_empty(),
             "delta refresh requires a unit-input atom"
         );
-        let mut rows = (*self.rows).clone();
+        scratch.note_block(events.len() as u64);
+        let rows = self.rows_mut(&mut scratch.rows_copied);
         let mut added_rows: HashSet<Tuple> = HashSet::new();
         let mut removed_rows: HashSet<Tuple> = HashSet::new();
         for (t, added) in events {
@@ -827,10 +770,6 @@ impl Bindings {
             }
         }
         (
-            Bindings {
-                vars: self.vars.clone(),
-                rows: std::sync::Arc::new(rows),
-            },
             added_rows.into_iter().collect(),
             removed_rows.into_iter().collect(),
         )
@@ -860,10 +799,7 @@ impl Bindings {
                 Tuple::new(vals)
             })
             .collect();
-        Bindings {
-            vars,
-            rows: std::sync::Arc::new(rows),
-        }
+        Bindings::build(vars, rows)
     }
 
     /// Natural join on shared variables.
@@ -880,10 +816,10 @@ impl Bindings {
         shape: &JoinShape,
         scratch: &mut Scratch,
     ) -> Bindings {
-        // Vectorized single-key fast path: gather the build side's key
-        // column into one flat block and hash `Value → row ids` over it —
-        // no per-row `Vec<Value>` key allocations on either side.
-        if scratch.vectorize() && shape.lpos.len() == 1 {
+        // Single-key fast path: gather the build side's key column into
+        // one flat block and hash `Value → row ids` over it — no per-row
+        // `Vec<Value>` key allocations on either side.
+        if shape.lpos.len() == 1 {
             return self.natural_join_single_key(other, shape, scratch);
         }
         let mut table: HashMap<Vec<Value>, Vec<&Tuple>> = HashMap::with_capacity(other.rows.len());
@@ -913,10 +849,7 @@ impl Bindings {
                 }
             }
         }
-        Bindings {
-            vars: shape.vars.clone(),
-            rows: std::sync::Arc::new(rows),
-        }
+        Bindings::build(shape.vars.clone(), rows)
     }
 
     /// The columnar build/probe kernel behind [`Bindings::natural_join_shaped`]
@@ -960,10 +893,7 @@ impl Bindings {
                 }
             }
         }
-        Bindings {
-            vars: shape.vars.clone(),
-            rows: std::sync::Arc::new(rows),
-        }
+        Bindings::build(shape.vars.clone(), rows)
     }
 
     /// Anti-semijoin: rows of `self` whose projection onto `other`'s
@@ -1014,14 +944,10 @@ impl Bindings {
         // evaluation with the same shape.
         let index = rel.index_on(&shape.index_cols);
         scratch.note_width(shape.index_cols.len());
-        let mut rows = if scratch.vectorize() {
-            // The scan streams the input rows as one block; size the output
-            // for the common one-match-per-probe case up front.
-            scratch.note_block(self.rows.len() as u64);
-            HashSet::with_capacity(self.rows.len().max(rel.len()))
-        } else {
-            HashSet::new()
-        };
+        // The scan streams the input rows as one block; size the output
+        // for the common one-match-per-probe case up front.
+        scratch.note_block(self.rows.len() as u64);
+        let mut rows = HashSet::with_capacity(self.rows.len().max(rel.len()));
         for l in self.rows.iter() {
             scratch.key.clear();
             scratch
@@ -1054,10 +980,7 @@ impl Bindings {
                 );
             }
         }
-        Bindings {
-            vars: shape.vars.clone(),
-            rows: std::sync::Arc::new(rows),
-        }
+        Bindings::build(shape.vars.clone(), rows)
     }
 }
 

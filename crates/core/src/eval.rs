@@ -40,8 +40,8 @@ pub trait Oracle {
     /// across states: once a key is in the extension it stays in it at
     /// every later state. Holds for `once[l,∞)` windows (stamps are never
     /// pruned and the admissible window only widens as time advances), and
-    /// lets vectorized probe nodes cache their passed rows instead of
-    /// re-probing the whole input each step. The conservative default is
+    /// lets probe nodes cache their passed rows instead of re-probing the
+    /// whole input each step. The conservative default is
     /// `false` — correctness never depends on answering `true`.
     fn probe_monotone(&self, _node: &Formula) -> bool {
         false

@@ -88,13 +88,9 @@ pub struct EncodingOptions {
     /// byte-identical; only [`crate::Checker::plan_profile`] gains data.
     /// Ignored under `interpret_eval` (there are no plan nodes to profile).
     pub profile_plans: bool,
-    /// Execute through the vectorized (columnar) kernels: single-key
-    /// hash joins build over flat column slices, `exists` projections
-    /// become column drops on tuple blocks, and database-pure memo
-    /// entries are keyed by per-relation generations (with O(|delta|)
-    /// refresh of single-atom scans) instead of the global cache stamp.
-    /// Reports are byte-identical to scalar execution; the differential
-    /// oracle's `*-vec` backends pin it. Ignored under `interpret_eval`.
+    /// Accepted and ignored: the columnar kernels this used to select are
+    /// the only compiled path now. The field survives because the frozen
+    /// `benchmark/` crate still names it; the next benchmark PR drops it.
     pub vectorize: bool,
 }
 
@@ -108,7 +104,9 @@ fn sorted_free_vars(f: &Formula) -> Vec<Var> {
 /// many engines.
 #[derive(Clone, Debug)]
 pub(crate) struct NodeEngine {
-    pub(crate) compiled: CompiledConstraint,
+    /// Shared, not owned: every shard of a sharded constraint (and every
+    /// clone of the engine) steps the same compiled form.
+    pub(crate) compiled: Arc<CompiledConstraint>,
     pub(crate) states: Vec<NodeState>,
     /// Cached pre-update extensions for `prev` nodes (`None` for node
     /// kinds whose extension is answered lazily from their state).
@@ -124,22 +122,23 @@ pub(crate) struct NodeEngine {
     /// extensions stay valid while the constraint's relations are
     /// untouched). Computed once at construction.
     fast_eligible: bool,
-    /// The previous step's violations (`None` until a step records them);
-    /// the fast path requires them to be empty and returns a clone.
+    /// The previous step's violations when that step was clean (`None`
+    /// otherwise, and until a step ran); the fast path requires a clean
+    /// previous step and returns a clone.
     last_violations: Option<Bindings>,
     /// Evaluate through the interpreter instead of the compiled plans.
     interpret: bool,
     /// Reusable probe-key buffers for the planned join kernels.
     scratch: Scratch,
-    /// Each `once` node's operand extension from the previous step. When
-    /// the memoized planner hands back the *same* row storage (pointer
-    /// equality) and the node's window absorbs idempotently, maintenance
-    /// skips the per-key re-recording entirely.
-    last_sat: Vec<Option<Bindings>>,
+    /// Version token of each `once` node's operand extension from the
+    /// previous step. When the planner hands back the same version, or one
+    /// a recorded row delta chains from it, and the node's window absorbs
+    /// idempotently, maintenance records only the delta's added rows.
+    last_sat: Vec<Option<u64>>,
 }
 
 impl NodeEngine {
-    pub(crate) fn new(compiled: CompiledConstraint, options: EncodingOptions) -> NodeEngine {
+    pub(crate) fn new(compiled: Arc<CompiledConstraint>, options: EncodingOptions) -> NodeEngine {
         let states: Vec<NodeState> = compiled
             .nodes
             .iter()
@@ -196,7 +195,6 @@ impl NodeEngine {
                 if options.profile_plans && !options.interpret_eval {
                     s.enable_profiling();
                 }
-                s.set_vectorize(options.vectorize && !options.interpret_eval);
                 s
             },
             last_sat,
@@ -247,11 +245,14 @@ impl NodeEngine {
     /// then records `t_now`.
     pub(crate) fn advance(&mut self, db: &Database, t_now: TimePoint) {
         let mut scratch = std::mem::take(&mut self.scratch);
-        for idx in 0..self.compiled.nodes.len() {
+        let compiled = Arc::clone(&self.compiled);
+        for (idx, node) in compiled.nodes.iter().enumerate() {
             // Inner nodes (indices < idx) are already advanced; the oracle
-            // exposes exactly their new extensions.
-            let node = self.compiled.nodes[idx].clone();
-            match &node {
+            // exposes exactly their new extensions. The cached extension
+            // is let go before the operand runs, so a delta refresh finds
+            // the memoized rows unshared.
+            self.sat_cache[idx] = None;
+            match node {
                 Formula::Prev(_, g) => {
                     let sat_now = {
                         let oracle = self.oracle(t_now);
@@ -267,49 +268,32 @@ impl NodeEngine {
                         let oracle = self.oracle(t_now);
                         self.operand_extension(idx, g, db, &oracle, &mut scratch)
                     };
-                    // Drain any delta-refresh record the vectorized memo
-                    // left for the operand's root cache slot this step.
-                    let op_slot = if self.interpret {
-                        None
-                    } else {
-                        match &self.compiled.plans.node_ops[idx] {
-                            NodePlans::Operand(p) => p.cache_slot(),
-                            NodePlans::Since { .. } => None,
-                        }
-                    };
-                    let refreshed = op_slot.and_then(|slot| scratch.take_refresh(slot));
                     let NodeState::Once(w) = &mut self.states[idx] else {
                         unreachable!("node/state kind mismatch")
                     };
-                    let unchanged = self.last_sat[idx]
-                        .as_ref()
-                        .is_some_and(|prev| prev.same_rows(&sat_now));
-                    if !(unchanged && w.absorb_is_noop()) {
-                        // Window delta maintenance: when the operand was
-                        // delta-refreshed from exactly the extension this
-                        // window last absorbed, and re-absorbing stored
-                        // keys is a no-op, only the refresh's added rows
-                        // need recording — O(|delta|) instead of O(N).
-                        // (Removed rows are not re-added by the full path
-                        // either; their stamps expire lazily.)
-                        let delta = refreshed.filter(|r| {
-                            w.absorb_is_noop()
-                                && self.last_sat[idx]
-                                    .as_ref()
-                                    .is_some_and(|p| p.same_rows(&r.base))
-                        });
-                        match delta {
-                            Some(r) => {
-                                if !r.added.is_empty() {
-                                    let small =
-                                        Bindings::from_rows(sat_now.vars().to_vec(), r.added);
-                                    w.add_and_prune(&small, t_now);
-                                }
-                            }
-                            None => w.add_and_prune(&sat_now, t_now),
+                    // Window delta maintenance: when re-absorbing stored
+                    // keys is a no-op and the operand's version is the one
+                    // this window last absorbed — or a recorded row delta
+                    // chains from it — only the delta's added rows need
+                    // recording: O(|delta|) instead of O(N). (Removed rows
+                    // are not re-added by the full path either; their
+                    // stamps expire lazily.)
+                    let to = sat_now.version();
+                    let last = self.last_sat[idx]
+                        .replace(to)
+                        .filter(|_| w.absorb_is_noop());
+                    if last == Some(to) {
+                        // Same version as last absorbed: nothing to record.
+                    } else if let Some(d) = scratch.delta_into(to).filter(|d| Some(d.from) == last)
+                    {
+                        if !d.added.is_empty() {
+                            let rows = d.added.iter().cloned();
+                            let small = Bindings::from_rows(sat_now.vars().to_vec(), rows);
+                            w.add_and_prune(&small, t_now);
                         }
+                    } else {
+                        w.add_and_prune(&sat_now, t_now);
                     }
-                    self.last_sat[idx] = Some(sat_now.clone());
                     if self.fast_eligible {
                         self.sat_cache[idx] = Some(sat_now);
                     }
@@ -388,13 +372,20 @@ impl NodeEngine {
             }
         };
         self.scratch = scratch;
-        self.last_violations = Some(v.clone());
+        // Only a clean result is ever replayed, so only a clean result is
+        // kept: a witness set stays with its one canonical holder.
+        self.last_violations = v.is_empty().then(|| v.clone());
         v
     }
 
-    /// Widest probe key the planned join kernels have built so far.
-    pub(crate) fn scratch_high_water(&self) -> usize {
-        self.scratch.high_water()
+    /// The static shape of the plans this engine executes plus what its
+    /// scratch has accumulated so far.
+    pub(crate) fn plan_stats(&self) -> crate::plan::RuntimePlanStats {
+        crate::plan::RuntimePlanStats {
+            plan: self.compiled.plans.stats(),
+            scratch_high_water: self.scratch.high_water(),
+            rows_copied: self.scratch.rows_copied(),
+        }
     }
 
     /// The quiescent fast path: absorbs a pure clock tick into the
@@ -419,10 +410,7 @@ impl NodeEngine {
             return None;
         }
         let last_time = self.last_time?;
-        let clear = match &self.last_violations {
-            Some(v) if v.is_empty() => v.clone(),
-            _ => return None,
-        };
+        let clear = self.last_violations.clone()?;
         if self.sat_cache.iter().any(Option::is_none) {
             return None;
         }
@@ -518,9 +506,17 @@ impl IncrementalChecker {
         let db = Database::new(Arc::clone(&compiled.catalog));
         IncrementalChecker {
             db,
-            engine: NodeEngine::new(compiled, options),
+            engine: NodeEngine::new(Arc::new(compiled), options),
             steps: 0,
         }
+    }
+
+    /// Fault injection for the differential oracle's mutation smoke: from
+    /// now on a probe partition whose input version neither matches nor
+    /// chains through a recorded row delta is trusted instead of rebuilt.
+    #[doc(hidden)]
+    pub fn arm_stale_versions(&mut self) {
+        self.engine.scratch.arm_stale_versions();
     }
 
     /// The compiled form (for inspection and for building siblings).
@@ -610,10 +606,7 @@ impl Checker for IncrementalChecker {
         if self.engine.interpret {
             return None;
         }
-        Some(crate::plan::RuntimePlanStats {
-            plan: self.engine.compiled.plans.stats(),
-            scratch_high_water: self.engine.scratch_high_water(),
-        })
+        Some(self.engine.plan_stats())
     }
 
     fn plan_profile(&self) -> Option<crate::plan::PlanProfile> {
@@ -903,6 +896,9 @@ mod tests {
                     "{src}: aux state diverged at t={t}"
                 );
             }
+            // The operand extensions cached for the ticks are let go
+            // before the next refresh: nothing was ever copied.
+            assert_eq!(fast.engine.plan_stats().rows_copied, 0, "{src}");
         }
     }
 
@@ -946,13 +942,22 @@ mod tests {
         }
     }
 
+    fn interpreted(src: &str) -> IncrementalChecker {
+        let options = EncodingOptions {
+            interpret_eval: true,
+            ..Default::default()
+        };
+        IncrementalChecker::with_options(parse_constraint(src).unwrap(), catalog(), options)
+            .unwrap()
+    }
+
     #[test]
-    fn vectorized_matches_scalar_byte_for_byte() {
-        // Differential: one checker runs the columnar kernels with the
-        // per-relation-generation memo (and its atom delta refresh +
-        // window delta maintenance), the other the scalar path. Reports
-        // and aux state must agree at every step, and the rendered
-        // violations must be byte-identical.
+    fn compiled_matches_interpreter_byte_for_byte() {
+        // Differential: one checker runs the compiled plans — columnar
+        // kernels, the per-relation-generation memo with its in-place atom
+        // delta refresh, window delta maintenance — the other the
+        // tree-walking interpreter. Reports and aux state must agree at
+        // every step, and the rendered violations must be byte-identical.
         for src in [
             "deny d: reserved(p) && confirmed(p)",
             "deny d: reserved(p) && once[0,3] confirmed(p)",
@@ -963,16 +968,8 @@ mod tests {
             "deny d: confirmed(p) && (exists q . reserved(q))",
             "deny d: reserved(p) && prev[0,2] confirmed(p)",
         ] {
-            let mut vectorized = IncrementalChecker::with_options(
-                parse_constraint(src).unwrap(),
-                catalog(),
-                EncodingOptions {
-                    vectorize: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let mut scalar = checker(src);
+            let mut compiled = checker(src);
+            let mut reference = interpreted(src);
             let names = ["ann", "bob", "cal", "dee"];
             for t in 0..70u64 {
                 let i = t as usize;
@@ -989,34 +986,43 @@ mod tests {
                         .with_insert("confirmed", tuple![names[i % 4]])
                         .with_delete("confirmed", tuple![names[(i + 2) % 4]]),
                 };
-                let a = vectorized.step(TimePoint(t), &upd).unwrap();
-                let b = scalar.step(TimePoint(t), &upd).unwrap();
-                assert_eq!(a, b, "{src}: vectorized diverged at t={t}");
+                let a = compiled.step(TimePoint(t), &upd).unwrap();
+                let b = reference.step(TimePoint(t), &upd).unwrap();
+                assert_eq!(a, b, "{src}: compiled diverged at t={t}");
                 assert_eq!(
                     a.violations.to_string(),
                     b.violations.to_string(),
                     "{src}: rendering diverged at t={t}"
                 );
                 assert_eq!(
-                    vectorized.engine.aux_space(),
-                    scalar.engine.aux_space(),
+                    compiled.engine.aux_space(),
+                    reference.engine.aux_space(),
                     "{src}: aux state diverged at t={t}"
                 );
             }
         }
     }
 
+    /// Rows the monotone probe nodes have streamed so far (a full
+    /// partition rebuild streams the node's whole input, an advance only
+    /// its failed rows plus the input delta).
+    fn probe_rows_streamed(c: &IncrementalChecker) -> u64 {
+        let profile = c.engine.plan_profile().expect("profiling enabled");
+        let probes = profile.nodes.iter().filter(|n| n.desc.probe);
+        probes.map(|n| n.counts.block_rows).sum()
+    }
+
     #[test]
     fn monotone_probe_partitions_survive_adversarial_deltas() {
-        // The vectorized path caches a passed/failed partition for
-        // unbounded-once probes and advances it from row deltas. Stress
-        // the delta bookkeeping with the cases that historically break
-        // partition caches: deleting a row that already passed the
-        // probe, inserting and deleting the same row within one step,
-        // deleting and re-inserting an initially present row, and a
-        // probe input that churns every step. Bounded windows
+        // The compiled path caches a passed/failed partition for
+        // unbounded-once probes and advances it from row deltas chained
+        // by version token. Stress the delta bookkeeping with the cases
+        // that historically break partition caches: deleting a row that
+        // already passed the probe, inserting and deleting the same row
+        // within one step, deleting and re-inserting an initially present
+        // row, and a probe input that churns every step. Bounded windows
         // (`once[1,3]`) and `since` must fall back to per-row probing;
-        // both flavours run against the scalar path byte-for-byte.
+        // both flavours run against the interpreter byte-for-byte.
         for src in [
             // Unbounded probes: partition cache engages.
             "deny u: once[2,*] reserved(p) && reserved(p) && !once confirmed(p)",
@@ -1025,16 +1031,8 @@ mod tests {
             "deny d: reserved(p) && once[1,3] confirmed(p)",
             "deny d: reserved(p) since[0,4] confirmed(p)",
         ] {
-            let mut vectorized = IncrementalChecker::with_options(
-                parse_constraint(src).unwrap(),
-                catalog(),
-                EncodingOptions {
-                    vectorize: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let mut scalar = checker(src);
+            let mut compiled = checker(src);
+            let mut reference = interpreted(src);
             let names = ["ann", "bob", "cal"];
             for t in 0..60u64 {
                 let i = t as usize;
@@ -1057,9 +1055,9 @@ mod tests {
                         .with_insert("reserved", tuple![names[(i + 1) % 3]]),
                     _ => Update::new(),
                 };
-                let a = vectorized.step(TimePoint(t), &upd).unwrap();
-                let b = scalar.step(TimePoint(t), &upd).unwrap();
-                assert_eq!(a, b, "{src}: vectorized diverged at t={t}");
+                let a = compiled.step(TimePoint(t), &upd).unwrap();
+                let b = reference.step(TimePoint(t), &upd).unwrap();
+                assert_eq!(a, b, "{src}: compiled diverged at t={t}");
                 assert_eq!(
                     a.violations.to_string(),
                     b.violations.to_string(),
@@ -1067,6 +1065,99 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_version_mismatch_anywhere_in_the_chain_forces_a_full_rebuild() {
+        // atom → probe(once[2,*]) → probe(once) over 40 resident rows.
+        // While the version tokens chain, a one-row delta costs the probes
+        // a handful of rows. Swapping the database for an equal-content
+        // clone (fresh instance id) voids the atom memo, so the atom is
+        // rebuilt under a version no recorded delta leads to: the first
+        // probe must repartition its whole input, and — since a rebuild
+        // publishes no delta either — so must the second. Reports keep
+        // matching the interpreter throughout.
+        let src = "deny u: reserved(p) && once[2,*] reserved(p) && !once confirmed(p)";
+        let options = EncodingOptions {
+            profile_plans: true,
+            ..Default::default()
+        };
+        let mut compiled =
+            IncrementalChecker::with_options(parse_constraint(src).unwrap(), catalog(), options)
+                .unwrap();
+        let mut reference = interpreted(src);
+        let key = |k: u64| format!("p{k}");
+        let mut load = Update::new();
+        for k in 0..40 {
+            load.insert("reserved", tuple![key(k).as_str()]);
+            if k % 4 != 0 {
+                load.insert("confirmed", tuple![key(k).as_str()]);
+            }
+        }
+        let mut streamed = Vec::new();
+        for t in 0..12u64 {
+            let upd = match t {
+                0 => load.clone(),
+                _ => Update::new().with_insert("reserved", tuple![key(100 + t).as_str()]),
+            };
+            if t == 8 {
+                let (db, _, _) = compiled.parts_mut();
+                *db = db.clone();
+            }
+            let before = probe_rows_streamed(&compiled);
+            let a = compiled.step(TimePoint(t), &upd).unwrap();
+            let b = reference.step(TimePoint(t), &upd).unwrap();
+            assert_eq!(a.to_string(), b.to_string(), "diverged at t={t}");
+            streamed.push(probe_rows_streamed(&compiled) - before);
+        }
+        // Chained steps: the failed rows (unconfirmed + too young) plus
+        // the one-row delta, per probe — far below the 40+ resident rows.
+        for t in [5, 6, 7, 9, 10, 11] {
+            assert!(streamed[t] <= 30, "t={t} streamed {}", streamed[t]);
+        }
+        // The broken chain: both probes rescan their whole input.
+        assert!(streamed[8] >= 80, "rebuild streamed only {}", streamed[8]);
+    }
+
+    #[test]
+    fn a_delta_into_a_shared_row_set_copies_instead_of_corrupting_the_holder() {
+        // This test keeps every report (as a batch driver does until it
+        // prints), so the witness rows — the failed side of the `!once`
+        // probe's partition — have a second holder when the next delta or
+        // flip arrives; the shape is tick-gain-free, so quiescent ticks
+        // replay cached operand extensions in between, and the profiler
+        // is on. Each delta must then land on a copy — counted in
+        // `rows_copied` — with reports byte-identical to the interpreter
+        // and every held report still reading what it read when issued.
+        let src = "deny d: reserved(p) && !once[0,*] confirmed(p)";
+        let options = EncodingOptions {
+            profile_plans: true,
+            ..Default::default()
+        };
+        let mut compiled =
+            IncrementalChecker::with_options(parse_constraint(src).unwrap(), catalog(), options)
+                .unwrap();
+        assert!(compiled.engine.fast_eligible);
+        let mut reference = interpreted(src);
+        let mut held = Vec::new();
+        for t in 0..40u64 {
+            let name = format!("p{}", t % 9);
+            let upd = match t % 4 {
+                0 => Update::new().with_insert("reserved", tuple![name.as_str()]),
+                1 => Update::new().with_insert("confirmed", tuple![name.as_str()]),
+                2 => Update::new(),
+                _ => Update::new().with_delete("reserved", tuple![name.as_str()]),
+            };
+            let a = compiled.step(TimePoint(t), &upd).unwrap();
+            let b = reference.step(TimePoint(t), &upd).unwrap();
+            assert_eq!(a.to_string(), b.to_string(), "diverged at t={t}");
+            held.push((a, b.to_string()));
+        }
+        for (report, rendered) in &held {
+            assert_eq!(&report.to_string(), rendered, "a held report changed");
+        }
+        let copied = compiled.plan_stats().expect("compiled plans").rows_copied;
+        assert!(copied > 0, "the copy-on-shared fallback never ran");
     }
 
     #[test]
@@ -1093,16 +1184,15 @@ mod tests {
     }
 
     #[test]
-    fn vectorized_quiescent_steps_replay_the_memo() {
-        // A pure tick leaves every relation generation alone, so the
-        // vectorized memo replays (cache hit) instead of rescanning; an
-        // update to an *unrelated* relation must also keep the entry.
+    fn quiescent_steps_replay_the_memo() {
+        // A pure tick leaves every relation generation alone, so the memo
+        // replays (cache hit) instead of rescanning; an update to an
+        // *unrelated* relation must also keep the entry.
         let src = "deny d: reserved(p) && !once[0,*] confirmed(p)";
         let mut c = IncrementalChecker::with_options(
             parse_constraint(src).unwrap(),
             catalog(),
             EncodingOptions {
-                vectorize: true,
                 profile_plans: true,
                 ..Default::default()
             },

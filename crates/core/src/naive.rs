@@ -121,6 +121,7 @@ impl Checker for NaiveChecker {
         Some(crate::plan::RuntimePlanStats {
             plan: self.compiled.plans.body.stats(),
             scratch_high_water: self.scratch.high_water(),
+            rows_copied: self.scratch.rows_copied(),
         })
     }
 
@@ -165,7 +166,7 @@ struct NaiveOracle<'h> {
     /// Per-evaluation memo of node extensions, so the semijoin-pushdown
     /// `contains` probes don't recompute the (expensive, history-scanning)
     /// extension once per candidate row.
-    ext_cache: std::cell::RefCell<std::collections::HashMap<Formula, Bindings>>,
+    extensions: std::cell::RefCell<std::collections::HashMap<Formula, Bindings>>,
 }
 
 impl<'h> NaiveOracle<'h> {
@@ -173,16 +174,16 @@ impl<'h> NaiveOracle<'h> {
         NaiveOracle {
             history,
             i,
-            ext_cache: Default::default(),
+            extensions: Default::default(),
         }
     }
 
     fn cached_extension(&self, node: &Formula) -> Bindings {
-        if let Some(b) = self.ext_cache.borrow().get(node) {
+        if let Some(b) = self.extensions.borrow().get(node) {
             return b.clone();
         }
         let b = self.compute_extension(node);
-        self.ext_cache.borrow_mut().insert(node.clone(), b.clone());
+        self.extensions.borrow_mut().insert(node.clone(), b.clone());
         b
     }
 }
@@ -198,12 +199,12 @@ impl Oracle for NaiveOracle<'_> {
 
     fn contains(&self, node: &Formula, key: &Tuple) -> bool {
         // Probe through the cache WITHOUT cloning the extension per row.
-        if let Some(b) = self.ext_cache.borrow().get(node) {
+        if let Some(b) = self.extensions.borrow().get(node) {
             return b.contains(key);
         }
         let b = self.compute_extension(node);
         let hit = b.contains(key);
-        self.ext_cache.borrow_mut().insert(node.clone(), b);
+        self.extensions.borrow_mut().insert(node.clone(), b);
         hit
     }
 

@@ -33,7 +33,7 @@ use rtic_temporal::ast::{CmpOp, Formula, Term, Var};
 use rtic_temporal::safety;
 
 use crate::binding::{
-    AtomShape, Bindings, JoinShape, ProbePartition, RowDelta, Scratch, VecCacheEntry,
+    AtomShape, Bindings, JoinShape, MemoEntry, ProbePartition, RowDelta, Scratch,
 };
 use crate::eval::Oracle;
 
@@ -118,13 +118,13 @@ pub struct Plan {
     out_vars: Vec<Var>,
     /// When set, this node is database-pure with a unit input: its result
     /// is a function of the database contents alone, so execution memoizes
-    /// it in [`Scratch`] keyed by the database's cache stamp. Assigned by
-    /// [`EvalPlans::build`]; plans compiled standalone never memoize.
+    /// it in [`Scratch`]. Assigned by [`EvalPlans::build`]; plans compiled
+    /// standalone never memoize.
     cache_slot: Option<usize>,
     /// The relations this subtree reads, recorded when a cache slot is
-    /// assigned (empty otherwise). Vectorized execution keys the memo on
-    /// these relations' per-relation generations instead of the global
-    /// stamp, so updates to unrelated relations keep the entry valid.
+    /// assigned (empty otherwise). The memo is keyed on these relations'
+    /// per-relation generations, so updates to unrelated relations keep
+    /// the entry valid.
     cache_rels: Vec<Symbol>,
     /// Stable pre-order index used to attribute profiler counters to this
     /// node. Assigned by [`EvalPlans::build`]; standalone plans keep
@@ -141,7 +141,7 @@ const UNTRACKED: usize = usize::MAX;
 pub(crate) enum CacheTouch {
     /// Node has no cache slot (or the input bypassed the memo).
     Untouched,
-    /// Replayed a stored result for the current database stamp.
+    /// Replayed a stored result (its relations' generations unchanged).
     Hit,
     /// Computed and stored a fresh result.
     Miss,
@@ -161,12 +161,13 @@ pub struct NodeCounters {
     pub rows_in: u64,
     /// Total output rows across all calls.
     pub rows_out: u64,
-    /// Memo-cache replays (database-pure subtree, unchanged stamp).
+    /// Memo-cache replays (database-pure subtree, unchanged relations).
     pub cache_hits: u64,
-    /// Memo-cache fills (stamp changed or first execution).
+    /// Memo-cache fills and delta refreshes (a read relation changed, or
+    /// first execution).
     pub cache_misses: u64,
-    /// Column blocks streamed by vectorized kernels in this subtree
-    /// (inclusive, like `time_ns`). Zero under scalar execution.
+    /// Column blocks streamed by the kernels in this subtree (inclusive,
+    /// like `time_ns`).
     pub blocks: u64,
     /// Total rows across those blocks; `block_rows / blocks` is the mean
     /// rows-per-block this node's kernels processed.
@@ -186,8 +187,8 @@ impl NodeCounters {
         self.block_rows += other.block_rows;
     }
 
-    /// Mean rows-per-block across this node's vectorized kernel calls,
-    /// when any block was streamed.
+    /// Mean rows-per-block across this node's kernel calls, when any block
+    /// was streamed.
     pub fn rows_per_block(&self) -> Option<f64> {
         if self.blocks == 0 {
             None
@@ -312,14 +313,20 @@ pub struct RuntimePlanStats {
     /// Widest probe key, in columns, the reusable scratch buffers have
     /// held across all planned joins so far.
     pub scratch_high_water: usize,
+    /// Rows duplicated because a memoized or partitioned row set was
+    /// still shared when a delta or flip arrived. Zero in steady state:
+    /// that is what makes a step cost O(|delta|), not O(resident).
+    pub rows_copied: u64,
 }
 
 impl RuntimePlanStats {
     /// Accumulates another checker's runtime plan statistics: plan shapes
-    /// add up, the scratch high-water mark takes the maximum.
+    /// and copied rows add up, the scratch high-water mark takes the
+    /// maximum.
     pub fn absorb(&mut self, other: RuntimePlanStats) {
         self.plan.absorb(other.plan);
         self.scratch_high_water = self.scratch_high_water.max(other.scratch_high_water);
+        self.rows_copied += other.rows_copied;
     }
 }
 
@@ -768,13 +775,6 @@ impl Plan {
         &self.out_vars
     }
 
-    /// The memo slot this node was assigned by [`EvalPlans::build`], if
-    /// any. The incremental engine uses it to look up delta-refresh records
-    /// the vectorized cache left behind for window maintenance.
-    pub(crate) fn cache_slot(&self) -> Option<usize> {
-        self.cache_slot
-    }
-
     /// The execution order of the root conjunction, as indices into
     /// [`safety::flatten_and`] of the planned formula; `None` when the root
     /// is not a conjunction. This is what `explain` renders, so the
@@ -826,10 +826,18 @@ impl Plan {
     }
 
     /// Memoized path: a database-pure subtree fed the one-row unit input
-    /// is a function of the database contents alone, so quiescent steps
-    /// replay the stored result instead of re-scanning relations. An
-    /// empty same-schema input (a projection that produced no candidate
-    /// rows) bypasses the memo — its result is legitimately different.
+    /// is a function of the database contents alone, so steps that leave
+    /// its relations' generations alone replay the stored result (same
+    /// row-set version — downstream fast paths depend on that) instead of
+    /// re-scanning. An empty same-schema input (a projection that produced
+    /// no candidate rows) bypasses the memo — its result is legitimately
+    /// different.
+    ///
+    /// A single-atom subtree whose relation moved exactly one generation
+    /// is *delta-refreshed*: the recorded tuple events replay onto the
+    /// memoized rows in place, O(|delta|) instead of a full rescan, and
+    /// the net row changes are published for downstream probes and
+    /// windows.
     fn execute_memo<O: Oracle + ?Sized>(
         &self,
         db: &Database,
@@ -838,103 +846,58 @@ impl Plan {
         scratch: &mut Scratch,
         cache: &mut CacheTouch,
     ) -> Bindings {
-        if let Some(slot) = self.cache_slot {
-            if input.len() == 1 {
-                if scratch.vectorize() {
-                    return self.execute_memo_vec(slot, db, oracle, input, scratch, cache);
-                }
-                let stamp = db.cache_stamp();
-                if let Some(hit) = scratch.cached_ext(slot, stamp) {
-                    *cache = CacheTouch::Hit;
-                    return hit.clone();
-                }
-                let result = self.execute_kind(db, oracle, input, scratch);
-                scratch.store_ext(slot, stamp, result.clone());
-                *cache = CacheTouch::Miss;
-                return result;
-            }
-        }
-        self.execute_kind(db, oracle, input, scratch)
-    }
-
-    /// Vectorized memo path: keyed by the subtree's per-relation
-    /// generations rather than the global cache stamp, so updates touching
-    /// unrelated relations replay the stored result (preserving its `Arc`
-    /// identity — the incremental engine's window-maintenance skip depends
-    /// on that). A single-atom subtree whose relation moved exactly one
-    /// generation is *delta-refreshed*: the recorded tuple events replay
-    /// onto the cached rows in O(|delta|) instead of a full rescan, and the
-    /// added rows are left behind for the engine's window maintenance.
-    fn execute_memo_vec<O: Oracle + ?Sized>(
-        &self,
-        slot: usize,
-        db: &Database,
-        oracle: &O,
-        input: &Bindings,
-        scratch: &mut Scratch,
-        cache: &mut CacheTouch,
-    ) -> Bindings {
+        let Some(slot) = self.cache_slot.filter(|_| input.len() == 1) else {
+            return self.execute_kind(db, oracle, input, scratch);
+        };
         let db_id = db.instance_id();
-        if let Some(e) = scratch.cached_ext_vec(slot) {
-            if e.db_id == db_id && e.gens.iter().all(|&(r, g)| db.rel_gen(r) == g) {
+        let current = |e: &MemoEntry| e.db_id == db_id;
+        if let Some(e) = scratch.memo_entry(slot).filter(|e| current(e)) {
+            if e.gens.iter().all(|&(r, g)| db.rel_gen(r) == g) {
                 *cache = CacheTouch::Hit;
                 return e.rows.clone();
             }
         }
+        *cache = CacheTouch::Miss;
         if let Kind::Atom { relation, shape } = &self.kind {
-            if shape.bound_positions.is_empty() {
-                if let Some(e) = scratch.take_ext_vec(slot) {
-                    if e.db_id == db_id && e.gens.len() == 1 && e.gens[0].0 == *relation {
-                        if let Some(delta) = db.rel_delta(*relation) {
-                            if delta.generation == e.gens[0].1 + 1
-                                && delta.generation == db.rel_gen(*relation)
-                            {
-                                let (rows, added, removed) =
-                                    e.rows.apply_atom_delta(shape, &delta.events);
-                                scratch.note_block(rows.len() as u64);
-                                if self.node_id != UNTRACKED {
-                                    scratch.note_delta(
-                                        self.node_id,
-                                        RowDelta {
-                                            from: e.rows.clone(),
-                                            to: rows.clone(),
-                                            added: added.clone(),
-                                            removed,
-                                        },
-                                    );
-                                }
-                                scratch.note_refresh(slot, e.rows, added);
-                                scratch.store_ext_vec(
-                                    slot,
-                                    VecCacheEntry {
-                                        db_id,
-                                        gens: vec![(*relation, delta.generation)],
-                                        rows: rows.clone(),
-                                    },
-                                );
-                                *cache = CacheTouch::Miss;
-                                return rows;
-                            }
-                        }
-                    }
+            // A memoized atom reads exactly `relation`: `gens` is its one
+            // generation.
+            let delta = db.rel_delta(*relation).filter(|d| {
+                shape.bound_positions.is_empty() && d.generation == db.rel_gen(*relation)
+            });
+            let stored = scratch.take_memo(slot).filter(|e| current(e));
+            if let (Some(delta), Some(mut e)) = (delta, stored) {
+                if delta.generation == e.gens[0].1 + 1 {
+                    let from = e.rows.version();
+                    let (added, removed) = e.rows.apply_atom_delta(shape, &delta.events, scratch);
+                    scratch.note_delta(
+                        self.node_id,
+                        RowDelta {
+                            from,
+                            to: e.rows.version(),
+                            added,
+                            removed,
+                        },
+                    );
+                    e.gens[0].1 = delta.generation;
+                    let rows = e.rows.clone();
+                    scratch.store_memo(slot, e);
+                    return rows;
                 }
             }
         }
-        let result = self.execute_kind(db, oracle, input, scratch);
-        scratch.store_ext_vec(
+        let rows = self.execute_kind(db, oracle, input, scratch);
+        let gens = (self.cache_rels.iter())
+            .map(|&r| (r, db.rel_gen(r)))
+            .collect();
+        scratch.store_memo(
             slot,
-            VecCacheEntry {
+            MemoEntry {
                 db_id,
-                gens: self
-                    .cache_rels
-                    .iter()
-                    .map(|&r| (r, db.rel_gen(r)))
-                    .collect(),
-                rows: result.clone(),
+                gens,
+                rows: rows.clone(),
             },
         );
-        *cache = CacheTouch::Miss;
-        result
+        rows
     }
 
     /// Probe against a **monotone** window (see [`Oracle::probe_monotone`])
@@ -944,10 +907,11 @@ impl Plan {
     /// state, so only the failed rows and the input's net delta need fresh
     /// probes — O(|failed| + |delta|) per step instead of O(|input|). The
     /// input delta comes from the producer's [`RowDelta`] record (an atom
-    /// delta-refresh or an upstream incremental probe); when no record
-    /// matches, the partition is rebuilt with a full scan, so correctness
-    /// never depends on the delta chain being intact. The node publishes
-    /// its own output transition for the next probe downstream.
+    /// delta-refresh or an upstream incremental probe), chained by version
+    /// token; when the tokens do not chain, the partition is rebuilt with
+    /// a full scan, so correctness never depends on the delta chain being
+    /// intact. The node publishes its own output transition for the next
+    /// consumer downstream.
     fn execute_probe_monotone<O: Oracle + ?Sized>(
         &self,
         node: &Formula,
@@ -956,47 +920,36 @@ impl Plan {
         input: &Bindings,
         scratch: &mut Scratch,
     ) -> Bindings {
-        let advanced = scratch
-            .take_probe_partition(self.node_id)
-            .and_then(|cache| {
-                if cache.input.same_rows(input) {
-                    return Some((cache, Vec::new(), Vec::new()));
-                }
-                let delta = scratch
-                    .delta_into(input)
-                    .filter(|d| d.from.same_rows(&cache.input))
-                    .map(|d| (d.added.clone(), d.removed.clone()));
-                delta.map(|(added, removed)| (cache, added, removed))
-            });
-        let (part, out_delta) = match advanced {
-            Some((cache, added, removed)) => {
-                let processed = (cache.failed.len() + added.len() + removed.len()) as u64;
-                scratch.note_block(processed);
-                let old_passed = cache.passed.clone();
-                let (part, passed_added, passed_removed) =
-                    cache.advance(input, &added, &removed, |row| {
-                        oracle.contains(node, &row.project(proj))
-                    });
-                (part, Some((old_passed, passed_added, passed_removed)))
+        let holds = |row: &rtic_relation::Tuple| oracle.contains(node, &row.project(proj));
+        let to = input.version();
+        let advanced = scratch.take_probe_partition(self.node_id).and_then(|part| {
+            if part.input == to || scratch.accepts_stale() {
+                return Some((part, Vec::new(), Vec::new()));
+            }
+            let delta = scratch.delta_into(to).filter(|d| d.from == part.input)?;
+            Some((part, delta.added.clone(), delta.removed.clone()))
+        });
+        let part = match advanced {
+            Some((mut part, added, removed)) => {
+                scratch.note_block((part.failed.len() + added.len() + removed.len()) as u64);
+                let from = part.passed.version();
+                let (added, removed) = part.advance(to, &added, &removed, holds, scratch);
+                scratch.note_delta(
+                    self.node_id,
+                    RowDelta {
+                        from,
+                        to: part.passed.version(),
+                        added,
+                        removed,
+                    },
+                );
+                part
             }
             None => {
                 scratch.note_block(input.len() as u64);
-                let part =
-                    ProbePartition::full(input, |row| oracle.contains(node, &row.project(proj)));
-                (part, None)
+                ProbePartition::full(input, holds)
             }
         };
-        if let Some((from, added, removed)) = out_delta {
-            scratch.note_delta(
-                self.node_id,
-                RowDelta {
-                    from,
-                    to: part.passed.clone(),
-                    added,
-                    removed,
-                },
-            );
-        }
         let result = part.passed.clone();
         scratch.store_probe_partition(self.node_id, part);
         result
@@ -1027,11 +980,9 @@ impl Plan {
                 // just partitioned exactly this input, the antijoin *is*
                 // the partition's failed side — reuse it instead of
                 // re-hashing every input row.
-                if scratch.vectorize() && candidates.same_rows(input) {
-                    if let Some(p) = scratch.probe_partition(inner.node_id) {
-                        if p.input.same_rows(&candidates) && p.passed.same_rows(&sat) {
-                            return p.failed.clone();
-                        }
+                if let Some(p) = scratch.probe_partition(inner.node_id) {
+                    if p.input == input.version() && p.passed.version() == sat.version() {
+                        return p.failed.clone();
                     }
                 }
                 input.antijoin(&sat)
@@ -1053,7 +1004,7 @@ impl Plan {
                 r.project_away_vec(drop, scratch)
             }
             Kind::TemporalProbe { node, proj } => {
-                if scratch.vectorize() && self.node_id != UNTRACKED && oracle.probe_monotone(node) {
+                if self.node_id != UNTRACKED && oracle.probe_monotone(node) {
                     self.execute_probe_monotone(node, proj, oracle, input, scratch)
                 } else {
                     input.filter(|row| oracle.contains(node, &row.project(proj)))

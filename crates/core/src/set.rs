@@ -163,7 +163,7 @@ impl ConstraintSet {
         let mut engines = Vec::new();
         for c in constraints {
             match CompiledConstraint::compile(c.clone(), Arc::clone(&catalog)) {
-                Ok(compiled) => engines.push(NodeEngine::new(compiled, options)),
+                Ok(compiled) => engines.push(NodeEngine::new(Arc::new(compiled), options)),
                 Err(e) => return Err((c, e)),
             }
         }
@@ -247,7 +247,7 @@ impl ConstraintSet {
 
     /// The compiled constraints, in insertion order.
     pub fn compiled(&self) -> impl Iterator<Item = &CompiledConstraint> {
-        self.engines.iter().map(|e| &e.compiled)
+        self.engines.iter().map(|e| &*e.compiled)
     }
 
     /// The shared current database state.
@@ -493,8 +493,8 @@ impl ConstraintSet {
     /// (window expiry between lines) are preserved. What batching buys is
     /// amortization *around* the steps: drivers parse/buffer N lines,
     /// print N reports, and run their checkpoint ticker once per batch,
-    /// while the vectorized kernels see back-to-back steps with warm
-    /// memo entries.
+    /// while the plan kernels see back-to-back steps with warm memo
+    /// entries.
     ///
     /// On error the batch stops at the failing line; earlier lines are
     /// fully applied (the same prefix semantics a line-at-a-time driver
@@ -597,15 +597,26 @@ impl ConstraintSet {
             .map_or_else(Vec::new, |(e, _)| e.node_stats())
     }
 
+    /// Each constraint's runtime plan statistics, in insertion order. A
+    /// sharded constraint's runtime counters live in its shards.
+    fn plan_stats_per_engine(
+        &self,
+    ) -> impl Iterator<Item = (Symbol, crate::plan::RuntimePlanStats)> + '_ {
+        self.engines.iter().zip(&self.shards).map(|(e, sharded)| {
+            let stats = sharded
+                .as_ref()
+                .map_or_else(|| e.plan_stats(), |s| s.plan_stats());
+            (e.compiled.constraint.name, stats)
+        })
+    }
+
     /// Aggregate compiled-plan statistics across every engine: plan shape
-    /// counts add up, the scratch high-water mark takes the fleet maximum.
+    /// counts and copied rows add up, the scratch high-water mark takes
+    /// the fleet maximum.
     pub fn plan_stats(&self) -> crate::plan::RuntimePlanStats {
         let mut total = crate::plan::RuntimePlanStats::default();
-        for e in &self.engines {
-            total.absorb(crate::plan::RuntimePlanStats {
-                plan: e.compiled.plans.stats(),
-                scratch_high_water: e.scratch_high_water(),
-            });
+        for (_, stats) in self.plan_stats_per_engine() {
+            total.absorb(stats);
         }
         total
     }
@@ -613,14 +624,11 @@ impl ConstraintSet {
     /// Emits one `PlanStatsSample` event per engine, mirroring
     /// [`ConstraintSet::sample_space`].
     pub fn sample_plan_stats(&self, obs: &mut dyn StepObserver) {
-        for e in &self.engines {
+        for (constraint, stats) in self.plan_stats_per_engine() {
             obs.observe(&StepEvent::PlanStatsSample {
                 checker: "set",
-                constraint: e.compiled.constraint.name,
-                stats: crate::plan::RuntimePlanStats {
-                    plan: e.compiled.plans.stats(),
-                    scratch_high_water: e.scratch_high_water(),
-                },
+                constraint,
+                stats,
             });
         }
     }
@@ -1040,18 +1048,9 @@ mod tests {
     #[test]
     fn apply_batch_matches_line_at_a_time() {
         let cat = catalog();
-        for (sharding, options) in [
-            (false, EncodingOptions::default()),
-            (
-                true,
-                EncodingOptions {
-                    vectorize: true,
-                    ..Default::default()
-                },
-            ),
-        ] {
+        for sharding in [false, true] {
             let mut lined = ConstraintSet::new(constraints(), Arc::clone(&cat)).unwrap();
-            let mut batched = ConstraintSet::with_options(constraints(), Arc::clone(&cat), options)
+            let mut batched = ConstraintSet::new(constraints(), Arc::clone(&cat))
                 .unwrap()
                 .with_sharding(sharding);
             let lines: Vec<(TimePoint, Update)> =

@@ -6,8 +6,8 @@
 //! per-entity constraint over millions of entities is really millions of
 //! tiny checkers. A [`ShardedEngine`] realizes that decomposition: it
 //! routes each transition's tuples to per-key sub-databases, advances one
-//! [`NodeEngine`] per *live* key (so auxiliary windows, memo scratch, and
-//! cache stamps are all shard-local), and merges the per-shard violation
+//! [`NodeEngine`] per *live* key (so auxiliary windows and memo scratch
+//! are shard-local, over one shared compiled constraint), and merges the per-shard violation
 //! sets back in ascending key order — a result byte-identical to the
 //! unsharded engine's (asserted continuously by the differential oracle's
 //! `fleet-sharded` backend).
@@ -83,8 +83,8 @@ impl Shard {
     /// Advances this shard one transition and returns its violations.
     /// Untouched shards try the quiescent fast path first (their
     /// sub-database did not change); everything else runs the full
-    /// evaluation against the shard-local database — shard-local cache
-    /// stamps make the memo scratch shard-local too.
+    /// evaluation against the shard-local database — its own instance id
+    /// keeps the memo scratch shard-local too.
     fn eval(&mut self, time: TimePoint) -> Bindings {
         let fast = if self.touched {
             None
@@ -156,6 +156,18 @@ impl ShardedEngine {
         }
     }
 
+    /// The constraint's plan shape (counted once) with the runtime
+    /// counters of the phantom and every live shard folded in.
+    pub(crate) fn plan_stats(&self) -> crate::plan::RuntimePlanStats {
+        let mut total = self.phantom.engine.plan_stats();
+        for s in self.shards.values() {
+            let stats = s.engine.plan_stats();
+            total.scratch_high_water = total.scratch_high_water.max(stats.scratch_high_water);
+            total.rows_copied += stats.rows_copied;
+        }
+        total
+    }
+
     /// Summed auxiliary footprint of the live shards.
     pub(crate) fn aux_space(&self) -> (usize, usize) {
         let mut keys = 0;
@@ -203,9 +215,10 @@ impl ShardedEngine {
                     }
                     self.created += 1;
                     self.shards.entry(key).or_insert_with(|| {
-                        // The phantom clone inherits all time bookkeeping;
-                        // its cloned database gets a fresh cache-stamp id,
-                        // so no memo entry ever crosses shards.
+                        // The phantom clone inherits all time bookkeeping
+                        // and shares the compiled constraint; its cloned
+                        // database gets a fresh instance id, so no memo
+                        // entry ever crosses shards.
                         self.phantom.clone()
                     })
                 }

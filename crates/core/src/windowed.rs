@@ -104,6 +104,7 @@ impl Checker for WindowedChecker {
         Some(crate::plan::RuntimePlanStats {
             plan: self.compiled.plans.body.stats(),
             scratch_high_water: self.scratch.high_water(),
+            rows_copied: self.scratch.rows_copied(),
         })
     }
 

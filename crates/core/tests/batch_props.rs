@@ -1,11 +1,12 @@
 //! Property: [`ConstraintSet::apply_batch`] — any partition of a stream
-//! into micro-batches, with the columnar kernels on or off — produces
-//! step reports byte-identical to stepping the same set one line at a
-//! time, over random fleets and random streams (including pure ticks).
+//! into micro-batches, through the compiled plans — produces step reports
+//! byte-identical to stepping the same set one line at a time through the
+//! tree-walking interpreter, over random fleets and random streams
+//! (including pure ticks).
 //!
-//! This is the semantic contract of batched ingestion: batching and
-//! vectorization amortize work around and inside the steps, but are
-//! never visible in reports, violations, or the shared database.
+//! This is the semantic contract of batched ingestion: batching and the
+//! plans' memo/delta machinery amortize work around and inside the steps,
+//! but are never visible in reports, violations, or the shared database.
 
 use std::sync::Arc;
 
@@ -29,7 +30,7 @@ fn catalog() -> Arc<Catalog> {
 
 /// Body templates; `{a}`/`{b}` are relation names, `{i}`/`{j}` intervals.
 /// The mix covers the monotone-probe shapes (`!once` with an unbounded
-/// window) alongside bounded windows and `since`, so the vectorized
+/// window) alongside bounded windows and `since`, so the probe
 /// partition cache and its fallbacks both run under the property.
 const TEMPLATES: &[&str] = &[
     "{a}(x) && once{i} {b}(x)",
@@ -74,7 +75,7 @@ fn fleet() -> impl Strategy<Value = Vec<Constraint>> {
 
 /// Random streams with pure ticks (empty change lists), same-step
 /// insert+delete pairs, and churn over a tiny domain — the inputs that
-/// stress the vectorized delta bookkeeping hardest.
+/// stress the row-delta bookkeeping hardest.
 fn transitions() -> impl Strategy<Value = Vec<Transition>> {
     let change = (0..RELATIONS.len(), any::<bool>(), 0u8..2);
     proptest::collection::vec((1u64..3, proptest::collection::vec(change, 0..4)), 2..20).prop_map(
@@ -107,20 +108,18 @@ proptest! {
         constraints in fleet(),
         ts in transitions(),
         batch in 1usize..7,
-        vectorize in any::<bool>(),
     ) {
         let cat = catalog();
-        let mut line_at_a_time =
-            ConstraintSet::new(constraints.iter().cloned(), Arc::clone(&cat))
-                .map_err(|(c, e)| format!("`{c}`: {e}"))
-                .unwrap();
-        let mut batched = ConstraintSet::with_options(
+        let mut line_at_a_time = ConstraintSet::with_options(
             constraints.iter().cloned(),
             Arc::clone(&cat),
-            EncodingOptions { vectorize, ..Default::default() },
+            EncodingOptions { interpret_eval: true, ..Default::default() },
         )
         .map_err(|(c, e)| format!("`{c}`: {e}"))
         .unwrap();
+        let mut batched = ConstraintSet::new(constraints.iter().cloned(), Arc::clone(&cat))
+            .map_err(|(c, e)| format!("`{c}`: {e}"))
+            .unwrap();
 
         let expected: Vec<_> = ts
             .iter()
@@ -141,7 +140,7 @@ proptest! {
             );
         }
 
-        prop_assert_eq!(&got, &expected, "batch={} vectorize={}", batch, vectorize);
+        prop_assert_eq!(&got, &expected, "batch={}", batch);
         // Byte-for-byte: the rendered reports agree, not just the values.
         for (g, e) in got.iter().zip(&expected) {
             let render = |reports: &[rtic_core::StepReport]| {

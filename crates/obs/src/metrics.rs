@@ -528,7 +528,8 @@ impl MetricsRegistry {
                             .set("join_shapes", stats.plan.join_shapes)
                             .set("probe_nodes", stats.plan.probe_nodes)
                             .set("cached_nodes", stats.plan.cached_nodes)
-                            .set("scratch_high_water", stats.scratch_high_water),
+                            .set("scratch_high_water", stats.scratch_high_water)
+                            .set("rows_copied", stats.rows_copied),
                     );
                 }
                 obj
@@ -799,6 +800,18 @@ impl MetricsRegistry {
                     out,
                     "rtic_plan_scratch_high_water{{checker=\"{name}\"}} {}",
                     stats.scratch_high_water
+                );
+            }
+            let _ = writeln!(
+                out,
+                "# HELP rtic_plan_rows_copied_total Rows duplicated because a memoized row set was still shared when a delta arrived."
+            );
+            let _ = writeln!(out, "# TYPE rtic_plan_rows_copied_total counter");
+            for (name, stats) in &plans {
+                let _ = writeln!(
+                    out,
+                    "rtic_plan_rows_copied_total{{checker=\"{name}\"}} {}",
+                    stats.rows_copied
                 );
             }
         }
@@ -1204,6 +1217,7 @@ mod tests {
                     cached_nodes: 1,
                 },
                 scratch_high_water: high,
+                rows_copied: 3,
             },
         };
         registry.observe(&sample("a", 5, 8));
@@ -1214,6 +1228,7 @@ mod tests {
         let inc = by.get("incremental").unwrap();
         assert_eq!(inc.plan.nodes, 8);
         assert_eq!(inc.scratch_high_water, 16);
+        assert_eq!(inc.rows_copied, 6, "copied rows add up across constraints");
         let doc = json::parse(&registry.render_json()).unwrap();
         let plans = doc.get("plan_stats").unwrap().get("incremental").unwrap();
         assert_eq!(plans.get("nodes").and_then(Json::as_u64), Some(8));
@@ -1224,6 +1239,7 @@ mod tests {
         let text = registry.render_prometheus();
         assert!(text.contains("rtic_plan_nodes{checker=\"incremental\"} 8"));
         assert!(text.contains("rtic_plan_scratch_high_water{checker=\"incremental\"} 16"));
+        assert!(text.contains("rtic_plan_rows_copied_total{checker=\"incremental\"} 6"));
     }
 
     #[test]

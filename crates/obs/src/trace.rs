@@ -88,7 +88,8 @@ pub fn event_json(seq: u64, event: &StepEvent<'_>) -> Json {
             .set("join_shapes", stats.plan.join_shapes)
             .set("probe_nodes", stats.plan.probe_nodes)
             .set("cached_nodes", stats.plan.cached_nodes)
-            .set("scratch_high_water", stats.scratch_high_water),
+            .set("scratch_high_water", stats.scratch_high_water)
+            .set("rows_copied", stats.rows_copied),
         StepEvent::PlanProfileSample {
             checker,
             constraint,
@@ -697,7 +698,8 @@ impl StepObserver for ChromeTraceWriter {
                     CHROME_STEP_TID,
                     Json::object()
                         .set("nodes", stats.plan.nodes)
-                        .set("scratch_high_water", stats.scratch_high_water),
+                        .set("scratch_high_water", stats.scratch_high_water)
+                        .set("rows_copied", stats.rows_copied),
                 ));
             }
             StepEvent::SpaceSample {

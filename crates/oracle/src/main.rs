@@ -24,8 +24,9 @@ MODES:
                            against the naive reference; on divergence,
                            shrink and write a repro into --corpus-dir
   --mutation-smoke         self-check: plant known bugs (off-by-one
-                           window, dropped quiescent steps) in a cloned
-                           checker and prove the oracle catches each
+                           window, dropped quiescent steps, a stale
+                           row-set version accepted) in a cloned checker
+                           and prove the oracle catches each
   --write-workload-corpus  regenerate the golden corpus files derived
                            from the rtic-workload scenarios
 

@@ -33,7 +33,10 @@ pub enum Mode {
     /// evaluator (`EncodingOptions::interpret_eval`) — the converse
     /// plan-vs-interpret probe, through the bounded encoding.
     IncrementalInterpreted,
-    /// A one-constraint [`ConstraintSet`] (relevance dispatch on).
+    /// A one-constraint [`ConstraintSet`] (relevance dispatch on),
+    /// ingesting the history through [`ConstraintSet::apply_batch`] in
+    /// seed-derived chunk sizes — one run pins both the fleet and batched
+    /// ingestion against the line-at-a-time reference.
     SetSequential,
     /// Kill the fleet at a seed-derived step, checkpoint, restore into a
     /// fresh process image, and stitch the two report halves together.
@@ -44,26 +47,13 @@ pub enum Mode {
     /// per-shard checkpoint sections, so resume rematerializes exactly
     /// the live shards. Sharded must be byte-identical to everything.
     FleetSharded,
-    /// The incremental checker on the columnar (vectorized) evaluation
-    /// path (`EncodingOptions::vectorize`) — block-backed joins and
-    /// projections diffed against the interpreting reference.
-    IncrementalVectorized,
-    /// [`ConstraintSet`] on the vectorized path, ingesting the history
-    /// through [`ConstraintSet::apply_batch`] in seed-derived chunk
-    /// sizes — one run pins both columnar execution and batched
-    /// ingestion against the line-at-a-time scalar reference.
-    SetVectorizedBatched,
-    /// [`Mode::FleetSharded`]'s kill+resume stitch with the vectorized
-    /// path on across both halves: per-shard checkpoints written by a
-    /// columnar fleet must restore into a columnar fleet byte-for-byte.
-    FleetShardedVectorized,
 }
 
 impl Mode {
     /// Every mode, reference first. The naive checker re-evaluates the
     /// full stored history through the interpreting evaluator and is the
     /// semantics-defining baseline all other modes are diffed against.
-    pub const ALL: [Mode; 12] = [
+    pub const ALL: [Mode; 9] = [
         Mode::Single(BackendId::Naive),
         Mode::Single(BackendId::Incremental),
         Mode::Single(BackendId::Windowed),
@@ -73,9 +63,6 @@ impl Mode {
         Mode::SetSequential,
         Mode::Stitch,
         Mode::FleetSharded,
-        Mode::IncrementalVectorized,
-        Mode::SetVectorizedBatched,
-        Mode::FleetShardedVectorized,
     ];
 
     /// The mode's `--backends` flag name.
@@ -87,9 +74,6 @@ impl Mode {
             Mode::SetSequential => "set",
             Mode::Stitch => "stitch",
             Mode::FleetSharded => "fleet-sharded",
-            Mode::IncrementalVectorized => "inc-vec",
-            Mode::SetVectorizedBatched => "set-vec",
-            Mode::FleetShardedVectorized => "fleet-sharded-vec",
         }
     }
 
@@ -149,41 +133,13 @@ pub fn run_constraint(
                     .map_err(err)?;
             run_single(Box::new(checker), transitions)
         }
-        Mode::SetSequential => run_set(constraint, catalog, transitions),
+        Mode::SetSequential => run_set(constraint, catalog, transitions, seed),
         Mode::Stitch => run_stitch(constraint, catalog, transitions, seed),
-        Mode::FleetSharded => run_fleet_sharded(
-            constraint,
-            catalog,
-            transitions,
-            seed,
-            EncodingOptions::default(),
-        ),
-        Mode::IncrementalVectorized => {
-            let err = |e: rtic_core::CompileError| format!("constraint `{}`: {e}", constraint.name);
-            let options = EncodingOptions {
-                vectorize: true,
-                ..Default::default()
-            };
-            let checker =
-                IncrementalChecker::with_options(constraint.clone(), Arc::clone(catalog), options)
-                    .map_err(err)?;
-            run_single(Box::new(checker), transitions)
-        }
-        Mode::SetVectorizedBatched => run_set_batched(constraint, catalog, transitions, seed),
-        Mode::FleetShardedVectorized => run_fleet_sharded(
-            constraint,
-            catalog,
-            transitions,
-            seed,
-            EncodingOptions {
-                vectorize: true,
-                ..Default::default()
-            },
-        ),
+        Mode::FleetSharded => run_fleet_sharded(constraint, catalog, transitions, seed),
     }
 }
 
-fn run_single(
+pub(crate) fn run_single(
     mut checker: Box<dyn Checker>,
     transitions: &[Transition],
 ) -> Result<Vec<String>, String> {
@@ -216,38 +172,18 @@ pub fn single_checker(
     })
 }
 
-fn run_set(
-    constraint: &Constraint,
-    catalog: &Arc<Catalog>,
-    transitions: &[Transition],
-) -> Result<Vec<String>, String> {
-    let mut set = ConstraintSet::new([constraint.clone()], Arc::clone(catalog))
-        .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?;
-    let mut lines = Vec::with_capacity(transitions.len());
-    for t in transitions {
-        let reports = set.step(t.time, &t.update).map_err(|e| e.to_string())?;
-        lines.extend(reports.iter().map(|r| r.to_string()));
-    }
-    Ok(lines)
-}
-
-/// [`Mode::SetVectorizedBatched`]: the columnar fleet fed through
+/// [`Mode::SetSequential`]: the fleet fed through
 /// [`ConstraintSet::apply_batch`] in a seed-derived chunk size (1..=8 —
 /// small enough that most histories get several batches plus a ragged
-/// tail). Report lines must be byte-identical to line-at-a-time scalar
-/// stepping.
-fn run_set_batched(
+/// tail). Report lines must be byte-identical to line-at-a-time stepping.
+fn run_set(
     constraint: &Constraint,
     catalog: &Arc<Catalog>,
     transitions: &[Transition],
     seed: u64,
 ) -> Result<Vec<String>, String> {
     let chunk = 1 + (derive_seed(seed, 0xBA7C) % 8) as usize;
-    let options = EncodingOptions {
-        vectorize: true,
-        ..Default::default()
-    };
-    let mut set = ConstraintSet::with_options([constraint.clone()], Arc::clone(catalog), options)
+    let mut set = ConstraintSet::new([constraint.clone()], Arc::clone(catalog))
         .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?;
     let batch: Vec<_> = transitions
         .iter()
@@ -316,11 +252,10 @@ fn run_fleet_sharded(
     catalog: &Arc<Catalog>,
     transitions: &[Transition],
     seed: u64,
-    options: EncodingOptions,
 ) -> Result<Vec<String>, String> {
     let kill = stitch_kill_step(derive_seed(seed, 0x5A4D), transitions.len());
     let horizon = 1 + (derive_seed(seed, 0xE71C) % 4) as u32;
-    let mut set = ConstraintSet::with_options([constraint.clone()], Arc::clone(catalog), options)
+    let mut set = ConstraintSet::new([constraint.clone()], Arc::clone(catalog))
         .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?
         .with_sharding(true);
     set.set_shard_eviction(horizon);
@@ -337,7 +272,7 @@ fn run_fleet_sharded(
     let mut resumed = checkpoint::restore_set_sharded(
         [constraint.clone()],
         Arc::clone(catalog),
-        options,
+        EncodingOptions::default(),
         &sections,
         true,
     )

@@ -8,13 +8,13 @@
 
 use std::sync::Arc;
 
-use rtic_core::{BackendId, Bindings, StepReport};
+use rtic_core::{BackendId, Bindings, IncrementalChecker, StepReport};
 use rtic_history::Transition;
 use rtic_relation::{Catalog, Symbol};
 use rtic_temporal::{Constraint, Formula, Interval, UpperBound, Var};
 
 use crate::generate::{case, GenConfig};
-use crate::modes::{run_constraint, single_checker, Mode};
+use crate::modes::{run_constraint, run_single, single_checker, Mode};
 use crate::repro::Repro;
 use crate::shrink::{shrink, ShrinkBudget};
 
@@ -28,17 +28,26 @@ pub enum Mutant {
     /// (including pure clock ticks) are skipped entirely instead of
     /// advancing the temporal state — a broken quiescent fast path.
     DroppedQuiescent,
+    /// A cached probe partition is trusted even when its input's version
+    /// token neither matches nor chains through a recorded row delta —
+    /// the stale-cache bug the version tokens exist to rule out.
+    StaleVersion,
 }
 
 impl Mutant {
     /// Every mutant.
-    pub const ALL: [Mutant; 2] = [Mutant::OffByOneWindow, Mutant::DroppedQuiescent];
+    pub const ALL: [Mutant; 3] = [
+        Mutant::OffByOneWindow,
+        Mutant::DroppedQuiescent,
+        Mutant::StaleVersion,
+    ];
 
     /// Display/flag name.
     pub fn name(self) -> &'static str {
         match self {
             Mutant::OffByOneWindow => "off-by-one-window",
             Mutant::DroppedQuiescent => "dropped-quiescent",
+            Mutant::StaleVersion => "stale-version",
         }
     }
 
@@ -92,6 +101,12 @@ impl Mutant {
                     }
                 }
                 Ok(lines)
+            }
+            Mutant::StaleVersion => {
+                let mut inner = IncrementalChecker::new(constraint.clone(), Arc::clone(catalog))
+                    .map_err(|e| format!("constraint `{}`: {e}", constraint.name))?;
+                inner.arm_stale_versions();
+                run_single(Box::new(inner), transitions)
             }
         }
     }
@@ -148,7 +163,7 @@ fn widen_finite_bounds(f: &Formula) -> Formula {
 pub fn mutation_applies(m: Mutant, constraint: &Constraint) -> bool {
     match m {
         Mutant::OffByOneWindow => widen_finite_bounds(&constraint.body) != constraint.body,
-        Mutant::DroppedQuiescent => true,
+        Mutant::DroppedQuiescent | Mutant::StaleVersion => true,
     }
 }
 
@@ -232,7 +247,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn both_mutants_are_caught_quickly() {
+    fn every_mutant_is_caught_quickly() {
         let cfg = GenConfig::default();
         for m in Mutant::ALL {
             let caught = hunt(m, 42, 200, &cfg).expect("mutant must be caught");

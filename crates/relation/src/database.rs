@@ -107,10 +107,8 @@ pub struct Database {
     catalog: Arc<Catalog>,
     relations: BTreeMap<Symbol, Relation>,
     id: u64,
-    generation: u64,
     /// Per-relation generation counters, bumped only when a relation's
-    /// contents actually change (unlike the conservative global
-    /// `generation`). Missing entries mean generation 0.
+    /// contents actually change. Missing entries mean generation 0.
     rel_gens: BTreeMap<Symbol, u64>,
     /// The most recent actual delta per relation, for incremental cache
     /// refresh. Cleared for a relation whenever its contents change through
@@ -127,13 +125,12 @@ fn fresh_db_id() -> u64 {
 impl Clone for Database {
     fn clone(&self) -> Database {
         // A clone can be mutated independently of the original, so it gets
-        // its own identity: two databases never share a cache stamp unless
-        // one literally is the other at an earlier, unmutated generation.
+        // its own identity: a cache entry keyed on (instance id, relation
+        // generations) never matches two databases.
         Database {
             catalog: Arc::clone(&self.catalog),
             relations: self.relations.clone(),
             id: fresh_db_id(),
-            generation: 0,
             rel_gens: BTreeMap::new(),
             rel_deltas: BTreeMap::new(),
         }
@@ -165,34 +162,23 @@ impl Database {
             catalog,
             relations,
             id: fresh_db_id(),
-            generation: 0,
             rel_gens: BTreeMap::new(),
             rel_deltas: BTreeMap::new(),
         }
     }
 
-    /// An identity for this exact contents: the instance id plus a
-    /// generation counter bumped on every mutation. Equal stamps imply
-    /// equal contents (each instance — including every clone — has a
-    /// unique id, and its generation only moves forward), so evaluation
-    /// caches can key on the stamp instead of hashing tuples.
-    pub fn cache_stamp(&self) -> (u64, u64) {
-        (self.id, self.generation)
-    }
-
-    /// The unique identity of this instance (the first component of
-    /// [`Database::cache_stamp`]).
+    /// The unique identity of this instance: every database — including
+    /// every clone — has its own, so evaluation caches can key on it plus
+    /// [`Database::rel_gen`] instead of hashing tuples.
     pub fn instance_id(&self) -> u64 {
         self.id
     }
 
     /// Per-relation generation: bumped only when `name`'s contents actually
-    /// change (no-op inserts/deletes leave it alone), unlike the global
-    /// stamp which conservatively advances on every non-empty update.
-    /// Unknown relations report generation 0. Together with
-    /// [`Database::instance_id`] this gives finer-grained cache keys: a
-    /// cached result that reads only relations whose generations are
-    /// unchanged is still valid.
+    /// change (no-op inserts/deletes leave it alone). Unknown relations
+    /// report generation 0. Together with [`Database::instance_id`] this is
+    /// the cache key: a cached result that reads only relations whose
+    /// generations are unchanged is still valid.
     pub fn rel_gen(&self, name: Symbol) -> u64 {
         self.rel_gens.get(&name).copied().unwrap_or(0)
     }
@@ -217,10 +203,9 @@ impl Database {
             .ok_or(RelationError::UnknownRelation { name })
     }
 
-    /// Mutable instance of `name`. Conservatively advances the cache stamp:
-    /// handing out `&mut` counts as a mutation.
+    /// Mutable instance of `name`. Conservatively advances the relation's
+    /// generation: handing out `&mut` counts as a mutation.
     pub fn relation_mut(&mut self, name: Symbol) -> Result<&mut Relation, RelationError> {
-        self.generation += 1;
         // Whatever the caller does through `&mut` is invisible to us, so the
         // per-relation generation moves and any recorded delta is dropped.
         *self.rel_gens.entry(name).or_insert(0) += 1;
@@ -263,9 +248,6 @@ impl Database {
         }
         for name in update.deletes.keys() {
             self.relation(*name)?;
-        }
-        if !update.is_empty() {
-            self.generation += 1;
         }
         // Record, per relation, the tuple events that actually changed
         // contents (set semantics: no-op deletes/inserts record nothing).
@@ -508,12 +490,9 @@ mod tests {
         assert_eq!(db.rel_gen(r), 1);
         assert_eq!(db.rel_gen(s), 0, "untouched relation keeps its stamp");
 
-        // Re-inserting a present tuple is a set-semantics no-op: the global
-        // stamp conservatively advances, the per-relation one does not.
-        let before = db.cache_stamp();
+        // Re-inserting a present tuple is a set-semantics no-op.
         db.apply(&Update::new().with_insert("r", tuple!["a"]))
             .unwrap();
-        assert_ne!(db.cache_stamp(), before);
         assert_eq!(db.rel_gen(r), 1);
 
         db.apply(&Update::new().with_delete("r", tuple!["missing"]))

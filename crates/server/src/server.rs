@@ -101,8 +101,6 @@ pub struct ServeConfig {
     /// one checkpoint write, one metrics sample, and one `batch_ingest`
     /// event per batch instead of per step. 1 disables batching.
     pub batch: usize,
-    /// Columnar (vectorized) plan execution for the fleet.
-    pub vectorize: bool,
     /// Fault-injection plan for chaos drills.
     pub faults: FailPlan,
     /// Where to write the final violation report on drain.
@@ -129,7 +127,6 @@ impl ServeConfig {
             sharding: false,
             shard_evict: None,
             batch: 1,
-            vectorize: false,
             faults: FailPlan::default(),
             report_path: None,
             metrics_path: None,
@@ -370,7 +367,6 @@ pub fn serve(
         sharding,
         shard_evict,
         batch,
-        vectorize,
         faults,
         report_path,
         metrics_path,
@@ -383,10 +379,6 @@ pub fn serve(
         signal::reset();
     }
     let batch = batch.max(1);
-    let options = EncodingOptions {
-        vectorize,
-        ..Default::default()
-    };
     let rotation = checkpoint
         .as_ref()
         .map(|path| Rotation::new(path, checkpoint_keep));
@@ -427,7 +419,7 @@ pub fn serve(
                 let set = checkpoint::restore_set_sharded(
                     constraints.iter().cloned(),
                     Arc::clone(&catalog),
-                    options,
+                    EncodingOptions::default(),
                     &engine_sections,
                     sharding,
                 )
@@ -446,9 +438,7 @@ pub fn serve(
                 restored_banner = Some((found_path, format, set.last_time()));
                 set
             }
-            None if outcome.rejected.is_empty() => {
-                fresh_set(&constraints, &catalog, options, sharding)?
-            }
+            None if outcome.rejected.is_empty() => fresh_set(&constraints, &catalog, sharding)?,
             None => {
                 return Err(
                     "cannot resume: every checkpoint candidate in the rotation set \
@@ -458,7 +448,7 @@ pub fn serve(
             }
         }
     } else {
-        fresh_set(&constraints, &catalog, options, sharding)?
+        fresh_set(&constraints, &catalog, sharding)?
     };
     if let Some(horizon) = shard_evict {
         set.set_shard_eviction(horizon);
@@ -549,11 +539,10 @@ pub fn serve(
 fn fresh_set(
     constraints: &[Constraint],
     catalog: &Arc<Catalog>,
-    options: EncodingOptions,
     sharding: bool,
 ) -> Result<ConstraintSet, String> {
     Ok(
-        ConstraintSet::with_options(constraints.iter().cloned(), Arc::clone(catalog), options)
+        ConstraintSet::new(constraints.iter().cloned(), Arc::clone(catalog))
             .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?
             .with_sharding(sharding),
     )

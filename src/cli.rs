@@ -7,7 +7,7 @@
 //! ```text
 //! rtic check <constraints.rtic> <log.rticlog> [--checker NAME] [--quiet] [--stats] [--explain]
 //!            [--constraints FILE]... [--profile]
-//!            [--batch N] [--vectorize]
+//!            [--batch N]
 //!            [--shard auto|off] [--shard-evict N]
 //!            [--checkpoint FILE] [--resume FILE] [--checkpoint-every N]
 //!            [--checkpoint-secs T] [--checkpoint-keep K]
@@ -23,7 +23,7 @@
 //!            [--min-samples N] [--oracle-every K] [--out FILE] [--metrics FILE]
 //!            [--soak-dir DIR] [--soak-keep] [--resume] [--failpoints SPEC]
 //! rtic serve <constraints.rtic> --listen unix:PATH|tcp:ADDR [--queue N] [--checkpoint FILE]
-//!            [--resume] [--checkpoint-every N] [--batch N] [--vectorize] [--report FILE] …
+//!            [--resume] [--checkpoint-every N] [--batch N] [--report FILE] …
 //! rtic send <log.rticlog> --connect unix:PATH|tcp:ADDR [--drain] [--quiet]
 //! ```
 
@@ -58,7 +58,7 @@ rtic — real-time integrity constraints (Chomicki, PODS 1992)
 USAGE:
   rtic check <constraints-file> <log-file> [--checker incremental|naive|windowed|active]
              [--constraints FILE]... [--profile]
-             [--batch N] [--vectorize]
+             [--batch N]
              [--shard auto|off] [--shard-evict N]
              [--quiet] [--stats] [--explain] [--checkpoint FILE] [--resume FILE]
              [--checkpoint-every N] [--checkpoint-secs T] [--checkpoint-keep K]
@@ -78,7 +78,7 @@ USAGE:
              [--constraints FILE]... [--queue N] [--retry-ms MS] [--write-timeout-ms MS]
              [--checkpoint FILE] [--resume] [--checkpoint-every N] [--checkpoint-secs T]
              [--checkpoint-keep K] [--shard auto|off] [--shard-evict N] [--batch N]
-             [--vectorize] [--failpoints SPEC] [--report FILE] [--metrics FILE]
+             [--failpoints SPEC] [--report FILE] [--metrics FILE]
   rtic send <log-file> --connect unix:PATH|tcp:HOST:PORT [--drain] [--quiet]
              [--connect-timeout-ms MS]
 
@@ -114,16 +114,13 @@ reporting while the rest of the fleet keeps checking — and is listed in
 the summary and `--stats`. `--checker naive|windowed|active` run one
 independent reference checker per constraint instead.
 
-Columnar execution: `--vectorize` switches the incremental engine onto
-the block-backed evaluation path — column-sliced hash joins, columnar
-projections, and per-relation memo generations — with reports
-byte-identical to the scalar path (the differential oracle pins this).
-`--batch N` ingests the log in micro-batches of N lines: each batch is
-parsed and buffered first, then applied as one ingestion unit
-(per-line semantics preserved exactly; checkpoint ticks and space
-samples coalesce to batch boundaries). Both require the incremental
-checker and compose with `--shard`, checkpoints, and `--resume` replay
-cursors.
+Batched ingestion: `--batch N` ingests the log in micro-batches of N
+lines: each batch is parsed and buffered first, then applied as one
+ingestion unit (per-line semantics preserved exactly; checkpoint ticks
+and space samples coalesce to batch boundaries). It requires the
+incremental checker and composes with `--shard`, checkpoints, and
+`--resume` replay cursors. `--vectorize` is accepted and ignored: the
+columnar kernels it used to select are the only compiled path.
 
 Sharding: `--shard auto` partitions each constraint's state by its
 compile-time entity key (the variable shared by every atom) and steps
@@ -174,7 +171,7 @@ on the same stream) on drain. `--batch N` micro-batches ingestion: the
 engine drains up to N queued updates per wakeup and applies them as one
 unit — one checkpoint write and one metrics sample per batch, replies
 deferred past the batch checkpoint so checkpoint-before-ack still holds.
-`--vectorize` serves on the columnar evaluation path. `rtic send`
+`--vectorize` is accepted and ignored. `rtic send`
 streams a log to a serving daemon with backoff+jitter retries, printing
 violations as they come.
 
@@ -350,8 +347,9 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     if profile && backend != BackendId::Incremental {
         return Err("--profile requires the incremental checker".into());
     }
-    let vectorize = args.iter().any(|a| a == "--vectorize");
-    if vectorize && backend != BackendId::Incremental {
+    // Accepted and ignored since the columnar kernels became the only
+    // compiled path; still refused where it never applied.
+    if args.iter().any(|a| a == "--vectorize") && backend != BackendId::Incremental {
         return Err("--vectorize requires the incremental checker".into());
     }
     let batch_size: usize = flag_value(args, "--batch")?
@@ -366,7 +364,6 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     }
     let options = EncodingOptions {
         profile_plans: profile,
-        vectorize,
         ..Default::default()
     };
     let checkpoint_path = flag_value(args, "--checkpoint")?;
@@ -877,13 +874,14 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
         for (name, plan) in registry.plan_stats_by_checker() {
             let _ = writeln!(
                 out,
-                "plan[{name}]: {} node(s), {} atom shape(s), {} join shape(s), {} probe(s), {} memoized, scratch high-water {}",
+                "plan[{name}]: {} node(s), {} atom shape(s), {} join shape(s), {} probe(s), {} memoized, scratch high-water {}, {} row(s) copied",
                 plan.plan.nodes,
                 plan.plan.atom_shapes,
                 plan.plan.join_shapes,
                 plan.plan.probe_nodes,
                 plan.plan.cached_nodes,
                 plan.scratch_high_water,
+                plan.rows_copied,
             );
         }
         if registry.checkpoint_fallbacks() > 0 {
@@ -1340,7 +1338,6 @@ fn serve_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
             return Err("--batch needs at least one update per batch".into());
         }
     }
-    config.vectorize = args.iter().any(|a| a == "--vectorize");
     config.faults = match flag_value(args, "--failpoints")? {
         Some(spec) => FailPlan::parse(spec).map_err(|e| format!("bad --failpoints: {e}"))?,
         None => {

@@ -118,29 +118,21 @@ fn kill_and_resume_is_byte_identical_fleet() {
     kill_and_resume("fleet", &[]);
 }
 
-/// Checkpoints outlive binaries: before the incremental backend always
-/// ran as a fleet, plain `rtic check` wrote one section per independent
-/// checker — no `dispatch` line. The committed fixture is such a file
-/// (written at d35c513 over `CONSTRAINTS` and the first six lines of
-/// `LOG`); it must resume through the fleet with the stitched report
-/// byte-identical to an uninterrupted run.
-#[test]
-fn checkpoint_from_the_old_independent_path_resumes_through_the_fleet() {
-    let fixture = include_str!("fixtures/independent-path.ckpt");
-    assert!(
-        !fixture.contains("\ndispatch "),
-        "fixture predates dispatch"
-    );
-    let c = temp_file("oldpath.rtic", CONSTRAINTS);
-    let l = temp_file("oldpath.rticlog", LOG);
-    let head_log: String = LOG
-        .trim_start()
-        .lines()
-        .take(6)
-        .collect::<Vec<_>>()
-        .join("\n");
-    let head = temp_file("oldpath-head.rticlog", &head_log);
-    let ckpt = temp_file("oldpath.ckpt", fixture);
+/// The first six lines of `LOG` — what the committed checkpoints cover.
+fn head_log() -> String {
+    let lines: Vec<_> = LOG.trim_start().lines().take(6).collect();
+    lines.join("\n")
+}
+
+/// Checkpoints outlive binaries: a committed checkpoint written by an
+/// older build over `CONSTRAINTS` and the first six lines of `LOG` must
+/// resume with the stitched report byte-identical to an uninterrupted
+/// run.
+fn old_checkpoint_resumes(tag: &str, fixture: &str) {
+    let c = temp_file(&format!("{tag}.rtic"), CONSTRAINTS);
+    let l = temp_file(&format!("{tag}.rticlog"), LOG);
+    let head = temp_file(&format!("{tag}-head.rticlog"), &head_log());
+    let ckpt = temp_file(&format!("{tag}.ckpt"), fixture);
 
     let (code, uninterrupted) = run(&["check", c.to_str().unwrap(), l.to_str().unwrap()]);
     assert_eq!(code.unwrap(), 1, "{uninterrupted}");
@@ -164,6 +156,52 @@ fn checkpoint_from_the_old_independent_path_resumes_through_the_fleet() {
     assert_eq!(stitched, violations(&uninterrupted));
 }
 
+/// Before the incremental backend always ran as a fleet, plain `rtic
+/// check` wrote one section per independent checker — no `dispatch`
+/// line. The fixture is such a file (written at d35c513); it must resume
+/// through the fleet.
+#[test]
+fn checkpoint_from_the_old_independent_path_resumes_through_the_fleet() {
+    let fixture = include_str!("fixtures/independent-path.ckpt");
+    assert!(
+        !fixture.contains("\ndispatch "),
+        "fixture predates dispatch"
+    );
+    old_checkpoint_resumes("oldpath", fixture);
+}
+
+/// The scalar plan executor (deleted; fixture written at d170c84 by
+/// default flags) re-recorded an unbounded `once[0,*]` window whenever
+/// any relation changed, so it stamped `confirmed("ann", 17)` with the
+/// latest such time, @4. The columnar plans record only the operand's
+/// delta and keep the first, @3. Either stamp satisfies `[0,*]` forever:
+/// the checkpoints differ, the resumed reports must not.
+#[test]
+fn checkpoint_from_the_scalar_plan_executor_resumes_on_the_columnar_plans() {
+    let fixture = include_str!("fixtures/scalar-plans.ckpt");
+    let confirmed_window = |text: &str| {
+        let (_, node) = text.split_once("node 1 once\n").expect("once confirmed");
+        node.lines().next().unwrap().to_string()
+    };
+    assert_eq!(confirmed_window(fixture), "4 | 17, \"ann\"");
+    old_checkpoint_resumes("scalarplans", fixture);
+
+    let c = temp_file("scalarplans-now.rtic", CONSTRAINTS);
+    let head = temp_file("scalarplans-now.rticlog", &head_log());
+    let now = temp_file("scalarplans-now.ckpt", "");
+    std::fs::remove_file(&now).ok();
+    let (code, out) = run(&[
+        "check",
+        c.to_str().unwrap(),
+        head.to_str().unwrap(),
+        "--checkpoint",
+        now.to_str().unwrap(),
+    ]);
+    assert_eq!(code.unwrap(), 1, "{out}");
+    let written = std::fs::read_to_string(&now).unwrap();
+    assert_eq!(confirmed_window(&written), "3 | 17, \"ann\"");
+}
+
 #[test]
 fn kill_and_resume_is_byte_identical_sharded() {
     kill_and_resume("shard", &["--shard", "auto"]);
@@ -174,15 +212,15 @@ fn kill_and_resume_is_byte_identical_sharded() {
 /// (after line 4), lines 5–6 sit in the unflushed buffer when the abort
 /// fires on line 7, and the resume must replay exactly the uncovered
 /// suffix — buffered-but-unflushed lines are re-read from the log, never
-/// lost or double-applied. Vectorized kernels stay on throughout, so the
-/// probe-partition caches also rebuild from the restored state.
+/// lost or double-applied. The probe-partition caches also rebuild from
+/// the restored state.
 #[test]
 fn kill_and_resume_mid_batch_is_byte_identical() {
     let c = temp_file("batchvec.rtic", CONSTRAINTS);
     let l = temp_file("batchvec.rticlog", LOG);
     let ckpt = temp_file("batchvec.ckpt", "");
     std::fs::remove_file(&ckpt).ok();
-    let extra = ["--batch", "4", "--vectorize"];
+    let extra = ["--batch", "4"];
 
     let mut reference = vec!["check", c.to_str().unwrap(), l.to_str().unwrap()];
     reference.extend_from_slice(&extra);

@@ -980,18 +980,21 @@ also bad
     assert!(seq.contains("skipped 3 malformed line(s)"), "{seq}");
     for batch in ["2", "3", "64"] {
         let mut args = base.to_vec();
-        args.extend_from_slice(&["--batch", batch, "--vectorize"]);
+        args.extend_from_slice(&["--batch", batch]);
         let (code, batched) = run(&args);
         assert_eq!(code.unwrap(), 1, "--batch {batch}");
         assert_eq!(batched, seq, "--batch {batch} changed the output");
     }
 }
 
+/// `--vectorize` used to select the columnar kernels; they are the only
+/// compiled path now, and the flag survives as a no-op for callers that
+/// still pass it.
 #[test]
-fn vectorize_matches_scalar_output() {
+fn vectorize_is_accepted_and_changes_nothing() {
     let c = temp_file("v.rtic", CONSTRAINTS);
     let l = temp_file("v.rticlog", LOG);
-    let (code, scalar) = run(&["check", c.to_str().unwrap(), l.to_str().unwrap()]);
+    let (code, plain) = run(&["check", c.to_str().unwrap(), l.to_str().unwrap()]);
     assert_eq!(code.unwrap(), 1);
     let (code, vec_out) = run(&[
         "check",
@@ -1000,8 +1003,8 @@ fn vectorize_matches_scalar_output() {
         "--vectorize",
     ]);
     assert_eq!(code.unwrap(), 1);
-    assert_eq!(vec_out, scalar, "--vectorize changed the output");
-    // Vectorize composes with batching.
+    assert_eq!(vec_out, plain, "--vectorize changed the output");
+    // Still accepted next to the flags it used to compose with.
     let (code, both) = run(&[
         "check",
         c.to_str().unwrap(),
@@ -1011,7 +1014,7 @@ fn vectorize_matches_scalar_output() {
         "2",
     ]);
     assert_eq!(code.unwrap(), 1);
-    assert_eq!(both, scalar, "--vectorize --batch diverged");
+    assert_eq!(both, plain, "--vectorize --batch diverged");
 }
 
 #[test]

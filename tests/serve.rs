@@ -500,7 +500,7 @@ fn shutdown_flag_drains_like_sigterm() {
 /// per wakeup. Every per-update reply must still match batch `rtic
 /// check` exactly, the drained totals must be unchanged, and the
 /// metrics snapshot must show the batch counters (three batches of
-/// four). `--vectorize` rides along so the columnar path serves too.
+/// four).
 #[test]
 fn batched_serve_replies_match_batch_check_and_record_batch_metrics() {
     let c = temp_file("batched.rtic", CONSTRAINTS);
@@ -516,7 +516,6 @@ fn batched_serve_replies_match_batch_check_and_record_batch_metrics() {
         &format!("unix:{}", sock.display()),
         "--batch",
         "4",
-        "--vectorize",
         "--checkpoint",
         ckpt.to_str().unwrap(),
         "--checkpoint-every",
