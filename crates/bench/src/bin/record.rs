@@ -12,7 +12,7 @@
 //! baseline and regressions beyond `--warn-pct` (default 25%) are
 //! printed — warn-only, the exit code stays 0 so noisy CI runners never
 //! block a merge on timing jitter. Every document kind participates:
-//! the curve workloads (`shard-scaling`, `scenarios`, `batch-exec`)
+//! the curve workloads (`scenarios`, `batch-exec`)
 //! diff point-by-point against their committed baselines.
 //!
 //! `compare-all` discovers every committed `BENCH_*.json` baseline (in
@@ -22,8 +22,8 @@
 //! are visible in the log.
 
 use rtic_bench::record::{
-    batch_exec_curve, batch_exec_to_json, batch_size_sweep, compare, compare_all, git_rev, record,
-    scenario_sweep, scenario_sweep_to_json, shard_curve, shard_curve_to_json, to_json, WORKLOADS,
+    batch_exec_curve, batch_exec_to_json, batch_size_sweep, compare, compare_all, git_rev,
+    machine_stamp, record, scenario_sweep, scenario_sweep_to_json, to_json, WORKLOADS,
 };
 use rtic_obs::json;
 
@@ -40,7 +40,7 @@ fn run(args: &[String]) -> Result<i32, String> {
             "record [WORKLOAD] [--steps N] [--seed N] [--out FILE] \
              [--compare BASELINE] [--warn-pct P]\n\
              record compare-all [--current DIR] [--baselines DIR] [--warn-pct P]\n\
-             workloads: {}, shard-scaling, scenarios, batch-exec",
+             workloads: {}, scenarios, batch-exec",
             WORKLOADS.join(", ")
         );
         return Ok(0);
@@ -93,25 +93,7 @@ fn run(args: &[String]) -> Result<i32, String> {
         return Ok(0);
     }
 
-    // The shard-scaling sweep writes a curve document, not a single
-    // workload snapshot — it times the same entity-churn history with
-    // the sharded data plane off and on across key counts.
-    let doc = if workload == "shard-scaling" {
-        let smoke = std::env::var("RTIC_BENCH_SMOKE").is_ok();
-        let key_counts: &[usize] = if smoke { &[8] } else { &[4, 16, 64, 256] };
-        let points = shard_curve(key_counts, steps, seed)?;
-        let doc = shard_curve_to_json(&points, steps, seed, &git_rev());
-        write_doc(&out_path, &doc)?;
-        for p in &points {
-            println!(
-                "shard-scaling keys={}: unsharded {:.0} steps/s, sharded {:.0} steps/s, \
-                 peak {} shard(s)",
-                p.keys, p.unsharded_steps_per_sec, p.sharded_steps_per_sec, p.peak_shards
-            );
-        }
-        println!("recorded shard-scaling ({steps} steps/point, seed {seed}) -> {out_path}");
-        doc
-    } else if workload == "batch-exec" {
+    let doc = if workload == "batch-exec" {
         // The batch-exec recording writes the batched-ingestion
         // document: a tuples/sec-vs-active-domain curve (64-line
         // batches, reports asserted byte-identical to line-at-a-time)
@@ -158,8 +140,8 @@ fn run(args: &[String]) -> Result<i32, String> {
         doc
     } else if workload == "scenarios" {
         // The production-scenario sweep times the whole scenario library
-        // (fraud, telemetry, ratelimit, access) through the sharded
-        // constraint set at a production-scale entity domain (default 10⁵).
+        // (fraud, telemetry, ratelimit, access) through one constraint
+        // set at a production-scale entity domain (default 10⁵).
         let smoke = std::env::var("RTIC_BENCH_SMOKE").is_ok();
         let entities: usize = flag_value(args, "--entities")
             .map(|v| v.parse().map_err(|e| format!("bad --entities: {e}")))
@@ -173,19 +155,20 @@ fn run(args: &[String]) -> Result<i32, String> {
             500
         };
         let points = scenario_sweep(sweep_steps, entities, 8, seed)?;
-        let doc = scenario_sweep_to_json(&points, seed, &git_rev());
+        let doc = scenario_sweep_to_json(&points, seed, &git_rev()).set("machine", machine_stamp());
         write_doc(&out_path, &doc)?;
         for p in &points {
             println!(
-                "scenarios {}: {:.0} steps/s over {} steps at {} entities, \
-                 {} violations ({} injected), peak {} shard(s)",
+                "scenarios {}: {:.0} steps/s, {:.0} tuples/s over {} steps ({} tuples) \
+                 at {} entities, {} violations ({} injected)",
                 p.scenario,
                 p.steps_per_sec,
+                p.tuples_per_sec,
                 p.steps,
+                p.tuples,
                 p.entities,
                 p.violations,
-                p.expected,
-                p.peak_shards
+                p.expected
             );
         }
         println!("recorded scenarios (seed {seed}) -> {out_path}");

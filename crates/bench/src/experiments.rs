@@ -648,10 +648,9 @@ pub fn fleet_stream(n: usize, affected: usize, steps: usize) -> Vec<Transition> 
         .collect()
 }
 
-/// Catalog for the shard-scaling workload: the paper's two reservation
-/// relations, both keyed by passenger — the entity key the compiler
-/// discovers and the sharded data plane partitions on.
-pub fn shard_catalog() -> Arc<rtic_relation::Catalog> {
+/// Catalog for the batch-exec workload: the paper's two reservation
+/// relations, both keyed by passenger and flight.
+pub fn reservations_catalog() -> Arc<rtic_relation::Catalog> {
     let mut cat = rtic_relation::Catalog::new();
     for name in ["reserved", "confirmed"] {
         cat.declare(name, Schema::of(&[("p", Sort::Str), ("f", Sort::Int)]))
@@ -660,50 +659,12 @@ pub fn shard_catalog() -> Arc<rtic_relation::Catalog> {
     Arc::new(cat)
 }
 
-/// The motivating deadline constraint over [`shard_catalog`]; every atom
-/// shares both variables, and key analysis picks the lexicographically
-/// smallest (`f`), so the fleet shards on the flight.
-pub fn shard_constraint() -> Constraint {
+/// The motivating deadline constraint over [`reservations_catalog`].
+pub fn deadline_constraint() -> Constraint {
     parse_constraint(
         "deny unconfirmed: reserved(p, f) && once[2,*] reserved(p, f) && !once confirmed(p, f)",
     )
     .expect("the motivating constraint parses")
-}
-
-/// A `steps`-transition entity-churn stream over `keys` distinct
-/// flights (one passenger per flight): each entity independently cycles
-/// reserve → confirm → cancel, and each step touches one seed-derived
-/// entity. Larger `keys` means more shards, each individually colder —
-/// the sweep the shard-scaling curve measures.
-pub fn shard_stream(keys: usize, steps: usize, seed: u64) -> Vec<Transition> {
-    let mut rng = seed | 1;
-    let mut phase = vec![0u8; keys.max(1)];
-    (0..steps)
-        .map(|s| {
-            // xorshift64: deterministic, dependency-free key choice.
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            let k = (rng % keys.max(1) as u64) as usize;
-            let name = format!("p{k}");
-            let flight = k as i64;
-            let mut u = Update::new();
-            match phase[k] {
-                0 => {
-                    u.insert("reserved", tuple![name.as_str(), flight]);
-                }
-                1 => {
-                    u.insert("confirmed", tuple![name.as_str(), flight]);
-                }
-                _ => {
-                    u.delete("reserved", tuple![name.as_str(), flight]);
-                    u.delete("confirmed", tuple![name.as_str(), flight]);
-                }
-            }
-            phase[k] = (phase[k] + 1) % 3;
-            Transition::new((s + 1) as u64, u)
-        })
-        .collect()
 }
 
 /// An ingestion stream for the batch-exec curve: per step,

@@ -169,106 +169,9 @@ pub fn record(workload: &str, steps: usize, seed: u64) -> Result<Recording, Stri
     })
 }
 
-/// One point of the shard-scaling throughput curve: the same
-/// entity-churn history checked with the sharded data plane off and on.
-#[derive(Clone, Debug)]
-pub struct ShardCurvePoint {
-    /// Distinct entity keys (passengers) in the stream.
-    pub keys: usize,
-    /// Steps/second through the unsharded [`rtic_core::ConstraintSet`].
-    pub unsharded_steps_per_sec: f64,
-    /// Steps/second with `--shard auto` semantics (sharding on).
-    pub sharded_steps_per_sec: f64,
-    /// High-water mark of live shards across the sharded run.
-    pub peak_shards: usize,
-}
-
-/// Runs the shard-scaling sweep: for each key count, the same
-/// [`crate::experiments::shard_stream`] history through an unsharded and
-/// a sharded fleet, timed end to end. The two runs' report lines are
-/// asserted identical — a curve over diverging planes would be
-/// meaningless.
-pub fn shard_curve(
-    key_counts: &[usize],
-    steps: usize,
-    seed: u64,
-) -> Result<Vec<ShardCurvePoint>, String> {
-    use crate::experiments::{shard_catalog, shard_constraint, shard_stream};
-    use rtic_core::ConstraintSet;
-
-    let catalog = shard_catalog();
-    let constraint = shard_constraint();
-    let mut points = Vec::with_capacity(key_counts.len());
-    for &keys in key_counts {
-        let transitions = shard_stream(keys, steps, seed);
-        let run = |sharded: bool| -> Result<(f64, usize, Vec<String>), String> {
-            let mut set = ConstraintSet::new([constraint.clone()], std::sync::Arc::clone(&catalog))
-                .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?
-                .with_sharding(sharded);
-            let mut lines = Vec::new();
-            let start = Instant::now();
-            for tr in &transitions {
-                let reports = set
-                    .step(tr.time, &tr.update)
-                    .map_err(|e| format!("shard curve step at {}: {e}", tr.time))?;
-                lines.extend(reports.iter().map(|r| r.to_string()));
-            }
-            let secs = start.elapsed().as_secs_f64();
-            let peak = set
-                .shard_stats()
-                .iter()
-                .map(|(_, s)| s.peak)
-                .max()
-                .unwrap_or(0);
-            let throughput = if secs > 0.0 {
-                transitions.len() as f64 / secs
-            } else {
-                0.0
-            };
-            Ok((throughput, peak, lines))
-        };
-        let (unsharded, _, plain_lines) = run(false)?;
-        let (sharded, peak, sharded_lines) = run(true)?;
-        if plain_lines != sharded_lines {
-            return Err(format!(
-                "shard curve at {keys} key(s): sharded reports diverge from unsharded"
-            ));
-        }
-        points.push(ShardCurvePoint {
-            keys,
-            unsharded_steps_per_sec: unsharded,
-            sharded_steps_per_sec: sharded,
-            peak_shards: peak,
-        });
-    }
-    Ok(points)
-}
-
-/// Renders a shard-scaling sweep as the `BENCH_shard_scaling.json`
-/// document.
-pub fn shard_curve_to_json(points: &[ShardCurvePoint], steps: usize, seed: u64, rev: &str) -> Json {
-    let curve: Vec<Json> = points
-        .iter()
-        .map(|p| {
-            Json::object()
-                .set("keys", p.keys as u64)
-                .set("unsharded_steps_per_sec", round3(p.unsharded_steps_per_sec))
-                .set("sharded_steps_per_sec", round3(p.sharded_steps_per_sec))
-                .set("peak_shards", p.peak_shards as u64)
-        })
-        .collect();
-    Json::object()
-        .set("schema_version", SCHEMA_VERSION)
-        .set("workload", "shard-scaling")
-        .set("steps", steps as u64)
-        .set("seed", seed)
-        .set("git_rev", rev)
-        .set("shard_curve", Json::Arr(curve))
-}
-
 /// One production scenario's measured point in the `record scenarios`
-/// sweep: the whole fleet checked through the entity-key sharded
-/// constraint set at a production-scale entity domain.
+/// sweep: the whole fleet checked through one constraint set at a
+/// production-scale entity domain.
 #[derive(Clone, Debug)]
 pub struct ScenarioPoint {
     /// Registry name of the scenario.
@@ -277,20 +180,25 @@ pub struct ScenarioPoint {
     pub steps: usize,
     /// Entity-key domain size.
     pub entities: usize,
-    /// Steps/second through the sharded constraint set.
+    /// Steps/second through the constraint set.
     pub steps_per_sec: f64,
+    /// Tuples inserted + deleted across the run. Scenarios differ by
+    /// orders of magnitude in tuples per step (telemetry at 10⁵ entities
+    /// ingests tens of thousands), so steps/second alone misreads a
+    /// heavy step as a stall.
+    pub tuples: usize,
+    /// Tuples/second — the unit that is comparable across scenarios.
+    pub tuples_per_sec: f64,
     /// Violation witnesses across the run.
     pub violations: usize,
     /// Injected-violation expectations the generator planted.
     pub expected: usize,
-    /// High-water mark of live shards across the run.
-    pub peak_shards: usize,
 }
 
 /// Runs every production scenario (fraud, telemetry, ratelimit, access)
-/// at the given shape through the sharded [`rtic_core::ConstraintSet`],
-/// timed end to end. `entities` is the knob that soaks the sharded
-/// plane — production shapes run it at 10⁵.
+/// at the given shape through one [`rtic_core::ConstraintSet`], timed
+/// end to end. `entities` sizes the key domain — production shapes run
+/// it at 10⁵.
 pub fn scenario_sweep(
     steps: usize,
     entities: usize,
@@ -313,8 +221,7 @@ pub fn scenario_sweep(
             generated.constraints.iter().cloned(),
             std::sync::Arc::clone(&generated.catalog),
         )
-        .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?
-        .with_sharding(true);
+        .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?;
         let mut violations = 0usize;
         let start = Instant::now();
         for tr in &generated.transitions {
@@ -324,24 +231,18 @@ pub fn scenario_sweep(
             violations += reports.iter().map(|r| r.violation_count()).sum::<usize>();
         }
         let secs = start.elapsed().as_secs_f64();
-        let peak = set
-            .shard_stats()
-            .iter()
-            .map(|(_, s)| s.peak)
-            .max()
-            .unwrap_or(0);
+        let per_sec = |count: usize| if secs > 0.0 { count as f64 / secs } else { 0.0 };
+        let steps = generated.transitions.len();
+        let tuples = generated.transitions.iter().map(|t| t.update.len()).sum();
         points.push(ScenarioPoint {
             scenario: scenario.name.to_string(),
-            steps: generated.transitions.len(),
+            steps,
             entities,
-            steps_per_sec: if secs > 0.0 {
-                generated.transitions.len() as f64 / secs
-            } else {
-                0.0
-            },
+            steps_per_sec: per_sec(steps),
+            tuples,
+            tuples_per_sec: per_sec(tuples),
             violations,
             expected: generated.expected.len(),
-            peak_shards: peak,
         });
     }
     Ok(points)
@@ -357,9 +258,10 @@ pub fn scenario_sweep_to_json(points: &[ScenarioPoint], seed: u64, rev: &str) ->
                 .set("steps", p.steps as u64)
                 .set("entities", p.entities as u64)
                 .set("steps_per_sec", round3(p.steps_per_sec))
+                .set("tuples", p.tuples as u64)
+                .set("tuples_per_sec", round3(p.tuples_per_sec))
                 .set("violations", p.violations as u64)
                 .set("expected", p.expected as u64)
-                .set("peak_shards", p.peak_shards as u64)
         })
         .collect();
     Json::object()
@@ -406,10 +308,10 @@ fn run_batch_exec(
     transitions: &[rtic_history::Transition],
     chunk: usize,
 ) -> Result<(f64, usize, Vec<String>), String> {
-    use crate::experiments::{shard_catalog, shard_constraint};
+    use crate::experiments::{deadline_constraint, reservations_catalog};
     use rtic_core::{ConstraintSet, NopObserver};
 
-    let mut set = ConstraintSet::new([shard_constraint()], shard_catalog())
+    let mut set = ConstraintSet::new([deadline_constraint()], reservations_catalog())
         .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?;
     let tuples: usize = transitions.iter().map(|t| t.update.len()).sum();
     let mut lines = Vec::new();
@@ -548,18 +450,34 @@ pub fn batch_exec_to_json(
         .set("batch_sweep", Json::Arr(sweep_rows))
 }
 
-/// The short git revision of the working tree, or `"unknown"` outside a
-/// repository (snapshots must never fail on a bare export).
-pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
+/// Where a recording was taken — the stamp `benchmark/run.sh` puts on its
+/// result documents: timings from different machines do not compare.
+pub fn machine_stamp() -> Json {
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    Json::object()
+        .set("nproc", nproc as u64)
+        .set("kernel", tool_output("uname", &["-sr"]))
+        .set("rustc", tool_output("rustc", &["--version"]))
+}
+
+/// A tool's trimmed standard output, or `"unknown"` when the tool is
+/// missing, fails or prints nothing (snapshots must never fail on a
+/// bare export).
+fn tool_output(program: &str, args: &[&str]) -> String {
+    std::process::Command::new(program)
+        .args(args)
         .output()
         .ok()
         .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".into())
+}
+
+/// The short git revision of the working tree, or `"unknown"` outside a
+/// repository.
+pub fn git_rev() -> String {
+    tool_output("git", &["rev-parse", "--short=12", "HEAD"])
 }
 
 fn round3(v: f64) -> f64 {
@@ -606,7 +524,7 @@ pub fn to_json(rec: &Recording, git_rev: &str) -> Json {
 
 /// The comparable metrics of a snapshot document, flattened to
 /// `(label, value, higher_is_better)` rows. Schema-aware: curve
-/// documents (`shard-scaling`, `scenarios`, `batch-exec`) key their
+/// documents (`scenarios`, `batch-exec`) key their
 /// rows by the sweep parameter so two docs only compare points measured
 /// at the same scale — a smoke-scale run silently shares no labels with
 /// a full-scale baseline instead of producing nonsense deltas.
@@ -624,16 +542,6 @@ fn metric_rows(doc: &Json) -> Vec<(String, f64, bool)> {
         out
     };
     match doc.get("workload").and_then(Json::as_str).unwrap_or("") {
-        "shard-scaling" => {
-            rows = each(doc, "shard_curve", &mut |p, out| {
-                let Some(keys) = num(p, "keys") else { return };
-                for m in ["unsharded_steps_per_sec", "sharded_steps_per_sec"] {
-                    if let Some(v) = num(p, m) {
-                        out.push((format!("shard_curve[keys={keys}].{m}"), v, true));
-                    }
-                }
-            });
-        }
         "scenarios" => {
             rows = each(doc, "scenarios", &mut |p, out| {
                 let Some(name) = p.get("scenario").and_then(Json::as_str) else {
@@ -688,7 +596,7 @@ fn metric_rows(doc: &Json) -> Vec<(String, f64, bool)> {
 /// `warn_pct` percent — empty means within threshold. Comparison is
 /// warn-only by design: one-shot CI timings are noisy, so the trajectory
 /// is surfaced, not enforced. Understands every committed `BENCH_*.json`
-/// schema (single workloads, shard-scaling, scenarios, batch-exec);
+/// schema (single workloads, scenarios, batch-exec);
 /// metrics present in only one document are skipped.
 pub fn compare(current: &Json, baseline: &Json, warn_pct: f64) -> Vec<String> {
     let mut warnings = Vec::new();
@@ -926,30 +834,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_curve_sweeps_and_serializes() {
-        let points = shard_curve(&[2, 8], 120, 7).unwrap();
-        assert_eq!(points.len(), 2);
-        assert!(points
-            .iter()
-            .all(|p| p.sharded_steps_per_sec > 0.0 && p.unsharded_steps_per_sec > 0.0));
-        // More keys materialize more shards.
-        assert!(points[1].peak_shards > points[0].peak_shards, "{points:?}");
-        assert!(points[0].peak_shards >= 1, "{points:?}");
-        let doc = json::parse(&shard_curve_to_json(&points, 120, 7, "abc").render()).unwrap();
-        assert_eq!(
-            doc.get("workload").and_then(Json::as_str),
-            Some("shard-scaling")
-        );
-        let curve = doc.get("shard_curve").and_then(Json::as_arr).unwrap();
-        assert_eq!(curve.len(), 2);
-        assert_eq!(curve[0].get("keys").and_then(Json::as_u64), Some(2));
-        assert!(curve[1]
-            .get("peak_shards")
-            .and_then(Json::as_u64)
-            .is_some_and(|p| p > 1));
-    }
-
-    #[test]
     fn scenario_sweep_covers_every_production_scenario() {
         let points = scenario_sweep(40, 32, 4, 7).unwrap();
         assert_eq!(points.len(), 4);
@@ -963,7 +847,12 @@ mod tests {
                 "{}: every injection is caught",
                 p.scenario
             );
-            assert!(p.peak_shards >= 1, "{}: sharded plane engaged", p.scenario);
+            assert!(
+                p.tuples >= p.steps,
+                "{}: every step carries events",
+                p.scenario
+            );
+            assert!(p.tuples_per_sec >= p.steps_per_sec, "{p:?}");
         }
         let doc = json::parse(&scenario_sweep_to_json(&points, 7, "abc").render()).unwrap();
         assert_eq!(
@@ -976,10 +865,12 @@ mod tests {
             rows[0].get("scenario").and_then(Json::as_str),
             Some("fraud")
         );
-        assert!(rows[0]
-            .get("peak_shards")
-            .and_then(Json::as_u64)
-            .is_some_and(|p| p >= 1));
+        assert_eq!(
+            rows[0].get("tuples").and_then(Json::as_u64),
+            Some(points[0].tuples as u64)
+        );
+        assert!(rows[0].get("tuples_per_sec").is_some());
+        assert!(rows[0].get("peak_shards").is_none(), "the plane is gone");
     }
 
     #[test]

@@ -63,7 +63,6 @@ use crate::encode::HistInfDump;
 use crate::error::CompileError;
 use crate::incremental::{EncodingOptions, IncrementalChecker, NodeEngine, NodeState};
 use crate::set::{ConstraintSet, DispatchStats};
-use crate::shard::ShardedEngine;
 
 /// A checkpoint failure.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -119,22 +118,7 @@ fn write_values(out: &mut String, t: &Tuple) {
 
 /// Serializes the checker's full state.
 pub fn save(checker: &IncrementalChecker) -> String {
-    save_parts(
-        checker.database(),
-        checker.engine(),
-        checker.steps(),
-        SectionExtras::default(),
-    )
-}
-
-/// Fleet-level state a section optionally carries beyond the engine's
-/// own: the set's dispatch tallies (identical in every section, restored
-/// so counters keep matching engine-steps across resume) and, for a
-/// sharded constraint, its phantom and live shards.
-#[derive(Clone, Copy, Default)]
-struct SectionExtras<'a> {
-    dispatch: Option<DispatchStats>,
-    sharded: Option<&'a ShardedEngine>,
+    save_parts(checker.database(), checker.engine(), checker.steps(), None)
 }
 
 /// Serializes a fleet: one `(constraint, v1 section)` per **healthy**
@@ -143,53 +127,41 @@ struct SectionExtras<'a> {
 /// the whole list restores the set ([`restore_set`]). Quarantined
 /// engines are excluded — their mid-panic state is not trustworthy — so
 /// resuming such a checkpoint with the full constraint file fails with a
-/// missing-section error for the quarantined constraint. Sharded
-/// constraints serialize per-shard sections: the phantom plus only the
-/// **live** shards, so resume rematerializes exactly the live ones.
+/// missing-section error for the quarantined constraint.
 pub fn save_set(set: &ConstraintSet) -> Vec<(Symbol, String)> {
-    let dispatch = set.dispatch_stats();
-    set.engines_with_health()
-        .filter(|(_, _, quarantined)| !quarantined)
-        .map(|(engine, sharded, _)| {
+    let dispatch = Some(set.dispatch_stats());
+    set.healthy_engines()
+        .map(|engine| {
             (
                 engine.compiled.constraint.name,
-                save_parts(
-                    set.database(),
-                    engine,
-                    set.steps(),
-                    SectionExtras {
-                        dispatch: Some(dispatch),
-                        sharded,
-                    },
-                ),
+                save_parts(set.database(), engine, set.steps(), dispatch),
             )
         })
         .collect()
 }
 
-/// One `rtic-checkpoint v1` section for an engine over `db`.
+/// One `rtic-checkpoint v1` section for an engine over `db`. A fleet's
+/// sections also carry the set's `dispatch` tallies (identical in every
+/// section, restored so counters keep matching engine-steps across
+/// resume).
 fn save_parts(
     db: &Database,
     engine: &NodeEngine,
     steps: usize,
-    extras: SectionExtras<'_>,
+    dispatch: Option<DispatchStats>,
 ) -> String {
     let mut out = String::new();
     out.push_str("rtic-checkpoint v1\n");
     let _ = writeln!(out, "constraint {}", engine.compiled.constraint.name);
     let _ = writeln!(out, "body {}", engine.compiled.body);
-    let last_time = match extras.sharded {
-        Some(s) => s.phantom_engine().last_time,
-        None => engine.last_time,
-    };
-    match last_time {
+    match engine.last_time {
         Some(t) => {
             let _ = writeln!(out, "time {}", t.0);
         }
         None => out.push_str("time none\n"),
     }
     let _ = writeln!(out, "steps {steps}");
-    if let Some(d) = extras.dispatch {
+    if let Some(d) = dispatch {
         let _ = writeln!(
             out,
             "dispatch {} {} {} {}",
@@ -208,25 +180,7 @@ fn save_parts(
         }
         out.push_str("endrel\n");
     }
-    match extras.sharded {
-        None => write_nodes(&mut out, engine),
-        Some(sharded) => {
-            // The sharded data plane replaces the (dormant) main
-            // engine's node blocks: the phantom's state plus one block
-            // per live shard. Sub-databases are not serialized — they
-            // are rebuilt at restore by partitioning the shared
-            // database on the key columns.
-            let _ = writeln!(out, "shardkey {}", sharded.key().var);
-            out.push_str("phantom\n");
-            write_nodes(&mut out, sharded.phantom_engine());
-            out.push_str("endphantom\n");
-            for (key, shard_engine) in sharded.live_shards() {
-                let _ = writeln!(out, "shard {}", key.to_literal());
-                write_nodes(&mut out, shard_engine);
-                out.push_str("endshard\n");
-            }
-        }
-    }
+    write_nodes(&mut out, engine);
     out
 }
 
@@ -360,6 +314,21 @@ impl<'s> Reader<'s> {
             None => Err(self.err(format!("expected `{key} …`, found end of checkpoint"))),
         }
     }
+
+    /// A `<key>` line listing zero or more timestamps (`times`, or
+    /// `times 3 4`): the writer emits the bare key for an empty list.
+    fn expect_times(&mut self, key: &str) -> Result<Vec<TimePoint>, CheckpointError> {
+        let found = self.next().map(|(_, l)| l);
+        match found.and_then(|l| l.strip_prefix(key)) {
+            Some(rest) if rest.is_empty() || rest.starts_with(' ') => {
+                parse_times(rest).map_err(|m| self.err(m))
+            }
+            _ => Err(self.err(format!(
+                "expected `{key}` and its timestamps, found `{}`",
+                found.unwrap_or("end of checkpoint")
+            ))),
+        }
+    }
 }
 
 fn parse_entry_line(line: &str) -> Result<(Vec<u64>, Tuple), String> {
@@ -396,7 +365,6 @@ pub fn restore(
     restore_section(
         db,
         engine,
-        None,
         steps_slot,
         &mut DispatchStats::default(),
         text,
@@ -428,30 +396,12 @@ pub fn restore_set_with_options(
     options: EncodingOptions,
     sections: &[String],
 ) -> Result<ConstraintSet, CheckpointError> {
-    restore_set_sharded(constraints, catalog, options, sections, false)
-}
-
-/// [`restore_set_with_options`] with the entity-key sharded data plane
-/// enabled (`sharding`) before the sections are applied. A checkpoint
-/// written sharded must be resumed sharded and vice versa — the sections
-/// record which plane produced them, and a mismatch is rejected with an
-/// actionable error rather than silently dropping per-shard state.
-pub fn restore_set_sharded(
-    constraints: impl IntoIterator<Item = Constraint>,
-    catalog: Arc<Catalog>,
-    options: EncodingOptions,
-    sections: &[String],
-    sharding: bool,
-) -> Result<ConstraintSet, CheckpointError> {
     let mut set =
         ConstraintSet::with_options(constraints, catalog, options).map_err(|(c, e)| {
             CheckpointError::Mismatch {
                 message: format!("constraint `{}` failed to compile: {e}", c.name),
             }
         })?;
-    if sharding {
-        set.set_sharding(true);
-    }
     let parts = set.restore_parts();
     let mut cursor: Option<(usize, Option<TimePoint>)> = None;
     let mut dispatch: Option<DispatchStats> = None;
@@ -478,7 +428,6 @@ pub fn restore_set_sharded(
         restore_section(
             parts.db,
             engine,
-            parts.shards[i].as_mut(),
             &mut steps,
             &mut section_dispatch,
             section,
@@ -510,6 +459,10 @@ pub fn restore_set_sharded(
     Ok(set)
 }
 
+// Frozen-benchmark shim (see the block at the end of `set.rs`).
+#[doc(hidden)]
+pub use crate::set::restore_set_sharded;
+
 /// The `constraint <name>` value of a v1 section, if present.
 fn section_constraint_name(text: &str) -> Option<&str> {
     text.lines()
@@ -529,14 +482,18 @@ enum RelMode {
 /// Restores one v1 section into an engine (and, per `rel_mode`, the
 /// database). `steps_slot` receives the section's step cursor and
 /// `dispatch_slot` the fleet dispatch counters when the section carries
-/// them. When the constraint runs sharded, pass its [`ShardedEngine`]:
-/// sharded sections restore the phantom and per-key shard node blocks
-/// into it (and partition the shared database afterwards) instead of
-/// touching `engine`'s node states.
+/// them.
+///
+/// Sections written by the deleted per-key shard plane wrap their node
+/// blocks in `phantom`/`endphantom` and one `shard <key>`/`endshard` per
+/// live key, after a `shardkey <var>` line. Every shard saw every
+/// timestamp, so the one engine's state is the phantom's time-only
+/// bookkeeping plus the disjoint union of the shards' keyed entries: the
+/// markers are checked for structure and are otherwise transparent, and
+/// the node blocks between them restore additively into `engine`.
 fn restore_section(
     db: &mut Database,
     engine: &mut NodeEngine,
-    mut sharded: Option<&mut ShardedEngine>,
     steps_slot: &mut usize,
     dispatch_slot: &mut DispatchStats,
     text: &str,
@@ -603,9 +560,10 @@ fn restore_section(
 
     engine.last_time = last_time;
     *steps_slot = steps;
-    let mut saw_shardkey = false;
+    // Closing marker of the open `phantom`/`shard` block, if any.
+    let mut open: Option<&'static str> = None;
     while let Some(line) = r.peek() {
-        if let Some(rel_name) = line.strip_prefix("rel ") {
+        if let Some(rel_name) = line.strip_prefix("rel ").filter(|_| open.is_none()) {
             r.next();
             let sym = rtic_relation::Symbol::intern(rel_name);
             match rel_mode {
@@ -670,100 +628,32 @@ fn restore_section(
             }
         } else if let Some(rest) = line.strip_prefix("node ") {
             r.next();
-            if sharded.is_some() {
-                return Err(CheckpointError::Mismatch {
-                    message: format!(
-                        "constraint `{name}`: the checkpoint was written without sharding, \
-                         but this run shards it — resume with `--shard off`, or start a \
-                         fresh run"
-                    ),
-                });
-            }
             restore_node(&mut r, rest, &mut engine.states)?;
-        } else if let Some(var_text) = line.strip_prefix("shardkey ") {
-            r.next();
-            saw_shardkey = true;
-            let sh = sharded
-                .as_deref_mut()
-                .ok_or_else(|| CheckpointError::Mismatch {
-                    message: format!(
-                        "constraint `{name}`: the checkpoint was written with `--shard auto`, \
-                         but this run does not shard it — resume with `--shard auto`, or \
-                         start a fresh run"
-                    ),
-                })?;
-            if sh.key().var.0.as_str() != var_text {
-                return Err(CheckpointError::Mismatch {
-                    message: format!(
-                        "constraint `{name}`: checkpoint shard key `{var_text}` differs \
-                         from the compiled key `{}`",
-                        sh.key().var
-                    ),
-                });
-            }
-        } else if line == "phantom" {
-            r.next();
-            let sh = sharded
-                .as_deref_mut()
-                .ok_or_else(|| r.err("`phantom` outside a sharded section"))?;
-            restore_nodes_until(&mut r, &mut sh.phantom_engine_mut().states, "endphantom")?;
-        } else if let Some(lit) = line.strip_prefix("shard ") {
-            r.next();
-            let sh = sharded
-                .as_deref_mut()
-                .ok_or_else(|| r.err("`shard` outside a sharded section"))?;
-            let values = Value::parse_literals(lit).map_err(|m| r.err(m))?;
-            let &[key] = &values[..] else {
-                return Err(r.err("`shard` takes exactly one key literal"));
-            };
-            let shard = sh.restore_shard(key);
-            restore_nodes_until(&mut r, &mut shard.engine.states, "endshard")?;
         } else {
-            return Err(r.err(format!("unexpected line `{line}`")));
+            r.next();
+            let (word, rest) = line.split_once(' ').unwrap_or((line, ""));
+            match (word, open) {
+                ("shardkey", None) if rest.split_whitespace().count() == 1 => {}
+                ("phantom", None) if rest.is_empty() => open = Some("endphantom"),
+                ("shard", None) => {
+                    let key = Value::parse_literals(rest).map_err(|m| r.err(m))?;
+                    if key.len() != 1 {
+                        return Err(r.err("`shard` takes exactly one key literal"));
+                    }
+                    open = Some("endshard");
+                }
+                ("endphantom" | "endshard", Some(end)) if line == end => open = None,
+                ("shardkey" | "phantom" | "shard", Some(end)) => {
+                    return Err(r.err(format!("`{word}` before the pending `{end}`")))
+                }
+                _ => return Err(r.err(format!("unexpected line `{line}`"))),
+            }
         }
     }
-    if let Some(sh) = sharded {
-        if !saw_shardkey {
-            return Err(CheckpointError::Mismatch {
-                message: format!(
-                    "constraint `{name}`: the checkpoint was written without sharding, \
-                     but this run shards it — resume with `--shard off`, or start a \
-                     fresh run"
-                ),
-            });
-        }
-        sh.attach_partition(db)
-            .map_err(|message| CheckpointError::Mismatch { message })?;
-        sh.set_last_time(last_time);
+    if let Some(end) = open {
+        return Err(r.err(format!("unterminated block: missing `{end}`")));
     }
     Ok(())
-}
-
-/// Restores consecutive `node …` blocks until the closing `end` marker
-/// (which is consumed) — the body of a `phantom`/`shard` block.
-fn restore_nodes_until(
-    r: &mut Reader<'_>,
-    states: &mut [NodeState],
-    end: &str,
-) -> Result<(), CheckpointError> {
-    loop {
-        match r.peek() {
-            Some(l) if l == end => {
-                r.next();
-                return Ok(());
-            }
-            Some(l) => {
-                let Some(rest) = l.strip_prefix("node ") else {
-                    return Err(r.err(format!(
-                        "unexpected line `{l}` (expected `node …` or `{end}`)"
-                    )));
-                };
-                r.next();
-                restore_node(r, rest, states)?;
-            }
-            None => return Err(r.err(format!("unterminated block: missing `{end}`"))),
-        }
-    }
 }
 
 /// Restores one `node <idx> <kind>` block (through its `endnode`) into
@@ -816,8 +706,7 @@ fn restore_node(
                 }
             }
             ("histf", NodeState::HistFinite(h)) => {
-                let times =
-                    parse_times(&r.expect_kv("times").unwrap_or_default()).map_err(|m| r.err(m))?;
+                let times = r.expect_times("times")?;
                 let mut entries = Vec::new();
                 while r.peek().is_some_and(|l| l != "endnode") {
                     let (_, l) = r.next().expect("peeked");
@@ -845,8 +734,7 @@ fn restore_node(
                             .map_err(|e| r.err(format!("bad older time: {e}")))?,
                     ))
                 };
-                let recent = parse_times(&r.expect_kv("recent").unwrap_or_default())
-                    .map_err(|m| r.err(m))?;
+                let recent = r.expect_times("recent")?;
                 let mut entries = Vec::new();
                 while r.peek().is_some_and(|l| l != "endnode") {
                     let (_, l) = r.next().expect("peeked");
@@ -884,11 +772,15 @@ mod tests {
     use rtic_temporal::parser::parse_constraint;
 
     fn catalog() -> Arc<Catalog> {
+        catalog_of(Sort::Str)
+    }
+
+    fn catalog_of(sort: Sort) -> Arc<Catalog> {
         Arc::new(
             Catalog::new()
-                .with("p", Schema::of(&[("x", Sort::Str)]))
+                .with("p", Schema::of(&[("x", sort)]))
                 .unwrap()
-                .with("q", Schema::of(&[("x", Sort::Str)]))
+                .with("q", Schema::of(&[("x", sort)]))
                 .unwrap(),
         )
     }
@@ -1154,82 +1046,226 @@ mod tests {
         );
     }
 
+    /// A `histf`/`histi` block must carry its `times`/`recent` line: with
+    /// the line gone the first entry would be eaten in its place and the
+    /// state times come back empty — a checker that misses violations.
     #[test]
-    fn sharded_fleet_save_restore_resumes_identically() {
-        let cat = catalog();
-        // The reference is the *unsharded* fleet: the stitched sharded run
-        // must match it byte for byte.
-        let mut reference = crate::ConstraintSet::new(fleet(), Arc::clone(&cat)).unwrap();
-        let all = drive_set(&mut reference, 1, 40);
+    fn hist_blocks_require_their_times_line() {
+        for (source, key) in [
+            ("deny d: p(x) && hist[1,4] p(x)", "times"),
+            ("deny d: p(x) && hist[1,*] p(x)", "recent"),
+        ] {
+            let c = parse_constraint(source).unwrap();
+            let mut checker = IncrementalChecker::new(c.clone(), catalog()).unwrap();
+            let both = Update::new()
+                .with_insert("p", tuple!["a"])
+                .with_insert("p", tuple!["b"]);
+            checker.step(TimePoint(1), &both).unwrap();
+            checker.step(TimePoint(2), &Update::new()).unwrap();
+            let text = save(&checker);
+            let at = text.lines().position(|l| l.starts_with(key)).unwrap();
+            let with_line = |replacement: Option<&str>| {
+                let mut lines: Vec<&str> = text.lines().collect();
+                lines.splice(at..=at, replacement);
+                restore(
+                    c.clone(),
+                    catalog(),
+                    EncodingOptions::default(),
+                    &lines.join("\n"),
+                )
+            };
+            // The bare key is the empty list, as the writer emits it.
+            assert!(with_line(Some(key)).is_ok());
+            for bad in [None, Some(format!("{key} 1 x")), Some(format!("{key}s 1"))] {
+                let err = with_line(bad.as_deref()).unwrap_err();
+                assert!(
+                    matches!(err, CheckpointError::Format { line, .. } if line == at + 1),
+                    "{key} -> {bad:?}: {err}"
+                );
+            }
+        }
+    }
 
-        let mut head = crate::ConstraintSet::new(fleet(), Arc::clone(&cat))
-            .unwrap()
-            .with_sharding(true);
-        head.set_shard_eviction(3);
-        assert_eq!(head.sharded_constraints(), 3);
-        let mut got = drive_set(&mut head, 1, 20);
-        let sections: Vec<String> = save_set(&head).into_iter().map(|(_, s)| s).collect();
-        let mut resumed = restore_set_sharded(
-            fleet(),
-            Arc::clone(&cat),
-            EncodingOptions::default(),
-            &sections,
-            true,
-        )
-        .unwrap();
-        assert_eq!(resumed.steps(), head.steps());
-        assert_eq!(resumed.last_time(), head.last_time());
-        assert_eq!(resumed.sharded_constraints(), 3);
-        assert_eq!(
-            save_set(&resumed)
-                .into_iter()
-                .map(|(_, s)| s)
-                .collect::<Vec<_>>(),
-            sections,
-            "save∘restore is the identity on sharded checkpoints"
+    /// Keys 1–3 churn on a period of six; key 4 shows up once and goes
+    /// quiet (its shard had been evicted by the cut); 5 and 6 hold `p`
+    /// from the first state, which is what `hist[2,*]` keys on.
+    fn keyed_traffic(t: u64) -> Update {
+        const CHURN: [&str; 6] = ["+p1 +q2", "+q1 +p3", "-p1 -q2", "-q1 +q3", "-p3 -q3", ""];
+        const ONE_OFF: [(u64, &str); 7] = [
+            (1, "+p5 +p6"),
+            (2, "+p4 +q4"),
+            (3, "-p4 -q4"),
+            (8, "-p6"),
+            (10, "+q5 +q6"),
+            (16, "-p5"),
+            (18, "-q5 -q6"),
+        ];
+        let one_off = ONE_OFF.iter().find(|(at, _)| *at == t).map_or("", |e| e.1);
+        let ops = format!("{} {one_off}", CHURN[(t % 6) as usize]);
+        let mut u = Update::new();
+        for op in ops.split_whitespace() {
+            let key = tuple![op[2..].parse::<i64>().unwrap()];
+            if op.starts_with('+') {
+                u.insert(&op[1..2], key);
+            } else {
+                u.delete(&op[1..2], key);
+            }
+        }
+        u
+    }
+
+    /// One section as the per-key shard plane wrote it: `(constraint,
+    /// compiled body, dispatch counters, node part)`. All were saved at
+    /// 5358331 by `with_sharding(true)` + `set_shard_eviction(3)` after
+    /// `keyed_traffic` for t = 1..=13, so every window is cut mid-flight.
+    type Written = (&'static str, &'static str, &'static str, &'static str);
+
+    fn written_section((source, body, dispatch, nodes): &Written) -> (Constraint, String) {
+        let c = parse_constraint(source).unwrap();
+        let text = format!(
+            "rtic-checkpoint v1\nconstraint {}\nbody {body}\ntime 13\nsteps 13\n\
+             dispatch {dispatch}\nrel q\n| 1\n| 2\n| 5\n| 6\nendrel\n\
+             rel p\n| 1\n| 3\n| 5\nendrel\n{nodes}",
+            c.name
         );
-        resumed.set_shard_eviction(3);
-        got.extend(drive_set(&mut resumed, 20, 40));
-        assert_eq!(
-            got, all,
-            "restored sharded fleet diverged from the uninterrupted unsharded run"
-        );
+        (c, text)
+    }
+
+    const PREV: &str = "shardkey x\nphantom\nnode 0 prev\ntime 13\nendnode\nendphantom\n\
+         shard 1\nnode 0 prev\ntime 13\n| 1\nendnode\nendshard\n\
+         shard 2\nnode 0 prev\ntime 13\nendnode\nendshard\n\
+         shard 3\nnode 0 prev\ntime 13\n| 3\nendnode\nendshard\n\
+         shard 5\nnode 0 prev\ntime 13\n| 5\nendnode\nendshard\n\
+         shard 6\nnode 0 prev\ntime 13\nendnode\nendshard\n";
+    const ONCE: &str = "shardkey x\nphantom\nnode 0 once\nendnode\nendphantom\n\
+         shard 1\nnode 0 once\n13 | 1\nendnode\nendshard\n\
+         shard 2\nnode 0 once\n12 13 | 2\nendnode\nendshard\n\
+         shard 3\nnode 0 once\n9 | 3\nendnode\nendshard\n\
+         shard 5\nnode 0 once\n10 11 12 13 | 5\nendnode\nendshard\n\
+         shard 6\nnode 0 once\n10 11 12 13 | 6\nendnode\nendshard\n";
+    const SINCE: &str = "shardkey x\nphantom\nnode 0 since\nendnode\nendphantom\n\
+         shard 1\nnode 0 since\n13 | 1\nendnode\nendshard\n\
+         shard 2\nnode 0 since\n13 | 2\nendnode\nendshard\n\
+         shard 3\nnode 0 since\nendnode\nendshard\n\
+         shard 5\nnode 0 since\n10 11 12 13 | 5\nendnode\nendshard\n\
+         shard 6\nnode 0 since\n13 | 6\nendnode\nendshard\n";
+    const HISTF: &str = "shardkey x\nphantom\nnode 0 histf\ntimes 11 12 13\nendnode\nendphantom\n\
+         shard 1\nnode 0 histf\ntimes 11 12 13\n12 13 | 1\nendnode\nendshard\n\
+         shard 3\nnode 0 histf\ntimes 11 12 13\n13 13 | 3\nendnode\nendshard\n\
+         shard 5\nnode 0 histf\ntimes 11 12 13\n1 13 | 5\nendnode\nendshard\n";
+    const HISTI: &str = "shardkey x\nphantom\nnode 0 histi\nstarted true\nolder 11\nrecent 12 13\nendnode\nendphantom\n\
+         shard 1\nnode 0 histi\nstarted true\nolder 11\nrecent 12 13\nendnode\nendshard\n\
+         shard 2\nnode 0 histi\nstarted true\nolder 11\nrecent 12 13\nendnode\nendshard\n\
+         shard 3\nnode 0 histi\nstarted true\nolder 11\nrecent 12 13\nendnode\nendshard\n\
+         shard 5\nnode 0 histi\nstarted true\nolder 11\nrecent 12 13\n13 1 | 5\nendnode\nendshard\n\
+         shard 6\nnode 0 histi\nstarted true\nolder 11\nrecent 12 13\nendnode\nendshard\n";
+
+    /// One fleet per node kind, plus a mixed fleet whose `count`
+    /// constraint the plane could not shard.
+    const SHARDED_FLEETS: [&[Written]; 6] = [
+        &[(
+            "deny d: q(x) && prev p(x)",
+            "q(x) && prev p(x)",
+            "11 0 2 0",
+            PREV,
+        )],
+        &[(
+            "deny d: p(x) && once[2,4] q(x)",
+            "p(x) && once[2,4] q(x)",
+            "11 0 2 0",
+            ONCE,
+        )],
+        &[(
+            "deny d: p(x) && (p(x) since[1,4] q(x))",
+            "p(x) && p(x) since[1,4] q(x)",
+            "11 0 2 0",
+            SINCE,
+        )],
+        &[(
+            "deny d: p(x) && hist[1,2] p(x)",
+            "p(x) && hist[1,2] p(x)",
+            "10 0 3 0",
+            HISTF,
+        )],
+        &[(
+            "deny d: q(x) && hist[2,*] p(x)",
+            "q(x) && hist[2,*] p(x)",
+            "11 0 2 0",
+            HISTI,
+        )],
+        &[
+            (
+                "deny lingering: p(x) && once[2,4] q(x)",
+                "p(x) && once[2,4] q(x)",
+                "21 1 4 0",
+                ONCE,
+            ),
+            (
+                "deny crowded: p(x) && count y . (p(y)) > 1",
+                "p(x) && (count y__1 . (p(y__1)) > 1)",
+                "21 1 4 0",
+                "",
+            ),
+        ],
+    ];
+
+    #[test]
+    fn sharded_plane_sections_resume_through_the_one_engine() {
+        for fleet in SHARDED_FLEETS {
+            let (constraints, sections): (Vec<_>, Vec<_>) =
+                fleet.iter().map(written_section).unzip();
+            let what = fleet[0].0;
+            assert!(sections[0].contains("\nphantom\n"), "{what}");
+            assert!(sections[0].matches("\nshard ").count() >= 2, "{what}");
+            let mut reference =
+                ConstraintSet::new(constraints.clone(), catalog_of(Sort::Int)).unwrap();
+            let all: Vec<_> = (1..40u64)
+                .map(|t| reference.step(TimePoint(t), &keyed_traffic(t)).unwrap())
+                .collect();
+            assert!(
+                all[13..].iter().flatten().any(|r| !r.ok()),
+                "{what}: the tail must have something to report"
+            );
+            let mut resumed = restore_set(constraints, catalog_of(Sort::Int), &sections).unwrap();
+            assert_eq!(resumed.steps(), 13, "{what}");
+            for t in 14..40u64 {
+                let got = resumed.step(TimePoint(t), &keyed_traffic(t)).unwrap();
+                assert_eq!(got, all[t as usize - 1], "{what}: diverged at t={t}");
+            }
+        }
     }
 
     #[test]
-    fn sharded_and_unsharded_checkpoints_do_not_mix() {
-        let cat = catalog();
-        let mut sharded = crate::ConstraintSet::new(fleet(), Arc::clone(&cat))
-            .unwrap()
-            .with_sharding(true);
-        drive_set(&mut sharded, 1, 10);
-        let sharded_sections: Vec<String> =
-            save_set(&sharded).into_iter().map(|(_, s)| s).collect();
-        let mut plain = crate::ConstraintSet::new(fleet(), Arc::clone(&cat)).unwrap();
-        drive_set(&mut plain, 1, 10);
-        let plain_sections: Vec<String> = save_set(&plain).into_iter().map(|(_, s)| s).collect();
-
-        // Sharded checkpoint, unsharded resume.
-        let err = restore_set(fleet(), Arc::clone(&cat), &sharded_sections).unwrap_err();
-        assert!(matches!(err, CheckpointError::Mismatch { .. }));
-        assert!(
-            err.to_string().contains("--shard auto"),
-            "error must say how to resume: {err}"
-        );
-
-        // Unsharded checkpoint, sharded resume.
-        let err = restore_set_sharded(
-            fleet(),
-            Arc::clone(&cat),
-            EncodingOptions::default(),
-            &plain_sections,
-            true,
-        )
-        .unwrap_err();
-        assert!(matches!(err, CheckpointError::Mismatch { .. }));
-        assert!(
-            err.to_string().contains("--shard off"),
-            "error must say how to resume: {err}"
-        );
+    fn malformed_shard_markers_are_format_errors_naming_the_line() {
+        let (c, good) = written_section(&SHARDED_FLEETS[1][0]);
+        // `(from, to)`: the error is reported on the last line of `to`.
+        let mutations = [
+            ("endphantom\nshard 1\n", "shard 1\n"), // unterminated `phantom`
+            ("endshard\nshard 2\n", "shard 2\n"),   // unterminated `shard`
+            ("endphantom\n", "endphantom\nendshard\n"), // stray `endshard`
+            ("shard 1\n", "shard\n"),               // no key literal
+            ("shard 1\n", "shard 1, 2\n"),          // two key literals
+            ("shard 1\n", "shard 1\nphantom\n"),    // marker inside a `shard` block
+            ("13 | 1\n", "endshard\n"),             // marker inside a `node` block
+            ("shard 2\n", "shard 2\nrel p\n"),      // relation rows inside a block
+            ("shardkey x\n", "shardkey\n"),
+            ("| 6\nendnode\nendshard\n", "| 6\nendnode\n"), // end of input inside a block
+        ];
+        for (from, to) in mutations {
+            let at = good.find(from).expect("mutation site") + to.len();
+            let text = good.replacen(from, to, 1);
+            let expected = text[..at].matches('\n').count();
+            let err = restore(
+                c.clone(),
+                catalog_of(Sort::Int),
+                EncodingOptions::default(),
+                &text,
+            )
+            .expect_err("malformed markers never restore");
+            assert!(
+                matches!(err, CheckpointError::Format { line, .. } if line == expected),
+                "expected a format error on line {expected}, got: {err}"
+            );
+        }
     }
 }

@@ -1,11 +1,11 @@
 //! Constraint compilation: normalization, renaming, static checks, and the
 //! temporal-subformula DAG shared by every checker.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use rtic_relation::{Catalog, Symbol};
-use rtic_temporal::ast::{Formula, Term, Var};
+use rtic_temporal::ast::Formula;
 use rtic_temporal::normalize::rename_apart;
 use rtic_temporal::optimize::optimize;
 use rtic_temporal::{analysis, safety, typecheck, Constraint, Horizon};
@@ -44,104 +44,6 @@ pub struct CompiledConstraint {
     /// operands lowered once, so stepping never re-derives conjunct orders,
     /// variable lists, or join shapes (see [`crate::plan`]).
     pub plans: EvalPlans,
-    /// The entity key the body partitions on, when one exists: a variable
-    /// occurring in **every** atom at a consistent column per relation.
-    /// Such a body never joins across key values, so its evaluation
-    /// decomposes into one independent shard per key (see
-    /// [`crate::shard`]).
-    pub shard_key: Option<ShardKey>,
-}
-
-/// A partitioning key detected by compile-time analysis: restricting the
-/// database to tuples whose key column equals `v` and evaluating the body
-/// there yields exactly the global violations with key `v`, for every `v`
-/// independently. Holds because each atom carries the key, so range
-/// restriction pins every satisfying assignment to a single key value and
-/// the global extension is the disjoint union of the per-key ones — through
-/// temporal operators too, whose state is pointwise in the assignment.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardKey {
-    /// The shared entity-key variable.
-    pub var: Var,
-    /// The argument position the key occupies in each relation the body
-    /// reads (consistent across all of that relation's atoms).
-    pub columns: BTreeMap<Symbol, usize>,
-}
-
-/// Detects the entity key of a normalized body, if any. Conservative:
-/// bodies containing `count` aggregates or universal quantifiers are never
-/// sharded (their truth can depend on assignments outside a single key
-/// partition), and every atom must mention one common variable at a column
-/// that is consistent per relation. Among several candidate variables the
-/// lexicographically smallest wins, for determinism.
-fn shard_key(body: &Formula) -> Option<ShardKey> {
-    let mut atoms: Vec<(Symbol, &[Term])> = Vec::new();
-    if !collect_atoms(body, &mut atoms) || atoms.is_empty() {
-        return None;
-    }
-    let mut candidates: Option<BTreeSet<Var>> = None;
-    for (_, terms) in &atoms {
-        let vars: BTreeSet<Var> = terms
-            .iter()
-            .filter_map(|t| match t {
-                Term::Var(v) => Some(*v),
-                Term::Const(_) => None,
-            })
-            .collect();
-        candidates = Some(match candidates {
-            None => vars,
-            Some(prev) => prev.intersection(&vars).copied().collect(),
-        });
-    }
-    candidates?
-        .into_iter()
-        .find_map(|var| column_map(&atoms, var).map(|columns| ShardKey { var, columns }))
-}
-
-/// The per-relation key column for `var`, or `None` when some relation
-/// mentions the key at irreconcilable positions (e.g. `peer(x,y) &&
-/// peer(y,x)` — no single column carries the key in both atoms).
-fn column_map(atoms: &[(Symbol, &[Term])], var: Var) -> Option<BTreeMap<Symbol, usize>> {
-    let mut columns: BTreeMap<Symbol, BTreeSet<usize>> = BTreeMap::new();
-    for (rel, terms) in atoms {
-        let positions: BTreeSet<usize> = terms
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| (*t == Term::Var(var)).then_some(i))
-            .collect();
-        match columns.get_mut(rel) {
-            None => {
-                columns.insert(*rel, positions);
-            }
-            Some(prev) => *prev = prev.intersection(&positions).copied().collect(),
-        }
-    }
-    columns
-        .into_iter()
-        .map(|(rel, ps)| ps.first().copied().map(|p| (rel, p)))
-        .collect()
-}
-
-/// Appends every atom of `f` to `atoms`; returns `false` when `f` contains
-/// a construct that disqualifies sharding outright.
-fn collect_atoms<'f>(f: &'f Formula, atoms: &mut Vec<(Symbol, &'f [Term])>) -> bool {
-    match f {
-        Formula::True | Formula::False | Formula::Cmp(..) => true,
-        Formula::Atom { relation, terms } => {
-            atoms.push((*relation, terms.as_slice()));
-            true
-        }
-        Formula::Not(g)
-        | Formula::Exists(_, g)
-        | Formula::Prev(_, g)
-        | Formula::Once(_, g)
-        | Formula::Hist(_, g) => collect_atoms(g, atoms),
-        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) => {
-            collect_atoms(a, atoms) && collect_atoms(b, atoms)
-        }
-        Formula::Since(_, a, b) => collect_atoms(a, atoms) && collect_atoms(b, atoms),
-        Formula::Forall(..) | Formula::CountCmp { .. } => false,
-    }
 }
 
 impl CompiledConstraint {
@@ -183,7 +85,6 @@ impl CompiledConstraint {
         let relations = analysis::touched_relations(&body);
         let tick_gain_free = analysis::tick_stability(&body).gain_free;
         let plans = EvalPlans::build(&body, &nodes);
-        let shard_key = shard_key(&body);
         Ok(CompiledConstraint {
             constraint,
             catalog,
@@ -194,7 +95,6 @@ impl CompiledConstraint {
             relations,
             tick_gain_free,
             plans,
-            shard_key,
         })
     }
 }
@@ -322,77 +222,6 @@ mod tests {
         let c = compile("assert conf: reserved(p, f) -> once confirmed(p, f)").unwrap();
         assert_eq!(c.nodes.len(), 1);
         safety::check(&c.body).unwrap();
-    }
-
-    #[test]
-    fn motivating_constraint_shards_on_the_passenger() {
-        let c = compile(
-            "deny unconfirmed: once[2,*] reserved(p, f) && reserved(p, f) \
-             && !once[0,*] confirmed(p, f)",
-        )
-        .unwrap();
-        // Both `p` and `f` reach every atom; the lexicographically
-        // smallest candidate wins deterministically.
-        let key = c.shard_key.expect("per-entity body has a key");
-        assert_eq!(key.var.to_string(), "f");
-        assert_eq!(key.columns.len(), 2);
-        assert_eq!(key.columns[&Symbol::from("reserved")], 1);
-        assert_eq!(key.columns[&Symbol::from("confirmed")], 1);
-    }
-
-    #[test]
-    fn cross_entity_join_has_no_shard_key() {
-        // `f` is shared, but `p`/`q` are not and neither is `f`… check a
-        // body where truly no variable reaches every atom.
-        let cat = Arc::new(
-            Catalog::new()
-                .with(
-                    "reserved",
-                    Schema::of(&[("p", Sort::Str), ("f", Sort::Int)]),
-                )
-                .unwrap()
-                .with(
-                    "confirmed",
-                    Schema::of(&[("q", Sort::Str), ("g", Sort::Int)]),
-                )
-                .unwrap(),
-        );
-        let c = CompiledConstraint::compile(
-            parse_constraint("deny x: reserved(p, f) && confirmed(q, g)").unwrap(),
-            cat,
-        )
-        .unwrap();
-        assert_eq!(c.shard_key, None);
-    }
-
-    #[test]
-    fn shared_flight_column_is_a_key_too() {
-        let c = compile("deny clash: reserved(p, f) && confirmed(q, f)").unwrap();
-        let key = c.shard_key.expect("flight is shared by every atom");
-        assert_eq!(key.var.to_string(), "f");
-        assert_eq!(key.columns[&Symbol::from("reserved")], 1);
-        assert_eq!(key.columns[&Symbol::from("confirmed")], 1);
-    }
-
-    #[test]
-    fn count_aggregates_disable_sharding() {
-        let c = compile("deny busy: reserved(p, f) && count k . (reserved(p, k)) > 1").unwrap();
-        assert_eq!(c.shard_key, None);
-    }
-
-    #[test]
-    fn inconsistent_key_columns_disable_sharding() {
-        let cat = Arc::new(
-            Catalog::new()
-                .with("peer", Schema::of(&[("a", Sort::Str), ("b", Sort::Str)]))
-                .unwrap(),
-        );
-        let c = CompiledConstraint::compile(
-            parse_constraint("deny m: peer(x, y) && peer(y, x)").unwrap(),
-            cat,
-        )
-        .unwrap();
-        assert_eq!(c.shard_key, None, "no single column carries either var");
     }
 
     #[test]

@@ -327,9 +327,18 @@ impl PrevState {
             .map(|(t, sat)| (*t, sat.sorted_rows().into_iter().cloned().collect()))
     }
 
-    /// Restores a dumped previous-state extension.
+    /// Restores a dumped previous-state extension. Additive in the rows
+    /// (like [`WindowState::restore_entry`]): a checkpoint written by the
+    /// old per-key shard plane lists them as one block per key.
     pub fn restore(&mut self, t: TimePoint, rows: Vec<Tuple>) {
-        self.prev_sat = Some((t, Bindings::from_rows(self.vars.clone(), rows)));
+        let rows = Bindings::from_rows(self.vars.clone(), rows);
+        match &mut self.prev_sat {
+            Some((at, sat)) => {
+                *at = t;
+                sat.union_in_place(&rows);
+            }
+            None => self.prev_sat = Some((t, rows)),
+        }
     }
 }
 
@@ -439,16 +448,17 @@ impl HistFiniteState {
         (entries, self.state_times.iter().copied().collect())
     }
 
-    /// Restores a dumped state.
+    /// Restores a dumped state; additive in the keyed entries.
     pub fn restore(
         &mut self,
         entries: Vec<(Tuple, Vec<(TimePoint, TimePoint)>)>,
         state_times: Vec<TimePoint>,
     ) {
-        self.runs = entries
-            .into_iter()
-            .map(|(k, r)| (k, r.into_iter().collect()))
-            .collect();
+        self.runs.extend(
+            entries
+                .into_iter()
+                .map(|(k, r)| (k, r.into_iter().collect())),
+        );
         self.state_times = state_times.into_iter().collect();
     }
 }
@@ -568,11 +578,9 @@ impl HistInfState {
         }
     }
 
-    /// Restores a dumped state.
+    /// Restores a dumped state; additive in the keyed entries.
     pub fn restore(&mut self, dump: HistInfDump) {
         self.started = dump.started;
-        self.prefix_end.clear();
-        self.active.clear();
         for (k, e, active) in dump.entries {
             if active {
                 self.active.insert(k.clone());

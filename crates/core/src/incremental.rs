@@ -104,8 +104,8 @@ fn sorted_free_vars(f: &Formula) -> Vec<Var> {
 /// many engines.
 #[derive(Clone, Debug)]
 pub(crate) struct NodeEngine {
-    /// Shared, not owned: every shard of a sharded constraint (and every
-    /// clone of the engine) steps the same compiled form.
+    /// Shared, not owned: every clone of the engine steps the same
+    /// compiled form.
     pub(crate) compiled: Arc<CompiledConstraint>,
     pub(crate) states: Vec<NodeState>,
     /// Cached pre-update extensions for `prev` nodes (`None` for node

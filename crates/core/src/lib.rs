@@ -64,13 +64,12 @@ pub mod observe;
 pub mod plan;
 mod report;
 mod set;
-mod shard;
 mod windowed;
 
 pub use backend::BackendId;
 pub use binding::{Bindings, Scratch};
 pub use checker::Checker;
-pub use compile::{CompiledConstraint, ShardKey};
+pub use compile::CompiledConstraint;
 pub use error::CompileError;
 pub use incremental::{EncodingOptions, IncrementalChecker, NodeStat};
 pub use monitor::QueryMonitor;
@@ -81,6 +80,5 @@ pub use plan::{
     RuntimePlanStats,
 };
 pub use report::{SpaceStats, StepReport};
-pub use set::{ConstraintSet, DispatchStats, FleetHealth};
-pub use shard::{ShardStats, DEFAULT_EVICT_AFTER};
+pub use set::{ConstraintSet, DispatchStats, FleetHealth, ShardStats};
 pub use windowed::WindowedChecker;

@@ -228,21 +228,6 @@ pub enum StepEvent<'a> {
         /// Tuples inserted + deleted across the batch's updates.
         tuples: usize,
     },
-    /// A scheduled reading of a sharded constraint's shard-lifecycle
-    /// counters (emitted alongside its `SpaceSample` when the entity-key
-    /// sharded data plane is enabled).
-    ShardSample {
-        /// Checker implementation name.
-        checker: &'static str,
-        /// The sharded constraint.
-        constraint: Symbol,
-        /// Timestamp of the state at which the sample was taken.
-        time: TimePoint,
-        /// 0-based index of the step after which the sample was taken.
-        step_index: u64,
-        /// The lifecycle counters.
-        stats: crate::shard::ShardStats,
-    },
 }
 
 impl StepEvent<'_> {
@@ -264,7 +249,6 @@ impl StepEvent<'_> {
             StepEvent::ServeSample { .. } => "serve_sample",
             StepEvent::SmcSample { .. } => "smc_sample",
             StepEvent::BatchIngest { .. } => "batch_ingest",
-            StepEvent::ShardSample { .. } => "shard_sample",
         }
     }
 }
@@ -436,19 +420,6 @@ impl StepObserver for CollectingObserver {
             StepEvent::BatchIngest { lines, tuples } => StepEvent::BatchIngest {
                 lines: *lines,
                 tuples: *tuples,
-            },
-            StepEvent::ShardSample {
-                checker,
-                constraint,
-                time,
-                step_index,
-                stats,
-            } => StepEvent::ShardSample {
-                checker,
-                constraint: *constraint,
-                time: *time,
-                step_index: *step_index,
-                stats: *stats,
             },
         };
         self.events.push(owned);

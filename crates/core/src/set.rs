@@ -56,7 +56,6 @@ use crate::error::CompileError;
 use crate::incremental::{EncodingOptions, NodeEngine, NodeStat};
 use crate::observe::{NopObserver, StepEvent, StepObserver};
 use crate::report::{SpaceStats, StepReport};
-use crate::shard::{ShardStats, ShardedEngine};
 
 /// Best-effort rendering of a caught panic payload.
 fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
@@ -117,11 +116,6 @@ impl FleetHealth {
 pub struct ConstraintSet {
     db: Database,
     engines: Vec<NodeEngine>,
-    /// Entity-key sharded data plane, one slot per constraint: `Some`
-    /// when sharding is enabled and the constraint has a compile-time
-    /// [`crate::ShardKey`]. A sharded constraint steps through its
-    /// [`ShardedEngine`] instead of its (then dormant) `engines` entry.
-    shards: Vec<Option<ShardedEngine>>,
     last_time: Option<TimePoint>,
     steps: usize,
     dispatch: DispatchStats,
@@ -136,7 +130,6 @@ pub struct ConstraintSet {
 pub(crate) struct RestoreParts<'a> {
     pub(crate) db: &'a mut Database,
     pub(crate) engines: &'a mut [NodeEngine],
-    pub(crate) shards: &'a mut [Option<ShardedEngine>],
     pub(crate) steps: &'a mut usize,
     pub(crate) last_time: &'a mut Option<TimePoint>,
     pub(crate) dispatch: &'a mut DispatchStats,
@@ -172,57 +165,12 @@ impl ConstraintSet {
         Ok(ConstraintSet {
             db,
             engines,
-            shards: vec![None; n],
             last_time: None,
             steps: 0,
             dispatch: DispatchStats::default(),
             quarantined: vec![None; n],
             armed_panics: vec![None; n],
         })
-    }
-
-    /// Enables (or disables) the entity-key sharded data plane (builder
-    /// form). Constraints whose compiled body has a [`crate::ShardKey`]
-    /// then step as independent per-key shards; the rest are unaffected.
-    /// Reports are byte-identical either way. Must be configured before
-    /// the first step.
-    pub fn with_sharding(mut self, enabled: bool) -> ConstraintSet {
-        self.set_sharding(enabled);
-        self
-    }
-
-    /// Enables or disables sharding; see [`ConstraintSet::with_sharding`].
-    pub fn set_sharding(&mut self, enabled: bool) {
-        assert_eq!(self.steps, 0, "sharding must be configured before stepping");
-        self.shards = self
-            .engines
-            .iter()
-            .map(|e| {
-                (enabled && e.compiled.shard_key.is_some()).then(|| ShardedEngine::new(e.clone()))
-            })
-            .collect();
-    }
-
-    /// Sets the idle-shard eviction horizon on every sharded constraint.
-    pub fn set_shard_eviction(&mut self, horizon: u32) {
-        for s in self.shards.iter_mut().flatten() {
-            s.set_evict_after(horizon);
-        }
-    }
-
-    /// Number of constraints currently running sharded.
-    pub fn sharded_constraints(&self) -> usize {
-        self.shards.iter().flatten().count()
-    }
-
-    /// Per-constraint shard-lifecycle counters, in insertion order
-    /// (sharded constraints only).
-    pub fn shard_stats(&self) -> Vec<(Symbol, ShardStats)> {
-        self.engines
-            .iter()
-            .zip(&self.shards)
-            .filter_map(|(e, s)| s.as_ref().map(|s| (e.compiled.constraint.name, s.stats())))
-            .collect()
     }
 
     /// Relevance-dispatch tallies accumulated so far.
@@ -321,27 +269,19 @@ impl ConstraintSet {
         found
     }
 
-    /// Engines in insertion order, paired with their sharded data plane
-    /// (if any) and quarantine state (checkpointing reads these;
-    /// quarantined engines are excluded from checkpoints because their
-    /// mid-panic state is not trustworthy).
-    pub(crate) fn engines_with_health(
-        &self,
-    ) -> impl Iterator<Item = (&NodeEngine, Option<&ShardedEngine>, bool)> {
-        self.engines
-            .iter()
-            .zip(&self.shards)
-            .zip(&self.quarantined)
-            .map(|((e, s), q)| (e, s.as_ref(), q.is_some()))
+    /// The engines checkpointing saves, in insertion order: quarantined
+    /// ones are left out because their mid-panic state is not trustworthy.
+    pub(crate) fn healthy_engines(&self) -> impl Iterator<Item = &NodeEngine> {
+        let healthy = self.engines.iter().zip(&self.quarantined);
+        healthy.filter_map(|(e, q)| q.is_none().then_some(e))
     }
 
     /// Mutable parts for checkpoint restore: shared database, engines,
-    /// shard planes, and the step/time/dispatch cursor slots.
+    /// and the step/time/dispatch cursor slots.
     pub(crate) fn restore_parts(&mut self) -> RestoreParts<'_> {
         RestoreParts {
             db: &mut self.db,
             engines: &mut self.engines,
-            shards: &mut self.shards,
             steps: &mut self.steps,
             last_time: &mut self.last_time,
             dispatch: &mut self.dispatch,
@@ -393,16 +333,14 @@ impl ConstraintSet {
             }
             let db = &self.db;
             let engine = &mut self.engines[idx];
-            let sharded = self.shards[idx].as_mut();
             let constraint = engine.compiled.constraint.name;
-            // An unsharded engine armed to panic this step counts as
-            // affected, which forces it onto the full path so the panic
-            // surfaces inside `catch_unwind`.
+            // An engine armed to panic this step counts as affected, which
+            // forces it onto the full path so the panic surfaces inside
+            // `catch_unwind`.
             let inject = self.armed_panics[idx] == Some(nth_step);
-            let quiescent = engine.is_quiescent(update) && !(inject && sharded.is_none());
+            let quiescent = engine.is_quiescent(update) && !inject;
             let eval_start = Instant::now();
-            // A sharded constraint's per-shard fast path replaces this one.
-            let absorbed = if quiescent && sharded.is_none() {
+            let absorbed = if quiescent {
                 engine.advance_time(time)
             } else {
                 None
@@ -419,19 +357,13 @@ impl ConstraintSet {
                         self.dispatch.affected += 1;
                     }
                     // One poisoned constraint cannot take down the fleet:
-                    // it is quarantined below instead (a panicking shard
-                    // quarantines its whole constraint).
+                    // it is quarantined below instead.
                     catch_unwind(AssertUnwindSafe(|| {
                         if inject {
                             panic!("injected engine panic (failpoint)");
                         }
-                        match sharded {
-                            Some(sharded) => sharded.step(update, time),
-                            None => {
-                                engine.advance(db, time);
-                                engine.violations(db, time)
-                            }
-                        }
+                        engine.advance(db, time);
+                        engine.violations(db, time)
                     }))
                 }
             };
@@ -527,18 +459,13 @@ impl ConstraintSet {
         let Some(time) = self.last_time else {
             return;
         };
-        for ((engine, sharded), quarantined) in
-            self.engines.iter().zip(&self.shards).zip(&self.quarantined)
-        {
+        for (engine, quarantined) in self.engines.iter().zip(&self.quarantined) {
             if quarantined.is_some() {
                 // A quarantined engine's aux state froze mid-panic; its
                 // numbers would be misleading.
                 continue;
             }
-            let (aux_keys, aux_timestamps) = match sharded {
-                Some(s) => s.aux_space(),
-                None => engine.aux_space(),
-            };
+            let (aux_keys, aux_timestamps) = engine.aux_space();
             obs.observe(&StepEvent::SpaceSample {
                 checker: "set",
                 constraint: engine.compiled.constraint.name,
@@ -551,28 +478,15 @@ impl ConstraintSet {
                     stored_tuples: self.db.total_tuples(),
                 },
             });
-            if let Some(s) = sharded {
-                obs.observe(&StepEvent::ShardSample {
-                    checker: "set",
-                    constraint: engine.compiled.constraint.name,
-                    time,
-                    step_index,
-                    stats: s.stats(),
-                });
-            }
         }
     }
 
-    /// Aggregate space: the single shared state plus every engine's aux
-    /// (summed across live shards for sharded constraints).
+    /// Aggregate space: the single shared state plus every engine's aux.
     pub fn space(&self) -> SpaceStats {
         let mut aux_keys = 0;
         let mut aux_timestamps = 0;
-        for (e, s) in self.engines.iter().zip(&self.shards) {
-            let (k, t) = match s {
-                Some(s) => s.aux_space(),
-                None => e.aux_space(),
-            };
+        for e in &self.engines {
+            let (k, t) = e.aux_space();
             aux_keys += k;
             aux_timestamps += t;
         }
@@ -586,28 +500,21 @@ impl ConstraintSet {
 
     /// Per-temporal-node auxiliary footprint of the named constraint
     /// ([`crate::IncrementalChecker::node_stats`] for a fleet member).
-    /// Empty for an unknown name and for a sharded constraint, whose
-    /// state lives in its shards ([`ConstraintSet::shard_stats`]).
+    /// Empty for an unknown name.
     pub fn node_stats(&self, constraint: &str) -> Vec<NodeStat> {
         self.engines
             .iter()
-            .zip(&self.shards)
-            .find(|(e, _)| e.compiled.constraint.name.as_str() == constraint)
-            .filter(|(_, sharded)| sharded.is_none())
-            .map_or_else(Vec::new, |(e, _)| e.node_stats())
+            .find(|e| e.compiled.constraint.name.as_str() == constraint)
+            .map_or_else(Vec::new, NodeEngine::node_stats)
     }
 
-    /// Each constraint's runtime plan statistics, in insertion order. A
-    /// sharded constraint's runtime counters live in its shards.
+    /// Each constraint's runtime plan statistics, in insertion order.
     fn plan_stats_per_engine(
         &self,
     ) -> impl Iterator<Item = (Symbol, crate::plan::RuntimePlanStats)> + '_ {
-        self.engines.iter().zip(&self.shards).map(|(e, sharded)| {
-            let stats = sharded
-                .as_ref()
-                .map_or_else(|| e.plan_stats(), |s| s.plan_stats());
-            (e.compiled.constraint.name, stats)
-        })
+        self.engines
+            .iter()
+            .map(|e| (e.compiled.constraint.name, e.plan_stats()))
     }
 
     /// Aggregate compiled-plan statistics across every engine: plan shape
@@ -655,6 +562,48 @@ impl ConstraintSet {
             }
         }
     }
+}
+
+// ——— Shims for the frozen `benchmark/` crate ———
+//
+// The per-key shard plane is gone (DESIGN.md, "Why there is one state
+// layout"), but `benchmark/src/traced.rs` has been frozen since PR 11 and
+// still names its entry points. Everything in this block is inert; the
+// next `[benchmark]` PR (ROADMAP item 7) deletes it together with the
+// ignored `--shard`/`--shard-evict` arguments in `src/cli.rs` and the
+// re-export of `restore_set_sharded` in `checkpoint.rs`.
+
+/// What the shard plane's lifecycle counters were; always zero now.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug)]
+pub struct ShardStats {
+    pub peak: usize,
+    pub created: u64,
+    pub evicted: u64,
+}
+
+#[doc(hidden)]
+impl ConstraintSet {
+    pub fn with_sharding(self, _enabled: bool) -> ConstraintSet {
+        self
+    }
+
+    pub fn set_shard_eviction(&mut self, _horizon: u32) {}
+
+    pub fn shard_stats(&self) -> Vec<(Symbol, ShardStats)> {
+        Vec::new()
+    }
+}
+
+#[doc(hidden)]
+pub fn restore_set_sharded(
+    constraints: impl IntoIterator<Item = Constraint>,
+    catalog: Arc<Catalog>,
+    options: EncodingOptions,
+    sections: &[String],
+    _sharding: bool,
+) -> Result<ConstraintSet, crate::checkpoint::CheckpointError> {
+    crate::checkpoint::restore_set_with_options(constraints, catalog, options, sections)
 }
 
 #[cfg(test)]
@@ -925,159 +874,35 @@ mod tests {
         );
     }
 
-    /// Multi-entity traffic: keys churn so shards get created, fall
-    /// idle, and are evicted mid-run.
-    fn entity_updates(t: u64) -> Update {
-        match t % 6 {
-            0 => Update::new()
-                .with_insert("p", tuple!["a"])
-                .with_insert("q", tuple!["b"]),
-            1 => Update::new()
-                .with_insert("q", tuple!["a"])
-                .with_insert("p", tuple!["c"]),
-            2 => Update::new()
-                .with_delete("p", tuple!["a"])
-                .with_delete("q", tuple!["b"]),
-            3 => Update::new()
-                .with_delete("q", tuple!["a"])
-                .with_insert("q", tuple!["c"]),
-            4 => Update::new()
-                .with_delete("p", tuple!["c"])
-                .with_delete("q", tuple!["c"]),
-            _ => Update::new(),
-        }
-    }
-
-    #[test]
-    fn sharded_set_matches_unsharded_byte_for_byte() {
-        let cat = catalog();
-        let mut plain = ConstraintSet::new(constraints(), Arc::clone(&cat)).unwrap();
-        let mut sharded = ConstraintSet::new(constraints(), Arc::clone(&cat))
-            .unwrap()
-            .with_sharding(true);
-        // Small idle horizon so eviction actually happens mid-run.
-        sharded.set_shard_eviction(2);
-        assert_eq!(
-            sharded.sharded_constraints(),
-            3,
-            "`x` is shared by every atom of every body"
-        );
-        for t in 1..80u64 {
-            let u = entity_updates(t);
-            let a = plain.step(TimePoint(t), &u).unwrap();
-            let b = sharded.step(TimePoint(t), &u).unwrap();
-            assert_eq!(a, b, "diverged at t={t}");
-        }
-        let stats = sharded.shard_stats();
-        assert_eq!(stats.len(), 3);
-        assert!(
-            stats.iter().any(|(_, s)| s.created > 1),
-            "keys materialized shards: {stats:?}"
-        );
-        assert!(
-            stats.iter().any(|(_, s)| s.evicted > 0),
-            "idle shards were evicted: {stats:?}"
-        );
-        assert!(stats.iter().all(|(_, s)| s.peak >= s.live));
-    }
-
-    #[test]
-    fn unshardable_constraints_run_unsharded_in_a_sharded_fleet() {
-        let cat = Arc::new(
-            Catalog::new()
-                .with("edge", Schema::of(&[("x", Sort::Str), ("y", Sort::Str)]))
-                .unwrap()
-                .with("p", Schema::of(&[("x", Sort::Str)]))
-                .unwrap(),
-        );
-        let cs = vec![
-            // Key columns disagree between the two `edge` atoms — no key.
-            parse_constraint("deny cross: edge(x, y) && edge(y, x)").unwrap(),
-            parse_constraint("deny dup: p(x) && once[1,*] p(x)").unwrap(),
-        ];
-        let mut plain = ConstraintSet::new(cs.clone(), Arc::clone(&cat)).unwrap();
-        let mut mixed = ConstraintSet::new(cs, Arc::clone(&cat))
-            .unwrap()
-            .with_sharding(true);
-        assert_eq!(mixed.sharded_constraints(), 1);
-        for t in 1..25u64 {
-            let mut u = Update::new();
-            match t % 4 {
-                0 => {
-                    u.insert("edge", tuple!["a", "b"]).insert("p", tuple!["a"]);
-                }
-                1 => {
-                    u.insert("edge", tuple!["b", "a"]).delete("p", tuple!["a"]);
-                }
-                2 => {
-                    u.delete("edge", tuple!["a", "b"]).insert("p", tuple!["b"]);
-                }
-                _ => {}
-            }
-            let a = plain.step(TimePoint(t), &u).unwrap();
-            let b = mixed.step(TimePoint(t), &u).unwrap();
-            assert_eq!(a, b, "diverged at t={t}");
-        }
-    }
-
-    #[test]
-    fn sharded_panic_quarantines_the_whole_constraint() {
-        let cat = catalog();
-        let mut set = ConstraintSet::new(constraints(), Arc::clone(&cat))
-            .unwrap()
-            .with_sharding(true);
-        let mut healthy = ConstraintSet::new(constraints(), Arc::clone(&cat)).unwrap();
-        set.arm_panic("lingering", 2);
-        for t in 1..12u64 {
-            let u = entity_updates(t);
-            let r = set.step(TimePoint(t), &u).unwrap();
-            let h = healthy.step(TimePoint(t), &u).unwrap();
-            if t == 1 {
-                assert_eq!(r, h, "all healthy before the panic");
-            } else {
-                assert_eq!(r.len(), 2, "victim dropped at t={t}");
-                assert_eq!(r[0], h[0]);
-                assert_eq!(r[1], h[2]);
-            }
-        }
-        let q = set.quarantined();
-        assert_eq!(q.len(), 1);
-        assert!(q[0].1.contains("injected engine panic"), "{}", q[0].1);
-    }
-
     #[test]
     fn apply_batch_matches_line_at_a_time() {
         let cat = catalog();
-        for sharding in [false, true] {
-            let mut lined = ConstraintSet::new(constraints(), Arc::clone(&cat)).unwrap();
-            let mut batched = ConstraintSet::new(constraints(), Arc::clone(&cat))
-                .unwrap()
-                .with_sharding(sharding);
-            let lines: Vec<(TimePoint, Update)> =
-                (1..40u64).map(|t| (TimePoint(t), updates(t))).collect();
-            let mut expected = Vec::new();
-            for (t, u) in &lines {
-                expected.push(lined.step(*t, u).unwrap());
-            }
-            let mut obs = CollectingObserver::default();
-            let mut got = Vec::new();
-            for chunk in lines.chunks(7) {
-                got.extend(batched.apply_batch(chunk, &mut obs).unwrap());
-            }
-            assert_eq!(got, expected, "sharding={sharding}");
-            assert_eq!(lined.space(), batched.space(), "sharding={sharding}");
-            let ingests: Vec<(usize, usize)> = obs
-                .events
-                .iter()
-                .filter_map(|e| match e {
-                    StepEvent::BatchIngest { lines, tuples } => Some((*lines, *tuples)),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(ingests.len(), 6, "one batch_ingest per flushed chunk");
-            assert_eq!(ingests[0].0, 7);
-            assert_eq!(ingests.last().unwrap().0, 4, "trailing partial batch");
+        let mut lined = ConstraintSet::new(constraints(), Arc::clone(&cat)).unwrap();
+        let mut batched = ConstraintSet::new(constraints(), Arc::clone(&cat)).unwrap();
+        let lines: Vec<(TimePoint, Update)> =
+            (1..40u64).map(|t| (TimePoint(t), updates(t))).collect();
+        let mut expected = Vec::new();
+        for (t, u) in &lines {
+            expected.push(lined.step(*t, u).unwrap());
         }
+        let mut obs = CollectingObserver::default();
+        let mut got = Vec::new();
+        for chunk in lines.chunks(7) {
+            got.extend(batched.apply_batch(chunk, &mut obs).unwrap());
+        }
+        assert_eq!(got, expected);
+        assert_eq!(lined.space(), batched.space());
+        let ingests: Vec<(usize, usize)> = obs
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                StepEvent::BatchIngest { lines, tuples } => Some((*lines, *tuples)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(ingests.len(), 6, "one batch_ingest per flushed chunk");
+        assert_eq!(ingests[0].0, 7);
+        assert_eq!(ingests.last().unwrap().0, 4, "trailing partial batch");
     }
 
     #[test]
@@ -1099,37 +924,5 @@ mod tests {
         );
         // The set remains usable afterwards.
         assert_eq!(set.step(TimePoint(3), &Update::new()).unwrap().len(), 3);
-    }
-
-    #[test]
-    fn sample_space_adds_shard_samples_for_sharded_constraints() {
-        let mut set = ConstraintSet::new(constraints(), catalog())
-            .unwrap()
-            .with_sharding(true);
-        set.step(TimePoint(1), &Update::new().with_insert("p", tuple!["a"]))
-            .unwrap();
-        let mut obs = CollectingObserver::default();
-        set.sample_space(0, &mut obs);
-        let kinds: Vec<&str> = obs.events.iter().map(StepEvent::kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                "space_sample",
-                "shard_sample",
-                "space_sample",
-                "shard_sample",
-                "space_sample",
-                "shard_sample",
-            ]
-        );
-        let live: Vec<usize> = obs
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                StepEvent::ShardSample { stats, .. } => Some(stats.live),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(live, vec![1, 1, 1], "one shard per constraint for key `a`");
     }
 }

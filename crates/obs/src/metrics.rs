@@ -3,9 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use rtic_core::{
-    PlanProfile, ProfiledNode, RuntimePlanStats, ShardStats, SpaceStats, StepEvent, StepObserver,
-};
+use rtic_core::{PlanProfile, ProfiledNode, RuntimePlanStats, SpaceStats, StepEvent, StepObserver};
 
 use crate::json::Json;
 
@@ -253,8 +251,6 @@ pub struct MetricsRegistry {
     step_latency: LatencyHistogram,
     eval_latency: LatencyHistogram,
     checkers: BTreeMap<&'static str, SpaceStats>,
-    /// Latest shard-lifecycle sample per sharded constraint.
-    shards: BTreeMap<&'static str, ShardStats>,
     space_samples: Vec<SpaceSampleRow>,
     plan_stats: BTreeMap<(&'static str, &'static str), RuntimePlanStats>,
     plan_profiles: BTreeMap<(&'static str, &'static str), PlanProfile>,
@@ -345,12 +341,6 @@ impl MetricsRegistry {
     /// Number of space samples recorded.
     pub fn space_sample_count(&self) -> usize {
         self.space_samples.len()
-    }
-
-    /// Latest shard-lifecycle counters per sharded constraint, in name
-    /// order. Empty when no constraint runs sharded.
-    pub fn shard_stats(&self) -> impl Iterator<Item = (&'static str, ShardStats)> + '_ {
-        self.shards.iter().map(|(name, stats)| (*name, *stats))
     }
 
     /// The latest resident-server ingest gauges, when the event stream
@@ -503,20 +493,6 @@ impl MetricsRegistry {
             )
             .set("space_samples", Json::Arr(samples))
             .set("checkers", Json::Arr(checkers))
-            .set("shards", {
-                let mut obj = Json::object();
-                for (name, stats) in &self.shards {
-                    obj = obj.set(
-                        name,
-                        Json::object()
-                            .set("live", stats.live)
-                            .set("created", stats.created)
-                            .set("evicted", stats.evicted)
-                            .set("peak", stats.peak),
-                    );
-                }
-                obj
-            })
             .set("plan_stats", {
                 let mut obj = Json::object();
                 for (name, stats) in self.plan_stats_by_checker() {
@@ -741,39 +717,6 @@ impl MetricsRegistry {
                 out,
                 "rtic_stored_tuples{{checker=\"{name}\"}} {}",
                 stats.stored_tuples
-            );
-        }
-        if !self.shards.is_empty() {
-            let mut shard_gauge = |name: &str, help: &str, pick: &dyn Fn(&ShardStats) -> u64| {
-                let _ = writeln!(out, "# HELP rtic_{name} {help}");
-                let _ = writeln!(out, "# TYPE rtic_{name} gauge");
-                for (constraint, stats) in &self.shards {
-                    let _ = writeln!(
-                        out,
-                        "rtic_{name}{{constraint=\"{constraint}\"}} {}",
-                        pick(stats)
-                    );
-                }
-            };
-            shard_gauge(
-                "shards_live",
-                "Currently materialized entity-key shards per constraint.",
-                &|s| s.live as u64,
-            );
-            shard_gauge(
-                "shards_created_total",
-                "Shards created since the run (or resume) began.",
-                &|s| s.created,
-            );
-            shard_gauge(
-                "shards_evicted_total",
-                "Idle shards evicted back into the phantom.",
-                &|s| s.evicted,
-            );
-            shard_gauge(
-                "shards_peak",
-                "High-water mark of live shards per constraint.",
-                &|s| s.peak as u64,
             );
         }
         let plans = self.plan_stats_by_checker();
@@ -1074,12 +1017,6 @@ impl StepObserver for MetricsRegistry {
                 self.batch_tuples += *tuples as u64;
                 self.last_batch_size = *lines as u64;
             }
-            StepEvent::ShardSample {
-                constraint, stats, ..
-            } => {
-                // Gauges: the latest sample replaces the previous one.
-                self.shards.insert(constraint.as_str(), *stats);
-            }
         }
     }
 }
@@ -1318,42 +1255,6 @@ mod tests {
             h.quantile_us(0.0) + 1e-9 >= 2_600.0,
             "p0 is the recorded min, not the bucket floor"
         );
-    }
-
-    #[test]
-    fn shard_samples_reach_json_and_prometheus() {
-        use rtic_relation::Symbol;
-        let mut registry = MetricsRegistry::new();
-        let sample = |live, created, evicted, peak| StepEvent::ShardSample {
-            checker: "set",
-            constraint: Symbol::intern("keyed"),
-            time: TimePoint(9),
-            step_index: 3,
-            stats: ShardStats {
-                live,
-                created,
-                evicted,
-                peak,
-            },
-        };
-        registry.observe(&sample(4, 7, 3, 5));
-        // Gauges: re-sampling replaces the earlier snapshot.
-        registry.observe(&sample(2, 9, 7, 5));
-        let got: Vec<_> = registry.shard_stats().collect();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].0, "keyed");
-        assert_eq!(got[0].1.live, 2);
-        let doc = json::parse(&registry.render_json()).unwrap();
-        let shards = doc.get("shards").unwrap().get("keyed").unwrap();
-        assert_eq!(shards.get("live").and_then(Json::as_u64), Some(2));
-        assert_eq!(shards.get("created").and_then(Json::as_u64), Some(9));
-        assert_eq!(shards.get("evicted").and_then(Json::as_u64), Some(7));
-        assert_eq!(shards.get("peak").and_then(Json::as_u64), Some(5));
-        let text = registry.render_prometheus();
-        assert!(text.contains("rtic_shards_live{constraint=\"keyed\"} 2"));
-        assert!(text.contains("rtic_shards_created_total{constraint=\"keyed\"} 9"));
-        assert!(text.contains("rtic_shards_evicted_total{constraint=\"keyed\"} 7"));
-        assert!(text.contains("rtic_shards_peak{constraint=\"keyed\"} 5"));
     }
 
     #[test]

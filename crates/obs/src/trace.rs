@@ -140,21 +140,6 @@ pub fn event_json(seq: u64, event: &StepEvent<'_>) -> Json {
             .set("stored_states", stats.stored_states)
             .set("stored_tuples", stats.stored_tuples)
             .set("retained_units", stats.retained_units()),
-        StepEvent::ShardSample {
-            checker,
-            constraint,
-            time,
-            step_index,
-            stats,
-        } => base
-            .set("checker", *checker)
-            .set("constraint", constraint.as_str())
-            .set("time", time.0)
-            .set("step", *step_index)
-            .set("live", stats.live)
-            .set("created", stats.created)
-            .set("evicted", stats.evicted)
-            .set("peak", stats.peak),
         StepEvent::SmcSample {
             scenario,
             sample,
@@ -714,20 +699,6 @@ impl StepObserver for ChromeTraceWriter {
                         .set("ts", ts)
                         .set("pid", CHROME_PID)
                         .set("args", Json::object().set("units", stats.retained_units())),
-                );
-            }
-            StepEvent::ShardSample {
-                constraint, stats, ..
-            } => {
-                // Counter track: live shards over the synthetic timeline.
-                let ts = self.cursor_us;
-                self.emit(
-                    Json::object()
-                        .set("name", format!("shards {constraint}"))
-                        .set("ph", "C")
-                        .set("ts", ts)
-                        .set("pid", CHROME_PID)
-                        .set("args", Json::object().set("live", stats.live)),
                 );
             }
             StepEvent::SmcSample {

@@ -64,9 +64,7 @@ fn parse_modes(args: &[String]) -> Result<Vec<Mode>, String> {
         Some(list) => {
             let mut out = Vec::new();
             for name in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                let m = Mode::parse(name).ok_or_else(|| {
-                    format!("unknown backend `{name}` (expected {})", Mode::flag_help())
-                })?;
+                let m = Mode::parse(name)?;
                 if !out.contains(&m) {
                     out.push(m);
                 }

@@ -41,19 +41,13 @@ pub enum Mode {
     /// Kill the fleet at a seed-derived step, checkpoint, restore into a
     /// fresh process image, and stitch the two report halves together.
     Stitch,
-    /// [`ConstraintSet`] with the entity-key sharded data plane on, a
-    /// seed-derived eviction horizon, and the same seed-derived
-    /// kill+resume stitch as [`Mode::Stitch`] — but through the
-    /// per-shard checkpoint sections, so resume rematerializes exactly
-    /// the live shards. Sharded must be byte-identical to everything.
-    FleetSharded,
 }
 
 impl Mode {
     /// Every mode, reference first. The naive checker re-evaluates the
     /// full stored history through the interpreting evaluator and is the
     /// semantics-defining baseline all other modes are diffed against.
-    pub const ALL: [Mode; 9] = [
+    pub const ALL: [Mode; 8] = [
         Mode::Single(BackendId::Naive),
         Mode::Single(BackendId::Incremental),
         Mode::Single(BackendId::Windowed),
@@ -62,7 +56,6 @@ impl Mode {
         Mode::IncrementalInterpreted,
         Mode::SetSequential,
         Mode::Stitch,
-        Mode::FleetSharded,
     ];
 
     /// The mode's `--backends` flag name.
@@ -73,13 +66,21 @@ impl Mode {
             Mode::IncrementalInterpreted => "inc-interp",
             Mode::SetSequential => "set",
             Mode::Stitch => "stitch",
-            Mode::FleetSharded => "fleet-sharded",
         }
     }
 
-    /// Parses a `--backends` list entry.
-    pub fn parse(s: &str) -> Option<Mode> {
-        Mode::ALL.into_iter().find(|m| m.name() == s)
+    /// Parses a `--backends` list entry; the error is the usage message.
+    pub fn parse(s: &str) -> Result<Mode, String> {
+        if s == "fleet-sharded" {
+            return Err(
+                "backend `fleet-sharded` was removed: the per-key shard plane was slower than \
+                 the one engine at every recorded point (docs/PERFORMANCE.md §6a); `stitch` \
+                 keeps the fleet kill+resume drill"
+                    .into(),
+            );
+        }
+        let known = Mode::ALL.into_iter().find(|m| m.name() == s);
+        known.ok_or_else(|| format!("unknown backend `{s}` (expected {})", Mode::flag_help()))
     }
 
     /// The `a|b|c` listing for usage text.
@@ -135,7 +136,6 @@ pub fn run_constraint(
         }
         Mode::SetSequential => run_set(constraint, catalog, transitions, seed),
         Mode::Stitch => run_stitch(constraint, catalog, transitions, seed),
-        Mode::FleetSharded => run_fleet_sharded(constraint, catalog, transitions, seed),
     }
 }
 
@@ -242,49 +242,6 @@ fn run_stitch(
     Ok(lines)
 }
 
-/// [`Mode::FleetSharded`]: the sharded data plane under the harshest
-/// composition — a seed-derived eviction horizon (1..=4 steps, tight
-/// enough to churn shards on most histories) and a kill+resume stitch at
-/// a seed-derived step, restored through the per-shard checkpoint
-/// sections with sharding re-enabled.
-fn run_fleet_sharded(
-    constraint: &Constraint,
-    catalog: &Arc<Catalog>,
-    transitions: &[Transition],
-    seed: u64,
-) -> Result<Vec<String>, String> {
-    let kill = stitch_kill_step(derive_seed(seed, 0x5A4D), transitions.len());
-    let horizon = 1 + (derive_seed(seed, 0xE71C) % 4) as u32;
-    let mut set = ConstraintSet::new([constraint.clone()], Arc::clone(catalog))
-        .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?
-        .with_sharding(true);
-    set.set_shard_eviction(horizon);
-    let mut lines = Vec::with_capacity(transitions.len());
-    for t in &transitions[..kill] {
-        let reports = set.step(t.time, &t.update).map_err(|e| e.to_string())?;
-        lines.extend(reports.iter().map(|r| r.to_string()));
-    }
-    let sections: Vec<String> = checkpoint::save_set(&set)
-        .into_iter()
-        .map(|(_, text)| text)
-        .collect();
-    drop(set);
-    let mut resumed = checkpoint::restore_set_sharded(
-        [constraint.clone()],
-        Arc::clone(catalog),
-        EncodingOptions::default(),
-        &sections,
-        true,
-    )
-    .map_err(|e| format!("sharded restore: {e}"))?;
-    resumed.set_shard_eviction(horizon);
-    for t in &transitions[kill..] {
-        let reports = resumed.step(t.time, &t.update).map_err(|e| e.to_string())?;
-        lines.extend(reports.iter().map(|r| r.to_string()));
-    }
-    Ok(lines)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,9 +250,16 @@ mod tests {
     #[test]
     fn mode_names_round_trip() {
         for m in Mode::ALL {
-            assert_eq!(Mode::parse(m.name()), Some(m));
+            assert_eq!(Mode::parse(m.name()), Ok(m));
         }
-        assert_eq!(Mode::parse("bogus"), None);
+        assert!(Mode::parse("bogus")
+            .unwrap_err()
+            .contains("unknown backend"));
+        let gone = Mode::parse("fleet-sharded").unwrap_err();
+        assert!(
+            gone.contains("was removed") && gone.contains("§6a"),
+            "{gone}"
+        );
         assert!(Mode::flag_help().starts_with("naive|incremental"));
     }
 

@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use rtic_core::{checkpoint, ConstraintSet, EncodingOptions, StepEvent, StepObserver};
+use rtic_core::{checkpoint, ConstraintSet, StepEvent, StepObserver};
 use rtic_history::Transition;
 use rtic_obs::MetricsRegistry;
 use rtic_relation::{Catalog, Symbol, Update};
@@ -92,10 +92,6 @@ pub struct ServeConfig {
     pub policy: CheckpointPolicy,
     /// Restore from the newest intact rotation entry on boot.
     pub resume: bool,
-    /// Entity-key sharded data plane for the fleet.
-    pub sharding: bool,
-    /// Idle-shard eviction horizon (requires `sharding`).
-    pub shard_evict: Option<u32>,
     /// Micro-batch bound: after popping a job the engine drains up to
     /// this many queued jobs and applies them as one ingestion unit —
     /// one checkpoint write, one metrics sample, and one `batch_ingest`
@@ -124,8 +120,6 @@ impl ServeConfig {
             checkpoint_keep: 3,
             policy: CheckpointPolicy::default(),
             resume: false,
-            sharding: false,
-            shard_evict: None,
             batch: 1,
             faults: FailPlan::default(),
             report_path: None,
@@ -364,8 +358,6 @@ pub fn serve(
         checkpoint_keep,
         policy,
         resume,
-        sharding,
-        shard_evict,
         batch,
         faults,
         report_path,
@@ -416,12 +408,10 @@ pub fn serve(
                         format!("cannot resume from `{}`: {e}", found_path.display())
                     })?;
                 }
-                let set = checkpoint::restore_set_sharded(
+                let set = checkpoint::restore_set(
                     constraints.iter().cloned(),
                     Arc::clone(&catalog),
-                    EncodingOptions::default(),
                     &engine_sections,
-                    sharding,
                 )
                 .map_err(|e| format!("cannot resume from `{}`: {e}", found_path.display()))?;
                 for section in &engine_sections {
@@ -438,7 +428,7 @@ pub fn serve(
                 restored_banner = Some((found_path, format, set.last_time()));
                 set
             }
-            None if outcome.rejected.is_empty() => fresh_set(&constraints, &catalog, sharding)?,
+            None if outcome.rejected.is_empty() => fresh_set(&constraints, &catalog)?,
             None => {
                 return Err(
                     "cannot resume: every checkpoint candidate in the rotation set \
@@ -448,11 +438,8 @@ pub fn serve(
             }
         }
     } else {
-        fresh_set(&constraints, &catalog, sharding)?
+        fresh_set(&constraints, &catalog)?
     };
-    if let Some(horizon) = shard_evict {
-        set.set_shard_eviction(horizon);
-    }
     for (name, nth) in faults.engine_panics() {
         if !set.arm_panic(&name, nth) {
             return Err(format!(
@@ -536,16 +523,9 @@ pub fn serve(
     result
 }
 
-fn fresh_set(
-    constraints: &[Constraint],
-    catalog: &Arc<Catalog>,
-    sharding: bool,
-) -> Result<ConstraintSet, String> {
-    Ok(
-        ConstraintSet::new(constraints.iter().cloned(), Arc::clone(catalog))
-            .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?
-            .with_sharding(sharding),
-    )
+fn fresh_set(constraints: &[Constraint], catalog: &Arc<Catalog>) -> Result<ConstraintSet, String> {
+    ConstraintSet::new(constraints.iter().cloned(), Arc::clone(catalog))
+        .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))
 }
 
 fn accept_loop(listener: Listener, shared: Arc<Shared>, write_timeout: Duration) {

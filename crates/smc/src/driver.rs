@@ -15,10 +15,8 @@ use rtic_workload::Generated;
 /// How a sample's history is checked.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
-    /// One `ConstraintSet`, every constraint unsharded.
+    /// One `ConstraintSet` stepped in-process.
     Sequential,
-    /// One `ConstraintSet` with the entity-key sharded data plane.
-    Sharded,
     /// A live `rtic serve` daemon driven over a unix socket (soak mode);
     /// every sample is additionally cross-checked byte-for-byte against
     /// the sequential batch run of the same history.
@@ -27,13 +25,12 @@ pub enum Backend {
 
 impl Backend {
     /// All batch + soak backends, in registry order.
-    pub const ALL: [Backend; 3] = [Backend::Sequential, Backend::Sharded, Backend::Soak];
+    pub const ALL: [Backend; 2] = [Backend::Sequential, Backend::Soak];
 
     /// CLI-facing name.
     pub fn as_str(&self) -> &'static str {
         match self {
             Backend::Sequential => "sequential",
-            Backend::Sharded => "fleet-sharded",
             Backend::Soak => "soak-serve",
         }
     }
@@ -42,11 +39,14 @@ impl Backend {
     pub fn parse(name: &str) -> Result<Backend, String> {
         match name {
             "sequential" | "set" => Ok(Backend::Sequential),
-            "fleet-sharded" | "sharded" => Ok(Backend::Sharded),
             "soak-serve" | "soak" => Ok(Backend::Soak),
-            other => Err(format!(
-                "unknown backend `{other}` (sequential|fleet-sharded|soak-serve)"
-            )),
+            "fleet-sharded" | "sharded" => Err(
+                "backend `fleet-sharded` was removed: the per-key shard plane was slower than \
+                 the one engine on every production scenario (docs/PERFORMANCE.md §6a); \
+                 use `sequential`"
+                    .into(),
+            ),
+            other => Err(format!("unknown backend `{other}` (sequential|soak-serve)")),
         }
     }
 }
@@ -57,16 +57,11 @@ impl std::fmt::Display for Backend {
     }
 }
 
-/// Runs one generated history through a batch [`ConstraintSet`] and
-/// returns the ordered violation lines.
-pub fn run_batch(gen: &Generated, backend: Backend) -> Result<Vec<String>, String> {
+/// Runs one generated history through a batch [`ConstraintSet`]
+/// ([`Backend::Sequential`]) and returns the ordered violation lines.
+pub fn run_batch(gen: &Generated) -> Result<Vec<String>, String> {
     let mut set = ConstraintSet::new(gen.constraints.iter().cloned(), Arc::clone(&gen.catalog))
         .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?;
-    match backend {
-        Backend::Sequential => {}
-        Backend::Sharded => set.set_sharding(true),
-        Backend::Soak => return Err("soak samples run through crate::soak, not run_batch".into()),
-    }
     let mut lines = Vec::new();
     for t in &gen.transitions {
         let reports = set.step(t.time, &t.update).map_err(|e| e.to_string())?;
@@ -96,29 +91,14 @@ mod tests {
         for b in Backend::ALL {
             assert_eq!(Backend::parse(b.as_str()).unwrap(), b);
         }
-        assert_eq!(Backend::parse("sharded").unwrap(), Backend::Sharded);
         assert_eq!(Backend::parse("soak").unwrap(), Backend::Soak);
+        let gone = Backend::parse("fleet-sharded").unwrap_err();
+        assert!(
+            gone.contains("was removed") && gone.contains("§6a"),
+            "{gone}"
+        );
         assert!(Backend::parse("naive").is_err());
         assert!(Backend::parse("parallel").is_err(), "removed with the pool");
-    }
-
-    #[test]
-    fn batch_backends_agree_on_a_production_scenario() {
-        let params = ScenarioParams {
-            steps: 50,
-            entities: 12,
-            events_per_step: 3,
-            violation_rate: 0.15,
-            seed: 9,
-        };
-        let gen = library::find("ratelimit").unwrap().generate(&params);
-        let sequential = run_batch(&gen, Backend::Sequential).unwrap();
-        assert!(!sequential.is_empty(), "seed must inject violations");
-        assert_eq!(
-            run_batch(&gen, Backend::Sharded).unwrap(),
-            sequential,
-            "fleet-sharded diverged from sequential"
-        );
     }
 
     #[test]
@@ -131,7 +111,7 @@ mod tests {
             seed: 3,
         };
         let gen = library::find("telemetry").unwrap().generate(&params);
-        let lines = run_batch(&gen, Backend::Sequential).unwrap();
+        let lines = run_batch(&gen).unwrap();
         assert!(!lines.is_empty());
         let names: Vec<&str> = gen.constraints.iter().map(|c| c.name.as_str()).collect();
         for line in &lines {

@@ -12,8 +12,8 @@
 //!
 //! Three backends cross-validate the whole stack on the way:
 //!
-//! * batch backends ([`Backend::Sequential`], [`Backend::Sharded`]) step
-//!   a `ConstraintSet` in-process;
+//! * the batch backend ([`Backend::Sequential`]) steps a `ConstraintSet`
+//!   in-process;
 //! * the soak backend ([`Backend::Soak`]) drives a live `rtic serve`
 //!   daemon per sample over a unix socket and cross-checks its drained
 //!   report byte-for-byte against the sequential batch run;
@@ -203,12 +203,11 @@ pub fn run(config: &SmcConfig, obs: &mut dyn StepObserver) -> Result<SmcReport, 
                     paths: paths.clone(),
                     resume: config.soak_resume,
                     failpoints: config.soak_failpoints.clone(),
-                    sharding: false,
                 })?;
                 // Every soak sample is cross-checked against the batch
                 // engine; a wire-protocol or resume bug becomes a visible
                 // mismatch count, not a silently skewed estimate.
-                let batch = run_batch(&gen, Backend::Sequential)?;
+                let batch = run_batch(&gen)?;
                 soak_checked += 1;
                 if outcome.lines != batch {
                     soak_mismatches += 1;
@@ -218,7 +217,7 @@ pub fn run(config: &SmcConfig, obs: &mut dyn StepObserver) -> Result<SmcReport, 
                 }
                 outcome.lines
             }
-            backend => run_batch(&gen, backend)?,
+            Backend::Sequential => run_batch(&gen)?,
         };
 
         let mut hit = vec![false; constraint_names.len()];

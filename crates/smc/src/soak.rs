@@ -58,8 +58,6 @@ pub struct SoakSample<'a> {
     pub resume: bool,
     /// Failpoint spec forwarded to the daemon (chaos drills).
     pub failpoints: Option<String>,
-    /// Run the daemon's fleet with the sharded data plane.
-    pub sharding: bool,
 }
 
 /// Outcome of a completed (drained) soak sample.
@@ -92,7 +90,6 @@ pub fn run_soak(sample: SoakSample<'_>) -> Result<SoakOutcome, String> {
     config.checkpoint = Some(sample.paths.checkpoint().display().to_string());
     config.policy.every_steps = Some(1);
     config.resume = resume;
-    config.sharding = sample.sharding;
     config.report_path = Some(sample.paths.report().display().to_string());
     if let Some(spec) = &sample.failpoints {
         config.faults = FailPlan::parse(spec).map_err(|e| format!("bad failpoints: {e}"))?;
@@ -157,7 +154,7 @@ pub fn cleanup(paths: &SoakPaths, checkpoint_keep: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{run_batch, Backend};
+    use crate::driver::run_batch;
     use rtic_workload::{library, ScenarioParams};
 
     fn scratch(tag: &str) -> SoakPaths {
@@ -177,7 +174,7 @@ mod tests {
             seed: 5,
         };
         let gen = library::find("access").unwrap().generate(&params);
-        let batch = run_batch(&gen, Backend::Sequential).unwrap();
+        let batch = run_batch(&gen).unwrap();
         assert!(!batch.is_empty(), "seed must inject violations");
         let paths = scratch("soak-eq");
         let outcome = run_soak(SoakSample {
@@ -185,7 +182,6 @@ mod tests {
             paths: paths.clone(),
             resume: false,
             failpoints: None,
-            sharding: false,
         })
         .unwrap();
         cleanup(&paths, 3);
@@ -203,7 +199,7 @@ mod tests {
             seed: 13,
         };
         let gen = library::find("telemetry").unwrap().generate(&params);
-        let batch = run_batch(&gen, Backend::Sequential).unwrap();
+        let batch = run_batch(&gen).unwrap();
         let paths = scratch("soak-kill");
         cleanup(&paths, 3);
         // Incarnation 1 dies processing the 9th transition.
@@ -212,7 +208,6 @@ mod tests {
             paths: paths.clone(),
             resume: false,
             failpoints: Some("serve.step=abort@9".to_string()),
-            sharding: false,
         });
         assert!(died.is_err(), "daemon must die at the failpoint");
         // Incarnation 2 resumes from the per-sample checkpoint and the
@@ -222,7 +217,6 @@ mod tests {
             paths: paths.clone(),
             resume: true,
             failpoints: None,
-            sharding: false,
         })
         .unwrap();
         cleanup(&paths, 3);

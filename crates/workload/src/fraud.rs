@@ -15,10 +15,9 @@
 //! ```
 //!
 //! `structuring` fires when an account lands more than `N` transfers
-//! inside any `W`-tick window — the classic AML smurfing rule. The
-//! `count` aggregate disqualifies entity-key sharding, so this rule runs
-//! unsharded while `screened` (keyed on `a`) shards — a realistic mixed
-//! fleet. Honest traffic is generated under the per-account budget, so a
+//! inside any `W`-tick window — the classic AML smurfing rule: an
+//! aggregate over the account's window beside a plain per-account
+//! deadline (`screened`), a realistic mixed fleet. Honest traffic is generated under the per-account budget, so a
 //! zero violation rate yields a provably quiet run; injected bursts are
 //! `N + 1` transfers on consecutive ticks, definite at the burst's last
 //! tick. Injected unscreened large transfers are definite immediately.

@@ -15,14 +15,13 @@
 //!   under negation over a temporal operator).
 //!
 //! The production library (see `docs/SCENARIOS.md` in the repository)
-//! scales to 10⁵–10⁶ entity keys to soak the sharded data plane:
+//! scales to 10⁵–10⁶ entity keys:
 //!
 //! * [`Fraud`] — fraud/AML monitoring: structuring bursts via a windowed
 //!   `count` aggregate plus large-transfer screening;
 //! * [`Telemetry`] — IoT heartbeat-liveness and delivery-freshness SLAs
 //!   over churning device sessions;
-//! * [`RateLimit`] — consecutive-tick hammering and a banned-client gate,
-//!   fully sharded;
+//! * [`RateLimit`] — consecutive-tick hammering and a banned-client gate;
 //! * [`Access`] — session TTLs, sudo gating, and approval trails.
 //!
 //! All of them are enumerable by name through the [`library`] registry

@@ -15,7 +15,7 @@ use crate::{
 /// Shared generator knobs every scenario understands.
 ///
 /// `entities` is the entity-key domain size (accounts, devices, clients,
-/// users, sensors, …) — scale it to 10⁵–10⁶ to soak the sharded plane.
+/// users, sensors, …) — production shapes run it at 10⁵–10⁶.
 #[derive(Clone, Copy, Debug)]
 pub struct ScenarioParams {
     /// Number of transitions (one tick apart).
@@ -98,7 +98,7 @@ static SCENARIOS: &[Scenario] = &[
     },
     Scenario {
         name: "ratelimit",
-        summary: "rate limiting: consecutive-tick hammering + banned-client gate, fully sharded",
+        summary: "rate limiting: consecutive-tick hammering + banned-client gate",
         production: true,
         build: |p| {
             RateLimit {

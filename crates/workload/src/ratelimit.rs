@@ -22,7 +22,7 @@
 //! injected abuser fires a run of exactly `W + 1` requests from tick
 //! `s ≥ 2`, definite once at `s + W`. Banned clients never request
 //! honestly; an injected banned request trips `banned_req` at its own
-//! tick. Both rules shard on `c`, so the scenario runs fully sharded.
+//! tick. Both rules key every atom on the client `c`.
 
 use std::sync::Arc;
 

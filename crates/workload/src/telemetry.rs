@@ -15,8 +15,8 @@
 //! ```
 //!
 //! Devices churn through sessions (online for a bounded stretch, then
-//! offline), which exercises shard eviction in the sharded plane: both
-//! constraints key on `d`. Honest devices heartbeat at their online tick
+//! offline), so keys keep entering and leaving the auxiliary relations:
+//! both constraints key on `d`. Honest devices heartbeat at their online tick
 //! and every `hb_period ≤ P` ticks after, so a clean run is provably
 //! quiet. An injected silent session heartbeats only at its online tick
 //! and goes offline right after the SLA trips, so `silent` turns definite

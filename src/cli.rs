@@ -8,7 +8,6 @@
 //! rtic check <constraints.rtic> <log.rticlog> [--checker NAME] [--quiet] [--stats] [--explain]
 //!            [--constraints FILE]... [--profile]
 //!            [--batch N]
-//!            [--shard auto|off] [--shard-evict N]
 //!            [--checkpoint FILE] [--resume FILE] [--checkpoint-every N]
 //!            [--checkpoint-secs T] [--checkpoint-keep K]
 //!            [--on-bad-line strict|skip] [--bad-line-budget N]
@@ -59,7 +58,6 @@ USAGE:
   rtic check <constraints-file> <log-file> [--checker incremental|naive|windowed|active]
              [--constraints FILE]... [--profile]
              [--batch N]
-             [--shard auto|off] [--shard-evict N]
              [--quiet] [--stats] [--explain] [--checkpoint FILE] [--resume FILE]
              [--checkpoint-every N] [--checkpoint-secs T] [--checkpoint-keep K]
              [--on-bad-line strict|skip] [--bad-line-budget N] [--failpoints SPEC]
@@ -70,14 +68,14 @@ USAGE:
   rtic generate <scenario>|--list [--steps N] [--entities N] [--events N] [--seed N]
              [--violation-rate R]
   rtic smc <scenario> [--samples auto|N] [--confidence C] [--epsilon E]
-             [--backend sequential|fleet-sharded|soak-serve]
+             [--backend sequential|soak-serve]
              [--steps N] [--entities N] [--events N] [--violation-rate R] [--seed N]
              [--min-samples N] [--oracle-every K] [--out FILE] [--metrics FILE]
              [--soak-dir DIR] [--soak-keep] [--resume] [--failpoints SPEC]
   rtic serve <constraints-file> --listen unix:PATH|tcp:HOST:PORT
              [--constraints FILE]... [--queue N] [--retry-ms MS] [--write-timeout-ms MS]
              [--checkpoint FILE] [--resume] [--checkpoint-every N] [--checkpoint-secs T]
-             [--checkpoint-keep K] [--shard auto|off] [--shard-evict N] [--batch N]
+             [--checkpoint-keep K] [--batch N]
              [--failpoints SPEC] [--report FILE] [--metrics FILE]
   rtic send <log-file> --connect unix:PATH|tcp:HOST:PORT [--drain] [--quiet]
              [--connect-timeout-ms MS]
@@ -88,7 +86,7 @@ consumed streaming. `generate` writes a log (plus its constraint file as
 `# commented` header lines) to standard output; `generate --list` prints
 the scenario registry (production flavors fraud, telemetry, ratelimit,
 access plus the paper-styled originals). `--entities` scales the
-entity-key domain (scale to 1e5–1e6 to soak the sharded plane).
+entity-key domain (production shapes run at 1e5–1e6).
 
 Statistical model checking: `rtic smc <scenario>` samples N randomized
 histories (per-sample seeds derived from `--seed`), checks each through
@@ -118,19 +116,12 @@ Batched ingestion: `--batch N` ingests the log in micro-batches of N
 lines: each batch is parsed and buffered first, then applied as one
 ingestion unit (per-line semantics preserved exactly; checkpoint ticks
 and space samples coalesce to batch boundaries). It requires the
-incremental checker and composes with `--shard`, checkpoints, and
-`--resume` replay cursors. `--vectorize` is accepted and ignored: the
-columnar kernels it used to select are the only compiled path.
-
-Sharding: `--shard auto` partitions each constraint's state by its
-compile-time entity key (the variable shared by every atom) and steps
-only the shards an update touches; constraints with no such key run
-unsharded alongside. Reports are byte-identical to `--shard off` (the
-default). Idle shards are evicted after `--shard-evict N` quiet steps.
-Shard counts appear under `--stats`/`--profile` and in `--metrics`
-snapshots. Requires the incremental checker; composes with checkpoints
-(a checkpoint records which data plane wrote it, and must be resumed
-with the same `--shard` setting).
+incremental checker and composes with checkpoints and `--resume` replay
+cursors. `--vectorize` is accepted and ignored: the columnar kernels it
+used to select are the only compiled path. `--shard V` and
+`--shard-evict N` (on `check` and `serve`) are accepted and ignored too:
+the per-key shard plane they selected lost every comparison with the one
+engine and was removed; checkpoints it wrote still resume.
 
 Checkpoints: `--checkpoint FILE` durably saves the checkers' bounded
 state (checksummed container, written atomically) after the run and,
@@ -221,6 +212,16 @@ fn flag_values<'a>(args: &'a [String], name: &str) -> Result<Vec<&'a str>, Strin
         .collect()
 }
 
+/// `--shard V` / `--shard-evict N` selected the per-key shard plane, which
+/// no longer exists. Both are still consumed — a missing value stays a
+/// usage error — and otherwise ignored, because the frozen `benchmark/`
+/// passes them; the next `[benchmark]` PR drops them (ROADMAP item 7).
+fn ignore_shard_flags(args: &[String]) -> Result<(), String> {
+    flag_value(args, "--shard")?;
+    flag_value(args, "--shard-evict")?;
+    Ok(())
+}
+
 /// `--parallel` selected a per-step worker pool that no longer exists;
 /// say so instead of ignoring the flag like any other unknown one.
 fn reject_parallel(args: &[String]) -> Result<(), String> {
@@ -270,7 +271,7 @@ fn load_merged_constraints(primary: &str, extras: &[&str]) -> Result<ConstraintF
 /// backend always runs as one shared-state [`ConstraintSet`] fleet with
 /// relevance dispatch; the reference backends (`naive|windowed|active`)
 /// run one independent checker per constraint and never checkpoint,
-/// profile, batch or shard.
+/// profile or batch.
 enum CheckEngine {
     Independent(Vec<Box<dyn Checker>>),
     Fleet(Box<ConstraintSet>),
@@ -371,23 +372,7 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     if (checkpoint_path.is_some() || resume_path.is_some()) && backend != BackendId::Incremental {
         return Err("--checkpoint/--resume require the incremental checker".into());
     }
-    let shard_enabled = match flag_value(args, "--shard")? {
-        None | Some("off") => false,
-        Some("auto") => true,
-        Some(other) => return Err(format!("bad --shard `{other}` (auto|off)")),
-    };
-    if shard_enabled && backend != BackendId::Incremental {
-        return Err("--shard requires the incremental checker".into());
-    }
-    let shard_evict: Option<u32> = flag_value(args, "--shard-evict")?
-        .map(|v| v.parse().map_err(|e| format!("bad --shard-evict: {e}")))
-        .transpose()?;
-    if shard_evict.is_some() && !shard_enabled {
-        return Err("--shard-evict requires --shard auto".into());
-    }
-    if let Some(0) = shard_evict {
-        return Err("--shard-evict needs at least one step of idleness".into());
-    }
+    ignore_shard_flags(args)?;
     let checkpoint_keep: usize = flag_value(args, "--checkpoint-keep")?
         .map(|v| v.parse().map_err(|e| format!("bad --checkpoint-keep: {e}")))
         .transpose()?
@@ -510,13 +495,12 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
         }
         CheckEngine::Independent(checkers)
     } else {
-        let mut set = if let Some((found_path, sections, _)) = &resume_recovery {
-            let set = checkpoint::restore_set_sharded(
+        let set = if let Some((found_path, sections, _)) = &resume_recovery {
+            let set = checkpoint::restore_set_with_options(
                 file.constraints.iter().cloned(),
                 Arc::clone(&catalog),
                 options,
                 sections,
-                shard_enabled,
             )
             .map_err(|e| format!("cannot resume from `{}`: {e}", found_path.display()))?;
             let mut obs = MultiObserver::new().with(&mut registry);
@@ -539,11 +523,7 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
                 options,
             )
             .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?
-            .with_sharding(shard_enabled)
         };
-        if let Some(horizon) = shard_evict {
-            set.set_shard_eviction(horizon);
-        }
         if show_explain {
             for compiled in set.compiled() {
                 let _ = writeln!(out, "{}", explain::explain(compiled));
@@ -818,9 +798,9 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
             "skipped {bad_lines} malformed line(s) (--on-bad-line skip, budget {bad_line_budget})"
         );
     }
-    // Everything below that is fleet-only (quarantine, profiles, shard and
-    // dispatch tallies, per-node footprints) is simply absent for the
-    // reference backends.
+    // Everything below that is fleet-only (quarantine, profiles, dispatch
+    // tallies, per-node footprints) is simply absent for the reference
+    // backends.
     let fleet = engine.fleet();
     for (name, detail) in fleet.map(ConstraintSet::quarantined).unwrap_or_default() {
         let _ = writeln!(out, "quarantined `{name}`: {detail}");
@@ -829,15 +809,6 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
         for (name, prof) in &set.plan_profiles() {
             let _ = writeln!(out, "profile[{name}]:");
             out.push_str(&explain::render_profile(prof));
-        }
-    }
-    if let (true, Some(set)) = (profile || stats, fleet) {
-        for (name, st) in set.shard_stats() {
-            let _ = writeln!(
-                out,
-                "shards[{name}]: {} live, {} created, {} evicted, peak {}",
-                st.live, st.created, st.evicted, st.peak
-            );
         }
     }
     if stats {
@@ -1318,20 +1289,7 @@ fn serve_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
     if config.resume && config.checkpoint.is_none() {
         return Err("--resume requires --checkpoint (the rotation to recover from)".into());
     }
-    config.sharding = match flag_value(args, "--shard")? {
-        None | Some("off") => false,
-        Some("auto") => true,
-        Some(other) => return Err(format!("bad --shard `{other}` (auto|off)")),
-    };
-    config.shard_evict = flag_value(args, "--shard-evict")?
-        .map(|v| v.parse().map_err(|e| format!("bad --shard-evict: {e}")))
-        .transpose()?;
-    if config.shard_evict.is_some() && !config.sharding {
-        return Err("--shard-evict requires --shard auto".into());
-    }
-    if let Some(0) = config.shard_evict {
-        return Err("--shard-evict needs at least one step of idleness".into());
-    }
+    ignore_shard_flags(args)?;
     if let Some(v) = flag_value(args, "--batch")? {
         config.batch = v.parse().map_err(|e| format!("bad --batch: {e}"))?;
         if config.batch == 0 {

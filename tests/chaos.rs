@@ -56,20 +56,18 @@ fn violations(out: &str) -> Vec<String> {
 /// Kill the run mid-stream (injected abort right after a periodic
 /// checkpoint), resume from the checkpoint, and require the stitched
 /// report stream to be byte-identical to an uninterrupted run's.
-fn kill_and_resume(tag: &str, extra: &[&str]) {
+fn kill_and_resume(tag: &str) {
     let c = temp_file(&format!("{tag}.rtic"), CONSTRAINTS);
     let l = temp_file(&format!("{tag}.rticlog"), LOG);
     let ckpt = temp_file(&format!("{tag}.ckpt"), "");
     std::fs::remove_file(&ckpt).ok();
 
-    let mut reference = vec!["check", c.to_str().unwrap(), l.to_str().unwrap()];
-    reference.extend_from_slice(extra);
-    let (code, uninterrupted) = run(&reference);
+    let (code, uninterrupted) = run(&["check", c.to_str().unwrap(), l.to_str().unwrap()]);
     assert_eq!(code.unwrap(), 1, "{uninterrupted}");
 
     // Checkpoint every 3 steps; the abort fires on the 7th transition,
     // so exactly steps 1..=6 ran and the newest checkpoint covers them.
-    let mut first = vec![
+    let (code, killed) = run(&[
         "check",
         c.to_str().unwrap(),
         l.to_str().unwrap(),
@@ -79,23 +77,19 @@ fn kill_and_resume(tag: &str, extra: &[&str]) {
         "3",
         "--failpoints",
         "run.abort=abort@7",
-    ];
-    first.extend_from_slice(extra);
-    let (code, killed) = run(&first);
+    ]);
     assert!(
         code.unwrap_err().contains("injected crash"),
         "the drill crashes the run"
     );
 
-    let mut second = vec![
+    let (code, resumed) = run(&[
         "check",
         c.to_str().unwrap(),
         l.to_str().unwrap(),
         "--resume",
         ckpt.to_str().unwrap(),
-    ];
-    second.extend_from_slice(extra);
-    let (code, resumed) = run(&second);
+    ]);
     assert_eq!(code.unwrap(), 1, "{resumed}");
     assert!(resumed.contains("resumed from"), "{resumed}");
     assert!(
@@ -115,7 +109,7 @@ fn kill_and_resume(tag: &str, extra: &[&str]) {
 /// Two constraints, so the checkpoint is a multi-section container.
 #[test]
 fn kill_and_resume_is_byte_identical_fleet() {
-    kill_and_resume("fleet", &[]);
+    kill_and_resume("fleet");
 }
 
 /// The first six lines of `LOG` — what the committed checkpoints cover.
@@ -202,9 +196,24 @@ fn checkpoint_from_the_scalar_plan_executor_resumes_on_the_columnar_plans() {
     assert_eq!(confirmed_window(&written), "3 | 17, \"ann\"");
 }
 
+/// The per-key shard plane is gone, its checkpoints are not: the fixture
+/// was written at 5358331 by `--shard auto --shard-evict 2` — a `shardkey`
+/// line, a `phantom` block and one `shard <key>` block per live flight —
+/// and must resume through the one engine, which reads the markers as
+/// transparent and merges the blocks (bob's and ann's windows sit in
+/// different shards of `unconfirmed`).
 #[test]
-fn kill_and_resume_is_byte_identical_sharded() {
-    kill_and_resume("shard", &["--shard", "auto"]);
+fn checkpoint_from_the_shard_plane_resumes_through_the_one_engine() {
+    let fixture = include_str!("fixtures/sharded-plane.ckpt");
+    for marker in [
+        "\nshardkey f\n",
+        "\nphantom\n",
+        "\nshard 9\n",
+        "\nshard 17\n",
+    ] {
+        assert!(fixture.contains(marker), "fixture lacks {marker:?}");
+    }
+    old_checkpoint_resumes("shardplane", fixture);
 }
 
 /// Kill the run *mid-batch*: with `--batch 4` and a checkpoint every 3
@@ -276,43 +285,6 @@ fn kill_and_resume_mid_batch_is_byte_identical() {
         violations(&uninterrupted),
         "mid-batch kill: stitched reports diverge from the uninterrupted run"
     );
-}
-
-/// A checkpoint records which data plane wrote it; resuming with the
-/// other `--shard` setting is a mismatch with an actionable message,
-/// in both directions.
-#[test]
-fn sharded_and_unsharded_checkpoints_do_not_mix_via_the_cli() {
-    for (tag, write_shard, resume_shard, hint) in [
-        ("mixa", "auto", "off", "--shard auto"),
-        ("mixb", "off", "auto", "--shard off"),
-    ] {
-        let c = temp_file(&format!("{tag}.rtic"), CONSTRAINTS);
-        let l = temp_file(&format!("{tag}.rticlog"), LOG);
-        let ckpt = temp_file(&format!("{tag}.ckpt"), "");
-        std::fs::remove_file(&ckpt).ok();
-        let (code, out) = run(&[
-            "check",
-            c.to_str().unwrap(),
-            l.to_str().unwrap(),
-            "--shard",
-            write_shard,
-            "--checkpoint",
-            ckpt.to_str().unwrap(),
-        ]);
-        assert_eq!(code.unwrap(), 1, "{out}");
-        let (code, _) = run(&[
-            "check",
-            c.to_str().unwrap(),
-            l.to_str().unwrap(),
-            "--shard",
-            resume_shard,
-            "--resume",
-            ckpt.to_str().unwrap(),
-        ]);
-        let err = code.unwrap_err();
-        assert!(err.contains(hint), "{tag}: the fix is suggested: {err}");
-    }
 }
 
 #[test]
@@ -787,7 +759,7 @@ fn quarantine_then_resume_matches_uninterrupted_minus_quarantined() {
 /// crashed by `serve.step=abort@7` (a simulated kill -9: no reply, no
 /// cleanup, no final checkpoint); the second resumes from the newest
 /// intact periodic checkpoint, re-streams the full log, and drains.
-fn serve_kill_resume_drill(tag: &str, extra: &[&str]) -> Vec<String> {
+fn serve_kill_resume_drill(tag: &str) -> Vec<String> {
     let c = temp_file(&format!("{tag}.rtic"), CONSTRAINTS);
     let l = temp_file(&format!("{tag}.rticlog"), LOG);
     let dir = c.parent().unwrap().to_path_buf();
@@ -800,7 +772,7 @@ fn serve_kill_resume_drill(tag: &str, extra: &[&str]) -> Vec<String> {
     std::fs::remove_file(PathBuf::from(format!("{}.1", ckpt.display()))).ok();
     std::fs::remove_file(PathBuf::from(format!("{}.2", ckpt.display()))).ok();
 
-    let spawn = |resume: bool, faults: Option<&str>, extra: &[&str]| {
+    let spawn = |resume: bool, faults: Option<&str>| {
         let mut args = vec![
             "serve".to_string(),
             c.to_str().unwrap().to_string(),
@@ -820,7 +792,6 @@ fn serve_kill_resume_drill(tag: &str, extra: &[&str]) -> Vec<String> {
             args.push("--failpoints".to_string());
             args.push(spec.to_string());
         }
-        args.extend(extra.iter().map(|s| s.to_string()));
         std::thread::spawn(move || {
             let mut out = String::new();
             let code = rtic::cli::run(&args, &mut out);
@@ -844,7 +815,7 @@ fn serve_kill_resume_drill(tag: &str, extra: &[&str]) -> Vec<String> {
 
     // Incarnation 1: dies processing the 7th transition, right after
     // the periodic checkpoint that covers the first 6.
-    let server = spawn(false, Some("serve.step=abort@7"), extra);
+    let server = spawn(false, Some("serve.step=abort@7"));
     let (code, _) = stream(false);
     assert!(code.is_err(), "{tag}: the stream is cut by the crash");
     let (code, out) = server.join().unwrap();
@@ -856,7 +827,7 @@ fn serve_kill_resume_drill(tag: &str, extra: &[&str]) -> Vec<String> {
 
     // Incarnation 2: resume, re-stream the whole log (the covered
     // prefix is acked as replayed, not re-checked), drain gracefully.
-    let server = spawn(true, None, extra);
+    let server = spawn(true, None);
     let (code, send_out) = stream(true);
     code.unwrap();
     assert!(
@@ -881,7 +852,10 @@ fn serve_kill_resume_drill(tag: &str, extra: &[&str]) -> Vec<String> {
 /// The tentpole drill: a serve daemon kill -9'd mid-stream and
 /// restarted with `--resume` must end with a final report
 /// byte-identical to an uninterrupted daemon's and to batch
-/// `rtic check` over the same log.
+/// `rtic check` over the same log. `LOG` churns keys across the cut —
+/// `ann` goes quiet before the kill and keeps violating after it, `bob`
+/// reserves before and confirms after — which is the traffic the old
+/// shard-eviction drill ran.
 #[test]
 fn serve_kill_and_resume_report_matches_batch_check() {
     let (code, batch) = {
@@ -892,7 +866,7 @@ fn serve_kill_and_resume_report_matches_batch_check() {
     assert_eq!(code.unwrap(), 1, "{batch}");
     let expected = violations(&batch);
 
-    let crashed = serve_kill_resume_drill("skr", &[]);
+    let crashed = serve_kill_resume_drill("skr");
     assert_eq!(
         crashed, expected,
         "kill -9 + resume diverges from batch check"
@@ -936,40 +910,6 @@ fn serve_kill_and_resume_report_matches_batch_check() {
         .map(str::to_string)
         .collect();
     assert_eq!(crashed, uninterrupted);
-}
-
-/// Satellite drill for the shard-eviction/resume interplay under serve:
-/// with an aggressive idle-eviction horizon, entities go quiet, their
-/// shards are evicted to phantoms, the daemon is killed and resumed —
-/// and when a quiet entity comes back (`cat`'s late confirm, `ann`'s
-/// reconfirms) the revived shard must re-materialize from its phantom
-/// byte-identically. The report must match both batch `rtic check`
-/// with the same eviction settings and an unsharded batch run.
-#[test]
-fn serve_shard_eviction_survives_kill_and_resume() {
-    let extra = &["--shard", "auto", "--shard-evict", "2"];
-
-    let c = temp_file("sev-batch.rtic", CONSTRAINTS);
-    let l = temp_file("sev-batch.rticlog", LOG);
-    let mut batch_args = vec!["check", c.to_str().unwrap(), l.to_str().unwrap()];
-    batch_args.extend_from_slice(extra);
-    let (code, batch) = run(&batch_args);
-    assert_eq!(code.unwrap(), 1, "{batch}");
-
-    let (code, unsharded) = run(&["check", c.to_str().unwrap(), l.to_str().unwrap()]);
-    assert_eq!(code.unwrap(), 1, "{unsharded}");
-    assert_eq!(
-        violations(&batch),
-        violations(&unsharded),
-        "eviction itself must not change reports"
-    );
-
-    let crashed = serve_kill_resume_drill("sev", extra);
-    assert_eq!(
-        crashed,
-        violations(&batch),
-        "evicted shards revived after resume diverge"
-    );
 }
 
 /// SMC-under-kill drill: an `rtic smc --backend soak-serve` campaign
