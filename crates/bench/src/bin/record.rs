@@ -22,8 +22,8 @@
 //! are visible in the log.
 
 use rtic_bench::record::{
-    batch_exec_curve, batch_exec_to_json, batch_size_sweep, compare, compare_all, git_rev,
-    machine_stamp, record, scenario_sweep, scenario_sweep_to_json, to_json, WORKLOADS,
+    batch_exec_curve, batch_exec_to_json, compare, compare_all, git_rev, machine_stamp, record,
+    scenario_sweep, scenario_sweep_to_json, to_json, WORKLOADS,
 };
 use rtic_obs::json;
 
@@ -94,17 +94,17 @@ fn run(args: &[String]) -> Result<i32, String> {
     }
 
     let doc = if workload == "batch-exec" {
-        // The batch-exec recording writes the batched-ingestion
-        // document: a tuples/sec-vs-active-domain curve (64-line
-        // batches, reports asserted byte-identical to line-at-a-time)
-        // plus a batch-size sweep at the largest domain.
+        // The batch-exec recording writes a tuples/sec-vs-active-domain
+        // curve, each stream stepped one transition at a time. (The name
+        // and the `vectorized_tuples_per_sec` key are kept from when it
+        // also swept micro-batch sizes, so the trajectory stays
+        // comparable.)
         let smoke = std::env::var("RTIC_BENCH_SMOKE").is_ok();
         let entity_counts: &[usize] = if smoke {
             &[256]
         } else {
             &[1_000, 10_000, 100_000]
         };
-        let batches: &[usize] = if smoke { &[1, 8] } else { &[1, 4, 16, 64, 256] };
         let curve_steps = if flag_value(args, "--steps").is_some() {
             steps
         } else if smoke {
@@ -112,28 +112,14 @@ fn run(args: &[String]) -> Result<i32, String> {
         } else {
             400
         };
-        let sweep_entities = *entity_counts.last().expect("entity counts are nonempty");
         let curve = batch_exec_curve(entity_counts, curve_steps, seed)?;
-        let sweep = batch_size_sweep(sweep_entities, curve_steps, batches, seed)?;
-        let doc = batch_exec_to_json(
-            &curve,
-            &sweep,
-            sweep_entities,
-            curve_steps,
-            seed,
-            &git_rev(),
-        );
+        let doc = batch_exec_to_json(&curve, curve_steps, seed, &git_rev())
+            .set("machine", machine_stamp());
         write_doc(&out_path, &doc)?;
         for p in &curve {
             println!(
                 "batch-exec entities={}: {:.0} tuples/s over {} tuples",
                 p.entities, p.vectorized_tuples_per_sec, p.tuples
-            );
-        }
-        for p in &sweep {
-            println!(
-                "batch-exec sweep batch={}: {:.0} tuples/s at {} entities",
-                p.batch, p.tuples_per_sec, sweep_entities
             );
         }
         println!("recorded batch-exec ({curve_steps} steps/point, seed {seed}) -> {out_path}");

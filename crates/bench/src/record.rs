@@ -273,7 +273,7 @@ pub fn scenario_sweep_to_json(points: &[ScenarioPoint], seed: u64, rev: &str) ->
 }
 
 /// One point of the batch-exec throughput curve: an ingestion stream
-/// checked through the compiled plans in micro-batches.
+/// stepped one transition at a time through the compiled plans.
 #[derive(Clone, Debug)]
 pub struct BatchExecPoint {
     /// Entity-key domain size (the active domain the stream grows to).
@@ -282,142 +282,58 @@ pub struct BatchExecPoint {
     pub steps: usize,
     /// Total update tuples ingested.
     pub tuples: usize,
-    /// Tuples/second, batched ingestion. (The name dates from when the
-    /// columnar kernels were one of two compiled paths; it is kept so the
-    /// committed trajectory stays comparable.)
+    /// Tuples/second. (The name dates from when the columnar kernels
+    /// were one of two compiled paths and ingestion was micro-batched —
+    /// the final sweep had batch 1 and 64 within 1 % — and is kept so
+    /// the committed trajectory stays comparable.)
     pub vectorized_tuples_per_sec: f64,
 }
 
-/// One point of the batch-size sweep: throughput as a function of lines
-/// per `apply_batch` call, at a fixed domain.
-#[derive(Clone, Debug)]
-pub struct BatchSweepPoint {
-    /// Lines per ingestion batch (1 = line-at-a-time).
-    pub batch: usize,
-    /// Tuples/second at this batch size.
-    pub tuples_per_sec: f64,
-}
-
-/// Runs a [`crate::experiments::batch_stream`] history through one
-/// [`rtic_core::ConstraintSet`], line-at-a-time when `chunk <= 1` or via
-/// [`rtic_core::ConstraintSet::apply_batch`] in `chunk`-line batches.
-/// Returns `(tuples/sec, total tuples, report lines)` — callers assert
-/// the lines byte-identical across configurations before trusting the
-/// numbers.
-fn run_batch_exec(
-    transitions: &[rtic_history::Transition],
-    chunk: usize,
-) -> Result<(f64, usize, Vec<String>), String> {
-    use crate::experiments::{deadline_constraint, reservations_catalog};
-    use rtic_core::{ConstraintSet, NopObserver};
-
-    let mut set = ConstraintSet::new([deadline_constraint()], reservations_catalog())
-        .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?;
-    let tuples: usize = transitions.iter().map(|t| t.update.len()).sum();
-    let mut lines = Vec::new();
-    let start = Instant::now();
-    if chunk <= 1 {
-        for tr in transitions {
-            let reports = set
-                .step(tr.time, &tr.update)
-                .map_err(|e| format!("batch-exec step at {}: {e}", tr.time))?;
-            lines.extend(reports.iter().map(|r| r.to_string()));
-        }
-    } else {
-        let batch: Vec<_> = transitions
-            .iter()
-            .map(|t| (t.time, t.update.clone()))
-            .collect();
-        for c in batch.chunks(chunk) {
-            let per_line = set
-                .apply_batch(c, &mut NopObserver)
-                .map_err(|e| format!("batch-exec batch: {e}"))?;
-            for reports in &per_line {
-                lines.extend(reports.iter().map(|r| r.to_string()));
-            }
-        }
-    }
-    let secs = start.elapsed().as_secs_f64();
-    let throughput = if secs > 0.0 {
-        tuples as f64 / secs
-    } else {
-        0.0
-    };
-    Ok((throughput, tuples, lines))
-}
-
-/// The tuples/sec-vs-active-domain curve: for each entity count, the
-/// stream ingested in 64-line batches. Report lines are asserted
-/// byte-identical to a line-at-a-time pass — a curve over a diverging
-/// engine would be meaningless.
+/// The tuples/sec-vs-active-domain curve: for each entity count, a
+/// [`crate::experiments::batch_stream`] history stepped through one
+/// [`rtic_core::ConstraintSet`], report lines rendered as a driver would.
 pub fn batch_exec_curve(
     entity_counts: &[usize],
     steps: usize,
     seed: u64,
 ) -> Result<Vec<BatchExecPoint>, String> {
-    use crate::experiments::batch_stream;
+    use crate::experiments::{batch_stream, deadline_constraint, reservations_catalog};
+    use rtic_core::ConstraintSet;
 
     let mut points = Vec::with_capacity(entity_counts.len());
     for &entities in entity_counts {
         let events = entities.div_ceil(steps.max(1)).max(1);
         let transitions = batch_stream(entities, steps, events, seed);
-        let (_, tuples, reference) = run_batch_exec(&transitions, 1)?;
-        let (vectorized_tuples_per_sec, _, lines) = run_batch_exec(&transitions, 64)?;
-        if lines != reference {
-            return Err(format!(
-                "batch-exec at {entities} entities: batched reports diverge from line-at-a-time"
-            ));
+        let tuples: usize = transitions.iter().map(|t| t.update.len()).sum();
+        let mut set = ConstraintSet::new([deadline_constraint()], reservations_catalog())
+            .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?;
+        // Rendering the reports is part of the measured work, as it was
+        // at every earlier point of the trajectory.
+        let mut lines = Vec::new();
+        let start = Instant::now();
+        for tr in &transitions {
+            let reports = set
+                .step(tr.time, &tr.update)
+                .map_err(|e| format!("batch-exec step at {}: {e}", tr.time))?;
+            lines.extend(reports.iter().map(|r| r.to_string()));
         }
+        let secs = start.elapsed().as_secs_f64();
         points.push(BatchExecPoint {
             entities,
             steps: transitions.len(),
             tuples,
-            vectorized_tuples_per_sec,
+            vectorized_tuples_per_sec: if secs > 0.0 {
+                tuples as f64 / secs
+            } else {
+                0.0
+            },
         });
     }
     Ok(points)
 }
 
-/// The batch-size sweep: throughput at one domain size across ingestion
-/// batch sizes, each run asserted byte-identical to the line-at-a-time
-/// reference.
-pub fn batch_size_sweep(
-    entities: usize,
-    steps: usize,
-    batches: &[usize],
-    seed: u64,
-) -> Result<Vec<BatchSweepPoint>, String> {
-    use crate::experiments::batch_stream;
-
-    let events = entities.div_ceil(steps.max(1)).max(1);
-    let transitions = batch_stream(entities, steps, events, seed);
-    let (_, _, reference) = run_batch_exec(&transitions, 1)?;
-    let mut points = Vec::with_capacity(batches.len());
-    for &batch in batches {
-        let (tuples_per_sec, _, lines) = run_batch_exec(&transitions, batch)?;
-        if lines != reference {
-            return Err(format!(
-                "batch-exec sweep at batch {batch}: reports diverge from line-at-a-time"
-            ));
-        }
-        points.push(BatchSweepPoint {
-            batch,
-            tuples_per_sec,
-        });
-    }
-    Ok(points)
-}
-
-/// Renders the batch-exec curve and sweep as the
-/// `BENCH_batch_exec.json` document.
-pub fn batch_exec_to_json(
-    curve: &[BatchExecPoint],
-    sweep: &[BatchSweepPoint],
-    sweep_entities: usize,
-    steps: usize,
-    seed: u64,
-    rev: &str,
-) -> Json {
+/// Renders the batch-exec curve as the `BENCH_batch_exec.json` document.
+pub fn batch_exec_to_json(curve: &[BatchExecPoint], steps: usize, seed: u64, rev: &str) -> Json {
     let curve_rows: Vec<Json> = curve
         .iter()
         .map(|p| {
@@ -431,14 +347,6 @@ pub fn batch_exec_to_json(
                 )
         })
         .collect();
-    let sweep_rows: Vec<Json> = sweep
-        .iter()
-        .map(|p| {
-            Json::object()
-                .set("batch", p.batch as u64)
-                .set("tuples_per_sec", round3(p.tuples_per_sec))
-        })
-        .collect();
     Json::object()
         .set("schema_version", SCHEMA_VERSION)
         .set("workload", "batch-exec")
@@ -446,8 +354,6 @@ pub fn batch_exec_to_json(
         .set("seed", seed)
         .set("git_rev", rev)
         .set("domain_curve", Json::Arr(curve_rows))
-        .set("batch_sweep_entities", sweep_entities as u64)
-        .set("batch_sweep", Json::Arr(sweep_rows))
 }
 
 /// Where a recording was taken — the stamp `benchmark/run.sh` puts on its
@@ -563,16 +469,6 @@ fn metric_rows(doc: &Json) -> Vec<(String, f64, bool)> {
                     out.push((label, v, true));
                 }
             });
-            rows.extend(each(doc, "batch_sweep", &mut |p, out| {
-                let Some(batch) = num(p, "batch") else { return };
-                if let Some(v) = num(p, "tuples_per_sec") {
-                    out.push((
-                        format!("batch_sweep[batch={batch}].tuples_per_sec"),
-                        v,
-                        true,
-                    ));
-                }
-            }));
         }
         // Single-workload snapshots: throughput up, latency down.
         _ => {
@@ -760,7 +656,8 @@ mod tests {
     fn compare_understands_curve_schemas() {
         // batch-exec: rows are keyed by sweep parameter, so only points
         // measured at the same scale compare, and a slower path at a
-        // matching domain warns.
+        // matching domain warns. The baseline is a document from before
+        // the batch-size sweep was deleted: its `batch_sweep` is ignored.
         let base = json::parse(
             r#"{"workload": "batch-exec",
                 "domain_curve": [
@@ -771,25 +668,25 @@ mod tests {
         let worse = json::parse(
             r#"{"workload": "batch-exec",
                 "domain_curve": [
-                  {"entities": 1000, "vectorized_tuples_per_sec": 150.0}],
-                "batch_sweep": [{"batch": 64, "tuples_per_sec": 150.0}]}"#,
+                  {"entities": 1000, "vectorized_tuples_per_sec": 150.0}]}"#,
         )
         .unwrap();
         let warnings = compare(&worse, &base, 25.0);
-        assert_eq!(warnings.len(), 2, "{warnings:?}");
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
         assert!(
-            warnings
-                .iter()
-                .any(|w| w.contains("domain_curve[entities=1000].vectorized_tuples_per_sec")),
+            warnings[0].contains("domain_curve[entities=1000].vectorized_tuples_per_sec"),
             "{warnings:?}"
+        );
+        assert!(
+            compare(&base, &worse, 25.0).is_empty(),
+            "faster never warns"
         );
         // A smoke-scale snapshot shares no row labels with a full-scale
         // baseline: vacuously green, never nonsense deltas.
         let smoke = json::parse(
             r#"{"workload": "batch-exec",
                 "domain_curve": [
-                  {"entities": 256, "vectorized_tuples_per_sec": 1.0}],
-                "batch_sweep": [{"batch": 8, "tuples_per_sec": 1.0}]}"#,
+                  {"entities": 256, "vectorized_tuples_per_sec": 1.0}]}"#,
         )
         .unwrap();
         assert!(compare(&smoke, &base, 25.0).is_empty());
@@ -883,10 +780,9 @@ mod tests {
 
     #[test]
     fn batch_exec_curve_measures_batched_ingestion() {
-        // Smoke scale; the real acceptance point runs at 10⁵ entities.
-        // `batch_exec_curve` itself asserts the batched reports are
-        // byte-identical to the line-at-a-time ones, so a pass here is
-        // also a correctness check on batched ingestion.
+        // Smoke scale; the committed baseline runs up to 10⁵ entities.
+        // (Named, like the recorder, from when the curve ran in 64-line
+        // micro-batches; it steps one transition at a time now.)
         let points = batch_exec_curve(&[128], 30, 11).unwrap();
         assert_eq!(points.len(), 1);
         let p = &points[0];
@@ -897,21 +793,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_sweep_holds_reports_fixed() {
-        let sweep = batch_size_sweep(128, 30, &[1, 4, 16], 11).unwrap();
-        assert_eq!(
-            sweep.iter().map(|p| p.batch).collect::<Vec<_>>(),
-            vec![1, 4, 16]
-        );
-        assert!(sweep.iter().all(|p| p.tuples_per_sec > 0.0));
-    }
-
-    #[test]
     fn batch_exec_json_round_trips() {
         let curve = batch_exec_curve(&[64], 20, 5).unwrap();
-        let sweep = batch_size_sweep(64, 20, &[1, 8], 5).unwrap();
-        let doc =
-            json::parse(&batch_exec_to_json(&curve, &sweep, 64, 20, 5, "abc123").render()).unwrap();
+        let doc = json::parse(&batch_exec_to_json(&curve, 20, 5, "abc123").render()).unwrap();
         assert_eq!(
             doc.get("workload").and_then(Json::as_str),
             Some("batch-exec")
@@ -927,11 +811,6 @@ mod tests {
             .get("vectorized_tuples_per_sec")
             .and_then(Json::as_f64)
             .is_some_and(|s| s > 0.0));
-        let sweep_rows = doc
-            .get("batch_sweep")
-            .and_then(Json::as_arr)
-            .expect("batch_sweep array");
-        assert_eq!(sweep_rows.len(), 2);
-        assert_eq!(sweep_rows[0].get("batch").and_then(Json::as_u64), Some(1));
+        assert!(doc.get("batch_sweep").is_none());
     }
 }

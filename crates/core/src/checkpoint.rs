@@ -463,8 +463,9 @@ pub fn restore_set_with_options(
 #[doc(hidden)]
 pub use crate::set::restore_set_sharded;
 
-/// The `constraint <name>` value of a v1 section, if present.
-fn section_constraint_name(text: &str) -> Option<&str> {
+/// The constraint a checkpoint section belongs to (its `constraint
+/// <name>` line), if present.
+pub fn section_constraint_name(text: &str) -> Option<&str> {
     text.lines()
         .find_map(|l| l.trim().strip_prefix("constraint "))
 }

@@ -1121,8 +1121,8 @@ mod tests {
 
     #[test]
     fn a_delta_into_a_shared_row_set_copies_instead_of_corrupting_the_holder() {
-        // This test keeps every report (as a batch driver does until it
-        // prints), so the witness rows — the failed side of the `!once`
+        // This test keeps every report (as a caller that prints them
+        // later does), so the witness rows — the failed side of the `!once`
         // probe's partition — have a second holder when the next delta or
         // flip arrives; the shape is tick-gain-free, so quiescent ticks
         // replay cached operand extensions in between, and the profiler

@@ -218,16 +218,6 @@ pub enum StepEvent<'a> {
         /// Names of the constraints this sample violated at least once.
         violated_constraints: Vec<Symbol>,
     },
-    /// A micro-batch of history lines was ingested as one unit
-    /// ([`crate::ConstraintSet::apply_batch`], `rtic check --batch`,
-    /// serve-side micro-batching). Emitted once per flushed batch, after
-    /// the per-line events, so metrics can track realized batch sizes.
-    BatchIngest {
-        /// History lines (transitions) in the batch.
-        lines: usize,
-        /// Tuples inserted + deleted across the batch's updates.
-        tuples: usize,
-    },
 }
 
 impl StepEvent<'_> {
@@ -248,7 +238,6 @@ impl StepEvent<'_> {
             StepEvent::SpaceSample { .. } => "space_sample",
             StepEvent::ServeSample { .. } => "serve_sample",
             StepEvent::SmcSample { .. } => "smc_sample",
-            StepEvent::BatchIngest { .. } => "batch_ingest",
         }
     }
 }
@@ -416,10 +405,6 @@ impl StepObserver for CollectingObserver {
                 sample: *sample,
                 bound: *bound,
                 violated_constraints: violated_constraints.clone(),
-            },
-            StepEvent::BatchIngest { lines, tuples } => StepEvent::BatchIngest {
-                lines: *lines,
-                tuples: *tuples,
             },
         };
         self.events.push(owned);

@@ -414,43 +414,6 @@ impl ConstraintSet {
         Ok(reports)
     }
 
-    /// Processes a micro-batch of transitions as one ingestion unit:
-    /// every line steps in order through the normal relevance-dispatched
-    /// path, then a single
-    /// [`StepEvent::BatchIngest`] records the realized batch size.
-    ///
-    /// Semantics are exactly those of calling
-    /// [`ConstraintSet::step_observed`] per line — reports, violations,
-    /// and auxiliary state are byte-identical, and time-advance effects
-    /// (window expiry between lines) are preserved. What batching buys is
-    /// amortization *around* the steps: drivers parse/buffer N lines,
-    /// print N reports, and run their checkpoint ticker once per batch,
-    /// while the plan kernels see back-to-back steps with warm memo
-    /// entries.
-    ///
-    /// On error the batch stops at the failing line; earlier lines are
-    /// fully applied (the same prefix semantics a line-at-a-time driver
-    /// has), and no `BatchIngest` event is emitted.
-    pub fn apply_batch(
-        &mut self,
-        batch: &[(TimePoint, Update)],
-        obs: &mut dyn StepObserver,
-    ) -> Result<Vec<Vec<StepReport>>, HistoryError> {
-        let mut all = Vec::with_capacity(batch.len());
-        let mut tuples = 0usize;
-        for (time, update) in batch {
-            tuples += update.len();
-            all.push(self.step_observed(*time, update, obs)?);
-        }
-        if !batch.is_empty() {
-            obs.observe(&StepEvent::BatchIngest {
-                lines: batch.len(),
-                tuples,
-            });
-        }
-        Ok(all)
-    }
-
     /// Emits one `SpaceSample` event per constraint (drivers call this on
     /// their sampling schedule). Samples carry each constraint's own aux
     /// footprint; the shared database tuples are attributed to every
@@ -800,6 +763,10 @@ mod tests {
         let mut set = ConstraintSet::new(constraints(), catalog()).unwrap();
         set.step(TimePoint(4), &Update::new()).unwrap();
         assert!(set.step(TimePoint(4), &Update::new()).is_err());
+        // The refused step left nothing behind: the set is where it was
+        // and keeps stepping.
+        assert_eq!((set.steps(), set.last_time()), (1, Some(TimePoint(4))));
+        assert_eq!(set.step(TimePoint(5), &Update::new()).unwrap().len(), 3);
     }
 
     #[test]
@@ -872,57 +839,5 @@ mod tests {
             kinds,
             vec!["step_start", "eval", "eval", "quarantine", "step"]
         );
-    }
-
-    #[test]
-    fn apply_batch_matches_line_at_a_time() {
-        let cat = catalog();
-        let mut lined = ConstraintSet::new(constraints(), Arc::clone(&cat)).unwrap();
-        let mut batched = ConstraintSet::new(constraints(), Arc::clone(&cat)).unwrap();
-        let lines: Vec<(TimePoint, Update)> =
-            (1..40u64).map(|t| (TimePoint(t), updates(t))).collect();
-        let mut expected = Vec::new();
-        for (t, u) in &lines {
-            expected.push(lined.step(*t, u).unwrap());
-        }
-        let mut obs = CollectingObserver::default();
-        let mut got = Vec::new();
-        for chunk in lines.chunks(7) {
-            got.extend(batched.apply_batch(chunk, &mut obs).unwrap());
-        }
-        assert_eq!(got, expected);
-        assert_eq!(lined.space(), batched.space());
-        let ingests: Vec<(usize, usize)> = obs
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                StepEvent::BatchIngest { lines, tuples } => Some((*lines, *tuples)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(ingests.len(), 6, "one batch_ingest per flushed chunk");
-        assert_eq!(ingests[0].0, 7);
-        assert_eq!(ingests.last().unwrap().0, 4, "trailing partial batch");
-    }
-
-    #[test]
-    fn apply_batch_stops_at_the_failing_line_with_prefix_applied() {
-        let mut set = ConstraintSet::new(constraints(), catalog()).unwrap();
-        let lines = vec![
-            (TimePoint(1), Update::new().with_insert("p", tuple!["a"])),
-            (TimePoint(2), Update::new().with_insert("q", tuple!["a"])),
-            (TimePoint(2), Update::new()), // non-monotonic: fails
-            (TimePoint(3), Update::new()),
-        ];
-        let mut obs = CollectingObserver::default();
-        assert!(set.apply_batch(&lines, &mut obs).is_err());
-        assert_eq!(set.steps(), 2, "prefix before the bad line is applied");
-        assert_eq!(set.last_time(), Some(TimePoint(2)));
-        assert!(
-            !obs.events.iter().any(|e| e.kind() == "batch_ingest"),
-            "no ingest event for a failed batch"
-        );
-        // The set remains usable afterwards.
-        assert_eq!(set.step(TimePoint(3), &Update::new()).unwrap().len(), 3);
     }
 }

@@ -225,6 +225,21 @@ struct SpaceSampleRow {
     stats: SpaceStats,
 }
 
+/// Writes one unlabelled Prometheus family. The name decides the type:
+/// `counter` exactly when it ends in `_total` (the rule `promtool check
+/// metrics` enforces), `gauge` otherwise.
+fn scalar(out: &mut String, name: &str, help: &str, value: impl std::fmt::Display) {
+    use std::fmt::Write as _;
+    let kind = if name.ends_with("_total") {
+        "counter"
+    } else {
+        "gauge"
+    };
+    let _ = writeln!(out, "# HELP rtic_{name} {help}");
+    let _ = writeln!(out, "# TYPE rtic_{name} {kind}");
+    let _ = writeln!(out, "rtic_{name} {value}");
+}
+
 /// A [`StepObserver`] that aggregates the event stream into counters,
 /// gauges, and histograms, and renders them as JSON or Prometheus text.
 #[derive(Clone, Debug, Default)]
@@ -240,11 +255,6 @@ pub struct MetricsRegistry {
     checkpoint_restores: u64,
     checkpoint_bytes: u64,
     checkpoint_fallbacks: u64,
-    batches: u64,
-    batch_lines: u64,
-    batch_tuples: u64,
-    /// Lines in the most recent ingest batch (0 before the first batch).
-    last_batch_size: u64,
     quarantines: u64,
     quarantined_constraints: Vec<&'static str>,
     bad_lines: u64,
@@ -304,21 +314,6 @@ impl MetricsRegistry {
     /// Malformed history lines skipped under a lenient bad-line policy.
     pub fn bad_lines(&self) -> u64 {
         self.bad_lines
-    }
-
-    /// Ingest batches applied via the amortized batch path.
-    pub fn batches(&self) -> u64 {
-        self.batches
-    }
-
-    /// History lines absorbed through batched ingestion.
-    pub fn batch_lines(&self) -> u64 {
-        self.batch_lines
-    }
-
-    /// Lines in the most recent ingest batch (0 before the first batch).
-    pub fn last_batch_size(&self) -> u64 {
-        self.last_batch_size
     }
 
     /// Latest observed space stats, summed across checkers.
@@ -476,10 +471,6 @@ impl MetricsRegistry {
                 ),
             )
             .set("bad_lines", self.bad_lines)
-            .set("batches", self.batches)
-            .set("batch_lines", self.batch_lines)
-            .set("batch_tuples", self.batch_tuples)
-            .set("last_batch_size", self.last_batch_size)
             .set("step_latency_us", self.step_latency.to_json())
             .set("eval_latency_us", self.eval_latency.to_json())
             .set(
@@ -577,80 +568,60 @@ impl MetricsRegistry {
     pub fn render_prometheus(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let mut counter = |name: &str, help: &str, value: u64| {
-            let _ = writeln!(out, "# HELP rtic_{name} {help}");
-            let _ = writeln!(out, "# TYPE rtic_{name} counter");
-            let _ = writeln!(out, "rtic_{name} {value}");
-        };
-        counter(
+        scalar(
+            &mut out,
             "steps_total",
             "Completed logical steps (transitions).",
             self.steps,
         );
-        counter(
+        scalar(
+            &mut out,
             "tuples_ingested_total",
             "Tuples inserted plus deleted across all transitions.",
             self.tuples_ingested,
         );
-        counter(
+        scalar(
+            &mut out,
             "violations_total",
             "Violation witnesses across all constraints.",
             self.violations,
         );
-        counter(
+        scalar(
+            &mut out,
             "violating_steps_total",
             "Steps with at least one violation witness.",
             self.violating_steps,
         );
-        counter(
+        scalar(
+            &mut out,
             "checkpoint_saves_total",
             "Checkpoints serialized.",
             self.checkpoint_saves,
         );
-        counter(
+        scalar(
+            &mut out,
             "checkpoint_restores_total",
             "Checkpoints restored.",
             self.checkpoint_restores,
         );
-        counter(
+        scalar(
+            &mut out,
             "checkpoint_fallbacks_total",
             "Corrupt checkpoint candidates rejected during recovery.",
             self.checkpoint_fallbacks,
         );
-        counter(
+        scalar(
+            &mut out,
             "quarantines_total",
             "Constraint engines quarantined after a panic.",
             self.quarantines,
         );
-        counter(
+        scalar(
+            &mut out,
             "bad_lines_total",
             "Malformed history lines skipped under a lenient policy.",
             self.bad_lines,
         );
-        if self.batches > 0 {
-            counter(
-                "batches_total",
-                "Ingest batches applied via the amortized batch path.",
-                self.batches,
-            );
-            counter(
-                "batch_lines_total",
-                "History lines absorbed through batched ingestion.",
-                self.batch_lines,
-            );
-            counter(
-                "batch_tuples_total",
-                "Tuples absorbed through batched ingestion.",
-                self.batch_tuples,
-            );
-            let _ = writeln!(
-                out,
-                "# HELP rtic_batch_size Lines in the most recent ingest batch."
-            );
-            let _ = writeln!(out, "# TYPE rtic_batch_size gauge");
-            let _ = writeln!(out, "rtic_batch_size {}", self.last_batch_size);
-        }
-
         let _ = writeln!(out, "# HELP rtic_evals_total Constraint evaluations.");
         let _ = writeln!(out, "# TYPE rtic_evals_total counter");
         for (name, n) in &self.evals_by_constraint {
@@ -799,50 +770,53 @@ impl MetricsRegistry {
             }
         }
         if let Some(s) = &self.serve {
-            let mut gauge = |name: &str, help: &str, value: f64| {
-                let _ = writeln!(out, "# HELP rtic_{name} {help}");
-                let _ = writeln!(out, "# TYPE rtic_{name} gauge");
-                let _ = writeln!(out, "rtic_{name} {value}");
-            };
-            gauge(
+            scalar(
+                &mut out,
                 "serve_queue_depth",
                 "Updates waiting in the resident server's ingest queue.",
-                s.queue_depth as f64,
+                s.queue_depth,
             );
-            gauge(
+            scalar(
+                &mut out,
                 "serve_queue_capacity",
                 "Bound of the resident server's ingest queue.",
-                s.queue_capacity as f64,
+                s.queue_capacity,
             );
-            gauge(
+            scalar(
+                &mut out,
                 "serve_queue_peak",
                 "High-water mark of the ingest queue depth.",
-                s.queue_peak as f64,
+                s.queue_peak,
             );
-            gauge(
+            scalar(
+                &mut out,
                 "serve_shed_total",
                 "Updates rejected with BUSY because the ingest queue was full.",
-                s.shed as f64,
+                s.shed,
             );
-            gauge(
+            scalar(
+                &mut out,
                 "serve_connections",
                 "Currently connected clients.",
-                s.connections as f64,
+                s.connections,
             );
-            gauge(
+            scalar(
+                &mut out,
                 "serve_disconnected_total",
                 "Clients disconnected for stalling past the write timeout.",
-                s.disconnected as f64,
+                s.disconnected,
             );
             if let Some(age) = s.last_checkpoint_age_ms {
-                gauge(
+                scalar(
+                    &mut out,
                     "serve_last_checkpoint_age_seconds",
                     "Seconds since the resident server's last checkpoint.",
                     age as f64 / 1e3,
                 );
             }
             if let Some(ms) = s.drain_ms {
-                gauge(
+                scalar(
+                    &mut out,
                     "serve_drain_duration_seconds",
                     "Wall time the graceful drain took.",
                     ms as f64 / 1e3,
@@ -850,20 +824,17 @@ impl MetricsRegistry {
             }
         }
         if let Some(s) = &self.smc {
-            let mut gauge = |name: &str, help: &str, value: f64| {
-                let _ = writeln!(out, "# HELP rtic_{name} {help}");
-                let _ = writeln!(out, "# TYPE rtic_{name} gauge");
-                let _ = writeln!(out, "rtic_{name} {value}");
-            };
-            gauge(
+            scalar(
+                &mut out,
                 "smc_samples_total",
                 "SMC samples completed so far.",
-                s.samples as f64,
+                s.samples,
             );
-            gauge(
+            scalar(
+                &mut out,
                 "smc_sample_bound",
                 "Current worst-case SMC sample bound.",
-                s.bound as f64,
+                s.bound,
             );
             let _ = writeln!(
                 out,
@@ -1010,12 +981,6 @@ impl StepObserver for MetricsRegistry {
                 for name in violated_constraints {
                     *gauges.violated_samples.entry(name.as_str()).or_default() += 1;
                 }
-            }
-            StepEvent::BatchIngest { lines, tuples } => {
-                self.batches += 1;
-                self.batch_lines += *lines as u64;
-                self.batch_tuples += *tuples as u64;
-                self.last_batch_size = *lines as u64;
             }
         }
     }
@@ -1342,35 +1307,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_ingest_events_reach_counters_and_expositions() {
-        let mut registry = MetricsRegistry::new();
-        // Line-at-a-time runs never emit BatchIngest: the families stay
-        // out of the Prometheus exposition entirely.
-        assert!(!registry.render_prometheus().contains("rtic_batch"));
-        registry.observe(&StepEvent::BatchIngest {
-            lines: 64,
-            tuples: 192,
-        });
-        registry.observe(&StepEvent::BatchIngest {
-            lines: 17,
-            tuples: 40,
-        });
-        assert_eq!(registry.batches(), 2);
-        assert_eq!(registry.batch_lines(), 81);
-        assert_eq!(registry.last_batch_size(), 17);
-        let doc = json::parse(&registry.render_json()).unwrap();
-        assert_eq!(doc.get("batches").and_then(Json::as_u64), Some(2));
-        assert_eq!(doc.get("batch_lines").and_then(Json::as_u64), Some(81));
-        assert_eq!(doc.get("batch_tuples").and_then(Json::as_u64), Some(232));
-        assert_eq!(doc.get("last_batch_size").and_then(Json::as_u64), Some(17));
-        let text = registry.render_prometheus();
-        assert!(text.contains("rtic_batches_total 2"));
-        assert!(text.contains("rtic_batch_lines_total 81"));
-        assert!(text.contains("rtic_batch_tuples_total 232"));
-        assert!(text.contains("rtic_batch_size 17"));
-    }
-
-    #[test]
     fn quantiles_are_monotone_in_q() {
         let mut h = LatencyHistogram::default();
         let mut seed = 0x9e37_79b9_7f4a_7c15u64;
@@ -1407,9 +1343,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn plan_profile_samples_expose_hot_nodes() {
-        use rtic_core::observe::sample_plan_profiles;
+    /// Four violating steps through one profiling checker.
+    fn profiled_run(registry: &mut MetricsRegistry) -> Vec<Box<dyn Checker>> {
         use rtic_core::EncodingOptions;
 
         let catalog = Arc::new(
@@ -1428,16 +1363,24 @@ mod tests {
             )
             .unwrap(),
         )];
-        let mut registry = MetricsRegistry::new();
         for t in 1..=4u64 {
             rtic_core::observe::step_all(
                 &mut checkers,
                 TimePoint(t),
                 &Update::new().with_insert("p", tuple!["a"]),
-                &mut registry,
+                registry,
             )
             .unwrap();
         }
+        checkers
+    }
+
+    #[test]
+    fn plan_profile_samples_expose_hot_nodes() {
+        use rtic_core::observe::sample_plan_profiles;
+
+        let mut registry = MetricsRegistry::new();
+        let checkers = profiled_run(&mut registry);
         sample_plan_profiles(&checkers, &mut registry);
         let hot = registry.hot_nodes(3);
         assert!(!hot.is_empty(), "profiled run must surface hot nodes");
@@ -1460,5 +1403,87 @@ mod tests {
             text.contains("rtic_plan_node_calls{constraint=\"d\""),
             "{text}"
         );
+    }
+
+    #[test]
+    fn a_family_is_a_counter_exactly_when_its_name_ends_in_total() {
+        use rtic_core::observe::{sample_plan_profiles, sample_plan_stats, sample_space};
+        use rtic_relation::Symbol;
+
+        // Every event kind, so every family the registry can emit is in
+        // the exposition: the step/eval/violation events and the three
+        // samplers from a real run, the rest observed directly.
+        let mut registry = MetricsRegistry::new();
+        let checkers = profiled_run(&mut registry);
+        sample_space(&checkers, TimePoint(4), 3, &mut registry);
+        sample_plan_stats(&checkers, &mut registry);
+        sample_plan_profiles(&checkers, &mut registry);
+        let d = Symbol::intern("d");
+        registry.observe(&StepEvent::CheckpointSave {
+            constraint: d,
+            bytes: 10,
+        });
+        registry.observe(&StepEvent::CheckpointRestore {
+            constraint: d,
+            bytes: 10,
+        });
+        registry.observe(&StepEvent::ConstraintQuarantined {
+            checker: "set",
+            constraint: d,
+            time: TimePoint(4),
+            detail: "boom".into(),
+        });
+        registry.observe(&StepEvent::CheckpointFallback {
+            path: "ckpt.1".into(),
+            detail: "checksum mismatch".into(),
+        });
+        registry.observe(&StepEvent::BadLine {
+            line: 3,
+            detail: "expected `@`".into(),
+        });
+        registry.observe(&StepEvent::ServeSample {
+            queue_depth: 1,
+            queue_capacity: 64,
+            queue_peak: 8,
+            shed: 2,
+            connections: 1,
+            disconnected: 1,
+            last_checkpoint_age_ms: Some(250),
+            drain_ms: Some(4),
+        });
+        registry.observe(&StepEvent::SmcSample {
+            scenario: Symbol::intern("fraud"),
+            sample: 0,
+            bound: 738,
+            violated_constraints: vec![d],
+        });
+
+        let text = registry.render_prometheus();
+        let families: Vec<(&str, &str)> = text
+            .lines()
+            .filter_map(|line| line.strip_prefix("# TYPE "))
+            .filter_map(|rest| rest.split_once(' '))
+            .collect();
+        for family in [
+            "rtic_steps_total",
+            "rtic_plan_rows_copied_total",
+            "rtic_plan_node_calls",
+            "rtic_serve_shed_total",
+            "rtic_serve_drain_duration_seconds",
+            "rtic_smc_samples_total",
+            "rtic_smc_violated_samples_total",
+        ] {
+            assert!(
+                families.iter().any(|(name, _)| *name == family),
+                "{family} missing from the exposition"
+            );
+        }
+        for (name, kind) in families {
+            assert_eq!(
+                kind == "counter",
+                name.ends_with("_total"),
+                "{name} is typed {kind}"
+            );
+        }
     }
 }

@@ -73,9 +73,6 @@ pub fn event_json(seq: u64, event: &StepEvent<'_>) -> Json {
         StepEvent::BadLine { line, detail } => base
             .set("line", *line as u64)
             .set("detail", detail.as_str()),
-        StepEvent::BatchIngest { lines, tuples } => {
-            base.set("lines", *lines).set("tuples", *tuples)
-        }
         StepEvent::PlanStatsSample {
             checker,
             constraint,
@@ -662,15 +659,6 @@ impl StepObserver for ChromeTraceWriter {
                     Json::object()
                         .set("line", *line as u64)
                         .set("detail", detail.as_str()),
-                ));
-            }
-            StepEvent::BatchIngest { lines, tuples } => {
-                let ts = self.cursor_us;
-                self.emit(Self::instant(
-                    "batch_ingest",
-                    ts,
-                    CHROME_STEP_TID,
-                    Json::object().set("lines", *lines).set("tuples", *tuples),
                 ));
             }
             StepEvent::PlanStatsSample {

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use rtic_active::ActiveChecker;
 use rtic_core::{
     checkpoint, BackendId, Checker, ConstraintSet, EncodingOptions, IncrementalChecker,
-    NaiveChecker, NopObserver, WindowedChecker,
+    NaiveChecker, WindowedChecker,
 };
 use rtic_history::Transition;
 use rtic_relation::Catalog;
@@ -33,10 +33,8 @@ pub enum Mode {
     /// evaluator (`EncodingOptions::interpret_eval`) — the converse
     /// plan-vs-interpret probe, through the bounded encoding.
     IncrementalInterpreted,
-    /// A one-constraint [`ConstraintSet`] (relevance dispatch on),
-    /// ingesting the history through [`ConstraintSet::apply_batch`] in
-    /// seed-derived chunk sizes — one run pins both the fleet and batched
-    /// ingestion against the line-at-a-time reference.
+    /// A one-constraint [`ConstraintSet`] stepped line by line — pins the
+    /// fleet's relevance dispatch against the reference.
     SetSequential,
     /// Kill the fleet at a seed-derived step, checkpoint, restore into a
     /// fresh process image, and stitch the two report halves together.
@@ -134,7 +132,7 @@ pub fn run_constraint(
                     .map_err(err)?;
             run_single(Box::new(checker), transitions)
         }
-        Mode::SetSequential => run_set(constraint, catalog, transitions, seed),
+        Mode::SetSequential => run_set(constraint, catalog, transitions),
         Mode::Stitch => run_stitch(constraint, catalog, transitions, seed),
     }
 }
@@ -172,31 +170,19 @@ pub fn single_checker(
     })
 }
 
-/// [`Mode::SetSequential`]: the fleet fed through
-/// [`ConstraintSet::apply_batch`] in a seed-derived chunk size (1..=8 —
-/// small enough that most histories get several batches plus a ragged
-/// tail). Report lines must be byte-identical to line-at-a-time stepping.
+/// [`Mode::SetSequential`]: the fleet (relevance dispatch on) stepped
+/// one transition at a time.
 fn run_set(
     constraint: &Constraint,
     catalog: &Arc<Catalog>,
     transitions: &[Transition],
-    seed: u64,
 ) -> Result<Vec<String>, String> {
-    let chunk = 1 + (derive_seed(seed, 0xBA7C) % 8) as usize;
     let mut set = ConstraintSet::new([constraint.clone()], Arc::clone(catalog))
         .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?;
-    let batch: Vec<_> = transitions
-        .iter()
-        .map(|t| (t.time, t.update.clone()))
-        .collect();
     let mut lines = Vec::with_capacity(transitions.len());
-    for chunk in batch.chunks(chunk) {
-        let per_line = set
-            .apply_batch(chunk, &mut NopObserver)
-            .map_err(|e| e.to_string())?;
-        for reports in &per_line {
-            lines.extend(reports.iter().map(|r| r.to_string()));
-        }
+    for t in transitions {
+        let reports = set.step(t.time, &t.update).map_err(|e| e.to_string())?;
+        lines.extend(reports.iter().map(|r| r.to_string()));
     }
     Ok(lines)
 }

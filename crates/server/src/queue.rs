@@ -104,9 +104,9 @@ impl<T> IngestQueue<T> {
     }
 
     /// Dequeues the oldest item without waiting: `None` when the queue
-    /// is empty (or paused and still open). The engine's micro-batcher
-    /// uses this to drain whatever is already queued behind the first
-    /// popped job without sleeping on the condvar.
+    /// is empty (or paused and still open). The engine loop uses this to
+    /// drain whatever is already queued behind the first popped job
+    /// without sleeping on the condvar.
     pub fn try_pop(&self) -> Option<T> {
         let mut inner = self.lock();
         if inner.paused && !inner.closed {

@@ -92,11 +92,6 @@ pub struct ServeConfig {
     pub policy: CheckpointPolicy,
     /// Restore from the newest intact rotation entry on boot.
     pub resume: bool,
-    /// Micro-batch bound: after popping a job the engine drains up to
-    /// this many queued jobs and applies them as one ingestion unit —
-    /// one checkpoint write, one metrics sample, and one `batch_ingest`
-    /// event per batch instead of per step. 1 disables batching.
-    pub batch: usize,
     /// Fault-injection plan for chaos drills.
     pub faults: FailPlan,
     /// Where to write the final violation report on drain.
@@ -120,7 +115,6 @@ impl ServeConfig {
             checkpoint_keep: 3,
             policy: CheckpointPolicy::default(),
             resume: false,
-            batch: 1,
             faults: FailPlan::default(),
             report_path: None,
             metrics_path: None,
@@ -358,7 +352,6 @@ pub fn serve(
         checkpoint_keep,
         policy,
         resume,
-        batch,
         faults,
         report_path,
         metrics_path,
@@ -370,7 +363,6 @@ pub fn serve(
         // aimed at a sibling instance in the same process.
         signal::reset();
     }
-    let batch = batch.max(1);
     let rotation = checkpoint
         .as_ref()
         .map(|path| Rotation::new(path, checkpoint_keep));
@@ -415,10 +407,7 @@ pub fn serve(
                 )
                 .map_err(|e| format!("cannot resume from `{}`: {e}", found_path.display()))?;
                 for section in &engine_sections {
-                    if let Some(name) = section
-                        .lines()
-                        .find_map(|line| line.strip_prefix("constraint "))
-                    {
+                    if let Some(name) = checkpoint::section_constraint_name(section) {
                         registry.observe(&StepEvent::CheckpointRestore {
                             constraint: Symbol::intern(name),
                             bytes: section.len(),
@@ -502,7 +491,6 @@ pub fn serve(
         &mut registry,
         &shared,
         policy,
-        batch,
         shutdown.as_ref(),
         report_path.as_deref(),
         metrics_path.as_deref(),
@@ -685,7 +673,6 @@ fn engine_loop(
     registry: &mut MetricsRegistry,
     shared: &Arc<Shared>,
     policy: CheckpointPolicy,
-    batch: usize,
     shutdown: Option<&Arc<AtomicBool>>,
     report_path: Option<&str>,
     metrics_path: Option<&str>,
@@ -706,20 +693,19 @@ fn engine_loop(
         let job = shared.queue.pop_timeout(Duration::from_millis(25));
         match job {
             Some(job) => {
-                // Micro-batching: whatever queued up behind the first
-                // job (up to the knob) is absorbed as one ingestion
-                // unit, amortizing the checkpoint write, metrics sample
-                // and reply flushes across the batch.
+                // Group commit: whatever is already queued behind the
+                // first job shares its checkpoint write, metrics sample
+                // and reply flush. One queue's worth per pass, so a
+                // producer that keeps pushing cannot starve the replies.
                 let mut jobs = vec![job];
-                while jobs.len() < batch {
+                while jobs.len() < shared.queue.capacity() {
                     match shared.queue.try_pop() {
                         Some(next) => jobs.push(next),
                         None => break,
                     }
                 }
-                process_batch(
+                process_drained(
                     jobs,
-                    batch > 1,
                     set,
                     report,
                     registry,
@@ -805,20 +791,17 @@ fn engine_loop(
     Ok(0)
 }
 
-/// Steps a drained micro-batch of jobs as one ingestion unit.
+/// Steps the jobs one queue pass drained, each through
+/// [`ConstraintSet::step_observed`], in order.
 ///
-/// Per-job semantics (fault checks, replay-skip, step errors, reply
-/// lines) match the line-at-a-time path exactly; what the batch
-/// amortizes is the bookkeeping around the steps — at most one
-/// checkpoint write, one metrics sample, and (when `micro_batching`)
-/// one `batch_ingest` event per batch. Replies are deferred until
-/// after the batch checkpoint so checkpoint-before-ack still holds:
+/// What the pass shares is the bookkeeping around the steps: at most
+/// one checkpoint write and one metrics sample. Replies are deferred
+/// until after that checkpoint so checkpoint-before-ack still holds:
 /// no client sees OK for a step a crash could lose without also
 /// un-acking it.
 #[allow(clippy::too_many_arguments)]
-fn process_batch(
+fn process_drained(
     jobs: Vec<Job>,
-    micro_batching: bool,
     set: &mut ConstraintSet,
     report: &mut ServeReport,
     registry: &mut MetricsRegistry,
@@ -829,14 +812,12 @@ fn process_batch(
     replay_skipped: &mut u64,
 ) -> Result<(), String> {
     let mut replies: Vec<(Arc<ClientHandle>, Vec<String>)> = Vec::with_capacity(jobs.len());
-    let mut stepped_lines = 0usize;
-    let mut stepped_tuples = 0usize;
     let mut ticked = false;
     for job in jobs {
         match shared.faults.check("serve.step") {
             Some(FailAction::Abort) => {
                 // Simulated kill -9: no reply, no checkpoint, no
-                // cleanup. Earlier batch entries were applied but never
+                // cleanup. Earlier jobs of this pass were applied but never
                 // acked — exactly the window the resume replay covers.
                 return Err("injected crash (failpoint `serve.step`)".into());
             }
@@ -874,8 +855,6 @@ fn process_batch(
                 continue;
             }
         };
-        stepped_lines += 1;
-        stepped_tuples += update.len();
         let mut violations = Vec::new();
         let mut witnesses = 0usize;
         for step_report in &reports {
@@ -900,15 +879,9 @@ fn process_batch(
         lines.push(format!("{} {witnesses}", protocol::OK_PREFIX));
         replies.push((job.reply, lines));
     }
-    if micro_batching && stepped_lines > 0 {
-        registry.observe(&StepEvent::BatchIngest {
-            lines: stepped_lines,
-            tuples: stepped_tuples,
-        });
-    }
     // Checkpoint *before* acking: once any client sees OK, its step is
     // durable at the configured cadence. The ticker advanced per step,
-    // but writes coalesce to one per batch.
+    // but writes coalesce to one per pass.
     if let Some(rotation) = rotation {
         if ticked {
             write_server_checkpoint(set, report, rotation, shared, registry)?;

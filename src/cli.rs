@@ -7,7 +7,6 @@
 //! ```text
 //! rtic check <constraints.rtic> <log.rticlog> [--checker NAME] [--quiet] [--stats] [--explain]
 //!            [--constraints FILE]... [--profile]
-//!            [--batch N]
 //!            [--checkpoint FILE] [--resume FILE] [--checkpoint-every N]
 //!            [--checkpoint-secs T] [--checkpoint-keep K]
 //!            [--on-bad-line strict|skip] [--bad-line-budget N]
@@ -22,7 +21,7 @@
 //!            [--min-samples N] [--oracle-every K] [--out FILE] [--metrics FILE]
 //!            [--soak-dir DIR] [--soak-keep] [--resume] [--failpoints SPEC]
 //! rtic serve <constraints.rtic> --listen unix:PATH|tcp:ADDR [--queue N] [--checkpoint FILE]
-//!            [--resume] [--checkpoint-every N] [--batch N] [--report FILE] …
+//!            [--resume] [--checkpoint-every N] [--report FILE] …
 //! rtic send <log.rticlog> --connect unix:PATH|tcp:ADDR [--drain] [--quiet]
 //! ```
 
@@ -41,7 +40,7 @@ use rtic_history::Transition;
 use rtic_obs::{
     json, report, ChromeTraceWriter, MetricsRegistry, MultiObserver, SpaceSampler, TraceWriter,
 };
-use rtic_relation::{Symbol, Update};
+use rtic_relation::Symbol;
 use rtic_resilience::{
     container, write_atomic, CheckpointPolicy, CheckpointTicker, FailAction, FailPlan, Rotation,
 };
@@ -57,7 +56,6 @@ rtic — real-time integrity constraints (Chomicki, PODS 1992)
 USAGE:
   rtic check <constraints-file> <log-file> [--checker incremental|naive|windowed|active]
              [--constraints FILE]... [--profile]
-             [--batch N]
              [--quiet] [--stats] [--explain] [--checkpoint FILE] [--resume FILE]
              [--checkpoint-every N] [--checkpoint-secs T] [--checkpoint-keep K]
              [--on-bad-line strict|skip] [--bad-line-budget N] [--failpoints SPEC]
@@ -75,8 +73,7 @@ USAGE:
   rtic serve <constraints-file> --listen unix:PATH|tcp:HOST:PORT
              [--constraints FILE]... [--queue N] [--retry-ms MS] [--write-timeout-ms MS]
              [--checkpoint FILE] [--resume] [--checkpoint-every N] [--checkpoint-secs T]
-             [--checkpoint-keep K] [--batch N]
-             [--failpoints SPEC] [--report FILE] [--metrics FILE]
+             [--checkpoint-keep K] [--failpoints SPEC] [--report FILE] [--metrics FILE]
   rtic send <log-file> --connect unix:PATH|tcp:HOST:PORT [--drain] [--quiet]
              [--connect-timeout-ms MS]
 
@@ -112,16 +109,14 @@ reporting while the rest of the fleet keeps checking — and is listed in
 the summary and `--stats`. `--checker naive|windowed|active` run one
 independent reference checker per constraint instead.
 
-Batched ingestion: `--batch N` ingests the log in micro-batches of N
-lines: each batch is parsed and buffered first, then applied as one
-ingestion unit (per-line semantics preserved exactly; checkpoint ticks
-and space samples coalesce to batch boundaries). It requires the
-incremental checker and composes with checkpoints and `--resume` replay
-cursors. `--vectorize` is accepted and ignored: the columnar kernels it
-used to select are the only compiled path. `--shard V` and
+Inert flags: `--vectorize` is accepted and ignored: the columnar kernels
+it used to select are the only compiled path. `--shard V` and
 `--shard-evict N` (on `check` and `serve`) are accepted and ignored too:
 the per-key shard plane they selected lost every comparison with the one
-engine and was removed; checkpoints it wrote still resume.
+engine and was removed; checkpoints it wrote still resume. So is
+`--batch N` on `serve` (the daemon always drains what is queued); on
+`check` it is rejected — every driver steps one transition at a time.
+Any other unknown `--flag` is a usage error.
 
 Checkpoints: `--checkpoint FILE` durably saves the checkers' bounded
 state (checksummed container, written atomically) after the run and,
@@ -158,13 +153,12 @@ daemon crash-safe (state and the violation report are sealed together);
 already-covered updates as replayed. SIGTERM or DRAIN drains
 gracefully: stop accepting, flush, final checkpoint, exit 0. `--report
 FILE` writes the final violation lines (byte-identical to `rtic check`
-on the same stream) on drain. `--batch N` micro-batches ingestion: the
-engine drains up to N queued updates per wakeup and applies them as one
-unit — one checkpoint write and one metrics sample per batch, replies
-deferred past the batch checkpoint so checkpoint-before-ack still holds.
-`--vectorize` is accepted and ignored. `rtic send`
-streams a log to a serving daemon with backoff+jitter retries, printing
-violations as they come.
+on the same stream) on drain. After each wakeup the engine steps
+whatever is already queued (at most one queue's worth) one update at a
+time, then writes at most one checkpoint and replies in order — group
+commit, with checkpoint-before-ack intact. `rtic send` streams a log to
+a serving daemon with backoff+jitter retries, printing violations as
+they come.
 
 Profiling: `--profile` (incremental checker) turns on per-plan-node
 counters — inclusive wall time, cardinalities, memo-cache hits — and
@@ -212,6 +206,17 @@ fn flag_values<'a>(args: &'a [String], name: &str) -> Result<Vec<&'a str>, Strin
         .collect()
 }
 
+/// A `--token` missing from the subcommand's whitespace-separated `known`
+/// list is a usage error: a typo must not silently run without the
+/// checkpoint or report it asked for.
+fn reject_unknown_flags(args: &[String], known: &str) -> Result<(), String> {
+    let unknown = |a: &&String| a.starts_with("--") && !known.split(' ').any(|k| k == *a);
+    match args.iter().find(unknown) {
+        Some(flag) => Err(format!("unknown flag `{flag}`; try --help")),
+        None => Ok(()),
+    }
+}
+
 /// `--shard V` / `--shard-evict N` selected the per-key shard plane, which
 /// no longer exists. Both are still consumed — a missing value stays a
 /// usage error — and otherwise ignored, because the frozen `benchmark/`
@@ -222,8 +227,48 @@ fn ignore_shard_flags(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `--flag VALUE` parsed as a `T`; a malformed value is a usage error
+/// naming the flag.
+fn parsed_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String>
+where
+    T::Err: std::fmt::Display,
+{
+    flag_value(args, name)?
+        .map(|v| v.parse().map_err(|e| format!("bad {name}: {e}")))
+        .transpose()
+}
+
+/// The checkpoint flags `check` and `serve` share: the rotation depth
+/// (`--checkpoint-keep`, default 3) and the mid-run cadence, which needs
+/// a `--checkpoint` to write to. `--checkpoint-secs 0` means every step
+/// boundary; negative, NaN and infinite values are usage errors here
+/// because `Duration::from_secs_f64` panics on them.
+fn checkpoint_flags(
+    args: &[String],
+    checkpointing: bool,
+) -> Result<(usize, CheckpointPolicy), String> {
+    let keep = parsed_flag(args, "--checkpoint-keep")?.unwrap_or(3);
+    if keep == 0 {
+        return Err("--checkpoint-keep needs at least one generation".into());
+    }
+    let every_steps = parsed_flag(args, "--checkpoint-every")?;
+    let every = flag_value(args, "--checkpoint-secs")?
+        .map(|v| {
+            let secs: Option<f64> = v.parse().ok();
+            secs.and_then(|s| Duration::try_from_secs_f64(s).ok())
+                .ok_or_else(|| {
+                    format!("bad --checkpoint-secs `{v}`: needs a finite, non-negative number")
+                })
+        })
+        .transpose()?;
+    if (every_steps.is_some() || every.is_some()) && !checkpointing {
+        return Err("--checkpoint-every/--checkpoint-secs require --checkpoint".into());
+    }
+    Ok((keep, CheckpointPolicy { every_steps, every }))
+}
+
 /// `--parallel` selected a per-step worker pool that no longer exists;
-/// say so instead of ignoring the flag like any other unknown one.
+/// say so instead of rejecting the flag like any other unknown one.
 fn reject_parallel(args: &[String]) -> Result<(), String> {
     if args.iter().any(|a| a == "--parallel") {
         return Err(
@@ -270,8 +315,8 @@ fn load_merged_constraints(primary: &str, extras: &[&str]) -> Result<ConstraintF
 /// The two evaluation engines behind `rtic check`: the incremental
 /// backend always runs as one shared-state [`ConstraintSet`] fleet with
 /// relevance dispatch; the reference backends (`naive|windowed|active`)
-/// run one independent checker per constraint and never checkpoint,
-/// profile or batch.
+/// run one independent checker per constraint and never checkpoint or
+/// profile.
 enum CheckEngine {
     Independent(Vec<Box<dyn Checker>>),
     Fleet(Box<ConstraintSet>),
@@ -332,12 +377,29 @@ fn reference_backend(backend: BackendId) -> Option<MakeReference> {
     }
 }
 
+/// Every flag `check` reads; the last three are inert (see
+/// [`ignore_shard_flags`]) and stay listed while the frozen `benchmark/`
+/// passes them.
+const CHECK_FLAGS: &str = "--checker --constraints --profile --quiet --stats --explain \
+    --checkpoint --resume --checkpoint-every --checkpoint-secs --checkpoint-keep --on-bad-line \
+    --bad-line-budget --failpoints --metrics --trace --trace-format --sample-space \
+    --vectorize --shard --shard-evict";
+
 fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     let positional: Vec<&String> = args.iter().take_while(|a| !a.starts_with("--")).collect();
     let [constraints_path, log_path] = positional.as_slice() else {
         return Err("check needs <constraints-file> and <log-file>; try --help".into());
     };
     reject_parallel(args)?;
+    if args.iter().any(|a| a == "--batch") {
+        return Err(
+            "--batch was removed: micro-batched ingestion was flat at every recorded batch \
+             size (docs/PERFORMANCE.md §6b); drop the flag — `--checkpoint-every N` spaces \
+             checkpoints"
+                .into(),
+        );
+    }
+    reject_unknown_flags(args, CHECK_FLAGS)?;
     let quiet = args.iter().any(|a| a == "--quiet");
     let stats = args.iter().any(|a| a == "--stats");
     let show_explain = args.iter().any(|a| a == "--explain");
@@ -353,16 +415,6 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     if args.iter().any(|a| a == "--vectorize") && backend != BackendId::Incremental {
         return Err("--vectorize requires the incremental checker".into());
     }
-    let batch_size: usize = flag_value(args, "--batch")?
-        .map(|v| v.parse().map_err(|e| format!("bad --batch: {e}")))
-        .transpose()?
-        .unwrap_or(1);
-    if batch_size == 0 {
-        return Err("--batch needs at least one line per batch".into());
-    }
-    if batch_size > 1 && backend != BackendId::Incremental {
-        return Err("--batch requires the incremental checker".into());
-    }
     let options = EncodingOptions {
         profile_plans: profile,
         ..Default::default()
@@ -373,34 +425,13 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
         return Err("--checkpoint/--resume require the incremental checker".into());
     }
     ignore_shard_flags(args)?;
-    let checkpoint_keep: usize = flag_value(args, "--checkpoint-keep")?
-        .map(|v| v.parse().map_err(|e| format!("bad --checkpoint-keep: {e}")))
-        .transpose()?
-        .unwrap_or(3);
-    if checkpoint_keep == 0 {
-        return Err("--checkpoint-keep needs at least one generation".into());
-    }
-    let checkpoint_every: Option<u64> = flag_value(args, "--checkpoint-every")?
-        .map(|v| {
-            v.parse()
-                .map_err(|e| format!("bad --checkpoint-every: {e}"))
-        })
-        .transpose()?;
-    let checkpoint_secs: Option<f64> = flag_value(args, "--checkpoint-secs")?
-        .map(|v| v.parse().map_err(|e| format!("bad --checkpoint-secs: {e}")))
-        .transpose()?;
-    if (checkpoint_every.is_some() || checkpoint_secs.is_some()) && checkpoint_path.is_none() {
-        return Err("--checkpoint-every/--checkpoint-secs require --checkpoint".into());
-    }
+    let (checkpoint_keep, checkpoint_policy) = checkpoint_flags(args, checkpoint_path.is_some())?;
     let skip_bad_lines = match flag_value(args, "--on-bad-line")? {
         None | Some("strict") => false,
         Some("skip") => true,
         Some(other) => return Err(format!("bad --on-bad-line `{other}` (strict|skip)")),
     };
-    let bad_line_budget: u64 = flag_value(args, "--bad-line-budget")?
-        .map(|v| v.parse().map_err(|e| format!("bad --bad-line-budget: {e}")))
-        .transpose()?
-        .unwrap_or(100);
+    let bad_line_budget: u64 = parsed_flag(args, "--bad-line-budget")?.unwrap_or(100);
     if flag_value(args, "--bad-line-budget")?.is_some() && !skip_bad_lines {
         return Err("--bad-line-budget requires --on-bad-line skip".into());
     }
@@ -421,10 +452,7 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     if flag_value(args, "--trace-format")?.is_some() && trace_path.is_none() {
         return Err("--trace-format requires --trace".into());
     }
-    let sample_every: u64 = flag_value(args, "--sample-space")?
-        .map(|v| v.parse().map_err(|e| format!("bad --sample-space: {e}")))
-        .transpose()?
-        .unwrap_or(0);
+    let sample_every: u64 = parsed_flag(args, "--sample-space")?.unwrap_or(0);
 
     // Every run aggregates into a registry; --stats, --metrics and the
     // sampler all read from the same event stream.
@@ -508,7 +536,7 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
                 obs.push(t);
             }
             for section in sections {
-                if let Some(name) = section_constraint_name(section) {
+                if let Some(name) = checkpoint::section_constraint_name(section) {
                     obs.observe(&StepEvent::CheckpointRestore {
                         constraint: Symbol::intern(name),
                         bytes: section.len(),
@@ -578,10 +606,7 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
         .map_err(|e| format!("cannot read log file `{log_path}`: {e}"))?;
     let mut reader = LogReader::new(std::io::BufReader::new(log_file));
     let checkpoint_rotation = checkpoint_path.map(|p| Rotation::new(p, checkpoint_keep));
-    let mut ticker = CheckpointTicker::new(CheckpointPolicy {
-        every_steps: checkpoint_every,
-        every: checkpoint_secs.map(Duration::from_secs_f64),
-    });
+    let mut ticker = CheckpointTicker::new(checkpoint_policy);
     let mut total_violations = 0usize;
     let mut violated_states = 0usize;
     let mut transitions = 0usize;
@@ -594,10 +619,6 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     // the budget by the run that wrote the checkpoint; charging them again
     // on every resume would shrink the effective budget with each restart.
     let mut replaying = resume_cursor.is_some();
-    // Micro-batch buffer (--batch N): parsed lines wait here, with their
-    // (line, step_index) provenance, until the buffer fills.
-    let mut pending: Vec<(TimePoint, Update)> = Vec::new();
-    let mut pending_meta: Vec<(usize, u64)> = Vec::new();
     while let Some(item) = reader.next() {
         let tr: Transition = match item {
             Ok(tr) => tr,
@@ -642,34 +663,6 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
         let step_index = transitions as u64;
         transitions += 1;
         last_time = Some(tr.time);
-        if batch_size > 1 {
-            pending.push((tr.time, tr.update));
-            pending_meta.push((line, step_index));
-            if pending.len() >= batch_size {
-                let CheckEngine::Fleet(set) = &mut engine else {
-                    return Err("--batch requires the incremental checker".into());
-                };
-                let ticked = flush_batch(
-                    set,
-                    &mut pending,
-                    &mut pending_meta,
-                    &mut registry,
-                    &mut trace,
-                    &mut sampler,
-                    &mut ticker,
-                    checkpoint_rotation.is_some(),
-                    quiet,
-                    log_path,
-                    &mut total_violations,
-                    &mut violated_states,
-                    out,
-                )?;
-                if let (true, Some(rotation)) = (ticked, &checkpoint_rotation) {
-                    write_checkpoint(set, rotation, &faults, &mut registry, &mut trace)?;
-                }
-            }
-            continue;
-        }
         let mut obs = MultiObserver::new().with(&mut registry);
         if let Some(t) = trace.as_mut() {
             obs.push(t);
@@ -710,28 +703,6 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
                 write_checkpoint(set, rotation, &faults, &mut registry, &mut trace)?;
             }
         }
-    }
-    if !pending.is_empty() {
-        // The final, possibly short batch. Its coalesced checkpoint ticks
-        // are covered by the unconditional end-of-run write below.
-        let CheckEngine::Fleet(set) = &mut engine else {
-            return Err("--batch requires the incremental checker".into());
-        };
-        flush_batch(
-            set,
-            &mut pending,
-            &mut pending_meta,
-            &mut registry,
-            &mut trace,
-            &mut sampler,
-            &mut ticker,
-            checkpoint_rotation.is_some(),
-            quiet,
-            log_path,
-            &mut total_violations,
-            &mut violated_states,
-            out,
-        )?;
     }
     if replay_skipped > 0 {
         let _ = writeln!(
@@ -887,6 +858,7 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
 }
 
 fn report_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
+    reject_unknown_flags(args, "")?;
     let [path] = args else {
         return Err("report needs <metrics-file>; try --help".into());
     };
@@ -895,14 +867,6 @@ fn report_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
     let doc = json::parse(&text).map_err(|e| format!("`{path}` is not valid JSON: {e}"))?;
     out.push_str(&report::render(&doc)?);
     Ok(0)
-}
-
-/// The constraint a checkpoint section belongs to (its `constraint
-/// <name>` line).
-fn section_constraint_name(section: &str) -> Option<&str> {
-    section
-        .lines()
-        .find_map(|line| line.strip_prefix("constraint "))
 }
 
 /// Serializes the fleet's state into one multi-section v2 container and
@@ -934,74 +898,12 @@ fn write_checkpoint(
     Ok(sealed.len())
 }
 
-/// Applies the buffered `--batch` lines as one ingestion unit and prints
-/// their reports in order, byte-identical to line-at-a-time output.
-/// Space samples due inside the batch are taken once, against the
-/// post-batch state; checkpoint ticks coalesce — the return value says
-/// whether any line's tick fired, so the caller writes at most one
-/// checkpoint per batch.
-#[allow(clippy::too_many_arguments)]
-fn flush_batch(
-    set: &mut ConstraintSet,
-    pending: &mut Vec<(TimePoint, Update)>,
-    meta: &mut Vec<(usize, u64)>,
-    registry: &mut MetricsRegistry,
-    trace: &mut Option<AnyTrace>,
-    sampler: &mut SpaceSampler,
-    ticker: &mut CheckpointTicker,
-    checkpointing: bool,
-    quiet: bool,
-    log_path: &str,
-    total_violations: &mut usize,
-    violated_states: &mut usize,
-    out: &mut String,
-) -> Result<bool, String> {
-    if pending.is_empty() {
-        return Ok(false);
-    }
-    let (first_line, last_line) = (meta[0].0, meta[meta.len() - 1].0);
-    let mut obs = MultiObserver::new().with(registry);
-    if let Some(t) = trace.as_mut() {
-        obs.push(t);
-    }
-    let per_line = set
-        .apply_batch(pending, &mut obs)
-        .map_err(|e| format!("{log_path}:lines {first_line}-{last_line} (batch): {e}"))?;
-    let mut sampled = false;
-    let mut ticked = false;
-    for (reports, (_, step_index)) in per_line.iter().zip(meta.iter()) {
-        let mut state_bad = false;
-        for report in reports {
-            if !report.ok() {
-                *total_violations += report.violation_count();
-                state_bad = true;
-                if !quiet {
-                    let _ = writeln!(out, "{report}");
-                }
-            }
-        }
-        if state_bad {
-            *violated_states += 1;
-        }
-        if !sampled && sampler.due(*step_index) {
-            set.sample_space(*step_index, &mut obs);
-            sampler.note_sampled();
-            sampled = true;
-        }
-        if checkpointing && ticker.step_completed() {
-            ticked = true;
-        }
-    }
-    pending.clear();
-    meta.clear();
-    Ok(ticked)
-}
-
 fn explain_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
     let positional: Vec<&String> = args.iter().take_while(|a| !a.starts_with("--")).collect();
     let [path] = positional.as_slice() else {
         return Err("explain needs <constraints-file>; try --help".into());
     };
+    reject_unknown_flags(args, "--profile")?;
     let profile_log = flag_value(args, "--profile")?;
     let file = load_constraints(path)?;
     let catalog = Arc::new(file.catalog.clone());
@@ -1055,28 +957,26 @@ fn explain_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
 /// Parses the shared scenario-shape flags over the given defaults.
 fn scenario_params(args: &[String], defaults: ScenarioParams) -> Result<ScenarioParams, String> {
     let mut p = defaults;
-    if let Some(v) = flag_value(args, "--steps")? {
-        p.steps = v.parse().map_err(|e| format!("bad --steps: {e}"))?;
+    if let Some(steps) = parsed_flag(args, "--steps")? {
+        p.steps = steps;
     }
-    if let Some(v) = flag_value(args, "--entities")? {
-        p.entities = v.parse().map_err(|e| format!("bad --entities: {e}"))?;
+    if let Some(entities) = parsed_flag(args, "--entities")? {
+        p.entities = entities;
         if p.entities == 0 {
             return Err("--entities needs at least one entity".into());
         }
     }
-    if let Some(v) = flag_value(args, "--events")? {
-        p.events_per_step = v.parse().map_err(|e| format!("bad --events: {e}"))?;
+    if let Some(events) = parsed_flag(args, "--events")? {
+        p.events_per_step = events;
     }
-    if let Some(v) = flag_value(args, "--violation-rate")? {
-        p.violation_rate = v
-            .parse()
-            .map_err(|e| format!("bad --violation-rate: {e}"))?;
+    if let Some(rate) = parsed_flag(args, "--violation-rate")? {
+        p.violation_rate = rate;
         if !(0.0..=1.0).contains(&p.violation_rate) {
             return Err("--violation-rate must be in [0, 1]".into());
         }
     }
-    if let Some(v) = flag_value(args, "--seed")? {
-        p.seed = v.parse().map_err(|e| format!("bad --seed: {e}"))?;
+    if let Some(seed) = parsed_flag(args, "--seed")? {
+        p.seed = seed;
     }
     Ok(p)
 }
@@ -1085,6 +985,9 @@ fn scenario_roster() -> String {
     library::names().join("|")
 }
 
+/// The scenario-shape flags [`scenario_params`] reads.
+const SCENARIO_FLAGS: &str = "--steps --entities --events --violation-rate --seed";
+
 fn generate(args: &[String], out: &mut String) -> Result<i32, String> {
     let Some(kind) = args.first() else {
         return Err(format!(
@@ -1092,6 +995,7 @@ fn generate(args: &[String], out: &mut String) -> Result<i32, String> {
             scenario_roster()
         ));
     };
+    reject_unknown_flags(args, &format!("--list {SCENARIO_FLAGS}"))?;
     if kind == "--list" {
         for s in library::all() {
             let _ = writeln!(out, "{:<14} {}", s.name, s.summary);
@@ -1132,6 +1036,11 @@ fn generate(args: &[String], out: &mut String) -> Result<i32, String> {
     Ok(0)
 }
 
+/// What `smc` reads besides [`SCENARIO_FLAGS`]: the sampling plan, the
+/// outputs, and the soak backend's crash-drill knobs.
+const SMC_FLAGS: &str = "--samples --confidence --epsilon --min-samples --backend --oracle-every \
+    --out --metrics --soak-dir --soak-keep --resume --failpoints";
+
 fn smc_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
     let Some(name) = args.first() else {
         return Err(format!(
@@ -1139,6 +1048,7 @@ fn smc_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
             scenario_roster()
         ));
     };
+    reject_unknown_flags(args, &format!("{SCENARIO_FLAGS} {SMC_FLAGS}"))?;
     // RTIC_SMC_SMOKE=1 shrinks the default shape and sample count so CI
     // can sweep every scenario × backend in seconds; explicit flags still
     // override the shrunken defaults.
@@ -1169,23 +1079,17 @@ fn smc_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
         Some("auto") => SampleMode::Auto,
         Some(v) => SampleMode::Fixed(v.parse().map_err(|e| format!("bad --samples: {e}"))?),
     };
-    let confidence: f64 = flag_value(args, "--confidence")?
-        .map(|v| v.parse().map_err(|e| format!("bad --confidence: {e}")))
-        .transpose()?
-        .unwrap_or(0.95);
-    let epsilon: f64 = flag_value(args, "--epsilon")?
-        .map(|v| v.parse().map_err(|e| format!("bad --epsilon: {e}")))
-        .transpose()?
-        .unwrap_or(0.05);
+    let confidence: f64 = parsed_flag(args, "--confidence")?.unwrap_or(0.95);
+    let epsilon: f64 = parsed_flag(args, "--epsilon")?.unwrap_or(0.05);
     config.precision = rtic_smc::Precision::new(confidence, epsilon)?;
-    if let Some(v) = flag_value(args, "--min-samples")? {
-        config.min_samples = v.parse().map_err(|e| format!("bad --min-samples: {e}"))?;
+    if let Some(n) = parsed_flag(args, "--min-samples")? {
+        config.min_samples = n;
     }
     if let Some(v) = flag_value(args, "--backend")? {
         config.backend = rtic_smc::Backend::parse(v)?;
     }
-    if let Some(v) = flag_value(args, "--oracle-every")? {
-        config.oracle_every = v.parse().map_err(|e| format!("bad --oracle-every: {e}"))?;
+    if let Some(k) = parsed_flag(args, "--oracle-every")? {
+        config.oracle_every = k;
     }
     config.soak_dir = flag_value(args, "--soak-dir")?.map(std::path::PathBuf::from);
     config.soak_keep = args.iter().any(|a| a == "--soak-keep");
@@ -1234,68 +1138,48 @@ fn smc_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
     Ok(0)
 }
 
+/// Every flag `serve` reads; the last four are inert and stay listed
+/// while the frozen `benchmark/` passes them.
+const SERVE_FLAGS: &str = "--listen --constraints --queue --retry-ms --write-timeout-ms \
+    --checkpoint --resume --checkpoint-every --checkpoint-secs --checkpoint-keep --failpoints \
+    --report --metrics --vectorize --shard --shard-evict --batch";
+
 fn serve_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
     let positional: Vec<&String> = args.iter().take_while(|a| !a.starts_with("--")).collect();
     let [constraints_path] = positional.as_slice() else {
         return Err("serve needs <constraints-file>; try --help".into());
     };
     reject_parallel(args)?;
+    reject_unknown_flags(args, SERVE_FLAGS)?;
     let listen_spec =
         flag_value(args, "--listen")?.ok_or("serve needs --listen unix:<path>|tcp:<host:port>")?;
     let mut config = ServeConfig::new(Listen::parse(listen_spec)?);
-    if let Some(v) = flag_value(args, "--queue")? {
-        config.queue_capacity = v.parse().map_err(|e| format!("bad --queue: {e}"))?;
+    if let Some(capacity) = parsed_flag(args, "--queue")? {
+        config.queue_capacity = capacity;
         if config.queue_capacity == 0 {
             return Err("--queue needs capacity for at least one update".into());
         }
     }
-    if let Some(v) = flag_value(args, "--retry-ms")? {
-        config.retry_ms = v.parse().map_err(|e| format!("bad --retry-ms: {e}"))?;
+    if let Some(ms) = parsed_flag(args, "--retry-ms")? {
+        config.retry_ms = ms;
     }
-    if let Some(v) = flag_value(args, "--write-timeout-ms")? {
-        let ms: u64 = v
-            .parse()
-            .map_err(|e| format!("bad --write-timeout-ms: {e}"))?;
+    if let Some(ms) = parsed_flag(args, "--write-timeout-ms")? {
         if ms == 0 {
             return Err("--write-timeout-ms needs at least one millisecond".into());
         }
         config.write_timeout = Duration::from_millis(ms);
     }
     config.checkpoint = flag_value(args, "--checkpoint")?.map(String::from);
-    config.checkpoint_keep = flag_value(args, "--checkpoint-keep")?
-        .map(|v| v.parse().map_err(|e| format!("bad --checkpoint-keep: {e}")))
-        .transpose()?
-        .unwrap_or(3);
-    if config.checkpoint_keep == 0 {
-        return Err("--checkpoint-keep needs at least one generation".into());
-    }
-    let checkpoint_every: Option<u64> = flag_value(args, "--checkpoint-every")?
-        .map(|v| {
-            v.parse()
-                .map_err(|e| format!("bad --checkpoint-every: {e}"))
-        })
-        .transpose()?;
-    let checkpoint_secs: Option<f64> = flag_value(args, "--checkpoint-secs")?
-        .map(|v| v.parse().map_err(|e| format!("bad --checkpoint-secs: {e}")))
-        .transpose()?;
-    if (checkpoint_every.is_some() || checkpoint_secs.is_some()) && config.checkpoint.is_none() {
-        return Err("--checkpoint-every/--checkpoint-secs require --checkpoint".into());
-    }
-    config.policy = CheckpointPolicy {
-        every_steps: checkpoint_every,
-        every: checkpoint_secs.map(Duration::from_secs_f64),
-    };
+    (config.checkpoint_keep, config.policy) = checkpoint_flags(args, config.checkpoint.is_some())?;
     config.resume = args.iter().any(|a| a == "--resume");
     if config.resume && config.checkpoint.is_none() {
         return Err("--resume requires --checkpoint (the rotation to recover from)".into());
     }
     ignore_shard_flags(args)?;
-    if let Some(v) = flag_value(args, "--batch")? {
-        config.batch = v.parse().map_err(|e| format!("bad --batch: {e}"))?;
-        if config.batch == 0 {
-            return Err("--batch needs at least one update per batch".into());
-        }
-    }
+    // `--batch N` bounded the daemon's queue drain, which is now always
+    // on and bounded by `--queue`. Consumed and ignored like the shard
+    // flags, and for the same reason (ROADMAP item 7).
+    flag_value(args, "--batch")?;
     config.faults = match flag_value(args, "--failpoints")? {
         Some(spec) => FailPlan::parse(spec).map_err(|e| format!("bad --failpoints: {e}"))?,
         None => {
@@ -1316,18 +1200,13 @@ fn send_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
     let [log_path] = positional.as_slice() else {
         return Err("send needs <log-file>; try --help".into());
     };
+    reject_unknown_flags(args, "--connect --drain --quiet --connect-timeout-ms")?;
     let connect_spec =
         flag_value(args, "--connect")?.ok_or("send needs --connect unix:<path>|tcp:<host:port>")?;
     let listen = Listen::parse(connect_spec)?;
     let quiet = args.iter().any(|a| a == "--quiet");
     let do_drain = args.iter().any(|a| a == "--drain");
-    let connect_timeout: u64 = flag_value(args, "--connect-timeout-ms")?
-        .map(|v| {
-            v.parse()
-                .map_err(|e| format!("bad --connect-timeout-ms: {e}"))
-        })
-        .transpose()?
-        .unwrap_or(5000);
+    let connect_timeout: u64 = parsed_flag(args, "--connect-timeout-ms")?.unwrap_or(5000);
 
     let text = std::fs::read_to_string(log_path)
         .map_err(|e| format!("cannot read log file `{log_path}`: {e}"))?;

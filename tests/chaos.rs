@@ -216,77 +216,6 @@ fn checkpoint_from_the_shard_plane_resumes_through_the_one_engine() {
     old_checkpoint_resumes("shardplane", fixture);
 }
 
-/// Kill the run *mid-batch*: with `--batch 4` and a checkpoint every 3
-/// steps, the coalesced checkpoint lands at the first batch boundary
-/// (after line 4), lines 5–6 sit in the unflushed buffer when the abort
-/// fires on line 7, and the resume must replay exactly the uncovered
-/// suffix — buffered-but-unflushed lines are re-read from the log, never
-/// lost or double-applied. The probe-partition caches also rebuild from
-/// the restored state.
-#[test]
-fn kill_and_resume_mid_batch_is_byte_identical() {
-    let c = temp_file("batchvec.rtic", CONSTRAINTS);
-    let l = temp_file("batchvec.rticlog", LOG);
-    let ckpt = temp_file("batchvec.ckpt", "");
-    std::fs::remove_file(&ckpt).ok();
-    let extra = ["--batch", "4"];
-
-    let mut reference = vec!["check", c.to_str().unwrap(), l.to_str().unwrap()];
-    reference.extend_from_slice(&extra);
-    let (code, uninterrupted) = run(&reference);
-    assert_eq!(code.unwrap(), 1, "{uninterrupted}");
-
-    // The batched run must report exactly what a plain line-at-a-time
-    // run does before we start crashing it.
-    let (code, plain) = run(&["check", c.to_str().unwrap(), l.to_str().unwrap()]);
-    assert_eq!(code.unwrap(), 1, "{plain}");
-    assert_eq!(violations(&uninterrupted), violations(&plain));
-
-    let mut first = vec![
-        "check",
-        c.to_str().unwrap(),
-        l.to_str().unwrap(),
-        "--checkpoint",
-        ckpt.to_str().unwrap(),
-        "--checkpoint-every",
-        "3",
-        "--failpoints",
-        "run.abort=abort@7",
-    ];
-    first.extend_from_slice(&extra);
-    let (code, killed) = run(&first);
-    assert!(
-        code.unwrap_err().contains("injected crash"),
-        "the drill crashes the run"
-    );
-
-    let mut second = vec![
-        "check",
-        c.to_str().unwrap(),
-        l.to_str().unwrap(),
-        "--resume",
-        ckpt.to_str().unwrap(),
-    ];
-    second.extend_from_slice(&extra);
-    let (code, resumed) = run(&second);
-    assert_eq!(code.unwrap(), 1, "{resumed}");
-    assert!(resumed.contains("resumed from"), "{resumed}");
-    // The checkpoint coalesced to the batch boundary: it covers the
-    // first full batch (4 lines), not the raw --checkpoint-every tick.
-    assert!(
-        resumed.contains("skipped 4 transition(s) already covered"),
-        "{resumed}"
-    );
-
-    let mut stitched = violations(&killed);
-    stitched.extend(violations(&resumed));
-    assert_eq!(
-        stitched,
-        violations(&uninterrupted),
-        "mid-batch kill: stitched reports diverge from the uninterrupted run"
-    );
-}
-
 #[test]
 fn recovery_falls_back_past_a_corrupted_newest_checkpoint() {
     let c = temp_file("fb.rtic", CONSTRAINTS);

@@ -286,13 +286,7 @@ fn value_flag_without_a_value_is_a_usage_error() {
     let base = [c.to_str().unwrap(), l.to_str().unwrap()];
     // A trailing value flag used to vanish silently (no checkpoint, no
     // metrics, exit as if nothing had been asked for).
-    for flag in [
-        "--checkpoint",
-        "--resume",
-        "--batch",
-        "--metrics",
-        "--shard",
-    ] {
+    for flag in ["--checkpoint", "--resume", "--metrics", "--shard"] {
         let (code, _) = run(&["check", base[0], base[1], flag]);
         let err = code.unwrap_err();
         assert!(err.contains(&format!("{flag} needs a value")), "{err}");
@@ -894,65 +888,6 @@ fn shard_flags_are_accepted_and_change_nothing() {
     }
 }
 
-#[test]
-fn batch_check_matches_line_at_a_time_output() {
-    let c = temp_file("b.rtic", CONSTRAINTS);
-    let l = temp_file("b.rticlog", LOG);
-    let (code, seq) = run(&["check", c.to_str().unwrap(), l.to_str().unwrap()]);
-    assert_eq!(code.unwrap(), 1);
-    // Batch sizes that divide the log, exceed it, and leave a remainder.
-    for batch in ["2", "3", "5", "64"] {
-        let (code, batched) = run(&[
-            "check",
-            c.to_str().unwrap(),
-            l.to_str().unwrap(),
-            "--batch",
-            batch,
-        ]);
-        assert_eq!(code.unwrap(), 1, "--batch {batch}");
-        assert_eq!(batched, seq, "--batch {batch} changed the output");
-    }
-}
-
-#[test]
-fn batch_check_with_interleaved_bad_lines_matches_line_at_a_time() {
-    // Malformed lines interleave with good ones and with pure ticks;
-    // under `--on-bad-line skip` they are skipped *before* the batch
-    // buffer, so every batch size sees the same good-line stream and
-    // prints byte-identical output (including the skip summary).
-    let c = temp_file("bb.rtic", CONSTRAINTS);
-    let l = temp_file(
-        "bb.rticlog",
-        r#"
-@0 +reserved("ann", 17)
-this is not a transition
-@1
-@2 garbage +++
-@2
-@3 +confirmed("ann", 17)
-also bad
-@4
-"#,
-    );
-    let base = [
-        "check",
-        c.to_str().unwrap(),
-        l.to_str().unwrap(),
-        "--on-bad-line",
-        "skip",
-    ];
-    let (code, seq) = run(&base);
-    assert_eq!(code.unwrap(), 1, "{seq}");
-    assert!(seq.contains("skipped 3 malformed line(s)"), "{seq}");
-    for batch in ["2", "3", "64"] {
-        let mut args = base.to_vec();
-        args.extend_from_slice(&["--batch", batch]);
-        let (code, batched) = run(&args);
-        assert_eq!(code.unwrap(), 1, "--batch {batch}");
-        assert_eq!(batched, seq, "--batch {batch} changed the output");
-    }
-}
-
 /// `--vectorize` used to select the columnar kernels; they are the only
 /// compiled path now, and the flag survives as a no-op for callers that
 /// still pass it.
@@ -970,130 +905,108 @@ fn vectorize_is_accepted_and_changes_nothing() {
     ]);
     assert_eq!(code.unwrap(), 1);
     assert_eq!(vec_out, plain, "--vectorize changed the output");
-    // Still accepted next to the flags it used to compose with.
-    let (code, both) = run(&[
-        "check",
-        c.to_str().unwrap(),
-        l.to_str().unwrap(),
-        "--vectorize",
-        "--batch",
-        "2",
-    ]);
-    assert_eq!(code.unwrap(), 1);
-    assert_eq!(both, plain, "--vectorize --batch diverged");
 }
 
+/// `check --batch N` selected micro-batched ingestion, which is gone; no
+/// workload of the frozen benchmark passes it to `check`, so it is
+/// refused with the reason rather than ignored.
 #[test]
-fn batch_and_vectorize_flag_validation() {
+fn batch_flag_was_removed_from_check() {
     let c = temp_file("bv.rtic", CONSTRAINTS);
     let l = temp_file("bv.rticlog", LOG);
-    let base = [
-        c.to_str().unwrap().to_string(),
-        l.to_str().unwrap().to_string(),
-    ];
-    let (code, _) = run(&["check", &base[0], &base[1], "--batch", "0"]);
-    assert!(code.unwrap_err().contains("--batch"));
-    let (code, _) = run(&["check", &base[0], &base[1], "--batch", "two"]);
-    assert!(code.unwrap_err().contains("bad --batch"));
-    let (code, _) = run(&[
-        "check",
-        &base[0],
-        &base[1],
-        "--checker",
-        "naive",
-        "--batch",
-        "4",
-    ]);
-    assert!(code.unwrap_err().contains("incremental"));
-    let (code, _) = run(&[
-        "check",
-        &base[0],
-        &base[1],
-        "--checker",
-        "windowed",
-        "--vectorize",
-    ]);
-    assert!(code.unwrap_err().contains("incremental"));
+    let base = ["check", c.to_str().unwrap(), l.to_str().unwrap()];
+    for extra in [&["--batch", "64"][..], &["--batch", "0"], &["--batch"]] {
+        let (code, out) = run(&[&base[..], extra].concat());
+        let err = code.unwrap_err();
+        assert!(
+            err.contains("--batch was removed")
+                && err.contains("PERFORMANCE.md §6b")
+                && err.contains("--checkpoint-every"),
+            "{extra:?}: {err}"
+        );
+        assert!(out.is_empty(), "nothing ran: {out}");
+    }
 }
 
+/// Both flags used to require the incremental checker. `--batch` is now
+/// refused whatever the checker; `--vectorize` is inert but still only
+/// accepted where it ever applied.
 #[test]
-fn batch_check_records_batch_ingest_metrics() {
-    let c = temp_file("bm.rtic", CONSTRAINTS);
-    let l = temp_file("bm.rticlog", LOG);
-    let m = temp_file("bm.json", "");
-    let t = temp_file("bm.jsonl", "");
-    let (code, _) = run(&[
-        "check",
+fn batch_and_vectorize_flag_validation() {
+    let c = temp_file("bvv.rtic", CONSTRAINTS);
+    let l = temp_file("bvv.rticlog", LOG);
+    let base = ["check", c.to_str().unwrap(), l.to_str().unwrap()];
+    let naive = [&base[..], &["--checker", "naive", "--batch", "4"]].concat();
+    assert!(run(&naive).0.unwrap_err().contains("--batch was removed"));
+    let windowed = [&base[..], &["--checker", "windowed", "--vectorize"]].concat();
+    assert!(run(&windowed).0.unwrap_err().contains("incremental"));
+}
+
+/// `Duration::from_secs_f64` panics on these; the CLI must refuse them
+/// first. `0` keeps meaning "every step boundary".
+#[test]
+fn checkpoint_secs_rejects_negative_and_non_finite_values() {
+    let c = temp_file("cs.rtic", CONSTRAINTS);
+    let l = temp_file("cs.rticlog", LOG);
+    let k = temp_file("cs.ckpt", "");
+    let base = ["check", c.to_str().unwrap(), l.to_str().unwrap()];
+    let ckpt = ["--checkpoint", k.to_str().unwrap(), "--checkpoint-secs"];
+    for bad in ["-1", "nan", "inf", "-inf", "1e400", "soon"] {
+        let (code, out) = run(&[&base[..], &ckpt[..], &[bad]].concat());
+        let err = code.unwrap_err();
+        assert!(
+            err.contains("--checkpoint-secs") && err.contains(bad),
+            "{bad}: {err}"
+        );
+        assert!(out.is_empty(), "nothing ran: {out}");
+    }
+    let (code, out) = run(&[&base[..], &ckpt[..], &["0"]].concat());
+    assert_eq!(code.unwrap(), 1, "{out}");
+}
+
+/// A typo used to run to completion without the thing it asked for.
+#[test]
+fn unknown_flags_are_usage_errors() {
+    let c = temp_file("uf.rtic", CONSTRAINTS);
+    let l = temp_file("uf.rticlog", LOG);
+    let m = temp_file("uf.json", "{}");
+    let (c, l, m) = (
         c.to_str().unwrap(),
         l.to_str().unwrap(),
-        "--quiet",
-        "--batch",
-        "2",
-        "--metrics",
         m.to_str().unwrap(),
-        "--trace",
-        t.to_str().unwrap(),
-    ]);
-    assert_eq!(code.unwrap(), 1);
-    let doc = rtic::obs::json::parse(&std::fs::read_to_string(&m).unwrap()).unwrap();
-    // 5 transitions in batches of 2 → 2 full batches + 1 remainder.
-    assert_eq!(doc.get("steps").and_then(|v| v.as_u64()), Some(5));
-    assert_eq!(doc.get("batches").and_then(|v| v.as_u64()), Some(3));
-    assert_eq!(doc.get("batch_lines").and_then(|v| v.as_u64()), Some(5));
-    assert_eq!(doc.get("last_batch_size").and_then(|v| v.as_u64()), Some(1));
-    let trace = std::fs::read_to_string(&t).unwrap();
-    let batch_events = trace
-        .lines()
-        .filter(|ln| ln.contains("\"event\":\"batch_ingest\""))
-        .count();
-    assert_eq!(batch_events, 3, "{trace}");
-}
-
-#[test]
-fn batch_checkpoint_and_resume_match_single_pass() {
-    let c = temp_file("bck.rtic", CONSTRAINTS);
-    let full = "@0 +reserved(\"ann\", 17)\n@1 +reserved(\"bob\", 9)\n@2\n@3\n@4 +confirmed(\"bob\", 9)\n@5\n";
-    let l_full = temp_file("bck-full.rticlog", full);
-    let l1 = temp_file(
-        "bck-1.rticlog",
-        "@0 +reserved(\"ann\", 17)\n@1 +reserved(\"bob\", 9)\n@2\n",
     );
-    let l2 = temp_file("bck-2.rticlog", "@3\n@4 +confirmed(\"bob\", 9)\n@5\n");
-    let ckpt = temp_file("bck.ckpt", "");
-    let (_, single) = run(&["check", c.to_str().unwrap(), l_full.to_str().unwrap()]);
-    let single_violations: Vec<&str> = single.lines().filter(|l| l.contains("VIOLATION")).collect();
-    // Both segments run batched (with a mid-segment checkpoint tick);
-    // the resume cursor must skip the covered prefix exactly.
-    let (code1, seg1) = run(&[
-        "check",
-        c.to_str().unwrap(),
-        l1.to_str().unwrap(),
-        "--batch",
-        "2",
-        "--checkpoint",
-        ckpt.to_str().unwrap(),
-        "--checkpoint-every",
-        "2",
-    ]);
-    assert_eq!(code1.unwrap(), 1, "{seg1}");
-    let (code2, seg2) = run(&[
-        "check",
-        c.to_str().unwrap(),
-        l2.to_str().unwrap(),
-        "--batch",
-        "2",
-        "--resume",
-        ckpt.to_str().unwrap(),
-    ]);
-    assert_eq!(code2.unwrap(), 1, "{seg2}");
-    let seg_violations: Vec<String> = seg1
-        .lines()
-        .chain(seg2.lines())
-        .filter(|l| l.contains("VIOLATION"))
-        .map(str::to_string)
-        .collect();
-    assert_eq!(
-        seg_violations, single_violations,
-        "batched segmented run diverged"
-    );
+    for (args, typo) in [
+        (
+            &["check", c, l, "--checkpoint-evrey", "64"][..],
+            "--checkpoint-evrey",
+        ),
+        (&["check", c, l, "--quite"], "--quite"),
+        (&["report", m, "--jsno"], "--jsno"),
+        (&["explain", c, "--profil", l], "--profil"),
+        (&["generate", "reservations", "--step", "5"], "--step"),
+        (&["smc", "ratelimit", "--sample", "2"], "--sample"),
+        (
+            &[
+                "serve",
+                c,
+                "--listen",
+                "unix:/tmp/unused",
+                "--reprot",
+                "r.txt",
+            ],
+            "--reprot",
+        ),
+        (
+            &["send", l, "--connect", "unix:/tmp/unused", "--drian"],
+            "--drian",
+        ),
+    ] {
+        let (code, out) = run(args);
+        let err = code.unwrap_err();
+        assert!(
+            err.contains("unknown flag") && err.contains(&format!("`{typo}`")),
+            "{args:?}: {err}"
+        );
+        assert!(out.is_empty(), "{args:?} ran anyway: {out}");
+    }
 }

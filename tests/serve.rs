@@ -495,27 +495,27 @@ fn shutdown_flag_drains_like_sigterm() {
         .starts_with(b"rtic-checkpoint-set v2"));
 }
 
-/// Micro-batched serving: with the engine paused, the whole log piles
-/// up in the queue; on resume a `--batch 4` engine drains it four jobs
-/// per wakeup. Every per-update reply must still match batch `rtic
-/// check` exactly, the drained totals must be unchanged, and the
-/// metrics snapshot must show the batch counters (three batches of
-/// four).
+/// Group commit: with the engine paused, the whole log piles up in the
+/// queue; on resume the engine drains the backlog in one pass. Every
+/// per-update reply must still match batch `rtic check` exactly and in
+/// order, the drained totals must be unchanged, and the four checkpoint
+/// ticks that fall inside the pass (`--checkpoint-every 3` over twelve
+/// steps) must cost one write, not four. (The name dates from `--batch
+/// N`, which used to bound the pass and count it in `batches`; the
+/// traffic is unchanged, the batch here is the drained backlog.)
 #[test]
 fn batched_serve_replies_match_batch_check_and_record_batch_metrics() {
-    let c = temp_file("batched.rtic", CONSTRAINTS);
-    let l = temp_file("batched.rticlog", LOG);
-    let sock = temp_path("batched.sock");
-    let ckpt = temp_path("batched.ckpt");
-    let metrics = temp_path("batched.metrics.json");
+    let c = temp_file("backlog.rtic", CONSTRAINTS);
+    let l = temp_file("backlog.rticlog", LOG);
+    let sock = temp_path("backlog.sock");
+    let ckpt = temp_path("backlog.ckpt");
+    let metrics = temp_path("backlog.metrics.json");
     std::fs::remove_file(&ckpt).ok();
     let server = spawn_server(&[
         "serve",
         c.to_str().unwrap(),
         "--listen",
         &format!("unix:{}", sock.display()),
-        "--batch",
-        "4",
         "--checkpoint",
         ckpt.to_str().unwrap(),
         "--checkpoint-every",
@@ -528,7 +528,7 @@ fn batched_serve_replies_match_batch_check_and_record_batch_metrics() {
     assert_eq!(code.unwrap(), 1, "{batch}");
 
     // Hold the engine so all 12 updates queue up, then release: the
-    // engine sees a full backlog and drains it in micro-batches.
+    // engine sees a full backlog and drains it in one pass.
     let mut raw = Raw::connect(&sock);
     raw.send("PAUSE");
     assert_eq!(raw.read_line(), "OK paused");
@@ -539,7 +539,7 @@ fn batched_serve_replies_match_batch_check_and_record_batch_metrics() {
     assert_eq!(raw.read_line(), "OK resumed");
 
     // Per-update replies arrive in order: zero or more VIOL lines, then
-    // `OK <witnesses>` — batching must not reorder or merge them.
+    // `OK <witnesses>` — draining must not reorder or merge them.
     let mut streamed = Vec::new();
     for i in 0..log_lines().len() {
         loop {
@@ -555,7 +555,7 @@ fn batched_serve_replies_match_batch_check_and_record_batch_metrics() {
     assert_eq!(
         streamed,
         violations(&batch),
-        "batched replies diverge from rtic check"
+        "backlog replies diverge from rtic check"
     );
 
     raw.send("DRAIN");
@@ -566,25 +566,123 @@ fn batched_serve_replies_match_batch_check_and_record_batch_metrics() {
     assert_eq!(code.unwrap(), 0, "{out}");
     assert!(out.contains("checkpoint written to"), "{out}");
 
+    // Two writes — the pass's and the final one — of two engine
+    // sections each.
     let doc = rtic::obs::json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
-    assert_eq!(doc.get("batches").and_then(|v| v.as_u64()), Some(3));
-    assert_eq!(doc.get("batch_lines").and_then(|v| v.as_u64()), Some(12));
-    assert_eq!(doc.get("last_batch_size").and_then(|v| v.as_u64()), Some(4));
+    assert_eq!(doc.get("steps").and_then(|v| v.as_u64()), Some(12));
+    assert_eq!(
+        doc.get("checkpoint_saves").and_then(|v| v.as_u64()),
+        Some(4)
+    );
+    assert!(doc.get("batches").is_none(), "the batch counters are gone");
 }
 
-/// `--batch 0` is rejected up front.
+/// A crash *inside* a multi-job drain: six updates are queued behind a
+/// paused engine armed with `serve.step=abort@4`, so on resume it dies
+/// mid-pass with three steps applied — none acked, none checkpointed,
+/// although `--checkpoint-every 1` ticked after each. A restart with
+/// `--resume` plus a full re-stream must end byte-identical to batch
+/// `rtic check`: what was never acked was never promised.
+#[test]
+fn crash_inside_a_drain_acks_nothing_and_resumes_to_batch_check() {
+    let c = temp_file("middrain.rtic", CONSTRAINTS);
+    let l = temp_file("middrain.rticlog", LOG);
+    let sock = temp_path("middrain.sock");
+    let ckpt = temp_path("middrain.ckpt");
+    let report = temp_path("middrain.report");
+    std::fs::remove_file(&ckpt).ok();
+    let listen = format!("unix:{}", sock.display());
+    let serve = |extra: &[&str]| {
+        let mut args = vec!["serve", c.to_str().unwrap(), "--listen", &listen];
+        args.extend_from_slice(&["--checkpoint", ckpt.to_str().unwrap()]);
+        args.extend_from_slice(&["--checkpoint-every", "1"]);
+        args.extend_from_slice(&["--report", report.to_str().unwrap()]);
+        args.extend_from_slice(extra);
+        spawn_server(&args)
+    };
+
+    let server = serve(&["--failpoints", "serve.step=abort@4"]);
+    let mut raw = Raw::connect(&sock);
+    raw.send("PAUSE");
+    assert_eq!(raw.read_line(), "OK paused");
+    for line in &log_lines()[..6] {
+        raw.send(line);
+    }
+    raw.send("RESUME");
+    assert_eq!(raw.read_line(), "OK resumed");
+    let (code, out) = server.join().unwrap();
+    assert!(code.unwrap_err().contains("injected crash"), "{out}");
+    // Nothing was acked: the connection just ends.
+    let mut rest = String::new();
+    let _ = std::io::Read::read_to_string(&mut raw.reader, &mut rest);
+    assert_eq!(rest, "", "a reply escaped the crashed pass");
+    assert!(!ckpt.exists(), "a checkpoint escaped the crashed pass");
+
+    let (code, batch) = run(&["check", c.to_str().unwrap(), l.to_str().unwrap()]);
+    assert_eq!(code.unwrap(), 1, "{batch}");
+    let server = serve(&["--resume"]);
+    let (code, sent) = run(&["send", l.to_str().unwrap(), "--connect", &listen, "--drain"]);
+    assert_eq!(code.unwrap(), 1, "{sent}");
+    assert!(!sent.contains("already covered"), "{sent}");
+    assert_eq!(violations(&sent), violations(&batch));
+    let (code, out) = server.join().unwrap();
+    assert_eq!(code.unwrap(), 0, "{out}");
+    let reported: Vec<String> = std::fs::read_to_string(&report)
+        .unwrap()
+        .lines()
+        .map(str::to_string)
+        .collect();
+    assert_eq!(reported, violations(&batch));
+}
+
+/// `--batch N` bounded the queue drain before the drain lost its knob.
+/// The frozen benchmark still passes it, so it is consumed — a missing
+/// value stays a usage error — and otherwise ignored, whatever N says.
 #[test]
 fn serve_batch_flag_validation() {
     let c = temp_file("batchval.rtic", CONSTRAINTS);
-    let (code, _) = run(&[
-        "serve",
-        c.to_str().unwrap(),
-        "--listen",
-        "unix:/tmp/never-bound-batch.sock",
-        "--batch",
-        "0",
-    ]);
-    assert!(code.unwrap_err().contains("--batch"));
+    let l = temp_file("batchval.rticlog", LOG);
+    let listen = format!("unix:{}", temp_path("batchval.sock").display());
+    let base = ["serve", c.to_str().unwrap(), "--listen", &listen];
+    let (code, _) = run(&[&base[..], &["--batch"]].concat());
+    assert!(code.unwrap_err().contains("--batch needs a value"));
+    let (code, _) = run(&[&base[..], &["--batch", "--vectorize"]].concat());
+    assert!(code.unwrap_err().contains("--batch needs a value"));
+
+    let server = spawn_server(&[&base[..], &["--batch", "0"]].concat());
+    let (code, sent) = run(&["send", l.to_str().unwrap(), "--connect", &listen, "--drain"]);
+    assert_eq!(code.unwrap(), 1, "{sent}");
+    let (code, out) = server.join().unwrap();
+    assert_eq!(code.unwrap(), 0, "{out}");
+    assert!(
+        out.contains("drained: 12 transition(s), 17 violation"),
+        "{out}"
+    );
+}
+
+/// `Duration::from_secs_f64` panics on these; `serve` must refuse them
+/// before it binds anything.
+#[test]
+fn serve_checkpoint_secs_rejects_negative_and_non_finite_values() {
+    let c = temp_file("secs.rtic", CONSTRAINTS);
+    let ckpt = temp_path("secs.ckpt");
+    for bad in ["-1", "nan", "inf"] {
+        let (code, _) = run(&[
+            "serve",
+            c.to_str().unwrap(),
+            "--listen",
+            "unix:/tmp/never-bound-secs.sock",
+            "--checkpoint",
+            ckpt.to_str().unwrap(),
+            "--checkpoint-secs",
+            bad,
+        ]);
+        let err = code.unwrap_err();
+        assert!(
+            err.contains("--checkpoint-secs") && err.contains(bad),
+            "{bad}: {err}"
+        );
+    }
 }
 
 /// `--resume` without `--checkpoint` is rejected up front; `--resume`
