@@ -1,24 +1,29 @@
 //! T8 — fleet step latency vs #constraints at a fixed relevance fraction:
 //! a [`ConstraintSet`] with relevance dispatch should stay near-flat as
-//! quiescent constraints are absorbed, while `n` independent checkers pay
-//! for every constraint on every step.
+//! untouched constraints sleep until their next window deadline, while
+//! `n` independent checkers step every constraint on every update (they
+//! sleep too, but pay for `n` database copies). Runs the populated fleet
+//! shape (`once[2,8]` over a loaded `audit`, live violations), where an
+//! engine's sleep is bounded by a deadline, not the vacuous one.
 //!
 //! `RTIC_BENCH_SMOKE=1` shrinks the sweep to one tiny fleet — used by CI
 //! to keep the bench compiling and running without paying for a full
 //! measurement.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rtic_bench::experiments::{fleet_catalog, fleet_constraints, fleet_stream};
+use rtic_bench::experiments::{fleet_catalog, fleet_constraints, fleet_stream, FLEET_AUDITED};
 use rtic_core::{Checker, ConstraintSet, IncrementalChecker};
 use rtic_relation::Update;
 use std::sync::Arc;
 
 const WARMUP_STEPS: usize = 64;
 
-/// The rotating updates the warmed-up engines keep stepping through.
+/// The rotating updates the warmed-up engines keep stepping through: the
+/// stream's second period (the first opens by loading `audit`).
 fn steady_updates(n: usize, affected: usize) -> Vec<Update> {
-    fleet_stream(n, affected, 6)
+    fleet_stream(n, affected, 12, FLEET_AUDITED)
         .into_iter()
+        .skip(6)
         .map(|tr| tr.update)
         .collect()
 }
@@ -31,8 +36,8 @@ fn bench(c: &mut Criterion) {
     for &n in fleets {
         let affected = (n / 4).max(1);
         let cat = fleet_catalog(n);
-        let constraints = fleet_constraints(n);
-        let warmup = fleet_stream(n, affected, WARMUP_STEPS);
+        let constraints = fleet_constraints(n, FLEET_AUDITED);
+        let warmup = fleet_stream(n, affected, WARMUP_STEPS, FLEET_AUDITED);
         let updates = steady_updates(n, affected);
 
         group.bench_with_input(BenchmarkId::new("independent", n), &n, |b, _| {

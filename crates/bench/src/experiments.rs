@@ -603,7 +603,7 @@ pub fn t7_adom_bound(scale: &Scale) -> Table {
 
 /// Declares the T8 fleet catalog: `n` unary relations `r0..r{n-1}` (one
 /// per constraint, so relevance dispatch can tell the fleet apart) plus a
-/// shared `audit` relation the streams never touch.
+/// shared `audit` relation only a stream's first update may touch.
 pub fn fleet_catalog(n: usize) -> Arc<rtic_relation::Catalog> {
     let mut cat = rtic_relation::Catalog::new();
     for i in 0..n {
@@ -615,25 +615,52 @@ pub fn fleet_catalog(n: usize) -> Arc<rtic_relation::Catalog> {
     Arc::new(cat)
 }
 
-/// One fast-path-eligible constraint per relation: the body is gain-free
-/// (a `once[0,b]` window only ever loses tuples on a clock tick), so a
-/// [`ConstraintSet`] can absorb quiescent steps as window maintenance.
-/// Joining against the never-populated `audit` relation keeps the steady
-/// state violation-free — a violating step disables the next step's fast
-/// path for that constraint, which is the re-check the dispatcher owes.
-pub fn fleet_constraints(n: usize) -> Vec<Constraint> {
+/// One of T8's two fleet shapes: the lower bound of every constraint's
+/// `once[lo,8] audit(x)` window and the rows the shared `audit` relation
+/// is loaded with by the stream's first update.
+#[derive(Clone, Copy, Debug)]
+pub struct FleetShape {
+    /// Table label.
+    pub label: &'static str,
+    /// Lower bound of the window.
+    pub lo: u64,
+    /// What `audit` holds from the first update on.
+    pub audit: &'static [&'static str],
+}
+
+/// The shape every earlier T8 table ran: a window that only ever loses
+/// tuples on a tick, over a relation that is never populated — nothing is
+/// stored, nothing is violated, an untouched engine sleeps for good.
+pub const FLEET_EMPTY: FleetShape = FleetShape {
+    label: "once[0,8], audit empty",
+    lo: 0,
+    audit: &[],
+};
+
+/// The honest shape: stamps age *into* `once[2,8]`, `audit` holds half of
+/// the stream's values — so every engine stores a full deque per key and
+/// reports live violations — and an untouched engine sleeps only until
+/// its next window deadline, replaying those violations meanwhile.
+pub const FLEET_AUDITED: FleetShape = FleetShape {
+    label: "once[2,8], audit populated",
+    lo: 2,
+    audit: &["v0", "v1", "v2"],
+};
+
+/// One constraint per relation, `deny c_i: r_i(x) && once[lo,8] audit(x)`.
+pub fn fleet_constraints(n: usize, shape: FleetShape) -> Vec<Constraint> {
     (0..n)
         .map(|i| {
-            parse_constraint(&format!("deny c{i}: r{i}(x) && once[0,8] audit(x)"))
-                .expect("generated constraint parses")
+            let src = format!("deny c{i}: r{i}(x) && once[{},8] audit(x)", shape.lo);
+            parse_constraint(&src).expect("generated constraint parses")
         })
         .collect()
 }
 
 /// A stream of `steps` transitions that touches `affected` rotating
 /// relations per step — the relevance fraction `affected / n` stays fixed
-/// as the fleet grows.
-pub fn fleet_stream(n: usize, affected: usize, steps: usize) -> Vec<Transition> {
+/// as the fleet grows. The first update also loads `shape.audit`.
+pub fn fleet_stream(n: usize, affected: usize, steps: usize, shape: FleetShape) -> Vec<Transition> {
     const VALS: [&str; 6] = ["v0", "v1", "v2", "v3", "v4", "v5"];
     (0..steps)
         .map(|s| {
@@ -642,6 +669,9 @@ pub fn fleet_stream(n: usize, affected: usize, steps: usize) -> Vec<Transition> 
                 let rel = format!("r{}", (s + k) % n);
                 u.insert(rel.as_str(), tuple![VALS[s % 6]]);
                 u.delete(rel.as_str(), tuple![VALS[(s + 3) % 6]]);
+            }
+            for x in shape.audit.iter().filter(|_| s == 0) {
+                u.insert("audit", tuple![*x]);
             }
             Transition::new((s + 1) as u64, u)
         })
@@ -715,74 +745,65 @@ pub fn batch_stream(
 
 /// T8 — fleet scaling: mean step latency vs #constraints with a fixed
 /// number of affected constraints per step — `n` independent incremental
-/// checkers against a [`ConstraintSet`] with relevance dispatch.
+/// checkers against a [`ConstraintSet`] with relevance dispatch, over
+/// both fleet shapes.
 pub fn t8_constraint_scaling(scale: &Scale) -> Table {
     let mut t = Table::new(
         "T8",
         "fleet step latency vs #constraints × relevance fraction",
         &[
+            "fleet shape",
             "constraints",
             "affected/step",
             "independent",
             "independent (interp)",
             "set (dispatch)",
-            "absorbed",
+            "asleep",
         ],
     );
-    t.note("claim: with a fixed number of affected constraints per step, relevance");
-    t.note("dispatch absorbs the quiescent rest, so set step latency grows sub-linearly");
-    t.note("in fleet size while n independent checkers pay full price for every one;");
-    t.note("'independent (interp)' runs the same checkers without compiled plans");
+    t.note("claim: with a fixed number of affected constraints per step, the untouched");
+    t.note("rest sleeps until its next window deadline, so set step latency grows");
+    t.note("sub-linearly in fleet size while n independent checkers pay full price for");
+    t.note("every one; 'independent (interp)' runs the same checkers without compiled");
+    t.note("plans and never sleeps; 'asleep' is the share of engine-steps deferred");
     let steps = scale.run_length;
-    for &n in &scale.fleet_sizes {
+    let fleets = scale.fleet_sizes.iter().flat_map(|&n| {
         let mut fractions = vec![1usize, (n / 4).max(1)];
         fractions.dedup();
-        for affected in fractions {
+        fractions.into_iter().map(move |affected| (n, affected))
+    });
+    let fleets: Vec<(usize, usize)> = fleets.collect();
+    for shape in [FLEET_EMPTY, FLEET_AUDITED] {
+        for &(n, affected) in &fleets {
             let cat = fleet_catalog(n);
-            let constraints = fleet_constraints(n);
-            let stream = fleet_stream(n, affected, steps);
+            let constraints = fleet_constraints(n, shape);
+            let stream = fleet_stream(n, affected, steps, shape);
 
-            // Baseline: one independent checker per constraint.
-            let mut singles: Vec<IncrementalChecker> = constraints
-                .iter()
-                .map(|c| {
-                    IncrementalChecker::new(c.clone(), Arc::clone(&cat))
-                        .expect("generated constraint compiles")
-                })
-                .collect();
-            let start = Instant::now();
-            for tr in &stream {
-                for s in &mut singles {
-                    s.step(tr.time, &tr.update)
-                        .expect("generated stream is monotone");
+            // Baseline: one independent checker per constraint, through
+            // the compiled plans and through the interpreting executor
+            // (which isolates the plan layer's contribution at fleet scale).
+            let independent = |options: EncodingOptions| {
+                let mut singles: Vec<IncrementalChecker> = constraints
+                    .iter()
+                    .map(|c| {
+                        IncrementalChecker::with_options(c.clone(), Arc::clone(&cat), options)
+                            .expect("generated constraint compiles")
+                    })
+                    .collect();
+                let start = Instant::now();
+                for tr in &stream {
+                    for s in &mut singles {
+                        s.step(tr.time, &tr.update)
+                            .expect("generated stream is monotone");
+                    }
                 }
-            }
-            let independent = start.elapsed();
-
-            // Same fleet, interpreted executor: isolates the plan layer's
-            // contribution at fleet scale.
-            let mut interp_singles: Vec<IncrementalChecker> = constraints
-                .iter()
-                .map(|c| {
-                    IncrementalChecker::with_options(
-                        c.clone(),
-                        Arc::clone(&cat),
-                        EncodingOptions {
-                            interpret_eval: true,
-                            ..EncodingOptions::default()
-                        },
-                    )
-                    .expect("generated constraint compiles")
-                })
-                .collect();
-            let start = Instant::now();
-            for tr in &stream {
-                for s in &mut interp_singles {
-                    s.step(tr.time, &tr.update)
-                        .expect("generated stream is monotone");
-                }
-            }
-            let independent_interp = start.elapsed();
+                start.elapsed()
+            };
+            let planned = independent(EncodingOptions::default());
+            let interpreted = independent(EncodingOptions {
+                interpret_eval: true,
+                ..EncodingOptions::default()
+            });
 
             let mut set = ConstraintSet::new(constraints.iter().cloned(), Arc::clone(&cat))
                 .map_err(|(_, e)| e)
@@ -796,14 +817,15 @@ pub fn t8_constraint_scaling(scale: &Scale) -> Table {
             let stats = set.dispatch_stats();
 
             let per_step = |d: std::time::Duration| d.as_secs_f64() * 1e6 / steps as f64;
-            let absorbed = 100.0 * stats.skipped as f64 / stats.total().max(1) as f64;
+            let asleep = 100.0 * stats.skipped as f64 / stats.total().max(1) as f64;
             t.row(vec![
+                shape.label.to_string(),
                 n.to_string(),
                 affected.to_string(),
-                fmt_micros(per_step(independent)),
-                fmt_micros(per_step(independent_interp)),
+                fmt_micros(per_step(planned)),
+                fmt_micros(per_step(interpreted)),
                 fmt_micros(per_step(seq)),
-                format!("{absorbed:.0}%"),
+                format!("{asleep:.0}%"),
             ]);
         }
     }

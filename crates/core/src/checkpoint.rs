@@ -150,6 +150,8 @@ fn save_parts(
     steps: usize,
     dispatch: Option<DispatchStats>,
 ) -> String {
+    // A sleeping engine is saved as the eager path would have left it.
+    let engine = &*engine.settled();
     let mut out = String::new();
     out.push_str("rtic-checkpoint v1\n");
     let _ = writeln!(out, "constraint {}", engine.compiled.constraint.name);

@@ -36,10 +36,6 @@ pub struct CompiledConstraint {
     /// Relations the body reads — an update touching none of them cannot
     /// change the body's extension (relevance dispatch).
     pub relations: BTreeSet<Symbol>,
-    /// True when a pure clock tick (update touching none of `relations`)
-    /// cannot create new violations — the soundness condition for skipping
-    /// body re-evaluation on quiescent, previously-clean steps.
-    pub tick_gain_free: bool,
     /// Compiled evaluation plans: the body and every temporal node's
     /// operands lowered once, so stepping never re-derives conjunct orders,
     /// variable lists, or join shapes (see [`crate::plan`]).
@@ -83,7 +79,6 @@ impl CompiledConstraint {
         collect_temporal_postorder(&body, &mut nodes, &mut node_ids);
         let horizon = analysis::horizon(&body);
         let relations = analysis::touched_relations(&body);
-        let tick_gain_free = analysis::tick_stability(&body).gain_free;
         let plans = EvalPlans::build(&body, &nodes);
         Ok(CompiledConstraint {
             constraint,
@@ -93,7 +88,6 @@ impl CompiledConstraint {
             node_ids,
             horizon,
             relations,
-            tick_gain_free,
             plans,
         })
     }
@@ -174,14 +168,6 @@ mod tests {
         assert_eq!(c.relations.len(), 2);
         assert!(c.relations.contains(&Symbol::from("reserved")));
         assert!(c.relations.contains(&Symbol::from("confirmed")));
-        // once[2,*] can fire purely by aging: a tick can create violations.
-        assert!(!c.tick_gain_free);
-    }
-
-    #[test]
-    fn gain_free_body_is_detected() {
-        let c = compile("deny g: reserved(p, f) && !once[0,*] confirmed(p, f)").unwrap();
-        assert!(c.tick_gain_free);
     }
 
     #[test]

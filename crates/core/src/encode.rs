@@ -28,6 +28,10 @@ use rtic_temporal::time::{Duration, Interval, TimePoint, UpperBound};
 
 use crate::binding::Bindings;
 
+/// "No change ever": the deadline of a node whose answers cannot move
+/// while its operand extension stays put.
+pub const NEVER: TimePoint = TimePoint(u64::MAX);
+
 /// Timestamp storage for one key of a `once`/`since` node.
 ///
 /// The paper's bound: on an integer clock, a window of span `b` holds at
@@ -116,6 +120,35 @@ impl Stamps {
         }
     }
 
+    /// The stored timestamps, ascending.
+    fn times(&self) -> impl Iterator<Item = TimePoint> + '_ {
+        let (front, back) = match self {
+            Stamps::Latest(t) | Stamps::Earliest(t) => (std::slice::from_ref(t), &[][..]),
+            Stamps::Many(dq) => dq.as_slices(),
+        };
+        front.iter().chain(back).copied()
+    }
+
+    /// The earliest time after `t` at which [`Stamps::any_in`] for
+    /// `interval`'s window can flip if no stamp is added: a stamp `s`
+    /// satisfies the window over `[s + a, s + b]`, so the answer holds to
+    /// the end of the contiguous stretch containing `t`, or fails until
+    /// the next stamp ages `a`.
+    fn next_change(&self, interval: &Interval, t: TimePoint) -> TimePoint {
+        let mut held_to: Option<TimePoint> = None;
+        for s in self.times() {
+            let enter = s.plus(interval.lo());
+            let leave = interval.hi().finite().map_or(NEVER, |b| s.plus(b));
+            match held_to {
+                None if leave < t => {}
+                None if enter > t => return enter,
+                Some(end) if enter > end.plus(Duration(1)) => break,
+                _ => held_to = Some(leave),
+            }
+        }
+        held_to.map_or(NEVER, |end| end.plus(Duration(1)))
+    }
+
     /// Number of timestamps stored (space accounting).
     pub fn len(&self) -> usize {
         match self {
@@ -185,11 +218,16 @@ impl WindowState {
 
     /// Records the keys satisfying the anchor formula at the new state
     /// `t_now`, then prunes timestamps that have left every future window.
+    /// A stored key of an [`WindowState::absorb_is_noop`] window keeps the
+    /// stamp it has, so what such a window holds does not depend on how
+    /// often an unchanged extension was re-recorded.
     pub fn add_and_prune(&mut self, sat_now: &Bindings, t_now: TimePoint) {
         debug_assert_eq!(sat_now.vars(), self.vars.as_slice());
+        let restamp = !self.absorb_is_noop();
         for row in sat_now.rows() {
             match self.stamps.get_mut(row) {
-                Some(s) => s.add(t_now),
+                Some(s) if restamp => s.add(t_now),
+                Some(_) => {}
                 None => {
                     self.stamps
                         .insert(row.clone(), Stamps::new(self.policy, t_now));
@@ -200,6 +238,41 @@ impl WindowState {
             let cutoff = t_now.minus(b).unwrap_or(TimePoint(0));
             self.stamps.retain(|_, s| s.prune(cutoff));
         }
+    }
+
+    /// The earliest time after `t` at which [`WindowState::satisfied`] can
+    /// differ for some key while the operand extension stays `sat` at
+    /// every later state. With `a = 0` a key in `sat` is re-stamped at each
+    /// state and never leaves; every other key's stamps only age (stamps a
+    /// later state adds enter after the ones already stored).
+    pub fn next_change(&self, sat: &Bindings, t: TimePoint) -> TimePoint {
+        let restamped = self.interval.lo().0 == 0;
+        let aging = self
+            .stamps
+            .iter()
+            .filter(|(k, _)| !(restamped && sat.contains(k)));
+        let changes = aging.map(|(_, s)| s.next_change(&self.interval, t));
+        changes.min().unwrap_or(NEVER)
+    }
+
+    /// Absorbs the deferred states `ticks` (ascending), at each of which
+    /// the operand extension was `sat`, leaving exactly what one
+    /// [`WindowState::add_and_prune`] per tick would have: only the deque
+    /// keeps more than the newest tick, and only what the bound retains.
+    pub fn catch_up(&mut self, sat: &Bindings, ticks: &[TimePoint]) {
+        let Some((&t_new, earlier)) = ticks.split_last() else {
+            return;
+        };
+        if let (StampPolicy::Many, UpperBound::Finite(b)) = (self.policy, self.interval.hi()) {
+            let cutoff = t_new.minus(b).unwrap_or(TimePoint(0));
+            let live = &earlier[earlier.partition_point(|&t| t < cutoff)..];
+            for row in sat.rows() {
+                if let Some(Stamps::Many(dq)) = self.stamps.get_mut(row) {
+                    dq.extend(live);
+                }
+            }
+        }
+        self.add_and_prune(sat, t_new);
     }
 
     /// Whether [`WindowState::satisfied`] is monotone in `t_now` for a
@@ -250,13 +323,7 @@ impl WindowState {
         let mut out: Vec<(Tuple, Vec<TimePoint>)> = self
             .stamps
             .iter()
-            .map(|(k, s)| {
-                let ts = match s {
-                    Stamps::Latest(t) | Stamps::Earliest(t) => vec![*t],
-                    Stamps::Many(dq) => dq.iter().copied().collect(),
-                };
-                (k.clone(), ts)
-            })
+            .map(|(k, s)| (k.clone(), s.times().collect()))
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
@@ -310,6 +377,27 @@ impl PrevState {
         };
         self.prev_sat = Some((t_now, sat_now));
         ext
+    }
+
+    /// The earliest time after `t` at which the extension can differ from
+    /// `ext` (the one [`PrevState::step`] last returned) while the operand
+    /// extension stays put: never, once the stored rows *are* `ext` and
+    /// the interval admits every gap; otherwise the very next state — a
+    /// bounded gate depends on each gap, so it declines.
+    pub fn next_change(&self, ext: Option<&Bindings>, t: TimePoint) -> TimePoint {
+        let every_gap = self.interval.lo().0 <= 1 && !self.interval.is_bounded();
+        match &self.prev_sat {
+            Some((_, sat)) if every_gap && ext == Some(sat) => NEVER,
+            _ => t.plus(Duration(1)),
+        }
+    }
+
+    /// Absorbs deferred states up to `t_new` over an unchanged operand:
+    /// the stored rows stay, the stored state time moves.
+    pub fn catch_up(&mut self, t_new: TimePoint) {
+        if let Some((at, _)) = &mut self.prev_sat {
+            *at = t_new;
+        }
     }
 
     /// `(keys, timestamps)` stored.
@@ -398,6 +486,39 @@ impl HistFiniteState {
             }
             !runs.is_empty()
         });
+    }
+
+    /// The earliest time after `t` at which [`HistFiniteState::holds`] can
+    /// differ for some key while the operand extension stays `sat`:
+    /// conservatively, when a stored state next enters (`τ + a`) or leaves
+    /// (`τ + b + 1`) the window — later states enter after the stored ones
+    /// and are covered exactly for `sat`. With `a = 0` a key outside `sat`
+    /// fails at every state, so once every `sat` key holds nothing moves.
+    pub fn next_change(&self, sat: &Bindings, t: TimePoint) -> TimePoint {
+        let lo = self.interval.lo();
+        if lo.0 == 0 && sat.rows().all(|k| self.holds(k, t)) {
+            return NEVER;
+        }
+        let leave = self.state_times.front();
+        let leave = leave.map(|s| s.plus(self.bound).plus(Duration(1)));
+        let mut enter = self.state_times.iter().map(|s| s.plus(lo));
+        leave
+            .into_iter()
+            .chain(enter.find(|&e| e > t))
+            .min()
+            .unwrap_or(NEVER)
+    }
+
+    /// Absorbs the deferred states `ticks` over an unchanged operand
+    /// extension `sat`; `prev_time` is the state before the first of them.
+    /// Equal to one [`HistFiniteState::step`] per tick: every `sat` key's
+    /// run ends at `prev_time` and extends through all of them.
+    pub fn catch_up(&mut self, sat: &Bindings, ticks: &[TimePoint], prev_time: Option<TimePoint>) {
+        let Some((&t_new, earlier)) = ticks.split_last() else {
+            return;
+        };
+        self.state_times.extend(earlier);
+        self.step(sat, t_new, prev_time);
     }
 
     /// Whether the node holds for `key` at `t_now`: every state whose age
@@ -543,6 +664,30 @@ impl HistInfState {
             self.prefix_end
                 .retain(|k, &mut e| e >= m || active.contains(k));
         }
+    }
+
+    /// The earliest time at which [`HistInfState::holds`] can differ for
+    /// some key while the operand extension stays put: active keys follow
+    /// the clock, so only the query point moving past a frozen key's
+    /// prefix end (or arriving at all) changes an answer, and it moves
+    /// next when the oldest recent state ages `lo`.
+    pub fn next_change(&self) -> TimePoint {
+        match self.recent_times.front() {
+            Some(r) if self.latest_older.is_none() || self.prefix_end.len() > self.active.len() => {
+                r.plus(self.lo)
+            }
+            _ => NEVER,
+        }
+    }
+
+    /// Absorbs the deferred states `ticks` over an unchanged operand
+    /// extension `sat` (which contains every active key).
+    pub fn catch_up(&mut self, sat: &Bindings, ticks: &[TimePoint]) {
+        let Some((&t_new, earlier)) = ticks.split_last() else {
+            return;
+        };
+        self.recent_times.extend(earlier);
+        self.step(sat, t_new);
     }
 
     /// Whether the node holds for `key` at the current state.
@@ -710,6 +855,39 @@ mod tests {
             assert!(stamps <= 4, "≤ b+1 stamps per key (got {stamps})");
         }
         assert_eq!(w.extension(TimePoint(50)).len(), 1);
+    }
+
+    #[test]
+    fn next_change_lands_on_the_window_edges() {
+        // A stamp s satisfies once[2,4] over [s+2, s+4]: an unsatisfied key
+        // enters at s + a, a satisfied one leaves at s + b + 1 — unless a
+        // younger stamp carries the stretch on.
+        let i = Interval::bounded(2, 4).unwrap();
+        let mut w = WindowState::new(i, v(), StampPolicy::for_interval(&i));
+        let gone = sat(&v(), &[]);
+        w.add_and_prune(&sat(&v(), &["a"]), TimePoint(10));
+        assert_eq!(w.next_change(&gone, TimePoint(10)), TimePoint(12));
+        assert_eq!(w.next_change(&gone, TimePoint(12)), TimePoint(15));
+        w.add_and_prune(&sat(&v(), &["a"]), TimePoint(13));
+        assert_eq!(w.next_change(&gone, TimePoint(13)), TimePoint(18));
+        w.add_and_prune(&sat(&v(), &["a"]), TimePoint(19));
+        assert_eq!(w.next_change(&gone, TimePoint(19)), TimePoint(21));
+        // a = 0: a key still in the operand is re-stamped at every state
+        // and never leaves; one that left it ages out at s + b + 1.
+        let i = Interval::up_to(3);
+        let mut w = WindowState::new(i, v(), StampPolicy::for_interval(&i));
+        w.add_and_prune(&sat(&v(), &["a", "b"]), TimePoint(5));
+        assert_eq!(w.next_change(&sat(&v(), &["a", "b"]), TimePoint(5)), NEVER);
+        assert_eq!(
+            w.next_change(&sat(&v(), &["a"]), TimePoint(5)),
+            TimePoint(9)
+        );
+        // b = ∞: in at s + a, then never out.
+        let i = Interval::at_least(3);
+        let mut w = WindowState::new(i, v(), StampPolicy::for_interval(&i));
+        w.add_and_prune(&sat(&v(), &["a"]), TimePoint(5));
+        assert_eq!(w.next_change(&gone, TimePoint(6)), TimePoint(8));
+        assert_eq!(w.next_change(&gone, TimePoint(8)), NEVER);
     }
 
     // ---- since (via WindowState with retain) ----------------------------

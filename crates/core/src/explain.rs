@@ -106,6 +106,7 @@ pub fn explain(compiled: &CompiledConstraint) -> String {
             };
             let _ = writeln!(out, "  [{i}] {node}");
             let _ = writeln!(out, "      keys({}); {strategy}", vars_of(node));
+            let _ = writeln!(out, "      untouched: {}", sleep_rule(node));
         }
         let _ = writeln!(
             out,
@@ -145,6 +146,43 @@ pub fn explain(compiled: &CompiledConstraint) -> String {
         }
     }
     out
+}
+
+/// What a temporal node does while its constraint's relations are left
+/// alone — how long it lets the engine sleep, or why it declines (the
+/// per-operator `next_change` rules of [`crate::encode`]).
+fn sleep_rule(node: &Formula) -> String {
+    match node {
+        Formula::Prev(iv, _) if iv.lo().0 <= 1 && !iv.is_bounded() => {
+            "sleeps once two states in a row agree".into()
+        }
+        Formula::Prev(..) => "declines to sleep (every gap can open or shut the age gate)".into(),
+        Formula::Once(iv, _) | Formula::Since(iv, _, _) => {
+            let mut edges = Vec::new();
+            if iv.lo().0 > 0 {
+                edges.push(format!("ages in (s + {})", iv.lo()));
+            }
+            if let UpperBound::Finite(b) = iv.hi() {
+                edges.push(format!("ages out (s + {})", b.0 + 1));
+            }
+            let until = if edges.is_empty() {
+                "sleeps indefinitely".to_string()
+            } else {
+                format!("sleeps until a stamp {}", edges.join(" or "))
+            };
+            if matches!(node, Formula::Since(..)) {
+                format!("{until}; declines right after a fresh anchor")
+            } else {
+                until
+            }
+        }
+        Formula::Hist(iv, _) if iv.is_bounded() => {
+            "sleeps until a stored state enters or leaves the window".into()
+        }
+        Formula::Hist(iv, _) if iv.lo().0 == 0 => "sleeps indefinitely".into(),
+        Formula::Hist(iv, _) => format!("sleeps until the oldest recent state ages {}", iv.lo()),
+        other => unreachable!("non-temporal node `{other}`"),
+    }
 }
 
 /// Pretty nanoseconds: picks the unit a human would.
@@ -247,6 +285,11 @@ mod tests {
         assert!(text.contains("generates"), "{text}");
         assert!(text.contains("filter"), "{text}");
         assert!(text.contains("p: str"), "witness sorts: {text}");
+        assert!(
+            text.contains("sleeps until a stamp ages in (s + 2)"),
+            "{text}"
+        );
+        assert!(text.contains("untouched: sleeps indefinitely"), "{text}");
     }
 
     #[test]

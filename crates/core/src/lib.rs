@@ -71,7 +71,7 @@ pub use binding::{Bindings, Scratch};
 pub use checker::Checker;
 pub use compile::CompiledConstraint;
 pub use error::CompileError;
-pub use incremental::{EncodingOptions, IncrementalChecker, NodeStat};
+pub use incremental::{EncodingOptions, IncrementalChecker, NodeStat, SleepBug};
 pub use monitor::QueryMonitor;
 pub use naive::NaiveChecker;
 pub use observe::{NopObserver, StepEvent, StepObserver};

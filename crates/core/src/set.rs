@@ -8,9 +8,9 @@
 //! One scaling lever on top of that, semantics-preserving: **relevance
 //! dispatch**. Each compiled constraint knows which relations its body
 //! reads; an update touching none of them is a pure clock tick for that
-//! constraint, and when the engine's shape allows it ([`NodeEngine`]'s
-//! quiescent fast path) the tick is absorbed into the auxiliary state
-//! without re-running denial-body evaluation. Constraints step one after
+//! constraint, and until the engine's next window deadline
+//! ([`NodeEngine::sleep`]) such a tick is deferred and the previous
+//! violations replayed, in O(1). Constraints step one after
 //! another on the calling thread, in insertion order — the paper's checker
 //! is sequential by construction, and a per-step worker pool measured
 //! slower at every recorded point (EXPERIMENTS.md T8, PERFORMANCE.md §6a).
@@ -75,11 +75,13 @@ pub struct DispatchStats {
     /// Full-path engine-steps where the update touched one of the
     /// constraint's relations.
     pub affected: u64,
-    /// Engine-steps absorbed by the quiescent fast path: no operand or
-    /// denial-body re-evaluation, only auxiliary window maintenance.
+    /// Engine-steps spent asleep until the engine's next deadline: the
+    /// update touched none of the constraint's relations and no window
+    /// edge was due, so the state was deferred and the cached violations
+    /// — empty or not — replayed in O(1).
     pub skipped: u64,
-    /// Engine-steps that were quiescent but still took the full path
-    /// (ineligible shape, first step, or a prior violation to re-check).
+    /// Engine-steps that were quiescent but still took the full path (the
+    /// first step, a deadline arriving, or a node that declines to sleep).
     pub quiescent_full: u64,
     /// Engine-steps skipped because the constraint's engine had panicked
     /// earlier and is quarantined — the fleet is running degraded. Not
@@ -241,9 +243,9 @@ impl ConstraintSet {
     }
 
     /// Quiescence hook: absorbs a pure clock tick at `time` — exactly
-    /// [`ConstraintSet::step_observed`] with an empty update, so
-    /// gain-free constraints advance without evaluation and the rest
-    /// evaluate against the unchanged state. Drivers draining a resident
+    /// [`ConstraintSet::step_observed`] with an empty update, so engines
+    /// asleep until a later deadline defer it and the rest evaluate
+    /// against the unchanged state. Drivers draining a resident
     /// fleet use this to settle the clock before the final checkpoint.
     pub fn tick(
         &mut self,
@@ -340,12 +342,8 @@ impl ConstraintSet {
             let inject = self.armed_panics[idx] == Some(nth_step);
             let quiescent = engine.is_quiescent(update) && !inject;
             let eval_start = Instant::now();
-            let absorbed = if quiescent {
-                engine.advance_time(time)
-            } else {
-                None
-            };
-            let outcome = match absorbed {
+            let asleep = quiescent.then(|| engine.sleep(time)).flatten();
+            let outcome = match asleep {
                 Some(violations) => {
                     self.dispatch.skipped += 1;
                     Ok(violations)
@@ -471,6 +469,14 @@ impl ConstraintSet {
             .map_or_else(Vec::new, NodeEngine::node_stats)
     }
 
+    /// Per engine, in insertion order: how many states it has deferred
+    /// while asleep, and the largest finite window bound `b` of its
+    /// constraint — never more than `b + 1` states are kept, so sleeping
+    /// stays inside the paper's space bound.
+    pub fn deferred_ticks(&self) -> Vec<(usize, u64)> {
+        self.engines.iter().map(NodeEngine::deferred).collect()
+    }
+
     /// Each constraint's runtime plan statistics, in insertion order.
     fn plan_stats_per_engine(
         &self,
@@ -532,7 +538,7 @@ impl ConstraintSet {
 // The per-key shard plane is gone (DESIGN.md, "Why there is one state
 // layout"), but `benchmark/src/traced.rs` has been frozen since PR 11 and
 // still names its entry points. Everything in this block is inert; the
-// next `[benchmark]` PR (ROADMAP item 7) deletes it together with the
+// next `[benchmark]` PR (ROADMAP item 8) deletes it together with the
 // ignored `--shard`/`--shard-evict` arguments in `src/cli.rs` and the
 // re-export of `restore_set_sharded` in `checkpoint.rs`.
 
@@ -636,27 +642,37 @@ mod tests {
 
     #[test]
     fn relevance_dispatch_partitions_engines() {
-        let cat = catalog();
         // `deny qonly` only reads q; an update touching just p is
-        // quiescent for it.
+        // quiescent for it, and it sleeps until its window's next edge.
         let cs = vec![
             parse_constraint("deny ponly: p(x) && once[0,*] p(x)").unwrap(),
-            parse_constraint("deny qonly: q(x) && once[0,*] q(x)").unwrap(),
+            parse_constraint("deny qonly: once[2,3] q(x)").unwrap(),
         ];
-        let mut set = ConstraintSet::new(cs, cat).unwrap();
-        set.step(TimePoint(1), &Update::new().with_insert("p", tuple!["a"]))
-            .unwrap();
-        let d = set.dispatch_stats();
-        assert_eq!(d.affected, 1, "only the p-constraint is affected");
-        // First step for the q-constraint: quiescent but no cache yet.
-        assert_eq!(d.quiescent_full, 1);
-        assert_eq!(d.skipped, 0);
-        set.step(TimePoint(2), &Update::new().with_insert("p", tuple!["b"]))
-            .unwrap();
-        let d = set.dispatch_stats();
-        assert_eq!(d.affected, 2);
-        assert_eq!(d.skipped, 1, "q-constraint now fast-skips");
-        assert_eq!(d.total(), 4);
+        let mut set = ConstraintSet::new(cs, catalog()).unwrap();
+        let mut step = |t: u64, u: Update| {
+            let reports = set.step(TimePoint(t), &u).unwrap();
+            let d = set.dispatch_stats();
+            let tallies = (d.affected, d.quiescent_full, d.skipped);
+            (
+                reports[1].violation_count(),
+                tallies,
+                set.deferred_ticks()[1].0,
+            )
+        };
+        let p = || Update::new().with_insert("p", tuple!["a"]);
+        // An engine's first step is a full one, touched or not; with no
+        // stamp stored the q-engine then sleeps without a deadline.
+        assert_eq!(step(1, p()), (0, (1, 1, 0), 0));
+        assert_eq!(step(2, p()), (0, (2, 1, 1), 1));
+        // q(a) holds at 3 only. Its stamp ages into [2,3] at 5 — the
+        // deadline wakes the engine to the violation — the engine sleeps
+        // through 6 replaying it, and wakes at 7 (3 + 3 + 1) to see it go.
+        // Meanwhile the p-engine sleeps through 3 and 4.
+        assert_eq!(step(3, Update::new().with_insert("q", tuple!["a"])).0, 0);
+        assert_eq!(step(4, Update::new().with_delete("q", tuple!["a"])).0, 0);
+        assert_eq!(step(5, p()), (1, (5, 2, 3), 0));
+        assert_eq!(step(6, p()), (1, (6, 2, 4), 1));
+        assert_eq!(step(7, p()), (0, (7, 3, 4), 0));
     }
 
     #[test]
@@ -689,7 +705,7 @@ mod tests {
                 assert_eq!(rs[i], r, "constraint {i} diverged at t={t}");
             }
         }
-        assert!(set.dispatch_stats().skipped > 0, "fast path never engaged");
+        assert!(set.dispatch_stats().skipped > 0, "no engine ever slept");
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //! duplicates a resident row set: [`RuntimePlanStats::rows_copied`] stays
 //! zero, and the probes stream a few dozen rows per step instead of the
 //! table. Reports stay byte-identical to the tree-walking interpreter.
+//! The same holds for an engine woken from sleep with a live violation:
+//! the witnesses it replayed while asleep are let go before the plans run.
 
 use std::sync::Arc;
 
-use rtic_core::{Checker, EncodingOptions, IncrementalChecker};
+use rtic_core::{Checker, ConstraintSet, EncodingOptions, IncrementalChecker};
 use rtic_relation::{tuple, Catalog, Schema, Sort, Update};
 use rtic_temporal::parser::parse_constraint;
 use rtic_temporal::TimePoint;
@@ -50,19 +52,19 @@ fn update(step: usize) -> Update {
     u
 }
 
+fn catalog() -> Arc<Catalog> {
+    let pf = || Schema::of(&[("p", Sort::Str), ("f", Sort::Int)]);
+    let catalog = Catalog::new().with("reserved", pf());
+    Arc::new(catalog.and_then(|c| c.with("confirmed", pf())).unwrap())
+}
+
+const MOTIVATING: &str =
+    "deny unconfirmed: reserved(p, f) && once[2,*] reserved(p, f) && !once confirmed(p, f)";
+
 #[test]
 fn resident_rows_are_never_copied_in_steady_state() {
-    let pf = || Schema::of(&[("p", Sort::Str), ("f", Sort::Int)]);
-    let catalog = Arc::new(
-        Catalog::new()
-            .with("reserved", pf())
-            .and_then(|c| c.with("confirmed", pf()))
-            .unwrap(),
-    );
-    let constraint = parse_constraint(
-        "deny unconfirmed: reserved(p, f) && once[2,*] reserved(p, f) && !once confirmed(p, f)",
-    )
-    .unwrap();
+    let catalog = catalog();
+    let constraint = parse_constraint(MOTIVATING).unwrap();
     let checker = |options| {
         IncrementalChecker::with_options(constraint.clone(), Arc::clone(&catalog), options).unwrap()
     };
@@ -107,4 +109,62 @@ fn resident_rows_are_never_copied_in_steady_state() {
         }
     }
     assert!(violations > 0, "the stragglers must surface as violations");
+}
+
+#[test]
+fn a_sleeping_engine_with_a_live_violation_wakes_without_copying() {
+    // Eight steady updates leave stragglers violating; then the stream
+    // goes quiet. Two ticks later the last update's reservations — never
+    // confirmed now — have aged into `once[2,*]` and nothing can change
+    // any more: the engine sleeps, replaying its ten witnesses. The next
+    // 16-tuple update (seven late confirmations among them) wakes it —
+    // catch-up, then the usual in-place delta refresh of 10⁴ resident
+    // rows: had the replayed witnesses still been held, that refresh
+    // would have copied them.
+    let options = EncodingOptions {
+        profile_plans: true,
+        ..Default::default()
+    };
+    let constraint = parse_constraint(MOTIVATING).unwrap();
+    let mut set = ConstraintSet::with_options([constraint], catalog(), options).unwrap();
+    let streamed = |set: &ConstraintSet| -> u64 {
+        let profiles = set.plan_profiles();
+        let nodes = profiles.iter().flat_map(|(_, p)| &p.nodes);
+        let roots = nodes.filter(|n| n.desc.depth == 0);
+        roots.map(|n| n.counts.block_rows).sum()
+    };
+    let mut clock = 0u64;
+    let mut step = |set: &mut ConstraintSet, u: &Update| {
+        clock += 1;
+        set.step(TimePoint(clock), u).unwrap()[0].violation_count()
+    };
+    for s in 0..8 {
+        step(&mut set, &update(s));
+    }
+    let quiet: Vec<usize> = (0..8).map(|_| step(&mut set, &Update::new())).collect();
+    assert_eq!(quiet, [2, 10, 10, 10, 10, 10, 10, 10], "witnesses replayed");
+    assert_eq!(
+        set.dispatch_stats().skipped,
+        6,
+        "asleep once nothing can age"
+    );
+    assert_eq!(
+        set.deferred_ticks(),
+        [(3, 2)],
+        "six deferred, bound + 1 kept"
+    );
+
+    let (copied, rows) = (set.plan_stats().rows_copied, streamed(&set));
+    assert_eq!(step(&mut set, &update(8)), 2);
+    assert_eq!(set.deferred_ticks(), [(0, 2)], "woken by the delta");
+    assert_eq!(
+        set.plan_stats().rows_copied,
+        copied,
+        "no resident row copied"
+    );
+    let rows = streamed(&set) - rows;
+    assert!(
+        rows < 200,
+        "waking streamed {rows} rows for a 16-tuple update"
+    );
 }

@@ -196,7 +196,7 @@ proptest! {
         }
         // And the profile it produced is well-formed: one row per plan
         // node, ids in pre-order, and the body root runs at most once per
-        // step (quiescent steps can be absorbed without re-evaluation).
+        // step (an engine asleep until its next deadline is not re-evaluated).
         let profile = profiled.plan_profile().expect("profiling was enabled");
         prop_assert!(!profile.nodes.is_empty());
         for (i, row) in profile.nodes.iter().enumerate() {

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rtic_core::{Checker, ConstraintSet, EncodingOptions, IncrementalChecker};
+use rtic_core::{checkpoint, Checker, ConstraintSet, EncodingOptions, IncrementalChecker};
 use rtic_history::Transition;
 use rtic_relation::{tuple, Catalog, Schema, Sort, Update};
 use rtic_temporal::parser::parse_constraint;
@@ -32,9 +32,9 @@ fn catalog() -> Arc<Catalog> {
 }
 
 /// Body templates; `{a}`/`{b}` are relation names, `{i}`/`{j}` intervals.
-/// The last one is the monotone-probe shape (an unbounded `once` feeding
-/// a `!once` antijoin), so the probe partition cache and its fallbacks
-/// both run under the property.
+/// The last flat one is the monotone-probe shape (an unbounded `once`
+/// feeding a `!once` antijoin), so the probe partition cache and its
+/// fallbacks both run under the property.
 const TEMPLATES: &[&str] = &[
     "{a}(x) && once{i} {b}(x)",
     "{b}(x) since{i} {a}(x)",
@@ -43,6 +43,9 @@ const TEMPLATES: &[&str] = &[
     "{a}(x) && !once{i} {b}(x)",
     "{a}(x) && hist{i} {b}(x) && !once{j} {b}(x)",
     "once[1,*] {a}(x) && {a}(x) && !once{i} {b}(x)",
+    // Nested: the outer node's operand is another node's extension.
+    "{a}(x) && once{i} once{j} {b}(x)",
+    "{a}(x) && once{i} prev{j} {b}(x)",
 ];
 
 fn interval_text() -> impl Strategy<Value = String> {
@@ -107,7 +110,87 @@ fn transitions() -> impl Strategy<Value = Vec<Transition>> {
     )
 }
 
+/// Sparse clocks and mostly-empty updates: long quiet runs in which a
+/// window edge may or may not fall between two states.
+fn sparse_transitions() -> impl Strategy<Value = Vec<Transition>> {
+    const GAPS: [u64; 8] = [1, 1, 1, 2, 3, 4, 7, 15];
+    let change = (0..RELATIONS.len(), any::<bool>(), 0u8..2);
+    let step = (
+        0..GAPS.len(),
+        0u8..4,
+        proptest::collection::vec(change, 1..3),
+    );
+    proptest::collection::vec(step, 2..48).prop_map(|steps| {
+        const DOM: [&str; 2] = ["a", "b"];
+        let mut t = 0u64;
+        steps
+            .into_iter()
+            .map(|(gap, busy, changes)| {
+                t += GAPS[gap];
+                let mut u = Update::new();
+                for (rel, ins, x) in changes.into_iter().filter(|_| busy == 0) {
+                    let tup = tuple![DOM[x as usize]];
+                    if ins {
+                        u.insert(RELATIONS[rel], tup);
+                    } else {
+                        u.delete(RELATIONS[rel], tup);
+                    }
+                }
+                Transition::new(t, u)
+            })
+            .collect()
+    })
+}
+
+/// `save_set` sections without their `dispatch` line — the one place a
+/// sleeping set and its forced-full twin may differ.
+fn sections(set: &ConstraintSet) -> Vec<String> {
+    let strip = |text: String| {
+        let kept = text.lines().filter(|l| !l.starts_with("dispatch "));
+        kept.collect::<Vec<_>>().join("\n")
+    };
+    let saved = checkpoint::save_set(set);
+    saved.into_iter().map(|(_, text)| strip(text)).collect()
+}
+
 proptest! {
+    #[test]
+    fn a_sleeping_set_is_its_forced_full_twin(
+        constraints in fleet(),
+        ts in sparse_transitions(),
+        disable_stamp_specialization in any::<bool>(),
+    ) {
+        // The twin sees every update plus a delete of an absent tuple from
+        // each relation: nothing changes in the database, but no engine is
+        // ever quiescent, so none ever sleeps. Reports, the settled state
+        // (checkpoint sections, stamp for stamp) and space accounting must
+        // agree at *every* step, whatever is deferred at that moment.
+        // (The T6 ablation makes every bounded window keep the full deque.)
+        let cat = catalog();
+        let options = EncodingOptions { disable_stamp_specialization, ..Default::default() };
+        let build = || {
+            ConstraintSet::with_options(constraints.iter().cloned(), Arc::clone(&cat), options)
+                .map_err(|(c, e)| format!("`{c}`: {e}"))
+                .unwrap()
+        };
+        let (mut lazy, mut eager) = (build(), build());
+        for tr in &ts {
+            let mut forced = tr.update.clone();
+            for rel in RELATIONS {
+                forced.delete(rel, tuple!["ghost"]);
+            }
+            let got = lazy.step(tr.time, &tr.update).expect("monotone stream");
+            let expected = eager.step(tr.time, &forced).expect("monotone stream");
+            prop_assert_eq!(&got, &expected, "sleeping diverged at t={}", tr.time);
+            prop_assert_eq!(sections(&lazy), sections(&eager), "settled state at t={}", tr.time);
+            prop_assert_eq!(lazy.space(), eager.space());
+            for (deferred, bound) in lazy.deferred_ticks() {
+                prop_assert!(deferred as u64 <= bound + 1, "{deferred} deferred, bound {bound}");
+            }
+        }
+        prop_assert_eq!(eager.dispatch_stats().skipped, 0, "the twin never sleeps");
+    }
+
     #[test]
     fn fleet_matches_independent_checkers(
         constraints in fleet(),

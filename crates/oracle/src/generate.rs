@@ -8,7 +8,10 @@
 //! toward the boundary values the literature singles out: `0`, `a == b`
 //! (point intervals), and bounds that coincide with the formula's horizon.
 //! Histories mix dense timestamp clusters, horizon-expiring clock gaps,
-//! relation churn against the live state, and empty updates (pure ticks).
+//! relation churn against the live state, empty updates (pure ticks), and
+//! *sleep runs*: stretches that leave the constraint's relations alone
+//! while the clock lands on, just before and just past its window edges —
+//! where an engine asleep until its next deadline must wake on time.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -16,7 +19,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtic_core::CompiledConstraint;
-use rtic_history::gen::{schedule, GapKind};
+use rtic_history::gen::GapKind;
 use rtic_history::Transition;
 use rtic_relation::{tuple, Catalog, Schema, Sort, Tuple, Update};
 use rtic_temporal::analysis::Horizon;
@@ -62,8 +65,14 @@ pub struct Case {
     pub transitions: Vec<Transition>,
 }
 
-/// The fixed case catalog: two unary relations and one binary relation,
-/// all over `int` (churn and comparisons need only one sort).
+/// The relation no generated constraint reads: updates confined to it
+/// are quiescent for the constraint under test, and the fleet modes'
+/// companion constraints read nothing else.
+pub const SPARE: &str = "s0";
+
+/// The fixed case catalog: two unary relations and one binary relation
+/// for the constraint, plus [`SPARE`], all over `int` (churn and
+/// comparisons need only one sort).
 pub fn case_catalog() -> Arc<Catalog> {
     Arc::new(
         Catalog::new()
@@ -72,7 +81,9 @@ pub fn case_catalog() -> Arc<Catalog> {
             .with("r1", Schema::of(&[("a", Sort::Int)]))
             .expect("fresh catalog accepts r1")
             .with("r2", Schema::of(&[("a", Sort::Int), ("b", Sort::Int)]))
-            .expect("fresh catalog accepts r2"),
+            .expect("fresh catalog accepts r2")
+            .with(SPARE, Schema::of(&[("a", Sort::Int)]))
+            .expect("fresh catalog accepts the spare relation"),
     )
 }
 
@@ -197,29 +208,39 @@ fn horizon_of(constraint: &Constraint, catalog: &Arc<Catalog>) -> u64 {
     }
 }
 
-/// Generates a random history: clustered timestamps with occasional
-/// horizon-expiring gaps, inserts/deletes churning against the live
-/// relation contents, and empty updates (pure clock ticks).
+/// The offsets from a stored timestamp `s` at which a window of the
+/// constraint changes its answer: `a` (the stamp ages in) and `b + 1` (it
+/// ages out) for every metric interval `[a, b]` in the body.
+fn window_edges(constraint: &Constraint) -> Vec<u64> {
+    // (A constraint without metric operators still gets single ticks.)
+    let mut edges = vec![1];
+    constraint.body.visit(&mut |f| {
+        if let Some(i) = f.interval() {
+            edges.push(i.lo().0);
+            edges.extend(i.hi().finite().map(|b| b.0 + 1));
+        }
+    });
+    edges
+}
+
+/// Generates a random history for `constraint`: clustered timestamps with
+/// occasional horizon-expiring gaps, inserts/deletes churning against the
+/// live relation contents, empty updates (pure clock ticks), and — after
+/// a burst — sleep runs of `1 ..= horizon + 3` consecutive steps that are
+/// empty or touch only relations the constraint does not read, their
+/// gaps mixing single ticks with jumps that land exactly on, one before
+/// and one past a window edge (`s + a`, `s + b + 1`) of an earlier state.
 pub fn random_history(
     rng: &mut StdRng,
     cfg: &GenConfig,
     catalog: &Arc<Catalog>,
-    horizon: u64,
+    constraint: &Constraint,
 ) -> Vec<Transition> {
+    let horizon = horizon_of(constraint, catalog);
+    let edges = window_edges(constraint);
+    let read = constraint.body.relations();
     let steps = rng.gen_range(1..=cfg.max_steps.max(1));
-    let start = TimePoint(rng.gen_range(0u64..=2));
-    let mut gaps: Vec<GapKind> = Vec::new();
-    for _ in 0..steps {
-        gaps.push(match rng.gen_range(0u32..10) {
-            0..=4 => GapKind::Cluster,
-            5..=7 => GapKind::Step(rng.gen_range(1..=3)),
-            _ => GapKind::BeyondHorizon {
-                horizon,
-                extra: rng.gen_range(0..=2),
-            },
-        });
-    }
-    let times = schedule(start, steps, |i| gaps[i]);
+    let mut t = rng.gen_range(0u64..=2);
 
     let names: Vec<(rtic_relation::Symbol, usize)> = {
         let mut v: Vec<_> = catalog
@@ -232,39 +253,77 @@ pub fn random_history(
         v.sort();
         v
     };
+    let unread: Vec<usize> = (0..names.len())
+        .filter(|&ri| !read.contains(&names[ri].0))
+        .collect();
     // Live contents per relation, mirrored so deletes can target tuples
     // that are actually present (real churn, not no-op deletes).
     let mut live: Vec<BTreeSet<Tuple>> = names.iter().map(|_| BTreeSet::new()).collect();
+    let mut churn = |rng: &mut StdRng, update: &mut Update, ri: usize| {
+        let (name, arity) = names[ri];
+        let delete_existing = !live[ri].is_empty() && rng.gen_bool(0.35);
+        if delete_existing {
+            let k = rng.gen_range(0..live[ri].len());
+            let victim = live[ri]
+                .iter()
+                .nth(k)
+                .cloned()
+                .expect("index within live set");
+            update.delete(name, victim.clone());
+            live[ri].remove(&victim);
+        } else {
+            let tup = if arity == 1 {
+                tuple![rng.gen_range(0..cfg.domain)]
+            } else {
+                tuple![rng.gen_range(0..cfg.domain), rng.gen_range(0..cfg.domain)]
+            };
+            update.insert(name, tup.clone());
+            live[ri].insert(tup);
+        }
+    };
 
-    let mut out = Vec::with_capacity(steps);
-    for t in times {
+    let mut out: Vec<Transition> = Vec::with_capacity(steps);
+    for i in 0..steps {
+        if i > 0 {
+            let gap = match rng.gen_range(0u32..10) {
+                0..=4 => GapKind::Cluster,
+                5..=7 => GapKind::Step(rng.gen_range(1..=3)),
+                _ => GapKind::BeyondHorizon {
+                    horizon,
+                    extra: rng.gen_range(0..=2),
+                },
+            };
+            t = t.saturating_add(gap.advance());
+        }
         let mut update = Update::new();
         if !rng.gen_bool(0.15) {
             for _ in 0..rng.gen_range(1..=3) {
                 let ri = rng.gen_range(0..names.len());
-                let (name, arity) = names[ri];
-                let delete_existing = !live[ri].is_empty() && rng.gen_bool(0.35);
-                if delete_existing {
-                    let k = rng.gen_range(0..live[ri].len());
-                    let victim = live[ri]
-                        .iter()
-                        .nth(k)
-                        .cloned()
-                        .expect("index within live set");
-                    update.delete(name, victim.clone());
-                    live[ri].remove(&victim);
-                } else {
-                    let tup = if arity == 1 {
-                        tuple![rng.gen_range(0..cfg.domain)]
-                    } else {
-                        tuple![rng.gen_range(0..cfg.domain), rng.gen_range(0..cfg.domain)]
-                    };
-                    update.insert(name, tup.clone());
-                    live[ri].insert(tup);
-                }
+                churn(rng, &mut update, ri);
             }
         }
-        out.push(Transition::new(t, update));
+        let burst = !update.is_empty();
+        out.push(Transition::new(TimePoint(t), update));
+        if !(burst && rng.gen_bool(0.3)) {
+            continue;
+        }
+        for _ in 0..rng.gen_range(1..=horizon + 3) {
+            // Aim at an edge of some earlier state, or just tick.
+            let stamp = out[rng.gen_range(0..out.len())].time.0;
+            let edge = stamp + edges[rng.gen_range(0..edges.len())];
+            let aim = (edge + rng.gen_range(0u64..3)).saturating_sub(1);
+            t = if rng.gen_bool(0.5) && aim > t {
+                aim
+            } else {
+                t + 1
+            };
+            let mut update = Update::new();
+            if !unread.is_empty() && rng.gen_bool(0.5) {
+                let ri = unread[rng.gen_range(0..unread.len())];
+                churn(rng, &mut update, ri);
+            }
+            out.push(Transition::new(TimePoint(t), update));
+        }
     }
     out
 }
@@ -276,8 +335,7 @@ pub fn case(base_seed: u64, index: usize, cfg: &GenConfig) -> Case {
     let catalog = case_catalog();
     let name = format!("c{index}");
     let constraint = random_constraint(&mut rng, cfg, &catalog, &name);
-    let horizon = horizon_of(&constraint, &catalog);
-    let transitions = random_history(&mut rng, cfg, &catalog, horizon);
+    let transitions = random_history(&mut rng, cfg, &catalog, &constraint);
     Case {
         index,
         seed,
@@ -327,6 +385,38 @@ mod tests {
                 db.apply(&t.update).expect("update applies");
             }
         }
+    }
+
+    #[test]
+    fn sleep_runs_leave_the_constraint_alone_and_land_on_window_edges() {
+        // Across a batch of cases: many steps are quiescent for the
+        // constraint (empty, or touching only relations it does not read),
+        // they come in runs, and their clock lands exactly on, one before
+        // and one past an edge of an earlier state.
+        let cfg = GenConfig::default();
+        let (mut quiet, mut longest, mut landed) = (0usize, 0usize, [0usize; 3]);
+        for i in 0..100 {
+            let c = case(5, i, &cfg);
+            let read = c.constraint.body.relations();
+            let edges = window_edges(&c.constraint);
+            let mut run = 0;
+            for (n, t) in c.transitions.iter().enumerate() {
+                let touched = t.update.inserts().chain(t.update.deletes());
+                let touches = touched.into_iter().any(|(rel, _)| read.contains(&rel));
+                run = if touches { 0 } else { run + 1 };
+                quiet += usize::from(!touches);
+                longest = longest.max(run);
+                for (earlier, edge) in c.transitions[..n].iter().zip(edges.iter().cycle()) {
+                    let at = earlier.time.0 + edge;
+                    for (k, hit) in landed.iter_mut().enumerate() {
+                        *hit += usize::from(t.time.0 + 1 == at + k as u64);
+                    }
+                }
+            }
+        }
+        assert!(quiet > 400, "only {quiet} quiescent steps");
+        assert!(longest >= 8, "longest quiescent run: {longest}");
+        assert!(landed.iter().all(|&n| n > 50), "edge landings: {landed:?}");
     }
 
     #[test]

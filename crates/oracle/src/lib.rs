@@ -8,7 +8,7 @@
 //! 1. [`generate`] draws random well-formed Past-MTL constraints (seeded,
 //!    size-bounded, biased toward metric-interval boundary values) and
 //!    random histories (timestamp clusters, horizon-expiring clock gaps,
-//!    relation churn, empty states).
+//!    relation churn, empty states, quiet runs landing on window edges).
 //! 2. [`modes`] runs each case through every checker realization — naive
 //!    reference, incremental, windowed, active, `ConstraintSet`, and a
 //!    kill-at-a-random-step checkpoint/resume stitch —
@@ -19,8 +19,8 @@
 //!    `tests/corpus/`.
 //!
 //! [`mutation`] closes the loop: it deliberately breaks a cloned checker
-//! (off-by-one window, dropped quiescent steps) and asserts the oracle
-//! catches each planted bug — evidence the oracle has teeth.
+//! (off-by-one window, dropped quiescent steps, a late sleep deadline, a
+//! short catch-up, …) and asserts the oracle catches each planted bug — evidence the oracle has teeth.
 //!
 //! The `rtic-oracle` binary drives all of this; see `docs/TESTING.md`.
 

@@ -25,8 +25,10 @@ MODES:
                            shrink and write a repro into --corpus-dir
   --mutation-smoke         self-check: plant known bugs (off-by-one
                            window, dropped quiescent steps, a stale
-                           row-set version accepted) in a cloned checker
-                           and prove the oracle catches each
+                           row-set version accepted, a sleep deadline
+                           one tick late, a catch-up one state short)
+                           in a cloned checker and prove the oracle
+                           catches each
   --write-workload-corpus  regenerate the golden corpus files derived
                            from the rtic-workload scenarios
 

@@ -14,10 +14,11 @@ use rtic_core::{
 };
 use rtic_history::Transition;
 use rtic_relation::Catalog;
+use rtic_temporal::parser::parse_constraint;
 use rtic_temporal::Constraint;
 
 use crate::derive_seed;
-use crate::generate::Case;
+use crate::generate::{Case, SPARE};
 
 /// One way of checking a case end to end, producing canonical report lines.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -33,11 +34,14 @@ pub enum Mode {
     /// evaluator (`EncodingOptions::interpret_eval`) — the converse
     /// plan-vs-interpret probe, through the bounded encoding.
     IncrementalInterpreted,
-    /// A one-constraint [`ConstraintSet`] stepped line by line — pins the
-    /// fleet's relevance dispatch against the reference.
+    /// A [`ConstraintSet`] of the constraint plus one or two companions
+    /// over the spare relation, stepped line by line — pins relevance
+    /// dispatch against the reference: while one engine works the other
+    /// sleeps until its next window deadline.
     SetSequential,
-    /// Kill the fleet at a seed-derived step, checkpoint, restore into a
-    /// fresh process image, and stitch the two report halves together.
+    /// Kill that fleet at a seed-derived step (possibly mid-sleep),
+    /// checkpoint, restore into a fresh process image, and stitch the two
+    /// report halves together.
     Stitch,
 }
 
@@ -132,7 +136,7 @@ pub fn run_constraint(
                     .map_err(err)?;
             run_single(Box::new(checker), transitions)
         }
-        Mode::SetSequential => run_set(constraint, catalog, transitions),
+        Mode::SetSequential => run_set(constraint, catalog, transitions, seed),
         Mode::Stitch => run_stitch(constraint, catalog, transitions, seed),
     }
 }
@@ -170,20 +174,50 @@ pub fn single_checker(
     })
 }
 
+/// The fleet the `set`/`stitch` modes step: the constraint under test
+/// plus, when the catalog declares [`SPARE`], one or two (seed-derived)
+/// companions that read nothing else — so an update wakes at most one
+/// side, and the other sleeps.
+fn fleet(constraint: &Constraint, catalog: &Arc<Catalog>, seed: u64) -> Vec<Constraint> {
+    const COMPANIONS: [&str; 2] = [
+        "deny w0: s0(x) && once[1,3] s0(x)",
+        "deny w1: s0(x) && !hist[0,2] s0(x)",
+    ];
+    let mut fleet = vec![constraint.clone()];
+    if catalog.schema_of(SPARE.into()).is_some() {
+        let n = 1 + (derive_seed(seed, 0xF1EE7) % 2) as usize;
+        let parse = |src: &&str| parse_constraint(src).expect("companion parses");
+        fleet.extend(COMPANIONS[..n].iter().map(parse));
+    }
+    fleet
+}
+
+/// Steps `set` over `transitions`, keeping the report lines of the
+/// constraint under test (the fleet's first member).
+fn step_fleet(
+    set: &mut ConstraintSet,
+    transitions: &[Transition],
+    lines: &mut Vec<String>,
+) -> Result<(), String> {
+    for t in transitions {
+        let reports = set.step(t.time, &t.update).map_err(|e| e.to_string())?;
+        lines.extend(reports.first().map(|r| r.to_string()));
+    }
+    Ok(())
+}
+
 /// [`Mode::SetSequential`]: the fleet (relevance dispatch on) stepped
 /// one transition at a time.
 fn run_set(
     constraint: &Constraint,
     catalog: &Arc<Catalog>,
     transitions: &[Transition],
+    seed: u64,
 ) -> Result<Vec<String>, String> {
-    let mut set = ConstraintSet::new([constraint.clone()], Arc::clone(catalog))
+    let mut set = ConstraintSet::new(fleet(constraint, catalog, seed), Arc::clone(catalog))
         .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?;
     let mut lines = Vec::with_capacity(transitions.len());
-    for t in transitions {
-        let reports = set.step(t.time, &t.update).map_err(|e| e.to_string())?;
-        lines.extend(reports.iter().map(|r| r.to_string()));
-    }
+    step_fleet(&mut set, transitions, &mut lines)?;
     Ok(lines)
 }
 
@@ -205,13 +239,11 @@ fn run_stitch(
     seed: u64,
 ) -> Result<Vec<String>, String> {
     let kill = stitch_kill_step(seed, transitions.len());
-    let mut set = ConstraintSet::new([constraint.clone()], Arc::clone(catalog))
+    let fleet = fleet(constraint, catalog, seed);
+    let mut set = ConstraintSet::new(fleet.clone(), Arc::clone(catalog))
         .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?;
     let mut lines = Vec::with_capacity(transitions.len());
-    for t in &transitions[..kill] {
-        let reports = set.step(t.time, &t.update).map_err(|e| e.to_string())?;
-        lines.extend(reports.iter().map(|r| r.to_string()));
-    }
+    step_fleet(&mut set, &transitions[..kill], &mut lines)?;
     // "Crash": drop the live set, keeping only the serialized checkpoint,
     // then restore into a fresh fleet and finish the history.
     let sections: Vec<String> = checkpoint::save_set(&set)
@@ -219,12 +251,9 @@ fn run_stitch(
         .map(|(_, text)| text)
         .collect();
     drop(set);
-    let mut resumed = checkpoint::restore_set([constraint.clone()], Arc::clone(catalog), &sections)
+    let mut resumed = checkpoint::restore_set(fleet, Arc::clone(catalog), &sections)
         .map_err(|e| format!("restore: {e}"))?;
-    for t in &transitions[kill..] {
-        let reports = resumed.step(t.time, &t.update).map_err(|e| e.to_string())?;
-        lines.extend(reports.iter().map(|r| r.to_string()));
-    }
+    step_fleet(&mut resumed, &transitions[kill..], &mut lines)?;
     Ok(lines)
 }
 

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use rtic_core::{BackendId, Bindings, IncrementalChecker, StepReport};
+use rtic_core::{BackendId, Bindings, IncrementalChecker, SleepBug, StepReport};
 use rtic_history::Transition;
 use rtic_relation::{Catalog, Symbol};
 use rtic_temporal::{Constraint, Formula, Interval, UpperBound, Var};
@@ -26,20 +26,29 @@ pub enum Mutant {
     OffByOneWindow,
     /// Steps whose update touches none of the constraint's relations
     /// (including pure clock ticks) are skipped entirely instead of
-    /// advancing the temporal state — a broken quiescent fast path.
+    /// advancing the temporal state — an engine that sleeps and never wakes.
     DroppedQuiescent,
     /// A cached probe partition is trusted even when its input's version
     /// token neither matches nor chains through a recorded row delta —
     /// the stale-cache bug the version tokens exist to rule out.
     StaleVersion,
+    /// A sleeping engine's deadline is computed one tick late, so it
+    /// sleeps through the state at which a stamp ages into or out of its
+    /// window.
+    LateDeadline,
+    /// Waking up, the engine absorbs every deferred state but the newest
+    /// one — a short catch-up.
+    ShortCatchUp,
 }
 
 impl Mutant {
     /// Every mutant.
-    pub const ALL: [Mutant; 3] = [
+    pub const ALL: [Mutant; 5] = [
         Mutant::OffByOneWindow,
         Mutant::DroppedQuiescent,
         Mutant::StaleVersion,
+        Mutant::LateDeadline,
+        Mutant::ShortCatchUp,
     ];
 
     /// Display/flag name.
@@ -48,6 +57,8 @@ impl Mutant {
             Mutant::OffByOneWindow => "off-by-one-window",
             Mutant::DroppedQuiescent => "dropped-quiescent",
             Mutant::StaleVersion => "stale-version",
+            Mutant::LateDeadline => "late-deadline",
+            Mutant::ShortCatchUp => "short-catch-up",
         }
     }
 
@@ -102,10 +113,14 @@ impl Mutant {
                 }
                 Ok(lines)
             }
-            Mutant::StaleVersion => {
+            Mutant::StaleVersion | Mutant::LateDeadline | Mutant::ShortCatchUp => {
                 let mut inner = IncrementalChecker::new(constraint.clone(), Arc::clone(catalog))
                     .map_err(|e| format!("constraint `{}`: {e}", constraint.name))?;
-                inner.arm_stale_versions();
+                match self {
+                    Mutant::LateDeadline => inner.arm_sleep_bug(SleepBug::LateDeadline),
+                    Mutant::ShortCatchUp => inner.arm_sleep_bug(SleepBug::ShortCatchUp),
+                    _ => inner.arm_stale_versions(),
+                }
                 run_single(Box::new(inner), transitions)
             }
         }
@@ -163,7 +178,7 @@ fn widen_finite_bounds(f: &Formula) -> Formula {
 pub fn mutation_applies(m: Mutant, constraint: &Constraint) -> bool {
     match m {
         Mutant::OffByOneWindow => widen_finite_bounds(&constraint.body) != constraint.body,
-        Mutant::DroppedQuiescent | Mutant::StaleVersion => true,
+        _ => true,
     }
 }
 

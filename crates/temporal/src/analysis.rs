@@ -1,5 +1,5 @@
-//! Static analysis of formulas: lookback horizon, aux-space bound,
-//! touched relations, and tick stability (relevance dispatch).
+//! Static analysis of formulas: lookback horizon, aux-space bound, and
+//! touched relations (relevance dispatch).
 
 use std::collections::BTreeSet;
 
@@ -114,110 +114,9 @@ pub fn per_key_timestamp_bound(f: &Formula) -> UpperBound {
 /// the *touched-relation set* used for relevance dispatch: an update that
 /// inserts into / deletes from none of these relations cannot change `f`'s
 /// extension at the new state (it can still change it through pure time
-/// passage; see [`tick_stability`] for that axis).
+/// passage — the checker's node deadlines bound that axis at run time).
 pub fn touched_relations(f: &Formula) -> BTreeSet<Symbol> {
     f.relations()
-}
-
-/// How a formula's satisfying assignments can move under a *pure clock
-/// tick*: a transition whose update touches none of the formula's
-/// relations, so every atom's extension is unchanged and only `now`
-/// advances.
-///
-/// Both fields are conservative (may be `false` when the property actually
-/// holds, never the reverse):
-///
-/// * `gain_free` — no valuation can go unsatisfied → satisfied. For a
-///   denial body this is *update-monotonicity*: a violation-free state
-///   stays violation-free across ticks, so re-evaluating the body on a
-///   quiescent step is unnecessary.
-/// * `lose_free` — no valuation can go satisfied → unsatisfied.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct TickStability {
-    /// Pure time passage cannot create new satisfying assignments.
-    pub gain_free: bool,
-    /// Pure time passage cannot destroy satisfying assignments.
-    pub lose_free: bool,
-}
-
-impl TickStability {
-    const BOTH: TickStability = TickStability {
-        gain_free: true,
-        lose_free: true,
-    };
-    const NEITHER: TickStability = TickStability {
-        gain_free: false,
-        lose_free: false,
-    };
-
-    fn and(self, other: TickStability) -> TickStability {
-        TickStability {
-            gain_free: self.gain_free && other.gain_free,
-            lose_free: self.lose_free && other.lose_free,
-        }
-    }
-
-    fn negated(self) -> TickStability {
-        TickStability {
-            gain_free: self.lose_free,
-            lose_free: self.gain_free,
-        }
-    }
-
-    fn fully_stable(self) -> bool {
-        self.gain_free && self.lose_free
-    }
-}
-
-/// Computes the [`TickStability`] of `f`.
-///
-/// The interesting cases are the metric operators, where window edges move
-/// with the clock:
-///
-/// * `once[a,b] g` — a witness *enters* the window by aging past `a`
-///   (gains need `a = 0`) and *leaves* it by aging past `b` (losses need
-///   `b = ∞`).
-/// * `hist[a,b] g` — dually: a refuting `¬g` state leaves the window only
-///   when `b` is finite (gains need `b = ∞`... losses need `a = 0` and a
-///   `lose_free` operand, since the new state joins the window).
-/// * `f since[I] g` — anchors age like `once` witnesses, but a key whose
-///   only anchor is the current state was never filtered through `f`, so
-///   the *next* state may drop it: never `lose_free`.
-/// * `prev[I] g` — the referenced state and the gap both change on every
-///   transition: never stable in either direction.
-pub fn tick_stability(f: &Formula) -> TickStability {
-    match f {
-        Formula::True | Formula::False | Formula::Atom { .. } | Formula::Cmp(..) => {
-            TickStability::BOTH
-        }
-        Formula::Not(g) => tick_stability(g).negated(),
-        Formula::And(a, b) | Formula::Or(a, b) => tick_stability(a).and(tick_stability(b)),
-        Formula::Implies(a, b) => tick_stability(a).negated().and(tick_stability(b)),
-        Formula::Exists(_, g) | Formula::Forall(_, g) => tick_stability(g),
-        // The count can move up when the body gains and down when it
-        // loses; which direction flips the comparison depends on the
-        // operator, so require the body fully stable.
-        Formula::CountCmp { body, .. } => {
-            if tick_stability(body).fully_stable() {
-                TickStability::BOTH
-            } else {
-                TickStability::NEITHER
-            }
-        }
-        Formula::Prev(..) => TickStability::NEITHER,
-        Formula::Once(i, g) => TickStability {
-            gain_free: i.lo().0 == 0 && tick_stability(g).gain_free,
-            lose_free: i.hi() == UpperBound::Infinite,
-        },
-        Formula::Hist(i, g) => TickStability {
-            gain_free: i.hi() == UpperBound::Infinite,
-            lose_free: i.lo().0 == 0 && tick_stability(g).lose_free,
-        },
-        Formula::Since(i, _f, g) => TickStability {
-            gain_free: i.lo().0 == 0 && tick_stability(g).gain_free,
-            lose_free: false,
-        },
-    }
 }
 
 #[cfg(test)]
@@ -276,84 +175,6 @@ mod tests {
         assert_eq!(rels.len(), 2);
         assert!(rels.contains(&Symbol::from("p")));
         assert!(rels.contains(&Symbol::from("q")));
-    }
-
-    #[test]
-    fn nontemporal_formulas_are_fully_tick_stable() {
-        let f = p().and(p().not());
-        assert_eq!(tick_stability(&f), TickStability::BOTH);
-    }
-
-    #[test]
-    fn once_from_zero_gains_but_never_loses_only_when_unbounded() {
-        // once[0,5] p: a witness can age out (loses), but with lo = 0
-        // nothing newly enters the window on a pure tick.
-        let bounded = p().once(Interval::up_to(5));
-        assert_eq!(
-            tick_stability(&bounded),
-            TickStability {
-                gain_free: true,
-                lose_free: false
-            }
-        );
-        // once[0,*] p: monotone in both directions under a tick.
-        let unbounded = p().once(Interval::all());
-        assert_eq!(tick_stability(&unbounded), TickStability::BOTH);
-        // once[2,5] p: a past witness can age *into* the window.
-        let delayed = p().once(Interval::bounded(2, 5).unwrap());
-        assert_eq!(tick_stability(&delayed), TickStability::NEITHER);
-    }
-
-    #[test]
-    fn negation_swaps_polarities() {
-        // !once[0,5] p gains exactly when once[0,5] p loses.
-        let f = p().once(Interval::up_to(5)).not();
-        assert_eq!(
-            tick_stability(&f),
-            TickStability {
-                gain_free: false,
-                lose_free: true
-            }
-        );
-    }
-
-    #[test]
-    fn typical_denial_body_is_gain_free() {
-        // The README's running example shape: once[2,*] reserved && reserved
-        // && !once[0,*] confirmed. Ticks can only *add* violations via the
-        // once[2,*]... which has lo > 0, so gain_free must be false there.
-        let reserved = Formula::atom("reserved", [Term::var("x")]);
-        let confirmed = Formula::atom("confirmed", [Term::var("x")]);
-        let f = reserved
-            .clone()
-            .once(Interval::at_least(2))
-            .and(reserved)
-            .and(confirmed.once(Interval::all()).not());
-        assert!(!tick_stability(&f).gain_free);
-
-        // Whereas `p && !once[0,*] q` cannot gain violations on a tick.
-        let g = p().and(
-            Formula::atom("q", [Term::var("x")])
-                .once(Interval::all())
-                .not(),
-        );
-        assert!(tick_stability(&g).gain_free);
-    }
-
-    #[test]
-    fn prev_and_since_are_unstable() {
-        assert_eq!(
-            tick_stability(&p().prev(Interval::up_to(2))),
-            TickStability::NEITHER
-        );
-        let s = p().since(Interval::up_to(4), p());
-        assert_eq!(
-            tick_stability(&s),
-            TickStability {
-                gain_free: true,
-                lose_free: false
-            }
-        );
     }
 
     #[test]

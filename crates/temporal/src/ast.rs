@@ -414,6 +414,17 @@ impl Formula {
         out
     }
 
+    /// The metric interval of a temporal operator at the root, if any.
+    pub fn interval(&self) -> Option<Interval> {
+        match self {
+            Formula::Prev(i, _)
+            | Formula::Once(i, _)
+            | Formula::Hist(i, _)
+            | Formula::Since(i, _, _) => Some(*i),
+            _ => None,
+        }
+    }
+
     /// Whether the formula contains any temporal operator.
     pub fn is_temporal(&self) -> bool {
         match self {

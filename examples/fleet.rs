@@ -78,8 +78,8 @@ fn main() {
     // How much evaluation did relevance dispatch actually save?
     let d = fleet.dispatch_stats();
     println!(
-        "\ndispatch: {} engine-steps — {} affected, {} absorbed as quiescent \
-         ticks, {} quiescent but fully evaluated",
+        "\ndispatch: {} engine-steps — {} affected, {} asleep until its next \
+         deadline, {} quiescent but fully evaluated",
         d.total(),
         d.affected,
         d.skipped,

@@ -103,7 +103,8 @@ constraint files into the run — relation declarations shared between
 files must agree exactly, constraint names must be unique. The
 incremental checker (the default) checks the whole fleet as one
 shared-state constraint set with relevance dispatch: each transition is
-applied once and only the constraints it touches are re-evaluated. A
+applied once and only the constraints it touches are re-evaluated — the
+rest sleep until their next window deadline, replaying their reports. A
 constraint engine that panics mid-step is quarantined — it stops
 reporting while the rest of the fleet keeps checking — and is listed in
 the summary and `--stats`. `--checker naive|windowed|active` run one
@@ -799,7 +800,7 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
             let d = set.dispatch_stats();
             let _ = writeln!(
                 out,
-                "dispatch: {} evaluation(s) total — {} affected, {} absorbed as quiescent ticks, {} quiescent but fully evaluated",
+                "dispatch: {} engine-step(s) total — {} affected, {} asleep until its next deadline, {} quiescent but fully evaluated",
                 d.total(),
                 d.affected,
                 d.skipped,

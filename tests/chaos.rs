@@ -683,14 +683,23 @@ fn quarantine_then_resume_matches_uninterrupted_minus_quarantined() {
     assert_eq!(stitched, expected);
 }
 
-/// Runs a resident `rtic serve` daemon through a kill/resume drill and
-/// returns the final report file's lines. The first incarnation is
-/// crashed by `serve.step=abort@7` (a simulated kill -9: no reply, no
-/// cleanup, no final checkpoint); the second resumes from the newest
-/// intact periodic checkpoint, re-streams the full log, and drains.
-fn serve_kill_resume_drill(tag: &str) -> Vec<String> {
-    let c = temp_file(&format!("{tag}.rtic"), CONSTRAINTS);
-    let l = temp_file(&format!("{tag}.rticlog"), LOG);
+/// Runs a resident `rtic serve` daemon over `constraints` and `log`
+/// through a kill/resume drill and returns the final report file's
+/// lines. The first incarnation checkpoints every `every` updates and is
+/// crashed by `serve.step=abort@<covered + 1>` (a simulated kill -9: no
+/// reply, no cleanup, no final checkpoint) right after the checkpoint
+/// covering `covered` of them; the second resumes from the newest intact
+/// periodic checkpoint, re-streams the full log, and drains.
+fn serve_kill_resume_drill(
+    tag: &str,
+    constraints: &str,
+    log: &str,
+    every: usize,
+    covered: usize,
+) -> Vec<String> {
+    assert_eq!(covered % every, 0, "the kill follows a periodic checkpoint");
+    let c = temp_file(&format!("{tag}.rtic"), constraints);
+    let l = temp_file(&format!("{tag}.rticlog"), log);
     let dir = c.parent().unwrap().to_path_buf();
     let sock = dir.join(format!("{tag}.sock"));
     let ckpt = dir.join(format!("{tag}.ckpt"));
@@ -710,7 +719,7 @@ fn serve_kill_resume_drill(tag: &str) -> Vec<String> {
             "--checkpoint".to_string(),
             ckpt.to_str().unwrap().to_string(),
             "--checkpoint-every".to_string(),
-            "3".to_string(),
+            every.to_string(),
             "--report".to_string(),
             report.to_str().unwrap().to_string(),
         ];
@@ -742,9 +751,9 @@ fn serve_kill_resume_drill(tag: &str) -> Vec<String> {
         run(&args)
     };
 
-    // Incarnation 1: dies processing the 7th transition, right after
-    // the periodic checkpoint that covers the first 6.
-    let server = spawn(false, Some("serve.step=abort@7"));
+    // Incarnation 1: dies processing the transition right after the
+    // periodic checkpoint that covers the first `covered`.
+    let server = spawn(false, Some(&format!("serve.step=abort@{}", covered + 1)));
     let (code, _) = stream(false);
     assert!(code.is_err(), "{tag}: the stream is cut by the crash");
     let (code, out) = server.join().unwrap();
@@ -760,14 +769,14 @@ fn serve_kill_resume_drill(tag: &str) -> Vec<String> {
     let (code, send_out) = stream(true);
     code.unwrap();
     assert!(
-        send_out.contains("6 update(s) acked as already covered"),
+        send_out.contains(&format!("{covered} update(s) acked as already covered")),
         "{tag}: {send_out}"
     );
     let (code, out) = server.join().unwrap();
     assert_eq!(code.unwrap(), 0, "{tag}: {out}");
     assert!(out.contains("resumed from"), "{tag}: {out}");
     assert!(
-        out.contains("skipped 6 transition(s) already covered"),
+        out.contains(&format!("skipped {covered} transition(s) already covered")),
         "{tag}: {out}"
     );
 
@@ -795,7 +804,7 @@ fn serve_kill_and_resume_report_matches_batch_check() {
     assert_eq!(code.unwrap(), 1, "{batch}");
     let expected = violations(&batch);
 
-    let crashed = serve_kill_resume_drill("skr");
+    let crashed = serve_kill_resume_drill("skr", CONSTRAINTS, LOG, 3, 6);
     assert_eq!(
         crashed, expected,
         "kill -9 + resume diverges from batch check"
@@ -839,6 +848,63 @@ fn serve_kill_and_resume_report_matches_batch_check() {
         .map(str::to_string)
         .collect();
     assert_eq!(crashed, uninterrupted);
+}
+
+/// Sixteen tenants, each with its own relations and deadline constraint,
+/// taking turns: update `t` belongs to tenant `t mod 16`, which opens
+/// ticket `t / 16`, closes the previous one (every third never closes and
+/// violates from age 32 — two turns — until it is dropped a turn later).
+fn tenant_turns() -> (String, String) {
+    let (mut constraints, mut log) = (String::new(), String::new());
+    for i in 0..16 {
+        constraints += &format!(
+            "relation open_{i}(k: int)\nrelation closed_{i}(k: int)\n\
+             deny late_{i}: open_{i}(k) && once[32,*] open_{i}(k) && !once[0,60] closed_{i}(k)\n"
+        );
+    }
+    for t in 1..=112u64 {
+        let (i, n) = (t % 16, t as i64 / 16);
+        log += &format!("@{t} +open_{i}({n})");
+        if n >= 1 && (n - 1) % 3 != 0 {
+            log += &format!(" +closed_{i}({})", n - 1);
+        }
+        if n >= 3 {
+            log += &format!(" -open_{i}({})", n - 3);
+        }
+        log.push('\n');
+    }
+    (constraints, log)
+}
+
+/// A kill -9 that lands *between two turns* of fifteen tenants: their
+/// engines are asleep with states deferred when the last checkpoint is
+/// written, so the checkpoint must hold the settled state — what the
+/// eager path would have left — or the resumed daemon's report drifts.
+#[test]
+fn serve_killed_mid_sleep_resumes_to_the_same_report() {
+    use rtic::core::ConstraintSet;
+    use std::sync::Arc;
+
+    let (constraints, log) = tenant_turns();
+    let covered = 55;
+    // The cut really is mid-sleep: replay the covered prefix in process.
+    let file = rtic::temporal::parser::parse_file(&constraints).unwrap();
+    let mut twin = ConstraintSet::new(file.constraints, Arc::new(file.catalog))
+        .unwrap_or_else(|(c, e)| panic!("`{}` fails to compile: {e}", c.name));
+    for t in &rtic::history::log::parse_log(&log).unwrap()[..covered] {
+        twin.step(t.time, &t.update).unwrap();
+    }
+    let asleep = twin.deferred_ticks().iter().filter(|d| d.0 > 0).count();
+    assert_eq!(asleep, 15, "every tenant but the one just served sleeps");
+
+    let c = temp_file("midsleep-batch.rtic", &constraints);
+    let l = temp_file("midsleep-batch.rticlog", &log);
+    let (code, batch) = run(&["check", c.to_str().unwrap(), l.to_str().unwrap()]);
+    assert_eq!(code.unwrap(), 1, "{batch}");
+    let expected = violations(&batch);
+    assert!(expected.len() > 100, "violations on both sides of the cut");
+    let crashed = serve_kill_resume_drill("midsleep", &constraints, &log, 5, covered);
+    assert_eq!(crashed, expected, "kill -9 mid-sleep + resume diverges");
 }
 
 /// SMC-under-kill drill: an `rtic smc --backend soak-serve` campaign

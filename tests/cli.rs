@@ -80,7 +80,7 @@ fn check_clean_log_exits_zero() {
         out.contains("  node `once confirmed(p, f)`: 1 key(s), 1 timestamp(s)"),
         "{out}"
     );
-    assert!(out.contains("dispatch: 3 evaluation(s) total"), "{out}");
+    assert!(out.contains("dispatch: 3 engine-step(s) total"), "{out}");
     assert!(out.contains("plan[set]"), "{out}");
 }
 

@@ -43,8 +43,10 @@ horizon    : 9 ticks (windowed checking is exact)
 aux state  : 2 temporal node(s)
   [0] once[2,9] reserved(p, f)
       keys(f, p); pruned witness-timestamp deque per key (≤ 10 stamps/key)
+      untouched: sleeps until a stamp ages in (s + 2) or ages out (s + 10)
   [1] once[0,9] confirmed(p, f)
       keys(f, p); latest witness timestamp per key (a = 0 specialization)
+      untouched: sleeps until a stamp ages out (s + 10)
 per-key stamp bound: 10
 evaluation plan:
   1. reserved(p, f)  — generates f, p
@@ -80,6 +82,15 @@ fn since_and_hist_strategies_are_named() {
     );
     assert!(
         text.contains("unbounded (aux space bounded by the active domain)"),
+        "{text}"
+    );
+    // Each node says what it does while its relations are left alone.
+    assert!(
+        text.contains("sleeps until a stamp ages in (s + 3); declines right after a fresh anchor"),
+        "{text}"
+    );
+    assert!(
+        text.contains("sleeps until the oldest recent state ages 1"),
         "{text}"
     );
 }
