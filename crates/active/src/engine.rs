@@ -25,7 +25,6 @@
 //! (property-tested); the constant-factor overhead of going through
 //! relations is experiment T5.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use rtic_core::eval::Oracle;
@@ -35,7 +34,8 @@ use rtic_core::{
 };
 use rtic_history::HistoryError;
 use rtic_relation::{
-    Attribute, Catalog, Database, Relation, Schema, Sort, Symbol, Tuple, Update, Value,
+    Attribute, Catalog, Database, FastMap, Relation, Schema, Sort, Symbol, Tuple, TupleMap, Update,
+    Value,
 };
 use rtic_temporal::ast::{Formula, Var};
 use rtic_temporal::time::UpperBound;
@@ -505,7 +505,7 @@ impl ActiveChecker {
         let keep_newest = tables.interval.lo().0 == 0;
         let keep_oldest = !tables.interval.is_bounded() && !keep_newest;
         if keep_newest || keep_oldest {
-            let mut best: HashMap<Tuple, TimePoint> = HashMap::new();
+            let mut best: TupleMap<TimePoint> = TupleMap::default();
             for r in self.rel(tables.aux).iter() {
                 let key = r.project(&key_cols);
                 let ts = value_time(r[arity]);
@@ -629,7 +629,7 @@ impl Checker for ActiveChecker {
 struct ActiveOracle<'a> {
     db: &'a Database,
     nodes: &'a [NodeTables],
-    ids: &'a HashMap<Formula, usize>,
+    ids: &'a FastMap<Formula, usize>,
     t_now: TimePoint,
 }
 

@@ -18,12 +18,11 @@
 //! execution path for compiled plans (see [`crate::plan`]), which computes
 //! shapes once at constraint-compile time.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use rtic_relation::{Relation, Symbol, Tuple, TupleBlock, Value};
+use rtic_relation::{FastMap, Relation, Symbol, Tuple, TupleSet, Value};
 use rtic_temporal::ast::{Term, Var};
 
 /// A finite set of assignments over a sorted variable list.
@@ -38,7 +37,7 @@ use rtic_temporal::ast::{Term, Var};
 #[derive(Clone, Debug)]
 pub struct Bindings {
     vars: Vec<Var>,
-    rows: Arc<HashSet<Tuple>>,
+    rows: Arc<TupleSet>,
     version: u64,
 }
 
@@ -70,14 +69,14 @@ pub struct Scratch {
     /// validated against the per-relation generations the subtree reads,
     /// so an update touching *other* relations leaves the entry — and its
     /// row-set version — intact.
-    memo: HashMap<usize, MemoEntry>,
+    memo: FastMap<usize, MemoEntry>,
     /// Per-producer-node record of the last output transition (old
     /// version → new version plus the net added/removed tuples), so
     /// downstream probes and windows advance in O(|delta|).
-    deltas: HashMap<usize, RowDelta>,
+    deltas: FastMap<usize, RowDelta>,
     /// Per-probe-node passed/failed partition of the node's last input,
     /// valid only for monotone windows (see `Oracle::probe_monotone`).
-    probes: HashMap<usize, ProbePartition>,
+    probes: FastMap<usize, ProbePartition>,
     /// Column blocks streamed by the kernels.
     blocks: u64,
     /// Total rows across those blocks (`block_rows / blocks` = mean
@@ -140,7 +139,14 @@ pub(crate) struct ProbePartition {
 impl ProbePartition {
     /// Partitions `input` from scratch with one probe per row.
     pub(crate) fn full(input: &Bindings, mut holds: impl FnMut(&Tuple) -> bool) -> ProbePartition {
-        let (passed, failed) = input.rows.iter().cloned().partition(|row| holds(row));
+        // Probed first, so each side is allocated once, at its size.
+        let verdicts: Vec<bool> = input.rows.iter().map(&mut holds).collect();
+        let n_passed = verdicts.iter().filter(|ok| **ok).count();
+        let sized = |n| TupleSet::with_capacity_and_hasher(n, Default::default());
+        let (mut passed, mut failed) = (sized(n_passed), sized(input.len() - n_passed));
+        for (row, ok) in input.rows.iter().zip(verdicts) {
+            if ok { &mut passed } else { &mut failed }.insert(row.clone());
+        }
         ProbePartition {
             input: input.version,
             passed: Bindings::build(input.vars.clone(), passed),
@@ -171,11 +177,8 @@ impl ProbePartition {
         self.input = input;
         // Failed rows whose key aged into (or was newly recorded by) the
         // window since the last probe.
-        let flips: Vec<Tuple> = (self.failed.rows.iter())
-            .filter(|r| holds(r))
-            .cloned()
-            .collect();
-        if added.is_empty() && removed.is_empty() && flips.is_empty() {
+        let flips = self.failed.rows.iter().filter(|r| holds(r)).count();
+        if added.is_empty() && removed.is_empty() && flips == 0 {
             return (Vec::new(), Vec::new());
         }
         let passed = self.passed.rows_mut(&mut scratch.rows_copied);
@@ -190,12 +193,17 @@ impl ProbePartition {
                 failed.remove(row);
             }
         }
-        let mut passed_added = Vec::with_capacity(flips.len() + added.len());
-        for row in flips {
-            if failed.remove(&row) {
-                passed.insert(row.clone());
-                passed_added.push(row);
-            }
+        let mut passed_added = Vec::with_capacity(flips + added.len());
+        passed.reserve(flips);
+        if flips > 0 {
+            failed.retain(|row| {
+                let flip = holds(row);
+                if flip {
+                    passed.insert(row.clone());
+                    passed_added.push(row.clone());
+                }
+                !flip
+            });
         }
         for row in added {
             if holds(row) {
@@ -505,11 +513,11 @@ impl Bindings {
     /// The unit: no variables, one (empty) row. Identity for joins;
     /// represents "true".
     pub fn unit() -> Bindings {
-        Bindings::build(Vec::new(), HashSet::from([Tuple::empty()]))
+        Bindings::build(Vec::new(), TupleSet::from_iter([Tuple::empty()]))
     }
 
     /// A new row set over sorted `vars`, stamped with a fresh version.
-    fn build(vars: Vec<Var>, rows: HashSet<Tuple>) -> Bindings {
+    fn build(vars: Vec<Var>, rows: TupleSet) -> Bindings {
         Bindings {
             vars,
             rows: Arc::new(rows),
@@ -525,7 +533,7 @@ impl Bindings {
     /// The rows for in-place mutation, under a fresh version. When another
     /// holder still shares the storage it is copied first and the copy
     /// tallied in `copied` — results never depend on who else holds it.
-    fn rows_mut(&mut self, copied: &mut u64) -> &mut HashSet<Tuple> {
+    fn rows_mut(&mut self, copied: &mut u64) -> &mut TupleSet {
         if Arc::get_mut(&mut self.rows).is_none() {
             *copied += self.rows.len() as u64;
         }
@@ -538,7 +546,7 @@ impl Bindings {
         let mut vars: Vec<Var> = vars.into_iter().collect();
         vars.sort_unstable();
         vars.dedup();
-        Bindings::build(vars, HashSet::new())
+        Bindings::build(vars, TupleSet::default())
     }
 
     /// Builds from rows whose columns follow `vars` (any order; columns are
@@ -554,7 +562,7 @@ impl Bindings {
             sorted_vars.windows(2).all(|w| w[0] != w[1]),
             "duplicate variable in Bindings::from_rows"
         );
-        let rows: HashSet<Tuple> = rows
+        let rows: TupleSet = rows
             .into_iter()
             .map(|t| {
                 assert_eq!(t.arity(), vars.len(), "row arity mismatch");
@@ -593,14 +601,6 @@ impl Bindings {
         let mut rows: Vec<&Tuple> = self.rows.iter().collect();
         rows.sort_unstable();
         rows
-    }
-
-    /// The rows as a sorted column-major [`TupleBlock`] — the boundary
-    /// representation: the block's row order is exactly
-    /// [`Bindings::sorted_rows`]' order, so anything rendered or persisted
-    /// from it is byte-identical to the row-at-a-time form.
-    pub fn sorted_block(&self) -> TupleBlock {
-        TupleBlock::from_tuples(self.rows.iter().cloned())
     }
 
     /// Membership test for a row in this binding set's column order.
@@ -682,34 +682,6 @@ impl Bindings {
         self.project(&keep)
     }
 
-    /// Columnar [`Bindings::project_away`] — the compiled plans' `exists`
-    /// kernel: the dropped variables become column drops on a
-    /// [`TupleBlock`] (gather the kept columns, re-unique) instead of
-    /// per-row tuple rebuilds. Output is logically identical.
-    pub(crate) fn project_away_vec(&self, remove: &[Var], scratch: &mut Scratch) -> Bindings {
-        let mut removed: Vec<Var> = remove.to_vec();
-        removed.sort_unstable();
-        let mut keep_vars: Vec<Var> = Vec::with_capacity(self.vars.len());
-        let mut keep_pos: Vec<usize> = Vec::with_capacity(self.vars.len());
-        for (i, v) in self.vars.iter().enumerate() {
-            if removed.binary_search(v).is_err() {
-                keep_vars.push(*v);
-                keep_pos.push(i);
-            }
-        }
-        if keep_vars.len() == self.vars.len() {
-            return self.clone();
-        }
-        if self.rows.is_empty() {
-            // An empty row set materializes a zero-column block; there is
-            // nothing to gather.
-            return Bindings::build(keep_vars, HashSet::new());
-        }
-        let block = TupleBlock::from_tuples(self.rows.iter().cloned());
-        scratch.note_block(block.len() as u64);
-        Bindings::build(keep_vars, block.project(&keep_pos).iter().collect())
-    }
-
     /// Incrementally refreshes a memoized **unit-input atom scan** against
     /// the relation's recorded tuple delta, instead of rescanning and
     /// re-hashing the whole relation.
@@ -739,8 +711,8 @@ impl Bindings {
         );
         scratch.note_block(events.len() as u64);
         let rows = self.rows_mut(&mut scratch.rows_copied);
-        let mut added_rows: HashSet<Tuple> = HashSet::new();
-        let mut removed_rows: HashSet<Tuple> = HashSet::new();
+        let mut added_rows = TupleSet::default();
+        let mut removed_rows = TupleSet::default();
         for (t, added) in events {
             if shape.const_checks.iter().any(|&(i, c)| t[i] != c) {
                 continue;
@@ -790,7 +762,7 @@ impl Bindings {
         let mut vars = self.vars.clone();
         let insert_at = vars.partition_point(|&u| u < v);
         vars.insert(insert_at, v);
-        let rows: HashSet<Tuple> = self
+        let rows: TupleSet = self
             .rows
             .iter()
             .map(|r| {
@@ -822,7 +794,8 @@ impl Bindings {
         if shape.lpos.len() == 1 {
             return self.natural_join_single_key(other, shape, scratch);
         }
-        let mut table: HashMap<Vec<Value>, Vec<&Tuple>> = HashMap::with_capacity(other.rows.len());
+        let mut table: FastMap<Vec<Value>, Vec<&Tuple>> =
+            FastMap::with_capacity_and_hasher(other.rows.len(), Default::default());
         for r in other.rows.iter() {
             table
                 .entry(shape.rpos.iter().map(|&i| r[i]).collect())
@@ -830,7 +803,7 @@ impl Bindings {
                 .push(r);
         }
         scratch.note_width(shape.lpos.len());
-        let mut rows = HashSet::new();
+        let mut rows = TupleSet::default();
         for l in self.rows.iter() {
             scratch.key.clear();
             scratch.key.extend(shape.lpos.iter().map(|&i| l[i]));
@@ -867,7 +840,8 @@ impl Bindings {
         // column, then the hash table maps each key value to row ids.
         let build: Vec<&Tuple> = other.rows.iter().collect();
         let keys: Vec<Value> = build.iter().map(|r| r[rkey]).collect();
-        let mut table: HashMap<Value, Vec<u32>> = HashMap::with_capacity(build.len());
+        let mut table: FastMap<Value, Vec<u32>> =
+            FastMap::with_capacity_and_hasher(build.len(), Default::default());
         for (i, k) in keys.iter().enumerate() {
             #[allow(clippy::cast_possible_truncation)]
             table.entry(*k).or_default().push(i as u32);
@@ -875,7 +849,7 @@ impl Bindings {
         scratch.note_block(build.len() as u64);
         scratch.note_block(self.rows.len() as u64);
         scratch.note_width(1);
-        let mut rows = HashSet::with_capacity(self.rows.len());
+        let mut rows = TupleSet::with_capacity_and_hasher(self.rows.len(), Default::default());
         for l in self.rows.iter() {
             if let Some(matches) = table.get(&l[lkey]) {
                 for &i in matches {
@@ -947,7 +921,8 @@ impl Bindings {
         // The scan streams the input rows as one block; size the output
         // for the common one-match-per-probe case up front.
         scratch.note_block(self.rows.len() as u64);
-        let mut rows = HashSet::with_capacity(self.rows.len().max(rel.len()));
+        let mut rows =
+            TupleSet::with_capacity_and_hasher(self.rows.len().max(rel.len()), Default::default());
         for l in self.rows.iter() {
             scratch.key.clear();
             scratch
@@ -985,13 +960,10 @@ impl Bindings {
 }
 
 impl fmt::Display for Bindings {
-    /// Renders through the sorted column-major boundary block
-    /// ([`Bindings::sorted_block`]); its row order is exactly the sorted
-    /// row order, so the output is byte-identical to rendering
-    /// [`Bindings::sorted_rows`] directly.
+    /// Renders [`Bindings::sorted_rows`].
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("{")?;
-        for (n, row) in self.sorted_block().iter().enumerate() {
+        for (n, row) in self.sorted_rows().into_iter().enumerate() {
             if n > 0 {
                 f.write_str(", ")?;
             }
@@ -1013,9 +985,46 @@ mod tests {
     use super::*;
     use rtic_relation::{tuple, Schema, Sort};
     use rtic_temporal::var;
+    use std::collections::BTreeSet;
 
     fn b(vars: &[&str], rows: Vec<Tuple>) -> Bindings {
         Bindings::from_rows(vars.iter().map(|v| var(v)).collect(), rows)
+    }
+
+    #[test]
+    fn a_partition_advances_to_what_a_fresh_one_would_be() {
+        let rows = |ks: &[i64]| -> Vec<Tuple> { ks.iter().map(|&k| tuple![k]).collect() };
+        let as_set = |side: &Bindings| -> BTreeSet<Tuple> { side.rows().cloned().collect() };
+        let sorted = |mut v: Vec<Tuple>| {
+            v.sort();
+            v
+        };
+        // Keys below the bar pass; the bar only ever rises (monotone).
+        let input = b(&["k"], rows(&[1, 2, 3, 4, 5, 6]));
+        let mut part = ProbePartition::full(&input, |r| r[0] < Value::Int(3));
+        assert_eq!(as_set(&part.passed), rows(&[1, 2]).into_iter().collect());
+        assert_eq!(
+            as_set(&part.failed),
+            rows(&[3, 4, 5, 6]).into_iter().collect()
+        );
+        // One advance with flips (3, 4), a removed passed row (1), a removed
+        // failed row that would have flipped (5), and two additions.
+        let (added, removed) = (rows(&[0, 9]), rows(&[1, 5]));
+        let holds = |r: &Tuple| r[0] < Value::Int(6);
+        let mut scratch = Scratch::new();
+        let (gained, lost) = part.advance(7, &added, &removed, holds, &mut scratch);
+        assert_eq!(sorted(gained), rows(&[0, 3, 4]));
+        assert_eq!(lost, rows(&[1]));
+        let now = b(&["k"], rows(&[0, 2, 3, 4, 6, 9]));
+        let fresh = ProbePartition::full(&now, holds);
+        assert_eq!(as_set(&part.passed), as_set(&fresh.passed));
+        assert_eq!(as_set(&part.failed), as_set(&fresh.failed));
+        assert_eq!((part.input, scratch.rows_copied()), (7, 0));
+        // Nothing to do: both sides keep their version.
+        let versions = (part.passed.version(), part.failed.version());
+        let (gained, lost) = part.advance(8, &[], &[], holds, &mut scratch);
+        assert!(gained.is_empty() && lost.is_empty());
+        assert_eq!((part.passed.version(), part.failed.version()), versions);
     }
 
     #[test]

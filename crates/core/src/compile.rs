@@ -1,10 +1,10 @@
 //! Constraint compilation: normalization, renaming, static checks, and the
 //! temporal-subformula DAG shared by every checker.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use rtic_relation::{Catalog, Symbol};
+use rtic_relation::{Catalog, FastMap, Symbol};
 use rtic_temporal::ast::Formula;
 use rtic_temporal::normalize::rename_apart;
 use rtic_temporal::optimize::optimize;
@@ -30,7 +30,7 @@ pub struct CompiledConstraint {
     /// bounded encoding.
     pub nodes: Vec<Formula>,
     /// `nodes` index by subformula.
-    pub node_ids: HashMap<Formula, usize>,
+    pub node_ids: FastMap<Formula, usize>,
     /// The body's lookback horizon.
     pub horizon: Horizon,
     /// Relations the body reads — an update touching none of them cannot
@@ -75,7 +75,7 @@ impl CompiledConstraint {
         typecheck::typecheck(&body, &catalog)?;
         safety::check(&body)?;
         let mut nodes = Vec::new();
-        let mut node_ids = HashMap::new();
+        let mut node_ids = FastMap::default();
         collect_temporal_postorder(&body, &mut nodes, &mut node_ids);
         let horizon = analysis::horizon(&body);
         let relations = analysis::touched_relations(&body);
@@ -98,7 +98,7 @@ impl CompiledConstraint {
 fn collect_temporal_postorder(
     f: &Formula,
     nodes: &mut Vec<Formula>,
-    ids: &mut HashMap<Formula, usize>,
+    ids: &mut FastMap<Formula, usize>,
 ) {
     match f {
         Formula::True | Formula::False | Formula::Atom { .. } | Formula::Cmp(..) => {}
@@ -122,7 +122,7 @@ fn collect_temporal_postorder(
     }
 }
 
-fn insert_node(f: &Formula, nodes: &mut Vec<Formula>, ids: &mut HashMap<Formula, usize>) {
+fn insert_node(f: &Formula, nodes: &mut Vec<Formula>, ids: &mut FastMap<Formula, usize>) {
     if !ids.contains_key(f) {
         ids.insert(f.clone(), nodes.len());
         nodes.push(f.clone());

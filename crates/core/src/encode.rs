@@ -20,9 +20,9 @@
 //! * `prev[a,b] g` — the operand's extension at the previous state and that
 //!   state's timestamp.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use rtic_relation::Tuple;
+use rtic_relation::{Tuple, TupleMap};
 use rtic_temporal::ast::Var;
 use rtic_temporal::time::{Duration, Interval, TimePoint, UpperBound};
 
@@ -169,7 +169,7 @@ pub struct WindowState {
     interval: Interval,
     policy: StampPolicy,
     vars: Vec<Var>,
-    stamps: HashMap<Tuple, Stamps>,
+    stamps: TupleMap<Stamps>,
 }
 
 impl WindowState {
@@ -179,7 +179,7 @@ impl WindowState {
             interval,
             policy,
             vars,
-            stamps: HashMap::new(),
+            stamps: TupleMap::default(),
         }
     }
 
@@ -224,6 +224,9 @@ impl WindowState {
     pub fn add_and_prune(&mut self, sat_now: &Bindings, t_now: TimePoint) {
         debug_assert_eq!(sat_now.vars(), self.vars.as_slice());
         let restamp = !self.absorb_is_noop();
+        // At least this many keys are new: one allocation, not a doubling.
+        let fresh = sat_now.len().saturating_sub(self.stamps.len());
+        self.stamps.reserve(fresh);
         for row in sat_now.rows() {
             match self.stamps.get_mut(row) {
                 Some(s) if restamp => s.add(t_now),
@@ -438,7 +441,7 @@ pub struct HistFiniteState {
     vars: Vec<Var>,
     /// Per key: maximal runs `(start, end)` of consecutive states on which
     /// the operand held, sorted, pruned to ends within the last `bound`.
-    runs: HashMap<Tuple, VecDeque<(TimePoint, TimePoint)>>,
+    runs: TupleMap<VecDeque<(TimePoint, TimePoint)>>,
     /// Timestamps of all states in the last `bound` ticks.
     state_times: VecDeque<TimePoint>,
 }
@@ -454,7 +457,7 @@ impl HistFiniteState {
             interval,
             bound,
             vars,
-            runs: HashMap::new(),
+            runs: TupleMap::default(),
             state_times: VecDeque::new(),
         }
     }
@@ -592,7 +595,7 @@ pub struct HistInfState {
     started: bool,
     /// End of each key's prefix run (the run beginning at state 0). Frozen
     /// when the run breaks; pruned once it can no longer satisfy a query.
-    prefix_end: HashMap<Tuple, TimePoint>,
+    prefix_end: TupleMap<TimePoint>,
     /// Keys whose prefix run is still growing.
     active: std::collections::BTreeSet<Tuple>,
     /// State times newer than `t_now − lo` (bounded by `lo + 1`).
@@ -612,7 +615,7 @@ impl HistInfState {
             lo: interval.lo(),
             vars,
             started: false,
-            prefix_end: HashMap::new(),
+            prefix_end: TupleMap::default(),
             active: std::collections::BTreeSet::new(),
             recent_times: VecDeque::new(),
             latest_older: None,

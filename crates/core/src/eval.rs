@@ -7,7 +7,7 @@
 //! evaluator is what makes the equivalence property tests meaningful: the
 //! two checkers differ *only* in how they answer temporal questions.
 
-use rtic_relation::{Database, Tuple};
+use rtic_relation::{Database, Tuple, TupleMap};
 use rtic_temporal::ast::{CmpOp, Formula, Term, Var};
 use rtic_temporal::safety;
 
@@ -133,8 +133,7 @@ pub fn eval<O: Oracle + ?Sized>(
                 .iter()
                 .map(|v| ext.position(*v).expect("outer vars are free in the body"))
                 .collect();
-            let mut counts: std::collections::HashMap<Tuple, i64> =
-                std::collections::HashMap::new();
+            let mut counts: TupleMap<i64> = TupleMap::default();
             for row in ext.rows() {
                 *counts.entry(row.project(&outer_pos)).or_insert(0) += 1;
             }

@@ -22,11 +22,11 @@
 //! can advance several constraints' engines over one shared database.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use rtic_history::HistoryError;
-use rtic_relation::{Catalog, Database, Tuple, Update};
+use rtic_relation::{Catalog, Database, FastMap, Tuple, Update};
 use rtic_temporal::ast::{Formula, Var};
 use rtic_temporal::time::Duration;
 use rtic_temporal::{Constraint, TimePoint};
@@ -709,7 +709,7 @@ impl Checker for IncrementalChecker {
 
 /// Oracle over the already-advanced node states.
 struct IncOracle<'a> {
-    node_ids: &'a HashMap<Formula, usize>,
+    node_ids: &'a FastMap<Formula, usize>,
     states: &'a [NodeState],
     extensions: &'a [Option<Bindings>],
     t_now: TimePoint,

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use rtic_history::{History, HistoryError};
-use rtic_relation::{Catalog, Tuple, Update};
+use rtic_relation::{Catalog, FastMap, Tuple, Update};
 use rtic_temporal::ast::{Formula, Var};
 use rtic_temporal::{Constraint, TimePoint};
 
@@ -166,7 +166,7 @@ struct NaiveOracle<'h> {
     /// Per-evaluation memo of node extensions, so the semijoin-pushdown
     /// `contains` probes don't recompute the (expensive, history-scanning)
     /// extension once per candidate row.
-    extensions: std::cell::RefCell<std::collections::HashMap<Formula, Bindings>>,
+    extensions: std::cell::RefCell<FastMap<Formula, Bindings>>,
 }
 
 impl<'h> NaiveOracle<'h> {

@@ -28,7 +28,7 @@
 
 use std::collections::BTreeSet;
 
-use rtic_relation::{Database, Symbol, Value};
+use rtic_relation::{Database, Symbol, TupleMap, Value};
 use rtic_temporal::ast::{CmpOp, Formula, Term, Var};
 use rtic_temporal::safety;
 
@@ -1001,7 +1001,11 @@ impl Plan {
             }
             Kind::Exists { drop, inner } => {
                 let r = inner.execute(db, oracle, input, scratch);
-                r.project_away_vec(drop, scratch)
+                let out = r.project_away(drop);
+                if !r.is_empty() && out.vars().len() != r.vars().len() {
+                    scratch.note_block(r.len() as u64);
+                }
+                out
             }
             Kind::TemporalProbe { node, proj } => {
                 if self.node_id != UNTRACKED && oracle.probe_monotone(node) {
@@ -1090,9 +1094,9 @@ fn count_groups<O: Oracle + ?Sized>(
     db: &Database,
     oracle: &O,
     scratch: &mut Scratch,
-) -> std::collections::HashMap<rtic_relation::Tuple, i64> {
+) -> TupleMap<i64> {
     let ext = body.execute(db, oracle, &Bindings::unit(), scratch);
-    let mut counts = std::collections::HashMap::new();
+    let mut counts = TupleMap::default();
     for row in ext.rows() {
         *counts.entry(row.project(outer_pos_ext)).or_insert(0) += 1;
     }

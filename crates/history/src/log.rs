@@ -16,7 +16,7 @@ use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
 
-use rtic_relation::{Tuple, Update, Value};
+use rtic_relation::{Symbol, Tuple, Update, Value};
 use rtic_temporal::TimePoint;
 
 use crate::history::Transition;
@@ -54,17 +54,11 @@ impl fmt::Display for LogError {
 impl Error for LogError {}
 
 fn write_value(out: &mut String, v: &Value) {
-    match v {
-        Value::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
-        Value::Str(s) => {
-            let _ = write!(out, "{:?}", s.as_str());
-        }
-        Value::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
-    }
+    let _ = match v {
+        Value::Int(i) => write!(out, "{i}"),
+        Value::Str(s) => write!(out, "{:?}", s.as_str()),
+        Value::Bool(b) => write!(out, "{b}"),
+    };
 }
 
 /// Serializes transitions to the text format.
@@ -72,21 +66,11 @@ pub fn format_log(transitions: &[Transition]) -> String {
     let mut out = String::new();
     for t in transitions {
         let _ = write!(out, "@{}", t.time.0);
-        for (rel, tuples) in t.update.inserts() {
+        let inserts = t.update.inserts().map(|change| ('+', change));
+        let deletes = t.update.deletes().map(|change| ('-', change));
+        for (sign, (rel, tuples)) in inserts.chain(deletes) {
             for tuple in tuples {
-                let _ = write!(out, " +{rel}(");
-                for (i, v) in tuple.values().iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    write_value(&mut out, v);
-                }
-                out.push(')');
-            }
-        }
-        for (rel, tuples) in t.update.deletes() {
-            for tuple in tuples {
-                let _ = write!(out, " -{rel}(");
+                let _ = write!(out, " {sign}{rel}(");
                 for (i, v) in tuple.values().iter().enumerate() {
                     if i > 0 {
                         out.push_str(", ");
@@ -101,11 +85,24 @@ pub fn format_log(transitions: &[Transition]) -> String {
     out
 }
 
+/// The one lexer behind [`parse_log`], [`LogReader`] and the serve
+/// `UPDATE` payload. It walks the line's bytes: every token of the grammar
+/// is ASCII, so UTF-8 is decoded only where other characters may stand —
+/// inside string literals and as whitespace between tokens.
+#[derive(Default)]
 struct LineParser<'s> {
-    chars: Vec<char>,
+    src: &'s [u8],
     pos: usize,
     line_no: usize,
-    _src: &'s str,
+    /// The last relation name read and its symbol: logs list a relation's
+    /// changes together, so a run of equal names is interned once.
+    rel: Option<(&'s [u8], Symbol)>,
+    /// The fields of the tuple being read (one buffer per line).
+    fields: Vec<Value>,
+    /// The changes read since the sign or the relation last changed, handed
+    /// to the update as one run.
+    run: Vec<Tuple>,
+    run_of: Option<(bool, Symbol)>,
 }
 
 impl<'s> LineParser<'s> {
@@ -117,153 +114,191 @@ impl<'s> LineParser<'s> {
         }
     }
 
-    fn skip_ws(&mut self) {
-        while self.pos < self.chars.len() && self.chars[self.pos].is_whitespace() {
-            self.pos += 1;
+    fn bad_utf8(&self, at: usize) -> LogError {
+        self.err(format!("invalid UTF-8 at byte {}", at + 1))
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.src.get(self.pos).copied()
+    }
+
+    /// The whole character at the cursor (`None` at end of line).
+    fn peek_char(&self) -> Result<Option<char>, LogError> {
+        let rest = &self.src[self.pos..];
+        match rest[..rest.len().min(4)].utf8_chunks().next() {
+            Some(head) => match head.valid().chars().next() {
+                None => Err(self.bad_utf8(self.pos)),
+                c => Ok(c),
+            },
+            None => Ok(None),
         }
     }
 
-    fn at_end(&mut self) -> bool {
-        self.skip_ws();
-        self.pos >= self.chars.len() || self.chars[self.pos] == '#'
+    fn skip_ws(&mut self) -> Result<(), LogError> {
+        loop {
+            match self.peek() {
+                Some(b) if b.is_ascii() && (b as char).is_whitespace() => self.pos += 1,
+                Some(b) if !b.is_ascii() => match self.peek_char()? {
+                    Some(c) if c.is_whitespace() => self.pos += c.len_utf8(),
+                    _ => return Ok(()),
+                },
+                _ => return Ok(()),
+            }
+        }
     }
 
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+    fn at_end(&mut self) -> Result<bool, LogError> {
+        self.skip_ws()?;
+        Ok(matches!(self.peek(), None | Some(b'#')))
     }
 
-    fn expect(&mut self, c: char) -> Result<(), LogError> {
+    fn expect(&mut self, c: u8) -> Result<(), LogError> {
         if self.peek() == Some(c) {
             self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!(
-                "expected `{c}`, found {}",
-                self.peek()
-                    .map(|c| format!("`{c}`"))
-                    .unwrap_or_else(|| "end of line".into())
-            )))
+            return Ok(());
         }
+        let found = match self.peek_char()? {
+            Some(found) => format!("`{found}`"),
+            None => "end of line".into(),
+        };
+        Err(self.err(format!("expected `{}`, found {found}", c as char)))
+    }
+
+    /// Consumes and returns the longest run of bytes satisfying `pred`.
+    fn take_while(&mut self, pred: impl Fn(&u8) -> bool) -> &'s [u8] {
+        let rest = &self.src[self.pos..];
+        let run = &rest[..rest.iter().position(|b| !pred(b)).unwrap_or(rest.len())];
+        self.pos += run.len();
+        run
     }
 
     fn integer(&mut self) -> Result<i64, LogError> {
         let start = self.pos;
-        if self.peek() == Some('-') {
-            self.pos += 1;
-        }
-        while self.pos < self.chars.len() && self.chars[self.pos].is_ascii_digit() {
-            self.pos += 1;
-        }
-        let text: String = self.chars[start..self.pos].iter().collect();
-        if text.is_empty() || text == "-" {
+        let negative = self.peek() == Some(b'-');
+        self.pos += usize::from(negative);
+        let digits = self.take_while(u8::is_ascii_digit);
+        if digits.is_empty() {
             return Err(self.err("expected an integer"));
         }
-        text.parse()
-            .map_err(|_| self.err(format!("integer `{text}` out of range")))
+        // Accumulated below zero, where `i64::MIN` fits.
+        let below = |n: i64, d: &u8| n.checked_mul(10)?.checked_sub(i64::from(d - b'0'));
+        let value = digits.iter().try_fold(0, below);
+        let value = value.and_then(|n| if negative { Some(n) } else { n.checked_neg() });
+        value.ok_or_else(|| {
+            let text = String::from_utf8_lossy(&self.src[start..self.pos]);
+            self.err(format!("integer `{text}` out of range"))
+        })
     }
 
-    fn ident(&mut self) -> Result<String, LogError> {
-        let start = self.pos;
-        while self.pos < self.chars.len()
-            && (self.chars[self.pos].is_ascii_alphanumeric() || self.chars[self.pos] == '_')
-        {
-            self.pos += 1;
+    fn ident(&mut self) -> Result<&'s [u8], LogError> {
+        match self.take_while(|b| b.is_ascii_alphanumeric() || *b == b'_') {
+            [] => Err(self.err("expected an identifier")),
+            word => Ok(word),
         }
-        if self.pos == start {
-            return Err(self.err("expected an identifier"));
-        }
-        Ok(self.chars[start..self.pos].iter().collect())
+    }
+
+    /// A string literal, cursor at the opening quote. An escape-free
+    /// literal is interned straight from the line.
+    fn string(&mut self) -> Result<Value, LogError> {
+        self.pos += 1;
+        let mut unescaped = String::new();
+        let value = loop {
+            let start = self.pos;
+            let run = self.take_while(|b| !matches!(b, b'"' | b'\\'));
+            let run =
+                std::str::from_utf8(run).map_err(|e| self.bad_utf8(start + e.valid_up_to()))?;
+            match self.peek() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') if unescaped.is_empty() => break Value::str(run),
+                Some(b'"') => break Value::str(&(unescaped + run)),
+                Some(_) => {
+                    unescaped.push_str(run);
+                    unescaped.push(match self.src.get(self.pos + 1) {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'n') => '\n',
+                        _ => return Err(self.err("unknown escape")),
+                    });
+                    self.pos += 2;
+                }
+            }
+        };
+        self.pos += 1;
+        Ok(value)
     }
 
     fn value(&mut self) -> Result<Value, LogError> {
-        self.skip_ws();
+        self.skip_ws()?;
         match self.peek() {
-            Some('"') => {
-                self.pos += 1;
-                let mut s = String::new();
-                loop {
-                    match self.peek() {
-                        None => return Err(self.err("unterminated string")),
-                        Some('"') => {
-                            self.pos += 1;
-                            break;
-                        }
-                        Some('\\') => {
-                            self.pos += 1;
-                            match self.peek() {
-                                Some('"') => s.push('"'),
-                                Some('\\') => s.push('\\'),
-                                Some('n') => s.push('\n'),
-                                _ => return Err(self.err("unknown escape")),
-                            }
-                            self.pos += 1;
-                        }
-                        Some(c) => {
-                            s.push(c);
-                            self.pos += 1;
-                        }
-                    }
-                }
-                Ok(Value::str(&s))
-            }
-            Some(c) if c == '-' || c.is_ascii_digit() => Ok(Value::Int(self.integer()?)),
-            Some(c) if c.is_ascii_alphabetic() => {
-                let word = self.ident()?;
-                match word.as_str() {
-                    "true" => Ok(Value::Bool(true)),
-                    "false" => Ok(Value::Bool(false)),
-                    other => Err(self.err(format!(
-                        "unknown bare value `{other}` (strings must be quoted)"
-                    ))),
-                }
-            }
+            Some(b'"') => self.string(),
+            Some(b) if b == b'-' || b.is_ascii_digit() => Ok(Value::Int(self.integer()?)),
+            Some(b) if b.is_ascii_alphabetic() => match self.ident()? {
+                b"true" => Ok(Value::Bool(true)),
+                b"false" => Ok(Value::Bool(false)),
+                other => Err(self.err(format!(
+                    "unknown bare value `{}` (strings must be quoted)",
+                    String::from_utf8_lossy(other)
+                ))),
+            },
             _ => Err(self.err("expected a value")),
         }
     }
 
     fn change(&mut self, update: &mut Update) -> Result<(), LogError> {
         let insert = match self.peek() {
-            Some('+') => true,
-            Some('-') => false,
+            Some(b'+') => true,
+            Some(b'-') => false,
             _ => return Err(self.err("expected `+rel(…)` or `-rel(…)`")),
         };
         self.pos += 1;
-        let rel = self.ident()?;
-        self.expect('(')?;
-        let mut values = Vec::new();
-        self.skip_ws();
-        if self.peek() != Some(')') {
-            loop {
-                values.push(self.value()?);
-                self.skip_ws();
-                if self.peek() == Some(')') {
-                    break;
-                }
-                self.expect(',')?;
+        let name = self.ident()?;
+        let rel = match self.rel {
+            Some((last, rel)) if last == name => rel,
+            _ => Symbol::intern(std::str::from_utf8(name).expect("identifiers are ASCII")),
+        };
+        self.rel = Some((name, rel));
+        self.expect(b'(')?;
+        self.fields.clear();
+        self.skip_ws()?;
+        while self.peek() != Some(b')') {
+            if !self.fields.is_empty() {
+                self.expect(b',')?;
             }
+            let value = self.value()?;
+            self.fields.push(value);
+            self.skip_ws()?;
         }
-        self.expect(')')?;
-        let tuple = Tuple::new(values);
-        if insert {
-            update.insert(rel.as_str(), tuple);
-        } else {
-            update.delete(rel.as_str(), tuple);
+        self.pos += 1;
+        if self.run_of != Some((insert, rel)) {
+            self.flush(update);
+            self.run_of = Some((insert, rel));
         }
+        self.run.push(Tuple::new(self.fields.iter().copied()));
         Ok(())
     }
 
-    fn transition(&mut self) -> Result<Transition, LogError> {
-        self.skip_ws();
-        self.expect('@')?;
+    fn flush(&mut self, update: &mut Update) {
+        if let Some((insert, rel)) = self.run_of.take() {
+            update.extend(insert, rel, self.run.drain(..));
+        }
+    }
+
+    /// The whole line: `None` when it is blank or only a comment.
+    fn line(&mut self) -> Result<Option<Transition>, LogError> {
+        if self.at_end()? {
+            return Ok(None);
+        }
+        self.expect(b'@')?;
         let t = self.integer()?;
         if t < 0 {
             return Err(self.err("timestamps are non-negative"));
         }
         let mut update = Update::new();
-        while !self.at_end() {
+        while !self.at_end()? {
             self.change(&mut update)?;
         }
-        Ok(Transition::new(TimePoint(t as u64), update))
+        self.flush(&mut update);
+        Ok(Some(Transition::new(TimePoint(t as u64), update)))
     }
 }
 
@@ -271,29 +306,21 @@ impl<'s> LineParser<'s> {
 /// are skipped. Timestamps are *not* checked for monotonicity here — that
 /// happens on replay, where the error can point at the offending state.
 pub fn parse_log(input: &str) -> Result<Vec<Transition>, LogError> {
-    let mut out = Vec::new();
-    for (idx, line) in input.lines().enumerate() {
-        if let Some(t) = parse_line(line, idx + 1)? {
-            out.push(t);
-        }
-    }
-    Ok(out)
+    let lines = input.lines().enumerate();
+    let parsed = lines.filter_map(|(idx, line)| parse_line(line.as_bytes(), idx + 1).transpose());
+    parsed.collect()
 }
 
-/// Parses one log line (1-based `line_no` for errors); `None` for blank
-/// and comment-only lines.
-fn parse_line(line: &str, line_no: usize) -> Result<Option<Transition>, LogError> {
-    let trimmed = line.trim();
-    if trimmed.is_empty() || trimmed.starts_with('#') {
-        return Ok(None);
-    }
-    let mut p = LineParser {
-        chars: line.chars().collect(),
-        pos: 0,
+/// Parses one log line, without its terminator (1-based `line_no` for
+/// errors); `None` for blank and comment-only lines. The line need not be
+/// UTF-8: a stray byte is a [`LogErrorKind::Parse`] error naming it.
+pub fn parse_line(line: &[u8], line_no: usize) -> Result<Option<Transition>, LogError> {
+    let mut parser = LineParser {
+        src: line,
         line_no,
-        _src: line,
+        ..Default::default()
     };
-    p.transition().map(Some)
+    parser.line()
 }
 
 /// A streaming log reader: yields one [`Transition`] per line from any
@@ -305,7 +332,7 @@ fn parse_line(line: &str, line_no: usize) -> Result<Option<Transition>, LogError
 pub struct LogReader<R> {
     source: R,
     line_no: usize,
-    buf: String,
+    buf: Vec<u8>,
 }
 
 impl<R: std::io::BufRead> LogReader<R> {
@@ -314,7 +341,7 @@ impl<R: std::io::BufRead> LogReader<R> {
         LogReader {
             source,
             line_no: 0,
-            buf: String::new(),
+            buf: Vec::new(),
         }
     }
 
@@ -331,7 +358,7 @@ impl<R: std::io::BufRead> Iterator for LogReader<R> {
         loop {
             self.buf.clear();
             self.line_no += 1;
-            match self.source.read_line(&mut self.buf) {
+            match self.source.read_until(b'\n', &mut self.buf) {
                 Ok(0) => return None,
                 Ok(_) => {}
                 Err(e) => {
@@ -342,10 +369,12 @@ impl<R: std::io::BufRead> Iterator for LogReader<R> {
                     }))
                 }
             }
-            match parse_line(self.buf.trim_end_matches(['\n', '\r']), self.line_no) {
-                Ok(Some(t)) => return Some(Ok(t)),
-                Ok(None) => continue,
-                Err(e) => return Some(Err(e)),
+            let mut line = &self.buf[..];
+            while let [rest @ .., b'\n' | b'\r'] = line {
+                line = rest;
+            }
+            if let Some(item) = parse_line(line, self.line_no).transpose() {
+                return Some(item);
             }
         }
     }
@@ -475,5 +504,366 @@ mod tests {
         let text = "@1 +r(1)\r\n@2\r\n";
         let ts: Result<Vec<Transition>, _> = LogReader::new(std::io::Cursor::new(text)).collect();
         assert_eq!(ts.unwrap().len(), 2);
+    }
+
+    /// The character-vector lexer this file shipped until the byte-slice
+    /// one replaced it, verbatim: the oracle for the differential tests
+    /// below, for this one PR (the next one deletes it).
+    mod oracle {
+        use super::super::*;
+
+        struct LineParser<'s> {
+            chars: Vec<char>,
+            pos: usize,
+            line_no: usize,
+            _src: &'s str,
+        }
+
+        impl<'s> LineParser<'s> {
+            fn err(&self, message: impl Into<String>) -> LogError {
+                LogError {
+                    message: message.into(),
+                    line: self.line_no,
+                    kind: LogErrorKind::Parse,
+                }
+            }
+
+            fn skip_ws(&mut self) {
+                while self.pos < self.chars.len() && self.chars[self.pos].is_whitespace() {
+                    self.pos += 1;
+                }
+            }
+
+            fn at_end(&mut self) -> bool {
+                self.skip_ws();
+                self.pos >= self.chars.len() || self.chars[self.pos] == '#'
+            }
+
+            fn peek(&self) -> Option<char> {
+                self.chars.get(self.pos).copied()
+            }
+
+            fn expect(&mut self, c: char) -> Result<(), LogError> {
+                if self.peek() == Some(c) {
+                    self.pos += 1;
+                    Ok(())
+                } else {
+                    Err(self.err(format!(
+                        "expected `{c}`, found {}",
+                        self.peek()
+                            .map(|c| format!("`{c}`"))
+                            .unwrap_or_else(|| "end of line".into())
+                    )))
+                }
+            }
+
+            fn integer(&mut self) -> Result<i64, LogError> {
+                let start = self.pos;
+                if self.peek() == Some('-') {
+                    self.pos += 1;
+                }
+                while self.pos < self.chars.len() && self.chars[self.pos].is_ascii_digit() {
+                    self.pos += 1;
+                }
+                let text: String = self.chars[start..self.pos].iter().collect();
+                if text.is_empty() || text == "-" {
+                    return Err(self.err("expected an integer"));
+                }
+                text.parse()
+                    .map_err(|_| self.err(format!("integer `{text}` out of range")))
+            }
+
+            fn ident(&mut self) -> Result<String, LogError> {
+                let start = self.pos;
+                while self.pos < self.chars.len()
+                    && (self.chars[self.pos].is_ascii_alphanumeric() || self.chars[self.pos] == '_')
+                {
+                    self.pos += 1;
+                }
+                if self.pos == start {
+                    return Err(self.err("expected an identifier"));
+                }
+                Ok(self.chars[start..self.pos].iter().collect())
+            }
+
+            fn value(&mut self) -> Result<Value, LogError> {
+                self.skip_ws();
+                match self.peek() {
+                    Some('"') => {
+                        self.pos += 1;
+                        let mut s = String::new();
+                        loop {
+                            match self.peek() {
+                                None => return Err(self.err("unterminated string")),
+                                Some('"') => {
+                                    self.pos += 1;
+                                    break;
+                                }
+                                Some('\\') => {
+                                    self.pos += 1;
+                                    match self.peek() {
+                                        Some('"') => s.push('"'),
+                                        Some('\\') => s.push('\\'),
+                                        Some('n') => s.push('\n'),
+                                        _ => return Err(self.err("unknown escape")),
+                                    }
+                                    self.pos += 1;
+                                }
+                                Some(c) => {
+                                    s.push(c);
+                                    self.pos += 1;
+                                }
+                            }
+                        }
+                        Ok(Value::str(&s))
+                    }
+                    Some(c) if c == '-' || c.is_ascii_digit() => Ok(Value::Int(self.integer()?)),
+                    Some(c) if c.is_ascii_alphabetic() => {
+                        let word = self.ident()?;
+                        match word.as_str() {
+                            "true" => Ok(Value::Bool(true)),
+                            "false" => Ok(Value::Bool(false)),
+                            other => Err(self.err(format!(
+                                "unknown bare value `{other}` (strings must be quoted)"
+                            ))),
+                        }
+                    }
+                    _ => Err(self.err("expected a value")),
+                }
+            }
+
+            fn change(&mut self, update: &mut Update) -> Result<(), LogError> {
+                let insert = match self.peek() {
+                    Some('+') => true,
+                    Some('-') => false,
+                    _ => return Err(self.err("expected `+rel(…)` or `-rel(…)`")),
+                };
+                self.pos += 1;
+                let rel = self.ident()?;
+                self.expect('(')?;
+                let mut values = Vec::new();
+                self.skip_ws();
+                if self.peek() != Some(')') {
+                    loop {
+                        values.push(self.value()?);
+                        self.skip_ws();
+                        if self.peek() == Some(')') {
+                            break;
+                        }
+                        self.expect(',')?;
+                    }
+                }
+                self.expect(')')?;
+                let tuple = Tuple::new(values);
+                if insert {
+                    update.insert(rel.as_str(), tuple);
+                } else {
+                    update.delete(rel.as_str(), tuple);
+                }
+                Ok(())
+            }
+
+            fn transition(&mut self) -> Result<Transition, LogError> {
+                self.skip_ws();
+                self.expect('@')?;
+                let t = self.integer()?;
+                if t < 0 {
+                    return Err(self.err("timestamps are non-negative"));
+                }
+                let mut update = Update::new();
+                while !self.at_end() {
+                    self.change(&mut update)?;
+                }
+                Ok(Transition::new(TimePoint(t as u64), update))
+            }
+        }
+
+        /// Parses one log line (1-based `line_no` for errors); `None` for blank
+        /// and comment-only lines.
+        pub(super) fn parse_line(
+            line: &str,
+            line_no: usize,
+        ) -> Result<Option<Transition>, LogError> {
+            let trimmed = line.trim();
+            if trimmed.is_empty() || trimmed.starts_with('#') {
+                return Ok(None);
+            }
+            let mut p = LineParser {
+                chars: line.chars().collect(),
+                pos: 0,
+                line_no,
+                _src: line,
+            };
+            p.transition().map(Some)
+        }
+    }
+
+    /// Both lexers on one line: equal transitions, or equal message, line
+    /// and kind.
+    fn assert_lexers_agree(line: &str) {
+        assert_eq!(
+            parse_line(line.as_bytes(), 7),
+            oracle::parse_line(line, 7),
+            "on {line:?}"
+        );
+    }
+
+    #[test]
+    fn lexers_agree_on_malformed_and_odd_lines() {
+        for line in [
+            "",
+            "   ",
+            "# only a comment",
+            "  \u{a0} # blank up to a comment",
+            "10 +r(1)",
+            "@-5",
+            "@-0 +r(1)",
+            "@99999999999999999999",
+            "@-",
+            "@",
+            "@ 5",
+            "@1 oops",
+            "@1 +",
+            "@1 +(1)",
+            "@1 +r",
+            "@1 +r (1)",
+            "@1 +r(1, ",
+            "@1 +r(1",
+            "@1 +r(",
+            "@1 +r(1 2)",
+            "@1 +r(,1)",
+            "@1 +r(1,)",
+            "@1 +r(1,,2)",
+            "@1 +r(oops)",
+            "@1 +r(true, false, truely)",
+            "@1 +r(-)",
+            "@1 +r(--1)",
+            "@1 +r(9223372036854775807, -9223372036854775808)",
+            "@1 +r(9223372036854775808)",
+            "@1 +r(-9223372036854775809)",
+            "@1 +r(007, -0)",
+            "@1 +r(\"abc)",
+            "@1 +r(\"abc\\",
+            "@1 +r(\"a\\qb\")",
+            "@1 +r(\"a\\\"b\\\\c\\nd\")",
+            "@1 +r(\"a # not a comment\") # a comment",
+            "@1 +r(\"naïve\", \"日本\", \"🦀\")",
+            "@1 +r(1)\r",
+            "@1 +r(1) \r",
+            "@1\t+r(1)\u{b}-s(2)\u{a0}+t()\u{3000}# spaces of many kinds",
+            "@1 +r\u{a0}(1)",
+            "@1 +ré(1)",
+            "@1 +r日(1)",
+            "@1 +r(1)é",
+            "@1 +r(é)",
+            "@1 +r(1 é)",
+            "@1é",
+            "é@1",
+            "@1 +r(1) +r(1) -r(1) +s() -s()",
+            "@1 +r(3) +r(1) -r(2) +s(1) +r(2) +r(1) -s(1) -r(2) -r(0) +s(0)",
+            "@1 +r(2) +r(1) +s(1) +r(oops)",
+            "@1 +a_1(1) +A9(2) +_(3)",
+        ] {
+            assert_lexers_agree(line);
+        }
+    }
+
+    /// SplitMix64: the differential needs repeatable variety, not quality.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (*state ^ (*state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn generated_log(seed: u64, steps: usize) -> Vec<Transition> {
+        const STRINGS: [&str; 8] = [
+            "ann",
+            "",
+            "quote\"d",
+            "back\\slash",
+            "two\nlines",
+            "naïve",
+            "日本 語",
+            "# (not) a comment, +r(1)",
+        ];
+        const INTS: [i64; 6] = [0, 1, -1, 17, i64::MIN, i64::MAX];
+        let mut rng = seed;
+        let times = crate::gen::clustered_schedule(TimePoint(seed % 5), steps, 3, 9);
+        let transitions = times.into_iter().map(|time| {
+            let mut update = Update::new();
+            for _ in 0..next(&mut rng) % 12 {
+                let rel = format!("rel_{}", next(&mut rng) % 4);
+                let tuple: Tuple = (0..next(&mut rng) % 7)
+                    .map(|_| match next(&mut rng) % 3 {
+                        0 => Value::Int(INTS[(next(&mut rng) % 6) as usize]),
+                        1 => Value::str(STRINGS[(next(&mut rng) % 8) as usize]),
+                        _ => Value::Bool(next(&mut rng).is_multiple_of(2)),
+                    })
+                    .collect();
+                if next(&mut rng).is_multiple_of(3) {
+                    update.delete(rel.as_str(), tuple);
+                } else {
+                    update.insert(rel.as_str(), tuple);
+                }
+            }
+            Transition::new(time, update)
+        });
+        transitions.collect()
+    }
+
+    #[test]
+    fn lexers_agree_on_generated_logs_and_their_mutations() {
+        for seed in 0..24 {
+            let transitions = generated_log(seed, 40);
+            let text = format_log(&transitions);
+            assert_eq!(parse_log(&text).unwrap(), transitions, "round trip");
+            let mut rng = seed ^ 0xdead_beef;
+            for line in text.lines() {
+                assert_lexers_agree(line);
+                // One character dropped, doubled or swapped for another of
+                // the line's own: mostly malformed, sometimes not.
+                let chars: Vec<char> = line.chars().collect();
+                for _ in 0..6 {
+                    let mut mutant = chars.clone();
+                    let at = (next(&mut rng) % chars.len() as u64) as usize;
+                    match next(&mut rng) % 3 {
+                        0 => drop(mutant.remove(at)),
+                        1 => mutant.insert(at, chars[at]),
+                        _ => mutant[at] = chars[(next(&mut rng) % chars.len() as u64) as usize],
+                    }
+                    assert_lexers_agree(&mutant.into_iter().collect::<String>());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_stray_byte_is_a_parse_error_naming_line_and_byte() {
+        let log = b"@1 +r(\"a\", 1)\n@2 +r(\"b\xff\", 2)\n@3 +r(\"c\", 3)\n";
+        let mut reader = LogReader::new(std::io::Cursor::new(&log[..]));
+        assert!(reader.next().unwrap().is_ok());
+        let err = reader.next().unwrap().unwrap_err();
+        assert_eq!(
+            err.kind,
+            LogErrorKind::Parse,
+            "skippable, not a dead stream"
+        );
+        assert_eq!(err.to_string(), "line 2: invalid UTF-8 at byte 9");
+        assert_eq!(reader.next().unwrap().unwrap().time, TimePoint(3));
+        // Where no text is decoded the byte is just not the expected token;
+        // between tokens and in found-`…` it is named.
+        for (line, message) in [
+            (&b"@1 +r(1) \xff"[..], "invalid UTF-8 at byte 10"),
+            (b"@1 +r\xff(1)", "invalid UTF-8 at byte 6"),
+            (b"@1 +\xff(1)", "expected an identifier"),
+            (b"@\xff", "expected an integer"),
+            (b"@1 +r(1) # \xff in a comment", ""),
+        ] {
+            match parse_line(line, 1) {
+                Ok(_) => assert_eq!(message, "", "{line:?}"),
+                Err(e) => assert_eq!((e.message.as_str(), e.kind), (message, LogErrorKind::Parse)),
+            }
+        }
     }
 }

@@ -5,13 +5,12 @@
 //! semijoin and antijoin. Every operator validates schemas up front and
 //! produces a fresh relation; inputs are never mutated.
 //!
-//! Joins are hash joins: the smaller side is loaded into a [`HashMap`] keyed
+//! Joins are hash joins: the smaller side is loaded into a [`FastMap`] keyed
 //! by the join columns, the larger side probes it. With set semantics and
 //! checked sorts this is `O(|L| + |R| + |out|)` expected time.
 
-use std::collections::HashMap;
-
 use crate::error::RelationError;
+use crate::hash::FastMap;
 use crate::relation::Relation;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -141,8 +140,8 @@ fn key_of(t: &Tuple, cols: impl Iterator<Item = usize>) -> Vec<Value> {
 }
 
 /// Builds a probe table from `rel` keyed by `cols`.
-fn build_hash<'r>(rel: &'r Relation, cols: &[usize]) -> HashMap<Vec<Value>, Vec<&'r Tuple>> {
-    let mut map: HashMap<Vec<Value>, Vec<&Tuple>> = HashMap::new();
+fn build_hash<'r>(rel: &'r Relation, cols: &[usize]) -> FastMap<Vec<Value>, Vec<&'r Tuple>> {
+    let mut map: FastMap<Vec<Value>, Vec<&Tuple>> = FastMap::default();
     for t in rel.iter() {
         map.entry(key_of(t, cols.iter().copied()))
             .or_default()

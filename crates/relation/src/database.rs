@@ -262,10 +262,10 @@ impl Database {
         }
         for (name, tuples) in &update.inserts {
             let rel = self.relations.get_mut(name).expect("validated above");
-            for t in tuples {
-                if rel.insert(t.clone()).expect("validated above") {
-                    events.entry(*name).or_default().push((t.clone(), true));
-                }
+            let new = rel.insert_checked(tuples);
+            if !new.is_empty() {
+                let new = new.into_iter().map(|t| (t, true));
+                events.entry(*name).or_default().extend(new);
             }
         }
         for (name, events) in events {
@@ -330,6 +330,28 @@ impl Update {
             .or_default()
             .insert(tuple);
         self
+    }
+
+    /// Records a run of insertions (`insert = true`) or deletions into one
+    /// relation. A run into a still-empty set is built in one pass instead
+    /// of tuple by tuple — how a log line that loads a table arrives.
+    pub fn extend(
+        &mut self,
+        insert: bool,
+        relation: impl Into<Symbol>,
+        tuples: impl IntoIterator<Item = Tuple>,
+    ) {
+        let side = if insert {
+            &mut self.inserts
+        } else {
+            &mut self.deletes
+        };
+        let set = side.entry(relation.into()).or_default();
+        if set.is_empty() {
+            *set = tuples.into_iter().collect();
+        } else {
+            set.extend(tuples);
+        }
     }
 
     /// Builder-style [`Update::insert`].
@@ -526,6 +548,66 @@ mod tests {
         }
         let now: BTreeSet<Tuple> = db.relation(r).unwrap().iter().cloned().collect();
         assert_eq!(replay, now);
+    }
+
+    #[test]
+    fn a_run_is_the_same_update_as_its_tuples_one_by_one() {
+        let rows = |ks: &[i64]| -> Vec<Tuple> { ks.iter().map(|&k| tuple![k, "x"]).collect() };
+        let mut by_run = Update::new();
+        let mut one_by_one = Update::new();
+        // Unsorted, with a repeat; a second run lands in a non-empty set.
+        for (insert, ks) in [
+            (true, &[3, 1, 2, 1][..]),
+            (false, &[9, 7]),
+            (true, &[0, 2, 5]),
+            (false, &[]),
+        ] {
+            by_run.extend(insert, "s", rows(ks));
+            for t in rows(ks) {
+                if insert {
+                    one_by_one.insert("s", t);
+                } else {
+                    one_by_one.delete("s", t);
+                }
+            }
+        }
+        assert_eq!(by_run.len(), 7);
+        assert_eq!(
+            by_run.inserts().collect::<Vec<_>>(),
+            one_by_one.inserts().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            by_run.deletes().collect::<Vec<_>>(),
+            one_by_one.deletes().collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn loading_an_empty_relation_whole_records_what_growing_it_would() {
+        let rows: Vec<Tuple> = (0..40).map(|k| tuple![k, "x"]).collect();
+        let s = Symbol::intern("s");
+        let mut load = Update::new();
+        load.extend(true, s, rows.iter().cloned());
+        // `whole` takes the set in one piece; `grown` is not empty when the
+        // same rows arrive, so they go in one at a time.
+        let mut whole = Database::new(catalog());
+        let mut grown = Database::new(catalog());
+        grown
+            .apply(&Update::new().with_insert(s, tuple![-1, "x"]))
+            .unwrap();
+        whole.apply(&load).unwrap();
+        grown.apply(&load).unwrap();
+        assert_eq!(whole.rel_gen(s), 1);
+        assert_eq!(
+            whole.rel_delta(s).unwrap().events,
+            grown.rel_delta(s).unwrap().events
+        );
+        let contents = |db: &Database| db.relation(s).unwrap().iter().cloned().collect::<Vec<_>>();
+        assert_eq!(contents(&whole), rows);
+        assert_eq!(contents(&grown)[1..], rows);
+        // Loading again changes nothing and records nothing.
+        whole.apply(&load).unwrap();
+        assert_eq!(whole.rel_gen(s), 1);
     }
 
     #[test]

@@ -33,18 +33,18 @@
 #![warn(missing_docs)]
 
 pub mod algebra;
-mod block;
 mod database;
 mod error;
+mod hash;
 mod relation;
 mod schema;
 mod symbol;
 mod tuple;
 mod value;
 
-pub use block::TupleBlock;
 pub use database::{Catalog, Database, RelDelta, Update};
 pub use error::RelationError;
+pub use hash::{BuildWordHasher, FastMap, FastSet, TupleMap, TupleSet, WordHasher};
 pub use relation::Relation;
 pub use schema::{Attribute, Schema};
 pub use symbol::Symbol;

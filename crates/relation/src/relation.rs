@@ -1,16 +1,17 @@
 //! Relations: schema-checked sets of tuples, with cached hash indexes.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use crate::error::RelationError;
+use crate::hash::FastMap;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
 
 /// A hash index on a column subset: key values → matching tuples.
-pub type ColumnIndex = HashMap<Vec<Value>, Vec<Tuple>>;
+pub type ColumnIndex = FastMap<Vec<Value>, Vec<Tuple>>;
 
 /// A relation instance: a [`Schema`] plus a set of conforming tuples.
 ///
@@ -28,7 +29,7 @@ pub struct Relation {
     /// Lazily built indexes, keyed by the indexed column positions.
     /// `Mutex` (not `RefCell`) keeps `Relation: Sync`; contention is nil —
     /// the engine is single-writer.
-    indexes: Mutex<HashMap<Vec<usize>, Arc<ColumnIndex>>>,
+    indexes: Mutex<FastMap<Vec<usize>, Arc<ColumnIndex>>>,
 }
 
 impl Clone for Relation {
@@ -37,7 +38,7 @@ impl Clone for Relation {
         Relation {
             schema: self.schema.clone(),
             tuples: self.tuples.clone(),
-            indexes: Mutex::new(HashMap::new()),
+            indexes: Mutex::default(),
         }
     }
 }
@@ -56,7 +57,7 @@ impl Relation {
         Relation {
             schema,
             tuples: BTreeSet::new(),
-            indexes: Mutex::new(HashMap::new()),
+            indexes: Mutex::default(),
         }
     }
 
@@ -76,7 +77,7 @@ impl Relation {
         if let Some(idx) = cache.get(cols) {
             return Arc::clone(idx);
         }
-        let mut index: ColumnIndex = HashMap::new();
+        let mut index = ColumnIndex::default();
         for t in &self.tuples {
             let key: Vec<Value> = cols.iter().map(|&c| t[c]).collect();
             index.entry(key).or_default().push(t.clone());
@@ -125,6 +126,18 @@ impl Relation {
         self.schema.check(&tuple)?;
         self.invalidate_indexes();
         Ok(self.tuples.insert(tuple))
+    }
+
+    /// Inserts tuples the caller has schema-checked and returns the ones
+    /// that were not present. An empty relation takes the set whole.
+    pub(crate) fn insert_checked(&mut self, tuples: &BTreeSet<Tuple>) -> Vec<Tuple> {
+        self.invalidate_indexes();
+        if self.tuples.is_empty() {
+            self.tuples = tuples.clone();
+            return tuples.iter().cloned().collect();
+        }
+        let new = tuples.iter().filter(|t| self.tuples.insert((*t).clone()));
+        new.cloned().collect()
     }
 
     /// Removes a tuple; returns `true` if it was present.

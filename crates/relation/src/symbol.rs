@@ -8,9 +8,10 @@
 //! active string domain) is bounded; callers generating unbounded fresh
 //! strings should be aware the table only grows.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
+
+use crate::hash::FastMap;
 
 /// An interned string.
 ///
@@ -22,7 +23,7 @@ use std::sync::{Mutex, OnceLock};
 pub struct Symbol(u32);
 
 struct Interner {
-    by_name: HashMap<&'static str, u32>,
+    by_name: FastMap<&'static str, u32>,
     names: Vec<&'static str>,
 }
 
@@ -30,7 +31,7 @@ fn interner() -> &'static Mutex<Interner> {
     static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
     INTERNER.get_or_init(|| {
         Mutex::new(Interner {
-            by_name: HashMap::new(),
+            by_name: FastMap::default(),
             names: Vec::new(),
         })
     })
@@ -59,6 +60,12 @@ impl Symbol {
     /// The raw intern id. Stable within a process run only.
     pub fn id(self) -> u32 {
         self.0
+    }
+
+    /// A symbol with a chosen id, for hashing only (it may name nothing).
+    #[cfg(test)]
+    pub(crate) fn with_id(id: u32) -> Symbol {
+        Symbol(id)
     }
 }
 

@@ -1,6 +1,7 @@
 //! The `rtic serve` line protocol.
 //!
-//! One UTF-8 line per request, one or more lines per reply. Every reply
+//! One line per request (ASCII verbs; an update payload is UTF-8 where the
+//! log grammar admits text), one or more lines per reply. Every reply
 //! sequence ends with exactly one terminal line (`OK …`, `BUSY …` or
 //! `ERR …`); violation witnesses precede the terminal line as `VIOL `
 //! prefixed lines, each payload byte-identical to the line `rtic check`
@@ -18,7 +19,7 @@
 //! ← OK drained steps=12 …           (after flush + final checkpoint)
 //! ```
 
-use rtic_history::log::parse_log;
+use rtic_history::log::parse_line;
 use rtic_history::Transition;
 use rtic_temporal::TimePoint;
 
@@ -55,25 +56,34 @@ pub const ERR_PREFIX: &str = "ERR";
 
 /// Parses one request line. Blank lines and `#` comments parse to
 /// `None` so a raw `.rticlog` file can be streamed verbatim.
-pub fn parse_command(line: &str) -> Result<Option<Command>, String> {
-    let trimmed = line.trim();
-    if trimmed.is_empty() || trimmed.starts_with('#') {
+///
+/// The line is bytes, not text: verbs and their arguments are ASCII, and
+/// an update payload goes to the log lexer as it arrived, so a stray
+/// non-UTF-8 byte is an `ERR` reply naming it rather than a dead socket.
+pub fn parse_command(line: &(impl AsRef<[u8]> + ?Sized)) -> Result<Option<Command>, String> {
+    let trimmed = line.as_ref().trim_ascii();
+    if trimmed.is_empty() || trimmed[0] == b'#' {
         return Ok(None);
     }
-    let (verb, rest) = match trimmed.split_once(char::is_whitespace) {
-        Some((v, r)) => (v, r.trim()),
-        None => (trimmed, ""),
+    let (verb, rest) = match trimmed.iter().position(u8::is_ascii_whitespace) {
+        Some(at) => (&trimmed[..at], trimmed[at..].trim_ascii_start()),
+        None => (trimmed, &trimmed[..0]),
     };
-    match verb {
-        "UPDATE" => parse_transition(rest).map(|t| Some(Command::Update(t))),
-        _ if verb.starts_with('@') => parse_transition(trimmed).map(|t| Some(Command::Update(t))),
+    if verb == b"UPDATE" {
+        return parse_transition(rest).map(|t| Some(Command::Update(t)));
+    }
+    if verb[0] == b'@' {
+        return parse_transition(trimmed).map(|t| Some(Command::Update(t)));
+    }
+    let (verb, rest) = (String::from_utf8_lossy(verb), String::from_utf8_lossy(rest));
+    match &*verb {
         "TICK" => {
             let t: u64 = rest
                 .parse()
                 .map_err(|e| format!("bad TICK time `{rest}`: {e}"))?;
             Ok(Some(Command::Tick(TimePoint(t))))
         }
-        "QUERY" => match rest {
+        "QUERY" => match &*rest {
             "status" | "" => Ok(Some(Command::Status)),
             other => Err(format!("unknown QUERY `{other}` (try `QUERY status`)")),
         },
@@ -87,15 +97,13 @@ pub fn parse_command(line: &str) -> Result<Option<Command>, String> {
     }
 }
 
-fn parse_transition(text: &str) -> Result<Transition, String> {
-    if text.is_empty() {
+fn parse_transition(line: &[u8]) -> Result<Transition, String> {
+    if line.is_empty() {
         return Err("UPDATE needs a log line (`@time +rel(…) -rel(…)`)".into());
     }
-    let mut transitions = parse_log(text).map_err(|e| format!("bad update: {e}"))?;
-    match (transitions.pop(), transitions.pop()) {
-        (Some(t), None) => Ok(t),
-        _ => Err("UPDATE takes exactly one log line".into()),
-    }
+    parse_line(line, 1)
+        .map_err(|e| format!("bad update: {e}"))?
+        .ok_or_else(|| "UPDATE takes exactly one log line".into())
 }
 
 #[cfg(test)]
@@ -147,5 +155,12 @@ mod tests {
         assert!(parse_command("QUERY blah")
             .unwrap_err()
             .contains("unknown QUERY"));
+        // A request is bytes: one that is not UTF-8 is an error, not a panic.
+        assert!(parse_command(b"UPDATE @1 +r(\"\xff\")")
+            .unwrap_err()
+            .contains("bad update: line 1: invalid UTF-8 at byte 8"));
+        assert!(parse_command(b"\xffROB")
+            .unwrap_err()
+            .contains("unknown command"));
     }
 }

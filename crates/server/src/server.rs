@@ -561,14 +561,15 @@ fn connection_loop(conn: Conn, shared: Arc<Shared>, write_timeout: Duration) {
     });
     shared.connections.fetch_add(1, Ordering::SeqCst);
     let mut reader = io::BufReader::new(conn);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         if shared.dead.load(Ordering::SeqCst) || !handle.alive.load(Ordering::SeqCst) {
             break;
         }
         line.clear();
         // The read timeout doubles as the shutdown poll interval; a
-        // partial line survives timeouts inside the BufReader + String.
+        // partial line survives timeouts in `line` (bytes, so a timeout
+        // inside a multi-byte character loses nothing).
         match read_line_with_timeouts(&mut reader, &mut line, &shared) {
             Ok(0) => break,
             Ok(_) => {}
@@ -622,15 +623,16 @@ fn connection_loop(conn: Conn, shared: Arc<Shared>, write_timeout: Duration) {
     shared.connections.fetch_sub(1, Ordering::SeqCst);
 }
 
-/// `read_line` that treats timeouts as "poll shutdown and keep going".
+/// Reads one line of bytes, treating timeouts as "poll shutdown and keep
+/// going".
 fn read_line_with_timeouts(
     reader: &mut io::BufReader<Conn>,
-    line: &mut String,
+    line: &mut Vec<u8>,
     shared: &Shared,
 ) -> io::Result<usize> {
     use std::io::BufRead as _;
     loop {
-        match reader.read_line(line) {
+        match reader.read_until(b'\n', line) {
             Ok(n) => return Ok(n),
             Err(e)
                 if matches!(

@@ -476,6 +476,34 @@ fn bad_line_budget_bounds_the_tolerance() {
     assert!(code.unwrap_err().contains("--on-bad-line skip"));
 }
 
+/// A stray non-UTF-8 byte is a malformed *line*, not a failed *stream*:
+/// the skip policy counts it like any other bad line and checks the rest,
+/// and the strict default still stops at it with file:line.
+#[test]
+fn a_non_utf8_line_is_a_bad_line_not_a_dead_stream() {
+    let c = temp_file("bu.rtic", CONSTRAINTS);
+    let l = temp_file("bu.rticlog", "");
+    let log: &[u8] = b"@0 +reserved(\"ann\", 17)\n@1 +reserved(\"b\xff\", 2)\n@2\n@3\n";
+    std::fs::write(&l, log).unwrap();
+    let (code, out) = run(&[
+        "check",
+        c.to_str().unwrap(),
+        l.to_str().unwrap(),
+        "--on-bad-line",
+        "skip",
+        "--stats",
+    ]);
+    assert_eq!(code.unwrap(), 1, "{out}");
+    assert!(out.contains("checked 3 transitions"), "{out}");
+    assert!(out.contains("skipped 1 malformed line(s)"), "{out}");
+    assert!(out.contains("VIOLATION unconfirmed"), "{out}");
+
+    let (code, _) = run(&["check", c.to_str().unwrap(), l.to_str().unwrap()]);
+    let err = code.unwrap_err();
+    assert!(err.contains("bu.rticlog"), "names the file: {err}");
+    assert!(err.contains("line 2: invalid UTF-8 at byte 16"), "{err}");
+}
+
 /// Satellite drill for the replay cursor vs. the bad-line budget: the
 /// malformed lines inside the checkpoint-covered prefix were already
 /// charged by the run that wrote the checkpoint. A resumed run must not

@@ -1010,3 +1010,69 @@ fn unknown_flags_are_usage_errors() {
         assert!(out.is_empty(), "{args:?} ran anyway: {out}");
     }
 }
+
+/// The row sets, windows and indexes hash with a seed each process draws
+/// for itself, so their iteration order differs from process to process.
+/// Nothing printed or persisted may depend on it: three separate `rtic
+/// check` processes over one telemetry log (string-valued, multi-row
+/// witnesses) must write the same bytes to stdout and to the checkpoint.
+#[test]
+fn separate_processes_print_and_checkpoint_the_same_bytes() {
+    let rtic = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_rtic"))
+            .args(args)
+            .output()
+            .expect("the rtic binary runs");
+        assert!(
+            out.stderr.is_empty(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let generated = rtic(&[
+        "generate",
+        "telemetry",
+        "--steps",
+        "1600",
+        "--entities",
+        "48",
+        "--events",
+        "24",
+        "--violation-rate",
+        "0.3",
+        "--seed",
+        "11",
+    ]);
+    let generated = String::from_utf8(generated).unwrap();
+    let constraints: Vec<&str> = generated
+        .lines()
+        .filter_map(|l| l.strip_prefix("#   "))
+        .collect();
+    let c = temp_file("seed.rtic", &constraints.join("\n"));
+    let l = temp_file("seed.rticlog", &generated);
+    // One checkpoint path for all three (stdout names it), read back
+    // after each run.
+    let k = temp_file("seed.ckpt", "");
+    let (c, l, k) = (
+        c.to_str().unwrap(),
+        l.to_str().unwrap(),
+        k.to_str().unwrap(),
+    );
+    let runs: Vec<(Vec<u8>, Vec<u8>)> = (0..3)
+        .map(|_| {
+            (
+                rtic(&["check", c, l, "--checkpoint", k]),
+                std::fs::read(k).unwrap(),
+            )
+        })
+        .collect();
+    let stdout = String::from_utf8_lossy(&runs[0].0);
+    let witnesses = stdout.lines().filter(|l| l.contains("VIOLATION")).count();
+    assert!(witnesses >= 1000, "only {witnesses} witness lines");
+    assert!(stdout.contains(" x2: {[d="), "no multi-row string witness");
+    for (i, run) in runs.iter().enumerate().skip(1) {
+        assert!(run.0 == runs[0].0, "stdout of process {i} differs");
+        assert!(run.1 == runs[0].1, "checkpoint of process {i} differs");
+    }
+}

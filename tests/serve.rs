@@ -91,8 +91,8 @@ impl Raw {
         }
     }
 
-    fn send(&mut self, line: &str) {
-        self.writer.write_all(line.as_bytes()).unwrap();
+    fn send(&mut self, line: &(impl AsRef<[u8]> + ?Sized)) {
+        self.writer.write_all(line.as_ref()).unwrap();
         self.writer.write_all(b"\n").unwrap();
         self.writer.flush().unwrap();
     }
@@ -156,6 +156,19 @@ fn ping_status_and_protocol_errors_over_a_raw_stream() {
     assert!(raw.read_line().starts_with("ERR "));
     raw.send("PING");
     assert_eq!(raw.read_line(), "OK pong");
+
+    // So is an update that is not UTF-8 (it used to kill the connection
+    // without a reply): the byte is named, and the next update on the
+    // same connection is served.
+    raw.send(b"UPDATE @1 +reserved(\"b\xff\", 2)");
+    assert_eq!(
+        raw.read_line(),
+        "ERR bad update: line 1: invalid UTF-8 at byte 16"
+    );
+    raw.send(b"@1 +reserved(\"ann\", 17) # \xff in a comment is not read");
+    assert_eq!(raw.read_line(), "OK 0");
+    raw.send(b"\xff\xfe");
+    assert!(raw.read_line().starts_with("ERR unknown command"));
 
     raw.send("DRAIN");
     assert!(raw.read_line().starts_with("OK drained"));
