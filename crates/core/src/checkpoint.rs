@@ -23,6 +23,10 @@
 //! endnode
 //! ```
 //!
+//! A fleet ([`save_set`]) writes one such section per constraint over
+//! *one* database: the first section carries the `rel` blocks, every
+//! other one the line `database shared` in their place.
+//!
 //! Each aux entry line is `«numbers» | «value literals»`: the numeric
 //! prefix (timestamps, flags) never contains strings, so splitting on the
 //! first `|` is unambiguous.
@@ -116,36 +120,49 @@ fn write_values(out: &mut String, t: &Tuple) {
     out.push('\n');
 }
 
+/// What a fleet section says in place of its `rel` blocks when another
+/// section of the checkpoint holds the set's one database. A marker, not
+/// an absence: neither rows nor marker is the *empty* database.
+const DATABASE_SHARED: &str = "database shared";
+
 /// Serializes the checker's full state.
 pub fn save(checker: &IncrementalChecker) -> String {
-    save_parts(checker.database(), checker.engine(), checker.steps(), None)
+    save_parts(
+        Some(checker.database()),
+        checker.engine(),
+        checker.steps(),
+        None,
+    )
 }
 
 /// Serializes a fleet: one `(constraint, v1 section)` per **healthy**
-/// constraint, in insertion order. Each section carries the full shared
-/// database, so any one section alone restores a standalone checker and
-/// the whole list restores the set ([`restore_set`]). Quarantined
-/// engines are excluded — their mid-panic state is not trustworthy — so
-/// resuming such a checkpoint with the full constraint file fails with a
-/// missing-section error for the quarantined constraint.
+/// constraint, in insertion order. The set's one database goes into the
+/// first section only and every other one says `database shared`, so the
+/// checkpoint is O(|database| + Σ|aux state|); the whole list restores
+/// the set, or any subset of its constraints ([`restore_set`]).
+/// Quarantined engines are excluded — their mid-panic state is not
+/// trustworthy — so resuming such a checkpoint with the full constraint
+/// file fails with a missing-section error for the quarantined constraint.
 pub fn save_set(set: &ConstraintSet) -> Vec<(Symbol, String)> {
     let dispatch = Some(set.dispatch_stats());
     set.healthy_engines()
-        .map(|engine| {
+        .enumerate()
+        .map(|(i, engine)| {
+            let db = (i == 0).then(|| set.database());
             (
                 engine.compiled.constraint.name,
-                save_parts(set.database(), engine, set.steps(), dispatch),
+                save_parts(db, engine, set.steps(), dispatch),
             )
         })
         .collect()
 }
 
-/// One `rtic-checkpoint v1` section for an engine over `db`. A fleet's
-/// sections also carry the set's `dispatch` tallies (identical in every
-/// section, restored so counters keep matching engine-steps across
-/// resume).
+/// One `rtic-checkpoint v1` section for an engine over `db` (`None`:
+/// another section holds it). A fleet's sections also carry the set's
+/// `dispatch` tallies (identical in every section, restored so counters
+/// keep matching engine-steps across resume).
 fn save_parts(
-    db: &Database,
+    db: Option<&Database>,
     engine: &NodeEngine,
     steps: usize,
     dispatch: Option<DispatchStats>,
@@ -170,17 +187,22 @@ fn save_parts(
             d.affected, d.skipped, d.quiescent_full, d.quarantined
         );
     }
-    // Current database state.
-    for name in db.catalog().names() {
-        let rel = db.relation(name).expect("catalogued");
-        if rel.is_empty() {
-            continue;
+    // Current database state, or the note that another section has it.
+    match db {
+        None => out.extend([DATABASE_SHARED, "\n"]),
+        Some(db) => {
+            for name in db.catalog().names() {
+                let rel = db.relation(name).expect("catalogued");
+                if rel.is_empty() {
+                    continue;
+                }
+                let _ = writeln!(out, "rel {name}");
+                for t in rel.iter() {
+                    write_values(&mut out, t);
+                }
+                out.push_str("endrel\n");
+            }
         }
-        let _ = writeln!(out, "rel {name}");
-        for t in rel.iter() {
-            write_values(&mut out, t);
-        }
-        out.push_str("endrel\n");
     }
     write_nodes(&mut out, engine);
     out
@@ -377,11 +399,13 @@ pub fn restore(
 
 /// Restores a whole fleet from the sections of a multi-section
 /// checkpoint (see [`save_set`]). Sections are matched to constraints by
-/// name; the shared database is applied from the first constraint's
-/// section and *verified* tuple-for-tuple against every other section,
-/// so sections from divergent runs cannot be silently mixed. The
-/// restored set's step/time cursor is checked for consistency across
-/// sections.
+/// name. The shared database is parsed once, from the section *of the
+/// file* that carries it — whether or not that constraint is being
+/// restored, so any subset resumes over the full database. Where every
+/// section carries a copy (checkpoints from before the database was
+/// elided) the first is applied and every other one *verified*
+/// tuple-for-tuple, so sections from divergent runs cannot be silently
+/// mixed. The step/time cursor must agree across sections.
 pub fn restore_set(
     constraints: impl IntoIterator<Item = Constraint>,
     catalog: Arc<Catalog>,
@@ -398,32 +422,31 @@ pub fn restore_set_with_options(
     options: EncodingOptions,
     sections: &[String],
 ) -> Result<ConstraintSet, CheckpointError> {
-    let mut set =
-        ConstraintSet::with_options(constraints, catalog, options).map_err(|(c, e)| {
-            CheckpointError::Mismatch {
-                message: format!("constraint `{}` failed to compile: {e}", c.name),
-            }
-        })?;
+    let mut set = ConstraintSet::with_options(constraints, catalog, options)
+        .map_err(|(c, e)| mismatch(format!("constraint `{}` failed to compile: {e}", c.name)))?;
     let parts = set.restore_parts();
     let mut cursor: Option<(usize, Option<TimePoint>)> = None;
     let mut dispatch: Option<DispatchStats> = None;
-    for i in 0..parts.engines.len() {
-        let engine = &mut parts.engines[i];
+    // Whether a restored section carried the database.
+    let mut applied = false;
+    for engine in parts.engines.iter_mut() {
         let name = engine.compiled.constraint.name;
         let section = sections
             .iter()
             .find(|s| section_constraint_name(s) == Some(name.as_str()))
-            .ok_or_else(|| CheckpointError::Mismatch {
-                message: format!(
+            .ok_or_else(|| {
+                mismatch(format!(
                     "checkpoint has no section for constraint `{name}` \
                      (it may have been quarantined when the checkpoint was written, \
                      or the constraint file has changed)"
-                ),
+                ))
             })?;
-        let mode = if i == 0 {
-            RelMode::Apply
-        } else {
+        let mode = if database_is_shared(section) {
+            RelMode::Shared
+        } else if std::mem::replace(&mut applied, true) {
             RelMode::Verify
+        } else {
+            RelMode::Apply
         };
         let mut steps = 0usize;
         let mut section_dispatch = DispatchStats::default();
@@ -440,15 +463,30 @@ pub fn restore_set_with_options(
         match cursor {
             None => cursor = Some(this),
             Some(prev) if prev != this => {
-                return Err(CheckpointError::Mismatch {
-                    message: format!(
-                        "checkpoint sections disagree on the resume cursor \
-                         (constraint `{name}` is at steps={} t={:?}, earlier sections at steps={} t={:?})",
-                        this.0, this.1, prev.0, prev.1
-                    ),
-                });
+                return Err(mismatch(format!(
+                    "checkpoint sections disagree on the resume cursor (constraint `{name}` \
+                     is at steps={} t={:?}, earlier sections at steps={} t={:?})",
+                    this.0, this.1, prev.0, prev.1
+                )));
             }
             Some(_) => {}
+        }
+    }
+    if !applied && cursor.is_some() {
+        // Every restored section says `database shared`: the rows are in
+        // the section of a constraint outside this set.
+        let bearer = sections.iter().find(|s| !database_is_shared(s));
+        let mut r = Reader::new(bearer.ok_or_else(|| {
+            mismatch(format!(
+                "every section says `{DATABASE_SHARED}` and none carries the database"
+            ))
+        })?);
+        while let Some((_, line)) = r.next() {
+            match line.strip_prefix("rel ") {
+                Some(rel_name) => apply_rel(&mut r, parts.db, rel_name)?,
+                None if line.starts_with("node ") => break,
+                None => {}
+            }
         }
     }
     if let Some((steps, time)) = cursor {
@@ -480,6 +518,50 @@ enum RelMode {
     /// The database was already applied from another section of the same
     /// checkpoint; verify this section lists exactly the same tuples.
     Verify,
+    /// The section says [`DATABASE_SHARED`] and lists no tuples.
+    Shared,
+}
+
+/// Whether `section` leaves the database to another section of its
+/// checkpoint: the marker sits where the `rel` blocks would start.
+fn database_is_shared(section: &str) -> bool {
+    let mut lines = section.lines().map(str::trim);
+    lines.find(|l| *l == DATABASE_SHARED || l.starts_with("rel ") || l.starts_with("node "))
+        == Some(DATABASE_SHARED)
+}
+
+fn mismatch(message: impl ToString) -> CheckpointError {
+    CheckpointError::Mismatch {
+        message: message.to_string(),
+    }
+}
+
+/// Hands `row` each tuple of a `rel` block, through its `endrel`.
+fn rel_rows(
+    r: &mut Reader<'_>,
+    mut row: impl FnMut(Tuple) -> Result<(), CheckpointError>,
+) -> Result<(), CheckpointError> {
+    loop {
+        match r.next() {
+            Some((_, "endrel")) => return Ok(()),
+            Some((_, l)) => {
+                let (nums, tuple) = parse_entry_line(l).map_err(|m| r.err(m))?;
+                if !nums.is_empty() {
+                    return Err(r.err("relation rows carry no numeric prefix"));
+                }
+                row(tuple)?;
+            }
+            None => return Err(r.err("unterminated `rel` section")),
+        }
+    }
+}
+
+/// Inserts the rows of the `rel <rel_name>` block just opened into `db`.
+fn apply_rel(r: &mut Reader<'_>, db: &mut Database, rel_name: &str) -> Result<(), CheckpointError> {
+    let rel = db
+        .relation_mut(Symbol::intern(rel_name))
+        .map_err(mismatch)?;
+    rel_rows(r, |tuple| rel.insert(tuple).map(drop).map_err(mismatch))
 }
 
 /// Restores one v1 section into an engine (and, per `rel_mode`, the
@@ -511,22 +593,18 @@ fn restore_section(
     let body = r.expect_kv("body")?;
     {
         if engine.compiled.constraint.name.as_str() != name {
-            return Err(CheckpointError::Mismatch {
-                message: format!(
-                    "checkpoint is for constraint `{name}`, not `{}`",
-                    engine.compiled.constraint.name
-                ),
-            });
+            return Err(mismatch(format!(
+                "checkpoint is for constraint `{name}`, not `{}`",
+                engine.compiled.constraint.name
+            )));
         }
         if engine.compiled.body.to_string() != body {
-            return Err(CheckpointError::Mismatch {
-                message: format!(
-                    "constraint `{name}`: its compiled body differs from the checkpointed one — \
-                     the definition of `{name}` changed since this checkpoint was written \
-                     (checkpointed body: `{body}`); restore with the original constraint file \
-                     or start a fresh run"
-                ),
-            });
+            return Err(mismatch(format!(
+                "constraint `{name}`: its compiled body differs from the checkpointed one — \
+                 the definition of `{name}` changed since this checkpoint was written \
+                 (checkpointed body: `{body}`); restore with the original constraint file \
+                 or start a fresh run"
+            )));
         }
     }
     let time_text = r.expect_kv("time")?;
@@ -565,69 +643,45 @@ fn restore_section(
     *steps_slot = steps;
     // Closing marker of the open `phantom`/`shard` block, if any.
     let mut open: Option<&'static str> = None;
+    // The relations a `Verify` section listed.
+    let mut verified: Vec<Symbol> = Vec::new();
+    let disagree = |rel: &dyn fmt::Display, how: &str| {
+        let what = format!("checkpoint sections disagree on relation `{rel}`");
+        mismatch(format!("{what} (constraint `{name}` {how})"))
+    };
     while let Some(line) = r.peek() {
-        if let Some(rel_name) = line.strip_prefix("rel ").filter(|_| open.is_none()) {
+        // Outside any `phantom`/`shard` block; a `database shared` section
+        // has no `rel` blocks, so one there is an unexpected line.
+        let top = open.is_none();
+        let rows = top && rel_mode != RelMode::Shared;
+        if let Some(rel_name) = line.strip_prefix("rel ").filter(|_| rows) {
             r.next();
-            let sym = rtic_relation::Symbol::intern(rel_name);
-            match rel_mode {
-                RelMode::Apply => {
-                    let rel = db
-                        .relation_mut(sym)
-                        .map_err(|e| CheckpointError::Mismatch {
-                            message: e.to_string(),
-                        })?;
-                    loop {
-                        match r.next() {
-                            Some((_, "endrel")) => break,
-                            Some((_, l)) => {
-                                let (nums, tuple) = parse_entry_line(l).map_err(|m| r.err(m))?;
-                                if !nums.is_empty() {
-                                    return Err(r.err("relation rows carry no numeric prefix"));
-                                }
-                                rel.insert(tuple).map_err(|e| CheckpointError::Mismatch {
-                                    message: e.to_string(),
-                                })?;
-                            }
-                            None => return Err(r.err("unterminated `rel` section")),
-                        }
-                    }
+            if rel_mode == RelMode::Apply {
+                apply_rel(&mut r, db, rel_name)?;
+                continue;
+            }
+            let sym = Symbol::intern(rel_name);
+            let rel = db.relation(sym).map_err(mismatch)?;
+            let mut seen = 0usize;
+            rel_rows(&mut r, |tuple| {
+                seen += 1;
+                if rel.contains(&tuple) {
+                    return Ok(());
                 }
-                RelMode::Verify => {
-                    let rel = db.relation(sym).map_err(|e| CheckpointError::Mismatch {
-                        message: e.to_string(),
-                    })?;
-                    let mut seen = 0usize;
-                    loop {
-                        match r.next() {
-                            Some((_, "endrel")) => break,
-                            Some((_, l)) => {
-                                let (nums, tuple) = parse_entry_line(l).map_err(|m| r.err(m))?;
-                                if !nums.is_empty() {
-                                    return Err(r.err("relation rows carry no numeric prefix"));
-                                }
-                                if !rel.contains(&tuple) {
-                                    return Err(CheckpointError::Mismatch {
-                                        message: format!(
-                                            "checkpoint sections disagree on relation `{rel_name}` \
-                                             (constraint `{name}` lists a tuple other sections lack)"
-                                        ),
-                                    });
-                                }
-                                seen += 1;
-                            }
-                            None => return Err(r.err("unterminated `rel` section")),
-                        }
-                    }
-                    if seen != rel.len() {
-                        return Err(CheckpointError::Mismatch {
-                            message: format!(
-                                "checkpoint sections disagree on relation `{rel_name}` \
-                                 (constraint `{name}` lists {seen} tuple(s), other sections {})",
-                                rel.len()
-                            ),
-                        });
-                    }
-                }
+                Err(disagree(&rel_name, "lists a tuple other sections lack"))
+            })?;
+            if seen != rel.len() {
+                let how = format!("lists {seen} tuple(s), other sections {}", rel.len());
+                return Err(disagree(&rel_name, &how));
+            }
+            verified.push(sym);
+        } else if line == DATABASE_SHARED && top {
+            r.next();
+            if rel_mode != RelMode::Shared {
+                return Err(mismatch(format!(
+                    "the section for constraint `{name}` says `{DATABASE_SHARED}`: another section \
+                     of its checkpoint holds the rows, so restore the whole set from the whole file"
+                )));
             }
         } else if let Some(rest) = line.strip_prefix("node ") {
             r.next();
@@ -656,7 +710,15 @@ fn restore_section(
     if let Some(end) = open {
         return Err(r.err(format!("unterminated block: missing `{end}`")));
     }
-    Ok(())
+    // A copy that leaves a whole relation out disagrees as much as one
+    // that leaves out a row.
+    let omitted = |rel: &Symbol| {
+        !verified.contains(rel) && db.relation(*rel).is_ok_and(|rows| !rows.is_empty())
+    };
+    match db.catalog().names().find(omitted) {
+        Some(rel) if rel_mode == RelMode::Verify => Err(disagree(&rel, "lists none of its tuples")),
+        _ => Ok(()),
+    }
 }
 
 /// Restores one `node <idx> <kind>` block (through its `endnode`) into
@@ -675,9 +737,7 @@ fn restore_node(
         let kind = parts.next().unwrap_or("");
         let state = states
             .get_mut(idx)
-            .ok_or_else(|| CheckpointError::Mismatch {
-                message: format!("checkpoint has node {idx}, constraint does not"),
-            })?;
+            .ok_or_else(|| mismatch(format!("checkpoint has node {idx}, constraint does not")))?;
         match (kind, state) {
             ("prev", NodeState::Prev(p)) => {
                 if r.peek().is_some_and(|l| l.starts_with("time ")) {
@@ -755,9 +815,9 @@ fn restore_node(
                 });
             }
             (k, _) => {
-                return Err(CheckpointError::Mismatch {
-                    message: format!("node {idx} kind `{k}` does not match the constraint"),
-                })
+                return Err(mismatch(format!(
+                    "node {idx} kind `{k}` does not match the constraint"
+                )))
             }
         }
     }
@@ -933,20 +993,152 @@ mod tests {
         assert_eq!(got, all, "restored fleet diverged from uninterrupted run");
     }
 
+    /// The first section holds the database and still restores alone;
+    /// any other alone is a typed error, never a checker over no rows.
     #[test]
-    fn fleet_sections_each_restore_standalone() {
+    fn restore_of_a_lone_database_shared_section_is_a_typed_error() {
         let cat = catalog();
         let mut set = crate::ConstraintSet::new(fleet(), Arc::clone(&cat)).unwrap();
         drive_set(&mut set, 1, 15);
-        for (sym, section) in save_set(&set) {
+        assert!(set.database().total_tuples() > 0);
+        for (i, (sym, section)) in save_set(&set).into_iter().enumerate() {
             let c = fleet()
                 .into_iter()
                 .find(|c| c.name == sym)
                 .expect("known constraint");
-            let checker = restore(c, Arc::clone(&cat), EncodingOptions::default(), &section)
-                .unwrap_or_else(|e| panic!("section for {sym} failed: {e}"));
-            assert_eq!(checker.steps(), set.steps());
+            let restored = restore(c, Arc::clone(&cat), EncodingOptions::default(), &section);
+            if i == 0 {
+                let checker = restored.unwrap_or_else(|e| panic!("section for {sym}: {e}"));
+                assert_eq!(checker.steps(), set.steps());
+                assert_eq!(checker.database(), set.database());
+                continue;
+            }
+            let err = restored.expect_err("a shared database is not an empty one");
+            assert!(matches!(err, CheckpointError::Mismatch { .. }), "{err}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("`{sym}`")) && msg.contains("restore the whole set"),
+                "{msg}"
+            );
         }
+    }
+
+    /// A section without its `dispatch` line (it differs between a fleet
+    /// and the lone engines it is compared with).
+    fn sans_dispatch(section: &str) -> String {
+        let keep = |l: &&str| !l.starts_with("dispatch ");
+        section
+            .lines()
+            .filter(keep)
+            .flat_map(|l| [l, "\n"])
+            .collect()
+    }
+
+    #[test]
+    fn fleet_checkpoint_holds_the_database_once() {
+        let cat = catalog();
+        let marker = format!("{DATABASE_SHARED}\n");
+        let mut database_block = None;
+        for n in [1usize, 4, 16] {
+            let constraints: Vec<Constraint> = (0..n)
+                .map(|i| {
+                    let (lo, hi) = (i % 3, i % 3 + i / 3 + 1);
+                    parse_constraint(&format!("deny c{i}: p(x) && once[{lo},{hi}] q(x)")).unwrap()
+                })
+                .collect();
+            let mut set = crate::ConstraintSet::new(constraints.clone(), Arc::clone(&cat)).unwrap();
+            drive_set(&mut set, 1, 14);
+            let sections: Vec<String> = save_set(&set).into_iter().map(|(_, s)| s).collect();
+            assert_eq!(sections.len(), n);
+            // The rows, written once: every relation has one `rel` line.
+            let all = sections.concat();
+            for rel in ["p", "q"] {
+                let header = format!("rel {rel}");
+                assert_eq!(
+                    all.lines().filter(|l| *l == header).count(),
+                    1,
+                    "{n}: {rel}"
+                );
+            }
+            let from = sections[0].find("rel ").unwrap();
+            let to = sections[0].rfind("endrel\n").unwrap() + "endrel\n".len();
+            let block = &sections[0][from..to];
+            // … and the same rows whatever the number of engines.
+            assert_eq!(database_block.get_or_insert(block.to_string()), block);
+            // Every section is what its engine would write alone, with
+            // the marker where the rows were: the bytes grow by headers
+            // and node blocks only.
+            let mut expected_bytes = block.len();
+            for (i, (c, section)) in constraints.iter().cloned().zip(&sections).enumerate() {
+                let mut lone = crate::ConstraintSet::new([c], Arc::clone(&cat)).unwrap();
+                drive_set(&mut lone, 1, 14);
+                let alone = save_set(&lone).remove(0).1;
+                let want = match i {
+                    0 => alone.clone(),
+                    _ => alone.replacen(block, &marker, 1),
+                };
+                assert_eq!(sans_dispatch(section), sans_dispatch(&want), "{n}: c{i}");
+                expected_bytes += sans_dispatch(&alone).len() - block.len();
+            }
+            let bytes: usize = sections.iter().map(|s| sans_dispatch(s).len()).sum();
+            assert_eq!(bytes, expected_bytes + (n - 1) * marker.len(), "{n}");
+            let resumed = restore_set(constraints, Arc::clone(&cat), &sections).unwrap();
+            assert_eq!(resumed.database(), set.database(), "{n}");
+        }
+    }
+
+    #[test]
+    fn empty_database_fleet_round_trips() {
+        let cat = catalog();
+        let mut set = crate::ConstraintSet::new(fleet(), Arc::clone(&cat)).unwrap();
+        for t in 1..4 {
+            set.step(TimePoint(t), &Update::new()).unwrap();
+        }
+        let sections: Vec<String> = save_set(&set).into_iter().map(|(_, s)| s).collect();
+        // No rows and no marker is the empty database; the marker is not.
+        assert!(!sections.concat().contains("rel "));
+        let shared = |s: &String| s.contains(DATABASE_SHARED);
+        assert_eq!(
+            sections.iter().map(shared).collect::<Vec<_>>(),
+            [false, true, true]
+        );
+        let resumed = restore_set(fleet(), Arc::clone(&cat), &sections).unwrap();
+        assert_eq!(resumed.database().total_tuples(), 0);
+        assert_eq!(resumed.steps(), 3);
+        let again: Vec<String> = save_set(&resumed).into_iter().map(|(_, s)| s).collect();
+        assert_eq!(again, sections);
+    }
+
+    /// Any non-empty subset of the constraints resumes over the whole
+    /// database, whichever section of the file carries it; with that
+    /// section gone the rest is a typed error.
+    #[test]
+    fn every_subset_of_a_fleet_checkpoint_restores_the_full_database() {
+        let cat = catalog();
+        let mut set = crate::ConstraintSet::new(fleet(), Arc::clone(&cat)).unwrap();
+        drive_set(&mut set, 1, 20);
+        let sections: Vec<String> = save_set(&set).into_iter().map(|(_, s)| s).collect();
+        for mask in 1u8..8 {
+            let subset = |k: &usize| mask & (1 << k) != 0;
+            let constraints: Vec<Constraint> =
+                (0..3).filter(subset).map(|k| fleet().remove(k)).collect();
+            let mut reference =
+                crate::ConstraintSet::new(constraints.clone(), Arc::clone(&cat)).unwrap();
+            let all = drive_set(&mut reference, 1, 40);
+            let mut resumed = restore_set(constraints, Arc::clone(&cat), &sections).unwrap();
+            assert_eq!(resumed.database(), set.database(), "mask {mask:03b}");
+            assert_eq!(
+                drive_set(&mut resumed, 20, 40),
+                all[19..],
+                "mask {mask:03b}"
+            );
+        }
+        let err = restore_set(fleet().split_off(1), Arc::clone(&cat), &sections[1..]).unwrap_err();
+        assert!(matches!(err, CheckpointError::Mismatch { .. }), "{err}");
+        assert!(
+            err.to_string().contains("none carries the database"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1235,6 +1427,29 @@ mod tests {
                 let got = resumed.step(TimePoint(t), &keyed_traffic(t)).unwrap();
                 assert_eq!(got, all[t as usize - 1], "{what}: diverged at t={t}");
             }
+        }
+    }
+
+    /// Old layout, every section with its own copy of the database: a
+    /// later copy that leaves a whole relation out disagrees with the
+    /// first as much as one that leaves out a row.
+    #[test]
+    fn old_format_copy_omitting_a_relation_is_a_mismatch() {
+        let (constraints, mut sections): (Vec<_>, Vec<_>) =
+            SHARDED_FLEETS[5].iter().map(written_section).unzip();
+        restore_set(constraints.clone(), catalog_of(Sort::Int), &sections).unwrap();
+        let whole = sections[1].clone();
+        for (hand_edit, relation) in [
+            ("rel p\n| 1\n| 3\n| 5\nendrel\n", "p"),
+            ("rel q\n| 1\n| 2\n| 5\n| 6\nendrel\n", "q"),
+        ] {
+            sections[1] = whole.replacen(hand_edit, "", 1);
+            assert_ne!(sections[1], whole);
+            let err =
+                restore_set(constraints.clone(), catalog_of(Sort::Int), &sections).unwrap_err();
+            assert!(matches!(err, CheckpointError::Mismatch { .. }), "{err}");
+            let expected = format!("checkpoint sections disagree on relation `{relation}`");
+            assert!(err.to_string().contains(&expected), "{err}");
         }
     }
 

@@ -7,12 +7,12 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rtic_core::checkpoint::{restore_set, save_set};
+use rtic_core::checkpoint::{restore_set, save_set, CheckpointError};
 use rtic_core::ConstraintSet;
 use rtic_history::Transition;
 use rtic_relation::{tuple, Catalog, Schema, Sort, Update};
 use rtic_temporal::parser::parse_constraint;
-use rtic_temporal::Constraint;
+use rtic_temporal::{Constraint, TimePoint};
 
 fn catalog() -> Arc<Catalog> {
     Arc::new(
@@ -103,5 +103,45 @@ proptest! {
         prop_assert_eq!(got, expected, "mask {:04b} cut {}", mask, cut);
         // Space accounting also survives the round trip.
         prop_assert_eq!(resumed.space(), reference.space());
+    }
+
+    /// The fleet's database lives in one section of the checkpoint. With
+    /// that section lost, or torn inside its rows, what is left is a
+    /// typed error — never a fleet that runs on over an empty database.
+    #[test]
+    fn a_lost_or_torn_database_section_is_a_typed_error(
+        mask in 3u8..16,
+        ts in transitions(),
+    ) {
+        // Two engines or more: one to hold the database, one to miss it.
+        let mask = if mask.count_ones() > 1 { mask } else { mask | 1 };
+        let cat = catalog();
+        let mut head = ConstraintSet::new(fleet(mask), Arc::clone(&cat)).unwrap();
+        // One row that no transition removes, so there is a database to lose.
+        head.step(TimePoint(0), &Update::new().with_insert("p", tuple!["kept"])).unwrap();
+        for tr in &ts {
+            head.step(tr.time, &tr.update).unwrap();
+        }
+        let sections: Vec<String> = save_set(&head).into_iter().map(|(_, s)| s).collect();
+        let bearer = &sections[0];
+        prop_assert!(bearer.contains("rel p\n") && !sections[1..].concat().contains("rel "));
+
+        // Lost, together with its constraint or not.
+        let survivors = fleet(mask).split_off(1);
+        let err = restore_set(survivors, Arc::clone(&cat), &sections[1..]).unwrap_err();
+        prop_assert!(matches!(err, CheckpointError::Mismatch { .. }), "{}", err);
+        let err = restore_set(fleet(mask), Arc::clone(&cat), &sections[1..]).unwrap_err();
+        prop_assert!(matches!(err, CheckpointError::Mismatch { .. }), "{}", err);
+
+        // Torn: cut inside the rows, or a row turned to garbage.
+        let cut = bearer.find("| \"kept\"").unwrap() + "| \"ke".len();
+        for torn in [bearer[..cut].to_string(), bearer.replacen("| \"kept\"", "| kept", 1)] {
+            let mut damaged = sections.clone();
+            damaged[0] = torn;
+            for constraints in [fleet(mask), fleet(mask).split_off(1)] {
+                let err = restore_set(constraints, Arc::clone(&cat), &damaged).unwrap_err();
+                prop_assert!(matches!(err, CheckpointError::Format { .. }), "{}", err);
+            }
+        }
     }
 }

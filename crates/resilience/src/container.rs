@@ -19,6 +19,8 @@
 //! are still accepted by [`open_any`] for backward compatibility; they
 //! carry no checksum.
 
+use std::fmt::Write as _;
+
 use crate::crc32::crc32;
 
 /// Magic first line of a v2 container.
@@ -116,15 +118,14 @@ impl std::error::Error for ContainerError {}
 /// the same sections.
 pub fn seal<'a>(sections: impl IntoIterator<Item = &'a str>) -> String {
     let sections: Vec<&str> = sections.into_iter().collect();
-    let payload: String = sections.concat();
-    let mut out = format!(
-        "{MAGIC_V2}\nsections {}\npayload-bytes {}\n",
-        sections.len(),
-        payload.len()
-    );
-    out.push_str(&payload);
+    let payload_len: usize = sections.iter().map(|s| s.len()).sum();
+    // Header (≤ 80 bytes), payload and trailer, written once.
+    let mut out = String::with_capacity(payload_len + 96);
+    let _ = writeln!(out, "{MAGIC_V2}\nsections {}", sections.len());
+    let _ = writeln!(out, "payload-bytes {payload_len}");
+    sections.iter().for_each(|s| out.push_str(s));
     let crc = crc32(out.as_bytes());
-    out.push_str(&format!("crc32 {crc:08x}\n"));
+    let _ = writeln!(out, "crc32 {crc:08x}");
     out
 }
 

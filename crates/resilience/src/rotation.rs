@@ -68,12 +68,14 @@ impl Rotation {
         for i in (1..self.keep).rev() {
             let from = self.candidate(i - 1);
             let to = self.candidate(i);
-            if from.exists() {
-                fs::rename(&from, &to).map_err(|e| DurableError::Io {
+            match fs::rename(&from, &to) {
+                // An un-filled slot: nothing to shift down.
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                result => result.map_err(|e| DurableError::Io {
                     path: to,
                     op: "rotate",
                     message: e.to_string(),
-                })?;
+                })?,
             }
         }
         write_atomic_with(&self.path, text.as_bytes(), faults, site)

@@ -833,9 +833,9 @@ fn process_drained(
             }
             _ => {}
         }
-        let (time, update) = match &job.cmd {
-            JobCmd::Step(tr) => (tr.time, tr.update.clone()),
-            JobCmd::Tick(t) => (*t, Update::new()),
+        let (time, update) = match job.cmd {
+            JobCmd::Step(tr) => (tr.time, tr.update),
+            JobCmd::Tick(t) => (t, Update::new()),
         };
         // Replay window: a resumed server acks (without re-checking)
         // transitions the checkpoint already covers, so clients can

@@ -711,6 +711,63 @@ fn quarantine_then_resume_matches_uninterrupted_minus_quarantined() {
     assert_eq!(stitched, expected);
 }
 
+/// The fleet's database is written into the first constraint's section
+/// only. Resuming the whole file with that constraint dropped from the
+/// constraint file must still restore every row: the stitched report is
+/// the uninterrupted run's minus the dropped constraint, where an empty
+/// `confirmed` would have silenced `reconfirm` after the cut.
+#[test]
+fn resume_with_the_first_constraint_dropped_keeps_the_database() {
+    use rtic::core::checkpoint::{restore_set, save_set};
+    use rtic::core::ConstraintSet;
+    use rtic::temporal::parser::parse_file;
+    use std::sync::Arc;
+
+    let file = parse_file(CONSTRAINTS).unwrap();
+    let catalog = Arc::new(file.catalog);
+    let transitions = rtic::history::log::parse_log(LOG).unwrap();
+    let kill = 6;
+    assert_eq!(file.constraints[0].name.as_str(), "unconfirmed");
+
+    // One uninterrupted run of the whole fleet; at the cut, a second set
+    // is restored from its checkpoint without the first constraint and
+    // steps alongside it.
+    let mut set = ConstraintSet::new(file.constraints.clone(), Arc::clone(&catalog))
+        .unwrap_or_else(|(c, e)| panic!("`{}` fails to compile: {e}", c.name));
+    let mut resumed = None;
+    let (mut expected, mut got) = (Vec::new(), Vec::new());
+    for (k, t) in transitions.iter().enumerate() {
+        if k == kill {
+            let sections: Vec<String> = save_set(&set).into_iter().map(|(_, s)| s).collect();
+            assert!(sections[0].contains("constraint unconfirmed\n"));
+            assert!(sections[0].contains("\nrel ") && !sections[1].contains("\nrel "));
+            assert!(sections[1].contains("\ndatabase shared\n"));
+            let survivors = file.constraints[1..].to_vec();
+            let restored = restore_set(survivors, Arc::clone(&catalog), &sections).unwrap();
+            assert_eq!(restored.database(), set.database());
+            resumed = Some(restored);
+        }
+        let reports = set.step(t.time, &t.update).unwrap();
+        if let Some(resumed) = resumed.as_mut() {
+            expected.extend(reports[1..].iter().map(|r| r.to_string()));
+            got.extend(
+                resumed
+                    .step(t.time, &t.update)
+                    .unwrap()
+                    .iter()
+                    .map(|r| r.to_string()),
+            );
+        }
+    }
+    assert!(
+        expected
+            .iter()
+            .any(|line| line.contains("VIOLATION") && line.contains("ann")),
+        "a row from before the cut must matter after it"
+    );
+    assert_eq!(got, expected);
+}
+
 /// Runs a resident `rtic serve` daemon over `constraints` and `log`
 /// through a kill/resume drill and returns the final report file's
 /// lines. The first incarnation checkpoints every `every` updates and is
