@@ -27,7 +27,7 @@
 
 use std::sync::Arc;
 
-use rtic_core::eval::Oracle;
+use rtic_core::eval::{Node, Oracle};
 use rtic_core::{
     Bindings, Checker, CompileError, CompiledConstraint, NodePlans, Plan, Scratch, SpaceStats,
     StepReport,
@@ -293,9 +293,15 @@ impl ActiveChecker {
                     else {
                         unreachable!("since node without a since plan")
                     };
-                    let survivors = fp
-                        .execute(&self.db, &oracle, &keys, scratch)
-                        .project(&tables.vars);
+                    // An `f` planned from unit holds for exactly the keys
+                    // in its extension.
+                    let survivors = if fp.in_vars().is_empty() {
+                        let holds = fp.execute(&self.db, &oracle, &Bindings::unit(), scratch);
+                        keys.semijoin(&holds)
+                    } else {
+                        fp.execute(&self.db, &oracle, &keys, scratch)
+                            .project(&tables.vars)
+                    };
                     let anchors = gp.execute(&self.db, &oracle, &Bindings::unit(), scratch);
                     (survivors, anchors)
                 };
@@ -634,29 +640,32 @@ struct ActiveOracle<'a> {
 }
 
 impl ActiveOracle<'_> {
-    fn tables(&self, node: &Formula) -> &NodeTables {
-        let idx = *self
-            .ids
-            .get(node)
-            .unwrap_or_else(|| panic!("unknown node `{node}`"));
-        &self.nodes[idx]
+    fn tables(&self, node: Node<'_>) -> &NodeTables {
+        &self.nodes[node.id]
     }
 }
 
 impl Oracle for ActiveOracle<'_> {
-    fn extension(&self, node: &Formula) -> Bindings {
+    fn node_id(&self, node: &Formula) -> usize {
+        *self
+            .ids
+            .get(node)
+            .unwrap_or_else(|| panic!("unknown node `{node}`"))
+    }
+
+    fn extension(&self, node: Node<'_>) -> Bindings {
         let t = self.tables(node);
         let rel = self.db.relation(t.ext).expect("catalogued");
         Bindings::from_rows(t.vars.clone(), rel.iter().cloned())
     }
 
-    fn contains(&self, node: &Formula, key: &Tuple) -> bool {
+    fn contains(&self, node: Node<'_>, key: &Tuple) -> bool {
         // The materialized extension table answers probes directly.
         let t = self.tables(node);
         self.db.relation(t.ext).expect("catalogued").contains(key)
     }
 
-    fn hist_holds(&self, node: &Formula, key: &Tuple) -> bool {
+    fn hist_holds(&self, node: Node<'_>, key: &Tuple) -> bool {
         let t = self.tables(node);
         let arity = t.vars.len();
         match t.kind {

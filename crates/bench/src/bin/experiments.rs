@@ -14,7 +14,7 @@ fn main() {
         .map(|s| s.to_lowercase());
     if args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
-            "usage: experiments [--quick] [--table t1|f1|t2|f2|t3|t4|f3|t5|t6|t7|t8]\n\
+            "usage: experiments [--quick] [--table t1|f1|t2|f2|t3a|t3b|t4|f3|t5|t6|t7|t8]\n\
              \x20                  [--metrics FILE] [--trace FILE]"
         );
         eprintln!(
@@ -76,7 +76,8 @@ fn main() {
         ("f1", experiments::f1_step_latency),
         ("t2", experiments::t2_bound_space),
         ("f2", experiments::f2_bound_time),
-        ("t3", experiments::t3_domain_scaling),
+        ("t3a", experiments::t3a_update_scaling),
+        ("t3b", experiments::t3b_state_scaling),
         ("t4", experiments::t4_detection),
         ("f3", experiments::f3_throughput),
         ("t5", experiments::t5_active_overhead),

@@ -21,6 +21,7 @@
 //! baselines without a fresh counterpart are reported, so coverage gaps
 //! are visible in the log.
 
+use rtic_bench::experiments::{deadline_constraint, metric_constraint};
 use rtic_bench::record::{
     batch_exec_curve, batch_exec_to_json, compare, compare_all, git_rev, machine_stamp, record,
     scenario_sweep, scenario_sweep_to_json, to_json, WORKLOADS,
@@ -112,15 +113,19 @@ fn run(args: &[String]) -> Result<i32, String> {
         } else {
             400
         };
-        let curve = batch_exec_curve(entity_counts, curve_steps, seed)?;
-        let doc = batch_exec_to_json(&curve, curve_steps, seed, &git_rev())
+        let curve = batch_exec_curve(&deadline_constraint(), entity_counts, curve_steps, seed)?;
+        // The same sweep under the paper-form constraint: a bounded window.
+        let metric = batch_exec_curve(&metric_constraint(), entity_counts, curve_steps, seed)?;
+        let doc = batch_exec_to_json(&curve, &metric, curve_steps, seed, &git_rev())
             .set("machine", machine_stamp());
         write_doc(&out_path, &doc)?;
-        for p in &curve {
-            println!(
-                "batch-exec entities={}: {:.0} tuples/s over {} tuples",
-                p.entities, p.vectorized_tuples_per_sec, p.tuples
-            );
+        for (name, points) in [("domain", &curve), ("metric", &metric)] {
+            for p in points {
+                println!(
+                    "batch-exec {name} entities={}: {:.0} tuples/s over {} tuples",
+                    p.entities, p.vectorized_tuples_per_sec, p.tuples
+                );
+            }
         }
         println!("recorded batch-exec ({curve_steps} steps/point, seed {seed}) -> {out_path}");
         doc

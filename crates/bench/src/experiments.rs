@@ -32,8 +32,10 @@ pub struct Scale {
     pub naive_cap: usize,
     /// Metric bounds for T2/F2/T6.
     pub bounds: Vec<u64>,
-    /// Updates-per-step sizes for T3.
+    /// Updates-per-step sizes for T3a.
     pub update_sizes: Vec<usize>,
+    /// Resident rows for T3b.
+    pub resident_sizes: Vec<usize>,
     /// History length for throughput/overhead runs (F3/T5).
     pub run_length: usize,
     /// Fleet sizes (#constraints) for T8.
@@ -48,6 +50,7 @@ impl Scale {
             naive_cap: 2000,
             bounds: vec![4, 8, 16, 32, 64, 128],
             update_sizes: vec![4, 8, 16, 32, 64, 128],
+            resident_sizes: vec![5_000, 10_000, 20_000],
             run_length: 600,
             fleet_sizes: vec![4, 16, 64],
         }
@@ -60,6 +63,7 @@ impl Scale {
             naive_cap: 400,
             bounds: vec![4, 16, 64],
             update_sizes: vec![4, 16, 64],
+            resident_sizes: vec![1_000, 4_000],
             run_length: 150,
             fleet_sizes: vec![4, 16],
         }
@@ -291,18 +295,19 @@ pub fn f2_bound_time(scale: &Scale) -> Table {
     t
 }
 
-/// T3 — scaling in update size (active-domain churn).
-pub fn t3_domain_scaling(scale: &Scale) -> Table {
+/// T3a — scaling in update size at a fixed active domain.
+pub fn t3a_update_scaling(scale: &Scale) -> Table {
     let mut t = Table::new(
-        "T3",
-        "tail per-step latency and aux keys vs update size u (random workload)",
+        "T3a",
+        "tail per-step latency and aux keys vs update size u (random workload, fixed domain)",
         &["u", "inc step", "win step", "naive step", "inc aux keys"],
     );
-    t.note("claim: encoding step cost scales with the update/state, not the history");
+    t.note("claim: encoding step cost scales with the update, not the history");
+    let domain = 4 * scale.update_sizes.iter().copied().max().unwrap_or(1);
     for &u in &scale.update_sizes {
         let g = RandomWorkload {
             steps: scale.run_length,
-            domain: 4 * u,
+            domain,
             updates_per_step: u,
             bound: 8,
             seed: 42,
@@ -320,6 +325,122 @@ pub fn t3_domain_scaling(scale: &Scale) -> Table {
             fmt_micros(mn.tail_step_us),
             mi.final_space.aux_keys.to_string(),
         ]);
+    }
+    t
+}
+
+/// ROADMAP item 1's stream over `resident` loaded rows: update 0 loads
+/// the table, every later one reserves 8 fresh keys, confirms the
+/// previous update's but one, and cancels that straggler three updates on.
+fn resident_update(step: usize, resident: usize) -> Update {
+    let row = |k: usize| tuple![format!("p{k}").as_str(), k as i64];
+    let mut u = Update::new();
+    if step == 0 {
+        for k in 0..resident {
+            u.insert("reserved", row(k));
+            u.insert("confirmed", row(k));
+        }
+        return u;
+    }
+    let key = |s: usize, j: usize| resident + s * 8 + j;
+    for j in 0..8 {
+        u.insert("reserved", row(key(step, j)));
+        if step >= 2 && j > 0 {
+            u.insert("confirmed", row(key(step - 1, j)));
+        }
+    }
+    if step >= 4 {
+        u.delete("reserved", row(key(step - 3, 0)));
+    }
+    u
+}
+
+/// ROADMAP item 1's rows: the temporal conjuncts each shape adds to
+/// `reserved(p, f)`.
+pub const RESIDENT_SHAPES: [(&str, &str); 5] = [
+    ("a", "once[2,*] reserved(p, f) && !once confirmed(p, f)"),
+    (
+        "b",
+        "!once[0,2] confirmed(p, f) && once[2,*] reserved(p, f)",
+    ),
+    (
+        "c",
+        "once[2,50] reserved(p, f) && !once[0,50] confirmed(p, f)",
+    ),
+    ("d", "hist[0,5] reserved(p, f) && !once confirmed(p, f)"),
+    (
+        "e",
+        "(reserved(p, f) since[3,*] reserved(p, f)) && !once confirmed(p, f)",
+    ),
+];
+
+/// Median per-step time (µs) of `shape` over the resident stream, after
+/// the load has aged into every window (the first 8 steps) — the median,
+/// so a preempted step on a shared host does not move the row.
+fn resident_step_us(shape: &str, resident: usize, steps: usize) -> f64 {
+    let pf = || Schema::of(&[("p", Sort::Str), ("f", Sort::Int)]);
+    let catalog = rtic_relation::Catalog::new().with("reserved", pf());
+    let catalog = Arc::new(
+        catalog
+            .and_then(|c| c.with("confirmed", pf()))
+            .expect("catalog"),
+    );
+    let c = parse_constraint(&format!("deny d: reserved(p, f) && {shape}")).expect("parses");
+    let mut checker = IncrementalChecker::new(c, catalog).expect("compiles");
+    let updates: Vec<Update> = (0..steps).map(|s| resident_update(s, resident)).collect();
+    let mut timed = Vec::with_capacity(steps);
+    for (s, u) in updates.iter().enumerate() {
+        let start = Instant::now();
+        checker
+            .step(rtic_temporal::TimePoint(s as u64 + 1), u)
+            .expect("steps");
+        if s >= 8 {
+            timed.push(start.elapsed().as_secs_f64() * 1e6);
+        }
+    }
+    timed.sort_by(f64::total_cmp);
+    timed[timed.len() / 2]
+}
+
+/// T3b — scaling in resident state at a fixed update: ROADMAP item 1's
+/// table, per step.
+pub fn t3b_state_scaling(scale: &Scale) -> Table {
+    let sizes = &scale.resident_sizes;
+    let mut cols: Vec<String> = vec!["shape".into()];
+    cols.extend(sizes.iter().map(|n| format!("step @ {n} rows")));
+    cols.extend(["vs (a)".into(), "growth".into()]);
+    let cols: Vec<&str> = cols.iter().map(String::as_str).collect();
+    let mut t = Table::new(
+        "T3b",
+        "median per-step latency vs resident rows, 16-tuple updates (item 1's stream)",
+        &cols,
+    );
+    t.note("claim: a step costs what the update touches, for bounded windows too");
+    let steps = (scale.run_length / 2).max(40);
+    let rows: Vec<(&str, Vec<f64>)> = RESIDENT_SHAPES
+        .iter()
+        .map(|(id, shape)| {
+            (
+                *id,
+                sizes
+                    .iter()
+                    .map(|&n| resident_step_us(shape, n, steps))
+                    .collect(),
+            )
+        })
+        .collect();
+    let base = rows
+        .first()
+        .and_then(|(_, r)| r.last().copied())
+        .unwrap_or(1.0);
+    for (id, times) in &rows {
+        let (first, last) = (times.first().copied(), times.last().copied());
+        let mut row = vec![format!("({id})")];
+        row.extend(times.iter().map(|&us| fmt_micros(us)));
+        row.push(last.map_or("—".into(), |l| format!("{:.2}×", l / base)));
+        let growth = first.zip(last).map(|(f, l)| format!("{:.2}×", l / f));
+        row.push(growth.unwrap_or_else(|| "—".into()));
+        t.row(row);
     }
     t
 }
@@ -697,6 +818,15 @@ pub fn deadline_constraint() -> Constraint {
     .expect("the motivating constraint parses")
 }
 
+/// The paper's form of the deadline constraint (ROADMAP item 1, row (b)):
+/// the confirmation must come within two ticks — a *bounded* window.
+pub fn metric_constraint() -> Constraint {
+    parse_constraint(
+        "deny unconfirmed: reserved(p, f) && !once[0,2] confirmed(p, f) && once[2,*] reserved(p, f)",
+    )
+    .expect("the paper-form constraint parses")
+}
+
 /// An ingestion stream for the batch-exec curve: per step,
 /// `events_per_step` fresh reservations land over an `entities`-sized
 /// key domain; last step's keys are confirmed, except a deterministic
@@ -852,7 +982,8 @@ pub fn all_tables(scale: &Scale) -> Vec<Table> {
         f1_step_latency(scale),
         t2_bound_space(scale),
         f2_bound_time(scale),
-        t3_domain_scaling(scale),
+        t3a_update_scaling(scale),
+        t3b_state_scaling(scale),
         t4_detection(scale),
         f3_throughput(scale),
         t5_active_overhead(scale),
@@ -874,6 +1005,7 @@ mod tests {
             naive_cap: 80,
             bounds: vec![3, 6],
             update_sizes: vec![4, 8],
+            resident_sizes: vec![200, 400],
             run_length: 50,
             fleet_sizes: vec![2, 4],
         };
@@ -891,6 +1023,7 @@ mod tests {
             naive_cap: 200,
             bounds: vec![],
             update_sizes: vec![],
+            resident_sizes: vec![],
             run_length: 50,
             fleet_sizes: vec![],
         };

@@ -13,6 +13,7 @@ use std::time::Instant;
 
 use rtic_core::{Checker, EncodingOptions, IncrementalChecker, ProfiledNode};
 use rtic_obs::json::{self, Json};
+use rtic_temporal::Constraint;
 use rtic_workload::{
     library, Audit, Library, Monitor, RandomWorkload, Reservations, ScenarioParams,
 };
@@ -291,13 +292,15 @@ pub struct BatchExecPoint {
 
 /// The tuples/sec-vs-active-domain curve: for each entity count, a
 /// [`crate::experiments::batch_stream`] history stepped through one
-/// [`rtic_core::ConstraintSet`], report lines rendered as a driver would.
+/// [`rtic_core::ConstraintSet`] of `constraint`, report lines rendered as a
+/// driver would.
 pub fn batch_exec_curve(
+    constraint: &Constraint,
     entity_counts: &[usize],
     steps: usize,
     seed: u64,
 ) -> Result<Vec<BatchExecPoint>, String> {
-    use crate::experiments::{batch_stream, deadline_constraint, reservations_catalog};
+    use crate::experiments::{batch_stream, reservations_catalog};
     use rtic_core::ConstraintSet;
 
     let mut points = Vec::with_capacity(entity_counts.len());
@@ -305,7 +308,7 @@ pub fn batch_exec_curve(
         let events = entities.div_ceil(steps.max(1)).max(1);
         let transitions = batch_stream(entities, steps, events, seed);
         let tuples: usize = transitions.iter().map(|t| t.update.len()).sum();
-        let mut set = ConstraintSet::new([deadline_constraint()], reservations_catalog())
+        let mut set = ConstraintSet::new([constraint.clone()], reservations_catalog())
             .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?;
         // Rendering the reports is part of the measured work, as it was
         // at every earlier point of the trajectory.
@@ -332,28 +335,34 @@ pub fn batch_exec_curve(
     Ok(points)
 }
 
-/// Renders the batch-exec curve as the `BENCH_batch_exec.json` document.
-pub fn batch_exec_to_json(curve: &[BatchExecPoint], steps: usize, seed: u64, rev: &str) -> Json {
-    let curve_rows: Vec<Json> = curve
-        .iter()
-        .map(|p| {
+/// Renders the batch-exec curves as the `BENCH_batch_exec.json` document:
+/// `domain_curve` for the motivating (unbounded) constraint, `metric_curve`
+/// for its paper form with a bounded confirmation window.
+pub fn batch_exec_to_json(
+    curve: &[BatchExecPoint],
+    metric: &[BatchExecPoint],
+    steps: usize,
+    seed: u64,
+    rev: &str,
+) -> Json {
+    let rows = |points: &[BatchExecPoint], key: &str| {
+        let row = |p: &BatchExecPoint| {
             Json::object()
                 .set("entities", p.entities as u64)
                 .set("steps", p.steps as u64)
                 .set("tuples", p.tuples as u64)
-                .set(
-                    "vectorized_tuples_per_sec",
-                    round3(p.vectorized_tuples_per_sec),
-                )
-        })
-        .collect();
+                .set(key, round3(p.vectorized_tuples_per_sec))
+        };
+        Json::Arr(points.iter().map(row).collect())
+    };
     Json::object()
         .set("schema_version", SCHEMA_VERSION)
         .set("workload", "batch-exec")
         .set("steps", steps as u64)
         .set("seed", seed)
         .set("git_rev", rev)
-        .set("domain_curve", Json::Arr(curve_rows))
+        .set("domain_curve", rows(curve, "vectorized_tuples_per_sec"))
+        .set("metric_curve", rows(metric, "tuples_per_sec"))
 }
 
 /// Where a recording was taken — the stamp `benchmark/run.sh` puts on its
@@ -459,16 +468,19 @@ fn metric_rows(doc: &Json) -> Vec<(String, f64, bool)> {
             });
         }
         "batch-exec" => {
-            rows = each(doc, "domain_curve", &mut |p, out| {
-                let Some(entities) = num(p, "entities") else {
-                    return;
-                };
-                if let Some(v) = num(p, "vectorized_tuples_per_sec") {
-                    let label =
-                        format!("domain_curve[entities={entities}].vectorized_tuples_per_sec");
-                    out.push((label, v, true));
-                }
-            });
+            for (curve, key) in [
+                ("domain_curve", "vectorized_tuples_per_sec"),
+                ("metric_curve", "tuples_per_sec"),
+            ] {
+                rows.extend(each(doc, curve, &mut |p, out| {
+                    let Some(entities) = num(p, "entities") else {
+                        return;
+                    };
+                    if let Some(v) = num(p, key) {
+                        out.push((format!("{curve}[entities={entities}].{key}"), v, true));
+                    }
+                }));
+            }
         }
         // Single-workload snapshots: throughput up, latency down.
         _ => {
@@ -783,7 +795,8 @@ mod tests {
         // Smoke scale; the committed baseline runs up to 10⁵ entities.
         // (Named, like the recorder, from when the curve ran in 64-line
         // micro-batches; it steps one transition at a time now.)
-        let points = batch_exec_curve(&[128], 30, 11).unwrap();
+        let c = crate::experiments::deadline_constraint();
+        let points = batch_exec_curve(&c, &[128], 30, 11).unwrap();
         assert_eq!(points.len(), 1);
         let p = &points[0];
         assert_eq!(p.entities, 128);
@@ -794,8 +807,11 @@ mod tests {
 
     #[test]
     fn batch_exec_json_round_trips() {
-        let curve = batch_exec_curve(&[64], 20, 5).unwrap();
-        let doc = json::parse(&batch_exec_to_json(&curve, 20, 5, "abc123").render()).unwrap();
+        let curve = batch_exec_curve(&crate::experiments::deadline_constraint(), &[64], 20, 5);
+        let metric = batch_exec_curve(&crate::experiments::metric_constraint(), &[64], 20, 5);
+        let (curve, metric) = (curve.unwrap(), metric.unwrap());
+        let doc = batch_exec_to_json(&curve, &metric, 20, 5, "abc123").render();
+        let doc = json::parse(&doc).unwrap();
         assert_eq!(
             doc.get("workload").and_then(Json::as_str),
             Some("batch-exec")
@@ -812,5 +828,13 @@ mod tests {
             .and_then(Json::as_f64)
             .is_some_and(|s| s > 0.0));
         assert!(doc.get("batch_sweep").is_none());
+        // The paper-form (bounded) curve rides along, keyed the same way.
+        let metric = doc.get("metric_curve").and_then(Json::as_arr);
+        let rate = metric
+            .and_then(|m| m[0].get("tuples_per_sec"))
+            .and_then(Json::as_f64);
+        assert!(rate.is_some_and(|s| s > 0.0));
+        let labels: Vec<String> = metric_rows(&doc).into_iter().map(|r| r.0).collect();
+        assert!(labels.contains(&"metric_curve[entities=64].tuples_per_sec".to_string()));
     }
 }

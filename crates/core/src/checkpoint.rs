@@ -685,7 +685,7 @@ fn restore_section(
             }
         } else if let Some(rest) = line.strip_prefix("node ") {
             r.next();
-            restore_node(&mut r, rest, &mut engine.states)?;
+            restore_node(&mut r, rest, &mut engine.states, last_time)?;
         } else {
             r.next();
             let (word, rest) = line.split_once(' ').unwrap_or((line, ""));
@@ -721,12 +721,40 @@ fn restore_section(
     }
 }
 
+/// Checks restored timestamps — a node's expiry index is rebuilt from
+/// exactly these — ascend strictly and none is later than the section's
+/// `time`.
+fn check_times(
+    r: &Reader<'_>,
+    what: &str,
+    times: &[TimePoint],
+    time: Option<TimePoint>,
+) -> Result<(), CheckpointError> {
+    if let Some(w) = times.windows(2).find(|w| w[0] >= w[1]) {
+        let (a, b) = (w[0].0, w[1].0);
+        return Err(r.err(format!("{what} must ascend ({a} then {b})")));
+    }
+    match (times.last(), time) {
+        (Some(last), Some(t)) if *last > t => Err(r.err(format!(
+            "{what} reach {}, after the checkpoint's time {}",
+            last.0, t.0
+        ))),
+        (Some(last), None) => Err(r.err(format!(
+            "{what} reach {} in a checkpoint taken before any state",
+            last.0
+        ))),
+        _ => Ok(()),
+    }
+}
+
 /// Restores one `node <idx> <kind>` block (through its `endnode`) into
-/// `states`. `rest` is the header line after the `node ` prefix.
+/// `states`. `rest` is the header line after the `node ` prefix; `time`
+/// the section's newest state, which no restored timestamp may pass.
 fn restore_node(
     r: &mut Reader<'_>,
     rest: &str,
     states: &mut [NodeState],
+    time: Option<TimePoint>,
 ) -> Result<(), CheckpointError> {
     {
         let mut parts = rest.split_whitespace();
@@ -765,11 +793,13 @@ fn restore_node(
                         return Err(r.err("window entry needs at least one timestamp"));
                     }
                     let stamps: Vec<TimePoint> = nums.into_iter().map(TimePoint).collect();
+                    check_times(r, "window stamps", &stamps, time)?;
                     w.restore_entry(key, &stamps);
                 }
             }
             ("histf", NodeState::HistFinite(h)) => {
                 let times = r.expect_times("times")?;
+                check_times(r, "times", &times, time)?;
                 let mut entries = Vec::new();
                 while r.peek().is_some_and(|l| l != "endnode") {
                     let (_, l) = r.next().expect("peeked");
@@ -777,6 +807,21 @@ fn restore_node(
                     if nums.len() % 2 != 0 {
                         return Err(r.err("runs come as start/end pairs"));
                     }
+                    // start ≤ end < next start: ascending and disjoint.
+                    let pairs = nums.chunks(2);
+                    let disjoint = pairs
+                        .clone()
+                        .zip(pairs.clone().skip(1))
+                        .all(|(a, b)| a[1] < b[0]);
+                    if !disjoint || pairs.clone().any(|c| c[0] > c[1]) {
+                        let msg = "histf runs must have start ≤ end, ascend and be disjoint";
+                        return Err(r.err(format!(
+                            "{msg} (got {})",
+                            l.split('|').next().unwrap_or("").trim()
+                        )));
+                    }
+                    let ends: Vec<TimePoint> = pairs.map(|c| TimePoint(c[1])).collect();
+                    check_times(r, "histf run ends", &ends, time)?;
                     let runs: Vec<(TimePoint, TimePoint)> = nums
                         .chunks(2)
                         .map(|c| (TimePoint(c[0]), TimePoint(c[1])))
@@ -1278,6 +1323,93 @@ mod tests {
                     "{key} -> {bad:?}: {err}"
                 );
             }
+        }
+    }
+
+    /// A node's expiry index is rebuilt from the restored timestamps, so
+    /// disordered or future ones are typed format errors naming their
+    /// line — never a panic, never silently accepted.
+    #[test]
+    fn restored_timestamps_must_ascend_and_not_pass_the_time() {
+        let bare = |body: &str, node: &str| {
+            format!(
+                "rtic-checkpoint v1\nconstraint d\nbody {body}\ntime 5\nsteps 2\n{node}endnode\n"
+            )
+        };
+        let cases = [
+            // Window stamps: ascending, none after `time`.
+            (
+                "p(x) && once[1,3] p(x)",
+                "node 0 once\n3 2 | \"a\"\n",
+                "must ascend",
+            ),
+            (
+                "p(x) && once[1,3] p(x)",
+                "node 0 once\n2 2 | \"a\"\n",
+                "must ascend",
+            ),
+            (
+                "p(x) && once[1,3] p(x)",
+                "node 0 once\n1 2 9 | \"a\"\n",
+                "after the",
+            ),
+            ("p(x) && once p(x)", "node 0 once\n6 | \"a\"\n", "after the"),
+            // `histf`: start ≤ end < next start, ends by `time`; `times`
+            // ascend.
+            (
+                "p(x) && hist[1,4] p(x)",
+                "node 0 histf\ntimes 4 5\n3 2 | \"a\"\n",
+                "disjoint",
+            ),
+            (
+                "p(x) && hist[1,4] p(x)",
+                "node 0 histf\ntimes 4 5\n1 3 3 4 | \"a\"\n",
+                "disjoint",
+            ),
+            (
+                "p(x) && hist[1,4] p(x)",
+                "node 0 histf\ntimes 4 5\n4 5 2 3 | \"a\"\n",
+                "disjoint",
+            ),
+            (
+                "p(x) && hist[1,4] p(x)",
+                "node 0 histf\ntimes 4 5\n4 7 | \"a\"\n",
+                "after the",
+            ),
+            (
+                "p(x) && hist[1,4] p(x)",
+                "node 0 histf\ntimes 5 4\n",
+                "must ascend",
+            ),
+            (
+                "p(x) && hist[1,4] p(x)",
+                "node 0 histf\ntimes 4 8\n",
+                "after the",
+            ),
+        ];
+        for (body, node, why) in cases {
+            let c = parse_constraint(&format!("deny d: {body}")).unwrap();
+            let compiled = crate::CompiledConstraint::compile(c.clone(), catalog()).unwrap();
+            let text = bare(&compiled.body.to_string(), node);
+            let err = restore(c, catalog(), EncodingOptions::default(), &text).unwrap_err();
+            let line = text.lines().count() - 1;
+            assert!(
+                matches!(&err, CheckpointError::Format { line: l, message } if *l == line && message.contains(why)),
+                "{node:?}: {err}"
+            );
+        }
+        // The valid neighbours restore.
+        for (body, node) in [
+            ("p(x) && once[1,3] p(x)", "node 0 once\n1 2 5 | \"a\"\n"),
+            (
+                "p(x) && hist[1,4] p(x)",
+                "node 0 histf\ntimes 4 5\n1 2 4 5 | \"a\"\n",
+            ),
+        ] {
+            let c = parse_constraint(&format!("deny d: {body}")).unwrap();
+            let compiled = crate::CompiledConstraint::compile(c.clone(), catalog()).unwrap();
+            let text = bare(&compiled.body.to_string(), node);
+            restore(c, catalog(), EncodingOptions::default(), &text).unwrap();
         }
     }
 

@@ -7,21 +7,55 @@
 //! evaluator is what makes the equivalence property tests meaningful: the
 //! two checkers differ *only* in how they answer temporal questions.
 
+use std::sync::Arc;
+
 use rtic_relation::{Database, Tuple, TupleMap};
 use rtic_temporal::ast::{CmpOp, Formula, Term, Var};
 use rtic_temporal::safety;
 
 use crate::binding::Bindings;
 
+/// A temporal node as the evaluators address it: its index among the
+/// compiled constraint's nodes — resolved once, when a plan is built or
+/// when the interpreter reaches the node, never per probed row — and the
+/// subformula itself.
+#[derive(Clone, Copy, Debug)]
+pub struct Node<'a> {
+    /// Index into `CompiledConstraint::nodes` (`usize::MAX` when the
+    /// oracle keys nodes by formula instead).
+    pub id: usize,
+    /// The temporal subformula.
+    pub formula: &'a Formula,
+}
+
+/// The keys whose verdict a window's last advance flipped: valid for a
+/// consumer that saw the window at epoch `from` and now sees `epoch`.
+/// `from` is `None` when the window rebuilt and cannot say what flipped.
+#[derive(Clone, Copy, Debug)]
+pub struct Flips<'a> {
+    /// The window's current epoch (one per advance).
+    pub epoch: u64,
+    /// The epoch the flips lead from.
+    pub from: Option<u64>,
+    /// The flipped keys, over the node's sorted free variables.
+    pub keys: &'a [Arc<Tuple>],
+}
+
 /// Answers temporal subformula queries at the evaluator's current state.
 pub trait Oracle {
+    /// The index of `node` for this oracle's [`Node::id`]; the default
+    /// keys nodes by formula alone.
+    fn node_id(&self, _node: &Formula) -> usize {
+        usize::MAX
+    }
+
     /// The finite extension (rows over the node's sorted free variables) of
     /// a `prev`/`once`/`since` node at the current state.
-    fn extension(&self, node: &Formula) -> Bindings;
+    fn extension(&self, node: Node<'_>) -> Bindings;
 
     /// Whether a `hist` node holds for `key` (the candidate's values for
     /// the node's sorted free variables) at the current state.
-    fn hist_holds(&self, node: &Formula, key: &Tuple) -> bool;
+    fn hist_holds(&self, node: Node<'_>, key: &Tuple) -> bool;
 
     /// Membership probe into a generator node's extension — the *semijoin
     /// pushdown* path: when a node's variables are already bound by earlier
@@ -32,19 +66,18 @@ pub trait Oracle {
     ///
     /// The default materializes; implementations should override with an
     /// O(1)/O(log) probe.
-    fn contains(&self, node: &Formula, key: &Tuple) -> bool {
+    fn contains(&self, node: Node<'_>, key: &Tuple) -> bool {
         self.extension(node).contains(key)
     }
 
-    /// Whether `node`'s [`Oracle::contains`] verdicts are **monotone**
-    /// across states: once a key is in the extension it stays in it at
-    /// every later state. Holds for `once[l,∞)` windows (stamps are never
-    /// pruned and the admissible window only widens as time advances), and
-    /// lets probe nodes cache their passed rows instead of re-probing the
-    /// whole input each step. The conservative default is
-    /// `false` — correctness never depends on answering `true`.
-    fn probe_monotone(&self, _node: &Formula) -> bool {
-        false
+    /// The keys whose [`Oracle::contains`] verdict flipped at the node's
+    /// last advance, so a probe can keep its input partitioned by verdict
+    /// and move only those rows — O(|delta| + |flips|) per step instead
+    /// of O(|input|). A window that only ever admits keys (`once[a,∞)`)
+    /// is the case whose flips never revoke. The default, `None`, makes
+    /// every probe re-test its whole input.
+    fn flips(&self, _node: Node<'_>) -> Option<Flips<'_>> {
+        None
     }
 }
 
@@ -99,24 +132,32 @@ pub fn eval<O: Oracle + ?Sized>(
             inner.project_away(vs)
         }
         Formula::Prev(..) | Formula::Once(..) | Formula::Since(..) => {
+            let node = Node {
+                id: oracle.node_id(f),
+                formula: f,
+            };
             let node_vars: Vec<Var> = f.free_vars().into_iter().collect();
             let positions: Option<Vec<usize>> =
                 node_vars.iter().map(|v| input.position(*v)).collect();
             match positions {
                 // All node variables already bound: probe per candidate
                 // (semijoin pushdown) instead of materializing.
-                Some(pos) => input.filter(|row| oracle.contains(f, &row.project(&pos))),
+                Some(pos) => input.filter(|row| oracle.contains(node, &row.project(&pos))),
                 // The node generates fresh variables: join the extension.
-                None => input.natural_join(&oracle.extension(f)),
+                None => input.natural_join(&oracle.extension(node)),
             }
         }
         Formula::Hist(..) => {
+            let node = Node {
+                id: oracle.node_id(f),
+                formula: f,
+            };
             let node_vars: Vec<Var> = f.free_vars().into_iter().collect();
             let pos: Vec<usize> = node_vars
                 .iter()
                 .map(|v| input.position(*v).expect("unguarded hist (safety bug)"))
                 .collect();
-            input.filter(|row| oracle.hist_holds(f, &row.project(&pos)))
+            input.filter(|row| oracle.hist_holds(node, &row.project(&pos)))
         }
         Formula::CountCmp {
             vars,
@@ -195,12 +236,18 @@ fn a_or_b_var(t: &Term) -> Var {
 pub struct NoTemporal;
 
 impl Oracle for NoTemporal {
-    fn extension(&self, node: &Formula) -> Bindings {
-        panic!("temporal subformula `{node}` under the non-temporal oracle")
+    fn extension(&self, node: Node<'_>) -> Bindings {
+        panic!(
+            "temporal subformula `{}` under the non-temporal oracle",
+            node.formula
+        )
     }
 
-    fn hist_holds(&self, node: &Formula, _key: &Tuple) -> bool {
-        panic!("temporal subformula `{node}` under the non-temporal oracle")
+    fn hist_holds(&self, node: Node<'_>, _key: &Tuple) -> bool {
+        panic!(
+            "temporal subformula `{}` under the non-temporal oracle",
+            node.formula
+        )
     }
 }
 

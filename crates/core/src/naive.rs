@@ -18,7 +18,7 @@ use crate::binding::{Bindings, Scratch};
 use crate::checker::Checker;
 use crate::compile::CompiledConstraint;
 use crate::error::CompileError;
-use crate::eval::{eval, Oracle};
+use crate::eval::{eval, Node, Oracle};
 use crate::report::{SpaceStats, StepReport};
 
 /// Full-history, recompute-everything checker.
@@ -193,11 +193,12 @@ fn sorted_free_vars(f: &Formula) -> Vec<Var> {
 }
 
 impl Oracle for NaiveOracle<'_> {
-    fn extension(&self, node: &Formula) -> Bindings {
-        self.cached_extension(node)
+    fn extension(&self, node: Node<'_>) -> Bindings {
+        self.cached_extension(node.formula)
     }
 
-    fn contains(&self, node: &Formula, key: &Tuple) -> bool {
+    fn contains(&self, node: Node<'_>, key: &Tuple) -> bool {
+        let node = node.formula;
         // Probe through the cache WITHOUT cloning the extension per row.
         if let Some(b) = self.extensions.borrow().get(node) {
             return b.contains(key);
@@ -208,7 +209,8 @@ impl Oracle for NaiveOracle<'_> {
         hit
     }
 
-    fn hist_holds(&self, node: &Formula, key: &Tuple) -> bool {
+    fn hist_holds(&self, node: Node<'_>, key: &Tuple) -> bool {
+        let node = node.formula;
         let Formula::Hist(interval, g) = node else {
             panic!("hist query for non-hist node `{node}`")
         };

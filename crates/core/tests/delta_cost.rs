@@ -8,7 +8,11 @@
 //! zero, and the probes stream a few dozen rows per step instead of the
 //! table. Reports stay byte-identical to the tree-walking interpreter.
 //! The same holds for an engine woken from sleep with a live violation:
-//! the witnesses it replayed while asleep are let go before the plans run.
+//! the witnesses it replayed while asleep are let go before the plans run,
+//! and for the paper's *bounded* forms (ROADMAP item 1's shapes (b)–(e))
+//! at 2×10⁴ resident rows: each window's expiry index pops what is due
+//! and each probe moves only the rows its input delta and the window's
+//! flips name.
 
 use std::sync::Arc;
 
@@ -18,6 +22,7 @@ use rtic_temporal::parser::parse_constraint;
 use rtic_temporal::TimePoint;
 
 const RESIDENT: usize = 10_000;
+const BOUNDED_RESIDENT: usize = 20_000;
 const EVENTS: usize = 8;
 const STEPS: usize = 12;
 const WARM_UP: usize = 3;
@@ -31,15 +36,19 @@ fn row(k: usize) -> rtic_relation::Tuple {
 /// confirms) and cancels the stragglers three updates on — one update
 /// after their age-2 violation.
 fn update(step: usize) -> Update {
+    update_over(step, RESIDENT)
+}
+
+fn update_over(step: usize, resident: usize) -> Update {
     let mut u = Update::new();
     if step == 0 {
-        for k in 0..RESIDENT {
+        for k in 0..resident {
             u.insert("reserved", row(k));
             u.insert("confirmed", row(k));
         }
         return u;
     }
-    let key = |s: usize, j: usize| RESIDENT + s * EVENTS + j;
+    let key = |s: usize, j: usize| resident + s * EVENTS + j;
     for j in 0..EVENTS {
         u.insert("reserved", row(key(step, j)));
         if step >= 2 && j > 0 {
@@ -167,4 +176,53 @@ fn a_sleeping_engine_with_a_live_violation_wakes_without_copying() {
         rows < 200,
         "waking streamed {rows} rows for a 16-tuple update"
     );
+}
+
+/// ROADMAP item 1's bounded shapes over the same stream: (b) the paper's
+/// form, (c) both windows bounded, (d) a finite `hist`, (e) `since`.
+const BOUNDED: [&str; 4] = [
+    "deny b: reserved(p, f) && !once[0,2] confirmed(p, f) && once[2,*] reserved(p, f)",
+    "deny c: reserved(p, f) && once[2,50] reserved(p, f) && !once[0,50] confirmed(p, f)",
+    "deny d: reserved(p, f) && hist[0,5] reserved(p, f) && !once confirmed(p, f)",
+    "deny e: reserved(p, f) && (reserved(p, f) since[3,*] reserved(p, f)) && !once confirmed(p, f)",
+];
+
+#[test]
+fn bounded_windows_cost_what_changed_at_resident_scale() {
+    for src in BOUNDED {
+        let constraint = parse_constraint(src).unwrap();
+        let checker = |options| {
+            IncrementalChecker::with_options(constraint.clone(), catalog(), options).unwrap()
+        };
+        let mut compiled = checker(EncodingOptions {
+            profile_plans: true,
+            ..Default::default()
+        });
+        let mut reference = checker(EncodingOptions {
+            interpret_eval: true,
+            ..Default::default()
+        });
+        let streamed = |c: &IncrementalChecker| -> u64 {
+            let profile = c.plan_profile().expect("profiling enabled");
+            let roots = profile.nodes.iter().filter(|n| n.desc.depth == 0);
+            roots.map(|n| n.counts.block_rows).sum()
+        };
+        for step in 0..STEPS {
+            let u = update_over(step, BOUNDED_RESIDENT);
+            let copied_before = compiled.plan_stats().unwrap().rows_copied;
+            let streamed_before = streamed(&compiled);
+            let time = TimePoint(step as u64 + 1);
+            let got = compiled.step(time, &u).unwrap();
+            let expected = reference.step(time, &u).unwrap();
+            assert_eq!(got.to_string(), expected.to_string(), "{src}: step {step}");
+            // The loaded table ages into `since[3,*]` at step 3: warm up
+            // past every lower bound first.
+            if step > WARM_UP {
+                let copied = compiled.plan_stats().unwrap().rows_copied - copied_before;
+                assert_eq!(copied, 0, "{src}: step {step} duplicated {copied} row(s)");
+                let rows = streamed(&compiled) - streamed_before;
+                assert!(rows < 200, "{src}: step {step} streamed {rows} rows");
+            }
+        }
+    }
 }

@@ -11,7 +11,13 @@
 //! relation churn against the live state, empty updates (pure ticks), and
 //! *sleep runs*: stretches that leave the constraint's relations alone
 //! while the clock lands on, just before and just past its window edges —
-//! where an engine asleep until its next deadline must wake on time.
+//! where an engine asleep until its next deadline must wake on time. A
+//! [`HistoryBias::Resident`] history (every case under that bias, a
+//! quarter of them otherwise) instead loads a resident table first and
+//! then steps small deltas over it with gaps that cross every interval
+//! bound: the shape under which windows keep open runs and probes keep
+//! their input partitioned, advanced by row deltas, expiry-index pops and
+//! flips rather than rebuilt.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -27,6 +33,28 @@ use rtic_temporal::{var, CmpOp, Constraint, Formula, Interval, Term, TimePoint};
 
 use crate::derive_seed;
 
+/// Which histories a run draws.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum HistoryBias {
+    /// Small, churn-heavy histories; a quarter of them over a resident
+    /// load.
+    Churn,
+    /// Every history: a resident load, then small deltas over it, gaps
+    /// crossing every bound.
+    Resident,
+}
+
+impl HistoryBias {
+    /// Parses a `--bias` value.
+    pub fn parse(s: &str) -> Result<HistoryBias, String> {
+        match s {
+            "churn" => Ok(HistoryBias::Churn),
+            "resident" => Ok(HistoryBias::Resident),
+            other => Err(format!("unknown history bias `{other}` (churn|resident)")),
+        }
+    }
+}
+
 /// Tuning knobs for case generation.
 #[derive(Clone, Copy, Debug)]
 pub struct GenConfig {
@@ -35,8 +63,11 @@ pub struct GenConfig {
     pub max_formula_depth: usize,
     /// Maximum history length (transitions per case).
     pub max_steps: usize,
-    /// Values are drawn from `0..domain`.
+    /// Values are drawn from `0..domain` (a resident load from a wider
+    /// range).
     pub domain: i64,
+    /// Which histories to draw.
+    pub bias: HistoryBias,
 }
 
 impl Default for GenConfig {
@@ -45,6 +76,7 @@ impl Default for GenConfig {
             max_formula_depth: 4,
             max_steps: 24,
             domain: 4,
+            bias: HistoryBias::Churn,
         }
     }
 }
@@ -241,6 +273,10 @@ pub fn random_history(
     let read = constraint.body.relations();
     let steps = rng.gen_range(1..=cfg.max_steps.max(1));
     let mut t = rng.gen_range(0u64..=2);
+    // Resident: enough rows that probes keep their input partitioned.
+    let resident = cfg.bias == HistoryBias::Resident || rng.gen_bool(0.25);
+    let rows = if resident { rng.gen_range(64..=160) } else { 0 };
+    let domain = if resident { 2 * rows } else { cfg.domain };
 
     let names: Vec<(rtic_relation::Symbol, usize)> = {
         let mut v: Vec<_> = catalog
@@ -259,6 +295,18 @@ pub fn random_history(
     // Live contents per relation, mirrored so deletes can target tuples
     // that are actually present (real churn, not no-op deletes).
     let mut live: Vec<BTreeSet<Tuple>> = names.iter().map(|_| BTreeSet::new()).collect();
+    let mut load = Update::new();
+    for (ri, &(name, arity)) in names.iter().enumerate() {
+        for v in 0..rows {
+            let tup = if arity == 1 {
+                tuple![v]
+            } else {
+                tuple![v, v % cfg.domain]
+            };
+            load.insert(name, tup.clone());
+            live[ri].insert(tup);
+        }
+    }
     let mut churn = |rng: &mut StdRng, update: &mut Update, ri: usize| {
         let (name, arity) = names[ri];
         let delete_existing = !live[ri].is_empty() && rng.gen_bool(0.35);
@@ -273,19 +321,27 @@ pub fn random_history(
             live[ri].remove(&victim);
         } else {
             let tup = if arity == 1 {
-                tuple![rng.gen_range(0..cfg.domain)]
+                tuple![rng.gen_range(0..domain)]
             } else {
-                tuple![rng.gen_range(0..cfg.domain), rng.gen_range(0..cfg.domain)]
+                tuple![rng.gen_range(0..domain), rng.gen_range(0..cfg.domain)]
             };
             update.insert(name, tup.clone());
             live[ri].insert(tup);
         }
     };
 
-    let mut out: Vec<Transition> = Vec::with_capacity(steps);
+    let mut out: Vec<Transition> = Vec::with_capacity(steps + 1);
+    if resident {
+        out.push(Transition::new(TimePoint(t), load));
+    }
     for i in 0..steps {
-        if i > 0 {
+        if i > 0 || resident {
             let gap = match rng.gen_range(0u32..10) {
+                // Over a resident load: land on, before and past an edge.
+                _ if resident && rng.gen_bool(0.5) => {
+                    let edge = edges[rng.gen_range(0..edges.len())];
+                    GapKind::Step((edge + rng.gen_range(0u64..3)).saturating_sub(1).max(1))
+                }
                 0..=4 => GapKind::Cluster,
                 5..=7 => GapKind::Step(rng.gen_range(1..=3)),
                 _ => GapKind::BeyondHorizon {

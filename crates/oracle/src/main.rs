@@ -5,7 +5,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use rtic_oracle::generate::{case, GenConfig};
+use rtic_oracle::generate::{case, GenConfig, HistoryBias};
 use rtic_oracle::modes::run_constraint;
 use rtic_oracle::shrink::{shrink, ShrinkBudget};
 use rtic_oracle::{check_case, corpus, mutation, Mode, Mutant, Repro};
@@ -15,7 +15,7 @@ rtic-oracle — differential conformance oracle (see docs/TESTING.md)
 
 USAGE:
   rtic-oracle [--cases N] [--seed N] [--max-formula-depth N]
-              [--backends LIST] [--corpus-dir DIR]
+              [--backends LIST] [--corpus-dir DIR] [--bias churn|resident]
   rtic-oracle --mutation-smoke [--seed N] [--cases N]
   rtic-oracle --write-workload-corpus [--corpus-dir DIR]
 
@@ -26,7 +26,10 @@ MODES:
   --mutation-smoke         self-check: plant known bugs (off-by-one
                            window, dropped quiescent steps, a stale
                            row-set version accepted, a sleep deadline
-                           one tick late, a catch-up one state short)
+                           one tick late, a catch-up one state short,
+                           an expiry-index deadline one tick late, a run
+                           left open after its key left the operand, a
+                           partition applying flips from a stale epoch)
                            in a cloned checker and prove the oracle
                            catches each
   --write-workload-corpus  regenerate the golden corpus files derived
@@ -41,6 +44,10 @@ OPTIONS:
   --backends LIST       comma-separated subset to compare; first entry is
                         the reference (default: all, naive first)
   --corpus-dir DIR      where repro files live (default tests/corpus)
+  --bias B              history bias: `churn` (default: small churn-heavy
+                        histories, a quarter over a resident load) or
+                        `resident` (every history: a resident load, then
+                        small deltas with gaps crossing every bound)
 ";
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
@@ -89,15 +96,17 @@ fn default_cases() -> usize {
 fn fuzz(args: &[String]) -> Result<ExitCode, String> {
     let cases = parse_num(args, "--cases", default_cases())?;
     let seed: u64 = parse_num(args, "--seed", 42)?;
+    let bias = flag_value(args, "--bias").map_or(Ok(HistoryBias::Churn), HistoryBias::parse)?;
     let cfg = GenConfig {
         max_formula_depth: parse_num(args, "--max-formula-depth", 4)?,
+        bias,
         ..GenConfig::default()
     };
     let modes = parse_modes(args)?;
     let corpus_dir = PathBuf::from(flag_value(args, "--corpus-dir").unwrap_or("tests/corpus"));
     let mode_names: Vec<&str> = modes.iter().map(|m| m.name()).collect();
     println!(
-        "oracle: {cases} case(s), seed {seed}, depth {}, backends {}",
+        "oracle: {cases} case(s), seed {seed}, depth {}, bias {bias:?}, backends {}",
         cfg.max_formula_depth,
         mode_names.join(",")
     );

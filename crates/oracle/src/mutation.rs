@@ -8,6 +8,7 @@
 
 use std::sync::Arc;
 
+use rtic_core::encode::IndexBug;
 use rtic_core::{BackendId, Bindings, IncrementalChecker, SleepBug, StepReport};
 use rtic_history::Transition;
 use rtic_relation::{Catalog, Symbol};
@@ -39,16 +40,29 @@ pub enum Mutant {
     /// Waking up, the engine absorbs every deferred state but the newest
     /// one — a short catch-up.
     ShortCatchUp,
+    /// A window's expiry index files every leave deadline one tick late,
+    /// so a verdict that flipped is neither published nor pruned on time.
+    LateExpiry,
+    /// A window leaves a run open after its key left the operand, so the
+    /// key keeps gaining derived stamps.
+    OpenRun,
+    /// A probe partition applies a window's flips even when they lead from
+    /// an epoch other than the one it saw (a window that flipped every key
+    /// publishes none).
+    StaleEpoch,
 }
 
 impl Mutant {
     /// Every mutant.
-    pub const ALL: [Mutant; 5] = [
+    pub const ALL: [Mutant; 8] = [
         Mutant::OffByOneWindow,
         Mutant::DroppedQuiescent,
         Mutant::StaleVersion,
         Mutant::LateDeadline,
         Mutant::ShortCatchUp,
+        Mutant::LateExpiry,
+        Mutant::OpenRun,
+        Mutant::StaleEpoch,
     ];
 
     /// Display/flag name.
@@ -59,6 +73,9 @@ impl Mutant {
             Mutant::StaleVersion => "stale-version",
             Mutant::LateDeadline => "late-deadline",
             Mutant::ShortCatchUp => "short-catch-up",
+            Mutant::LateExpiry => "late-expiry",
+            Mutant::OpenRun => "open-run",
+            Mutant::StaleEpoch => "stale-epoch",
         }
     }
 
@@ -113,12 +130,15 @@ impl Mutant {
                 }
                 Ok(lines)
             }
-            Mutant::StaleVersion | Mutant::LateDeadline | Mutant::ShortCatchUp => {
+            _ => {
                 let mut inner = IncrementalChecker::new(constraint.clone(), Arc::clone(catalog))
                     .map_err(|e| format!("constraint `{}`: {e}", constraint.name))?;
                 match self {
                     Mutant::LateDeadline => inner.arm_sleep_bug(SleepBug::LateDeadline),
                     Mutant::ShortCatchUp => inner.arm_sleep_bug(SleepBug::ShortCatchUp),
+                    Mutant::LateExpiry => inner.arm_index_bug(IndexBug::LateExpiry),
+                    Mutant::OpenRun => inner.arm_index_bug(IndexBug::OpenRun),
+                    Mutant::StaleEpoch => inner.arm_stale_epochs(),
                     _ => inner.arm_stale_versions(),
                 }
                 run_single(Box::new(inner), transitions)

@@ -1118,3 +1118,39 @@ fn periodic_checkpoints_rotate_generations() {
         assert!(bytes.starts_with(b"rtic-checkpoint-set v2"), "{path:?}");
     }
 }
+
+/// A bare legacy-v1 checkpoint whose window entry lists its stamps out of
+/// order (`3 2`) used to panic `--resume` (exit 101) at `encode.rs`'s
+/// "stamps must ascend"; one with a stamp later than the section's `time`
+/// (`1 2 9`) was accepted silently. Both are now format errors naming the
+/// line — the window's expiry index is rebuilt from exactly these stamps.
+#[test]
+fn disordered_or_future_window_stamps_are_rejected_not_panicked_on() {
+    let c = temp_file(
+        "stamps.rtic",
+        "relation p(x: str)\ndeny d: p(x) && once[1,3] p(x)\n",
+    );
+    let l = temp_file("stamps.rticlog", "@6 +p(\"a\")\n@7\n");
+    for (stamps, why) in [
+        ("3 2", "must ascend"),
+        ("1 2 9", "after the checkpoint's time"),
+    ] {
+        let text = format!(
+            "rtic-checkpoint v1\nconstraint d\nbody p(x) && once[1,3] p(x)\ntime 5\nsteps 3\n\
+             node 0 once\n{stamps} | \"a\"\nendnode\n"
+        );
+        let ckpt = temp_file("stamps.ckpt", &text);
+        let args = [
+            "check",
+            c.to_str().unwrap(),
+            l.to_str().unwrap(),
+            "--resume",
+        ];
+        let (code, out) = run(&[&args[..], &[ckpt.to_str().unwrap()]].concat());
+        let err = code.expect_err("a malformed checkpoint must not resume");
+        assert!(
+            err.contains("line 7") && err.contains(why),
+            "{stamps}: {err}\n{out}"
+        );
+    }
+}
