@@ -1,7 +1,9 @@
-//! T6 — stamp-specialization ablation: a=0 latest-only vs general deque.
+//! T6 — the stamp view: `once[0,b]` keeps a key's newest end, `once[1,b]`
+//! every covered state of the last `b` ticks, over one workload.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rtic_core::{Checker, EncodingOptions, IncrementalChecker};
+use rtic_core::{Checker, IncrementalChecker};
+use rtic_temporal::parser::parse_constraint;
 use rtic_workload::RandomWorkload;
 use std::sync::Arc;
 
@@ -15,41 +17,24 @@ fn bench(c: &mut Criterion) {
             ..Default::default()
         }
         .generate();
-        let constraint = g.constraints[0].clone();
-        group.bench_with_input(
-            BenchmarkId::new("specialized", b_bound),
-            &b_bound,
-            |bch, _| {
-                bch.iter(|| {
-                    let mut ck =
-                        IncrementalChecker::new(constraint.clone(), Arc::clone(&g.catalog))
-                            .unwrap();
-                    for tr in &g.transitions {
-                        ck.step(tr.time, &tr.update).unwrap();
-                    }
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("general_deque", b_bound),
-            &b_bound,
-            |bch, _| {
-                bch.iter(|| {
-                    let mut ck = IncrementalChecker::with_options(
-                        constraint.clone(),
-                        Arc::clone(&g.catalog),
-                        EncodingOptions {
-                            disable_stamp_specialization: true,
-                            ..Default::default()
-                        },
-                    )
-                    .unwrap();
-                    for tr in &g.transitions {
-                        ck.step(tr.time, &tr.update).unwrap();
-                    }
-                })
-            },
-        );
+        for lo in [0u64, 1] {
+            let text = format!("deny hit: base(k) && once[{lo},{b_bound}] ev(k)");
+            let constraint = parse_constraint(&text).unwrap();
+            group.bench_with_input(
+                BenchmarkId::new(format!("once[{lo},b]"), b_bound),
+                &b_bound,
+                |bch, _| {
+                    bch.iter(|| {
+                        let mut ck =
+                            IncrementalChecker::new(constraint.clone(), Arc::clone(&g.catalog))
+                                .unwrap();
+                        for tr in &g.transitions {
+                            ck.step(tr.time, &tr.update).unwrap();
+                        }
+                    })
+                },
+            );
+        }
     }
     group.finish();
 }

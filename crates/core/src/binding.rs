@@ -504,6 +504,16 @@ impl JoinShape {
             srcs,
         }
     }
+
+    /// The output row joining `l` with its match `r`.
+    #[inline]
+    fn joined(&self, l: &Tuple, r: &Tuple) -> Tuple {
+        let value = |s: &Src| match *s {
+            Src::Left(i) => l[i],
+            Src::Right(i) => r[i],
+        };
+        self.srcs.iter().map(value).collect()
+    }
 }
 
 /// Precomputed classification of an atom's term pattern against a known
@@ -905,18 +915,7 @@ impl Bindings {
             scratch.key.clear();
             scratch.key.extend(shape.lpos.iter().map(|&i| l[i]));
             if let Some(matches) = table.get(&scratch.key) {
-                for r in matches {
-                    rows.insert(
-                        shape
-                            .srcs
-                            .iter()
-                            .map(|s| match *s {
-                                Src::Left(i) => l[i],
-                                Src::Right(i) => r[i],
-                            })
-                            .collect::<Tuple>(),
-                    );
-                }
+                rows.extend(matches.iter().map(|r| shape.joined(l, r)));
             }
         }
         Bindings::build(shape.vars.clone(), rows)
@@ -949,19 +948,7 @@ impl Bindings {
         let mut rows = TupleSet::with_capacity_and_hasher(self.rows.len(), Default::default());
         for l in self.rows.iter() {
             if let Some(matches) = table.get(&l[lkey]) {
-                for &i in matches {
-                    let r = build[i as usize];
-                    rows.insert(
-                        shape
-                            .srcs
-                            .iter()
-                            .map(|s| match *s {
-                                Src::Left(i) => l[i],
-                                Src::Right(i) => r[i],
-                            })
-                            .collect::<Tuple>(),
-                    );
-                }
+                rows.extend(matches.iter().map(|&i| shape.joined(l, build[i as usize])));
             }
         }
         Bindings::build(shape.vars.clone(), rows)

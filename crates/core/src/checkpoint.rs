@@ -61,9 +61,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use rtic_relation::{Catalog, Database, Symbol, Tuple, Value};
-use rtic_temporal::{Constraint, TimePoint};
+use rtic_temporal::{Constraint, Formula, TimePoint};
 
-use crate::encode::HistInfDump;
 use crate::error::CompileError;
 use crate::incremental::{EncodingOptions, IncrementalChecker, NodeEngine, NodeState};
 use crate::set::{ConstraintSet, DispatchStats};
@@ -208,13 +207,35 @@ fn save_parts(
     out
 }
 
+/// A node block's kind word.
+fn kind(node: &Formula) -> &'static str {
+    match node {
+        Formula::Prev(..) => "prev",
+        Formula::Once(..) => "once",
+        Formula::Since(..) => "since",
+        Formula::Hist(i, _) if i.is_bounded() => "histf",
+        _ => "histi",
+    }
+}
+
+/// Writes ` t` for each of `times`.
+fn write_times(out: &mut String, times: impl Iterator<Item = TimePoint>) {
+    for t in times {
+        let _ = write!(out, " {}", t.0);
+    }
+}
+
 /// The `node <idx> <kind> … endnode` blocks for an engine's auxiliary
-/// states.
+/// states: a `prev` block its previous rows; a run relation per key its
+/// checkpoint numbers, after `times` (`histf`) or `started`/`older`/
+/// `recent` (`histi`).
 fn write_nodes(out: &mut String, engine: &NodeEngine) {
-    for (idx, state) in engine.states.iter().enumerate() {
+    let nodes = engine.compiled.nodes.iter().zip(&engine.states);
+    for (idx, (node, state)) in nodes.enumerate() {
+        let kind = kind(node);
+        let _ = writeln!(out, "node {idx} {kind}");
         match state {
             NodeState::Prev(p) => {
-                let _ = writeln!(out, "node {idx} prev");
                 if let Some((t, rows)) = p.dump() {
                     let _ = writeln!(out, "time {}", t.0);
                     for r in rows {
@@ -222,60 +243,26 @@ fn write_nodes(out: &mut String, engine: &NodeEngine) {
                     }
                 }
             }
-            NodeState::Once(w) | NodeState::Since(w) => {
-                let kind = if matches!(state, NodeState::Once(_)) {
-                    "once"
-                } else {
-                    "since"
-                };
-                let _ = writeln!(out, "node {idx} {kind}");
-                for (key, stamps) in w.dump() {
-                    for (i, s) in stamps.iter().enumerate() {
-                        if i > 0 {
-                            out.push(' ');
-                        }
-                        let _ = write!(out, "{}", s.0);
+            NodeState::Runs(r) => {
+                if kind == "histf" {
+                    out.push_str("times");
+                    write_times(out, r.times());
+                    out.push('\n');
+                } else if kind == "histi" {
+                    let older = r.older();
+                    let _ = writeln!(out, "started {}", r.times().next().is_some());
+                    let _ = match older {
+                        Some(t) => writeln!(out, "older {}", t.0),
+                        None => writeln!(out, "older none"),
+                    };
+                    out.push_str("recent");
+                    write_times(out, r.times().skip(usize::from(older.is_some())));
+                    out.push('\n');
+                }
+                for (key, numbers) in r.dump() {
+                    for n in numbers {
+                        let _ = write!(out, "{n} ");
                     }
-                    out.push(' ');
-                    write_values(out, &key);
-                }
-            }
-            NodeState::HistFinite(h) => {
-                let _ = writeln!(out, "node {idx} histf");
-                let (entries, times) = h.dump();
-                out.push_str("times");
-                for t in &times {
-                    let _ = write!(out, " {}", t.0);
-                }
-                out.push('\n');
-                for (key, runs) in entries {
-                    for (i, (s, e)) in runs.iter().enumerate() {
-                        if i > 0 {
-                            out.push(' ');
-                        }
-                        let _ = write!(out, "{} {}", s.0, e.0);
-                    }
-                    out.push(' ');
-                    write_values(out, &key);
-                }
-            }
-            NodeState::HistInf(h) => {
-                let _ = writeln!(out, "node {idx} histi");
-                let dump = h.dump();
-                let _ = writeln!(out, "started {}", dump.started);
-                match dump.latest_older {
-                    Some(t) => {
-                        let _ = writeln!(out, "older {}", t.0);
-                    }
-                    None => out.push_str("older none\n"),
-                }
-                out.push_str("recent");
-                for t in &dump.recent_times {
-                    let _ = write!(out, " {}", t.0);
-                }
-                out.push('\n');
-                for (key, end, active) in dump.entries {
-                    let _ = write!(out, "{} {} ", end.0, u8::from(active));
                     write_values(out, &key);
                 }
             }
@@ -685,7 +672,12 @@ fn restore_section(
             }
         } else if let Some(rest) = line.strip_prefix("node ") {
             r.next();
-            restore_node(&mut r, rest, &mut engine.states, last_time)?;
+            restore_node(
+                &mut r,
+                rest,
+                (&engine.compiled.nodes, &mut engine.states),
+                last_time,
+            )?;
         } else {
             r.next();
             let (word, rest) = line.split_once(' ').unwrap_or((line, ""));
@@ -736,15 +728,21 @@ fn check_times(
     }
     match (times.last(), time) {
         (Some(last), Some(t)) if *last > t => Err(r.err(format!(
-            "{what} reach {}, after the checkpoint's time {}",
+            "{what}: {} is after the checkpoint's time {}",
             last.0, t.0
         ))),
         (Some(last), None) => Err(r.err(format!(
-            "{what} reach {} in a checkpoint taken before any state",
+            "{what}: {} in a checkpoint taken before any state",
             last.0
         ))),
         _ => Ok(()),
     }
+}
+
+/// Parses one `«numbers» | «key»` entry line of a node block.
+fn entry(r: &mut Reader<'_>) -> Result<(Vec<u64>, Tuple), CheckpointError> {
+    let (_, l) = r.next().expect("peeked");
+    parse_entry_line(l).map_err(|m| r.err(m))
 }
 
 /// Restores one `node <idx> <kind>` block (through its `endnode`) into
@@ -753,116 +751,107 @@ fn check_times(
 fn restore_node(
     r: &mut Reader<'_>,
     rest: &str,
-    states: &mut [NodeState],
+    (nodes, states): (&[Formula], &mut [NodeState]),
     time: Option<TimePoint>,
 ) -> Result<(), CheckpointError> {
-    {
-        let mut parts = rest.split_whitespace();
-        let idx: usize = parts
-            .next()
-            .and_then(|w| w.parse().ok())
-            .ok_or_else(|| r.err("bad node index"))?;
-        let kind = parts.next().unwrap_or("");
-        let state = states
-            .get_mut(idx)
-            .ok_or_else(|| mismatch(format!("checkpoint has node {idx}, constraint does not")))?;
-        match (kind, state) {
-            ("prev", NodeState::Prev(p)) => {
-                if r.peek().is_some_and(|l| l.starts_with("time ")) {
-                    let t: u64 = r
-                        .expect_kv("time")?
-                        .parse()
-                        .map_err(|e| r.err(format!("bad prev time: {e}")))?;
-                    let mut rows = Vec::new();
-                    while r.peek().is_some_and(|l| l != "endnode") {
-                        let (_, l) = r.next().expect("peeked");
-                        let (nums, tuple) = parse_entry_line(l).map_err(|m| r.err(m))?;
-                        if !nums.is_empty() {
-                            return Err(r.err("prev rows carry no numeric prefix"));
+    let mut parts = rest.split_whitespace();
+    let idx: usize = parts
+        .next()
+        .and_then(|w| w.parse().ok())
+        .ok_or_else(|| r.err("bad node index"))?;
+    let word = parts.next().unwrap_or("");
+    let (Some(node), Some(state)) = (nodes.get(idx), states.get_mut(idx)) else {
+        return Err(mismatch(format!(
+            "checkpoint has node {idx}, constraint does not"
+        )));
+    };
+    if word != kind(node) {
+        return Err(mismatch(format!(
+            "node {idx} kind `{word}` does not match the constraint"
+        )));
+    }
+    let more = |r: &Reader<'_>| r.peek().is_some_and(|l| l != "endnode");
+    match state {
+        NodeState::Prev(p) if r.peek().is_some_and(|l| l.starts_with("time ")) => {
+            let t: u64 = r
+                .expect_kv("time")?
+                .parse()
+                .map_err(|e| r.err(format!("bad prev time: {e}")))?;
+            check_times(r, "prev time", &[TimePoint(t)], time)?;
+            let mut rows = Vec::new();
+            while more(r) {
+                let (nums, tuple) = entry(r)?;
+                if !nums.is_empty() {
+                    return Err(r.err("prev rows carry no numeric prefix"));
+                }
+                rows.push(tuple);
+            }
+            p.restore(TimePoint(t), rows);
+        }
+        NodeState::Prev(_) => {}
+        NodeState::Runs(rel) => {
+            let times = match word {
+                "histf" => r.expect_times("times")?,
+                "histi" => {
+                    r.expect_kv("started")?;
+                    let older = match r.expect_kv("older")?.as_str() {
+                        "none" => None,
+                        t => Some(TimePoint(
+                            t.parse()
+                                .map_err(|e| r.err(format!("bad older time: {e}")))?,
+                        )),
+                    };
+                    let recent = r.expect_times("recent")?;
+                    older.into_iter().chain(recent).collect()
+                }
+                _ => Vec::new(),
+            };
+            check_times(r, "state times", &times, time)?;
+            rel.restore_times(times, time);
+            while more(r) {
+                let (nums, key) = entry(r)?;
+                match word {
+                    "histf" => {
+                        if nums.len() % 2 != 0 {
+                            return Err(r.err("runs come as start/end pairs"));
                         }
-                        rows.push(tuple);
+                        // start ≤ end < next start: ascending and disjoint.
+                        let pairs = nums.chunks(2);
+                        let mut disjoint = pairs.clone().zip(pairs.clone().skip(1));
+                        if !disjoint.all(|(a, b)| a[1] < b[0]) || pairs.clone().any(|c| c[0] > c[1])
+                        {
+                            let got = nums.iter().map(u64::to_string).collect::<Vec<_>>();
+                            return Err(r.err(format!(
+                                "histf runs must have start ≤ end, ascend and be disjoint (got {})",
+                                got.join(" ")
+                            )));
+                        }
+                        let ends: Vec<TimePoint> = pairs.clone().map(|c| TimePoint(c[1])).collect();
+                        check_times(r, "histf run ends", &ends, time)?;
+                        let runs = pairs.map(|c| (TimePoint(c[0]), TimePoint(c[1])));
+                        rel.restore(key, runs, time.unwrap_or_default());
                     }
-                    p.restore(TimePoint(t), rows);
+                    "histi" => {
+                        let [end, _active] = nums[..] else {
+                            return Err(r.err("histi entries are `end active | key`"));
+                        };
+                        check_times(r, "histi run end", &[TimePoint(end)], time)?;
+                        // The run began at the first state, which no window
+                        // needs: it covers every state up to its end.
+                        let run = (TimePoint(0), TimePoint(end));
+                        rel.restore(key, std::iter::once(run), time.unwrap_or_default());
+                    }
+                    _ => {
+                        if nums.is_empty() {
+                            return Err(r.err("window entry needs at least one timestamp"));
+                        }
+                        let stamps: Vec<TimePoint> = nums.into_iter().map(TimePoint).collect();
+                        check_times(r, "window stamps", &stamps, time)?;
+                        // Restored stamps come back as point runs.
+                        let runs = stamps.into_iter().map(|s| (s, s));
+                        rel.restore(key, runs, time.unwrap_or_default());
+                    }
                 }
-            }
-            ("once", NodeState::Once(w)) | ("since", NodeState::Since(w)) => {
-                while r.peek().is_some_and(|l| l != "endnode") {
-                    let (_, l) = r.next().expect("peeked");
-                    let (nums, key) = parse_entry_line(l).map_err(|m| r.err(m))?;
-                    if nums.is_empty() {
-                        return Err(r.err("window entry needs at least one timestamp"));
-                    }
-                    let stamps: Vec<TimePoint> = nums.into_iter().map(TimePoint).collect();
-                    check_times(r, "window stamps", &stamps, time)?;
-                    w.restore_entry(key, &stamps);
-                }
-            }
-            ("histf", NodeState::HistFinite(h)) => {
-                let times = r.expect_times("times")?;
-                check_times(r, "times", &times, time)?;
-                let mut entries = Vec::new();
-                while r.peek().is_some_and(|l| l != "endnode") {
-                    let (_, l) = r.next().expect("peeked");
-                    let (nums, key) = parse_entry_line(l).map_err(|m| r.err(m))?;
-                    if nums.len() % 2 != 0 {
-                        return Err(r.err("runs come as start/end pairs"));
-                    }
-                    // start ≤ end < next start: ascending and disjoint.
-                    let pairs = nums.chunks(2);
-                    let disjoint = pairs
-                        .clone()
-                        .zip(pairs.clone().skip(1))
-                        .all(|(a, b)| a[1] < b[0]);
-                    if !disjoint || pairs.clone().any(|c| c[0] > c[1]) {
-                        let msg = "histf runs must have start ≤ end, ascend and be disjoint";
-                        return Err(r.err(format!(
-                            "{msg} (got {})",
-                            l.split('|').next().unwrap_or("").trim()
-                        )));
-                    }
-                    let ends: Vec<TimePoint> = pairs.map(|c| TimePoint(c[1])).collect();
-                    check_times(r, "histf run ends", &ends, time)?;
-                    let runs: Vec<(TimePoint, TimePoint)> = nums
-                        .chunks(2)
-                        .map(|c| (TimePoint(c[0]), TimePoint(c[1])))
-                        .collect();
-                    entries.push((key, runs));
-                }
-                h.restore(entries, times);
-            }
-            ("histi", NodeState::HistInf(h)) => {
-                let started = r.expect_kv("started")? == "true";
-                let older_text = r.expect_kv("older")?;
-                let latest_older = if older_text == "none" {
-                    None
-                } else {
-                    Some(TimePoint(
-                        older_text
-                            .parse()
-                            .map_err(|e| r.err(format!("bad older time: {e}")))?,
-                    ))
-                };
-                let recent = r.expect_times("recent")?;
-                let mut entries = Vec::new();
-                while r.peek().is_some_and(|l| l != "endnode") {
-                    let (_, l) = r.next().expect("peeked");
-                    let (nums, key) = parse_entry_line(l).map_err(|m| r.err(m))?;
-                    if nums.len() != 2 {
-                        return Err(r.err("histi entries are `end active | key`"));
-                    }
-                    entries.push((key, TimePoint(nums[0]), nums[1] != 0));
-                }
-                h.restore(HistInfDump {
-                    started,
-                    entries,
-                    recent_times: recent,
-                    latest_older,
-                });
-            }
-            (k, _) => {
-                return Err(mismatch(format!(
-                    "node {idx} kind `{k}` does not match the constraint"
-                )))
             }
         }
     }
@@ -1386,6 +1375,30 @@ mod tests {
                 "node 0 histf\ntimes 4 8\n",
                 "after the",
             ),
+            // `prev`: its state time no later than `time` (99 used to
+            // panic the first step after resume).
+            ("q(x) && prev p(x)", "node 0 prev\ntime 99\n", "after the"),
+            // `histi`: `older` < `recent`, ascending, entry ends by `time`.
+            (
+                "p(x) && hist[1,*] p(x)",
+                "node 0 histi\nstarted true\nolder 50\nrecent 9 4\n",
+                "must ascend",
+            ),
+            (
+                "p(x) && hist[1,*] p(x)",
+                "node 0 histi\nstarted true\nolder 4\nrecent 4 5\n",
+                "must ascend",
+            ),
+            (
+                "p(x) && hist[1,*] p(x)",
+                "node 0 histi\nstarted true\nolder 3\nrecent 4 9\n",
+                "after the",
+            ),
+            (
+                "p(x) && hist[1,*] p(x)",
+                "node 0 histi\nstarted true\nolder 4\nrecent 5\n60 1 | \"a\"\n",
+                "after the",
+            ),
         ];
         for (body, node, why) in cases {
             let c = parse_constraint(&format!("deny d: {body}")).unwrap();
@@ -1405,11 +1418,70 @@ mod tests {
                 "p(x) && hist[1,4] p(x)",
                 "node 0 histf\ntimes 4 5\n1 2 4 5 | \"a\"\n",
             ),
+            ("q(x) && prev p(x)", "node 0 prev\ntime 5\n| \"a\"\n"),
+            (
+                "p(x) && hist[1,*] p(x)",
+                "node 0 histi\nstarted true\nolder 4\nrecent 5\n5 1 | \"a\"\n",
+            ),
         ] {
             let c = parse_constraint(&format!("deny d: {body}")).unwrap();
             let compiled = crate::CompiledConstraint::compile(c.clone(), catalog()).unwrap();
             let text = bare(&compiled.body.to_string(), node);
             restore(c, catalog(), EncodingOptions::default(), &text).unwrap();
+        }
+    }
+
+    /// `save ∘ restore` is the identity for every node kind at every cut —
+    /// a general window cut mid-run (its stamps come back as point runs),
+    /// a key re-entering after a gap wider than every bound — and the
+    /// restored checker goes on saving what the uninterrupted one saves.
+    #[test]
+    fn dump_restore_dump_is_the_identity_for_every_kind() {
+        // `p(a)` holds over 1–4, leaves at 5 and re-enters at 11; `p(b)`
+        // flickers; `q` holds throughout.
+        let update = |t: u64| {
+            let mut u = match t {
+                1 => Update::new()
+                    .with_insert("q", tuple!["a"])
+                    .with_insert("q", tuple!["b"]),
+                5 => Update::new().with_delete("p", tuple!["a"]),
+                _ => Update::new(),
+            };
+            if t == 1 || t == 11 {
+                u.insert("p", tuple!["a"]);
+            }
+            if t.is_multiple_of(3) {
+                u.insert("p", tuple!["b"]);
+            } else if t % 3 == 1 && t > 1 {
+                u.delete("p", tuple!["b"]);
+            }
+            u
+        };
+        let times = [1u64, 2, 3, 4, 5, 11, 12, 13, 15, 16];
+        for src in [
+            "deny d: q(x) && prev[1,3] p(x)",
+            "deny d: q(x) && once[2,4] p(x)",
+            "deny d: q(x) && once[0,3] p(x)",
+            "deny d: q(x) && once[2,*] p(x)",
+            "deny d: q(x) && (q(x) since[1,4] p(x))",
+            "deny d: q(x) && hist[1,3] p(x)",
+            "deny d: q(x) && hist[2,*] p(x)",
+        ] {
+            let c = parse_constraint(src).unwrap();
+            let mut reference = IncrementalChecker::new(c.clone(), catalog()).unwrap();
+            for (i, &t) in times.iter().enumerate() {
+                reference.step(TimePoint(t), &update(t)).unwrap();
+                let text = save(&reference);
+                let options = EncodingOptions::default();
+                let mut resumed = restore(c.clone(), catalog(), options, &text).unwrap();
+                assert_eq!(save(&resumed), text, "{src}: cut at {t}");
+                let mut twin = reference.clone();
+                for &u in &times[i + 1..] {
+                    let got = resumed.step(TimePoint(u), &update(u)).unwrap();
+                    assert_eq!(got, twin.step(TimePoint(u), &update(u)).unwrap());
+                    assert_eq!(save(&resumed), save(&twin), "{src}: cut at {t}, at {u}");
+                }
+            }
         }
     }
 

@@ -5,38 +5,43 @@
 //! of the encoding and (b) the operand extensions at the *new* state only.
 //! No past database state is ever consulted — this is the paper's central
 //! construction, and the size of the state per live key is bounded by the
-//! subformula's metric bound, independent of history length:
+//! subformula's metric bound, independent of history length.
 //!
-//! * `once[a,b] g` / `f since[a,b] g` — a set of timestamps per key
-//!   ([`Stamps`]), specialised to a single timestamp when `a = 0` (keep the
-//!   latest) or `b = ∞` (keep the earliest), and a pruned sorted deque
-//!   (≤ `b + 1` entries on an integer clock) otherwise.
-//! * `hist[a,b] g`, `b` finite — per key, the maximal *runs* of consecutive
-//!   states on which `g` held, pruned to the last `b` ticks, plus one shared
-//!   deque of recent state timestamps.
-//! * `hist[a,∞] g` — per key, the end of its unbroken *prefix* run (frozen
-//!   when the run breaks), plus a bounded window of recent state times to
-//!   locate the newest state older than `a`.
-//! * `prev[a,b] g` — the operand's extension at the previous state and that
-//!   state's timestamp.
+//! `once[a,b] g`, `f since[a,b] g` and `hist[a,b] g` keep one structure, a
+//! [`RunRelation`]: per key, the maximal *runs* of consecutive states on
+//! which the operand held (`since`: on which `g` anchored the key) — closed
+//! runs plus at most one open run, whose end is the node's newest state —
+//! beside one deque of recent state times. The operator only picks the
+//! predicate over them, for the window `[t − b, t − a]`:
 //!
-//! A step pays for what changed, not for what is stored. A key that stays
-//! in its operand holds an *open run*: it is not re-stamped each state —
-//! its stamps (or its run's end) are derived from the state times the node
-//! keeps anyway — and the operand's row delta opens and closes runs. An
-//! *expiry index* beside the keys orders them by when they next enter or
-//! leave the window, so pruning pops what is due instead of visiting every
-//! key, the node's next deadline is the index's front, and each advance
-//! publishes the keys whose verdict flipped (with an epoch) for the probes
-//! and extensions that read the node. `dump`, `space` and the checkpoint
-//! codec render the derived stamps, so they read exactly what re-stamping
-//! every state would have stored.
+//! * `once`, `since`: some state in the window is covered by a run;
+//! * `hist`: every state in the window is (vacuously so when it holds
+//!   none); with `b = ∞` only a run from the first state is kept, and it
+//!   must reach the newest state the window holds.
+//!
+//! A key keeps what a window can still see — its runs ending in the last
+//! `b` ticks; under `once` with `a = 0` its newest run, with `b = ∞` its
+//! first — so it costs at most `b + 1` stamps on an integer clock.
+//!
+//! A step pays for what changed, not for what is stored: the operand's row
+//! delta opens and closes runs, and a key that stays in its operand is not
+//! visited. An *expiry index* files each key by when its verdict can next
+//! move — a run counting from `start + a` and leaving at `end + b + 1`; for
+//! `hist`, a missed state failing the key from `+ a` and clearing at
+//! `+ b + 1` — so pruning pops what is due, the node's next deadline is an
+//! O(1) read, and each advance publishes the keys whose verdict may have
+//! flipped (with an epoch) for the probes and extensions that read the
+//! node. `space` and the checkpoint codec read a view over the runs: the
+//! stamps re-stamping every state would have stored.
+//!
+//! `prev[a,b] g` keeps the operand's extension at the previous state.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::iter::once;
 use std::sync::Arc;
 
-use rtic_relation::{FastMap, Tuple, TupleMap};
+use rtic_relation::{FastMap, Tuple};
 use rtic_temporal::ast::Var;
 use rtic_temporal::time::{Duration, Interval, TimePoint};
 
@@ -52,101 +57,26 @@ pub const NEVER: TimePoint = TimePoint(u64::MAX);
 #[doc(hidden)]
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum IndexBug {
-    /// Every leave deadline is filed one tick late.
+    /// Every `+ b + 1` deadline is filed one tick late.
     LateExpiry,
     /// A run stays open after its key left the operand.
     OpenRun,
 }
 
-/// Timestamp storage for one key of a `once`/`since` node.
-///
-/// The paper's bound: on an integer clock, a window of span `b` holds at
-/// most `b + 1` distinct timestamps; with `a = 0` only the newest witness
-/// matters, with `b = ∞` only the oldest.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Stamps {
-    /// `a = 0`: the latest satisfaction/anchor time is the best witness.
-    Latest(TimePoint),
-    /// `b = ∞`, `a > 0`: the earliest time is the best witness.
-    Earliest(TimePoint),
-    /// General `[a, b]`: all times in the last `b` ticks, sorted ascending
-    /// (boxed, so the common one-stamp keys stay small).
-    Many(Box<VecDeque<TimePoint>>),
-}
-
-/// Which [`Stamps`] representation an interval calls for.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StampPolicy {
-    /// Keep only the latest timestamp.
-    Latest,
-    /// Keep only the earliest timestamp.
-    Earliest,
-    /// Keep the pruned deque.
-    Many,
-}
-
-impl StampPolicy {
-    /// Selects the specialisation for `interval` (the T6 ablation can force
-    /// [`StampPolicy::Many`] instead).
-    pub fn for_interval(interval: &Interval) -> StampPolicy {
-        if interval.lo().0 == 0 {
-            StampPolicy::Latest
-        } else if !interval.is_bounded() {
-            StampPolicy::Earliest
-        } else {
-            StampPolicy::Many
-        }
-    }
-}
-
-impl Stamps {
-    fn new(policy: StampPolicy, t: TimePoint) -> Stamps {
-        match policy {
-            StampPolicy::Latest => Stamps::Latest(t),
-            StampPolicy::Earliest => Stamps::Earliest(t),
-            StampPolicy::Many => Stamps::Many(Box::new(VecDeque::from([t]))),
-        }
-    }
-
-    /// Whether any stored timestamp lies in `[w_lo, w_hi]`.
-    fn any_in(&self, w_lo: TimePoint, w_hi: TimePoint) -> bool {
-        match self {
-            Stamps::Latest(t) | Stamps::Earliest(t) => *t >= w_lo && *t <= w_hi,
-            Stamps::Many(dq) => {
-                // dq is sorted ascending; find the first ≥ w_lo.
-                let idx = dq.partition_point(|&t| t < w_lo);
-                dq.get(idx).is_some_and(|&t| t <= w_hi)
-            }
-        }
-    }
-
-    /// The stored timestamps, ascending.
-    fn times(&self) -> impl Iterator<Item = TimePoint> + '_ {
-        let (front, back) = match self {
-            Stamps::Latest(t) | Stamps::Earliest(t) => (std::slice::from_ref(t), &[][..]),
-            Stamps::Many(dq) => dq.as_slices(),
-        };
-        front.iter().chain(back).copied()
-    }
-
-    /// The newest stored timestamp.
-    fn newest(&self) -> TimePoint {
-        match self {
-            Stamps::Latest(t) | Stamps::Earliest(t) => *t,
-            Stamps::Many(dq) => dq.back().copied().unwrap_or(TimePoint(0)),
-        }
-    }
-}
+/// A run `(start, end)` of consecutive states.
+pub type Run = (TimePoint, TimePoint);
 
 /// The earliest time after `t` at which "some stamp of `stamps` (ascending)
 /// lies in `interval`'s window" can flip if no stamp is added: a stamp `s`
 /// satisfies the window over `[s + a, s + b]`, so the answer holds to the
 /// end of the contiguous stretch containing `t`, or fails until the next
-/// stamp ages `a`.
+/// stamp ages `a`. Once the stretch reaches `until`, some time after
+/// `until` stands for the answer.
 fn stamps_change(
     stamps: impl Iterator<Item = TimePoint>,
     interval: &Interval,
     t: TimePoint,
+    until: TimePoint,
 ) -> TimePoint {
     let mut held_to: Option<TimePoint> = None;
     for s in stamps {
@@ -156,6 +86,7 @@ fn stamps_change(
             None if leave < t => {}
             None if enter > t => return enter,
             Some(end) if enter > end.plus(Duration(1)) => break,
+            _ if leave >= until => return leave.plus(Duration(1)),
             _ => held_to = Some(leave),
         }
     }
@@ -176,206 +107,97 @@ fn pop_due(queue: &mut Queue, t: TimePoint, out: &mut Vec<Key>) {
     }
 }
 
-/// Files restored `entries` into `queue`, in deadline order.
-fn file(queue: &mut Queue, entries: Vec<(TimePoint, Key)>) {
-    queue.extend(entries);
-    queue.make_contiguous().sort_unstable_by_key(|(d, _)| *d);
+/// One key's runs, oldest first: closed ones, then the newest, which is
+/// open while the key is in the operand — its end the node's newest
+/// state, stored as `NEVER` (no state follows `NEVER`, so no closed run
+/// ends there).
+#[derive(Clone, Debug)]
+struct Slot {
+    /// Closed runs before `last` (boxed: most keys keep one run).
+    #[allow(clippy::box_collection)]
+    older: Option<Box<Vec<Run>>>,
+    last: Run,
 }
 
-/// The keys whose verdict a node's last advance may have flipped — every
-/// key it touched or found due; a superset, so a reader re-tests each —
-/// under an epoch that advance bumped: what the probes reading the node
-/// move rows by.
-#[derive(Clone, Debug, Default)]
-struct FlipLog {
-    keys: Vec<Key>,
-    epoch: u64,
-    /// The epoch the flips lead from; `None` when every key may have
-    /// flipped.
-    from: Option<u64>,
-}
-
-impl FlipLog {
-    /// Starts the next epoch with the keys that may have flipped (`None`:
-    /// any key).
-    fn record(&mut self, flipped: Option<Vec<Key>>) {
-        self.epoch += 1;
-        self.from = flipped.as_ref().map(|_| self.epoch - 1);
-        self.keys = flipped.unwrap_or_default();
+impl Slot {
+    fn open(&self) -> bool {
+        self.last.1 == NEVER
     }
 
-    fn view(&self) -> Flips<'_> {
-        Flips {
-            epoch: self.epoch,
-            from: self.from,
-            keys: &self.keys,
+    /// Starts a new open run at `t`, keeping the earlier runs that end at
+    /// or after `keep`.
+    fn reopen(&mut self, t: TimePoint, keep: TimePoint) {
+        if let Some(older) = &mut self.older {
+            older.retain(|r| r.1 >= keep);
         }
+        if self.last.1 >= keep {
+            self.older.get_or_insert_with(Box::default).push(self.last);
+        }
+        if self.older.as_ref().is_some_and(|o| o.is_empty()) {
+            self.older = None;
+        }
+        self.last = (t, NEVER);
     }
 }
 
-/// What a window absorbs at a new state.
-#[derive(Clone, Copy, Debug)]
-pub struct Change<'a> {
-    /// The operand's extension at the new state (`since`: the anchors).
-    pub sat: &'a Bindings,
-    /// Its net `(added, removed)` rows since the last absorbed state, when
-    /// its producer recorded them; `None` compares the open runs with
-    /// `sat`, O(keys).
-    pub delta: Option<(&'a [Tuple], &'a [Tuple])>,
-    /// `since` only: keys whose maintained formula failed — they lose
-    /// every anchor before `sat` anchors afresh.
-    pub dropped: &'a [Tuple],
-}
-
-/// One stored key of a window (`S`: its [`Stamps`]) or finite `hist`
-/// (its runs).
+/// Auxiliary state of a `once[I] g`, `f since[I] g` or `hist[I] g` node:
+/// the run relation of the module docs.
+///
+/// The expiry index is three queues, each in time order because states
+/// arrive in time order: `enter` (`t + a` of a state `t`: a run starting
+/// there counts from then; under `hist`, a state a closing run missed
+/// fails its key from then), `leave` (`end + b + 1`: a closed run leaves
+/// every window) and `clear` (`hist`: `+ b + 1` of the state missed just
+/// before a run, after which the key may hold). A gap in the clock that a
+/// `once` window can fall into files both its edges for every run spanning
+/// it, so a key's verdict only moves at its filed times — and, while it is
+/// open, when the newest state leaves the window.
 #[derive(Clone, Debug)]
-struct Slot<S> {
-    data: S,
-    /// Whether the key is in the operand's extension: an *open run*, which
-    /// holds at every state since it began without being re-stamped — its
-    /// stamps (a window's newest stored one is the run's start) or its
-    /// last run's end are derived from the node's state times.
-    open: bool,
-}
-
-/// The stored keys of a window or finite `hist` node — each shared with
-/// the node's expiry index — and what its last advance flipped.
-#[derive(Clone, Debug)]
-struct Slots<S> {
-    map: FastMap<Key, Slot<S>>,
+pub struct RunRelation {
+    interval: Interval,
+    hist: bool,
+    vars: Vec<Var>,
+    keys: FastMap<Key, Slot>,
     /// Open runs.
     open: usize,
-    /// Restored keys the index does not cover yet.
-    unindexed: bool,
-    flips: FlipLog,
-}
-
-impl<S: Clone> Slots<S> {
-    fn new() -> Slots<S> {
-        Slots {
-            map: FastMap::default(),
-            open: 0,
-            unindexed: false,
-            flips: FlipLog::default(),
-        }
-    }
-
-    /// The keys and their data alone, without flips.
-    fn snapshot(&self) -> Slots<S> {
-        Slots {
-            map: self.map.clone(),
-            open: self.open,
-            ..Slots::new()
-        }
-    }
-
-    fn is_open(&self, key: &Tuple) -> bool {
-        self.map.get(key).is_some_and(|s| s.open)
-    }
-
-    fn open_keys(&self) -> impl Iterator<Item = &Key> {
-        self.map.iter().filter(|(_, s)| s.open).map(|(k, _)| k)
-    }
-
-    /// The runs that close and open at a new state: the operand delta's
-    /// `(removed, added)` rows, or — rebuilding — the difference between
-    /// the open runs and the operand `sat`, O(keys).
-    fn changes<'c>(
-        &self,
-        sat: &'c Bindings,
-        delta: Option<(&'c [Tuple], &'c [Tuple])>,
-    ) -> (Cow<'c, [Tuple]>, Vec<&'c Tuple>) {
-        if let Some((added, removed)) = delta {
-            return (removed.into(), added.iter().collect());
-        }
-        let gone = self.open_keys().filter(|k| !sat.contains(k));
-        let gone: Vec<Tuple> = gone.map(|k| Tuple::clone(k)).collect();
-        (
-            gone.into(),
-            sat.rows().filter(|k| !self.is_open(k)).collect(),
-        )
-    }
-
-    /// Closes `key`'s open run: its shared key and data to settle.
-    fn close(&mut self, key: &Tuple) -> Option<(Key, &mut S)> {
-        let shared = Arc::clone(self.map.get_key_value(key).filter(|(_, s)| s.open)?.0);
-        let slot = self.map.get_mut(key)?;
-        slot.open = false;
-        self.open -= 1;
-        Some((shared, &mut slot.data))
-    }
-
-    /// Opens a run for `key` (`None`: it holds one), storing an unseen
-    /// key with `fresh()`: its shared key, its data, and whether it is new.
-    fn open(&mut self, key: &Tuple, fresh: impl FnOnce() -> S) -> Option<(Key, &mut S, bool)> {
-        let (shared, new) = match self.map.get_key_value(key) {
-            Some((_, s)) if s.open => return None,
-            Some((k, _)) => (Arc::clone(k), false),
-            None => {
-                let k = Arc::new(key.clone());
-                let data = fresh();
-                self.map.insert(Arc::clone(&k), Slot { data, open: false });
-                (k, true)
-            }
-        };
-        let slot = self.map.get_mut(key)?;
-        slot.open = true;
-        self.open += 1;
-        Some((shared, &mut slot.data, new))
-    }
-
-    /// Drops `key`, returning it if it was stored.
-    fn remove(&mut self, key: &Tuple) -> Option<Key> {
-        let (k, slot) = self.map.remove_entry(key)?;
-        self.open -= usize::from(slot.open);
-        Some(k)
-    }
-
-    /// Stores a restored, closed key; the index is rebuilt on the next
-    /// advance.
-    fn restore(&mut self, key: Tuple, data: S) {
-        let open = false;
-        self.map.insert(Arc::new(key), Slot { data, open });
-        self.unindexed = true;
-    }
-}
-
-/// Auxiliary state of a `once[I] g` or `f since[I] g` node.
-///
-/// Beside the keys, the expiry index: the times a run's first stamp ages
-/// `a` (`enter`) and a closed run's last stamp ages past `b` (`leave`),
-/// each queue in time order because runs open and close in time order.
-/// Runs are dense — a clock gap that a window could fall into splits every
-/// open run (`push_state`) — so a key's verdict can only change at one of
-/// its queued times or, for an open run, when its newest stamp leaves.
-#[derive(Clone, Debug)]
-pub struct WindowState {
-    interval: Interval,
-    policy: StampPolicy,
-    vars: Vec<Var>,
-    slots: Slots<Stamps>,
-    /// Absorbed state times, ascending: those of the last `b` ticks under
-    /// `Many` (an open run's stamps), else the newest.
+    /// Recent state times, ascending: those of the last `b` ticks, or with
+    /// `b = ∞` the newest one at least `a` old and every later one.
     times: VecDeque<TimePoint>,
     enter: Queue,
     leave: Queue,
+    clear: Queue,
+    /// Restored runs the index does not cover yet.
+    unindexed: bool,
+    /// The keys whose verdict the last advance may have flipped — every
+    /// key it touched or found due; a superset, so a reader re-tests each
+    /// — under the epoch that advance bumped, and the epoch they lead from
+    /// (`None`: every key may have flipped).
+    flipped: Vec<Key>,
+    epoch: u64,
+    from: Option<u64>,
     /// The extension, maintained from the flips once something joins it.
     ext: Option<Bindings>,
     bug: Option<IndexBug>,
 }
 
-impl WindowState {
-    /// Fresh state for a node with sorted free variables `vars`.
-    pub fn new(interval: Interval, vars: Vec<Var>, policy: StampPolicy) -> WindowState {
-        WindowState {
+impl RunRelation {
+    /// Fresh state for a `hist` (else `once`/`since`) node with sorted
+    /// free variables `vars`.
+    pub fn new(interval: Interval, vars: Vec<Var>, hist: bool) -> RunRelation {
+        RunRelation {
             interval,
-            policy,
+            hist,
             vars,
-            slots: Slots::new(),
+            keys: FastMap::default(),
+            open: 0,
             times: VecDeque::new(),
             enter: VecDeque::new(),
             leave: VecDeque::new(),
+            clear: VecDeque::new(),
+            unindexed: false,
+            flipped: Vec::new(),
+            epoch: 0,
+            from: None,
             ext: None,
             bug: None,
         }
@@ -394,12 +216,12 @@ impl WindowState {
 
     /// The stored keys.
     pub fn key_iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.slots.map.keys().map(|k| &**k)
+        self.keys.keys().map(|k| &**k)
     }
 
-    /// Whether `key` holds any stamp.
+    /// Whether `key` has a run stored.
     pub fn has_key(&self, key: &Tuple) -> bool {
-        self.slots.map.contains_key(key)
+        self.keys.contains_key(key)
     }
 
     /// From now on keep the extension as a row set updated from the flips
@@ -409,13 +231,14 @@ impl WindowState {
         self.ext = Some(now.map_or_else(|| Bindings::none(self.vars.clone()), |t| self.scan(t)));
     }
 
-    /// The stored keys and state times alone — what `dump` and `space`
-    /// read, caught up — without the index, flips or extension.
-    pub(crate) fn snapshot(&self) -> WindowState {
-        WindowState {
-            slots: self.slots.snapshot(),
+    /// The runs and state times alone — what `dump` and `space` read,
+    /// caught up — without the index, flips or extension.
+    pub(crate) fn snapshot(&self) -> RunRelation {
+        RunRelation {
+            keys: self.keys.clone(),
+            open: self.open,
             times: self.times.clone(),
-            ..WindowState::new(self.interval, self.vars.clone(), self.policy)
+            ..RunRelation::new(self.interval, self.vars.clone(), self.hist)
         }
     }
 
@@ -424,361 +247,516 @@ impl WindowState {
         self.bug = Some(bug);
     }
 
-    /// Whether a stamp ever moves: with `b = ∞` a key keeps the stamp it
-    /// was first given — any stored stamp satisfies `[0, ∞)`, and the
-    /// earliest is the best witness otherwise.
-    fn restamps(&self) -> bool {
-        self.interval.is_bounded()
+    /// `t + b + 1`, when a state at `t` leaves every window (`None` with
+    /// `b = ∞`).
+    fn gone(&self, t: TimePoint) -> Option<TimePoint> {
+        let late = u64::from(self.bug == Some(IndexBug::LateExpiry));
+        let b = self.interval.hi().finite()?;
+        Some(t.plus(b).plus(Duration(1 + late)))
     }
 
-    /// The oldest stamp time still inside some future window at `t`.
+    /// The oldest state a window at or after `t` can still see — under
+    /// `hist[a,∞]`, the newest state the window holds, which a broken run
+    /// must reach. A closed key whose last run ends before it answers as
+    /// an absent key from then on.
     fn cutoff(&self, t: TimePoint) -> TimePoint {
-        let b = self.interval.hi().finite();
-        b.and_then(|b| t.minus(b)).unwrap_or(TimePoint(0))
-    }
-
-    /// The key's stamps, ascending — an open run's derived ones included.
-    fn stamps_of<'a>(&'a self, e: &'a Slot<Stamps>) -> impl Iterator<Item = TimePoint> + 'a {
-        let (stored, from) = match (&e.data, e.open) {
-            (Stamps::Latest(_), true) if self.restamps() => {
-                (None, self.times.len().saturating_sub(1))
+        match self.interval.window_at(t) {
+            Some((lo, _)) if self.interval.is_bounded() => lo,
+            Some((_, hi)) if self.hist => {
+                let older = self.times.front().filter(|&&s| s <= hi);
+                older.copied().unwrap_or(TimePoint(0))
             }
-            (Stamps::Many(dq), true) => {
-                let start = dq.back().copied();
-                (
-                    Some(&e.data),
-                    self.times.partition_point(|&s| Some(s) <= start),
-                )
-            }
-            _ => (Some(&e.data), self.times.len()),
-        };
-        let derived = self.times.range(from..).copied();
-        stored.into_iter().flat_map(Stamps::times).chain(derived)
-    }
-
-    /// Whether the key has a stamp in `[lo, hi]`, in O(log).
-    fn any_in(&self, e: &Slot<Stamps>, lo: TimePoint, hi: TimePoint) -> bool {
-        let derived = |after: Option<TimePoint>| {
-            let i = self.times.partition_point(|&s| s < lo || Some(s) <= after);
-            self.times.get(i).is_some_and(|&s| s <= hi)
-        };
-        match (&e.data, e.open) {
-            (Stamps::Latest(_), true) if self.restamps() => {
-                self.times.back().is_some_and(|&s| s >= lo && s <= hi)
-            }
-            (Stamps::Many(dq), true) => e.data.any_in(lo, hi) || derived(dq.back().copied()),
-            (s, _) => s.any_in(lo, hi),
+            _ => TimePoint(0),
         }
+    }
+
+    /// Whether the window at `t` holds none of the recent states.
+    fn vacuous(&self, t: TimePoint) -> bool {
+        let Some((lo, hi)) = self.interval.window_at(t) else {
+            return true;
+        };
+        let first = self.times.partition_point(|&s| s < lo);
+        self.times.get(first).is_none_or(|&s| s > hi)
+    }
+
+    /// The key's runs, ascending, the open one ending at the newest state.
+    fn runs<'a>(&'a self, slot: &'a Slot) -> impl Iterator<Item = Run> + 'a {
+        let newest = self.times.back().copied().filter(|_| slot.open());
+        let last = (slot.last.0, newest.unwrap_or(slot.last.1));
+        let older = slot.older.as_deref().map_or(&[][..], Vec::as_slice);
+        older.iter().copied().chain(once(last))
+    }
+
+    /// The key's stamps, ascending, as re-stamping every state would have
+    /// stored them: the states its runs cover — under `a = 0` only the
+    /// newest, under `b = ∞` only the first. `ends`: a run no wider than
+    /// `b − a + 1` ticks gives just its start and end, whose windows join
+    /// up with those of every stamp between.
+    fn stamps<'a>(&'a self, slot: &'a Slot, ends: bool) -> impl Iterator<Item = TimePoint> + 'a {
+        let (a, bounded) = (self.interval.lo().0, self.interval.is_bounded());
+        let span = self.interval.hi().finite().map(|b| b.0 - a + 1);
+        let last = slot.older.as_ref().map_or(0, |o| o.len());
+        let runs = self.runs(slot).enumerate();
+        let spans = runs.filter_map(move |(i, (s, e))| match (a == 0, bounded) {
+            (_, false) => (i == 0).then_some((s, s)),
+            (true, true) => (i == last).then_some((e, e)),
+            _ => Some((s, e)),
+        });
+        spans.flat_map(move |(s, e)| {
+            let short = ends && span.is_some_and(|w| e.0 - s.0 <= w);
+            let inside = |x: TimePoint| self.times.partition_point(|&y| y <= x);
+            let between = (!short).then(|| self.times.range(inside(s)..inside(e)));
+            let between = between.into_iter().flatten().copied();
+            once(s).chain(between).chain((short && e > s).then_some(e))
+        })
     }
 
     /// When the key's verdict next changes after `t` with the operand
-    /// unchanged (an open key of an `a = 0` window never does).
-    fn key_change(&self, e: &Slot<Stamps>, t: TimePoint) -> TimePoint {
-        if e.open && self.interval.lo().0 == 0 {
-            return NEVER;
+    /// unchanged (an open key of an `a = 0` window never does) — or some
+    /// time after `until`, if that is later.
+    fn key_change(&self, key: &Tuple, t: TimePoint, until: TimePoint) -> TimePoint {
+        match self.keys.get(key) {
+            Some(s) if !(s.open() && self.interval.lo().0 == 0) => {
+                stamps_change(self.stamps(s, true), &self.interval, t, until)
+            }
+            _ => NEVER,
         }
-        stamps_change(self.stamps_of(e), &self.interval, t)
     }
 
-    /// Absorbs the new state `t_now` (`t_prev` the one before it, if any):
-    /// pops the index entries due, applies `change` — closing, opening and
-    /// dropping runs — and publishes the keys whose verdict may have
-    /// flipped. O(|delta| + |due|), or O(keys) for a rebuild.
-    pub fn advance(&mut self, change: Change<'_>, t_prev: Option<TimePoint>, t_now: TimePoint) {
-        debug_assert_eq!(change.sat.vars(), self.vars.as_slice());
-        let restored = self.reindex(t_prev);
-        let (closing, opening) = self.slots.changes(change.sat, change.delta);
-        let anchored = change.dropped.iter().filter(|k| change.sat.contains(k));
-        // Which keys may flip: dropped ones, and what fell due; closing a
-        // run keeps its stamps, and a fresh stamp only counts now when
-        // `a = 0` — then a run closed across a gap wider than `b` has lost
-        // its newest stamp too. (A rebuild finds the same closing and
-        // opening runs a delta names.) A restore publishes no flips: every
-        // key may have flipped, and what reads the window rebuilds too.
-        let known = !restored;
-        let a0 = known && self.interval.lo().0 == 0;
-        let b = self.interval.hi().finite();
-        let gap = a0 && t_prev.zip(b).is_some_and(|(p, b)| t_now > p.plus(b));
-        let mut cand = Vec::new();
-        pop_due(&mut self.enter, t_now, &mut cand);
-        pop_due(&mut self.leave, t_now, &mut cand);
-        if t_prev.is_some_and(|p| self.splits(p, t_now)) {
-            cand.extend(self.slots.open_keys().cloned());
+    /// Whether the run `(s, e)` covers a state of `[lo, hi]`: an endpoint
+    /// inside, or a recent state between them (all of which it covers).
+    fn covers(&self, (s, e): Run, lo: TimePoint, hi: TimePoint) -> bool {
+        let inner = || {
+            let first = self.times.get(self.times.partition_point(|&x| x < lo));
+            first.is_some_and(|&x| x <= hi)
+        };
+        s <= hi && e >= lo && (s >= lo || e <= hi || inner())
+    }
+
+    /// Whether the node holds for `key` at `t`, the newest state: some
+    /// state of the window is covered by one of its runs (`once`,
+    /// `since`), or every one is (`hist`, vacuously when it holds none).
+    pub fn holds(&self, key: &Tuple, t: TimePoint) -> bool {
+        let Some((lo, hi)) = self.interval.window_at(t) else {
+            return self.hist;
+        };
+        let slot = self.keys.get(key);
+        if !self.hist {
+            return slot.is_some_and(|s| self.runs(s).any(|r| self.covers(r, lo, hi)));
         }
-        for k in change.dropped {
-            cand.extend(self.slots.remove(k));
+        let mut runs = slot.into_iter().flat_map(|s| self.runs(s)).peekable();
+        let first = self.times.partition_point(|&s| s < lo);
+        let mut window = self.times.range(first..).take_while(|&&s| s <= hi);
+        window.all(|&s| {
+            while runs.next_if(|&(_, e)| e < s).is_some() {}
+            runs.peek().is_some_and(|&(start, _)| start <= s)
+        })
+    }
+
+    /// The runs that close and open at a new state: the operand delta's
+    /// `(removed, added)` rows, or — rebuilding — the difference between
+    /// the open runs and the operand `sat`, O(keys).
+    fn changes<'c>(
+        &self,
+        sat: &'c Bindings,
+        delta: Option<(&'c [Tuple], &'c [Tuple])>,
+    ) -> (Cow<'c, [Tuple]>, Vec<&'c Tuple>) {
+        if let Some((added, removed)) = delta {
+            return (removed.into(), added.iter().collect());
         }
-        for k in closing.iter() {
-            cand.extend(self.close(k, t_prev).filter(|_| gap));
-        }
-        self.push_state(t_now);
-        for k in opening.into_iter().chain(anchored) {
-            cand.extend(self.open_run(k, t_now).filter(|_| a0));
-        }
-        // A key whose last stamp aged out leaves the window.
-        let cutoff = self.cutoff(t_now);
-        for k in &cand {
-            let dead = self.slots.map.get(&**k);
-            if dead.is_some_and(|e| !e.open && e.data.newest() < cutoff) {
-                self.slots.remove(k);
+        let entries = self.keys.iter();
+        let gone = entries.filter(|(k, s)| s.open() && !sat.contains(k));
+        let gone: Vec<Tuple> = gone.map(|(k, _)| Tuple::clone(k)).collect();
+        let fresh = |k: &&Tuple| !self.keys.get(*k).is_some_and(Slot::open);
+        (gone.into(), sat.rows().filter(fresh).collect())
+    }
+
+    /// Files a run of `key` starting at `start`, after the state `before`.
+    fn file_open(&mut self, key: Key, start: TimePoint, before: Option<TimePoint>) {
+        match self.hist {
+            false => (self.enter).push_back((start.plus(self.interval.lo()), key)),
+            true => {
+                let clear = before.and_then(|p| self.gone(p));
+                self.clear.extend(clear.map(|d| (d, key)));
             }
         }
+    }
+
+    /// Files a run of `key` ending at `end`, whose key missed the state
+    /// `after`.
+    fn file_close(&mut self, key: Key, end: TimePoint, after: Option<TimePoint>) {
+        if let Some(m) = after.filter(|_| self.hist) {
+            (self.enter).push_back((m.plus(self.interval.lo()), Arc::clone(&key)));
+        }
+        let leave = self.gone(end);
+        self.leave.extend(leave.map(|d| (d, key)));
+    }
+
+    /// Closes `key`'s open run at `t_prev`, its last state.
+    fn close(&mut self, key: &Tuple, t_prev: TimePoint, t_now: TimePoint) {
+        let open = self.keys.get_key_value(key).filter(|(_, s)| s.open());
+        let Some(shared) = open.map(|(k, _)| Arc::clone(k)) else {
+            return;
+        };
+        if self.bug == Some(IndexBug::OpenRun) {
+            return;
+        }
+        if let Some(s) = self.keys.get_mut(key) {
+            s.last.1 = t_prev;
+        }
+        self.open -= 1;
+        self.file_close(shared, t_prev, Some(t_now));
+    }
+
+    /// Opens a run for `key` at `t_now` — unless it holds one, keeps its
+    /// first run (`b = ∞`), or began after the first state, which it
+    /// missed for good (`hist[a,∞]`).
+    fn open(&mut self, key: &Tuple, t_prev: Option<TimePoint>, t_now: TimePoint) {
+        let unbounded = !self.interval.is_bounded();
+        // `once` with `a = 0` answers from its newest run alone.
+        let keep = match self.hist || self.interval.lo().0 > 0 {
+            true => self.cutoff(t_now),
+            false => NEVER,
+        };
+        let shared = match self.keys.get_key_value(key) {
+            Some((_, s)) if s.open() || unbounded => return,
+            None if self.hist && unbounded && t_prev.is_some() => return,
+            Some((k, _)) => Arc::clone(k),
+            None => Arc::new(key.clone()),
+        };
+        match self.keys.get_mut(key) {
+            Some(s) => s.reopen(t_now, keep),
+            None => {
+                let (older, last) = (None, (t_now, NEVER));
+                self.keys.insert(Arc::clone(&shared), Slot { older, last });
+            }
+        }
+        self.open += 1;
+        self.file_open(shared, t_now, t_prev);
+    }
+
+    /// Drops `key`, returning it if it was stored.
+    fn remove(&mut self, key: &Tuple) -> Option<Key> {
+        let (k, s) = self.keys.remove_entry(key)?;
+        self.open -= usize::from(s.open());
+        Some(k)
+    }
+
+    /// A clock gap from `p` to `t` that a `once`/`since` window (`a > 0`,
+    /// `b` finite) can fall between: every open run spanning it stops
+    /// counting at `p + b + 1` and counts again from `t + a`.
+    fn split(&mut self, p: TimePoint, t: TimePoint) {
+        let (a, b) = (self.interval.lo().0, self.interval.hi().finite());
+        let wide = b.is_some_and(|b| t.0 - p.0 >= b.0 - a + 2);
+        if self.hist || a == 0 || !wide {
+            return;
+        }
+        let open = self.keys.iter().filter(|(_, s)| s.open());
+        let open: Vec<Key> = open.map(|(k, _)| Arc::clone(k)).collect();
+        for k in open {
+            self.file_close(Arc::clone(&k), p, None);
+            self.file_open(k, t, None);
+        }
+    }
+
+    /// Drops the state times no window can see again: those before the
+    /// last `b` ticks, or (`b = ∞`) before the newest one `a` old — and
+    /// all but the newest under a `once`/`since` with `a = 0` or `b = ∞`,
+    /// whose stamps are its runs' ends.
+    fn prune_times(&mut self) {
+        let Some(&t) = self.times.back() else { return };
+        let (b, older) = (self.interval.hi().finite(), t.minus(self.interval.lo()));
+        let cutoff = b.map(|b| t.minus(b).unwrap_or(TimePoint(0)));
+        let newest = !self.hist && (self.interval.lo().0 == 0 || b.is_none());
+        while match cutoff {
+            _ if newest => self.times.len() > 1,
+            Some(cutoff) => self.times.front().is_some_and(|&s| s < cutoff),
+            None => self.times.get(1).is_some_and(|&s| Some(s) <= older),
+        } {
+            self.times.pop_front();
+        }
+    }
+
+    /// Absorbs the new state `t_now` (`t_prev` the one before it, if any)
+    /// where the operand's extension is `sat` (`since`: the anchors):
+    /// drops the `dropped` keys (`since`: their maintained formula failed,
+    /// so they lose every anchor before `sat` anchors afresh), closes and
+    /// opens runs by `delta` — the operand's net `(added, removed)` rows
+    /// since the last absorbed state, when its producer recorded them;
+    /// `None` compares the open runs with `sat`, O(keys) — pops the index
+    /// entries due and publishes the keys whose verdict may have flipped.
+    /// O(|delta| + |due|), or O(keys) for a rebuild.
+    pub fn advance(
+        &mut self,
+        sat: &Bindings,
+        delta: Option<(&[Tuple], &[Tuple])>,
+        dropped: &[Tuple],
+        t_prev: Option<TimePoint>,
+        t_now: TimePoint,
+    ) {
+        debug_assert_eq!(sat.vars(), self.vars.as_slice());
+        let restored = self.reindex();
+        let (closing, opening) = self.changes(sat, delta);
+        let anchored = dropped.iter().filter(|k| sat.contains(k));
+        let was_vacuous = t_prev.filter(|_| self.hist).map(|p| self.vacuous(p));
+        let mut cand: Vec<Key> = (dropped.iter()).filter_map(|k| self.remove(k)).collect();
+        if let Some(p) = t_prev {
+            for k in closing.iter() {
+                self.close(k, p, t_now);
+            }
+            self.split(p, t_now);
+        }
+        self.times.push_back(t_now);
+        self.prune_times();
+        for k in opening.into_iter().chain(anchored) {
+            self.open(k, t_prev, t_now);
+        }
+        for queue in [&mut self.enter, &mut self.leave, &mut self.clear] {
+            pop_due(queue, t_now, &mut cand);
+        }
+        let cutoff = self.cutoff(t_now);
+        for k in &cand {
+            if (self.keys.get(&**k)).is_some_and(|s| s.last.1 < cutoff) {
+                self.remove(k);
+            }
+        }
+        // A restore publishes no flips — every key may have flipped — nor
+        // does a `hist` window that turned vacuous or stopped being so.
+        let known = !restored && was_vacuous.is_none_or(|v| v == self.vacuous(t_now));
         if let Some(mut ext) = self.ext.take() {
             match known {
                 true => {
-                    let now: Vec<bool> = cand.iter().map(|k| self.satisfied(k, t_now)).collect();
+                    let now: Vec<bool> = cand.iter().map(|k| self.holds(k, t_now)).collect();
                     ext.set_rows(cand.iter().map(|k| &**k).zip(now));
                 }
                 false => ext = self.scan(t_now),
             }
             self.ext = Some(ext);
         }
-        self.slots.flips.record(known.then_some(cand));
-        self.settle_index(t_now);
+        self.epoch += 1;
+        self.from = known.then_some(self.epoch - 1);
+        self.flipped = if known { cand } else { Vec::new() };
+        self.settle(t_now);
     }
 
-    /// Whether a clock gap from `prev` to `t` is wide enough for the
-    /// window to fall between two states (`a > 0`, `b` finite), so open
-    /// runs split there.
-    fn splits(&self, prev: TimePoint, t: TimePoint) -> bool {
-        let (a, b) = (self.interval.lo().0, self.interval.hi().finite());
-        let span = b.map_or(u64::MAX, |b| b.0 - a + 2);
-        self.policy == StampPolicy::Many && a > 0 && t.0 - prev.0 >= span
-    }
-
-    /// Closes `key`'s open run at `t_prev`, its last state: its stamps are
-    /// materialised and its leave filed. Returns the key if it was open.
-    fn close(&mut self, key: &Tuple, t_prev: Option<TimePoint>) -> Option<Key> {
-        let t_prev = t_prev.filter(|_| self.bug != Some(IndexBug::OpenRun))?;
-        let restamps = self.restamps();
-        let (key, stamps) = self.slots.close(key)?;
-        match stamps {
-            Stamps::Latest(s) if restamps => *s = t_prev,
-            Stamps::Latest(_) | Stamps::Earliest(_) => {}
-            Stamps::Many(dq) => {
-                let start = dq.back().copied();
-                dq.extend((self.times.iter().copied()).filter(|&s| Some(s) > start && s <= t_prev));
-            }
-        }
-        if let Some(b) = self.interval.hi().finite() {
-            let late = u64::from(self.bug == Some(IndexBug::LateExpiry));
-            let due = t_prev.plus(b).plus(Duration(1 + late));
-            self.leave.push_back((due, Arc::clone(&key)));
-        }
-        Some(key)
-    }
-
-    /// Opens a run for `key` at `t_now` (a no-op for an open key).
-    /// Returns the key if it opened.
-    fn open_run(&mut self, key: &Tuple, t_now: TimePoint) -> Option<Key> {
-        let (cutoff, restamps, policy) = (self.cutoff(t_now), self.restamps(), self.policy);
-        let (key, stamps, new) = self.slots.open(key, || Stamps::new(policy, t_now))?;
-        match stamps {
-            _ if new => {}
-            Stamps::Latest(s) if restamps => *s = t_now,
-            Stamps::Latest(_) | Stamps::Earliest(_) => {}
-            Stamps::Many(dq) => {
-                while dq.front().is_some_and(|&s| s < cutoff) {
-                    dq.pop_front();
-                }
-                dq.push_back(t_now);
-            }
-        }
-        if (new || policy == StampPolicy::Many) && self.interval.lo().0 > 0 {
-            let enter = t_now.plus(self.interval.lo());
-            self.enter.push_back((enter, Arc::clone(&key)));
-        }
-        Some(key)
-    }
-
-    /// Records the state time `t`; a gap the window could fall into
-    /// splits every open run there, so runs stay dense.
-    fn push_state(&mut self, t: TimePoint) {
-        let prev = self.times.back().copied();
-        let split: Vec<Key> = match prev.filter(|&p| self.splits(p, t)) {
-            Some(_) => self.slots.open_keys().cloned().collect(),
-            None => Vec::new(),
-        };
-        for k in &split {
-            self.close(k, prev);
-        }
-        self.times.push_back(t);
-        self.prune_times();
-        for k in &split {
-            self.open_run(k, t);
-        }
-    }
-
-    /// Drops the state times no open run can derive a live stamp from:
-    /// all but the newest unless under `Many`.
-    fn prune_times(&mut self) {
-        let Some(&t) = self.times.back() else { return };
-        let keep = if self.policy == StampPolicy::Many {
-            self.cutoff(t)
-        } else {
-            t
-        };
-        while self.times.front().is_some_and(|&s| s < keep) {
-            self.times.pop_front();
-        }
-    }
-
-    /// Files every restored stamp's enter and leave still ahead of the
-    /// restored state `t_prev` (a superset of the change points;
-    /// [`WindowState::settle_index`] drops the rest). Returns whether
+    /// Files every restored run as if it had opened after the state before
+    /// it and closed missing the state after it — a superset of the change
+    /// points; [`RunRelation::settle`] drops the rest. Returns whether
     /// there was anything restored.
-    fn reindex(&mut self, t_prev: Option<TimePoint>) -> bool {
-        if !std::mem::take(&mut self.slots.unindexed) {
+    fn reindex(&mut self) -> bool {
+        if !std::mem::take(&mut self.unindexed) {
             return false;
         }
-        let (a, b) = (self.interval.lo(), self.interval.hi().finite());
-        let ahead = |d: &TimePoint| t_prev.is_none_or(|p| *d > p);
-        let (mut enter, mut leave) = (Vec::new(), Vec::new());
-        for (k, e) in &self.slots.map {
-            for s in e.data.times() {
-                let enter_at = Some(s.plus(a)).filter(|_| a.0 > 0);
-                let leave_at = b.map(|b| s.plus(b).plus(Duration(1)));
-                enter.extend(enter_at.filter(ahead).map(|d| (d, k.clone())));
-                leave.extend(leave_at.filter(ahead).map(|d| (d, k.clone())));
+        // What is due by the newest state has moved its verdict already:
+        // a `once`/`since` run files nothing else (`hist` may, from the
+        // states around the run).
+        let (now, a) = (self.times.back().copied(), self.interval.lo());
+        let ahead = |&(_, (start, end), closed): &(&Key, Run, bool)| {
+            let leave = self.gone(end).filter(|_| closed);
+            self.hist || Some(start.plus(a)) > now || leave > now
+        };
+        let runs = self.keys.iter().flat_map(|(k, s)| {
+            let n = s.older.as_ref().map_or(0, |o| o.len());
+            (self.runs(s).enumerate()).map(move |(i, r)| (k, r, !(s.open() && i == n)))
+        });
+        let runs: Vec<(Key, Run, bool)> = (runs.filter(ahead))
+            .map(|(k, r, closed)| (Arc::clone(k), r, closed))
+            .collect();
+        for (k, (start, end), closed) in runs {
+            let before = self.times.partition_point(|&x| x < start).checked_sub(1);
+            self.file_open(
+                Arc::clone(&k),
+                start,
+                before.and_then(|i| self.times.get(i).copied()),
+            );
+            if closed {
+                let after = self.times.get(self.times.partition_point(|&x| x <= end));
+                self.file_close(k, end, after.copied());
             }
         }
-        file(&mut self.enter, enter);
-        file(&mut self.leave, leave);
+        for queue in [&mut self.enter, &mut self.leave, &mut self.clear] {
+            queue.retain(|(d, _)| Some(*d) > now);
+            queue.make_contiguous().sort_unstable_by_key(|(d, _)| *d);
+        }
         true
     }
 
-    /// Drops front entries that are no longer a change point of their
-    /// key, so the fronts answer [`WindowState::next_change`] exactly.
-    fn settle_index(&mut self, t: TimePoint) {
-        for leave in [false, true] {
-            loop {
-                let queue = if leave { &self.leave } else { &self.enter };
-                let Some((d, k)) = queue.front() else { break };
-                if self
-                    .slots
-                    .map
-                    .get(k)
-                    .map_or(NEVER, |e| self.key_change(e, t))
-                    <= *d
-                {
-                    break;
-                }
-                let _ = match leave {
-                    true => self.leave.pop_front(),
-                    false => self.enter.pop_front(),
-                };
+    /// Drops index entries that no longer mark a change at their front:
+    /// under `once`/`since` one whose key's verdict next moves later, so
+    /// the fronts answer [`RunRelation::next_change`] exactly; under
+    /// `hist[0,b]` a `clear` entry whose key left the operand — it fails
+    /// at every state.
+    fn settle(&mut self, t: TimePoint) {
+        if self.hist {
+            let closed = |k: &Key| !self.keys.get(k).is_some_and(Slot::open);
+            let a0 = self.interval.lo().0 == 0;
+            while a0 && self.clear.front().is_some_and(|(_, k)| closed(k)) {
+                self.clear.pop_front();
             }
+            return;
+        }
+        while (self.enter.front()).is_some_and(|(d, k)| self.key_change(k, t, *d) > *d) {
+            self.enter.pop_front();
+        }
+        while (self.leave.front()).is_some_and(|(d, k)| self.key_change(k, t, *d) > *d) {
+            self.leave.pop_front();
         }
     }
 
     /// Absorbs the deferred states `ticks` (ascending) over an unchanged
     /// operand: open runs extend by derivation, so only the state times
-    /// move. No verdict changes before the deadline that let them defer.
+    /// move (and a gap a window can fall into is filed). No verdict
+    /// changes before the deadline that let them defer.
     pub fn catch_up(&mut self, ticks: &[TimePoint]) {
         for &t in ticks {
-            match self.times.back() {
-                Some(&p) if self.splits(p, t) => self.push_state(t),
-                _ => self.times.push_back(t),
+            if let Some(&p) = self.times.back() {
+                self.split(p, t);
             }
+            self.times.push_back(t);
         }
         self.prune_times();
     }
 
-    /// The earliest time after the last absorbed state at which
-    /// [`WindowState::satisfied`] can differ for some key while the
-    /// operand extension stays put — the index's fronts, plus the moment
-    /// an open run's newest stamp would leave — in O(1).
-    pub fn next_change(&self) -> TimePoint {
+    /// The earliest time after the newest state `t` at which
+    /// [`RunRelation::holds`] can differ for some key while the operand
+    /// extension stays put. `once`/`since`: the index's fronts, plus the
+    /// moment the newest state would leave an open run's window — O(1).
+    /// `hist`: conservatively, when a recent state next enters (`+ a`) or
+    /// leaves (`+ b + 1`) the window — unless nothing can move: with
+    /// `a = 0` no open key waits for a missed state to clear, with
+    /// `b = ∞` the window holds a state and no broken run waits to fail.
+    pub fn next_change(&self, t: TimePoint) -> TimePoint {
+        let a = self.interval.lo();
+        if self.hist {
+            let quiet = match self.interval.is_bounded() {
+                true => a.0 == 0 && self.clear.is_empty(),
+                false => !self.vacuous(t) && self.enter.is_empty(),
+            };
+            let next = self.times.partition_point(|s| s.plus(a) <= t);
+            let enter = self.times.get(next).map(|s| s.plus(a));
+            let leave = self.times.front().and_then(|&s| self.gone(s));
+            let change = enter.into_iter().chain(leave).min();
+            return change.filter(|_| !quiet).unwrap_or(NEVER);
+        }
         let fronts = [self.enter.front(), self.leave.front()];
         let queued = fronts.into_iter().flatten().map(|(d, _)| *d);
-        let newest = self
-            .times
-            .back()
-            .filter(|_| self.slots.open > 0 && self.interval.lo().0 > 0);
-        let open =
-            newest.and_then(|t| Some(t.plus(self.interval.hi().finite()?).plus(Duration(1))));
-        queued.chain(open).min().unwrap_or(NEVER)
+        let newest = self.times.back().filter(|_| self.open > 0 && a.0 > 0);
+        queued
+            .chain(newest.and_then(|&s| self.gone(s)))
+            .min()
+            .unwrap_or(NEVER)
     }
 
     /// The keys the last advance flipped (see [`Flips`]).
     pub fn flips(&self) -> Flips<'_> {
-        self.slots.flips.view()
-    }
-
-    /// O(1) membership probe: whether `key` has a witness whose age lies in
-    /// the interval at `t_now`. Consistent with [`WindowState::extension`].
-    pub fn satisfied(&self, key: &Tuple, t_now: TimePoint) -> bool {
-        match self.interval.window_at(t_now) {
-            None => false,
-            Some((w_lo, w_hi)) => {
-                (self.slots.map.get(key)).is_some_and(|e| self.any_in(e, w_lo, w_hi))
-            }
+        Flips {
+            epoch: self.epoch,
+            from: self.from,
+            keys: &self.flipped,
         }
     }
 
-    /// The node's extension at `t_now`, the last absorbed state: keys with
-    /// a witness whose age lies in the interval — the maintained row set
-    /// (same version while no verdict flips) when one is kept.
+    /// The node's extension at `t_now`, the last absorbed state: the keys
+    /// it holds for — the maintained row set (same version while no
+    /// verdict flips) when one is kept.
     pub fn extension(&self, t_now: TimePoint) -> Bindings {
         self.ext.clone().unwrap_or_else(|| self.scan(t_now))
     }
 
     /// The extension at `t_now`, by visiting every key.
     fn scan(&self, t_now: TimePoint) -> Bindings {
-        let keys = self.slots.map.keys().filter(|k| self.satisfied(k, t_now));
+        let keys = self.keys.keys().filter(|k| self.holds(k, t_now));
         Bindings::from_rows(self.vars.clone(), keys.map(|k| Tuple::clone(k)))
     }
 
-    /// The key's stamps still inside some future window (none: the key
-    /// aged out and awaits its due pop).
-    fn live_stamps<'a>(
-        &'a self,
-        e: &'a Slot<Stamps>,
-        cutoff: TimePoint,
-    ) -> impl Iterator<Item = TimePoint> + 'a {
-        self.stamps_of(e).filter(move |&s| s >= cutoff)
+    /// What a key still stores that some window can see: its stamps
+    /// (`once`, `since`) or its runs (`hist`).
+    fn live(&self, s: &Slot, cutoff: TimePoint) -> usize {
+        match self.hist {
+            false => self.stamps(s, false).filter(|&x| x >= cutoff).count(),
+            true => self.runs(s).filter(|r| r.1 >= cutoff).count(),
+        }
     }
 
-    /// The cutoff of [`WindowState::live_stamps`] at the newest state.
-    fn live_cutoff(&self) -> TimePoint {
-        self.times.back().map_or(TimePoint(0), |&t| self.cutoff(t))
-    }
-
-    /// `(keys, timestamps)` stored — the quantities bounded by the paper.
+    /// `(keys, timestamps)` stored — the quantities bounded by the paper,
+    /// counted as the checkpoint lays them out: a stamp each (`once`,
+    /// `since`); two per run plus the recent state times (`hist[a,b]`);
+    /// one per run plus the times younger than `a` (`hist[a,∞]`).
     pub fn space(&self) -> (usize, usize) {
-        let cutoff = self.live_cutoff();
-        let live = (self.slots.map.values()).map(|e| self.live_stamps(e, cutoff).count());
-        live.filter(|&n| n > 0)
-            .fold((0, 0), |(keys, n), k| (keys + 1, n + k))
+        let cutoff = self.times.back().map_or(TimePoint(0), |&t| self.cutoff(t));
+        let live = self.keys.values().map(|s| self.live(s, cutoff));
+        let (keys, n) = live
+            .filter(|&n| n > 0)
+            .fold((0, 0), |(k, m), n| (k + 1, m + n));
+        match (self.hist, self.interval.is_bounded()) {
+            (false, _) => (keys, n),
+            (true, true) => (keys, 2 * n + self.times.len()),
+            (true, false) => (
+                keys,
+                n + self.times.len() - usize::from(self.older().is_some()),
+            ),
+        }
     }
 
-    /// Dumps every entry as `(key, ascending timestamps)` in deterministic
-    /// (key) order — the checkpoint codec's view of the state, open runs
-    /// rendered as the stamps re-stamping would have stored.
-    pub fn dump(&self) -> Vec<(Tuple, Vec<TimePoint>)> {
-        let cutoff = self.live_cutoff();
-        let live = |e| self.live_stamps(e, cutoff).collect();
-        let all = (self.slots.map.iter()).map(|(k, e)| (Tuple::clone(k), live(e)));
-        let mut out: Vec<(Tuple, Vec<TimePoint>)> =
-            all.filter(|(_, s): &(_, Vec<_>)| !s.is_empty()).collect();
+    /// The recent state times, ascending.
+    pub fn times(&self) -> impl Iterator<Item = TimePoint> + '_ {
+        self.times.iter().copied()
+    }
+
+    /// Under `b = ∞`: the newest state the window holds, if any.
+    pub fn older(&self) -> Option<TimePoint> {
+        let hi = self.interval.window_at(*self.times.back()?)?.1;
+        self.times.front().copied().filter(|&s| s <= hi)
+    }
+
+    /// Each live key's checkpoint numbers, in key order: its stamps
+    /// (`once`, `since`), its runs' start/end pairs (`hist[a,b]`), or its
+    /// run's end and whether it is open (`hist[a,∞]`).
+    pub fn dump(&self) -> Vec<(Tuple, Vec<u64>)> {
+        let cutoff = self.times.back().map_or(TimePoint(0), |&t| self.cutoff(t));
+        let bounded = self.interval.is_bounded();
+        let numbers = |s: &Slot| -> Vec<u64> {
+            let runs = self.runs(s).filter(|r| r.1 >= cutoff);
+            match (self.hist, bounded) {
+                (false, _) => {
+                    (self.stamps(s, false).filter(|&x| x >= cutoff).map(|x| x.0)).collect()
+                }
+                (true, true) => runs.flat_map(|(a, b)| [a.0, b.0]).collect(),
+                (true, false) => runs.flat_map(|r| [r.1 .0, u64::from(s.open())]).collect(),
+            }
+        };
+        let all = self.keys.iter().map(|(k, s)| (Tuple::clone(k), numbers(s)));
+        let mut out: Vec<(Tuple, Vec<u64>)> = all.filter(|(_, n)| !n.is_empty()).collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
 
-    /// Restores one dumped entry. Timestamps must be non-empty and
-    /// ascending (the checkpoint reader validates them); under the
-    /// one-timestamp policies only the policy-relevant stamp is kept.
-    pub fn restore_entry(&mut self, key: Tuple, stamps: &[TimePoint]) {
-        debug_assert!(stamps.windows(2).all(|w| w[0] < w[1]), "stamps must ascend");
-        let (Some(&first), Some(&last)) = (stamps.first(), stamps.last()) else {
-            return;
+    /// Restores a checkpointed node's recent state times (a `once`/`since`
+    /// block has none; they read as `time`, the section's newest state),
+    /// before its keys. The index is rebuilt on the next advance.
+    pub fn restore_times(&mut self, times: Vec<TimePoint>, time: Option<TimePoint>) {
+        self.times = match times.is_empty() {
+            true => time.into_iter().collect(),
+            false => times.into(),
         };
-        let stamps = match self.policy {
-            StampPolicy::Latest => Stamps::Latest(last),
-            StampPolicy::Earliest => Stamps::Earliest(first),
-            StampPolicy::Many => Stamps::Many(Box::new(stamps.iter().copied().collect())),
-        };
-        self.slots.restore(key, stamps);
+        self.unindexed = true;
+    }
+
+    /// Restores one key's runs — ascending, disjoint, ending by `time` —
+    /// additively in the keys; a key whose last run ends at `time` is in
+    /// the operand.
+    pub fn restore(&mut self, key: Tuple, runs: impl Iterator<Item = Run>, time: TimePoint) {
+        let (mut older, mut last) = (Vec::new(), None);
+        for run in runs {
+            older.extend(last.replace(run));
+        }
+        let Some((start, end)) = last else { return };
+        let last = (start, if end == time { NEVER } else { end });
+        let older = (!older.is_empty()).then(|| Box::new(older));
+        let slot = Slot { older, last };
+        self.open += usize::from(slot.open());
+        let replaced = self.keys.insert(Arc::new(key), slot);
+        self.open -= replaced.map_or(0, |s| usize::from(s.open()));
     }
 }
 
@@ -799,11 +777,6 @@ impl PrevState {
             vars,
             prev_sat: None,
         }
-    }
-
-    /// The node's sorted free variables.
-    pub fn vars(&self) -> &[Var] {
-        &self.vars
     }
 
     /// Computes the extension at `t_now` **from the stored previous state**
@@ -855,8 +828,8 @@ impl PrevState {
     }
 
     /// Restores a dumped previous-state extension. Additive in the rows
-    /// (like [`WindowState::restore_entry`]): a checkpoint written by the
-    /// old per-key shard plane lists them as one block per key.
+    /// (like [`RunRelation::restore`]): a checkpoint written by the old
+    /// per-key shard plane lists them as one block per key.
     pub fn restore(&mut self, t: TimePoint, rows: Vec<Tuple>) {
         let rows = Bindings::from_rows(self.vars.clone(), rows);
         match &mut self.prev_sat {
@@ -869,494 +842,12 @@ impl PrevState {
     }
 }
 
-/// One key's maximal runs `(start, end)` of consecutive states on which a
-/// finite `hist`'s operand held, oldest first.
-type Runs = VecDeque<(TimePoint, TimePoint)>;
-
-/// Auxiliary state of a `hist[a,b] g` node with finite `b`.
-#[derive(Clone, Debug)]
-pub struct HistFiniteState {
-    interval: Interval,
-    bound: Duration,
-    vars: Vec<Var>,
-    slots: Slots<Runs>,
-    /// Timestamps of all states in the last `bound` ticks.
-    state_times: VecDeque<TimePoint>,
-    /// Closed keys by when their newest run leaves the window
-    /// (`end + b + 1`): the prune order.
-    leave: Queue,
-    /// The expiry index: keys by when the first state after a run (which
-    /// the key missed) ages `a` — it fails from then — and by when the
-    /// state before a run leaves the window, after which it may hold.
-    enter: Queue,
-    clear: Queue,
-}
-
-impl HistFiniteState {
-    /// Fresh state; `interval.hi()` must be finite.
-    pub fn new(interval: Interval, vars: Vec<Var>) -> HistFiniteState {
-        let bound = interval
-            .hi()
-            .finite()
-            .expect("HistFiniteState requires a finite bound");
-        HistFiniteState {
-            interval,
-            bound,
-            vars,
-            slots: Slots::new(),
-            state_times: VecDeque::new(),
-            leave: VecDeque::new(),
-            enter: VecDeque::new(),
-            clear: VecDeque::new(),
-        }
-    }
-
-    /// The node's sorted free variables.
-    pub fn vars(&self) -> &[Var] {
-        &self.vars
-    }
-
-    /// `t + b + 1`: when a state at `t` leaves every window.
-    fn gone(&self, t: TimePoint) -> TimePoint {
-        t.plus(self.bound).plus(Duration(1))
-    }
-
-    /// Advances to the new state: `sat_now` is the operand's extension,
-    /// `delta` its net `(added, removed)` rows since the last state when
-    /// known, `prev_time` the previous state's timestamp (`None` at state
-    /// 0). Keys that stay in the operand extend their open run without
-    /// being visited: O(|delta| + |due|), or O(keys) without a delta.
-    /// Publishes the keys whose verdict may have flipped — unless the
-    /// window went from empty (vacuous) to not or back, or was restored.
-    pub fn step(
-        &mut self,
-        sat_now: &Bindings,
-        delta: Option<(&[Tuple], &[Tuple])>,
-        t_now: TimePoint,
-        prev_time: Option<TimePoint>,
-    ) {
-        debug_assert_eq!(sat_now.vars(), self.vars.as_slice());
-        let restored = self.reindex();
-        let (closing, opening) = self.slots.changes(sat_now, delta);
-        let (mut due, mut cand) = (Vec::new(), Vec::new());
-        pop_due(&mut self.leave, t_now, &mut due);
-        pop_due(&mut self.enter, t_now, &mut cand);
-        pop_due(&mut self.clear, t_now, &mut cand);
-        // Which keys may flip: what fell due, and with `a = 0` a key whose
-        // run closes (it misses this state) or — across a gap wider than
-        // `b` — opens (its state before leaves at once).
-        let lo = self.interval.lo();
-        let gap = lo.0 == 0 && prev_time.is_some_and(|p| t_now > p.plus(self.bound));
-        let vacuous_before = prev_time.map(|p| self.vacuous(p));
-        for k in closing.iter() {
-            let Some((end, (key, runs))) = prev_time.zip(self.slots.close(k)) else {
-                continue;
-            };
-            if let Some(last) = runs.back_mut() {
-                last.1 = end;
-            }
-            if lo.0 > 0 {
-                self.enter.push_back((t_now.plus(lo), Arc::clone(&key)));
-            } else {
-                cand.push(Arc::clone(&key));
-            }
-            self.leave.push_back((self.gone(end), key));
-        }
-        self.state_times.push_back(t_now);
-        let cutoff = t_now.minus(self.bound).unwrap_or(TimePoint(0));
-        while self.state_times.front().is_some_and(|&t| t < cutoff) {
-            self.state_times.pop_front();
-        }
-        // The state before a run starts, missed, fails the key until it
-        // leaves the window.
-        let missed = prev_time.map(|p| self.gone(p)).filter(|&d| d > t_now);
-        for k in opening {
-            let Some((key, runs, _)) = self.slots.open(k, VecDeque::new) else {
-                continue;
-            };
-            while runs.front().is_some_and(|&(_, end)| end < cutoff) {
-                runs.pop_front();
-            }
-            runs.push_back((t_now, t_now));
-            if let Some(d) = missed {
-                self.clear.push_back((d, Arc::clone(&key)));
-            }
-            if gap {
-                cand.push(key);
-            }
-        }
-        for k in due {
-            let dead = (self.slots.map.get(&*k)).and_then(|r| r.data.back().filter(|_| !r.open));
-            if dead.is_some_and(|&(_, end)| end < cutoff) {
-                self.slots.remove(&k);
-            }
-        }
-        // A window that turns vacuous (or stops being so) flips every key;
-        // a restore publishes no flips either.
-        let vacuity = vacuous_before.is_none_or(|v| v == self.vacuous(t_now));
-        let known = vacuity && !restored;
-        self.slots.flips.record(known.then_some(cand));
-        // With a = 0 a closed key fails at every state: keep `clear`
-        // fronted by an open key, which fails until its entry is due.
-        while lo.0 == 0 && (self.clear.front()).is_some_and(|(_, k)| !self.slots.is_open(k)) {
-            self.clear.pop_front();
-        }
-    }
-
-    /// The runs and state times alone, without the index or flips.
-    pub(crate) fn snapshot(&self) -> HistFiniteState {
-        HistFiniteState {
-            slots: self.slots.snapshot(),
-            state_times: self.state_times.clone(),
-            ..HistFiniteState::new(self.interval, self.vars.clone())
-        }
-    }
-
-    /// Whether no state's age lies in the interval at `t`: every key holds.
-    fn vacuous(&self, t: TimePoint) -> bool {
-        let Some((w_lo, w_hi)) = self.interval.window_at(t) else {
-            return true;
-        };
-        let first = self.state_times.partition_point(|&s| s < w_lo);
-        self.state_times.get(first).is_none_or(|&s| s > w_hi)
-    }
-
-    /// The keys the last step flipped (see [`Flips`]).
-    pub fn flips(&self) -> Flips<'_> {
-        self.slots.flips.view()
-    }
-
-    /// The key's runs with an open run's end derived.
-    fn runs_of<'a>(
-        &'a self,
-        r: &'a Slot<Runs>,
-    ) -> impl Iterator<Item = (TimePoint, TimePoint)> + 'a {
-        let now = self.state_times.back().copied();
-        let n = r.data.len();
-        let runs = r.data.iter().enumerate();
-        runs.map(
-            move |(i, &(s, e))| match now.filter(|_| r.open && i + 1 == n) {
-                Some(now) => (s, now),
-                None => (s, e),
-            },
-        )
-    }
-
-    /// Rebuilds the queues and open flags after a restore: a key whose
-    /// last run ends at the newest state is in the operand; each run
-    /// files when the state before it leaves and the state after it
-    /// ages `a` (a superset of the change points). Returns whether there
-    /// was anything restored.
-    fn reindex(&mut self) -> bool {
-        if !std::mem::take(&mut self.slots.unindexed) {
-            return false;
-        }
-        let now = self.state_times.back().copied();
-        let (lo, times) = (self.interval.lo(), &self.state_times);
-        let gone = |t: TimePoint| t.plus(self.bound).plus(Duration(1));
-        let (mut leave, mut enter, mut clear) = (Vec::new(), Vec::new(), Vec::new());
-        for (k, r) in &mut self.slots.map {
-            let Some(&(_, last)) = r.data.back() else {
-                continue;
-            };
-            r.open = Some(last) == now;
-            self.slots.open += usize::from(r.open);
-            if !r.open {
-                leave.push((gone(last), k.clone()));
-            }
-            for &(start, end) in &r.data {
-                let before = times.partition_point(|&t| t < start).checked_sub(1);
-                clear.extend(
-                    before
-                        .and_then(|i| times.get(i))
-                        .map(|&v| (gone(v), k.clone())),
-                );
-                let after = times.get(times.partition_point(|&t| t <= end));
-                enter.extend(after.filter(|_| lo.0 > 0).map(|u| (u.plus(lo), k.clone())));
-            }
-        }
-        file(&mut self.leave, leave);
-        file(&mut self.enter, enter);
-        file(&mut self.clear, clear);
-        true
-    }
-
-    /// The earliest time after `t` at which [`HistFiniteState::holds`] can
-    /// differ for some key while the operand extension stays put:
-    /// conservatively, when a stored state next enters (`τ + a`) or leaves
-    /// (`τ + b + 1`) the window — later states enter after the stored ones
-    /// and are covered exactly for open keys. With `a = 0` a key outside
-    /// the operand fails at every state, so once every open key holds
-    /// (nothing left in `clear`) nothing moves.
-    pub fn next_change(&self, t: TimePoint) -> TimePoint {
-        let lo = self.interval.lo();
-        if lo.0 == 0 && self.clear.is_empty() {
-            return NEVER;
-        }
-        let leave = self.state_times.front().map(|&s| self.gone(s));
-        let next = self.state_times.partition_point(|s| s.plus(lo) <= t);
-        let enter = self.state_times.get(next).map(|s| s.plus(lo));
-        leave.into_iter().chain(enter).min().unwrap_or(NEVER)
-    }
-
-    /// Absorbs the deferred states `ticks` over an unchanged operand
-    /// extension: open runs extend by derivation, so only the state times
-    /// move. Equal to one [`HistFiniteState::step`] per tick.
-    pub fn catch_up(&mut self, ticks: &[TimePoint]) {
-        self.state_times.extend(ticks);
-        let Some(&t_new) = ticks.last() else {
-            return;
-        };
-        let cutoff = t_new.minus(self.bound).unwrap_or(TimePoint(0));
-        while self.state_times.front().is_some_and(|&t| t < cutoff) {
-            self.state_times.pop_front();
-        }
-    }
-
-    /// Whether the node holds for `key` at `t_now`: every state whose age
-    /// lies in the interval is covered by one of the key's runs. Vacuously
-    /// true when the window contains no state.
-    pub fn holds(&self, key: &Tuple, t_now: TimePoint) -> bool {
-        let Some((w_lo, w_hi)) = self.interval.window_at(t_now) else {
-            return true; // no admissible age exists at all
-        };
-        let runs = self
-            .slots
-            .map
-            .get(key)
-            .into_iter()
-            .flat_map(|r| self.runs_of(r));
-        let mut runs = runs.peekable();
-        let start = self.state_times.partition_point(|&t| t < w_lo);
-        for &tau in self.state_times.range(start..) {
-            if tau > w_hi {
-                break;
-            }
-            // Skip runs ending before tau; check coverage.
-            while runs.next_if(|&(_, e)| e < tau).is_some() {}
-            match runs.peek() {
-                Some(&(s, e)) if s <= tau && tau <= e => {}
-                _ => return false,
-            }
-        }
-        true
-    }
-
-    /// Each key's runs still inside some future window.
-    fn live(&self) -> impl Iterator<Item = (&Tuple, Vec<(TimePoint, TimePoint)>)> {
-        let now = self.state_times.back().copied().unwrap_or(TimePoint(0));
-        let cutoff = now.minus(self.bound).unwrap_or(TimePoint(0));
-        let runs = move |r| {
-            self.runs_of(r)
-                .filter(|&(_, e)| e >= cutoff)
-                .collect::<Vec<_>>()
-        };
-        let all = self.slots.map.iter().map(move |(k, r)| (&**k, runs(r)));
-        all.filter(|(_, r)| !r.is_empty())
-    }
-
-    /// `(keys, timestamps)` stored: run endpoints count as two timestamps;
-    /// the shared state-time deque is reported too.
-    pub fn space(&self) -> (usize, usize) {
-        let (keys, runs) = (self.live()).fold((0, 0), |(k, n), (_, r)| (k + 1, n + r.len()));
-        (keys, 2 * runs + self.state_times.len())
-    }
-
-    /// Dumps `(key, runs)` entries in deterministic order plus the recent
-    /// state times.
-    #[allow(clippy::type_complexity)] // the checkpoint codec's exact shape
-    pub fn dump(&self) -> (Vec<(Tuple, Vec<(TimePoint, TimePoint)>)>, Vec<TimePoint>) {
-        let mut entries: Vec<(Tuple, Vec<(TimePoint, TimePoint)>)> =
-            self.live().map(|(k, r)| (k.clone(), r)).collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        (entries, self.state_times.iter().copied().collect())
-    }
-
-    /// Restores a dumped state; additive in the keyed entries.
-    pub fn restore(
-        &mut self,
-        entries: Vec<(Tuple, Vec<(TimePoint, TimePoint)>)>,
-        state_times: Vec<TimePoint>,
-    ) {
-        for (key, runs) in entries {
-            self.slots.restore(key, runs.into());
-        }
-        self.state_times = state_times.into_iter().collect();
-    }
-}
-
-/// Auxiliary state of a `hist[a,∞] g` node.
-#[derive(Clone, Debug)]
-pub struct HistInfState {
-    lo: Duration,
-    vars: Vec<Var>,
-    started: bool,
-    /// End of each key's prefix run (the run beginning at state 0). Frozen
-    /// when the run breaks; pruned once it can no longer satisfy a query.
-    prefix_end: TupleMap<TimePoint>,
-    /// Keys whose prefix run is still growing.
-    active: std::collections::BTreeSet<Tuple>,
-    /// State times newer than `t_now − lo` (bounded by `lo + 1`).
-    recent_times: VecDeque<TimePoint>,
-    /// The newest state time ≤ `t_now − lo`, if any.
-    latest_older: Option<TimePoint>,
-}
-
-impl HistInfState {
-    /// Fresh state; `interval.hi()` must be infinite.
-    pub fn new(interval: Interval, vars: Vec<Var>) -> HistInfState {
-        assert!(
-            !interval.is_bounded(),
-            "HistInfState requires an unbounded interval"
-        );
-        HistInfState {
-            lo: interval.lo(),
-            vars,
-            started: false,
-            prefix_end: TupleMap::default(),
-            active: std::collections::BTreeSet::new(),
-            recent_times: VecDeque::new(),
-            latest_older: None,
-        }
-    }
-
-    /// The node's sorted free variables.
-    pub fn vars(&self) -> &[Var] {
-        &self.vars
-    }
-
-    /// Advances to the new state; `sat_now` is the operand's extension,
-    /// `None` when it is the one the last state saw.
-    pub fn step(&mut self, sat_now: Option<&Bindings>, t_now: TimePoint) {
-        let holds = |key| sat_now.is_none_or(|sat| sat.contains(key));
-        if let (false, Some(sat)) = (self.started, sat_now) {
-            self.started = true;
-            for row in sat.rows() {
-                self.prefix_end.insert(row.clone(), t_now);
-                self.active.insert(row.clone());
-            }
-        } else {
-            let mut broken = Vec::new();
-            for key in &self.active {
-                if holds(key) {
-                    self.prefix_end.insert(key.clone(), t_now);
-                } else {
-                    broken.push(key.clone());
-                }
-            }
-            for key in broken {
-                self.active.remove(&key); // prefix_end stays frozen
-            }
-        }
-        // Slide the `lo` window over state times.
-        self.recent_times.push_back(t_now);
-        let threshold = t_now.minus(self.lo);
-        while self
-            .recent_times
-            .front()
-            .is_some_and(|&t| threshold.is_some_and(|th| t <= th))
-        {
-            let t = self.recent_times.pop_front().expect("front checked");
-            self.latest_older = Some(self.latest_older.map_or(t, |m| m.max(t)));
-        }
-        // Frozen entries that already fail against the (nondecreasing)
-        // query point are dead.
-        if let Some(m) = self.latest_older {
-            let active = &self.active;
-            self.prefix_end
-                .retain(|k, &mut e| e >= m || active.contains(k));
-        }
-    }
-
-    /// The earliest time at which [`HistInfState::holds`] can differ for
-    /// some key while the operand extension stays put: active keys follow
-    /// the clock, so only the query point moving past a frozen key's
-    /// prefix end (or arriving at all) changes an answer, and it moves
-    /// next when the oldest recent state ages `lo`.
-    pub fn next_change(&self) -> TimePoint {
-        match self.recent_times.front() {
-            Some(r) if self.latest_older.is_none() || self.prefix_end.len() > self.active.len() => {
-                r.plus(self.lo)
-            }
-            _ => NEVER,
-        }
-    }
-
-    /// Absorbs the deferred states `ticks` over an unchanged operand
-    /// extension (which contains every active key).
-    pub fn catch_up(&mut self, ticks: &[TimePoint]) {
-        let Some((&t_new, earlier)) = ticks.split_last() else {
-            return;
-        };
-        self.recent_times.extend(earlier);
-        self.step(None, t_new);
-    }
-
-    /// Whether the node holds for `key` at the current state.
-    pub fn holds(&self, key: &Tuple) -> bool {
-        match self.latest_older {
-            None => true, // no state is old enough: vacuous
-            Some(m) => self.prefix_end.get(key).is_some_and(|&e| e >= m),
-        }
-    }
-
-    /// `(keys, timestamps)` stored.
-    pub fn space(&self) -> (usize, usize) {
-        (
-            self.prefix_end.len(),
-            self.prefix_end.len() + self.recent_times.len(),
-        )
-    }
-
-    /// Dumps `(key, prefix end, still-active)` entries in deterministic
-    /// order plus the window bookkeeping.
-    pub fn dump(&self) -> HistInfDump {
-        let mut entries: Vec<(Tuple, TimePoint, bool)> = self
-            .prefix_end
-            .iter()
-            .map(|(k, e)| (k.clone(), *e, self.active.contains(k)))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        HistInfDump {
-            started: self.started,
-            entries,
-            recent_times: self.recent_times.iter().copied().collect(),
-            latest_older: self.latest_older,
-        }
-    }
-
-    /// Restores a dumped state; additive in the keyed entries.
-    pub fn restore(&mut self, dump: HistInfDump) {
-        self.started = dump.started;
-        for (k, e, active) in dump.entries {
-            if active {
-                self.active.insert(k.clone());
-            }
-            self.prefix_end.insert(k, e);
-        }
-        self.recent_times = dump.recent_times.into_iter().collect();
-        self.latest_older = dump.latest_older;
-    }
-}
-
-/// The checkpointable content of a [`HistInfState`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HistInfDump {
-    /// Whether state 0 has been processed.
-    pub started: bool,
-    /// `(key, prefix end, still-active)`.
-    pub entries: Vec<(Tuple, TimePoint, bool)>,
-    /// State times newer than `t − lo`.
-    pub recent_times: Vec<TimePoint>,
-    /// Newest state time ≤ `t − lo`.
-    pub latest_older: Option<TimePoint>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rtic_relation::tuple;
     use rtic_temporal::var;
+    use std::collections::BTreeMap;
 
     fn key(s: &str) -> Tuple {
         tuple![s]
@@ -1370,20 +861,24 @@ mod tests {
         vec![var("encx")]
     }
 
-    impl WindowState {
+    fn once(i: Interval) -> RunRelation {
+        RunRelation::new(i, v(), false)
+    }
+
+    fn hist(i: Interval) -> RunRelation {
+        RunRelation::new(i, v(), true)
+    }
+
+    fn stamps(ts: &[u64]) -> Vec<u64> {
+        ts.to_vec()
+    }
+
+    impl RunRelation {
         /// Absorbs `sat` at `t` as a rebuild, the path a broken delta
         /// chain takes (`dropped`: `since` keys whose `f` failed).
         fn absorb(&mut self, sat: &Bindings, dropped: &[Tuple], t: TimePoint) {
             let prev = self.times.back().copied();
-            self.advance(
-                Change {
-                    sat,
-                    delta: None,
-                    dropped,
-                },
-                prev,
-                t,
-            );
+            self.advance(sat, None, dropped, prev, t);
         }
 
         fn add_and_prune(&mut self, sat: &Bindings, t: TimePoint) {
@@ -1394,56 +889,55 @@ mod tests {
         /// scanned.
         fn next_change_scan(&self) -> TimePoint {
             let t = self.times.back().copied().unwrap_or_default();
-            let keys = self.slots.map.values().map(|e| self.key_change(e, t));
-            let open = self
-                .times
-                .back()
-                .filter(|_| self.slots.open > 0 && self.interval.lo().0 > 0);
-            let b = self.interval.hi().finite();
-            let open = open.and_then(|t| Some(t.plus(b?).plus(Duration(1))));
-            keys.chain(open).min().unwrap_or(NEVER)
+            let keys = self.keys.keys().map(|k| self.key_change(k, t, NEVER));
+            let newest = self.times.back();
+            let open = newest.filter(|_| self.open > 0 && self.interval.lo().0 > 0);
+            keys.chain(open.and_then(|&t| self.gone(t)))
+                .min()
+                .unwrap_or(NEVER)
         }
     }
 
-    // ---- Stamps ---------------------------------------------------------
+    // ---- the stamp view -------------------------------------------------
 
     #[test]
     fn stamp_policy_selection() {
-        assert_eq!(
-            StampPolicy::for_interval(&Interval::up_to(5)),
-            StampPolicy::Latest
-        );
-        assert_eq!(
-            StampPolicy::for_interval(&Interval::all()),
-            StampPolicy::Latest
-        );
-        assert_eq!(
-            StampPolicy::for_interval(&Interval::at_least(2)),
-            StampPolicy::Earliest
-        );
-        assert_eq!(
-            StampPolicy::for_interval(&Interval::bounded(1, 4).unwrap()),
-            StampPolicy::Many
-        );
+        // The same runs — "a" held at 1, 2, 3 and 5 — read as one stamp
+        // under a = 0 (the newest) and under b = ∞ (the first), as every
+        // covered state otherwise.
+        for (i, want) in [
+            (Interval::up_to(5), stamps(&[5])),
+            (Interval::all(), stamps(&[1])),
+            (Interval::at_least(2), stamps(&[1])),
+            (Interval::bounded(1, 5).unwrap(), stamps(&[1, 2, 3, 5])),
+        ] {
+            let mut w = once(i);
+            for (t, keys) in [
+                (1, &["a"][..]),
+                (2, &["a"]),
+                (3, &["a"]),
+                (4, &[]),
+                (5, &["a"]),
+            ] {
+                w.add_and_prune(&sat(&v(), keys), TimePoint(t));
+            }
+            assert_eq!(w.dump(), vec![(key("a"), want.clone())], "{i}");
+            assert_eq!(w.space(), (1, want.len()), "{i}");
+        }
     }
 
     #[test]
     fn many_stamps_prune_and_query() {
-        let s = Stamps::Many(Box::new(VecDeque::from([
-            TimePoint(1),
-            TimePoint(3),
-            TimePoint(7),
-        ])));
-        assert!(s.any_in(TimePoint(2), TimePoint(3)));
-        assert!(!s.any_in(TimePoint(4), TimePoint(6)));
-        assert_eq!(s.times().collect::<Vec<_>>().len(), 3);
         // A window keeps only the stamps some future window can still see.
         let i = Interval::bounded(1, 3).unwrap();
-        let mut w = WindowState::new(i, v(), StampPolicy::Many);
+        let mut w = once(i);
         for (t, keys) in [(1, &["a"][..]), (3, &["a"]), (4, &[]), (7, &["a"])] {
             w.add_and_prune(&sat(&v(), keys), TimePoint(t));
         }
-        assert_eq!(w.dump(), vec![(key("a"), vec![TimePoint(7)])]);
+        assert_eq!(w.dump(), vec![(key("a"), stamps(&[7]))]);
+        assert!(!w.holds(&key("a"), TimePoint(7)), "age 0 < 1");
+        w.add_and_prune(&sat(&v(), &[]), TimePoint(9));
+        assert!(w.holds(&key("a"), TimePoint(9)), "age 2 in [1,3]");
         w.add_and_prune(&sat(&v(), &[]), TimePoint(11));
         assert_eq!(w.space(), (0, 0), "everything pruned");
     }
@@ -1453,8 +947,7 @@ mod tests {
     #[test]
     fn once_latest_window() {
         // once[0,2]: satisfied while age of latest witness ≤ 2.
-        let i = Interval::up_to(2);
-        let mut w = WindowState::new(i, v(), StampPolicy::for_interval(&i));
+        let mut w = once(Interval::up_to(2));
         w.add_and_prune(&sat(&v(), &["a"]), TimePoint(10));
         assert_eq!(w.extension(TimePoint(10)).len(), 1);
         w.add_and_prune(&sat(&v(), &[]), TimePoint(12));
@@ -1468,8 +961,7 @@ mod tests {
     #[test]
     fn once_lower_bound_delays_visibility() {
         // once[2,4]: a witness only counts when its age reaches 2.
-        let i = Interval::bounded(2, 4).unwrap();
-        let mut w = WindowState::new(i, v(), StampPolicy::for_interval(&i));
+        let mut w = once(Interval::bounded(2, 4).unwrap());
         w.add_and_prune(&sat(&v(), &["a"]), TimePoint(10));
         assert!(w.extension(TimePoint(10)).is_empty(), "age 0 < 2");
         w.add_and_prune(&sat(&v(), &[]), TimePoint(12));
@@ -1481,8 +973,7 @@ mod tests {
     #[test]
     fn once_earliest_for_unbounded() {
         // once[3,*]: earliest witness decides.
-        let i = Interval::at_least(3);
-        let mut w = WindowState::new(i, v(), StampPolicy::for_interval(&i));
+        let mut w = once(Interval::at_least(3));
         w.add_and_prune(&sat(&v(), &["a"]), TimePoint(5));
         w.add_and_prune(&sat(&v(), &["a"]), TimePoint(7)); // later witness ignored
         assert!(w.extension(TimePoint(7)).is_empty());
@@ -1493,10 +984,10 @@ mod tests {
 
     #[test]
     fn once_general_deque_bounded() {
-        let i = Interval::bounded(1, 3).unwrap();
-        let mut w = WindowState::new(i, v(), StampPolicy::for_interval(&i));
+        let mut w = once(Interval::bounded(1, 3).unwrap());
         for t in 1..=50u64 {
-            w.add_and_prune(&sat(&v(), &["a"]), TimePoint(t));
+            let keys: &[&str] = if t % 3 == 0 { &[] } else { &["a"] };
+            w.add_and_prune(&sat(&v(), keys), TimePoint(t));
             let (_, stamps) = w.space();
             assert!(stamps <= 4, "≤ b+1 stamps per key (got {stamps})");
         }
@@ -1508,41 +999,37 @@ mod tests {
         // A stamp s satisfies once[2,4] over [s+2, s+4]: an unsatisfied key
         // enters at s + a, a satisfied one leaves at s + b + 1 — unless a
         // younger stamp carries the stretch on.
-        let i = Interval::bounded(2, 4).unwrap();
-        let mut w = WindowState::new(i, v(), StampPolicy::for_interval(&i));
+        let mut w = once(Interval::bounded(2, 4).unwrap());
         let gone = sat(&v(), &[]);
         w.add_and_prune(&sat(&v(), &["a"]), TimePoint(10));
-        assert_eq!(w.next_change(), TimePoint(12));
+        assert_eq!(w.next_change(TimePoint(10)), TimePoint(12));
         w.add_and_prune(&gone, TimePoint(12));
-        assert_eq!(w.next_change(), TimePoint(15));
+        assert_eq!(w.next_change(TimePoint(12)), TimePoint(15));
         w.add_and_prune(&sat(&v(), &["a"]), TimePoint(13));
-        assert_eq!(w.next_change(), TimePoint(18));
+        assert_eq!(w.next_change(TimePoint(13)), TimePoint(18));
         w.add_and_prune(&sat(&v(), &["a"]), TimePoint(19));
-        assert_eq!(w.next_change(), TimePoint(21));
-        // a = 0: a key still in the operand is re-stamped at every state
-        // and never leaves; one that left it ages out at s + b + 1.
-        let i = Interval::up_to(3);
-        let mut w = WindowState::new(i, v(), StampPolicy::for_interval(&i));
+        assert_eq!(w.next_change(TimePoint(19)), TimePoint(21));
+        // a = 0: a key still in the operand never leaves; one that left
+        // it ages out at s + b + 1.
+        let mut w = once(Interval::up_to(3));
         w.add_and_prune(&sat(&v(), &["a", "b"]), TimePoint(5));
-        assert_eq!(w.next_change(), NEVER);
+        assert_eq!(w.next_change(TimePoint(5)), NEVER);
         w.add_and_prune(&sat(&v(), &["a"]), TimePoint(6));
-        assert_eq!(w.next_change(), TimePoint(9));
+        assert_eq!(w.next_change(TimePoint(6)), TimePoint(9));
         // b = ∞: in at s + a, then never out.
-        let i = Interval::at_least(3);
-        let mut w = WindowState::new(i, v(), StampPolicy::for_interval(&i));
+        let mut w = once(Interval::at_least(3));
         w.add_and_prune(&sat(&v(), &["a"]), TimePoint(5));
         w.add_and_prune(&gone, TimePoint(6));
-        assert_eq!(w.next_change(), TimePoint(8));
+        assert_eq!(w.next_change(TimePoint(6)), TimePoint(8));
         w.add_and_prune(&gone, TimePoint(8));
-        assert_eq!(w.next_change(), NEVER);
+        assert_eq!(w.next_change(TimePoint(8)), NEVER);
     }
 
-    // ---- since (via WindowState with retain) ----------------------------
+    // ---- since (a run relation whose keys can be dropped) -----------------
 
     #[test]
     fn since_anchor_cleared_when_f_fails() {
-        let i = Interval::all();
-        let mut w = WindowState::new(i, v(), StampPolicy::for_interval(&i));
+        let mut w = once(Interval::all());
         // t=1: g holds for "a" -> anchor.
         w.add_and_prune(&sat(&v(), &["a"]), TimePoint(1));
         assert_eq!(w.extension(TimePoint(1)).len(), 1);
@@ -1557,8 +1044,7 @@ mod tests {
     #[test]
     fn since_new_anchor_survives_f_failure() {
         // A key failing f but satisfying g at the same state anchors afresh.
-        let i = Interval::all();
-        let mut w = WindowState::new(i, v(), StampPolicy::for_interval(&i));
+        let mut w = once(Interval::all());
         w.add_and_prune(&sat(&v(), &["a"]), TimePoint(1));
         // f fails, but g holds again.
         w.absorb(&sat(&v(), &["a"]), &[key("a")], TimePoint(2));
@@ -1586,18 +1072,17 @@ mod tests {
 
     #[test]
     fn hist_finite_requires_full_coverage() {
-        let i = Interval::up_to(3);
-        let mut h = HistFiniteState::new(i, v());
-        h.step(&sat(&v(), &["a"]), None, TimePoint(1), None);
+        let mut h = hist(Interval::up_to(3));
+        h.add_and_prune(&sat(&v(), &["a"]), TimePoint(1));
         assert!(h.holds(&key("a"), TimePoint(1)));
-        h.step(&sat(&v(), &["a"]), None, TimePoint(2), Some(TimePoint(1)));
+        h.add_and_prune(&sat(&v(), &["a"]), TimePoint(2));
         assert!(h.holds(&key("a"), TimePoint(2)));
         // Miss a state.
-        h.step(&sat(&v(), &[]), None, TimePoint(3), Some(TimePoint(2)));
+        h.add_and_prune(&sat(&v(), &[]), TimePoint(3));
         assert!(!h.holds(&key("a"), TimePoint(3)));
         // The gap ages out after bound ticks.
-        h.step(&sat(&v(), &["a"]), None, TimePoint(5), Some(TimePoint(3)));
-        h.step(&sat(&v(), &["a"]), None, TimePoint(7), Some(TimePoint(5)));
+        h.add_and_prune(&sat(&v(), &["a"]), TimePoint(5));
+        h.add_and_prune(&sat(&v(), &["a"]), TimePoint(7));
         assert!(
             h.holds(&key("a"), TimePoint(7)),
             "gap at t=3 now older than 3 ticks"
@@ -1606,38 +1091,29 @@ mod tests {
 
     #[test]
     fn hist_finite_vacuous_on_empty_window() {
-        let i = Interval::bounded(3, 5).unwrap();
-        let mut h = HistFiniteState::new(i, v());
-        h.step(&sat(&v(), &[]), None, TimePoint(1), None);
+        let mut h = hist(Interval::bounded(3, 5).unwrap());
+        h.add_and_prune(&sat(&v(), &[]), TimePoint(1));
         // At t=1 no state has age in [3,5]: vacuously true even for unseen keys.
         assert!(h.holds(&key("zzz"), TimePoint(1)));
         // At t=4 the state at t=1 enters the window: unseen key fails.
-        h.step(&sat(&v(), &[]), None, TimePoint(4), Some(TimePoint(1)));
+        h.add_and_prune(&sat(&v(), &[]), TimePoint(4));
         assert!(!h.holds(&key("zzz"), TimePoint(4)));
     }
 
     #[test]
     fn hist_finite_never_seen_key_fails_nonempty_window() {
-        let i = Interval::up_to(10);
-        let mut h = HistFiniteState::new(i, v());
-        h.step(&sat(&v(), &["a"]), None, TimePoint(1), None);
+        let mut h = hist(Interval::up_to(10));
+        h.add_and_prune(&sat(&v(), &["a"]), TimePoint(1));
         assert!(!h.holds(&key("b"), TimePoint(1)));
     }
 
     #[test]
     fn hist_finite_space_is_window_bounded() {
-        let i = Interval::up_to(4);
-        let mut h = HistFiniteState::new(i, v());
-        let mut prev = None;
+        let mut h = hist(Interval::up_to(4));
         for t in 1..=100u64 {
             // Alternate satisfaction to maximize run count.
-            let s = if t % 2 == 0 {
-                sat(&v(), &["a"])
-            } else {
-                sat(&v(), &[])
-            };
-            h.step(&s, None, TimePoint(t), prev);
-            prev = Some(TimePoint(t));
+            let keys: &[&str] = if t % 2 == 0 { &["a"] } else { &[] };
+            h.add_and_prune(&sat(&v(), keys), TimePoint(t));
             let (_, stamps) = h.space();
             assert!(
                 stamps <= 2 * 5 + 5,
@@ -1650,81 +1126,74 @@ mod tests {
     fn huge_timestamps_do_not_overflow() {
         // Times near u64::MAX exercise the saturating window arithmetic.
         let base = u64::MAX - 10;
-        let i = Interval::bounded(1, 3).unwrap();
-        let mut w = WindowState::new(i, v(), StampPolicy::for_interval(&i));
+        let mut w = once(Interval::bounded(1, 3).unwrap());
         w.add_and_prune(&sat(&v(), &["a"]), TimePoint(base));
         assert!(w.extension(TimePoint(base)).is_empty(), "age 0 < lo");
         assert_eq!(w.extension(TimePoint(base + 2)).len(), 1);
-        let mut h = HistFiniteState::new(Interval::up_to(2), v());
-        h.step(&sat(&v(), &["a"]), None, TimePoint(base), None);
-        h.step(
-            &sat(&v(), &["a"]),
-            None,
-            TimePoint(base + 2),
-            Some(TimePoint(base)),
-        );
+        let mut h = hist(Interval::up_to(2));
+        h.add_and_prune(&sat(&v(), &["a"]), TimePoint(base));
+        h.add_and_prune(&sat(&v(), &["a"]), TimePoint(base + 2));
         assert!(h.holds(&key("a"), TimePoint(base + 2)));
     }
 
     #[test]
     fn early_clock_times_clip_at_origin() {
         // Windows reaching before t=0 clip rather than underflow.
-        let i = Interval::bounded(0, 100).unwrap();
-        let mut w = WindowState::new(i, v(), StampPolicy::Many);
+        let mut w = once(Interval::bounded(0, 100).unwrap());
         w.add_and_prune(&sat(&v(), &["a"]), TimePoint(1));
         assert_eq!(w.extension(TimePoint(2)).len(), 1);
-        let mut h = HistInfState::new(Interval::at_least(5), v());
-        h.step(Some(&sat(&v(), &["a"])), TimePoint(2));
-        assert!(h.holds(&key("a")), "window empty this early");
+        let mut h = hist(Interval::at_least(5));
+        h.add_and_prune(&sat(&v(), &["a"]), TimePoint(2));
+        assert!(h.holds(&key("a"), TimePoint(2)), "window empty this early");
     }
 
     // ---- hist, unbounded --------------------------------------------------
 
     #[test]
     fn hist_inf_prefix_semantics() {
-        let i = Interval::at_least(0);
-        let mut h = HistInfState::new(i, v());
-        h.step(Some(&sat(&v(), &["a", "b"])), TimePoint(1));
-        assert!(h.holds(&key("a")));
-        h.step(Some(&sat(&v(), &["a"])), TimePoint(2));
-        assert!(h.holds(&key("a")));
-        assert!(!h.holds(&key("b")), "b broke its prefix");
-        assert!(!h.holds(&key("c")), "never satisfied");
+        let mut h = hist(Interval::at_least(0));
+        h.add_and_prune(&sat(&v(), &["a", "b"]), TimePoint(1));
+        assert!(h.holds(&key("a"), TimePoint(1)));
+        h.add_and_prune(&sat(&v(), &["a"]), TimePoint(2));
+        assert!(h.holds(&key("a"), TimePoint(2)));
+        assert!(!h.holds(&key("b"), TimePoint(2)), "b broke its prefix");
+        assert!(!h.holds(&key("c"), TimePoint(2)), "never satisfied");
         // b can never recover.
-        h.step(Some(&sat(&v(), &["a", "b"])), TimePoint(3));
-        assert!(!h.holds(&key("b")));
-        assert!(h.holds(&key("a")));
+        h.add_and_prune(&sat(&v(), &["a", "b"]), TimePoint(3));
+        assert!(!h.holds(&key("b"), TimePoint(3)));
+        assert!(h.holds(&key("a"), TimePoint(3)));
     }
 
     #[test]
     fn hist_inf_lower_bound_excludes_recent_states() {
         // hist[2,*]: the last 2 ticks don't count.
-        let i = Interval::at_least(2);
-        let mut h = HistInfState::new(i, v());
-        h.step(Some(&sat(&v(), &["a"])), TimePoint(1));
-        assert!(h.holds(&key("a")), "window empty at t=1");
-        assert!(h.holds(&key("z")), "vacuous for everyone");
+        let mut h = hist(Interval::at_least(2));
+        h.add_and_prune(&sat(&v(), &["a"]), TimePoint(1));
+        assert!(h.holds(&key("a"), TimePoint(1)), "window empty at t=1");
+        assert!(h.holds(&key("z"), TimePoint(1)), "vacuous for everyone");
         // a fails at t=2, but at t=2 the window is still empty (1 > 2-2=0).
-        h.step(Some(&sat(&v(), &[])), TimePoint(2));
-        assert!(h.holds(&key("a")));
+        h.add_and_prune(&sat(&v(), &[]), TimePoint(2));
+        assert!(h.holds(&key("a"), TimePoint(2)));
         // At t=3 the state at t=1 (age 2) enters the window; a held there.
-        h.step(Some(&sat(&v(), &[])), TimePoint(3));
-        assert!(h.holds(&key("a")), "prefix covers state@1");
-        assert!(!h.holds(&key("z")));
+        h.add_and_prune(&sat(&v(), &[]), TimePoint(3));
+        assert!(h.holds(&key("a"), TimePoint(3)), "prefix covers state@1");
+        assert!(!h.holds(&key("z"), TimePoint(3)));
         // At t=4 the state at t=2 (where a failed) enters the window.
-        h.step(Some(&sat(&v(), &[])), TimePoint(4));
-        assert!(!h.holds(&key("a")));
+        h.add_and_prune(&sat(&v(), &[]), TimePoint(4));
+        assert!(!h.holds(&key("a"), TimePoint(4)));
     }
 
     #[test]
     fn hist_inf_space_prunes_dead_keys() {
-        let i = Interval::at_least(0);
-        let mut h = HistInfState::new(i, v());
-        h.step(Some(&sat(&v(), &["a", "b", "c"])), TimePoint(1));
-        h.step(Some(&sat(&v(), &[])), TimePoint(2)); // everyone breaks
-        h.step(Some(&sat(&v(), &[])), TimePoint(3));
+        let mut h = hist(Interval::at_least(0));
+        h.add_and_prune(&sat(&v(), &["a", "b", "c"]), TimePoint(1));
+        h.add_and_prune(&sat(&v(), &[]), TimePoint(2)); // everyone breaks
+        h.add_and_prune(&sat(&v(), &[]), TimePoint(3));
         let (keys, _) = h.space();
-        assert_eq!(keys, 0, "frozen entries below the query point are pruned");
+        assert_eq!(
+            keys, 0,
+            "broken runs below the window's newest state are pruned"
+        );
     }
 
     // ---- the expiry index against brute force ----------------------------
@@ -1775,30 +1244,34 @@ mod tests {
             .collect()
     }
 
+    /// The node's delta from `prev` to `keys`, withheld one step in five
+    /// (a rebuild).
+    fn delta(rng: &mut Rng, prev: &[&str], keys: &[&str]) -> Option<(Vec<Tuple>, Vec<Tuple>)> {
+        let added = keys.iter().filter(|k| !prev.contains(k));
+        let removed = prev.iter().filter(|k| !keys.contains(k));
+        let delta = (
+            added.map(|k| key(k)).collect(),
+            removed.map(|k| key(k)).collect(),
+        );
+        (rng.below(5) != 0).then_some(delta)
+    }
+
     /// The re-stamping window the index replaced: every key's stamps,
     /// re-recorded at every state and pruned by visiting every key.
     #[derive(Default)]
-    struct Restamping(std::collections::BTreeMap<Tuple, Vec<TimePoint>>);
+    struct Restamping(BTreeMap<Tuple, Vec<TimePoint>>);
 
     impl Restamping {
-        fn step(
-            &mut self,
-            i: &Interval,
-            policy: StampPolicy,
-            sat: &[&str],
-            dropped: &[Tuple],
-            t: TimePoint,
-        ) {
+        fn step(&mut self, i: &Interval, sat: &[&str], dropped: &[Tuple], t: TimePoint) {
             for k in dropped {
                 self.0.remove(k);
             }
             for k in sat {
                 let stamps = self.0.entry(key(k)).or_default();
-                match policy {
-                    StampPolicy::Many => stamps.push(t),
-                    StampPolicy::Latest if i.is_bounded() => *stamps = vec![t],
-                    _ if stamps.is_empty() => stamps.push(t),
-                    _ => {}
+                match (i.lo().0 == 0, i.is_bounded()) {
+                    (_, false) if !stamps.is_empty() => {}
+                    (true, true) => *stamps = vec![t],
+                    _ => stamps.push(t),
                 }
             }
             if let Some(b) = i.hi().finite() {
@@ -1825,7 +1298,7 @@ mod tests {
                 .0
                 .iter()
                 .filter(|(k, _)| !(i.lo().0 == 0 && sat.iter().any(|s| key(s) == **k)));
-            let changes = aging.map(|(_, s)| stamps_change(s.iter().copied(), i, t));
+            let changes = aging.map(|(_, s)| stamps_change(s.iter().copied(), i, t, NEVER));
             changes.min().unwrap_or(NEVER)
         }
     }
@@ -1842,85 +1315,52 @@ mod tests {
             Interval::all(),
         ];
         for (n, i) in intervals.iter().enumerate() {
-            let policies = [StampPolicy::for_interval(i), StampPolicy::Many];
-            let policies = if i.is_bounded() {
-                &policies[..]
-            } else {
-                &policies[..1]
-            };
-            for (&policy, seed) in policies
-                .iter()
-                .flat_map(|p| (0..60u64).map(move |s| (p, s)))
-            {
+            for seed in 0..120u64 {
                 let mut rng = Rng(0x9e37_79b9 ^ (seed * 977 + n as u64 * 31));
+                // A third of the streams are `since` nodes: keys whose
+                // maintained formula fails lose every anchor.
                 let since = seed % 3 == 0;
-                let mut w = WindowState::new(*i, v(), policy);
+                let mut w = once(*i);
                 w.keep_extension();
                 let mut old = Restamping::default();
                 let (mut prev, mut t_prev): (Vec<&str>, Option<TimePoint>) = (Vec::new(), None);
                 for (t, keys) in stream(&mut rng, i, 30) {
-                    // `since`: keys whose maintained formula fails lose
-                    // every anchor.
                     let dropped: Vec<Tuple> = match since {
-                        true => old
-                            .0
-                            .keys()
-                            .filter(|_| rng.below(4) == 0)
-                            .cloned()
-                            .collect(),
+                        true => (old.0.keys().filter(|_| rng.below(4) == 0).cloned()).collect(),
                         false => Vec::new(),
                     };
                     let was: Vec<bool> = DOMAIN
                         .iter()
                         .map(|k| old.satisfied(i, &key(k), t_prev.unwrap_or_default()))
                         .collect();
-                    old.step(i, policy, &keys, &dropped, t);
+                    old.step(i, &keys, &dropped, t);
                     let now = sat(&v(), &keys);
-                    let added: Vec<Tuple> = keys
+                    let delta = delta(&mut rng, &prev, &keys);
+                    let delta = delta.as_ref().map(|(a, r)| (&a[..], &r[..]));
+                    w.advance(&now, delta, &dropped, t_prev, t);
+                    let ctx = format!("{i} seed {seed} at {t}");
+                    let dump = old
+                        .0
                         .iter()
-                        .filter(|k| !prev.contains(k))
-                        .map(|k| key(k))
-                        .collect();
-                    let removed: Vec<Tuple> = prev
-                        .iter()
-                        .filter(|k| !keys.contains(k))
-                        .map(|k| key(k))
-                        .collect();
-                    let delta = (rng.below(5) != 0).then_some((&added[..], &removed[..]));
-                    w.advance(
-                        Change {
-                            sat: &now,
-                            delta,
-                            dropped: &dropped,
-                        },
-                        t_prev,
-                        t,
-                    );
-                    let ctx = format!("{i} {policy:?} seed {seed} at {t}");
+                        .map(|(k, s)| (k.clone(), s.iter().map(|x| x.0)));
+                    let dump: Vec<_> = dump.map(|(k, s)| (k, s.collect())).collect();
+                    assert_eq!(w.dump(), dump, "{ctx}");
                     assert_eq!(
-                        w.dump(),
-                        old.0
-                            .iter()
-                            .map(|(k, s)| (k.clone(), s.clone()))
-                            .collect::<Vec<_>>(),
-                        "{ctx}"
-                    );
-                    assert_eq!(
-                        w.next_change(),
+                        w.next_change(t),
                         old.next_change(i, &keys, t),
                         "deadline, {ctx}"
                     );
-                    assert_eq!(w.next_change(), w.next_change_scan(), "scan, {ctx}");
+                    assert_eq!(w.next_change(t), w.next_change_scan(), "scan, {ctx}");
                     let flips = w.flips();
                     for (k, was) in DOMAIN.iter().zip(was) {
                         let now = old.satisfied(i, &key(k), t);
-                        assert_eq!(w.satisfied(&key(k), t), now, "{k}, {ctx}");
+                        assert_eq!(w.holds(&key(k), t), now, "{k}, {ctx}");
                         assert_eq!(
                             w.extension(t).contains(&key(k)),
                             now,
                             "extension {k}, {ctx}"
                         );
-                        if t_prev.is_some() && now != was && flips.from.is_some() {
+                        if t_prev.is_some() && now != was {
                             assert!(
                                 flips.keys.iter().any(|f| **f == key(k)),
                                 "unpublished flip {k}, {ctx}"
@@ -1936,17 +1376,17 @@ mod tests {
         }
     }
 
-    /// The run-extending `hist[a,b]` state the index replaced: every
-    /// operand key's last run stretched by hand, every key pruned by a
-    /// visit.
+    /// The run-extending `hist` state the index replaced: every operand
+    /// key's last run stretched by hand and every state kept, so `holds`
+    /// reads the whole history — under `b = ∞` from the first state.
     #[derive(Default)]
     struct Stretching {
-        runs: std::collections::BTreeMap<Tuple, Vec<(TimePoint, TimePoint)>>,
+        runs: BTreeMap<Tuple, Vec<Run>>,
         times: Vec<TimePoint>,
     }
 
     impl Stretching {
-        fn step(&mut self, b: Duration, sat: &[&str], t: TimePoint, prev: Option<TimePoint>) {
+        fn step(&mut self, sat: &[&str], t: TimePoint, prev: Option<TimePoint>) {
             for k in sat {
                 let runs = self.runs.entry(key(k)).or_default();
                 match (runs.last_mut(), prev) {
@@ -1955,12 +1395,6 @@ mod tests {
                 }
             }
             self.times.push(t);
-            let cutoff = t.minus(b).unwrap_or(TimePoint(0));
-            self.times.retain(|&x| x >= cutoff);
-            self.runs.retain(|_, r| {
-                r.retain(|&(_, e)| e >= cutoff);
-                !r.is_empty()
-            });
         }
 
         fn holds(&self, i: &Interval, k: &Tuple, t: TimePoint) -> bool {
@@ -1975,14 +1409,59 @@ mod tests {
                 .all(|&x| covered(x))
         }
 
+        /// `hist[a,∞]`: the newest state the window holds at `t`.
+        fn older(&self, i: &Interval, t: TimePoint) -> Option<TimePoint> {
+            let hi = i.window_at(t)?.1;
+            self.times.iter().copied().rfind(|&x| x <= hi)
+        }
+
+        /// `hist[a,∞]`: the keys whose run from the first state broke at
+        /// or after the newest state the window holds, `(end, open)`.
+        fn prefixes(&self, i: &Interval, t: TimePoint) -> Vec<(Tuple, Vec<u64>)> {
+            let first = self.times.first().copied();
+            let reach = self.older(i, t).unwrap_or_default();
+            let runs = self.runs.iter().filter_map(|(k, r)| Some((k, r.first()?)));
+            let prefix = runs.filter(|(_, r)| Some(r.0) == first && r.1 >= reach);
+            let open = |e: TimePoint| u64::from(e == t);
+            prefix
+                .map(|(k, r)| (k.clone(), vec![r.1 .0, open(r.1)]))
+                .collect()
+        }
+
+        /// The state's checkpoint view: live runs and recent state times.
+        fn dump(&self, i: &Interval, t: TimePoint) -> (Vec<(Tuple, Vec<u64>)>, Vec<TimePoint>) {
+            let Some(b) = i.hi().finite() else {
+                let older = self.older(i, t).unwrap_or_default();
+                let times = self.times.iter().copied().filter(|&x| x >= older);
+                return (self.prefixes(i, t), times.collect());
+            };
+            let cutoff = t.minus(b).unwrap_or(TimePoint(0));
+            let live = |r: &[Run]| -> Vec<u64> {
+                let r = r.iter().filter(|r| r.1 >= cutoff);
+                r.flat_map(|(s, e)| [s.0, e.0]).collect()
+            };
+            let runs = self.runs.iter().map(|(k, r)| (k.clone(), live(r)));
+            let times = self.times.iter().copied().filter(|&x| x >= cutoff);
+            (
+                runs.filter(|(_, r)| !r.is_empty()).collect(),
+                times.collect(),
+            )
+        }
+
         /// The deadline the old per-state scan computed.
         fn next_change(&self, i: &Interval, sat: &[&str], t: TimePoint) -> TimePoint {
+            let enter = self.times.iter().map(|s| s.plus(i.lo())).find(|&e| e > t);
+            let Some(b) = i.hi().finite() else {
+                let broken = self.prefixes(i, t).iter().any(|(_, n)| n[1] == 0);
+                let quiet = self.older(i, t).is_some() && !broken;
+                return enter.filter(|_| !quiet).unwrap_or(NEVER);
+            };
             if i.lo().0 == 0 && sat.iter().all(|k| self.holds(i, &key(k), t)) {
                 return NEVER;
             }
-            let b = i.hi().finite().expect("finite");
-            let leave = self.times.first().map(|s| s.plus(b).plus(Duration(1)));
-            let enter = self.times.iter().map(|s| s.plus(i.lo())).find(|&e| e > t);
+            let cutoff = t.minus(b).unwrap_or(TimePoint(0));
+            let front = self.times.iter().find(|&&x| x >= cutoff);
+            let leave = front.map(|s| s.plus(b).plus(Duration(1)));
             leave.into_iter().chain(enter).min().unwrap_or(NEVER)
         }
     }
@@ -1995,14 +1474,15 @@ mod tests {
             Interval::exactly(2),
             Interval::bounded(1, 4).unwrap(),
             Interval::bounded(2, 6).unwrap(),
+            Interval::at_least(0),
+            Interval::at_least(2),
         ]
         .iter()
         .enumerate()
         {
-            let b = i.hi().finite().expect("finite");
             for seed in 0..80u64 {
                 let mut rng = Rng(0x5151_7a7a ^ (seed * 1013 + n as u64 * 37));
-                let mut h = HistFiniteState::new(*i, v());
+                let mut h = hist(*i);
                 let mut old = Stretching::default();
                 let (mut prev, mut t_prev): (Vec<&str>, Option<TimePoint>) = (Vec::new(), None);
                 for (t, keys) in stream(&mut rng, i, 30) {
@@ -2010,27 +1490,14 @@ mod tests {
                         .iter()
                         .map(|k| old.holds(i, &key(k), t_prev.unwrap_or_default()))
                         .collect();
-                    old.step(b, &keys, t, t_prev);
+                    old.step(&keys, t, t_prev);
                     let now = sat(&v(), &keys);
-                    let added: Vec<Tuple> = keys
-                        .iter()
-                        .filter(|k| !prev.contains(k))
-                        .map(|k| key(k))
-                        .collect();
-                    let removed: Vec<Tuple> = prev
-                        .iter()
-                        .filter(|k| !keys.contains(k))
-                        .map(|k| key(k))
-                        .collect();
-                    let delta = (rng.below(5) != 0).then_some((&added[..], &removed[..]));
-                    h.step(&now, delta, t, t_prev);
+                    let delta = delta(&mut rng, &prev, &keys);
+                    let delta = delta.as_ref().map(|(a, r)| (&a[..], &r[..]));
+                    h.advance(&now, delta, &[], t_prev, t);
                     let ctx = format!("{i} seed {seed} at {t}");
-                    let dump: Vec<_> = old
-                        .runs
-                        .iter()
-                        .map(|(k, r)| (k.clone(), r.clone()))
-                        .collect();
-                    assert_eq!(h.dump(), (dump, old.times.clone()), "{ctx}");
+                    let times = h.times().collect();
+                    assert_eq!((h.dump(), times), old.dump(i, t), "{ctx}");
                     assert_eq!(
                         h.next_change(t),
                         old.next_change(i, &keys, t),

@@ -15,7 +15,6 @@ use rtic_temporal::typecheck::typecheck;
 use rtic_temporal::{safety, Horizon};
 
 use crate::compile::CompiledConstraint;
-use crate::encode::StampPolicy;
 use crate::plan::PlanProfile;
 
 fn vars_of(f: &Formula) -> String {
@@ -82,26 +81,24 @@ pub fn explain(compiled: &CompiledConstraint) -> String {
                     } else {
                         "anchor"
                     };
-                    match StampPolicy::for_interval(iv) {
-                        StampPolicy::Latest => {
-                            format!("latest {what} timestamp per key (a = 0 specialization)")
+                    match (iv.lo().0, iv.hi()) {
+                        (_, UpperBound::Infinite) => {
+                            format!("{what} runs per key; the first start is the stamp (b = ∞)")
                         }
-                        StampPolicy::Earliest => {
-                            format!("earliest {what} timestamp per key (b = ∞ specialization)")
+                        (0, _) => {
+                            format!("{what} runs per key; the newest end is the stamp (a = 0)")
                         }
-                        StampPolicy::Many => {
-                            let bound = match iv.hi() {
-                                UpperBound::Finite(b) => format!("≤ {} stamps/key", b.0 + 1),
-                                UpperBound::Infinite => unreachable!("Many needs finite b"),
-                            };
-                            format!("pruned {what}-timestamp deque per key ({bound})")
-                        }
+                        (_, UpperBound::Finite(b)) => format!(
+                            "{what} runs per key over the last {} ticks' states (≤ {} stamps/key)",
+                            b.0,
+                            b.0 + 1
+                        ),
                     }
                 }
                 Formula::Hist(iv, _) if iv.is_bounded() => {
                     "satisfaction runs per key + shared recent-state times (filter)".into()
                 }
-                Formula::Hist(..) => "unbroken-prefix end per key (filter)".into(),
+                Formula::Hist(..) => "the run from the first state per key (filter)".into(),
                 other => unreachable!("non-temporal node `{other}`"),
             };
             let _ = writeln!(out, "  [{i}] {node}");
@@ -279,8 +276,9 @@ mod tests {
              && !once confirmed(p, f)",
         ));
         assert!(text.contains("unbounded"), "horizon note: {text}");
-        assert!(text.contains("b = ∞ specialization"), "{text}");
-        assert!(text.contains("a = 0 specialization"), "{text}");
+        // `once` is `once[0,∞]`: its first start witnesses for good.
+        let unbounded = text.matches("the first start is the stamp (b = ∞)");
+        assert_eq!(unbounded.count(), 2, "{text}");
         assert!(text.contains("evaluation plan"), "{text}");
         assert!(text.contains("generates"), "{text}");
         assert!(text.contains("filter"), "{text}");
@@ -299,6 +297,7 @@ mod tests {
              && hist[0,4] reserved(p, f)",
         ));
         assert!(text.contains("≤ 10 stamps/key"), "{text}");
+        assert!(!text.contains("(a = 0)"), "{text}");
         assert!(text.contains("satisfaction runs"), "{text}");
         assert!(text.contains("9 ticks"), "finite horizon: {text}");
     }

@@ -34,22 +34,18 @@ use rtic_temporal::{Constraint, TimePoint};
 use crate::binding::{Bindings, Scratch};
 use crate::checker::Checker;
 use crate::compile::CompiledConstraint;
-use crate::encode::{
-    Change, HistFiniteState, HistInfState, IndexBug, PrevState, StampPolicy, WindowState, NEVER,
-};
+use crate::encode::{IndexBug, PrevState, RunRelation, NEVER};
 use crate::error::CompileError;
 use crate::eval::{eval, Flips, Node, Oracle};
 use crate::plan::NodePlans;
 use crate::report::{SpaceStats, StepReport};
 
-/// Auxiliary state of one temporal node.
+/// Auxiliary state of one temporal node: `prev` keeps its operand's
+/// previous rows, `once`/`since`/`hist` a run relation.
 #[derive(Clone, Debug)]
 pub(crate) enum NodeState {
     Prev(PrevState),
-    Once(WindowState),
-    Since(WindowState),
-    HistFinite(HistFiniteState),
-    HistInf(HistInfState),
+    Runs(Box<RunRelation>),
 }
 
 impl NodeState {
@@ -57,9 +53,7 @@ impl NodeState {
     fn space(&self) -> (usize, usize) {
         match self {
             NodeState::Prev(p) => p.space(),
-            NodeState::Once(w) | NodeState::Since(w) => w.space(),
-            NodeState::HistFinite(h) => h.space(),
-            NodeState::HistInf(h) => h.space(),
+            NodeState::Runs(r) => r.space(),
         }
     }
 }
@@ -76,13 +70,9 @@ pub struct NodeStat {
     pub timestamps: usize,
 }
 
-/// Options tuning the encoding (used by the T6 ablation).
+/// Options tuning how the encoding is evaluated and observed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EncodingOptions {
-    /// Disable the one-timestamp specialisations: every `once`/`since`
-    /// node keeps the general pruned deque. Semantics are unchanged; only
-    /// space/time differ.
-    pub disable_stamp_specialization: bool,
     /// Evaluate through the interpreting [`eval`] instead of the compiled
     /// plans — the reference mode for the differential oracle and for the
     /// plan-vs-interpret benchmarks. Reports are byte-identical either way.
@@ -188,46 +178,23 @@ pub(crate) struct NodeEngine {
 
 impl NodeEngine {
     pub(crate) fn new(compiled: Arc<CompiledConstraint>, options: EncodingOptions) -> NodeEngine {
-        let states: Vec<NodeState> = compiled
-            .nodes
-            .iter()
-            .map(|node| {
-                let vars = sorted_free_vars(node);
-                match node {
-                    Formula::Prev(i, _) => NodeState::Prev(PrevState::new(*i, vars)),
-                    Formula::Once(i, _) | Formula::Since(i, _, _) => {
-                        // The general deque cannot prune with b = ∞, so the
-                        // one-timestamp specialisations are mandatory there
-                        // (and exact); the ablation only affects finite b.
-                        let policy = if options.disable_stamp_specialization && i.is_bounded() {
-                            StampPolicy::Many
-                        } else {
-                            StampPolicy::for_interval(i)
-                        };
-                        let w = WindowState::new(*i, vars, policy);
-                        if matches!(node, Formula::Once(..)) {
-                            NodeState::Once(w)
-                        } else {
-                            NodeState::Since(w)
-                        }
-                    }
-                    Formula::Hist(i, _) => {
-                        if i.is_bounded() {
-                            NodeState::HistFinite(HistFiniteState::new(*i, vars))
-                        } else {
-                            NodeState::HistInf(HistInfState::new(*i, vars))
-                        }
-                    }
-                    other => unreachable!("non-temporal node collected: {other}"),
-                }
-            })
-            .collect();
-        let mut states = states;
+        let state = |node: &Formula| {
+            let (i, vars) = (
+                node.interval().expect("temporal node"),
+                sorted_free_vars(node),
+            );
+            let hist = matches!(node, Formula::Hist(..));
+            match node {
+                Formula::Prev(..) => NodeState::Prev(PrevState::new(i, vars)),
+                _ => NodeState::Runs(Box::new(RunRelation::new(i, vars, hist))),
+            }
+        };
+        let mut states: Vec<NodeState> = compiled.nodes.iter().map(state).collect();
         if !options.interpret_eval {
             // Nodes a plan joins keep their extension as a row set.
             for id in compiled.plans.joined_nodes() {
-                if let NodeState::Once(w) | NodeState::Since(w) = &mut states[id] {
-                    w.keep_extension();
+                if let NodeState::Runs(r) = &mut states[id] {
+                    r.keep_extension();
                 }
             }
         }
@@ -329,17 +296,7 @@ impl NodeEngine {
             let delta = chained(&scratch, &mut seen.operand, &sat);
             match &mut self.states[idx] {
                 NodeState::Prev(p) => self.extensions[idx] = Some(p.step(sat, t_now)),
-                NodeState::Once(w) => {
-                    let change = Change {
-                        sat: &sat,
-                        delta,
-                        dropped: &[],
-                    };
-                    w.advance(change, t_prev, t_now);
-                }
-                NodeState::HistFinite(h) => h.step(&sat, delta, t_now, t_prev),
-                NodeState::HistInf(h) => h.step(Some(&sat), t_now),
-                NodeState::Since(_) => unreachable!("node/state kind mismatch"),
+                NodeState::Runs(r) => r.advance(&sat, delta, &[], t_prev, t_now),
             }
         }
         self.scratch = scratch;
@@ -364,7 +321,7 @@ impl NodeEngine {
             NodePlans::Since { f, g } if !self.interpret => Some((&**f, g)),
             _ => None,
         };
-        let NodeState::Since(w) = &self.states[idx] else {
+        let NodeState::Runs(w) = &self.states[idx] else {
             unreachable!("node/state kind mismatch")
         };
         let oracle = IncOracle::new(&self.compiled, &self.states, &self.extensions, t_now);
@@ -418,15 +375,10 @@ impl NodeEngine {
         seen.unchecked = unchecked;
         seen.settles = settles;
         let t_prev = self.last_time;
-        let NodeState::Since(w) = &mut self.states[idx] else {
+        let NodeState::Runs(w) = &mut self.states[idx] else {
             unreachable!("node/state kind mismatch")
         };
-        let change = Change {
-            sat: &anchors,
-            delta,
-            dropped: &dropped,
-        };
-        w.advance(change, t_prev, t_now);
+        w.advance(&anchors, delta, &dropped, t_prev, t_now);
     }
 
     /// Evaluates the denial body at `(db, t_now)` (after [`NodeEngine::advance`])
@@ -496,9 +448,7 @@ impl NodeEngine {
         let changes = nodes.map(|((state, seen), ext)| match state {
             NodeState::Prev(p) => p.next_change(ext.as_ref(), t),
             _ if !seen.settles => t.plus(Duration(1)),
-            NodeState::Once(w) | NodeState::Since(w) => w.next_change(),
-            NodeState::HistFinite(h) => h.next_change(t),
-            NodeState::HistInf(h) => h.next_change(),
+            NodeState::Runs(r) => r.next_change(t),
         });
         changes.min().unwrap_or(NEVER)
     }
@@ -517,9 +467,7 @@ impl NodeEngine {
         for state in &mut self.states {
             match state {
                 NodeState::Prev(p) => p.catch_up(t_new),
-                NodeState::Once(w) | NodeState::Since(w) => w.catch_up(ticks),
-                NodeState::HistFinite(h) => h.catch_up(ticks),
-                NodeState::HistInf(h) => h.catch_up(ticks),
+                NodeState::Runs(r) => r.catch_up(ticks),
             }
         }
         self.last_time = Some(t_new);
@@ -545,9 +493,7 @@ impl NodeEngine {
             return Cow::Borrowed(self);
         }
         let states = self.states.iter().map(|state| match state {
-            NodeState::Once(w) => NodeState::Once(w.snapshot()),
-            NodeState::Since(w) => NodeState::Since(w.snapshot()),
-            NodeState::HistFinite(h) => NodeState::HistFinite(h.snapshot()),
+            NodeState::Runs(r) => NodeState::Runs(Box::new(r.snapshot())),
             other => other.clone(),
         });
         let mut engine = NodeEngine {
@@ -574,14 +520,9 @@ impl NodeEngine {
 
     /// Total auxiliary `(keys, timestamps)` across nodes.
     pub(crate) fn aux_space(&self) -> (usize, usize) {
-        let mut keys = 0;
-        let mut stamps = 0;
-        for s in &self.settled().states {
-            let (k, t) = s.space();
-            keys += k;
-            stamps += t;
-        }
-        (keys, stamps)
+        let engine = self.settled();
+        let spaces = engine.states.iter().map(NodeState::space);
+        spaces.fold((0, 0), |(k, t), (a, b)| (k + a, t + b))
     }
 
     /// Each temporal node's auxiliary footprint, children-first.
@@ -657,12 +598,12 @@ impl IncrementalChecker {
     }
 
     /// Fault injection for the oracle's mutation smoke: plants `bug` in
-    /// every window's expiry index.
+    /// every run relation's expiry index.
     #[doc(hidden)]
     pub fn arm_index_bug(&mut self, bug: IndexBug) {
         for state in &mut self.engine.states {
-            if let NodeState::Once(w) | NodeState::Since(w) = state {
-                w.arm(bug);
+            if let NodeState::Runs(r) = state {
+                r.arm(bug);
             }
         }
     }
@@ -809,32 +750,25 @@ impl Oracle for IncOracle<'_> {
     fn extension(&self, node: Node<'_>) -> Bindings {
         match &self.states[node.id] {
             NodeState::Prev(_) => self.prev(node).clone(),
-            NodeState::Once(w) | NodeState::Since(w) => w.extension(self.t_now),
-            _ => unreachable!("extension query against a hist node"),
+            NodeState::Runs(r) => r.extension(self.t_now),
         }
     }
 
     fn contains(&self, node: Node<'_>, key: &Tuple) -> bool {
         match &self.states[node.id] {
             NodeState::Prev(_) => self.prev(node).contains(key),
-            NodeState::Once(w) | NodeState::Since(w) => w.satisfied(key, self.t_now),
-            _ => unreachable!("containment query against a hist node"),
+            NodeState::Runs(r) => r.holds(key, self.t_now),
         }
     }
 
     fn hist_holds(&self, node: Node<'_>, key: &Tuple) -> bool {
-        match &self.states[node.id] {
-            NodeState::HistFinite(h) => h.holds(key, self.t_now),
-            NodeState::HistInf(h) => h.holds(key),
-            _ => unreachable!("hist query against non-hist node"),
-        }
+        self.contains(node, key)
     }
 
     fn flips(&self, node: Node<'_>) -> Option<Flips<'_>> {
         match &self.states[node.id] {
-            NodeState::Once(w) | NodeState::Since(w) => Some(w.flips()),
-            NodeState::HistFinite(h) => Some(h.flips()),
-            _ => None,
+            NodeState::Runs(r) => Some(r.flips()),
+            NodeState::Prev(_) => None,
         }
     }
 }
@@ -942,31 +876,27 @@ mod tests {
     }
 
     #[test]
-    fn ablation_option_keeps_semantics() {
-        let src = "deny d: reserved(p) && once[0,5] confirmed(p)";
-        let mut spec = checker(src);
-        let mut plain = IncrementalChecker::with_options(
-            parse_constraint(src).unwrap(),
-            catalog(),
-            EncodingOptions {
-                disable_stamp_specialization: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        for t in 0..40u64 {
-            let upd = if t % 7 == 0 {
-                Update::new()
-                    .with_insert("confirmed", tuple!["k"])
-                    .with_insert("reserved", tuple!["k"])
-            } else if t % 5 == 0 {
-                Update::new().with_delete("confirmed", tuple!["k"])
-            } else {
-                Update::new()
-            };
-            let a = spec.step(TimePoint(t), &upd).unwrap();
-            let b = plain.step(TimePoint(t), &upd).unwrap();
-            assert_eq!(a, b, "ablation changed semantics at t={t}");
+    fn index_bugs_reach_hist_nodes() {
+        // Every run relation shares one index, so both planted index bugs
+        // move a `hist[1,4]` verdict: a clear filed a tick late leaves the
+        // probe's partition on the failing side at t=5, when the state
+        // `confirmed(a)` missed at t=0 leaves the window; a run left open
+        // keeps `confirmed(a)` holding after its delete at t=9.
+        let src = "deny d: reserved(p) && hist[1,4] confirmed(p)";
+        let history = |t: u64| match t {
+            0 => Update::new().with_insert("reserved", tuple!["a"]),
+            1 => Update::new().with_insert("confirmed", tuple!["a"]),
+            9 => Update::new().with_delete("confirmed", tuple!["a"]),
+            _ => Update::new(),
+        };
+        for (bug, at) in [(IndexBug::LateExpiry, 5), (IndexBug::OpenRun, 10)] {
+            let (mut healthy, mut armed) = (checker(src), checker(src));
+            armed.arm_index_bug(bug);
+            let diverged = (0..16u64).filter(|&t| {
+                let upd = history(t);
+                healthy.step(TimePoint(t), &upd).unwrap() != armed.step(TimePoint(t), &upd).unwrap()
+            });
+            assert_eq!(diverged.min(), Some(at), "{bug:?}");
         }
     }
 

@@ -395,35 +395,22 @@ impl Plan {
                     },
                     input_vars.to_vec(),
                 ),
-                (true, false) => {
-                    let Term::Var(v) = b else {
-                        unreachable!("constants are always bound")
-                    };
-                    assert_eq!(
-                        *op,
-                        CmpOp::Eq,
-                        "non-equality with unbound side (safety bug)"
-                    );
-                    (
-                        Kind::CmpExtend { v: *v, src: src(a) },
-                        insert_sorted(input_vars, *v),
-                    )
-                }
-                (false, true) => {
-                    let Term::Var(v) = a else {
-                        unreachable!("constants are always bound")
-                    };
-                    assert_eq!(
-                        *op,
-                        CmpOp::Eq,
-                        "non-equality with unbound side (safety bug)"
-                    );
-                    (
-                        Kind::CmpExtend { v: *v, src: src(b) },
-                        insert_sorted(input_vars, *v),
-                    )
-                }
                 (false, false) => panic!("comparison with two unbound sides (safety bug)"),
+                (a_bound, _) => {
+                    let (value, Term::Var(v)) = (if a_bound { (a, b) } else { (b, a) }) else {
+                        unreachable!("constants are always bound")
+                    };
+                    assert_eq!(
+                        *op,
+                        CmpOp::Eq,
+                        "non-equality with unbound side (safety bug)"
+                    );
+                    let src = src(value);
+                    (
+                        Kind::CmpExtend { v: *v, src },
+                        insert_sorted(input_vars, *v),
+                    )
+                }
             },
             Formula::Not(g) => {
                 let gvars = sorted_free_vars(g);
@@ -484,15 +471,16 @@ impl Plan {
                     out,
                 )
             }
-            Formula::Prev(..) | Formula::Once(..) | Formula::Since(..) => {
+            Formula::Prev(..) | Formula::Once(..) | Formula::Since(..) | Formula::Hist(..) => {
                 let node_vars = sorted_free_vars(f);
                 let positions: Option<Vec<usize>> = node_vars
                     .iter()
                     .map(|v| input_vars.binary_search(v).ok())
                     .collect();
                 match positions {
-                    // All node variables already bound: probe per candidate
-                    // (semijoin pushdown) instead of materializing.
+                    // All node variables already bound — `hist` always
+                    // (safety guarantees it): probe per candidate (semijoin
+                    // pushdown) instead of materializing.
                     Some(proj) => (
                         Kind::Probe {
                             node: f.clone(),
@@ -502,6 +490,7 @@ impl Plan {
                         },
                         input_vars.to_vec(),
                     ),
+                    None if matches!(f, Formula::Hist(..)) => panic!("unguarded hist (safety bug)"),
                     // The node generates fresh variables: join the extension.
                     None => {
                         let shape = JoinShape::compute(input_vars, &node_vars);
@@ -516,26 +505,6 @@ impl Plan {
                         )
                     }
                 }
-            }
-            Formula::Hist(..) => {
-                let node_vars = sorted_free_vars(f);
-                let proj: Vec<usize> = node_vars
-                    .iter()
-                    .map(|v| {
-                        input_vars
-                            .binary_search(v)
-                            .unwrap_or_else(|_| panic!("unguarded hist (safety bug)"))
-                    })
-                    .collect();
-                (
-                    Kind::Probe {
-                        node: f.clone(),
-                        id: UNTRACKED,
-                        proj,
-                        passing: true,
-                    },
-                    input_vars.to_vec(),
-                )
             }
             Formula::CountCmp {
                 vars: _, // counted vars are implicit in the grouping
@@ -607,18 +576,33 @@ impl Plan {
         }
     }
 
+    /// This node's direct subplans, in execution order.
+    fn children(&self) -> Vec<&Plan> {
+        match &self.kind {
+            Kind::Not { inner, .. } | Kind::Exists { inner, .. } => vec![inner],
+            Kind::AndChain { steps, .. } => steps.iter().collect(),
+            Kind::Or { a, b } => vec![a, b],
+            Kind::CountFilter { body, .. } | Kind::CountJoin { body, .. } => vec![body],
+            _ => Vec::new(),
+        }
+    }
+
+    /// [`Plan::children`], mutably.
+    fn children_mut(&mut self) -> Vec<&mut Plan> {
+        match &mut self.kind {
+            Kind::Not { inner, .. } | Kind::Exists { inner, .. } => vec![inner],
+            Kind::AndChain { steps, .. } => steps.iter_mut().collect(),
+            Kind::Or { a, b } => vec![a, b],
+            Kind::CountFilter { body, .. } | Kind::CountJoin { body, .. } => vec![body],
+            _ => Vec::new(),
+        }
+    }
+
     /// Visits this subtree in pre-order.
     fn for_each<'p>(&'p self, f: &mut dyn FnMut(&'p Plan)) {
         f(self);
-        match &self.kind {
-            Kind::Not { inner, .. } | Kind::Exists { inner, .. } => inner.for_each(f),
-            Kind::AndChain { steps, .. } => steps.iter().for_each(|step| step.for_each(f)),
-            Kind::Or { a, b } => {
-                a.for_each(f);
-                b.for_each(f);
-            }
-            Kind::CountFilter { body, .. } | Kind::CountJoin { body, .. } => body.for_each(f),
-            _ => {}
+        for child in self.children() {
+            child.for_each(f);
         }
     }
 
@@ -658,30 +642,9 @@ impl Plan {
             self.cache_rels = rels.into_iter().collect();
             return;
         }
-        match &mut self.kind {
-            Kind::True
-            | Kind::False
-            | Kind::CmpFilter { .. }
-            | Kind::CmpExtend { .. }
-            | Kind::Atom { .. }
-            | Kind::Probe { .. }
-            | Kind::TemporalJoin { .. } => {}
-            Kind::Not { inner, .. } | Kind::Exists { inner, .. } => {
-                inner.assign_cache_slots(next);
-            }
-            Kind::AndChain { steps, .. } => {
-                for step in steps {
-                    step.assign_cache_slots(next);
-                }
-            }
-            Kind::Or { a, b } => {
-                a.assign_cache_slots(next);
-                b.assign_cache_slots(next);
-            }
-            Kind::CountFilter { body, .. } | Kind::CountJoin { body, .. } => {
-                // The aggregate body always runs from the unit input.
-                body.assign_cache_slots(next);
-            }
+        // Look below: an aggregate's body runs from the unit input too.
+        for child in self.children_mut() {
+            child.assign_cache_slots(next);
         }
     }
 
@@ -692,30 +655,11 @@ impl Plan {
     pub(crate) fn assign_node_ids(&mut self, next: &mut usize, nodes: &[Formula]) {
         self.node_id = *next;
         *next += 1;
-        match &mut self.kind {
-            Kind::True
-            | Kind::False
-            | Kind::CmpFilter { .. }
-            | Kind::CmpExtend { .. }
-            | Kind::Atom { .. } => {}
-            Kind::Probe { node, id, .. } | Kind::TemporalJoin { node, id, .. } => {
-                *id = nodes.iter().position(|n| n == node).unwrap_or(UNTRACKED);
-            }
-            Kind::Not { inner, .. } | Kind::Exists { inner, .. } => {
-                inner.assign_node_ids(next, nodes);
-            }
-            Kind::AndChain { steps, .. } => {
-                for step in steps {
-                    step.assign_node_ids(next, nodes);
-                }
-            }
-            Kind::Or { a, b } => {
-                a.assign_node_ids(next, nodes);
-                b.assign_node_ids(next, nodes);
-            }
-            Kind::CountFilter { body, .. } | Kind::CountJoin { body, .. } => {
-                body.assign_node_ids(next, nodes);
-            }
+        if let Kind::Probe { node, id, .. } | Kind::TemporalJoin { node, id, .. } = &mut self.kind {
+            *id = nodes.iter().position(|n| n == node).unwrap_or(UNTRACKED);
+        }
+        for child in self.children_mut() {
+            child.assign_node_ids(next, nodes);
         }
     }
 
@@ -752,32 +696,15 @@ impl Plan {
                 Kind::TemporalJoin { .. } | Kind::CountJoin { .. }
             ),
         });
-        match &self.kind {
-            Kind::True
-            | Kind::False
-            | Kind::CmpFilter { .. }
-            | Kind::CmpExtend { .. }
-            | Kind::Atom { .. }
-            | Kind::Probe { .. }
-            | Kind::TemporalJoin { .. } => {}
-            Kind::Not { inner, .. } => {
-                inner.describe_into(&format!("{path}/not"), depth + 1, out);
-            }
-            Kind::Exists { inner, .. } => {
-                inner.describe_into(&format!("{path}/exists"), depth + 1, out);
-            }
-            Kind::AndChain { steps, .. } => {
-                for (i, step) in steps.iter().enumerate() {
-                    step.describe_into(&format!("{path}/and[{i}]"), depth + 1, out);
-                }
-            }
-            Kind::Or { a, b } => {
-                a.describe_into(&format!("{path}/or[0]"), depth + 1, out);
-                b.describe_into(&format!("{path}/or[1]"), depth + 1, out);
-            }
-            Kind::CountFilter { body, .. } | Kind::CountJoin { body, .. } => {
-                body.describe_into(&format!("{path}/count"), depth + 1, out);
-            }
+        for (i, child) in self.children().into_iter().enumerate() {
+            let step = match &self.kind {
+                Kind::Not { .. } => "not".to_string(),
+                Kind::Exists { .. } => "exists".to_string(),
+                Kind::AndChain { .. } => format!("and[{i}]"),
+                Kind::Or { .. } => format!("or[{i}]"),
+                _ => "count".to_string(),
+            };
+            child.describe_into(&format!("{path}/{step}"), depth + 1, out);
         }
     }
 

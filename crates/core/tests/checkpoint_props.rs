@@ -80,10 +80,9 @@ proptest! {
         c in constraint(),
         ts in transitions(),
         cut_frac in 0.0f64..1.0,
-        ablate in any::<bool>(),
     ) {
         let cat = catalog();
-        let options = EncodingOptions { disable_stamp_specialization: ablate, ..Default::default() };
+        let options = EncodingOptions::default();
         let cut = ((ts.len() as f64) * cut_frac) as usize;
         // Uninterrupted run.
         let mut reference =

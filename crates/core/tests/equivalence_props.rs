@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rtic_core::{Checker, EncodingOptions, IncrementalChecker, NaiveChecker, WindowedChecker};
+use rtic_core::{Checker, IncrementalChecker, NaiveChecker, WindowedChecker};
 use rtic_history::Transition;
 use rtic_relation::{tuple, Catalog, Schema, Sort, Update};
 use rtic_temporal::parser::parse_constraint;
@@ -153,27 +153,6 @@ proptest! {
                 "naive vs windowed diverged on `{}` at {}",
                 c, tr.time
             );
-        }
-    }
-
-    #[test]
-    fn ablated_encoding_agrees_too(
-        c in constraint(),
-        steps in proptest::collection::vec(step(), 1..10),
-    ) {
-        let cat = catalog();
-        let ts = transitions(&steps);
-        let mut spec = IncrementalChecker::new(c.clone(), Arc::clone(&cat)).unwrap();
-        let mut plain = IncrementalChecker::with_options(
-            c.clone(),
-            Arc::clone(&cat),
-            EncodingOptions { disable_stamp_specialization: true, ..Default::default() },
-        )
-        .unwrap();
-        for tr in &ts {
-            let a = spec.step(tr.time, &tr.update).unwrap();
-            let b = plain.step(tr.time, &tr.update).unwrap();
-            prop_assert_eq!(&a, &b, "ablation diverged on `{}` at {}", c, tr.time);
         }
     }
 

@@ -158,16 +158,14 @@ proptest! {
     fn a_sleeping_set_is_its_forced_full_twin(
         constraints in fleet(),
         ts in sparse_transitions(),
-        disable_stamp_specialization in any::<bool>(),
     ) {
         // The twin sees every update plus a delete of an absent tuple from
         // each relation: nothing changes in the database, but no engine is
         // ever quiescent, so none ever sleeps. Reports, the settled state
         // (checkpoint sections, stamp for stamp) and space accounting must
         // agree at *every* step, whatever is deferred at that moment.
-        // (The T6 ablation makes every bounded window keep the full deque.)
         let cat = catalog();
-        let options = EncodingOptions { disable_stamp_specialization, ..Default::default() };
+        let options = EncodingOptions::default();
         let build = || {
             ConstraintSet::with_options(constraints.iter().cloned(), Arc::clone(&cat), options)
                 .map_err(|(c, e)| format!("`{c}`: {e}"))

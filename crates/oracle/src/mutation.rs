@@ -40,11 +40,12 @@ pub enum Mutant {
     /// Waking up, the engine absorbs every deferred state but the newest
     /// one — a short catch-up.
     ShortCatchUp,
-    /// A window's expiry index files every leave deadline one tick late,
-    /// so a verdict that flipped is neither published nor pruned on time.
+    /// A run relation's expiry index (`once`, `since`, `hist`) files every
+    /// `+ b + 1` deadline one tick late, so a verdict that flipped is
+    /// neither published nor pruned on time.
     LateExpiry,
-    /// A window leaves a run open after its key left the operand, so the
-    /// key keeps gaining derived stamps.
+    /// A run relation leaves a run open after its key left the operand,
+    /// so the key keeps covering later states.
     OpenRun,
     /// A probe partition applies a window's flips even when they lead from
     /// an epoch other than the one it saw (a window that flipped every key

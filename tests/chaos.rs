@@ -1154,3 +1154,56 @@ fn disordered_or_future_window_stamps_are_rejected_not_panicked_on() {
         );
     }
 }
+
+/// The same rules hold for the `prev` and `histi` blocks. A legacy-v1
+/// `prev` block stamped after the section's `time` used to resume and
+/// then panic the first step in `TimePoint::age_of`, which quarantined the
+/// constraint and exited 0 with no violations; a `histi` block whose
+/// `older`/`recent` times run backwards restored silently. Both are now
+/// format errors naming their line.
+#[test]
+fn prev_and_histi_blocks_with_disordered_or_future_times_are_rejected() {
+    let l = temp_file("blocks.rticlog", "@6 +p(\"a\")\n@7\n");
+    for (body, node, line, why) in [
+        (
+            "p(x) && prev p(x)",
+            "node 0 prev\ntime 99\n| \"a\"\n",
+            7,
+            "after the checkpoint's time",
+        ),
+        (
+            "p(x) && hist[1,*] p(x)",
+            "node 0 histi\nstarted true\nolder 50\nrecent 9 4\n60 1 | \"a\"\n",
+            9,
+            "must ascend",
+        ),
+        (
+            "p(x) && hist[1,*] p(x)",
+            "node 0 histi\nstarted true\nolder 4\nrecent 5\n60 1 | \"a\"\n",
+            10,
+            "after the checkpoint's time",
+        ),
+    ] {
+        let c = temp_file(
+            "blocks.rtic",
+            &format!("relation p(x: str)\ndeny d: {body}\n"),
+        );
+        let text = format!(
+            "rtic-checkpoint v1\nconstraint d\nbody {body}\ntime 5\nsteps 3\n{node}endnode\n"
+        );
+        let ckpt = temp_file("blocks.ckpt", &text);
+        let args = [
+            "check",
+            c.to_str().unwrap(),
+            l.to_str().unwrap(),
+            "--resume",
+            ckpt.to_str().unwrap(),
+        ];
+        let (code, out) = run(&args);
+        let err = code.expect_err("a malformed checkpoint must not resume");
+        assert!(
+            err.contains(&format!("line {line}")) && err.contains(why),
+            "{node}: {err}\n{out}"
+        );
+    }
+}

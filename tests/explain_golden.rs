@@ -42,10 +42,10 @@ witnesses  : (f: int, p: str)
 horizon    : 9 ticks (windowed checking is exact)
 aux state  : 2 temporal node(s)
   [0] once[2,9] reserved(p, f)
-      keys(f, p); pruned witness-timestamp deque per key (≤ 10 stamps/key)
+      keys(f, p); witness runs per key over the last 9 ticks' states (≤ 10 stamps/key)
       untouched: sleeps until a stamp ages in (s + 2) or ages out (s + 10)
   [1] once[0,9] confirmed(p, f)
-      keys(f, p); latest witness timestamp per key (a = 0 specialization)
+      keys(f, p); witness runs per key; the newest end is the stamp (a = 0)
       untouched: sleeps until a stamp ages out (s + 10)
 per-key stamp bound: 10
 evaluation plan:
@@ -73,11 +73,11 @@ fn since_and_hist_strategies_are_named() {
     .unwrap();
     let text = explain(&compiled);
     assert!(
-        text.contains("earliest anchor timestamp per key (b = ∞ specialization)"),
+        text.contains("anchor runs per key; the first start is the stamp (b = ∞)"),
         "{text}"
     );
     assert!(
-        text.contains("unbroken-prefix end per key (filter)"),
+        text.contains("the run from the first state per key (filter)"),
         "{text}"
     );
     assert!(
