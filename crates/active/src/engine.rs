@@ -622,7 +622,7 @@ impl Checker for ActiveChecker {
         Some(rtic_core::RuntimePlanStats {
             plan: self.compiled.plans.stats(),
             scratch_high_water: self.scratch.high_water(),
-            rows_copied: self.scratch.rows_copied(),
+            rows_copied: self.scratch.rows_copied() + self.db.rows_copied(),
         })
     }
 

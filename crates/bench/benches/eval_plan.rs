@@ -2,9 +2,10 @@
 //! paper's unbounded motivating constraint (the F1 workload), measured the
 //! same way as F1: one step taken after an n-length warmup. Plan-once/
 //! execute-many stepping amortizes conjunct ordering, join column maps,
-//! and projection vectors across steps, memoizes database-pure relation
-//! scans by per-relation generation (refreshing them in place from the
-//! tuple delta), advances monotone probe partitions from row deltas, and
+//! and projection vectors across steps, reads a relation's own rows for an
+//! atom over its columns in order, memoizes other database-pure relation
+//! scans by relation version (refreshing them in place from the net
+//! delta), advances monotone probe partitions from row deltas, and
 //! skips idempotent window re-recording on unchanged extensions — so
 //! steady-state planned stepping beats re-interpreting the formula tree on
 //! every transition.

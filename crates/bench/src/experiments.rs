@@ -813,7 +813,7 @@ pub fn metric_constraint() -> Constraint {
 /// and is cancelled one step later. The live `reserved`/`confirmed`
 /// relations grow toward `entities` rows — the active domain the curve
 /// sweeps — while per-step deltas stay `O(events_per_step)`, which is
-/// exactly the shape where generation-keyed memo refresh beats the
+/// exactly the shape where version-keyed memo refresh beats the
 /// global-stamp rescan. `seed` rotates which keys straggle.
 pub fn batch_stream(
     entities: usize,

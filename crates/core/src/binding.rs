@@ -19,10 +19,9 @@
 //! shapes once at constraint-compile time.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use rtic_relation::{FastMap, Relation, Symbol, Tuple, TupleMap, TupleSet, Value};
+use rtic_relation::{fresh_version, FastMap, Relation, Symbol, Tuple, TupleMap, TupleSet, Value};
 use rtic_temporal::ast::{Term, Var};
 
 /// A finite set of assignments over a sorted variable list.
@@ -30,10 +29,13 @@ use rtic_temporal::ast::{Term, Var};
 /// The row set is behind an `Arc`, so cloning — in particular replaying a
 /// memoized plan result on a quiescent step — is a refcount bump instead
 /// of an O(rows) rehash. Every row-set *version* carries a process-unique
-/// token: fresh on build and on mutation, copied by `clone`, ignored by
-/// `==`. Equal tokens imply equal contents, so a consumer that cached
-/// state against a row set remembers the token, not the rows — nothing
-/// has to stay alive for the comparison to be sound.
+/// token ([`fresh_version`], the counter relations draw from): fresh on
+/// build and on mutation, copied by `clone`, ignored by `==`. Equal tokens
+/// imply equal contents, so a consumer that cached state against a row set
+/// remembers the token, not the rows — nothing has to stay alive for the
+/// comparison to be sound. A row set read straight off a relation
+/// ([`Bindings::of_relation`]) is the relation's own storage and carries
+/// its token.
 #[derive(Clone, Debug)]
 pub struct Bindings {
     vars: Vec<Var>,
@@ -49,11 +51,6 @@ impl PartialEq for Bindings {
 
 impl Eq for Bindings {}
 
-fn fresh_version() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
 /// Reusable executor scratch: the probe-key buffer join kernels fill once
 /// per input row, the memo of database-pure plan-node results, and the
 /// row-delta records that let downstream consumers advance in O(|delta|).
@@ -66,14 +63,15 @@ pub struct Scratch {
     key: Vec<Value>,
     high_water: usize,
     /// Memo of database-pure unit-input subtrees, keyed by cache slot and
-    /// validated against the per-relation generations the subtree reads,
+    /// validated against the versions of the relations the subtree reads,
     /// so an update touching *other* relations leaves the entry — and its
     /// row-set version — intact.
     memo: FastMap<usize, MemoEntry>,
     /// Per-producer-node record of the last output transition (old
     /// version → new version plus the net added/removed tuples), so
-    /// downstream probes and windows advance in O(|delta|).
-    deltas: FastMap<usize, RowDelta>,
+    /// downstream probes and windows advance in O(|delta|). Shared: an
+    /// identity-shaped atom publishes its relation's own delta.
+    deltas: FastMap<usize, Arc<RowDelta>>,
     /// Per-probe-node partition of the node's last input by verdict, for
     /// windows that publish their flips (see `Oracle::flips`).
     probes: FastMap<usize, ProbePartition>,
@@ -95,13 +93,11 @@ pub struct Scratch {
     profile: Option<Vec<crate::plan::NodeCounters>>,
 }
 
-/// One memo entry: the cached result plus the exact per-relation
-/// generations it was computed against (for the database instance `db_id`).
+/// One memo entry: the cached result plus the exact relation versions it
+/// was computed against.
 #[derive(Clone, Debug)]
 pub(crate) struct MemoEntry {
-    /// [`rtic_relation::Database::instance_id`] of the producing database.
-    pub(crate) db_id: u64,
-    /// `(relation, rel_gen)` for every relation the subtree reads.
+    /// `(relation, version)` for every relation the subtree reads.
     pub(crate) gens: Vec<(Symbol, u64)>,
     /// The memoized result — the canonical holder of its row set.
     pub(crate) rows: Bindings,
@@ -110,18 +106,9 @@ pub(crate) struct MemoEntry {
 /// One producer node's output transition: the exact net row changes that
 /// turned version `from` into version `to`. Consumers whose cached state
 /// was computed against `from` advance by replaying `added` and `removed`
-/// instead of rescanning the new rows.
-#[derive(Clone, Debug)]
-pub(crate) struct RowDelta {
-    /// Version of the producer's previous output.
-    pub(crate) from: u64,
-    /// Version of the producer's current output.
-    pub(crate) to: u64,
-    /// Rows in `to` but not `from`.
-    pub(crate) added: Vec<Tuple>,
-    /// Rows in `from` but not `to`.
-    pub(crate) removed: Vec<Tuple>,
-}
+/// instead of rescanning the new rows. The same type as a relation's
+/// net delta, which an identity-shaped atom publishes as is.
+pub(crate) type RowDelta = rtic_relation::RelDelta;
 
 /// A probe node's input partitioned by verdict as of window epoch
 /// `epoch`, keeping the side its reader wants: the rows whose key
@@ -165,7 +152,8 @@ impl ProbePartition {
     }
 
     /// Advances the partition in place to `input` (= the covered input
-    /// plus `added` minus `removed`, as net sets) and the window epoch
+    /// plus `added` minus `removed`, as net sets — the relation property
+    /// test pins that of every delta at the source) and the window epoch
     /// `epoch`, whose flips since the partition's epoch are `flipped`
     /// (keys). Probes only the additions and the flipped keys. Returns the
     /// net rows the kept side gained and lost (the node's own output
@@ -186,8 +174,6 @@ impl ProbePartition {
         holds_key: &dyn Fn(&Tuple) -> bool,
         scratch: &mut Scratch,
     ) -> (Vec<Tuple>, Vec<Tuple>) {
-        debug_assert!(added.iter().all(|r| input.contains(r)));
-        debug_assert!(removed.iter().all(|r| !input.contains(r)));
         (self.input, self.epoch) = (input.version, epoch);
         for (rows, add) in [(removed, false), (added, true)] {
             for row in rows {
@@ -357,13 +343,13 @@ impl Scratch {
 
     /// Records producer node `node`'s output transition (replacing any
     /// earlier one).
-    pub(crate) fn note_delta(&mut self, node: usize, delta: RowDelta) {
+    pub(crate) fn note_delta(&mut self, node: usize, delta: Arc<RowDelta>) {
         self.deltas.insert(node, delta);
     }
 
     /// The recorded transition that *produced* row-set version `to`, if
     /// any producer left one behind.
-    pub(crate) fn delta_into(&self, to: u64) -> Option<&RowDelta> {
+    pub(crate) fn delta_into(&self, to: u64) -> Option<&Arc<RowDelta>> {
         self.deltas.values().find(|d| d.to == to)
     }
 
@@ -439,7 +425,7 @@ impl Scratch {
 }
 
 /// Column source for an output column of a natural join.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum Src {
     /// Copy from the left row at this position.
     Left(usize),
@@ -451,7 +437,7 @@ pub(crate) enum Src {
 ///
 /// Computable from the variable lists alone, so a compiled plan derives it
 /// once; the per-step kernel then only moves values.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) struct JoinShape {
     /// Output variables (sorted merge of both sides).
     pub(crate) vars: Vec<Var>,
@@ -519,7 +505,7 @@ impl JoinShape {
 /// Precomputed classification of an atom's term pattern against a known
 /// input schema: which positions are constants, which are already bound,
 /// which introduce new variables, and the relation-index key shape.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) struct AtomShape {
     /// Output variables (input's plus the pattern's new ones, sorted).
     pub(crate) vars: Vec<Var>,
@@ -535,6 +521,10 @@ pub(crate) struct AtomShape {
     pub(crate) has_repeats: bool,
     /// Source of each output column: `Ok(input col)` or `Err(new-var idx)`.
     pub(crate) src: Vec<Result<usize, usize>>,
+    /// *Identity-shaped*: a unit input, and the sorted output variables
+    /// are the relation's columns in order — no constant, no repeated
+    /// variable — so the atom's rows are the relation's tuples.
+    pub(crate) identity: bool,
 }
 
 impl AtomShape {
@@ -578,6 +568,9 @@ impl AtomShape {
                     .expect("new output column introduced by the atom pattern")),
             })
             .collect();
+        let identity = input_vars.is_empty()
+            && const_checks.is_empty()
+            && (src.iter().enumerate()).all(|(i, s)| matches!(*s, Err(n) if new_vars[n].1 == [i]));
         AtomShape {
             vars,
             const_checks,
@@ -586,7 +579,26 @@ impl AtomShape {
             index_cols,
             has_repeats,
             src,
+            identity,
         }
+    }
+
+    /// Whether relation tuple `t` binds every repeated variable to one
+    /// value.
+    fn consistent(&self, t: &Tuple) -> bool {
+        !self.has_repeats
+            || (self.new_vars.iter()).all(|(_, ps)| ps.windows(2).all(|w| t[w[0]] == t[w[1]]))
+    }
+
+    /// The row a unit-input atom makes of relation tuple `t`, if `t`
+    /// passes the pattern's constants and repeated variables.
+    fn row_of(&self, t: &Tuple) -> Option<Tuple> {
+        let passes = self.const_checks.iter().all(|&(i, c)| t[i] == c) && self.consistent(t);
+        let column = |s: &Result<usize, usize>| match *s {
+            Ok(_) => unreachable!("unit-input atom has no bound input columns"),
+            Err(n) => t[self.new_vars[n].1[0]],
+        };
+        passes.then(|| self.src.iter().map(column).collect())
     }
 }
 
@@ -595,6 +607,16 @@ impl Bindings {
     /// represents "true".
     pub fn unit() -> Bindings {
         Bindings::build(Vec::new(), TupleSet::from_iter([Tuple::empty()]))
+    }
+
+    /// A relation's own storage as a row set over sorted `vars` (its
+    /// columns, in order), under the relation's version: O(1).
+    pub(crate) fn of_relation(vars: Vec<Var>, rel: &Relation) -> Bindings {
+        Bindings {
+            vars,
+            rows: Arc::clone(rel.rows()),
+            version: rel.version(),
+        }
     }
 
     /// A new row set over sorted `vars`, stamped with a fresh version.
@@ -780,74 +802,43 @@ impl Bindings {
         self.project(&keep)
     }
 
-    /// Incrementally refreshes a memoized **unit-input atom scan** against
-    /// the relation's recorded tuple delta, instead of rescanning and
-    /// re-hashing the whole relation.
+    /// Refreshes a memoized **unit-input atom scan** in place from its
+    /// relation's net delta, instead of rescanning the relation.
     ///
     /// Sound because a unit-input atom's tuple→row mapping is injective on
     /// the tuples that pass its constant and repeated-variable checks:
     /// every atom position is either a constant or a new-variable position,
-    /// so the output row determines the source tuple. Replaying the delta's
-    /// add/remove events therefore reproduces exactly the rows a full
-    /// rescan would produce.
+    /// so the output row determines the source tuple. A net tuple change is
+    /// therefore a net row change: one set operation per row, and the
+    /// mapped lists are the scan's own net delta, returned as
+    /// `(added, removed)`.
     ///
-    /// Refreshes in place, under a fresh version — O(|events|) when this is
-    /// the row set's only holder; a set still shared is copied first and
-    /// tallied in `scratch`. Returns the **net** added and removed rows (for
-    /// window maintenance and downstream delta consumers). Net means
-    /// relative to the pre-refresh rows: a row inserted and deleted within
-    /// the same delta appears in neither list.
+    /// O(|delta|) when this is the row set's only holder; a set still
+    /// shared is copied first and tallied in `scratch`. A delta none of
+    /// whose tuples pass keeps the version.
     pub(crate) fn apply_atom_delta(
         &mut self,
         shape: &AtomShape,
-        events: &[(Tuple, bool)],
+        delta: &RowDelta,
         scratch: &mut Scratch,
     ) -> (Vec<Tuple>, Vec<Tuple>) {
         debug_assert!(
             shape.bound_positions.is_empty(),
             "delta refresh requires a unit-input atom"
         );
-        scratch.note_block(events.len() as u64);
-        let rows = self.rows_mut(&mut scratch.rows_copied);
-        let mut added_rows = TupleSet::default();
-        let mut removed_rows = TupleSet::default();
-        // Every position a new variable, in order: the row is the tuple.
-        let identity = shape.src.len() == shape.new_vars.len()
-            && (shape.src.iter().enumerate())
-                .all(|(i, s)| matches!(*s, Err(n) if n == i && shape.new_vars[n].1 == [i]));
-        for (t, added) in events {
-            if shape.const_checks.iter().any(|&(i, c)| t[i] != c) {
-                continue;
+        scratch.note_block((delta.added.len() + delta.removed.len()) as u64);
+        let added: Vec<Tuple> = delta.added.iter().filter_map(|t| shape.row_of(t)).collect();
+        let removed: Vec<Tuple> = (delta.removed.iter())
+            .filter_map(|t| shape.row_of(t))
+            .collect();
+        if !(added.is_empty() && removed.is_empty()) {
+            let rows = self.rows_mut(&mut scratch.rows_copied);
+            for row in &removed {
+                rows.remove(row);
             }
-            if shape.has_repeats
-                && shape
-                    .new_vars
-                    .iter()
-                    .any(|(_, ps)| ps.windows(2).any(|w| t[w[0]] != t[w[1]]))
-            {
-                continue;
-            }
-            let row: Tuple = match identity {
-                true => t.clone(),
-                false => (shape.src.iter())
-                    .map(|s| match *s {
-                        Ok(_) => unreachable!("unit-input atom has no bound input columns"),
-                        Err(n) => t[shape.new_vars[n].1[0]],
-                    })
-                    .collect(),
-            };
-            if *added {
-                if rows.insert(row.clone()) && !removed_rows.remove(&row) {
-                    added_rows.insert(row);
-                }
-            } else if rows.remove(&row) && !added_rows.remove(&row) {
-                removed_rows.insert(row);
-            }
+            rows.extend(added.iter().cloned());
         }
-        (
-            added_rows.into_iter().collect(),
-            removed_rows.into_iter().collect(),
-        )
+        (added, removed)
     }
 
     /// Extends every row with `v = value`. `v` must be new.
@@ -1018,15 +1009,7 @@ impl Bindings {
             let Some(matches) = index.get(&scratch.key) else {
                 continue;
             };
-            for t in matches {
-                if shape.has_repeats
-                    && shape
-                        .new_vars
-                        .iter()
-                        .any(|(_, ps)| ps.windows(2).any(|w| t[w[0]] != t[w[1]]))
-                {
-                    continue;
-                }
+            for t in matches.iter().filter(|t| shape.consistent(t)) {
                 rows.insert(
                     shape
                         .src

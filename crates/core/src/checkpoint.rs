@@ -196,7 +196,7 @@ fn save_parts(
                     continue;
                 }
                 let _ = writeln!(out, "rel {name}");
-                for t in rel.iter() {
+                for t in rel.sorted() {
                     write_values(&mut out, t);
                 }
                 out.push_str("endrel\n");

@@ -616,6 +616,14 @@ impl IncrementalChecker {
         self.engine.scratch.arm_stale_epochs();
     }
 
+    /// Fault injection for the oracle's mutation smoke: from now on the
+    /// database's net delta reports a tuple an update deletes and
+    /// re-inserts as removed.
+    #[doc(hidden)]
+    pub fn arm_unnetted_reinsert(&mut self) {
+        self.db.arm_unnetted_reinsert();
+    }
+
     /// The compiled form (for inspection and for building siblings).
     pub fn compiled(&self) -> &CompiledConstraint {
         &self.engine.compiled
@@ -697,7 +705,9 @@ impl Checker for IncrementalChecker {
         if self.engine.interpret {
             return None;
         }
-        Some(self.engine.plan_stats())
+        let mut stats = self.engine.plan_stats();
+        stats.rows_copied += self.db.rows_copied();
+        Some(stats)
     }
 
     fn plan_profile(&self) -> Option<crate::plan::PlanProfile> {
@@ -1068,8 +1078,9 @@ mod tests {
     #[test]
     fn compiled_matches_interpreter_byte_for_byte() {
         // Differential: one checker runs the compiled plans — columnar
-        // kernels, the per-relation-generation memo with its in-place atom
-        // delta refresh, window delta maintenance — the other the
+        // kernels, identity-shaped atoms reading their relation's rows, the
+        // per-relation-version memo with its in-place atom delta refresh,
+        // window delta maintenance — the other the
         // tree-walking interpreter. Reports and aux state must agree at
         // every step, and the rendered violations must be byte-identical.
         for src in [
@@ -1236,12 +1247,14 @@ mod tests {
     fn a_version_mismatch_anywhere_in_the_chain_forces_a_full_rebuild() {
         // atom → probe(once[2,*]) → probe(once) over 40 resident rows.
         // While the version tokens chain, a one-row delta costs the probes
-        // a handful of rows. Swapping the database for an equal-content
-        // clone (fresh instance id) voids the atom memo, so the atom is
-        // rebuilt under a version no recorded delta leads to: the first
-        // probe must repartition its whole input, and — since a rebuild
-        // publishes no delta either — so must the second. Reports keep
-        // matching the interpreter throughout.
+        // a handful of rows. A clone of the database shares its versions,
+        // so it would keep the chain; a change made through `relation_mut`
+        // (a delete and re-insert: same contents, no recorded delta) moves
+        // the relation to a version the probe never saw, and the next
+        // update's delta leads from there. The first probe must repartition
+        // its whole input, and — since a rebuild publishes no delta
+        // either — so must the second. Reports keep matching the
+        // interpreter throughout.
         let src = "deny u: reserved(p) && once[2,*] reserved(p) && !once confirmed(p)";
         let mut compiled = profiled(src);
         let mut reference = interpreted(src);
@@ -1259,9 +1272,14 @@ mod tests {
                 0 => load.clone(),
                 _ => Update::new().with_insert("reserved", tuple![key(100 + t).as_str()]),
             };
-            if t == 8 {
-                let (db, _, _) = compiled.parts_mut();
+            let (db, _, _) = compiled.parts_mut();
+            if t == 4 {
                 *db = db.clone();
+            }
+            if t == 8 {
+                let rel = db.relation_mut("reserved".into()).unwrap();
+                assert!(rel.remove(&tuple![key(0).as_str()]));
+                assert!(rel.insert(tuple![key(0).as_str()]).unwrap());
             }
             let before = probe_rows_streamed(&compiled);
             let a = compiled.step(TimePoint(t), &upd).unwrap();
@@ -1269,9 +1287,10 @@ mod tests {
             assert_eq!(a.to_string(), b.to_string(), "diverged at t={t}");
             streamed.push(probe_rows_streamed(&compiled) - before);
         }
-        // Chained steps: the one-row delta and the keys that aged in, per
-        // probe — far below the 40 resident rows.
-        for t in [5, 6, 7, 9, 10, 11] {
+        // Chained steps — the clone at t=4 among them: the one-row delta
+        // and the keys that aged in, per probe — far below the 40 resident
+        // rows.
+        for t in [4, 5, 6, 7, 9, 10, 11] {
             assert!(streamed[t] <= 10, "t={t} streamed {}", streamed[t]);
         }
         // The broken chain: both probes rescan their whole input.
@@ -1282,33 +1301,50 @@ mod tests {
     fn a_delta_into_a_shared_row_set_copies_instead_of_corrupting_the_holder() {
         // This test keeps every report (as a caller that prints them
         // later does), so the witness rows — the failing side the `!once`
-        // probe's partition keeps — have a second holder when the next delta or
-        // flip arrives; the engine sleeps through the quiescent ticks in
-        // between, and the profiler is on. Each delta must then land on a copy — counted in
-        // `rows_copied` — with reports byte-identical to the interpreter
-        // and every held report still reading what it read when issued.
-        let src = "deny d: reserved(p) && !once[0,*] confirmed(p)";
-        let mut compiled = profiled(src);
-        let mut reference = interpreted(src);
-        let mut held = Vec::new();
-        for t in 0..40u64 {
-            let name = format!("p{}", t % 9);
-            let upd = match t % 4 {
-                0 => Update::new().with_insert("reserved", tuple![name.as_str()]),
-                1 => Update::new().with_insert("confirmed", tuple![name.as_str()]),
-                2 => Update::new(),
-                _ => Update::new().with_delete("reserved", tuple![name.as_str()]),
-            };
-            let a = compiled.step(TimePoint(t), &upd).unwrap();
-            let b = reference.step(TimePoint(t), &upd).unwrap();
-            assert_eq!(a.to_string(), b.to_string(), "diverged at t={t}");
-            held.push((a, b.to_string()));
+        // probe's partition keeps — have a second holder when the next
+        // delta or flip arrives; the engine sleeps through the quiescent
+        // ticks in between, and the profiler is on. Each delta must then
+        // land on a copy — counted in `rows_copied` — with reports
+        // byte-identical to the interpreter and every held report still
+        // reading what it read when issued. A `prev` over an
+        // identity-shaped atom holds its relation's own row set across the
+        // next update, which the database copies, and counts, first.
+        for (src, by_database) in [
+            ("deny d: reserved(p) && !once[0,*] confirmed(p)", false),
+            ("deny d: reserved(p) && prev confirmed(p)", true),
+        ] {
+            let mut compiled = profiled(src);
+            let mut reference = interpreted(src);
+            let mut held = Vec::new();
+            for t in 0..40u64 {
+                let name = format!("p{}", t % 9);
+                let upd = match t % 4 {
+                    0 => Update::new().with_insert("reserved", tuple![name.as_str()]),
+                    1 => Update::new().with_insert("confirmed", tuple![name.as_str()]),
+                    2 => Update::new(),
+                    _ => Update::new().with_delete("reserved", tuple![name.as_str()]),
+                };
+                let a = compiled.step(TimePoint(t), &upd).unwrap();
+                let b = reference.step(TimePoint(t), &upd).unwrap();
+                assert_eq!(a.to_string(), b.to_string(), "{src}: diverged at t={t}");
+                held.push((a, b.to_string()));
+            }
+            for (report, rendered) in &held {
+                assert_eq!(
+                    &report.to_string(),
+                    rendered,
+                    "{src}: a held report changed"
+                );
+            }
+            let copied = compiled.plan_stats().expect("compiled plans").rows_copied;
+            assert!(copied > 0, "{src}: the copy-on-shared fallback never ran");
+            let db = compiled.database().rows_copied();
+            assert_eq!(
+                db > 0,
+                by_database,
+                "{src}: {db} row(s) copied by the database"
+            );
         }
-        for (report, rendered) in &held {
-            assert_eq!(&report.to_string(), rendered, "a held report changed");
-        }
-        let copied = compiled.plan_stats().expect("compiled plans").rows_copied;
-        assert!(copied > 0, "the copy-on-shared fallback never ran");
     }
 
     #[test]
@@ -1334,37 +1370,55 @@ mod tests {
 
     #[test]
     fn quiescent_steps_replay_the_memo() {
-        // A pure tick leaves every relation generation alone, so the memo
-        // replays (cache hit) instead of rescanning; an update to an
-        // *unrelated* relation must also keep the entry.
-        let src = "deny d: reserved(p) && !once[0,*] confirmed(p)";
+        // `reserved(p)` is identity-shaped: its rows are the relation's own
+        // set, with no memo slot, so an update elsewhere leaves the
+        // relation's version — the atom's — alone. `pair(p, f)`'s variables
+        // sort to `(f, p)`, not its columns' order, so it is memoized: a
+        // step that leaves `pair` alone replays it, and so does one that
+        // deletes and re-inserts one of its tuples — not a change.
+        let catalog = Catalog::clone(&catalog())
+            .with("pair", Schema::of(&[("x", Sort::Str), ("y", Sort::Str)]))
+            .unwrap();
+        let src = "deny d: pair(p, f) && reserved(p) && !once[0,*] confirmed(p)";
+        let options = EncodingOptions {
+            profile_plans: true,
+            ..Default::default()
+        };
         let mut c = IncrementalChecker::with_options(
             parse_constraint(src).unwrap(),
-            catalog(),
-            EncodingOptions {
-                profile_plans: true,
-                ..Default::default()
-            },
+            Arc::new(catalog),
+            options,
         )
         .unwrap();
-        c.step(
-            TimePoint(0),
-            &Update::new().with_insert("reserved", tuple!["ann"]),
-        )
-        .unwrap();
-        // Force the full path with a no-op non-quiescent update: the body
-        // re-executes, and its db-pure subtrees must hit the memo.
-        c.step(
-            TimePoint(1),
-            &Update::new().with_delete("confirmed", tuple!["ghost"]),
-        )
-        .unwrap();
-        let profile = c.engine.plan_profile().expect("profiling enabled");
-        let hits: u64 = profile.nodes.iter().map(|n| n.counts.cache_hits).sum();
-        assert!(
-            hits > 0,
-            "per-relation-generation memo never replayed: {profile:?}"
-        );
+        let load = Update::new()
+            .with_insert("reserved", tuple!["ann"])
+            .with_insert("pair", tuple!["ann", "x"]);
+        assert_eq!(c.step(TimePoint(0), &load).unwrap().violation_count(), 1);
+        let versions = |c: &IncrementalChecker| {
+            let db = c.database();
+            (db.rel_gen("reserved".into()), db.rel_gen("pair".into()))
+        };
+        let hits = |c: &IncrementalChecker, label: &str| {
+            let profile = c.engine.plan_profile().expect("profiling enabled");
+            let mut nodes = profile.nodes.into_iter().filter(|n| n.desc.label == label);
+            let n = nodes.next().expect("the atom is in the plan");
+            (n.desc.memoized, n.counts.cache_hits)
+        };
+        assert_eq!(hits(&c, "atom(reserved)"), (false, 0));
+        assert_eq!(hits(&c, "atom(pair)"), (true, 0));
+        let before = versions(&c);
+        // A no-op delete elsewhere forces the full path: the body
+        // re-executes.
+        let elsewhere = Update::new().with_delete("confirmed", tuple!["ghost"]);
+        c.step(TimePoint(1), &elsewhere).unwrap();
+        assert_eq!(versions(&c), before, "the identity atom kept its version");
+        assert_eq!(hits(&c, "atom(pair)"), (true, 1));
+        let again = Update::new()
+            .with_delete("pair", tuple!["ann", "x"])
+            .with_insert("pair", tuple!["ann", "x"]);
+        assert_eq!(c.step(TimePoint(2), &again).unwrap().violation_count(), 1);
+        assert_eq!(versions(&c), before, "a delete + re-insert is no change");
+        assert_eq!(hits(&c, "atom(pair)"), (true, 2));
     }
 
     #[test]

@@ -27,6 +27,7 @@
 //! `plan_props` property test pin it.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use rtic_relation::{Database, Symbol, Tuple, TupleMap, Value};
 use rtic_temporal::ast::{CmpOp, Formula, Term, Var};
@@ -38,7 +39,7 @@ use crate::binding::{
 use crate::eval::{Flips, Node, Oracle};
 
 /// Where a comparison operand's value comes from at execution time.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum ValueSrc {
     /// A literal from the formula.
     Const(Value),
@@ -56,14 +57,17 @@ impl ValueSrc {
 }
 
 /// One lowered plan node. Every variant stores exactly what its
-/// interpreter twin recomputes per call.
-#[derive(Clone, Debug)]
+/// interpreter twin recomputes per call. Equality is structural: two
+/// database-pure subtrees that compare equal before memo slots are handed
+/// out compute the same rows.
+#[derive(Clone, Debug, PartialEq)]
 enum Kind {
     /// `true`: pass the input through.
     True,
     /// `false`: empty output over the input schema.
     False,
-    /// Atom join through a precomputed index shape.
+    /// Atom join through a precomputed index shape; an identity-shaped
+    /// one reads the relation's own row set.
     Atom { relation: Symbol, shape: AtomShape },
     /// Comparison with both sides bound: a filter.
     CmpFilter { op: CmpOp, a: ValueSrc, b: ValueSrc },
@@ -122,20 +126,20 @@ enum Kind {
 /// plan was compiled for (checkers guarantee this structurally: bodies and
 /// node operands run from [`Bindings::unit`], `since` continuations from
 /// the node's key schema).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Plan {
     kind: Kind,
     in_vars: Vec<Var>,
     out_vars: Vec<Var>,
     /// When set, this node is database-pure with a unit input: its result
     /// is a function of the database contents alone, so execution memoizes
-    /// it in [`Scratch`]. Assigned by [`EvalPlans::build`]; plans compiled
+    /// it in [`Scratch`] — one slot for every structurally equal subtree of
+    /// the constraint. Assigned by [`EvalPlans::build`]; plans compiled
     /// standalone never memoize.
     cache_slot: Option<usize>,
     /// The relations this subtree reads, recorded when a cache slot is
     /// assigned (empty otherwise). The memo is keyed on these relations'
-    /// per-relation generations, so updates to unrelated relations keep
-    /// the entry valid.
+    /// versions, so updates to unrelated relations keep the entry valid.
     cache_rels: Vec<Symbol>,
     /// Stable pre-order index used to attribute profiler counters to this
     /// node. Assigned by [`EvalPlans::build`]; standalone plans keep
@@ -152,7 +156,7 @@ const UNTRACKED: usize = usize::MAX;
 pub(crate) enum CacheTouch {
     /// Node has no cache slot (or the input bypassed the memo).
     Untouched,
-    /// Replayed a stored result (its relations' generations unchanged).
+    /// Replayed a stored result (its relations' versions unchanged).
     Hit,
     /// Computed and stored a fresh result.
     Miss,
@@ -325,8 +329,10 @@ pub struct RuntimePlanStats {
     /// held across all planned joins so far.
     pub scratch_high_water: usize,
     /// Rows duplicated because a memoized or partitioned row set was
-    /// still shared when a delta or flip arrived. Zero in steady state:
-    /// that is what makes a step cost O(|delta|), not O(resident).
+    /// still shared when a delta or flip arrived, or a relation was still
+    /// held (as an identity-shaped atom's rows) when an update changed it.
+    /// Zero in steady state: that is what makes a step cost O(|delta|),
+    /// not O(resident).
     pub rows_copied: u64,
 }
 
@@ -627,16 +633,22 @@ impl Plan {
     }
 
     /// Marks the largest database-pure, unit-input subtrees for memoized
-    /// execution, handing out slots from `next`. Trivial nodes (pass-through,
-    /// comparisons) are not worth a memo entry and stay uncached.
-    pub(crate) fn assign_cache_slots(&mut self, next: &mut usize) {
-        let trivial = matches!(
-            self.kind,
-            Kind::True | Kind::False | Kind::CmpFilter { .. } | Kind::CmpExtend { .. }
-        );
+    /// execution: slot `i` for a subtree equal to `memoized[i]`, a new slot
+    /// otherwise. Trivial nodes (pass-through, comparisons) are not worth a
+    /// memo entry, and an identity-shaped atom's rows are its relation's
+    /// own: they stay uncached.
+    fn assign_cache_slots(&mut self, memoized: &mut Vec<Kind>) {
+        let trivial = match &self.kind {
+            Kind::True | Kind::False | Kind::CmpFilter { .. } | Kind::CmpExtend { .. } => true,
+            Kind::Atom { shape, .. } => shape.identity,
+            _ => false,
+        };
         if self.in_vars.is_empty() && !trivial && self.is_db_pure() {
-            self.cache_slot = Some(*next);
-            *next += 1;
+            let slot = memoized.iter().position(|k| *k == self.kind);
+            self.cache_slot = Some(slot.unwrap_or(memoized.len()));
+            if slot.is_none() {
+                memoized.push(self.kind.clone());
+            }
             let mut rels = BTreeSet::new();
             self.collect_relations(&mut rels);
             self.cache_rels = rels.into_iter().collect();
@@ -644,7 +656,7 @@ impl Plan {
         }
         // Look below: an aggregate's body runs from the unit input too.
         for child in self.children_mut() {
-            child.assign_cache_slots(next);
+            child.assign_cache_slots(memoized);
         }
     }
 
@@ -770,16 +782,16 @@ impl Plan {
 
     /// Memoized path: a database-pure subtree fed the one-row unit input
     /// is a function of the database contents alone, so steps that leave
-    /// its relations' generations alone replay the stored result (same
+    /// its relations' versions alone replay the stored result (same
     /// row-set version — downstream fast paths depend on that) instead of
     /// re-scanning. An empty same-schema input (a projection that produced
     /// no candidate rows) bypasses the memo — its result is legitimately
     /// different.
     ///
-    /// A single-atom subtree whose relation moved exactly one generation
-    /// is *delta-refreshed*: the recorded tuple events replay onto the
-    /// memoized rows in place, O(|delta|) instead of a full rescan, and
-    /// the net row changes are published for downstream probes and
+    /// A single-atom subtree whose relation's net delta leads from the
+    /// stored version is *delta-refreshed*: the delta's tuples replay onto
+    /// the memoized rows in place, O(|delta|) instead of a full rescan,
+    /// and the net row changes are published for downstream probes and
     /// windows.
     fn execute_memo<O: Oracle + ?Sized>(
         &self,
@@ -792,9 +804,7 @@ impl Plan {
         let Some(slot) = self.cache_slot.filter(|_| input.len() == 1) else {
             return self.execute_kind(db, oracle, input, scratch);
         };
-        let db_id = db.instance_id();
-        let current = |e: &MemoEntry| e.db_id == db_id;
-        if let Some(e) = scratch.memo_entry(slot).filter(|e| current(e)) {
+        if let Some(e) = scratch.memo_entry(slot) {
             if e.gens.iter().all(|&(r, g)| db.rel_gen(r) == g) {
                 *cache = CacheTouch::Hit;
                 return e.rows.clone();
@@ -803,25 +813,24 @@ impl Plan {
         *cache = CacheTouch::Miss;
         if let Kind::Atom { relation, shape } = &self.kind {
             // A memoized atom reads exactly `relation`: `gens` is its one
-            // generation.
-            let delta = db.rel_delta(*relation).filter(|d| {
-                shape.bound_positions.is_empty() && d.generation == db.rel_gen(*relation)
-            });
-            let stored = scratch.take_memo(slot).filter(|e| current(e));
+            // version.
+            let delta = db.rel_delta(*relation);
+            let stored = scratch.take_memo(slot);
             if let (Some(delta), Some(mut e)) = (delta, stored) {
-                if delta.generation == e.gens[0].1 + 1 {
+                if delta.from == e.gens[0].1 {
                     let from = e.rows.version();
-                    let (added, removed) = e.rows.apply_atom_delta(shape, &delta.events, scratch);
-                    scratch.note_delta(
-                        self.node_id,
-                        RowDelta {
+                    let (added, removed) = e.rows.apply_atom_delta(shape, delta, scratch);
+                    let to = e.rows.version();
+                    if to != from {
+                        let delta = RowDelta {
                             from,
-                            to: e.rows.version(),
+                            to,
                             added,
                             removed,
-                        },
-                    );
-                    e.gens[0].1 = delta.generation;
+                        };
+                        scratch.note_delta(self.node_id, Arc::new(delta));
+                    }
+                    e.gens[0].1 = delta.to;
                     let rows = e.rows.clone();
                     scratch.store_memo(slot, e);
                     return rows;
@@ -835,7 +844,6 @@ impl Plan {
         scratch.store_memo(
             slot,
             MemoEntry {
-                db_id,
                 gens,
                 rows: rows.clone(),
             },
@@ -877,21 +885,27 @@ impl Plan {
             _ => scratch.accepts_stale_epochs().then_some(flips.keys),
         });
         let cheaper = |work: usize| work == 0 || work < input.len();
+        // The input's change since the partition (`Some(None)`: none),
+        // shared with its producer.
         let delta = part.as_ref().zip(keys).and_then(|(p, keys)| {
             if p.input == to || scratch.accepts_stale() {
-                return cheaper(keys.len()).then(|| (Vec::new(), Vec::new()));
+                return cheaper(keys.len()).then_some(None);
             }
             let delta = scratch.delta_into(to).filter(|d| d.from == p.input)?;
             let work = keys.len() + delta.added.len() + delta.removed.len();
-            cheaper(work).then(|| (delta.added.clone(), delta.removed.clone()))
+            cheaper(work).then(|| Some(Arc::clone(delta)))
         });
         let part = match (part, keys, delta) {
-            (Some(mut part), Some(keys), Some((added, removed))) => {
+            (Some(mut part), Some(keys), Some(delta)) => {
+                let (added, removed) = match &delta {
+                    Some(d) => (&d.added[..], &d.removed[..]),
+                    None => (&[][..], &[][..]),
+                };
                 scratch.note_block((keys.len() + added.len() + removed.len()) as u64);
                 let from = part.rows.version();
                 let at = (input, flips.epoch);
                 let (added, removed) =
-                    part.advance(at, &added, &removed, keys, proj, holds_key, scratch);
+                    part.advance(at, added, removed, keys, proj, holds_key, scratch);
                 let to = part.rows.version();
                 let delta = RowDelta {
                     from,
@@ -899,7 +913,7 @@ impl Plan {
                     added,
                     removed,
                 };
-                scratch.note_delta(self.node_id, delta);
+                scratch.note_delta(self.node_id, Arc::new(delta));
                 part
             }
             _ => {
@@ -926,7 +940,15 @@ impl Plan {
                 let rel = db
                     .relation(*relation)
                     .expect("atom over undeclared relation (typecheck bug)");
-                input.join_atom_shaped(rel, shape, scratch)
+                if !(shape.identity && input.len() == 1) {
+                    return input.join_atom_shaped(rel, shape, scratch);
+                }
+                // The relation's rows are the atom's, and its net delta is
+                // the atom's own.
+                if let Some(delta) = db.rel_delta(*relation) {
+                    scratch.note_delta(self.node_id, Arc::clone(delta));
+                }
+                Bindings::of_relation(shape.vars.clone(), rel)
             }
             Kind::CmpFilter { op, a, b } => input.filter(|row| op.eval(a.read(row), b.read(row))),
             Kind::CmpExtend { v, src } => input.extend_with(*v, |row| src.read(row)),
@@ -1084,8 +1106,8 @@ pub enum NodePlans {
 impl EvalPlans {
     /// Builds the body plan plus one operand plan per temporal node, then
     /// marks every database-pure unit-input subtree for memoized execution
-    /// (slots are unique across the whole constraint, matching the one
-    /// [`Scratch`] each checker threads through its plans).
+    /// (one slot per distinct subtree across the whole constraint, matching
+    /// the one [`Scratch`] each checker threads through its plans).
     pub fn build(body: &Formula, nodes: &[Formula]) -> EvalPlans {
         let mut node_ops: Vec<NodePlans> = nodes
             .iter()
@@ -1109,14 +1131,14 @@ impl EvalPlans {
             })
             .collect();
         let mut body = Plan::compile(body, &[]);
-        let mut next_slot = 0;
-        body.assign_cache_slots(&mut next_slot);
+        let mut memoized = Vec::new();
+        body.assign_cache_slots(&mut memoized);
         for op in &mut node_ops {
             match op {
-                NodePlans::Operand(g) => g.assign_cache_slots(&mut next_slot),
+                NodePlans::Operand(g) => g.assign_cache_slots(&mut memoized),
                 NodePlans::Since { f, g } => {
-                    f.assign_cache_slots(&mut next_slot);
-                    g.assign_cache_slots(&mut next_slot);
+                    f.assign_cache_slots(&mut memoized);
+                    g.assign_cache_slots(&mut memoized);
                 }
             }
         }

@@ -477,13 +477,18 @@ impl ConstraintSet {
         self.engines.iter().map(NodeEngine::deferred).collect()
     }
 
-    /// Each constraint's runtime plan statistics, in insertion order.
+    /// Each constraint's runtime plan statistics, in insertion order. The
+    /// rows the shared database copied count with the first engine, whose
+    /// checkpoint section holds the database.
     fn plan_stats_per_engine(
         &self,
     ) -> impl Iterator<Item = (Symbol, crate::plan::RuntimePlanStats)> + '_ {
-        self.engines
-            .iter()
-            .map(|e| (e.compiled.constraint.name, e.plan_stats()))
+        let mut db_copied = Some(self.db.rows_copied());
+        self.engines.iter().map(move |e| {
+            let mut stats = e.plan_stats();
+            stats.rows_copied += db_copied.take().unwrap_or(0);
+            (e.compiled.constraint.name, stats)
+        })
     }
 
     /// Aggregate compiled-plan statistics across every engine: plan shape

@@ -12,7 +12,9 @@
 //! and for the paper's *bounded* forms (ROADMAP item 1's shapes (b)–(e))
 //! at 2×10⁴ resident rows: each window's expiry index pops what is due
 //! and each probe moves only the rows its input delta and the window's
-//! flips name.
+//! flips name. An identity-shaped atom — its sorted variables are its
+//! relation's columns in order — reads the relation's own row set and
+//! publishes its net delta: no memo copy to refresh, nothing streamed.
 
 use std::sync::Arc;
 
@@ -223,6 +225,78 @@ fn bounded_windows_cost_what_changed_at_resident_scale() {
                 let rows = streamed(&compiled) - streamed_before;
                 assert!(rows < 200, "{src}: step {step} streamed {rows} rows");
             }
+        }
+    }
+}
+
+#[test]
+fn an_identity_shaped_atom_reads_its_relation_and_streams_nothing() {
+    // `job(k)` is identity-shaped; `once[2,*] job(k)` probes its rows and
+    // `!once done(k)` the survivors. Update 0 loads 2×10⁴ jobs; each later
+    // update opens eight, finishes seven of the previous update's and
+    // retires one from three updates back.
+    let catalog = Catalog::new().with("job", Schema::of(&[("k", Sort::Int)]));
+    let catalog = catalog.and_then(|c| c.with("done", Schema::of(&[("k", Sort::Int)])));
+    let catalog = Arc::new(catalog.unwrap());
+    let src = "deny stale: job(k) && once[2,*] job(k) && !once done(k)";
+    let constraint = parse_constraint(src).unwrap();
+    let checker = |options| {
+        IncrementalChecker::with_options(constraint.clone(), Arc::clone(&catalog), options).unwrap()
+    };
+    let mut compiled = checker(EncodingOptions {
+        profile_plans: true,
+        ..Default::default()
+    });
+    let mut reference = checker(EncodingOptions {
+        interpret_eval: true,
+        ..Default::default()
+    });
+    let update = |step: usize| {
+        let mut u = Update::new();
+        let key = |s: usize, j: usize| (BOUNDED_RESIDENT + s * EVENTS + j) as i64;
+        if step == 0 {
+            u.extend(true, "job", (0..BOUNDED_RESIDENT as i64).map(|k| tuple![k]));
+            return u;
+        }
+        u.extend(true, "job", (0..EVENTS).map(|j| tuple![key(step, j)]));
+        if step >= 2 {
+            u.extend(true, "done", (1..EVENTS).map(|j| tuple![key(step - 1, j)]));
+        }
+        if step >= 4 {
+            u.delete("job", tuple![key(step - 3, 0)]);
+        }
+        u
+    };
+    // Rows streamed so far by the atom nodes and by the probe nodes.
+    let streamed = |c: &IncrementalChecker| -> (u64, u64) {
+        let profile = c.plan_profile().expect("profiling enabled");
+        let rows = |f: &dyn Fn(&str) -> bool| -> u64 {
+            let nodes = profile.nodes.iter().filter(|n| f(&n.desc.label));
+            nodes.map(|n| n.counts.block_rows).sum()
+        };
+        (
+            rows(&|l| l == "atom(job)"),
+            rows(&|l| l.starts_with("probe(")),
+        )
+    };
+    let profile = compiled.plan_profile().expect("profiling enabled");
+    let atom = profile.nodes.iter().find(|n| n.desc.label == "atom(job)");
+    assert!(!atom.expect("the atom is planned").desc.memoized);
+    for step in 0..STEPS {
+        let u = update(step);
+        let copied_before = compiled.plan_stats().unwrap().rows_copied;
+        let probes_before = streamed(&compiled).1;
+        let time = TimePoint(step as u64 + 1);
+        let got = compiled.step(time, &u).unwrap();
+        let expected = reference.step(time, &u).unwrap();
+        assert_eq!(got.to_string(), expected.to_string(), "step {step}");
+        let (atom, probes) = streamed(&compiled);
+        assert_eq!(atom, 0, "step {step}: the atom streamed rows itself");
+        if step > WARM_UP {
+            let copied = compiled.plan_stats().unwrap().rows_copied - copied_before;
+            assert_eq!(copied, 0, "step {step} duplicated {copied} row(s)");
+            let rows = probes - probes_before;
+            assert!(rows < 200, "step {step}: the probes streamed {rows} rows");
         }
     }
 }

@@ -8,7 +8,8 @@
 //! toward the boundary values the literature singles out: `0`, `a == b`
 //! (point intervals), and bounds that coincide with the formula's horizon.
 //! Histories mix dense timestamp clusters, horizon-expiring clock gaps,
-//! relation churn against the live state, empty updates (pure ticks), and
+//! relation churn against the live state (a tuple now and then deleted
+//! and re-inserted by one update), empty updates (pure ticks), and
 //! *sleep runs*: stretches that leave the constraint's relations alone
 //! while the clock lands on, just before and just past its window edges —
 //! where an engine asleep until its next deadline must wake on time. A
@@ -318,7 +319,12 @@ pub fn random_history(
                 .cloned()
                 .expect("index within live set");
             update.delete(name, victim.clone());
-            live[ri].remove(&victim);
+            // Now and then the same update puts it back: no change.
+            if rng.gen_bool(0.25) {
+                update.insert(name, victim);
+            } else {
+                live[ri].remove(&victim);
+            }
         } else {
             let tup = if arity == 1 {
                 tuple![rng.gen_range(0..domain)]

@@ -51,11 +51,15 @@ pub enum Mutant {
     /// an epoch other than the one it saw (a window that flipped every key
     /// publishes none).
     StaleEpoch,
+    /// The database's net delta keeps a tuple an update deletes and
+    /// re-inserts in `removed`, so every reader of the delta drops a row
+    /// the relation still holds.
+    UnnettedReinsert,
 }
 
 impl Mutant {
     /// Every mutant.
-    pub const ALL: [Mutant; 8] = [
+    pub const ALL: [Mutant; 9] = [
         Mutant::OffByOneWindow,
         Mutant::DroppedQuiescent,
         Mutant::StaleVersion,
@@ -64,6 +68,7 @@ impl Mutant {
         Mutant::LateExpiry,
         Mutant::OpenRun,
         Mutant::StaleEpoch,
+        Mutant::UnnettedReinsert,
     ];
 
     /// Display/flag name.
@@ -77,6 +82,7 @@ impl Mutant {
             Mutant::LateExpiry => "late-expiry",
             Mutant::OpenRun => "open-run",
             Mutant::StaleEpoch => "stale-epoch",
+            Mutant::UnnettedReinsert => "unnetted-reinsert",
         }
     }
 
@@ -140,6 +146,7 @@ impl Mutant {
                     Mutant::LateExpiry => inner.arm_index_bug(IndexBug::LateExpiry),
                     Mutant::OpenRun => inner.arm_index_bug(IndexBug::OpenRun),
                     Mutant::StaleEpoch => inner.arm_stale_epochs(),
+                    Mutant::UnnettedReinsert => inner.arm_unnetted_reinsert(),
                     _ => inner.arm_stale_versions(),
                 }
                 run_single(Box::new(inner), transitions)

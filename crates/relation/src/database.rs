@@ -14,7 +14,7 @@ use crate::value::Value;
 /// A database catalog: the fixed set of relation names and their schemas.
 ///
 /// Catalogs are immutable once built and shared (`Arc`) by every state of a
-/// history, so cloning a [`Database`] clones tuples but not schemas.
+/// history; cloning a [`Database`] shares both schemas and tuples.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Catalog {
     schemas: BTreeMap<Symbol, Schema>,
@@ -87,54 +87,40 @@ impl Catalog {
     }
 }
 
-/// The net tuple-level change the most recent [`Database::apply`] made to
-/// one relation: events in application order, `true` for an insertion that
-/// actually added the tuple, `false` for a deletion that actually removed
-/// it. No-op operations (deleting an absent tuple, inserting a present one)
-/// produce no event, so replaying the events against the previous contents
-/// reproduces the current contents exactly.
+/// The net change one [`Database::apply`] made to one relation, taking
+/// its version `from` to `to`. Both lists are net against the old
+/// contents: a tuple deleted and re-inserted by the same update is in
+/// neither (and an update that does only that leaves the version alone).
+/// Removing `removed` from the contents at `from` and inserting `added`
+/// gives the contents at `to`, one set operation per tuple.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct RelDelta {
-    /// The relation's [`Database::rel_gen`] after this change.
-    pub generation: u64,
-    /// Tuple events in application order: `(tuple, added)`.
-    pub events: Vec<(Tuple, bool)>,
+    /// The version before the change.
+    pub from: u64,
+    /// The version after it.
+    pub to: u64,
+    /// Tuples in `to` but not in `from`.
+    pub added: Vec<Tuple>,
+    /// Tuples in `from` but not in `to`.
+    pub removed: Vec<Tuple>,
 }
 
 /// A database state: one instance per catalogued relation.
-#[derive(Debug)]
+///
+/// A clone shares every relation's storage and version, so it costs
+/// O(relations); whichever side changes a relation later copies it first.
+#[derive(Clone, Debug)]
 pub struct Database {
     catalog: Arc<Catalog>,
     relations: BTreeMap<Symbol, Relation>,
-    id: u64,
-    /// Per-relation generation counters, bumped only when a relation's
-    /// contents actually change. Missing entries mean generation 0.
-    rel_gens: BTreeMap<Symbol, u64>,
-    /// The most recent actual delta per relation, for incremental cache
-    /// refresh. Cleared for a relation whenever its contents change through
-    /// a path that cannot describe the change (`relation_mut`).
-    rel_deltas: BTreeMap<Symbol, RelDelta>,
-}
-
-fn fresh_db_id() -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
-impl Clone for Database {
-    fn clone(&self) -> Database {
-        // A clone can be mutated independently of the original, so it gets
-        // its own identity: a cache entry keyed on (instance id, relation
-        // generations) never matches two databases.
-        Database {
-            catalog: Arc::clone(&self.catalog),
-            relations: self.relations.clone(),
-            id: fresh_db_id(),
-            rel_gens: BTreeMap::new(),
-            rel_deltas: BTreeMap::new(),
-        }
-    }
+    /// The last net change `apply` made to each relation — current while
+    /// its `to` is the relation's version.
+    deltas: BTreeMap<Symbol, Arc<RelDelta>>,
+    /// Rows `apply` copied because a reader still held the relation.
+    rows_copied: u64,
+    /// Fault injection: the net delta keeps a deleted-and-re-inserted
+    /// tuple in `removed`.
+    unnetted_reinsert: bool,
 }
 
 impl PartialEq for Database {
@@ -161,34 +147,41 @@ impl Database {
         Database {
             catalog,
             relations,
-            id: fresh_db_id(),
-            rel_gens: BTreeMap::new(),
-            rel_deltas: BTreeMap::new(),
+            deltas: BTreeMap::new(),
+            rows_copied: 0,
+            unnetted_reinsert: false,
         }
     }
 
-    /// The unique identity of this instance: every database — including
-    /// every clone — has its own, so evaluation caches can key on it plus
-    /// [`Database::rel_gen`] instead of hashing tuples.
-    pub fn instance_id(&self) -> u64 {
-        self.id
-    }
-
-    /// Per-relation generation: bumped only when `name`'s contents actually
-    /// change (no-op inserts/deletes leave it alone). Unknown relations
-    /// report generation 0. Together with [`Database::instance_id`] this is
-    /// the cache key: a cached result that reads only relations whose
-    /// generations are unchanged is still valid.
+    /// `name`'s [version token](Relation::version): it moves exactly when
+    /// the contents change (no-op inserts and deletes, and a tuple deleted
+    /// and re-inserted by one update, leave it alone). Unknown relations
+    /// report 0. A cached result that reads only relations whose versions
+    /// are unchanged is still valid — in this database or any clone.
     pub fn rel_gen(&self, name: Symbol) -> u64 {
-        self.rel_gens.get(&name).copied().unwrap_or(0)
+        self.relations.get(&name).map_or(0, Relation::version)
     }
 
-    /// The actual tuple delta of the most recent [`Database::apply`] that
-    /// changed `name`, if still known. `delta.generation == rel_gen(name)`
-    /// and replaying `delta.events` against the relation's contents at
-    /// generation `rel_gen(name) - 1` reproduces its current contents.
-    pub fn rel_delta(&self, name: Symbol) -> Option<&RelDelta> {
-        self.rel_deltas.get(&name)
+    /// The net change that produced `name`'s current version, when the
+    /// last change came through [`Database::apply`].
+    pub fn rel_delta(&self, name: Symbol) -> Option<&Arc<RelDelta>> {
+        let current = |d: &&Arc<RelDelta>| d.to == self.rel_gen(name);
+        self.deltas.get(&name).filter(current)
+    }
+
+    /// Rows [`Database::apply`] has copied so far because a reader still
+    /// held a relation it changed (a row set taken from
+    /// [`Relation::rows`]).
+    pub fn rows_copied(&self) -> u64 {
+        self.rows_copied
+    }
+
+    /// Fault injection for the differential oracle's mutation smoke: from
+    /// now on a tuple an update deletes and re-inserts is reported as
+    /// removed.
+    #[doc(hidden)]
+    pub fn arm_unnetted_reinsert(&mut self) {
+        self.unnetted_reinsert = true;
     }
 
     /// The shared catalog.
@@ -203,13 +196,9 @@ impl Database {
             .ok_or(RelationError::UnknownRelation { name })
     }
 
-    /// Mutable instance of `name`. Conservatively advances the relation's
-    /// generation: handing out `&mut` counts as a mutation.
+    /// Mutable instance of `name`. A change made through it moves the
+    /// relation's version and records no delta.
     pub fn relation_mut(&mut self, name: Symbol) -> Result<&mut Relation, RelationError> {
-        // Whatever the caller does through `&mut` is invisible to us, so the
-        // per-relation generation moves and any recorded delta is dropped.
-        *self.rel_gens.entry(name).or_insert(0) += 1;
-        self.rel_deltas.remove(&name);
         self.relations
             .get_mut(&name)
             .ok_or(RelationError::UnknownRelation { name })
@@ -237,7 +226,8 @@ impl Database {
     ///
     /// Deletions are applied before insertions, so a tuple both deleted and
     /// inserted in the same update ends up present. Deleting an absent tuple
-    /// or inserting a present one is a no-op (set semantics).
+    /// or inserting a present one is a no-op (set semantics). Each relation
+    /// that changed records its net [`RelDelta`].
     pub fn apply(&mut self, update: &Update) -> Result<(), RelationError> {
         // Validate first — no partial application on error.
         for (name, tuples) in &update.inserts {
@@ -249,35 +239,40 @@ impl Database {
         for name in update.deletes.keys() {
             self.relation(*name)?;
         }
-        // Record, per relation, the tuple events that actually changed
-        // contents (set semantics: no-op deletes/inserts record nothing).
-        let mut events: BTreeMap<Symbol, Vec<(Tuple, bool)>> = BTreeMap::new();
-        for (name, tuples) in &update.deletes {
-            let rel = self.relations.get_mut(name).expect("validated above");
-            for t in tuples {
-                if rel.remove(t) {
-                    events.entry(*name).or_default().push((t.clone(), false));
-                }
+        let none = BTreeSet::new();
+        let inserted_only = (update.inserts.keys()).filter(|n| !update.deletes.contains_key(n));
+        for &name in update.deletes.keys().chain(inserted_only) {
+            let del = update.deletes.get(&name).unwrap_or(&none);
+            let ins = update.inserts.get(&name).unwrap_or(&none);
+            let rel = self.relations.get_mut(&name).expect("validated above");
+            let present = |t: &&Tuple| rel.contains(t);
+            let mut removed: Vec<Tuple> = (del.iter().filter(present))
+                .filter(|t| !ins.contains(*t))
+                .cloned()
+                .collect();
+            let added: Vec<Tuple> = ins.iter().filter(|t| !rel.contains(t)).cloned().collect();
+            let gone = removed.len();
+            if self.unnetted_reinsert {
+                let again = del.iter().filter(present).filter(|t| ins.contains(*t));
+                removed.extend(again.cloned());
             }
-        }
-        for (name, tuples) in &update.inserts {
-            let rel = self.relations.get_mut(name).expect("validated above");
-            let new = rel.insert_checked(tuples);
-            if !new.is_empty() {
-                let new = new.into_iter().map(|t| (t, true));
-                events.entry(*name).or_default().extend(new);
+            if added.is_empty() && removed.is_empty() {
+                continue;
             }
-        }
-        for (name, events) in events {
-            let generation = self.rel_gens.entry(name).or_insert(0);
-            *generation += 1;
-            self.rel_deltas.insert(
-                name,
-                RelDelta {
-                    generation: *generation,
-                    events,
-                },
-            );
+            let from = rel.version();
+            let set = rel.edit(&mut self.rows_copied);
+            for t in &removed[..gone] {
+                set.remove(t);
+            }
+            set.extend(added.iter().cloned());
+            let to = rel.version();
+            let delta = RelDelta {
+                from,
+                to,
+                added,
+                removed,
+            };
+            self.deltas.insert(name, Arc::new(delta));
         }
         Ok(())
     }
@@ -505,46 +500,86 @@ mod tests {
         let mut db = Database::new(catalog());
         let r = Symbol::intern("r");
         let s = Symbol::intern("s");
-        assert_eq!(db.rel_gen(r), 0);
+        let (r0, s0) = (db.rel_gen(r), db.rel_gen(s));
+        assert_ne!(r0, s0, "every relation has its own token");
 
         db.apply(&Update::new().with_insert("r", tuple!["a"]))
             .unwrap();
-        assert_eq!(db.rel_gen(r), 1);
-        assert_eq!(db.rel_gen(s), 0, "untouched relation keeps its stamp");
+        let r1 = db.rel_gen(r);
+        assert_ne!(r1, r0);
+        assert_eq!(db.rel_gen(s), s0, "untouched relation keeps its stamp");
 
         // Re-inserting a present tuple is a set-semantics no-op.
         db.apply(&Update::new().with_insert("r", tuple!["a"]))
             .unwrap();
-        assert_eq!(db.rel_gen(r), 1);
+        assert_eq!(db.rel_gen(r), r1);
 
         db.apply(&Update::new().with_delete("r", tuple!["missing"]))
             .unwrap();
-        assert_eq!(db.rel_gen(r), 1, "deleting an absent tuple is a no-op");
+        assert_eq!(db.rel_gen(r), r1, "deleting an absent tuple is a no-op");
+        assert_eq!(db.rel_gen(Symbol::intern("zzz")), 0);
+    }
+
+    #[test]
+    fn a_tuple_deleted_and_reinserted_by_one_update_is_not_a_change() {
+        let mut db = Database::new(catalog());
+        let r = Symbol::intern("r");
+        db.apply(&Update::new().with_insert("r", tuple!["a"]))
+            .unwrap();
+        let (gen, delta) = (db.rel_gen(r), db.rel_delta(r).cloned());
+        let again = Update::new()
+            .with_delete("r", tuple!["a"])
+            .with_insert("r", tuple!["a"]);
+        db.apply(&again).unwrap();
+        assert_eq!(db.rel_gen(r), gen);
+        assert_eq!(db.rel_delta(r).cloned(), delta, "nothing recorded");
+        // Beside a real change, it is in neither list.
+        db.apply(&again.clone().with_insert("r", tuple!["b"]))
+            .unwrap();
+        let delta = db.rel_delta(r).unwrap();
+        assert_eq!(
+            (delta.added.clone(), delta.removed.len()),
+            (vec![tuple!["b"]], 0)
+        );
+        // The planted bug reports it removed, and still leaves it present.
+        db.arm_unnetted_reinsert();
+        db.apply(&again).unwrap();
+        assert_eq!(db.rel_delta(r).unwrap().removed, [tuple!["a"]]);
+        assert!(db.relation(r).unwrap().contains(&tuple!["a"]));
     }
 
     #[test]
     fn rel_delta_replays_to_current_contents() {
         let mut db = Database::new(catalog());
         let r = Symbol::intern("r");
-        db.apply(&Update::new().with_insert("r", tuple!["a"]))
-            .unwrap();
+        db.apply(
+            &Update::new()
+                .with_insert("r", tuple!["a"])
+                .with_insert("r", tuple!["c"]),
+        )
+        .unwrap();
+        let before = db.relation(r).unwrap().clone();
         db.apply(
             &Update::new()
                 .with_delete("r", tuple!["a"])
                 .with_insert("r", tuple!["a"])
+                .with_delete("r", tuple!["c"])
                 .with_insert("r", tuple!["b"]),
         )
         .unwrap();
         let delta = db.rel_delta(r).unwrap();
-        assert_eq!(delta.generation, db.rel_gen(r));
-        // Replay events against the prior contents {a}.
-        let mut replay: BTreeSet<Tuple> = [tuple!["a"]].into_iter().collect();
-        for (t, added) in &delta.events {
-            if *added {
-                replay.insert(t.clone());
-            } else {
-                replay.remove(t);
-            }
+        assert_eq!((delta.from, delta.to), (before.version(), db.rel_gen(r)));
+        assert_eq!(
+            (&delta.added[..], &delta.removed[..]),
+            (&[tuple!["b"]][..], &[tuple!["c"]][..])
+        );
+        // Replay the net lists against the prior contents {a, c}.
+        let mut replay: BTreeSet<Tuple> = before.iter().cloned().collect();
+        for t in &delta.removed {
+            assert!(replay.remove(t), "removed tuples were present");
+        }
+        for t in &delta.added {
+            assert!(replay.insert(t.clone()), "added tuples were absent");
         }
         let now: BTreeSet<Tuple> = db.relation(r).unwrap().iter().cloned().collect();
         assert_eq!(replay, now);
@@ -588,8 +623,7 @@ mod tests {
         let s = Symbol::intern("s");
         let mut load = Update::new();
         load.extend(true, s, rows.iter().cloned());
-        // `whole` takes the set in one piece; `grown` is not empty when the
-        // same rows arrive, so they go in one at a time.
+        // `whole` is empty when the rows arrive; `grown` is not.
         let mut whole = Database::new(catalog());
         let mut grown = Database::new(catalog());
         grown
@@ -597,17 +631,28 @@ mod tests {
             .unwrap();
         whole.apply(&load).unwrap();
         grown.apply(&load).unwrap();
-        assert_eq!(whole.rel_gen(s), 1);
+        assert_eq!(whole.rel_delta(s).unwrap().added, rows);
         assert_eq!(
-            whole.rel_delta(s).unwrap().events,
-            grown.rel_delta(s).unwrap().events
+            whole.rel_delta(s).unwrap().added,
+            grown.rel_delta(s).unwrap().added
         );
-        let contents = |db: &Database| db.relation(s).unwrap().iter().cloned().collect::<Vec<_>>();
+        let contents = |db: &Database| {
+            db.relation(s)
+                .unwrap()
+                .sorted()
+                .into_iter()
+                .cloned()
+                .collect::<Vec<_>>()
+        };
         assert_eq!(contents(&whole), rows);
         assert_eq!(contents(&grown)[1..], rows);
         // Loading again changes nothing and records nothing.
+        let (gen, delta) = (whole.rel_gen(s), whole.rel_delta(s).cloned());
         whole.apply(&load).unwrap();
-        assert_eq!(whole.rel_gen(s), 1);
+        assert_eq!(
+            (whole.rel_gen(s), whole.rel_delta(s).cloned()),
+            (gen, delta)
+        );
     }
 
     #[test]
@@ -619,19 +664,30 @@ mod tests {
         assert!(db.rel_delta(r).is_some());
         let g = db.rel_gen(r);
         db.relation_mut(r).unwrap();
-        assert_eq!(db.rel_gen(r), g + 1);
-        assert!(db.rel_delta(r).is_none(), "opaque mutation drops the delta");
+        assert!(db.rel_delta(r).is_some(), "handing out `&mut` is no change");
+        db.relation_mut(r).unwrap().insert(tuple!["b"]).unwrap();
+        assert_ne!(db.rel_gen(r), g);
+        assert!(db.rel_delta(r).is_none(), "an opaque mutation has no delta");
     }
 
     #[test]
-    fn clone_resets_per_relation_stamps() {
+    fn a_clone_shares_versions_until_one_side_changes() {
         let mut db = Database::new(catalog());
+        let r = Symbol::intern("r");
         db.apply(&Update::new().with_insert("r", tuple!["a"]))
             .unwrap();
-        let db2 = db.clone();
-        assert_ne!(db2.instance_id(), db.instance_id());
-        assert_eq!(db2.rel_gen(Symbol::intern("r")), 0);
-        assert!(db2.rel_delta(Symbol::intern("r")).is_none());
+        let mut db2 = db.clone();
+        assert_eq!(db2.rel_gen(r), db.rel_gen(r));
+        assert_eq!(db2.rel_delta(r), db.rel_delta(r));
+        db2.apply(&Update::new().with_insert("r", tuple!["b"]))
+            .unwrap();
+        assert_ne!(db2.rel_gen(r), db.rel_gen(r));
+        assert_eq!(
+            db.relation(r).unwrap().len(),
+            1,
+            "the original is untouched"
+        );
+        assert_eq!(db2.rows_copied(), 1, "the shared relation was copied");
     }
 
     #[test]

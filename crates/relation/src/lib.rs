@@ -6,14 +6,17 @@
 //! * interned [`Symbol`]s for names and string data,
 //! * sorted [`Value`]s and schema-checked [`Tuple`]s,
 //! * [`Schema`]/[`Attribute`] metadata with projection/rename/compatibility,
-//! * [`Relation`] instances with deterministic iteration order,
+//! * [`Relation`] instances: one versioned, `Arc`'d hash set each, which a
+//!   reader can hold in O(1) while later changes copy on write,
 //! * the classic set-semantics [`algebra`] (σ, π, ρ, ∪, ∩, ∖, ×, ⋈, ⋉, ▷),
 //! * [`Database`] states over a shared immutable [`Catalog`], advanced by
-//!   transactional [`Update`]s.
+//!   transactional [`Update`]s, each recording its net [`RelDelta`].
 //!
-//! Everything is deterministic: relations iterate in tuple order, catalogs
-//! and updates iterate in name order. Determinism is load-bearing — checker
-//! traces, experiment tables and golden tests all rely on it.
+//! Catalogs and updates iterate in name order; relations iterate in hash
+//! order, which differs between processes, so everything printed or
+//! persisted goes through [`Relation::sorted`]. Determinism of output is
+//! load-bearing — checker traces, experiment tables and golden tests all
+//! rely on it.
 //!
 //! ```
 //! use rtic_relation::{tuple, Catalog, Database, Schema, Sort, Symbol, Update};
@@ -45,7 +48,7 @@ mod value;
 pub use database::{Catalog, Database, RelDelta, Update};
 pub use error::RelationError;
 pub use hash::{BuildWordHasher, FastMap, FastSet, TupleMap, TupleSet, WordHasher};
-pub use relation::Relation;
+pub use relation::{fresh_version, Relation};
 pub use schema::{Attribute, Schema};
 pub use symbol::Symbol;
 pub use tuple::Tuple;

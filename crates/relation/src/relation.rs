@@ -1,11 +1,13 @@
-//! Relations: schema-checked sets of tuples, with cached hash indexes.
+//! Relations: schema-checked, versioned hash sets of tuples — the same
+//! `Arc`'d set a row set holds, unordered, sorted only where printed or
+//! persisted — with cached hash indexes.
 
-use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::error::RelationError;
-use crate::hash::FastMap;
+use crate::hash::{FastMap, TupleSet};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -13,19 +15,34 @@ use crate::value::Value;
 /// A hash index on a column subset: key values → matching tuples.
 pub type ColumnIndex = FastMap<Vec<Value>, Vec<Tuple>>;
 
+/// A process-unique row-set version token (never 0). Relations and the
+/// evaluator's row sets draw from this one counter, so a row set that *is*
+/// a relation's storage carries the relation's token: equal tokens imply
+/// equal contents, whoever holds them.
+pub fn fresh_version() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
 /// A relation instance: a [`Schema`] plus a set of conforming tuples.
 ///
-/// Storage is an ordered set, so iteration order is deterministic (by the
-/// derived tuple order) — important for reproducible checker output and for
-/// golden tests. All mutating entry points check tuples against the schema.
+/// Storage is the `Arc`'d hash set the evaluator's row sets use, stamped
+/// with a [version token](fresh_version) that moves exactly when the
+/// contents change: a reader can hold the set itself, in O(1), and a later
+/// mutation copies it first rather than change what the reader sees.
+/// Iteration is in hash order, which differs between processes — anything
+/// printed or persisted goes through [`Relation::sorted`]. All mutating
+/// entry points check tuples against the schema.
 ///
 /// Relations lazily cache hash indexes per column subset
-/// ([`Relation::index_on`]); any mutation invalidates the cache. Equality,
-/// ordering and cloning see only the logical content.
+/// ([`Relation::index_on`]); any mutation invalidates the cache. Equality
+/// sees only the logical content; a clone shares the storage and its
+/// version.
 #[derive(Debug)]
 pub struct Relation {
     schema: Schema,
-    tuples: BTreeSet<Tuple>,
+    tuples: Arc<TupleSet>,
+    version: u64,
     /// Lazily built indexes, keyed by the indexed column positions.
     /// `Mutex` (not `RefCell`) keeps `Relation: Sync`; contention is nil —
     /// the engine is single-writer.
@@ -37,7 +54,8 @@ impl Clone for Relation {
         // Indexes are a cache: clones start cold.
         Relation {
             schema: self.schema.clone(),
-            tuples: self.tuples.clone(),
+            tuples: Arc::clone(&self.tuples),
+            version: self.version,
             indexes: Mutex::default(),
         }
     }
@@ -56,13 +74,26 @@ impl Relation {
     pub fn new(schema: Schema) -> Relation {
         Relation {
             schema,
-            tuples: BTreeSet::new(),
+            tuples: Arc::default(),
+            version: fresh_version(),
             indexes: Mutex::default(),
         }
     }
 
     fn invalidate_indexes(&mut self) {
         self.indexes.get_mut().expect("index lock poisoned").clear();
+    }
+
+    /// The tuples for in-place mutation, under a fresh version. Storage
+    /// another holder still shares is copied first, its rows tallied in
+    /// `copied`.
+    pub(crate) fn edit(&mut self, copied: &mut u64) -> &mut TupleSet {
+        if Arc::get_mut(&mut self.tuples).is_none() {
+            *copied += self.tuples.len() as u64;
+        }
+        self.invalidate_indexes();
+        self.version = fresh_version();
+        Arc::make_mut(&mut self.tuples)
     }
 
     /// The (cached) hash index keyed by the values at `cols`. Building is
@@ -78,7 +109,7 @@ impl Relation {
             return Arc::clone(idx);
         }
         let mut index = ColumnIndex::default();
-        for t in &self.tuples {
+        for t in self.tuples.iter() {
             let key: Vec<Value> = cols.iter().map(|&c| t[c]).collect();
             index.entry(key).or_default().push(t.clone());
         }
@@ -93,15 +124,27 @@ impl Relation {
         tuples: impl IntoIterator<Item = Tuple>,
     ) -> Result<Relation, RelationError> {
         let mut r = Relation::new(schema);
-        for t in tuples {
-            r.insert(t)?;
-        }
+        let set = (tuples.into_iter())
+            .map(|t| r.schema.check(&t).map(|()| t))
+            .collect::<Result<TupleSet, _>>()?;
+        r.tuples = Arc::new(set);
         Ok(r)
     }
 
     /// This relation's schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
+    }
+
+    /// The version token of the current contents.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// The tuple storage itself, to share: a holder keeps this version's
+    /// contents however the relation changes later.
+    pub fn rows(&self) -> &Arc<TupleSet> {
+        &self.tuples
     }
 
     /// Number of tuples.
@@ -125,55 +168,51 @@ impl Relation {
     pub fn insert(&mut self, tuple: Tuple) -> Result<bool, RelationError> {
         self.schema.check(&tuple)?;
         self.invalidate_indexes();
-        Ok(self.tuples.insert(tuple))
-    }
-
-    /// Inserts tuples the caller has schema-checked and returns the ones
-    /// that were not present. An empty relation takes the set whole.
-    pub(crate) fn insert_checked(&mut self, tuples: &BTreeSet<Tuple>) -> Vec<Tuple> {
-        self.invalidate_indexes();
-        if self.tuples.is_empty() {
-            self.tuples = tuples.clone();
-            return tuples.iter().cloned().collect();
-        }
-        let new = tuples.iter().filter(|t| self.tuples.insert((*t).clone()));
-        new.cloned().collect()
+        Ok(!self.contains(&tuple) && self.edit(&mut 0).insert(tuple))
     }
 
     /// Removes a tuple; returns `true` if it was present.
     pub fn remove(&mut self, tuple: &Tuple) -> bool {
         self.invalidate_indexes();
-        self.tuples.remove(tuple)
+        self.contains(tuple) && self.edit(&mut 0).remove(tuple)
     }
 
     /// Removes all tuples.
     pub fn clear(&mut self) {
         self.invalidate_indexes();
-        self.tuples.clear();
+        if !self.is_empty() {
+            self.tuples = Arc::default();
+            self.version = fresh_version();
+        }
     }
 
-    /// Iterates tuples in deterministic (ordered) fashion.
+    /// Iterates tuples in hash order (see [`Relation::sorted`]).
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
         self.tuples.iter()
     }
 
-    /// Consumes the relation, yielding its tuples.
-    pub fn into_tuples(self) -> impl Iterator<Item = Tuple> {
-        self.tuples.into_iter()
+    /// The tuples in sorted order: the boundary API for anything printed
+    /// or persisted. References, not copies.
+    pub fn sorted(&self) -> Vec<&Tuple> {
+        let mut rows: Vec<&Tuple> = self.tuples.iter().collect();
+        rows.sort_unstable();
+        rows
     }
 
     /// Retains only tuples satisfying `pred`.
     pub fn retain(&mut self, mut pred: impl FnMut(&Tuple) -> bool) {
         self.invalidate_indexes();
-        self.tuples.retain(|t| pred(t));
+        if !self.tuples.iter().all(&mut pred) {
+            self.edit(&mut 0).retain(|t| pred(t));
+        }
     }
 }
 
 impl fmt::Display for Relation {
-    /// Renders as `{ (a, 1), (b, 2) }`.
+    /// Renders as `{ (a, 1), (b, 2) }`, sorted.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("{")?;
-        for (i, t) in self.tuples.iter().enumerate() {
+        for (i, t) in self.sorted().into_iter().enumerate() {
             if i > 0 {
                 f.write_str(",")?;
             }
@@ -185,7 +224,7 @@ impl fmt::Display for Relation {
 
 impl<'a> IntoIterator for &'a Relation {
     type Item = &'a Tuple;
-    type IntoIter = std::collections::btree_set::Iter<'a, Tuple>;
+    type IntoIter = std::collections::hash_set::Iter<'a, Tuple>;
     fn into_iter(self) -> Self::IntoIter {
         self.tuples.iter()
     }
@@ -213,8 +252,10 @@ mod tests {
     fn insert_is_set_semantics() {
         let mut r = Relation::new(schema());
         assert!(r.insert(tuple!["a", 1]).unwrap());
+        let v = r.version();
         assert!(!r.insert(tuple!["a", 1]).unwrap());
         assert_eq!(r.len(), 1);
+        assert_eq!(r.version(), v, "a no-op keeps the version");
     }
 
     #[test]
@@ -231,22 +272,42 @@ mod tests {
     fn from_tuples_collects() {
         let r = Relation::from_tuples(schema(), [tuple!["a", 1], tuple!["b", 2]]).unwrap();
         assert_eq!(r.len(), 2);
+        assert!(Relation::from_tuples(schema(), [tuple![1, "a"]]).is_err());
     }
 
     #[test]
-    fn iteration_is_deterministic_and_ordered() {
-        let r = Relation::from_tuples(schema(), [tuple!["b", 2], tuple!["a", 1]]).unwrap();
-        let seen: Vec<Tuple> = r.iter().cloned().collect();
-        assert_eq!(seen.len(), 2);
-        assert!(seen[0] < seen[1]);
+    fn sorted_iteration_is_ordered_and_display_follows_it() {
+        // (Strings order by intern order: one string keeps this exact.)
+        let rows = (0..40).rev().map(|n| tuple!["a", n]);
+        let r = Relation::from_tuples(schema(), rows).unwrap();
+        let sorted = r.sorted();
+        assert!(sorted.windows(2).all(|w| w[0] < w[1]));
+        let r = Relation::from_tuples(schema(), [tuple!["a", 2], tuple!["a", 1]]).unwrap();
+        assert_eq!(r.to_string(), "{ (a, 1), (a, 2) }");
     }
 
     #[test]
     fn retain() {
         let mut r = Relation::from_tuples(schema(), [tuple!["a", 1], tuple!["b", 2]]).unwrap();
+        let v = r.version();
+        r.retain(|_| true);
+        assert_eq!(r.version(), v, "retaining everything changes nothing");
         r.retain(|t| t[1] == crate::Value::Int(2));
         assert_eq!(r.len(), 1);
         assert!(r.contains(&tuple!["b", 2]));
+    }
+
+    #[test]
+    fn a_shared_version_survives_the_relation_changing() {
+        let mut r = Relation::from_tuples(schema(), [tuple!["a", 1]]).unwrap();
+        let (held, v) = (Arc::clone(r.rows()), r.version());
+        let mut copied = 0;
+        r.edit(&mut copied).insert(tuple!["b", 2]);
+        assert_eq!(copied, 1, "the shared storage is copied, and counted");
+        assert_ne!(r.version(), v);
+        assert_eq!(held.len(), 1, "the holder still reads its version");
+        r.edit(&mut copied).insert(tuple!["c", 3]);
+        assert_eq!(copied, 1, "unshared storage is edited in place");
     }
 
     #[test]
@@ -312,6 +373,7 @@ mod tests {
         let _ = r.index_on(&[0]);
         let c = r.clone();
         assert_eq!(r, c);
+        assert_eq!(r.version(), c.version(), "a clone shares its version");
         assert!(c.indexes.lock().unwrap().is_empty());
     }
 
