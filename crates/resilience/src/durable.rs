@@ -69,6 +69,19 @@ pub fn write_atomic_with(
     faults: &FailPlan,
     site: &str,
 ) -> Result<(), DurableError> {
+    let tmp = write_temp(path, bytes, faults, site)?;
+    commit(&tmp, path)
+}
+
+/// The first half of [`write_atomic_with`]: asks `faults` at `site`,
+/// then writes and fsyncs `bytes` to `path`'s temp file, whose path it
+/// returns. Nothing at `path` has changed yet.
+pub(crate) fn write_temp(
+    path: &Path,
+    bytes: &[u8],
+    faults: &FailPlan,
+    site: &str,
+) -> Result<PathBuf, DurableError> {
     let mut owned: Vec<u8>;
     let mut data: &[u8] = bytes;
     match faults.check(site) {
@@ -87,22 +100,17 @@ pub fn write_atomic_with(
         }
     }
 
-    let io = |op: &'static str| {
-        let path = path.to_path_buf();
-        move |e: std::io::Error| DurableError::Io {
-            path,
-            op,
-            message: e.to_string(),
-        }
-    };
-
     let tmp = tmp_path(path);
-    {
-        let mut file = File::create(&tmp).map_err(io("create"))?;
-        file.write_all(data).map_err(io("write"))?;
-        file.sync_all().map_err(io("sync"))?;
-    }
-    fs::rename(&tmp, path).map_err(io("rename"))?;
+    let mut file = File::create(&tmp).map_err(io_error(path, "create"))?;
+    file.write_all(data).map_err(io_error(path, "write"))?;
+    file.sync_all().map_err(io_error(path, "sync"))?;
+    Ok(tmp)
+}
+
+/// The second half of [`write_atomic_with`]: renames the temp file
+/// `tmp` over `path`, then fsyncs the directory.
+pub(crate) fn commit(tmp: &Path, path: &Path) -> Result<(), DurableError> {
+    fs::rename(tmp, path).map_err(io_error(path, "rename"))?;
     // Best-effort directory fsync: makes the rename durable, but its
     // failure (e.g. on filesystems without directory handles) does not
     // invalidate the already-complete write.
@@ -114,6 +122,15 @@ pub fn write_atomic_with(
         }
     }
     Ok(())
+}
+
+fn io_error(path: &Path, op: &'static str) -> impl FnOnce(std::io::Error) -> DurableError {
+    let path = path.to_path_buf();
+    move |e| DurableError::Io {
+        path,
+        op,
+        message: e.to_string(),
+    }
 }
 
 fn tmp_path(path: &Path) -> PathBuf {

@@ -43,11 +43,13 @@
 //! | `serve.read`       | the daemon, after each client line read        |
 //! | `serve.step`       | the daemon's engine loop, per dequeued job     |
 //! | `serve.write`      | the daemon, before each reply write            |
-//! | `serve.checkpoint` | the daemon persisting a periodic checkpoint    |
+//! | `serve.checkpoint` | the daemon's checkpoint writer thread, per write |
 //!
 //! `serve.step=abort@N` is the daemon's kill -9 model: the engine dies
 //! mid-job with no reply, no cleanup, and no final checkpoint, which is
-//! exactly what the `--resume` recovery drills need to exercise.
+//! exactly what the `--resume` recovery drills need to exercise. A
+//! checkpoint write already in flight still lands (the daemon joins its
+//! writer thread), so a drill knows which checkpoint it resumes from.
 
 use std::collections::HashMap;
 use std::sync::Mutex;

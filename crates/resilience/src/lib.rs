@@ -15,6 +15,8 @@
 //!   any truncation or bit flip is detected as a typed error.
 //! * [`rotation`] — a rotation set (`f`, `f.1`, `f.2`, …) with
 //!   newest-first recovery that falls back past corrupt entries.
+//! * [`writer`] — a thread that owns a rotation and does its durable
+//!   writes, one in flight, in submission order.
 //! * [`policy`] — periodic checkpoint scheduling (every N steps and/or
 //!   every T seconds).
 //! * [`failpoint`] — an env/flag-gated fault-injection plan that can
@@ -44,6 +46,7 @@ pub mod durable;
 pub mod failpoint;
 pub mod policy;
 pub mod rotation;
+pub mod writer;
 
 pub use container::{ContainerError, Format};
 pub use crc32::crc32;
@@ -51,3 +54,4 @@ pub use durable::{write_atomic, write_atomic_with, DurableError};
 pub use failpoint::{FailAction, FailPlan, ENV_VAR};
 pub use policy::{CheckpointPolicy, CheckpointTicker};
 pub use rotation::{RecoveryOutcome, Rotation};
+pub use writer::CheckpointWriter;

@@ -11,7 +11,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::container::{self, Format};
-use crate::durable::{write_atomic_with, DurableError};
+use crate::durable::{self, DurableError};
 use crate::failpoint::FailPlan;
 
 /// A rotated family of checkpoint files rooted at one path.
@@ -61,10 +61,13 @@ impl Rotation {
         }
     }
 
-    /// Rotate the existing generations down one slot and atomically
-    /// write `text` as the new primary. Asks `faults` at `site` so chaos
-    /// tests can inject write failures or on-disk corruption.
+    /// Atomically write `text` as the new primary, shifting the existing
+    /// generations down one slot. The temp file is written and fsynced
+    /// before anything rotates, so a failed write leaves the set as it
+    /// was. Asks `faults` at `site` so chaos tests can inject write
+    /// failures or on-disk corruption.
     pub fn write(&self, text: &str, faults: &FailPlan, site: &str) -> Result<(), DurableError> {
+        let tmp = durable::write_temp(&self.path, text.as_bytes(), faults, site)?;
         for i in (1..self.keep).rev() {
             let from = self.candidate(i - 1);
             let to = self.candidate(i);
@@ -78,7 +81,7 @@ impl Rotation {
                 })?,
             }
         }
-        write_atomic_with(&self.path, text.as_bytes(), faults, site)
+        durable::commit(&tmp, &self.path)
     }
 
     /// Walk the rotation newest-first and return the first candidate
@@ -163,6 +166,27 @@ mod tests {
         assert!(sections[0].contains("constraint good"));
         assert_eq!(outcome.rejected.len(), 1);
         assert!(outcome.rejected[0].1.contains("truncated"));
+    }
+
+    #[test]
+    fn a_failed_write_rotates_nothing() {
+        let rot = Rotation::new(temp_root("failed.ckpt"), 3);
+        for path in rot.candidates() {
+            fs::remove_file(path).ok();
+        }
+        let plan = FailPlan::parse("t=io-error@3").unwrap();
+        for tag in ["a", "b", "c"] {
+            let result = rot.write(&seal([section(tag).as_str()]), &plan, "t");
+            assert_eq!(result.is_err(), tag == "c", "{tag}");
+        }
+        let tag_of = |path: &Path| {
+            let (sections, _) = container::open_any(&fs::read(path).unwrap()).unwrap();
+            sections[0].lines().nth(1).unwrap().to_string()
+        };
+        let candidates = rot.candidates();
+        assert_eq!(tag_of(&candidates[0]), "constraint b");
+        assert_eq!(tag_of(&candidates[1]), "constraint a");
+        assert!(!candidates[2].exists());
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!   retries with capped exponential backoff + jitter; clients that
 //!   stall past the write timeout are disconnected.
 //! * **Crash safety** — periodic checkpoints seal engine state *and*
-//!   the violation report into one checksummed container ([`report`]),
-//!   so a kill -9'd server restarted with `--resume` reproduces a
-//!   byte-identical final report.
+//!   the violation report into one checksummed container ([`report`])
+//!   before the pass is acked, and a writer thread makes it durable off
+//!   the reply path, so a kill -9'd server restarted with `--resume`
+//!   reproduces a byte-identical final report.
 //! * **Graceful drain** — SIGTERM or `DRAIN` stops accepting, flushes
 //!   the queue, writes a final checkpoint, and exits 0 ([`signal`]).
 //! * **Deterministic chaos** — named failpoints (`serve.accept`,

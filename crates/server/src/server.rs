@@ -1,7 +1,8 @@
-//! The resident daemon: accept loop, connection threads, and the single
-//! engine thread that owns the [`ConstraintSet`].
+//! The resident daemon: accept loop, connection threads, the single
+//! engine thread that owns the [`ConstraintSet`], and the checkpoint
+//! writer thread that owns the rotation.
 //!
-//! Threading model — three layers, one owner:
+//! Threading model — four layers, one owner each:
 //!
 //! * The **accept loop** (spawned thread) polls a nonblocking listener
 //!   and hands each connection its own thread.
@@ -11,10 +12,13 @@
 //!   also answered here, from shared gauges, so the control plane stays
 //!   responsive while the engine is busy (or paused).
 //! * The **engine loop** (the thread that called [`serve`]) is the only
-//!   toucher of the `ConstraintSet`, the violation report and the
-//!   checkpoint rotation — crash-consistency needs no locking protocol
-//!   because state, report and checkpoint writes are all serialized on
-//!   this one thread.
+//!   toucher of the `ConstraintSet` and the violation report. It seals
+//!   each checkpoint — state and report after a whole queue pass — before
+//!   it replies to that pass, so what is sealed needs no locking protocol.
+//! * The **checkpoint writer** ([`CheckpointWriter`], spawned when
+//!   `--checkpoint` is set) owns the rotation and makes each sealed
+//!   container durable off the reply path. One write is in flight at a
+//!   time: the next checkpoint, and the drain, wait for it first.
 //!
 //! Replies flow back through per-connection [`ClientHandle`]s guarded by
 //! a write timeout: a client that stops reading long enough for its
@@ -27,7 +31,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use rtic_core::{checkpoint, ConstraintSet, StepEvent, StepObserver};
@@ -35,7 +39,8 @@ use rtic_history::Transition;
 use rtic_obs::MetricsRegistry;
 use rtic_relation::{Catalog, Symbol, Update};
 use rtic_resilience::{
-    container, write_atomic, CheckpointPolicy, CheckpointTicker, FailAction, FailPlan, Rotation,
+    container, write_atomic, CheckpointPolicy, CheckpointTicker, CheckpointWriter, DurableError,
+    FailAction, FailPlan, Rotation,
 };
 use rtic_temporal::{Constraint, TimePoint};
 
@@ -280,7 +285,7 @@ struct Job {
 /// Gauges and flags shared by every thread of one server instance.
 struct Shared {
     queue: IngestQueue<Job>,
-    faults: FailPlan,
+    faults: Arc<FailPlan>,
     /// Drain requested (SIGTERM, test flag, or a DRAIN command).
     draining: AtomicBool,
     /// Engine loop exited (cleanly or as a simulated crash): accept and
@@ -292,7 +297,10 @@ struct Shared {
     steps: AtomicU64,
     witnesses: AtomicU64,
     quarantined: AtomicUsize,
-    last_checkpoint: Mutex<Option<Instant>>,
+    /// The newest durable checkpoint: when the writer's rename returned
+    /// (this process's writes only) and the time cursor it covers. A
+    /// resumed daemon starts with the cursor it restored.
+    durable: Mutex<(Option<Instant>, Option<TimePoint>)>,
     /// Clients awaiting the `OK drained …` reply.
     drain_waiters: Mutex<Vec<Arc<ClientHandle>>>,
     retry_ms: u64,
@@ -307,14 +315,11 @@ impl Shared {
         };
         let quarantined = self.quarantined.load(Ordering::SeqCst);
         let verdict = if quarantined > 0 { "DEGRADED" } else { "OK" };
-        let age = self
-            .last_checkpoint
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .map(|at| at.elapsed().as_millis().to_string())
-            .unwrap_or_else(|| "-".to_string());
+        let (at, cursor) = *self.durable_lock();
+        let age = at.map_or_else(|| "-".into(), |at| at.elapsed().as_millis().to_string());
+        let sealed = cursor.map_or_else(|| "-".into(), |t| t.to_string());
         format!(
-            "{verdict} state={state} steps={} witnesses={} queue={}/{} peak={} shed={} conns={} disconnected={} ckpt_age_ms={age} quarantined={quarantined}",
+            "{verdict} state={state} steps={} witnesses={} queue={}/{} peak={} shed={} conns={} disconnected={} ckpt_age_ms={age} sealed={sealed} quarantined={quarantined}",
             self.steps.load(Ordering::SeqCst),
             self.witnesses.load(Ordering::SeqCst),
             self.queue.depth(),
@@ -327,10 +332,13 @@ impl Shared {
     }
 
     fn checkpoint_age_ms(&self) -> Option<u64> {
-        self.last_checkpoint
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        self.durable_lock()
+            .0
             .map(|at| at.elapsed().as_millis() as u64)
+    }
+
+    fn durable_lock(&self) -> MutexGuard<'_, (Option<Instant>, Option<TimePoint>)> {
+        self.durable.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -454,7 +462,7 @@ pub fn serve(
 
     let shared = Arc::new(Shared {
         queue: IngestQueue::new(queue_capacity),
-        faults,
+        faults: Arc::new(faults),
         draining: AtomicBool::new(false),
         dead: AtomicBool::new(false),
         connections: AtomicUsize::new(0),
@@ -463,9 +471,12 @@ pub fn serve(
         steps: AtomicU64::new(report.transitions),
         witnesses: AtomicU64::new(report.witnesses),
         quarantined: AtomicUsize::new(set.health().quarantined),
-        last_checkpoint: Mutex::new(None),
+        durable: Mutex::new((None, resume_cursor)),
         drain_waiters: Mutex::new(Vec::new()),
         retry_ms,
+    });
+    let writer = rotation.map(|rotation| {
+        CheckpointWriter::spawn(rotation, Arc::clone(&shared.faults), "serve.checkpoint")
     });
 
     let listener = Listener::bind(&listen)?;
@@ -494,10 +505,13 @@ pub fn serve(
         shutdown.as_ref(),
         report_path.as_deref(),
         metrics_path.as_deref(),
-        rotation.as_ref(),
+        writer.as_ref(),
         resume_cursor,
         out,
     );
+    // Joins the writer: a simulated crash lets the write in flight land,
+    // so a drill knows exactly which checkpoint it resumes from.
+    drop(writer);
     // Clean exit or simulated crash, the accept loop must stop either
     // way (in-process drills re-bind the same socket on restart).
     shared.dead.store(true, Ordering::SeqCst);
@@ -678,7 +692,7 @@ fn engine_loop(
     shutdown: Option<&Arc<AtomicBool>>,
     report_path: Option<&str>,
     metrics_path: Option<&str>,
-    rotation: Option<&Rotation>,
+    writer: Option<&CheckpointWriter>,
     resume_cursor: Option<TimePoint>,
     out: &mut String,
 ) -> Result<i32, String> {
@@ -712,7 +726,7 @@ fn engine_loop(
                     report,
                     registry,
                     shared,
-                    rotation,
+                    writer,
                     &mut ticker,
                     resume_cursor,
                     &mut replay_skipped,
@@ -734,12 +748,14 @@ fn engine_loop(
             "skipped {replay_skipped} transition(s) already covered by the checkpoint"
         );
     }
-    if let Some(rotation) = rotation {
-        let bytes = write_server_checkpoint(set, report, rotation, shared, registry)?;
+    if let Some(writer) = writer {
+        // `OK drained` is the one reply that waits for the disk.
+        let bytes = write_server_checkpoint(set, report, writer, shared, registry)?;
+        writer.wait().map_err(checkpoint_error)?;
         let _ = writeln!(
             out,
             "checkpoint written to {} ({bytes} bytes)",
-            rotation.primary().display()
+            writer.primary().display()
         );
     }
     let drain_ms = drain_started.elapsed().as_millis() as u64;
@@ -797,10 +813,10 @@ fn engine_loop(
 /// [`ConstraintSet::step_observed`], in order.
 ///
 /// What the pass shares is the bookkeeping around the steps: at most
-/// one checkpoint write and one metrics sample. Replies are deferred
-/// until after that checkpoint so checkpoint-before-ack still holds:
-/// no client sees OK for a step a crash could lose without also
-/// un-acking it.
+/// one checkpoint and one metrics sample. Replies are deferred until
+/// that checkpoint is sealed, so every container holds the state and
+/// report after a whole pass; its durable write runs on the writer
+/// thread while the replies go out.
 #[allow(clippy::too_many_arguments)]
 fn process_drained(
     jobs: Vec<Job>,
@@ -808,7 +824,7 @@ fn process_drained(
     report: &mut ServeReport,
     registry: &mut MetricsRegistry,
     shared: &Arc<Shared>,
-    rotation: Option<&Rotation>,
+    writer: Option<&CheckpointWriter>,
     ticker: &mut CheckpointTicker,
     resume_cursor: Option<TimePoint>,
     replay_skipped: &mut u64,
@@ -881,12 +897,13 @@ fn process_drained(
         lines.push(format!("{} {witnesses}", protocol::OK_PREFIX));
         replies.push((job.reply, lines));
     }
-    // Checkpoint *before* acking: once any client sees OK, its step is
-    // durable at the configured cadence. The ticker advanced per step,
-    // but writes coalesce to one per pass.
-    if let Some(rotation) = rotation {
+    // Seal *before* acking: once any client sees OK, its step is in a
+    // sealed checkpoint at the configured cadence, durable before the
+    // next one starts. The ticker advanced per step, but checkpoints
+    // coalesce to one per pass.
+    if let Some(writer) = writer {
         if ticked {
-            write_server_checkpoint(set, report, rotation, shared, registry)?;
+            write_server_checkpoint(set, report, writer, shared, registry)?;
         }
     }
     emit_serve_sample(registry, shared, None);
@@ -899,14 +916,14 @@ fn process_drained(
 }
 
 /// Seals engine sections plus the serve-report section into one
-/// container and writes it through the rotation (site
-/// `serve.checkpoint`, so drills can fault server checkpoints without
-/// touching batch runs).
+/// container and hands it to the writer (site `serve.checkpoint`, so
+/// drills can fault server checkpoints without touching batch runs).
+/// Fails if the previous write failed.
 fn write_server_checkpoint(
     set: &ConstraintSet,
     report: &ServeReport,
-    rotation: &Rotation,
-    shared: &Shared,
+    writer: &CheckpointWriter,
+    shared: &Arc<Shared>,
     registry: &mut MetricsRegistry,
 ) -> Result<usize, String> {
     let sections: Vec<(Symbol, String)> = checkpoint::save_set(set);
@@ -923,14 +940,19 @@ fn write_server_checkpoint(
             .map(|(_, text)| text.as_str())
             .chain(std::iter::once(report_section.as_str())),
     );
-    rotation
-        .write(&sealed, &shared.faults, "serve.checkpoint")
-        .map_err(|e| format!("cannot write checkpoint: {e}"))?;
-    *shared
-        .last_checkpoint
-        .lock()
-        .unwrap_or_else(|e| e.into_inner()) = Some(Instant::now());
-    Ok(sealed.len())
+    let bytes = sealed.len();
+    let cursor = set.last_time();
+    let shared = Arc::clone(shared);
+    writer
+        .submit(sealed, move || {
+            *shared.durable_lock() = (Some(Instant::now()), cursor);
+        })
+        .map_err(checkpoint_error)?;
+    Ok(bytes)
+}
+
+fn checkpoint_error(e: DurableError) -> String {
+    format!("cannot write checkpoint: {e}")
 }
 
 fn emit_serve_sample(registry: &mut MetricsRegistry, shared: &Shared, drain_ms: Option<u64>) {

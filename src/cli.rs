@@ -156,8 +156,10 @@ gracefully: stop accepting, flush, final checkpoint, exit 0. `--report
 FILE` writes the final violation lines (byte-identical to `rtic check`
 on the same stream) on drain. After each wakeup the engine steps
 whatever is already queued (at most one queue's worth) one update at a
-time, then writes at most one checkpoint and replies in order — group
-commit, with checkpoint-before-ack intact. `rtic send` streams a log to
+time, then seals at most one checkpoint and replies in order — group
+commit. A checkpoint is sealed before its pass is acked; a writer
+thread makes it durable before the next one starts (`QUERY status`
+shows `sealed=` for the newest durable one). `rtic send` streams a log to
 a serving daemon with backoff+jitter retries, printing violations as
 they come.
 

@@ -769,20 +769,34 @@ fn resume_with_the_first_constraint_dropped_keeps_the_database() {
 }
 
 /// Runs a resident `rtic serve` daemon over `constraints` and `log`
-/// through a kill/resume drill and returns the final report file's
-/// lines. The first incarnation checkpoints every `every` updates and is
-/// crashed by `serve.step=abort@<covered + 1>` (a simulated kill -9: no
-/// reply, no cleanup, no final checkpoint) right after the checkpoint
-/// covering `covered` of them; the second resumes from the newest intact
-/// periodic checkpoint, re-streams the full log, and drains.
+/// through a kill/resume drill and returns the final report file's lines
+/// and the resumed daemon's output. The first incarnation checkpoints
+/// every `every` updates under the failpoints `faults` and dies with an
+/// error containing `crash`; the second resumes from the newest intact
+/// periodic checkpoint, which must cover exactly `covered` updates,
+/// re-streams the full log, and drains.
+///
+/// `serve.step=abort@<covered + 1>` is the simulated kill -9 — no reply,
+/// no cleanup, no final checkpoint — right after the checkpoint covering
+/// `covered`. That checkpoint's write may still be in flight on the
+/// writer thread when the engine dies; the daemon joins the writer on
+/// its way out, so the write lands and `covered` stays exact. (A real
+/// kill -9 can cut that write short, which leaves the previous
+/// generation as the primary; the CI `serve` job kills mid-write.)
 fn serve_kill_resume_drill(
     tag: &str,
     constraints: &str,
     log: &str,
     every: usize,
+    faults: &str,
+    crash: &str,
     covered: usize,
-) -> Vec<String> {
-    assert_eq!(covered % every, 0, "the kill follows a periodic checkpoint");
+) -> (Vec<String>, String) {
+    assert_eq!(
+        covered % every,
+        0,
+        "the resume follows a periodic checkpoint"
+    );
     let c = temp_file(&format!("{tag}.rtic"), constraints);
     let l = temp_file(&format!("{tag}.rticlog"), log);
     let dir = c.parent().unwrap().to_path_buf();
@@ -836,13 +850,13 @@ fn serve_kill_resume_drill(
         run(&args)
     };
 
-    // Incarnation 1: dies processing the transition right after the
-    // periodic checkpoint that covers the first `covered`.
-    let server = spawn(false, Some(&format!("serve.step=abort@{}", covered + 1)));
+    // Incarnation 1: dies mid-stream, its newest intact checkpoint
+    // covering the first `covered`.
+    let server = spawn(false, Some(faults));
     let (code, _) = stream(false);
     assert!(code.is_err(), "{tag}: the stream is cut by the crash");
     let (code, out) = server.join().unwrap();
-    assert!(code.unwrap_err().contains("injected crash"), "{tag}: {out}");
+    assert!(code.unwrap_err().contains(crash), "{tag}: {out}");
     assert!(
         !out.contains("drained:"),
         "{tag}: a kill -9 must not look like a graceful drain: {out}"
@@ -865,11 +879,12 @@ fn serve_kill_resume_drill(
         "{tag}: {out}"
     );
 
-    std::fs::read_to_string(&report)
+    let report = std::fs::read_to_string(&report)
         .unwrap()
         .lines()
         .map(str::to_string)
-        .collect()
+        .collect();
+    (report, out)
 }
 
 /// The tentpole drill: a serve daemon kill -9'd mid-stream and
@@ -889,7 +904,15 @@ fn serve_kill_and_resume_report_matches_batch_check() {
     assert_eq!(code.unwrap(), 1, "{batch}");
     let expected = violations(&batch);
 
-    let crashed = serve_kill_resume_drill("skr", CONSTRAINTS, LOG, 3, 6);
+    let (crashed, _) = serve_kill_resume_drill(
+        "skr",
+        CONSTRAINTS,
+        LOG,
+        3,
+        "serve.step=abort@7",
+        "injected crash",
+        6,
+    );
     assert_eq!(
         crashed, expected,
         "kill -9 + resume diverges from batch check"
@@ -988,8 +1011,66 @@ fn serve_killed_mid_sleep_resumes_to_the_same_report() {
     assert_eq!(code.unwrap(), 1, "{batch}");
     let expected = violations(&batch);
     assert!(expected.len() > 100, "violations on both sides of the cut");
-    let crashed = serve_kill_resume_drill("midsleep", &constraints, &log, 5, covered);
+    let abort = format!("serve.step=abort@{}", covered + 1);
+    let (crashed, _) = serve_kill_resume_drill(
+        "midsleep",
+        &constraints,
+        &log,
+        5,
+        &abort,
+        "injected crash",
+        covered,
+    );
     assert_eq!(crashed, expected, "kill -9 mid-sleep + resume diverges");
+}
+
+/// The daemon's checkpoint writes fail or tear (`serve.checkpoint`), and
+/// `--resume` plus a full re-stream still ends byte-identical to batch
+/// `rtic check`. With `--checkpoint-every 3` the second write holds six
+/// updates:
+/// * `io-error@2` fails it on the writer thread after its pass was
+///   acked; the third checkpoint finds the error and the daemon exits
+///   non-zero. The failed write rotated nothing, so the primary is still
+///   the first write (three updates).
+/// * `truncate:60@2` tears it on disk, and a kill right after lets it
+///   land: resume rejects the torn primary and falls back to `.1`.
+#[test]
+fn serve_checkpoint_write_failures_resume_to_batch_check() {
+    let c = temp_file("ckfail-batch.rtic", CONSTRAINTS);
+    let l = temp_file("ckfail-batch.rticlog", LOG);
+    let (code, batch) = run(&["check", c.to_str().unwrap(), l.to_str().unwrap()]);
+    assert_eq!(code.unwrap(), 1, "{batch}");
+    let expected = violations(&batch);
+
+    let (report, out) = serve_kill_resume_drill(
+        "ckfail-io",
+        CONSTRAINTS,
+        LOG,
+        3,
+        "serve.checkpoint=io-error@2",
+        "cannot write checkpoint",
+        3,
+    );
+    assert_eq!(
+        report, expected,
+        "a failed checkpoint write + resume diverges"
+    );
+    assert!(!out.contains("rejected"), "{out}");
+
+    let (report, out) = serve_kill_resume_drill(
+        "ckfail-torn",
+        CONSTRAINTS,
+        LOG,
+        3,
+        "serve.checkpoint=truncate:60@2;serve.step=abort@7",
+        "injected crash",
+        3,
+    );
+    assert_eq!(report, expected, "a torn checkpoint + resume diverges");
+    assert!(
+        out.contains("ckfail-torn.ckpt` rejected") && out.contains("ckfail-torn.ckpt.1`"),
+        "{out}"
+    );
 }
 
 /// SMC-under-kill drill: an `rtic smc --backend soak-serve` campaign

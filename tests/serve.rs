@@ -648,6 +648,84 @@ fn crash_inside_a_drain_acks_nothing_and_resumes_to_batch_check() {
     assert_eq!(reported, violations(&batch));
 }
 
+/// Polls `QUERY status` until it contains `want`.
+fn status_until(raw: &mut Raw, want: &str) -> String {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let status = raw.read_line_after(&mut |raw| raw.send("QUERY status"));
+        if status.contains(want) {
+            return status;
+        }
+        assert!(Instant::now() < deadline, "never saw `{want}`: {status}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// The status line says what is durable, not what was handed to the
+/// checkpoint writer: `sealed=` is the newest durable checkpoint's time
+/// cursor and `ckpt_age_ms` counts from its rename. A write that fails
+/// after its pass was acked moves neither, the next checkpoint stops the
+/// daemon with the error, and the rotation keeps the last good
+/// generation as its primary — which a resumed daemon reports as sealed.
+#[test]
+fn status_reports_the_durable_checkpoint_not_the_hand_off() {
+    let c = temp_file("sealed.rtic", CONSTRAINTS);
+    let sock = temp_path("sealed.sock");
+    let ckpt = temp_path("sealed.ckpt");
+    for generation in ["", ".1", ".2"] {
+        std::fs::remove_file(format!("{}{generation}", ckpt.display())).ok();
+    }
+    let listen = format!("unix:{}", sock.display());
+    let serve = |extra: &[&str]| {
+        let mut args = vec!["serve", c.to_str().unwrap(), "--listen", &listen];
+        args.extend_from_slice(&["--checkpoint", ckpt.to_str().unwrap()]);
+        args.extend_from_slice(&["--checkpoint-every", "1"]);
+        args.extend_from_slice(extra);
+        spawn_server(&args)
+    };
+
+    let server = serve(&["--failpoints", "serve.checkpoint=io-error@2"]);
+    let mut raw = Raw::connect(&sock);
+    let status = raw.read_line_after(&mut |raw| raw.send("QUERY status"));
+    assert!(status.contains(" ckpt_age_ms=- sealed=- "), "{status}");
+    raw.send("@0 +reserved(\"ann\", 17)");
+    assert_eq!(raw.read_line(), "OK 0");
+    let status = status_until(&mut raw, "sealed=@0 ");
+    assert!(!status.contains("ckpt_age_ms=-"), "{status}");
+    // The second checkpoint's write fails on the writer thread, after
+    // its pass was acked: nothing about it became durable.
+    raw.send("@1");
+    assert_eq!(raw.read_line(), "OK 0");
+    let status = raw.read_line_after(&mut |raw| raw.send("QUERY status"));
+    assert!(status.contains("sealed=@0 "), "{status}");
+    // The third checkpoint finds the failure and stops the daemon; its
+    // update is never acked.
+    raw.send("@2");
+    let mut rest = String::new();
+    let _ = std::io::Read::read_to_string(&mut raw.reader, &mut rest);
+    assert_eq!(rest, "", "a reply escaped the failed checkpoint");
+    let (code, out) = server.join().unwrap();
+    let err = code.unwrap_err();
+    assert!(err.contains("cannot write checkpoint"), "{err}: {out}");
+    assert!(
+        !ckpt.with_extension("ckpt.1").exists(),
+        "the failed write rotated"
+    );
+
+    let server = serve(&["--resume"]);
+    let mut raw = Raw::connect(&sock);
+    let status = raw.read_line_after(&mut |raw| raw.send("QUERY status"));
+    assert!(status.contains(" ckpt_age_ms=- sealed=@0 "), "{status}");
+    raw.send("DRAIN");
+    assert!(raw.read_line().starts_with("OK drained"));
+    let (code, out) = server.join().unwrap();
+    assert_eq!(code.unwrap(), 0, "{out}");
+    assert!(
+        out.contains("resumed from") && out.contains("at t=@0"),
+        "{out}"
+    );
+}
+
 /// `--batch N` bounded the queue drain before the drain lost its knob.
 /// The frozen benchmark still passes it, so it is consumed — a missing
 /// value stays a usage error — and otherwise ignored, whatever N says.
