@@ -1,7 +1,8 @@
-//! Prints the experiment tables. See EXPERIMENTS.md for the mapping to the
-//! paper's claims.
+//! Prints the experiment tables as markdown, each with the relationships it
+//! checks, and exits 1 naming every relationship that did not hold. See
+//! EXPERIMENTS.md for the mapping to the paper's claims.
 
-use rtic_bench::experiments::{self, Scale};
+use rtic_bench::experiments::{self, Scale, TABLES};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -13,13 +14,17 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .map(|s| s.to_lowercase());
     if args.iter().any(|a| a == "--help" || a == "-h") {
+        let ids: Vec<&str> = TABLES.iter().map(|(id, _)| *id).collect();
         eprintln!(
-            "usage: experiments [--quick] [--table t1|f1|t2|f2|t3a|t3b|t4|f3|t5|t6|t7|t8]\n\
-             \x20                  [--metrics FILE] [--trace FILE]"
+            "usage: experiments [--quick] [--table {}]\n\
+             \x20                  [--metrics FILE] [--trace FILE]",
+            ids.join("|")
         );
         eprintln!(
             "--metrics/--trace run the instrumented telemetry pass (motivating\n\
-             constraint, reservations workload) and write the observer output."
+             constraint, reservations workload) and write the observer output.\n\
+             Without them every table is printed with a `holds:` or `BROKEN:`\n\
+             line per relationship; any BROKEN one makes the exit status 1."
         );
         return;
     }
@@ -67,28 +72,23 @@ fn main() {
         return;
     }
     println!(
-        "rtic experiments — {} scale\n",
+        "# rtic experiments — {} scale\n",
         if quick { "quick" } else { "full" }
     );
-    #[allow(clippy::type_complexity)]
-    let tables: Vec<(&str, fn(&Scale) -> rtic_bench::table::Table)> = vec![
-        ("t1", experiments::t1_space),
-        ("f1", experiments::f1_step_latency),
-        ("t2", experiments::t2_bound_space),
-        ("f2", experiments::f2_bound_time),
-        ("t3a", experiments::t3a_update_scaling),
-        ("t3b", experiments::t3b_state_scaling),
-        ("t4", experiments::t4_detection),
-        ("f3", experiments::f3_throughput),
-        ("t5", experiments::t5_active_overhead),
-        ("t6", experiments::t6_ablation),
-        ("t7", experiments::t7_adom_bound),
-        ("t8", experiments::t8_constraint_scaling),
-    ];
-    for (id, f) in tables {
+    let mut broken = Vec::new();
+    for (id, table) in TABLES {
         if only.as_deref().is_some_and(|o| o != id) {
             continue;
         }
-        println!("{}", f(&scale).render());
+        let table = table(&scale);
+        println!("{}", table.render());
+        broken.extend(table.broken().map(|c| format!("{}: {}", table.id, c.claim)));
+    }
+    if !broken.is_empty() {
+        eprintln!("experiments: {} relationship(s) broken", broken.len());
+        for b in &broken {
+            eprintln!("  BROKEN {b}");
+        }
+        std::process::exit(1);
     }
 }

@@ -1,17 +1,20 @@
 //! # rtic-bench — experiment harness
 //!
-//! Regenerates every table and figure of EXPERIMENTS.md:
+//! Measures and checks every table and figure of EXPERIMENTS.md, and
+//! records the perf trajectory:
 //!
-//! * [`experiments`] — one function per experiment (T1–T6, F1–F3);
+//! * [`experiments`] — one function per experiment (T1–T9, F1–F3, O1),
+//!   each checking its claim as a relationship over its own readings;
 //! * [`measure`] — instrumented checker runs (per-step timing, space polls);
 //! * [`record`] — perf-trajectory snapshots (`BENCH_<workload>.json`);
-//! * [`table`] — plain-text table rendering.
+//! * [`table`] — markdown tables with a `holds:`/`BROKEN:` line per
+//!   relationship.
 //!
 //! `cargo run -p rtic-bench --release --bin experiments` prints every
-//! table (`--quick` for a smoke-scale sweep, `--table t1` for one);
+//! table and exits 1 if a relationship is broken (`--quick` for a
+//! seconds-scale sweep, `--table t1` for one);
 //! `cargo run -p rtic-bench --release --bin record` writes a perf
-//! snapshot and optionally diffs it against a committed baseline;
-//! `cargo bench` runs the Criterion benches sampling the same code paths.
+//! snapshot and optionally diffs it against a committed baseline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -13,13 +13,10 @@ pub struct RunMeasurement {
     pub checker: &'static str,
     /// Transitions processed.
     pub steps: usize,
-    /// Total wall time in microseconds.
-    pub total_us: f64,
-    /// Mean per-step time over the **last quarter** of the run (where a
-    /// history-dependent checker is at its slowest) in microseconds.
+    /// Median per-step time over the **last quarter** of the run (where a
+    /// history-dependent checker is at its slowest) in microseconds — the
+    /// median, so one preempted step on a shared host does not move it.
     pub tail_step_us: f64,
-    /// Worst single step in microseconds.
-    pub max_step_us: f64,
     /// Space at the end of the run.
     pub final_space: SpaceStats,
     /// Largest retained-unit footprint observed at any step.
@@ -29,7 +26,7 @@ pub struct RunMeasurement {
 }
 
 impl RunMeasurement {
-    /// Steady-state throughput (states/second) based on the tail mean.
+    /// Steady-state throughput (states/second) based on the tail median.
     pub fn tail_throughput(&self) -> f64 {
         if self.tail_step_us == 0.0 {
             f64::INFINITY
@@ -37,6 +34,12 @@ impl RunMeasurement {
             1_000_000.0 / self.tail_step_us
         }
     }
+}
+
+/// The median of `xs` (sorted in place); NaN when empty.
+pub(crate) fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs.get(xs.len() / 2).copied().unwrap_or(f64::NAN)
 }
 
 /// Runs `checker` over `transitions`, timing every step and polling space.
@@ -64,7 +67,6 @@ pub fn run_instrumented_observed(
     let mut step_times = Vec::with_capacity(transitions.len());
     let mut violations = 0usize;
     let mut max_retained = 0usize;
-    let total_start = Instant::now();
     for (i, tr) in transitions.iter().enumerate() {
         let s = Instant::now();
         let report = checker
@@ -77,17 +79,13 @@ pub fn run_instrumented_observed(
             max_retained = max_retained.max(stats.retained_units());
         }
     }
-    let total_us = total_start.elapsed().as_secs_f64() * 1e6;
     let final_space = checker.space();
     max_retained = max_retained.max(final_space.retained_units());
     let tail_from = step_times.len() - step_times.len() / 4 - 1;
-    let tail: &[f64] = &step_times[tail_from..];
     RunMeasurement {
         checker: checker.name(),
         steps: transitions.len(),
-        total_us,
-        tail_step_us: tail.iter().sum::<f64>() / tail.len() as f64,
-        max_step_us: step_times.iter().copied().fold(0.0, f64::max),
+        tail_step_us: median(&mut step_times[tail_from..]),
         final_space,
         max_retained_units: max_retained,
         violations,
@@ -113,9 +111,7 @@ mod tests {
         let mut checker = IncrementalChecker::new(c, Arc::clone(&gen.catalog)).unwrap();
         let m = run_instrumented(&mut checker, &gen.transitions, 1);
         assert_eq!(m.steps, 40);
-        assert!(m.total_us > 0.0);
         assert!(m.tail_step_us > 0.0);
-        assert!(m.max_step_us >= m.tail_step_us / 2.0);
         assert!(m.max_retained_units >= m.final_space.retained_units());
         assert!(m.tail_throughput() > 0.0);
     }

@@ -1,6 +1,56 @@
-//! Plain-text table rendering for the experiment harness.
+//! Markdown rendering of experiment tables and the relationships they check.
 
 use std::fmt::Write as _;
+
+/// What a relationship is read off: counts repeat exactly for a seed, a
+/// stopwatch does not and needs headroom.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Gauge {
+    /// Space units, keys, stamps, violations: checked exactly.
+    Count,
+    /// Step times: checked with a threshold sized from measured spreads.
+    Timing,
+}
+
+/// One relationship a table claims, evaluated over the table's own readings.
+#[derive(Clone, Debug)]
+pub struct Check {
+    /// Whether the relationship is read off counts or off a stopwatch.
+    pub gauge: Gauge,
+    /// Whether it held on this run.
+    pub holds: bool,
+    /// The relationship, with the reading it was evaluated on.
+    pub claim: String,
+}
+
+impl Check {
+    /// A relationship that holds exactly when `holds`.
+    pub fn new(gauge: Gauge, holds: bool, claim: impl Into<String>) -> Check {
+        Check {
+            gauge,
+            holds,
+            claim: claim.into(),
+        }
+    }
+
+    /// `what ≤ limit`. A NaN reading (nothing measured) does not hold.
+    pub fn at_most(gauge: Gauge, what: &str, value: f64, limit: f64) -> Check {
+        Check::new(
+            gauge,
+            value <= limit,
+            format!("{what} ≤ {limit} (reads {value:.2})"),
+        )
+    }
+
+    /// `what ≥ limit`. A NaN reading (nothing measured) does not hold.
+    pub fn at_least(gauge: Gauge, what: &str, value: f64, limit: f64) -> Check {
+        Check::new(
+            gauge,
+            value >= limit,
+            format!("{what} ≥ {limit} (reads {value:.2})"),
+        )
+    }
+}
 
 /// A rendered experiment table (one per table/figure of EXPERIMENTS.md).
 #[derive(Clone, Debug)]
@@ -9,12 +59,14 @@ pub struct Table {
     pub id: &'static str,
     /// One-line title.
     pub title: String,
-    /// Free-form notes printed under the title.
+    /// Free-form notes printed under the rows.
     pub notes: Vec<String>,
     /// Column headers.
     pub header: Vec<String>,
     /// Data rows (already formatted).
     pub rows: Vec<Vec<String>>,
+    /// The relationships the table claims, checked on this run's readings.
+    pub checks: Vec<Check>,
 }
 
 impl Table {
@@ -26,6 +78,7 @@ impl Table {
             notes: Vec::new(),
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
+            checks: Vec::new(),
         }
     }
 
@@ -41,37 +94,28 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Renders with aligned columns.
+    /// The relationships that did not hold.
+    pub fn broken(&self) -> impl Iterator<Item = &Check> {
+        self.checks.iter().filter(|c| !c.holds)
+    }
+
+    /// Renders as markdown: the title, the table, the notes, then one
+    /// `holds:` or `BROKEN:` line per relationship.
     pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
-            }
-        }
+        let line = |cells: &[String]| format!("| {} |", cells.join(" | "));
         let mut out = String::new();
-        let _ = writeln!(out, "== {} — {} ==", self.id, self.title);
-        for n in &self.notes {
-            let _ = writeln!(out, "   {n}");
-        }
-        let line = |cells: &[String], widths: &[usize]| {
-            let mut s = String::new();
-            for (i, c) in cells.iter().enumerate() {
-                if i > 0 {
-                    s.push_str("  ");
-                }
-                let _ = write!(s, "{:>width$}", c, width = widths[i]);
-            }
-            s
-        };
-        let _ = writeln!(out, "{}", line(&self.header, &widths));
-        let _ = writeln!(
-            out,
-            "{}",
-            "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1))
-        );
+        let _ = writeln!(out, "**{} — {}**\n", self.id, self.title);
+        let _ = writeln!(out, "{}", line(&self.header));
+        let _ = writeln!(out, "{}|", "|---".repeat(self.header.len()));
         for row in &self.rows {
-            let _ = writeln!(out, "{}", line(row, &widths));
+            let _ = writeln!(out, "{}", line(row));
+        }
+        if !self.notes.is_empty() {
+            let _ = writeln!(out, "\n{}", self.notes.join("\n"));
+        }
+        for c in &self.checks {
+            let verdict = if c.holds { "holds" } else { "BROKEN" };
+            let _ = writeln!(out, "\n{verdict}: {}", c.claim);
         }
         out
     }
@@ -93,18 +137,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn renders_aligned() {
+    fn renders_a_markdown_table_with_its_verdicts() {
         let mut t = Table::new("T0", "demo", &["n", "value"]);
         t.note("a note");
         t.row(vec!["10".into(), "1.5".into()]);
-        t.row(vec!["10000".into(), "2".into()]);
+        t.checks
+            .push(Check::at_most(Gauge::Count, "value", 1.5, 2.0));
+        t.checks
+            .push(Check::at_least(Gauge::Timing, "speed-up", 0.5, 1.0));
         let s = t.render();
-        assert!(s.contains("T0"));
-        assert!(s.contains("a note"));
-        let lines: Vec<&str> = s.lines().collect();
-        let data: Vec<&str> = lines.iter().filter(|l| l.contains("10")).copied().collect();
-        assert_eq!(data.len(), 2);
-        assert_eq!(data[0].len(), data[1].len(), "columns aligned");
+        assert_eq!(
+            s,
+            "**T0 — demo**\n\n| n | value |\n|---|---|\n| 10 | 1.5 |\n\na note\n\n\
+             holds: value ≤ 2 (reads 1.50)\n\nBROKEN: speed-up ≥ 1 (reads 0.50)\n"
+        );
+        assert_eq!(t.broken().count(), 1);
+    }
+
+    #[test]
+    fn a_nan_reading_never_holds() {
+        assert!(!Check::at_most(Gauge::Count, "x", f64::NAN, 1.0).holds);
+        assert!(!Check::at_least(Gauge::Count, "x", f64::NAN, 1.0).holds);
     }
 
     #[test]

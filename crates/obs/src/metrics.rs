@@ -155,16 +155,22 @@ fn round3(x: f64) -> f64 {
     (x * 1000.0).round() / 1000.0
 }
 
-/// One profiled plan node as a JSON row (shared by the per-constraint
-/// profile listing and the aggregated hot-node list).
-fn profiled_node_json(node: &ProfiledNode) -> Json {
-    let mut doc = Json::object()
+/// A space footprint's fields, set on `doc`: the registry's `space` and
+/// `space_samples` rows and the trace's `space_sample` lines.
+pub(crate) fn space_json(doc: Json, stats: &SpaceStats) -> Json {
+    doc.set("aux_keys", stats.aux_keys)
+        .set("aux_timestamps", stats.aux_timestamps)
+        .set("stored_states", stats.stored_states)
+        .set("stored_tuples", stats.stored_tuples)
+        .set("retained_units", stats.retained_units())
+}
+
+/// One profiled plan node as a JSON row, as the trace's `plan_profile`
+/// lines carry it; the registry's rows add the node's static flags.
+pub(crate) fn profiled_node_json(node: &ProfiledNode) -> Json {
+    let doc = Json::object()
         .set("path", node.desc.path.clone())
         .set("label", node.desc.label.clone())
-        .set("depth", node.desc.depth)
-        .set("memoized", node.desc.memoized)
-        .set("probe", node.desc.probe)
-        .set("materialize", node.desc.materialize)
         .set("calls", node.counts.calls)
         .set("time_ns", node.counts.time_ns)
         .set("rows_in", node.counts.rows_in)
@@ -172,12 +178,22 @@ fn profiled_node_json(node: &ProfiledNode) -> Json {
         .set("cache_hits", node.counts.cache_hits)
         .set("cache_misses", node.counts.cache_misses);
     // Vectorized nodes report their columnar batch shape.
-    if let Some(rpb) = node.counts.rows_per_block() {
-        doc = doc
+    match node.counts.rows_per_block() {
+        Some(rpb) => doc
             .set("blocks", node.counts.blocks)
-            .set("rows_per_block", rpb);
+            .set("rows_per_block", rpb),
+        None => doc,
     }
-    doc
+}
+
+/// A registry row for a profiled node: the trace's row plus where the node
+/// sits and how it is executed.
+fn registry_node_json(node: &ProfiledNode) -> Json {
+    profiled_node_json(node)
+        .set("depth", node.desc.depth)
+        .set("memoized", node.desc.memoized)
+        .set("probe", node.desc.probe)
+        .set("materialize", node.desc.materialize)
 }
 
 /// The latest ingest-plane gauges of a resident server (`rtic serve`),
@@ -328,16 +344,6 @@ impl MetricsRegistry {
         total
     }
 
-    /// Latest observed space stats per checker backend.
-    pub fn space_by_checker(&self) -> impl Iterator<Item = (&'static str, SpaceStats)> + '_ {
-        self.checkers.iter().map(|(name, stats)| (*name, *stats))
-    }
-
-    /// Number of space samples recorded.
-    pub fn space_sample_count(&self) -> usize {
-        self.space_samples.len()
-    }
-
     /// The latest resident-server ingest gauges, when the event stream
     /// came from an `rtic serve` run.
     pub fn serve_gauges(&self) -> Option<ServeGauges> {
@@ -423,21 +429,16 @@ impl MetricsRegistry {
             }
             obj
         };
-        let space = self.space_now();
         let samples: Vec<Json> = self
             .space_samples
             .iter()
             .map(|row| {
-                Json::object()
+                let doc = Json::object()
                     .set("step", row.step_index)
                     .set("time", row.time)
                     .set("checker", row.checker)
-                    .set("constraint", row.constraint)
-                    .set("aux_keys", row.stats.aux_keys)
-                    .set("aux_timestamps", row.stats.aux_timestamps)
-                    .set("stored_states", row.stats.stored_states)
-                    .set("stored_tuples", row.stats.stored_tuples)
-                    .set("retained_units", row.stats.retained_units())
+                    .set("constraint", row.constraint);
+                space_json(doc, &row.stats)
             })
             .collect();
         let checkers: Vec<Json> = self
@@ -473,15 +474,7 @@ impl MetricsRegistry {
             .set("bad_lines", self.bad_lines)
             .set("step_latency_us", self.step_latency.to_json())
             .set("eval_latency_us", self.eval_latency.to_json())
-            .set(
-                "space",
-                Json::object()
-                    .set("aux_keys", space.aux_keys)
-                    .set("aux_timestamps", space.aux_timestamps)
-                    .set("stored_states", space.stored_states)
-                    .set("stored_tuples", space.stored_tuples)
-                    .set("retained_units", space.retained_units()),
-            )
+            .set("space", space_json(Json::object(), &self.space_now()))
             .set("space_samples", Json::Arr(samples))
             .set("checkers", Json::Arr(checkers))
             .set("plan_stats", {
@@ -504,7 +497,7 @@ impl MetricsRegistry {
             .set("plan_profiles", {
                 let mut obj = Json::object();
                 for ((checker, constraint), profile) in &self.plan_profiles {
-                    let nodes: Vec<Json> = profile.nodes.iter().map(profiled_node_json).collect();
+                    let nodes: Vec<Json> = profile.nodes.iter().map(registry_node_json).collect();
                     obj = obj.set(
                         constraint,
                         Json::object()
@@ -521,7 +514,7 @@ impl MetricsRegistry {
                     self.hot_nodes(5)
                         .into_iter()
                         .map(|(constraint, node)| {
-                            profiled_node_json(node).set("constraint", constraint)
+                            registry_node_json(node).set("constraint", constraint)
                         })
                         .collect(),
                 ),

@@ -7,6 +7,7 @@ use std::path::{Path, PathBuf};
 use rtic_core::{StepEvent, StepObserver};
 
 use crate::json::Json;
+use crate::metrics::{profiled_node_json, space_json};
 
 /// Converts one event into its trace-line JSON document.
 ///
@@ -97,29 +98,7 @@ pub fn event_json(seq: u64, event: &StepEvent<'_>) -> Json {
             .set("total_time_ns", profile.total_time_ns())
             .set(
                 "nodes",
-                Json::Arr(
-                    profile
-                        .nodes
-                        .iter()
-                        .map(|n| {
-                            let mut node = Json::object()
-                                .set("path", n.desc.path.clone())
-                                .set("label", n.desc.label.clone())
-                                .set("calls", n.counts.calls)
-                                .set("time_ns", n.counts.time_ns)
-                                .set("rows_in", n.counts.rows_in)
-                                .set("rows_out", n.counts.rows_out)
-                                .set("cache_hits", n.counts.cache_hits)
-                                .set("cache_misses", n.counts.cache_misses);
-                            if let Some(rpb) = n.counts.rows_per_block() {
-                                node = node
-                                    .set("blocks", n.counts.blocks)
-                                    .set("rows_per_block", rpb);
-                            }
-                            node
-                        })
-                        .collect(),
-                ),
+                Json::Arr(profile.nodes.iter().map(profiled_node_json).collect()),
             ),
         StepEvent::SpaceSample {
             checker,
@@ -127,16 +106,14 @@ pub fn event_json(seq: u64, event: &StepEvent<'_>) -> Json {
             time,
             step_index,
             stats,
-        } => base
-            .set("checker", *checker)
-            .set("constraint", constraint.as_str())
-            .set("time", time.0)
-            .set("step", *step_index)
-            .set("aux_keys", stats.aux_keys)
-            .set("aux_timestamps", stats.aux_timestamps)
-            .set("stored_states", stats.stored_states)
-            .set("stored_tuples", stats.stored_tuples)
-            .set("retained_units", stats.retained_units()),
+        } => {
+            let doc = base
+                .set("checker", *checker)
+                .set("constraint", constraint.as_str())
+                .set("time", time.0)
+                .set("step", *step_index);
+            space_json(doc, stats)
+        }
         StepEvent::SmcSample {
             scenario,
             sample,
