@@ -1,12 +1,11 @@
-//! `record` — write a `BENCH_<workload>.json` perf snapshot.
+//! `record` — write a `BENCH_<workload>.json` perf curve.
 //!
 //! ```text
-//! record [WORKLOAD] [--steps N] [--seed N] [--out FILE]
+//! record batch-exec|scenarios [--steps N] [--seed N] [--out FILE]
 //!        [--compare BASELINE] [--warn-pct P]
 //! record compare-all [--current DIR] [--baselines DIR] [--warn-pct P]
 //! ```
 //!
-//! WORKLOAD defaults to `motivating` (the paper's reservations example);
 //! `--out` defaults to `BENCH_<workload>.json` in the current directory.
 //! With `--compare`, the fresh snapshot is diffed against a committed
 //! baseline and regressions beyond `--warn-pct` (default 25%) are
@@ -23,8 +22,8 @@
 
 use rtic_bench::experiments::{deadline_constraint, metric_constraint};
 use rtic_bench::record::{
-    batch_exec_curve, batch_exec_to_json, compare, compare_all, git_rev, machine_stamp, record,
-    scenario_sweep, scenario_sweep_to_json, to_json, WORKLOADS,
+    batch_exec_curve, batch_exec_to_json, compare, compare_all, git_rev, machine_stamp,
+    scenario_sweep, scenario_sweep_to_json,
 };
 use rtic_obs::json;
 
@@ -38,11 +37,9 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 fn run(args: &[String]) -> Result<i32, String> {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!(
-            "record [WORKLOAD] [--steps N] [--seed N] [--out FILE] \
+            "record batch-exec|scenarios [--steps N] [--seed N] [--out FILE] \
              [--compare BASELINE] [--warn-pct P]\n\
-             record compare-all [--current DIR] [--baselines DIR] [--warn-pct P]\n\
-             workloads: {}, scenarios, batch-exec",
-            WORKLOADS.join(", ")
+             record compare-all [--current DIR] [--baselines DIR] [--warn-pct P]"
         );
         return Ok(0);
     }
@@ -51,7 +48,7 @@ fn run(args: &[String]) -> Result<i32, String> {
         .take_while(|a| !a.starts_with("--"))
         .map(String::as_str)
         .next()
-        .unwrap_or("motivating");
+        .unwrap_or("");
     let steps: usize = flag_value(args, "--steps")
         .map(|v| v.parse().map_err(|e| format!("bad --steps: {e}")))
         .transpose()?
@@ -165,21 +162,9 @@ fn run(args: &[String]) -> Result<i32, String> {
         println!("recorded scenarios (seed {seed}) -> {out_path}");
         doc
     } else {
-        let recording = record(workload, steps, seed)?;
-        let doc = to_json(&recording, &git_rev());
-        write_doc(&out_path, &doc)?;
-        println!(
-            "recorded {} ({} steps, seed {}) -> {out_path}: {:.0} steps/s, \
-             p50 {:.1}us p90 {:.1}us p99 {:.1}us",
-            recording.workload,
-            recording.steps,
-            recording.seed,
-            recording.throughput,
-            recording.latency_us.0,
-            recording.latency_us.1,
-            recording.latency_us.2,
-        );
-        doc
+        return Err(format!(
+            "unknown workload `{workload}` (expected batch-exec, scenarios or compare-all)"
+        ));
     };
 
     if let Some(baseline_path) = flag_value(args, "--compare") {

@@ -1,174 +1,22 @@
-//! Perf-trajectory recorder: machine-readable benchmark snapshots.
+//! Perf-trajectory recorder: machine-readable benchmark curves.
 //!
-//! `cargo run -p rtic-bench --release --bin record` runs a named workload
-//! through the profiled incremental checker and writes a
-//! `BENCH_<workload>.json` snapshot — throughput, step-latency
-//! percentiles, the plan-node hot list, and the git revision — so a
-//! repository can accumulate a perf trajectory over time. `--compare
-//! BASELINE --warn-pct N` diffs the fresh snapshot against a committed
-//! baseline and prints warn-only regressions (CI never fails on noise,
-//! it surfaces it).
+//! `cargo run -p rtic-bench --release --bin record -- batch-exec|scenarios`
+//! sweeps what the pipeline benchmark does not draw — tuples/sec against
+//! the active domain, and the production scenario library — and writes a
+//! `BENCH_<workload>.json` curve with the git revision, so a repository
+//! can accumulate a perf trajectory over time. `--compare BASELINE
+//! --warn-pct N` diffs the fresh curve against a committed baseline and
+//! prints warn-only regressions (CI never fails on noise, it surfaces it).
 
 use std::time::Instant;
 
-use rtic_core::{Checker, EncodingOptions, IncrementalChecker, ProfiledNode};
 use rtic_obs::json::{self, Json};
 use rtic_temporal::Constraint;
-use rtic_workload::{
-    library, Audit, Library, Monitor, RandomWorkload, Reservations, ScenarioParams,
-};
+use rtic_workload::{library, ScenarioParams};
 
 /// Bumped when the snapshot layout changes shape (field renames,
 /// semantic changes) so downstream tooling can refuse mixed files.
 pub const SCHEMA_VERSION: u64 = 1;
-
-/// Workload names `record` understands. `motivating` is the paper's
-/// running reservations example — the one whose baseline is committed.
-pub const WORKLOADS: &[&str] = &["motivating", "library", "monitor", "audit", "random"];
-
-/// One recorded run: the measured numbers behind the JSON snapshot.
-#[derive(Clone, Debug)]
-pub struct Recording {
-    /// Workload name (see [`WORKLOADS`]).
-    pub workload: String,
-    /// Transitions processed.
-    pub steps: usize,
-    /// Workload generator seed.
-    pub seed: u64,
-    /// End-to-end throughput in steps/second.
-    pub throughput: f64,
-    /// Exact step-latency percentiles in microseconds:
-    /// `(p50, p90, p99, max)`.
-    pub latency_us: (f64, f64, f64, f64),
-    /// Violation witnesses across the run.
-    pub violations: usize,
-    /// Hottest plan nodes across all constraints, by inclusive time.
-    pub hot_nodes: Vec<(String, ProfiledNode)>,
-}
-
-/// Exact (nearest-rank) percentile of an ascending-sorted sample.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// Runs `workload` for `steps` transitions through one profiled
-/// incremental checker per constraint, timing every step.
-pub fn record(workload: &str, steps: usize, seed: u64) -> Result<Recording, String> {
-    let generated = match workload {
-        "motivating" => Reservations {
-            steps,
-            seed,
-            ..Default::default()
-        }
-        .generate(),
-        "library" => Library {
-            steps,
-            seed,
-            ..Default::default()
-        }
-        .generate(),
-        "monitor" => Monitor {
-            steps,
-            seed,
-            ..Default::default()
-        }
-        .generate(),
-        "audit" => Audit {
-            steps,
-            seed,
-            ..Default::default()
-        }
-        .generate(),
-        "random" => RandomWorkload {
-            steps,
-            seed,
-            ..Default::default()
-        }
-        .generate(),
-        other => {
-            return Err(format!(
-                "unknown workload `{other}` (expected one of {})",
-                WORKLOADS.join(", ")
-            ))
-        }
-    };
-    let mut checkers: Vec<IncrementalChecker> = generated
-        .constraints
-        .iter()
-        .map(|c| {
-            IncrementalChecker::with_options(
-                c.clone(),
-                std::sync::Arc::clone(&generated.catalog),
-                EncodingOptions {
-                    profile_plans: true,
-                    ..Default::default()
-                },
-            )
-            .map_err(|e| format!("constraint `{}`: {e}", c.name))
-        })
-        .collect::<Result<_, String>>()?;
-
-    let mut step_us = Vec::with_capacity(generated.transitions.len());
-    let mut violations = 0usize;
-    let run_start = Instant::now();
-    for tr in &generated.transitions {
-        let s = Instant::now();
-        for checker in &mut checkers {
-            let report = checker
-                .step(tr.time, &tr.update)
-                .map_err(|e| format!("workload step at {}: {e}", tr.time))?;
-            violations += report.violation_count();
-        }
-        step_us.push(s.elapsed().as_secs_f64() * 1e6);
-    }
-    let total_secs = run_start.elapsed().as_secs_f64();
-
-    let mut sorted = step_us.clone();
-    sorted.sort_by(f64::total_cmp);
-    let max_us = sorted.last().copied().unwrap_or(0.0);
-
-    // Hot list across the whole fleet, hottest first; node identity is
-    // `<constraint> <path>` so multi-constraint workloads stay readable.
-    let mut hot: Vec<(String, ProfiledNode)> = Vec::new();
-    for checker in &checkers {
-        let name = checker.constraint().name;
-        if let Some(profile) = checker.plan_profile() {
-            for node in profile.hot(5) {
-                hot.push((name.to_string(), node.clone()));
-            }
-        }
-    }
-    hot.sort_by(|a, b| {
-        b.1.counts
-            .time_ns
-            .cmp(&a.1.counts.time_ns)
-            .then_with(|| a.0.cmp(&b.0))
-    });
-    hot.truncate(10);
-
-    Ok(Recording {
-        workload: workload.to_string(),
-        steps: generated.transitions.len(),
-        seed,
-        throughput: if total_secs > 0.0 {
-            generated.transitions.len() as f64 / total_secs
-        } else {
-            0.0
-        },
-        latency_us: (
-            percentile(&sorted, 0.50),
-            percentile(&sorted, 0.90),
-            percentile(&sorted, 0.99),
-            max_us,
-        ),
-        violations,
-        hot_nodes: hot,
-    })
-}
 
 /// One production scenario's measured point in the `record scenarios`
 /// sweep: the whole fleet checked through one constraint set at a
@@ -399,44 +247,6 @@ fn round3(v: f64) -> f64 {
     (v * 1000.0).round() / 1000.0
 }
 
-/// Renders a recording as the `BENCH_<workload>.json` document.
-pub fn to_json(rec: &Recording, git_rev: &str) -> Json {
-    let hot: Vec<Json> = rec
-        .hot_nodes
-        .iter()
-        .map(|(constraint, node)| {
-            Json::object()
-                .set("constraint", constraint.as_str())
-                .set("path", node.desc.path.as_str())
-                .set("label", node.desc.label.as_str())
-                .set("calls", node.counts.calls)
-                .set("time_ns", node.counts.time_ns)
-                .set("rows_in", node.counts.rows_in)
-                .set("rows_out", node.counts.rows_out)
-                .set("cache_hits", node.counts.cache_hits)
-                .set("cache_misses", node.counts.cache_misses)
-        })
-        .collect();
-    let (p50, p90, p99, max) = rec.latency_us;
-    Json::object()
-        .set("schema_version", SCHEMA_VERSION)
-        .set("workload", rec.workload.as_str())
-        .set("steps", rec.steps as u64)
-        .set("seed", rec.seed)
-        .set("git_rev", git_rev)
-        .set("throughput_steps_per_sec", round3(rec.throughput))
-        .set(
-            "step_latency_us",
-            Json::object()
-                .set("p50_us", round3(p50))
-                .set("p90_us", round3(p90))
-                .set("p99_us", round3(p99))
-                .set("max_us", round3(max)),
-        )
-        .set("violations", rec.violations as u64)
-        .set("plan_hot_nodes", Json::Arr(hot))
-}
-
 /// The comparable metrics of a snapshot document, flattened to
 /// `(label, value, higher_is_better)` rows. Schema-aware: curve
 /// documents (`scenarios`, `batch-exec`) key their
@@ -482,19 +292,7 @@ fn metric_rows(doc: &Json) -> Vec<(String, f64, bool)> {
                 }));
             }
         }
-        // Single-workload snapshots: throughput up, latency down.
-        _ => {
-            if let Some(v) = num(doc, "throughput_steps_per_sec") {
-                rows.push(("throughput_steps_per_sec".into(), v, true));
-            }
-            if let Some(lat) = doc.get("step_latency_us") {
-                for m in ["p50_us", "p99_us"] {
-                    if let Some(v) = num(lat, m) {
-                        rows.push((format!("step_latency_us.{m}"), v, false));
-                    }
-                }
-            }
-        }
+        _ => {}
     }
     rows
 }
@@ -504,7 +302,7 @@ fn metric_rows(doc: &Json) -> Vec<(String, f64, bool)> {
 /// `warn_pct` percent — empty means within threshold. Comparison is
 /// warn-only by design: one-shot CI timings are noisy, so the trajectory
 /// is surfaced, not enforced. Understands every committed `BENCH_*.json`
-/// schema (single workloads, scenarios, batch-exec);
+/// schema (scenarios, batch-exec);
 /// metrics present in only one document are skipped.
 pub fn compare(current: &Json, baseline: &Json, warn_pct: f64) -> Vec<String> {
     let mut warnings = Vec::new();
@@ -592,75 +390,31 @@ mod tests {
     use super::*;
     use rtic_obs::json;
 
-    #[test]
-    fn records_the_motivating_workload() {
-        let rec = record("motivating", 60, 7).unwrap();
-        assert_eq!(rec.workload, "motivating");
-        assert_eq!(rec.steps, 60);
-        assert!(rec.throughput > 0.0);
-        let (p50, p90, p99, max) = rec.latency_us;
-        assert!(p50 <= p90 && p90 <= p99 && p99 <= max, "{rec:?}");
-        assert!(!rec.hot_nodes.is_empty(), "profiled nodes recorded");
-        // Hot list is hottest-first.
-        for pair in rec.hot_nodes.windows(2) {
-            assert!(pair[0].1.counts.time_ns >= pair[1].1.counts.time_ns);
-        }
-    }
-
-    #[test]
-    fn unknown_workloads_are_rejected() {
-        let err = record("nope", 10, 1).unwrap_err();
-        assert!(err.contains("unknown workload"), "{err}");
-    }
-
-    #[test]
-    fn snapshot_json_round_trips() {
-        let rec = record("motivating", 40, 7).unwrap();
-        let doc = json::parse(&to_json(&rec, "abc123").render()).unwrap();
-        assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(1));
-        assert_eq!(
-            doc.get("workload").and_then(Json::as_str),
-            Some("motivating")
-        );
-        assert_eq!(doc.get("git_rev").and_then(Json::as_str), Some("abc123"));
-        assert!(doc
-            .get("throughput_steps_per_sec")
-            .and_then(Json::as_f64)
-            .is_some_and(|v| v > 0.0));
-        let hot = doc.get("plan_hot_nodes").and_then(Json::as_arr).unwrap();
-        assert!(!hot.is_empty());
-        assert!(hot[0].get("path").and_then(Json::as_str).is_some());
+    /// A `scenarios` document with one point per `(scenario, steps/s)`.
+    fn scenarios(points: &[(&str, f64)]) -> Json {
+        let rows = points.iter().map(|&(name, rate)| {
+            Json::object()
+                .set("scenario", name)
+                .set("steps_per_sec", rate)
+        });
+        Json::object()
+            .set("workload", "scenarios")
+            .set("scenarios", Json::Arr(rows.collect()))
     }
 
     #[test]
     fn compare_warns_only_beyond_threshold() {
-        let base = json::parse(
-            r#"{"throughput_steps_per_sec": 1000.0,
-                "step_latency_us": {"p50_us": 100.0, "p99_us": 200.0}}"#,
-        )
-        .unwrap();
+        let base = scenarios(&[("fraud", 1000.0), ("access", 200.0)]);
         // Within threshold: no warnings.
-        let near = json::parse(
-            r#"{"throughput_steps_per_sec": 960.0,
-                "step_latency_us": {"p50_us": 104.0, "p99_us": 208.0}}"#,
-        )
-        .unwrap();
+        let near = scenarios(&[("fraud", 960.0), ("access", 196.0)]);
         assert!(compare(&near, &base, 10.0).is_empty());
-        // Throughput collapse and latency blow-up both warn.
-        let worse = json::parse(
-            r#"{"throughput_steps_per_sec": 500.0,
-                "step_latency_us": {"p50_us": 100.0, "p99_us": 400.0}}"#,
-        )
-        .unwrap();
+        // Every collapsed point warns.
+        let worse = scenarios(&[("fraud", 500.0), ("access", 100.0)]);
         let warnings = compare(&worse, &base, 10.0);
         assert_eq!(warnings.len(), 2, "{warnings:?}");
-        assert!(warnings[0].contains("throughput"), "{warnings:?}");
+        assert!(warnings[0].contains("scenarios[fraud]"), "{warnings:?}");
         // Improvements never warn.
-        let better = json::parse(
-            r#"{"throughput_steps_per_sec": 2000.0,
-                "step_latency_us": {"p50_us": 50.0, "p99_us": 90.0}}"#,
-        )
-        .unwrap();
+        let better = scenarios(&[("fraud", 2000.0), ("access", 400.0)]);
         assert!(compare(&better, &base, 10.0).is_empty());
     }
 
@@ -716,30 +470,24 @@ mod tests {
         let fresh = root.join("fresh");
         std::fs::create_dir_all(&baselines).unwrap();
         std::fs::create_dir_all(&fresh).unwrap();
-        let motivating = r#"{"workload": "motivating", "throughput_steps_per_sec": 1000.0}"#;
-        std::fs::write(baselines.join("BENCH_motivating.json"), motivating).unwrap();
-        std::fs::write(
-            baselines.join("BENCH_scenarios.json"),
-            r#"{"workload": "scenarios",
-                "scenarios": [{"scenario": "fraud", "steps_per_sec": 100.0}]}"#,
-        )
-        .unwrap();
+        let batch_exec = r#"{"workload": "batch-exec",
+            "domain_curve": [{"entities": 64, "vectorized_tuples_per_sec": 1000.0}]}"#;
+        std::fs::write(baselines.join("BENCH_batch_exec.json"), batch_exec).unwrap();
+        let base = scenarios(&[("fraud", 100.0)]).render();
+        std::fs::write(baselines.join("BENCH_scenarios.json"), base).unwrap();
         std::fs::write(baselines.join("not_a_baseline.txt"), "ignored").unwrap();
-        // Fresh snapshot only for motivating: a regression there warns,
-        // and the uncovered scenarios baseline is reported, not skipped.
-        std::fs::write(
-            fresh.join("BENCH_motivating.json"),
-            r#"{"workload": "motivating", "throughput_steps_per_sec": 400.0}"#,
-        )
-        .unwrap();
+        // Fresh snapshot only for scenarios: a regression there warns,
+        // and the uncovered batch-exec baseline is reported, not skipped.
+        let fresh_doc = scenarios(&[("fraud", 40.0)]).render();
+        std::fs::write(fresh.join("BENCH_scenarios.json"), fresh_doc).unwrap();
         let reports = compare_all(&baselines, &fresh, 25.0).unwrap();
         std::fs::remove_dir_all(&root).unwrap();
         assert_eq!(
             reports.iter().map(|(f, _)| f.as_str()).collect::<Vec<_>>(),
-            vec!["BENCH_motivating.json", "BENCH_scenarios.json"]
+            vec!["BENCH_batch_exec.json", "BENCH_scenarios.json"]
         );
-        assert!(reports[0].1[0].contains("throughput"), "{reports:?}");
-        assert!(reports[1].1[0].contains("no fresh snapshot"), "{reports:?}");
+        assert!(reports[0].1[0].contains("no fresh snapshot"), "{reports:?}");
+        assert!(reports[1].1[0].contains("scenarios[fraud]"), "{reports:?}");
     }
 
     #[test]
@@ -780,14 +528,6 @@ mod tests {
         );
         assert!(rows[0].get("tuples_per_sec").is_some());
         assert!(rows[0].get("peak_shards").is_none(), "the plane is gone");
-    }
-
-    #[test]
-    fn percentiles_are_nearest_rank() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&v, 0.50), 2.0);
-        assert_eq!(percentile(&v, 0.99), 4.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
     }
 
     #[test]

@@ -10,8 +10,9 @@ use crate::report::{SpaceStats, StepReport};
 /// An online integrity-constraint checker: consumes one transition at a
 /// time and reports violations at each state.
 ///
-/// All three implementations ([`crate::IncrementalChecker`],
-/// [`crate::NaiveChecker`], [`crate::WindowedChecker`]) produce *identical
+/// All four implementations ([`crate::IncrementalChecker`],
+/// [`crate::NaiveChecker`], [`crate::WindowedChecker`] and the
+/// `ActiveChecker` of `rtic-active`) produce *identical
 /// reports* on identical input (property-tested); they differ in what they
 /// store and how long a step takes — exactly the axes the paper's
 /// evaluation compares.

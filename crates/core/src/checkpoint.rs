@@ -15,6 +15,7 @@
 //! body reserved(p, f) && …
 //! time 42
 //! steps 37
+//! dispatch 30 5 2 0
 //! rel reserved
 //! | "ann", 17
 //! endrel
@@ -63,7 +64,6 @@ use std::sync::Arc;
 use rtic_relation::{Catalog, Database, Symbol, Tuple, Value};
 use rtic_temporal::{Constraint, Formula, TimePoint};
 
-use crate::error::CompileError;
 use crate::incremental::{EncodingOptions, IncrementalChecker, NodeEngine, NodeState};
 use crate::set::{ConstraintSet, DispatchStats};
 
@@ -82,8 +82,6 @@ pub enum CheckpointError {
         /// What differed.
         message: String,
     },
-    /// The constraint failed to compile against the catalog.
-    Compile(CompileError),
 }
 
 impl fmt::Display for CheckpointError {
@@ -95,18 +93,11 @@ impl fmt::Display for CheckpointError {
             CheckpointError::Mismatch { message } => {
                 write!(f, "checkpoint mismatch: {message}")
             }
-            CheckpointError::Compile(e) => write!(f, "checkpoint constraint: {e}"),
         }
     }
 }
 
 impl Error for CheckpointError {}
-
-impl From<CompileError> for CheckpointError {
-    fn from(e: CompileError) -> CheckpointError {
-        CheckpointError::Compile(e)
-    }
-}
 
 fn write_values(out: &mut String, t: &Tuple) {
     out.push_str("| ");
@@ -114,7 +105,7 @@ fn write_values(out: &mut String, t: &Tuple) {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&v.to_literal());
+        let _ = v.write_literal(out);
     }
     out.push('\n');
 }
@@ -124,14 +115,13 @@ fn write_values(out: &mut String, t: &Tuple) {
 /// an absence: neither rows nor marker is the *empty* database.
 const DATABASE_SHARED: &str = "database shared";
 
-/// Serializes the checker's full state.
+/// Serializes the checker's full state: the one section [`save_set`]
+/// writes for its set of one (empty once its engine has panicked).
 pub fn save(checker: &IncrementalChecker) -> String {
-    save_parts(
-        Some(checker.database()),
-        checker.engine(),
-        checker.steps(),
-        None,
-    )
+    save_set(&checker.0)
+        .pop()
+        .map(|(_, section)| section)
+        .unwrap_or_default()
 }
 
 /// Serializes a fleet: one `(constraint, v1 section)` per **healthy**
@@ -143,7 +133,7 @@ pub fn save(checker: &IncrementalChecker) -> String {
 /// trustworthy — so resuming such a checkpoint with the full constraint
 /// file fails with a missing-section error for the quarantined constraint.
 pub fn save_set(set: &ConstraintSet) -> Vec<(Symbol, String)> {
-    let dispatch = Some(set.dispatch_stats());
+    let dispatch = set.dispatch_stats();
     set.healthy_engines()
         .enumerate()
         .map(|(i, engine)| {
@@ -157,14 +147,14 @@ pub fn save_set(set: &ConstraintSet) -> Vec<(Symbol, String)> {
 }
 
 /// One `rtic-checkpoint v1` section for an engine over `db` (`None`:
-/// another section holds it). A fleet's sections also carry the set's
-/// `dispatch` tallies (identical in every section, restored so counters
-/// keep matching engine-steps across resume).
+/// another section holds it), with the set's `dispatch` tallies
+/// (identical in every section, restored so counters keep matching
+/// engine-steps across resume).
 fn save_parts(
     db: Option<&Database>,
     engine: &NodeEngine,
     steps: usize,
-    dispatch: Option<DispatchStats>,
+    d: DispatchStats,
 ) -> String {
     // A sleeping engine is saved as the eager path would have left it.
     let engine = &*engine.settled();
@@ -179,13 +169,11 @@ fn save_parts(
         None => out.push_str("time none\n"),
     }
     let _ = writeln!(out, "steps {steps}");
-    if let Some(d) = dispatch {
-        let _ = writeln!(
-            out,
-            "dispatch {} {} {} {}",
-            d.affected, d.skipped, d.quiescent_full, d.quarantined
-        );
-    }
+    let _ = writeln!(
+        out,
+        "dispatch {} {} {} {}",
+        d.affected, d.skipped, d.quiescent_full, d.quarantined
+    );
     // Current database state, or the note that another section has it.
     match db {
         None => out.extend([DATABASE_SHARED, "\n"]),
@@ -362,26 +350,18 @@ fn parse_times(text: &str) -> Result<Vec<TimePoint>, String> {
         .collect()
 }
 
-/// Restores a checker from checkpoint text. The same `constraint`,
-/// `catalog` and `options` the original was built with must be supplied;
-/// the constraint's compiled body is verified against the checkpoint.
+/// Restores a checker from checkpoint text: [`restore_set_with_options`]
+/// for a set of one. The same `constraint`, `catalog` and `options` the
+/// original was built with must be supplied; the constraint's compiled
+/// body is verified against the checkpoint.
 pub fn restore(
     constraint: Constraint,
     catalog: Arc<Catalog>,
     options: EncodingOptions,
     text: &str,
 ) -> Result<IncrementalChecker, CheckpointError> {
-    let mut checker = IncrementalChecker::with_options(constraint, catalog, options)?;
-    let (db, engine, steps_slot) = checker.parts_mut();
-    restore_section(
-        db,
-        engine,
-        steps_slot,
-        &mut DispatchStats::default(),
-        text,
-        RelMode::Apply,
-    )?;
-    Ok(checker)
+    let set = restore_set_with_options([constraint], catalog, options, &[text])?;
+    Ok(IncrementalChecker(set))
 }
 
 /// Restores a whole fleet from the sections of a multi-section
@@ -396,7 +376,7 @@ pub fn restore(
 pub fn restore_set(
     constraints: impl IntoIterator<Item = Constraint>,
     catalog: Arc<Catalog>,
-    sections: &[String],
+    sections: &[impl AsRef<str>],
 ) -> Result<ConstraintSet, CheckpointError> {
     restore_set_with_options(constraints, catalog, EncodingOptions::default(), sections)
 }
@@ -407,11 +387,19 @@ pub fn restore_set_with_options(
     constraints: impl IntoIterator<Item = Constraint>,
     catalog: Arc<Catalog>,
     options: EncodingOptions,
-    sections: &[String],
+    sections: &[impl AsRef<str>],
 ) -> Result<ConstraintSet, CheckpointError> {
     let mut set = ConstraintSet::with_options(constraints, catalog, options)
         .map_err(|(c, e)| mismatch(format!("constraint `{}` failed to compile: {e}", c.name)))?;
-    let parts = set.restore_parts();
+    let parts = set.parts_mut();
+    let sections: Vec<&str> = sections.iter().map(AsRef::as_ref).collect();
+    // A lone section that names no constraint matches none: restoring it
+    // says where it is malformed.
+    let lone = match (&sections[..], &parts.engines[..]) {
+        ([section], [_]) if section_constraint_name(section).is_none() => Some(*section),
+        _ => None,
+    };
+    let first = parts.engines.first().map(|e| e.compiled.constraint.name);
     let mut cursor: Option<(usize, Option<TimePoint>)> = None;
     let mut dispatch: Option<DispatchStats> = None;
     // Whether a restored section carried the database.
@@ -420,7 +408,9 @@ pub fn restore_set_with_options(
         let name = engine.compiled.constraint.name;
         let section = sections
             .iter()
+            .copied()
             .find(|s| section_constraint_name(s) == Some(name.as_str()))
+            .or(lone)
             .ok_or_else(|| {
                 mismatch(format!(
                     "checkpoint has no section for constraint `{name}` \
@@ -464,8 +454,10 @@ pub fn restore_set_with_options(
         // the section of a constraint outside this set.
         let bearer = sections.iter().find(|s| !database_is_shared(s));
         let mut r = Reader::new(bearer.ok_or_else(|| {
+            let name = first.map(|n| n.to_string()).unwrap_or_default();
             mismatch(format!(
-                "every section says `{DATABASE_SHARED}` and none carries the database"
+                "every section says `{DATABASE_SHARED}` and none carries the database \
+                 (constraint `{name}` among them): restore the whole set from the whole file"
             ))
         })?);
         while let Some((_, line)) = r.next() {
@@ -930,6 +922,46 @@ mod tests {
             stitched, all,
             "restored checker diverged from uninterrupted run"
         );
+    }
+
+    /// A lone checker is a set of one: the same reports step for step, the
+    /// same checkpoint text, and the same again after each is restored.
+    #[test]
+    fn checker_and_set_of_one_agree_across_save_restore() {
+        let cat = catalog();
+        let mut checker = IncrementalChecker::new(constraint(), Arc::clone(&cat)).unwrap();
+        let mut set = ConstraintSet::new([constraint()], Arc::clone(&cat)).unwrap();
+        let (head, set_head) = (drive(&mut checker, 1, 20), drive_set(&mut set, 1, 20));
+        assert_eq!(head, set_head.concat());
+        let text = save(&checker);
+        assert_eq!(save_set(&set), [(constraint().name, text.clone())]);
+        let options = EncodingOptions::default();
+        let mut checker = restore(constraint(), Arc::clone(&cat), options, &text).unwrap();
+        let mut set = restore_set([constraint()], Arc::clone(&cat), &[&text]).unwrap();
+        let (tail, set_tail) = (drive(&mut checker, 20, 40), drive_set(&mut set, 20, 40));
+        assert_eq!(tail, set_tail.concat());
+        assert_eq!(save_set(&set), [(constraint().name, save(&checker))]);
+    }
+
+    /// Before a lone checker was a set of one, its sections carried no
+    /// `dispatch` line; they restore with the tallies at zero.
+    #[test]
+    fn a_section_without_dispatch_tallies_restores() {
+        let c = parse_constraint("deny d: p(x) && once[2,*] p(x)").unwrap();
+        let written = "rtic-checkpoint v1\nconstraint d\nbody p(x) && once[2,*] p(x)\n\
+                       time 1\nsteps 1\nrel p\n| \"a\"\nendrel\nnode 0 once\n1 | \"a\"\nendnode\n";
+        let options = EncodingOptions::default();
+        let mut resumed = restore(c.clone(), catalog(), options, written).unwrap();
+        assert_eq!(resumed.0.dispatch_stats(), DispatchStats::default());
+        assert_eq!(sans_dispatch(&save(&resumed)), written);
+        let mut reference = IncrementalChecker::new(c, catalog()).unwrap();
+        reference
+            .step(TimePoint(1), &Update::new().with_insert("p", tuple!["a"]))
+            .unwrap();
+        for t in 2..6 {
+            let got = resumed.step(TimePoint(t), &Update::new()).unwrap();
+            assert_eq!(got, reference.step(TimePoint(t), &Update::new()).unwrap());
+        }
     }
 
     #[test]
@@ -1479,7 +1511,13 @@ mod tests {
                 for &u in &times[i + 1..] {
                     let got = resumed.step(TimePoint(u), &update(u)).unwrap();
                     assert_eq!(got, twin.step(TimePoint(u), &update(u)).unwrap());
-                    assert_eq!(save(&resumed), save(&twin), "{src}: cut at {t}, at {u}");
+                    // A restored engine holds no cached violations, so its
+                    // first step is a full one where the twin may sleep.
+                    assert_eq!(
+                        sans_dispatch(&save(&resumed)),
+                        sans_dispatch(&save(&twin)),
+                        "{src}: cut at {t}, at {u}"
+                    );
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! The incremental checker — the paper's contribution.
 //!
 //! Holds only the current database state plus the bounded auxiliary state
-//! of [`crate::encode`]. Each [`IncrementalChecker::step`]:
+//! of [`crate::encode`]. Each step:
 //!
 //! 1. applies the update to the current state;
 //! 2. advances every temporal node **children-first**: the node's operand
@@ -18,8 +18,11 @@
 //! makes the space bound (experiment T1) and the history-independent step
 //! time (experiment F1) hold.
 //!
-//! The aux machinery lives in [`NodeEngine`] so that a [`crate::ConstraintSet`]
-//! can advance several constraints' engines over one shared database.
+//! One constraint's aux machinery is a [`NodeEngine`]. The step loop —
+//! monotonicity, step 1, the sleep of an untouched engine, steps 2–3, the
+//! step count — exists once, in [`ConstraintSet::step_observed`], which
+//! advances any number of engines over one database; an
+//! [`IncrementalChecker`] is a set of one.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -39,6 +42,7 @@ use crate::error::CompileError;
 use crate::eval::{eval, Flips, Node, Oracle};
 use crate::plan::NodePlans;
 use crate::report::{SpaceStats, StepReport};
+use crate::set::ConstraintSet;
 
 /// Auxiliary state of one temporal node: `prev` keeps its operand's
 /// previous rows, `once`/`since`/`hist` a run relation.
@@ -139,10 +143,8 @@ fn chained<'s>(
     }
 }
 
-/// One compiled constraint's bounded auxiliary state, advanced against an
-/// externally-owned database. [`IncrementalChecker`] pairs an engine with
-/// its own database; [`crate::ConstraintSet`] shares one database across
-/// many engines.
+/// One compiled constraint's bounded auxiliary state, advanced against the
+/// database of the [`ConstraintSet`] that owns it.
 #[derive(Clone, Debug)]
 pub(crate) struct NodeEngine {
     /// Shared, not owned: every clone of the engine steps the same
@@ -324,7 +326,7 @@ impl NodeEngine {
         let NodeState::Runs(w) = &self.states[idx] else {
             unreachable!("node/state kind mismatch")
         };
-        let oracle = IncOracle::new(&self.compiled, &self.states, &self.extensions, t_now);
+        let oracle = self.oracle(t_now);
         let anchors = match plans {
             Some((_, gp)) => gp.execute(db, &oracle, &unit, scratch),
             None => eval(g, db, &oracle, &unit),
@@ -473,11 +475,6 @@ impl NodeEngine {
         self.last_time = Some(t_new);
     }
 
-    /// The newest state seen, deferred ones included.
-    pub(crate) fn now(&self) -> Option<TimePoint> {
-        self.pending.back().copied().or(self.last_time)
-    }
-
     /// `(states deferred, tick bound)`: the former never exceeds the
     /// latter plus one.
     pub(crate) fn deferred(&self) -> (usize, u64) {
@@ -515,7 +512,12 @@ impl NodeEngine {
     }
 
     fn oracle(&self, t_now: TimePoint) -> IncOracle<'_> {
-        IncOracle::new(&self.compiled, &self.states, &self.extensions, t_now)
+        IncOracle {
+            node_ids: &self.compiled.node_ids,
+            states: &self.states,
+            extensions: &self.extensions,
+            t_now,
+        }
     }
 
     /// Total auxiliary `(keys, timestamps)` across nodes.
@@ -543,13 +545,10 @@ impl NodeEngine {
     }
 }
 
-/// Online checker with bounded history encoding.
+/// Online checker with bounded history encoding: a [`ConstraintSet`] of
+/// one, so it steps the loop every fleet steps.
 #[derive(Clone, Debug)]
-pub struct IncrementalChecker {
-    db: Database,
-    engine: NodeEngine,
-    steps: usize,
-}
+pub struct IncrementalChecker(pub(crate) ConstraintSet);
 
 impl IncrementalChecker {
     /// Compiles and initializes a checker for `constraint`.
@@ -575,12 +574,14 @@ impl IncrementalChecker {
         compiled: CompiledConstraint,
         options: EncodingOptions,
     ) -> IncrementalChecker {
-        let db = Database::new(Arc::clone(&compiled.catalog));
-        IncrementalChecker {
-            db,
-            engine: NodeEngine::new(Arc::new(compiled), options),
-            steps: 0,
-        }
+        let catalog = Arc::clone(&compiled.catalog);
+        let engine = NodeEngine::new(Arc::new(compiled), options);
+        IncrementalChecker(ConstraintSet::of_engines(catalog, vec![engine]))
+    }
+
+    /// Plants a fault in the set's one engine.
+    fn arm(&mut self, mut plant: impl FnMut(&mut NodeEngine)) {
+        self.0.parts_mut().engines.iter_mut().for_each(&mut plant);
     }
 
     /// Fault injection for the differential oracle's mutation smoke: from
@@ -588,24 +589,26 @@ impl IncrementalChecker {
     /// chains through a recorded row delta is trusted instead of rebuilt.
     #[doc(hidden)]
     pub fn arm_stale_versions(&mut self) {
-        self.engine.scratch.arm_stale_versions();
+        self.arm(|e| e.scratch.arm_stale_versions());
     }
 
     /// Fault injection for the oracle's mutation smoke: plants `bug`.
     #[doc(hidden)]
     pub fn arm_sleep_bug(&mut self, bug: SleepBug) {
-        self.engine.sleep_bug = Some(bug);
+        self.arm(|e| e.sleep_bug = Some(bug));
     }
 
     /// Fault injection for the oracle's mutation smoke: plants `bug` in
     /// every run relation's expiry index.
     #[doc(hidden)]
     pub fn arm_index_bug(&mut self, bug: IndexBug) {
-        for state in &mut self.engine.states {
-            if let NodeState::Runs(r) = state {
-                r.arm(bug);
+        self.arm(|e| {
+            for state in &mut e.states {
+                if let NodeState::Runs(r) = state {
+                    r.arm(bug);
+                }
             }
-        }
+        });
     }
 
     /// Fault injection for the oracle's mutation smoke: from now on a
@@ -613,7 +616,7 @@ impl IncrementalChecker {
     /// an epoch other than the one it saw.
     #[doc(hidden)]
     pub fn arm_stale_epochs(&mut self) {
-        self.engine.scratch.arm_stale_epochs();
+        self.arm(|e| e.scratch.arm_stale_epochs());
     }
 
     /// Fault injection for the oracle's mutation smoke: from now on the
@@ -621,80 +624,54 @@ impl IncrementalChecker {
     /// re-inserts as removed.
     #[doc(hidden)]
     pub fn arm_unnetted_reinsert(&mut self) {
-        self.db.arm_unnetted_reinsert();
+        self.0.parts_mut().db.arm_unnetted_reinsert();
     }
 
     /// The compiled form (for inspection and for building siblings).
     pub fn compiled(&self) -> &CompiledConstraint {
-        &self.engine.compiled
+        &self.0.engines()[0].compiled
     }
 
     /// The current database state.
     pub fn database(&self) -> &Database {
-        &self.db
+        self.0.database()
     }
 
     /// Number of transitions processed.
     pub fn steps(&self) -> usize {
-        self.steps
+        self.0.steps()
     }
 
     /// Timestamp of the last processed transition, if any. After a
     /// checkpoint restore this is the replay cursor: transitions at or
     /// before it have already been absorbed.
     pub fn last_time(&self) -> Option<TimePoint> {
-        self.engine.now()
-    }
-
-    pub(crate) fn engine(&self) -> &NodeEngine {
-        &self.engine
+        self.0.last_time()
     }
 
     /// Per-temporal-node observability: what each auxiliary structure is
     /// holding right now. Ordered children-first (the update order).
     pub fn node_stats(&self) -> Vec<NodeStat> {
-        self.engine.node_stats()
-    }
-
-    pub(crate) fn parts_mut(&mut self) -> (&mut Database, &mut NodeEngine, &mut usize) {
-        (&mut self.db, &mut self.engine, &mut self.steps)
+        self.0.engines()[0].node_stats()
     }
 }
 
 impl Checker for IncrementalChecker {
     fn constraint(&self) -> &Constraint {
-        &self.engine.compiled.constraint
+        &self.compiled().constraint
     }
 
+    /// # Panics
+    /// When the engine panics: the set quarantines it, and with no fleet
+    /// to keep checking this step and every later one panic with the
+    /// quarantine reason.
     fn step(&mut self, time: TimePoint, update: &Update) -> Result<StepReport, HistoryError> {
-        if let Some(last) = self.engine.now() {
-            if time <= last {
-                return Err(HistoryError::NonMonotonicTime { last, new: time });
-            }
-        }
-        self.db.apply(update)?;
-        let quiescent = self.engine.is_quiescent(update);
-        let asleep = quiescent.then(|| self.engine.sleep(time)).flatten();
-        let violations = asleep.unwrap_or_else(|| {
-            self.engine.advance(&self.db, time);
-            self.engine.violations(&self.db, time)
-        });
-        self.steps += 1;
-        Ok(StepReport {
-            constraint: self.engine.compiled.constraint.name,
-            time,
-            violations,
-        })
+        let report = self.0.step(time, update)?.pop();
+        Ok(report.unwrap_or_else(|| panic!("{}", self.0.quarantined()[0].1)))
     }
 
     fn space(&self) -> SpaceStats {
-        let (aux_keys, aux_timestamps) = self.engine.aux_space();
-        SpaceStats {
-            aux_keys,
-            aux_timestamps,
-            stored_states: 1,
-            stored_tuples: self.db.total_tuples(),
-        }
+        self.0.space()
     }
 
     fn name(&self) -> &'static str {
@@ -702,16 +679,12 @@ impl Checker for IncrementalChecker {
     }
 
     fn plan_stats(&self) -> Option<crate::plan::RuntimePlanStats> {
-        if self.engine.interpret {
-            return None;
-        }
-        let mut stats = self.engine.plan_stats();
-        stats.rows_copied += self.db.rows_copied();
-        Some(stats)
+        let planned = self.0.engines().iter().all(|e| !e.interpret);
+        planned.then(|| self.0.plan_stats())
     }
 
     fn plan_profile(&self) -> Option<crate::plan::PlanProfile> {
-        self.engine.plan_profile()
+        self.0.plan_profiles().pop().map(|(_, profile)| profile)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -727,21 +700,7 @@ struct IncOracle<'a> {
     t_now: TimePoint,
 }
 
-impl<'a> IncOracle<'a> {
-    fn new(
-        compiled: &'a CompiledConstraint,
-        states: &'a [NodeState],
-        extensions: &'a [Option<Bindings>],
-        t_now: TimePoint,
-    ) -> IncOracle<'a> {
-        IncOracle {
-            node_ids: &compiled.node_ids,
-            states,
-            extensions,
-            t_now,
-        }
-    }
-
+impl IncOracle<'_> {
     fn prev(&self, node: Node<'_>) -> &Bindings {
         self.extensions[node.id]
             .as_ref()
@@ -801,6 +760,11 @@ mod tests {
 
     fn checker(src: &str) -> IncrementalChecker {
         IncrementalChecker::new(parse_constraint(src).unwrap(), catalog()).unwrap()
+    }
+
+    /// The one engine of the checker's set.
+    fn engine(c: &IncrementalChecker) -> &NodeEngine {
+        &c.0.engines()[0]
     }
 
     #[test]
@@ -980,21 +944,27 @@ mod tests {
             let a = lazy.step(TimePoint(t), &upd).unwrap();
             let b = eager.step(TimePoint(t), &forced).unwrap();
             assert_eq!(a, b, "{src}: sleeping diverged at t={t}");
-            let (a, b) = (
-                crate::checkpoint::save(&lazy),
-                crate::checkpoint::save(&eager),
+            // Bar the dispatch tallies: one of the two slept.
+            let settled = |c: &IncrementalChecker| {
+                let text = crate::checkpoint::save(c);
+                let lines = text.lines().filter(|l| !l.starts_with("dispatch "));
+                lines.collect::<Vec<_>>().join("\n")
+            };
+            assert_eq!(
+                settled(&lazy),
+                settled(&eager),
+                "{src}: settled state diverged at t={t}"
             );
-            assert_eq!(a, b, "{src}: settled state diverged at t={t}");
-            let deferred = lazy.engine.pending.len() as u64;
+            let deferred = engine(&lazy).pending.len() as u64;
             assert!(
-                deferred <= lazy.engine.tick_bound.0 + 1,
+                deferred <= engine(&lazy).tick_bound.0 + 1,
                 "{src}: {deferred}"
             );
             slept += usize::from(deferred > 0);
         }
         // Cached extensions and violations are let go before a refresh
         // (a `prev` state is itself a second holder of its operand rows).
-        let copied = lazy.engine.plan_stats().rows_copied;
+        let copied = engine(&lazy).plan_stats().rows_copied;
         assert!(copied == 0 || src.contains("prev"), "{src}: {copied}");
         slept
     }
@@ -1033,15 +1003,18 @@ mod tests {
             &Update::new().with_delete("confirmed", tuple!["a"]),
         )
         .unwrap();
-        assert_eq!(c.engine.aux_space().0, 1, "one live key");
+        assert_eq!(engine(&c).aux_space().0, 1, "one live key");
         // Pure ticks from here: asleep until the stamp's deadline, 0+3+1.
         c.step(TimePoint(2), &Update::new()).unwrap();
         c.step(TimePoint(3), &Update::new()).unwrap();
-        assert_eq!(c.engine.pending.len(), 2, "both ticks deferred");
-        assert_eq!(c.engine.aux_space().0, 1, "age 3 is still in [0,3]");
+        assert_eq!(engine(&c).pending.len(), 2, "both ticks deferred");
+        assert_eq!(engine(&c).aux_space().0, 1, "age 3 is still in [0,3]");
         c.step(TimePoint(4), &Update::new()).unwrap();
-        assert!(c.engine.pending.is_empty(), "the deadline woke the engine");
-        assert_eq!(c.engine.aux_space().0, 0, "witness expired on time");
+        assert!(
+            engine(&c).pending.is_empty(),
+            "the deadline woke the engine"
+        );
+        assert_eq!(engine(&c).aux_space().0, 0, "witness expired on time");
     }
 
     #[test]
@@ -1061,9 +1034,9 @@ mod tests {
         let both = both.with_insert("confirmed", tuple!["a"]);
         c.step(TimePoint(1), &both).unwrap();
         c.step(TimePoint(2), &Update::new()).unwrap();
-        assert!(c.engine.pending.is_empty(), "fresh anchor: a full step");
+        assert!(engine(&c).pending.is_empty(), "fresh anchor: a full step");
         c.step(TimePoint(3), &Update::new()).unwrap();
-        assert_eq!(c.engine.pending.len(), 1, "every key passed f: asleep");
+        assert_eq!(engine(&c).pending.len(), 1, "every key passed f: asleep");
     }
 
     fn interpreted(src: &str) -> IncrementalChecker {
@@ -1120,8 +1093,8 @@ mod tests {
                     "{src}: rendering diverged at t={t}"
                 );
                 assert_eq!(
-                    compiled.engine.aux_space(),
-                    reference.engine.aux_space(),
+                    engine(&compiled).aux_space(),
+                    engine(&reference).aux_space(),
                     "{src}: aux state diverged at t={t}"
                 );
             }
@@ -1132,7 +1105,7 @@ mod tests {
     /// rebuild streams the node's whole input, an advance only the input
     /// delta plus the window's flips).
     fn probe_rows_streamed(c: &IncrementalChecker) -> u64 {
-        let profile = c.engine.plan_profile().expect("profiling enabled");
+        let profile = engine(c).plan_profile().expect("profiling enabled");
         let probes = profile.nodes.iter().filter(|n| n.desc.probe);
         probes.map(|n| n.counts.block_rows).sum()
     }
@@ -1272,7 +1245,7 @@ mod tests {
                 0 => load.clone(),
                 _ => Update::new().with_insert("reserved", tuple![key(100 + t).as_str()]),
             };
-            let (db, _, _) = compiled.parts_mut();
+            let db = compiled.0.parts_mut().db;
             if t == 4 {
                 *db = db.clone();
             }
@@ -1361,8 +1334,8 @@ mod tests {
         ];
         for (src, expect) in cases {
             let c = checker(src);
-            let oracle = c.engine.oracle(TimePoint(0));
-            let nodes = c.engine.compiled.nodes.iter().enumerate();
+            let oracle = engine(&c).oracle(TimePoint(0));
+            let nodes = engine(&c).compiled.nodes.iter().enumerate();
             let mut nodes = nodes.map(|(id, formula)| Node { id, formula });
             assert_eq!(nodes.any(|n| oracle.flips(n).is_some()), expect, "{src}");
         }
@@ -1399,7 +1372,7 @@ mod tests {
             (db.rel_gen("reserved".into()), db.rel_gen("pair".into()))
         };
         let hits = |c: &IncrementalChecker, label: &str| {
-            let profile = c.engine.plan_profile().expect("profiling enabled");
+            let profile = engine(c).plan_profile().expect("profiling enabled");
             let mut nodes = profile.nodes.into_iter().filter(|n| n.desc.label == label);
             let n = nodes.next().expect("the atom is in the plan");
             (n.desc.memoized, n.counts.cache_hits)
@@ -1419,6 +1392,23 @@ mod tests {
         assert_eq!(c.step(TimePoint(2), &again).unwrap().violation_count(), 1);
         assert_eq!(versions(&c), before, "a delete + re-insert is no change");
         assert_eq!(hits(&c, "atom(pair)"), (true, 2));
+    }
+
+    #[test]
+    fn an_engine_panic_surfaces_from_every_later_step() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut c = checker("deny d: reserved(p) && once[0,3] confirmed(p)");
+        assert!(c.0.arm_panic("d", 2));
+        c.step(TimePoint(1), &Update::new()).unwrap();
+        for t in 2..4 {
+            let step = catch_unwind(AssertUnwindSafe(|| c.step(TimePoint(t), &Update::new())));
+            let payload = step.expect_err("the quarantined engine's panic surfaces");
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("a formatted reason");
+            assert!(message.contains("injected engine panic"), "{message}");
+            assert!(message.contains("step 2 (t=@2)"), "{message}");
+        }
     }
 
     #[test]

@@ -6,15 +6,18 @@
 //! auxiliary relations whose size is bounded by the constraint's metric
 //! bounds and the active domain — independent of history length.
 //!
-//! Three interchangeable [`Checker`] implementations:
+//! Four interchangeable [`Checker`] implementations, three of them here:
 //!
-//! * [`IncrementalChecker`] — the paper's bounded history encoding.
+//! * [`IncrementalChecker`] — the paper's bounded history encoding: a
+//!   [`ConstraintSet`] of one, stepping the loop every fleet steps.
 //! * [`NaiveChecker`] — stores the full history, re-evaluates from scratch
 //!   (the semantics-defining baseline).
 //! * [`WindowedChecker`] — stores only the formula's lookback horizon and
 //!   evaluates naively over the window (the intermediate baseline).
+//! * `ActiveChecker` (crate `rtic-active`) — the same encoding stored as
+//!   database relations and advanced by triggers.
 //!
-//! All three produce identical [`StepReport`]s on identical input — this is
+//! All four produce identical [`StepReport`]s on identical input — this is
 //! property-tested — and expose [`SpaceStats`] so the paper's space and
 //! time claims can be measured (see `rtic-bench`).
 //!

@@ -128,8 +128,9 @@ pub struct ConstraintSet {
     armed_panics: Vec<Option<u64>>,
 }
 
-/// Mutable view of a [`ConstraintSet`] for checkpoint restore.
-pub(crate) struct RestoreParts<'a> {
+/// Mutable view of a [`ConstraintSet`] for checkpoint restore and fault
+/// injection.
+pub(crate) struct Parts<'a> {
     pub(crate) db: &'a mut Database,
     pub(crate) engines: &'a mut [NodeEngine],
     pub(crate) steps: &'a mut usize,
@@ -162,17 +163,21 @@ impl ConstraintSet {
                 Err(e) => return Err((c, e)),
             }
         }
-        let db = Database::new(catalog);
+        Ok(ConstraintSet::of_engines(catalog, engines))
+    }
+
+    /// A fresh set stepping `engines` over an empty database.
+    pub(crate) fn of_engines(catalog: Arc<Catalog>, engines: Vec<NodeEngine>) -> ConstraintSet {
         let n = engines.len();
-        Ok(ConstraintSet {
-            db,
+        ConstraintSet {
+            db: Database::new(catalog),
             engines,
             last_time: None,
             steps: 0,
             dispatch: DispatchStats::default(),
             quarantined: vec![None; n],
             armed_panics: vec![None; n],
-        })
+        }
     }
 
     /// Relevance-dispatch tallies accumulated so far.
@@ -271,6 +276,11 @@ impl ConstraintSet {
         found
     }
 
+    /// Every engine, in insertion order.
+    pub(crate) fn engines(&self) -> &[NodeEngine] {
+        &self.engines
+    }
+
     /// The engines checkpointing saves, in insertion order: quarantined
     /// ones are left out because their mid-panic state is not trustworthy.
     pub(crate) fn healthy_engines(&self) -> impl Iterator<Item = &NodeEngine> {
@@ -278,10 +288,10 @@ impl ConstraintSet {
         healthy.filter_map(|(e, q)| q.is_none().then_some(e))
     }
 
-    /// Mutable parts for checkpoint restore: shared database, engines,
-    /// and the step/time/dispatch cursor slots.
-    pub(crate) fn restore_parts(&mut self) -> RestoreParts<'_> {
-        RestoreParts {
+    /// Mutable parts for checkpoint restore and fault injection: shared
+    /// database, engines, and the step/time/dispatch cursor slots.
+    pub(crate) fn parts_mut(&mut self) -> Parts<'_> {
+        Parts {
             db: &mut self.db,
             engines: &mut self.engines,
             steps: &mut self.steps,

@@ -53,14 +53,6 @@ impl fmt::Display for LogError {
 
 impl Error for LogError {}
 
-fn write_value(out: &mut String, v: &Value) {
-    let _ = match v {
-        Value::Int(i) => write!(out, "{i}"),
-        Value::Str(s) => write!(out, "{:?}", s.as_str()),
-        Value::Bool(b) => write!(out, "{b}"),
-    };
-}
-
 /// Serializes transitions to the text format.
 pub fn format_log(transitions: &[Transition]) -> String {
     let mut out = String::new();
@@ -75,7 +67,7 @@ pub fn format_log(transitions: &[Transition]) -> String {
                     if i > 0 {
                         out.push_str(", ");
                     }
-                    write_value(&mut out, v);
+                    let _ = v.write_literal(&mut out);
                 }
                 out.push(')');
             }

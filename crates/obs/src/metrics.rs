@@ -557,6 +557,16 @@ impl MetricsRegistry {
         self.to_json().render_pretty()
     }
 
+    /// The exposition a metrics file at `path` holds: Prometheus text for
+    /// a `.prom` file, JSON for any other.
+    pub fn render_for(&self, path: &str) -> String {
+        if path.ends_with(".prom") {
+            self.render_prometheus()
+        } else {
+            self.render_json()
+        }
+    }
+
     /// Prometheus text exposition (metric names under the `rtic_` prefix).
     pub fn render_prometheus(&self) -> String {
         use std::fmt::Write as _;
@@ -1477,6 +1487,20 @@ mod tests {
                 name.ends_with("_total"),
                 "{name} is typed {kind}"
             );
+        }
+    }
+
+    #[test]
+    fn a_metrics_file_is_prometheus_text_only_when_named_prom() {
+        let mut registry = MetricsRegistry::new();
+        registry.observe(&StepEvent::StepStart {
+            checker: "set",
+            time: TimePoint(1),
+            tuples: 2,
+        });
+        assert_eq!(registry.render_for("m.prom"), registry.render_prometheus());
+        for path in ["m.json", "m", "m.prom.json"] {
+            assert_eq!(registry.render_for(path), registry.render_json(), "{path}");
         }
     }
 }

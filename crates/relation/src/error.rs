@@ -6,7 +6,7 @@ use std::fmt;
 use crate::symbol::Symbol;
 use crate::value::Sort;
 
-/// Errors raised by schema checking, algebra, and database operations.
+/// Errors raised by schema checking and database operations.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum RelationError {
     /// A schema was built with two attributes of the same name.
@@ -29,22 +29,6 @@ pub enum RelationError {
         expected: Sort,
         /// Sort of the offending value.
         found: Sort,
-    },
-    /// An attribute position is out of range for a schema.
-    NoSuchPosition {
-        /// The offending position.
-        position: usize,
-        /// The schema's arity.
-        arity: usize,
-    },
-    /// Two relations passed to a set operation have incompatible schemas.
-    NotUnionCompatible,
-    /// A join predicate pairs columns of different sorts.
-    JoinSortMismatch {
-        /// Position in the left schema.
-        left: usize,
-        /// Position in the right schema.
-        right: usize,
     },
     /// A named relation was not found in the database catalog.
     UnknownRelation {
@@ -78,19 +62,6 @@ impl fmt::Display for RelationError {
                 f,
                 "sort mismatch on attribute `{attribute}`: expected {expected}, found {found}"
             ),
-            RelationError::NoSuchPosition { position, arity } => {
-                write!(
-                    f,
-                    "attribute position {position} out of range for arity {arity}"
-                )
-            }
-            RelationError::NotUnionCompatible => {
-                f.write_str("relations are not union-compatible (arity or sorts differ)")
-            }
-            RelationError::JoinSortMismatch { left, right } => write!(
-                f,
-                "join pairs left column {left} with right column {right} of a different sort"
-            ),
             RelationError::UnknownRelation { name } => {
                 write!(f, "unknown relation `{name}`")
             }
@@ -121,6 +92,8 @@ mod tests {
     #[test]
     fn implements_std_error() {
         fn takes_err(_: &dyn std::error::Error) {}
-        takes_err(&RelationError::NotUnionCompatible);
+        takes_err(&RelationError::UnknownRelation {
+            name: Symbol::intern("absent"),
+        });
     }
 }

@@ -5,10 +5,9 @@
 //!
 //! * interned [`Symbol`]s for names and string data,
 //! * sorted [`Value`]s and schema-checked [`Tuple`]s,
-//! * [`Schema`]/[`Attribute`] metadata with projection/rename/compatibility,
+//! * [`Schema`]/[`Attribute`] metadata that checks tuples,
 //! * [`Relation`] instances: one versioned, `Arc`'d hash set each, which a
 //!   reader can hold in O(1) while later changes copy on write,
-//! * the classic set-semantics [`algebra`] (σ, π, ρ, ∪, ∩, ∖, ×, ⋈, ⋉, ▷),
 //! * [`Database`] states over a shared immutable [`Catalog`], advanced by
 //!   transactional [`Update`]s, each recording its net [`RelDelta`].
 //!
@@ -35,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod algebra;
 mod database;
 mod error;
 mod hash;

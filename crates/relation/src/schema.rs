@@ -106,47 +106,6 @@ impl Schema {
         }
         Ok(())
     }
-
-    /// Whether two schemas are *union-compatible*: same arity and sorts
-    /// (names may differ).
-    pub fn union_compatible(&self, other: &Schema) -> bool {
-        self.arity() == other.arity() && self.sorts().zip(other.sorts()).all(|(a, b)| a == b)
-    }
-
-    /// Schema of the projection onto `positions` (in that order).
-    ///
-    /// Duplicate positions produce a schema with duplicate names, which is
-    /// rejected; projections that duplicate a column must rename. Returns an
-    /// error on out-of-range positions.
-    pub fn project(&self, positions: &[usize]) -> Result<Schema, RelationError> {
-        let mut attrs = Vec::with_capacity(positions.len());
-        for &p in positions {
-            let a = *self.attrs.get(p).ok_or(RelationError::NoSuchPosition {
-                position: p,
-                arity: self.arity(),
-            })?;
-            attrs.push(a);
-        }
-        Schema::new(attrs)
-    }
-
-    /// Schema of the concatenation `self ++ other`, failing on name clashes.
-    pub fn concat(&self, other: &Schema) -> Result<Schema, RelationError> {
-        Schema::new(self.attrs.iter().chain(other.attrs.iter()).copied())
-    }
-
-    /// A copy of this schema with the attribute at `pos` renamed.
-    pub fn rename(&self, pos: usize, name: Symbol) -> Result<Schema, RelationError> {
-        if pos >= self.arity() {
-            return Err(RelationError::NoSuchPosition {
-                position: pos,
-                arity: self.arity(),
-            });
-        }
-        let mut attrs = self.attrs.clone();
-        attrs[pos].name = name;
-        Schema::new(attrs)
-    }
 }
 
 impl fmt::Display for Schema {
@@ -209,34 +168,6 @@ mod tests {
     fn tuple_check_rejects_sort() {
         let err = rc().check(&tuple![3, 7]).unwrap_err();
         assert!(matches!(err, RelationError::SortMismatch { .. }));
-    }
-
-    #[test]
-    fn union_compatibility_ignores_names() {
-        let a = Schema::of(&[("x", Sort::Int)]);
-        let b = Schema::of(&[("y", Sort::Int)]);
-        let c = Schema::of(&[("y", Sort::Str)]);
-        assert!(a.union_compatible(&b));
-        assert!(!a.union_compatible(&c));
-    }
-
-    #[test]
-    fn project_and_concat() {
-        let s = rc();
-        let p = s.project(&[1]).unwrap();
-        assert_eq!(p.arity(), 1);
-        assert_eq!(p.attributes()[0].name.as_str(), "flight");
-        assert!(s.project(&[5]).is_err());
-        assert!(s.concat(&rc()).is_err(), "name clash");
-        let q = s.concat(&Schema::of(&[("z", Sort::Bool)])).unwrap();
-        assert_eq!(q.arity(), 3);
-    }
-
-    #[test]
-    fn rename() {
-        let s = rc().rename(0, Symbol::intern("p2")).unwrap();
-        assert_eq!(s.attributes()[0].name.as_str(), "p2");
-        assert!(rc().rename(9, Symbol::intern("x")).is_err());
     }
 
     #[test]

@@ -50,16 +50,9 @@ impl Tuple {
     /// A new tuple containing the fields at `positions`, in that order.
     ///
     /// # Panics
-    /// Panics if any position is out of range (schema checking happens at
-    /// the [`crate::algebra`] layer; by the time a projection executes the
-    /// positions are known valid).
+    /// Panics if any position is out of range.
     pub fn project(&self, positions: &[usize]) -> Tuple {
         Tuple(positions.iter().map(|&p| self.0[p]).collect())
-    }
-
-    /// Concatenation of `self` and `other`.
-    pub fn concat(&self, other: &Tuple) -> Tuple {
-        Tuple(self.0.iter().chain(other.0.iter()).copied().collect())
     }
 }
 
@@ -128,11 +121,6 @@ mod tests {
     fn projection_reorders_and_duplicates() {
         let t = tuple![10, 20, 30];
         assert_eq!(t.project(&[2, 0, 0]), tuple![30, 10, 10]);
-    }
-
-    #[test]
-    fn concat() {
-        assert_eq!(tuple![1].concat(&tuple!["x", 2]), tuple![1, "x", 2]);
     }
 
     #[test]

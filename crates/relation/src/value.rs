@@ -80,20 +80,32 @@ impl Value {
         }
     }
 
-    /// Renders as a self-delimiting literal: integers bare, strings quoted
-    /// with `\"`/`\\`/`\n` escapes, booleans `true`/`false`. The format is
-    /// shared by the history log and checkpoint codecs; it round-trips
-    /// through [`Value::parse_literals`].
-    pub fn to_literal(&self) -> String {
-        match self {
-            Value::Int(i) => i.to_string(),
-            Value::Str(s) => format!("{:?}", s.as_str()),
-            Value::Bool(b) => b.to_string(),
+    /// Writes a self-delimiting literal: integers bare, booleans
+    /// `true`/`false`, strings quoted with exactly the escapes every reader
+    /// knows — `\"`, `\\` and `\n` — and every other character raw. The
+    /// history log, the checkpoint codec and the constraint printer all
+    /// write through here; it round-trips through [`Value::parse_literals`].
+    pub fn write_literal(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        let Value::Str(s) = self else {
+            return write!(out, "{self}");
+        };
+        let mut rest = s.as_str();
+        out.write_char('"')?;
+        while let Some(at) = rest.find(['"', '\\', '\n']) {
+            out.write_str(&rest[..at])?;
+            out.write_str(match rest.as_bytes()[at] {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                _ => "\\n",
+            })?;
+            rest = &rest[at + 1..];
         }
+        out.write_str(rest)?;
+        out.write_char('"')
     }
 
     /// Parses a comma-separated list of literals (the inverse of joining
-    /// [`Value::to_literal`] outputs with `", "`). Whitespace around
+    /// [`Value::write_literal`] outputs with `", "`). Whitespace around
     /// literals is ignored; an empty/blank input yields an empty list.
     pub fn parse_literals(input: &str) -> Result<Vec<Value>, String> {
         let chars: Vec<char> = input.chars().collect();
@@ -269,11 +281,11 @@ mod tests {
             Value::Bool(false),
             Value::str(""),
         ];
-        let text = vals
-            .iter()
-            .map(Value::to_literal)
-            .collect::<Vec<_>>()
-            .join(", ");
+        let mut text = String::new();
+        for v in &vals {
+            v.write_literal(&mut text).unwrap();
+            text.push_str(", ");
+        }
         assert_eq!(Value::parse_literals(&text).unwrap(), vals);
     }
 

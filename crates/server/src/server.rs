@@ -770,11 +770,7 @@ fn engine_loop(
         let _ = writeln!(out, "report written to {path}");
     }
     if let Some(path) = metrics_path {
-        let rendered = if path.ends_with(".prom") {
-            registry.render_prometheus()
-        } else {
-            registry.render_json()
-        };
+        let rendered = registry.render_for(path);
         write_atomic(Path::new(path), rendered.as_bytes())
             .map_err(|e| format!("cannot write metrics `{path}`: {e}"))?;
         let _ = writeln!(out, "metrics written to {path}");

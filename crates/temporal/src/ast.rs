@@ -117,8 +117,7 @@ impl fmt::Display for Term {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Term::Var(v) => write!(f, "{v}"),
-            Term::Const(Value::Str(s)) => write!(f, "{:?}", s.as_str()),
-            Term::Const(c) => write!(f, "{c}"),
+            Term::Const(c) => c.write_literal(f),
         }
     }
 }

@@ -841,11 +841,7 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
         }
     }
     if let Some(path) = metrics_path {
-        let rendered = if path.ends_with(".prom") {
-            registry.render_prometheus()
-        } else {
-            registry.render_json()
-        };
+        let rendered = registry.render_for(path);
         write_atomic(Path::new(path), rendered.as_bytes())
             .map_err(|e| format!("cannot write metrics `{path}`: {e}"))?;
         let _ = writeln!(out, "metrics written to {path}");
@@ -1121,11 +1117,7 @@ fn smc_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
         let _ = writeln!(out, "artifact written to {path}");
     }
     if let Some(path) = metrics_path {
-        let rendered = if path.ends_with(".prom") {
-            registry.render_prometheus()
-        } else {
-            registry.render_json()
-        };
+        let rendered = registry.render_for(path);
         write_atomic(Path::new(path), rendered.as_bytes())
             .map_err(|e| format!("cannot write metrics `{path}`: {e}"))?;
         let _ = writeln!(out, "metrics written to {path}");
