@@ -14,8 +14,8 @@ use std::time::Instant;
 
 use rtic_active::ActiveChecker;
 use rtic_core::{
-    BackendId, Checker, ConstraintSet, EncodingOptions, IncrementalChecker, NaiveChecker,
-    NopObserver, WindowedChecker,
+    checkpoint, BackendId, Checker, ConstraintSet, EncodingOptions, IncrementalChecker,
+    NaiveChecker, NopObserver, WindowedChecker,
 };
 use rtic_history::Transition;
 use rtic_relation::{tuple, Schema, Sort, Update};
@@ -31,7 +31,7 @@ use crate::table::{fmt_micros, Check, Table};
 pub type Experiment = fn(&Scale) -> Table;
 
 /// Every experiment, in print order: `(id for --table, experiment)`.
-pub const TABLES: [(&str, Experiment); 14] = [
+pub const TABLES: [(&str, Experiment); 15] = [
     ("t1", t1_space),
     ("f1", f1_step_latency),
     ("t2", t2_bound_space),
@@ -45,6 +45,7 @@ pub const TABLES: [(&str, Experiment); 14] = [
     ("t7", t7_adom_bound),
     ("t8", t8_constraint_scaling),
     ("t9", t9_eval_plan),
+    ("t10", t10_checkpoint),
     ("o1", o1_observation),
 ];
 
@@ -1197,6 +1198,98 @@ fn t9_checks(interpreted_over_planned: &[f64]) -> Vec<Check> {
     )]
 }
 
+/// T10's fleet: one constraint per node kind over the random workload's
+/// `base`/`ev` keys, so a checkpoint writes every block kind.
+const T10_FLEET: [&str; 5] = [
+    "deny onc: base(k) && once[1,8] ev(k)",
+    "deny snc: base(k) && !(base(k) since[0,8] ev(k))",
+    "deny hsf: base(k) && hist[0,8] base(k)",
+    "deny hsi: base(k) && hist[1,*] base(k)",
+    "deny prv: base(k) && prev ev(k)",
+];
+
+/// T10 — checkpoint size and write time vs history length at a fixed
+/// active domain.
+pub fn t10_checkpoint(scale: &Scale) -> Table {
+    let mut t = Table::new(
+        "T10",
+        "checkpoint bytes and save time vs history length (16 keys, one constraint per node kind)",
+        &[
+            "n",
+            "checkpoints",
+            "max bytes",
+            "bytes at end",
+            "median save",
+        ],
+    );
+    t.note("claim: a checkpoint is the bounded state — the database plus the aux relations —");
+    t.note("so its size and the time to write it do not grow with the history it summarizes;");
+    t.note("a save every 16 steps, each timed as the best of 3");
+    let constraints: Vec<Constraint> = T10_FLEET
+        .iter()
+        .map(|c| parse_constraint(c).expect("template parses"))
+        .collect();
+    let (mut bytes, mut saves) = (Vec::new(), Vec::new());
+    for &n in &scale.history_lengths {
+        let g = RandomWorkload {
+            steps: n,
+            domain: 16,
+            updates_per_step: 8,
+            seed: 42,
+            ..Default::default()
+        }
+        .generate();
+        let mut set = ConstraintSet::new(constraints.clone(), Arc::clone(&g.catalog))
+            .expect("fleet compiles");
+        let (mut max_bytes, mut end_bytes, mut times) = (0, 0, Vec::new());
+        for (i, tr) in g.transitions.iter().enumerate() {
+            set.step(tr.time, &tr.update)
+                .expect("generated stream is monotone");
+            if (i + 1) % 16 != 0 && i + 1 != g.transitions.len() {
+                continue;
+            }
+            let mut best = f64::INFINITY;
+            for _ in 0..3 {
+                let start = Instant::now();
+                let sections = checkpoint::save_set(&set);
+                best = best.min(start.elapsed().as_secs_f64() * 1e6);
+                end_bytes = sections.iter().map(|(_, text)| text.len()).sum();
+            }
+            max_bytes = max_bytes.max(end_bytes);
+            times.push(best);
+        }
+        let save_us = median(&mut times);
+        bytes.push(max_bytes as f64);
+        saves.push(save_us);
+        t.row(vec![
+            n.to_string(),
+            times.len().to_string(),
+            max_bytes.to_string(),
+            end_bytes.to_string(),
+            fmt_micros(save_us),
+        ]);
+    }
+    t.checks = t10_checks(&bytes, &saves);
+    t
+}
+
+/// T10: the largest checkpoint of a run and its median save time, each
+/// max/min over `n`. Bytes repeat for a seed; what moves them is which
+/// keys are live when a save lands and one more digit per stamp from
+/// n = 1000 on, so 1.3 separates them from a checkpoint that keeps the
+/// history (×4 at `--quick`, ×32 at full scale).
+fn t10_checks(bytes: &[f64], save_us: &[f64]) -> Vec<Check> {
+    vec![
+        Check::at_most(Count, "checkpoint bytes max/min over n", spread(bytes), 1.3),
+        Check::at_most(
+            Timing,
+            "median save time max/min over n",
+            spread(save_us),
+            2.5,
+        ),
+    ]
+}
+
 /// O1 — what observation costs: a whole reservations run stepped plainly,
 /// through `step_observed` with the `NopObserver`, and with per-node plan
 /// profiling on.
@@ -1423,6 +1516,13 @@ mod tests {
     fn t9_breaks_when_planned_is_no_faster_than_interpreted() {
         assert!(holds(t9_checks(&[124.0, 95.0])));
         assert!(!holds(t9_checks(&[124.0, 0.95])));
+    }
+
+    #[test]
+    fn t10_breaks_when_the_checkpoint_grows_with_the_history() {
+        assert!(holds(t10_checks(&[2900.0, 3100.0], &[9.0, 11.0])));
+        assert!(!holds(t10_checks(&[2900.0, 11600.0], &[9.0, 11.0])));
+        assert!(!holds(t10_checks(&[2900.0, 3100.0], &[9.0, 36.0])));
     }
 
     #[test]

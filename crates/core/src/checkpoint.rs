@@ -58,13 +58,12 @@
 
 use std::error::Error;
 use std::fmt;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
-use rtic_relation::{Catalog, Database, Symbol, Tuple, Value};
+use rtic_relation::{push_decimal, Catalog, Database, Names, Symbol, Tuple, Value};
 use rtic_temporal::{Constraint, Formula, TimePoint};
 
-use crate::incremental::{EncodingOptions, IncrementalChecker, NodeEngine, NodeState};
+use crate::incremental::{EncodingOptions, IncrementalChecker, NodeEngine, NodeState, Settled};
 use crate::set::{ConstraintSet, DispatchStats};
 
 /// A checkpoint failure.
@@ -98,17 +97,6 @@ impl fmt::Display for CheckpointError {
 }
 
 impl Error for CheckpointError {}
-
-fn write_values(out: &mut String, t: &Tuple) {
-    out.push_str("| ");
-    for (i, v) in t.values().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = v.write_literal(out);
-    }
-    out.push('\n');
-}
 
 /// What a fleet section says in place of its `rel` blocks when another
 /// section of the checkpoint holds the set's one database. A marker, not
@@ -146,53 +134,100 @@ pub fn save_set(set: &ConstraintSet) -> Vec<(Symbol, String)> {
         .collect()
 }
 
+/// A section being written, in one pass over borrowed state: the text so
+/// far and the symbol table, locked once for the whole section rather
+/// than once per string value.
+struct Section {
+    out: String,
+    names: Names,
+}
+
+impl Section {
+    fn str(&mut self, s: &str) -> &mut Section {
+        self.out.push_str(s);
+        self
+    }
+
+    fn num(&mut self, n: u64) -> &mut Section {
+        push_decimal(&mut self.out, n);
+        self
+    }
+
+    fn name(&mut self, s: Symbol) -> &mut Section {
+        self.out.push_str(self.names.get(s));
+        self
+    }
+
+    /// ` n` for each of `numbers`, then the line's end.
+    fn list(&mut self, numbers: impl IntoIterator<Item = u64>) {
+        for n in numbers {
+            self.str(" ").num(n);
+        }
+        self.str("\n");
+    }
+
+    /// A `| «value literals»` line.
+    fn values(&mut self, t: &Tuple) {
+        self.str("| ");
+        for (i, v) in t.values().iter().enumerate() {
+            if i > 0 {
+                self.str(", ");
+            }
+            v.push_literal(&self.names, &mut self.out);
+        }
+        self.str("\n");
+    }
+}
+
 /// One `rtic-checkpoint v1` section for an engine over `db` (`None`:
 /// another section holds it), with the set's `dispatch` tallies
 /// (identical in every section, restored so counters keep matching
-/// engine-steps across resume).
+/// engine-steps across resume). A sleeping engine is saved as the eager
+/// path would have left it.
 fn save_parts(
     db: Option<&Database>,
     engine: &NodeEngine,
     steps: usize,
     d: DispatchStats,
 ) -> String {
-    // A sleeping engine is saved as the eager path would have left it.
-    let engine = &*engine.settled();
-    let mut out = String::new();
-    out.push_str("rtic-checkpoint v1\n");
-    let _ = writeln!(out, "constraint {}", engine.compiled.constraint.name);
-    let _ = writeln!(out, "body {}", engine.compiled.body);
-    match engine.last_time {
-        Some(t) => {
-            let _ = writeln!(out, "time {}", t.0);
-        }
-        None => out.push_str("time none\n"),
-    }
-    let _ = writeln!(out, "steps {steps}");
-    let _ = writeln!(
-        out,
-        "dispatch {} {} {} {}",
-        d.affected, d.skipped, d.quiescent_full, d.quarantined
-    );
+    let mut s = Section {
+        // An engine section runs from a few hundred bytes to a few KB:
+        // starting at 1 KB skips most of the growing.
+        out: String::with_capacity(1024),
+        names: Symbol::names(),
+    };
+    s.str("rtic-checkpoint v1\nconstraint ")
+        .name(engine.compiled.constraint.name)
+        .str("\nbody ")
+        .str(&engine.compiled.body_text)
+        .str("\ntime ");
+    match engine.settled_time() {
+        Some(t) => s.num(t.0),
+        None => s.str("none"),
+    };
+    s.str("\nsteps ").num(steps as u64).str("\ndispatch");
+    s.list([d.affected, d.skipped, d.quiescent_full, d.quarantined]);
     // Current database state, or the note that another section has it.
     match db {
-        None => out.extend([DATABASE_SHARED, "\n"]),
+        None => {
+            s.str(DATABASE_SHARED).str("\n");
+        }
         Some(db) => {
             for name in db.catalog().names() {
                 let rel = db.relation(name).expect("catalogued");
                 if rel.is_empty() {
                     continue;
                 }
-                let _ = writeln!(out, "rel {name}");
+                s.str("rel ").name(name).str("\n");
                 for t in rel.sorted() {
-                    write_values(&mut out, t);
+                    s.values(t);
                 }
-                out.push_str("endrel\n");
+                s.str("endrel\n");
             }
         }
     }
-    write_nodes(&mut out, engine);
-    out
+    write_nodes(&mut s, engine);
+    s.out
 }
 
 /// A node block's kind word.
@@ -206,57 +241,49 @@ fn kind(node: &Formula) -> &'static str {
     }
 }
 
-/// Writes ` t` for each of `times`.
-fn write_times(out: &mut String, times: impl Iterator<Item = TimePoint>) {
-    for t in times {
-        let _ = write!(out, " {}", t.0);
-    }
-}
-
 /// The `node <idx> <kind> … endnode` blocks for an engine's auxiliary
-/// states: a `prev` block its previous rows; a run relation per key its
-/// checkpoint numbers, after `times` (`histf`) or `started`/`older`/
-/// `recent` (`histi`).
-fn write_nodes(out: &mut String, engine: &NodeEngine) {
-    let nodes = engine.compiled.nodes.iter().zip(&engine.states);
-    for (idx, (node, state)) in nodes.enumerate() {
+/// states, settled: a `prev` block its previous rows; a run relation per
+/// key its checkpoint numbers, after `times` (`histf`) or `started`/
+/// `older`/`recent` (`histi`).
+fn write_nodes(s: &mut Section, engine: &NodeEngine) {
+    let mut idx = 0u64;
+    engine.settled(|node, state| {
         let kind = kind(node);
-        let _ = writeln!(out, "node {idx} {kind}");
+        s.str("node ").num(idx).str(" ").str(kind).str("\n");
+        idx += 1;
         match state {
-            NodeState::Prev(p) => {
+            Settled::Prev(p, moved) => {
                 if let Some((t, rows)) = p.dump() {
-                    let _ = writeln!(out, "time {}", t.0);
+                    s.str("time ").num(moved.unwrap_or(t).0).str("\n");
                     for r in rows {
-                        write_values(out, &r);
+                        s.values(r);
                     }
                 }
             }
-            NodeState::Runs(r) => {
+            Settled::Runs(r) => {
                 if kind == "histf" {
-                    out.push_str("times");
-                    write_times(out, r.times());
-                    out.push('\n');
+                    s.str("times").list(r.times().map(|t| t.0));
                 } else if kind == "histi" {
-                    let older = r.older();
-                    let _ = writeln!(out, "started {}", r.times().next().is_some());
-                    let _ = match older {
-                        Some(t) => writeln!(out, "older {}", t.0),
-                        None => writeln!(out, "older none"),
+                    let (older, started) = (r.older(), r.times().next().is_some());
+                    let started = if started { "true" } else { "false" };
+                    s.str("started ").str(started);
+                    match older {
+                        Some(t) => s.str("\nolder ").num(t.0),
+                        None => s.str("\nolder none"),
                     };
-                    out.push_str("recent");
-                    write_times(out, r.times().skip(usize::from(older.is_some())));
-                    out.push('\n');
+                    let recent = r.times().skip(usize::from(older.is_some()));
+                    s.str("\nrecent").list(recent.map(|t| t.0));
                 }
-                for (key, numbers) in r.dump() {
-                    for n in numbers {
-                        let _ = write!(out, "{n} ");
+                r.entries(|key, numbers| {
+                    for &n in numbers {
+                        s.num(n).str(" ");
                     }
-                    write_values(out, &key);
-                }
+                    s.values(key);
+                });
             }
         }
-        out.push_str("endnode\n");
-    }
+        s.str("endnode\n");
+    });
 }
 
 struct Reader<'s> {
@@ -577,7 +604,7 @@ fn restore_section(
                 engine.compiled.constraint.name
             )));
         }
-        if engine.compiled.body.to_string() != body {
+        if engine.compiled.body_text != body {
             return Err(mismatch(format!(
                 "constraint `{name}`: its compiled body differs from the checkpointed one — \
                  the definition of `{name}` changed since this checkpoint was written \

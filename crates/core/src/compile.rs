@@ -25,6 +25,8 @@ pub struct CompiledConstraint {
     /// Normalized, alpha-renamed denial body; its satisfying assignments
     /// are the violation witnesses.
     pub body: Formula,
+    /// `body` printed, once: the checkpoint's `body` line.
+    pub body_text: String,
     /// Distinct temporal subformulas of `body` in post-order (every node's
     /// operands' temporal subformulas precede it) — the update order of the
     /// bounded encoding.
@@ -83,6 +85,7 @@ impl CompiledConstraint {
         Ok(CompiledConstraint {
             constraint,
             catalog,
+            body_text: body.to_string(),
             body,
             nodes,
             node_ids,

@@ -231,17 +231,6 @@ impl RunRelation {
         self.ext = Some(now.map_or_else(|| Bindings::none(self.vars.clone()), |t| self.scan(t)));
     }
 
-    /// The runs and state times alone — what `dump` and `space` read,
-    /// caught up — without the index, flips or extension.
-    pub(crate) fn snapshot(&self) -> RunRelation {
-        RunRelation {
-            keys: self.keys.clone(),
-            open: self.open,
-            times: self.times.clone(),
-            ..RunRelation::new(self.interval, self.vars.clone(), self.hist)
-        }
-    }
-
     /// Plants `bug` (mutation smoke).
     pub(crate) fn arm(&mut self, bug: IndexBug) {
         self.bug = Some(bug);
@@ -255,19 +244,23 @@ impl RunRelation {
         Some(t.plus(b).plus(Duration(1 + late)))
     }
 
-    /// The oldest state a window at or after `t` can still see — under
-    /// `hist[a,∞]`, the newest state the window holds, which a broken run
-    /// must reach. A closed key whose last run ends before it answers as
-    /// an absent key from then on.
-    fn cutoff(&self, t: TimePoint) -> TimePoint {
-        match self.interval.window_at(t) {
-            Some((lo, _)) if self.interval.is_bounded() => lo,
-            Some((_, hi)) if self.hist => {
-                let older = self.times.front().filter(|&&s| s <= hi);
-                older.copied().unwrap_or(TimePoint(0))
-            }
-            _ => TimePoint(0),
+    /// The relation as it reads now.
+    fn view(&self) -> RunView<'_> {
+        let times = Cow::Borrowed(&self.times);
+        RunView { rel: self, times }
+    }
+
+    /// The relation as absorbing the deferred `ticks` would leave it: a
+    /// catch-up moves only the state times (and files gaps in the index,
+    /// which no view reads), so the view copies those and borrows the keys.
+    pub fn settled(&self, ticks: impl ExactSizeIterator<Item = TimePoint>) -> RunView<'_> {
+        let mut times = Cow::Borrowed(&self.times);
+        if ticks.len() > 0 {
+            let caught_up = times.to_mut();
+            caught_up.extend(ticks);
+            prune_times(&self.interval, self.hist, caught_up);
         }
+        RunView { rel: self, times }
     }
 
     /// Whether the window at `t` holds none of the recent states.
@@ -279,45 +272,13 @@ impl RunRelation {
         self.times.get(first).is_none_or(|&s| s > hi)
     }
 
-    /// The key's runs, ascending, the open one ending at the newest state.
-    fn runs<'a>(&'a self, slot: &'a Slot) -> impl Iterator<Item = Run> + 'a {
-        let newest = self.times.back().copied().filter(|_| slot.open());
-        let last = (slot.last.0, newest.unwrap_or(slot.last.1));
-        let older = slot.older.as_deref().map_or(&[][..], Vec::as_slice);
-        older.iter().copied().chain(once(last))
-    }
-
-    /// The key's stamps, ascending, as re-stamping every state would have
-    /// stored them: the states its runs cover — under `a = 0` only the
-    /// newest, under `b = ∞` only the first. `ends`: a run no wider than
-    /// `b − a + 1` ticks gives just its start and end, whose windows join
-    /// up with those of every stamp between.
-    fn stamps<'a>(&'a self, slot: &'a Slot, ends: bool) -> impl Iterator<Item = TimePoint> + 'a {
-        let (a, bounded) = (self.interval.lo().0, self.interval.is_bounded());
-        let span = self.interval.hi().finite().map(|b| b.0 - a + 1);
-        let last = slot.older.as_ref().map_or(0, |o| o.len());
-        let runs = self.runs(slot).enumerate();
-        let spans = runs.filter_map(move |(i, (s, e))| match (a == 0, bounded) {
-            (_, false) => (i == 0).then_some((s, s)),
-            (true, true) => (i == last).then_some((e, e)),
-            _ => Some((s, e)),
-        });
-        spans.flat_map(move |(s, e)| {
-            let short = ends && span.is_some_and(|w| e.0 - s.0 <= w);
-            let inside = |x: TimePoint| self.times.partition_point(|&y| y <= x);
-            let between = (!short).then(|| self.times.range(inside(s)..inside(e)));
-            let between = between.into_iter().flatten().copied();
-            once(s).chain(between).chain((short && e > s).then_some(e))
-        })
-    }
-
     /// When the key's verdict next changes after `t` with the operand
     /// unchanged (an open key of an `a = 0` window never does) — or some
     /// time after `until`, if that is later.
     fn key_change(&self, key: &Tuple, t: TimePoint, until: TimePoint) -> TimePoint {
         match self.keys.get(key) {
             Some(s) if !(s.open() && self.interval.lo().0 == 0) => {
-                stamps_change(self.stamps(s, true), &self.interval, t, until)
+                stamps_change(self.view().stamps(s), &self.interval, t, until)
             }
             _ => NEVER,
         }
@@ -342,9 +303,12 @@ impl RunRelation {
         };
         let slot = self.keys.get(key);
         if !self.hist {
-            return slot.is_some_and(|s| self.runs(s).any(|r| self.covers(r, lo, hi)));
+            return slot.is_some_and(|s| self.view().runs(s).any(|r| self.covers(r, lo, hi)));
         }
-        let mut runs = slot.into_iter().flat_map(|s| self.runs(s)).peekable();
+        let mut runs = slot
+            .into_iter()
+            .flat_map(|s| self.view().runs(s))
+            .peekable();
         let first = self.times.partition_point(|&s| s < lo);
         let mut window = self.times.range(first..).take_while(|&&s| s <= hi);
         window.all(|&s| {
@@ -415,7 +379,7 @@ impl RunRelation {
         let unbounded = !self.interval.is_bounded();
         // `once` with `a = 0` answers from its newest run alone.
         let keep = match self.hist || self.interval.lo().0 > 0 {
-            true => self.cutoff(t_now),
+            true => self.view().cutoff(t_now),
             false => NEVER,
         };
         let shared = match self.keys.get_key_value(key) {
@@ -459,24 +423,6 @@ impl RunRelation {
         }
     }
 
-    /// Drops the state times no window can see again: those before the
-    /// last `b` ticks, or (`b = ∞`) before the newest one `a` old — and
-    /// all but the newest under a `once`/`since` with `a = 0` or `b = ∞`,
-    /// whose stamps are its runs' ends.
-    fn prune_times(&mut self) {
-        let Some(&t) = self.times.back() else { return };
-        let (b, older) = (self.interval.hi().finite(), t.minus(self.interval.lo()));
-        let cutoff = b.map(|b| t.minus(b).unwrap_or(TimePoint(0)));
-        let newest = !self.hist && (self.interval.lo().0 == 0 || b.is_none());
-        while match cutoff {
-            _ if newest => self.times.len() > 1,
-            Some(cutoff) => self.times.front().is_some_and(|&s| s < cutoff),
-            None => self.times.get(1).is_some_and(|&s| Some(s) <= older),
-        } {
-            self.times.pop_front();
-        }
-    }
-
     /// Absorbs the new state `t_now` (`t_prev` the one before it, if any)
     /// where the operand's extension is `sat` (`since`: the anchors):
     /// drops the `dropped` keys (`since`: their maintained formula failed,
@@ -507,14 +453,14 @@ impl RunRelation {
             self.split(p, t_now);
         }
         self.times.push_back(t_now);
-        self.prune_times();
+        prune_times(&self.interval, self.hist, &mut self.times);
         for k in opening.into_iter().chain(anchored) {
             self.open(k, t_prev, t_now);
         }
         for queue in [&mut self.enter, &mut self.leave, &mut self.clear] {
             pop_due(queue, t_now, &mut cand);
         }
-        let cutoff = self.cutoff(t_now);
+        let cutoff = self.view().cutoff(t_now);
         for k in &cand {
             if (self.keys.get(&**k)).is_some_and(|s| s.last.1 < cutoff) {
                 self.remove(k);
@@ -557,7 +503,7 @@ impl RunRelation {
         };
         let runs = self.keys.iter().flat_map(|(k, s)| {
             let n = s.older.as_ref().map_or(0, |o| o.len());
-            (self.runs(s).enumerate()).map(move |(i, r)| (k, r, !(s.open() && i == n)))
+            (self.view().runs(s).enumerate()).map(move |(i, r)| (k, r, !(s.open() && i == n)))
         });
         let runs: Vec<(Key, Run, bool)> = (runs.filter(ahead))
             .map(|(k, r, closed)| (Arc::clone(k), r, closed))
@@ -614,7 +560,7 @@ impl RunRelation {
             }
             self.times.push_back(t);
         }
-        self.prune_times();
+        prune_times(&self.interval, self.hist, &mut self.times);
     }
 
     /// The earliest time after the newest state `t` at which
@@ -669,68 +615,6 @@ impl RunRelation {
         Bindings::from_rows(self.vars.clone(), keys.map(|k| Tuple::clone(k)))
     }
 
-    /// What a key still stores that some window can see: its stamps
-    /// (`once`, `since`) or its runs (`hist`).
-    fn live(&self, s: &Slot, cutoff: TimePoint) -> usize {
-        match self.hist {
-            false => self.stamps(s, false).filter(|&x| x >= cutoff).count(),
-            true => self.runs(s).filter(|r| r.1 >= cutoff).count(),
-        }
-    }
-
-    /// `(keys, timestamps)` stored — the quantities bounded by the paper,
-    /// counted as the checkpoint lays them out: a stamp each (`once`,
-    /// `since`); two per run plus the recent state times (`hist[a,b]`);
-    /// one per run plus the times younger than `a` (`hist[a,∞]`).
-    pub fn space(&self) -> (usize, usize) {
-        let cutoff = self.times.back().map_or(TimePoint(0), |&t| self.cutoff(t));
-        let live = self.keys.values().map(|s| self.live(s, cutoff));
-        let (keys, n) = live
-            .filter(|&n| n > 0)
-            .fold((0, 0), |(k, m), n| (k + 1, m + n));
-        match (self.hist, self.interval.is_bounded()) {
-            (false, _) => (keys, n),
-            (true, true) => (keys, 2 * n + self.times.len()),
-            (true, false) => (
-                keys,
-                n + self.times.len() - usize::from(self.older().is_some()),
-            ),
-        }
-    }
-
-    /// The recent state times, ascending.
-    pub fn times(&self) -> impl Iterator<Item = TimePoint> + '_ {
-        self.times.iter().copied()
-    }
-
-    /// Under `b = ∞`: the newest state the window holds, if any.
-    pub fn older(&self) -> Option<TimePoint> {
-        let hi = self.interval.window_at(*self.times.back()?)?.1;
-        self.times.front().copied().filter(|&s| s <= hi)
-    }
-
-    /// Each live key's checkpoint numbers, in key order: its stamps
-    /// (`once`, `since`), its runs' start/end pairs (`hist[a,b]`), or its
-    /// run's end and whether it is open (`hist[a,∞]`).
-    pub fn dump(&self) -> Vec<(Tuple, Vec<u64>)> {
-        let cutoff = self.times.back().map_or(TimePoint(0), |&t| self.cutoff(t));
-        let bounded = self.interval.is_bounded();
-        let numbers = |s: &Slot| -> Vec<u64> {
-            let runs = self.runs(s).filter(|r| r.1 >= cutoff);
-            match (self.hist, bounded) {
-                (false, _) => {
-                    (self.stamps(s, false).filter(|&x| x >= cutoff).map(|x| x.0)).collect()
-                }
-                (true, true) => runs.flat_map(|(a, b)| [a.0, b.0]).collect(),
-                (true, false) => runs.flat_map(|r| [r.1 .0, u64::from(s.open())]).collect(),
-            }
-        };
-        let all = self.keys.iter().map(|(k, s)| (Tuple::clone(k), numbers(s)));
-        let mut out: Vec<(Tuple, Vec<u64>)> = all.filter(|(_, n)| !n.is_empty()).collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
     /// Restores a checkpointed node's recent state times (a `once`/`since`
     /// block has none; they read as `time`, the section's newest state),
     /// before its keys. The index is rebuilt on the next advance.
@@ -757,6 +641,150 @@ impl RunRelation {
         self.open += usize::from(slot.open());
         let replaced = self.keys.insert(Arc::new(key), slot);
         self.open -= replaced.map_or(0, |s| usize::from(s.open()));
+    }
+}
+
+/// Drops the state times no window of `interval` can see again: those
+/// before the last `b` ticks, or (`b = ∞`) before the newest one `a` old —
+/// and all but the newest under a `once`/`since` with `a = 0` or `b = ∞`,
+/// whose stamps are its runs' ends.
+fn prune_times(interval: &Interval, hist: bool, times: &mut VecDeque<TimePoint>) {
+    let Some(&t) = times.back() else { return };
+    let (b, older) = (interval.hi().finite(), t.minus(interval.lo()));
+    let cutoff = b.map(|b| t.minus(b).unwrap_or(TimePoint(0)));
+    let newest = !hist && (interval.lo().0 == 0 || b.is_none());
+    while match cutoff {
+        _ if newest => times.len() > 1,
+        Some(cutoff) => times.front().is_some_and(|&s| s < cutoff),
+        None => times.get(1).is_some_and(|&s| Some(s) <= older),
+    } {
+        times.pop_front();
+    }
+}
+
+/// A run relation's keys read against its state times, or those a
+/// catch-up would leave ([`RunRelation::settled`]).
+pub struct RunView<'a> {
+    rel: &'a RunRelation,
+    times: Cow<'a, VecDeque<TimePoint>>,
+}
+
+impl<'a> RunView<'a> {
+    /// The oldest state a window at or after `t` can still see — under
+    /// `hist[a,∞]`, the newest state the window holds, which a broken run
+    /// must reach. A closed key whose last run ends before it answers as
+    /// an absent key from then on.
+    fn cutoff(&self, t: TimePoint) -> TimePoint {
+        match self.rel.interval.window_at(t) {
+            Some((lo, _)) if self.rel.interval.is_bounded() => lo,
+            Some((_, hi)) if self.rel.hist => {
+                let older = self.times.front().filter(|&&s| s <= hi);
+                older.copied().unwrap_or(TimePoint(0))
+            }
+            _ => TimePoint(0),
+        }
+    }
+
+    /// The key's runs, ascending, the open one ending at the newest state.
+    fn runs<'s>(&self, slot: &'s Slot) -> impl Iterator<Item = Run> + 's {
+        let newest = self.times.back().copied().filter(|_| slot.open());
+        let last = (slot.last.0, newest.unwrap_or(slot.last.1));
+        let older = slot.older.as_deref().map_or(&[][..], Vec::as_slice);
+        older.iter().copied().chain(once(last))
+    }
+
+    /// The runs that carry a key's stamps: all of them, but under `a = 0`
+    /// only the newest's end and under `b = ∞` only the first's start.
+    fn spans<'s>(&self, slot: &'s Slot) -> impl Iterator<Item = Run> + 's {
+        let (a, bounded) = (self.rel.interval.lo().0, self.rel.interval.is_bounded());
+        let last = slot.older.as_ref().map_or(0, |o| o.len());
+        let runs = self.runs(slot).enumerate();
+        runs.filter_map(move |(i, (s, e))| match (a == 0, bounded) {
+            (_, false) => (i == 0).then_some((s, s)),
+            (true, true) => (i == last).then_some((e, e)),
+            _ => Some((s, e)),
+        })
+    }
+
+    /// The key's stamps, ascending, as re-stamping every state would have
+    /// stored them, but with a run no wider than `b − a + 1` ticks giving
+    /// just its start and end, whose windows join up with those of every
+    /// stamp between.
+    fn stamps<'s>(&'s self, slot: &'s Slot) -> impl Iterator<Item = TimePoint> + 's {
+        let a = self.rel.interval.lo().0;
+        let span = self.rel.interval.hi().finite().map(|b| b.0 - a + 1);
+        let after = |x: TimePoint| self.times.partition_point(|&y| y <= x);
+        self.spans(slot).flat_map(move |(s, e)| {
+            let short = span.is_some_and(|w| e.0 - s.0 <= w);
+            let between = (!short).then(|| self.times.range(after(s)..after(e)));
+            let between = between.into_iter().flatten().copied();
+            once(s).chain(between).chain((short && e > s).then_some(e))
+        })
+    }
+
+    /// Hands `visit` each of `keys` a window can still see with its
+    /// checkpoint numbers: its stamps (`once`, `since`), its runs' start/end
+    /// pairs (`hist[a,b]`), or its run's end and whether it is open (`hist[a,∞]`).
+    fn live<'s>(
+        &self,
+        keys: impl Iterator<Item = (&'s Key, &'s Slot)>,
+        mut visit: impl FnMut(&'s Tuple, &[u64]),
+    ) {
+        let cutoff = self.times.back().map_or(TimePoint(0), |&t| self.cutoff(t));
+        let after = |x: TimePoint| self.times.partition_point(|&y| y <= x);
+        let mut out = Vec::new();
+        for (key, slot) in keys {
+            out.clear();
+            let live = self.runs(slot).filter(|r| r.1 >= cutoff);
+            match (self.rel.hist, self.rel.interval.is_bounded()) {
+                (true, true) => out.extend(live.flat_map(|(s, e)| [s.0, e.0])),
+                (true, false) => out.extend(live.flat_map(|r| [r.1 .0, u64::from(slot.open())])),
+                (false, _) => {
+                    for (s, e) in self.spans(slot) {
+                        out.extend(Some(s.0).filter(|_| s >= cutoff));
+                        let covered = self.times.range(after(s)..after(e));
+                        out.extend(covered.filter(|&&x| x >= cutoff).map(|x| x.0));
+                    }
+                }
+            }
+            if !out.is_empty() {
+                visit(key, &out);
+            }
+        }
+    }
+
+    /// `(keys, timestamps)` stored — the quantities bounded by the paper,
+    /// counted as the checkpoint lays them out: a stamp each (`once`,
+    /// `since`); two per run plus the recent state times (`hist[a,b]`);
+    /// one per run plus the times younger than `a` (`hist[a,∞]`).
+    pub fn space(&self) -> (usize, usize) {
+        let (mut keys, mut n, all) = (0, 0, self.rel.keys.iter());
+        self.live(all, |_, live| (keys, n) = (keys + 1, n + live.len()));
+        let older = usize::from(self.older().is_some());
+        match (self.rel.hist, self.rel.interval.is_bounded()) {
+            (false, _) => (keys, n),
+            (true, true) => (keys, n + self.times.len()),
+            (true, false) => (keys, n / 2 + self.times.len() - older),
+        }
+    }
+
+    /// The recent state times, ascending.
+    pub fn times(&self) -> impl Iterator<Item = TimePoint> + '_ {
+        self.times.iter().copied()
+    }
+
+    /// Under `b = ∞`: the newest state the window holds, if any.
+    pub fn older(&self) -> Option<TimePoint> {
+        let hi = self.rel.interval.window_at(*self.times.back()?)?.1;
+        self.times.front().copied().filter(|&s| s <= hi)
+    }
+
+    /// Hands `visit` each live key with its checkpoint numbers, in key
+    /// order: the keys borrowed and sorted by reference.
+    pub fn entries(&self, visit: impl FnMut(&'a Tuple, &[u64])) {
+        let mut keys: Vec<(&'a Key, &'a Slot)> = self.rel.keys.iter().collect();
+        keys.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        self.live(keys.into_iter(), visit);
     }
 }
 
@@ -820,11 +848,11 @@ impl PrevState {
         }
     }
 
-    /// Dumps the stored previous-state extension, if any.
-    pub fn dump(&self) -> Option<(TimePoint, Vec<Tuple>)> {
+    /// The stored previous-state time and rows, sorted, if any.
+    pub fn dump(&self) -> Option<(TimePoint, Vec<&Tuple>)> {
         self.prev_sat
             .as_ref()
-            .map(|(t, sat)| (*t, sat.sorted_rows().into_iter().cloned().collect()))
+            .map(|(t, sat)| (*t, sat.sorted_rows()))
     }
 
     /// Restores a dumped previous-state extension. Additive in the rows
@@ -879,6 +907,22 @@ mod tests {
         fn absorb(&mut self, sat: &Bindings, dropped: &[Tuple], t: TimePoint) {
             let prev = self.times.back().copied();
             self.advance(sat, None, dropped, prev, t);
+        }
+
+        /// Each live key with its checkpoint numbers, in key order.
+        fn dump(&self) -> Vec<(Tuple, Vec<u64>)> {
+            let mut out = Vec::new();
+            self.view()
+                .entries(|k, n| out.push((k.clone(), n.to_vec())));
+            out
+        }
+
+        fn times(&self) -> Vec<TimePoint> {
+            self.view().times().collect()
+        }
+
+        fn space(&self) -> (usize, usize) {
+            self.view().space()
         }
 
         fn add_and_prune(&mut self, sat: &Bindings, t: TimePoint) {
@@ -1496,7 +1540,7 @@ mod tests {
                     let delta = delta.as_ref().map(|(a, r)| (&a[..], &r[..]));
                     h.advance(&now, delta, &[], t_prev, t);
                     let ctx = format!("{i} seed {seed} at {t}");
-                    let times = h.times().collect();
+                    let times = h.times();
                     assert_eq!((h.dump(), times), old.dump(i, t), "{ctx}");
                     assert_eq!(
                         h.next_change(t),

@@ -24,7 +24,6 @@
 //! advances any number of engines over one database; an
 //! [`IncrementalChecker`] is a set of one.
 
-use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -37,7 +36,7 @@ use rtic_temporal::{Constraint, TimePoint};
 use crate::binding::{Bindings, Scratch};
 use crate::checker::Checker;
 use crate::compile::CompiledConstraint;
-use crate::encode::{IndexBug, PrevState, RunRelation, NEVER};
+use crate::encode::{IndexBug, PrevState, RunRelation, RunView, NEVER};
 use crate::error::CompileError;
 use crate::eval::{eval, Flips, Node, Oracle};
 use crate::plan::NodePlans;
@@ -52,12 +51,20 @@ pub(crate) enum NodeState {
     Runs(Box<RunRelation>),
 }
 
-impl NodeState {
-    /// `(keys, timestamps)` currently stored.
+/// A temporal node's state as a catch-up of the deferred states would
+/// leave it (see [`NodeEngine::settled`]).
+pub(crate) enum Settled<'a> {
+    /// A `prev` node, and the newest state if a catch-up moves it there.
+    Prev(&'a PrevState, Option<TimePoint>),
+    Runs(RunView<'a>),
+}
+
+impl Settled<'_> {
+    /// `(keys, timestamps)` stored.
     fn space(&self) -> (usize, usize) {
         match self {
-            NodeState::Prev(p) => p.space(),
-            NodeState::Runs(r) => r.space(),
+            Settled::Prev(p, _) => p.space(),
+            Settled::Runs(r) => r.space(),
         }
     }
 }
@@ -458,18 +465,13 @@ impl NodeEngine {
     /// Absorbs the deferred states, leaving exactly the state one
     /// [`NodeEngine::advance`] per tick would have left.
     fn catch_up(&mut self) {
-        if self.sleep_bug == Some(SleepBug::ShortCatchUp) {
-            self.pending.pop_back();
-        }
-        let Some(&t_new) = self.pending.back() else {
-            return;
-        };
-        let mut ticks = std::mem::take(&mut self.pending);
-        let ticks: &[TimePoint] = ticks.make_contiguous();
+        let ticks: Vec<TimePoint> = self.to_absorb().collect();
+        self.pending.clear();
+        let Some(&t_new) = ticks.last() else { return };
         for state in &mut self.states {
             match state {
                 NodeState::Prev(p) => p.catch_up(t_new),
-                NodeState::Runs(r) => r.catch_up(ticks),
+                NodeState::Runs(r) => r.catch_up(&ticks),
             }
         }
         self.last_time = Some(t_new);
@@ -481,34 +483,31 @@ impl NodeEngine {
         (self.pending.len(), self.tick_bound.0)
     }
 
-    /// The engine with nothing deferred — what `&self` readers (space
-    /// accounting, checkpoints) see: while asleep, a caught-up copy of the
-    /// auxiliary state. Not `self.clone()`: the plans' scratch is most of
-    /// an engine, and no reader looks at it.
-    pub(crate) fn settled(&self) -> Cow<'_, NodeEngine> {
-        if self.pending.is_empty() {
-            return Cow::Borrowed(self);
+    /// The deferred states a catch-up absorbs, ascending (the mutant
+    /// `ShortCatchUp` drops the newest).
+    fn to_absorb(&self) -> impl DoubleEndedIterator<Item = TimePoint> + ExactSizeIterator + '_ {
+        let short = usize::from(self.sleep_bug == Some(SleepBug::ShortCatchUp));
+        let n = self.pending.len().saturating_sub(short);
+        self.pending.range(..n).copied()
+    }
+
+    /// The newest state once the deferred ones are absorbed.
+    pub(crate) fn settled_time(&self) -> Option<TimePoint> {
+        self.to_absorb().next_back().or(self.last_time)
+    }
+
+    /// Hands `visit` each temporal node with its state as a catch-up
+    /// would leave it: what `&self` readers (space accounting,
+    /// checkpoints) see while the engine sleeps, read in place — a
+    /// catch-up moves state times, which are copied, never keys or rows.
+    pub(crate) fn settled(&self, mut visit: impl FnMut(&Formula, Settled<'_>)) {
+        let moved = self.to_absorb().next_back();
+        for (node, state) in self.compiled.nodes.iter().zip(&self.states) {
+            match state {
+                NodeState::Prev(p) => visit(node, Settled::Prev(p, moved)),
+                NodeState::Runs(r) => visit(node, Settled::Runs(r.settled(self.to_absorb()))),
+            }
         }
-        let states = self.states.iter().map(|state| match state {
-            NodeState::Runs(r) => NodeState::Runs(Box::new(r.snapshot())),
-            other => other.clone(),
-        });
-        let mut engine = NodeEngine {
-            compiled: Arc::clone(&self.compiled),
-            states: states.collect(),
-            extensions: Vec::new(),
-            last_time: self.last_time,
-            seen: Vec::new(),
-            last_violations: None,
-            deadline: None,
-            pending: self.pending.clone(),
-            tick_bound: self.tick_bound,
-            sleep_bug: self.sleep_bug,
-            interpret: self.interpret,
-            scratch: Scratch::default(),
-        };
-        engine.catch_up();
-        Cow::Owned(engine)
     }
 
     fn oracle(&self, t_now: TimePoint) -> IncOracle<'_> {
@@ -522,26 +521,26 @@ impl NodeEngine {
 
     /// Total auxiliary `(keys, timestamps)` across nodes.
     pub(crate) fn aux_space(&self) -> (usize, usize) {
-        let engine = self.settled();
-        let spaces = engine.states.iter().map(NodeState::space);
-        spaces.fold((0, 0), |(k, t), (a, b)| (k + a, t + b))
+        let mut total = (0, 0);
+        self.settled(|_, node| {
+            let (k, t) = node.space();
+            total = (total.0 + k, total.1 + t);
+        });
+        total
     }
 
     /// Each temporal node's auxiliary footprint, children-first.
     pub(crate) fn node_stats(&self) -> Vec<NodeStat> {
-        self.compiled
-            .nodes
-            .iter()
-            .zip(&self.settled().states)
-            .map(|(node, state)| {
-                let (keys, timestamps) = state.space();
-                NodeStat {
-                    formula: node.to_string(),
-                    keys,
-                    timestamps,
-                }
-            })
-            .collect()
+        let mut stats = Vec::new();
+        self.settled(|node, state| {
+            let (keys, timestamps) = state.space();
+            stats.push(NodeStat {
+                formula: node.to_string(),
+                keys,
+                timestamps,
+            });
+        });
+        stats
     }
 }
 

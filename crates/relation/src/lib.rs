@@ -48,6 +48,6 @@ pub use error::RelationError;
 pub use hash::{BuildWordHasher, FastMap, FastSet, TupleMap, TupleSet, WordHasher};
 pub use relation::{fresh_version, Relation};
 pub use schema::{Attribute, Schema};
-pub use symbol::Symbol;
+pub use symbol::{Names, Symbol};
 pub use tuple::Tuple;
-pub use value::{Sort, Value};
+pub use value::{push_decimal, Sort, Value};

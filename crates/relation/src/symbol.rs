@@ -9,7 +9,7 @@
 //! strings should be aware the table only grows.
 
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use crate::hash::FastMap;
 
@@ -57,6 +57,11 @@ impl Symbol {
         i.names[self.0 as usize]
     }
 
+    /// The interner, locked once for a run of reads (see [`Names`]).
+    pub fn names() -> Names {
+        Names(interner().lock().expect("symbol interner poisoned"))
+    }
+
     /// The raw intern id. Stable within a process run only.
     pub fn id(self) -> u32 {
         self.0
@@ -66,6 +71,20 @@ impl Symbol {
     #[cfg(test)]
     pub(crate) fn with_id(id: u32) -> Symbol {
         Symbol(id)
+    }
+}
+
+/// The symbol table held for a run of reads: [`Names::get`] resolves any
+/// number of symbols under the one lock [`Symbol::names`] took, where each
+/// [`Symbol::as_str`] takes it anew. Other threads' interning waits while
+/// it is held, and interning — or `as_str` — on the holding thread
+/// deadlocks, so hold it across one bounded pass of reads only.
+pub struct Names(MutexGuard<'static, Interner>);
+
+impl Names {
+    /// The interned string.
+    pub fn get(&self, symbol: Symbol) -> &'static str {
+        self.0.names[symbol.0 as usize]
     }
 }
 
@@ -130,6 +149,34 @@ mod tests {
         let a: Symbol = "from-str".into();
         let b: Symbol = String::from("from-str").into();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn names_resolve_while_another_thread_interns() {
+        let fresh = |i: usize| format!("names-race-{i}");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let writer = std::thread::spawn(move || {
+            for i in 0..2000 {
+                tx.send((i, Symbol::intern(&fresh(i)))).unwrap();
+            }
+        });
+        let mut seen: Vec<Symbol> = Vec::new();
+        while let Ok((i, sym)) = rx.recv() {
+            assert_eq!(seen.len(), i);
+            seen.push(sym);
+            if i % 64 == 0 || i == 1999 {
+                // One lock for every symbol interned so far.
+                let names = Symbol::names();
+                for (j, s) in seen.iter().enumerate() {
+                    assert_eq!(names.get(*s), fresh(j));
+                }
+            }
+        }
+        writer.join().unwrap();
+        for (j, s) in seen.iter().enumerate() {
+            assert_eq!(Symbol::intern(&fresh(j)), *s, "intern stays idempotent");
+            assert_eq!(s.as_str(), fresh(j));
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::symbol::Symbol;
+use crate::symbol::{Names, Symbol};
 
 /// The sort (type) of a database value.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -86,22 +86,28 @@ impl Value {
     /// history log, the checkpoint codec and the constraint printer all
     /// write through here; it round-trips through [`Value::parse_literals`].
     pub fn write_literal(&self, out: &mut impl fmt::Write) -> fmt::Result {
-        let Value::Str(s) = self else {
-            return write!(out, "{self}");
-        };
-        let mut rest = s.as_str();
-        out.write_char('"')?;
-        while let Some(at) = rest.find(['"', '\\', '\n']) {
-            out.write_str(&rest[..at])?;
-            out.write_str(match rest.as_bytes()[at] {
-                b'"' => "\\\"",
-                b'\\' => "\\\\",
-                _ => "\\n",
-            })?;
-            rest = &rest[at + 1..];
+        match self {
+            Value::Str(s) => quote(s.as_str(), out),
+            _ => write!(out, "{self}"),
         }
-        out.write_str(rest)?;
-        out.write_char('"')
+    }
+
+    /// [`Value::write_literal`] for a writer that prints many values: the
+    /// string is read from `names`, held across them, and an integer goes
+    /// through [`push_decimal`]. Same bytes.
+    pub fn push_literal(&self, names: &Names, out: &mut String) {
+        match *self {
+            Value::Int(i) => {
+                if i < 0 {
+                    out.push('-');
+                }
+                push_decimal(out, i.unsigned_abs());
+            }
+            Value::Str(s) => {
+                let _ = quote(names.get(s), out);
+            }
+            Value::Bool(b) => out.push_str(if b { "true" } else { "false" }),
+        }
     }
 
     /// Parses a comma-separated list of literals (the inverse of joining
@@ -192,6 +198,38 @@ impl Value {
     }
 }
 
+/// Writes `s` quoted, escaping exactly `"`, `\\` and newline.
+fn quote(s: &str, out: &mut impl fmt::Write) -> fmt::Result {
+    let mut rest = s;
+    out.write_char('"')?;
+    while let Some(at) = rest.find(['"', '\\', '\n']) {
+        out.write_str(&rest[..at])?;
+        out.write_str(match rest.as_bytes()[at] {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            _ => "\\n",
+        })?;
+        rest = &rest[at + 1..];
+    }
+    out.write_str(rest)?;
+    out.write_char('"')
+}
+
+/// Appends `n` in decimal: what `{n}` prints, without `fmt`'s machinery.
+pub fn push_decimal(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -235,6 +273,23 @@ mod tests {
         assert_eq!(Value::Int(3).sort(), Sort::Int);
         assert_eq!(Value::str("x").sort(), Sort::Str);
         assert_eq!(Value::Bool(true).sort(), Sort::Bool);
+    }
+
+    #[test]
+    fn push_literal_writes_what_write_literal_writes() {
+        let ints = [0, 7, -1, 10, -10, 99, i64::MAX, i64::MIN].map(Value::Int);
+        let strs = ["", "a\"b", "c\\d", "e\nf", "tab\tx"].map(Value::str);
+        let bools = [true, false].map(Value::Bool);
+        for v in ints.iter().chain(&strs).chain(&bools) {
+            let (mut pushed, mut written) = (String::new(), String::new());
+            // The guard drops here: `write_literal` takes the lock itself.
+            v.push_literal(&Symbol::names(), &mut pushed);
+            v.write_literal(&mut written).unwrap();
+            assert_eq!(pushed, written);
+        }
+        let mut max = String::new();
+        push_decimal(&mut max, u64::MAX);
+        assert_eq!(max, u64::MAX.to_string());
     }
 
     #[test]

@@ -36,6 +36,11 @@ pub struct ServeReport {
     pub witnesses: u64,
     /// Steps with at least one witness.
     pub violated_states: u64,
+    /// The section's violation lines, rendered as each step recorded them,
+    /// so a checkpoint copies the history instead of re-formatting it.
+    lines: String,
+    /// How many of `violations` `lines` holds.
+    rendered: usize,
 }
 
 impl ServeReport {
@@ -47,17 +52,28 @@ impl ServeReport {
             self.violated_states += 1;
         }
         self.violations.extend_from_slice(step_violations);
+        self.render();
+    }
+
+    /// Appends the violation lines not rendered yet to `lines`.
+    fn render(&mut self) {
+        for line in &self.violations[self.rendered..] {
+            self.lines.extend([line.as_str(), "\n"]);
+        }
+        self.rendered = self.violations.len();
     }
 
     /// Serializes the report as one checkpoint-container section.
     pub fn to_section(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(128 + self.lines.len());
         let _ = writeln!(out, "{MAGIC_V1}");
         let _ = writeln!(out, "{SECTION_HEADER}");
         let _ = writeln!(out, "transitions {}", self.transitions);
         let _ = writeln!(out, "witnesses {}", self.witnesses);
         let _ = writeln!(out, "violated-states {}", self.violated_states);
-        for line in &self.violations {
+        out.push_str(&self.lines);
+        // Lines pushed onto `violations` directly, past `record_step`.
+        for line in self.violations.get(self.rendered..).unwrap_or_default() {
             let _ = writeln!(out, "{line}");
         }
         out
@@ -99,6 +115,7 @@ impl ServeReport {
                 report.violations.push(line.to_string());
             }
         }
+        report.render();
         Ok(report)
     }
 }
@@ -125,6 +142,34 @@ mod tests {
         assert_eq!(restored.transitions, 2);
         assert_eq!(restored.witnesses, 2);
         assert_eq!(restored.violated_states, 1);
+    }
+
+    #[test]
+    fn an_appended_render_equals_a_from_scratch_one_after_a_restore() {
+        let step = |report: &mut ServeReport, t: u64| {
+            let lines = (0..t % 3).map(|i| format!("@{t} VIOLATION c{i} x1: {{p=\"a\\b\"}}"));
+            report.record_step(&lines.collect::<Vec<_>>(), (t % 3) as usize);
+        };
+        let mut report = ServeReport::default();
+        (1..=7).for_each(|t| step(&mut report, t));
+        let mut resumed = ServeReport::from_section(&report.to_section()).unwrap();
+        assert_eq!(resumed, report);
+        for t in 8..=12 {
+            step(&mut report, t);
+            step(&mut resumed, t);
+        }
+        // The same report with no line rendered: `to_section` formats each.
+        let scratch = ServeReport {
+            violations: report.violations.clone(),
+            transitions: report.transitions,
+            witnesses: report.witnesses,
+            violated_states: report.violated_states,
+            ..ServeReport::default()
+        };
+        assert_eq!(scratch.rendered, 0);
+        assert_eq!(resumed.to_section(), scratch.to_section());
+        assert_eq!(report.to_section(), scratch.to_section());
+        assert_eq!(resumed, report);
     }
 
     #[test]
