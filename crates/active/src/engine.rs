@@ -114,7 +114,7 @@ impl ActiveChecker {
         }
         let mut nodes = Vec::new();
         for (i, node) in compiled.nodes.iter().enumerate() {
-            let vars: Vec<Var> = node.free_vars().into_iter().collect();
+            let vars = node.sorted_free_vars();
             let key_attrs: Vec<Attribute> = vars
                 .iter()
                 .enumerate()
@@ -576,11 +576,7 @@ impl Checker for ActiveChecker {
         };
         self.scratch = scratch;
         self.last_time = Some(time);
-        Ok(StepReport {
-            constraint: self.compiled.constraint.name,
-            time,
-            violations,
-        })
+        Ok(self.compiled.report(time, violations))
     }
 
     fn space(&self) -> SpaceStats {

@@ -675,6 +675,16 @@ impl Bindings {
         Bindings::build(sorted_vars, rows)
     }
 
+    /// These rows over sorted `vars`, column `i` read from column `cols[i]`
+    /// — the rows shared when there are none or `cols` is empty (every
+    /// column in place).
+    pub(crate) fn permuted(self, vars: Vec<Var>, cols: &[usize]) -> Bindings {
+        if cols.is_empty() || self.is_empty() {
+            return Bindings { vars, ..self };
+        }
+        Bindings::build(vars, self.rows.iter().map(|t| t.project(cols)).collect())
+    }
+
     /// The sorted variable list.
     pub fn vars(&self) -> &[Var] {
         &self.vars

@@ -63,6 +63,7 @@ use std::sync::Arc;
 use rtic_relation::{push_decimal, Catalog, Database, Names, Symbol, Tuple, Value};
 use rtic_temporal::{Constraint, Formula, TimePoint};
 
+use crate::compile::CompiledConstraint;
 use crate::incremental::{EncodingOptions, IncrementalChecker, NodeEngine, NodeState, Settled};
 use crate::set::{ConstraintSet, DispatchStats};
 
@@ -167,9 +168,9 @@ impl Section {
     }
 
     /// A `| «value literals»` line.
-    fn values(&mut self, t: &Tuple) {
+    fn values(&mut self, values: impl IntoIterator<Item = Value>) {
         self.str("| ");
-        for (i, v) in t.values().iter().enumerate() {
+        for (i, v) in values.into_iter().enumerate() {
             if i > 0 {
                 self.str(", ");
             }
@@ -220,7 +221,7 @@ fn save_parts(
                 }
                 s.str("rel ").name(name).str("\n");
                 for t in rel.sorted() {
-                    s.values(t);
+                    s.values(t.values().iter().copied());
                 }
                 s.str("endrel\n");
             }
@@ -244,19 +245,23 @@ fn kind(node: &Formula) -> &'static str {
 /// The `node <idx> <kind> … endnode` blocks for an engine's auxiliary
 /// states, settled: a `prev` block its previous rows; a run relation per
 /// key its checkpoint numbers, after `times` (`histf`) or `started`/
-/// `older`/`recent` (`histi`).
+/// `older`/`recent` (`histi`). Rows and keys are written, and sorted, in
+/// name order.
 fn write_nodes(s: &mut Section, engine: &NodeEngine) {
     let mut idx = 0u64;
+    let mut key_orders = engine.compiled.node_keys.iter();
     engine.settled(|node, state| {
-        let kind = kind(node);
+        let (kind, keys) = (kind(node), key_orders.next().expect("a key order per node"));
         s.str("node ").num(idx).str(" ").str(kind).str("\n");
         idx += 1;
         match state {
             Settled::Prev(p, moved) => {
                 if let Some((t, rows)) = p.dump() {
                     s.str("time ").num(moved.unwrap_or(t).0).str("\n");
-                    for r in rows {
-                        s.values(r);
+                    // Shared as they are when the orders agree, else copied.
+                    let rows = keys.bindings(rows.clone());
+                    for r in rows.sorted_rows() {
+                        s.values(r.values().iter().copied());
                     }
                 }
             }
@@ -274,12 +279,15 @@ fn write_nodes(s: &mut Section, engine: &NodeEngine) {
                     let recent = r.times().skip(usize::from(older.is_some()));
                     s.str("\nrecent").list(recent.map(|t| t.0));
                 }
-                r.entries(|key, numbers| {
-                    for &n in numbers {
-                        s.num(n).str(" ");
-                    }
-                    s.values(key);
-                });
+                r.entries(
+                    |a, b| keys.cmp(a, b),
+                    |key, numbers| {
+                        for &n in numbers {
+                            s.num(n).str(" ");
+                        }
+                        s.values(keys.values(key));
+                    },
+                );
             }
         }
         s.str("endnode\n");
@@ -694,7 +702,7 @@ fn restore_section(
             restore_node(
                 &mut r,
                 rest,
-                (&engine.compiled.nodes, &mut engine.states),
+                (&engine.compiled, &mut engine.states),
                 last_time,
             )?;
         } else {
@@ -764,13 +772,14 @@ fn entry(r: &mut Reader<'_>) -> Result<(Vec<u64>, Tuple), CheckpointError> {
     parse_entry_line(l).map_err(|m| r.err(m))
 }
 
-/// Restores one `node <idx> <kind>` block (through its `endnode`) into
-/// `states`. `rest` is the header line after the `node ` prefix; `time`
-/// the section's newest state, which no restored timestamp may pass.
+/// Restores one `node <idx> <kind>` block (through its `endnode`) of
+/// `compiled` into `states`, its name-order rows put back in rank order.
+/// `rest` is the header line after the `node ` prefix; `time` the
+/// section's newest state, which no restored timestamp may pass.
 fn restore_node(
     r: &mut Reader<'_>,
     rest: &str,
-    (nodes, states): (&[Formula], &mut [NodeState]),
+    (compiled, states): (&CompiledConstraint, &mut [NodeState]),
     time: Option<TimePoint>,
 ) -> Result<(), CheckpointError> {
     let mut parts = rest.split_whitespace();
@@ -779,7 +788,7 @@ fn restore_node(
         .and_then(|w| w.parse().ok())
         .ok_or_else(|| r.err("bad node index"))?;
     let word = parts.next().unwrap_or("");
-    let (Some(node), Some(state)) = (nodes.get(idx), states.get_mut(idx)) else {
+    let (Some(node), Some(state)) = (compiled.nodes.get(idx), states.get_mut(idx)) else {
         return Err(mismatch(format!(
             "checkpoint has node {idx}, constraint does not"
         )));
@@ -790,6 +799,7 @@ fn restore_node(
         )));
     }
     let more = |r: &Reader<'_>| r.peek().is_some_and(|l| l != "endnode");
+    let keys = &compiled.node_keys[idx];
     match state {
         NodeState::Prev(p) if r.peek().is_some_and(|l| l.starts_with("time ")) => {
             let t: u64 = r
@@ -803,7 +813,7 @@ fn restore_node(
                 if !nums.is_empty() {
                     return Err(r.err("prev rows carry no numeric prefix"));
                 }
-                rows.push(tuple);
+                rows.push(keys.ranked(tuple));
             }
             p.restore(TimePoint(t), rows);
         }
@@ -829,6 +839,7 @@ fn restore_node(
             rel.restore_times(times, time);
             while more(r) {
                 let (nums, key) = entry(r)?;
+                let key = keys.ranked(key);
                 match word {
                     "histf" => {
                         if nums.len() % 2 != 0 {

@@ -1,17 +1,20 @@
-//! Constraint compilation: normalization, renaming, static checks, and the
-//! temporal-subformula DAG shared by every checker.
+//! Constraint compilation: normalization, renaming, static checks, variable
+//! ranks, and the temporal-subformula DAG shared by every checker.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use rtic_relation::{Catalog, FastMap, Symbol};
-use rtic_temporal::ast::Formula;
-use rtic_temporal::normalize::rename_apart;
+use rtic_relation::{Catalog, FastMap, Symbol, Tuple, Value};
+use rtic_temporal::ast::{Formula, Var};
+use rtic_temporal::normalize::{rank_vars, rename_apart};
 use rtic_temporal::optimize::optimize;
-use rtic_temporal::{analysis, safety, typecheck, Constraint, Horizon};
+use rtic_temporal::{analysis, safety, typecheck, Constraint, Horizon, TimePoint};
 
+use crate::binding::Bindings;
 use crate::error::CompileError;
 use crate::plan::EvalPlans;
+use crate::report::StepReport;
 
 /// A constraint compiled into checkable form: the normalized,
 /// variables-renamed-apart denial body, plus its temporal subformulas in
@@ -22,8 +25,9 @@ pub struct CompiledConstraint {
     pub constraint: Constraint,
     /// The catalog the constraint was compiled against.
     pub catalog: Arc<Catalog>,
-    /// Normalized, alpha-renamed denial body; its satisfying assignments
-    /// are the violation witnesses.
+    /// Normalized, alpha-renamed denial body with its variables ranked
+    /// ([`rank_vars`]); its satisfying assignments are the violation
+    /// witnesses.
     pub body: Formula,
     /// `body` printed, once: the checkpoint's `body` line.
     pub body_text: String,
@@ -42,6 +46,12 @@ pub struct CompiledConstraint {
     /// operands lowered once, so stepping never re-derives conjunct orders,
     /// variable lists, or join shapes (see [`crate::plan`]).
     pub plans: EvalPlans,
+    /// The body's free variables in name order: the columns of every
+    /// report ([`CompiledConstraint::report`]).
+    pub witness: NameOrder,
+    /// Per temporal node, its keys in name order: the columns of its
+    /// checkpoint rows.
+    pub node_keys: Vec<NameOrder>,
 }
 
 impl CompiledConstraint {
@@ -76,13 +86,17 @@ impl CompiledConstraint {
         }
         typecheck::typecheck(&body, &catalog)?;
         safety::check(&body)?;
+        let body = rank_vars(&body);
         let mut nodes = Vec::new();
         let mut node_ids = FastMap::default();
         collect_temporal_postorder(&body, &mut nodes, &mut node_ids);
         let horizon = analysis::horizon(&body);
         let relations = analysis::touched_relations(&body);
         let plans = EvalPlans::build(&body, &nodes);
+        let node_keys = nodes.iter().map(|n| NameOrder::of(&n.sorted_free_vars()));
         Ok(CompiledConstraint {
+            witness: NameOrder::of(&body.sorted_free_vars()),
+            node_keys: node_keys.collect(),
             constraint,
             catalog,
             body_text: body.to_string(),
@@ -93,6 +107,76 @@ impl CompiledConstraint {
             relations,
             plans,
         })
+    }
+
+    /// The report of `violations` — rows over the body's free variables
+    /// in rank order — at `time`: named columns, in name order.
+    pub fn report(&self, time: TimePoint, violations: Bindings) -> StepReport {
+        StepReport {
+            constraint: self.constraint.name,
+            time,
+            violations: self.witness.bindings(violations),
+        }
+    }
+}
+
+/// A rank-ordered column list seen in name order, the order of every row
+/// a report, explain plan or checkpoint shows. Computed once per
+/// constraint, so stepping never compares names.
+#[derive(Clone, Debug)]
+pub struct NameOrder {
+    /// The variables, unranked, in name order.
+    pub vars: Vec<Var>,
+    /// The rank-order column behind each name-order one; empty when the
+    /// two orders agree.
+    cols: Vec<usize>,
+}
+
+impl NameOrder {
+    /// The name order of `vars`, a sorted (rank-order) column list.
+    pub fn of(vars: &[Var]) -> NameOrder {
+        // A handful of variables: each column's place is the number of
+        // names before its own.
+        let mut cols = vec![0; vars.len()];
+        for (c, v) in vars.iter().enumerate() {
+            cols[vars.iter().filter(|u| u.unranked() < v.unranked()).count()] = c;
+        }
+        let vars = cols.iter().map(|&c| vars[c].unranked()).collect();
+        if cols.iter().enumerate().all(|(i, &c)| i == c) {
+            cols.clear();
+        }
+        NameOrder { vars, cols }
+    }
+
+    /// The rank-order column behind each name-order one.
+    pub fn columns(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.vars.len()).map(|i| self.cols.get(i).map_or(i, |&c| c))
+    }
+
+    /// A rank-order row's values in name order.
+    pub fn values<'t>(&'t self, row: &'t Tuple) -> impl Iterator<Item = Value> + 't {
+        self.columns().map(|c| row[c])
+    }
+
+    /// Rank-order rows compared in name order.
+    pub fn cmp(&self, a: &Tuple, b: &Tuple) -> Ordering {
+        self.values(a).cmp(self.values(b))
+    }
+
+    /// A name-order row (a checkpoint's) in rank order; one of another
+    /// arity than the columns' is left as it is.
+    pub fn ranked(&self, row: Tuple) -> Tuple {
+        if self.cols.len() != row.arity() {
+            return row;
+        }
+        let at = |c: usize| self.cols.iter().position(|&x| x == c).unwrap_or(c);
+        (0..row.arity()).map(|c| row[at(c)]).collect()
+    }
+
+    /// Rank-order rows as named columns in name order — O(1) when the two
+    /// orders agree, a copy of the rows when they do not.
+    pub fn bindings(&self, rows: Bindings) -> Bindings {
+        rows.permuted(self.vars.clone(), &self.cols)
     }
 }
 

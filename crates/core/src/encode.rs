@@ -37,6 +37,7 @@
 //! `prev[a,b] g` keeps the operand's extension at the previous state.
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::iter::once;
 use std::sync::Arc;
@@ -779,11 +780,15 @@ impl<'a> RunView<'a> {
         self.times.front().copied().filter(|&s| s <= hi)
     }
 
-    /// Hands `visit` each live key with its checkpoint numbers, in key
-    /// order: the keys borrowed and sorted by reference.
-    pub fn entries(&self, visit: impl FnMut(&'a Tuple, &[u64])) {
+    /// Hands `visit` each live key with its checkpoint numbers, in `order`:
+    /// the keys borrowed and sorted by reference.
+    pub fn entries(
+        &self,
+        order: impl Fn(&Tuple, &Tuple) -> Ordering,
+        visit: impl FnMut(&'a Tuple, &[u64]),
+    ) {
         let mut keys: Vec<(&'a Key, &'a Slot)> = self.rel.keys.iter().collect();
-        keys.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        keys.sort_unstable_by(|a, b| order(a.0, b.0));
         self.live(keys.into_iter(), visit);
     }
 }
@@ -848,11 +853,9 @@ impl PrevState {
         }
     }
 
-    /// The stored previous-state time and rows, sorted, if any.
-    pub fn dump(&self) -> Option<(TimePoint, Vec<&Tuple>)> {
-        self.prev_sat
-            .as_ref()
-            .map(|(t, sat)| (*t, sat.sorted_rows()))
+    /// The stored previous-state time and rows, if any.
+    pub fn dump(&self) -> Option<(TimePoint, &Bindings)> {
+        self.prev_sat.as_ref().map(|(t, sat)| (*t, sat))
     }
 
     /// Restores a dumped previous-state extension. Additive in the rows
@@ -913,7 +916,7 @@ mod tests {
         fn dump(&self) -> Vec<(Tuple, Vec<u64>)> {
             let mut out = Vec::new();
             self.view()
-                .entries(|k, n| out.push((k.clone(), n.to_vec())));
+                .entries(Tuple::cmp, |k, n| out.push((k.clone(), n.to_vec())));
             out
         }
 

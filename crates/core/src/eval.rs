@@ -104,7 +104,7 @@ pub fn eval<O: Oracle + ?Sized>(
         }
         Formula::Cmp(op, a, b) => eval_cmp(*op, a, b, input),
         Formula::Not(g) => {
-            let gvars: Vec<Var> = g.free_vars().into_iter().collect();
+            let gvars = g.sorted_free_vars();
             let candidates = input.project(&gvars);
             let sat = eval(g, db, oracle, &candidates);
             input.antijoin(&sat)
@@ -136,7 +136,7 @@ pub fn eval<O: Oracle + ?Sized>(
                 id: oracle.node_id(f),
                 formula: f,
             };
-            let node_vars: Vec<Var> = f.free_vars().into_iter().collect();
+            let node_vars = f.sorted_free_vars();
             let positions: Option<Vec<usize>> =
                 node_vars.iter().map(|v| input.position(*v)).collect();
             match positions {
@@ -152,7 +152,7 @@ pub fn eval<O: Oracle + ?Sized>(
                 id: oracle.node_id(f),
                 formula: f,
             };
-            let node_vars: Vec<Var> = f.free_vars().into_iter().collect();
+            let node_vars = f.sorted_free_vars();
             let pos: Vec<usize> = node_vars
                 .iter()
                 .map(|v| input.position(*v).expect("unguarded hist (safety bug)"))
@@ -169,7 +169,7 @@ pub fn eval<O: Oracle + ?Sized>(
             // (outer) variables; each group's row count is the number of
             // distinct counted-variable assignments (rows are sets).
             let ext = eval(body, db, oracle, &Bindings::unit());
-            let outer: Vec<Var> = f.free_vars().into_iter().collect();
+            let outer = f.sorted_free_vars();
             let outer_pos: Vec<usize> = outer
                 .iter()
                 .map(|v| ext.position(*v).expect("outer vars are free in the body"))

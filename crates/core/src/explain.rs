@@ -14,11 +14,21 @@ use rtic_temporal::time::UpperBound;
 use rtic_temporal::typecheck::typecheck;
 use rtic_temporal::{safety, Horizon};
 
-use crate::compile::CompiledConstraint;
+use crate::compile::{CompiledConstraint, NameOrder};
 use crate::plan::PlanProfile;
 
+/// `vars` by name, the order everything printed lists variables in (a
+/// compiled body's variables sort by rank).
+fn by_name(vars: &BTreeSet<Var>) -> Vec<Var> {
+    let vs: Vec<Var> = vars.iter().copied().collect();
+    NameOrder::of(&vs).columns().map(|c| vs[c]).collect()
+}
+
 fn vars_of(f: &Formula) -> String {
-    let vs: Vec<String> = f.free_vars().iter().map(|v| v.to_string()).collect();
+    let vs: Vec<String> = by_name(&f.free_vars())
+        .iter()
+        .map(|v| v.to_string())
+        .collect();
     if vs.is_empty() {
         "∅".into()
     } else {
@@ -35,11 +45,9 @@ pub fn explain(compiled: &CompiledConstraint) -> String {
     // Witness schema.
     let sorts =
         typecheck(&compiled.body, &compiled.catalog).expect("compiled constraints typecheck");
-    let witness: Vec<String> = compiled
-        .body
-        .free_vars()
-        .iter()
-        .map(|v| match sorts.get(v) {
+    let witness: Vec<String> = by_name(&compiled.body.free_vars())
+        .into_iter()
+        .map(|v| match sorts.get(&v) {
             Some(s) => format!("{v}: {s}"),
             None => v.to_string(),
         })
@@ -128,9 +136,8 @@ pub fn explain(compiled: &CompiledConstraint) -> String {
         let mut bound: BTreeSet<Var> = BTreeSet::new();
         for (step, &i) in order.iter().enumerate() {
             let f = conjuncts[i];
-            let fresh: Vec<String> = f
-                .free_vars()
-                .difference(&bound)
+            let fresh: Vec<String> = by_name(&f.free_vars().difference(&bound).copied().collect())
+                .iter()
                 .map(|v| v.to_string())
                 .collect();
             let role = if fresh.is_empty() {

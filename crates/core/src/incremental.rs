@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use rtic_history::HistoryError;
 use rtic_relation::{Catalog, Database, FastMap, Tuple, Update};
-use rtic_temporal::ast::{Formula, Var};
+use rtic_temporal::ast::Formula;
 use rtic_temporal::time::Duration;
 use rtic_temporal::{Constraint, TimePoint};
 
@@ -110,10 +110,6 @@ pub enum SleepBug {
     ShortCatchUp,
 }
 
-fn sorted_free_vars(f: &Formula) -> Vec<Var> {
-    f.free_vars().into_iter().collect()
-}
-
 /// What a node's maintenance remembers between steps.
 #[derive(Clone, Debug, Default)]
 struct Seen {
@@ -190,7 +186,7 @@ impl NodeEngine {
         let state = |node: &Formula| {
             let (i, vars) = (
                 node.interval().expect("temporal node"),
-                sorted_free_vars(node),
+                node.sorted_free_vars(),
             );
             let hist = matches!(node, Formula::Hist(..));
             match node {
@@ -1344,14 +1340,14 @@ mod tests {
     fn quiescent_steps_replay_the_memo() {
         // `reserved(p)` is identity-shaped: its rows are the relation's own
         // set, with no memo slot, so an update elsewhere leaves the
-        // relation's version — the atom's — alone. `pair(p, f)`'s variables
-        // sort to `(f, p)`, not its columns' order, so it is memoized: a
+        // relation's version — the atom's — alone. `pair(p, "x")` filters
+        // on a constant, so its rows are not `pair`'s and it is memoized: a
         // step that leaves `pair` alone replays it, and so does one that
         // deletes and re-inserts one of its tuples — not a change.
         let catalog = Catalog::clone(&catalog())
             .with("pair", Schema::of(&[("x", Sort::Str), ("y", Sort::Str)]))
             .unwrap();
-        let src = "deny d: pair(p, f) && reserved(p) && !once[0,*] confirmed(p)";
+        let src = "deny d: pair(p, \"x\") && reserved(p) && !once[0,*] confirmed(p)";
         let options = EncodingOptions {
             profile_plans: true,
             ..Default::default()

@@ -72,7 +72,7 @@ mod windowed;
 pub use backend::BackendId;
 pub use binding::{Bindings, Scratch};
 pub use checker::Checker;
-pub use compile::CompiledConstraint;
+pub use compile::{CompiledConstraint, NameOrder};
 pub use error::CompileError;
 pub use incremental::{EncodingOptions, IncrementalChecker, NodeStat, SleepBug};
 pub use monitor::QueryMonitor;

@@ -59,9 +59,9 @@ impl QueryMonitor {
         Ok(QueryMonitor { inner })
     }
 
-    /// The answer columns (the query's free variables, sorted).
+    /// The answer columns (the query's free variables, in name order).
     pub fn answer_vars(&self) -> Vec<Var> {
-        self.inner.compiled().body.free_vars().into_iter().collect()
+        self.inner.compiled().witness.vars.clone()
     }
 
     /// Advances to the new state and returns the assignments satisfying

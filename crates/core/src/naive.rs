@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use rtic_history::{History, HistoryError};
 use rtic_relation::{Catalog, FastMap, Tuple, Update};
-use rtic_temporal::ast::{Formula, Var};
+use rtic_temporal::ast::Formula;
 use rtic_temporal::{Constraint, TimePoint};
 
 use crate::binding::{Bindings, Scratch};
@@ -92,11 +92,7 @@ impl Checker for NaiveChecker {
         } else {
             eval_at_planned(&self.history, i, &self.compiled, &mut self.scratch)
         };
-        Ok(StepReport {
-            constraint: self.compiled.constraint.name,
-            time,
-            violations,
-        })
+        Ok(self.compiled.report(time, violations))
     }
 
     fn space(&self) -> SpaceStats {
@@ -188,10 +184,6 @@ impl<'h> NaiveOracle<'h> {
     }
 }
 
-fn sorted_free_vars(f: &Formula) -> Vec<Var> {
-    f.free_vars().into_iter().collect()
-}
-
 impl Oracle for NaiveOracle<'_> {
     fn extension(&self, node: Node<'_>) -> Bindings {
         self.cached_extension(node.formula)
@@ -216,7 +208,7 @@ impl Oracle for NaiveOracle<'_> {
         };
         let h = self.history;
         let t_i = h.time(self.i);
-        let vars = sorted_free_vars(node);
+        let vars = node.sorted_free_vars();
         for j in (0..=self.i).rev() {
             let age = t_i.age_of(h.time(j));
             if !interval.hi().admits(age) {
@@ -240,17 +232,17 @@ impl NaiveOracle<'_> {
         match node {
             Formula::Prev(interval, g) => {
                 if self.i == 0 {
-                    return Bindings::none(sorted_free_vars(node));
+                    return Bindings::none(node.sorted_free_vars());
                 }
                 let age = t_i.age_of(h.time(self.i - 1));
                 if interval.contains(age) {
                     eval_at(h, self.i - 1, g)
                 } else {
-                    Bindings::none(sorted_free_vars(node))
+                    Bindings::none(node.sorted_free_vars())
                 }
             }
             Formula::Once(interval, g) => {
-                let mut result = Bindings::none(sorted_free_vars(node));
+                let mut result = Bindings::none(node.sorted_free_vars());
                 for j in (0..=self.i).rev() {
                     let age = t_i.age_of(h.time(j));
                     if !interval.hi().admits(age) {
@@ -266,7 +258,7 @@ impl NaiveOracle<'_> {
                 // ∃ j ≤ i: age(j) ∈ I, g at j, and f at every k with
                 // j < k ≤ i — transliterated directly (quadratic, which is
                 // the point of this baseline).
-                let vars = sorted_free_vars(node);
+                let vars = node.sorted_free_vars();
                 let mut result = Bindings::none(vars.clone());
                 for j in (0..=self.i).rev() {
                     let age = t_i.age_of(h.time(j));

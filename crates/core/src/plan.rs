@@ -347,17 +347,6 @@ impl RuntimePlanStats {
     }
 }
 
-fn sorted_free_vars(f: &Formula) -> Vec<Var> {
-    f.free_vars().into_iter().collect()
-}
-
-fn insert_sorted(vars: &[Var], v: Var) -> Vec<Var> {
-    let mut out = vars.to_vec();
-    let at = out.partition_point(|&u| u < v);
-    out.insert(at, v);
-    out
-}
-
 impl Plan {
     /// Lowers `f` against a sorted input variable list.
     ///
@@ -414,12 +403,12 @@ impl Plan {
                     let src = src(value);
                     (
                         Kind::CmpExtend { v: *v, src },
-                        insert_sorted(input_vars, *v),
+                        JoinShape::compute(input_vars, &[*v]).vars,
                     )
                 }
             },
             Formula::Not(g) => {
-                let gvars = sorted_free_vars(g);
+                let gvars = g.sorted_free_vars();
                 let mut inner = Box::new(Plan::compile(g, &gvars));
                 // A probe under the negation keeps the failing candidates.
                 if let Kind::Probe { passing, .. } = &mut inner.kind {
@@ -478,7 +467,7 @@ impl Plan {
                 )
             }
             Formula::Prev(..) | Formula::Once(..) | Formula::Since(..) | Formula::Hist(..) => {
-                let node_vars = sorted_free_vars(f);
+                let node_vars = f.sorted_free_vars();
                 let positions: Option<Vec<usize>> = node_vars
                     .iter()
                     .map(|v| input_vars.binary_search(v).ok())
@@ -519,7 +508,7 @@ impl Plan {
                 threshold,
             } => {
                 let bplan = Box::new(Plan::compile(body, &[]));
-                let outer = sorted_free_vars(f);
+                let outer = f.sorted_free_vars();
                 let outer_pos_ext: Vec<usize> = outer
                     .iter()
                     .map(|v| {
@@ -1119,8 +1108,8 @@ impl EvalPlans {
                     // A database-pure `f` over exactly the key variables is
                     // planned from unit: memoized, its row delta says which
                     // keys stopped satisfying it.
-                    let keys = sorted_free_vars(node);
-                    let pure = !f.is_temporal() && sorted_free_vars(f) == keys;
+                    let keys = node.sorted_free_vars();
+                    let pure = !f.is_temporal() && f.sorted_free_vars() == keys;
                     let from_unit = pure && safety::check(f).is_ok();
                     NodePlans::Since {
                         f: Box::new(Plan::compile(f, if from_unit { &[] } else { &keys })),

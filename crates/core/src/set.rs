@@ -377,11 +377,7 @@ impl ConstraintSet {
             };
             match outcome {
                 Ok(violations) => {
-                    let report = StepReport {
-                        constraint,
-                        time,
-                        violations,
-                    };
+                    let report = engine.compiled.report(time, violations);
                     total_violations += report.violation_count();
                     obs.observe(&StepEvent::ConstraintEval {
                         checker: "set",

@@ -78,11 +78,7 @@ impl Checker for WindowedChecker {
         }
         let i = self.history.len() - 1;
         let violations = eval_at_planned(&self.history, i, &self.compiled, &mut self.scratch);
-        Ok(StepReport {
-            constraint: self.compiled.constraint.name,
-            time,
-            violations,
-        })
+        Ok(self.compiled.report(time, violations))
     }
 
     fn space(&self) -> SpaceStats {

@@ -300,3 +300,73 @@ fn an_identity_shaped_atom_reads_its_relation_and_streams_nothing() {
         }
     }
 }
+
+#[test]
+fn a_two_column_atom_whose_names_sort_against_its_columns_reads_its_relation() {
+    // By name `reserved(p, f)`'s variables sort `(f, p)`, against the
+    // relation's `(p, f)`; ranked by first occurrence they sort `(p, f)`.
+    // So both atoms are identity-shaped: over 2×10⁴ resident rows neither
+    // keeps a memo, copies a row or streams one itself, and each step's
+    // probe moves only what its eight new reservations name.
+    let src = "deny aged: reserved(p, f) && once[2,*] reserved(p, f)";
+    let constraint = parse_constraint(src).unwrap();
+    let checker =
+        |options| IncrementalChecker::with_options(constraint.clone(), catalog(), options).unwrap();
+    let mut compiled = checker(EncodingOptions {
+        profile_plans: true,
+        ..Default::default()
+    });
+    let mut reference = checker(EncodingOptions {
+        interpret_eval: true,
+        ..Default::default()
+    });
+    assert_eq!(compiled.plan_stats().unwrap().plan.cached_nodes, 0);
+    let profile = compiled.plan_profile().expect("profiling enabled");
+    let atoms = profile
+        .nodes
+        .iter()
+        .filter(|n| n.desc.label == "atom(reserved)");
+    assert_eq!(
+        atoms.filter(|n| !n.desc.memoized).count(),
+        2,
+        "neither atom is memoized"
+    );
+    // Rows streamed so far by the atom nodes, and by every plan root.
+    let streamed = |c: &IncrementalChecker| -> (u64, u64) {
+        let profile = c.plan_profile().expect("profiling enabled");
+        let rows = |f: &dyn Fn(&rtic_core::NodeDesc) -> bool| -> u64 {
+            let nodes = profile.nodes.iter().filter(|n| f(&n.desc));
+            nodes.map(|n| n.counts.block_rows).sum()
+        };
+        (
+            rows(&|d| d.label == "atom(reserved)"),
+            rows(&|d| d.depth == 0),
+        )
+    };
+    let mut violations = 0;
+    for step in 0..STEPS {
+        let u = update_over(step, BOUNDED_RESIDENT);
+        let copied_before = compiled.plan_stats().unwrap().rows_copied;
+        let streamed_before = streamed(&compiled).1;
+        let time = TimePoint(step as u64 + 1);
+        let got = compiled.step(time, &u).unwrap();
+        let expected = reference.step(time, &u).unwrap();
+        assert!(
+            got == expected,
+            "step {step}: the plans and the interpreter disagree"
+        );
+        violations += got.violation_count();
+        let (atoms, roots) = streamed(&compiled);
+        assert_eq!(atoms, 0, "step {step}: an atom streamed rows itself");
+        if step > WARM_UP {
+            let copied = compiled.plan_stats().unwrap().rows_copied - copied_before;
+            assert_eq!(copied, 0, "step {step} duplicated {copied} row(s)");
+            let rows = roots - streamed_before;
+            assert!(
+                rows < 200,
+                "step {step} streamed {rows} rows for 8 reservations"
+            );
+        }
+    }
+    assert!(violations > 0, "reservations two ticks old are witnesses");
+}

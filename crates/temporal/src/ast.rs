@@ -29,14 +29,25 @@ use rtic_relation::{Symbol, Value};
 
 use crate::time::Interval;
 
-/// A logic variable.
+/// A logic variable: a name and, once its constraint is compiled, a rank.
 ///
-/// `Ord` compares variable *names* lexicographically (not interner ids),
-/// so every user-visible column order — violation witnesses, explain
-/// plans, checkpoint files — is stable across processes and independent of
-/// interning order.
+/// `Ord` compares ranks first — an integer compare, no symbol-table lock —
+/// and names only between variables of equal rank. Compiling a constraint
+/// ranks its variables by first occurrence
+/// ([`crate::normalize::rank_vars`]), so the engine's columns follow
+/// rank; unranked variables (parsed, not compiled) sort by name. Name
+/// order governs user-visible output only: reports, explain plans and
+/// checkpoints map a compiled constraint's columns back to it, so they
+/// are stable across processes and independent of interning order.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct Var(pub Symbol);
+pub struct Var {
+    name: Symbol,
+    rank: u32,
+}
+
+/// The rank of a variable no compilation has ranked: after every ranked
+/// one.
+const UNRANKED: u32 = u32::MAX;
 
 impl PartialOrd for Var {
     fn partial_cmp(&self, other: &Var) -> Option<std::cmp::Ordering> {
@@ -46,25 +57,44 @@ impl PartialOrd for Var {
 
 impl Ord for Var {
     fn cmp(&self, other: &Var) -> std::cmp::Ordering {
-        self.0.as_str().cmp(other.0.as_str())
+        self.rank.cmp(&other.rank).then_with(|| {
+            if self.name == other.name {
+                std::cmp::Ordering::Equal
+            } else {
+                self.name.as_str().cmp(other.name.as_str())
+            }
+        })
     }
 }
 
 impl Var {
-    /// A variable named `name`.
+    /// An unranked variable named `name`.
     pub fn new(name: impl Into<Symbol>) -> Var {
-        Var(name.into())
+        Var {
+            name: name.into(),
+            rank: UNRANKED,
+        }
     }
 
     /// The variable's name.
     pub fn name(&self) -> Symbol {
-        self.0
+        self.name
+    }
+
+    /// This variable ranked `rank` among its constraint's.
+    pub fn ranked(self, rank: u32) -> Var {
+        Var { rank, ..self }
+    }
+
+    /// This variable unranked: what it is called at the output boundary.
+    pub fn unranked(self) -> Var {
+        Var::new(self.name)
     }
 }
 
 impl fmt::Display for Var {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        write!(f, "{}", self.name)
     }
 }
 
@@ -411,6 +441,56 @@ impl Formula {
         let mut out = BTreeSet::new();
         go(self, &mut Vec::new(), &mut out);
         out
+    }
+
+    /// The free variables as a list in [`Var`] order: a compiled
+    /// formula's columns (rank order), any other's in name order.
+    pub fn sorted_free_vars(&self) -> Vec<Var> {
+        self.free_vars().into_iter().collect()
+    }
+
+    /// `self` with every variable — in terms and in binder lists — replaced
+    /// by `f` of it, visited in pre-order, left to right.
+    pub fn map_vars(&self, f: &mut dyn FnMut(Var) -> Var) -> Formula {
+        let term = |t: &Term, f: &mut dyn FnMut(Var) -> Var| match t {
+            Term::Var(v) => Term::Var(f(*v)),
+            c => *c,
+        };
+        let boxed = |g: &Formula, f: &mut dyn FnMut(Var) -> Var| Box::new(g.map_vars(f));
+        match self {
+            Formula::True => Formula::True,
+            Formula::False => Formula::False,
+            Formula::Atom { relation, terms } => Formula::Atom {
+                relation: *relation,
+                terms: terms.iter().map(|t| term(t, f)).collect(),
+            },
+            Formula::Cmp(op, a, b) => Formula::Cmp(*op, term(a, f), term(b, f)),
+            Formula::Not(g) => Formula::Not(boxed(g, f)),
+            Formula::And(a, b) => Formula::And(boxed(a, f), boxed(b, f)),
+            Formula::Or(a, b) => Formula::Or(boxed(a, f), boxed(b, f)),
+            Formula::Implies(a, b) => Formula::Implies(boxed(a, f), boxed(b, f)),
+            Formula::Exists(vs, g) => {
+                Formula::Exists(vs.iter().map(|v| f(*v)).collect(), boxed(g, f))
+            }
+            Formula::Forall(vs, g) => {
+                Formula::Forall(vs.iter().map(|v| f(*v)).collect(), boxed(g, f))
+            }
+            Formula::Prev(i, g) => Formula::Prev(*i, boxed(g, f)),
+            Formula::Once(i, g) => Formula::Once(*i, boxed(g, f)),
+            Formula::Hist(i, g) => Formula::Hist(*i, boxed(g, f)),
+            Formula::Since(i, a, b) => Formula::Since(*i, boxed(a, f), boxed(b, f)),
+            Formula::CountCmp {
+                vars,
+                body,
+                op,
+                threshold,
+            } => Formula::CountCmp {
+                vars: vars.iter().map(|v| f(*v)).collect(),
+                body: boxed(body, f),
+                op: *op,
+                threshold: *threshold,
+            },
+        }
     }
 
     /// The metric interval of a temporal operator at the root, if any.

@@ -192,6 +192,41 @@ pub fn rename_apart(f: &Formula) -> Formula {
     go(f, &BTreeMap::new(), &mut 0)
 }
 
+/// Ranks `f`'s variables by their first occurrence in a term, in pre-order,
+/// left to right; a variable that only a binder names ranks after those,
+/// in binder order. This is canonical alpha-renaming: renaming a formula's
+/// variables leaves every rank, and so every [`Var`] comparison, as it was.
+/// `f` must be renamed apart ([`rename_apart`]): each name one variable.
+///
+/// Ranked, `reserved(p, f)` orders its columns `(p, f)`, as the relation
+/// does, where name order would say `(f, p)`.
+pub fn rank_vars(f: &Formula) -> Formula {
+    use crate::ast::{Term, Var};
+
+    let mut order: Vec<Var> = Vec::new();
+    f.visit(&mut |g| {
+        let terms = match g {
+            Formula::Atom { terms, .. } => terms.as_slice(),
+            Formula::Cmp(_, a, b) => &[*a, *b][..],
+            _ => &[],
+        };
+        for t in terms {
+            if let Term::Var(v) = t {
+                if !order.contains(v) {
+                    order.push(*v);
+                }
+            }
+        }
+    });
+    f.map_vars(&mut |v| {
+        let rank = order.iter().position(|&u| u == v).unwrap_or_else(|| {
+            order.push(v);
+            order.len() - 1
+        });
+        v.ranked(u32::try_from(rank).expect("fewer than 2^32 variables"))
+    })
+}
+
 /// Whether a formula is already in normal form.
 pub fn is_normalized(f: &Formula) -> bool {
     let mut ok = true;
@@ -332,6 +367,34 @@ mod tests {
     fn rename_apart_preserves_free_vars_and_structure() {
         let f = p().and(q()).once(Interval::up_to(2));
         assert_eq!(rename_apart(&f), f, "no quantifiers, no change");
+    }
+
+    #[test]
+    fn rank_vars_orders_by_first_occurrence_and_prints_the_same() {
+        // `f` sorts before `p` by name, after it by rank; `z`, named only
+        // by its binder, ranks last.
+        let reserved = Formula::atom("reserved", [Term::var("p"), Term::var("f")]);
+        let f = reserved.and(Formula::atom("q", [Term::var("f")]).exists([var("z")]));
+        let ranked = rank_vars(&f);
+        assert_eq!(ranked.to_string(), f.to_string());
+        let names: Vec<String> = ranked
+            .sorted_free_vars()
+            .iter()
+            .map(|v| v.to_string())
+            .collect();
+        assert_eq!(names, ["p", "f"]);
+        assert_eq!(
+            f.sorted_free_vars(),
+            [var("f"), var("p")],
+            "unranked: by name"
+        );
+        let Formula::And(_, exists) = &ranked else {
+            unreachable!()
+        };
+        let Formula::Exists(vs, _) = &**exists else {
+            unreachable!()
+        };
+        assert_eq!(vs[0], var("z").ranked(2));
     }
 
     #[test]
