@@ -424,7 +424,7 @@ fn t3a_checks(sizes: &[f64], steps: &[f64]) -> Vec<Check> {
     )]
 }
 
-/// ROADMAP item 1's stream over `resident` loaded rows: update 0 loads
+/// T3b's stream over `resident` loaded rows: update 0 loads
 /// the table, every later one reserves 8 fresh keys, confirms the
 /// previous update's but one, and cancels that straggler three updates on.
 fn resident_update(step: usize, resident: usize) -> Update {
@@ -450,7 +450,7 @@ fn resident_update(step: usize, resident: usize) -> Update {
     u
 }
 
-/// ROADMAP item 1's rows: the temporal conjuncts each shape adds to
+/// T3b's shapes (a)–(e): the temporal conjuncts each adds to
 /// `reserved(p, f)`.
 const RESIDENT_SHAPES: [(&str, &str); 5] = [
     ("a", "once[2,*] reserved(p, f) && !once confirmed(p, f)"),
@@ -494,8 +494,8 @@ fn resident_step_us(shape: &str, resident: usize, steps: usize) -> f64 {
     median(&mut timed)
 }
 
-/// T3b — scaling in resident state at a fixed update: ROADMAP item 1's
-/// table, per step.
+/// T3b — scaling in resident state at a fixed update: shapes (a)–(e),
+/// per step.
 pub fn t3b_state_scaling(scale: &Scale) -> Table {
     let sizes = &scale.resident_sizes;
     let mut cols: Vec<String> = vec!["shape".into()];
@@ -504,7 +504,7 @@ pub fn t3b_state_scaling(scale: &Scale) -> Table {
     let cols: Vec<&str> = cols.iter().map(String::as_str).collect();
     let mut t = Table::new(
         "T3b",
-        "median per-step latency vs resident rows, 16-tuple updates (item 1's stream)",
+        "median per-step latency vs resident rows, 16-tuple updates (the resident stream)",
         &cols,
     );
     t.note("claim: a step costs what the update touches, for bounded windows too");
@@ -976,7 +976,7 @@ pub fn deadline_constraint() -> Constraint {
     .expect("the motivating constraint parses")
 }
 
-/// The paper's form of the deadline constraint (ROADMAP item 1, row (b)):
+/// The paper's form of the deadline constraint (T3b's shape (b)):
 /// the confirmation must come within two ticks — a *bounded* window.
 pub fn metric_constraint() -> Constraint {
     parse_constraint(

@@ -28,6 +28,13 @@
 //! *one* database: the first section carries the `rel` blocks, every
 //! other one the line `database shared` in their place.
 //!
+//! The reader accepts exactly this layout. Anything else — a section
+//! without its `dispatch` line, a second copy of the database, a key or a
+//! node block listed twice, the markers of the deleted per-key shard
+//! plane — is a [`CheckpointError::Format`] naming its line, as any
+//! malformed input is: the log is the source of truth, and replaying it
+//! rebuilds what a refused checkpoint held.
+//!
 //! Each aux entry line is `«numbers» | «value literals»`: the numeric
 //! prefix (timestamps, flags) never contains strings, so splitting on the
 //! first `|` is unambiguous.
@@ -403,11 +410,8 @@ pub fn restore(
 /// checkpoint (see [`save_set`]). Sections are matched to constraints by
 /// name. The shared database is parsed once, from the section *of the
 /// file* that carries it — whether or not that constraint is being
-/// restored, so any subset resumes over the full database. Where every
-/// section carries a copy (checkpoints from before the database was
-/// elided) the first is applied and every other one *verified*
-/// tuple-for-tuple, so sections from divergent runs cannot be silently
-/// mixed. The step/time cursor must agree across sections.
+/// restored, so any subset resumes over the full database. The step/time
+/// cursor must agree across sections.
 pub fn restore_set(
     constraints: impl IntoIterator<Item = Constraint>,
     catalog: Arc<Catalog>,
@@ -437,7 +441,8 @@ pub fn restore_set_with_options(
     let first = parts.engines.first().map(|e| e.compiled.constraint.name);
     let mut cursor: Option<(usize, Option<TimePoint>)> = None;
     let mut dispatch: Option<DispatchStats> = None;
-    // Whether a restored section carried the database.
+    // Whether a restored section carried the database: only the first may,
+    // and a `rel` block in any later one is an unexpected line.
     let mut applied = false;
     for engine in parts.engines.iter_mut() {
         let name = engine.compiled.constraint.name;
@@ -453,23 +458,9 @@ pub fn restore_set_with_options(
                      or the constraint file has changed)"
                 ))
             })?;
-        let mode = if database_is_shared(section) {
-            RelMode::Shared
-        } else if std::mem::replace(&mut applied, true) {
-            RelMode::Verify
-        } else {
-            RelMode::Apply
-        };
-        let mut steps = 0usize;
-        let mut section_dispatch = DispatchStats::default();
-        restore_section(
-            parts.db,
-            engine,
-            &mut steps,
-            &mut section_dispatch,
-            section,
-            mode,
-        )?;
+        let shared = database_is_shared(section);
+        let db = (!shared && !std::mem::replace(&mut applied, true)).then_some(&mut *parts.db);
+        let (steps, section_dispatch) = restore_section(db, shared, engine, section)?;
         dispatch.get_or_insert(section_dispatch);
         let this = (steps, engine.last_time);
         match cursor {
@@ -524,18 +515,6 @@ pub fn section_constraint_name(text: &str) -> Option<&str> {
         .find_map(|l| l.trim().strip_prefix("constraint "))
 }
 
-/// How a section's `rel` blocks relate to the database being restored.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum RelMode {
-    /// Insert the tuples (first/only section: it owns the database).
-    Apply,
-    /// The database was already applied from another section of the same
-    /// checkpoint; verify this section lists exactly the same tuples.
-    Verify,
-    /// The section says [`DATABASE_SHARED`] and lists no tuples.
-    Shared,
-}
-
 /// Whether `section` leaves the database to another section of its
 /// checkpoint: the marker sits where the `rel` blocks would start.
 fn database_is_shared(section: &str) -> bool {
@@ -550,11 +529,12 @@ fn mismatch(message: impl ToString) -> CheckpointError {
     }
 }
 
-/// Hands `row` each tuple of a `rel` block, through its `endrel`.
-fn rel_rows(
-    r: &mut Reader<'_>,
-    mut row: impl FnMut(Tuple) -> Result<(), CheckpointError>,
-) -> Result<(), CheckpointError> {
+/// Inserts the rows of the `rel <rel_name>` block just opened, through
+/// its `endrel`, into `db`.
+fn apply_rel(r: &mut Reader<'_>, db: &mut Database, rel_name: &str) -> Result<(), CheckpointError> {
+    let rel = db
+        .relation_mut(Symbol::intern(rel_name))
+        .map_err(mismatch)?;
     loop {
         match r.next() {
             Some((_, "endrel")) => return Ok(()),
@@ -563,41 +543,25 @@ fn rel_rows(
                 if !nums.is_empty() {
                     return Err(r.err("relation rows carry no numeric prefix"));
                 }
-                row(tuple)?;
+                if !rel.insert(tuple).map_err(mismatch)? {
+                    return Err(r.err("a row comes again in its `rel` block"));
+                }
             }
             None => return Err(r.err("unterminated `rel` section")),
         }
     }
 }
 
-/// Inserts the rows of the `rel <rel_name>` block just opened into `db`.
-fn apply_rel(r: &mut Reader<'_>, db: &mut Database, rel_name: &str) -> Result<(), CheckpointError> {
-    let rel = db
-        .relation_mut(Symbol::intern(rel_name))
-        .map_err(mismatch)?;
-    rel_rows(r, |tuple| rel.insert(tuple).map(drop).map_err(mismatch))
-}
-
-/// Restores one v1 section into an engine (and, per `rel_mode`, the
-/// database). `steps_slot` receives the section's step cursor and
-/// `dispatch_slot` the fleet dispatch counters when the section carries
-/// them.
-///
-/// Sections written by the deleted per-key shard plane wrap their node
-/// blocks in `phantom`/`endphantom` and one `shard <key>`/`endshard` per
-/// live key, after a `shardkey <var>` line. Every shard saw every
-/// timestamp, so the one engine's state is the phantom's time-only
-/// bookkeeping plus the disjoint union of the shards' keyed entries: the
-/// markers are checked for structure and are otherwise transparent, and
-/// the node blocks between them restore additively into `engine`.
+/// Restores one v1 section into an engine and, when `db` is given, its
+/// `rel` blocks into the database; `shared` when the section says
+/// [`DATABASE_SHARED`] in their place. Returns the section's step cursor
+/// and the fleet's dispatch tallies.
 fn restore_section(
-    db: &mut Database,
+    mut db: Option<&mut Database>,
+    mut shared: bool,
     engine: &mut NodeEngine,
-    steps_slot: &mut usize,
-    dispatch_slot: &mut DispatchStats,
     text: &str,
-    rel_mode: RelMode,
-) -> Result<(), CheckpointError> {
+) -> Result<(usize, DispatchStats), CheckpointError> {
     let mut r = Reader::new(text);
     match r.next() {
         Some((_, "rtic-checkpoint v1")) => {}
@@ -605,21 +569,19 @@ fn restore_section(
     }
     let name = r.expect_kv("constraint")?;
     let body = r.expect_kv("body")?;
-    {
-        if engine.compiled.constraint.name.as_str() != name {
-            return Err(mismatch(format!(
-                "checkpoint is for constraint `{name}`, not `{}`",
-                engine.compiled.constraint.name
-            )));
-        }
-        if engine.compiled.body_text != body {
-            return Err(mismatch(format!(
-                "constraint `{name}`: its compiled body differs from the checkpointed one — \
-                 the definition of `{name}` changed since this checkpoint was written \
-                 (checkpointed body: `{body}`); restore with the original constraint file \
-                 or start a fresh run"
-            )));
-        }
+    if engine.compiled.constraint.name.as_str() != name {
+        return Err(mismatch(format!(
+            "checkpoint is for constraint `{name}`, not `{}`",
+            engine.compiled.constraint.name
+        )));
+    }
+    if engine.compiled.body_text != body {
+        return Err(mismatch(format!(
+            "constraint `{name}`: its compiled body differs from the checkpointed one — \
+             the definition of `{name}` changed since this checkpoint was written \
+             (checkpointed body: `{body}`); restore with the original constraint file \
+             or start a fresh run"
+        )));
     }
     let time_text = r.expect_kv("time")?;
     let last_time = if time_text == "none" {
@@ -635,109 +597,41 @@ fn restore_section(
         .expect_kv("steps")?
         .parse()
         .map_err(|e| r.err(format!("bad steps: {e}")))?;
-    if let Some(rest) = r.peek().and_then(|l| l.strip_prefix("dispatch ")) {
-        r.next();
-        let nums: Vec<u64> = rest
-            .split_whitespace()
-            .map(|w| w.parse::<u64>())
-            .collect::<Result<_, _>>()
-            .map_err(|e| r.err(format!("bad dispatch counter: {e}")))?;
-        let [affected, skipped, quiescent_full, quarantined] = nums[..] else {
-            return Err(r.err("`dispatch` carries exactly four counters"));
-        };
-        *dispatch_slot = DispatchStats {
-            affected,
-            skipped,
-            quiescent_full,
-            quarantined,
-        };
-    }
+    let nums: Vec<u64> = r
+        .expect_kv("dispatch")?
+        .split_whitespace()
+        .map(|w| w.parse::<u64>())
+        .collect::<Result<_, _>>()
+        .map_err(|e| r.err(format!("bad dispatch counter: {e}")))?;
+    let [affected, skipped, quiescent_full, quarantined] = nums[..] else {
+        return Err(r.err("`dispatch` carries exactly four counters"));
+    };
+    let dispatch = DispatchStats {
+        affected,
+        skipped,
+        quiescent_full,
+        quarantined,
+    };
 
     engine.last_time = last_time;
-    *steps_slot = steps;
-    // Closing marker of the open `phantom`/`shard` block, if any.
-    let mut open: Option<&'static str> = None;
-    // The relations a `Verify` section listed.
-    let mut verified: Vec<Symbol> = Vec::new();
-    let disagree = |rel: &dyn fmt::Display, how: &str| {
-        let what = format!("checkpoint sections disagree on relation `{rel}`");
-        mismatch(format!("{what} (constraint `{name}` {how})"))
-    };
-    while let Some(line) = r.peek() {
-        // Outside any `phantom`/`shard` block; a `database shared` section
-        // has no `rel` blocks, so one there is an unexpected line.
-        let top = open.is_none();
-        let rows = top && rel_mode != RelMode::Shared;
-        if let Some(rel_name) = line.strip_prefix("rel ").filter(|_| rows) {
-            r.next();
-            if rel_mode == RelMode::Apply {
-                apply_rel(&mut r, db, rel_name)?;
-                continue;
-            }
-            let sym = Symbol::intern(rel_name);
-            let rel = db.relation(sym).map_err(mismatch)?;
-            let mut seen = 0usize;
-            rel_rows(&mut r, |tuple| {
-                seen += 1;
-                if rel.contains(&tuple) {
-                    return Ok(());
-                }
-                Err(disagree(&rel_name, "lists a tuple other sections lack"))
-            })?;
-            if seen != rel.len() {
-                let how = format!("lists {seen} tuple(s), other sections {}", rel.len());
-                return Err(disagree(&rel_name, &how));
-            }
-            verified.push(sym);
-        } else if line == DATABASE_SHARED && top {
-            r.next();
-            if rel_mode != RelMode::Shared {
-                return Err(mismatch(format!(
-                    "the section for constraint `{name}` says `{DATABASE_SHARED}`: another section \
-                     of its checkpoint holds the rows, so restore the whole set from the whole file"
-                )));
-            }
-        } else if let Some(rest) = line.strip_prefix("node ") {
-            r.next();
-            restore_node(
-                &mut r,
-                rest,
-                (&engine.compiled, &mut engine.states),
-                last_time,
-            )?;
-        } else {
-            r.next();
-            let (word, rest) = line.split_once(' ').unwrap_or((line, ""));
-            match (word, open) {
-                ("shardkey", None) if rest.split_whitespace().count() == 1 => {}
-                ("phantom", None) if rest.is_empty() => open = Some("endphantom"),
-                ("shard", None) => {
-                    let key = Value::parse_literals(rest).map_err(|m| r.err(m))?;
-                    if key.len() != 1 {
-                        return Err(r.err("`shard` takes exactly one key literal"));
-                    }
-                    open = Some("endshard");
-                }
-                ("endphantom" | "endshard", Some(end)) if line == end => open = None,
-                ("shardkey" | "phantom" | "shard", Some(end)) => {
-                    return Err(r.err(format!("`{word}` before the pending `{end}`")))
-                }
-                _ => return Err(r.err(format!("unexpected line `{line}`"))),
-            }
+    // The index the next `node` block may start at: each comes once, in order.
+    let mut next_node = 0;
+    while let Some((_, line)) = r.next() {
+        match (line.strip_prefix("rel "), db.as_deref_mut()) {
+            (Some(rel_name), Some(db)) => apply_rel(&mut r, db, rel_name)?,
+            _ if shared && line == DATABASE_SHARED => shared = false,
+            _ => match line.strip_prefix("node ") {
+                Some(rest) => restore_node(
+                    &mut r,
+                    rest,
+                    (&engine.compiled, &mut engine.states, &mut next_node),
+                    last_time,
+                )?,
+                None => return Err(r.err(format!("unexpected line `{line}`"))),
+            },
         }
     }
-    if let Some(end) = open {
-        return Err(r.err(format!("unterminated block: missing `{end}`")));
-    }
-    // A copy that leaves a whole relation out disagrees as much as one
-    // that leaves out a row.
-    let omitted = |rel: &Symbol| {
-        !verified.contains(rel) && db.relation(*rel).is_ok_and(|rows| !rows.is_empty())
-    };
-    match db.catalog().names().find(omitted) {
-        Some(rel) if rel_mode == RelMode::Verify => Err(disagree(&rel, "lists none of its tuples")),
-        _ => Ok(()),
-    }
+    Ok((steps, dispatch))
 }
 
 /// Checks restored timestamps — a node's expiry index is rebuilt from
@@ -774,12 +668,13 @@ fn entry(r: &mut Reader<'_>) -> Result<(Vec<u64>, Tuple), CheckpointError> {
 
 /// Restores one `node <idx> <kind>` block (through its `endnode`) of
 /// `compiled` into `states`, its name-order rows put back in rank order.
-/// `rest` is the header line after the `node ` prefix; `time` the
-/// section's newest state, which no restored timestamp may pass.
+/// `rest` is the header line after the `node ` prefix; `next` the least
+/// index the block may have; `time` the section's newest state, which no
+/// restored timestamp may pass.
 fn restore_node(
     r: &mut Reader<'_>,
     rest: &str,
-    (compiled, states): (&CompiledConstraint, &mut [NodeState]),
+    (compiled, states, next): (&CompiledConstraint, &mut [NodeState], &mut usize),
     time: Option<TimePoint>,
 ) -> Result<(), CheckpointError> {
     let mut parts = rest.split_whitespace();
@@ -787,6 +682,10 @@ fn restore_node(
         .next()
         .and_then(|w| w.parse().ok())
         .ok_or_else(|| r.err("bad node index"))?;
+    if idx < *next {
+        return Err(r.err(format!("node {idx} comes again or out of order")));
+    }
+    *next = idx + 1;
     let word = parts.next().unwrap_or("");
     let (Some(node), Some(state)) = (compiled.nodes.get(idx), states.get_mut(idx)) else {
         return Err(mismatch(format!(
@@ -815,7 +714,9 @@ fn restore_node(
                 }
                 rows.push(keys.ranked(tuple));
             }
-            p.restore(TimePoint(t), rows);
+            if !p.restore(TimePoint(t), rows) {
+                return Err(r.err("a row comes again in its node block"));
+            }
         }
         NodeState::Prev(_) => {}
         NodeState::Runs(rel) => {
@@ -840,7 +741,7 @@ fn restore_node(
             while more(r) {
                 let (nums, key) = entry(r)?;
                 let key = keys.ranked(key);
-                match word {
+                let added = match word {
                     "histf" => {
                         if nums.len() % 2 != 0 {
                             return Err(r.err("runs come as start/end pairs"));
@@ -859,7 +760,7 @@ fn restore_node(
                         let ends: Vec<TimePoint> = pairs.clone().map(|c| TimePoint(c[1])).collect();
                         check_times(r, "histf run ends", &ends, time)?;
                         let runs = pairs.map(|c| (TimePoint(c[0]), TimePoint(c[1])));
-                        rel.restore(key, runs, time.unwrap_or_default());
+                        rel.restore(key, runs, time.unwrap_or_default())
                     }
                     "histi" => {
                         let [end, _active] = nums[..] else {
@@ -869,7 +770,7 @@ fn restore_node(
                         // The run began at the first state, which no window
                         // needs: it covers every state up to its end.
                         let run = (TimePoint(0), TimePoint(end));
-                        rel.restore(key, std::iter::once(run), time.unwrap_or_default());
+                        rel.restore(key, std::iter::once(run), time.unwrap_or_default())
                     }
                     _ => {
                         if nums.is_empty() {
@@ -879,8 +780,11 @@ fn restore_node(
                         check_times(r, "window stamps", &stamps, time)?;
                         // Restored stamps come back as point runs.
                         let runs = stamps.into_iter().map(|s| (s, s));
-                        rel.restore(key, runs, time.unwrap_or_default());
+                        rel.restore(key, runs, time.unwrap_or_default())
                     }
+                };
+                if !added {
+                    return Err(r.err("key comes again in its node block"));
                 }
             }
         }
@@ -899,15 +803,11 @@ mod tests {
     use rtic_temporal::parser::parse_constraint;
 
     fn catalog() -> Arc<Catalog> {
-        catalog_of(Sort::Str)
-    }
-
-    fn catalog_of(sort: Sort) -> Arc<Catalog> {
         Arc::new(
             Catalog::new()
-                .with("p", Schema::of(&[("x", sort)]))
+                .with("p", Schema::of(&[("x", Sort::Str)]))
                 .unwrap()
-                .with("q", Schema::of(&[("x", sort)]))
+                .with("q", Schema::of(&[("x", Sort::Str)]))
                 .unwrap(),
         )
     }
@@ -979,27 +879,6 @@ mod tests {
         let (tail, set_tail) = (drive(&mut checker, 20, 40), drive_set(&mut set, 20, 40));
         assert_eq!(tail, set_tail.concat());
         assert_eq!(save_set(&set), [(constraint().name, save(&checker))]);
-    }
-
-    /// Before a lone checker was a set of one, its sections carried no
-    /// `dispatch` line; they restore with the tallies at zero.
-    #[test]
-    fn a_section_without_dispatch_tallies_restores() {
-        let c = parse_constraint("deny d: p(x) && once[2,*] p(x)").unwrap();
-        let written = "rtic-checkpoint v1\nconstraint d\nbody p(x) && once[2,*] p(x)\n\
-                       time 1\nsteps 1\nrel p\n| \"a\"\nendrel\nnode 0 once\n1 | \"a\"\nendnode\n";
-        let options = EncodingOptions::default();
-        let mut resumed = restore(c.clone(), catalog(), options, written).unwrap();
-        assert_eq!(resumed.0.dispatch_stats(), DispatchStats::default());
-        assert_eq!(sans_dispatch(&save(&resumed)), written);
-        let mut reference = IncrementalChecker::new(c, catalog()).unwrap();
-        reference
-            .step(TimePoint(1), &Update::new().with_insert("p", tuple!["a"]))
-            .unwrap();
-        for t in 2..6 {
-            let got = resumed.step(TimePoint(t), &Update::new()).unwrap();
-            assert_eq!(got, reference.step(TimePoint(t), &Update::new()).unwrap());
-        }
     }
 
     #[test]
@@ -1392,7 +1271,8 @@ mod tests {
     fn restored_timestamps_must_ascend_and_not_pass_the_time() {
         let bare = |body: &str, node: &str| {
             format!(
-                "rtic-checkpoint v1\nconstraint d\nbody {body}\ntime 5\nsteps 2\n{node}endnode\n"
+                "rtic-checkpoint v1\nconstraint d\nbody {body}\ntime 5\nsteps 2\n\
+                 dispatch 2 0 0 0\n{node}endnode\n"
             )
         };
         let cases = [
@@ -1501,6 +1381,109 @@ mod tests {
         }
     }
 
+    /// A node block lists each key once, a `rel` block each row and a
+    /// section each node block: a repeat is a format error naming its
+    /// line, never a merge.
+    #[test]
+    fn repeated_keys_and_node_blocks_are_format_errors_naming_the_line() {
+        let cases = [
+            (
+                "p(x) && once[1,3] p(x)",
+                "node 0 once\n1 | \"a\"\n2 | \"a\"\n",
+                9,
+            ),
+            (
+                "p(x) && hist[1,4] p(x)",
+                "node 0 histf\ntimes 4 5\n1 2 | \"a\"\n4 5 | \"a\"\n",
+                10,
+            ),
+            (
+                "p(x) && hist[1,*] p(x)",
+                "node 0 histi\nstarted true\nolder 4\nrecent 5\n5 1 | \"a\"\n4 1 | \"a\"\n",
+                12,
+            ),
+            (
+                "q(x) && prev p(x)",
+                "node 0 prev\ntime 5\n| \"a\"\n| \"a\"\n",
+                10,
+            ),
+            (
+                "p(x) && once[1,3] p(x)",
+                "node 0 once\n1 | \"a\"\nendnode\nnode 0 once\n2 | \"b\"\n",
+                10,
+            ),
+            (
+                "p(x) && once[1,3] p(x)",
+                "rel p\n| \"a\"\n| \"a\"\nendrel\nnode 0 once\n",
+                9,
+            ),
+        ];
+        for (body, node, line) in cases {
+            let c = parse_constraint(&format!("deny d: {body}")).unwrap();
+            let compiled = crate::CompiledConstraint::compile(c.clone(), catalog()).unwrap();
+            let text = format!(
+                "rtic-checkpoint v1\nconstraint d\nbody {}\ntime 5\nsteps 2\n\
+                 dispatch 2 0 0 0\n{node}endnode\n",
+                compiled.body
+            );
+            let err = restore(c, catalog(), EncodingOptions::default(), &text).unwrap_err();
+            assert!(
+                matches!(&err, CheckpointError::Format { line: l, message } if *l == line && message.contains("again")),
+                "{node:?}: {err}"
+            );
+        }
+    }
+
+    /// Only the layout `save_set` writes restores. The retired ones — a
+    /// section without its `dispatch` line, the deleted shard plane's
+    /// markers, a later section with its own copy of the database — are
+    /// format errors naming the line, as any malformed checkpoint is.
+    #[test]
+    fn retired_layouts_are_format_errors_naming_the_line() {
+        let cat = catalog();
+        let mut set = ConstraintSet::new(fleet(), Arc::clone(&cat)).unwrap();
+        drive_set(&mut set, 1, 10);
+        let sections: Vec<String> = save_set(&set).into_iter().map(|(_, s)| s).collect();
+        restore_set(fleet(), Arc::clone(&cat), &sections).unwrap();
+        let rows = {
+            let (from, to) = (
+                sections[0].find("rel ").unwrap(),
+                sections[0].rfind("endrel\n"),
+            );
+            sections[0][from..to.unwrap() + "endrel\n".len()].to_string()
+        };
+        let edits = [
+            (
+                0,
+                sans_dispatch(&sections[0]),
+                "rel p\n",
+                "expected `dispatch …`",
+            ),
+            (
+                2,
+                sections[2].replacen("node 0", "shardkey x\nphantom\nnode 0", 1),
+                "shardkey x\n",
+                "unexpected line `shardkey x`",
+            ),
+            (
+                1,
+                sections[1].replacen(&format!("{DATABASE_SHARED}\n"), &rows, 1),
+                "rel p\n",
+                "unexpected line `rel p`",
+            ),
+        ];
+        for (i, edited, at, why) in edits {
+            let line = edited[..edited.find(at).unwrap()].matches('\n').count() + 1;
+            let mut retired = sections.clone();
+            retired[i] = edited;
+            let err = restore_set(fleet(), Arc::clone(&cat), &retired).unwrap_err();
+            assert!(
+                matches!(&err, CheckpointError::Format { line: l, message } if *l == line && message.contains(why)),
+                "{why}: {err}"
+            );
+        }
+    }
+
     /// `save ∘ restore` is the identity for every node kind at every cut —
     /// a general window cut mid-run (its stamps come back as point runs),
     /// a key re-entering after a gap wider than every bound — and the
@@ -1558,212 +1541,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    /// Keys 1–3 churn on a period of six; key 4 shows up once and goes
-    /// quiet (its shard had been evicted by the cut); 5 and 6 hold `p`
-    /// from the first state, which is what `hist[2,*]` keys on.
-    fn keyed_traffic(t: u64) -> Update {
-        const CHURN: [&str; 6] = ["+p1 +q2", "+q1 +p3", "-p1 -q2", "-q1 +q3", "-p3 -q3", ""];
-        const ONE_OFF: [(u64, &str); 7] = [
-            (1, "+p5 +p6"),
-            (2, "+p4 +q4"),
-            (3, "-p4 -q4"),
-            (8, "-p6"),
-            (10, "+q5 +q6"),
-            (16, "-p5"),
-            (18, "-q5 -q6"),
-        ];
-        let one_off = ONE_OFF.iter().find(|(at, _)| *at == t).map_or("", |e| e.1);
-        let ops = format!("{} {one_off}", CHURN[(t % 6) as usize]);
-        let mut u = Update::new();
-        for op in ops.split_whitespace() {
-            let key = tuple![op[2..].parse::<i64>().unwrap()];
-            if op.starts_with('+') {
-                u.insert(&op[1..2], key);
-            } else {
-                u.delete(&op[1..2], key);
-            }
-        }
-        u
-    }
-
-    /// One section as the per-key shard plane wrote it: `(constraint,
-    /// compiled body, dispatch counters, node part)`. All were saved at
-    /// 5358331 by `with_sharding(true)` + `set_shard_eviction(3)` after
-    /// `keyed_traffic` for t = 1..=13, so every window is cut mid-flight.
-    type Written = (&'static str, &'static str, &'static str, &'static str);
-
-    fn written_section((source, body, dispatch, nodes): &Written) -> (Constraint, String) {
-        let c = parse_constraint(source).unwrap();
-        let text = format!(
-            "rtic-checkpoint v1\nconstraint {}\nbody {body}\ntime 13\nsteps 13\n\
-             dispatch {dispatch}\nrel q\n| 1\n| 2\n| 5\n| 6\nendrel\n\
-             rel p\n| 1\n| 3\n| 5\nendrel\n{nodes}",
-            c.name
-        );
-        (c, text)
-    }
-
-    const PREV: &str = "shardkey x\nphantom\nnode 0 prev\ntime 13\nendnode\nendphantom\n\
-         shard 1\nnode 0 prev\ntime 13\n| 1\nendnode\nendshard\n\
-         shard 2\nnode 0 prev\ntime 13\nendnode\nendshard\n\
-         shard 3\nnode 0 prev\ntime 13\n| 3\nendnode\nendshard\n\
-         shard 5\nnode 0 prev\ntime 13\n| 5\nendnode\nendshard\n\
-         shard 6\nnode 0 prev\ntime 13\nendnode\nendshard\n";
-    const ONCE: &str = "shardkey x\nphantom\nnode 0 once\nendnode\nendphantom\n\
-         shard 1\nnode 0 once\n13 | 1\nendnode\nendshard\n\
-         shard 2\nnode 0 once\n12 13 | 2\nendnode\nendshard\n\
-         shard 3\nnode 0 once\n9 | 3\nendnode\nendshard\n\
-         shard 5\nnode 0 once\n10 11 12 13 | 5\nendnode\nendshard\n\
-         shard 6\nnode 0 once\n10 11 12 13 | 6\nendnode\nendshard\n";
-    const SINCE: &str = "shardkey x\nphantom\nnode 0 since\nendnode\nendphantom\n\
-         shard 1\nnode 0 since\n13 | 1\nendnode\nendshard\n\
-         shard 2\nnode 0 since\n13 | 2\nendnode\nendshard\n\
-         shard 3\nnode 0 since\nendnode\nendshard\n\
-         shard 5\nnode 0 since\n10 11 12 13 | 5\nendnode\nendshard\n\
-         shard 6\nnode 0 since\n13 | 6\nendnode\nendshard\n";
-    const HISTF: &str = "shardkey x\nphantom\nnode 0 histf\ntimes 11 12 13\nendnode\nendphantom\n\
-         shard 1\nnode 0 histf\ntimes 11 12 13\n12 13 | 1\nendnode\nendshard\n\
-         shard 3\nnode 0 histf\ntimes 11 12 13\n13 13 | 3\nendnode\nendshard\n\
-         shard 5\nnode 0 histf\ntimes 11 12 13\n1 13 | 5\nendnode\nendshard\n";
-    const HISTI: &str = "shardkey x\nphantom\nnode 0 histi\nstarted true\nolder 11\nrecent 12 13\nendnode\nendphantom\n\
-         shard 1\nnode 0 histi\nstarted true\nolder 11\nrecent 12 13\nendnode\nendshard\n\
-         shard 2\nnode 0 histi\nstarted true\nolder 11\nrecent 12 13\nendnode\nendshard\n\
-         shard 3\nnode 0 histi\nstarted true\nolder 11\nrecent 12 13\nendnode\nendshard\n\
-         shard 5\nnode 0 histi\nstarted true\nolder 11\nrecent 12 13\n13 1 | 5\nendnode\nendshard\n\
-         shard 6\nnode 0 histi\nstarted true\nolder 11\nrecent 12 13\nendnode\nendshard\n";
-
-    /// One fleet per node kind, plus a mixed fleet whose `count`
-    /// constraint the plane could not shard.
-    const SHARDED_FLEETS: [&[Written]; 6] = [
-        &[(
-            "deny d: q(x) && prev p(x)",
-            "q(x) && prev p(x)",
-            "11 0 2 0",
-            PREV,
-        )],
-        &[(
-            "deny d: p(x) && once[2,4] q(x)",
-            "p(x) && once[2,4] q(x)",
-            "11 0 2 0",
-            ONCE,
-        )],
-        &[(
-            "deny d: p(x) && (p(x) since[1,4] q(x))",
-            "p(x) && p(x) since[1,4] q(x)",
-            "11 0 2 0",
-            SINCE,
-        )],
-        &[(
-            "deny d: p(x) && hist[1,2] p(x)",
-            "p(x) && hist[1,2] p(x)",
-            "10 0 3 0",
-            HISTF,
-        )],
-        &[(
-            "deny d: q(x) && hist[2,*] p(x)",
-            "q(x) && hist[2,*] p(x)",
-            "11 0 2 0",
-            HISTI,
-        )],
-        &[
-            (
-                "deny lingering: p(x) && once[2,4] q(x)",
-                "p(x) && once[2,4] q(x)",
-                "21 1 4 0",
-                ONCE,
-            ),
-            (
-                "deny crowded: p(x) && count y . (p(y)) > 1",
-                "p(x) && (count y__1 . (p(y__1)) > 1)",
-                "21 1 4 0",
-                "",
-            ),
-        ],
-    ];
-
-    #[test]
-    fn sharded_plane_sections_resume_through_the_one_engine() {
-        for fleet in SHARDED_FLEETS {
-            let (constraints, sections): (Vec<_>, Vec<_>) =
-                fleet.iter().map(written_section).unzip();
-            let what = fleet[0].0;
-            assert!(sections[0].contains("\nphantom\n"), "{what}");
-            assert!(sections[0].matches("\nshard ").count() >= 2, "{what}");
-            let mut reference =
-                ConstraintSet::new(constraints.clone(), catalog_of(Sort::Int)).unwrap();
-            let all: Vec<_> = (1..40u64)
-                .map(|t| reference.step(TimePoint(t), &keyed_traffic(t)).unwrap())
-                .collect();
-            assert!(
-                all[13..].iter().flatten().any(|r| !r.ok()),
-                "{what}: the tail must have something to report"
-            );
-            let mut resumed = restore_set(constraints, catalog_of(Sort::Int), &sections).unwrap();
-            assert_eq!(resumed.steps(), 13, "{what}");
-            for t in 14..40u64 {
-                let got = resumed.step(TimePoint(t), &keyed_traffic(t)).unwrap();
-                assert_eq!(got, all[t as usize - 1], "{what}: diverged at t={t}");
-            }
-        }
-    }
-
-    /// Old layout, every section with its own copy of the database: a
-    /// later copy that leaves a whole relation out disagrees with the
-    /// first as much as one that leaves out a row.
-    #[test]
-    fn old_format_copy_omitting_a_relation_is_a_mismatch() {
-        let (constraints, mut sections): (Vec<_>, Vec<_>) =
-            SHARDED_FLEETS[5].iter().map(written_section).unzip();
-        restore_set(constraints.clone(), catalog_of(Sort::Int), &sections).unwrap();
-        let whole = sections[1].clone();
-        for (hand_edit, relation) in [
-            ("rel p\n| 1\n| 3\n| 5\nendrel\n", "p"),
-            ("rel q\n| 1\n| 2\n| 5\n| 6\nendrel\n", "q"),
-        ] {
-            sections[1] = whole.replacen(hand_edit, "", 1);
-            assert_ne!(sections[1], whole);
-            let err =
-                restore_set(constraints.clone(), catalog_of(Sort::Int), &sections).unwrap_err();
-            assert!(matches!(err, CheckpointError::Mismatch { .. }), "{err}");
-            let expected = format!("checkpoint sections disagree on relation `{relation}`");
-            assert!(err.to_string().contains(&expected), "{err}");
-        }
-    }
-
-    #[test]
-    fn malformed_shard_markers_are_format_errors_naming_the_line() {
-        let (c, good) = written_section(&SHARDED_FLEETS[1][0]);
-        // `(from, to)`: the error is reported on the last line of `to`.
-        let mutations = [
-            ("endphantom\nshard 1\n", "shard 1\n"), // unterminated `phantom`
-            ("endshard\nshard 2\n", "shard 2\n"),   // unterminated `shard`
-            ("endphantom\n", "endphantom\nendshard\n"), // stray `endshard`
-            ("shard 1\n", "shard\n"),               // no key literal
-            ("shard 1\n", "shard 1, 2\n"),          // two key literals
-            ("shard 1\n", "shard 1\nphantom\n"),    // marker inside a `shard` block
-            ("13 | 1\n", "endshard\n"),             // marker inside a `node` block
-            ("shard 2\n", "shard 2\nrel p\n"),      // relation rows inside a block
-            ("shardkey x\n", "shardkey\n"),
-            ("| 6\nendnode\nendshard\n", "| 6\nendnode\n"), // end of input inside a block
-        ];
-        for (from, to) in mutations {
-            let at = good.find(from).expect("mutation site") + to.len();
-            let text = good.replacen(from, to, 1);
-            let expected = text[..at].matches('\n').count();
-            let err = restore(
-                c.clone(),
-                catalog_of(Sort::Int),
-                EncodingOptions::default(),
-                &text,
-            )
-            .expect_err("malformed markers never restore");
-            assert!(
-                matches!(err, CheckpointError::Format { line, .. } if line == expected),
-                "expected a format error on line {expected}, got: {err}"
-            );
         }
     }
 }

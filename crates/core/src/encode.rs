@@ -627,21 +627,20 @@ impl RunRelation {
         self.unindexed = true;
     }
 
-    /// Restores one key's runs — ascending, disjoint, ending by `time` —
-    /// additively in the keys; a key whose last run ends at `time` is in
-    /// the operand.
-    pub fn restore(&mut self, key: Tuple, runs: impl Iterator<Item = Run>, time: TimePoint) {
+    /// Restores one key's runs — ascending, disjoint, ending by `t` —
+    /// beside the keys restored before it; a key whose last run ends at
+    /// `t` is in the operand. False when `key` was restored already.
+    pub fn restore(&mut self, key: Tuple, runs: impl Iterator<Item = Run>, t: TimePoint) -> bool {
         let (mut older, mut last) = (Vec::new(), None);
         for run in runs {
             older.extend(last.replace(run));
         }
-        let Some((start, end)) = last else { return };
-        let last = (start, if end == time { NEVER } else { end });
+        let Some((from, end)) = last else { return true };
+        let last = (from, if end == t { NEVER } else { end });
         let older = (!older.is_empty()).then(|| Box::new(older));
         let slot = Slot { older, last };
         self.open += usize::from(slot.open());
-        let replaced = self.keys.insert(Arc::new(key), slot);
-        self.open -= replaced.map_or(0, |s| usize::from(s.open()));
+        self.keys.insert(Arc::new(key), slot).is_none()
     }
 }
 
@@ -858,18 +857,14 @@ impl PrevState {
         self.prev_sat.as_ref().map(|(t, sat)| (*t, sat))
     }
 
-    /// Restores a dumped previous-state extension. Additive in the rows
-    /// (like [`RunRelation::restore`]): a checkpoint written by the old
-    /// per-key shard plane lists them as one block per key.
-    pub fn restore(&mut self, t: TimePoint, rows: Vec<Tuple>) {
+    /// Restores a dumped previous-state extension; false when `rows`
+    /// repeats a row.
+    pub fn restore(&mut self, t: TimePoint, rows: Vec<Tuple>) -> bool {
+        let listed = rows.len();
         let rows = Bindings::from_rows(self.vars.clone(), rows);
-        match &mut self.prev_sat {
-            Some((at, sat)) => {
-                *at = t;
-                sat.union_in_place(&rows);
-            }
-            None => self.prev_sat = Some((t, rows)),
-        }
+        let distinct = rows.len() == listed;
+        self.prev_sat = Some((t, rows));
+        distinct
     }
 }
 

@@ -549,9 +549,11 @@ impl ConstraintSet {
 // The per-key shard plane is gone (DESIGN.md, "Why there is one state
 // layout"), but `benchmark/src/traced.rs` has been frozen since PR 11 and
 // still names its entry points. Everything in this block is inert; the
-// next `[benchmark]` PR (ROADMAP item 8) deletes it together with the
-// ignored `--shard`/`--shard-evict` arguments in `src/cli.rs` and the
-// re-export of `restore_set_sharded` in `checkpoint.rs`.
+// next `[benchmark]` PR (ROADMAP, "Unfreeze and refresh the pipeline
+// benchmark") deletes it together with the ignored `--shard`/
+// `--shard-evict` arguments in `src/cli.rs`, the re-export of
+// `restore_set_sharded` in `checkpoint.rs` and the `()` that keeps
+// `RecoveryOutcome::restored` a triple in `rtic-resilience`.
 
 /// What the shard plane's lifecycle counters were; always zero now.
 #[doc(hidden)]

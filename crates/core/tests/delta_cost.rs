@@ -9,7 +9,7 @@
 //! table. Reports stay byte-identical to the tree-walking interpreter.
 //! The same holds for an engine woken from sleep with a live violation:
 //! the witnesses it replayed while asleep are let go before the plans run,
-//! and for the paper's *bounded* forms (ROADMAP item 1's shapes (b)–(e))
+//! and for the paper's *bounded* forms (EXPERIMENTS.md T3b's shapes (b)–(e))
 //! at 2×10⁴ resident rows: each window's expiry index pops what is due
 //! and each probe moves only the rows its input delta and the window's
 //! flips name. An identity-shaped atom — its sorted variables are its
@@ -180,7 +180,7 @@ fn a_sleeping_engine_with_a_live_violation_wakes_without_copying() {
     );
 }
 
-/// ROADMAP item 1's bounded shapes over the same stream: (b) the paper's
+/// T3b's bounded shapes over the same stream: (b) the paper's
 /// form, (c) both windows bounded, (d) a finite `hist`, (e) `since`.
 const BOUNDED: [&str; 4] = [
     "deny b: reserved(p, f) && !once[0,2] confirmed(p, f) && once[2,*] reserved(p, f)",

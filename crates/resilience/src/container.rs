@@ -15,9 +15,11 @@
 //! The CRC covers every byte from the start of the file through the end
 //! of the payload, so truncation, bit flips, and section reordering are
 //! all detected ([`ContainerError`] — never a panic, never a silently
-//! wrong checker). Bare `rtic-checkpoint v1` files (the pre-v2 format)
-//! are still accepted by [`open_any`] for backward compatibility; they
-//! carry no checksum.
+//! wrong checker). Any other `rtic-checkpoint` header, including the
+//! bare `rtic-checkpoint v1` files that builds before the container
+//! wrote, is a [`ContainerError::UnsupportedVersion`] and is never read:
+//! the log is the source of truth, and replaying it without `--resume`
+//! rebuilds the state.
 
 use std::fmt::Write as _;
 
@@ -25,26 +27,8 @@ use crate::crc32::crc32;
 
 /// Magic first line of a v2 container.
 pub const MAGIC_V2: &str = "rtic-checkpoint-set v2";
-/// Magic first line of a legacy (v1) checkpoint section.
+/// Magic first line of a checkpoint section inside the container.
 pub const MAGIC_V1: &str = "rtic-checkpoint v1";
-
-/// Which container format a checkpoint file was read as.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Format {
-    /// Checksummed multi-section container.
-    V2,
-    /// Bare concatenated v1 sections (no integrity trailer).
-    LegacyV1,
-}
-
-impl std::fmt::Display for Format {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Format::V2 => write!(f, "v2"),
-            Format::LegacyV1 => write!(f, "legacy v1"),
-        }
-    }
-}
 
 /// Why a checkpoint container was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,18 +113,11 @@ pub fn seal<'a>(sections: impl IntoIterator<Item = &'a str>) -> String {
     out
 }
 
-/// Open a checkpoint file in either format: a checksummed v2 container
-/// (validated) or a bare legacy v1 file (accepted as-is). Returns the
-/// individual v1 sections and the format that was read.
-pub fn open_any(bytes: &[u8]) -> Result<(Vec<String>, Format), ContainerError> {
+/// Open a checkpoint file: a checksummed v2 container, validated, split
+/// back into its sections. Any other file is a typed error.
+pub fn open_any(bytes: &[u8]) -> Result<Vec<String>, ContainerError> {
     if bytes.starts_with(MAGIC_V2.as_bytes()) {
-        return open_v2(bytes).map(|sections| (sections, Format::V2));
-    }
-    if bytes.starts_with(MAGIC_V1.as_bytes()) {
-        let text = std::str::from_utf8(bytes).map_err(|_| ContainerError::Malformed {
-            detail: "legacy checkpoint is not valid UTF-8".to_string(),
-        })?;
-        return Ok((split_v1_sections(text), Format::LegacyV1));
+        return open_v2(bytes);
     }
     if bytes.starts_with(b"rtic-checkpoint") {
         let first = first_line_lossy(bytes);
@@ -226,7 +203,7 @@ fn open_v2(bytes: &[u8]) -> Result<Vec<String>, ContainerError> {
 
 /// Split concatenated v1 checkpoint text into individual sections; each
 /// `rtic-checkpoint v1` magic line starts a new section.
-pub fn split_v1_sections(text: &str) -> Vec<String> {
+fn split_v1_sections(text: &str) -> Vec<String> {
     let mut sections: Vec<String> = Vec::new();
     for line in text.lines() {
         if line == MAGIC_V1 || sections.is_empty() {
@@ -309,25 +286,13 @@ mod tests {
     fn seal_open_round_trip() {
         let sections = demo_sections();
         let sealed = seal(sections.iter().map(String::as_str));
-        let (reopened, format) = open_any(sealed.as_bytes()).unwrap();
-        assert_eq!(format, Format::V2);
-        assert_eq!(reopened, sections);
-    }
-
-    #[test]
-    fn legacy_v1_is_accepted() {
-        let sections = demo_sections();
-        let raw: String = sections.concat();
-        let (reopened, format) = open_any(raw.as_bytes()).unwrap();
-        assert_eq!(format, Format::LegacyV1);
-        assert_eq!(reopened, sections);
+        assert_eq!(open_any(sealed.as_bytes()).unwrap(), sections);
     }
 
     #[test]
     fn empty_container_round_trips() {
         let sealed = seal(std::iter::empty());
-        let (sections, _) = open_any(sealed.as_bytes()).unwrap();
-        assert!(sections.is_empty());
+        assert!(open_any(sealed.as_bytes()).unwrap().is_empty());
     }
 
     #[test]
@@ -393,5 +358,18 @@ mod tests {
             open_any(b""),
             Err(ContainerError::BadMagic { .. })
         ));
+    }
+
+    /// Bare sections, as builds before the container wrote them, are
+    /// refused rather than read without a checksum.
+    #[test]
+    fn bare_v1_sections_are_an_unsupported_version() {
+        let bare = demo_sections().concat();
+        assert_eq!(
+            open_any(bare.as_bytes()),
+            Err(ContainerError::UnsupportedVersion {
+                found: MAGIC_V1.to_string()
+            })
+        );
     }
 }

@@ -28,7 +28,7 @@
 //!
 //! let sections = vec!["rtic-checkpoint v1\nconstraint demo\n".to_string()];
 //! let sealed = container::seal(sections.iter().map(String::as_str));
-//! let (reopened, _) = container::open_any(sealed.as_bytes()).unwrap();
+//! let reopened = container::open_any(sealed.as_bytes()).unwrap();
 //! assert_eq!(reopened, sections);
 //! // Any single corrupted bit is detected:
 //! let mut bytes = sealed.into_bytes();
@@ -48,7 +48,7 @@ pub mod policy;
 pub mod rotation;
 pub mod writer;
 
-pub use container::{ContainerError, Format};
+pub use container::ContainerError;
 pub use crc32::crc32;
 pub use durable::{write_atomic, write_atomic_with, DurableError};
 pub use failpoint::{FailAction, FailPlan, ENV_VAR};

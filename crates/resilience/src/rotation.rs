@@ -10,7 +10,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::container::{self, Format};
+use crate::container;
 use crate::durable::{self, DurableError};
 use crate::failpoint::FailPlan;
 
@@ -24,10 +24,11 @@ pub struct Rotation {
 /// The result of walking a rotation set for an intact checkpoint.
 #[derive(Debug)]
 pub struct RecoveryOutcome {
-    /// The first intact candidate: its path, its checkpoint sections,
-    /// and the container format it was stored in. `None` when no
-    /// candidate exists or all of them are corrupt.
-    pub restored: Option<(PathBuf, Vec<String>, Format)>,
+    /// The first intact candidate: its path and its checkpoint sections.
+    /// `None` when no candidate exists or all of them are corrupt. The
+    /// `()` keeps the tuple's arity for the frozen `benchmark/` crate,
+    /// which destructures three fields; the next `[benchmark]` PR drops it.
+    pub restored: Option<(PathBuf, Vec<String>, ())>,
     /// Candidates that existed but were rejected, newest first, with the
     /// typed error that rejected them (rendered for display).
     pub rejected: Vec<(PathBuf, String)>,
@@ -100,9 +101,9 @@ impl Rotation {
                 }
             };
             match container::open_any(&bytes) {
-                Ok((sections, format)) => {
+                Ok(sections) => {
                     return RecoveryOutcome {
-                        restored: Some((candidate, sections, format)),
+                        restored: Some((candidate, sections, ())),
                         rejected,
                     };
                 }
@@ -145,7 +146,7 @@ mod tests {
         assert!(sections[0].contains("constraint d"));
         // The oldest surviving generation is "b" (a rotated off the end).
         let bytes = fs::read(rot.candidates()[2].clone()).unwrap();
-        let (old, _) = container::open_any(&bytes).unwrap();
+        let old = container::open_any(&bytes).unwrap();
         assert!(old[0].contains("constraint b"));
         assert!(outcome.rejected.is_empty());
     }
@@ -180,7 +181,7 @@ mod tests {
             assert_eq!(result.is_err(), tag == "c", "{tag}");
         }
         let tag_of = |path: &Path| {
-            let (sections, _) = container::open_any(&fs::read(path).unwrap()).unwrap();
+            let sections = container::open_any(&fs::read(path).unwrap()).unwrap();
             sections[0].lines().nth(1).unwrap().to_string()
         };
         let candidates = rot.candidates();

@@ -197,7 +197,7 @@ mod tests {
             .iter()
             .map(|path| match fs::read(path) {
                 Ok(bytes) => {
-                    let (sections, _) = container::open_any(&bytes).unwrap();
+                    let sections = container::open_any(&bytes).unwrap();
                     let line = sections[0].lines().nth(1).unwrap();
                     line.trim_start_matches("constraint ").to_string()
                 }

@@ -397,7 +397,7 @@ pub fn serve(
             );
         }
         match outcome.restored {
-            Some((found_path, sections, format)) => {
+            Some((found_path, sections, ())) => {
                 let engine_sections: Vec<String> = sections
                     .iter()
                     .filter(|s| !ServeReport::is_section(s))
@@ -422,7 +422,7 @@ pub fn serve(
                         });
                     }
                 }
-                restored_banner = Some((found_path, format, set.last_time()));
+                restored_banner = Some((found_path, set.last_time()));
                 set
             }
             None if outcome.rejected.is_empty() => fresh_set(&constraints, &catalog)?,
@@ -444,16 +444,16 @@ pub fn serve(
             ));
         }
     }
-    let resume_cursor = restored_banner.as_ref().and_then(|(_, _, cursor)| *cursor);
-    if let Some((path, format, cursor)) = &restored_banner {
+    let resume_cursor = restored_banner.as_ref().and_then(|(_, cursor)| *cursor);
+    if let Some((path, cursor)) = &restored_banner {
         match cursor {
             Some(t) => {
-                let _ = writeln!(out, "resumed from `{}` ({format}) at t={t}", path.display());
+                let _ = writeln!(out, "resumed from `{}` at t={t}", path.display());
             }
             None => {
                 let _ = writeln!(
                     out,
-                    "resumed from `{}` ({format}) at the start of the stream",
+                    "resumed from `{}` at the start of the stream",
                     path.display()
                 );
             }

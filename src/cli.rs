@@ -223,7 +223,8 @@ fn reject_unknown_flags(args: &[String], known: &str) -> Result<(), String> {
 /// `--shard V` / `--shard-evict N` selected the per-key shard plane, which
 /// no longer exists. Both are still consumed — a missing value stays a
 /// usage error — and otherwise ignored, because the frozen `benchmark/`
-/// passes them; the next `[benchmark]` PR drops them (ROADMAP item 7).
+/// passes them; the next `[benchmark]` PR drops them (ROADMAP, "Unfreeze
+/// and refresh the pipeline benchmark").
 fn ignore_shard_flags(args: &[String]) -> Result<(), String> {
     flag_value(args, "--shard")?;
     flag_value(args, "--shard-evict")?;
@@ -388,6 +389,10 @@ const CHECK_FLAGS: &str = "--checker --constraints --profile --quiet --stats --e
     --bad-line-budget --failpoints --metrics --trace --trace-format --sample-space \
     --vectorize --shard --shard-evict";
 
+/// What every refused `--resume` ends with: the log is the source of
+/// truth, and a checkpoint only saves replaying it.
+const REPLAY: &str = "run without `--resume` to check the log from its start";
+
 fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     let positional: Vec<&String> = args.iter().take_while(|a| !a.starts_with("--")).collect();
     let [constraints_path, log_path] = positional.as_slice() else {
@@ -502,12 +507,14 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
             match outcome.restored {
                 Some(found) => Some(found),
                 None if outcome.rejected.is_empty() => {
-                    return Err(format!("cannot resume from `{path}`: no checkpoint found"))
+                    return Err(format!(
+                        "cannot resume from `{path}`: no checkpoint found; {REPLAY}"
+                    ))
                 }
                 None => {
                     return Err(format!(
                         "cannot resume from `{path}`: every candidate in the rotation set \
-                         is corrupt or unreadable"
+                         is corrupt or unreadable; {REPLAY}"
                     ))
                 }
             }
@@ -533,7 +540,10 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
                 options,
                 sections,
             )
-            .map_err(|e| format!("cannot resume from `{}`: {e}", found_path.display()))?;
+            .map_err(|e| {
+                let path = found_path.display();
+                format!("cannot resume from `{path}`: {e}; {REPLAY}")
+            })?;
             let mut obs = MultiObserver::new().with(&mut registry);
             if let Some(t) = trace.as_mut() {
                 obs.push(t);
@@ -585,19 +595,15 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     let resume_cursor: Option<TimePoint> = resume_recovery
         .as_ref()
         .and_then(|_| engine.fleet()?.last_time());
-    if let Some((found_path, _, format)) = &resume_recovery {
+    if let Some((found_path, _, ())) = &resume_recovery {
         match resume_cursor {
             Some(t) => {
-                let _ = writeln!(
-                    out,
-                    "resumed from `{}` ({format}) at t={t}",
-                    found_path.display()
-                );
+                let _ = writeln!(out, "resumed from `{}` at t={t}", found_path.display());
             }
             None => {
                 let _ = writeln!(
                     out,
-                    "resumed from `{}` ({format}) at the start of the log",
+                    "resumed from `{}` at the start of the log",
                     found_path.display()
                 );
             }
@@ -1173,7 +1179,8 @@ fn serve_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
     ignore_shard_flags(args)?;
     // `--batch N` bounded the daemon's queue drain, which is now always
     // on and bounded by `--queue`. Consumed and ignored like the shard
-    // flags, and for the same reason (ROADMAP item 7).
+    // flags, and for the same reason (ROADMAP, "Unfreeze and refresh the
+    // pipeline benchmark").
     flag_value(args, "--batch")?;
     config.faults = match flag_value(args, "--failpoints")? {
         Some(spec) => FailPlan::parse(spec).map_err(|e| format!("bad --failpoints: {e}"))?,

@@ -6,6 +6,8 @@
 use std::io::Write as _;
 use std::path::PathBuf;
 
+use rtic_resilience::container::seal;
+
 fn run(args: &[&str]) -> (Result<i32, String>, String) {
     let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
     let mut out = String::new();
@@ -112,98 +114,71 @@ fn kill_and_resume_is_byte_identical_fleet() {
     kill_and_resume("fleet");
 }
 
-/// The first six lines of `LOG` — what the committed checkpoints cover.
-fn head_log() -> String {
-    let lines: Vec<_> = LOG.trim_start().lines().take(6).collect();
-    lines.join("\n")
-}
-
-/// Checkpoints outlive binaries: a committed checkpoint written by an
-/// older build over `CONSTRAINTS` and the first six lines of `LOG` must
-/// resume with the stitched report byte-identical to an uninterrupted
-/// run.
-fn old_checkpoint_resumes(tag: &str, fixture: &str) {
+/// Checkpoints written by retired builds are refused, not read: `--resume`
+/// on a committed fixture (written over `CONSTRAINTS` and the first six
+/// lines of `LOG`) fails as any malformed checkpoint does. The error names
+/// the offending line of its section and says to replay the log without
+/// `--resume`, and the file is left byte for byte as it was.
+fn old_checkpoint_is_refused(tag: &str, fixture: &str, line: usize, why: &str) {
     let c = temp_file(&format!("{tag}.rtic"), CONSTRAINTS);
     let l = temp_file(&format!("{tag}.rticlog"), LOG);
-    let head = temp_file(&format!("{tag}-head.rticlog"), &head_log());
     let ckpt = temp_file(&format!("{tag}.ckpt"), fixture);
-
-    let (code, uninterrupted) = run(&["check", c.to_str().unwrap(), l.to_str().unwrap()]);
-    assert_eq!(code.unwrap(), 1, "{uninterrupted}");
-    let (code, first) = run(&["check", c.to_str().unwrap(), head.to_str().unwrap()]);
-    assert_eq!(code.unwrap(), 1, "{first}");
-    let (code, resumed) = run(&[
+    let (code, out) = run(&[
         "check",
         c.to_str().unwrap(),
         l.to_str().unwrap(),
         "--resume",
         ckpt.to_str().unwrap(),
     ]);
-    assert_eq!(code.unwrap(), 1, "{resumed}");
-    assert!(resumed.contains("at t=@5"), "{resumed}");
-    assert!(
-        resumed.contains("skipped 6 transition(s) already covered"),
-        "{resumed}"
+    let err = code.expect_err("a retired layout must not resume");
+    let refusal = format!(
+        "cannot resume from `{}`: checkpoint line {line}: {why}",
+        ckpt.display()
     );
-    let mut stitched = violations(&first);
-    stitched.extend(violations(&resumed));
-    assert_eq!(stitched, violations(&uninterrupted));
+    assert!(err.starts_with(&refusal), "{err}");
+    assert!(
+        err.ends_with("; run without `--resume` to check the log from its start"),
+        "{err}"
+    );
+    assert!(!out.contains("resumed from"), "{out}");
+    assert_eq!(std::fs::read_to_string(&ckpt).unwrap(), fixture);
+    assert!(!PathBuf::from(format!("{}.1", ckpt.display())).exists());
 }
 
 /// Before the incremental backend always ran as a fleet, plain `rtic
-/// check` wrote one section per independent checker — no `dispatch`
-/// line. The fixture is such a file (written at d35c513); it must resume
-/// through the fleet.
+/// check` wrote one section per independent checker, each with its own
+/// copy of the database and no `dispatch` line (written at d35c513).
 #[test]
-fn checkpoint_from_the_old_independent_path_resumes_through_the_fleet() {
+fn checkpoint_from_the_old_independent_path_is_refused_naming_its_line() {
     let fixture = include_str!("fixtures/independent-path.ckpt");
     assert!(
         !fixture.contains("\ndispatch "),
         "fixture predates dispatch"
     );
-    old_checkpoint_resumes("oldpath", fixture);
+    old_checkpoint_is_refused(
+        "oldpath",
+        fixture,
+        6,
+        "expected `dispatch …`, found `rel reserved`",
+    );
 }
 
 /// The scalar plan executor (deleted; fixture written at d170c84 by
-/// default flags) re-recorded an unbounded `once[0,*]` window whenever
-/// any relation changed, so it stamped `confirmed("ann", 17)` with the
-/// latest such time, @4. The columnar plans record only the operand's
-/// delta and keep the first, @3. Either stamp satisfies `[0,*]` forever:
-/// the checkpoints differ, the resumed reports must not.
+/// default flags) wrote the database into every section: the second
+/// copy's first `rel` line is where the reader stops.
 #[test]
-fn checkpoint_from_the_scalar_plan_executor_resumes_on_the_columnar_plans() {
+fn checkpoint_from_the_scalar_plan_executor_is_refused_naming_its_line() {
     let fixture = include_str!("fixtures/scalar-plans.ckpt");
-    let confirmed_window = |text: &str| {
-        let (_, node) = text.split_once("node 1 once\n").expect("once confirmed");
-        node.lines().next().unwrap().to_string()
-    };
-    assert_eq!(confirmed_window(fixture), "4 | 17, \"ann\"");
-    old_checkpoint_resumes("scalarplans", fixture);
-
-    let c = temp_file("scalarplans-now.rtic", CONSTRAINTS);
-    let head = temp_file("scalarplans-now.rticlog", &head_log());
-    let now = temp_file("scalarplans-now.ckpt", "");
-    std::fs::remove_file(&now).ok();
-    let (code, out) = run(&[
-        "check",
-        c.to_str().unwrap(),
-        head.to_str().unwrap(),
-        "--checkpoint",
-        now.to_str().unwrap(),
-    ]);
-    assert_eq!(code.unwrap(), 1, "{out}");
-    let written = std::fs::read_to_string(&now).unwrap();
-    assert_eq!(confirmed_window(&written), "3 | 17, \"ann\"");
+    assert_eq!(fixture.matches("\nrel reserved\n").count(), 2);
+    old_checkpoint_is_refused("scalarplans", fixture, 7, "unexpected line `rel reserved`");
 }
 
-/// The per-key shard plane is gone, its checkpoints are not: the fixture
-/// was written at 5358331 by `--shard auto --shard-evict 2` — a `shardkey`
-/// line, a `phantom` block and one `shard <key>` block per live flight —
-/// and must resume through the one engine, which reads the markers as
-/// transparent and merges the blocks (bob's and ann's windows sit in
-/// different shards of `unconfirmed`).
+/// The per-key shard plane (deleted; fixture written at 5358331 by
+/// `--shard auto --shard-evict 2`) wrapped its node blocks in a
+/// `shardkey` line, a `phantom` block and one `shard <key>` block per
+/// live flight.
 #[test]
-fn checkpoint_from_the_shard_plane_resumes_through_the_one_engine() {
+fn checkpoint_from_the_shard_plane_is_refused_naming_its_line() {
     let fixture = include_str!("fixtures/sharded-plane.ckpt");
     for marker in [
         "\nshardkey f\n",
@@ -213,7 +188,38 @@ fn checkpoint_from_the_shard_plane_resumes_through_the_one_engine() {
     ] {
         assert!(fixture.contains(marker), "fixture lacks {marker:?}");
     }
-    old_checkpoint_resumes("shardplane", fixture);
+    old_checkpoint_is_refused("shardplane", fixture, 14, "unexpected line `shardkey f`");
+}
+
+/// A bare `rtic-checkpoint v1` file, as builds before the checksummed
+/// container wrote it, is an unsupported version: the candidate is
+/// rejected with that diagnosis and `--resume` fails saying to replay.
+#[test]
+fn a_bare_v1_checkpoint_is_an_unsupported_version() {
+    let c = temp_file("bare.rtic", CONSTRAINTS);
+    let l = temp_file("bare.rticlog", LOG);
+    let fixture = include_str!("fixtures/scalar-plans.ckpt");
+    let payload =
+        &fixture[fixture.find("rtic-checkpoint v1").unwrap()..fixture.rfind("crc32").unwrap()];
+    let ckpt = temp_file("bare.ckpt", payload);
+    let (code, out) = run(&[
+        "check",
+        c.to_str().unwrap(),
+        l.to_str().unwrap(),
+        "--resume",
+        ckpt.to_str().unwrap(),
+    ]);
+    let err = code.expect_err("a bare v1 file must not resume");
+    assert!(
+        out.contains("unsupported checkpoint version: `rtic-checkpoint v1`"),
+        "{out}"
+    );
+    assert!(
+        err.ends_with(
+            "corrupt or unreadable; run without `--resume` to check the log from its start"
+        ),
+        "{err}"
+    );
 }
 
 #[test]
@@ -1200,7 +1206,7 @@ fn periodic_checkpoints_rotate_generations() {
     }
 }
 
-/// A bare legacy-v1 checkpoint whose window entry lists its stamps out of
+/// A checkpoint whose window entry lists its stamps out of
 /// order (`3 2`) used to panic `--resume` (exit 101) at `encode.rs`'s
 /// "stamps must ascend"; one with a stamp later than the section's `time`
 /// (`1 2 9`) was accepted silently. Both are now format errors naming the
@@ -1218,9 +1224,9 @@ fn disordered_or_future_window_stamps_are_rejected_not_panicked_on() {
     ] {
         let text = format!(
             "rtic-checkpoint v1\nconstraint d\nbody p(x) && once[1,3] p(x)\ntime 5\nsteps 3\n\
-             node 0 once\n{stamps} | \"a\"\nendnode\n"
+             dispatch 3 0 0 0\nnode 0 once\n{stamps} | \"a\"\nendnode\n"
         );
-        let ckpt = temp_file("stamps.ckpt", &text);
+        let ckpt = temp_file("stamps.ckpt", &seal([text.as_str()]));
         let args = [
             "check",
             c.to_str().unwrap(),
@@ -1230,13 +1236,13 @@ fn disordered_or_future_window_stamps_are_rejected_not_panicked_on() {
         let (code, out) = run(&[&args[..], &[ckpt.to_str().unwrap()]].concat());
         let err = code.expect_err("a malformed checkpoint must not resume");
         assert!(
-            err.contains("line 7") && err.contains(why),
+            err.contains("line 8") && err.contains(why),
             "{stamps}: {err}\n{out}"
         );
     }
 }
 
-/// The same rules hold for the `prev` and `histi` blocks. A legacy-v1
+/// The same rules hold for the `prev` and `histi` blocks. A
 /// `prev` block stamped after the section's `time` used to resume and
 /// then panic the first step in `TimePoint::age_of`, which quarantined the
 /// constraint and exited 0 with no violations; a `histi` block whose
@@ -1249,19 +1255,19 @@ fn prev_and_histi_blocks_with_disordered_or_future_times_are_rejected() {
         (
             "p(x) && prev p(x)",
             "node 0 prev\ntime 99\n| \"a\"\n",
-            7,
+            8,
             "after the checkpoint's time",
         ),
         (
             "p(x) && hist[1,*] p(x)",
             "node 0 histi\nstarted true\nolder 50\nrecent 9 4\n60 1 | \"a\"\n",
-            9,
+            10,
             "must ascend",
         ),
         (
             "p(x) && hist[1,*] p(x)",
             "node 0 histi\nstarted true\nolder 4\nrecent 5\n60 1 | \"a\"\n",
-            10,
+            11,
             "after the checkpoint's time",
         ),
     ] {
@@ -1270,9 +1276,10 @@ fn prev_and_histi_blocks_with_disordered_or_future_times_are_rejected() {
             &format!("relation p(x: str)\ndeny d: {body}\n"),
         );
         let text = format!(
-            "rtic-checkpoint v1\nconstraint d\nbody {body}\ntime 5\nsteps 3\n{node}endnode\n"
+            "rtic-checkpoint v1\nconstraint d\nbody {body}\ntime 5\nsteps 3\n\
+             dispatch 3 0 0 0\n{node}endnode\n"
         );
-        let ckpt = temp_file("blocks.ckpt", &text);
+        let ckpt = temp_file("blocks.ckpt", &seal([text.as_str()]));
         let args = [
             "check",
             c.to_str().unwrap(),
