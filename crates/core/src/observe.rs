@@ -202,22 +202,6 @@ pub enum StepEvent<'a> {
         /// Total graceful-drain duration in milliseconds, once drained.
         drain_ms: Option<u64>,
     },
-    /// Progress of a statistical model-checking run (`rtic smc`): one
-    /// event per completed sample, carrying the running worst-case bound
-    /// and which constraints the sample violated. Emitted by the SMC
-    /// harness in `rtic-smc`, so metrics snapshots and traces show the
-    /// sampling trajectory live.
-    SmcSample {
-        /// The scenario being sampled.
-        scenario: Symbol,
-        /// 0-based index of the completed sample.
-        sample: u64,
-        /// The current worst-case sample bound (Okamoto, or the fixed
-        /// sample count when adaptive stopping is off).
-        bound: u64,
-        /// Names of the constraints this sample violated at least once.
-        violated_constraints: Vec<Symbol>,
-    },
 }
 
 impl StepEvent<'_> {
@@ -237,7 +221,6 @@ impl StepEvent<'_> {
             StepEvent::PlanProfileSample { .. } => "plan_profile",
             StepEvent::SpaceSample { .. } => "space_sample",
             StepEvent::ServeSample { .. } => "serve_sample",
-            StepEvent::SmcSample { .. } => "smc_sample",
         }
     }
 }
@@ -394,17 +377,6 @@ impl StepObserver for CollectingObserver {
                 disconnected: *disconnected,
                 last_checkpoint_age_ms: *last_checkpoint_age_ms,
                 drain_ms: *drain_ms,
-            },
-            StepEvent::SmcSample {
-                scenario,
-                sample,
-                bound,
-                violated_constraints,
-            } => StepEvent::SmcSample {
-                scenario: *scenario,
-                sample: *sample,
-                bound: *bound,
-                violated_constraints: violated_constraints.clone(),
             },
         };
         self.events.push(owned);

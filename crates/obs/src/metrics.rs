@@ -218,20 +218,6 @@ pub struct ServeGauges {
     pub drain_ms: Option<u64>,
 }
 
-/// The running trajectory of a statistical model-checking run (`rtic
-/// smc`), mirrored from [`StepEvent::SmcSample`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SmcGauges {
-    /// The scenario being sampled.
-    pub scenario: &'static str,
-    /// Samples completed so far.
-    pub samples: u64,
-    /// Current worst-case sample bound.
-    pub bound: u64,
-    /// Per-constraint count of samples with at least one violation.
-    pub violated_samples: BTreeMap<&'static str, u64>,
-}
-
 #[derive(Clone, Debug)]
 struct SpaceSampleRow {
     step_index: u64,
@@ -282,8 +268,6 @@ pub struct MetricsRegistry {
     plan_profiles: BTreeMap<(&'static str, &'static str), PlanProfile>,
     /// Latest resident-server ingest gauges (`rtic serve` runs only).
     serve: Option<ServeGauges>,
-    /// Running SMC sampling trajectory (`rtic smc` runs only).
-    smc: Option<SmcGauges>,
 }
 
 impl MetricsRegistry {
@@ -348,12 +332,6 @@ impl MetricsRegistry {
     /// came from an `rtic serve` run.
     pub fn serve_gauges(&self) -> Option<ServeGauges> {
         self.serve
-    }
-
-    /// The running SMC sampling trajectory, when the event stream came
-    /// from an `rtic smc` run.
-    pub fn smc_gauges(&self) -> Option<&SmcGauges> {
-        self.smc.as_ref()
     }
 
     /// Latest compiled-plan statistics per checker backend, aggregated
@@ -534,20 +512,6 @@ impl MetricsRegistry {
                 obj = obj.set("drain_ms", ms);
             }
             doc = doc.set("serve", obj);
-        }
-        if let Some(s) = &self.smc {
-            let mut violated = Json::object();
-            for (name, n) in &s.violated_samples {
-                violated = violated.set(name, *n);
-            }
-            doc = doc.set(
-                "smc",
-                Json::object()
-                    .set("scenario", s.scenario)
-                    .set("samples", s.samples)
-                    .set("bound", s.bound)
-                    .set("violated_samples", violated),
-            );
         }
         doc
     }
@@ -826,32 +790,6 @@ impl MetricsRegistry {
                 );
             }
         }
-        if let Some(s) = &self.smc {
-            scalar(
-                &mut out,
-                "smc_samples_total",
-                "SMC samples completed so far.",
-                s.samples,
-            );
-            scalar(
-                &mut out,
-                "smc_sample_bound",
-                "Current worst-case SMC sample bound.",
-                s.bound,
-            );
-            let _ = writeln!(
-                out,
-                "# HELP rtic_smc_violated_samples_total SMC samples with at least one violation, per constraint."
-            );
-            let _ = writeln!(out, "# TYPE rtic_smc_violated_samples_total counter");
-            for (name, n) in &s.violated_samples {
-                let _ = writeln!(
-                    out,
-                    "rtic_smc_violated_samples_total{{scenario=\"{}\",constraint=\"{name}\"}} {n}",
-                    s.scenario
-                );
-            }
-        }
         out
     }
 }
@@ -970,20 +908,6 @@ impl StepObserver for MetricsRegistry {
                     last_checkpoint_age_ms: *last_checkpoint_age_ms,
                     drain_ms: *drain_ms,
                 });
-            }
-            StepEvent::SmcSample {
-                scenario,
-                sample,
-                bound,
-                violated_constraints,
-            } => {
-                let gauges = self.smc.get_or_insert_with(SmcGauges::default);
-                gauges.scenario = scenario.as_str();
-                gauges.samples = *sample + 1;
-                gauges.bound = *bound;
-                for name in violated_constraints {
-                    *gauges.violated_samples.entry(name.as_str()).or_default() += 1;
-                }
             }
         }
     }
@@ -1270,46 +1194,6 @@ mod tests {
     }
 
     #[test]
-    fn smc_samples_reach_json_and_prometheus() {
-        use rtic_relation::Symbol;
-        let mut registry = MetricsRegistry::new();
-        // Batch runs never emit SmcSample, so the section stays absent.
-        assert!(registry.smc_gauges().is_none());
-        let sample = |i, bound, violated: &[&str]| StepEvent::SmcSample {
-            scenario: Symbol::intern("fraud"),
-            sample: i,
-            bound,
-            violated_constraints: violated.iter().map(|n| Symbol::intern(n)).collect(),
-        };
-        registry.observe(&sample(0, 738, &["structuring"]));
-        registry.observe(&sample(1, 738, &["structuring", "screened"]));
-        registry.observe(&sample(2, 120, &[]));
-        let gauges = registry.smc_gauges().unwrap();
-        assert_eq!(gauges.scenario, "fraud");
-        assert_eq!(gauges.samples, 3);
-        assert_eq!(gauges.bound, 120, "bound is a gauge: latest wins");
-        assert_eq!(gauges.violated_samples.get("structuring"), Some(&2));
-        assert_eq!(gauges.violated_samples.get("screened"), Some(&1));
-        let doc = json::parse(&registry.render_json()).unwrap();
-        let smc = doc.get("smc").unwrap();
-        assert_eq!(smc.get("scenario").and_then(Json::as_str), Some("fraud"));
-        assert_eq!(smc.get("samples").and_then(Json::as_u64), Some(3));
-        assert_eq!(smc.get("bound").and_then(Json::as_u64), Some(120));
-        assert_eq!(
-            smc.get("violated_samples")
-                .and_then(|v| v.get("structuring"))
-                .and_then(Json::as_u64),
-            Some(2)
-        );
-        let text = registry.render_prometheus();
-        assert!(text.contains("rtic_smc_samples_total 3"));
-        assert!(text.contains("rtic_smc_sample_bound 120"));
-        assert!(text.contains(
-            "rtic_smc_violated_samples_total{scenario=\"fraud\",constraint=\"structuring\"} 2"
-        ));
-    }
-
-    #[test]
     fn quantiles_are_monotone_in_q() {
         let mut h = LatencyHistogram::default();
         let mut seed = 0x9e37_79b9_7f4a_7c15u64;
@@ -1454,12 +1338,6 @@ mod tests {
             last_checkpoint_age_ms: Some(250),
             drain_ms: Some(4),
         });
-        registry.observe(&StepEvent::SmcSample {
-            scenario: Symbol::intern("fraud"),
-            sample: 0,
-            bound: 738,
-            violated_constraints: vec![d],
-        });
 
         let text = registry.render_prometheus();
         let families: Vec<(&str, &str)> = text
@@ -1473,8 +1351,6 @@ mod tests {
             "rtic_plan_node_calls",
             "rtic_serve_shed_total",
             "rtic_serve_drain_duration_seconds",
-            "rtic_smc_samples_total",
-            "rtic_smc_violated_samples_total",
         ] {
             assert!(
                 families.iter().any(|(name, _)| *name == family),

@@ -114,24 +114,6 @@ pub fn event_json(seq: u64, event: &StepEvent<'_>) -> Json {
                 .set("step", *step_index);
             space_json(doc, stats)
         }
-        StepEvent::SmcSample {
-            scenario,
-            sample,
-            bound,
-            violated_constraints,
-        } => base
-            .set("scenario", scenario.as_str())
-            .set("sample", *sample)
-            .set("bound", *bound)
-            .set(
-                "violated_constraints",
-                Json::Arr(
-                    violated_constraints
-                        .iter()
-                        .map(|c| Json::Str(c.as_str().into()))
-                        .collect(),
-                ),
-            ),
         StepEvent::ServeSample {
             queue_depth,
             queue_capacity,
@@ -664,28 +646,6 @@ impl StepObserver for ChromeTraceWriter {
                         .set("ts", ts)
                         .set("pid", CHROME_PID)
                         .set("args", Json::object().set("units", stats.retained_units())),
-                );
-            }
-            StepEvent::SmcSample {
-                scenario,
-                sample,
-                violated_constraints,
-                ..
-            } => {
-                // Counter track: violated constraints per completed sample.
-                let ts = self.cursor_us;
-                self.emit(
-                    Json::object()
-                        .set("name", format!("smc {scenario}"))
-                        .set("ph", "C")
-                        .set("ts", ts)
-                        .set("pid", CHROME_PID)
-                        .set(
-                            "args",
-                            Json::object()
-                                .set("sample", *sample)
-                                .set("violated", violated_constraints.len()),
-                        ),
                 );
             }
             StepEvent::ServeSample {

@@ -132,12 +132,6 @@ fn expositions() -> Vec<(&'static str, String)> {
             last_checkpoint_age_ms: Some(250),
             drain_ms: Some(12),
         },
-        StepEvent::SmcSample {
-            scenario: Symbol::intern("fraud"),
-            sample: 0,
-            bound: 738,
-            violated_constraints: vec![d],
-        },
         // A step the quarantine interrupts: it never ends.
         start(3, 0),
         eval(d, 3, 0, 900),

@@ -1,15 +1,16 @@
-//! The golden corpus: the hand-written cross-checker workloads folded
-//! into replayable repro files.
+//! The golden corpus: every scenario of the workload registry folded into
+//! replayable repro files.
 //!
 //! `tests/cross_checker_workloads.rs` used to be the only cross-backend
-//! agreement check; its scenarios now live as `tests/corpus/*.repro`
-//! files generated here (one file per workload constraint), so the same
-//! regression test that replays minimized fuzz counterexamples also
-//! replays the domain workloads on every backend.
+//! agreement check; the registry's scenarios now live as
+//! `tests/corpus/*.repro` files generated here (one file per scenario
+//! constraint), so the same regression test that replays minimized fuzz
+//! counterexamples also replays every scenario on every mode, the live
+//! `serve` daemon included.
 
 use std::sync::Arc;
 
-use rtic_workload::{Audit, Generated, Library, Monitor, Reservations};
+use rtic_workload::library::{self, Scenario, ScenarioParams};
 
 use crate::repro::Repro;
 
@@ -17,45 +18,36 @@ use crate::repro::Repro;
 /// deadline in each scenario, short enough to replay in milliseconds.
 pub const GOLDEN_STEPS: usize = 48;
 
-/// Builds the golden corpus: `(file_stem, repro)` per workload constraint,
-/// deterministic (the workload generators are internally seeded).
+/// The shape a scenario's golden history is drawn at: the shared
+/// defaults, except that the four paper-styled scenarios keep their
+/// generators' own defaults, which their golden files were first
+/// written with.
+fn golden_params(s: &Scenario) -> ScenarioParams {
+    let (entities, events_per_step, violation_rate) = match s.name {
+        "reservations" | "library" => (64, 2, 0.05),
+        "monitor" => (10, 8, 0.1),
+        "audit" => (12, 2, 0.06),
+        _ => (64, 8, 0.05),
+    };
+    ScenarioParams {
+        steps: GOLDEN_STEPS,
+        entities,
+        events_per_step,
+        violation_rate,
+        ..ScenarioParams::default()
+    }
+}
+
+/// Builds the golden corpus: `(file_stem, repro)` per scenario constraint,
+/// deterministic (the generators are seeded). String values sort by first
+/// interning, so the paper-styled scenarios, whose files came first, are
+/// also generated first.
 pub fn golden() -> Vec<(String, Repro)> {
-    let workloads: Vec<(&str, Generated)> = vec![
-        (
-            "reservations",
-            Reservations {
-                steps: GOLDEN_STEPS,
-                ..Default::default()
-            }
-            .generate(),
-        ),
-        (
-            "library",
-            Library {
-                steps: GOLDEN_STEPS,
-                ..Default::default()
-            }
-            .generate(),
-        ),
-        (
-            "monitor",
-            Monitor {
-                steps: GOLDEN_STEPS,
-                ..Default::default()
-            }
-            .generate(),
-        ),
-        (
-            "audit",
-            Audit {
-                steps: GOLDEN_STEPS,
-                ..Default::default()
-            }
-            .generate(),
-        ),
-    ];
     let mut out = Vec::new();
-    for (name, g) in workloads {
+    let paper = library::all().iter().filter(|s| !s.production);
+    for s in paper.chain(library::production()) {
+        let g = s.generate(&golden_params(s));
+        let name = s.name;
         for c in &g.constraints {
             out.push((
                 format!("golden-{name}-{}", c.name),

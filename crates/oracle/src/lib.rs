@@ -10,8 +10,9 @@
 //!    random histories (timestamp clusters, horizon-expiring clock gaps,
 //!    relation churn, empty states, quiet runs landing on window edges).
 //! 2. [`modes`] runs each case through every checker realization — naive
-//!    reference, incremental, windowed, active, `ConstraintSet`, and a
-//!    kill-at-a-random-step checkpoint/resume stitch —
+//!    reference, incremental, windowed, active, `ConstraintSet`, a
+//!    kill-at-a-random-step checkpoint/resume stitch, and a live `rtic
+//!    serve` daemon killed and resumed mid-stream (`soak.rs`) —
 //!    and [`diff`] asserts byte-identical violation reports.
 //! 3. On divergence, [`shrink`] minimizes both the history and the formula
 //!    while preserving the disagreement, and [`repro`] serializes a
@@ -35,6 +36,7 @@ pub mod modes;
 pub mod mutation;
 pub mod repro;
 pub mod shrink;
+mod soak;
 
 pub use diff::{check_case, Divergence};
 pub use generate::{Case, GenConfig};

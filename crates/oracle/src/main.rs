@@ -29,11 +29,11 @@ MODES:
                            one tick late, a catch-up one state short,
                            an expiry-index deadline one tick late, a run
                            left open after its key left the operand, a
-                           partition applying flips from a stale epoch)
-                           in a cloned checker and prove the oracle
-                           catches each
+                           partition applying flips from a stale epoch;
+                           the widened window also via the serve daemon)
+                           and prove the oracle catches each
   --write-workload-corpus  regenerate the golden corpus files derived
-                           from the rtic-workload scenarios
+                           from the rtic-workload scenario registry
 
 OPTIONS:
   --cases N             cases to run (default 100; env RTIC_FUZZ_CASES
@@ -156,26 +156,29 @@ fn mutation_smoke(args: &[String]) -> Result<ExitCode, String> {
     let cfg = GenConfig::default();
     println!(
         "mutation-smoke: {} mutant(s), up to {cases} case(s) each, seed {seed}",
-        Mutant::ALL.len()
+        Mutant::ALL.len() + 1
     );
     let mut failed = false;
-    for m in Mutant::ALL {
-        match mutation::hunt(m, seed, cases, &cfg) {
+    // Every mutant in its own checker, then `off-by-one-window`'s widened
+    // constraint handed to a live daemon: the serve mode has no hook.
+    let planted = Mutant::ALL.map(|m| (m, None)).into_iter();
+    for (m, via) in planted.chain([(Mutant::OffByOneWindow, Some(Mode::Serve))]) {
+        let name = mutation::planted_name(m, via);
+        match mutation::hunt(m, via, seed, cases, &cfg) {
             Ok(caught) => {
                 println!(
-                    "mutant {}: caught at case {} — shrunk to {} log line(s)",
-                    m.name(),
+                    "mutant {name}: caught at case {} — shrunk to {} log line(s)",
                     caught.case_index,
                     caught.repro.log_lines()
                 );
                 println!("--- repro ---\n{}", caught.repro.to_text());
                 if caught.repro.log_lines() > 10 {
-                    println!("mutant {}: repro too large (> 10 log lines)", m.name());
+                    println!("mutant {name}: repro too large (> 10 log lines)");
                     failed = true;
                 }
             }
             Err(e) => {
-                println!("mutant {}: NOT CAUGHT — {e}", m.name());
+                println!("mutant {name}: NOT CAUGHT — {e}");
                 failed = true;
             }
         }

@@ -3,7 +3,8 @@
 //! Individual-backend modes come from the shared [`BackendId`] enumeration
 //! in `rtic-core` (the same one the CLI and the bench tables use); the
 //! fleet and checkpoint/resume modes are oracle-specific compositions on
-//! top of [`ConstraintSet`].
+//! top of [`ConstraintSet`], and `serve` drives that fleet through a live
+//! daemon.
 
 use std::sync::Arc;
 
@@ -43,13 +44,16 @@ pub enum Mode {
     /// checkpoint, restore into a fresh process image, and stitch the two
     /// report halves together.
     Stitch,
+    /// Stream that fleet through a live `rtic serve` daemon, killed and
+    /// resumed mid-stream, and read its drained report (`soak.rs`).
+    Serve,
 }
 
 impl Mode {
     /// Every mode, reference first. The naive checker re-evaluates the
     /// full stored history through the interpreting evaluator and is the
     /// semantics-defining baseline all other modes are diffed against.
-    pub const ALL: [Mode; 8] = [
+    pub const ALL: [Mode; 9] = [
         Mode::Single(BackendId::Naive),
         Mode::Single(BackendId::Incremental),
         Mode::Single(BackendId::Windowed),
@@ -58,6 +62,7 @@ impl Mode {
         Mode::IncrementalInterpreted,
         Mode::SetSequential,
         Mode::Stitch,
+        Mode::Serve,
     ];
 
     /// The mode's `--backends` flag name.
@@ -68,6 +73,7 @@ impl Mode {
             Mode::IncrementalInterpreted => "inc-interp",
             Mode::SetSequential => "set",
             Mode::Stitch => "stitch",
+            Mode::Serve => "serve",
         }
     }
 
@@ -138,6 +144,7 @@ pub fn run_constraint(
         }
         Mode::SetSequential => run_set(constraint, catalog, transitions, seed),
         Mode::Stitch => run_stitch(constraint, catalog, transitions, seed),
+        Mode::Serve => crate::soak::run_serve(constraint, catalog, transitions, seed),
     }
 }
 
@@ -174,11 +181,11 @@ pub fn single_checker(
     })
 }
 
-/// The fleet the `set`/`stitch` modes step: the constraint under test
+/// The fleet the `set`/`stitch`/`serve` modes step: the constraint under test
 /// plus, when the catalog declares [`SPARE`], one or two (seed-derived)
 /// companions that read nothing else — so an update wakes at most one
 /// side, and the other sleeps.
-fn fleet(constraint: &Constraint, catalog: &Arc<Catalog>, seed: u64) -> Vec<Constraint> {
+pub(crate) fn fleet(constraint: &Constraint, catalog: &Arc<Catalog>, seed: u64) -> Vec<Constraint> {
     const COMPANIONS: [&str; 2] = [
         "deny w0: s0(x) && once[1,3] s0(x)",
         "deny w1: s0(x) && !hist[0,2] s0(x)",

@@ -11,8 +11,8 @@ use std::sync::Arc;
 use rtic_core::encode::IndexBug;
 use rtic_core::{BackendId, Bindings, IncrementalChecker, SleepBug, StepReport};
 use rtic_history::Transition;
-use rtic_relation::{Catalog, Symbol};
-use rtic_temporal::{Constraint, Formula, Interval, UpperBound, Var};
+use rtic_relation::Catalog;
+use rtic_temporal::{Constraint, Formula, Interval, TimePoint, UpperBound, Var};
 
 use crate::generate::{case, GenConfig};
 use crate::modes::{run_constraint, run_single, single_checker, Mode};
@@ -87,26 +87,27 @@ impl Mutant {
     }
 
     /// Runs the mutant checker over the history, producing report lines
-    /// comparable with the healthy reference.
+    /// comparable with the healthy reference. `via` runs `off-by-one-window`'s
+    /// widened constraint in that mode (the others live inside a checker).
     pub fn run(
         self,
+        via: Option<Mode>,
         constraint: &Constraint,
         catalog: &Arc<Catalog>,
         transitions: &[Transition],
+        seed: u64,
     ) -> Result<Vec<String>, String> {
+        if via.is_some() && self != Mutant::OffByOneWindow {
+            return Err(format!("mutant `{}` has no hook in a mode", self.name()));
+        }
         match self {
             Mutant::OffByOneWindow => {
                 let mutated = Constraint {
                     body: widen_finite_bounds(&constraint.body),
                     ..constraint.clone()
                 };
-                run_constraint(
-                    Mode::Single(BackendId::Windowed),
-                    &mutated,
-                    catalog,
-                    transitions,
-                    0,
-                )
+                let mode = via.unwrap_or(Mode::Single(BackendId::Windowed));
+                run_constraint(mode, &mutated, catalog, transitions, seed)
             }
             Mutant::DroppedQuiescent => {
                 let mut inner = single_checker(BackendId::Incremental, constraint, catalog)?;
@@ -125,14 +126,7 @@ impl Mutant {
                     } else {
                         // The bug: pretend nothing can change and emit a
                         // fabricated "ok" without advancing the engine.
-                        lines.push(
-                            StepReport {
-                                constraint: constraint.name,
-                                time: t.time,
-                                violations: Bindings::none(Vec::<Var>::new()),
-                            }
-                            .to_string(),
-                        );
+                        lines.push(ok_line(constraint, t.time));
                     }
                 }
                 Ok(lines)
@@ -153,6 +147,16 @@ impl Mutant {
             }
         }
     }
+}
+
+/// The report line of a step at which `constraint` holds.
+pub(crate) fn ok_line(constraint: &Constraint, time: TimePoint) -> String {
+    StepReport {
+        constraint: constraint.name,
+        time,
+        violations: Bindings::none(Vec::<Var>::new()),
+    }
+    .to_string()
 }
 
 /// `[a,b]` → `[a,b+1]` on every temporal operator; unbounded and
@@ -221,11 +225,13 @@ pub struct MutationCatch {
     pub repro: Repro,
 }
 
-/// Fuzzes the mutant against the healthy naive reference until a case
-/// exposes it, then shrinks. `Err` if `max_cases` cases go by silently —
-/// which would mean the oracle cannot catch this class of bug.
+/// Fuzzes the mutant (run `via` a mode, see [`Mutant::run`]) against the
+/// healthy naive reference until a case exposes it, then shrinks. `Err`
+/// if `max_cases` cases go by silently — which would mean the oracle
+/// cannot catch this class of bug.
 pub fn hunt(
     m: Mutant,
+    via: Option<Mode>,
     base_seed: u64,
     max_cases: usize,
     cfg: &GenConfig,
@@ -239,7 +245,7 @@ pub fn hunt(
         let expected = reference
             .run(&c)
             .map_err(|e| format!("reference failed: {e}"))?;
-        let actual = m.run(&c.constraint, &c.catalog, &c.transitions);
+        let actual = m.run(via, &c.constraint, &c.catalog, &c.transitions, c.seed);
         if actual.as_ref() == Ok(&expected) {
             continue;
         }
@@ -249,7 +255,7 @@ pub fn hunt(
                 return false;
             }
             let healthy = run_constraint(reference, cand, &c.catalog, ts, 0);
-            let broken = m.run(cand, &c.catalog, ts);
+            let broken = m.run(via, cand, &c.catalog, ts, c.seed);
             match (healthy, broken) {
                 (Ok(h), Ok(b)) => h != b,
                 _ => false,
@@ -267,7 +273,7 @@ pub fn hunt(
             case_index: i,
             repro: Repro {
                 seed: c.seed,
-                note: format!("mutation-smoke {} vs naive", m.name()),
+                note: format!("mutation-smoke {} vs naive", planted_name(m, via)),
                 catalog: Arc::clone(&c.catalog),
                 constraint: sc,
                 transitions: sts,
@@ -276,13 +282,16 @@ pub fn hunt(
     }
     Err(format!(
         "mutant `{}` survived {max_cases} cases — the oracle failed its self-check",
-        m.name()
+        planted_name(m, via)
     ))
 }
 
-/// The relations a constraint body reads, for tests.
-pub fn body_relations(c: &Constraint) -> Vec<Symbol> {
-    c.body.relations().into_iter().collect()
+/// `name`, or `name via mode` for a mutant handed to a mode.
+pub fn planted_name(m: Mutant, via: Option<Mode>) -> String {
+    match via {
+        None => m.name().to_string(),
+        Some(mode) => format!("{} via {}", m.name(), mode.name()),
+    }
 }
 
 #[cfg(test)]
@@ -293,7 +302,7 @@ mod tests {
     fn every_mutant_is_caught_quickly() {
         let cfg = GenConfig::default();
         for m in Mutant::ALL {
-            let caught = hunt(m, 42, 200, &cfg).expect("mutant must be caught");
+            let caught = hunt(m, None, 42, 200, &cfg).expect("mutant must be caught");
             assert!(
                 caught.repro.log_lines() <= 10,
                 "{}: shrunk repro has {} log lines",
@@ -311,13 +320,30 @@ mod tests {
             .expect("healthy run");
             let broken = m
                 .run(
+                    None,
                     &caught.repro.constraint,
                     &caught.repro.catalog,
                     &caught.repro.transitions,
+                    0,
                 )
                 .expect("mutant run");
             assert_ne!(healthy, broken);
         }
+    }
+
+    #[test]
+    fn a_widened_window_served_to_the_daemon_is_caught() {
+        // The daemon has no mutation hook: what it is handed is the bug.
+        let c = case(42, 0, &GenConfig::default());
+        assert!(mutation_applies(Mutant::OffByOneWindow, &c.constraint));
+        let healthy = Mode::Single(BackendId::Naive).run(&c).expect("healthy run");
+        let (ts, seed) = (&c.transitions, c.seed);
+        let m = Mutant::OffByOneWindow;
+        let served = m.run(Some(Mode::Serve), &c.constraint, &c.catalog, ts, seed);
+        assert_ne!(healthy, served.expect("served run"));
+        let m = Mutant::LateDeadline;
+        let hookless = m.run(Some(Mode::Serve), &c.constraint, &c.catalog, ts, seed);
+        assert!(hookless.unwrap_err().contains("no hook"));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! the same retry instant.
 
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::Duration;
@@ -45,6 +45,14 @@ pub struct Reply {
     pub ok: String,
 }
 
+/// How one reply sequence ended.
+enum Terminal {
+    /// `OK …` (or a `DEGRADED` status line).
+    Done(Reply),
+    /// `BUSY <retry-after-ms>`, with the hint.
+    Busy(String),
+}
+
 /// A connected client.
 pub struct Client {
     reader: BufReader<Stream>,
@@ -59,6 +67,31 @@ pub struct Client {
 enum Stream {
     Tcp(TcpStream),
     Unix(UnixStream),
+}
+
+impl Stream {
+    fn try_clone(&self) -> Result<Stream, String> {
+        match self {
+            Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
+            Stream::Unix(s) => s.try_clone().map(Stream::Unix),
+        }
+        .map_err(|e| format!("cannot clone connection: {e}"))
+    }
+}
+
+/// Closes a [`Client`]'s connection from another thread, as the kernel
+/// does when a process dies: a request blocked on its reply fails at
+/// once.
+pub struct Closer(Stream);
+
+impl Closer {
+    /// Shuts the connection down both ways.
+    pub fn close(&self) {
+        let _ = match &self.0 {
+            Stream::Tcp(s) => s.shutdown(Shutdown::Both),
+            Stream::Unix(s) => s.shutdown(Shutdown::Both),
+        };
+    }
 }
 
 impl io::Read for Stream {
@@ -102,11 +135,7 @@ impl Client {
                 .map(Stream::Unix)
                 .map_err(|e| format!("cannot connect to unix:{}: {e}", path.display()))?,
         };
-        let reader = match &stream {
-            Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
-            Stream::Unix(s) => s.try_clone().map(Stream::Unix),
-        }
-        .map_err(|e| format!("cannot clone connection: {e}"))?;
+        let reader = stream.try_clone()?;
         Ok(Client {
             reader: BufReader::new(reader),
             writer: stream,
@@ -134,6 +163,11 @@ impl Client {
         Client::connect_retry(&Listen::Unix(path.to_path_buf()), timeout)
     }
 
+    /// A handle that closes this connection from another thread.
+    pub fn closer(&self) -> Result<Closer, String> {
+        self.writer.try_clone().map(Closer)
+    }
+
     /// `BUSY` replies absorbed by retries since connect.
     pub fn busy_retries(&self) -> u64 {
         self.busy_seen
@@ -141,45 +175,73 @@ impl Client {
 
     /// Sends one request line and reads to its terminal reply,
     /// retrying `BUSY` with capped exponential backoff + jitter.
-    /// `ERR` replies and exhausted retries surface as `Err`.
-    pub fn request(&mut self, line: &str) -> Result<Reply, String> {
+    /// `ERR` replies and exhausted retries surface as `Err`. The line is
+    /// bytes, as the server reads it, so a client can send one that is
+    /// not UTF-8.
+    pub fn request(&mut self, line: &(impl AsRef<[u8]> + ?Sized)) -> Result<Reply, String> {
         let mut attempt = 0u32;
         loop {
-            self.write_line(line)?;
-            let mut violations = Vec::new();
-            loop {
-                let reply = self.read_line()?;
-                let trimmed = reply.trim_end();
-                if let Some(v) = trimmed.strip_prefix(VIOL_PREFIX) {
-                    violations.push(v.to_string());
-                } else if let Some(rest) = strip_terminal(trimmed, OK_PREFIX) {
-                    return Ok(Reply {
-                        violations,
-                        ok: rest.trim().to_string(),
-                    });
-                } else if let Some(rest) = strip_terminal(trimmed, BUSY_PREFIX) {
-                    if attempt >= self.retry.max_retries {
-                        return Err(format!(
-                            "server still busy after {attempt} retries (last hint {rest} ms)"
-                        ));
-                    }
-                    self.busy_seen += 1;
-                    let hint_ms: u64 = rest.trim().parse().unwrap_or(0);
-                    std::thread::sleep(self.backoff(attempt, hint_ms));
-                    attempt += 1;
-                    break; // resend the request
-                } else if let Some(rest) = strip_terminal(trimmed, ERR_PREFIX) {
-                    return Err(format!("server error: {}", rest.trim()));
-                } else if trimmed.starts_with("DEGRADED") {
-                    // Status replies lead with DEGRADED when engines are
-                    // quarantined; the payload is still a success.
-                    return Ok(Reply {
-                        violations,
-                        ok: trimmed.to_string(),
-                    });
-                } else {
-                    return Err(format!("unparseable reply line: {trimmed:?}"));
-                }
+            self.write_line(line.as_ref())?;
+            let hint = match self.read_reply()? {
+                Terminal::Done(reply) => return Ok(reply),
+                Terminal::Busy(hint) => hint,
+            };
+            if attempt >= self.retry.max_retries {
+                return Err(format!(
+                    "server still busy after {attempt} retries (last hint {hint} ms)"
+                ));
+            }
+            self.busy_seen += 1;
+            let hint_ms: u64 = hint.parse().unwrap_or(0);
+            std::thread::sleep(self.backoff(attempt, hint_ms));
+            attempt += 1;
+        }
+    }
+
+    /// Writes every line before reading any reply, then reads one terminal
+    /// reply per line in arrival order. Updates sent after `PAUSE` are
+    /// held until a trailing `RESUME`, whose `OK resumed` arrives before
+    /// their replies. A `BUSY` is an error here: a pipelined request
+    /// cannot be resent in order.
+    pub fn pipeline(&mut self, lines: &[&str]) -> Result<Vec<Reply>, String> {
+        for line in lines {
+            self.write_line(line.as_bytes())?;
+        }
+        lines
+            .iter()
+            .map(|_| match self.read_reply()? {
+                Terminal::Done(reply) => Ok(reply),
+                Terminal::Busy(hint) => Err(format!("server busy mid-pipeline (hint {hint} ms)")),
+            })
+            .collect()
+    }
+
+    /// Reads `VIOL ` lines up to one terminal line; `ERR` is an `Err`.
+    fn read_reply(&mut self) -> Result<Terminal, String> {
+        let mut violations = Vec::new();
+        loop {
+            let reply = self.read_line()?;
+            let trimmed = reply.trim_end();
+            if let Some(v) = trimmed.strip_prefix(VIOL_PREFIX) {
+                violations.push(v.to_string());
+            } else if let Some(rest) = strip_terminal(trimmed, OK_PREFIX) {
+                return Ok(Terminal::Done(Reply {
+                    violations,
+                    ok: rest.trim().to_string(),
+                }));
+            } else if let Some(rest) = strip_terminal(trimmed, BUSY_PREFIX) {
+                return Ok(Terminal::Busy(rest.trim().to_string()));
+            } else if let Some(rest) = strip_terminal(trimmed, ERR_PREFIX) {
+                return Err(format!("server error: {}", rest.trim()));
+            } else if trimmed.starts_with("DEGRADED") {
+                // Status replies lead with DEGRADED when engines are
+                // quarantined; the payload is still a success.
+                return Ok(Terminal::Done(Reply {
+                    violations,
+                    ok: trimmed.to_string(),
+                }));
+            } else {
+                return Err(format!("unparseable reply line: {trimmed:?}"));
             }
         }
     }
@@ -199,9 +261,9 @@ impl Client {
         self.request("QUERY status").map(|r| r.ok)
     }
 
-    fn write_line(&mut self, line: &str) -> Result<(), String> {
+    fn write_line(&mut self, line: &[u8]) -> Result<(), String> {
         self.writer
-            .write_all(line.as_bytes())
+            .write_all(line)
             .and_then(|()| self.writer.write_all(b"\n"))
             .and_then(|()| self.writer.flush())
             .map_err(|e| format!("connection lost while sending: {e}"))

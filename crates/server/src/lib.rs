@@ -38,7 +38,7 @@ pub mod report;
 pub mod server;
 pub mod signal;
 
-pub use client::{Client, Reply, RetryPolicy};
+pub use client::{Client, Closer, Reply, RetryPolicy};
 pub use protocol::Command;
 pub use queue::{IngestQueue, QueueFull};
 pub use report::ServeReport;

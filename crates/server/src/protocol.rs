@@ -92,7 +92,7 @@ pub fn parse_command(line: &(impl AsRef<[u8]> + ?Sized)) -> Result<Option<Comman
         "PAUSE" => Ok(Some(Command::Pause)),
         "RESUME" => Ok(Some(Command::Resume)),
         other => Err(format!(
-            "unknown command `{other}` (UPDATE/TICK/QUERY/DRAIN/PING)"
+            "unknown command `{other}` (UPDATE/TICK/QUERY/DRAIN/PING/PAUSE/RESUME)"
         )),
     }
 }
@@ -149,7 +149,7 @@ mod tests {
     fn junk_is_rejected_with_context() {
         assert!(parse_command("FROB")
             .unwrap_err()
-            .contains("unknown command"));
+            .contains("unknown command `FROB` (UPDATE/TICK/QUERY/DRAIN/PING/PAUSE/RESUME)"));
         assert!(parse_command("TICK soon").unwrap_err().contains("bad TICK"));
         assert!(parse_command("UPDATE").unwrap_err().contains("log line"));
         assert!(parse_command("QUERY blah")

@@ -26,7 +26,7 @@
 //!
 //! All of them are enumerable by name through the [`library`] registry
 //! (`library::all()`, `library::find(name)`), which the CLI, the bench
-//! recorder, and the SMC harness share.
+//! recorder, and the oracle's golden corpus share.
 //!
 //! Every generator is deterministic given its parameters (seeded
 //! [`rand::rngs::StdRng`]), emits transitions one tick apart, and records

@@ -1,7 +1,7 @@
 //! The scenario registry: every workload generator, enumerable by name.
 //!
-//! The CLI (`rtic generate`, `rtic smc`), the bench recorder, and the SMC
-//! harness all resolve scenarios here instead of hard-coding generator
+//! The CLI (`rtic generate`), the bench recorder, and the oracle's golden
+//! corpus all resolve scenarios here instead of hard-coding generator
 //! structs. Each entry maps the shared [`ScenarioParams`] knobs onto the
 //! generator's own parameters; scenario-specific knobs (windows, rates)
 //! stay at their defaults so a `(name, params)` pair fully determines the

@@ -16,10 +16,6 @@
 //! rtic explain <constraints.rtic> [--profile <log.rticlog>]
 //! rtic generate <scenario>|--list [--steps N] [--entities N] [--events N] [--seed N]
 //!            [--violation-rate R]
-//! rtic smc <scenario> [--samples auto|N] [--confidence C] [--epsilon E] [--backend NAME]
-//!            [--steps N] [--entities N] [--events N] [--violation-rate R] [--seed N]
-//!            [--min-samples N] [--oracle-every K] [--out FILE] [--metrics FILE]
-//!            [--soak-dir DIR] [--soak-keep] [--resume] [--failpoints SPEC]
 //! rtic serve <constraints.rtic> --listen unix:PATH|tcp:ADDR [--queue N] [--checkpoint FILE]
 //!            [--resume] [--checkpoint-every N] [--report FILE] …
 //! rtic send <log.rticlog> --connect unix:PATH|tcp:ADDR [--drain] [--quiet]
@@ -45,7 +41,6 @@ use rtic_resilience::{
     container, write_atomic, CheckpointPolicy, CheckpointTicker, FailAction, FailPlan, Rotation,
 };
 use rtic_server::{Client, Listen, ServeConfig};
-use rtic_smc::{artifact, SampleMode, SmcConfig};
 use rtic_temporal::parser::{parse_file, ConstraintFile};
 use rtic_temporal::TimePoint;
 use rtic_workload::{library, ScenarioParams};
@@ -65,11 +60,6 @@ USAGE:
   rtic explain <constraints-file> [--profile <log-file>]
   rtic generate <scenario>|--list [--steps N] [--entities N] [--events N] [--seed N]
              [--violation-rate R]
-  rtic smc <scenario> [--samples auto|N] [--confidence C] [--epsilon E]
-             [--backend sequential|soak-serve]
-             [--steps N] [--entities N] [--events N] [--violation-rate R] [--seed N]
-             [--min-samples N] [--oracle-every K] [--out FILE] [--metrics FILE]
-             [--soak-dir DIR] [--soak-keep] [--resume] [--failpoints SPEC]
   rtic serve <constraints-file> --listen unix:PATH|tcp:HOST:PORT
              [--constraints FILE]... [--queue N] [--retry-ms MS] [--write-timeout-ms MS]
              [--checkpoint FILE] [--resume] [--checkpoint-every N] [--checkpoint-secs T]
@@ -84,19 +74,6 @@ consumed streaming. `generate` writes a log (plus its constraint file as
 the scenario registry (production flavors fraud, telemetry, ratelimit,
 access plus the paper-styled originals). `--entities` scales the
 entity-key domain (production shapes run at 1e5–1e6).
-
-Statistical model checking: `rtic smc <scenario>` samples N randomized
-histories (per-sample seeds derived from `--seed`), checks each through
-the chosen backend, and reports per-constraint violation-probability
-estimates with Wilson confidence intervals. `--samples auto` (default)
-stops adaptively at the Okamoto/Massart bound for the declared
-`--confidence`/`--epsilon` target; seeded runs reproduce byte-identically
-(`--out FILE` writes the canonical JSON artifact). `--backend soak-serve`
-drives a live `rtic serve` daemon per sample and cross-checks its drained
-report byte-for-byte against the batch engine; `--oracle-every K`
-re-checks every K-th sample against the naive reference evaluator. Any
-cross-check mismatch exits 1. `--soak-dir` + `--soak-keep` + `--resume` +
-`--failpoints` drill crash-resume across invocations (see docs/SCENARIOS.md).
 
 Multi-constraint fleets: `--constraints FILE` (repeatable) merges more
 constraint files into the run — relation declarations shared between
@@ -178,7 +155,7 @@ pub fn run(args: &[String], out: &mut String) -> Result<i32, String> {
         Some("report") => report_cmd(&args[1..], out),
         Some("explain") => explain_cmd(&args[1..], out),
         Some("generate") => generate(&args[1..], out),
-        Some("smc") => smc_cmd(&args[1..], out),
+        Some("smc") => Err(SMC_REMOVED.into()),
         Some("serve") => serve_cmd(&args[1..], out),
         Some("send") => send_cmd(&args[1..], out),
         Some("--help") | Some("-h") | None => {
@@ -270,6 +247,12 @@ fn checkpoint_flags(
     }
     Ok((keep, CheckpointPolicy { every_steps, every }))
 }
+
+/// `rtic smc` sampled scenario histories; its two cross-checks moved into
+/// the oracle.
+const SMC_REMOVED: &str = "`rtic smc` was removed: its daemon-vs-batch and naive re-checks \
+     are the oracle's `serve` mode and scenario corpus (`rtic-oracle --backends naive,serve`, \
+     docs/TESTING.md); the violation-rate estimate described the generator, not the engine";
 
 /// `--parallel` selected a per-step worker pool that no longer exists;
 /// say so instead of rejecting the flag like any other unknown one.
@@ -1038,104 +1021,6 @@ fn generate(args: &[String], out: &mut String) -> Result<i32, String> {
     }
     let _ = writeln!(out, "# injected violations: {}", generated.expected.len());
     out.push_str(&format_log(&generated.transitions));
-    Ok(0)
-}
-
-/// What `smc` reads besides [`SCENARIO_FLAGS`]: the sampling plan, the
-/// outputs, and the soak backend's crash-drill knobs.
-const SMC_FLAGS: &str = "--samples --confidence --epsilon --min-samples --backend --oracle-every \
-    --out --metrics --soak-dir --soak-keep --resume --failpoints";
-
-fn smc_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
-    let Some(name) = args.first() else {
-        return Err(format!(
-            "smc needs a scenario name ({}); try --help",
-            scenario_roster()
-        ));
-    };
-    reject_unknown_flags(args, &format!("{SCENARIO_FLAGS} {SMC_FLAGS}"))?;
-    // RTIC_SMC_SMOKE=1 shrinks the default shape and sample count so CI
-    // can sweep every scenario × backend in seconds; explicit flags still
-    // override the shrunken defaults.
-    let smoke = std::env::var("RTIC_SMC_SMOKE").is_ok_and(|v| v == "1");
-    let mut config = SmcConfig::new(name);
-    config.params = scenario_params(
-        args,
-        if smoke {
-            ScenarioParams {
-                steps: 30,
-                entities: 12,
-                events_per_step: 3,
-                violation_rate: 0.2,
-                seed: 42,
-            }
-        } else {
-            ScenarioParams::default()
-        },
-    )?;
-    config.samples = match flag_value(args, "--samples")? {
-        None => {
-            if smoke {
-                SampleMode::Fixed(4)
-            } else {
-                SampleMode::Auto
-            }
-        }
-        Some("auto") => SampleMode::Auto,
-        Some(v) => SampleMode::Fixed(v.parse().map_err(|e| format!("bad --samples: {e}"))?),
-    };
-    let confidence: f64 = parsed_flag(args, "--confidence")?.unwrap_or(0.95);
-    let epsilon: f64 = parsed_flag(args, "--epsilon")?.unwrap_or(0.05);
-    config.precision = rtic_smc::Precision::new(confidence, epsilon)?;
-    if let Some(n) = parsed_flag(args, "--min-samples")? {
-        config.min_samples = n;
-    }
-    if let Some(v) = flag_value(args, "--backend")? {
-        config.backend = rtic_smc::Backend::parse(v)?;
-    }
-    if let Some(k) = parsed_flag(args, "--oracle-every")? {
-        config.oracle_every = k;
-    }
-    config.soak_dir = flag_value(args, "--soak-dir")?.map(std::path::PathBuf::from);
-    config.soak_keep = args.iter().any(|a| a == "--soak-keep");
-    config.soak_resume = args.iter().any(|a| a == "--resume");
-    config.soak_failpoints = flag_value(args, "--failpoints")?.map(String::from);
-    if config.backend != rtic_smc::Backend::Soak
-        && (config.soak_dir.is_some()
-            || config.soak_keep
-            || config.soak_resume
-            || config.soak_failpoints.is_some())
-    {
-        return Err(
-            "--soak-dir/--soak-keep/--resume/--failpoints require --backend soak-serve".into(),
-        );
-    }
-
-    let metrics_path = flag_value(args, "--metrics")?;
-    let out_path = flag_value(args, "--out")?;
-    let mut registry = MetricsRegistry::new();
-    let report = rtic_smc::run(&config, &mut registry)?;
-
-    out.push_str(&artifact::render_summary(&report));
-    if let Some(path) = out_path {
-        write_atomic(Path::new(path), artifact::render(&report).as_bytes())
-            .map_err(|e| format!("cannot write artifact `{path}`: {e}"))?;
-        let _ = writeln!(out, "artifact written to {path}");
-    }
-    if let Some(path) = metrics_path {
-        let rendered = registry.render_for(path);
-        write_atomic(Path::new(path), rendered.as_bytes())
-            .map_err(|e| format!("cannot write metrics `{path}`: {e}"))?;
-        let _ = writeln!(out, "metrics written to {path}");
-    }
-    if report.oracle_mismatches > 0 || report.soak_mismatches > 0 {
-        let _ = writeln!(
-            out,
-            "CROSS-CHECK FAILURE: {} oracle, {} soak mismatches",
-            report.oracle_mismatches, report.soak_mismatches
-        );
-        return Ok(1);
-    }
     Ok(0)
 }
 

@@ -1079,104 +1079,6 @@ fn serve_checkpoint_write_failures_resume_to_batch_check() {
     );
 }
 
-/// SMC-under-kill drill: an `rtic smc --backend soak-serve` campaign
-/// whose per-sample serve daemon is kill -9'd mid-sample (injected
-/// abort) must, after a `--resume` rerun over the same `--soak-dir`,
-/// converge on estimates identical to the pure batch backend's — and
-/// every resumed sample's report must still be byte-identical to batch
-/// (the run itself cross-checks this and exits non-zero on a mismatch).
-#[test]
-fn smc_soak_kill_and_resume_matches_batch_estimates() {
-    let dir = std::env::temp_dir().join(format!("rtic-chaos-smc-soak-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let batch_art = dir.join("batch.json");
-    let soak_art = dir.join("soak.json");
-    std::fs::create_dir_all(&dir).unwrap();
-    let soak_dir = dir.join("scratch");
-    let shape = [
-        "--steps",
-        "30",
-        "--entities",
-        "8",
-        "--events",
-        "3",
-        "--violation-rate",
-        "0.25",
-        "--seed",
-        "13",
-        "--samples",
-        "2",
-        "--oracle-every",
-        "0",
-    ];
-
-    // Reference: the same campaign through the batch engine.
-    let mut batch = vec!["smc", "telemetry"];
-    batch.extend_from_slice(&shape);
-    batch.extend_from_slice(&["--out", batch_art.to_str().unwrap()]);
-    let (code, out) = run(&batch);
-    assert_eq!(code.unwrap(), 0, "{out}");
-
-    // Incarnation 1: the first sample's daemon dies processing its 9th
-    // transition — a simulated kill -9, no cleanup, no final report.
-    let mut first = vec!["smc", "telemetry"];
-    first.extend_from_slice(&shape);
-    first.extend_from_slice(&[
-        "--backend",
-        "soak-serve",
-        "--soak-dir",
-        soak_dir.to_str().unwrap(),
-        "--soak-keep",
-        "--failpoints",
-        "serve.step=abort@9",
-    ]);
-    let (code, _) = run(&first);
-    let err = code.unwrap_err();
-    assert!(err.contains("injected crash"), "{err}");
-    assert!(
-        soak_dir.join("s0.ckpt").exists(),
-        "the killed sample leaves its per-sample checkpoint behind"
-    );
-
-    // Incarnation 2: resume over the same scratch dir. Sample s0's
-    // daemon boots from its checkpoint; the campaign finishes and its
-    // built-in cross-check proves every report byte-identical to batch.
-    let mut second = vec!["smc", "telemetry"];
-    second.extend_from_slice(&shape);
-    second.extend_from_slice(&[
-        "--backend",
-        "soak-serve",
-        "--soak-dir",
-        soak_dir.to_str().unwrap(),
-        "--soak-keep",
-        "--resume",
-        "--out",
-        soak_art.to_str().unwrap(),
-    ]);
-    let (code, out) = run(&second);
-    assert_eq!(code.unwrap(), 0, "{out}");
-    assert!(
-        out.contains("soak: 2/2 reports byte-identical to batch"),
-        "{out}"
-    );
-
-    // The resumed campaign's estimates equal the batch campaign's.
-    let soak_text = std::fs::read_to_string(&soak_art).unwrap();
-    let batch_text = std::fs::read_to_string(&batch_art).unwrap();
-    let constraints = |text: &str| {
-        let start = text.find("\"constraints\"").expect("constraints key");
-        let end = text[start..].find("\n  ],").expect("block end") + start;
-        text[start..end].to_string()
-    };
-    assert_eq!(
-        constraints(&soak_text),
-        constraints(&batch_text),
-        "kill + resume must not skew the estimates"
-    );
-    assert!(soak_text.contains("\"soak_mismatches\": 0"), "{soak_text}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 #[test]
 fn periodic_checkpoints_rotate_generations() {
     let c = temp_file("rot.rtic", CONSTRAINTS);

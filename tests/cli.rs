@@ -254,6 +254,18 @@ fn constraints_flag_rejects_conflicts() {
 }
 
 #[test]
+fn smc_subcommand_is_rejected_as_removed() {
+    for args in [&["smc"][..], &["smc", "ratelimit", "--samples", "2"][..]] {
+        let (code, _) = run(args);
+        let err = code.unwrap_err();
+        assert!(
+            err.contains("`rtic smc` was removed") && err.contains("`serve` mode"),
+            "{args:?}: {err}"
+        );
+    }
+}
+
+#[test]
 fn parallel_flag_is_rejected_as_removed() {
     let c = temp_file("pv.rtic", CONSTRAINTS);
     let l = temp_file("pv.rticlog", LOG);
@@ -304,8 +316,8 @@ fn value_flag_without_a_value_is_a_usage_error() {
     assert!(code.unwrap_err().contains("--connect needs a value"));
     let (code, _) = run(&["generate", "reservations", "--steps"]);
     assert!(code.unwrap_err().contains("--steps needs a value"));
-    let (code, _) = run(&["smc", "ratelimit", "--samples"]);
-    assert!(code.unwrap_err().contains("--samples needs a value"));
+    let (code, _) = run(&["generate", "ratelimit", "--violation-rate"]);
+    assert!(code.unwrap_err().contains("--violation-rate needs a value"));
     let (code, _) = run(&["explain", base[0], "--profile"]);
     assert!(code.unwrap_err().contains("--profile needs a value"));
 }
@@ -984,7 +996,7 @@ fn unknown_flags_are_usage_errors() {
         (&["report", m, "--jsno"], "--jsno"),
         (&["explain", c, "--profil", l], "--profil"),
         (&["generate", "reservations", "--step", "5"], "--step"),
-        (&["smc", "ratelimit", "--sample", "2"], "--sample"),
+        (&["generate", "ratelimit", "--event", "2"], "--event"),
         (
             &[
                 "serve",
