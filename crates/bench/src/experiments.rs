@@ -1213,23 +1213,24 @@ const T10_FLEET: [&str; 5] = [
 pub fn t10_checkpoint(scale: &Scale) -> Table {
     let mut t = Table::new(
         "T10",
-        "checkpoint bytes and save time vs history length (16 keys, one constraint per node kind)",
+        "checkpoint bytes, save and restore time vs history length (16 keys, one constraint per node kind)",
         &[
             "n",
             "checkpoints",
             "max bytes",
             "bytes at end",
             "median save",
+            "median restore",
         ],
     );
     t.note("claim: a checkpoint is the bounded state — the database plus the aux relations —");
-    t.note("so its size and the time to write it do not grow with the history it summarizes;");
-    t.note("a save every 16 steps, each timed as the best of 3");
+    t.note("so its size and the time to write or read it back do not grow with the history it");
+    t.note("summarizes; a save every 16 steps, it and a restore of it each timed as the best of 3");
     let constraints: Vec<Constraint> = T10_FLEET
         .iter()
         .map(|c| parse_constraint(c).expect("template parses"))
         .collect();
-    let (mut bytes, mut saves) = (Vec::new(), Vec::new());
+    let (mut bytes, mut saves, mut restores) = (Vec::new(), Vec::new(), Vec::new());
     for &n in &scale.history_lengths {
         let g = RandomWorkload {
             steps: n,
@@ -1242,51 +1243,58 @@ pub fn t10_checkpoint(scale: &Scale) -> Table {
         let mut set = ConstraintSet::new(constraints.clone(), Arc::clone(&g.catalog))
             .expect("fleet compiles");
         let (mut max_bytes, mut end_bytes, mut times) = (0, 0, Vec::new());
+        let mut restore_times = Vec::new();
         for (i, tr) in g.transitions.iter().enumerate() {
             set.step(tr.time, &tr.update)
                 .expect("generated stream is monotone");
             if (i + 1) % 16 != 0 && i + 1 != g.transitions.len() {
                 continue;
             }
-            let mut best = f64::INFINITY;
+            let (mut best, mut best_restore) = (f64::INFINITY, f64::INFINITY);
             for _ in 0..3 {
                 let start = Instant::now();
                 let sections = checkpoint::save_set(&set);
                 best = best.min(start.elapsed().as_secs_f64() * 1e6);
                 end_bytes = sections.iter().map(|(_, text)| text.len()).sum();
+                let texts: Vec<String> = sections.into_iter().map(|(_, text)| text).collect();
+                let start = Instant::now();
+                let catalog = Arc::clone(&g.catalog);
+                checkpoint::restore_set(constraints.clone(), catalog, &texts)
+                    .expect("a checkpoint restores");
+                best_restore = best_restore.min(start.elapsed().as_secs_f64() * 1e6);
             }
             max_bytes = max_bytes.max(end_bytes);
             times.push(best);
+            restore_times.push(best_restore);
         }
-        let save_us = median(&mut times);
+        let (save_us, restore_us) = (median(&mut times), median(&mut restore_times));
         bytes.push(max_bytes as f64);
         saves.push(save_us);
+        restores.push(restore_us);
         t.row(vec![
             n.to_string(),
             times.len().to_string(),
             max_bytes.to_string(),
             end_bytes.to_string(),
             fmt_micros(save_us),
+            fmt_micros(restore_us),
         ]);
     }
-    t.checks = t10_checks(&bytes, &saves);
+    t.checks = t10_checks(&bytes, &saves, &restores);
     t
 }
 
-/// T10: the largest checkpoint of a run and its median save time, each
-/// max/min over `n`. Bytes repeat for a seed; what moves them is which
+/// T10: the largest checkpoint of a run and its median save and restore
+/// times, each max/min over `n`. Bytes repeat for a seed; what moves them is which
 /// keys are live when a save lands and one more digit per stamp from
 /// n = 1000 on, so 1.3 separates them from a checkpoint that keeps the
 /// history (×4 at `--quick`, ×32 at full scale).
-fn t10_checks(bytes: &[f64], save_us: &[f64]) -> Vec<Check> {
+fn t10_checks(bytes: &[f64], save_us: &[f64], restore_us: &[f64]) -> Vec<Check> {
+    let flat = |what, us| Check::at_most(Timing, what, spread(us), 2.5);
     vec![
         Check::at_most(Count, "checkpoint bytes max/min over n", spread(bytes), 1.3),
-        Check::at_most(
-            Timing,
-            "median save time max/min over n",
-            spread(save_us),
-            2.5,
-        ),
+        flat("median save time max/min over n", save_us),
+        flat("median restore time max/min over n", restore_us),
     ]
 }
 
@@ -1520,9 +1528,11 @@ mod tests {
 
     #[test]
     fn t10_breaks_when_the_checkpoint_grows_with_the_history() {
-        assert!(holds(t10_checks(&[2900.0, 3100.0], &[9.0, 11.0])));
-        assert!(!holds(t10_checks(&[2900.0, 11600.0], &[9.0, 11.0])));
-        assert!(!holds(t10_checks(&[2900.0, 3100.0], &[9.0, 36.0])));
+        let flat = [9.0, 11.0];
+        assert!(holds(t10_checks(&[2900.0, 3100.0], &flat, &flat)));
+        assert!(!holds(t10_checks(&[2900.0, 11600.0], &flat, &flat)));
+        assert!(!holds(t10_checks(&[2900.0, 3100.0], &[9.0, 36.0], &flat)));
+        assert!(!holds(t10_checks(&[2900.0, 3100.0], &flat, &[9.0, 36.0])));
     }
 
     #[test]

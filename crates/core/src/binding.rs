@@ -66,15 +66,15 @@ pub struct Scratch {
     /// validated against the versions of the relations the subtree reads,
     /// so an update touching *other* relations leaves the entry — and its
     /// row-set version — intact.
-    memo: FastMap<usize, MemoEntry>,
+    pub(crate) memo: FastMap<usize, MemoEntry>,
     /// Per-producer-node record of the last output transition (old
     /// version → new version plus the net added/removed tuples), so
     /// downstream probes and windows advance in O(|delta|). Shared: an
     /// identity-shaped atom publishes its relation's own delta.
-    deltas: FastMap<usize, Arc<RowDelta>>,
+    pub(crate) deltas: FastMap<usize, Arc<RowDelta>>,
     /// Per-probe-node partition of the node's last input by verdict, for
     /// windows that publish their flips (see `Oracle::flips`).
-    probes: FastMap<usize, ProbePartition>,
+    pub(crate) probes: FastMap<usize, ProbePartition>,
     /// Column blocks streamed by the kernels.
     blocks: u64,
     /// Total rows across those blocks (`block_rows / blocks` = mean
@@ -84,10 +84,10 @@ pub struct Scratch {
     /// another holder when a delta or flip arrived.
     rows_copied: u64,
     /// Fault injection: treat a broken version chain as intact.
-    accept_stale: bool,
+    pub(crate) accept_stale: bool,
     /// Fault injection: apply a window's flips whatever epoch they lead
     /// from.
-    stale_epochs: bool,
+    pub(crate) stale_epochs: bool,
     /// Per-node profiler counters, indexed by plan node id. `None` keeps
     /// the executor's fast path a single discriminant check.
     profile: Option<Vec<crate::plan::NodeCounters>>,
@@ -134,7 +134,8 @@ pub(crate) struct ProbePartition {
 
 impl ProbePartition {
     /// Partitions `input` from scratch with one probe per row; `proj`
-    /// maps a row to its key (`None`: the identity).
+    /// maps a row to its key (`None`: the identity). The kept side is
+    /// sized for the whole input up front: filling it grows no table.
     pub(crate) fn full(
         input: &Bindings,
         epoch: u64,
@@ -146,7 +147,15 @@ impl ProbePartition {
             input: input.version,
             epoch,
             passing,
-            rows: input.filter(|row| probe(proj, row, holds_key) == passing),
+            rows: {
+                let mut kept = TupleSet::with_capacity_and_hasher(input.len(), Default::default());
+                let rows = input
+                    .rows
+                    .iter()
+                    .filter(|row| probe(proj, row, holds_key) == passing);
+                kept.extend(rows.cloned());
+                Bindings::build(input.vars.clone(), kept)
+            },
             by_key: None,
         }
     }
@@ -303,64 +312,10 @@ impl Scratch {
         self.rows_copied
     }
 
-    /// Fault injection for the differential oracle's mutation smoke: from
-    /// now on a probe partition whose input version neither matches nor
-    /// chains through a recorded delta is trusted instead of rebuilt.
-    pub(crate) fn arm_stale_versions(&mut self) {
-        self.accept_stale = true;
-    }
-
-    /// Whether [`Scratch::arm_stale_versions`] planted the bug.
-    pub(crate) fn accepts_stale(&self) -> bool {
-        self.accept_stale
-    }
-
-    /// Fault injection for the mutation smoke: from now on a partition
-    /// applies a window's flips even when they lead from another epoch.
-    pub(crate) fn arm_stale_epochs(&mut self) {
-        self.stale_epochs = true;
-    }
-
-    /// Whether [`Scratch::arm_stale_epochs`] planted the bug.
-    pub(crate) fn accepts_stale_epochs(&self) -> bool {
-        self.stale_epochs
-    }
-
-    /// The memo entry for a cache slot, if any.
-    pub(crate) fn memo_entry(&self, slot: usize) -> Option<&MemoEntry> {
-        self.memo.get(&slot)
-    }
-
-    /// Removes and returns the memo entry for a cache slot.
-    pub(crate) fn take_memo(&mut self, slot: usize) -> Option<MemoEntry> {
-        self.memo.remove(&slot)
-    }
-
-    /// Stores a memo entry for a cache slot.
-    pub(crate) fn store_memo(&mut self, slot: usize, entry: MemoEntry) {
-        self.memo.insert(slot, entry);
-    }
-
-    /// Records producer node `node`'s output transition (replacing any
-    /// earlier one).
-    pub(crate) fn note_delta(&mut self, node: usize, delta: Arc<RowDelta>) {
-        self.deltas.insert(node, delta);
-    }
-
     /// The recorded transition that *produced* row-set version `to`, if
     /// any producer left one behind.
     pub(crate) fn delta_into(&self, to: u64) -> Option<&Arc<RowDelta>> {
         self.deltas.values().find(|d| d.to == to)
-    }
-
-    /// Removes and returns the cached probe partition for plan node `node`.
-    pub(crate) fn take_probe_partition(&mut self, node: usize) -> Option<ProbePartition> {
-        self.probes.remove(&node)
-    }
-
-    /// Stores plan node `node`'s probe partition.
-    pub(crate) fn store_probe_partition(&mut self, node: usize, part: ProbePartition) {
-        self.probes.insert(node, part);
     }
 
     /// Turns on per-node profiling: every subsequent planned execution

@@ -67,7 +67,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use rtic_relation::{push_decimal, Catalog, Database, Names, Symbol, Tuple, Value};
+use rtic_relation::{push_decimal, Catalog, Database, Lexer, Names, Symbol, TupleSet, Value};
 use rtic_temporal::{Constraint, Formula, TimePoint};
 
 use crate::compile::CompiledConstraint;
@@ -198,11 +198,10 @@ fn save_parts(
     steps: usize,
     d: DispatchStats,
 ) -> String {
+    let names = Symbol::names();
     let mut s = Section {
-        // An engine section runs from a few hundred bytes to a few KB:
-        // starting at 1 KB skips most of the growing.
-        out: String::with_capacity(1024),
-        names: Symbol::names(),
+        out: String::with_capacity(section_len(db, engine, &names)),
+        names,
     };
     s.str("rtic-checkpoint v1\nconstraint ")
         .name(engine.compiled.constraint.name)
@@ -236,6 +235,24 @@ fn save_parts(
     }
     write_nodes(&mut s, engine);
     s.out
+}
+
+/// About how long [`save_parts`]' section is, to allocate it once: the rows
+/// measured, a node entry as long as a row on average plus its numbers.
+fn section_len(db: Option<&Database>, engine: &NodeEngine, names: &Names) -> usize {
+    let (mut len, mut rows) = (256 + engine.compiled.body_text.len(), 1);
+    for rel in db
+        .iter()
+        .flat_map(|db| db.catalog().names().map(|n| db.relation(n)))
+    {
+        for row in rel.expect("catalogued").iter() {
+            let values = row.values().iter().map(|v| 2 + v.literal_len(names));
+            (len, rows) = (len + 1 + values.sum::<usize>(), rows + 1);
+        }
+    }
+    let (keys, numbers) = engine.aux_space();
+    let newest = Value::Int(engine.settled_time().map_or(0, |t| t.0 as i64));
+    len + keys * (len / rows).max(8) + numbers * (1 + newest.literal_len(names))
 }
 
 /// A node block's kind word.
@@ -301,95 +318,130 @@ fn write_nodes(s: &mut Section, engine: &NodeEngine) {
     });
 }
 
+/// A section's lines, read as they are met: trimmed, blank ones skipped,
+/// each numbered for the error that may name it.
+#[derive(Default)]
 struct Reader<'s> {
-    lines: Vec<(usize, &'s str)>,
-    pos: usize,
+    /// The text after the line ahead.
+    rest: &'s str,
+    /// The next non-blank line and its number.
+    ahead: Option<(usize, &'s str)>,
+    /// The number of the last line handed out.
+    line: usize,
+    /// The section's newest state, which no restored timestamp may pass.
+    time: Option<TimePoint>,
+    /// The last entry's numbers and values: buffers reused line to line.
+    nums: Vec<u64>,
+    values: Vec<Value>,
 }
 
 impl<'s> Reader<'s> {
     fn new(text: &'s str) -> Reader<'s> {
-        Reader {
-            lines: text
-                .lines()
-                .enumerate()
-                .map(|(i, l)| (i + 1, l.trim()))
-                .filter(|(_, l)| !l.is_empty())
-                .collect(),
-            pos: 0,
+        let mut r = Reader::default();
+        r.rest = text;
+        r.ahead = r.scan(0);
+        r
+    }
+
+    /// The next non-blank line after line `n`, the last one scanned.
+    fn scan(&mut self, mut n: usize) -> Option<(usize, &'s str)> {
+        while !self.rest.is_empty() {
+            let (line, rest) = self.rest.split_once('\n').unwrap_or((self.rest, ""));
+            (self.rest, n) = (rest, n + 1);
+            if !line.trim().is_empty() {
+                return Some((n, line.trim()));
+            }
         }
+        None
     }
 
-    fn peek(&self) -> Option<&'s str> {
-        self.lines.get(self.pos).map(|(_, l)| *l)
+    fn next(&mut self) -> Option<&'s str> {
+        let (n, l) = self.ahead?;
+        (self.line, self.ahead) = (n, self.scan(n));
+        Some(l)
     }
 
-    fn next(&mut self) -> Option<(usize, &'s str)> {
-        let l = self.lines.get(self.pos).copied();
-        if l.is_some() {
-            self.pos += 1;
+    /// Reads the next line, unless it is its block's `end`, as an entry
+    /// into `nums` and `values`, its strings interned left to right under
+    /// the block's one lock (see [`Names`]). False at the end.
+    fn entry(&mut self, end: &str, names: &mut Names) -> Result<bool, CheckpointError> {
+        let Some(line) = self.ahead.filter(|a| a.1 != end).and_then(|_| self.next()) else {
+            return Ok(false);
+        };
+        let missing = || self.err("entry line missing `|`");
+        let (nums, vals) = line.split_once('|').ok_or_else(missing)?;
+        self.nums.clear();
+        for w in nums.split_whitespace() {
+            self.nums.push(self.parse(w, "bad number")?);
         }
-        l
+        self.values.clear();
+        let lex = Lexer::new(vals.as_bytes());
+        let read = lex.literals(|s| names.intern(s), &mut self.values);
+        read.map(|()| true).map_err(|m| self.err(m))
     }
 
-    fn line_no(&self) -> usize {
-        self.lines
-            .get(self.pos.saturating_sub(1))
-            .or_else(|| self.lines.last())
-            .map(|(n, _)| *n)
-            .unwrap_or(0)
+    /// About how many lines the block just opened holds: a capacity hint.
+    fn block_len(&self, end: &str) -> usize {
+        let block = self.rest.find(end).map_or(self.rest, |at| &self.rest[..at]);
+        1 + block.bytes().filter(|&b| b == b'\n').count()
     }
 
     fn err(&self, message: impl Into<String>) -> CheckpointError {
-        CheckpointError::Format {
-            line: self.line_no(),
-            message: message.into(),
+        let (line, message) = (self.line, message.into());
+        CheckpointError::Format { line, message }
+    }
+
+    fn expect_kv(&mut self, key: &str) -> Result<&'s str, CheckpointError> {
+        let found = self.next();
+        match found.and_then(|l| l.strip_prefix(key)?.strip_prefix(' ')) {
+            Some(value) => Ok(value),
+            None => Err(self.err(format!(
+                "expected `{key} …`, found {}",
+                found.map_or("end of checkpoint".into(), |l| format!("`{l}`"))
+            ))),
         }
     }
 
-    fn expect_kv(&mut self, key: &str) -> Result<String, CheckpointError> {
-        match self.next() {
-            Some((_, l)) if l.starts_with(key) && l[key.len()..].starts_with(' ') => {
-                Ok(l[key.len() + 1..].to_string())
+    /// Checks restored timestamps — a node's expiry index is rebuilt from
+    /// exactly these — ascend strictly and none is later than `time`.
+    fn check<T: IntoIterator<Item = u64>>(&self, what: &str, ts: T) -> Result<(), CheckpointError> {
+        let mut last = None;
+        for t in ts {
+            if let Some(prev) = last.filter(|&p| p >= t) {
+                return Err(self.err(format!("{what} must ascend ({prev} then {t})")));
             }
-            Some((_, l)) => Err(self.err(format!("expected `{key} …`, found `{l}`"))),
-            None => Err(self.err(format!("expected `{key} …`, found end of checkpoint"))),
+            last = Some(t);
         }
+        match (last, self.time) {
+            (Some(last), Some(TimePoint(t))) if last > t => {
+                Err(self.err(format!("{what}: {last} is after the checkpoint's time {t}")))
+            }
+            (Some(last), None) => Err(self.err(format!(
+                "{what}: {last} in a checkpoint taken before any state"
+            ))),
+            _ => Ok(()),
+        }
+    }
+
+    /// `text` as a number, `what` naming it in the error.
+    fn parse(&self, text: &str, what: &str) -> Result<u64, CheckpointError> {
+        text.parse().map_err(|e| self.err(format!("{what}: {e}")))
     }
 
     /// A `<key>` line listing zero or more timestamps (`times`, or
     /// `times 3 4`): the writer emits the bare key for an empty list.
     fn expect_times(&mut self, key: &str) -> Result<Vec<TimePoint>, CheckpointError> {
-        let found = self.next().map(|(_, l)| l);
+        let found = self.next();
         match found.and_then(|l| l.strip_prefix(key)) {
-            Some(rest) if rest.is_empty() || rest.starts_with(' ') => {
-                parse_times(rest).map_err(|m| self.err(m))
-            }
+            Some(rest) if rest.is_empty() || rest.starts_with(' ') => (rest.split_whitespace())
+                .map(|w| self.parse(w, "bad time").map(TimePoint))
+                .collect(),
             _ => Err(self.err(format!(
                 "expected `{key}` and its timestamps, found `{}`",
                 found.unwrap_or("end of checkpoint")
             ))),
         }
     }
-}
-
-fn parse_entry_line(line: &str) -> Result<(Vec<u64>, Tuple), String> {
-    let (nums, vals) = line
-        .split_once('|')
-        .ok_or_else(|| "entry line missing `|`".to_string())?;
-    let numbers: Result<Vec<u64>, _> = nums.split_whitespace().map(str::parse::<u64>).collect();
-    let numbers = numbers.map_err(|e| format!("bad number: {e}"))?;
-    let values = Value::parse_literals(vals)?;
-    Ok((numbers, Tuple::new(values)))
-}
-
-fn parse_times(text: &str) -> Result<Vec<TimePoint>, String> {
-    text.split_whitespace()
-        .map(|w| {
-            w.parse::<u64>()
-                .map(TimePoint)
-                .map_err(|e| format!("bad time: {e}"))
-        })
-        .collect()
 }
 
 /// Restores a checker from checkpoint text: [`restore_set_with_options`]
@@ -486,7 +538,7 @@ pub fn restore_set_with_options(
                  (constraint `{name}` among them): restore the whole set from the whole file"
             ))
         })?);
-        while let Some((_, line)) = r.next() {
+        while let Some(line) = r.next() {
             match line.strip_prefix("rel ") {
                 Some(rel_name) => apply_rel(&mut r, parts.db, rel_name)?,
                 None if line.starts_with("node ") => break,
@@ -494,6 +546,7 @@ pub fn restore_set_with_options(
             }
         }
     }
+    parts.engines.iter_mut().for_each(|e| e.warm(parts.db));
     if let Some((steps, time)) = cursor {
         *parts.steps = steps;
         *parts.last_time = time;
@@ -529,27 +582,31 @@ fn mismatch(message: impl ToString) -> CheckpointError {
     }
 }
 
-/// Inserts the rows of the `rel <rel_name>` block just opened, through
-/// its `endrel`, into `db`.
+/// Loads the rows of the `rel <rel_name>` block just opened, through its
+/// `endrel`, into `db`: each checked against the schema and collected into
+/// one set, installed as one change.
 fn apply_rel(r: &mut Reader<'_>, db: &mut Database, rel_name: &str) -> Result<(), CheckpointError> {
-    let rel = db
-        .relation_mut(Symbol::intern(rel_name))
-        .map_err(mismatch)?;
-    loop {
-        match r.next() {
-            Some((_, "endrel")) => return Ok(()),
-            Some((_, l)) => {
-                let (nums, tuple) = parse_entry_line(l).map_err(|m| r.err(m))?;
-                if !nums.is_empty() {
-                    return Err(r.err("relation rows carry no numeric prefix"));
-                }
-                if !rel.insert(tuple).map_err(mismatch)? {
-                    return Err(r.err("a row comes again in its `rel` block"));
-                }
-            }
-            None => return Err(r.err("unterminated `rel` section")),
+    let name = Symbol::intern(rel_name);
+    let rel = db.relation_mut(name).map_err(mismatch)?;
+    let (mut rows, mut names) = (TupleSet::clone(rel.rows()), Symbol::names());
+    rows.reserve(r.block_len("\nendrel"));
+    while r.entry("endrel", &mut names)? {
+        if !r.nums.is_empty() {
+            return Err(r.err("relation rows carry no numeric prefix"));
+        }
+        let row = r.values.iter().copied().collect();
+        if let Err(why) = rel.schema().check(&row) {
+            drop(names); // the message names an attribute
+            return Err(mismatch(why));
+        }
+        if !rows.insert(row) {
+            return Err(r.err("a row comes again in its `rel` block"));
         }
     }
+    r.next()
+        .ok_or_else(|| r.err("unterminated `rel` section"))?;
+    rel.replace(rows);
+    Ok(())
 }
 
 /// Restores one v1 section into an engine and, when `db` is given, its
@@ -563,9 +620,8 @@ fn restore_section(
     text: &str,
 ) -> Result<(usize, DispatchStats), CheckpointError> {
     let mut r = Reader::new(text);
-    match r.next() {
-        Some((_, "rtic-checkpoint v1")) => {}
-        _ => return Err(r.err("missing `rtic-checkpoint v1` header")),
+    if r.next() != Some("rtic-checkpoint v1") {
+        return Err(r.err("missing `rtic-checkpoint v1` header"));
     }
     let name = r.expect_kv("constraint")?;
     let body = r.expect_kv("body")?;
@@ -583,26 +639,15 @@ fn restore_section(
              or start a fresh run"
         )));
     }
-    let time_text = r.expect_kv("time")?;
-    let last_time = if time_text == "none" {
-        None
-    } else {
-        Some(TimePoint(
-            time_text
-                .parse()
-                .map_err(|e| r.err(format!("bad time: {e}")))?,
-        ))
+    let last_time = match r.expect_kv("time")? {
+        "none" => None,
+        t => Some(TimePoint(r.parse(t, "bad time")?)),
     };
-    let steps: usize = r
-        .expect_kv("steps")?
-        .parse()
-        .map_err(|e| r.err(format!("bad steps: {e}")))?;
-    let nums: Vec<u64> = r
-        .expect_kv("dispatch")?
-        .split_whitespace()
-        .map(|w| w.parse::<u64>())
-        .collect::<Result<_, _>>()
-        .map_err(|e| r.err(format!("bad dispatch counter: {e}")))?;
+    let steps = r.expect_kv("steps")?;
+    let steps = r.parse(steps, "bad steps")? as usize;
+    let counters = r.expect_kv("dispatch")?.split_whitespace();
+    let nums: Vec<u64> =
+        (counters.map(|w| r.parse(w, "bad dispatch counter"))).collect::<Result<_, _>>()?;
     let [affected, skipped, quiescent_full, quarantined] = nums[..] else {
         return Err(r.err("`dispatch` carries exactly four counters"));
     };
@@ -613,10 +658,10 @@ fn restore_section(
         quarantined,
     };
 
-    engine.last_time = last_time;
+    (engine.last_time, r.time) = (last_time, last_time);
     // The index the next `node` block may start at: each comes once, in order.
     let mut next_node = 0;
-    while let Some((_, line)) = r.next() {
+    while let Some(line) = r.next() {
         match (line.strip_prefix("rel "), db.as_deref_mut()) {
             (Some(rel_name), Some(db)) => apply_rel(&mut r, db, rel_name)?,
             _ if shared && line == DATABASE_SHARED => shared = false,
@@ -625,7 +670,6 @@ fn restore_section(
                     &mut r,
                     rest,
                     (&engine.compiled, &mut engine.states, &mut next_node),
-                    last_time,
                 )?,
                 None => return Err(r.err(format!("unexpected line `{line}`"))),
             },
@@ -634,48 +678,14 @@ fn restore_section(
     Ok((steps, dispatch))
 }
 
-/// Checks restored timestamps — a node's expiry index is rebuilt from
-/// exactly these — ascend strictly and none is later than the section's
-/// `time`.
-fn check_times(
-    r: &Reader<'_>,
-    what: &str,
-    times: &[TimePoint],
-    time: Option<TimePoint>,
-) -> Result<(), CheckpointError> {
-    if let Some(w) = times.windows(2).find(|w| w[0] >= w[1]) {
-        let (a, b) = (w[0].0, w[1].0);
-        return Err(r.err(format!("{what} must ascend ({a} then {b})")));
-    }
-    match (times.last(), time) {
-        (Some(last), Some(t)) if *last > t => Err(r.err(format!(
-            "{what}: {} is after the checkpoint's time {}",
-            last.0, t.0
-        ))),
-        (Some(last), None) => Err(r.err(format!(
-            "{what}: {} in a checkpoint taken before any state",
-            last.0
-        ))),
-        _ => Ok(()),
-    }
-}
-
-/// Parses one `«numbers» | «key»` entry line of a node block.
-fn entry(r: &mut Reader<'_>) -> Result<(Vec<u64>, Tuple), CheckpointError> {
-    let (_, l) = r.next().expect("peeked");
-    parse_entry_line(l).map_err(|m| r.err(m))
-}
-
 /// Restores one `node <idx> <kind>` block (through its `endnode`) of
 /// `compiled` into `states`, its name-order rows put back in rank order.
 /// `rest` is the header line after the `node ` prefix; `next` the least
-/// index the block may have; `time` the section's newest state, which no
-/// restored timestamp may pass.
+/// index the block may have.
 fn restore_node(
     r: &mut Reader<'_>,
     rest: &str,
     (compiled, states, next): (&CompiledConstraint, &mut [NodeState], &mut usize),
-    time: Option<TimePoint>,
 ) -> Result<(), CheckpointError> {
     let mut parts = rest.split_whitespace();
     let idx: usize = parts
@@ -697,22 +707,19 @@ fn restore_node(
             "node {idx} kind `{word}` does not match the constraint"
         )));
     }
-    let more = |r: &Reader<'_>| r.peek().is_some_and(|l| l != "endnode");
     let keys = &compiled.node_keys[idx];
     match state {
-        NodeState::Prev(p) if r.peek().is_some_and(|l| l.starts_with("time ")) => {
-            let t: u64 = r
-                .expect_kv("time")?
-                .parse()
-                .map_err(|e| r.err(format!("bad prev time: {e}")))?;
-            check_times(r, "prev time", &[TimePoint(t)], time)?;
-            let mut rows = Vec::new();
-            while more(r) {
-                let (nums, tuple) = entry(r)?;
-                if !nums.is_empty() {
+        NodeState::Prev(p) if r.ahead.is_some_and(|(_, l)| l.starts_with("time ")) => {
+            let t = r.expect_kv("time")?;
+            let t = r.parse(t, "bad prev time")?;
+            r.check("prev time", [t])?;
+            let mut rows = Vec::with_capacity(r.block_len("\nendnode"));
+            let mut names = Symbol::names();
+            while r.entry("endnode", &mut names)? {
+                if !r.nums.is_empty() {
                     return Err(r.err("prev rows carry no numeric prefix"));
                 }
-                rows.push(keys.ranked(tuple));
+                rows.push(keys.ranked(&r.values));
             }
             if !p.restore(TimePoint(t), rows) {
                 return Err(r.err("a row comes again in its node block"));
@@ -724,63 +731,56 @@ fn restore_node(
                 "histf" => r.expect_times("times")?,
                 "histi" => {
                     r.expect_kv("started")?;
-                    let older = match r.expect_kv("older")?.as_str() {
+                    let older = match r.expect_kv("older")? {
                         "none" => None,
-                        t => Some(TimePoint(
-                            t.parse()
-                                .map_err(|e| r.err(format!("bad older time: {e}")))?,
-                        )),
+                        t => Some(TimePoint(r.parse(t, "bad older time")?)),
                     };
                     let recent = r.expect_times("recent")?;
                     older.into_iter().chain(recent).collect()
                 }
                 _ => Vec::new(),
             };
-            check_times(r, "state times", &times, time)?;
-            rel.restore_times(times, time);
-            while more(r) {
-                let (nums, key) = entry(r)?;
-                let key = keys.ranked(key);
+            r.check("state times", times.iter().map(|t| t.0))?;
+            rel.restore_times(times, r.time, r.block_len("\nendnode"));
+            let (mut names, t) = (Symbol::names(), r.time.unwrap_or_default());
+            while r.entry("endnode", &mut names)? {
+                let (nums, key) = (&r.nums, keys.ranked(&r.values));
                 let added = match word {
                     "histf" => {
                         if nums.len() % 2 != 0 {
                             return Err(r.err("runs come as start/end pairs"));
                         }
                         // start ≤ end < next start: ascending and disjoint.
+                        let ordered =
+                            |(i, w): (usize, &[u64])| w[0] < w[1] || i % 2 == 0 && w[0] == w[1];
                         let pairs = nums.chunks(2);
-                        let mut disjoint = pairs.clone().zip(pairs.clone().skip(1));
-                        if !disjoint.all(|(a, b)| a[1] < b[0]) || pairs.clone().any(|c| c[0] > c[1])
-                        {
+                        if !nums.windows(2).enumerate().all(ordered) {
                             let got = nums.iter().map(u64::to_string).collect::<Vec<_>>();
                             return Err(r.err(format!(
                                 "histf runs must have start ≤ end, ascend and be disjoint (got {})",
                                 got.join(" ")
                             )));
                         }
-                        let ends: Vec<TimePoint> = pairs.clone().map(|c| TimePoint(c[1])).collect();
-                        check_times(r, "histf run ends", &ends, time)?;
-                        let runs = pairs.map(|c| (TimePoint(c[0]), TimePoint(c[1])));
-                        rel.restore(key, runs, time.unwrap_or_default())
+                        r.check("histf run ends", pairs.clone().map(|c| c[1]))?;
+                        rel.restore(key, pairs.map(|c| (TimePoint(c[0]), TimePoint(c[1]))), t)
                     }
                     "histi" => {
                         let [end, _active] = nums[..] else {
                             return Err(r.err("histi entries are `end active | key`"));
                         };
-                        check_times(r, "histi run end", &[TimePoint(end)], time)?;
+                        r.check("histi run end", [end])?;
                         // The run began at the first state, which no window
                         // needs: it covers every state up to its end.
-                        let run = (TimePoint(0), TimePoint(end));
-                        rel.restore(key, std::iter::once(run), time.unwrap_or_default())
+                        rel.restore(key, std::iter::once((TimePoint(0), TimePoint(end))), t)
                     }
                     _ => {
                         if nums.is_empty() {
                             return Err(r.err("window entry needs at least one timestamp"));
                         }
-                        let stamps: Vec<TimePoint> = nums.into_iter().map(TimePoint).collect();
-                        check_times(r, "window stamps", &stamps, time)?;
+                        r.check("window stamps", nums.iter().copied())?;
                         // Restored stamps come back as point runs.
-                        let runs = stamps.into_iter().map(|s| (s, s));
-                        rel.restore(key, runs, time.unwrap_or_default())
+                        let runs = nums.iter().map(|&s| (TimePoint(s), TimePoint(s)));
+                        rel.restore(key, runs, t)
                     }
                 };
                 if !added {
@@ -790,7 +790,7 @@ fn restore_node(
         }
     }
     match r.next() {
-        Some((_, "endnode")) => Ok(()),
+        Some("endnode") => Ok(()),
         _ => Err(r.err("expected `endnode`")),
     }
 }
@@ -898,6 +898,27 @@ mod tests {
             save(&restored),
             t1,
             "save∘restore is the identity on checkpoints"
+        );
+    }
+
+    /// The reader numbers lines as it meets them, as `str::lines` does:
+    /// blank lines count, `\r\n` endings and surrounding blanks are
+    /// trimmed, and an error names its line in the text as given.
+    #[test]
+    fn blank_lines_and_crlf_endings_read_as_written() {
+        let mut c = IncrementalChecker::new(constraint(), catalog()).unwrap();
+        drive(&mut c, 1, 25);
+        let text = save(&c);
+        let spaced = text.replace('\n', "\r\n\n  ");
+        let options = EncodingOptions::default();
+        let restored = restore(constraint(), catalog(), options, &spaced).unwrap();
+        assert_eq!(save(&restored), text);
+        let bad = spaced.replacen("endnode", "bogus", 1);
+        let line = bad[..bad.find("bogus").unwrap()].matches('\n').count() + 1;
+        let err = restore(constraint(), catalog(), options, &bad).unwrap_err();
+        assert!(
+            matches!(&err, CheckpointError::Format { line: l, message } if *l == line && message.contains("missing `|`")),
+            "{err}"
         );
     }
 

@@ -165,12 +165,12 @@ impl NameOrder {
 
     /// A name-order row (a checkpoint's) in rank order; one of another
     /// arity than the columns' is left as it is.
-    pub fn ranked(&self, row: Tuple) -> Tuple {
-        if self.cols.len() != row.arity() {
-            return row;
+    pub fn ranked(&self, row: &[Value]) -> Tuple {
+        if self.cols.len() != row.len() {
+            return Tuple::new(row.iter().copied());
         }
         let at = |c: usize| self.cols.iter().position(|&x| x == c).unwrap_or(c);
-        (0..row.arity()).map(|c| row[at(c)]).collect()
+        (0..row.len()).map(|c| row[at(c)]).collect()
     }
 
     /// Rank-order rows as named columns in name order — O(1) when the two

@@ -617,13 +617,14 @@ impl RunRelation {
     }
 
     /// Restores a checkpointed node's recent state times (a `once`/`since`
-    /// block has none; they read as `time`, the section's newest state),
-    /// before its keys. The index is rebuilt on the next advance.
-    pub fn restore_times(&mut self, times: Vec<TimePoint>, time: Option<TimePoint>) {
+    /// block has none; they read as `time`, the section's newest state) and
+    /// makes room for about `keys` keys, restored next. The index is rebuilt on the next advance.
+    pub fn restore_times(&mut self, times: Vec<TimePoint>, time: Option<TimePoint>, keys: usize) {
         self.times = match times.is_empty() {
             true => time.into_iter().collect(),
             false => times.into(),
         };
+        self.keys.reserve(keys);
         self.unindexed = true;
     }
 

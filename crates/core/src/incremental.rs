@@ -79,6 +79,9 @@ pub struct NodeStat {
     pub keys: usize,
     /// Timestamps/endpoints currently stored.
     pub timestamps: usize,
+    /// Operand rows its maintenance has read so far: each step's row
+    /// delta, or — the version chain broken — the whole operand.
+    pub streamed: u64,
 }
 
 /// Options tuning how the encoding is evaluated and observed.
@@ -125,6 +128,8 @@ struct Seen {
     /// anchor key had already passed `f` — what it keeps absorbing while
     /// the engine sleeps is then its operand as last seen.
     settles: bool,
+    /// See [`NodeStat::streamed`].
+    streamed: u64,
 }
 
 /// The net `(added, removed)` rows that turned the row set a consumer last
@@ -144,6 +149,12 @@ fn chained<'s>(
             .filter(|d| Some(d.from) == from)
             .map(|d| (d.added.as_slice(), d.removed.as_slice())),
     }
+}
+
+/// The operand rows a node's maintenance reads: the row delta, or — a
+/// rebuild — every row.
+fn streamed(delta: Option<(&[Tuple], &[Tuple])>, sat: &Bindings) -> u64 {
+    delta.map_or(sat.len(), |(added, removed)| added.len() + removed.len()) as u64
 }
 
 /// One compiled constraint's bounded auxiliary state, advanced against the
@@ -301,7 +312,10 @@ impl NodeEngine {
             let delta = chained(&scratch, &mut seen.operand, &sat);
             match &mut self.states[idx] {
                 NodeState::Prev(p) => self.extensions[idx] = Some(p.step(sat, t_now)),
-                NodeState::Runs(r) => r.advance(&sat, delta, &[], t_prev, t_now),
+                NodeState::Runs(r) => {
+                    seen.streamed += streamed(delta, &sat);
+                    r.advance(&sat, delta, &[], t_prev, t_now);
+                }
             }
         }
         self.scratch = scratch;
@@ -343,6 +357,7 @@ impl NodeEngine {
         };
         let seen = &mut self.seen[idx];
         let delta = chained(scratch, &mut seen.operand, &anchors);
+        seen.streamed += streamed(delta, &anchors);
         let (dropped, unchecked, settles) = match (holds, survivors) {
             (Some(holds), _) => {
                 let fails = |k: &&Tuple| !holds.contains(k);
@@ -492,6 +507,24 @@ impl NodeEngine {
         self.to_absorb().next_back().or(self.last_time)
     }
 
+    /// Marks each restored `once`/`hist` node whose operand is a plain
+    /// relation read as having absorbed that relation's current rows —
+    /// exact: its restored runs are that operand at the newest state — so
+    /// its first step chains from the relation's delta instead of
+    /// rebuilding. Every other operand keeps the rebuild.
+    pub(crate) fn warm(&mut self, db: &Database) {
+        let nodes = self
+            .compiled
+            .nodes
+            .iter()
+            .zip(&self.compiled.plans.node_ops);
+        for ((node, plans), seen) in nodes.zip(&mut self.seen).filter(|_| !self.interpret) {
+            if let (Formula::Once(..) | Formula::Hist(..), NodePlans::Operand(p)) = (node, plans) {
+                seen.operand = p.reads_relation().map(|r| db.rel_gen(r));
+            }
+        }
+    }
+
     /// Hands `visit` each temporal node with its state as a catch-up
     /// would leave it: what `&self` readers (space accounting,
     /// checkpoints) see while the engine sleeps, read in place — a
@@ -527,13 +560,14 @@ impl NodeEngine {
 
     /// Each temporal node's auxiliary footprint, children-first.
     pub(crate) fn node_stats(&self) -> Vec<NodeStat> {
-        let mut stats = Vec::new();
+        let (mut stats, mut seen) = (Vec::new(), self.seen.iter());
         self.settled(|node, state| {
             let (keys, timestamps) = state.space();
             stats.push(NodeStat {
                 formula: node.to_string(),
                 keys,
                 timestamps,
+                streamed: seen.next().map_or(0, |s| s.streamed),
             });
         });
         stats
@@ -584,7 +618,7 @@ impl IncrementalChecker {
     /// chains through a recorded row delta is trusted instead of rebuilt.
     #[doc(hidden)]
     pub fn arm_stale_versions(&mut self) {
-        self.arm(|e| e.scratch.arm_stale_versions());
+        self.arm(|e| e.scratch.accept_stale = true);
     }
 
     /// Fault injection for the oracle's mutation smoke: plants `bug`.
@@ -611,7 +645,7 @@ impl IncrementalChecker {
     /// an epoch other than the one it saw.
     #[doc(hidden)]
     pub fn arm_stale_epochs(&mut self) {
-        self.arm(|e| e.scratch.arm_stale_epochs());
+        self.arm(|e| e.scratch.stale_epochs = true);
     }
 
     /// Fault injection for the oracle's mutation smoke: from now on the

@@ -719,6 +719,15 @@ impl Plan {
         &self.in_vars
     }
 
+    /// The relation whose own rows, and version, the plan returns run
+    /// from unit: an identity-shaped atom's.
+    pub(crate) fn reads_relation(&self) -> Option<Symbol> {
+        match &self.kind {
+            Kind::Atom { relation, shape } if shape.identity => Some(*relation),
+            _ => None,
+        }
+    }
+
     /// The execution order of the root conjunction, as indices into
     /// [`safety::flatten_and`] of the planned formula; `None` when the root
     /// is not a conjunction. This is what `explain` renders, so the
@@ -793,7 +802,7 @@ impl Plan {
         let Some(slot) = self.cache_slot.filter(|_| input.len() == 1) else {
             return self.execute_kind(db, oracle, input, scratch);
         };
-        if let Some(e) = scratch.memo_entry(slot) {
+        if let Some(e) = scratch.memo.get(&slot) {
             if e.gens.iter().all(|&(r, g)| db.rel_gen(r) == g) {
                 *cache = CacheTouch::Hit;
                 return e.rows.clone();
@@ -804,7 +813,7 @@ impl Plan {
             // A memoized atom reads exactly `relation`: `gens` is its one
             // version.
             let delta = db.rel_delta(*relation);
-            let stored = scratch.take_memo(slot);
+            let stored = scratch.memo.remove(&slot);
             if let (Some(delta), Some(mut e)) = (delta, stored) {
                 if delta.from == e.gens[0].1 {
                     let from = e.rows.version();
@@ -817,11 +826,11 @@ impl Plan {
                             added,
                             removed,
                         };
-                        scratch.note_delta(self.node_id, Arc::new(delta));
+                        scratch.deltas.insert(self.node_id, Arc::new(delta));
                     }
                     e.gens[0].1 = delta.to;
                     let rows = e.rows.clone();
-                    scratch.store_memo(slot, e);
+                    scratch.memo.insert(slot, e);
                     return rows;
                 }
             }
@@ -830,7 +839,7 @@ impl Plan {
         let gens = (self.cache_rels.iter())
             .map(|&r| (r, db.rel_gen(r)))
             .collect();
-        scratch.store_memo(
+        scratch.memo.insert(
             slot,
             MemoEntry {
                 gens,
@@ -867,17 +876,17 @@ impl Plan {
             return ProbePartition::full(input, 0, passing, proj, holds_key).rows;
         };
         let to = input.version();
-        let part = scratch.take_probe_partition(self.node_id);
+        let part = scratch.probes.remove(&self.node_id);
         let keys = part.as_ref().and_then(|p| match flips.from {
             _ if p.epoch == flips.epoch => Some(&[][..]),
             Some(from) if from == p.epoch => Some(flips.keys),
-            _ => scratch.accepts_stale_epochs().then_some(flips.keys),
+            _ => scratch.stale_epochs.then_some(flips.keys),
         });
         let cheaper = |work: usize| work == 0 || work < input.len();
         // The input's change since the partition (`Some(None)`: none),
         // shared with its producer.
         let delta = part.as_ref().zip(keys).and_then(|(p, keys)| {
-            if p.input == to || scratch.accepts_stale() {
+            if p.input == to || scratch.accept_stale {
                 return cheaper(keys.len()).then_some(None);
             }
             let delta = scratch.delta_into(to).filter(|d| d.from == p.input)?;
@@ -902,7 +911,7 @@ impl Plan {
                     added,
                     removed,
                 };
-                scratch.note_delta(self.node_id, Arc::new(delta));
+                scratch.deltas.insert(self.node_id, Arc::new(delta));
                 part
             }
             _ => {
@@ -911,7 +920,7 @@ impl Plan {
             }
         };
         let result = part.rows.clone();
-        scratch.store_probe_partition(self.node_id, part);
+        scratch.probes.insert(self.node_id, part);
         result
     }
 
@@ -935,7 +944,7 @@ impl Plan {
                 // The relation's rows are the atom's, and its net delta is
                 // the atom's own.
                 if let Some(delta) = db.rel_delta(*relation) {
-                    scratch.note_delta(self.node_id, Arc::clone(delta));
+                    scratch.deltas.insert(self.node_id, Arc::clone(delta));
                 }
                 Bindings::of_relation(shape.vars.clone(), rel)
             }

@@ -15,9 +15,14 @@
 //! flips name. An identity-shaped atom — its sorted variables are its
 //! relation's columns in order — reads the relation's own row set and
 //! publishes its net delta: no memo copy to refresh, nothing streamed.
+//! A checker restored from a checkpoint starts warm: each `once` node over
+//! a plain relation read chains from that relation's delta on its first
+//! step instead of re-reading it, and the checkpoint of that state is
+//! written into one allocation sized from its row and key counts.
 
 use std::sync::Arc;
 
+use rtic_core::checkpoint::{restore, save};
 use rtic_core::{Checker, ConstraintSet, EncodingOptions, IncrementalChecker};
 use rtic_relation::{tuple, Catalog, Schema, Sort, Update};
 use rtic_temporal::parser::parse_constraint;
@@ -369,4 +374,57 @@ fn a_two_column_atom_whose_names_sort_against_its_columns_reads_its_relation() {
         }
     }
     assert!(violations > 0, "reservations two ticks old are witnesses");
+}
+
+#[test]
+fn a_checkpoint_section_is_allocated_once() {
+    // One save of the 10⁴-row state: sized up front from its row and key
+    // counts, not grown by doubling.
+    let constraint = parse_constraint(MOTIVATING).unwrap();
+    let mut checker = IncrementalChecker::new(constraint, catalog()).unwrap();
+    for step in 0..STEPS {
+        checker
+            .step(TimePoint(step as u64 + 1), &update(step))
+            .unwrap();
+    }
+    let text = save(&checker);
+    let (len, capacity) = (text.len(), text.capacity());
+    assert!(len > 600_000, "the state is resident: {len} bytes");
+    assert!(
+        capacity * 4 <= len * 5,
+        "{capacity} bytes allocated for {len} written"
+    );
+}
+
+#[test]
+fn a_restored_engine_streams_only_the_delta_through_its_once_nodes() {
+    // 2×10⁴ resident rows checkpointed after the warm-up. Both `once`
+    // nodes read a plain relation, and the restored runs are those
+    // relations' rows at the checkpoint's time: the first step after the
+    // restore — eight reservations, seven confirmations — reads their
+    // row deltas, where a rebuild would re-read all 2×10⁴ rows of each.
+    let constraint = parse_constraint(MOTIVATING).unwrap();
+    let mut uninterrupted = IncrementalChecker::new(constraint.clone(), catalog()).unwrap();
+    for step in 0..=WARM_UP {
+        let u = update_over(step, BOUNDED_RESIDENT);
+        uninterrupted.step(TimePoint(step as u64 + 1), &u).unwrap();
+    }
+    let text = save(&uninterrupted);
+    let mut restored = restore(constraint, catalog(), EncodingOptions::default(), &text).unwrap();
+    let streamed =
+        |c: &IncrementalChecker| -> u64 { c.node_stats().iter().map(|n| n.streamed).sum() };
+    assert_eq!(streamed(&restored), 0, "restoring reads no operand");
+    let copied = restored.plan_stats().unwrap().rows_copied;
+    let (step, time) = (WARM_UP + 1, TimePoint(WARM_UP as u64 + 2));
+    let u = update_over(step, BOUNDED_RESIDENT);
+    let expected = uninterrupted.step(time, &u).unwrap();
+    let got = restored.step(time, &u).unwrap();
+    assert_eq!(got.to_string(), expected.to_string());
+    let rows = streamed(&restored);
+    assert!(
+        rows < 200,
+        "the first step after the restore streamed {rows} rows through the once nodes"
+    );
+    let copied = restored.plan_stats().unwrap().rows_copied - copied;
+    assert_eq!(copied, 0, "the first step duplicated {copied} row(s)");
 }

@@ -16,7 +16,7 @@ use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
 
-use rtic_relation::{Symbol, Tuple, Update, Value};
+use rtic_relation::{LexError, Lexer, Symbol, Tuple, Update, Value};
 use rtic_temporal::TimePoint;
 
 use crate::history::Transition;
@@ -77,14 +77,12 @@ pub fn format_log(transitions: &[Transition]) -> String {
     out
 }
 
-/// The one lexer behind [`parse_log`], [`LogReader`] and the serve
-/// `UPDATE` payload. It walks the line's bytes: every token of the grammar
-/// is ASCII, so UTF-8 is decoded only where other characters may stand —
-/// inside string literals and as whitespace between tokens.
+/// The one line parser behind [`parse_log`], [`LogReader`] and the serve
+/// `UPDATE` payload: the line grammar around the value literals that
+/// [`Lexer`] reads, as checkpoints read theirs.
 #[derive(Default)]
 struct LineParser<'s> {
-    src: &'s [u8],
-    pos: usize,
+    lex: Lexer<'s>,
     line_no: usize,
     /// The last relation name read and its symbol: logs list a relation's
     /// changes together, so a run of equal names is interned once.
@@ -106,143 +104,49 @@ impl<'s> LineParser<'s> {
         }
     }
 
-    fn bad_utf8(&self, at: usize) -> LogError {
-        self.err(format!("invalid UTF-8 at byte {}", at + 1))
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
-    }
-
-    /// The whole character at the cursor (`None` at end of line).
-    fn peek_char(&self) -> Result<Option<char>, LogError> {
-        let rest = &self.src[self.pos..];
-        match rest[..rest.len().min(4)].utf8_chunks().next() {
-            Some(head) => match head.valid().chars().next() {
-                None => Err(self.bad_utf8(self.pos)),
-                c => Ok(c),
-            },
-            None => Ok(None),
-        }
+    fn lex_err(&self, e: LexError) -> LogError {
+        self.err(e.to_string())
     }
 
     fn skip_ws(&mut self) -> Result<(), LogError> {
-        loop {
-            match self.peek() {
-                Some(b) if b.is_ascii() && (b as char).is_whitespace() => self.pos += 1,
-                Some(b) if !b.is_ascii() => match self.peek_char()? {
-                    Some(c) if c.is_whitespace() => self.pos += c.len_utf8(),
-                    _ => return Ok(()),
-                },
-                _ => return Ok(()),
-            }
-        }
+        self.lex.skip_ws().map_err(|e| self.lex_err(e))
     }
 
     fn at_end(&mut self) -> Result<bool, LogError> {
         self.skip_ws()?;
-        Ok(matches!(self.peek(), None | Some(b'#')))
+        Ok(matches!(self.lex.peek(), None | Some(b'#')))
     }
 
     fn expect(&mut self, c: u8) -> Result<(), LogError> {
-        if self.peek() == Some(c) {
-            self.pos += 1;
+        if self.lex.peek() == Some(c) {
+            self.lex.pos += 1;
             return Ok(());
         }
-        let found = match self.peek_char()? {
+        let found = match self.lex.peek_char().map_err(|e| self.lex_err(e))? {
             Some(found) => format!("`{found}`"),
             None => "end of line".into(),
         };
         Err(self.err(format!("expected `{}`, found {found}", c as char)))
     }
 
-    /// Consumes and returns the longest run of bytes satisfying `pred`.
-    fn take_while(&mut self, pred: impl Fn(&u8) -> bool) -> &'s [u8] {
-        let rest = &self.src[self.pos..];
-        let run = &rest[..rest.iter().position(|b| !pred(b)).unwrap_or(rest.len())];
-        self.pos += run.len();
-        run
-    }
-
     fn integer(&mut self) -> Result<i64, LogError> {
-        let start = self.pos;
-        let negative = self.peek() == Some(b'-');
-        self.pos += usize::from(negative);
-        let digits = self.take_while(u8::is_ascii_digit);
-        if digits.is_empty() {
-            return Err(self.err("expected an integer"));
-        }
-        // Accumulated below zero, where `i64::MIN` fits.
-        let below = |n: i64, d: &u8| n.checked_mul(10)?.checked_sub(i64::from(d - b'0'));
-        let value = digits.iter().try_fold(0, below);
-        let value = value.and_then(|n| if negative { Some(n) } else { n.checked_neg() });
-        value.ok_or_else(|| {
-            let text = String::from_utf8_lossy(&self.src[start..self.pos]);
-            self.err(format!("integer `{text}` out of range"))
-        })
+        self.lex.integer().map_err(|e| self.lex_err(e))
     }
 
     fn ident(&mut self) -> Result<&'s [u8], LogError> {
-        match self.take_while(|b| b.is_ascii_alphanumeric() || *b == b'_') {
+        match self.lex.word() {
             [] => Err(self.err("expected an identifier")),
             word => Ok(word),
         }
     }
 
-    /// A string literal, cursor at the opening quote. An escape-free
-    /// literal is interned straight from the line.
-    fn string(&mut self) -> Result<Value, LogError> {
-        self.pos += 1;
-        let mut unescaped = String::new();
-        let value = loop {
-            let start = self.pos;
-            let run = self.take_while(|b| !matches!(b, b'"' | b'\\'));
-            let run =
-                std::str::from_utf8(run).map_err(|e| self.bad_utf8(start + e.valid_up_to()))?;
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') if unescaped.is_empty() => break Value::str(run),
-                Some(b'"') => break Value::str(&(unescaped + run)),
-                Some(_) => {
-                    unescaped.push_str(run);
-                    unescaped.push(match self.src.get(self.pos + 1) {
-                        Some(b'"') => '"',
-                        Some(b'\\') => '\\',
-                        Some(b'n') => '\n',
-                        _ => return Err(self.err("unknown escape")),
-                    });
-                    self.pos += 2;
-                }
-            }
-        };
-        self.pos += 1;
-        Ok(value)
-    }
-
-    fn value(&mut self) -> Result<Value, LogError> {
-        self.skip_ws()?;
-        match self.peek() {
-            Some(b'"') => self.string(),
-            Some(b) if b == b'-' || b.is_ascii_digit() => Ok(Value::Int(self.integer()?)),
-            Some(b) if b.is_ascii_alphabetic() => match self.ident()? {
-                b"true" => Ok(Value::Bool(true)),
-                b"false" => Ok(Value::Bool(false)),
-                other => Err(self.err(format!(
-                    "unknown bare value `{}` (strings must be quoted)",
-                    String::from_utf8_lossy(other)
-                ))),
-            },
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
     fn change(&mut self, update: &mut Update) -> Result<(), LogError> {
-        let insert = match self.peek() {
+        let insert = match self.lex.peek() {
             Some(b'+') => true,
             Some(b'-') => false,
             _ => return Err(self.err("expected `+rel(…)` or `-rel(…)`")),
         };
-        self.pos += 1;
+        self.lex.pos += 1;
         let name = self.ident()?;
         let rel = match self.rel {
             Some((last, rel)) if last == name => rel,
@@ -252,15 +156,15 @@ impl<'s> LineParser<'s> {
         self.expect(b'(')?;
         self.fields.clear();
         self.skip_ws()?;
-        while self.peek() != Some(b')') {
+        while self.lex.peek() != Some(b')') {
             if !self.fields.is_empty() {
                 self.expect(b',')?;
             }
-            let value = self.value()?;
-            self.fields.push(value);
+            let value = self.lex.value(Symbol::intern);
+            self.fields.push(value.map_err(|e| self.lex_err(e))?);
             self.skip_ws()?;
         }
-        self.pos += 1;
+        self.lex.pos += 1;
         if self.run_of != Some((insert, rel)) {
             self.flush(update);
             self.run_of = Some((insert, rel));
@@ -308,7 +212,7 @@ pub fn parse_log(input: &str) -> Result<Vec<Transition>, LogError> {
 /// UTF-8: a stray byte is a [`LogErrorKind::Parse`] error naming it.
 pub fn parse_line(line: &[u8], line_no: usize) -> Result<Option<Transition>, LogError> {
     let mut parser = LineParser {
-        src: line,
+        lex: Lexer::new(line),
         line_no,
         ..Default::default()
     };

@@ -4,6 +4,7 @@
 //! database histories range over. It provides:
 //!
 //! * interned [`Symbol`]s for names and string data,
+//! * the one [`Lexer`] for value literals, which logs and checkpoints read,
 //! * sorted [`Value`]s and schema-checked [`Tuple`]s,
 //! * [`Schema`]/[`Attribute`] metadata that checks tuples,
 //! * [`Relation`] instances: one versioned, `Arc`'d hash set each, which a
@@ -37,6 +38,7 @@
 mod database;
 mod error;
 mod hash;
+mod lex;
 mod relation;
 mod schema;
 mod symbol;
@@ -46,6 +48,7 @@ mod value;
 pub use database::{Catalog, Database, RelDelta, Update};
 pub use error::RelationError;
 pub use hash::{BuildWordHasher, FastMap, FastSet, TupleMap, TupleSet, WordHasher};
+pub use lex::{LexError, Lexer};
 pub use relation::{fresh_version, Relation};
 pub use schema::{Attribute, Schema};
 pub use symbol::{Names, Symbol};

@@ -171,6 +171,16 @@ impl Relation {
         Ok(!self.contains(&tuple) && self.edit(&mut 0).insert(tuple))
     }
 
+    /// Replaces the contents with `rows`, each already checked against the
+    /// schema, under one fresh version: a bulk load is one change, not a
+    /// version per row.
+    pub fn replace(&mut self, rows: TupleSet) {
+        debug_assert!(rows.iter().all(|t| self.schema.check(t).is_ok()));
+        self.invalidate_indexes();
+        self.tuples = Arc::new(rows);
+        self.version = fresh_version();
+    }
+
     /// Removes a tuple; returns `true` if it was present.
     pub fn remove(&mut self, tuple: &Tuple) -> bool {
         self.invalidate_indexes();

@@ -37,18 +37,26 @@ fn interner() -> &'static Mutex<Interner> {
     })
 }
 
+impl Interner {
+    fn intern(&mut self, name: &str) -> Symbol {
+        if let Some(&id) = self.by_name.get(name) {
+            return Symbol(id);
+        }
+        let id = u32::try_from(self.names.len()).expect("symbol table overflow");
+        let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
+        self.names.push(leaked);
+        self.by_name.insert(leaked, id);
+        Symbol(id)
+    }
+}
+
 impl Symbol {
     /// Interns `name`, returning its symbol. Idempotent.
     pub fn intern(name: &str) -> Symbol {
-        let mut i = interner().lock().expect("symbol interner poisoned");
-        if let Some(&id) = i.by_name.get(name) {
-            return Symbol(id);
-        }
-        let id = u32::try_from(i.names.len()).expect("symbol table overflow");
-        let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        i.names.push(leaked);
-        i.by_name.insert(leaked, id);
-        Symbol(id)
+        interner()
+            .lock()
+            .expect("symbol interner poisoned")
+            .intern(name)
     }
 
     /// The interned string.
@@ -57,9 +65,11 @@ impl Symbol {
         i.names[self.0 as usize]
     }
 
-    /// The interner, locked once for a run of reads (see [`Names`]).
+    /// The interner, locked once for a run of reads and interning (see
+    /// [`Names`]).
     pub fn names() -> Names {
-        Names(interner().lock().expect("symbol interner poisoned"))
+        let guard = interner().lock().expect("symbol interner poisoned");
+        Names { guard, next: 0 }
     }
 
     /// The raw intern id. Stable within a process run only.
@@ -74,17 +84,37 @@ impl Symbol {
     }
 }
 
-/// The symbol table held for a run of reads: [`Names::get`] resolves any
-/// number of symbols under the one lock [`Symbol::names`] took, where each
+/// The symbol table held for a run of reads and interning: [`Names::get`]
+/// resolves, and [`Names::intern`] interns, any number of symbols under the
+/// one lock [`Symbol::names`] took, where each [`Symbol::intern`] and
 /// [`Symbol::as_str`] takes it anew. Other threads' interning waits while
-/// it is held, and interning — or `as_str` — on the holding thread
-/// deadlocks, so hold it across one bounded pass of reads only.
-pub struct Names(MutexGuard<'static, Interner>);
+/// it is held, and `Symbol::intern` or `as_str` on the holding thread —
+/// formatting a `Symbol` with `{}` is one — deadlocks, so hold it across
+/// one bounded pass only (a checkpoint section's writing, one block of its
+/// reading) and let it go before formatting anything that names a symbol.
+pub struct Names {
+    guard: MutexGuard<'static, Interner>,
+    /// The id after the one [`Names::intern`] last returned.
+    next: usize,
+}
 
 impl Names {
     /// The interned string.
     pub fn get(&self, symbol: Symbol) -> &'static str {
-        self.0.names[symbol.0 as usize]
+        self.guard.names[symbol.0 as usize]
+    }
+
+    /// [`Symbol::intern`] under the lock already held: the same symbol,
+    /// in the same intern order. Strings met in intern order — a
+    /// checkpoint's sorted rows — are found by comparing with the one
+    /// interned after the last, without hashing.
+    pub fn intern(&mut self, name: &str) -> Symbol {
+        let symbol = match self.guard.names.get(self.next) {
+            Some(&next) if next == name => Symbol(self.next as u32),
+            _ => self.guard.intern(name),
+        };
+        self.next = symbol.0 as usize + 1;
+        symbol
     }
 }
 
@@ -177,6 +207,36 @@ mod tests {
             assert_eq!(Symbol::intern(&fresh(j)), *s, "intern stays idempotent");
             assert_eq!(s.as_str(), fresh(j));
         }
+    }
+
+    #[test]
+    fn interning_under_a_held_lock_agrees_with_intern() {
+        let before = Symbol::intern("held-lock-old");
+        let (old, fresh, again) = {
+            let mut names = Symbol::names();
+            let old = names.intern("held-lock-old");
+            let fresh = names.intern("held-lock-fresh");
+            (old, fresh, names.intern("held-lock-fresh"))
+        };
+        assert_eq!(old, before);
+        assert_eq!(fresh, again);
+        assert!(fresh > before, "intern order is id order");
+        assert_eq!(Symbol::intern("held-lock-fresh"), fresh);
+        assert_eq!(fresh.as_str(), "held-lock-fresh");
+        // Met again in intern order, out of it, and with repeats: the
+        // look-ahead past the last symbol never changes the answer.
+        let words: Vec<String> = (0..6).map(|i| format!("held-lock-run-{i}")).collect();
+        let ids: Vec<Symbol> = words.iter().map(|w| Symbol::intern(w)).collect();
+        let mut names = Symbol::names();
+        for order in [[0, 1, 2, 3, 4, 5], [5, 4, 0, 1, 1, 3], [2, 3, 3, 4, 0, 5]] {
+            for i in order {
+                assert_eq!(names.intern(&words[i]), ids[i], "{}", words[i]);
+            }
+        }
+        assert_eq!(
+            names.intern("held-lock-run-6"),
+            names.intern("held-lock-run-6")
+        );
     }
 
     #[test]

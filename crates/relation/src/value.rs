@@ -84,11 +84,22 @@ impl Value {
     /// `true`/`false`, strings quoted with exactly the escapes every reader
     /// knows — `\"`, `\\` and `\n` — and every other character raw. The
     /// history log, the checkpoint codec and the constraint printer all
-    /// write through here; it round-trips through [`Value::parse_literals`].
+    /// write through here; it round-trips through [`crate::Lexer::value`].
     pub fn write_literal(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self {
             Value::Str(s) => quote(s.as_str(), out),
             _ => write!(out, "{self}"),
+        }
+    }
+
+    /// The length of what [`Value::push_literal`] writes, escapes aside.
+    pub fn literal_len(&self, names: &Names) -> usize {
+        match *self {
+            Value::Int(i) => {
+                usize::from(i < 0) + 1 + i.unsigned_abs().checked_ilog10().unwrap_or(0) as usize
+            }
+            Value::Str(s) => 2 + names.get(s).len(),
+            Value::Bool(b) => 5 - usize::from(b),
         }
     }
 
@@ -107,93 +118,6 @@ impl Value {
                 let _ = quote(names.get(s), out);
             }
             Value::Bool(b) => out.push_str(if b { "true" } else { "false" }),
-        }
-    }
-
-    /// Parses a comma-separated list of literals (the inverse of joining
-    /// [`Value::write_literal`] outputs with `", "`). Whitespace around
-    /// literals is ignored; an empty/blank input yields an empty list.
-    pub fn parse_literals(input: &str) -> Result<Vec<Value>, String> {
-        let chars: Vec<char> = input.chars().collect();
-        let mut out = Vec::new();
-        let mut i = 0;
-        let err =
-            |msg: &str, at: usize| Err::<Vec<Value>, String>(format!("{msg} at column {}", at + 1));
-        loop {
-            while i < chars.len() && chars[i].is_whitespace() {
-                i += 1;
-            }
-            if i >= chars.len() {
-                // Clean end of input (a trailing comma is tolerated).
-                return Ok(out);
-            }
-            match chars[i] {
-                '"' => {
-                    i += 1;
-                    let mut s = String::new();
-                    loop {
-                        match chars.get(i) {
-                            None => return err("unterminated string", i),
-                            Some('"') => {
-                                i += 1;
-                                break;
-                            }
-                            Some('\\') => {
-                                i += 1;
-                                match chars.get(i) {
-                                    Some('"') => s.push('"'),
-                                    Some('\\') => s.push('\\'),
-                                    Some('n') => s.push('\n'),
-                                    _ => return err("unknown escape", i),
-                                }
-                                i += 1;
-                            }
-                            Some(&c) => {
-                                s.push(c);
-                                i += 1;
-                            }
-                        }
-                    }
-                    out.push(Value::str(&s));
-                }
-                c if c == '-' || c.is_ascii_digit() => {
-                    let start = i;
-                    if chars[i] == '-' {
-                        i += 1;
-                    }
-                    while i < chars.len() && chars[i].is_ascii_digit() {
-                        i += 1;
-                    }
-                    let text: String = chars[start..i].iter().collect();
-                    match text.parse() {
-                        Ok(v) => out.push(Value::Int(v)),
-                        Err(_) => return err("bad integer literal", start),
-                    }
-                }
-                c if c.is_ascii_alphabetic() => {
-                    let start = i;
-                    while i < chars.len() && chars[i].is_ascii_alphanumeric() {
-                        i += 1;
-                    }
-                    let word: String = chars[start..i].iter().collect();
-                    match word.as_str() {
-                        "true" => out.push(Value::Bool(true)),
-                        "false" => out.push(Value::Bool(false)),
-                        _ => return err("unknown bare word (strings must be quoted)", start),
-                    }
-                }
-                _ => return err("expected a value literal", i),
-            }
-            while i < chars.len() && chars[i].is_whitespace() {
-                i += 1;
-            }
-            if i >= chars.len() {
-                return Ok(out);
-            }
-            if chars[i] != ',' {
-                return err("expected `,` between literals", i);
-            }
-            i += 1;
         }
     }
 }
@@ -330,35 +254,20 @@ mod tests {
     fn literal_round_trip() {
         let vals = vec![
             Value::Int(-42),
+            Value::Int(i64::MIN),
             Value::str("plain"),
             Value::str("with \"quotes\" and \\slash\\ and\nnewline"),
+            Value::str("naïve 日本"),
             Value::Bool(true),
             Value::Bool(false),
             Value::str(""),
         ];
-        let mut text = String::new();
-        for v in &vals {
+        for v in vals {
+            let mut text = String::from(" \u{a0}");
             v.write_literal(&mut text).unwrap();
-            text.push_str(", ");
+            let mut lexer = crate::Lexer::new(text.as_bytes());
+            assert_eq!(lexer.value(Symbol::intern), Ok(v), "{text:?}");
+            assert_eq!(lexer.pos, text.len(), "the whole literal is read");
         }
-        assert_eq!(Value::parse_literals(&text).unwrap(), vals);
-    }
-
-    #[test]
-    fn parse_literals_empty_and_errors() {
-        assert_eq!(Value::parse_literals("   ").unwrap(), vec![]);
-        assert!(Value::parse_literals("bareword").is_err());
-        assert!(Value::parse_literals("\"open").is_err());
-        assert!(Value::parse_literals("1 2").is_err(), "missing comma");
-        assert!(Value::parse_literals("1,,2").is_err());
-    }
-
-    #[test]
-    fn parse_literals_mixed() {
-        let vs = Value::parse_literals(r#" 1,"a, b" ,true "#).unwrap();
-        assert_eq!(
-            vs,
-            vec![Value::Int(1), Value::str("a, b"), Value::Bool(true)]
-        );
     }
 }

@@ -1197,3 +1197,70 @@ fn prev_and_histi_blocks_with_disordered_or_future_times_are_rejected() {
         );
     }
 }
+
+/// A resumed process interns its strings in the order it meets them, and
+/// `Symbol: Ord` is intern order, by which a violation's witnesses are
+/// listed. `x` left the bounded state at @2 — gone from both relations and
+/// from every window — so a process resumed from the @7 checkpoint meets
+/// `y` first and prints `{[d=y], [d=x]}` where the uninterrupted run prints
+/// `{[d=x], [d=y]}`. The lines, their counts and their witness sets agree,
+/// and that is what is pinned here; the same bytes need witnesses ordered
+/// by value at the report boundary (ROADMAP item 7), whose acceptance is
+/// this repro's exact output. In-process resumes share one interner, so
+/// this needs separate processes.
+#[test]
+fn a_resumed_process_reports_the_same_lines_and_witness_sets() {
+    let c = temp_file(
+        "interned.rtic",
+        "relation online(d: str)\nrelation hb(d: str)\n\
+         deny silent: online(d) && !(once[0,2] hb(d))\n",
+    );
+    let lines = [
+        "@1 +online(\"x\") +hb(\"x\")",
+        "@2 -online(\"x\") -hb(\"x\")",
+        "@6 +online(\"y\") +hb(\"y\")",
+        "@7 -hb(\"y\")",
+        "@10 +online(\"x\")",
+    ];
+    let whole = temp_file("interned.rticlog", &(lines.join("\n") + "\n"));
+    let head = temp_file("interned-head.rticlog", &(lines[..4].join("\n") + "\n"));
+    let ckpt = temp_file("interned.ckpt", "");
+    std::fs::remove_file(&ckpt).unwrap();
+    let rtic = |args: &[&std::path::Path], extra: &[&str]| -> String {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_rtic"))
+            .arg("check")
+            .args(args)
+            .args(extra)
+            .output()
+            .expect("rtic runs");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let uninterrupted = rtic(&[&c, &whole], &[]);
+    rtic(&[&c, &head], &["--checkpoint", ckpt.to_str().unwrap()]);
+    let resumed = rtic(&[&c, &whole], &["--resume", ckpt.to_str().unwrap()]);
+    // Each violation line as its head and its set of witnesses.
+    let violations = |out: &str| -> Vec<(String, std::collections::BTreeSet<String>)> {
+        let lines = out.lines().filter(|l| l.contains(" VIOLATION "));
+        let split = lines.map(|l| l.split_once(": {").expect("a witness set"));
+        let set = |w: &str| {
+            w.trim_end_matches('}')
+                .split(", ")
+                .map(str::to_string)
+                .collect()
+        };
+        split
+            .map(|(head, witnesses)| (head.to_string(), set(witnesses)))
+            .collect()
+    };
+    assert!(uninterrupted.contains("@10 VIOLATION silent x2: {[d=x], [d=y]}\n"));
+    assert_eq!(
+        violations(&resumed),
+        violations(&uninterrupted),
+        "{resumed}"
+    );
+    // `… [incremental]: 2 violation witness(es) over 1 state(s)`.
+    let counts = |out: &str| Some(out.lines().last()?.rsplit_once("]: ")?.1.to_string());
+    let two = Some("2 violation witness(es) over 1 state(s)");
+    assert_eq!(counts(&uninterrupted).as_deref(), two, "{uninterrupted}");
+    assert_eq!(counts(&resumed).as_deref(), two, "{resumed}");
+}
