@@ -2,15 +2,12 @@
 
 use std::time::Instant;
 
-use rtic_core::observe::{sample_space_one, StepObserver};
-use rtic_core::{Checker, NopObserver, SpaceStats};
+use rtic_core::{Checker, SpaceStats};
 use rtic_history::Transition;
 
 /// Instrumented results of one checker run.
 #[derive(Clone, Debug)]
 pub struct RunMeasurement {
-    /// Checker implementation name.
-    pub checker: &'static str,
     /// Transitions processed.
     pub steps: usize,
     /// Median per-step time over the **last quarter** of the run (where a
@@ -51,18 +48,6 @@ pub fn run_instrumented(
     transitions: &[Transition],
     space_every: usize,
 ) -> RunMeasurement {
-    run_instrumented_observed(checker, transitions, space_every, &mut NopObserver)
-}
-
-/// [`run_instrumented`] with an observer attached: step events flow to
-/// `obs` (so a metrics registry or trace writer can watch an experiment)
-/// and each space poll also emits a `SpaceSample` event.
-pub fn run_instrumented_observed(
-    checker: &mut dyn Checker,
-    transitions: &[Transition],
-    space_every: usize,
-    obs: &mut dyn StepObserver,
-) -> RunMeasurement {
     assert!(!transitions.is_empty(), "nothing to measure");
     let mut step_times = Vec::with_capacity(transitions.len());
     let mut violations = 0usize;
@@ -70,20 +55,18 @@ pub fn run_instrumented_observed(
     for (i, tr) in transitions.iter().enumerate() {
         let s = Instant::now();
         let report = checker
-            .step_observed(tr.time, &tr.update, obs)
+            .step(tr.time, &tr.update)
             .unwrap_or_else(|e| panic!("checker {} failed at {}: {e}", checker.name(), tr.time));
         step_times.push(s.elapsed().as_secs_f64() * 1e6);
         violations += report.violation_count();
         if space_every > 0 && i % space_every == 0 {
-            let stats = sample_space_one(checker, tr.time, i as u64, obs);
-            max_retained = max_retained.max(stats.retained_units());
+            max_retained = max_retained.max(checker.space().retained_units());
         }
     }
     let final_space = checker.space();
     max_retained = max_retained.max(final_space.retained_units());
     let tail_from = step_times.len() - step_times.len() / 4 - 1;
     RunMeasurement {
-        checker: checker.name(),
         steps: transitions.len(),
         tail_step_us: median(&mut step_times[tail_from..]),
         final_space,

