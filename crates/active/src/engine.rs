@@ -22,8 +22,8 @@
 //!
 //! The detection rule evaluates the denial body with temporal subformulas
 //! answered from these tables. Reports are identical to the other checkers
-//! (property-tested); the constant-factor overhead of going through
-//! relations is experiment T5.
+//! (the differential oracle's `active` mode, `crates/oracle`); the
+//! constant-factor overhead of going through relations is experiment T5.
 
 use std::sync::Arc;
 

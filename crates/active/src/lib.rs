@@ -9,9 +9,9 @@
 //! an Active DBMS").
 //!
 //! [`ActiveChecker`] implements the same [`rtic_core::Checker`] interface
-//! as the direct checkers and produces identical reports (property-tested
-//! in `tests/`); experiment T5 measures the constant-factor cost of going
-//! through relations.
+//! as the direct checkers and produces identical reports (the
+//! differential oracle's `active` mode, `crates/oracle`); experiment T5
+//! measures the constant-factor cost of going through relations.
 //!
 //! ```
 //! use rtic_active::ActiveChecker;

@@ -10,12 +10,12 @@
 //! of [`TABLES`] and exits 1 when a relationship is broken.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rtic_active::ActiveChecker;
 use rtic_core::{
-    checkpoint, BackendId, Checker, ConstraintSet, EncodingOptions, IncrementalChecker,
-    NaiveChecker, NopObserver, WindowedChecker,
+    checkpoint, BackendId, Checker, ConstraintSet, DispatchStats, EncodingOptions,
+    IncrementalChecker, NaiveChecker, NopObserver, WindowedChecker,
 };
 use rtic_history::Transition;
 use rtic_relation::{tuple, Schema, Sort, Update};
@@ -1120,7 +1120,8 @@ pub fn t8_constraint_scaling(scale: &Scale) -> Table {
     t.note("rest sleeps until its next window deadline, so set step latency grows");
     t.note("sub-linearly in fleet size while n independent checkers pay full price for");
     t.note("every one; 'independent (interp)' runs the same checkers without compiled");
-    t.note("plans and never sleeps; 'asleep' is the share of engine-steps deferred");
+    t.note("plans and never sleeps; 'asleep' is the share of engine-steps deferred;");
+    t.note("'independent' and 'set (dispatch)' are the best of 5 interleaved rounds");
     let steps = scale.run_length;
     let fleets = scale.fleet_sizes.iter().flat_map(|&n| {
         let mut fractions = vec![1usize, (n / 4).max(1)];
@@ -1155,21 +1156,31 @@ pub fn t8_constraint_scaling(scale: &Scale) -> Table {
                 }
                 start.elapsed()
             };
-            let planned = independent(EncodingOptions::default());
+            let dispatched = || {
+                let mut set = ConstraintSet::new(constraints.iter().cloned(), Arc::clone(&cat))
+                    .map_err(|(_, e)| e)
+                    .expect("generated constraint compiles");
+                let start = Instant::now();
+                for tr in &stream {
+                    set.step(tr.time, &tr.update)
+                        .expect("generated stream is monotone");
+                }
+                (start.elapsed(), set.dispatch_stats())
+            };
+            // The two gated arms run in interleaved rounds and each keeps
+            // its best, as F4's pairs do: a slow stretch of a shared host
+            // costs one round of one arm, not the ratio.
+            let mut planned = Duration::MAX;
+            let (mut seq, mut stats) = (Duration::MAX, DispatchStats::default());
+            for _ in 0..5 {
+                planned = planned.min(independent(EncodingOptions::default()));
+                let (elapsed, dispatch) = dispatched();
+                seq = seq.min(elapsed);
+                stats = dispatch;
+            }
             let interpreted = independent(interpreted());
 
-            let mut set = ConstraintSet::new(constraints.iter().cloned(), Arc::clone(&cat))
-                .map_err(|(_, e)| e)
-                .expect("generated constraint compiles");
-            let start = Instant::now();
-            for tr in &stream {
-                set.step(tr.time, &tr.update)
-                    .expect("generated stream is monotone");
-            }
-            let seq = start.elapsed();
-            let stats = set.dispatch_stats();
-
-            let per_step = |d: std::time::Duration| d.as_secs_f64() * 1e6 / steps as f64;
+            let per_step = |d: Duration| d.as_secs_f64() * 1e6 / steps as f64;
             if fleets.last() == Some(&(n, affected)) {
                 largest.push(per_step(planned) / per_step(seq));
             }

@@ -13,7 +13,8 @@ use crate::report::{SpaceStats, StepReport};
 /// All four implementations ([`crate::IncrementalChecker`],
 /// [`crate::NaiveChecker`], [`crate::WindowedChecker`] and the
 /// `ActiveChecker` of `rtic-active`) produce *identical
-/// reports* on identical input (property-tested); they differ in what they
+/// reports* on identical input (the differential oracle, `crates/oracle`,
+/// diffs them on seeded random cases); they differ in what they
 /// store and how long a step takes — exactly the axes the paper's
 /// evaluation compares.
 pub trait Checker {

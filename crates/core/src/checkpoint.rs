@@ -5,7 +5,7 @@
 //! exactly the current state plus the (bounded) auxiliary relations. This
 //! module serializes both to a line-oriented text format and restores a
 //! checker that continues *identically* to one that never stopped
-//! (property-tested in `tests/checkpoint_props.rs`).
+//! (the differential oracle's `stitch` mode, `crates/oracle`).
 //!
 //! Format sketch:
 //!

@@ -67,7 +67,8 @@ impl CompiledConstraint {
     }
 
     /// [`CompiledConstraint::compile`] with the peephole optimizer
-    /// switched off — used by the optimizer-equivalence property tests.
+    /// switched off — what the differential oracle's naive reference
+    /// compiles, so every diff against it also checks the rewrites.
     pub fn compile_unoptimized(
         constraint: Constraint,
         catalog: Arc<Catalog>,

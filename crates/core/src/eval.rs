@@ -4,7 +4,7 @@
 //! delegating every *temporal* subformula to an [`Oracle`]. The naive
 //! checker's oracle recurses over the stored history; the incremental
 //! checker's oracle reads the bounded auxiliary state. Sharing this
-//! evaluator is what makes the equivalence property tests meaningful: the
+//! evaluator is what makes the differential oracle's diffs meaningful: the
 //! two checkers differ *only* in how they answer temporal questions.
 
 use std::sync::Arc;

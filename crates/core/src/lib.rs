@@ -17,8 +17,9 @@
 //! * `ActiveChecker` (crate `rtic-active`) — the same encoding stored as
 //!   database relations and advanced by triggers.
 //!
-//! All four produce identical [`StepReport`]s on identical input — this is
-//! property-tested — and expose [`SpaceStats`] so the paper's space and
+//! All four produce identical [`StepReport`]s on identical input — the
+//! differential oracle (`crates/oracle`) diffs them on seeded random
+//! cases — and expose [`SpaceStats`] so the paper's space and
 //! time claims can be measured (see `rtic-bench`).
 //!
 //! ```

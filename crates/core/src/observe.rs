@@ -228,8 +228,9 @@ impl StepEvent<'_> {
 /// A sink for [`StepEvent`]s.
 ///
 /// Observers must be behavior-neutral: they see borrowed reports and
-/// cannot influence checking (property-tested in
-/// `tests/observer_props.rs`).
+/// cannot influence checking (the differential oracle's `set` mode steps
+/// through a [`CollectingObserver`] and checks the events against the
+/// reports, `crates/oracle`).
 pub trait StepObserver {
     /// Receives one event.
     fn observe(&mut self, event: &StepEvent<'_>);

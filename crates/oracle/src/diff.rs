@@ -2,9 +2,12 @@
 //! byte.
 
 use std::fmt;
+use std::sync::Arc;
 
-use crate::generate::Case;
-use crate::modes::Mode;
+use crate::generate::{case, Case, GenConfig};
+use crate::modes::{run_constraint, Mode};
+use crate::repro::Repro;
+use crate::shrink::{shrink, ShrinkBudget};
 
 /// A disagreement between two checker realizations on one case.
 #[derive(Clone, Debug)]
@@ -71,6 +74,59 @@ pub fn check_case(case: &Case, modes: &[Mode]) -> Option<Divergence> {
         }
     }
     None
+}
+
+/// A divergence a seeded run found, and its shrunk repro.
+#[derive(Clone, Debug)]
+pub struct Finding {
+    /// The index of the case that diverged.
+    pub case_index: usize,
+    /// The divergence, on the case as generated.
+    pub divergence: Divergence,
+    /// The case shrunk while the two modes keep disagreeing.
+    pub repro: Repro,
+}
+
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (i, seed) = (self.case_index, self.repro.seed);
+        writeln!(f, "case {i} (seed {seed}): {}", self.divergence)?;
+        write!(f, "--- repro ---\n{}", self.repro.to_text())
+    }
+}
+
+/// The seeded run: cases `0..cases` of `seed` through `modes` (reference
+/// first). The first divergence is shrunk — ddmin over the history, then
+/// formula rewrites — into a repro; `None` means every case agreed.
+pub fn fuzz(seed: u64, cases: usize, cfg: &GenConfig, modes: &[Mode]) -> Option<Finding> {
+    (0..cases).find_map(|i| {
+        let c = case(seed, i, cfg);
+        let divergence = check_case(&c, modes)?;
+        let (reference, backend) = (divergence.reference, divergence.backend);
+        let (constraint, transitions) = shrink(
+            &c.constraint,
+            &c.transitions,
+            &c.catalog,
+            ShrinkBudget::default(),
+            |cand, ts| {
+                let a = run_constraint(reference, cand, &c.catalog, ts, c.seed);
+                let b = run_constraint(backend, cand, &c.catalog, ts, c.seed);
+                a != b
+            },
+        );
+        let repro = Repro {
+            seed: c.seed,
+            note: format!("{} vs {}", backend.name(), reference.name()),
+            catalog: Arc::clone(&c.catalog),
+            constraint,
+            transitions,
+        };
+        Some(Finding {
+            case_index: i,
+            divergence,
+            repro,
+        })
+    })
 }
 
 #[cfg(test)]

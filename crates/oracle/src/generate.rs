@@ -2,11 +2,13 @@
 //! real-time checkers break.
 //!
 //! Formulas are built as a generator atom conjoined with random temporal
-//! and relational conjuncts, then validated through
-//! [`CompiledConstraint::compile`] (which enforces the safe-range rules);
-//! unsafe draws are retried deterministically. Metric intervals are biased
-//! toward the boundary values the literature singles out: `0`, `a == b`
-//! (point intervals), and bounds that coincide with the formula's horizon.
+//! and relational conjuncts — or, one draw in five, taken whole from
+//! [`TEMPLATES`], the shapes that conjoining cannot build — then validated
+//! through [`CompiledConstraint::compile`] (which enforces the safe-range
+//! rules); unsafe draws are retried deterministically. Metric intervals
+//! are biased toward the boundary values the literature singles out: `0`,
+//! `a == b` (point intervals), and bounds that coincide with the formula's
+//! horizon.
 //! Histories mix dense timestamp clusters, horizon-expiring clock gaps,
 //! relation churn against the live state (a tuple now and then deleted
 //! and re-inserted by one update), empty updates (pure ticks), and
@@ -28,8 +30,9 @@ use rand::{Rng, SeedableRng};
 use rtic_core::CompiledConstraint;
 use rtic_history::gen::GapKind;
 use rtic_history::Transition;
-use rtic_relation::{tuple, Catalog, Schema, Sort, Tuple, Update};
+use rtic_relation::{Catalog, Schema, Sort, Symbol, Tuple, Update, Value};
 use rtic_temporal::analysis::Horizon;
+use rtic_temporal::parser::parse_constraint;
 use rtic_temporal::{var, CmpOp, Constraint, Formula, Interval, Term, TimePoint};
 
 use crate::derive_seed;
@@ -104,8 +107,8 @@ pub struct Case {
 pub const SPARE: &str = "s0";
 
 /// The fixed case catalog: two unary relations and one binary relation
-/// for the constraint, plus [`SPARE`], all over `int` (churn and
-/// comparisons need only one sort).
+/// over `int` for the constraint, `r3` pairing an `int` key with a `str`
+/// payload (only [`TEMPLATES`] read it), plus [`SPARE`].
 pub fn case_catalog() -> Arc<Catalog> {
     Arc::new(
         Catalog::new()
@@ -115,12 +118,69 @@ pub fn case_catalog() -> Arc<Catalog> {
             .expect("fresh catalog accepts r1")
             .with("r2", Schema::of(&[("a", Sort::Int), ("b", Sort::Int)]))
             .expect("fresh catalog accepts r2")
+            .with(
+                STR_RELATION,
+                Schema::of(&[("a", Sort::Int), ("b", Sort::Str)]),
+            )
+            .expect("fresh catalog accepts r3")
             .with(SPARE, Schema::of(&[("a", Sort::Int)]))
             .expect("fresh catalog accepts the spare relation"),
     )
 }
 
 const UNARY: [&str; 2] = ["r0", "r1"];
+
+/// The relation with a `str` column. A history churns it only when the
+/// constraint reads it, so the `int` relations keep their share of every
+/// other history's churn.
+const STR_RELATION: &str = "r3";
+
+/// The `str` values, indexed by the drawn number: the `\"` and `\\`
+/// escapes the log, checkpoint and protocol writers know, and a raw tab.
+/// (No newline: report lines print witnesses raw, so one would split the
+/// `serve` mode's report file mid-line.)
+const STRINGS: [&str; 4] = ["a", "say \"hi\"", "back\\slash", "tab\there"];
+
+/// The value number `n` stands for in a column of sort `sort`.
+fn value(sort: Sort, n: i64) -> Value {
+    match sort {
+        Sort::Int => Value::Int(n),
+        Sort::Str => Value::str(STRINGS[n.rem_euclid(STRINGS.len() as i64) as usize]),
+        Sort::Bool => Value::Bool(n % 2 == 1),
+    }
+}
+
+/// Whole-body shapes the conjunct generator cannot build: nested windows
+/// (the peephole optimizer's rewrite triggers), `since` over temporal
+/// operands, quantifiers, a top-level disjunction, and `r3`'s `str`
+/// column. `{i}` and `{j}` are replaced by boundary intervals; every
+/// template compiles under every interval (`every_template_compiles`),
+/// which is why `hist hist` carries no intervals: with them, most draws
+/// fail the safe-range rules.
+pub const TEMPLATES: &[&str] = &[
+    "r0(x) && once{i} once{j} r1(x)",
+    "r0(x) && hist hist r1(x)",
+    "r0(x) && hist{i} once{j} r1(x)",
+    "(once{i} r1(x)) since{j} r0(x)",
+    "(hist{i} r1(x)) since{j} r1(x)",
+    "once{i} (r1(x) since{j} r0(x))",
+    "exists y . r2(x, y) && once{i} r0(x)",
+    "r0(x) && !(exists z . r2(x, z))",
+    "once{i} exists y . r2(x, y)",
+    "r0(x) || once{i} r1(x)",
+    "(r0(x) && !once{i} r1(x)) || (r1(x) && prev{j} r0(x))",
+    "r3(x, s) && !once{i} r3(x, s)",
+    "r3(x, s) && hist{i} r3(x, s)",
+    "exists s . r3(x, s) && once{i} (r3(x, s) && r1(x))",
+];
+
+/// Draws one of [`TEMPLATES`] with fresh boundary intervals.
+fn template(rng: &mut StdRng, name: &str) -> Constraint {
+    let body = TEMPLATES[rng.gen_range(0..TEMPLATES.len())]
+        .replace("{i}", &boundary_interval(rng).to_string())
+        .replace("{j}", &boundary_interval(rng).to_string());
+    parse_constraint(&format!("deny {name}: {body}")).expect("templates parse")
+}
 
 /// The small bound pool intervals draw from, heavily weighted toward 0
 /// and adjacent values — off-by-one bugs live at small bounds.
@@ -197,9 +257,11 @@ fn conjunct(rng: &mut StdRng, cfg: &GenConfig, binds_y: bool) -> Formula {
     }
 }
 
-/// Builds one random safe denial constraint. Candidates that fail
-/// safe-range compilation are redrawn (deterministically); after a bounded
-/// number of attempts a known-safe fallback is used.
+/// Builds one random safe denial constraint: one draw in five is a
+/// [`TEMPLATES`] body, the rest conjoin random conjuncts onto a generator
+/// atom. Candidates that fail safe-range compilation are redrawn
+/// (deterministically); after a bounded number of attempts a known-safe
+/// fallback is used.
 pub fn random_constraint(
     rng: &mut StdRng,
     cfg: &GenConfig,
@@ -207,6 +269,9 @@ pub fn random_constraint(
     name: &str,
 ) -> Constraint {
     for _ in 0..64 {
+        if rng.gen_bool(0.2) {
+            return template(rng, name);
+        }
         let binary_base = rng.gen_bool(0.4);
         let base = if binary_base {
             Formula::atom("r2", [Term::var("x"), Term::var("y")])
@@ -279,16 +344,23 @@ pub fn random_history(
     let rows = if resident { rng.gen_range(64..=160) } else { 0 };
     let domain = if resident { 2 * rows } else { cfg.domain };
 
-    let names: Vec<(rtic_relation::Symbol, usize)> = {
+    let names: Vec<(Symbol, Vec<Sort>)> = {
         let mut v: Vec<_> = catalog
             .names()
+            .filter(|n| n.as_str() != STR_RELATION || read.contains(n))
             .map(|n| {
-                let arity = catalog.schema_of(n).map(|s| s.arity()).unwrap_or(1);
-                (n, arity)
+                let sorts = catalog.schema_of(n).map(|s| s.sorts().collect());
+                (n, sorts.unwrap_or_default())
             })
             .collect();
         v.sort();
         v
+    };
+    // A row from its first column's number and the rest's: the first
+    // column ranges over the whole domain, later ones over `cfg.domain`.
+    let row = |sorts: &[Sort], first: i64, rest: i64| {
+        let numbers = std::iter::once(first).chain(std::iter::repeat(rest));
+        Tuple::new(sorts.iter().zip(numbers).map(|(&s, n)| value(s, n)))
     };
     let unread: Vec<usize> = (0..names.len())
         .filter(|&ri| !read.contains(&names[ri].0))
@@ -297,19 +369,16 @@ pub fn random_history(
     // that are actually present (real churn, not no-op deletes).
     let mut live: Vec<BTreeSet<Tuple>> = names.iter().map(|_| BTreeSet::new()).collect();
     let mut load = Update::new();
-    for (ri, &(name, arity)) in names.iter().enumerate() {
+    for (ri, (name, sorts)) in names.iter().enumerate() {
         for v in 0..rows {
-            let tup = if arity == 1 {
-                tuple![v]
-            } else {
-                tuple![v, v % cfg.domain]
-            };
-            load.insert(name, tup.clone());
+            let tup = row(sorts, v, v % cfg.domain);
+            load.insert(*name, tup.clone());
             live[ri].insert(tup);
         }
     }
     let mut churn = |rng: &mut StdRng, update: &mut Update, ri: usize| {
-        let (name, arity) = names[ri];
+        let (name, sorts) = &names[ri];
+        let name = *name;
         let delete_existing = !live[ri].is_empty() && rng.gen_bool(0.35);
         if delete_existing {
             let k = rng.gen_range(0..live[ri].len());
@@ -326,11 +395,11 @@ pub fn random_history(
                 live[ri].remove(&victim);
             }
         } else {
-            let tup = if arity == 1 {
-                tuple![rng.gen_range(0..domain)]
-            } else {
-                tuple![rng.gen_range(0..domain), rng.gen_range(0..cfg.domain)]
-            };
+            let tup = row(
+                sorts,
+                rng.gen_range(0..domain),
+                rng.gen_range(0..cfg.domain),
+            );
             update.insert(name, tup.clone());
             live[ri].insert(tup);
         }
@@ -479,6 +548,23 @@ mod tests {
         assert!(quiet > 400, "only {quiet} quiescent steps");
         assert!(longest >= 8, "longest quiescent run: {longest}");
         assert!(landed.iter().all(|&n| n > 50), "edge landings: {landed:?}");
+    }
+
+    #[test]
+    fn every_template_compiles() {
+        // Each template, under every interval shape the generator draws.
+        let catalog = case_catalog();
+        let mut rng = StdRng::seed_from_u64(17);
+        for t in TEMPLATES {
+            for _ in 0..40 {
+                let body = t
+                    .replace("{i}", &boundary_interval(&mut rng).to_string())
+                    .replace("{j}", &boundary_interval(&mut rng).to_string());
+                let c = parse_constraint(&format!("deny t: {body}")).expect("parses");
+                CompiledConstraint::compile(c, Arc::clone(&catalog))
+                    .unwrap_or_else(|e| panic!("`{body}` does not compile: {e}"));
+            }
+        }
     }
 
     #[test]

@@ -13,11 +13,16 @@
 //!    reference, incremental, windowed, active, `ConstraintSet`, a
 //!    kill-at-a-random-step checkpoint/resume stitch, and a live `rtic
 //!    serve` daemon killed and resumed mid-stream (`soak.rs`) —
-//!    and [`diff`] asserts byte-identical violation reports.
+//!    and [`diff`] asserts byte-identical violation reports. The `set`
+//!    and `stitch` modes check more on the way (observer events, a
+//!    forced-full twin, plan profiles, checkpoint refusals); a failed
+//!    check is a divergence too.
 //! 3. On divergence, [`shrink`] minimizes both the history and the formula
 //!    while preserving the disagreement, and [`repro`] serializes a
 //!    self-contained repro file (seed + constraint text + log lines) for
-//!    `tests/corpus/`.
+//!    `tests/corpus/`. [`fuzz`] is that loop over a seed's cases; the
+//!    binary and the seeded runs in this crate's `tests/` share it.
+//!    [`space_fuzz`] is the same loop over the paper's space claim.
 //!
 //! [`mutation`] closes the loop: it deliberately breaks a cloned checker
 //! (off-by-one window, dropped quiescent steps, a late sleep deadline, a
@@ -37,12 +42,14 @@ pub mod mutation;
 pub mod repro;
 pub mod shrink;
 mod soak;
+pub mod space;
 
-pub use diff::{check_case, Divergence};
+pub use diff::{check_case, fuzz, Divergence, Finding};
 pub use generate::{Case, GenConfig};
 pub use modes::Mode;
 pub use mutation::Mutant;
 pub use repro::Repro;
+pub use space::space_fuzz;
 
 /// Derives an independent child seed from a base seed and a stream index,
 /// so every case (and every decision *within* a case) is a pure function

@@ -3,12 +3,9 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::Arc;
 
-use rtic_oracle::generate::{case, GenConfig, HistoryBias};
-use rtic_oracle::modes::run_constraint;
-use rtic_oracle::shrink::{shrink, ShrinkBudget};
-use rtic_oracle::{check_case, corpus, mutation, Mode, Mutant, Repro};
+use rtic_oracle::generate::{GenConfig, HistoryBias};
+use rtic_oracle::{corpus, mutation, Mode, Mutant, Repro};
 
 const USAGE: &str = "\
 rtic-oracle — differential conformance oracle (see docs/TESTING.md)
@@ -110,44 +107,19 @@ fn fuzz(args: &[String]) -> Result<ExitCode, String> {
         cfg.max_formula_depth,
         mode_names.join(",")
     );
-    for i in 0..cases {
-        let c = case(seed, i, &cfg);
-        let Some(div) = check_case(&c, &modes) else {
-            continue;
-        };
-        println!("case {i} (seed {}): {div}", c.seed);
-        let reference = div.reference;
-        let backend = div.backend;
-        let (sc, sts) = shrink(
-            &c.constraint,
-            &c.transitions,
-            &c.catalog,
-            ShrinkBudget::default(),
-            |cand, ts| {
-                let a = run_constraint(reference, cand, &c.catalog, ts, c.seed);
-                let b = run_constraint(backend, cand, &c.catalog, ts, c.seed);
-                a != b
-            },
-        );
-        let repro = Repro {
-            seed: c.seed,
-            note: format!("{} vs {}", backend.name(), reference.name()),
-            catalog: Arc::clone(&c.catalog),
-            constraint: sc,
-            transitions: sts,
-        };
-        let path = corpus_dir.join(format!("div-{}-{i}.repro", seed));
-        write_repro(&path, &repro)?;
-        println!(
-            "shrunk to {} log line(s); repro written to {}",
-            repro.log_lines(),
-            path.display()
-        );
-        println!("--- repro ---\n{}", repro.to_text());
-        return Ok(ExitCode::FAILURE);
-    }
-    println!("oracle: {cases} case(s), 0 divergences");
-    Ok(ExitCode::SUCCESS)
+    let Some(found) = rtic_oracle::fuzz(seed, cases, &cfg, &modes) else {
+        println!("oracle: {cases} case(s), 0 divergences");
+        return Ok(ExitCode::SUCCESS);
+    };
+    let path = corpus_dir.join(format!("div-{seed}-{}.repro", found.case_index));
+    write_repro(&path, &found.repro)?;
+    println!("{found}");
+    println!(
+        "shrunk to {} log line(s); repro written to {}",
+        found.repro.log_lines(),
+        path.display()
+    );
+    Ok(ExitCode::FAILURE)
 }
 
 fn mutation_smoke(args: &[String]) -> Result<ExitCode, String> {

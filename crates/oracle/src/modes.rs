@@ -9,12 +9,14 @@
 use std::sync::Arc;
 
 use rtic_active::ActiveChecker;
+use rtic_core::checkpoint::{self, CheckpointError};
+use rtic_core::observe::CollectingObserver;
 use rtic_core::{
-    checkpoint, BackendId, Checker, ConstraintSet, EncodingOptions, IncrementalChecker,
-    NaiveChecker, WindowedChecker,
+    BackendId, Checker, CompiledConstraint, ConstraintSet, EncodingOptions, IncrementalChecker,
+    NaiveChecker, StepEvent, StepReport, WindowedChecker,
 };
 use rtic_history::Transition;
-use rtic_relation::Catalog;
+use rtic_relation::{Catalog, Database, Sort, Symbol, Tuple, Value};
 use rtic_temporal::parser::parse_constraint;
 use rtic_temporal::Constraint;
 
@@ -38,11 +40,15 @@ pub enum Mode {
     /// A [`ConstraintSet`] of the constraint plus one or two companions
     /// over the spare relation, stepped line by line — pins relevance
     /// dispatch against the reference: while one engine works the other
-    /// sleeps until its next window deadline.
+    /// sleeps until its next window deadline. Its observer events, its
+    /// forced-full twin and a database clone held across a step are
+    /// checked on the way (docs/TESTING.md, "Checks inside a mode").
     SetSequential,
-    /// Kill that fleet at a seed-derived step (possibly mid-sleep),
-    /// checkpoint, restore into a fresh process image, and stitch the two
-    /// report halves together.
+    /// Kill that fleet, built with the plan profiler on, at a seed-derived
+    /// step (possibly mid-sleep), checkpoint, restore into a fresh process
+    /// image, and stitch the two report halves together. The profiles, the
+    /// space accounting across the restore and the refusal of a lost or
+    /// torn database section are checked on the way (docs/TESTING.md).
     Stitch,
     /// Stream that fleet through a live `rtic serve` daemon, killed and
     /// resumed mid-stream, and read its drained report (`soak.rs`).
@@ -163,8 +169,11 @@ pub(crate) fn run_single(
 /// Constructs a standalone checker for a [`BackendId`] — the oracle-side
 /// twin of the CLI's backend construction (the oracle depends on every
 /// backend crate, so it can realize the whole enumeration). The naive
-/// checker is built in interpreting mode: as the reference it must stay on
-/// the semantics-defining evaluator, not the plans under test.
+/// checker is built in interpreting mode from the unoptimized compile: as
+/// the reference it must stay on the semantics-defining evaluator, not the
+/// plans or the peephole rewrites under test, so every diff against it
+/// also checks the rewrites. A body that only its rewrites make safe
+/// (`hist hist q(x)` is `hist q(x)`) falls back to the optimized compile.
 pub fn single_checker(
     b: BackendId,
     constraint: &Constraint,
@@ -175,7 +184,12 @@ pub fn single_checker(
     let err = |e: rtic_core::CompileError| format!("constraint `{}`: {e}", constraint.name);
     Ok(match b {
         BackendId::Incremental => Box::new(IncrementalChecker::new(c, cat).map_err(err)?),
-        BackendId::Naive => Box::new(NaiveChecker::new_interpreted(c, cat).map_err(err)?),
+        BackendId::Naive => {
+            let plain = CompiledConstraint::compile_unoptimized(c.clone(), Arc::clone(&cat));
+            let compiled = plain.or_else(|_| CompiledConstraint::compile(c, cat));
+            let compiled = compiled.map_err(err)?;
+            Box::new(NaiveChecker::from_compiled_interpreted(compiled))
+        }
         BackendId::Windowed => Box::new(WindowedChecker::new(c, cat).map_err(err)?),
         BackendId::Active => Box::new(ActiveChecker::new(c, cat).map_err(err)?),
     })
@@ -213,19 +227,189 @@ fn step_fleet(
     Ok(())
 }
 
+fn build_set(
+    fleet: &[Constraint],
+    catalog: &Arc<Catalog>,
+    options: EncodingOptions,
+) -> Result<ConstraintSet, String> {
+    ConstraintSet::with_options(fleet.iter().cloned(), Arc::clone(catalog), options)
+        .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))
+}
+
 /// [`Mode::SetSequential`]: the fleet (relevance dispatch on) stepped
-/// one transition at a time.
+/// one transition at a time through `step_observed`. Three checks ride
+/// along; a failed one is an `Err`, which the diff reports (and the
+/// shrinker minimizes) as a divergence:
+///
+/// * the observer's events agree with the reports ([`check_events`]);
+/// * a forced-full twin — the same fleet stepped with every update plus a
+///   delete of an absent tuple from each relation, so no engine is ever
+///   quiescent and none ever sleeps — reports the same and holds the
+///   same `space()` after every step, whatever the set has deferred, and
+///   the same settled state (`save_set` sections without their
+///   `dispatch` line) after a seed-chosen one step in four and the last
+///   (writing both sets' sections every step would double the mode's
+///   cost again); the set never defers more than `b + 1` states, and the
+///   twin never sleeps;
+/// * on seed-chosen steps a clone of the database is held across the
+///   step, so the step copies each relation it changes instead of editing
+///   it in place: the holder must read afterwards what it read before.
 fn run_set(
     constraint: &Constraint,
     catalog: &Arc<Catalog>,
     transitions: &[Transition],
     seed: u64,
 ) -> Result<Vec<String>, String> {
-    let mut set = ConstraintSet::new(fleet(constraint, catalog, seed), Arc::clone(catalog))
-        .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?;
+    let fleet = fleet(constraint, catalog, seed);
+    let options = EncodingOptions::default();
+    let (mut set, mut twin) = (
+        build_set(&fleet, catalog, options)?,
+        build_set(&fleet, catalog, options)?,
+    );
+    let ghosts = ghost_deletes(catalog);
+    let mut obs = CollectingObserver::default();
     let mut lines = Vec::with_capacity(transitions.len());
-    step_fleet(&mut set, transitions, &mut lines)?;
-    Ok(lines)
+    for (n, t) in transitions.iter().enumerate() {
+        let at = t.time;
+        let held = derive_seed(seed, 0xC0DE ^ n as u64)
+            .is_multiple_of(4)
+            .then(|| {
+                let db = set.database().clone();
+                let rows = rows_of(&db);
+                (db, rows)
+            });
+        let reports = set
+            .step_observed(at, &t.update, &mut obs)
+            .map_err(|e| e.to_string())?;
+        check_events(&obs.events, &reports).map_err(|e| format!("t={at}: events: {e}"))?;
+        obs.events.clear();
+        if let Some((db, rows)) = held {
+            if rows_of(&db) != rows {
+                return Err(format!(
+                    "t={at}: a database clone held across the step changed"
+                ));
+            }
+        }
+        let mut forced = t.update.clone();
+        for (rel, ghost) in &ghosts {
+            forced.delete(*rel, ghost.clone());
+        }
+        let expected = twin.step(at, &forced).map_err(|e| e.to_string())?;
+        if reports != expected {
+            return Err(format!(
+                "t={at}: sleeping {reports:?}, forced-full twin {expected:?}"
+            ));
+        }
+        let sampled = derive_seed(seed, 0x5EC7 ^ n as u64).is_multiple_of(4);
+        if (sampled || n + 1 == transitions.len()) && sections(&set) != sections(&twin) {
+            return Err(format!(
+                "t={at}: settled state differs from the forced-full twin's"
+            ));
+        }
+        if set.space() != twin.space() {
+            let (lazy, eager) = (set.space(), twin.space());
+            return Err(format!("t={at}: space {lazy}, forced-full twin {eager}"));
+        }
+        for (deferred, bound) in set.deferred_ticks() {
+            if deferred as u64 > bound + 1 {
+                return Err(format!("t={at}: {deferred} states deferred, bound {bound}"));
+            }
+        }
+        lines.extend(reports.first().map(|r| r.to_string()));
+    }
+    match twin.dispatch_stats().skipped {
+        0 => Ok(lines),
+        n => Err(format!(
+            "the forced-full twin slept through {n} engine-step(s)"
+        )),
+    }
+}
+
+/// One absent tuple per relation: deleting it changes nothing, but makes
+/// the update touch every relation. Its values lie outside anything a
+/// generated history, a repro or a scenario writes (a relation of `bool`
+/// columns alone has no such tuple; no catalog the oracle runs has one).
+fn ghost_deletes(catalog: &Catalog) -> Vec<(Symbol, Tuple)> {
+    let ghost = |sort: Sort| match sort {
+        Sort::Int => Value::Int(i64::MIN),
+        Sort::Str => Value::str("\u{1}ghost"),
+        Sort::Bool => Value::Bool(false),
+    };
+    let schemas = catalog
+        .names()
+        .filter_map(|n| Some((n, catalog.schema_of(n)?)));
+    schemas
+        .map(|(n, schema)| (n, Tuple::new(schema.sorts().map(ghost))))
+        .collect()
+}
+
+/// Every relation's rows, in a canonical order.
+fn rows_of(db: &Database) -> Vec<(Symbol, Vec<Tuple>)> {
+    let mut names: Vec<Symbol> = db.catalog().names().collect();
+    names.sort();
+    let rows = |n: Symbol| {
+        db.relation(n)
+            .map(|r| r.sorted().into_iter().cloned().collect())
+    };
+    names
+        .into_iter()
+        .map(|n| (n, rows(n).unwrap_or_default()))
+        .collect()
+}
+
+/// `save_set` sections without their `dispatch` line — the one place a
+/// sleeping set and its forced-full twin may differ.
+fn sections(set: &ConstraintSet) -> Vec<String> {
+    let strip = |text: String| {
+        let kept = text.lines().filter(|l| !l.starts_with("dispatch "));
+        kept.collect::<Vec<_>>().join("\n")
+    };
+    let saved = checkpoint::save_set(set);
+    saved.into_iter().map(|(_, text)| strip(text)).collect()
+}
+
+/// One step's observer events against its reports: one `step_start` and
+/// one `step` event, one `eval` per report, the evals' violation counts
+/// summing to the step's and to the reports', and one `violation` event
+/// per violating report.
+fn check_events(events: &[StepEvent<'_>], reports: &[StepReport]) -> Result<(), String> {
+    let count = |kind: &str| events.iter().filter(|e| e.kind() == kind).count();
+    let (starts, ends, evals) = (count("step_start"), count("step"), count("eval"));
+    if (starts, ends, evals) != (1, 1, reports.len()) {
+        return Err(format!(
+            "{starts} step_start, {ends} step and {evals} eval event(s) for {} report(s)",
+            reports.len()
+        ));
+    }
+    let mut eval_violations = 0;
+    let mut violating_evals = 0;
+    let mut step_violations = 0;
+    for e in events {
+        match e {
+            StepEvent::ConstraintEval { violations, .. } => {
+                eval_violations += violations;
+                violating_evals += usize::from(*violations > 0);
+            }
+            StepEvent::StepEnd { violations, .. } => step_violations = *violations,
+            _ => {}
+        }
+    }
+    let reported: usize = reports.iter().map(StepReport::violation_count).sum();
+    let violating = reports.iter().filter(|r| !r.ok()).count();
+    if (eval_violations, step_violations) != (reported, reported) {
+        return Err(format!(
+            "evals count {eval_violations} and the step {step_violations} violation(s), \
+             the reports {reported}"
+        ));
+    }
+    let violation_events = count("violation");
+    if (violation_events, violating_evals) != (violating, violating) {
+        return Err(format!(
+            "{violation_events} violation event(s) and {violating_evals} violating eval(s) \
+             for {violating} violating report(s)"
+        ));
+    }
+    Ok(())
 }
 
 /// Picks the seed-derived kill step for [`Mode::Stitch`]: some step
@@ -239,6 +423,11 @@ pub fn stitch_kill_step(seed: u64, len: usize) -> usize {
     }
 }
 
+/// [`Mode::Stitch`]. The fleet runs with the plan profiler on, and
+/// each incarnation's profiles must be well formed ([`check_profiles`]).
+/// At the kill, restoring the checkpoint with its database section lost
+/// or torn must fail with a typed error ([`check_refusals`]), and the
+/// restored fleet's `space()` must equal the killed one's.
 fn run_stitch(
     constraint: &Constraint,
     catalog: &Arc<Catalog>,
@@ -247,21 +436,124 @@ fn run_stitch(
 ) -> Result<Vec<String>, String> {
     let kill = stitch_kill_step(seed, transitions.len());
     let fleet = fleet(constraint, catalog, seed);
-    let mut set = ConstraintSet::new(fleet.clone(), Arc::clone(catalog))
-        .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?;
+    let options = EncodingOptions {
+        profile_plans: true,
+        ..Default::default()
+    };
+    let mut set = build_set(&fleet, catalog, options)?;
     let mut lines = Vec::with_capacity(transitions.len());
     step_fleet(&mut set, &transitions[..kill], &mut lines)?;
+    check_profiles(&set, kill)?;
     // "Crash": drop the live set, keeping only the serialized checkpoint,
     // then restore into a fresh fleet and finish the history.
     let sections: Vec<String> = checkpoint::save_set(&set)
         .into_iter()
         .map(|(_, text)| text)
         .collect();
+    let space = set.space();
     drop(set);
-    let mut resumed = checkpoint::restore_set(fleet, Arc::clone(catalog), &sections)
+    check_refusals(&fleet, catalog, &sections)?;
+    let restore = checkpoint::restore_set_with_options;
+    let mut resumed = restore(fleet, Arc::clone(catalog), options, &sections)
         .map_err(|e| format!("restore: {e}"))?;
+    if resumed.space() != space {
+        let after = resumed.space();
+        return Err(format!("space {space} at the kill, {after} restored"));
+    }
     step_fleet(&mut resumed, &transitions[kill..], &mut lines)?;
+    check_profiles(&resumed, transitions.len() - kill)?;
     Ok(lines)
+}
+
+/// A profiled fleet after `steps` steps: one profile per engine, one row
+/// per plan node with ids in pre-order, and the body root run at most
+/// once per step (an engine asleep until its next deadline is not
+/// re-evaluated).
+fn check_profiles(set: &ConstraintSet, steps: usize) -> Result<(), String> {
+    let profiles = set.plan_profiles();
+    if profiles.len() != set.len() {
+        let n = profiles.len();
+        return Err(format!("{n} profile(s) for {} engine(s)", set.len()));
+    }
+    for (name, profile) in profiles {
+        if profile.nodes.is_empty() {
+            return Err(format!("`{name}`: empty profile"));
+        }
+        if let Some((i, row)) = profile
+            .nodes
+            .iter()
+            .enumerate()
+            .find(|(i, r)| r.desc.id != *i)
+        {
+            return Err(format!("`{name}`: profile row {i} has id {}", row.desc.id));
+        }
+        let roots = profile
+            .nodes
+            .iter()
+            .filter(|r| r.desc.depth == 0 && r.desc.path == "body");
+        let calls: u64 = roots.map(|r| r.counts.calls).sum();
+        if calls > steps as u64 {
+            return Err(format!(
+                "`{name}`: body root ran {calls} times in {steps} step(s)"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The fleet's database lives in the first section. With that section
+/// lost (with or without its constraint), or torn inside its rows (cut
+/// short, or a row turned to garbage), restoring is a typed error — never
+/// a fleet that runs on over a wrong database. Nothing to check while
+/// the database is empty or the fleet has one member.
+fn check_refusals(
+    fleet: &[Constraint],
+    catalog: &Arc<Catalog>,
+    sections: &[String],
+) -> Result<(), String> {
+    let Some((bearer, rest)) = sections.split_first() else {
+        return Ok(());
+    };
+    let Some(row) = bearer
+        .find("\nrel ")
+        .and_then(|r| bearer[r..].find("\n| ").map(|i| r + i))
+    else {
+        return Ok(());
+    };
+    if rest.is_empty() {
+        return Ok(());
+    }
+    let restore = |constraints: &[Constraint], sections: &[String]| {
+        checkpoint::restore_set(constraints.iter().cloned(), Arc::clone(catalog), sections)
+    };
+    for constraints in [fleet, &fleet[1..]] {
+        match restore(constraints, rest) {
+            Err(CheckpointError::Mismatch { .. }) => {}
+            other => return Err(refused_wrongly("lost", other)),
+        }
+    }
+    let row_end = bearer[row + 1..]
+        .find('\n')
+        .map_or(bearer.len(), |e| row + 1 + e);
+    let cut = bearer[..row_end].to_string();
+    let garbage = format!("{}garbage {}", &bearer[..row + 3], &bearer[row + 3..]);
+    for torn in [cut, garbage] {
+        let damaged: Vec<String> = std::iter::once(torn).chain(rest.iter().cloned()).collect();
+        for constraints in [fleet, &fleet[1..]] {
+            match restore(constraints, &damaged) {
+                Err(CheckpointError::Format { .. }) => {}
+                other => return Err(refused_wrongly("torn", other)),
+            }
+        }
+    }
+    Ok(())
+}
+
+fn refused_wrongly(damage: &str, outcome: Result<ConstraintSet, CheckpointError>) -> String {
+    match outcome {
+        Ok(_) => format!("a {damage} database section restored"),
+        Err(e) => format!("a {damage} database section: wrong error: {e}"),
+    }
 }
 
 #[cfg(test)]
