@@ -135,11 +135,10 @@ const UNARY: [&str; 2] = ["r0", "r1"];
 /// other history's churn.
 const STR_RELATION: &str = "r3";
 
-/// The `str` values, indexed by the drawn number: the `\"` and `\\`
-/// escapes the log, checkpoint and protocol writers know, and a raw tab.
-/// (No newline: report lines print witnesses raw, so one would split the
-/// `serve` mode's report file mid-line.)
-const STRINGS: [&str; 4] = ["a", "say \"hi\"", "back\\slash", "tab\there"];
+/// The `str` values, indexed by the drawn number: the `\"`, `\\` and `\n`
+/// escapes the log, checkpoint, protocol and report writers know, and a
+/// raw tab.
+const STRINGS: [&str; 4] = ["a", "say \"hi\"", "back\\slash\nline", "tab\there"];
 
 /// The value number `n` stands for in a column of sort `sort`.
 fn value(sort: Sort, n: i64) -> Value {

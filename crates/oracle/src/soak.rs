@@ -9,7 +9,9 @@
 //!
 //! The case seed also draws a checkpoint cadence of 1–3 steps, the
 //! [`script`]'s extras, and a `serve.step=abort@N` kill, after which a
-//! `--resume` incarnation is sent the whole script again.
+//! `--resume` incarnation is sent the whole script again. Its `QUERY
+//! status` before the drain must count every transition as a step, which
+//! pins the report counters the checkpoint restored.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -147,8 +149,10 @@ fn script(transitions: &[Transition], seed: u64) -> Vec<Request> {
     script
 }
 
-/// Sends `script` to the daemon on `sock`, then `DRAIN`; hands a
-/// [`Closer`] for the connection to `closer` first.
+/// Sends `script` to the daemon on `sock`, then `QUERY status` and
+/// `DRAIN`; hands a [`Closer`] for the connection to `closer` first. The
+/// status must count every transition of the script as a step, whether
+/// this daemon checked it or restored it with the checkpoint's report.
 fn stream(sock: &Path, script: &[Request], closer: Sender<Closer>) -> Result<(), String> {
     // Polls finer than the connect retry's 10 ms until the daemon binds.
     for _ in (0..1000).take_while(|_| !sock.exists()) {
@@ -178,6 +182,23 @@ fn stream(sock: &Path, script: &[Request], closer: Sender<Closer>) -> Result<(),
                 }
             },
         }
+    }
+    let transitions: usize = script
+        .iter()
+        .map(|request| match request {
+            Request::Send(_) => 1,
+            Request::Paused(lines) => lines.len(),
+            Request::Refused(_) => 0,
+        })
+        .sum();
+    let status = client.status()?;
+    let steps = status
+        .split_whitespace()
+        .find_map(|kv| kv.strip_prefix("steps="));
+    if steps != Some(transitions.to_string().as_str()) {
+        return Err(format!(
+            "`QUERY status` before DRAIN answered `{status}` after {transitions} transition(s)"
+        ));
     }
     client.drain()?;
     Ok(())

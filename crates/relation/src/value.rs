@@ -124,8 +124,15 @@ impl Value {
 
 /// Writes `s` quoted, escaping exactly `"`, `\\` and newline.
 fn quote(s: &str, out: &mut impl fmt::Write) -> fmt::Result {
-    let mut rest = s;
     out.write_char('"')?;
+    escape(s, out)?;
+    out.write_char('"')
+}
+
+/// Writes `s` with exactly `"`, `\\` and newline escaped, unquoted: what a
+/// report line prints, so one report is one line.
+fn escape(s: &str, out: &mut impl fmt::Write) -> fmt::Result {
+    let mut rest = s;
     while let Some(at) = rest.find(['"', '\\', '\n']) {
         out.write_str(&rest[..at])?;
         out.write_str(match rest.as_bytes()[at] {
@@ -135,8 +142,7 @@ fn quote(s: &str, out: &mut impl fmt::Write) -> fmt::Result {
         })?;
         rest = &rest[at + 1..];
     }
-    out.write_str(rest)?;
-    out.write_char('"')
+    out.write_str(rest)
 }
 
 /// Appends `n` in decimal: what `{n}` prints, without `fmt`'s machinery.
@@ -154,11 +160,13 @@ pub fn push_decimal(out: &mut String, mut n: u64) {
     out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
+/// A value as report lines print it: a string unquoted, with the same
+/// escapes as a log literal, so a witness never splits its line.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Int(i) => write!(f, "{i}"),
-            Value::Str(s) => write!(f, "{s}"),
+            Value::Str(s) => escape(s.as_str(), f),
             Value::Bool(b) => write!(f, "{b}"),
         }
     }

@@ -4,13 +4,13 @@
 //! the same retry instant.
 
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::Duration;
 
 use crate::protocol::{BUSY_PREFIX, ERR_PREFIX, OK_PREFIX, VIOL_PREFIX};
-use crate::server::Listen;
+use crate::server::{Conn, Listen};
 
 /// Retry behavior for `BUSY` replies.
 #[derive(Debug, Clone, Copy)]
@@ -55,8 +55,8 @@ enum Terminal {
 
 /// A connected client.
 pub struct Client {
-    reader: BufReader<Stream>,
-    writer: Stream,
+    reader: BufReader<Conn>,
+    writer: Conn,
     retry: RetryPolicy,
     /// xorshift64 state for retry jitter.
     rng: u64,
@@ -64,58 +64,15 @@ pub struct Client {
     busy_seen: u64,
 }
 
-enum Stream {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Stream {
-    fn try_clone(&self) -> Result<Stream, String> {
-        match self {
-            Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
-            Stream::Unix(s) => s.try_clone().map(Stream::Unix),
-        }
-        .map_err(|e| format!("cannot clone connection: {e}"))
-    }
-}
-
 /// Closes a [`Client`]'s connection from another thread, as the kernel
 /// does when a process dies: a request blocked on its reply fails at
 /// once.
-pub struct Closer(Stream);
+pub struct Closer(Conn);
 
 impl Closer {
     /// Shuts the connection down both ways.
     pub fn close(&self) {
-        let _ = match &self.0 {
-            Stream::Tcp(s) => s.shutdown(Shutdown::Both),
-            Stream::Unix(s) => s.shutdown(Shutdown::Both),
-        };
-    }
-}
-
-impl io::Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            Stream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl io::Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write(buf),
-            Stream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.flush(),
-            Stream::Unix(s) => s.flush(),
-        }
+        self.0.shutdown();
     }
 }
 
@@ -128,14 +85,11 @@ impl Client {
     /// Connects with an explicit [`RetryPolicy`].
     pub fn connect_with(listen: &Listen, retry: RetryPolicy) -> Result<Client, String> {
         let stream = match listen {
-            Listen::Tcp(addr) => TcpStream::connect(addr)
-                .map(Stream::Tcp)
-                .map_err(|e| format!("cannot connect to tcp:{addr}: {e}"))?,
-            Listen::Unix(path) => UnixStream::connect(path)
-                .map(Stream::Unix)
-                .map_err(|e| format!("cannot connect to unix:{}: {e}", path.display()))?,
-        };
-        let reader = stream.try_clone()?;
+            Listen::Tcp(addr) => TcpStream::connect(addr).map(Conn::Tcp),
+            Listen::Unix(path) => UnixStream::connect(path).map(Conn::Unix),
+        }
+        .map_err(|e| format!("cannot connect to {listen}: {e}"))?;
+        let reader = stream.try_clone().map_err(clone_error)?;
         Ok(Client {
             reader: BufReader::new(reader),
             writer: stream,
@@ -165,7 +119,7 @@ impl Client {
 
     /// A handle that closes this connection from another thread.
     pub fn closer(&self) -> Result<Closer, String> {
-        self.writer.try_clone().map(Closer)
+        self.writer.try_clone().map(Closer).map_err(clone_error)
     }
 
     /// `BUSY` replies absorbed by retries since connect.
@@ -294,6 +248,10 @@ impl Client {
         let jitter = self.rng % (delay / 2 + 1);
         Duration::from_millis(delay + jitter)
     }
+}
+
+fn clone_error(e: io::Error) -> String {
+    format!("cannot clone connection: {e}")
 }
 
 fn strip_terminal<'a>(line: &'a str, prefix: &str) -> Option<&'a str> {

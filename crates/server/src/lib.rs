@@ -20,6 +20,8 @@
 //!   reproduces a byte-identical final report.
 //! * **Graceful drain** — SIGTERM or `DRAIN` stops accepting, flushes
 //!   the queue, writes a final checkpoint, and exits 0 ([`signal`]).
+//! * **One recovery path** — `rtic serve` and batch `rtic check`
+//!   restore, replay and seal checkpoints through [`session`].
 //! * **Deterministic chaos** — named failpoints (`serve.accept`,
 //!   `serve.read`, `serve.step`, `serve.write`, `serve.checkpoint`)
 //!   inject faults into every server I/O path.
@@ -36,6 +38,7 @@ pub mod protocol;
 pub mod queue;
 pub mod report;
 pub mod server;
+pub mod session;
 pub mod signal;
 
 pub use client::{Client, Closer, Reply, RetryPolicy};

@@ -125,11 +125,6 @@ impl<T> IngestQueue<T> {
         self.ready.notify_all();
     }
 
-    /// Whether [`IngestQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
-    }
-
     /// Pauses (or resumes) consumption — see the `paused` field docs.
     pub fn set_paused(&self, paused: bool) {
         let mut inner = self.lock();

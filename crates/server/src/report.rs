@@ -88,10 +88,7 @@ impl ServeReport {
 
     /// Restores a report from its section text.
     pub fn from_section(section: &str) -> Result<ServeReport, String> {
-        let mut lines = section.lines();
-        if lines.next().map(str::trim) != Some(MAGIC_V1)
-            || lines.next().map(str::trim) != Some(SECTION_HEADER)
-        {
+        if !ServeReport::is_section(section) {
             return Err(format!("not a `{SECTION_HEADER}` section"));
         }
         let mut report = ServeReport::default();
@@ -104,7 +101,7 @@ impl ServeReport {
                 None => Ok(None),
             }
         };
-        for line in lines {
+        for line in section.lines().skip(2) {
             if let Some(n) = counter(line, "transitions ")? {
                 report.transitions = n;
             } else if let Some(n) = counter(line, "witnesses ")? {

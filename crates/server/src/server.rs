@@ -25,7 +25,7 @@
 //! socket buffer to fill is disconnected, never allowed to stall the
 //! engine.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -34,19 +34,20 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use rtic_core::{checkpoint, ConstraintSet, StepEvent, StepObserver};
+use rtic_core::{ConstraintSet, EncodingOptions, StepEvent, StepObserver};
 use rtic_history::Transition;
 use rtic_obs::MetricsRegistry;
-use rtic_relation::{Catalog, Symbol, Update};
+use rtic_relation::{Catalog, Update};
 use rtic_resilience::{
-    container, write_atomic, CheckpointPolicy, CheckpointTicker, CheckpointWriter, DurableError,
-    FailAction, FailPlan, Rotation,
+    write_atomic, CheckpointPolicy, CheckpointTicker, CheckpointWriter, DurableError, FailAction,
+    FailPlan, Rotation,
 };
 use rtic_temporal::{Constraint, TimePoint};
 
 use crate::protocol::{self, Command};
 use crate::queue::IngestQueue;
 use crate::report::ServeReport;
+use crate::session::{self, Recovered, Refused, Replay};
 use crate::signal;
 
 /// Where the server listens.
@@ -75,6 +76,15 @@ impl Listen {
             Err(format!(
                 "bad --listen `{spec}`: expected unix:<path> or tcp:<host:port>"
             ))
+        }
+    }
+}
+
+impl fmt::Display for Listen {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Listen::Unix(path) => write!(f, "unix:{}", path.display()),
+            Listen::Tcp(addr) => write!(f, "tcp:{addr}"),
         }
     }
 }
@@ -128,64 +138,54 @@ impl ServeConfig {
     }
 }
 
-/// One live connection, either flavor of socket.
-enum Conn {
+/// Runs `$body` with `$s` bound to whichever socket `$conn` holds.
+macro_rules! either {
+    ($conn:expr, $s:ident => $body:expr) => {
+        match $conn {
+            Conn::Tcp($s) => $body,
+            Conn::Unix($s) => $body,
+        }
+    };
+}
+
+/// One connection, either flavor of socket: a server's accepted client,
+/// or the bundled [`crate::Client`]'s link to its server.
+pub(crate) enum Conn {
     Tcp(TcpStream),
     Unix(UnixStream),
 }
 
 impl Conn {
-    fn try_clone(&self) -> io::Result<Conn> {
+    pub(crate) fn try_clone(&self) -> io::Result<Conn> {
         match self {
             Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
             Conn::Unix(s) => s.try_clone().map(Conn::Unix),
         }
     }
 
-    fn set_read_timeout(&self, timeout: Duration) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_read_timeout(Some(timeout)),
-            Conn::Unix(s) => s.set_read_timeout(Some(timeout)),
-        }
+    fn set_timeouts(&self, read: Duration, write: Duration) {
+        let _ = either!(self, s => s.set_read_timeout(Some(read)));
+        let _ = either!(self, s => s.set_write_timeout(Some(write)));
     }
 
-    fn set_write_timeout(&self, timeout: Duration) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_write_timeout(Some(timeout)),
-            Conn::Unix(s) => s.set_write_timeout(Some(timeout)),
-        }
-    }
-
-    fn shutdown(&self) {
-        let _ = match self {
-            Conn::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
-            Conn::Unix(s) => s.shutdown(std::net::Shutdown::Both),
-        };
+    pub(crate) fn shutdown(&self) {
+        let _ = either!(self, s => s.shutdown(std::net::Shutdown::Both));
     }
 }
 
 impl Read for Conn {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            Conn::Unix(s) => s.read(buf),
-        }
+        either!(self, s => s.read(buf))
     }
 }
 
 impl Write for Conn {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            Conn::Unix(s) => s.write(buf),
-        }
+        either!(self, s => s.write(buf))
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            Conn::Unix(s) => s.flush(),
-        }
+        either!(self, s => s.flush())
     }
 }
 
@@ -195,29 +195,26 @@ enum Listener {
 }
 
 impl Listener {
+    /// Binds `listen` as a nonblocking listener.
     fn bind(listen: &Listen) -> Result<Listener, String> {
-        match listen {
-            Listen::Tcp(addr) => TcpListener::bind(addr)
-                .map(Listener::Tcp)
-                .map_err(|e| format!("cannot listen on tcp:{addr}: {e}")),
+        let listener = match listen {
+            Listen::Tcp(addr) => TcpListener::bind(addr).map(Listener::Tcp),
             Listen::Unix(path) => {
                 // A previous server kill -9'd mid-run leaves its socket
                 // file behind; rebinding is the recovery path.
                 if path.exists() {
                     let _ = std::fs::remove_file(path);
                 }
-                UnixListener::bind(path)
-                    .map(Listener::Unix)
-                    .map_err(|e| format!("cannot listen on unix:{}: {e}", path.display()))
+                UnixListener::bind(path).map(Listener::Unix)
             }
         }
-    }
-
-    fn set_nonblocking(&self) -> io::Result<()> {
-        match self {
+        .map_err(|e| format!("cannot listen on {listen}: {e}"))?;
+        match &listener {
             Listener::Tcp(l) => l.set_nonblocking(true),
             Listener::Unix(l) => l.set_nonblocking(true),
         }
+        .map_err(|e| format!("cannot configure listener: {e}"))?;
+        Ok(listener)
     }
 
     fn accept(&self) -> io::Result<Conn> {
@@ -331,12 +328,6 @@ impl Shared {
         )
     }
 
-    fn checkpoint_age_ms(&self) -> Option<u64> {
-        self.durable_lock()
-            .0
-            .map(|at| at.elapsed().as_millis() as u64)
-    }
-
     fn durable_lock(&self) -> MutexGuard<'_, (Option<Instant>, Option<TimePoint>)> {
         self.durable.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -351,118 +342,56 @@ pub fn serve(
     config: ServeConfig,
     out: &mut String,
 ) -> Result<i32, String> {
-    let ServeConfig {
-        listen,
-        queue_capacity,
-        retry_ms,
-        write_timeout,
-        checkpoint,
-        checkpoint_keep,
-        policy,
-        resume,
-        faults,
-        report_path,
-        metrics_path,
-        shutdown,
-    } = config;
+    if config.resume && config.checkpoint.is_none() {
+        return Err("--resume requires --checkpoint (the rotation to recover from)".into());
+    }
     signal::install_handler();
-    if shutdown.is_none() {
+    if config.shutdown.is_none() {
         // A flag-driven (test) server must not clear a pending SIGTERM
         // aimed at a sibling instance in the same process.
         signal::reset();
     }
-    let rotation = checkpoint
-        .as_ref()
-        .map(|path| Rotation::new(path, checkpoint_keep));
+    let rotation = config.checkpoint.as_ref();
+    let rotation = rotation.map(|path| Rotation::new(path, config.checkpoint_keep));
     let mut registry = MetricsRegistry::new();
 
-    // Boot-time recovery: newest intact rotation entry wins; corrupt
-    // candidates are surfaced, and an empty rotation set starts fresh.
-    let mut report = ServeReport::default();
-    let mut restored_banner = None;
-    let mut set = if resume {
-        let rotation = rotation
-            .as_ref()
-            .ok_or("--resume requires --checkpoint (the rotation to recover from)")?;
-        let outcome = rotation.recover();
-        for (cand, why) in &outcome.rejected {
-            registry.observe(&StepEvent::CheckpointFallback {
-                path: cand.display().to_string(),
-                detail: why.clone(),
-            });
-            let _ = writeln!(
-                out,
-                "checkpoint candidate `{}` rejected: {why}",
-                cand.display()
-            );
-        }
-        match outcome.restored {
-            Some((found_path, sections, ())) => {
-                let engine_sections: Vec<String> = sections
-                    .iter()
-                    .filter(|s| !ServeReport::is_section(s))
-                    .cloned()
-                    .collect();
-                if let Some(section) = sections.iter().find(|s| ServeReport::is_section(s)) {
-                    report = ServeReport::from_section(section).map_err(|e| {
-                        format!("cannot resume from `{}`: {e}", found_path.display())
-                    })?;
-                }
-                let set = checkpoint::restore_set(
-                    constraints.iter().cloned(),
-                    Arc::clone(&catalog),
-                    &engine_sections,
-                )
-                .map_err(|e| format!("cannot resume from `{}`: {e}", found_path.display()))?;
-                for section in &engine_sections {
-                    if let Some(name) = checkpoint::section_constraint_name(section) {
-                        registry.observe(&StepEvent::CheckpointRestore {
-                            constraint: Symbol::intern(name),
-                            bytes: section.len(),
-                        });
-                    }
-                }
-                restored_banner = Some((found_path, set.last_time()));
-                set
-            }
-            None if outcome.rejected.is_empty() => fresh_set(&constraints, &catalog)?,
-            None => {
-                return Err(
-                    "cannot resume: every checkpoint candidate in the rotation set \
-                     is corrupt or unreadable"
-                        .to_string(),
-                )
-            }
-        }
-    } else {
-        fresh_set(&constraints, &catalog)?
+    // Boot-time recovery (crate::session): newest intact rotation entry
+    // wins, and an empty rotation set starts fresh.
+    let options = EncodingOptions::default();
+    let recovered = match rotation.as_ref().filter(|_| config.resume) {
+        Some(rotation) => session::recover(
+            rotation,
+            &constraints,
+            &catalog,
+            options,
+            &mut registry,
+            out,
+        ),
+        None => Ok(None),
     };
-    for (name, nth) in faults.engine_panics() {
-        if !set.arm_panic(&name, nth) {
-            return Err(format!(
-                "failpoint `engine-panic:{name}`: no such constraint in the fleet"
-            ));
+    let recovered = recovered.map_err(|refused| match refused {
+        Refused::Corrupt(_) => "cannot resume: every checkpoint candidate in the rotation set is \
+            corrupt or unreadable"
+            .to_string(),
+        refused => refused.to_string(),
+    })?;
+    let (mut set, mut report, resumed) = match recovered {
+        Some(Recovered { path, set, report }) => {
+            let report = report.as_deref().map(ServeReport::from_section).transpose();
+            let report =
+                report.map_err(|e| format!("cannot resume from `{}`: {e}", path.display()))?;
+            (set, report.unwrap_or_default(), Some(path))
         }
-    }
-    let resume_cursor = restored_banner.as_ref().and_then(|(_, cursor)| *cursor);
-    if let Some((path, cursor)) = &restored_banner {
-        match cursor {
-            Some(t) => {
-                let _ = writeln!(out, "resumed from `{}` at t={t}", path.display());
-            }
-            None => {
-                let _ = writeln!(
-                    out,
-                    "resumed from `{}` at the start of the stream",
-                    path.display()
-                );
-            }
+        None => {
+            let set = session::fresh(&constraints, &catalog, options)?;
+            (set, ServeReport::default(), None)
         }
-    }
+    };
+    let replay = session::start(&mut set, &config.faults, resumed.as_deref(), "stream", out)?;
 
     let shared = Arc::new(Shared {
-        queue: IngestQueue::new(queue_capacity),
-        faults: Arc::new(faults),
+        queue: IngestQueue::new(config.queue_capacity),
+        faults: Arc::new(config.faults),
         draining: AtomicBool::new(false),
         dead: AtomicBool::new(false),
         connections: AtomicUsize::new(0),
@@ -471,27 +400,17 @@ pub fn serve(
         steps: AtomicU64::new(report.transitions),
         witnesses: AtomicU64::new(report.witnesses),
         quarantined: AtomicUsize::new(set.health().quarantined),
-        durable: Mutex::new((None, resume_cursor)),
+        durable: Mutex::new((None, replay.cursor)),
         drain_waiters: Mutex::new(Vec::new()),
-        retry_ms,
+        retry_ms: config.retry_ms,
     });
     let writer = rotation.map(|rotation| {
         CheckpointWriter::spawn(rotation, Arc::clone(&shared.faults), "serve.checkpoint")
     });
 
-    let listener = Listener::bind(&listen)?;
-    listener
-        .set_nonblocking()
-        .map_err(|e| format!("cannot configure listener: {e}"))?;
-    match &listen {
-        Listen::Unix(path) => {
-            let _ = writeln!(out, "listening on unix:{}", path.display());
-        }
-        Listen::Tcp(addr) => {
-            let _ = writeln!(out, "listening on tcp:{addr}");
-        }
-    }
-    let accept_shared = Arc::clone(&shared);
+    let listener = Listener::bind(&config.listen)?;
+    let _ = writeln!(out, "listening on {}", config.listen);
+    let (accept_shared, write_timeout) = (Arc::clone(&shared), config.write_timeout);
     let accept_thread = std::thread::spawn(move || {
         accept_loop(listener, accept_shared, write_timeout);
     });
@@ -501,12 +420,12 @@ pub fn serve(
         &mut report,
         &mut registry,
         &shared,
-        policy,
-        shutdown.as_ref(),
-        report_path.as_deref(),
-        metrics_path.as_deref(),
+        config.policy,
+        config.shutdown.as_ref(),
+        config.report_path.as_deref(),
+        config.metrics_path.as_deref(),
         writer.as_ref(),
-        resume_cursor,
+        replay,
         out,
     );
     // Joins the writer: a simulated crash lets the write in flight land,
@@ -518,16 +437,11 @@ pub fn serve(
     shared.queue.close();
     let _ = accept_thread.join();
     if result.is_ok() {
-        if let Listen::Unix(path) = &listen {
+        if let Listen::Unix(path) = &config.listen {
             let _ = std::fs::remove_file(path);
         }
     }
     result
-}
-
-fn fresh_set(constraints: &[Constraint], catalog: &Arc<Catalog>) -> Result<ConstraintSet, String> {
-    ConstraintSet::new(constraints.iter().cloned(), Arc::clone(catalog))
-        .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))
 }
 
 fn accept_loop(listener: Listener, shared: Arc<Shared>, write_timeout: Duration) {
@@ -564,8 +478,7 @@ fn accept_loop(listener: Listener, shared: Arc<Shared>, write_timeout: Duration)
 }
 
 fn connection_loop(conn: Conn, shared: Arc<Shared>, write_timeout: Duration) {
-    let _ = conn.set_read_timeout(Duration::from_millis(100));
-    let _ = conn.set_write_timeout(write_timeout);
+    conn.set_timeouts(Duration::from_millis(100), write_timeout);
     let Ok(write_half) = conn.try_clone() else {
         return;
     };
@@ -693,11 +606,10 @@ fn engine_loop(
     report_path: Option<&str>,
     metrics_path: Option<&str>,
     writer: Option<&CheckpointWriter>,
-    resume_cursor: Option<TimePoint>,
+    mut replay: Replay,
     out: &mut String,
 ) -> Result<i32, String> {
     let mut ticker = CheckpointTicker::new(policy);
-    let mut replay_skipped = 0u64;
     let drain_started;
     loop {
         let external = signal::shutdown_requested()
@@ -728,8 +640,7 @@ fn engine_loop(
                     shared,
                     writer,
                     &mut ticker,
-                    resume_cursor,
-                    &mut replay_skipped,
+                    &mut replay,
                 )?;
             }
             None => {
@@ -742,15 +653,10 @@ fn engine_loop(
     }
     // Drain: the queue is closed (no new pushes) and empty. The engine
     // settles — final checkpoint, report, metrics — then acks DRAIN.
-    if replay_skipped > 0 {
-        let _ = writeln!(
-            out,
-            "skipped {replay_skipped} transition(s) already covered by the checkpoint"
-        );
-    }
+    replay.finish(out);
     if let Some(writer) = writer {
         // `OK drained` is the one reply that waits for the disk.
-        let bytes = write_server_checkpoint(set, report, writer, shared, registry)?;
+        let bytes = submit_checkpoint(set, report, writer, shared, registry)?;
         writer.wait().map_err(checkpoint_error)?;
         let _ = writeln!(
             out,
@@ -822,8 +728,7 @@ fn process_drained(
     shared: &Arc<Shared>,
     writer: Option<&CheckpointWriter>,
     ticker: &mut CheckpointTicker,
-    resume_cursor: Option<TimePoint>,
-    replay_skipped: &mut u64,
+    replay: &mut Replay,
 ) -> Result<(), String> {
     let mut replies: Vec<(Arc<ClientHandle>, Vec<String>)> = Vec::with_capacity(jobs.len());
     let mut ticked = false;
@@ -852,12 +757,9 @@ fn process_drained(
         // Replay window: a resumed server acks (without re-checking)
         // transitions the checkpoint already covers, so clients can
         // re-stream a log from the top after a crash.
-        if let Some(cursor) = resume_cursor {
-            if time <= cursor {
-                *replay_skipped += 1;
-                replies.push((job.reply, vec![format!("{} replayed", protocol::OK_PREFIX)]));
-                continue;
-            }
+        if replay.covers(time) {
+            replies.push((job.reply, vec![format!("{} replayed", protocol::OK_PREFIX)]));
+            continue;
         }
         let reports = match set.step_observed(time, &update, registry) {
             Ok(reports) => reports,
@@ -899,7 +801,7 @@ fn process_drained(
     // coalesce to one per pass.
     if let Some(writer) = writer {
         if ticked {
-            write_server_checkpoint(set, report, writer, shared, registry)?;
+            submit_checkpoint(set, report, writer, shared, registry)?;
         }
     }
     emit_serve_sample(registry, shared, None);
@@ -911,34 +813,19 @@ fn process_drained(
     Ok(())
 }
 
-/// Seals engine sections plus the serve-report section into one
-/// container and hands it to the writer (site `serve.checkpoint`, so
-/// drills can fault server checkpoints without touching batch runs).
-/// Fails if the previous write failed.
-fn write_server_checkpoint(
+/// Seals the fleet and its report ([`session::seal`]) and hands the
+/// container to the writer (site `serve.checkpoint`, so drills can fault
+/// server checkpoints without touching batch runs). Fails if the previous
+/// write failed. Returns the sealed size in bytes.
+fn submit_checkpoint(
     set: &ConstraintSet,
     report: &ServeReport,
     writer: &CheckpointWriter,
     shared: &Arc<Shared>,
     registry: &mut MetricsRegistry,
 ) -> Result<usize, String> {
-    let sections: Vec<(Symbol, String)> = checkpoint::save_set(set);
-    for (name, text) in &sections {
-        registry.observe(&StepEvent::CheckpointSave {
-            constraint: *name,
-            bytes: text.len(),
-        });
-    }
-    let report_section = report.to_section();
-    let sealed = container::seal(
-        sections
-            .iter()
-            .map(|(_, text)| text.as_str())
-            .chain(std::iter::once(report_section.as_str())),
-    );
-    let bytes = sealed.len();
-    let cursor = set.last_time();
-    let shared = Arc::clone(shared);
+    let sealed = session::seal(set, Some(&report.to_section()), registry);
+    let (bytes, cursor, shared) = (sealed.len(), set.last_time(), Arc::clone(shared));
     writer
         .submit(sealed, move || {
             *shared.durable_lock() = (Some(Instant::now()), cursor);
@@ -952,6 +839,7 @@ fn checkpoint_error(e: DurableError) -> String {
 }
 
 fn emit_serve_sample(registry: &mut MetricsRegistry, shared: &Shared, drain_ms: Option<u64>) {
+    let durable_at = shared.durable_lock().0;
     registry.observe(&StepEvent::ServeSample {
         queue_depth: shared.queue.depth(),
         queue_capacity: shared.queue.capacity(),
@@ -959,7 +847,7 @@ fn emit_serve_sample(registry: &mut MetricsRegistry, shared: &Shared, drain_ms: 
         shed: shared.queue.shed(),
         connections: shared.connections.load(Ordering::SeqCst),
         disconnected: shared.disconnected.load(Ordering::SeqCst),
-        last_checkpoint_age_ms: shared.checkpoint_age_ms(),
+        last_checkpoint_age_ms: durable_at.map(|at| at.elapsed().as_millis() as u64),
         drain_ms,
     });
 }

@@ -11,7 +11,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// engine loop. Process-wide: one resident server per process.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
-#[cfg(unix)]
 mod sys {
     use core::ffi::c_int;
     use std::sync::atomic::Ordering;
@@ -39,13 +38,7 @@ mod sys {
     }
 }
 
-#[cfg(not(unix))]
-mod sys {
-    pub(super) fn install() {}
-}
-
-/// Installs the SIGTERM/SIGINT handler (idempotent). On non-unix
-/// targets this is a no-op and only [`request_shutdown`] drains.
+/// Installs the SIGTERM/SIGINT handler (idempotent).
 pub fn install_handler() {
     sys::install();
 }

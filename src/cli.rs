@@ -2,24 +2,8 @@
 //!
 //! Thin, testable argument handling over the library: the binary in
 //! `src/bin/rtic.rs` forwards to [`run`], and the CLI integration tests
-//! call [`run`] directly with captured output.
-//!
-//! ```text
-//! rtic check <constraints.rtic> <log.rticlog> [--checker NAME] [--quiet] [--stats] [--explain]
-//!            [--constraints FILE]... [--profile]
-//!            [--checkpoint FILE] [--resume FILE] [--checkpoint-every N]
-//!            [--checkpoint-secs T] [--checkpoint-keep K]
-//!            [--on-bad-line strict|skip] [--bad-line-budget N]
-//!            [--failpoints SPEC] [--metrics FILE] [--trace FILE|-]
-//!            [--trace-format json|chrome] [--sample-space N]
-//! rtic report <metrics.json>
-//! rtic explain <constraints.rtic> [--profile <log.rticlog>]
-//! rtic generate <scenario>|--list [--steps N] [--entities N] [--events N] [--seed N]
-//!            [--violation-rate R]
-//! rtic serve <constraints.rtic> --listen unix:PATH|tcp:ADDR [--queue N] [--checkpoint FILE]
-//!            [--resume] [--checkpoint-every N] [--report FILE] …
-//! rtic send <log.rticlog> --connect unix:PATH|tcp:ADDR [--drain] [--quiet]
-//! ```
+//! call [`run`] directly with captured output. `rtic --help` prints the
+//! synopsis of every subcommand and flag.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -28,7 +12,7 @@ use std::time::Duration;
 
 use rtic_active::ActiveChecker;
 use rtic_core::observe;
-use rtic_core::{checkpoint, explain, BackendId, Checker, CompiledConstraint, EncodingOptions};
+use rtic_core::{explain, BackendId, Checker, CompiledConstraint, EncodingOptions};
 use rtic_core::{ConstraintSet, NaiveChecker, WindowedChecker};
 use rtic_core::{StepEvent, StepObserver};
 use rtic_history::log::{format_log, LogErrorKind, LogReader};
@@ -38,11 +22,11 @@ use rtic_obs::{
 };
 use rtic_relation::Symbol;
 use rtic_resilience::{
-    container, write_atomic, CheckpointPolicy, CheckpointTicker, FailAction, FailPlan, Rotation,
+    write_atomic, CheckpointPolicy, CheckpointTicker, FailAction, FailPlan, Rotation,
 };
+use rtic_server::session::{self, Replay};
 use rtic_server::{Client, Listen, ServeConfig};
 use rtic_temporal::parser::{parse_file, ConstraintFile};
-use rtic_temporal::TimePoint;
 use rtic_workload::{library, ScenarioParams};
 
 const USAGE: &str = "\
@@ -248,6 +232,14 @@ fn checkpoint_flags(
     Ok((keep, CheckpointPolicy { every_steps, every }))
 }
 
+/// The fault plan of `--failpoints SPEC`, or else of the environment.
+fn failpoints(args: &[String]) -> Result<FailPlan, String> {
+    match flag_value(args, "--failpoints")? {
+        Some(spec) => FailPlan::parse(spec).map_err(|e| format!("bad --failpoints: {e}")),
+        None => FailPlan::from_env().map_err(|e| format!("bad {}: {e}", rtic_resilience::ENV_VAR)),
+    }
+}
+
 /// `rtic smc` sampled scenario histories; its two cross-checks moved into
 /// the oracle.
 const SMC_REMOVED: &str = "`rtic smc` was removed: its daemon-vs-batch and naive re-checks \
@@ -350,6 +342,18 @@ impl StepObserver for AnyTrace {
     }
 }
 
+/// The run's observers: the metrics registry, and the trace if one is on.
+fn observers<'a>(
+    registry: &'a mut MetricsRegistry,
+    trace: &'a mut Option<AnyTrace>,
+) -> MultiObserver<'a> {
+    let mut obs = MultiObserver::new().with(registry);
+    if let Some(t) = trace.as_mut() {
+        obs.push(t);
+    }
+    obs
+}
+
 /// Builds one reference checker from a compiled constraint.
 type MakeReference = fn(CompiledConstraint) -> Box<dyn Checker>;
 
@@ -426,12 +430,15 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     if flag_value(args, "--bad-line-budget")?.is_some() && !skip_bad_lines {
         return Err("--bad-line-budget requires --on-bad-line skip".into());
     }
-    let faults = match flag_value(args, "--failpoints")? {
-        Some(spec) => FailPlan::parse(spec).map_err(|e| format!("bad --failpoints: {e}"))?,
-        None => {
-            FailPlan::from_env().map_err(|e| format!("bad {}: {e}", rtic_resilience::ENV_VAR))?
+    let faults = failpoints(args)?;
+    match faults.engine_panics().first() {
+        Some((name, _)) if backend != BackendId::Incremental => {
+            return Err(format!(
+                "failpoint `engine-panic:{name}` requires the incremental checker"
+            ))
         }
-    };
+        _ => {}
+    }
     let extra_constraint_paths = flag_values(args, "--constraints")?;
     let metrics_path = flag_value(args, "--metrics")?;
     let trace_path = flag_value(args, "--trace")?;
@@ -466,44 +473,17 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     let file = load_merged_constraints(constraints_path, &extra_constraint_paths)?;
     let catalog = Arc::new(file.catalog.clone());
 
-    // Recovery: walk the rotation set newest-first, rejecting corrupt or
-    // unreadable candidates (each rejection is surfaced as an observer
-    // event and a diagnostic line) until an intact checkpoint opens.
-    let resume_recovery = match resume_path {
-        Some(path) => {
-            let outcome = Rotation::new(path, checkpoint_keep).recover();
-            for (cand, why) in &outcome.rejected {
-                let mut obs = MultiObserver::new().with(&mut registry);
-                if let Some(t) = trace.as_mut() {
-                    obs.push(t);
-                }
-                obs.observe(&StepEvent::CheckpointFallback {
-                    path: cand.display().to_string(),
-                    detail: why.clone(),
-                });
-                let _ = writeln!(
-                    out,
-                    "checkpoint candidate `{}` rejected: {why}",
-                    cand.display()
-                );
-            }
-            match outcome.restored {
-                Some(found) => Some(found),
-                None if outcome.rejected.is_empty() => {
-                    return Err(format!(
-                        "cannot resume from `{path}`: no checkpoint found; {REPLAY}"
-                    ))
-                }
-                None => {
-                    return Err(format!(
-                        "cannot resume from `{path}`: every candidate in the rotation set \
-                         is corrupt or unreadable; {REPLAY}"
-                    ))
-                }
-            }
-        }
-        None => None,
-    };
+    // Recovery: the newest intact candidate of the rotation set, each
+    // rejected one surfaced (rtic_server::session); an empty set is refused.
+    let recovered = resume_path.map(|path| {
+        let rotation = Rotation::new(path, checkpoint_keep);
+        let obs = &mut observers(&mut registry, &mut trace);
+        session::recover(&rotation, &file.constraints, &catalog, options, obs, out)
+            .map_err(|refused| format!("{refused}; {REPLAY}"))?
+            .ok_or_else(|| format!("cannot resume from `{path}`: no checkpoint found; {REPLAY}"))
+    });
+    let recovered = recovered.transpose()?;
+    let resumed = recovered.as_ref().map(|r| r.path.clone());
     let mut engine = if let Some(make) = reference_backend(backend) {
         let mut checkers = Vec::with_capacity(file.constraints.len());
         for c in &file.constraints {
@@ -516,37 +496,9 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
         }
         CheckEngine::Independent(checkers)
     } else {
-        let set = if let Some((found_path, sections, _)) = &resume_recovery {
-            let set = checkpoint::restore_set_with_options(
-                file.constraints.iter().cloned(),
-                Arc::clone(&catalog),
-                options,
-                sections,
-            )
-            .map_err(|e| {
-                let path = found_path.display();
-                format!("cannot resume from `{path}`: {e}; {REPLAY}")
-            })?;
-            let mut obs = MultiObserver::new().with(&mut registry);
-            if let Some(t) = trace.as_mut() {
-                obs.push(t);
-            }
-            for section in sections {
-                if let Some(name) = checkpoint::section_constraint_name(section) {
-                    obs.observe(&StepEvent::CheckpointRestore {
-                        constraint: Symbol::intern(name),
-                        bytes: section.len(),
-                    });
-                }
-            }
-            set
-        } else {
-            ConstraintSet::with_options(
-                file.constraints.iter().cloned(),
-                Arc::clone(&catalog),
-                options,
-            )
-            .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?
+        let set = match recovered {
+            Some(recovered) => recovered.set,
+            None => session::fresh(&file.constraints, &catalog, options)?,
         };
         if show_explain {
             for compiled in set.compiled() {
@@ -558,63 +510,40 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
 
     // Armed engine panics (failpoint `engine-panic:<constraint>`): the
     // constraint-set step path quarantines a panicking engine instead of
-    // crashing the run.
-    for (name, nth) in faults.engine_panics() {
-        let CheckEngine::Fleet(set) = &mut engine else {
-            return Err(format!(
-                "failpoint `engine-panic:{name}` requires the incremental checker"
-            ));
-        };
-        if !set.arm_panic(&name, nth) {
-            return Err(format!(
-                "failpoint `engine-panic:{name}`: no such constraint in the fleet"
-            ));
-        }
-    }
-
-    // The replay cursor: transitions at or before this time were already
-    // checked by the run that wrote the checkpoint, so the resumed run
-    // skips them instead of double-reporting.
-    let resume_cursor: Option<TimePoint> = resume_recovery
-        .as_ref()
-        .and_then(|_| engine.fleet()?.last_time());
-    if let Some((found_path, _, ())) = &resume_recovery {
-        match resume_cursor {
-            Some(t) => {
-                let _ = writeln!(out, "resumed from `{}` at t={t}", found_path.display());
-            }
-            None => {
-                let _ = writeln!(
-                    out,
-                    "resumed from `{}` at the start of the log",
-                    found_path.display()
-                );
-            }
-        }
-    }
+    // crashing the run. A resumed run skips the log prefix its checkpoint
+    // already covers instead of double-reporting it.
+    let mut replay = match &mut engine {
+        CheckEngine::Independent(_) => Replay::default(),
+        CheckEngine::Fleet(set) => session::start(set, &faults, resumed.as_deref(), "log", out)?,
+    };
 
     // Stream the log: one transition at a time, never the whole file.
     let log_file = std::fs::File::open(log_path)
         .map_err(|e| format!("cannot read log file `{log_path}`: {e}"))?;
     let mut reader = LogReader::new(std::io::BufReader::new(log_file));
     let checkpoint_rotation = checkpoint_path.map(|p| Rotation::new(p, checkpoint_keep));
+    // Atomic temp file + fsync + rename; older generations shift to `.1`, ….
+    let write_checkpoint = |rotation: &Rotation, set: &ConstraintSet, obs: &mut MultiObserver| {
+        let sealed = session::seal(set, None, obs);
+        rotation
+            .write(&sealed, &faults, "checkpoint.write")
+            .map_err(|e| format!("cannot write checkpoint: {e}"))
+            .map(|()| sealed.len())
+    };
     let mut ticker = CheckpointTicker::new(checkpoint_policy);
     let mut total_violations = 0usize;
     let mut violated_states = 0usize;
     let mut transitions = 0usize;
     let mut bad_lines = 0u64;
-    let mut replay_skipped = 0usize;
     let mut replayed_bad = 0u64;
     let mut last_time = None;
-    // True while the reader is still inside the log prefix the checkpoint
-    // already covered. Malformed lines in that prefix were charged against
-    // the budget by the run that wrote the checkpoint; charging them again
-    // on every resume would shrink the effective budget with each restart.
-    let mut replaying = resume_cursor.is_some();
     while let Some(item) = reader.next() {
         let tr: Transition = match item {
             Ok(tr) => tr,
-            Err(e) if skip_bad_lines && e.kind == LogErrorKind::Parse && replaying => {
+            // Malformed lines in the prefix the checkpoint covers were
+            // charged against the budget by the run that wrote it; charging
+            // them again would shrink the budget with each restart.
+            Err(e) if skip_bad_lines && e.kind == LogErrorKind::Parse && replay.in_prefix() => {
                 replayed_bad += 1;
                 continue;
             }
@@ -626,10 +555,7 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
                          ({bad_lines} malformed line(s), budget {bad_line_budget})"
                     ));
                 }
-                let mut obs = MultiObserver::new().with(&mut registry);
-                if let Some(t) = trace.as_mut() {
-                    obs.push(t);
-                }
+                let mut obs = observers(&mut registry, &mut trace);
                 obs.observe(&StepEvent::BadLine {
                     line: e.line,
                     detail: e.message.clone(),
@@ -638,13 +564,9 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
             }
             Err(e) => return Err(format!("{log_path}:{e}")),
         };
-        if let Some(cursor) = resume_cursor {
-            if tr.time <= cursor {
-                replay_skipped += 1;
-                continue;
-            }
+        if replay.covers(tr.time) {
+            continue;
         }
-        replaying = false;
         if let Some(action) = faults.check("run.abort") {
             match action {
                 FailAction::Panic => panic!("injected panic (failpoint `run.abort`)"),
@@ -655,10 +577,7 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
         let step_index = transitions as u64;
         transitions += 1;
         last_time = Some(tr.time);
-        let mut obs = MultiObserver::new().with(&mut registry);
-        if let Some(t) = trace.as_mut() {
-            obs.push(t);
-        }
+        let mut obs = observers(&mut registry, &mut trace);
         let reports = match &mut engine {
             CheckEngine::Independent(checkers) => {
                 observe::step_all(checkers, tr.time, &tr.update, &mut obs)
@@ -692,16 +611,11 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
         }
         if let (Some(rotation), Some(set)) = (&checkpoint_rotation, engine.fleet()) {
             if ticker.step_completed() {
-                write_checkpoint(set, rotation, &faults, &mut registry, &mut trace)?;
+                write_checkpoint(rotation, set, &mut obs)?;
             }
         }
     }
-    if replay_skipped > 0 {
-        let _ = writeln!(
-            out,
-            "skipped {replay_skipped} transition(s) already covered by the checkpoint"
-        );
-    }
+    replay.finish(out);
     if replayed_bad > 0 {
         let _ = writeln!(
             out,
@@ -712,10 +626,7 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     {
         // Final footprint reading, so --stats and the metrics snapshot
         // reflect end-of-run space even without --sample-space.
-        let mut obs = MultiObserver::new().with(&mut registry);
-        if let Some(t) = trace.as_mut() {
-            obs.push(t);
-        }
+        let mut obs = observers(&mut registry, &mut trace);
         match &engine {
             CheckEngine::Independent(checkers) => {
                 observe::sample_space(
@@ -735,22 +646,18 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
         }
     }
     if let (Some(rotation), Some(set)) = (&checkpoint_rotation, engine.fleet()) {
-        let bytes = write_checkpoint(set, rotation, &faults, &mut registry, &mut trace)?;
+        let bytes = write_checkpoint(rotation, set, &mut observers(&mut registry, &mut trace))?;
         let _ = writeln!(
             out,
             "checkpoint written to {} ({bytes} bytes)",
             rotation.primary().display()
         );
     }
-    let n_constraints = match &engine {
-        CheckEngine::Independent(checkers) => checkers.len(),
-        CheckEngine::Fleet(set) => set.len(),
-    };
     let _ = writeln!(
         out,
         "checked {} transitions against {} constraint(s) [{}]: {} violation witness(es) over {} state(s)",
         transitions,
-        n_constraints,
+        file.constraints.len(),
         backend,
         total_violations,
         violated_states,
@@ -862,35 +769,6 @@ fn report_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
     Ok(0)
 }
 
-/// Serializes the fleet's state into one multi-section v2 container and
-/// writes it through the rotation set (atomic temp-file + fsync +
-/// rename; previous generations shift to `.1`, `.2`, …). Emits one
-/// `CheckpointSave` event per section. Returns the sealed size in bytes.
-fn write_checkpoint(
-    set: &ConstraintSet,
-    rotation: &Rotation,
-    faults: &FailPlan,
-    registry: &mut MetricsRegistry,
-    trace: &mut Option<AnyTrace>,
-) -> Result<usize, String> {
-    let sections = checkpoint::save_set(set);
-    let mut obs = MultiObserver::new().with(registry);
-    if let Some(t) = trace.as_mut() {
-        obs.push(t);
-    }
-    for (name, text) in &sections {
-        obs.observe(&StepEvent::CheckpointSave {
-            constraint: *name,
-            bytes: text.len(),
-        });
-    }
-    let sealed = container::seal(sections.iter().map(|(_, text)| text.as_str()));
-    rotation
-        .write(&sealed, faults, "checkpoint.write")
-        .map_err(|e| format!("cannot write checkpoint: {e}"))?;
-    Ok(sealed.len())
-}
-
 fn explain_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
     let positional: Vec<&String> = args.iter().take_while(|a| !a.starts_with("--")).collect();
     let [path] = positional.as_slice() else {
@@ -907,15 +785,11 @@ fn explain_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
     // EXPLAIN ANALYZE for the compiled plans.
     let mut profiles: Vec<(Symbol, rtic_core::PlanProfile)> = Vec::new();
     if let Some(log_path) = profile_log {
-        let mut set = ConstraintSet::with_options(
-            file.constraints.iter().cloned(),
-            Arc::clone(&catalog),
-            EncodingOptions {
-                profile_plans: true,
-                ..Default::default()
-            },
-        )
-        .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?;
+        let options = EncodingOptions {
+            profile_plans: true,
+            ..Default::default()
+        };
+        let mut set = session::fresh(&file.constraints, &catalog, options)?;
         let log_file = std::fs::File::open(log_path)
             .map_err(|e| format!("cannot read log file `{log_path}`: {e}"))?;
         let mut reader = LogReader::new(std::io::BufReader::new(log_file));
@@ -1063,21 +937,13 @@ fn serve_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
     config.checkpoint = flag_value(args, "--checkpoint")?.map(String::from);
     (config.checkpoint_keep, config.policy) = checkpoint_flags(args, config.checkpoint.is_some())?;
     config.resume = args.iter().any(|a| a == "--resume");
-    if config.resume && config.checkpoint.is_none() {
-        return Err("--resume requires --checkpoint (the rotation to recover from)".into());
-    }
     ignore_shard_flags(args)?;
     // `--batch N` bounded the daemon's queue drain, which is now always
     // on and bounded by `--queue`. Consumed and ignored like the shard
     // flags, and for the same reason (ROADMAP, "Unfreeze and refresh the
     // pipeline benchmark").
     flag_value(args, "--batch")?;
-    config.faults = match flag_value(args, "--failpoints")? {
-        Some(spec) => FailPlan::parse(spec).map_err(|e| format!("bad --failpoints: {e}"))?,
-        None => {
-            FailPlan::from_env().map_err(|e| format!("bad {}: {e}", rtic_resilience::ENV_VAR))?
-        }
-    };
+    config.faults = failpoints(args)?;
     config.report_path = flag_value(args, "--report")?.map(String::from);
     config.metrics_path = flag_value(args, "--metrics")?.map(String::from);
 

@@ -1079,6 +1079,121 @@ fn serve_checkpoint_write_failures_resume_to_batch_check() {
     );
 }
 
+/// One rotation set, both commands: a daemon killed after its third
+/// checkpoint leaves `s.ckpt` (step 150), `.1` (100) and `.2` (50); with
+/// the newest torn, `check --resume` and `serve --resume` reject it with
+/// the same line, count the same fallback, and resume from `.1`. The
+/// batch checker resumed from the daemon's checkpoint then prints exactly
+/// the uninterrupted run's violation lines after the cursor.
+#[test]
+fn check_and_serve_recover_one_rotation_set_alike() {
+    let (code, generated) = run(&["generate", "reservations", "--steps", "200", "--seed", "11"]);
+    assert_eq!(code, Ok(0));
+    let constraints: String = generated
+        .lines()
+        .filter_map(|l| l.strip_prefix("#   "))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let c = temp_file("both.rtic", &constraints);
+    let l = temp_file("both.rticlog", &generated);
+    let (c, l) = (c.to_str().unwrap(), l.to_str().unwrap());
+    let ckpt = temp_file("both.ckpt", "");
+    let rotated = |i: usize| PathBuf::from(format!("{}.{i}", ckpt.display()));
+    for path in [ckpt.clone(), rotated(1), rotated(2)] {
+        std::fs::remove_file(path).ok();
+    }
+    let sock = temp_file("both.sock", "");
+    let connect = format!("unix:{}", sock.display());
+    let serve = |extra: &[&str]| {
+        let mut args = vec!["serve", c, "--listen", &connect, "--checkpoint"];
+        args.push(ckpt.to_str().unwrap());
+        args.extend_from_slice(extra);
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        std::thread::spawn(move || {
+            let mut out = String::new();
+            let code = rtic::cli::run(&args, &mut out);
+            (code, out)
+        })
+    };
+
+    let daemon = serve(&[
+        "--checkpoint-every",
+        "50",
+        "--failpoints",
+        "serve.step=abort@151",
+    ]);
+    let (code, _) = run(&["send", l, "--connect", &connect, "--quiet"]);
+    assert!(code.is_err(), "the stream is cut by the crash");
+    let (code, out) = daemon.join().unwrap();
+    assert!(code.unwrap_err().contains("injected crash"), "{out}");
+    assert!(rotated(2).exists(), "three generations were written");
+    let newest = std::fs::read(&ckpt).unwrap();
+    std::fs::write(&ckpt, &newest[..newest.len() / 2]).unwrap();
+
+    let fallbacks = |metrics: &PathBuf| {
+        let doc = rtic::obs::json::parse(&std::fs::read_to_string(metrics).unwrap()).unwrap();
+        doc.get("checkpoint_fallbacks").and_then(|v| v.as_u64())
+    };
+    let recovery = |out: &str| -> Vec<String> {
+        let recovery = out
+            .lines()
+            .filter(|l| l.contains(" rejected: ") || l.starts_with("resumed from"));
+        recovery.map(str::to_string).collect()
+    };
+    let check_metrics = temp_file("both-check.json", "");
+    let (code, checked) = run(&[
+        "check",
+        c,
+        l,
+        "--resume",
+        ckpt.to_str().unwrap(),
+        "--metrics",
+        check_metrics.to_str().unwrap(),
+    ]);
+    assert_eq!(code, Ok(1), "{checked}");
+    let serve_metrics = temp_file("both-serve.json", "");
+    let daemon = serve(&["--resume", "--metrics", serve_metrics.to_str().unwrap()]);
+    let (code, drained) = run(&[
+        "send",
+        temp_file("both-empty.rticlog", "").to_str().unwrap(),
+        "--connect",
+        &connect,
+        "--drain",
+    ]);
+    assert_eq!(code, Ok(0), "{drained}");
+    let (code, served) = daemon.join().unwrap();
+    assert_eq!(code, Ok(0), "{served}");
+
+    let lines = recovery(&checked);
+    assert_eq!(lines, recovery(&served));
+    let torn = format!("checkpoint candidate `{}` rejected: ", ckpt.display());
+    let resumed = format!("resumed from `{}` at t=@100", rotated(1).display());
+    assert!(lines.len() == 2 && lines[0].starts_with(&torn), "{checked}");
+    assert_eq!(lines[1], resumed);
+    assert_eq!(fallbacks(&check_metrics), Some(1));
+    assert_eq!(fallbacks(&serve_metrics), Some(1));
+
+    let (code, batch) = run(&["check", c, l]);
+    assert_eq!(code, Ok(1), "{batch}");
+    let after_cursor = |line: &String| {
+        let time = line
+            .split_whitespace()
+            .next()
+            .and_then(|t| t.strip_prefix('@'));
+        time.and_then(|t| t.parse::<u64>().ok())
+            .is_some_and(|t| t > 100)
+    };
+    let uninterrupted: Vec<String> = violations(&batch)
+        .into_iter()
+        .filter(after_cursor)
+        .collect();
+    assert!(
+        !uninterrupted.is_empty(),
+        "violations on the resumed side of the cut"
+    );
+    assert_eq!(violations(&checked), uninterrupted);
+}
+
 #[test]
 fn periodic_checkpoints_rotate_generations() {
     let c = temp_file("rot.rtic", CONSTRAINTS);

@@ -88,3 +88,56 @@ fn check_resumes_a_checkpoint_holding_awkward_strings() {
     assert_eq!(code, Ok(1), "{out}");
     assert!(out.contains("VIOLATION"), "{out}");
 }
+
+/// A witness holding a newline prints with the log's escapes, so one
+/// report stays one line: on `rtic check`'s output, in a `rtic serve`
+/// reply and in the report file the daemon writes on drain.
+#[test]
+fn a_string_witness_prints_on_one_line_through_check_and_serve() {
+    let dir = std::env::temp_dir().join(format!("rtic-literal-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let constraints = path("oneline.rtic");
+    std::fs::write(&constraints, "relation p(x: str)\ndeny d: p(x)\n").unwrap();
+    let entry = "@1 +p(\"a\\nb \\\"q\\\" \\\\\")";
+    let log = path("oneline.rticlog");
+    std::fs::write(&log, format!("{entry}\n")).unwrap();
+    let expected = "@1 VIOLATION d x1: {[x=a\\nb \\\"q\\\" \\\\]}";
+    let run = |args: Vec<String>| {
+        let mut out = String::new();
+        (rtic::cli::run(&args, &mut out), out)
+    };
+    let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+
+    let (code, out) = run(args(&["check", &constraints, &log]));
+    assert_eq!(code, Ok(1), "{out}");
+    let violations: Vec<&str> = out.lines().filter(|l| l.contains("VIOLATION")).collect();
+    assert_eq!(violations, [expected], "{out}");
+
+    let (sock, report) = (path("oneline.sock"), path("oneline.report"));
+    let listen = format!("unix:{sock}");
+    let serve = args(&[
+        "serve",
+        &constraints,
+        "--listen",
+        &listen,
+        "--report",
+        &report,
+    ]);
+    let daemon = std::thread::spawn(move || run(serve));
+    let mut client = rtic::server::Client::connect_unix_retry(
+        std::path::Path::new(&sock),
+        std::time::Duration::from_secs(10),
+    )
+    .unwrap();
+    let reply = client.send_update(entry).unwrap();
+    assert_eq!(reply.violations, [expected]);
+    assert_eq!(reply.ok, "1");
+    client.drain().unwrap();
+    let (code, out) = daemon.join().unwrap();
+    assert_eq!(code, Ok(0), "{out}");
+    assert_eq!(
+        std::fs::read_to_string(&report).unwrap(),
+        format!("{expected}\n")
+    );
+}
