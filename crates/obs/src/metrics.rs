@@ -4,6 +4,7 @@
 use std::collections::BTreeMap;
 
 use rtic_core::{PlanProfile, ProfiledNode, RuntimePlanStats, SpaceStats, StepEvent, StepObserver};
+use rtic_relation::{FastMap, Symbol};
 
 use crate::json::Json;
 
@@ -218,6 +219,32 @@ pub struct ServeGauges {
     pub drain_ms: Option<u64>,
 }
 
+/// A counter per constraint, keyed by symbol: counting takes no lock,
+/// where resolving a name takes the process-wide interner's. Names are
+/// resolved, and sorted, only when an exposition is rendered.
+#[derive(Clone, Debug, Default)]
+struct ByConstraint(FastMap<Symbol, u64>);
+
+impl ByConstraint {
+    fn add(&mut self, constraint: Symbol, n: u64) {
+        *self.0.entry(constraint).or_default() += n;
+    }
+
+    /// `(name, count)` in name order, resolved under one interner lock.
+    fn by_name(&self) -> Vec<(&'static str, u64)> {
+        let names = Symbol::names();
+        let mut rows: Vec<_> = self.0.iter().map(|(c, n)| (names.get(*c), *n)).collect();
+        drop(names);
+        rows.sort_unstable();
+        rows
+    }
+
+    #[cfg(test)]
+    fn get(&self, name: &str) -> Option<&u64> {
+        self.0.get(&Symbol::intern(name))
+    }
+}
+
 #[derive(Clone, Debug)]
 struct SpaceSampleRow {
     step_index: u64,
@@ -251,8 +278,8 @@ pub struct MetricsRegistry {
     tuples_ingested: u64,
     violations: u64,
     violating_steps: u64,
-    evals_by_constraint: BTreeMap<&'static str, u64>,
-    violations_by_constraint: BTreeMap<&'static str, u64>,
+    evals_by_constraint: ByConstraint,
+    violations_by_constraint: ByConstraint,
     checkpoint_saves: u64,
     checkpoint_restores: u64,
     checkpoint_bytes: u64,
@@ -400,10 +427,10 @@ impl MetricsRegistry {
 
     /// The full snapshot as a JSON document.
     pub fn to_json(&self) -> Json {
-        let by = |map: &BTreeMap<&'static str, u64>| {
+        let by = |counts: &ByConstraint| {
             let mut obj = Json::object();
-            for (name, n) in map {
-                obj = obj.set(name, *n);
+            for (name, n) in counts.by_name() {
+                obj = obj.set(name, n);
             }
             obj
         };
@@ -591,7 +618,7 @@ impl MetricsRegistry {
         );
         let _ = writeln!(out, "# HELP rtic_evals_total Constraint evaluations.");
         let _ = writeln!(out, "# TYPE rtic_evals_total counter");
-        for (name, n) in &self.evals_by_constraint {
+        for (name, n) in self.evals_by_constraint.by_name() {
             let _ = writeln!(out, "rtic_evals_total{{constraint=\"{name}\"}} {n}");
         }
         let _ = writeln!(
@@ -599,7 +626,7 @@ impl MetricsRegistry {
             "# HELP rtic_constraint_violations_total Violation witnesses per constraint."
         );
         let _ = writeln!(out, "# TYPE rtic_constraint_violations_total counter");
-        for (name, n) in &self.violations_by_constraint {
+        for (name, n) in self.violations_by_constraint.by_name() {
             let _ = writeln!(
                 out,
                 "rtic_constraint_violations_total{{constraint=\"{name}\"}} {n}"
@@ -808,15 +835,10 @@ impl StepObserver for MetricsRegistry {
                 latency_ns,
                 ..
             } => {
-                *self
-                    .evals_by_constraint
-                    .entry(constraint.as_str())
-                    .or_default() += 1;
+                self.evals_by_constraint.add(*constraint, 1);
                 if *violations > 0 {
-                    *self
-                        .violations_by_constraint
-                        .entry(constraint.as_str())
-                        .or_default() += *violations as u64;
+                    self.violations_by_constraint
+                        .add(*constraint, *violations as u64);
                 }
                 self.eval_latency.record_ns(*latency_ns);
                 self.checkers.entry(checker).or_default();

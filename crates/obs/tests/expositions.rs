@@ -188,3 +188,49 @@ fn every_exposition_of_the_scripted_stream_is_byte_identical_to_its_fixture() {
         );
     }
 }
+
+/// Per-constraint counters are keyed by symbol, whose order is intern
+/// order; the expositions still list constraints by name. Three names
+/// interned last-name-first render exactly as a name-keyed map did.
+#[test]
+fn per_constraint_counters_render_in_name_order_whatever_the_intern_order() {
+    let names = ["zz_order_c", "mm_order_b", "aa_order_a"];
+    let symbols: Vec<Symbol> = names.iter().map(|name| Symbol::intern(name)).collect();
+    assert!(symbols[0] < symbols[1] && symbols[1] < symbols[2]);
+    let mut registry = MetricsRegistry::new();
+    for (i, constraint) in symbols.iter().enumerate() {
+        for _ in 0..=i {
+            registry.observe(&StepEvent::ConstraintEval {
+                checker: "set",
+                constraint: *constraint,
+                time: TimePoint(1),
+                violations: 2 * i,
+                latency_ns: 1_000,
+            });
+        }
+    }
+    let doc = registry.to_json().render();
+    assert!(
+        doc.contains(r#""evals_by_constraint":{"aa_order_a":3,"mm_order_b":2,"zz_order_c":1},"#),
+        "{doc}"
+    );
+    assert!(
+        doc.ends_with(r#""violations_by_constraint":{"aa_order_a":12,"mm_order_b":4}}"#),
+        "{doc}"
+    );
+    let prom = registry.render_prometheus();
+    let families: Vec<&str> = prom
+        .lines()
+        .filter(|l| l.starts_with("rtic_evals_total") || l.starts_with("rtic_constraint_"))
+        .collect();
+    assert_eq!(
+        families,
+        [
+            r#"rtic_evals_total{constraint="aa_order_a"} 3"#,
+            r#"rtic_evals_total{constraint="mm_order_b"} 2"#,
+            r#"rtic_evals_total{constraint="zz_order_c"} 1"#,
+            r#"rtic_constraint_violations_total{constraint="aa_order_a"} 12"#,
+            r#"rtic_constraint_violations_total{constraint="mm_order_b"} 4"#,
+        ]
+    );
+}

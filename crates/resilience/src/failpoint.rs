@@ -42,7 +42,7 @@
 //! | `serve.accept`     | the daemon's accept loop, per poll             |
 //! | `serve.read`       | the daemon, after each client line read        |
 //! | `serve.step`       | the daemon's engine loop, per dequeued job     |
-//! | `serve.write`      | the daemon, before each reply write            |
+//! | `serve.write`      | the daemon, before each reply write (one per client per pass) |
 //! | `serve.checkpoint` | the daemon's checkpoint writer thread, per write |
 //!
 //! `serve.step=abort@N` is the daemon's kill -9 model: the engine dies
@@ -83,6 +83,10 @@ struct Point {
 #[derive(Debug, Default)]
 pub struct FailPlan {
     points: Mutex<HashMap<String, Point>>,
+    /// Whether `points` is non-empty. The set of points is fixed once the
+    /// plan is built (only hit counts change), so an empty plan answers
+    /// every check without taking the lock.
+    armed: bool,
 }
 
 /// Environment variable consulted by [`FailPlan::from_env`].
@@ -96,10 +100,7 @@ impl FailPlan {
 
     /// `true` if the plan has no failure points.
     pub fn is_empty(&self) -> bool {
-        match self.points.lock() {
-            Ok(points) => points.is_empty(),
-            Err(_) => false,
-        }
+        !self.armed
     }
 
     /// Parse a failpoint spec (see the module docs for the grammar).
@@ -142,6 +143,7 @@ impl FailPlan {
             );
         }
         Ok(FailPlan {
+            armed: !points.is_empty(),
             points: Mutex::new(points),
         })
     }
@@ -157,6 +159,9 @@ impl FailPlan {
 
     /// Count a hit at `site` and return the fault to inject, if any.
     pub fn check(&self, site: &str) -> Option<FailAction> {
+        if !self.armed {
+            return None;
+        }
         let mut points = self.points.lock().ok()?;
         let point = points.get_mut(site)?;
         point.hits += 1;
@@ -264,6 +269,24 @@ mod tests {
     fn empty_spec_is_empty_plan() {
         assert!(FailPlan::parse("").unwrap().is_empty());
         assert!(FailPlan::parse(" ; ").unwrap().is_empty());
+    }
+
+    #[test]
+    fn an_empty_plan_never_fires_and_an_armed_one_fires_on_its_nth_hit() {
+        let empty = FailPlan::none();
+        assert!(empty.is_empty());
+        assert_eq!(empty.check("serve.write"), None);
+        assert_eq!(FailPlan::parse(" ; ").unwrap().check("serve.write"), None);
+
+        let plan = FailPlan::parse("serve.write=io-error@3").unwrap();
+        assert!(!plan.is_empty());
+        let fired: Vec<Option<FailAction>> = (0..5).map(|_| plan.check("serve.write")).collect();
+        assert_eq!(
+            fired,
+            vec![None, None, Some(FailAction::IoError), None, None],
+            "fires on exactly the 3rd hit"
+        );
+        assert_eq!(plan.check("serve.read"), None, "other sites stay quiet");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::path::Path;
 use std::time::Duration;
 
 use crate::protocol::{BUSY_PREFIX, ERR_PREFIX, OK_PREFIX, VIOL_PREFIX};
-use crate::server::{Conn, Listen};
+use crate::server::{Conn, Listen, ReplySink as _};
 
 /// Retry behavior for `BUSY` replies.
 #[derive(Debug, Clone, Copy)]
@@ -217,8 +217,7 @@ impl Client {
 
     fn write_line(&mut self, line: &[u8]) -> Result<(), String> {
         self.writer
-            .write_all(line)
-            .and_then(|()| self.writer.write_all(b"\n"))
+            .write_all(&[line, b"\n"].concat())
             .and_then(|()| self.writer.flush())
             .map_err(|e| format!("connection lost while sending: {e}"))
     }

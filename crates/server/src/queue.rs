@@ -148,6 +148,13 @@ impl<T> IngestQueue<T> {
         self.lock().shed
     }
 
+    /// [`IngestQueue::depth`], [`IngestQueue::peak`] and
+    /// [`IngestQueue::shed`], read under one lock.
+    pub fn gauges(&self) -> (usize, usize, u64) {
+        let inner = self.lock();
+        (inner.items.len(), inner.peak, inner.shed)
+    }
+
     /// The bound this queue enforces.
     pub fn capacity(&self) -> usize {
         self.capacity

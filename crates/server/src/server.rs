@@ -23,7 +23,9 @@
 //! Replies flow back through per-connection [`ClientHandle`]s guarded by
 //! a write timeout: a client that stops reading long enough for its
 //! socket buffer to fill is disconnected, never allowed to stall the
-//! engine.
+//! engine. Every reply leaves in one write: a control reply is its line
+//! and newline, and a queue pass sends each client all of its lines at
+//! once ([`Replies`]).
 
 use std::fmt::{self, Write as _};
 use std::io::{self, Read, Write};
@@ -167,10 +169,6 @@ impl Conn {
         let _ = either!(self, s => s.set_read_timeout(Some(read)));
         let _ = either!(self, s => s.set_write_timeout(Some(write)));
     }
-
-    pub(crate) fn shutdown(&self) {
-        let _ = either!(self, s => s.shutdown(std::net::Shutdown::Both));
-    }
 }
 
 impl Read for Conn {
@@ -225,46 +223,48 @@ impl Listener {
     }
 }
 
+/// Where a client's replies are written: its socket, or any writer that
+/// can be shut down.
+pub(crate) trait ReplySink: Write {
+    /// Shuts the link down both ways.
+    fn shutdown(&self);
+}
+
+impl ReplySink for Conn {
+    fn shutdown(&self) {
+        let _ = either!(self, s => s.shutdown(std::net::Shutdown::Both));
+    }
+}
+
 /// The write half of one connection. Shared between the connection
 /// thread (BUSY/status replies) and the engine thread (step replies);
 /// the mutex serializes them so reply lines never interleave.
-pub(crate) struct ClientHandle {
-    conn: Mutex<Conn>,
+pub(crate) struct ClientHandle<W = Conn> {
+    conn: Mutex<W>,
     alive: AtomicBool,
 }
 
-impl ClientHandle {
-    /// Writes one reply line. A failed or timed-out write marks the
-    /// client dead and shuts the socket down — a stalled reader must
-    /// never wedge the engine. Returns whether the client is still up.
-    fn write_line(&self, shared: &Shared, line: &str) -> bool {
+impl<W: ReplySink> ClientHandle<W> {
+    /// Writes one reply line and its newline in one write.
+    fn write_line(&self, shared: &Shared, line: &str) {
+        self.send(shared, format!("{line}\n").as_bytes());
+    }
+
+    /// Writes `text` (whole reply lines) with one `write_all`. A failed or
+    /// timed-out write (or an injected `serve.write` fault) marks the
+    /// client dead and shuts the socket down — a stalled reader must never
+    /// wedge the engine.
+    fn send(&self, shared: &Shared, text: &[u8]) {
         if !self.alive.load(Ordering::SeqCst) {
-            return false;
+            return;
         }
-        let injected = matches!(
-            shared.faults.check("serve.write"),
-            Some(FailAction::IoError)
-        );
+        let injected = shared.faults.check("serve.write") == Some(FailAction::IoError);
         let mut conn = self.conn.lock().unwrap_or_else(|e| e.into_inner());
-        let result = if injected {
-            Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "injected write fault (failpoint `serve.write`)",
-            ))
-        } else {
-            conn.write_all(line.as_bytes())
-                .and_then(|()| conn.write_all(b"\n"))
-                .and_then(|()| conn.flush())
-        };
-        match result {
-            Ok(()) => true,
-            Err(_) => {
-                if self.alive.swap(false, Ordering::SeqCst) {
-                    shared.disconnected.fetch_add(1, Ordering::SeqCst);
-                }
-                conn.shutdown();
-                false
+        if injected || conn.write_all(text).and_then(|()| conn.flush()).is_err() {
+            if self.alive.swap(false, Ordering::SeqCst) {
+                shared.disconnected.fetch_add(1, Ordering::SeqCst);
             }
+            conn.shutdown();
         }
     }
 }
@@ -274,9 +274,25 @@ enum JobCmd {
     Tick(TimePoint),
 }
 
-struct Job {
+struct Job<W = Conn> {
     cmd: JobCmd,
-    reply: Arc<ClientHandle>,
+    reply: Arc<ClientHandle<W>>,
+}
+
+/// One queue pass's replies: a buffer per client, in the order the
+/// clients first appear, each holding that client's lines in job order.
+struct Replies<W>(Vec<(Arc<ClientHandle<W>>, String)>);
+
+impl<W: ReplySink> Replies<W> {
+    /// The buffer for `client`'s replies in this pass.
+    fn to(&mut self, client: &Arc<ClientHandle<W>>) -> &mut String {
+        let at = self.0.iter().position(|(c, _)| Arc::ptr_eq(c, client));
+        let at = at.unwrap_or_else(|| {
+            self.0.push((Arc::clone(client), String::new()));
+            self.0.len() - 1
+        });
+        &mut self.0[at].1
+    }
 }
 
 /// Gauges and flags shared by every thread of one server instance.
@@ -290,7 +306,6 @@ struct Shared {
     dead: AtomicBool,
     connections: AtomicUsize,
     disconnected: AtomicU64,
-    accept_errors: AtomicU64,
     steps: AtomicU64,
     witnesses: AtomicU64,
     quarantined: AtomicUsize,
@@ -315,14 +330,12 @@ impl Shared {
         let (at, cursor) = *self.durable_lock();
         let age = at.map_or_else(|| "-".into(), |at| at.elapsed().as_millis().to_string());
         let sealed = cursor.map_or_else(|| "-".into(), |t| t.to_string());
+        let (depth, peak, shed) = self.queue.gauges();
         format!(
-            "{verdict} state={state} steps={} witnesses={} queue={}/{} peak={} shed={} conns={} disconnected={} ckpt_age_ms={age} sealed={sealed} quarantined={quarantined}",
+            "{verdict} state={state} steps={} witnesses={} queue={depth}/{} peak={peak} shed={shed} conns={} disconnected={} ckpt_age_ms={age} sealed={sealed} quarantined={quarantined}",
             self.steps.load(Ordering::SeqCst),
             self.witnesses.load(Ordering::SeqCst),
-            self.queue.depth(),
             self.queue.capacity(),
-            self.queue.peak(),
-            self.queue.shed(),
             self.connections.load(Ordering::SeqCst),
             self.disconnected.load(Ordering::SeqCst),
         )
@@ -359,14 +372,7 @@ pub fn serve(
     // wins, and an empty rotation set starts fresh.
     let options = EncodingOptions::default();
     let recovered = match rotation.as_ref().filter(|_| config.resume) {
-        Some(rotation) => session::recover(
-            rotation,
-            &constraints,
-            &catalog,
-            options,
-            &mut registry,
-            out,
-        ),
+        Some(rot) => session::recover(rot, &constraints, &catalog, options, &mut registry, out),
         None => Ok(None),
     };
     let recovered = recovered.map_err(|refused| match refused {
@@ -396,7 +402,6 @@ pub fn serve(
         dead: AtomicBool::new(false),
         connections: AtomicUsize::new(0),
         disconnected: AtomicU64::new(0),
-        accept_errors: AtomicU64::new(0),
         steps: AtomicU64::new(report.transitions),
         witnesses: AtomicU64::new(report.witnesses),
         quarantined: AtomicUsize::new(set.health().quarantined),
@@ -448,9 +453,8 @@ fn accept_loop(listener: Listener, shared: Arc<Shared>, write_timeout: Duration)
     while !shared.dead.load(Ordering::SeqCst) && !shared.draining.load(Ordering::SeqCst) {
         match shared.faults.check("serve.accept") {
             Some(FailAction::IoError) => {
-                // An injected accept failure: count it and keep serving,
-                // exactly like a transient kernel-level accept error.
-                shared.accept_errors.fetch_add(1, Ordering::SeqCst);
+                // An injected accept failure: keep serving, exactly like
+                // a transient kernel-level accept error.
                 std::thread::sleep(Duration::from_millis(2));
                 continue;
             }
@@ -464,13 +468,8 @@ fn accept_loop(listener: Listener, shared: Arc<Shared>, write_timeout: Duration)
                     connection_loop(conn, shared, write_timeout);
                 });
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => {
-                shared.accept_errors.fetch_add(1, Ordering::SeqCst);
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // Nothing to accept yet, or a transient accept error.
+            Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
     // Dropping the listener stops accepting; a unix socket file is
@@ -518,12 +517,8 @@ fn connection_loop(conn: Conn, shared: Arc<Shared>, write_timeout: Duration) {
         match command {
             Command::Update(tr) => enqueue(&shared, &handle, JobCmd::Step(tr)),
             Command::Tick(t) => enqueue(&shared, &handle, JobCmd::Tick(t)),
-            Command::Status => {
-                handle.write_line(&shared, &shared.status_line());
-            }
-            Command::Ping => {
-                handle.write_line(&shared, "OK pong");
-            }
+            Command::Status => handle.write_line(&shared, &shared.status_line()),
+            Command::Ping => handle.write_line(&shared, "OK pong"),
             Command::Pause => {
                 shared.queue.set_paused(true);
                 handle.write_line(&shared, "OK paused");
@@ -557,23 +552,13 @@ fn read_line_with_timeouts(
     line: &mut Vec<u8>,
     shared: &Shared,
 ) -> io::Result<usize> {
-    use std::io::BufRead as _;
+    use io::{BufRead as _, ErrorKind::*};
     loop {
         match reader.read_until(b'\n', line) {
             Ok(n) => return Ok(n),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                if shared.dead.load(Ordering::SeqCst) {
-                    return Ok(0);
-                }
-            }
-            Err(e) => return Err(e),
+            Err(e) if !matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => return Err(e),
+            Err(_) if shared.dead.load(Ordering::SeqCst) => return Ok(0),
+            Err(_) => {}
         }
     }
 }
@@ -667,10 +652,7 @@ fn engine_loop(
     let drain_ms = drain_started.elapsed().as_millis() as u64;
     emit_serve_sample(registry, shared, Some(drain_ms));
     if let Some(path) = report_path {
-        let mut text = String::new();
-        for line in &report.violations {
-            let _ = writeln!(text, "{line}");
-        }
+        let text: String = report.violations.iter().map(|l| format!("{l}\n")).collect();
         write_atomic(Path::new(path), text.as_bytes())
             .map_err(|e| format!("cannot write report `{path}`: {e}"))?;
         let _ = writeln!(out, "report written to {path}");
@@ -718,10 +700,10 @@ fn engine_loop(
 /// one checkpoint and one metrics sample. Replies are deferred until
 /// that checkpoint is sealed, so every container holds the state and
 /// report after a whole pass; its durable write runs on the writer
-/// thread while the replies go out.
+/// thread while the replies go out, one write per client.
 #[allow(clippy::too_many_arguments)]
-fn process_drained(
-    jobs: Vec<Job>,
+fn process_drained<W: ReplySink>(
+    jobs: Vec<Job<W>>,
     set: &mut ConstraintSet,
     report: &mut ServeReport,
     registry: &mut MetricsRegistry,
@@ -730,9 +712,10 @@ fn process_drained(
     ticker: &mut CheckpointTicker,
     replay: &mut Replay,
 ) -> Result<(), String> {
-    let mut replies: Vec<(Arc<ClientHandle>, Vec<String>)> = Vec::with_capacity(jobs.len());
+    let mut replies = Replies(Vec::new());
     let mut ticked = false;
     for job in jobs {
+        let reply = replies.to(&job.reply);
         match shared.faults.check("serve.step") {
             Some(FailAction::Abort) => {
                 // Simulated kill -9: no reply, no checkpoint, no
@@ -742,10 +725,7 @@ fn process_drained(
             }
             Some(FailAction::Panic) => panic!("injected panic (failpoint `serve.step`)"),
             Some(FailAction::IoError) => {
-                replies.push((
-                    job.reply,
-                    vec![format!("{} injected step fault", protocol::ERR_PREFIX)],
-                ));
+                let _ = writeln!(reply, "{} injected step fault", protocol::ERR_PREFIX);
                 continue;
             }
             _ => {}
@@ -758,16 +738,13 @@ fn process_drained(
         // transitions the checkpoint already covers, so clients can
         // re-stream a log from the top after a crash.
         if replay.covers(time) {
-            replies.push((job.reply, vec![format!("{} replayed", protocol::OK_PREFIX)]));
+            let _ = writeln!(reply, "{} replayed", protocol::OK_PREFIX);
             continue;
         }
         let reports = match set.step_observed(time, &update, registry) {
             Ok(reports) => reports,
             Err(e) => {
-                replies.push((
-                    job.reply,
-                    vec![format!("{} at {time}: {e}", protocol::ERR_PREFIX)],
-                ));
+                let _ = writeln!(reply, "{} at {time}: {e}", protocol::ERR_PREFIX);
                 continue;
             }
         };
@@ -785,15 +762,11 @@ fn process_drained(
         shared
             .quarantined
             .store(set.health().quarantined, Ordering::SeqCst);
-        if ticker.step_completed() {
-            ticked = true;
+        ticked |= ticker.step_completed();
+        for line in &violations {
+            let _ = writeln!(reply, "{}{line}", protocol::VIOL_PREFIX);
         }
-        let mut lines: Vec<String> = violations
-            .iter()
-            .map(|line| format!("{}{line}", protocol::VIOL_PREFIX))
-            .collect();
-        lines.push(format!("{} {witnesses}", protocol::OK_PREFIX));
-        replies.push((job.reply, lines));
+        let _ = writeln!(reply, "{} {witnesses}", protocol::OK_PREFIX);
     }
     // Seal *before* acking: once any client sees OK, its step is in a
     // sealed checkpoint at the configured cadence, durable before the
@@ -805,10 +778,8 @@ fn process_drained(
         }
     }
     emit_serve_sample(registry, shared, None);
-    for (reply, lines) in replies {
-        for line in lines {
-            reply.write_line(shared, &line);
-        }
+    for (client, text) in replies.0 {
+        client.send(shared, text.as_bytes());
     }
     Ok(())
 }
@@ -840,14 +811,177 @@ fn checkpoint_error(e: DurableError) -> String {
 
 fn emit_serve_sample(registry: &mut MetricsRegistry, shared: &Shared, drain_ms: Option<u64>) {
     let durable_at = shared.durable_lock().0;
+    let (queue_depth, queue_peak, shed) = shared.queue.gauges();
     registry.observe(&StepEvent::ServeSample {
-        queue_depth: shared.queue.depth(),
+        queue_depth,
         queue_capacity: shared.queue.capacity(),
-        queue_peak: shared.queue.peak(),
-        shed: shared.queue.shed(),
+        queue_peak,
+        shed,
         connections: shared.connections.load(Ordering::SeqCst),
         disconnected: shared.disconnected.load(Ordering::SeqCst),
         last_checkpoint_age_ms: durable_at.map(|at| at.elapsed().as_millis() as u64),
         drain_ms,
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rtic_temporal::parser::parse_file;
+
+    /// A reply sink that records the bytes of each `write` call.
+    #[derive(Default)]
+    struct Counting(Mutex<Vec<Vec<u8>>>);
+
+    impl Write for &Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl ReplySink for &Counting {
+        fn shutdown(&self) {}
+    }
+
+    fn shared() -> Shared {
+        Shared {
+            queue: IngestQueue::new(4),
+            faults: Arc::new(FailPlan::none()),
+            draining: AtomicBool::new(false),
+            dead: AtomicBool::new(false),
+            connections: AtomicUsize::new(0),
+            disconnected: AtomicU64::new(0),
+            steps: AtomicU64::new(0),
+            witnesses: AtomicU64::new(0),
+            quarantined: AtomicUsize::new(0),
+            durable: Mutex::new((None, None)),
+            drain_waiters: Mutex::new(Vec::new()),
+            retry_ms: 50,
+        }
+    }
+
+    fn client(sink: &Counting) -> Arc<ClientHandle<&Counting>> {
+        Arc::new(ClientHandle {
+            conn: Mutex::new(sink),
+            alive: AtomicBool::new(true),
+        })
+    }
+
+    fn fleet() -> ConstraintSet {
+        let file = parse_file("relation p(x: str)\ndeny d: p(x)\ndeny e: p(x) && once[1,*] p(x)\n")
+            .expect("parses");
+        let catalog = Arc::new(file.catalog);
+        session::fresh(&file.constraints, &catalog, EncodingOptions::default()).expect("compiles")
+    }
+
+    fn update(line: &str) -> JobCmd {
+        match protocol::parse_command(line) {
+            Ok(Some(Command::Update(tr))) => JobCmd::Step(tr),
+            other => panic!("not an update: {other:?}"),
+        }
+    }
+
+    /// The lines the engine loop wrote one `write_line` each before
+    /// replies left whole: each violation as `VIOL …`, then `OK n`.
+    fn line_by_line(set: &mut ConstraintSet, lines: &[&str]) -> Vec<String> {
+        let mut replies = Vec::new();
+        for line in lines {
+            let JobCmd::Step(tr) = update(line) else {
+                unreachable!()
+            };
+            let reports = set.step(tr.time, &tr.update).expect("steps");
+            let bad: Vec<_> = reports.iter().filter(|r| !r.ok()).collect();
+            let mut text: String = bad.iter().map(|r| format!("VIOL {r}\n")).collect();
+            let witnesses: usize = bad.iter().map(|r| r.violation_count()).sum();
+            text.push_str(&format!("OK {witnesses}\n"));
+            replies.push(text);
+        }
+        replies
+    }
+
+    /// One queue pass through `process_drained`, replying to `clients[i]`
+    /// for `lines[i]`.
+    fn pass(shared: &Arc<Shared>, clients: &[Arc<ClientHandle<&Counting>>], lines: &[&str]) {
+        let jobs = clients.iter().zip(lines).map(|(client, line)| Job {
+            cmd: update(line),
+            reply: Arc::clone(client),
+        });
+        let (mut set, mut registry) = (fleet(), MetricsRegistry::new());
+        let mut ticker = CheckpointTicker::new(CheckpointPolicy::default());
+        process_drained(
+            jobs.collect(),
+            &mut set,
+            &mut ServeReport::default(),
+            &mut registry,
+            shared,
+            None,
+            &mut ticker,
+            &mut Replay::default(),
+        )
+        .expect("the pass runs");
+    }
+
+    const LINES: [&str; 4] = [
+        r#"@1 +p("a")"#,
+        "@2",
+        r#"@3 +p("b") -p("a")"#,
+        r#"@4 +p("a")"#,
+    ];
+
+    #[test]
+    fn a_pass_sends_each_client_its_replies_in_one_write() {
+        let shared = Arc::new(shared());
+        let sink = Counting::default();
+        let one = client(&sink);
+        pass(&shared, &vec![one; 4], &LINES);
+        let writes = sink.0.into_inner().unwrap();
+        assert_eq!(writes.len(), 1, "one write for the whole pass");
+        let expected = line_by_line(&mut fleet(), &LINES).concat();
+        assert!(expected.contains("VIOL @4 VIOLATION e x2"), "{expected}");
+        assert_eq!(String::from_utf8(writes[0].clone()).unwrap(), expected);
+    }
+
+    #[test]
+    fn interleaved_clients_each_get_their_own_replies_in_order() {
+        let shared = Arc::new(shared());
+        let (sink_a, sink_b) = (Counting::default(), Counting::default());
+        let (a, b) = (client(&sink_a), client(&sink_b));
+        pass(&shared, &[a.clone(), b.clone(), a, b], &LINES);
+        let replies = line_by_line(&mut fleet(), &LINES);
+        for (sink, mine) in [(sink_a, [0, 2]), (sink_b, [1, 3])] {
+            let writes = sink.0.into_inner().unwrap();
+            assert_eq!(writes.len(), 1, "one write per client per pass");
+            let expected = format!("{}{}", replies[mine[0]], replies[mine[1]]);
+            assert_eq!(String::from_utf8(writes[0].clone()).unwrap(), expected);
+        }
+    }
+
+    #[test]
+    fn control_replies_take_one_write_each() {
+        let shared = shared();
+        let sink = Counting::default();
+        let handle = client(&sink);
+        let busy = format!("{} {}", protocol::BUSY_PREFIX, shared.retry_ms);
+        let status = shared.status_line();
+        for line in [busy.as_str(), "OK pong", status.as_str()] {
+            handle.write_line(&shared, line);
+        }
+        let writes = sink.0.into_inner().unwrap();
+        let expected = [
+            "BUSY 50\n".to_string(),
+            "OK pong\n".to_string(),
+            format!("{status}\n"),
+        ];
+        assert!(status.starts_with("OK state=running steps=0"), "{status}");
+        let writes: Vec<String> = writes
+            .into_iter()
+            .map(|w| String::from_utf8(w).unwrap())
+            .collect();
+        assert_eq!(writes, expected);
+    }
 }

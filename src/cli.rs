@@ -484,6 +484,20 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     });
     let recovered = recovered.transpose()?;
     let resumed = recovered.as_ref().map(|r| r.path.clone());
+    // `check` steps a daemon's fleet but not its report, so a checkpoint it
+    // wrote would carry the engines past the report they were sealed with.
+    let daemons = recovered
+        .as_ref()
+        .filter(|r| r.report.is_some() && checkpoint_path.is_some());
+    if let Some(r) = daemons {
+        return Err(format!(
+            "cannot --checkpoint a run resumed from `{}`: it carries a daemon's `{}` section, \
+             which `rtic check` does not keep; resume it with `rtic serve --resume`, or drop \
+             --checkpoint",
+            r.path.display(),
+            rtic_server::report::SECTION_HEADER,
+        ));
+    }
     let mut engine = if let Some(make) = reference_backend(backend) {
         let mut checkers = Vec::with_capacity(file.constraints.len());
         for c in &file.constraints {

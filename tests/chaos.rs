@@ -1379,3 +1379,91 @@ fn a_resumed_process_reports_the_same_lines_and_witness_sets() {
     assert_eq!(counts(&uninterrupted).as_deref(), two, "{uninterrupted}");
     assert_eq!(counts(&resumed).as_deref(), two, "{resumed}");
 }
+
+/// A daemon's rotation set carries its report beside the engines; batch
+/// `check` steps the engines but not that report. A set it rewrote would
+/// lose the section, and the next `serve --resume` would boot at the
+/// cursor with `steps=0` and an empty report. So `check --resume
+/// --checkpoint` over such a set is refused, naming the section; the set
+/// is left byte for byte, and the daemon resumes to the uninterrupted
+/// report.
+#[test]
+fn check_refuses_to_checkpoint_over_a_daemons_report() {
+    let (code, generated) = run(&["generate", "reservations", "--steps", "60", "--seed", "11"]);
+    assert_eq!(code, Ok(0));
+    let constraints: String = generated
+        .lines()
+        .filter_map(|l| l.strip_prefix("#   "))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let transitions: Vec<&str> = generated.lines().filter(|l| l.starts_with('@')).collect();
+    assert_eq!(transitions.len(), 60);
+    let c = temp_file("report-kept.rtic", &constraints);
+    let l = temp_file("report-kept.rticlog", &generated);
+    let head = temp_file("report-kept-head.rticlog", &transitions[..30].join("\n"));
+    let (c, l) = (c.to_str().unwrap(), l.to_str().unwrap());
+    let ckpt = temp_file("report-kept.ckpt", "");
+    std::fs::remove_file(&ckpt).unwrap();
+    let report = temp_file("report-kept.report", "");
+    let sock = temp_file("report-kept.sock", "");
+    let connect = format!("unix:{}", sock.display());
+    let serve = |resume: bool| {
+        let mut args = vec!["serve", c, "--listen", &connect, "--checkpoint"];
+        args.extend([ckpt.to_str().unwrap(), "--report", report.to_str().unwrap()]);
+        args.extend(resume.then_some("--resume"));
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        std::thread::spawn(move || {
+            let mut out = String::new();
+            let code = rtic::cli::run(&args, &mut out);
+            (code, out)
+        })
+    };
+    let send = |log: &str| run(&["send", log, "--connect", &connect, "--drain", "--quiet"]);
+
+    let daemon = serve(false);
+    let (code, sent) = send(head.to_str().unwrap());
+    assert!(matches!(code, Ok(0 | 1)), "{sent}");
+    let (code, out) = daemon.join().unwrap();
+    assert_eq!(code, Ok(0), "{out}");
+    assert!(out.contains("drained: 30 transition(s)"), "{out}");
+    let sealed = std::fs::read(&ckpt).unwrap();
+
+    let (code, checked) = run(&[
+        "check",
+        c,
+        l,
+        "--resume",
+        ckpt.to_str().unwrap(),
+        "--checkpoint",
+        ckpt.to_str().unwrap(),
+    ]);
+    let err = code.unwrap_err();
+    assert!(err.contains("`rtic-serve-report v1` section"), "{err}");
+    assert!(err.contains("rtic serve --resume"), "{err}");
+    assert!(
+        !checked.contains("VIOLATION"),
+        "refused before stepping: {checked}"
+    );
+    assert_eq!(
+        std::fs::read(&ckpt).unwrap(),
+        sealed,
+        "the set is untouched"
+    );
+
+    let daemon = serve(true);
+    let (code, sent) = send(l);
+    assert!(matches!(code, Ok(0 | 1)), "{sent}");
+    assert!(
+        sent.contains("30 update(s) acked as already covered"),
+        "{sent}"
+    );
+    let (code, out) = daemon.join().unwrap();
+    assert_eq!(code, Ok(0), "{out}");
+    assert!(out.contains("at t=@30"), "{out}");
+    assert!(out.contains("drained: 60 transition(s)"), "{out}");
+    let (code, batch) = run(&["check", c, l]);
+    assert!(matches!(code, Ok(0 | 1)), "{batch}");
+    let reported = std::fs::read_to_string(&report).unwrap();
+    assert_eq!(reported.lines().collect::<Vec<_>>(), violations(&batch));
+    assert!(!reported.is_empty(), "the drill crosses violations");
+}
