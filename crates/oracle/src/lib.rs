@@ -23,6 +23,8 @@
 //!    `tests/corpus/`. [`fuzz`] is that loop over a seed's cases; the
 //!    binary and the seeded runs in this crate's `tests/` share it.
 //!    [`space_fuzz`] is the same loop over the paper's space claim.
+//!    [`property`] runs any seeded property on the same shrinkers, so a
+//!    failing property test prints a minimal input.
 //!
 //! [`mutation`] closes the loop: it deliberately breaks a cloned checker
 //! (off-by-one window, dropped quiescent steps, a late sleep deadline, a
@@ -39,6 +41,7 @@ pub mod diff;
 pub mod generate;
 pub mod modes;
 pub mod mutation;
+pub mod property;
 pub mod repro;
 pub mod shrink;
 mod soak;

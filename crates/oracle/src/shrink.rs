@@ -3,6 +3,7 @@
 //! conjuncts, unwrap operators, push intervals toward boundaries) while
 //! re-checking that the divergence persists at every step.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use rtic_core::CompiledConstraint;
@@ -24,85 +25,60 @@ impl Default for ShrinkBudget {
     }
 }
 
-struct Shrinker<'a, F> {
-    catalog: &'a Arc<Catalog>,
-    diverges: F,
-    checks_left: usize,
+/// Tries removing each tuple operation from each remaining update
+/// while `fails` still holds (an update can shrink to an empty pure
+/// tick).
+fn shrink_updates(ts: &mut Vec<Transition>, mut fails: impl FnMut(&[Transition]) -> bool) {
+    let mut i = 0;
+    while i < ts.len() {
+        let mut op = 0;
+        while let Some(candidate_update) = remove_nth_op(&ts[i].update, op) {
+            let mut candidate = ts.clone();
+            candidate[i].update = candidate_update;
+            if fails(&candidate) {
+                *ts = candidate;
+                // Same index now names the next op; don't advance.
+            } else {
+                op += 1;
+            }
+        }
+        i += 1;
+    }
 }
 
-impl<F: FnMut(&Constraint, &[Transition]) -> bool> Shrinker<'_, F> {
-    fn still_diverges(&mut self, c: &Constraint, ts: &[Transition]) -> bool {
-        if self.checks_left == 0 {
-            return false;
-        }
-        self.checks_left -= 1;
-        (self.diverges)(c, ts)
-    }
-
-    /// ddmin-lite: remove chunks (halving sizes down to singles) as long
-    /// as the divergence survives.
-    fn shrink_transitions(&mut self, c: &Constraint, ts: &mut Vec<Transition>) {
-        let mut chunk = (ts.len() / 2).max(1);
-        loop {
-            let mut i = 0;
-            while i < ts.len() {
-                let mut candidate = ts.clone();
-                let end = (i + chunk).min(candidate.len());
-                candidate.drain(i..end);
-                if self.still_diverges(c, &candidate) {
-                    *ts = candidate;
-                } else {
-                    i += chunk;
-                }
-            }
-            if chunk == 1 {
-                break;
-            }
-            chunk /= 2;
-        }
-    }
-
-    /// Tries removing each tuple operation from each remaining update
-    /// (an update can shrink to an empty pure tick).
-    fn shrink_updates(&mut self, c: &Constraint, ts: &mut Vec<Transition>) {
+/// ddmin-lite: removes chunks of `items` (halving sizes down to singles)
+/// as long as `fails` still holds of what is left.
+pub fn ddmin<T: Clone>(items: &mut Vec<T>, mut fails: impl FnMut(&[T]) -> bool) {
+    let mut chunk = (items.len() / 2).max(1);
+    loop {
         let mut i = 0;
-        while i < ts.len() {
-            let mut op = 0;
-            while let Some(candidate_update) = remove_nth_op(&ts[i].update, op) {
-                let mut candidate = ts.clone();
-                candidate[i].update = candidate_update;
-                if self.still_diverges(c, &candidate) {
-                    *ts = candidate;
-                    // Same index now names the next op; don't advance.
-                } else {
-                    op += 1;
-                }
+        while i < items.len() {
+            let mut candidate = items.clone();
+            let end = (i + chunk).min(candidate.len());
+            candidate.drain(i..end);
+            if fails(&candidate) {
+                *items = candidate;
+            } else {
+                i += chunk;
             }
-            i += 1;
         }
+        if chunk == 1 {
+            break;
+        }
+        chunk /= 2;
     }
+}
 
-    /// Greedily applies the first formula rewrite that keeps the
-    /// divergence alive, until none does.
-    fn shrink_formula(&mut self, c: &mut Constraint, ts: &[Transition]) {
-        loop {
-            let mut improved = false;
-            for body in candidates(&c.body) {
-                let candidate = Constraint { body, ..c.clone() };
-                if CompiledConstraint::compile(candidate.clone(), Arc::clone(self.catalog)).is_err()
-                {
-                    continue;
-                }
-                if self.still_diverges(&candidate, ts) {
-                    *c = candidate;
-                    improved = true;
-                    break;
-                }
-            }
-            if !improved || self.checks_left == 0 {
-                break;
-            }
-        }
+/// Greedily replaces `case` by the first of its `candidates` of which
+/// `fails` still holds, until none does. Terminates when every candidate
+/// is strictly smaller than its source.
+pub fn minimize<T>(
+    case: &mut T,
+    candidates: impl Fn(&T) -> Vec<T>,
+    mut fails: impl FnMut(&T) -> bool,
+) {
+    while let Some(smaller) = candidates(case).into_iter().find(|c| fails(c)) {
+        *case = smaller;
     }
 }
 
@@ -114,22 +90,32 @@ pub fn shrink(
     transitions: &[Transition],
     catalog: &Arc<Catalog>,
     budget: ShrinkBudget,
-    diverges: impl FnMut(&Constraint, &[Transition]) -> bool,
+    mut diverges: impl FnMut(&Constraint, &[Transition]) -> bool,
 ) -> (Constraint, Vec<Transition>) {
-    let mut s = Shrinker {
-        catalog,
-        diverges,
-        checks_left: budget.max_checks,
+    let checks_left = Cell::new(budget.max_checks);
+    let mut still_diverges = |c: &Constraint, ts: &[Transition]| match checks_left.get() {
+        0 => false,
+        left => {
+            checks_left.set(left - 1);
+            diverges(c, ts)
+        }
+    };
+    let rewrites = |c: &Constraint| -> Vec<Constraint> {
+        let rewrite = |body| Constraint { body, ..c.clone() };
+        candidates(&c.body).into_iter().map(rewrite).collect()
     };
     let mut c = constraint.clone();
     let mut ts = transitions.to_vec();
     loop {
         let before = (measure(&c.body), ts.len(), ops(&ts));
-        s.shrink_transitions(&c, &mut ts);
-        s.shrink_updates(&c, &mut ts);
-        s.shrink_formula(&mut c, &ts);
+        ddmin(&mut ts, |candidate| still_diverges(&c, candidate));
+        shrink_updates(&mut ts, |candidate| still_diverges(&c, candidate));
+        minimize(&mut c, rewrites, |candidate| {
+            let compiled = CompiledConstraint::compile(candidate.clone(), Arc::clone(catalog));
+            compiled.is_ok() && still_diverges(candidate, &ts)
+        });
         let after = (measure(&c.body), ts.len(), ops(&ts));
-        if after >= before || s.checks_left == 0 {
+        if after >= before || checks_left.get() == 0 {
             break;
         }
     }
@@ -220,7 +206,7 @@ fn interval_candidates(i: &Interval) -> Vec<Interval> {
 /// disjunct, unwrapping an operator, or tightening one interval. Every
 /// candidate strictly reduces [`measure`], so greedy application
 /// terminates. Candidates may be unsafe — the caller compile-checks.
-fn candidates(f: &Formula) -> Vec<Formula> {
+pub(crate) fn candidates(f: &Formula) -> Vec<Formula> {
     let mut out = Vec::new();
     match f {
         Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) => {
@@ -350,6 +336,40 @@ mod tests {
         assert_eq!(sts.len(), 1, "history should shrink to one transition");
         assert_eq!(ops(&sts), 1, "update should shrink to one op");
         assert!(sc.body.size() < c.body.size(), "formula should shrink");
+    }
+
+    #[test]
+    fn ddmin_shrinks_to_the_planted_pair() {
+        let mut items: Vec<u32> = (0..40).collect();
+        ddmin(&mut items, |c| c.contains(&3) && c.contains(&7));
+        assert_eq!(items, [3, 7]);
+    }
+
+    #[test]
+    fn minimize_shrinks_a_formula_to_one_atom() {
+        let x = || [Term::var("x")];
+        let mut f = Formula::atom("r0", x()).and(
+            Formula::atom("r1", x())
+                .or(Formula::atom("r0", x()).not())
+                .once(Interval::bounded(2, 5).expect("valid")),
+        );
+        let r1 = rtic_relation::Symbol::intern("r1");
+        minimize(&mut f, candidates, |g| g.relations().contains(&r1));
+        assert_eq!(f, Formula::atom("r1", x()));
+    }
+
+    #[test]
+    fn a_predicate_that_never_fails_is_called_at_most_the_budget() {
+        let c = Constraint::deny("t", Formula::atom("r0", [Term::var("x")]));
+        let ts = noisy_history();
+        let mut calls = 0;
+        let budget = ShrinkBudget { max_checks: 10 };
+        let (sc, sts) = shrink(&c, &ts, &case_catalog(), budget, |_, _| {
+            calls += 1;
+            false
+        });
+        assert_eq!(calls, budget.max_checks);
+        assert_eq!((sc, sts), (c, ts), "nothing smaller fails");
     }
 
     #[test]

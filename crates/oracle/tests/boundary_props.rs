@@ -4,9 +4,11 @@
 //! coincide with the formula's horizon, single-state histories, and clock
 //! gaps that land exactly on / just past a bound.
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::Rng;
 use rtic_history::Transition;
 use rtic_oracle::generate::case_catalog;
+use rtic_oracle::property::{check, vec_of};
 use rtic_oracle::{check_case, Case, Mode};
 use rtic_relation::{tuple, Update};
 use rtic_temporal::parser::parse_constraint;
@@ -35,7 +37,20 @@ fn interval_text(shape: usize, b: u64) -> String {
     }
 }
 
-fn boundary_constraint(template: usize, shape_i: usize, shape_j: usize, b: u64) -> Constraint {
+/// A template, the interval shapes for `{i}` and `{j}`, and the bound.
+type Shape = (usize, usize, usize, u64);
+
+fn shape(rng: &mut StdRng) -> Shape {
+    let template = rng.gen_range(0..TEMPLATES.len());
+    (
+        template,
+        rng.gen_range(0..5),
+        rng.gen_range(0..5),
+        rng.gen_range(1..4),
+    )
+}
+
+fn boundary_constraint(&(template, shape_i, shape_j, b): &Shape) -> Constraint {
     let body = TEMPLATES[template]
         .replace("{i}", &interval_text(shape_i, b))
         .replace("{j}", &interval_text(shape_j, b));
@@ -82,57 +97,51 @@ fn assert_all_agree(constraint: Constraint, ts: Vec<Transition>) {
     }
 }
 
-proptest! {
-    /// a == 0, a == b, bound == horizon, and gaps landing exactly on the
-    /// bound and one past it: every realization agrees byte-for-byte.
-    #[test]
-    fn window_boundaries_agree_across_all_backends(
-        template in 0..TEMPLATES.len(),
-        shape_i in 0usize..5,
-        shape_j in 0usize..5,
-        b in 1u64..4,
-        steps in proptest::collection::vec(
-            (0usize..4, proptest::collection::vec((0u8..2, any::<bool>(), 0i64..2), 0..3)),
-            1..10,
-        ),
-    ) {
-        let c = boundary_constraint(template, shape_i, shape_j, b);
+/// a == 0, a == b, bound == horizon, and gaps landing exactly on the
+/// bound and one past it: every realization agrees byte-for-byte.
+#[test]
+fn window_boundaries_agree_across_all_backends() {
+    let step = |r: &mut StdRng| {
+        let change =
+            |r: &mut StdRng| (r.gen_range(0..2), r.gen_range(0..2) == 1, r.gen_range(0..2));
+        (r.gen_range(0..4), vec_of(r, 0..3, change))
+    };
+    let draw = |rng: &mut StdRng| (shape(rng), vec_of(rng, 1..10, step));
+    check(41, 256, draw, |(shape, steps)| {
         // The history's gap palette is tied to this constraint's own
         // bound, so gaps hit b and b+1 exactly.
-        assert_all_agree(c, history(b, &steps));
-    }
+        assert_all_agree(boundary_constraint(shape), history(shape.3, steps));
+    });
+}
 
-    /// Single-state histories: the degenerate case where no previous
-    /// state exists for prev/once/hist/since to look back into.
-    #[test]
-    fn single_state_histories_agree(
-        template in 0..TEMPLATES.len(),
-        shape_i in 0usize..5,
-        shape_j in 0usize..5,
-        b in 1u64..4,
-        start in 0u64..3,
-        fill in proptest::collection::vec((0u8..2, 0i64..2), 0..3),
-    ) {
-        let c = boundary_constraint(template, shape_i, shape_j, b);
-        let mut u = Update::new();
-        for (rel, x) in fill {
-            u.insert(if rel == 0 { "r0" } else { "r1" }, tuple![x]);
-        }
-        assert_all_agree(c, vec![Transition::new(start, u)]);
-    }
+/// Single-state histories: the degenerate case where no previous
+/// state exists for prev/once/hist/since to look back into.
+#[test]
+fn single_state_histories_agree() {
+    let draw = |rng: &mut StdRng| {
+        let fill = vec_of(rng, 0..3, |r| (r.gen_range(0..2), r.gen_range(0..2)));
+        (shape(rng), rng.gen_range(0..3), fill)
+    };
+    check(
+        42,
+        256,
+        draw,
+        |(shape, start, fill): &(Shape, u64, Vec<(u8, i64)>)| {
+            let mut u = Update::new();
+            for &(rel, x) in fill {
+                u.insert(if rel == 0 { "r0" } else { "r1" }, tuple![x]);
+            }
+            assert_all_agree(boundary_constraint(shape), vec![Transition::new(*start, u)]);
+        },
+    );
+}
 
-    /// Maximal clock gaps: every transition far beyond any window, so all
-    /// bounded lookback expires between every pair of states.
-    #[test]
-    fn maximal_gap_histories_agree(
-        template in 0..TEMPLATES.len(),
-        shape_i in 0usize..5,
-        shape_j in 0usize..5,
-        b in 1u64..4,
-        n in 1usize..6,
-        x in 0i64..2,
-    ) {
-        let c = boundary_constraint(template, shape_i, shape_j, b);
+/// Maximal clock gaps: every transition far beyond any window, so all
+/// bounded lookback expires between every pair of states.
+#[test]
+fn maximal_gap_histories_agree() {
+    let draw = |rng: &mut StdRng| (shape(rng), rng.gen_range(1..6), rng.gen_range(0..2));
+    check(43, 256, draw, |&(shape, n, x): &(Shape, usize, i64)| {
         let ts: Vec<Transition> = (0..n)
             .map(|k| {
                 let mut u = Update::new();
@@ -140,6 +149,6 @@ proptest! {
                 Transition::new(k as u64 * 1_000_000, u)
             })
             .collect();
-        assert_all_agree(c, ts);
-    }
+        assert_all_agree(boundary_constraint(&shape), ts);
+    });
 }

@@ -3,37 +3,46 @@
 //! [`ContainerError`], never a panic and never a silently reordered or
 //! altered payload. Intact containers always round-trip.
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::Rng;
+use rtic_oracle::property::{chars, check, vec_of, Shrink};
 use rtic_resilience::container::{open_any, seal, ContainerError, MAGIC_V1};
+
+const NAME_START: &str = "abcdefghijklmnopqrstuvwxyz";
+const NAME_REST: &str = "abcdefghijklmnopqrstuvwxyz0123456789_";
+
+/// One section as drawn: its constraint name (first character and the
+/// rest) and its payload lines.
+type Spec = ((char, Vec<char>), Vec<Vec<char>>);
+
+fn specs(rng: &mut StdRng) -> Vec<Spec> {
+    vec_of(rng, 1..5, |r| {
+        let name = (chars(r, NAME_START, 1..2)[0], chars(r, NAME_REST, 0..9));
+        let printable = |r: &mut StdRng| char::from(r.gen_range(b' '..=b'~'));
+        (name, vec_of(r, 0..6, |r| vec_of(r, 0..21, printable)))
+    })
+}
 
 /// Plausible v1 checkpoint sections with arbitrary-ish body content.
 /// Constraint names are index-tagged so every section is distinct, which
 /// makes any reordering observable.
-fn sections() -> impl Strategy<Value = Vec<String>> {
-    proptest::collection::vec(
-        (
-            "[a-z][a-z0-9_]{0,8}",
-            proptest::collection::vec("[ -~]{0,20}", 0..6),
-        ),
-        1..5,
-    )
-    .prop_map(|specs| {
-        specs
-            .into_iter()
-            .enumerate()
-            .map(|(i, (name, lines))| {
-                let mut s = format!("{MAGIC_V1}\nconstraint {name}_{i}\n");
-                for line in lines {
-                    // Indent payload lines so none collides with the v1
-                    // magic, which is the section delimiter.
-                    s.push_str("  ");
-                    s.push_str(&line);
-                    s.push('\n');
-                }
-                s
-            })
-            .collect()
-    })
+fn sections(specs: &[Spec]) -> Vec<String> {
+    specs
+        .iter()
+        .enumerate()
+        .map(|(i, ((first, rest), lines))| {
+            let name: String = std::iter::once(first).chain(rest).collect();
+            let mut s = format!("{MAGIC_V1}\nconstraint {name}_{i}\n");
+            for line in lines {
+                // Indent payload lines so none collides with the v1
+                // magic, which is the section delimiter.
+                s.push_str("  ");
+                s.extend(line);
+                s.push('\n');
+            }
+            s
+        })
+        .collect()
 }
 
 #[derive(Debug, Clone)]
@@ -43,29 +52,33 @@ enum Corruption {
     SwapSections(usize, usize),
 }
 
-fn corruption() -> impl Strategy<Value = Corruption> {
-    prop_oneof![
-        (0usize..10_000).prop_map(Corruption::Truncate),
-        (0usize..80_000).prop_map(Corruption::BitFlip),
-        (0usize..4, 0usize..4).prop_map(|(a, b)| Corruption::SwapSections(a, b)),
-    ]
+impl Shrink for Corruption {}
+
+fn corruption(rng: &mut StdRng) -> Corruption {
+    match rng.gen_range(0..3) {
+        0 => Corruption::Truncate(rng.gen_range(0..10_000)),
+        1 => Corruption::BitFlip(rng.gen_range(0..80_000)),
+        _ => Corruption::SwapSections(rng.gen_range(0..4), rng.gen_range(0..4)),
+    }
 }
 
-proptest! {
-    #[test]
-    fn intact_containers_round_trip(secs in sections()) {
+#[test]
+fn intact_containers_round_trip() {
+    check(61, 256, specs, |specs| {
+        let secs = sections(specs);
         let sealed = seal(secs.iter().map(String::as_str));
         let reopened = open_any(sealed.as_bytes()).expect("intact container opens");
-        prop_assert_eq!(reopened, secs);
-    }
+        assert_eq!(reopened, secs);
+    });
+}
 
-    #[test]
-    fn corruption_is_a_typed_error_never_a_wrong_answer(
-        secs in sections(),
-        c in corruption(),
-    ) {
+#[test]
+fn corruption_is_a_typed_error_never_a_wrong_answer() {
+    let draw = |rng: &mut StdRng| (specs(rng), corruption(rng));
+    check(62, 256, draw, |(specs, c)| {
+        let secs = sections(specs);
         let sealed = seal(secs.iter().map(String::as_str)).into_bytes();
-        let corrupt: Vec<u8> = match c {
+        let corrupt: Vec<u8> = match *c {
             Corruption::Truncate(at) => sealed[..at % sealed.len()].to_vec(),
             Corruption::BitFlip(bit) => {
                 let mut bytes = sealed.clone();
@@ -74,7 +87,9 @@ proptest! {
                 bytes
             }
             Corruption::SwapSections(a, b) => {
-                let (a, b) = (a % secs.len(), b % secs.len());
+                // A shrunk input may hold no section at all.
+                let n = secs.len().max(1);
+                let (a, b) = (a % n, b % n);
                 if a == b {
                     // Swapping a section with itself is not a corruption.
                     return;
@@ -93,7 +108,7 @@ proptest! {
         if corrupt == sealed {
             return;
         }
-        // The call must return a typed error: no panic (the test harness
+        // The call must return a typed error: no panic (the runner
         // would catch it) and no Ok with a payload.
         match open_any(&corrupt) {
             Err(
@@ -103,7 +118,7 @@ proptest! {
                 | ContainerError::ChecksumMismatch { .. }
                 | ContainerError::Malformed { .. },
             ) => {}
-            Ok(_) => prop_assert!(false, "corrupted container opened cleanly"),
+            Ok(_) => panic!("corrupted container opened cleanly"),
         }
-    }
+    });
 }

@@ -1,20 +1,23 @@
 //! Scenario properties that do not compare against committed goldens
-//! (those live alone in `scenario_golden.rs` — see the note there on why
-//! that file holds exactly one test).
+//! (those live alone in `crates/workload/tests/scenario_golden.rs` — see
+//! the note there on why that file holds exactly one test).
 //!
-//! The proptest pins determinism over the whole parameter space: any
-//! `(steps, entities, events, rate, seed)` generates the same history and
-//! expectations twice in a row.
+//! The seeded property pins determinism over the whole parameter space:
+//! any `(steps, entities, events, rate, seed)` generates the same history
+//! and expectations twice in a row.
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore};
 use rtic_history::log::format_log;
+use rtic_oracle::property::check;
 use rtic_workload::{library, ScenarioParams};
 
 #[test]
 fn goldens_contain_injected_expectations() {
     // The pinned parameterization must actually exercise the injection
     // paths — a golden with no expectations pins nothing interesting.
-    // Keep equal to `golden_params()` in `scenario_golden.rs`.
+    // Keep equal to `golden_params()` in
+    // `crates/workload/tests/scenario_golden.rs`.
     let params = ScenarioParams {
         steps: 60,
         entities: 16,
@@ -35,17 +38,18 @@ fn goldens_contain_injected_expectations() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn generation_is_deterministic_across_the_parameter_space(
-        steps in 1usize..60,
-        entities in 4usize..32,
-        events in 0usize..6,
-        rate in 0.0f64..0.3,
-        seed in any::<u64>(),
-    ) {
+#[test]
+fn generation_is_deterministic_across_the_parameter_space() {
+    let draw = |rng: &mut StdRng| {
+        let unit = (rng.gen_range(0u64..1 << 53)) as f64 / (1u64 << 53) as f64;
+        let (steps, entities, events) = (
+            rng.gen_range(1..60),
+            rng.gen_range(4..32),
+            rng.gen_range(0..6),
+        );
+        (steps, entities, events, 0.3 * unit, rng.next_u64())
+    };
+    check(51, 16, draw, |&(steps, entities, events, rate, seed)| {
         let params = ScenarioParams {
             steps,
             entities,
@@ -56,15 +60,19 @@ proptest! {
         for scenario in library::all() {
             let a = scenario.generate(&params);
             let b = scenario.generate(&params);
-            prop_assert_eq!(
+            assert_eq!(
                 format_log(&a.transitions),
                 format_log(&b.transitions),
                 "{} transitions not deterministic",
                 scenario.name
             );
-            prop_assert_eq!(&a.expected, &b.expected, "{} expectations not deterministic", scenario.name);
+            assert_eq!(
+                &a.expected, &b.expected,
+                "{} expectations not deterministic",
+                scenario.name
+            );
             for e in &a.expected {
-                prop_assert!(
+                assert!(
                     e.time.0 >= 1 && e.time.0 <= steps as u64,
                     "{} expectation at {} outside the horizon",
                     scenario.name,
@@ -72,5 +80,5 @@ proptest! {
                 );
             }
         }
-    }
+    });
 }

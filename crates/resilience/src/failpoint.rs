@@ -39,7 +39,7 @@
 //! | `run.abort`        | `rtic check` before each transition            |
 //! | `checkpoint.write` | `rtic check` persisting a checkpoint           |
 //! | `engine-panic:<c>` | the fleet engine for constraint `<c>`          |
-//! | `serve.accept`     | the daemon's accept loop, per poll             |
+//! | `serve.accept`     | the daemon's accept loop, before each accept   |
 //! | `serve.read`       | the daemon, after each client line read        |
 //! | `serve.step`       | the daemon's engine loop, per dequeued job     |
 //! | `serve.write`      | the daemon, before each reply write (one per client per pass) |

@@ -4,8 +4,6 @@
 //! the same retry instant.
 
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::Duration;
 
@@ -84,11 +82,8 @@ impl Client {
 
     /// Connects with an explicit [`RetryPolicy`].
     pub fn connect_with(listen: &Listen, retry: RetryPolicy) -> Result<Client, String> {
-        let stream = match listen {
-            Listen::Tcp(addr) => TcpStream::connect(addr).map(Conn::Tcp),
-            Listen::Unix(path) => UnixStream::connect(path).map(Conn::Unix),
-        }
-        .map_err(|e| format!("cannot connect to {listen}: {e}"))?;
+        let stream = Conn::connect(listen);
+        let stream = stream.map_err(|e| format!("cannot connect to {listen}: {e}"))?;
         let reader = stream.try_clone().map_err(clone_error)?;
         Ok(Client {
             reader: BufReader::new(reader),

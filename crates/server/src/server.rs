@@ -4,8 +4,8 @@
 //!
 //! Threading model — four layers, one owner each:
 //!
-//! * The **accept loop** (spawned thread) polls a nonblocking listener
-//!   and hands each connection its own thread.
+//! * The **accept loop** (spawned thread) blocks in `accept` and hands
+//!   each connection its own thread.
 //! * **Connection threads** parse request lines and `try_push` jobs onto
 //!   the bounded [`IngestQueue`]; a full queue is answered `BUSY` right
 //!   there, so overload never reaches the engine. Status queries are
@@ -158,6 +158,13 @@ pub(crate) enum Conn {
 }
 
 impl Conn {
+    pub(crate) fn connect(listen: &Listen) -> io::Result<Conn> {
+        match listen {
+            Listen::Tcp(addr) => TcpStream::connect(addr).map(Conn::Tcp),
+            Listen::Unix(path) => UnixStream::connect(path).map(Conn::Unix),
+        }
+    }
+
     pub(crate) fn try_clone(&self) -> io::Result<Conn> {
         match self {
             Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
@@ -193,9 +200,9 @@ enum Listener {
 }
 
 impl Listener {
-    /// Binds `listen` as a nonblocking listener.
+    /// Binds `listen`. Its `accept` blocks until a client connects.
     fn bind(listen: &Listen) -> Result<Listener, String> {
-        let listener = match listen {
+        match listen {
             Listen::Tcp(addr) => TcpListener::bind(addr).map(Listener::Tcp),
             Listen::Unix(path) => {
                 // A previous server kill -9'd mid-run leaves its socket
@@ -206,13 +213,7 @@ impl Listener {
                 UnixListener::bind(path).map(Listener::Unix)
             }
         }
-        .map_err(|e| format!("cannot listen on {listen}: {e}"))?;
-        match &listener {
-            Listener::Tcp(l) => l.set_nonblocking(true),
-            Listener::Unix(l) => l.set_nonblocking(true),
-        }
-        .map_err(|e| format!("cannot configure listener: {e}"))?;
-        Ok(listener)
+        .map_err(|e| format!("cannot listen on {listen}: {e}"))
     }
 
     fn accept(&self) -> io::Result<Conn> {
@@ -259,7 +260,7 @@ impl<W: ReplySink> ClientHandle<W> {
             return;
         }
         let injected = shared.faults.check("serve.write") == Some(FailAction::IoError);
-        let mut conn = self.conn.lock().unwrap_or_else(|e| e.into_inner());
+        let mut conn = lock(&self.conn);
         if injected || conn.write_all(text).and_then(|()| conn.flush()).is_err() {
             if self.alive.swap(false, Ordering::SeqCst) {
                 shared.disconnected.fetch_add(1, Ordering::SeqCst);
@@ -327,7 +328,7 @@ impl Shared {
         };
         let quarantined = self.quarantined.load(Ordering::SeqCst);
         let verdict = if quarantined > 0 { "DEGRADED" } else { "OK" };
-        let (at, cursor) = *self.durable_lock();
+        let (at, cursor) = *lock(&self.durable);
         let age = at.map_or_else(|| "-".into(), |at| at.elapsed().as_millis().to_string());
         let sealed = cursor.map_or_else(|| "-".into(), |t| t.to_string());
         let (depth, peak, shed) = self.queue.gauges();
@@ -340,10 +341,12 @@ impl Shared {
             self.disconnected.load(Ordering::SeqCst),
         )
     }
+}
 
-    fn durable_lock(&self) -> MutexGuard<'_, (Option<Instant>, Option<TimePoint>)> {
-        self.durable.lock().unwrap_or_else(|e| e.into_inner())
-    }
+/// Locks `m` even if a holder panicked: each update under the daemon's
+/// mutexes is one assignment, push or write, so none is left half-done.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Runs the daemon until drained (exit code 0) or crashed by an
@@ -414,6 +417,11 @@ pub fn serve(
     });
 
     let listener = Listener::bind(&config.listen)?;
+    // The bound TCP address (port 0 resolved) for the wake-up connect.
+    let bound = match &listener {
+        Listener::Tcp(l) => l.local_addr().ok(),
+        Listener::Unix(_) => None,
+    };
     let _ = writeln!(out, "listening on {}", config.listen);
     let (accept_shared, write_timeout) = (Arc::clone(&shared), config.write_timeout);
     let accept_thread = std::thread::spawn(move || {
@@ -440,6 +448,11 @@ pub fn serve(
     // way (in-process drills re-bind the same socket on restart).
     shared.dead.store(true, Ordering::SeqCst);
     shared.queue.close();
+    // Wakes the accept loop's blocking `accept`, which then sees `dead`.
+    let _ = match bound {
+        Some(addr) => TcpStream::connect(addr).map(drop),
+        None => Conn::connect(&config.listen).map(drop),
+    };
     let _ = accept_thread.join();
     if result.is_ok() {
         if let Listen::Unix(path) = &config.listen {
@@ -450,7 +463,8 @@ pub fn serve(
 }
 
 fn accept_loop(listener: Listener, shared: Arc<Shared>, write_timeout: Duration) {
-    while !shared.dead.load(Ordering::SeqCst) && !shared.draining.load(Ordering::SeqCst) {
+    let stop = || shared.dead.load(Ordering::SeqCst) || shared.draining.load(Ordering::SeqCst);
+    while !stop() {
         match shared.faults.check("serve.accept") {
             Some(FailAction::IoError) => {
                 // An injected accept failure: keep serving, exactly like
@@ -462,13 +476,15 @@ fn accept_loop(listener: Listener, shared: Arc<Shared>, write_timeout: Duration)
             _ => {}
         }
         match listener.accept() {
+            // Accepted after the drain began, or `serve`'s wake-up: dropped.
+            Ok(_) if stop() => break,
             Ok(conn) => {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || {
                     connection_loop(conn, shared, write_timeout);
                 });
             }
-            // Nothing to accept yet, or a transient accept error.
+            // A transient accept error (say, out of descriptors).
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -531,11 +547,7 @@ fn connection_loop(conn: Conn, shared: Arc<Shared>, write_timeout: Duration) {
                 shared.queue.set_paused(false);
             }
             Command::Drain => {
-                shared
-                    .drain_waiters
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(Arc::clone(&handle));
+                lock(&shared.drain_waiters).push(Arc::clone(&handle));
                 shared.draining.store(true, Ordering::SeqCst);
                 shared.queue.close();
             }
@@ -610,15 +622,9 @@ fn engine_loop(
                 // first job shares its checkpoint write, metrics sample
                 // and reply flush. One queue's worth per pass, so a
                 // producer that keeps pushing cannot starve the replies.
-                let mut jobs = vec![job];
-                while jobs.len() < shared.queue.capacity() {
-                    match shared.queue.try_pop() {
-                        Some(next) => jobs.push(next),
-                        None => break,
-                    }
-                }
+                let more = (1..shared.queue.capacity()).map_while(|_| shared.queue.try_pop());
                 process_drained(
-                    jobs,
+                    std::iter::once(job).chain(more).collect(),
                     set,
                     report,
                     registry,
@@ -670,12 +676,7 @@ fn engine_loop(
         report.witnesses,
         report.violated_states,
     );
-    for waiter in shared
-        .drain_waiters
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .drain(..)
-    {
+    for waiter in lock(&shared.drain_waiters).drain(..) {
         waiter.write_line(shared, &drained_line);
     }
     let _ = writeln!(
@@ -799,7 +800,7 @@ fn submit_checkpoint(
     let (bytes, cursor, shared) = (sealed.len(), set.last_time(), Arc::clone(shared));
     writer
         .submit(sealed, move || {
-            *shared.durable_lock() = (Some(Instant::now()), cursor);
+            *lock(&shared.durable) = (Some(Instant::now()), cursor);
         })
         .map_err(checkpoint_error)?;
     Ok(bytes)
@@ -810,7 +811,7 @@ fn checkpoint_error(e: DurableError) -> String {
 }
 
 fn emit_serve_sample(registry: &mut MetricsRegistry, shared: &Shared, drain_ms: Option<u64>) {
-    let durable_at = shared.durable_lock().0;
+    let durable_at = lock(&shared.durable).0;
     let (queue_depth, queue_peak, shed) = shared.queue.gauges();
     registry.observe(&StepEvent::ServeSample {
         queue_depth,

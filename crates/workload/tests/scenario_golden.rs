@@ -13,9 +13,10 @@
 //! This must stay the **only** test in its binary. `Symbol`'s `Ord` is
 //! intern order, and relations and bindings iterate in `Ord` order, so the
 //! rendered text depends on which strings the process interned first. A
-//! second test in the same process (the determinism proptest lived here
+//! second test in the same process (the determinism property lived here
 //! once) races this one to the interner and the goldens drift at random.
-//! Everything else about scenarios lives in `scenario_props.rs`.
+//! Everything else about scenarios, the determinism property included,
+//! lives in `crates/oracle/tests/scenario_props.rs`.
 
 use rtic_history::log::format_log;
 use rtic_workload::{library, ScenarioParams};
