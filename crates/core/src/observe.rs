@@ -35,10 +35,11 @@
 //!         &mut obs,
 //!     )
 //!     .unwrap();
-//! assert!(matches!(obs.events[0], StepEvent::StepStart { .. }));
-//! assert!(matches!(obs.events.last(), Some(StepEvent::StepEnd { .. })));
+//! assert!(matches!(obs.events[0], StepEvent::StepStart(_)));
+//! assert!(matches!(obs.events.last(), Some(StepEvent::StepEnd(_))));
 //! ```
 
+use std::borrow::Cow;
 use std::time::Instant;
 
 use rtic_history::HistoryError;
@@ -46,9 +47,11 @@ use rtic_relation::{Symbol, Update};
 use rtic_temporal::TimePoint;
 
 use crate::checker::Checker;
+use crate::plan::{PlanProfile, RuntimePlanStats};
 use crate::report::{SpaceStats, StepReport};
 
-/// One observable event at a step boundary.
+/// One observable event at a step boundary. Each kind carries its payload
+/// struct, declared once below and read by every exposition.
 ///
 /// Events are delivered in a fixed order per logical step:
 /// `StepStart`, then per constraint `ConstraintEval` (and `Violation` when
@@ -58,169 +61,215 @@ use crate::report::{SpaceStats, StepReport};
 #[derive(Clone, Debug)]
 pub enum StepEvent<'a> {
     /// A logical step (one transition) is about to be processed.
-    StepStart {
-        /// Checker implementation name (the run's backend).
-        checker: &'static str,
-        /// Timestamp of the incoming transition.
-        time: TimePoint,
-        /// Tuples inserted + deleted by the update.
-        tuples: usize,
-    },
+    StepStart(StepStart),
     /// One constraint was evaluated against the new state.
-    ConstraintEval {
-        /// Checker implementation name.
-        checker: &'static str,
-        /// The constraint that was evaluated.
-        constraint: Symbol,
-        /// Timestamp of the new state.
-        time: TimePoint,
-        /// Violation witnesses found.
-        violations: usize,
-        /// Wall-clock time of this constraint's step, in nanoseconds.
-        latency_ns: u64,
-    },
+    ConstraintEval(ConstraintEval),
     /// A constraint reported violation witnesses at this state.
-    Violation {
-        /// Checker implementation name.
-        checker: &'static str,
-        /// The full report, including the witness assignments.
-        report: &'a StepReport,
-    },
+    Violation(Violation<'a>),
     /// The logical step finished.
-    StepEnd {
-        /// Checker implementation name (the run's backend).
-        checker: &'static str,
-        /// Timestamp of the new state.
-        time: TimePoint,
-        /// Violation witnesses across all constraints of the step.
-        violations: usize,
-        /// Wall-clock time of the whole logical step, in nanoseconds.
-        latency_ns: u64,
-    },
+    StepEnd(StepEnd),
     /// A checkpoint was serialized.
-    CheckpointSave {
-        /// The checkpointed constraint.
-        constraint: Symbol,
-        /// Size of the serialized text.
-        bytes: usize,
-    },
+    CheckpointSave(CheckpointSection),
     /// A checkpoint was restored.
-    CheckpointRestore {
-        /// The restored constraint.
-        constraint: Symbol,
-        /// Size of the serialized text.
-        bytes: usize,
-    },
+    CheckpointRestore(CheckpointSection),
     /// A constraint engine panicked mid-step and was quarantined: it
     /// stops producing reports while the rest of the fleet keeps
     /// checking (degraded mode). Emitted once, at the failing step.
-    ConstraintQuarantined {
-        /// Checker implementation name.
-        checker: &'static str,
-        /// The constraint whose engine panicked.
-        constraint: Symbol,
-        /// Timestamp of the step during which the panic happened.
-        time: TimePoint,
-        /// The rendered panic payload.
-        detail: String,
-    },
+    ConstraintQuarantined(ConstraintQuarantined),
     /// A corrupt or unreadable checkpoint candidate was rejected during
     /// recovery and the next rotation entry was tried.
-    CheckpointFallback {
-        /// Path of the rejected candidate.
-        path: String,
-        /// Why it was rejected (checksum mismatch, truncation, ...).
-        detail: String,
-    },
+    CheckpointFallback(CheckpointFallback),
     /// A malformed history line was skipped under a lenient bad-line
     /// policy (it would have aborted the run under the strict default).
-    BadLine {
-        /// 1-based line number in the history stream.
-        line: usize,
-        /// The parse error.
-        detail: String,
-    },
+    BadLine(BadLine),
     /// A reading of a checker's compiled-plan statistics (plan node
     /// counts, cached index shapes, scratch high-water marks). Emitted by
     /// drivers once per run, after stepping, for checkers running the
     /// planned executor.
-    PlanStatsSample {
-        /// Checker implementation name.
-        checker: &'static str,
-        /// The constraint whose checker was sampled.
-        constraint: Symbol,
-        /// The plan statistics.
-        stats: crate::plan::RuntimePlanStats,
-    },
+    PlanStatsSample(PlanStatsSample),
     /// A reading of a checker's per-plan-node execution profile (wall
     /// time, cardinalities, memo-cache hits). Emitted by drivers once per
     /// run, after stepping, for checkers built with
     /// `EncodingOptions::profile_plans`.
-    PlanProfileSample {
-        /// Checker implementation name.
-        checker: &'static str,
-        /// The constraint whose checker was profiled.
-        constraint: Symbol,
-        /// The accumulated profile.
-        profile: &'a crate::plan::PlanProfile,
-    },
+    PlanProfileSample(PlanProfileSample<'a>),
     /// A scheduled reading of a checker's space footprint.
-    SpaceSample {
-        /// Checker implementation name.
-        checker: &'static str,
-        /// The constraint whose checker was sampled.
-        constraint: Symbol,
-        /// Timestamp of the state at which the sample was taken.
-        time: TimePoint,
-        /// 0-based index of the step after which the sample was taken.
-        step_index: u64,
-        /// The footprint.
-        stats: SpaceStats,
-    },
+    SpaceSample(SpaceSample),
     /// A reading of a resident server's ingest-plane gauges (`rtic
-    /// serve`): bounded-queue occupancy, backpressure sheds, client
-    /// connections, and checkpoint freshness. Emitted by the serve
-    /// driver after each processed command and at drain, so metrics
-    /// snapshots and the Prometheus exposition carry the live queue
-    /// picture alongside the checker counters.
-    ServeSample {
-        /// Updates currently waiting in the bounded ingest queue.
-        queue_depth: usize,
-        /// The queue's configured bound.
-        queue_capacity: usize,
-        /// High-water mark of the queue depth over the run.
-        queue_peak: usize,
-        /// Updates rejected with `BUSY` because the queue was full.
-        shed: u64,
-        /// Currently connected clients.
-        connections: usize,
-        /// Slow or stalled clients disconnected after the write timeout.
-        disconnected: u64,
-        /// Milliseconds since the last durable checkpoint, if any was
-        /// written.
-        last_checkpoint_age_ms: Option<u64>,
-        /// Total graceful-drain duration in milliseconds, once drained.
-        drain_ms: Option<u64>,
-    },
+    /// serve`). Emitted by the serve driver after each queue pass and at
+    /// drain, so metrics snapshots and the Prometheus exposition carry
+    /// the live queue picture alongside the checker counters.
+    ServeSample(ServeGauges),
+}
+
+/// [`StepEvent::StepStart`]'s payload.
+#[derive(Clone, Copy, Debug)]
+pub struct StepStart {
+    /// Checker implementation name (the run's backend).
+    pub checker: &'static str,
+    /// Timestamp of the incoming transition.
+    pub time: TimePoint,
+    /// Tuples inserted + deleted by the update.
+    pub tuples: usize,
+}
+
+/// [`StepEvent::ConstraintEval`]'s payload.
+#[derive(Clone, Copy, Debug)]
+pub struct ConstraintEval {
+    /// Checker implementation name.
+    pub checker: &'static str,
+    /// The constraint that was evaluated.
+    pub constraint: Symbol,
+    /// Timestamp of the new state.
+    pub time: TimePoint,
+    /// Violation witnesses found.
+    pub violations: usize,
+    /// Wall-clock time of this constraint's step, in nanoseconds.
+    pub latency_ns: u64,
+}
+
+/// [`StepEvent::Violation`]'s payload.
+#[derive(Clone, Debug)]
+pub struct Violation<'a> {
+    /// Checker implementation name.
+    pub checker: &'static str,
+    /// The full report, including the witness assignments: lent by the
+    /// checker, owned by a [`CollectingObserver`].
+    pub report: Cow<'a, StepReport>,
+}
+
+/// [`StepEvent::StepEnd`]'s payload.
+#[derive(Clone, Copy, Debug)]
+pub struct StepEnd {
+    /// Checker implementation name (the run's backend).
+    pub checker: &'static str,
+    /// Timestamp of the new state.
+    pub time: TimePoint,
+    /// Violation witnesses across all constraints of the step.
+    pub violations: usize,
+    /// Wall-clock time of the whole logical step, in nanoseconds.
+    pub latency_ns: u64,
+}
+
+/// The payload of [`StepEvent::CheckpointSave`] and
+/// [`StepEvent::CheckpointRestore`].
+#[derive(Clone, Copy, Debug)]
+pub struct CheckpointSection {
+    /// The checkpointed constraint.
+    pub constraint: Symbol,
+    /// Size of the serialized text.
+    pub bytes: usize,
+}
+
+/// [`StepEvent::ConstraintQuarantined`]'s payload.
+#[derive(Clone, Debug)]
+pub struct ConstraintQuarantined {
+    /// Checker implementation name.
+    pub checker: &'static str,
+    /// The constraint whose engine panicked.
+    pub constraint: Symbol,
+    /// Timestamp of the step during which the panic happened.
+    pub time: TimePoint,
+    /// The rendered panic payload.
+    pub detail: String,
+}
+
+/// [`StepEvent::CheckpointFallback`]'s payload.
+#[derive(Clone, Debug)]
+pub struct CheckpointFallback {
+    /// Path of the rejected candidate.
+    pub path: String,
+    /// Why it was rejected (checksum mismatch, truncation, ...).
+    pub detail: String,
+}
+
+/// [`StepEvent::BadLine`]'s payload.
+#[derive(Clone, Debug)]
+pub struct BadLine {
+    /// 1-based line number in the history stream.
+    pub line: usize,
+    /// The parse error.
+    pub detail: String,
+}
+
+/// [`StepEvent::PlanStatsSample`]'s payload.
+#[derive(Clone, Copy, Debug)]
+pub struct PlanStatsSample {
+    /// Checker implementation name.
+    pub checker: &'static str,
+    /// The constraint whose checker was sampled.
+    pub constraint: Symbol,
+    /// The plan statistics.
+    pub stats: RuntimePlanStats,
+}
+
+/// [`StepEvent::PlanProfileSample`]'s payload.
+#[derive(Clone, Debug)]
+pub struct PlanProfileSample<'a> {
+    /// Checker implementation name.
+    pub checker: &'static str,
+    /// The constraint whose checker was profiled.
+    pub constraint: Symbol,
+    /// The accumulated profile: lent by the checker, owned by a
+    /// [`CollectingObserver`].
+    pub profile: Cow<'a, PlanProfile>,
+}
+
+/// [`StepEvent::SpaceSample`]'s payload.
+#[derive(Clone, Copy, Debug)]
+pub struct SpaceSample {
+    /// Checker implementation name.
+    pub checker: &'static str,
+    /// The constraint whose checker was sampled.
+    pub constraint: Symbol,
+    /// Timestamp of the state at which the sample was taken.
+    pub time: TimePoint,
+    /// 0-based index of the step after which the sample was taken.
+    pub step_index: u64,
+    /// The footprint.
+    pub stats: SpaceStats,
+}
+
+/// [`StepEvent::ServeSample`]'s payload: a resident server's ingest-plane
+/// gauges — bounded-queue occupancy, backpressure sheds, client
+/// connections, and checkpoint freshness.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ServeGauges {
+    /// Updates currently waiting in the bounded ingest queue.
+    pub queue_depth: usize,
+    /// The queue's configured bound.
+    pub queue_capacity: usize,
+    /// High-water mark of the queue depth over the run.
+    pub queue_peak: usize,
+    /// Updates rejected with `BUSY` because the queue was full.
+    pub shed: u64,
+    /// Currently connected clients.
+    pub connections: usize,
+    /// Slow or stalled clients disconnected after the write timeout.
+    pub disconnected: u64,
+    /// Milliseconds since the last durable checkpoint, if any was
+    /// written.
+    pub last_checkpoint_age_ms: Option<u64>,
+    /// Total graceful-drain duration in milliseconds, once drained.
+    pub drain_ms: Option<u64>,
 }
 
 impl StepEvent<'_> {
     /// Short machine-readable event name (used by the trace writer).
     pub fn kind(&self) -> &'static str {
         match self {
-            StepEvent::StepStart { .. } => "step_start",
-            StepEvent::ConstraintEval { .. } => "eval",
-            StepEvent::Violation { .. } => "violation",
-            StepEvent::StepEnd { .. } => "step",
-            StepEvent::CheckpointSave { .. } => "checkpoint_save",
-            StepEvent::CheckpointRestore { .. } => "checkpoint_restore",
-            StepEvent::ConstraintQuarantined { .. } => "quarantine",
-            StepEvent::CheckpointFallback { .. } => "checkpoint_fallback",
-            StepEvent::BadLine { .. } => "bad_line",
-            StepEvent::PlanStatsSample { .. } => "plan_stats",
-            StepEvent::PlanProfileSample { .. } => "plan_profile",
-            StepEvent::SpaceSample { .. } => "space_sample",
-            StepEvent::ServeSample { .. } => "serve_sample",
+            StepEvent::StepStart(_) => "step_start",
+            StepEvent::ConstraintEval(_) => "eval",
+            StepEvent::Violation(_) => "violation",
+            StepEvent::StepEnd(_) => "step",
+            StepEvent::CheckpointSave(_) => "checkpoint_save",
+            StepEvent::CheckpointRestore(_) => "checkpoint_restore",
+            StepEvent::ConstraintQuarantined(_) => "quarantine",
+            StepEvent::CheckpointFallback(_) => "checkpoint_fallback",
+            StepEvent::BadLine(_) => "bad_line",
+            StepEvent::PlanStatsSample(_) => "plan_stats",
+            StepEvent::PlanProfileSample(_) => "plan_profile",
+            StepEvent::SpaceSample(_) => "space_sample",
+            StepEvent::ServeSample(_) => "serve_sample",
         }
     }
 }
@@ -246,141 +295,39 @@ impl StepObserver for NopObserver {
 }
 
 /// An observer that owns copies of every event it sees — for tests and for
-/// ad-hoc inspection. Violation reports are cloned into owned form.
+/// ad-hoc inspection. Violation reports and plan profiles are cloned into
+/// owned form.
 #[derive(Clone, Debug, Default)]
 pub struct CollectingObserver {
-    /// The events, in delivery order (with `'static` owned reports).
+    /// The events, in delivery order (with `'static` owned payloads).
     pub events: Vec<StepEvent<'static>>,
 }
 
 impl StepObserver for CollectingObserver {
     fn observe(&mut self, event: &StepEvent<'_>) {
-        // Re-own the one borrowed variant so the copy is 'static.
-        let owned: StepEvent<'static> = match event {
-            StepEvent::Violation { checker, report } => {
-                let leaked: &'static StepReport = Box::leak(Box::new((*report).clone()));
-                StepEvent::Violation {
-                    checker,
-                    report: leaked,
-                }
-            }
-            StepEvent::StepStart {
-                checker,
-                time,
-                tuples,
-            } => StepEvent::StepStart {
-                checker,
-                time: *time,
-                tuples: *tuples,
-            },
-            StepEvent::ConstraintEval {
-                checker,
-                constraint,
-                time,
-                violations,
-                latency_ns,
-            } => StepEvent::ConstraintEval {
-                checker,
-                constraint: *constraint,
-                time: *time,
-                violations: *violations,
-                latency_ns: *latency_ns,
-            },
-            StepEvent::StepEnd {
-                checker,
-                time,
-                violations,
-                latency_ns,
-            } => StepEvent::StepEnd {
-                checker,
-                time: *time,
-                violations: *violations,
-                latency_ns: *latency_ns,
-            },
-            StepEvent::CheckpointSave { constraint, bytes } => StepEvent::CheckpointSave {
-                constraint: *constraint,
-                bytes: *bytes,
-            },
-            StepEvent::CheckpointRestore { constraint, bytes } => StepEvent::CheckpointRestore {
-                constraint: *constraint,
-                bytes: *bytes,
-            },
-            StepEvent::ConstraintQuarantined {
-                checker,
-                constraint,
-                time,
-                detail,
-            } => StepEvent::ConstraintQuarantined {
-                checker,
-                constraint: *constraint,
-                time: *time,
-                detail: detail.clone(),
-            },
-            StepEvent::CheckpointFallback { path, detail } => StepEvent::CheckpointFallback {
-                path: path.clone(),
-                detail: detail.clone(),
-            },
-            StepEvent::BadLine { line, detail } => StepEvent::BadLine {
-                line: *line,
-                detail: detail.clone(),
-            },
-            StepEvent::PlanStatsSample {
-                checker,
-                constraint,
-                stats,
-            } => StepEvent::PlanStatsSample {
-                checker,
-                constraint: *constraint,
-                stats: *stats,
-            },
-            StepEvent::PlanProfileSample {
-                checker,
-                constraint,
-                profile,
-            } => {
-                // Re-own the borrowed profile so the copy is 'static.
-                let leaked: &'static crate::plan::PlanProfile =
-                    Box::leak(Box::new((*profile).clone()));
-                StepEvent::PlanProfileSample {
-                    checker,
-                    constraint: *constraint,
-                    profile: leaked,
-                }
-            }
-            StepEvent::SpaceSample {
-                checker,
-                constraint,
-                time,
-                step_index,
-                stats,
-            } => StepEvent::SpaceSample {
-                checker,
-                constraint: *constraint,
-                time: *time,
-                step_index: *step_index,
-                stats: *stats,
-            },
-            StepEvent::ServeSample {
-                queue_depth,
-                queue_capacity,
-                queue_peak,
-                shed,
-                connections,
-                disconnected,
-                last_checkpoint_age_ms,
-                drain_ms,
-            } => StepEvent::ServeSample {
-                queue_depth: *queue_depth,
-                queue_capacity: *queue_capacity,
-                queue_peak: *queue_peak,
-                shed: *shed,
-                connections: *connections,
-                disconnected: *disconnected,
-                last_checkpoint_age_ms: *last_checkpoint_age_ms,
-                drain_ms: *drain_ms,
-            },
-        };
-        self.events.push(owned);
+        // Re-wrapped kind by kind: only the two lent payloads borrow.
+        self.events.push(match event.clone() {
+            StepEvent::StepStart(e) => StepEvent::StepStart(e),
+            StepEvent::ConstraintEval(e) => StepEvent::ConstraintEval(e),
+            StepEvent::Violation(e) => StepEvent::Violation(Violation {
+                checker: e.checker,
+                report: Cow::Owned(e.report.into_owned()),
+            }),
+            StepEvent::StepEnd(e) => StepEvent::StepEnd(e),
+            StepEvent::CheckpointSave(e) => StepEvent::CheckpointSave(e),
+            StepEvent::CheckpointRestore(e) => StepEvent::CheckpointRestore(e),
+            StepEvent::ConstraintQuarantined(e) => StepEvent::ConstraintQuarantined(e),
+            StepEvent::CheckpointFallback(e) => StepEvent::CheckpointFallback(e),
+            StepEvent::BadLine(e) => StepEvent::BadLine(e),
+            StepEvent::PlanStatsSample(e) => StepEvent::PlanStatsSample(e),
+            StepEvent::PlanProfileSample(e) => StepEvent::PlanProfileSample(PlanProfileSample {
+                checker: e.checker,
+                constraint: e.constraint,
+                profile: Cow::Owned(e.profile.into_owned()),
+            }),
+            StepEvent::SpaceSample(e) => StepEvent::SpaceSample(e),
+            StepEvent::ServeSample(e) => StepEvent::ServeSample(e),
+        });
     }
 }
 
@@ -397,11 +344,11 @@ pub fn step_all(
     obs: &mut dyn StepObserver,
 ) -> Result<Vec<StepReport>, HistoryError> {
     let label = checkers.first().map_or("none", |c| c.name());
-    obs.observe(&StepEvent::StepStart {
+    obs.observe(&StepEvent::StepStart(StepStart {
         checker: label,
         time,
         tuples: update.len(),
-    });
+    }));
     let step_start = Instant::now();
     let mut reports = Vec::with_capacity(checkers.len());
     let mut total_violations = 0usize;
@@ -410,27 +357,27 @@ pub fn step_all(
         let report = checker.step(time, update)?;
         let latency_ns = eval_start.elapsed().as_nanos() as u64;
         total_violations += report.violation_count();
-        obs.observe(&StepEvent::ConstraintEval {
+        obs.observe(&StepEvent::ConstraintEval(ConstraintEval {
             checker: checker.name(),
             constraint: report.constraint,
             time,
             violations: report.violation_count(),
             latency_ns,
-        });
+        }));
         if !report.ok() {
-            obs.observe(&StepEvent::Violation {
+            obs.observe(&StepEvent::Violation(Violation {
                 checker: checker.name(),
-                report: &report,
-            });
+                report: Cow::Borrowed(&report),
+            }));
         }
         reports.push(report);
     }
-    obs.observe(&StepEvent::StepEnd {
+    obs.observe(&StepEvent::StepEnd(StepEnd {
         checker: label,
         time,
         violations: total_violations,
         latency_ns: step_start.elapsed().as_nanos() as u64,
-    });
+    }));
     Ok(reports)
 }
 
@@ -443,13 +390,13 @@ pub fn sample_space(
     obs: &mut dyn StepObserver,
 ) {
     for checker in checkers {
-        obs.observe(&StepEvent::SpaceSample {
+        obs.observe(&StepEvent::SpaceSample(SpaceSample {
             checker: checker.name(),
             constraint: checker.constraint().name,
             time,
             step_index,
             stats: checker.space(),
-        });
+        }));
     }
 }
 
@@ -459,11 +406,11 @@ pub fn sample_space(
 pub fn sample_plan_stats(checkers: &[Box<dyn Checker>], obs: &mut dyn StepObserver) {
     for checker in checkers {
         if let Some(stats) = checker.plan_stats() {
-            obs.observe(&StepEvent::PlanStatsSample {
+            obs.observe(&StepEvent::PlanStatsSample(PlanStatsSample {
                 checker: checker.name(),
                 constraint: checker.constraint().name,
                 stats,
-            });
+            }));
         }
     }
 }
@@ -474,33 +421,13 @@ pub fn sample_plan_stats(checkers: &[Box<dyn Checker>], obs: &mut dyn StepObserv
 pub fn sample_plan_profiles(checkers: &[Box<dyn Checker>], obs: &mut dyn StepObserver) {
     for checker in checkers {
         if let Some(profile) = checker.plan_profile() {
-            obs.observe(&StepEvent::PlanProfileSample {
+            obs.observe(&StepEvent::PlanProfileSample(PlanProfileSample {
                 checker: checker.name(),
                 constraint: checker.constraint().name,
-                profile: &profile,
-            });
+                profile: Cow::Borrowed(&profile),
+            }));
         }
     }
-}
-
-/// Emits one [`StepEvent::SpaceSample`] for a single checker and returns
-/// the stats that were read, so callers polling space anyway don't walk
-/// the aux structures twice.
-pub fn sample_space_one(
-    checker: &dyn Checker,
-    time: TimePoint,
-    step_index: u64,
-    obs: &mut dyn StepObserver,
-) -> SpaceStats {
-    let stats = checker.space();
-    obs.observe(&StepEvent::SpaceSample {
-        checker: checker.name(),
-        constraint: checker.constraint().name,
-        time,
-        step_index,
-        stats,
-    });
-    stats
 }
 
 impl dyn Checker + '_ {
@@ -514,33 +441,33 @@ impl dyn Checker + '_ {
         update: &Update,
         obs: &mut dyn StepObserver,
     ) -> Result<StepReport, HistoryError> {
-        obs.observe(&StepEvent::StepStart {
+        obs.observe(&StepEvent::StepStart(StepStart {
             checker: self.name(),
             time,
             tuples: update.len(),
-        });
+        }));
         let start = Instant::now();
         let report = self.step(time, update)?;
         let latency_ns = start.elapsed().as_nanos() as u64;
-        obs.observe(&StepEvent::ConstraintEval {
+        obs.observe(&StepEvent::ConstraintEval(ConstraintEval {
             checker: self.name(),
             constraint: report.constraint,
             time,
             violations: report.violation_count(),
             latency_ns,
-        });
+        }));
         if !report.ok() {
-            obs.observe(&StepEvent::Violation {
+            obs.observe(&StepEvent::Violation(Violation {
                 checker: self.name(),
-                report: &report,
-            });
+                report: Cow::Borrowed(&report),
+            }));
         }
-        obs.observe(&StepEvent::StepEnd {
+        obs.observe(&StepEvent::StepEnd(StepEnd {
             checker: self.name(),
             time,
             violations: report.violation_count(),
             latency_ns,
-        });
+        }));
         Ok(report)
     }
 }
@@ -598,10 +525,10 @@ mod tests {
                 "step"
             ]
         );
-        let StepEvent::StepStart { tuples, .. } = obs.events[0] else {
+        let StepEvent::StepStart(start) = obs.events[0] else {
             panic!("first event must be step_start");
         };
-        assert_eq!(tuples, 1);
+        assert_eq!(start.tuples, 1);
     }
 
     #[test]
@@ -654,7 +581,7 @@ mod tests {
         let mut obs = CollectingObserver::default();
         sample_space(&checkers, TimePoint(1), 0, &mut obs);
         assert_eq!(obs.events.len(), 1);
-        assert!(matches!(obs.events[0], StepEvent::SpaceSample { .. }));
+        assert!(matches!(obs.events[0], StepEvent::SpaceSample(_)));
     }
 
     #[test]

@@ -43,6 +43,7 @@
 //! assert_eq!(set.space().stored_states, 1); // one shared state copy
 //! ```
 
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -54,7 +55,10 @@ use rtic_temporal::{Constraint, TimePoint};
 use crate::compile::CompiledConstraint;
 use crate::error::CompileError;
 use crate::incremental::{EncodingOptions, NodeEngine, NodeStat};
-use crate::observe::{NopObserver, StepEvent, StepObserver};
+use crate::observe::{
+    ConstraintEval, ConstraintQuarantined, NopObserver, PlanProfileSample, PlanStatsSample,
+    SpaceSample, StepEnd, StepEvent, StepObserver, StepStart, Violation,
+};
 use crate::report::{SpaceStats, StepReport};
 
 /// Best-effort rendering of a caught panic payload.
@@ -327,11 +331,11 @@ impl ConstraintSet {
                 return Err(HistoryError::NonMonotonicTime { last, new: time });
             }
         }
-        obs.observe(&StepEvent::StepStart {
+        obs.observe(&StepEvent::StepStart(StepStart {
             checker: "set",
             time,
             tuples: update.len(),
-        });
+        }));
         let step_start = Instant::now();
         self.db.apply(update)?;
 
@@ -379,18 +383,18 @@ impl ConstraintSet {
                 Ok(violations) => {
                     let report = engine.compiled.report(time, violations);
                     total_violations += report.violation_count();
-                    obs.observe(&StepEvent::ConstraintEval {
+                    obs.observe(&StepEvent::ConstraintEval(ConstraintEval {
                         checker: "set",
                         constraint,
                         time,
                         violations: report.violation_count(),
                         latency_ns: eval_start.elapsed().as_nanos() as u64,
-                    });
+                    }));
                     if !report.ok() {
-                        obs.observe(&StepEvent::Violation {
+                        obs.observe(&StepEvent::Violation(Violation {
                             checker: "set",
-                            report: &report,
-                        });
+                            report: Cow::Borrowed(&report),
+                        }));
                     }
                     reports.push(report);
                 }
@@ -398,21 +402,21 @@ impl ConstraintSet {
                     let detail = panic_detail(payload.as_ref());
                     self.quarantined[idx] =
                         Some(format!("panicked at step {nth_step} (t={time}): {detail}"));
-                    obs.observe(&StepEvent::ConstraintQuarantined {
+                    obs.observe(&StepEvent::ConstraintQuarantined(ConstraintQuarantined {
                         checker: "set",
                         constraint,
                         time,
                         detail,
-                    });
+                    }));
                 }
             }
         }
-        obs.observe(&StepEvent::StepEnd {
+        obs.observe(&StepEvent::StepEnd(StepEnd {
             checker: "set",
             time,
             violations: total_violations,
             latency_ns: step_start.elapsed().as_nanos() as u64,
-        });
+        }));
         self.last_time = Some(time);
         self.steps += 1;
         Ok(reports)
@@ -433,7 +437,7 @@ impl ConstraintSet {
                 continue;
             }
             let (aux_keys, aux_timestamps) = engine.aux_space();
-            obs.observe(&StepEvent::SpaceSample {
+            obs.observe(&StepEvent::SpaceSample(SpaceSample {
                 checker: "set",
                 constraint: engine.compiled.constraint.name,
                 time,
@@ -444,7 +448,7 @@ impl ConstraintSet {
                     stored_states: 1,
                     stored_tuples: self.db.total_tuples(),
                 },
-            });
+            }));
         }
     }
 
@@ -512,11 +516,11 @@ impl ConstraintSet {
     /// [`ConstraintSet::sample_space`].
     pub fn sample_plan_stats(&self, obs: &mut dyn StepObserver) {
         for (constraint, stats) in self.plan_stats_per_engine() {
-            obs.observe(&StepEvent::PlanStatsSample {
+            obs.observe(&StepEvent::PlanStatsSample(PlanStatsSample {
                 checker: "set",
                 constraint,
                 stats,
-            });
+            }));
         }
     }
 
@@ -534,11 +538,11 @@ impl ConstraintSet {
     pub fn sample_plan_profiles(&self, obs: &mut dyn StepObserver) {
         for e in &self.engines {
             if let Some(profile) = e.plan_profile() {
-                obs.observe(&StepEvent::PlanProfileSample {
+                obs.observe(&StepEvent::PlanProfileSample(PlanProfileSample {
                     checker: "set",
                     constraint: e.compiled.constraint.name,
-                    profile: &profile,
-                });
+                    profile: Cow::Borrowed(&profile),
+                }));
             }
         }
     }
@@ -734,12 +738,12 @@ mod tests {
         let mut evals: Vec<&str> = Vec::new();
         for e in &obs.events {
             match e {
-                StepEvent::StepStart { .. } => assert!(evals.is_empty()),
-                StepEvent::ConstraintEval { constraint, .. } => evals.push(constraint.as_str()),
-                StepEvent::Violation { report, .. } => {
-                    assert_eq!(evals.last(), Some(&report.constraint.as_str()));
+                StepEvent::StepStart(_) => assert!(evals.is_empty()),
+                StepEvent::ConstraintEval(eval) => evals.push(eval.constraint.as_str()),
+                StepEvent::Violation(v) => {
+                    assert_eq!(evals.last(), Some(&v.report.constraint.as_str()));
                 }
-                StepEvent::StepEnd { .. } => {
+                StepEvent::StepEnd(_) => {
                     assert_eq!(evals, ["both", "lingering", "steady"]);
                     evals.clear();
                 }
@@ -777,7 +781,7 @@ mod tests {
         assert!(obs
             .events
             .iter()
-            .all(|e| matches!(e, StepEvent::SpaceSample { .. })));
+            .all(|e| matches!(e, StepEvent::SpaceSample(_))));
     }
 
     #[test]

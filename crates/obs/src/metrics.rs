@@ -2,7 +2,9 @@
 //! and Prometheus text expositions.
 
 use std::collections::BTreeMap;
+use std::fmt::{Display, Write as _};
 
+use rtic_core::observe::{ServeGauges, SpaceSample};
 use rtic_core::{PlanProfile, ProfiledNode, RuntimePlanStats, SpaceStats, StepEvent, StepObserver};
 use rtic_relation::{FastMap, Symbol};
 
@@ -166,6 +168,25 @@ pub(crate) fn space_json(doc: Json, stats: &SpaceStats) -> Json {
         .set("retained_units", stats.retained_units())
 }
 
+/// A serve sample's gauges, set on `doc`: the registry's `serve` object
+/// and the trace's `serve_sample` lines.
+pub(crate) fn serve_json(doc: Json, gauges: &ServeGauges) -> Json {
+    scalars_json(doc, SERVE_GAUGES, gauges)
+}
+
+/// A plan-statistics reading's fields, set on `doc` with the node count
+/// under `nodes`: the registry's `plan_stats` rows and the trace's
+/// `plan_stats` lines.
+pub(crate) fn plan_stats_json(doc: Json, nodes: &str, stats: &RuntimePlanStats) -> Json {
+    doc.set(nodes, stats.plan.nodes)
+        .set("atom_shapes", stats.plan.atom_shapes)
+        .set("join_shapes", stats.plan.join_shapes)
+        .set("probe_nodes", stats.plan.probe_nodes)
+        .set("cached_nodes", stats.plan.cached_nodes)
+        .set("scratch_high_water", stats.scratch_high_water)
+        .set("rows_copied", stats.rows_copied)
+}
+
 /// One profiled plan node as a JSON row, as the trace's `plan_profile`
 /// lines carry it; the registry's rows add the node's static flags.
 pub(crate) fn profiled_node_json(node: &ProfiledNode) -> Json {
@@ -197,26 +218,205 @@ fn registry_node_json(node: &ProfiledNode) -> Json {
         .set("materialize", node.desc.materialize)
 }
 
-/// The latest ingest-plane gauges of a resident server (`rtic serve`),
-/// mirrored from [`StepEvent::ServeSample`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServeGauges {
-    /// Updates currently waiting in the bounded ingest queue.
-    pub queue_depth: usize,
-    /// The queue's configured bound.
-    pub queue_capacity: usize,
-    /// High-water mark of the queue depth over the run.
-    pub queue_peak: usize,
-    /// Updates rejected with `BUSY` because the queue was full.
-    pub shed: u64,
-    /// Currently connected clients.
-    pub connections: usize,
-    /// Slow or stalled clients disconnected after the write timeout.
-    pub disconnected: u64,
-    /// Milliseconds since the last durable checkpoint, if any.
-    pub last_checkpoint_age_ms: Option<u64>,
-    /// Total graceful-drain duration in milliseconds, once drained.
-    pub drain_ms: Option<u64>,
+/// One scalar signal of a `T`: its JSON key, its Prometheus family (name
+/// and help; `None` for a JSON-only field) and how to read it. A field
+/// that reads `None` (a gauge not known yet) is left out of both
+/// expositions, and a `_ms` field is exposed to Prometheus in seconds.
+struct Scalar<T> {
+    json: &'static str,
+    prom: Option<(&'static str, &'static str)>,
+    get: fn(&T) -> Option<u64>,
+}
+
+/// The registry's scalar counters, in exposition order.
+const SCALARS: &[Scalar<MetricsRegistry>] = &[
+    Scalar {
+        json: "steps",
+        prom: Some(("steps_total", "Completed logical steps (transitions).")),
+        get: |r| Some(r.steps),
+    },
+    Scalar {
+        json: "transitions_started",
+        prom: None,
+        get: |r| Some(r.transitions_started),
+    },
+    Scalar {
+        json: "tuples_ingested",
+        prom: Some((
+            "tuples_ingested_total",
+            "Tuples inserted plus deleted across all transitions.",
+        )),
+        get: |r| Some(r.tuples_ingested),
+    },
+    Scalar {
+        json: "violations",
+        prom: Some((
+            "violations_total",
+            "Violation witnesses across all constraints.",
+        )),
+        get: |r| Some(r.violations),
+    },
+    Scalar {
+        json: "violating_steps",
+        prom: Some((
+            "violating_steps_total",
+            "Steps with at least one violation witness.",
+        )),
+        get: |r| Some(r.violating_steps),
+    },
+    Scalar {
+        json: "checkpoint_saves",
+        prom: Some(("checkpoint_saves_total", "Checkpoints serialized.")),
+        get: |r| Some(r.checkpoint_saves),
+    },
+    Scalar {
+        json: "checkpoint_restores",
+        prom: Some(("checkpoint_restores_total", "Checkpoints restored.")),
+        get: |r| Some(r.checkpoint_restores),
+    },
+    Scalar {
+        json: "checkpoint_bytes",
+        prom: None,
+        get: |r| Some(r.checkpoint_bytes),
+    },
+    Scalar {
+        json: "checkpoint_fallbacks",
+        prom: Some((
+            "checkpoint_fallbacks_total",
+            "Corrupt checkpoint candidates rejected during recovery.",
+        )),
+        get: |r| Some(r.checkpoint_fallbacks),
+    },
+    Scalar {
+        json: "quarantines",
+        prom: Some((
+            "quarantines_total",
+            "Constraint engines quarantined after a panic.",
+        )),
+        get: |r| Some(r.quarantines),
+    },
+    Scalar {
+        json: "bad_lines",
+        prom: Some((
+            "bad_lines_total",
+            "Malformed history lines skipped under a lenient policy.",
+        )),
+        get: |r| Some(r.bad_lines),
+    },
+];
+
+/// A resident server's ingest gauges, in exposition order.
+const SERVE_GAUGES: &[Scalar<ServeGauges>] = &[
+    Scalar {
+        json: "queue_depth",
+        prom: Some((
+            "serve_queue_depth",
+            "Updates waiting in the resident server's ingest queue.",
+        )),
+        get: |g| Some(g.queue_depth as u64),
+    },
+    Scalar {
+        json: "queue_capacity",
+        prom: Some((
+            "serve_queue_capacity",
+            "Bound of the resident server's ingest queue.",
+        )),
+        get: |g| Some(g.queue_capacity as u64),
+    },
+    Scalar {
+        json: "queue_peak",
+        prom: Some((
+            "serve_queue_peak",
+            "High-water mark of the ingest queue depth.",
+        )),
+        get: |g| Some(g.queue_peak as u64),
+    },
+    Scalar {
+        json: "shed",
+        prom: Some((
+            "serve_shed_total",
+            "Updates rejected with BUSY because the ingest queue was full.",
+        )),
+        get: |g| Some(g.shed),
+    },
+    Scalar {
+        json: "connections",
+        prom: Some(("serve_connections", "Currently connected clients.")),
+        get: |g| Some(g.connections as u64),
+    },
+    Scalar {
+        json: "disconnected",
+        prom: Some((
+            "serve_disconnected_total",
+            "Clients disconnected for stalling past the write timeout.",
+        )),
+        get: |g| Some(g.disconnected),
+    },
+    Scalar {
+        json: "last_checkpoint_age_ms",
+        prom: Some((
+            "serve_last_checkpoint_age_seconds",
+            "Seconds since the resident server's last checkpoint.",
+        )),
+        get: |g| g.last_checkpoint_age_ms,
+    },
+    Scalar {
+        json: "drain_ms",
+        prom: Some((
+            "serve_drain_duration_seconds",
+            "Wall time the graceful drain took.",
+        )),
+        get: |g| g.drain_ms,
+    },
+];
+
+/// Sets each of `rows`' fields that `of` has a value for on `doc`.
+fn scalars_json<T>(doc: Json, rows: &[Scalar<T>], of: &T) -> Json {
+    rows.iter().fold(doc, |doc, row| match (row.get)(of) {
+        Some(value) => doc.set(row.json, value),
+        None => doc,
+    })
+}
+
+/// Writes the Prometheus family of each of `rows` that `of` has a value
+/// for.
+fn scalars_prometheus<T>(out: &mut String, rows: &[Scalar<T>], of: &T) {
+    for row in rows {
+        let (Some((name, help)), Some(value)) = (row.prom, (row.get)(of)) else {
+            continue;
+        };
+        if row.json.ends_with("_ms") {
+            family(out, name, help, [("", value as f64 / 1e3)]);
+        } else {
+            family(out, name, help, [("", value)]);
+        }
+    }
+}
+
+/// Writes one Prometheus family under the `rtic_` prefix: its `# HELP`
+/// and `# TYPE` lines, then a sample per `(suffix, value)`, the suffix
+/// being its labels (`{checker="set"}`) or a histogram's `_bucket{…}`,
+/// `_sum` or `_count`. The name decides the type: `counter` exactly when
+/// it ends in `_total` (the rule `promtool check metrics` enforces),
+/// `histogram` for a `_latency_seconds` family, `gauge` otherwise.
+fn family<L: Display, V: Display>(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    samples: impl IntoIterator<Item = (L, V)>,
+) {
+    let kind = if name.ends_with("_total") {
+        "counter"
+    } else if name.ends_with("_latency_seconds") {
+        "histogram"
+    } else {
+        "gauge"
+    };
+    let _ = writeln!(out, "# HELP rtic_{name} {help}");
+    let _ = writeln!(out, "# TYPE rtic_{name} {kind}");
+    for (suffix, value) in samples {
+        let _ = writeln!(out, "rtic_{name}{suffix} {value}");
+    }
 }
 
 /// A counter per constraint, keyed by symbol: counting takes no lock,
@@ -245,28 +445,9 @@ impl ByConstraint {
     }
 }
 
-#[derive(Clone, Debug)]
-struct SpaceSampleRow {
-    step_index: u64,
-    time: u64,
-    checker: &'static str,
-    constraint: &'static str,
-    stats: SpaceStats,
-}
-
-/// Writes one unlabelled Prometheus family. The name decides the type:
-/// `counter` exactly when it ends in `_total` (the rule `promtool check
-/// metrics` enforces), `gauge` otherwise.
-fn scalar(out: &mut String, name: &str, help: &str, value: impl std::fmt::Display) {
-    use std::fmt::Write as _;
-    let kind = if name.ends_with("_total") {
-        "counter"
-    } else {
-        "gauge"
-    };
-    let _ = writeln!(out, "# HELP rtic_{name} {help}");
-    let _ = writeln!(out, "# TYPE rtic_{name} {kind}");
-    let _ = writeln!(out, "rtic_{name} {value}");
+/// A Prometheus label set of one label.
+fn label(key: &str, value: &str) -> String {
+    format!("{{{key}=\"{value}\"}}")
 }
 
 /// A [`StepObserver`] that aggregates the event stream into counters,
@@ -290,7 +471,7 @@ pub struct MetricsRegistry {
     step_latency: LatencyHistogram,
     eval_latency: LatencyHistogram,
     checkers: BTreeMap<&'static str, SpaceStats>,
-    space_samples: Vec<SpaceSampleRow>,
+    space_samples: Vec<SpaceSample>,
     plan_stats: BTreeMap<(&'static str, &'static str), RuntimePlanStats>,
     plan_profiles: BTreeMap<(&'static str, &'static str), PlanProfile>,
     /// Latest resident-server ingest gauges (`rtic serve` runs only).
@@ -408,19 +589,21 @@ impl MetricsRegistry {
     /// The most recent space sample per constraint, in first-sampled
     /// order: `(constraint, checker, stats)`.
     pub fn latest_space_by_constraint(&self) -> Vec<(&'static str, &'static str, SpaceStats)> {
-        let mut order: Vec<&'static str> = Vec::new();
-        let mut latest: BTreeMap<&'static str, (&'static str, SpaceStats)> = BTreeMap::new();
+        let mut order: Vec<Symbol> = Vec::new();
+        let mut latest: FastMap<Symbol, (&'static str, SpaceStats)> = FastMap::default();
         for row in &self.space_samples {
-            if !latest.contains_key(row.constraint) {
+            if latest
+                .insert(row.constraint, (row.checker, row.stats))
+                .is_none()
+            {
                 order.push(row.constraint);
             }
-            latest.insert(row.constraint, (row.checker, row.stats));
         }
         order
             .into_iter()
             .map(|constraint| {
-                let (checker, stats) = latest[constraint];
-                (constraint, checker, stats)
+                let (checker, stats) = latest[&constraint];
+                (constraint.as_str(), checker, stats)
             })
             .collect()
     }
@@ -440,9 +623,9 @@ impl MetricsRegistry {
             .map(|row| {
                 let doc = Json::object()
                     .set("step", row.step_index)
-                    .set("time", row.time)
+                    .set("time", row.time.0)
                     .set("checker", row.checker)
-                    .set("constraint", row.constraint);
+                    .set("constraint", row.constraint.as_str());
                 space_json(doc, &row.stats)
             })
             .collect();
@@ -451,22 +634,12 @@ impl MetricsRegistry {
             .keys()
             .map(|name| Json::Str((*name).into()))
             .collect();
-        let mut doc = Json::object()
-            .set("steps", self.steps)
-            .set("transitions_started", self.transitions_started)
-            .set("tuples_ingested", self.tuples_ingested)
-            .set("violations", self.violations)
-            .set("violating_steps", self.violating_steps)
+        let doc = scalars_json(Json::object(), SCALARS, self)
             .set("evals_by_constraint", by(&self.evals_by_constraint))
             .set(
                 "violations_by_constraint",
                 by(&self.violations_by_constraint),
             )
-            .set("checkpoint_saves", self.checkpoint_saves)
-            .set("checkpoint_restores", self.checkpoint_restores)
-            .set("checkpoint_bytes", self.checkpoint_bytes)
-            .set("checkpoint_fallbacks", self.checkpoint_fallbacks)
-            .set("quarantines", self.quarantines)
             .set(
                 "quarantined_constraints",
                 Json::Arr(
@@ -476,7 +649,6 @@ impl MetricsRegistry {
                         .collect(),
                 ),
             )
-            .set("bad_lines", self.bad_lines)
             .set("step_latency_us", self.step_latency.to_json())
             .set("eval_latency_us", self.eval_latency.to_json())
             .set("space", space_json(Json::object(), &self.space_now()))
@@ -485,17 +657,7 @@ impl MetricsRegistry {
             .set("plan_stats", {
                 let mut obj = Json::object();
                 for (name, stats) in self.plan_stats_by_checker() {
-                    obj = obj.set(
-                        name,
-                        Json::object()
-                            .set("nodes", stats.plan.nodes)
-                            .set("atom_shapes", stats.plan.atom_shapes)
-                            .set("join_shapes", stats.plan.join_shapes)
-                            .set("probe_nodes", stats.plan.probe_nodes)
-                            .set("cached_nodes", stats.plan.cached_nodes)
-                            .set("scratch_high_water", stats.scratch_high_water)
-                            .set("rows_copied", stats.rows_copied),
-                    );
+                    obj = obj.set(name, plan_stats_json(Json::object(), "nodes", &stats));
                 }
                 obj
             })
@@ -524,23 +686,10 @@ impl MetricsRegistry {
                         .collect(),
                 ),
             );
-        if let Some(s) = &self.serve {
-            let mut obj = Json::object()
-                .set("queue_depth", s.queue_depth)
-                .set("queue_capacity", s.queue_capacity)
-                .set("queue_peak", s.queue_peak)
-                .set("shed", s.shed)
-                .set("connections", s.connections)
-                .set("disconnected", s.disconnected);
-            if let Some(age) = s.last_checkpoint_age_ms {
-                obj = obj.set("last_checkpoint_age_ms", age);
-            }
-            if let Some(ms) = s.drain_ms {
-                obj = obj.set("drain_ms", ms);
-            }
-            doc = doc.set("serve", obj);
+        match &self.serve {
+            Some(gauges) => doc.set("serve", serve_json(Json::object(), gauges)),
+            None => doc,
         }
-        doc
     }
 
     /// Pretty-printed JSON exposition.
@@ -560,262 +709,116 @@ impl MetricsRegistry {
 
     /// Prometheus text exposition (metric names under the `rtic_` prefix).
     pub fn render_prometheus(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
-        scalar(
+        scalars_prometheus(&mut out, SCALARS, self);
+        let by = |counts: &ByConstraint| {
+            let rows = counts.by_name().into_iter();
+            rows.map(|(name, n)| (label("constraint", name), n))
+        };
+        family(
             &mut out,
-            "steps_total",
-            "Completed logical steps (transitions).",
-            self.steps,
+            "evals_total",
+            "Constraint evaluations.",
+            by(&self.evals_by_constraint),
         );
-        scalar(
+        family(
             &mut out,
-            "tuples_ingested_total",
-            "Tuples inserted plus deleted across all transitions.",
-            self.tuples_ingested,
+            "constraint_violations_total",
+            "Violation witnesses per constraint.",
+            by(&self.violations_by_constraint),
         );
-        scalar(
-            &mut out,
-            "violations_total",
-            "Violation witnesses across all constraints.",
-            self.violations,
-        );
-        scalar(
-            &mut out,
-            "violating_steps_total",
-            "Steps with at least one violation witness.",
-            self.violating_steps,
-        );
-        scalar(
-            &mut out,
-            "checkpoint_saves_total",
-            "Checkpoints serialized.",
-            self.checkpoint_saves,
-        );
-        scalar(
-            &mut out,
-            "checkpoint_restores_total",
-            "Checkpoints restored.",
-            self.checkpoint_restores,
-        );
-        scalar(
-            &mut out,
-            "checkpoint_fallbacks_total",
-            "Corrupt checkpoint candidates rejected during recovery.",
-            self.checkpoint_fallbacks,
-        );
-        scalar(
-            &mut out,
-            "quarantines_total",
-            "Constraint engines quarantined after a panic.",
-            self.quarantines,
-        );
-        scalar(
-            &mut out,
-            "bad_lines_total",
-            "Malformed history lines skipped under a lenient policy.",
-            self.bad_lines,
-        );
-        let _ = writeln!(out, "# HELP rtic_evals_total Constraint evaluations.");
-        let _ = writeln!(out, "# TYPE rtic_evals_total counter");
-        for (name, n) in self.evals_by_constraint.by_name() {
-            let _ = writeln!(out, "rtic_evals_total{{constraint=\"{name}\"}} {n}");
-        }
-        let _ = writeln!(
-            out,
-            "# HELP rtic_constraint_violations_total Violation witnesses per constraint."
-        );
-        let _ = writeln!(out, "# TYPE rtic_constraint_violations_total counter");
-        for (name, n) in self.violations_by_constraint.by_name() {
-            let _ = writeln!(
-                out,
-                "rtic_constraint_violations_total{{constraint=\"{name}\"}} {n}"
-            );
-        }
-
-        let _ = writeln!(
-            out,
-            "# HELP rtic_step_latency_seconds Wall-clock latency per logical step."
-        );
-        let _ = writeln!(out, "# TYPE rtic_step_latency_seconds histogram");
-        for (le_us, count) in self.step_latency.cumulative_buckets() {
+        let latency = &self.step_latency;
+        let buckets = latency.cumulative_buckets().into_iter().map(|(le_us, n)| {
             let le = if le_us.is_finite() {
-                format!("{}", le_us / 1e6)
+                (le_us / 1e6).to_string()
             } else {
                 "+Inf".to_string()
             };
-            let _ = writeln!(
-                out,
-                "rtic_step_latency_seconds_bucket{{le=\"{le}\"}} {count}"
-            );
-        }
-        let _ = writeln!(
-            out,
-            "rtic_step_latency_seconds_sum {}",
-            self.step_latency.mean_us() * self.step_latency.count() as f64 / 1e6
+            (format!("_bucket{{le=\"{le}\"}}"), n.to_string())
+        });
+        let sum = latency.mean_us() * latency.count() as f64 / 1e6;
+        family(
+            &mut out,
+            "step_latency_seconds",
+            "Wall-clock latency per logical step.",
+            buckets.chain([
+                ("_sum".to_string(), sum.to_string()),
+                ("_count".to_string(), latency.count().to_string()),
+            ]),
         );
-        let _ = writeln!(
-            out,
-            "rtic_step_latency_seconds_count {}",
-            self.step_latency.count()
+        let checkers = |value: fn(&SpaceStats) -> usize| {
+            let rows = self.checkers.iter();
+            rows.map(move |(name, stats)| (label("checker", name), value(stats)))
+        };
+        family(
+            &mut out,
+            "retained_units",
+            "Current space footprint per checker backend.",
+            checkers(SpaceStats::retained_units),
         );
-
-        let _ = writeln!(
-            out,
-            "# HELP rtic_retained_units Current space footprint per checker backend."
+        family(
+            &mut out,
+            "stored_tuples",
+            "Currently stored tuples per checker backend.",
+            checkers(|stats| stats.stored_tuples),
         );
-        let _ = writeln!(out, "# TYPE rtic_retained_units gauge");
-        for (name, stats) in &self.checkers {
-            let _ = writeln!(
-                out,
-                "rtic_retained_units{{checker=\"{name}\"}} {}",
-                stats.retained_units()
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP rtic_stored_tuples Currently stored tuples per checker backend."
-        );
-        let _ = writeln!(out, "# TYPE rtic_stored_tuples gauge");
-        for (name, stats) in &self.checkers {
-            let _ = writeln!(
-                out,
-                "rtic_stored_tuples{{checker=\"{name}\"}} {}",
-                stats.stored_tuples
-            );
-        }
         let plans = self.plan_stats_by_checker();
         if !plans.is_empty() {
-            let _ = writeln!(
-                out,
-                "# HELP rtic_plan_nodes Compiled evaluation-plan nodes per checker backend."
+            let plans = |value: fn(&RuntimePlanStats) -> u64| {
+                let rows = plans.iter();
+                rows.map(move |(name, stats)| (label("checker", name), value(stats)))
+            };
+            family(
+                &mut out,
+                "plan_nodes",
+                "Compiled evaluation-plan nodes per checker backend.",
+                plans(|stats| stats.plan.nodes as u64),
             );
-            let _ = writeln!(out, "# TYPE rtic_plan_nodes gauge");
-            for (name, stats) in &plans {
-                let _ = writeln!(
-                    out,
-                    "rtic_plan_nodes{{checker=\"{name}\"}} {}",
-                    stats.plan.nodes
-                );
-            }
-            let _ = writeln!(
-                out,
-                "# HELP rtic_plan_scratch_high_water Peak reusable scratch-buffer size per checker backend."
+            family(
+                &mut out,
+                "plan_scratch_high_water",
+                "Peak reusable scratch-buffer size per checker backend.",
+                plans(|stats| stats.scratch_high_water as u64),
             );
-            let _ = writeln!(out, "# TYPE rtic_plan_scratch_high_water gauge");
-            for (name, stats) in &plans {
-                let _ = writeln!(
-                    out,
-                    "rtic_plan_scratch_high_water{{checker=\"{name}\"}} {}",
-                    stats.scratch_high_water
-                );
-            }
-            let _ = writeln!(
-                out,
-                "# HELP rtic_plan_rows_copied_total Rows duplicated because a memoized row set was still shared when a delta arrived."
+            family(
+                &mut out,
+                "plan_rows_copied_total",
+                "Rows duplicated because a memoized row set was still shared when a delta arrived.",
+                plans(|stats| stats.rows_copied),
             );
-            let _ = writeln!(out, "# TYPE rtic_plan_rows_copied_total counter");
-            for (name, stats) in &plans {
-                let _ = writeln!(
-                    out,
-                    "rtic_plan_rows_copied_total{{checker=\"{name}\"}} {}",
-                    stats.rows_copied
-                );
-            }
         }
         let hot = self.hot_nodes(10);
         if !hot.is_empty() {
-            let _ = writeln!(
-                out,
-                "# HELP rtic_plan_node_time_seconds Inclusive wall time of the hottest plan nodes."
+            let nodes = |value: fn(&ProfiledNode) -> String| {
+                hot.iter().map(move |(constraint, node)| {
+                    let path = &node.desc.path;
+                    (
+                        format!("{{constraint=\"{constraint}\",node=\"{path}\"}}"),
+                        value(node),
+                    )
+                })
+            };
+            family(
+                &mut out,
+                "plan_node_time_seconds",
+                "Inclusive wall time of the hottest plan nodes.",
+                nodes(|node| (node.counts.time_ns as f64 / 1e9).to_string()),
             );
-            let _ = writeln!(out, "# TYPE rtic_plan_node_time_seconds gauge");
-            for (constraint, node) in &hot {
-                let _ = writeln!(
-                    out,
-                    "rtic_plan_node_time_seconds{{constraint=\"{constraint}\",node=\"{}\"}} {}",
-                    node.desc.path,
-                    node.counts.time_ns as f64 / 1e9
-                );
-            }
-            let _ = writeln!(
-                out,
-                "# HELP rtic_plan_node_calls Executions of the hottest plan nodes."
+            family(
+                &mut out,
+                "plan_node_calls",
+                "Executions of the hottest plan nodes.",
+                nodes(|node| node.counts.calls.to_string()),
             );
-            let _ = writeln!(out, "# TYPE rtic_plan_node_calls gauge");
-            for (constraint, node) in &hot {
-                let _ = writeln!(
-                    out,
-                    "rtic_plan_node_calls{{constraint=\"{constraint}\",node=\"{}\"}} {}",
-                    node.desc.path, node.counts.calls
-                );
-            }
-            let _ = writeln!(
-                out,
-                "# HELP rtic_plan_node_rows_out Output rows of the hottest plan nodes."
+            family(
+                &mut out,
+                "plan_node_rows_out",
+                "Output rows of the hottest plan nodes.",
+                nodes(|node| node.counts.rows_out.to_string()),
             );
-            let _ = writeln!(out, "# TYPE rtic_plan_node_rows_out gauge");
-            for (constraint, node) in &hot {
-                let _ = writeln!(
-                    out,
-                    "rtic_plan_node_rows_out{{constraint=\"{constraint}\",node=\"{}\"}} {}",
-                    node.desc.path, node.counts.rows_out
-                );
-            }
         }
-        if let Some(s) = &self.serve {
-            scalar(
-                &mut out,
-                "serve_queue_depth",
-                "Updates waiting in the resident server's ingest queue.",
-                s.queue_depth,
-            );
-            scalar(
-                &mut out,
-                "serve_queue_capacity",
-                "Bound of the resident server's ingest queue.",
-                s.queue_capacity,
-            );
-            scalar(
-                &mut out,
-                "serve_queue_peak",
-                "High-water mark of the ingest queue depth.",
-                s.queue_peak,
-            );
-            scalar(
-                &mut out,
-                "serve_shed_total",
-                "Updates rejected with BUSY because the ingest queue was full.",
-                s.shed,
-            );
-            scalar(
-                &mut out,
-                "serve_connections",
-                "Currently connected clients.",
-                s.connections,
-            );
-            scalar(
-                &mut out,
-                "serve_disconnected_total",
-                "Clients disconnected for stalling past the write timeout.",
-                s.disconnected,
-            );
-            if let Some(age) = s.last_checkpoint_age_ms {
-                scalar(
-                    &mut out,
-                    "serve_last_checkpoint_age_seconds",
-                    "Seconds since the resident server's last checkpoint.",
-                    age as f64 / 1e3,
-                );
-            }
-            if let Some(ms) = s.drain_ms {
-                scalar(
-                    &mut out,
-                    "serve_drain_duration_seconds",
-                    "Wall time the graceful drain took.",
-                    ms as f64 / 1e3,
-                );
-            }
+        if let Some(gauges) = &self.serve {
+            scalars_prometheus(&mut out, SERVE_GAUGES, gauges);
         }
         out
     }
@@ -824,113 +827,58 @@ impl MetricsRegistry {
 impl StepObserver for MetricsRegistry {
     fn observe(&mut self, event: &StepEvent<'_>) {
         match event {
-            StepEvent::StepStart { tuples, .. } => {
+            StepEvent::StepStart(e) => {
                 self.transitions_started += 1;
-                self.tuples_ingested += *tuples as u64;
+                self.tuples_ingested += e.tuples as u64;
             }
-            StepEvent::ConstraintEval {
-                checker,
-                constraint,
-                violations,
-                latency_ns,
-                ..
-            } => {
-                self.evals_by_constraint.add(*constraint, 1);
-                if *violations > 0 {
+            StepEvent::ConstraintEval(e) => {
+                self.evals_by_constraint.add(e.constraint, 1);
+                if e.violations > 0 {
                     self.violations_by_constraint
-                        .add(*constraint, *violations as u64);
+                        .add(e.constraint, e.violations as u64);
                 }
-                self.eval_latency.record_ns(*latency_ns);
-                self.checkers.entry(checker).or_default();
+                self.eval_latency.record_ns(e.latency_ns);
+                self.checkers.entry(e.checker).or_default();
             }
-            StepEvent::Violation { .. } => {}
-            StepEvent::StepEnd {
-                violations,
-                latency_ns,
-                ..
-            } => {
+            StepEvent::Violation(_) => {}
+            StepEvent::StepEnd(e) => {
                 self.steps += 1;
-                self.violations += *violations as u64;
-                if *violations > 0 {
+                self.violations += e.violations as u64;
+                if e.violations > 0 {
                     self.violating_steps += 1;
                 }
-                self.step_latency.record_ns(*latency_ns);
+                self.step_latency.record_ns(e.latency_ns);
             }
-            StepEvent::CheckpointSave { bytes, .. } => {
+            StepEvent::CheckpointSave(e) => {
                 self.checkpoint_saves += 1;
-                self.checkpoint_bytes += *bytes as u64;
+                self.checkpoint_bytes += e.bytes as u64;
             }
-            StepEvent::CheckpointRestore { .. } => {
-                self.checkpoint_restores += 1;
-            }
-            StepEvent::ConstraintQuarantined { constraint, .. } => {
+            StepEvent::CheckpointRestore(_) => self.checkpoint_restores += 1,
+            StepEvent::ConstraintQuarantined(e) => {
                 self.quarantines += 1;
-                self.quarantined_constraints.push(constraint.as_str());
+                self.quarantined_constraints.push(e.constraint.as_str());
             }
-            StepEvent::CheckpointFallback { .. } => {
-                self.checkpoint_fallbacks += 1;
+            StepEvent::CheckpointFallback(_) => self.checkpoint_fallbacks += 1,
+            StepEvent::BadLine(_) => self.bad_lines += 1,
+            // Keyed per (checker, constraint) so re-sampling replaces the
+            // previous snapshot instead of double-counting plan shapes.
+            StepEvent::PlanStatsSample(e) => {
+                let key = (e.checker, e.constraint.as_str());
+                self.plan_stats.insert(key, e.stats);
             }
-            StepEvent::BadLine { .. } => {
-                self.bad_lines += 1;
-            }
-            StepEvent::PlanStatsSample {
-                checker,
-                constraint,
-                stats,
-            } => {
-                // Keyed per (checker, constraint) so re-sampling replaces the
-                // previous snapshot instead of double-counting plan shapes.
-                self.plan_stats
-                    .insert((checker, constraint.as_str()), *stats);
-            }
-            StepEvent::PlanProfileSample {
-                checker,
-                constraint,
-                profile,
-            } => {
-                // Counters are cumulative over the run, so the latest
-                // sample replaces any earlier snapshot.
+            // Counters are cumulative over the run, so the latest sample
+            // replaces any earlier snapshot.
+            StepEvent::PlanProfileSample(e) => {
+                let key = (e.checker, e.constraint.as_str());
                 self.plan_profiles
-                    .insert((checker, constraint.as_str()), (*profile).clone());
+                    .insert(key, e.profile.clone().into_owned());
             }
-            StepEvent::SpaceSample {
-                checker,
-                constraint,
-                time,
-                step_index,
-                stats,
-            } => {
-                self.checkers.insert(checker, *stats);
-                self.space_samples.push(SpaceSampleRow {
-                    step_index: *step_index,
-                    time: time.0,
-                    checker,
-                    constraint: constraint.as_str(),
-                    stats: *stats,
-                });
+            StepEvent::SpaceSample(e) => {
+                self.checkers.insert(e.checker, e.stats);
+                self.space_samples.push(*e);
             }
-            StepEvent::ServeSample {
-                queue_depth,
-                queue_capacity,
-                queue_peak,
-                shed,
-                connections,
-                disconnected,
-                last_checkpoint_age_ms,
-                drain_ms,
-            } => {
-                // Gauges: the latest sample replaces the previous one.
-                self.serve = Some(ServeGauges {
-                    queue_depth: *queue_depth,
-                    queue_capacity: *queue_capacity,
-                    queue_peak: *queue_peak,
-                    shed: *shed,
-                    connections: *connections,
-                    disconnected: *disconnected,
-                    last_checkpoint_age_ms: *last_checkpoint_age_ms,
-                    drain_ms: *drain_ms,
-                });
-            }
+            // Gauges: the latest sample replaces the previous one.
+            StepEvent::ServeSample(gauges) => self.serve = Some(*gauges),
         }
     }
 }
@@ -939,6 +887,10 @@ impl StepObserver for MetricsRegistry {
 mod tests {
     use super::*;
     use crate::json;
+    use rtic_core::observe::{
+        BadLine, CheckpointFallback, CheckpointSection, ConstraintQuarantined, PlanStatsSample,
+        StepStart,
+    };
     use rtic_core::{Checker, IncrementalChecker};
     use rtic_relation::{tuple, Catalog, Schema, Sort, Update};
     use rtic_temporal::parser::parse_constraint;
@@ -1016,24 +968,24 @@ mod tests {
     fn resilience_events_reach_counters_and_expositions() {
         use rtic_relation::Symbol;
         let mut registry = MetricsRegistry::new();
-        registry.observe(&StepEvent::ConstraintQuarantined {
+        registry.observe(&StepEvent::ConstraintQuarantined(ConstraintQuarantined {
             checker: "set",
             constraint: Symbol::intern("flaky"),
             time: TimePoint(7),
             detail: "boom".into(),
-        });
-        registry.observe(&StepEvent::CheckpointFallback {
+        }));
+        registry.observe(&StepEvent::CheckpointFallback(CheckpointFallback {
             path: "ckpt.1".into(),
             detail: "checksum mismatch".into(),
-        });
-        registry.observe(&StepEvent::BadLine {
+        }));
+        registry.observe(&StepEvent::BadLine(BadLine {
             line: 12,
             detail: "expected `@`".into(),
-        });
-        registry.observe(&StepEvent::BadLine {
+        }));
+        registry.observe(&StepEvent::BadLine(BadLine {
             line: 19,
             detail: "expected a value".into(),
-        });
+        }));
         assert_eq!(registry.quarantines(), 1);
         assert_eq!(registry.quarantined_constraints(), ["flaky"]);
         assert_eq!(registry.checkpoint_fallbacks(), 1);
@@ -1056,20 +1008,22 @@ mod tests {
         use rtic_core::RuntimePlanStats;
         use rtic_relation::Symbol;
         let mut registry = MetricsRegistry::new();
-        let sample = |constraint: &str, nodes: usize, high: usize| StepEvent::PlanStatsSample {
-            checker: "incremental",
-            constraint: Symbol::intern(constraint),
-            stats: RuntimePlanStats {
-                plan: rtic_core::PlanStats {
-                    nodes,
-                    atom_shapes: 2,
-                    join_shapes: 1,
-                    probe_nodes: 1,
-                    cached_nodes: 1,
+        let sample = |constraint: &str, nodes: usize, high: usize| {
+            StepEvent::PlanStatsSample(PlanStatsSample {
+                checker: "incremental",
+                constraint: Symbol::intern(constraint),
+                stats: RuntimePlanStats {
+                    plan: rtic_core::PlanStats {
+                        nodes,
+                        atom_shapes: 2,
+                        join_shapes: 1,
+                        probe_nodes: 1,
+                        cached_nodes: 1,
+                    },
+                    scratch_high_water: high,
+                    rows_copied: 3,
                 },
-                scratch_high_water: high,
-                rows_copied: 3,
-            },
+            })
         };
         registry.observe(&sample("a", 5, 8));
         registry.observe(&sample("b", 3, 2));
@@ -1176,15 +1130,17 @@ mod tests {
         let mut registry = MetricsRegistry::new();
         // Batch runs never emit ServeSample, so the section stays absent.
         assert!(registry.serve_gauges().is_none());
-        let sample = |depth, shed| StepEvent::ServeSample {
-            queue_depth: depth,
-            queue_capacity: 64,
-            queue_peak: 17,
-            shed,
-            connections: 2,
-            disconnected: 1,
-            last_checkpoint_age_ms: Some(250),
-            drain_ms: None,
+        let sample = |depth, shed| {
+            StepEvent::ServeSample(ServeGauges {
+                queue_depth: depth,
+                queue_capacity: 64,
+                queue_peak: 17,
+                shed,
+                connections: 2,
+                disconnected: 1,
+                last_checkpoint_age_ms: Some(250),
+                drain_ms: None,
+            })
         };
         registry.observe(&sample(9, 3));
         // Gauges: re-sampling replaces the earlier snapshot.
@@ -1328,29 +1284,29 @@ mod tests {
         sample_plan_stats(&checkers, &mut registry);
         sample_plan_profiles(&checkers, &mut registry);
         let d = Symbol::intern("d");
-        registry.observe(&StepEvent::CheckpointSave {
+        registry.observe(&StepEvent::CheckpointSave(CheckpointSection {
             constraint: d,
             bytes: 10,
-        });
-        registry.observe(&StepEvent::CheckpointRestore {
+        }));
+        registry.observe(&StepEvent::CheckpointRestore(CheckpointSection {
             constraint: d,
             bytes: 10,
-        });
-        registry.observe(&StepEvent::ConstraintQuarantined {
+        }));
+        registry.observe(&StepEvent::ConstraintQuarantined(ConstraintQuarantined {
             checker: "set",
             constraint: d,
             time: TimePoint(4),
             detail: "boom".into(),
-        });
-        registry.observe(&StepEvent::CheckpointFallback {
+        }));
+        registry.observe(&StepEvent::CheckpointFallback(CheckpointFallback {
             path: "ckpt.1".into(),
             detail: "checksum mismatch".into(),
-        });
-        registry.observe(&StepEvent::BadLine {
+        }));
+        registry.observe(&StepEvent::BadLine(BadLine {
             line: 3,
             detail: "expected `@`".into(),
-        });
-        registry.observe(&StepEvent::ServeSample {
+        }));
+        registry.observe(&StepEvent::ServeSample(ServeGauges {
             queue_depth: 1,
             queue_capacity: 64,
             queue_peak: 8,
@@ -1359,7 +1315,7 @@ mod tests {
             disconnected: 1,
             last_checkpoint_age_ms: Some(250),
             drain_ms: Some(4),
-        });
+        }));
 
         let text = registry.render_prometheus();
         let families: Vec<(&str, &str)> = text
@@ -1391,11 +1347,11 @@ mod tests {
     #[test]
     fn a_metrics_file_is_prometheus_text_only_when_named_prom() {
         let mut registry = MetricsRegistry::new();
-        registry.observe(&StepEvent::StepStart {
+        registry.observe(&StepEvent::StepStart(StepStart {
             checker: "set",
             time: TimePoint(1),
             tuples: 2,
-        });
+        }));
         assert_eq!(registry.render_for("m.prom"), registry.render_prometheus());
         for path in ["m.json", "m", "m.prom.json"] {
             assert_eq!(registry.render_for(path), registry.render_json(), "{path}");

@@ -49,7 +49,7 @@ impl StepObserver for MultiObserver<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtic_core::observe::CollectingObserver;
+    use rtic_core::observe::{CollectingObserver, StepStart};
     use rtic_temporal::TimePoint;
 
     #[test]
@@ -59,11 +59,11 @@ mod tests {
         {
             let mut multi = MultiObserver::new().with(&mut a).with(&mut b);
             assert_eq!(multi.len(), 2);
-            multi.observe(&StepEvent::StepStart {
+            multi.observe(&StepEvent::StepStart(StepStart {
                 checker: "incremental",
                 time: TimePoint(1),
                 tuples: 3,
-            });
+            }));
         }
         assert_eq!(a.events.len(), 1);
         assert_eq!(b.events.len(), 1);

@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use rtic_core::{StepEvent, StepObserver};
 
 use crate::json::Json;
-use crate::metrics::{profiled_node_json, space_json};
+use crate::metrics::{plan_stats_json, profiled_node_json, serve_json, space_json};
 
 /// Converts one event into its trace-line JSON document.
 ///
@@ -16,129 +16,64 @@ use crate::metrics::{profiled_node_json, space_json};
 pub fn event_json(seq: u64, event: &StepEvent<'_>) -> Json {
     let base = Json::object().set("seq", seq).set("event", event.kind());
     match event {
-        StepEvent::StepStart {
-            checker,
-            time,
-            tuples,
-        } => base
-            .set("checker", *checker)
-            .set("time", time.0)
-            .set("tuples", *tuples),
-        StepEvent::ConstraintEval {
-            checker,
-            constraint,
-            time,
-            violations,
-            latency_ns,
-        } => base
-            .set("checker", *checker)
-            .set("constraint", constraint.as_str())
-            .set("time", time.0)
-            .set("violations", *violations)
-            .set("latency_ns", *latency_ns),
-        StepEvent::Violation { checker, report } => base
-            .set("checker", *checker)
-            .set("constraint", report.constraint.as_str())
-            .set("time", report.time.0)
-            .set("violations", report.violation_count())
-            .set("witnesses", format!("{}", report.violations)),
-        StepEvent::StepEnd {
-            checker,
-            time,
-            violations,
-            latency_ns,
-        } => base
-            .set("checker", *checker)
-            .set("time", time.0)
-            .set("violations", *violations)
-            .set("latency_ns", *latency_ns),
-        StepEvent::CheckpointSave { constraint, bytes } => base
-            .set("constraint", constraint.as_str())
-            .set("bytes", *bytes),
-        StepEvent::CheckpointRestore { constraint, bytes } => base
-            .set("constraint", constraint.as_str())
-            .set("bytes", *bytes),
-        StepEvent::ConstraintQuarantined {
-            checker,
-            constraint,
-            time,
-            detail,
-        } => base
-            .set("checker", *checker)
-            .set("constraint", constraint.as_str())
-            .set("time", time.0)
-            .set("detail", detail.as_str()),
-        StepEvent::CheckpointFallback { path, detail } => base
-            .set("path", path.as_str())
-            .set("detail", detail.as_str()),
-        StepEvent::BadLine { line, detail } => base
-            .set("line", *line as u64)
-            .set("detail", detail.as_str()),
-        StepEvent::PlanStatsSample {
-            checker,
-            constraint,
-            stats,
-        } => base
-            .set("checker", *checker)
-            .set("constraint", constraint.as_str())
-            .set("plan_nodes", stats.plan.nodes)
-            .set("atom_shapes", stats.plan.atom_shapes)
-            .set("join_shapes", stats.plan.join_shapes)
-            .set("probe_nodes", stats.plan.probe_nodes)
-            .set("cached_nodes", stats.plan.cached_nodes)
-            .set("scratch_high_water", stats.scratch_high_water)
-            .set("rows_copied", stats.rows_copied),
-        StepEvent::PlanProfileSample {
-            checker,
-            constraint,
-            profile,
-        } => base
-            .set("checker", *checker)
-            .set("constraint", constraint.as_str())
-            .set("total_time_ns", profile.total_time_ns())
+        StepEvent::StepStart(e) => base
+            .set("checker", e.checker)
+            .set("time", e.time.0)
+            .set("tuples", e.tuples),
+        StepEvent::ConstraintEval(e) => base
+            .set("checker", e.checker)
+            .set("constraint", e.constraint.as_str())
+            .set("time", e.time.0)
+            .set("violations", e.violations)
+            .set("latency_ns", e.latency_ns),
+        StepEvent::Violation(e) => base
+            .set("checker", e.checker)
+            .set("constraint", e.report.constraint.as_str())
+            .set("time", e.report.time.0)
+            .set("violations", e.report.violation_count())
+            .set("witnesses", format!("{}", e.report.violations)),
+        StepEvent::StepEnd(e) => base
+            .set("checker", e.checker)
+            .set("time", e.time.0)
+            .set("violations", e.violations)
+            .set("latency_ns", e.latency_ns),
+        StepEvent::CheckpointSave(e) | StepEvent::CheckpointRestore(e) => base
+            .set("constraint", e.constraint.as_str())
+            .set("bytes", e.bytes),
+        StepEvent::ConstraintQuarantined(e) => base
+            .set("checker", e.checker)
+            .set("constraint", e.constraint.as_str())
+            .set("time", e.time.0)
+            .set("detail", e.detail.as_str()),
+        StepEvent::CheckpointFallback(e) => base
+            .set("path", e.path.as_str())
+            .set("detail", e.detail.as_str()),
+        StepEvent::BadLine(e) => base
+            .set("line", e.line as u64)
+            .set("detail", e.detail.as_str()),
+        StepEvent::PlanStatsSample(e) => {
+            let doc = base
+                .set("checker", e.checker)
+                .set("constraint", e.constraint.as_str());
+            plan_stats_json(doc, "plan_nodes", &e.stats)
+        }
+        StepEvent::PlanProfileSample(e) => base
+            .set("checker", e.checker)
+            .set("constraint", e.constraint.as_str())
+            .set("total_time_ns", e.profile.total_time_ns())
             .set(
                 "nodes",
-                Json::Arr(profile.nodes.iter().map(profiled_node_json).collect()),
+                Json::Arr(e.profile.nodes.iter().map(profiled_node_json).collect()),
             ),
-        StepEvent::SpaceSample {
-            checker,
-            constraint,
-            time,
-            step_index,
-            stats,
-        } => {
+        StepEvent::SpaceSample(e) => {
             let doc = base
-                .set("checker", *checker)
-                .set("constraint", constraint.as_str())
-                .set("time", time.0)
-                .set("step", *step_index);
-            space_json(doc, stats)
+                .set("checker", e.checker)
+                .set("constraint", e.constraint.as_str())
+                .set("time", e.time.0)
+                .set("step", e.step_index);
+            space_json(doc, &e.stats)
         }
-        StepEvent::ServeSample {
-            queue_depth,
-            queue_capacity,
-            queue_peak,
-            shed,
-            connections,
-            disconnected,
-            last_checkpoint_age_ms,
-            drain_ms,
-        } => {
-            let mut doc = base
-                .set("queue_depth", *queue_depth)
-                .set("queue_capacity", *queue_capacity)
-                .set("queue_peak", *queue_peak)
-                .set("shed", *shed)
-                .set("connections", *connections)
-                .set("disconnected", *disconnected);
-            if let Some(age) = last_checkpoint_age_ms {
-                doc = doc.set("last_checkpoint_age_ms", *age);
-            }
-            if let Some(ms) = drain_ms {
-                doc = doc.set("drain_ms", *ms);
-            }
-            doc
-        }
+        StepEvent::ServeSample(gauges) => serve_json(base, gauges),
     }
 }
 
@@ -515,45 +450,34 @@ impl StepObserver for ChromeTraceWriter {
     fn observe(&mut self, event: &StepEvent<'_>) {
         self.ensure_preamble();
         match event {
-            StepEvent::StepStart { time, tuples, .. } => {
-                self.step = Some((time.0, *tuples));
+            StepEvent::StepStart(e) => {
+                self.step = Some((e.time.0, e.tuples));
                 self.evals.clear();
             }
-            StepEvent::ConstraintEval {
-                checker,
-                constraint,
-                violations,
-                latency_ns,
-                ..
-            } => {
-                self.evals
-                    .push((checker, constraint.as_str(), *violations, *latency_ns));
+            StepEvent::ConstraintEval(e) => {
+                let eval = (e.checker, e.constraint.as_str(), e.violations, e.latency_ns);
+                self.evals.push(eval);
             }
             // The eval span already carries the violation count; the
             // instant marker is emitted during StepEnd layout.
-            StepEvent::Violation { .. } => {}
-            StepEvent::StepEnd {
-                checker,
-                time,
-                violations,
-                latency_ns,
-            } => {
-                let (step_time, tuples) = self.step.take().unwrap_or((time.0, 0));
+            StepEvent::Violation(_) => {}
+            StepEvent::StepEnd(end) => {
+                let (step_time, tuples) = self.step.take().unwrap_or((end.time.0, 0));
                 let start = self.cursor_us;
                 let evals_us: f64 = self.evals.iter().map(|e| e.3 as f64 / 1e3).sum();
                 // Measured eval time can exceed the step reading by jitter;
                 // widen the step span so children always nest.
-                let step_us = (*latency_ns as f64 / 1e3).max(evals_us);
+                let step_us = (end.latency_ns as f64 / 1e3).max(evals_us);
                 self.emit(Self::span(
                     &format!("step t={step_time}"),
                     start,
                     step_us,
                     CHROME_STEP_TID,
                     Json::object()
-                        .set("checker", *checker)
+                        .set("checker", end.checker)
                         .set("time", step_time)
                         .set("tuples", tuples)
-                        .set("violations", *violations),
+                        .set("violations", end.violations),
                 ));
                 let evals = std::mem::take(&mut self.evals);
                 self.emit(Self::span(
@@ -566,91 +490,77 @@ impl StepObserver for ChromeTraceWriter {
                 self.layout_evals(start, evals);
                 self.cursor_us = start + step_us;
             }
-            StepEvent::CheckpointSave { constraint, bytes } => {
+            StepEvent::CheckpointSave(e) | StepEvent::CheckpointRestore(e) => {
                 let ts = self.cursor_us;
                 self.emit(Self::instant(
-                    &format!("checkpoint_save {constraint}"),
+                    &format!("{} {}", event.kind(), e.constraint),
                     ts,
                     CHROME_STEP_TID,
-                    Json::object().set("bytes", *bytes),
+                    Json::object().set("bytes", e.bytes),
                 ));
             }
-            StepEvent::CheckpointRestore { constraint, bytes } => {
-                let ts = self.cursor_us;
-                self.emit(Self::instant(
-                    &format!("checkpoint_restore {constraint}"),
-                    ts,
-                    CHROME_STEP_TID,
-                    Json::object().set("bytes", *bytes),
-                ));
-            }
-            StepEvent::ConstraintQuarantined {
-                constraint, detail, ..
-            } => {
+            StepEvent::ConstraintQuarantined(quarantine) => {
                 // Mid-step, the marker lands at the frontier of the eval
                 // spans collected so far, so it stays inside the step span
                 // and after the work that already completed.
                 let ts = self.cursor_us + self.evals.iter().map(|e| e.3 as f64 / 1e3).sum::<f64>();
                 self.emit(Self::instant(
-                    &format!("quarantine {constraint}"),
+                    &format!("quarantine {}", quarantine.constraint),
                     ts,
                     CHROME_STEP_TID,
-                    Json::object().set("detail", detail.as_str()),
+                    Json::object().set("detail", quarantine.detail.as_str()),
                 ));
             }
-            StepEvent::CheckpointFallback { path, detail } => {
+            StepEvent::CheckpointFallback(e) => {
                 let ts = self.cursor_us;
                 self.emit(Self::instant(
                     "checkpoint_fallback",
                     ts,
                     CHROME_STEP_TID,
                     Json::object()
-                        .set("path", path.as_str())
-                        .set("detail", detail.as_str()),
+                        .set("path", e.path.as_str())
+                        .set("detail", e.detail.as_str()),
                 ));
             }
-            StepEvent::BadLine { line, detail } => {
+            StepEvent::BadLine(e) => {
                 let ts = self.cursor_us;
                 self.emit(Self::instant(
                     "bad_line",
                     ts,
                     CHROME_STEP_TID,
                     Json::object()
-                        .set("line", *line as u64)
-                        .set("detail", detail.as_str()),
+                        .set("line", e.line as u64)
+                        .set("detail", e.detail.as_str()),
                 ));
             }
-            StepEvent::PlanStatsSample {
-                constraint, stats, ..
-            } => {
+            StepEvent::PlanStatsSample(e) => {
                 let ts = self.cursor_us;
                 self.emit(Self::instant(
-                    &format!("plan_stats {constraint}"),
+                    &format!("plan_stats {}", e.constraint),
                     ts,
                     CHROME_STEP_TID,
                     Json::object()
-                        .set("nodes", stats.plan.nodes)
-                        .set("scratch_high_water", stats.scratch_high_water)
-                        .set("rows_copied", stats.rows_copied),
+                        .set("nodes", e.stats.plan.nodes)
+                        .set("scratch_high_water", e.stats.scratch_high_water)
+                        .set("rows_copied", e.stats.rows_copied),
                 ));
             }
-            StepEvent::SpaceSample {
-                constraint, stats, ..
-            } => {
+            StepEvent::SpaceSample(e) => {
                 // Counter track: Perfetto renders these as a line chart.
                 let ts = self.cursor_us;
                 self.emit(
                     Json::object()
-                        .set("name", format!("retained_units {constraint}"))
+                        .set("name", format!("retained_units {}", e.constraint))
                         .set("ph", "C")
                         .set("ts", ts)
                         .set("pid", CHROME_PID)
-                        .set("args", Json::object().set("units", stats.retained_units())),
+                        .set(
+                            "args",
+                            Json::object().set("units", e.stats.retained_units()),
+                        ),
                 );
             }
-            StepEvent::ServeSample {
-                queue_depth, shed, ..
-            } => {
+            StepEvent::ServeSample(gauges) => {
                 // Counter track: ingest queue pressure on the server.
                 let ts = self.cursor_us;
                 self.emit(
@@ -661,24 +571,21 @@ impl StepObserver for ChromeTraceWriter {
                         .set("pid", CHROME_PID)
                         .set(
                             "args",
-                            Json::object().set("depth", *queue_depth).set("shed", *shed),
+                            Json::object()
+                                .set("depth", gauges.queue_depth)
+                                .set("shed", gauges.shed),
                         ),
                 );
             }
-            StepEvent::PlanProfileSample {
-                constraint,
-                profile,
-                ..
-            } => {
+            StepEvent::PlanProfileSample(e) => {
                 // One track per constraint; node spans nest by tree depth,
                 // children laid sequentially from the parent's start (their
                 // inclusive times sum to at most the parent's).
-                let tid = self.plan_tid(constraint.as_str());
+                let tid = self.plan_tid(e.constraint.as_str());
                 let mut base = 0.0f64;
                 // (depth, child-cursor) of the open ancestor chain.
                 let mut stack: Vec<(usize, f64)> = Vec::new();
-                let nodes = profile.nodes.clone();
-                for node in &nodes {
+                for node in &e.profile.nodes {
                     while stack.last().is_some_and(|&(d, _)| d >= node.desc.depth) {
                         stack.pop();
                     }
@@ -715,6 +622,7 @@ impl StepObserver for ChromeTraceWriter {
 mod tests {
     use super::*;
     use crate::json;
+    use rtic_core::observe::{BadLine, ConstraintQuarantined, StepStart};
     use rtic_core::{Checker, IncrementalChecker};
     use rtic_relation::{tuple, Catalog, Schema, Sort, Update};
     use rtic_temporal::parser::parse_constraint;
@@ -733,10 +641,10 @@ mod tests {
         std::fs::write(&dest, "previous trace\n").unwrap();
 
         let mut trace = TraceWriter::to_file(&dest).unwrap();
-        trace.observe(&StepEvent::BadLine {
+        trace.observe(&StepEvent::BadLine(BadLine {
             line: 3,
             detail: "expected `@`".into(),
-        });
+        }));
         // Mid-run the destination still holds the previous complete trace.
         assert_eq!(std::fs::read_to_string(&dest).unwrap(), "previous trace\n");
         trace.finish().unwrap();
@@ -824,17 +732,17 @@ mod tests {
         let mut trace = ChromeTraceWriter::in_memory();
         // A step starts, the first constraint panics before any eval
         // lands, and the run aborts: no StepEnd ever arrives.
-        trace.observe(&StepEvent::StepStart {
+        trace.observe(&StepEvent::StepStart(StepStart {
             checker: "set",
             time: TimePoint(5),
             tuples: 2,
-        });
-        trace.observe(&StepEvent::ConstraintQuarantined {
+        }));
+        trace.observe(&StepEvent::ConstraintQuarantined(ConstraintQuarantined {
             checker: "set",
             constraint: Symbol::intern("flaky"),
             time: TimePoint(5),
             detail: "boom".into(),
-        });
+        }));
         let text = trace.finish().unwrap();
         let doc = json::parse(&text).unwrap();
         let events = doc.as_arr().expect("valid JSON array despite the abort");

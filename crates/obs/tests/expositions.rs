@@ -1,6 +1,6 @@
 //! Every exposition of one scripted event stream, pinned byte for byte.
 //!
-//! The stream carries all fourteen [`StepEvent`] kinds with fixed
+//! The stream carries all thirteen [`StepEvent`] kinds with fixed
 //! latencies, so the metrics JSON (compact; `render_json` pretty-prints the
 //! same document), the Prometheus text, the JSON-lines trace, the Chrome
 //! trace and the `rtic report` table are deterministic. A change to any
@@ -8,6 +8,10 @@
 
 use std::sync::Arc;
 
+use rtic_core::observe::{
+    BadLine, CheckpointFallback, CheckpointSection, ConstraintEval, ConstraintQuarantined,
+    PlanProfileSample, PlanStatsSample, ServeGauges, SpaceSample, StepEnd, StepStart, Violation,
+};
 use rtic_core::plan::{NodeCounters, NodeDesc, PlanProfile, PlanStats, ProfiledNode};
 use rtic_core::{Checker, IncrementalChecker, RuntimePlanStats, SpaceStats};
 use rtic_obs::{json, report, ChromeTraceWriter, MetricsRegistry, MultiObserver, TraceWriter};
@@ -15,6 +19,7 @@ use rtic_obs::{StepEvent, StepObserver};
 use rtic_relation::{tuple, Catalog, Schema, Sort, Symbol, Update};
 use rtic_temporal::parser::parse_constraint;
 use rtic_temporal::TimePoint;
+use std::borrow::Cow;
 
 /// Three plan nodes: a root and two children, one streaming column blocks.
 fn profile() -> PlanProfile {
@@ -65,24 +70,30 @@ fn expositions() -> Vec<(&'static str, String)> {
         stored_tuples: 1,
     };
     let (checker, at) = ("set", TimePoint);
-    let start = |t, tuples| StepEvent::StepStart {
-        checker,
-        time: at(t),
-        tuples,
+    let start = |t, tuples| {
+        StepEvent::StepStart(StepStart {
+            checker,
+            time: at(t),
+            tuples,
+        })
     };
-    let eval = |constraint, t, violations, latency_ns| StepEvent::ConstraintEval {
-        checker,
-        constraint,
-        time: at(t),
-        violations,
-        latency_ns,
+    let eval = |constraint, t, violations, latency_ns| {
+        StepEvent::ConstraintEval(ConstraintEval {
+            checker,
+            constraint,
+            time: at(t),
+            violations,
+            latency_ns,
+        })
     };
-    let space = |constraint, t, step_index, aux_keys| StepEvent::SpaceSample {
-        checker,
-        constraint,
-        time: at(t),
-        step_index,
-        stats: SpaceStats { aux_keys, ..stats },
+    let space = |constraint, t, step_index, aux_keys| {
+        StepEvent::SpaceSample(SpaceSample {
+            checker,
+            constraint,
+            time: at(t),
+            step_index,
+            stats: SpaceStats { aux_keys, ..stats },
+        })
     };
     let plan = PlanStats {
         nodes: 3,
@@ -92,37 +103,37 @@ fn expositions() -> Vec<(&'static str, String)> {
         cached_nodes: 1,
     };
     let events = [
-        StepEvent::CheckpointFallback {
+        StepEvent::CheckpointFallback(CheckpointFallback {
             path: "s.ckpt".into(),
             detail: "checksum mismatch".into(),
-        },
-        StepEvent::CheckpointRestore {
+        }),
+        StepEvent::CheckpointRestore(CheckpointSection {
             constraint: d,
             bytes: 120,
-        },
-        StepEvent::BadLine {
+        }),
+        StepEvent::BadLine(BadLine {
             line: 7,
             detail: "expected `@`".into(),
-        },
+        }),
         start(1, 1),
         eval(d, 1, 1, 4_200),
-        StepEvent::Violation {
+        StepEvent::Violation(Violation {
             checker,
-            report: &report,
-        },
+            report: Cow::Borrowed(&report),
+        }),
         eval(e, 1, 0, 1_300),
-        StepEvent::StepEnd {
+        StepEvent::StepEnd(StepEnd {
             checker,
             time: at(1),
             violations: 1,
             latency_ns: 7_000,
-        },
+        }),
         space(d, 1, 0, 2),
-        StepEvent::CheckpointSave {
+        StepEvent::CheckpointSave(CheckpointSection {
             constraint: d,
             bytes: 140,
-        },
-        StepEvent::ServeSample {
+        }),
+        StepEvent::ServeSample(ServeGauges {
             queue_depth: 2,
             queue_capacity: 64,
             queue_peak: 9,
@@ -131,18 +142,18 @@ fn expositions() -> Vec<(&'static str, String)> {
             disconnected: 1,
             last_checkpoint_age_ms: Some(250),
             drain_ms: Some(12),
-        },
+        }),
         // A step the quarantine interrupts: it never ends.
         start(3, 0),
         eval(d, 3, 0, 900),
-        StepEvent::ConstraintQuarantined {
+        StepEvent::ConstraintQuarantined(ConstraintQuarantined {
             checker,
             constraint: e,
             time: at(3),
             detail: "index out of bounds".into(),
-        },
+        }),
         space(e, 3, 1, 1),
-        StepEvent::PlanStatsSample {
+        StepEvent::PlanStatsSample(PlanStatsSample {
             checker,
             constraint: d,
             stats: RuntimePlanStats {
@@ -150,12 +161,12 @@ fn expositions() -> Vec<(&'static str, String)> {
                 scratch_high_water: 2,
                 rows_copied: 4,
             },
-        },
-        StepEvent::PlanProfileSample {
+        }),
+        StepEvent::PlanProfileSample(PlanProfileSample {
             checker,
             constraint: d,
-            profile: &profile,
-        },
+            profile: Cow::Borrowed(&profile),
+        }),
     ];
     let (mut registry, mut trace) = (MetricsRegistry::new(), TraceWriter::in_memory());
     let mut chrome = ChromeTraceWriter::in_memory();
@@ -200,13 +211,13 @@ fn per_constraint_counters_render_in_name_order_whatever_the_intern_order() {
     let mut registry = MetricsRegistry::new();
     for (i, constraint) in symbols.iter().enumerate() {
         for _ in 0..=i {
-            registry.observe(&StepEvent::ConstraintEval {
+            registry.observe(&StepEvent::ConstraintEval(ConstraintEval {
                 checker: "set",
                 constraint: *constraint,
                 time: TimePoint(1),
                 violations: 2 * i,
                 latency_ns: 1_000,
-            });
+            }));
         }
     }
     let doc = registry.to_json().render();

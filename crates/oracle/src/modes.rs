@@ -386,11 +386,11 @@ fn check_events(events: &[StepEvent<'_>], reports: &[StepReport]) -> Result<(), 
     let mut step_violations = 0;
     for e in events {
         match e {
-            StepEvent::ConstraintEval { violations, .. } => {
-                eval_violations += violations;
-                violating_evals += usize::from(*violations > 0);
+            StepEvent::ConstraintEval(eval) => {
+                eval_violations += eval.violations;
+                violating_evals += usize::from(eval.violations > 0);
             }
-            StepEvent::StepEnd { violations, .. } => step_violations = *violations,
+            StepEvent::StepEnd(end) => step_violations = end.violations,
             _ => {}
         }
     }

@@ -29,18 +29,28 @@ pub const SECTION_HEADER: &str = "rtic-serve-report v1";
 pub struct ServeReport {
     /// Violation lines in report order, each byte-identical to the line
     /// `rtic check` prints (`{time} VIOLATION {name} x{n}: {bindings}`).
-    pub violations: Vec<String>,
+    pub violations: ReportLines,
     /// Transitions the engine has fully processed.
     pub transitions: u64,
     /// Total violation witnesses across all steps.
     pub witnesses: u64,
     /// Steps with at least one witness.
     pub violated_states: u64,
-    /// The section's violation lines, rendered as each step recorded them,
-    /// so a checkpoint copies the history instead of re-formatting it.
-    lines: String,
-    /// How many of `violations` `lines` holds.
-    rendered: usize,
+}
+
+/// Report lines as rendered text, each ending in a newline: what the
+/// section carries and `--report` writes. A `&ReportLines` iterates the
+/// lines.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ReportLines(pub String);
+
+impl<'a> IntoIterator for &'a ReportLines {
+    type Item = &'a str;
+    type IntoIter = std::str::Lines<'a>;
+
+    fn into_iter(self) -> std::str::Lines<'a> {
+        self.0.lines()
+    }
 }
 
 impl ServeReport {
@@ -51,31 +61,21 @@ impl ServeReport {
         if !step_violations.is_empty() {
             self.violated_states += 1;
         }
-        self.violations.extend_from_slice(step_violations);
-        self.render();
-    }
-
-    /// Appends the violation lines not rendered yet to `lines`.
-    fn render(&mut self) {
-        for line in &self.violations[self.rendered..] {
-            self.lines.extend([line.as_str(), "\n"]);
+        for line in step_violations {
+            self.violations.0.extend([line, "\n"]);
         }
-        self.rendered = self.violations.len();
     }
 
     /// Serializes the report as one checkpoint-container section.
     pub fn to_section(&self) -> String {
-        let mut out = String::with_capacity(128 + self.lines.len());
+        let lines = &self.violations.0;
+        let mut out = String::with_capacity(128 + lines.len());
         let _ = writeln!(out, "{MAGIC_V1}");
         let _ = writeln!(out, "{SECTION_HEADER}");
         let _ = writeln!(out, "transitions {}", self.transitions);
         let _ = writeln!(out, "witnesses {}", self.witnesses);
         let _ = writeln!(out, "violated-states {}", self.violated_states);
-        out.push_str(&self.lines);
-        // Lines pushed onto `violations` directly, past `record_step`.
-        for line in self.violations.get(self.rendered..).unwrap_or_default() {
-            let _ = writeln!(out, "{line}");
-        }
+        out.push_str(lines);
         out
     }
 
@@ -92,27 +92,21 @@ impl ServeReport {
             return Err(format!("not a `{SECTION_HEADER}` section"));
         }
         let mut report = ServeReport::default();
-        let counter = |line: &str, key: &str| -> Result<Option<u64>, String> {
-            match line.strip_prefix(key).map(str::trim) {
-                Some(v) => v
-                    .parse()
-                    .map(Some)
-                    .map_err(|e| format!("bad report field `{key}`: {e}")),
-                None => Ok(None),
-            }
-        };
         for line in section.lines().skip(2) {
-            if let Some(n) = counter(line, "transitions ")? {
-                report.transitions = n;
-            } else if let Some(n) = counter(line, "witnesses ")? {
-                report.witnesses = n;
-            } else if let Some(n) = counter(line, "violated-states ")? {
-                report.violated_states = n;
-            } else if !line.trim().is_empty() {
-                report.violations.push(line.to_string());
-            }
+            let (key, value) = line.split_once(' ').unwrap_or(("", line));
+            let counter = match key {
+                "transitions" => &mut report.transitions,
+                "witnesses" => &mut report.witnesses,
+                "violated-states" => &mut report.violated_states,
+                _ if line.trim().is_empty() => continue,
+                _ => {
+                    report.violations.0.extend([line, "\n"]);
+                    continue;
+                }
+            };
+            let value = value.trim().parse();
+            *counter = value.map_err(|e| format!("bad report field `{key}`: {e}"))?;
         }
-        report.render();
         Ok(report)
     }
 }
@@ -155,18 +149,11 @@ mod tests {
             step(&mut report, t);
             step(&mut resumed, t);
         }
-        // The same report with no line rendered: `to_section` formats each.
-        let scratch = ServeReport {
-            violations: report.violations.clone(),
-            transitions: report.transitions,
-            witnesses: report.witnesses,
-            violated_states: report.violated_states,
-            ..ServeReport::default()
-        };
-        assert_eq!(scratch.rendered, 0);
-        assert_eq!(resumed.to_section(), scratch.to_section());
-        assert_eq!(report.to_section(), scratch.to_section());
+        assert_eq!(resumed.to_section(), report.to_section());
         assert_eq!(resumed, report);
+        let lines: Vec<&str> = report.violations.into_iter().collect();
+        assert_eq!(lines.len(), 12);
+        assert_eq!(lines[11], r#"@11 VIOLATION c1 x1: {p="a\b"}"#);
     }
 
     #[test]

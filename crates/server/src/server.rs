@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use rtic_core::{ConstraintSet, EncodingOptions, StepEvent, StepObserver};
+use rtic_core::{observe::ServeGauges, ConstraintSet, EncodingOptions, StepEvent, StepObserver};
 use rtic_history::Transition;
 use rtic_obs::MetricsRegistry;
 use rtic_relation::{Catalog, Update};
@@ -64,20 +64,14 @@ pub enum Listen {
 impl Listen {
     /// Parses `unix:<path>` or `tcp:<addr>`.
     pub fn parse(spec: &str) -> Result<Listen, String> {
-        if let Some(path) = spec.strip_prefix("unix:") {
-            if path.is_empty() {
-                return Err("bad --listen: unix: needs a socket path".into());
-            }
-            Ok(Listen::Unix(PathBuf::from(path)))
-        } else if let Some(addr) = spec.strip_prefix("tcp:") {
-            if addr.is_empty() {
-                return Err("bad --listen: tcp: needs host:port".into());
-            }
-            Ok(Listen::Tcp(addr.to_string()))
-        } else {
-            Err(format!(
+        match spec.split_once(':') {
+            Some(("unix", "")) => Err("bad --listen: unix: needs a socket path".into()),
+            Some(("tcp", "")) => Err("bad --listen: tcp: needs host:port".into()),
+            Some(("unix", path)) => Ok(Listen::Unix(PathBuf::from(path))),
+            Some(("tcp", addr)) => Ok(Listen::Tcp(addr.to_string())),
+            _ => Err(format!(
                 "bad --listen `{spec}`: expected unix:<path> or tcp:<host:port>"
-            ))
+            )),
         }
     }
 }
@@ -320,6 +314,23 @@ struct Shared {
 }
 
 impl Shared {
+    /// The ingest-plane gauges: what each serve sample carries and what
+    /// `QUERY status` prints.
+    fn gauges(&self) -> ServeGauges {
+        let (queue_depth, queue_peak, shed) = self.queue.gauges();
+        let durable_at = lock(&self.durable).0;
+        ServeGauges {
+            queue_depth,
+            queue_capacity: self.queue.capacity(),
+            queue_peak,
+            shed,
+            connections: self.connections.load(Ordering::SeqCst),
+            disconnected: self.disconnected.load(Ordering::SeqCst),
+            last_checkpoint_age_ms: durable_at.map(|at| at.elapsed().as_millis() as u64),
+            drain_ms: None,
+        }
+    }
+
     fn status_line(&self) -> String {
         let state = if self.draining.load(Ordering::SeqCst) {
             "draining"
@@ -328,17 +339,20 @@ impl Shared {
         };
         let quarantined = self.quarantined.load(Ordering::SeqCst);
         let verdict = if quarantined > 0 { "DEGRADED" } else { "OK" };
-        let (at, cursor) = *lock(&self.durable);
-        let age = at.map_or_else(|| "-".into(), |at| at.elapsed().as_millis().to_string());
-        let sealed = cursor.map_or_else(|| "-".into(), |t| t.to_string());
-        let (depth, peak, shed) = self.queue.gauges();
+        let sealed = lock(&self.durable).1.map(|t| t.to_string());
+        let g = self.gauges();
+        let age = g.last_checkpoint_age_ms.map(|ms| ms.to_string());
+        let [sealed, age] = [sealed, age].map(|v| v.unwrap_or_else(|| "-".into()));
         format!(
-            "{verdict} state={state} steps={} witnesses={} queue={depth}/{} peak={peak} shed={shed} conns={} disconnected={} ckpt_age_ms={age} sealed={sealed} quarantined={quarantined}",
+            "{verdict} state={state} steps={} witnesses={} queue={}/{} peak={} shed={} conns={} disconnected={} ckpt_age_ms={age} sealed={sealed} quarantined={quarantined}",
             self.steps.load(Ordering::SeqCst),
             self.witnesses.load(Ordering::SeqCst),
-            self.queue.capacity(),
-            self.connections.load(Ordering::SeqCst),
-            self.disconnected.load(Ordering::SeqCst),
+            g.queue_depth,
+            g.queue_capacity,
+            g.queue_peak,
+            g.shed,
+            g.connections,
+            g.disconnected,
         )
     }
 }
@@ -417,12 +431,21 @@ pub fn serve(
     });
 
     let listener = Listener::bind(&config.listen)?;
-    // The bound TCP address (port 0 resolved) for the wake-up connect.
+    // The bound TCP address (port 0 resolved), for the banner and the wake-up
+    // connect; a TCP banner also goes to stderr at once, so a client can find
+    // the port the kernel picked.
     let bound = match &listener {
         Listener::Tcp(l) => l.local_addr().ok(),
         Listener::Unix(_) => None,
     };
-    let _ = writeln!(out, "listening on {}", config.listen);
+    let banner = match bound {
+        Some(addr) => format!("listening on tcp:{addr}"),
+        None => format!("listening on {}", config.listen),
+    };
+    if bound.is_some() {
+        let _ = writeln!(io::stderr(), "{banner}");
+    }
+    let _ = writeln!(out, "{banner}");
     let (accept_shared, write_timeout) = (Arc::clone(&shared), config.write_timeout);
     let accept_thread = std::thread::spawn(move || {
         accept_loop(listener, accept_shared, write_timeout);
@@ -656,10 +679,11 @@ fn engine_loop(
         );
     }
     let drain_ms = drain_started.elapsed().as_millis() as u64;
-    emit_serve_sample(registry, shared, Some(drain_ms));
+    let mut gauges = shared.gauges();
+    gauges.drain_ms = Some(drain_ms);
+    registry.observe(&StepEvent::ServeSample(gauges));
     if let Some(path) = report_path {
-        let text: String = report.violations.iter().map(|l| format!("{l}\n")).collect();
-        write_atomic(Path::new(path), text.as_bytes())
+        write_atomic(Path::new(path), report.violations.0.as_bytes())
             .map_err(|e| format!("cannot write report `{path}`: {e}"))?;
         let _ = writeln!(out, "report written to {path}");
     }
@@ -778,7 +802,7 @@ fn process_drained<W: ReplySink>(
             submit_checkpoint(set, report, writer, shared, registry)?;
         }
     }
-    emit_serve_sample(registry, shared, None);
+    registry.observe(&StepEvent::ServeSample(shared.gauges()));
     for (client, text) in replies.0 {
         client.send(shared, text.as_bytes());
     }
@@ -808,21 +832,6 @@ fn submit_checkpoint(
 
 fn checkpoint_error(e: DurableError) -> String {
     format!("cannot write checkpoint: {e}")
-}
-
-fn emit_serve_sample(registry: &mut MetricsRegistry, shared: &Shared, drain_ms: Option<u64>) {
-    let durable_at = lock(&shared.durable).0;
-    let (queue_depth, queue_peak, shed) = shared.queue.gauges();
-    registry.observe(&StepEvent::ServeSample {
-        queue_depth,
-        queue_capacity: shared.queue.capacity(),
-        queue_peak,
-        shed,
-        connections: shared.connections.load(Ordering::SeqCst),
-        disconnected: shared.disconnected.load(Ordering::SeqCst),
-        last_checkpoint_age_ms: durable_at.map(|at| at.elapsed().as_millis() as u64),
-        drain_ms,
-    });
 }
 
 #[cfg(test)]

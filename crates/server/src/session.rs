@@ -20,6 +20,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use rtic_core::checkpoint::{self, CheckpointError};
+use rtic_core::observe::{CheckpointFallback, CheckpointSection};
 use rtic_core::{ConstraintSet, EncodingOptions, StepEvent, StepObserver};
 use rtic_relation::{Catalog, Symbol};
 use rtic_resilience::{container, FailPlan, Rotation};
@@ -90,10 +91,10 @@ pub fn recover(
     for (cand, why) in &outcome.rejected {
         let path = cand.display().to_string();
         let _ = writeln!(out, "checkpoint candidate `{path}` rejected: {why}");
-        obs.observe(&StepEvent::CheckpointFallback {
+        obs.observe(&StepEvent::CheckpointFallback(CheckpointFallback {
             path,
             detail: why.clone(),
-        });
+        }));
     }
     let Some((path, mut sections, ())) = outcome.restored else {
         return match outcome.rejected.is_empty() {
@@ -108,10 +109,10 @@ pub fn recover(
         .map_err(|e| Refused::Restore(path.clone(), e))?;
     for section in &sections {
         if let Some(name) = checkpoint::section_constraint_name(section) {
-            obs.observe(&StepEvent::CheckpointRestore {
+            obs.observe(&StepEvent::CheckpointRestore(CheckpointSection {
                 constraint: Symbol::intern(name),
                 bytes: section.len(),
-            });
+            }));
         }
     }
     Ok(Some(Recovered { path, set, report }))
@@ -191,10 +192,10 @@ impl Replay {
 pub fn seal(set: &ConstraintSet, extra: Option<&str>, obs: &mut dyn StepObserver) -> String {
     let sections = checkpoint::save_set(set);
     for (name, text) in &sections {
-        obs.observe(&StepEvent::CheckpointSave {
+        obs.observe(&StepEvent::CheckpointSave(CheckpointSection {
             constraint: *name,
             bytes: text.len(),
-        });
+        }));
     }
     container::seal(sections.iter().map(|(_, text)| text.as_str()).chain(extra))
 }

@@ -570,10 +570,10 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
                     ));
                 }
                 let mut obs = observers(&mut registry, &mut trace);
-                obs.observe(&StepEvent::BadLine {
+                obs.observe(&StepEvent::BadLine(observe::BadLine {
                     line: e.line,
                     detail: e.message.clone(),
-                });
+                }));
                 continue;
             }
             Err(e) => return Err(format!("{log_path}:{e}")),

@@ -370,6 +370,38 @@ fn send_command_streams_a_log_file_and_drains() {
     );
 }
 
+/// A daemon on TCP port 0 names the port the kernel bound on stderr as
+/// soon as it listens, so a client can find it; its stdout banner names
+/// the same address.
+#[test]
+fn a_port_zero_daemon_names_its_bound_port_at_once() {
+    let c = temp_file("port0.rtic", CONSTRAINTS);
+    let l = temp_file("port0.rticlog", LOG);
+    let mut daemon = std::process::Command::new(env!("CARGO_BIN_EXE_rtic"))
+        .args(["serve", c.to_str().unwrap(), "--listen", "tcp:127.0.0.1:0"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("the rtic binary runs");
+    let mut banner = String::new();
+    let stderr = daemon.stderr.take().unwrap();
+    BufReader::new(stderr).read_line(&mut banner).unwrap();
+    let listen = banner.trim().strip_prefix("listening on ").unwrap();
+    assert!(listen.starts_with("tcp:127.0.0.1:"), "{banner}");
+    assert!(!listen.ends_with(":0"), "the bound port, not 0: {banner}");
+
+    let (code, out) = run(&["send", l.to_str().unwrap(), "--connect", listen, "--drain"]);
+    assert_eq!(code.unwrap(), 1, "witnesses found: {out}");
+    assert!(out.contains("server drained"), "{out}");
+    let exit = daemon.wait_with_output().unwrap();
+    assert_eq!(exit.status.code(), Some(0));
+    let stdout = String::from_utf8(exit.stdout).unwrap();
+    assert!(
+        stdout.starts_with(&format!("listening on {listen}\n")),
+        "{stdout}"
+    );
+}
+
 /// A quarantined engine degrades the fleet but never kills the daemon:
 /// status flips to DEGRADED, the drain still completes, and the
 /// operator sees which constraint is out.
