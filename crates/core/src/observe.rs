@@ -4,17 +4,18 @@
 //! per-constraint violation rates, and the bounded-space trajectory that is
 //! the paper's central claim — without taxing the hot path when nobody is
 //! watching. This module provides exactly the hook surface; the concrete
-//! observers (metrics registry, structured trace writer, space sampler)
-//! live in the `rtic-obs` crate.
+//! observers (metrics registry, structured trace writers) live in the
+//! `rtic-obs` crate.
 //!
-//! The design is zero-cost-when-disabled: the plain [`Checker::step`] path
-//! is untouched, and instrumentation only exists on the separate
-//! [`Checker::step_observed`] entry point. Passing [`NopObserver`] there
-//! compiles down to the timing reads plus empty calls; not calling it at
-//! all costs nothing.
+//! Two steppers emit a step's events, both through `emit_eval`:
+//! [`crate::ConstraintSet::step_observed`] for the incremental fleet, and
+//! [`step_all`] for checkers behind the [`Checker`] trait. The incremental
+//! checker always steps observed — its plain `step` is `step_observed`
+//! with the [`NopObserver`], whose hooks are empty calls — while the
+//! reference backends' plain [`Checker::step`] carries no hook at all.
 //!
 //! ```
-//! use rtic_core::observe::{CollectingObserver, StepEvent};
+//! use rtic_core::observe::{step_all, CollectingObserver, StepEvent};
 //! use rtic_core::{Checker, IncrementalChecker};
 //! use rtic_relation::{tuple, Catalog, Schema, Sort, Update};
 //! use rtic_temporal::parser::parse_constraint;
@@ -25,16 +26,11 @@
 //!     Catalog::new().with("p", Schema::of(&[("x", Sort::Str)])).unwrap(),
 //! );
 //! let c = parse_constraint("deny d: p(x) && hist[0,1] p(x)").unwrap();
-//! let mut checker = IncrementalChecker::new(c, catalog).unwrap();
-//! let checker: &mut dyn Checker = &mut checker;
+//! let mut checkers: Vec<Box<dyn Checker>> =
+//!     vec![Box::new(IncrementalChecker::new(c, catalog).unwrap())];
 //! let mut obs = CollectingObserver::default();
-//! checker
-//!     .step_observed(
-//!         TimePoint(1),
-//!         &Update::new().with_insert("p", tuple!["a"]),
-//!         &mut obs,
-//!     )
-//!     .unwrap();
+//! let update = Update::new().with_insert("p", tuple!["a"]);
+//! step_all(&mut checkers, TimePoint(1), &update, &mut obs).unwrap();
 //! assert!(matches!(obs.events[0], StepEvent::StepStart(_)));
 //! assert!(matches!(obs.events.last(), Some(StepEvent::StepEnd(_))));
 //! ```
@@ -331,12 +327,38 @@ impl StepObserver for CollectingObserver {
     }
 }
 
+/// Emits a constraint's [`StepEvent::ConstraintEval`] for `report`, plus
+/// its [`StepEvent::Violation`] when it has witnesses, timing the
+/// evaluation from `eval_start`. Returns the witness count.
+pub(crate) fn emit_eval(
+    obs: &mut dyn StepObserver,
+    checker: &'static str,
+    report: &StepReport,
+    eval_start: Instant,
+) -> usize {
+    let latency_ns = eval_start.elapsed().as_nanos() as u64;
+    let violations = report.violation_count();
+    obs.observe(&StepEvent::ConstraintEval(ConstraintEval {
+        checker,
+        constraint: report.constraint,
+        time: report.time,
+        violations,
+        latency_ns,
+    }));
+    if violations > 0 {
+        let report = Cow::Borrowed(report);
+        obs.observe(&StepEvent::Violation(Violation { checker, report }));
+    }
+    violations
+}
+
 /// Steps several checkers (one per constraint, sharing a backend) through
 /// one transition as a single logical step, emitting one
-/// `StepStart`/`StepEnd` pair plus per-constraint events.
+/// `StepStart`/`StepEnd` pair plus per-constraint events. On error, events
+/// after `StepStart` are withheld — the step never completed.
 ///
-/// This is what the CLI and the experiment harness drive; a single checker
-/// can use the equivalent [`Checker::step_observed`].
+/// This is what `rtic check` drives for the reference backends; one boxed
+/// checker is a one-element slice.
 pub fn step_all(
     checkers: &mut [Box<dyn Checker>],
     time: TimePoint,
@@ -355,21 +377,7 @@ pub fn step_all(
     for checker in checkers.iter_mut() {
         let eval_start = Instant::now();
         let report = checker.step(time, update)?;
-        let latency_ns = eval_start.elapsed().as_nanos() as u64;
-        total_violations += report.violation_count();
-        obs.observe(&StepEvent::ConstraintEval(ConstraintEval {
-            checker: checker.name(),
-            constraint: report.constraint,
-            time,
-            violations: report.violation_count(),
-            latency_ns,
-        }));
-        if !report.ok() {
-            obs.observe(&StepEvent::Violation(Violation {
-                checker: checker.name(),
-                report: Cow::Borrowed(&report),
-            }));
-        }
+        total_violations += emit_eval(obs, checker.name(), &report, eval_start);
         reports.push(report);
     }
     obs.observe(&StepEvent::StepEnd(StepEnd {
@@ -415,63 +423,6 @@ pub fn sample_plan_stats(checkers: &[Box<dyn Checker>], obs: &mut dyn StepObserv
     }
 }
 
-/// Emits one [`StepEvent::PlanProfileSample`] per checker that carries a
-/// profile ([`Checker::plan_profile`]). Drivers call this once per run,
-/// after stepping, so the counters cover the whole run.
-pub fn sample_plan_profiles(checkers: &[Box<dyn Checker>], obs: &mut dyn StepObserver) {
-    for checker in checkers {
-        if let Some(profile) = checker.plan_profile() {
-            obs.observe(&StepEvent::PlanProfileSample(PlanProfileSample {
-                checker: checker.name(),
-                constraint: checker.constraint().name,
-                profile: Cow::Borrowed(&profile),
-            }));
-        }
-    }
-}
-
-impl dyn Checker + '_ {
-    /// [`Checker::step`] with observation: emits `StepStart`,
-    /// `ConstraintEval` (+ `Violation` when witnesses were found) and
-    /// `StepEnd` around the step. On error, events after `StepStart` are
-    /// withheld — the step never completed.
-    pub fn step_observed(
-        &mut self,
-        time: TimePoint,
-        update: &Update,
-        obs: &mut dyn StepObserver,
-    ) -> Result<StepReport, HistoryError> {
-        obs.observe(&StepEvent::StepStart(StepStart {
-            checker: self.name(),
-            time,
-            tuples: update.len(),
-        }));
-        let start = Instant::now();
-        let report = self.step(time, update)?;
-        let latency_ns = start.elapsed().as_nanos() as u64;
-        obs.observe(&StepEvent::ConstraintEval(ConstraintEval {
-            checker: self.name(),
-            constraint: report.constraint,
-            time,
-            violations: report.violation_count(),
-            latency_ns,
-        }));
-        if !report.ok() {
-            obs.observe(&StepEvent::Violation(Violation {
-                checker: self.name(),
-                report: Cow::Borrowed(&report),
-            }));
-        }
-        obs.observe(&StepEvent::StepEnd(StepEnd {
-            checker: self.name(),
-            time,
-            violations: report.violation_count(),
-            latency_ns,
-        }));
-        Ok(report)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -493,22 +444,19 @@ mod tests {
         .unwrap()
     }
 
+    /// `checker()` boxed, the one-element fleet [`step_all`] steps.
+    fn boxed() -> Vec<Box<dyn Checker>> {
+        vec![Box::new(checker())]
+    }
+
     #[test]
     fn step_observed_brackets_the_step() {
-        let mut c = checker();
-        let dyn_c: &mut dyn Checker = &mut c;
+        let mut c = boxed();
         let mut obs = CollectingObserver::default();
-        dyn_c
-            .step_observed(
-                TimePoint(1),
-                &Update::new().with_insert("p", tuple!["a"]),
-                &mut obs,
-            )
-            .unwrap();
-        let r = dyn_c
-            .step_observed(TimePoint(2), &Update::new(), &mut obs)
-            .unwrap();
-        assert_eq!(r.violation_count(), 1);
+        let insert = Update::new().with_insert("p", tuple!["a"]);
+        step_all(&mut c, TimePoint(1), &insert, &mut obs).unwrap();
+        let r = step_all(&mut c, TimePoint(2), &Update::new(), &mut obs).unwrap();
+        assert_eq!(r[0].violation_count(), 1);
         let kinds: Vec<&str> = obs.events.iter().map(StepEvent::kind).collect();
         // hist over the empty prefix is vacuously true, so the insert at
         // t=1 already violates; both steps emit the full event quartet.
@@ -533,7 +481,7 @@ mod tests {
 
     #[test]
     fn step_observed_matches_plain_step() {
-        let mut observed = checker();
+        let mut observed = boxed();
         let mut plain = checker();
         let updates = [
             Update::new().with_insert("p", tuple!["a"]),
@@ -541,12 +489,9 @@ mod tests {
             Update::new().with_delete("p", tuple!["a"]),
         ];
         for (t, u) in updates.iter().enumerate() {
-            let dyn_c: &mut dyn Checker = &mut observed;
-            let a = dyn_c
-                .step_observed(TimePoint(t as u64), u, &mut NopObserver)
-                .unwrap();
+            let a = step_all(&mut observed, TimePoint(t as u64), u, &mut NopObserver).unwrap();
             let b = plain.step(TimePoint(t as u64), u).unwrap();
-            assert_eq!(a, b, "observation changed the verdict at t={t}");
+            assert_eq!(a, vec![b], "observation changed the verdict at t={t}");
         }
     }
 
@@ -570,7 +515,7 @@ mod tests {
 
     #[test]
     fn sample_space_reports_per_checker() {
-        let mut checkers: Vec<Box<dyn Checker>> = vec![Box::new(checker())];
+        let mut checkers = boxed();
         step_all(
             &mut checkers,
             TimePoint(1),
@@ -586,16 +531,11 @@ mod tests {
 
     #[test]
     fn failed_step_withholds_completion_events() {
-        let mut c = checker();
-        let dyn_c: &mut dyn Checker = &mut c;
+        let mut c = boxed();
         let mut obs = CollectingObserver::default();
-        dyn_c
-            .step_observed(TimePoint(5), &Update::new(), &mut obs)
-            .unwrap();
+        step_all(&mut c, TimePoint(5), &Update::new(), &mut obs).unwrap();
         // Non-monotonic time: the step fails after StepStart.
-        assert!(dyn_c
-            .step_observed(TimePoint(5), &Update::new(), &mut obs)
-            .is_err());
+        assert!(step_all(&mut c, TimePoint(5), &Update::new(), &mut obs).is_err());
         let kinds: Vec<&str> = obs.events.iter().map(StepEvent::kind).collect();
         assert_eq!(kinds, vec!["step_start", "eval", "step", "step_start"]);
     }

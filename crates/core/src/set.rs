@@ -56,8 +56,8 @@ use crate::compile::CompiledConstraint;
 use crate::error::CompileError;
 use crate::incremental::{EncodingOptions, NodeEngine, NodeStat};
 use crate::observe::{
-    ConstraintEval, ConstraintQuarantined, NopObserver, PlanProfileSample, PlanStatsSample,
-    SpaceSample, StepEnd, StepEvent, StepObserver, StepStart, Violation,
+    emit_eval, ConstraintQuarantined, NopObserver, PlanProfileSample, PlanStatsSample, SpaceSample,
+    StepEnd, StepEvent, StepObserver, StepStart,
 };
 use crate::report::{SpaceStats, StepReport};
 
@@ -382,20 +382,7 @@ impl ConstraintSet {
             match outcome {
                 Ok(violations) => {
                     let report = engine.compiled.report(time, violations);
-                    total_violations += report.violation_count();
-                    obs.observe(&StepEvent::ConstraintEval(ConstraintEval {
-                        checker: "set",
-                        constraint,
-                        time,
-                        violations: report.violation_count(),
-                        latency_ns: eval_start.elapsed().as_nanos() as u64,
-                    }));
-                    if !report.ok() {
-                        obs.observe(&StepEvent::Violation(Violation {
-                            checker: "set",
-                            report: Cow::Borrowed(&report),
-                        }));
-                    }
+                    total_violations += emit_eval(obs, "set", &report, eval_start);
                     reports.push(report);
                 }
                 Err(payload) => {

@@ -9,15 +9,14 @@
 //!   step event, to a file or stderr.
 //! * [`ChromeTraceWriter`] — the same event stream as a Chrome trace
 //!   format JSON array, viewable in Perfetto / `chrome://tracing`.
-//! * [`SpaceSampler`] — periodic [`rtic_core::SpaceStats`] snapshots, the
-//!   measurement backing the paper's bounded-space claim.
 //! * [`MultiObserver`] — fans one event stream out to several observers.
 //! * [`report`] — renders a saved metrics JSON file as a summary table
 //!   (the `rtic report` subcommand).
 //!
 //! The hooks themselves live in rtic-core so checkers gain instrumentation
-//! without depending on this crate; plain `Checker::step` stays untouched
-//! and [`NopObserver`] compiles to nothing.
+//! without depending on this crate; [`NopObserver`]'s hooks are empty
+//! calls. Space samples come from `rtic_core::observe::sample_space` and
+//! `ConstraintSet::sample_space`, on the driver's own schedule.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,7 +24,6 @@
 pub mod json;
 pub mod metrics;
 pub mod report;
-pub mod sampler;
 pub mod trace;
 
 mod multi;
@@ -33,5 +31,4 @@ mod multi;
 pub use metrics::MetricsRegistry;
 pub use multi::MultiObserver;
 pub use rtic_core::{NopObserver, StepEvent, StepObserver};
-pub use sampler::SpaceSampler;
 pub use trace::{ChromeTraceWriter, TraceWriter};

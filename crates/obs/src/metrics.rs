@@ -494,6 +494,11 @@ impl MetricsRegistry {
         self.violations
     }
 
+    /// Completed steps at which some constraint found a witness.
+    pub fn violating_steps(&self) -> u64 {
+        self.violating_steps
+    }
+
     /// Tuples inserted plus deleted across all observed transitions.
     pub fn tuples_ingested(&self) -> u64 {
         self.tuples_ingested
@@ -888,10 +893,10 @@ mod tests {
     use super::*;
     use crate::json;
     use rtic_core::observe::{
-        BadLine, CheckpointFallback, CheckpointSection, ConstraintQuarantined, PlanStatsSample,
-        StepStart,
+        step_all, BadLine, CheckpointFallback, CheckpointSection, ConstraintQuarantined,
+        PlanStatsSample, StepStart,
     };
-    use rtic_core::{Checker, IncrementalChecker};
+    use rtic_core::{Checker, ConstraintSet, IncrementalChecker};
     use rtic_relation::{tuple, Catalog, Schema, Sort, Update};
     use rtic_temporal::parser::parse_constraint;
     use rtic_temporal::TimePoint;
@@ -903,22 +908,16 @@ mod tests {
                 .with("p", Schema::of(&[("x", Sort::Str)]))
                 .unwrap(),
         );
-        let mut checker = IncrementalChecker::new(
-            parse_constraint("deny d: p(x) && hist[0,1] p(x)").unwrap(),
-            catalog,
-        )
-        .unwrap();
-        let dyn_c: &mut dyn Checker = &mut checker;
-        dyn_c
-            .step_observed(
-                TimePoint(1),
-                &Update::new().with_insert("p", tuple!["a"]),
-                registry,
+        let mut checkers: Vec<Box<dyn Checker>> = vec![Box::new(
+            IncrementalChecker::new(
+                parse_constraint("deny d: p(x) && hist[0,1] p(x)").unwrap(),
+                catalog,
             )
-            .unwrap();
-        dyn_c
-            .step_observed(TimePoint(2), &Update::new(), registry)
-            .unwrap();
+            .unwrap(),
+        )];
+        let insert = Update::new().with_insert("p", tuple!["a"]);
+        step_all(&mut checkers, TimePoint(1), &insert, registry).unwrap();
+        step_all(&mut checkers, TimePoint(2), &Update::new(), registry).unwrap();
     }
 
     #[test]
@@ -1208,8 +1207,8 @@ mod tests {
         );
     }
 
-    /// Four violating steps through one profiling checker.
-    fn profiled_run(registry: &mut MetricsRegistry) -> Vec<Box<dyn Checker>> {
+    /// Four violating steps through a one-constraint profiling fleet.
+    fn profiled_run(registry: &mut MetricsRegistry) -> ConstraintSet {
         use rtic_core::EncodingOptions;
 
         let catalog = Arc::new(
@@ -1217,36 +1216,30 @@ mod tests {
                 .with("p", Schema::of(&[("x", Sort::Str)]))
                 .unwrap(),
         );
-        let mut checkers: Vec<Box<dyn Checker>> = vec![Box::new(
-            IncrementalChecker::with_options(
-                parse_constraint("deny d: p(x) && hist[0,1] p(x)").unwrap(),
-                catalog,
-                EncodingOptions {
-                    profile_plans: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap(),
-        )];
+        let mut set = ConstraintSet::with_options(
+            [parse_constraint("deny d: p(x) && hist[0,1] p(x)").unwrap()],
+            catalog,
+            EncodingOptions {
+                profile_plans: true,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         for t in 1..=4u64 {
-            rtic_core::observe::step_all(
-                &mut checkers,
+            set.step_observed(
                 TimePoint(t),
                 &Update::new().with_insert("p", tuple!["a"]),
                 registry,
             )
             .unwrap();
         }
-        checkers
+        set
     }
 
     #[test]
     fn plan_profile_samples_expose_hot_nodes() {
-        use rtic_core::observe::sample_plan_profiles;
-
         let mut registry = MetricsRegistry::new();
-        let checkers = profiled_run(&mut registry);
-        sample_plan_profiles(&checkers, &mut registry);
+        profiled_run(&mut registry).sample_plan_profiles(&mut registry);
         let hot = registry.hot_nodes(3);
         assert!(!hot.is_empty(), "profiled run must surface hot nodes");
         assert_eq!(hot[0].0, "d");
@@ -1272,17 +1265,16 @@ mod tests {
 
     #[test]
     fn a_family_is_a_counter_exactly_when_its_name_ends_in_total() {
-        use rtic_core::observe::{sample_plan_profiles, sample_plan_stats, sample_space};
         use rtic_relation::Symbol;
 
         // Every event kind, so every family the registry can emit is in
         // the exposition: the step/eval/violation events and the three
         // samplers from a real run, the rest observed directly.
         let mut registry = MetricsRegistry::new();
-        let checkers = profiled_run(&mut registry);
-        sample_space(&checkers, TimePoint(4), 3, &mut registry);
-        sample_plan_stats(&checkers, &mut registry);
-        sample_plan_profiles(&checkers, &mut registry);
+        let set = profiled_run(&mut registry);
+        set.sample_space(3, &mut registry);
+        set.sample_plan_stats(&mut registry);
+        set.sample_plan_profiles(&mut registry);
         let d = Symbol::intern("d");
         registry.observe(&StepEvent::CheckpointSave(CheckpointSection {
             constraint: d,

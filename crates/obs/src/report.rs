@@ -254,7 +254,7 @@ space trajectory (2 samples)
     #[test]
     fn registry_output_renders() {
         // End-to-end: a real registry snapshot renders without error.
-        use rtic_core::{Checker, IncrementalChecker};
+        use rtic_core::ConstraintSet;
         use rtic_relation::{tuple, Catalog, Schema, Sort, Update};
         use rtic_temporal::parser::parse_constraint;
         use rtic_temporal::TimePoint;
@@ -265,19 +265,14 @@ space trajectory (2 samples)
                 .with("p", Schema::of(&[("x", Sort::Str)]))
                 .unwrap(),
         );
-        let mut checker = IncrementalChecker::new(
-            parse_constraint("deny d: p(x) && hist[0,1] p(x)").unwrap(),
+        let mut set = ConstraintSet::new(
+            [parse_constraint("deny d: p(x) && hist[0,1] p(x)").unwrap()],
             catalog,
         )
         .unwrap();
         let mut registry = crate::MetricsRegistry::new();
-        let dyn_c: &mut dyn Checker = &mut checker;
-        dyn_c
-            .step_observed(
-                TimePoint(1),
-                &Update::new().with_insert("p", tuple!["a"]),
-                &mut registry,
-            )
+        let insert = Update::new().with_insert("p", tuple!["a"]);
+        set.step_observed(TimePoint(1), &insert, &mut registry)
             .unwrap();
         let doc = json::parse(&registry.render_json()).unwrap();
         let rendered = render(&doc).unwrap();

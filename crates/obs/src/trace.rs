@@ -622,7 +622,7 @@ impl StepObserver for ChromeTraceWriter {
 mod tests {
     use super::*;
     use crate::json;
-    use rtic_core::observe::{BadLine, ConstraintQuarantined, StepStart};
+    use rtic_core::observe::{step_all, BadLine, ConstraintQuarantined, StepStart};
     use rtic_core::{Checker, IncrementalChecker};
     use rtic_relation::{tuple, Catalog, Schema, Sort, Update};
     use rtic_temporal::parser::parse_constraint;
@@ -666,23 +666,17 @@ mod tests {
                 .with("p", Schema::of(&[("x", Sort::Str)]))
                 .unwrap(),
         );
-        let mut checker = IncrementalChecker::new(
-            parse_constraint("deny d: p(x) && hist[0,1] p(x)").unwrap(),
-            catalog,
-        )
-        .unwrap();
-        let mut trace = TraceWriter::in_memory();
-        let dyn_c: &mut dyn Checker = &mut checker;
-        dyn_c
-            .step_observed(
-                TimePoint(1),
-                &Update::new().with_insert("p", tuple!["a"]),
-                &mut trace,
+        let mut checkers: Vec<Box<dyn Checker>> = vec![Box::new(
+            IncrementalChecker::new(
+                parse_constraint("deny d: p(x) && hist[0,1] p(x)").unwrap(),
+                catalog,
             )
-            .unwrap();
-        dyn_c
-            .step_observed(TimePoint(2), &Update::new(), &mut trace)
-            .unwrap();
+            .unwrap(),
+        )];
+        let mut trace = TraceWriter::in_memory();
+        let insert = Update::new().with_insert("p", tuple!["a"]);
+        step_all(&mut checkers, TimePoint(1), &insert, &mut trace).unwrap();
+        step_all(&mut checkers, TimePoint(2), &Update::new(), &mut trace).unwrap();
         // Both steps violate (hist over the empty prefix is vacuously
         // true), so each emits start/eval/violation/step.
         assert_eq!(trace.lines_written(), 8);
@@ -768,36 +762,32 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_a_json_array_of_nested_spans() {
-        use rtic_core::observe::sample_plan_profiles;
-        use rtic_core::EncodingOptions;
+        use rtic_core::{ConstraintSet, EncodingOptions};
 
         let catalog = Arc::new(
             Catalog::new()
                 .with("p", Schema::of(&[("x", Sort::Str)]))
                 .unwrap(),
         );
-        let mut checkers: Vec<Box<dyn Checker>> = vec![Box::new(
-            IncrementalChecker::with_options(
-                parse_constraint("deny d: p(x) && hist[0,1] p(x)").unwrap(),
-                catalog,
-                EncodingOptions {
-                    profile_plans: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap(),
-        )];
+        let mut set = ConstraintSet::with_options(
+            [parse_constraint("deny d: p(x) && hist[0,1] p(x)").unwrap()],
+            catalog,
+            EncodingOptions {
+                profile_plans: true,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         let mut trace = ChromeTraceWriter::in_memory();
         for t in 1..=3u64 {
-            rtic_core::observe::step_all(
-                &mut checkers,
+            set.step_observed(
                 TimePoint(t),
                 &Update::new().with_insert("p", tuple!["a"]),
                 &mut trace,
             )
             .unwrap();
         }
-        sample_plan_profiles(&checkers, &mut trace);
+        set.sample_plan_profiles(&mut trace);
         let text = trace.finish().unwrap();
         let doc = json::parse(&text).unwrap();
         let events = doc.as_arr().expect("chrome trace is a JSON array");

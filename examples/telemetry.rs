@@ -8,10 +8,13 @@
 
 use std::sync::Arc;
 
-use rtic::core::observe::{sample_plan_profiles, step_all};
-use rtic::core::{explain, Checker, EncodingOptions, IncrementalChecker, NaiveChecker};
-use rtic::obs::{ChromeTraceWriter, MetricsRegistry, SpaceSampler};
+use rtic::core::observe::{sample_space, step_all};
+use rtic::core::{explain, Checker, ConstraintSet, EncodingOptions, NaiveChecker};
+use rtic::obs::{ChromeTraceWriter, MetricsRegistry, MultiObserver};
 use rtic::workload::Reservations;
+
+/// Space is sampled every this many steps (`rtic check --sample-space`).
+const SAMPLE_EVERY: u64 = 50;
 
 fn main() {
     let spec = Reservations {
@@ -27,74 +30,55 @@ fn main() {
     println!();
 
     // Same workload through both backends, each with its own registry, so
-    // the trajectories can be compared side by side.
+    // the trajectories can be compared side by side. The incremental run
+    // is a one-constraint fleet, as `rtic check` steps it, and carries
+    // plan-node profiling (the library side of `rtic check --profile`):
+    // per-node inclusive time, cardinality, and memo-cache counters, at a
+    // single branch of cost when disabled.
     let constraint = generated.constraints[0].clone();
-    type Run = (&'static str, Vec<Box<dyn Checker>>, MetricsRegistry);
-    // The incremental run carries plan-node profiling (the library side
-    // of `rtic check --profile`): per-node inclusive time, cardinality,
-    // and memo-cache counters, at a single branch of cost when disabled.
-    let mut runs: Vec<Run> = vec![
-        (
-            "incremental",
-            vec![Box::new(
-                IncrementalChecker::with_options(
-                    constraint.clone(),
-                    Arc::clone(&generated.catalog),
-                    EncodingOptions {
-                        profile_plans: true,
-                        ..Default::default()
-                    },
-                )
-                .unwrap(),
-            )],
-            MetricsRegistry::new(),
-        ),
-        (
-            "naive",
-            vec![Box::new(
-                NaiveChecker::new(constraint, Arc::clone(&generated.catalog)).unwrap(),
-            )],
-            MetricsRegistry::new(),
-        ),
-    ];
+    let mut set = ConstraintSet::with_options(
+        [constraint.clone()],
+        Arc::clone(&generated.catalog),
+        EncodingOptions {
+            profile_plans: true,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let mut naive: Vec<Box<dyn Checker>> = vec![Box::new(
+        NaiveChecker::new(constraint, Arc::clone(&generated.catalog)).unwrap(),
+    )];
+    let mut registries = [MetricsRegistry::new(), MetricsRegistry::new()];
 
     // The incremental run also streams to a Chrome trace: open the
     // written file in https://ui.perfetto.dev to see the step → dispatch
     // → eval span hierarchy plus a per-constraint plan-profile track.
     let trace_path = std::env::temp_dir().join("rtic-telemetry.trace.json");
-    let mut chrome = Some(ChromeTraceWriter::to_file(&trace_path).unwrap());
+    let mut trace = ChromeTraceWriter::to_file(&trace_path).unwrap();
 
-    for (name, checkers, registry) in &mut runs {
-        let mut sampler = SpaceSampler::new(50);
-        for (index, tr) in generated.transitions.iter().enumerate() {
-            if let Some(trace) = chrome.as_mut().filter(|_| *name == "incremental") {
-                let mut both = rtic::obs::MultiObserver::new().with(registry);
-                both.push(trace);
-                step_all(checkers, tr.time, &tr.update, &mut both).unwrap();
-                sampler.after_step(checkers, tr.time, index as u64, &mut both);
-            } else {
-                step_all(checkers, tr.time, &tr.update, registry).unwrap();
-                sampler.after_step(checkers, tr.time, index as u64, registry);
-            }
-        }
-        if *name == "incremental" {
-            if let Some(trace) = chrome.as_mut() {
-                // The accumulated profile becomes nested plan-node spans
-                // on the trace's per-constraint track...
-                sample_plan_profiles(checkers, trace);
-            }
+    let [inc_registry, naive_registry] = &mut registries;
+    for (index, tr) in generated.transitions.iter().enumerate() {
+        let index = index as u64;
+        let mut both = MultiObserver::new().with(&mut *inc_registry);
+        both.push(&mut trace);
+        set.step_observed(tr.time, &tr.update, &mut both).unwrap();
+        step_all(&mut naive, tr.time, &tr.update, naive_registry).unwrap();
+        if index.is_multiple_of(SAMPLE_EVERY) {
+            set.sample_space(index, &mut both);
+            sample_space(&naive, tr.time, index, naive_registry);
         }
     }
-    if let Some(trace) = chrome.take() {
-        trace.finish().unwrap();
-    }
+    // The accumulated profile becomes nested plan-node spans on the
+    // trace's per-constraint track...
+    set.sample_plan_profiles(&mut trace);
+    trace.finish().unwrap();
+    let runs = [("incremental", &registries[0]), ("naive", &registries[1])];
 
     println!("space trajectory (retained units every 50 steps)");
     println!("{:>8}  {:>12}  {:>12}", "step", runs[0].0, runs[1].0);
     let samples: Vec<Vec<(u64, usize)>> = runs
         .iter()
-        .map(|(_, checkers, registry)| {
-            let _ = checkers;
+        .map(|(_, registry)| {
             registry
                 .to_json()
                 .get("space_samples")
@@ -121,7 +105,7 @@ fn main() {
     );
     println!();
 
-    for (name, _, registry) in &runs {
+    for (name, registry) in runs {
         println!(
             "[{name}] steps={} violations={} p50_step={:.1}us p90_step={:.1}us p95_step={:.1}us",
             registry.steps(),
@@ -136,11 +120,9 @@ fn main() {
     // ...and is also renderable as the EXPLAIN-ANALYZE table `rtic check
     // --profile` prints: where the incremental checker's time went,
     // node by node.
-    for checker in &runs[0].1 {
-        if let Some(profile) = checker.plan_profile() {
-            println!("plan-node profile of the incremental run:");
-            print!("{}", explain::render_profile(&profile));
-        }
+    for (_, profile) in set.plan_profiles() {
+        println!("plan-node profile of the incremental run:");
+        print!("{}", explain::render_profile(&profile));
     }
     println!();
     println!(

@@ -17,9 +17,7 @@ use rtic_core::{ConstraintSet, NaiveChecker, WindowedChecker};
 use rtic_core::{StepEvent, StepObserver};
 use rtic_history::log::{format_log, LogErrorKind, LogReader};
 use rtic_history::Transition;
-use rtic_obs::{
-    json, report, ChromeTraceWriter, MetricsRegistry, MultiObserver, SpaceSampler, TraceWriter,
-};
+use rtic_obs::{json, report, ChromeTraceWriter, MetricsRegistry, MultiObserver, TraceWriter};
 use rtic_relation::Symbol;
 use rtic_resilience::{
     write_atomic, CheckpointPolicy, CheckpointTicker, FailAction, FailPlan, Rotation,
@@ -75,9 +73,10 @@ Inert flags: `--vectorize` is accepted and ignored: the columnar kernels
 it used to select are the only compiled path. `--shard V` and
 `--shard-evict N` (on `check` and `serve`) are accepted and ignored too:
 the per-key shard plane they selected lost every comparison with the one
-engine and was removed; checkpoints it wrote still resume. So is
-`--batch N` on `serve` (the daemon always drains what is queued); on
-`check` it is rejected — every driver steps one transition at a time.
+engine and was removed (`--resume` refuses a checkpoint it wrote, naming
+the line). So is `--batch N` on `serve` (the daemon always drains what
+is queued); on `check` it is rejected — every driver steps one
+transition at a time.
 Any other unknown `--flag` is a usage error.
 
 Checkpoints: `--checkpoint FILE` durably saves the checkers' bounded
@@ -452,8 +451,8 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     }
     let sample_every: u64 = parsed_flag(args, "--sample-space")?.unwrap_or(0);
 
-    // Every run aggregates into a registry; --stats, --metrics and the
-    // sampler all read from the same event stream.
+    // Every run aggregates into a registry; the summary line, the exit
+    // code, --stats and --metrics all read its counts of the event stream.
     let mut registry = MetricsRegistry::new();
     let mut trace = match (trace_path, trace_chrome) {
         (Some("-"), false) => Some(AnyTrace::Json(TraceWriter::to_stderr())),
@@ -468,7 +467,6 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
         ),
         (None, _) => None,
     };
-    let mut sampler = SpaceSampler::new(sample_every);
 
     let file = load_merged_constraints(constraints_path, &extra_constraint_paths)?;
     let catalog = Arc::new(file.catalog.clone());
@@ -545,9 +543,6 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
             .map(|()| sealed.len())
     };
     let mut ticker = CheckpointTicker::new(checkpoint_policy);
-    let mut total_violations = 0usize;
-    let mut violated_states = 0usize;
-    let mut transitions = 0usize;
     let mut bad_lines = 0u64;
     let mut replayed_bad = 0u64;
     let mut last_time = None;
@@ -588,8 +583,7 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
             }
         }
         let line = reader.lines_read();
-        let step_index = transitions as u64;
-        transitions += 1;
+        let step_index = registry.steps();
         last_time = Some(tr.time);
         let mut obs = observers(&mut registry, &mut trace);
         let reports = match &mut engine {
@@ -599,29 +593,16 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
             CheckEngine::Fleet(set) => set.step_observed(tr.time, &tr.update, &mut obs),
         }
         .map_err(|e| format!("{log_path}:line {line}: at {}: {e}", tr.time))?;
-        match &mut engine {
-            CheckEngine::Independent(checkers) => {
-                sampler.after_step(checkers, tr.time, step_index, &mut obs);
-            }
-            CheckEngine::Fleet(set) => {
-                if sampler.due(step_index) {
-                    set.sample_space(step_index, &mut obs);
-                    sampler.note_sampled();
+        if sample_every != 0 && step_index.is_multiple_of(sample_every) {
+            match &engine {
+                CheckEngine::Independent(checkers) => {
+                    observe::sample_space(checkers, tr.time, step_index, &mut obs);
                 }
+                CheckEngine::Fleet(set) => set.sample_space(step_index, &mut obs),
             }
         }
-        let mut state_bad = false;
-        for report in &reports {
-            if !report.ok() {
-                total_violations += report.violation_count();
-                state_bad = true;
-                if !quiet {
-                    let _ = writeln!(out, "{report}");
-                }
-            }
-        }
-        if state_bad {
-            violated_states += 1;
+        for report in reports.iter().filter(|r| !r.ok() && !quiet) {
+            let _ = writeln!(out, "{report}");
         }
         if let (Some(rotation), Some(set)) = (&checkpoint_rotation, engine.fleet()) {
             if ticker.step_completed() {
@@ -640,20 +621,16 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     {
         // Final footprint reading, so --stats and the metrics snapshot
         // reflect end-of-run space even without --sample-space.
+        let steps = registry.steps();
         let mut obs = observers(&mut registry, &mut trace);
         match &engine {
             CheckEngine::Independent(checkers) => {
-                observe::sample_space(
-                    checkers,
-                    last_time.unwrap_or(rtic_temporal::TimePoint(0)),
-                    transitions as u64,
-                    &mut obs,
-                );
+                let time = last_time.unwrap_or(rtic_temporal::TimePoint(0));
+                observe::sample_space(checkers, time, steps, &mut obs);
                 observe::sample_plan_stats(checkers, &mut obs);
-                observe::sample_plan_profiles(checkers, &mut obs);
             }
             CheckEngine::Fleet(set) => {
-                set.sample_space(transitions as u64, &mut obs);
+                set.sample_space(steps, &mut obs);
                 set.sample_plan_stats(&mut obs);
                 set.sample_plan_profiles(&mut obs);
             }
@@ -670,11 +647,11 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     let _ = writeln!(
         out,
         "checked {} transitions against {} constraint(s) [{}]: {} violation witness(es) over {} state(s)",
-        transitions,
+        registry.steps(),
         file.constraints.len(),
         backend,
-        total_violations,
-        violated_states,
+        registry.violations(),
+        registry.violating_steps(),
     );
     if bad_lines > 0 {
         let _ = writeln!(
@@ -768,7 +745,7 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     // engine's row sets and relations one allocation at a time would cost
     // ≈ 2 ms on a 10⁴-row database and return nothing the exit does not.
     std::mem::forget(engine);
-    Ok(if total_violations > 0 { 1 } else { 0 })
+    Ok(if registry.violations() > 0 { 1 } else { 0 })
 }
 
 fn report_cmd(args: &[String], out: &mut String) -> Result<i32, String> {

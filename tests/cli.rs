@@ -1088,3 +1088,102 @@ fn separate_processes_print_and_checkpoint_the_same_bytes() {
         assert!(run.1 == runs[0].1, "checkpoint of process {i} differs");
     }
 }
+
+/// The `step` of every `space_sample` event in a JSON-lines trace, in order.
+fn sampled_steps(trace: &std::path::Path) -> Vec<u64> {
+    let text = std::fs::read_to_string(trace).unwrap();
+    (text.lines())
+        .map(|line| rtic::obs::json::parse(line).unwrap())
+        .filter(|e| e.get("event").and_then(|v| v.as_str()) == Some("space_sample"))
+        .map(|e| e.get("step").and_then(|v| v.as_u64()).unwrap())
+        .collect()
+}
+
+#[test]
+fn sample_space_samples_every_nth_step_and_once_at_the_end() {
+    let c = temp_file("every.rtic", CONSTRAINTS);
+    let log: String = (0..10)
+        .map(|t| format!("@{t} +reserved(\"p{t}\", {t})\n"))
+        .collect();
+    let l = temp_file("every.rticlog", &log);
+    for checker in ["incremental", "naive"] {
+        for (every, expected) in [(Some("3"), vec![0, 3, 6, 9, 10]), (None, vec![10])] {
+            let t = temp_file(&format!("every-{checker}-{every:?}.jsonl"), "");
+            let mut args = vec!["check", c.to_str().unwrap(), l.to_str().unwrap(), "--quiet"];
+            args.extend(["--checker", checker, "--trace", t.to_str().unwrap()]);
+            args.extend(every.iter().flat_map(|n| ["--sample-space", n]));
+            let (code, out) = run(&args);
+            assert_eq!(code.unwrap(), 1, "{out}");
+            assert_eq!(
+                sampled_steps(&t),
+                expected,
+                "{checker}, --sample-space {every:?}"
+            );
+        }
+    }
+}
+
+/// The summary line's transitions, witnesses and violating states.
+fn summary_counts(out: &str) -> [u64; 3] {
+    let line = out.lines().find(|l| l.starts_with("checked ")).unwrap();
+    let words: Vec<&str> = line.split_whitespace().collect();
+    let word = |w: &str| words.iter().position(|x| *x == w).unwrap();
+    let number = |at: usize| words[at].parse::<u64>().unwrap();
+    [
+        number(1),
+        number(word("violation") - 1),
+        number(word("over") + 1),
+    ]
+}
+
+#[test]
+fn the_summary_line_reads_the_metrics_registry() {
+    let c = temp_file("sum.rtic", CONSTRAINTS);
+    let full = "@0 +reserved(\"ann\", 17)\n@1 +reserved(\"bob\", 9)\n@2\n@3 +reserved(\"cy\", 4)\n\
+                @4 +confirmed(\"bob\", 9)\n@5\n@6\n@7\n";
+    let l = temp_file("sum.rticlog", full);
+    let head = temp_file("sum-head.rticlog", &full[..full.find("@4").unwrap()]);
+    let ckpt = temp_file("sum.ckpt", "");
+    let head_run = ["--checkpoint", ckpt.to_str().unwrap()];
+    let (code, out) = run(&[
+        "check",
+        c.to_str().unwrap(),
+        head.to_str().unwrap(),
+        head_run[0],
+        head_run[1],
+    ]);
+    assert_eq!(code.unwrap(), 1, "{out}");
+    let runs: [(&str, &[&str]); 5] = [
+        ("incremental", &[]),
+        ("naive", &[]),
+        ("windowed", &[]),
+        ("active", &[]),
+        ("incremental", &["--resume", ckpt.to_str().unwrap()]),
+    ];
+    for (checker, extra) in runs {
+        let m = temp_file(&format!("sum-{checker}-{}.json", extra.len()), "");
+        let mut args = vec!["check", c.to_str().unwrap(), l.to_str().unwrap(), "--quiet"];
+        args.extend(["--checker", checker, "--metrics", m.to_str().unwrap()]);
+        args.extend(extra);
+        let (code, out) = run(&args);
+        let doc = rtic::obs::json::parse(&std::fs::read_to_string(&m).unwrap()).unwrap();
+        let metric = |key: &str| doc.get(key).and_then(|v| v.as_u64()).unwrap();
+        let registry = [
+            metric("steps"),
+            metric("violations"),
+            metric("violating_steps"),
+        ];
+        assert_eq!(summary_counts(&out), registry, "{checker} {extra:?}: {out}");
+        assert_eq!(
+            code.unwrap(),
+            i32::from(registry[1] > 0),
+            "{checker} {extra:?}"
+        );
+        let expected_steps = if extra.is_empty() { 8 } else { 4 };
+        assert_eq!(registry[0], expected_steps, "{checker} {extra:?}");
+        assert!(
+            registry[1] > 0 && registry[2] > 0,
+            "{checker} {extra:?}: {out}"
+        );
+    }
+}

@@ -9,7 +9,12 @@
 
 use std::sync::Arc;
 
-use rtic::core::{Checker, IncrementalChecker, StepReport};
+use rtic::active::ActiveChecker;
+use rtic::core::observe::{step_all, CollectingObserver, StepEvent};
+use rtic::core::{
+    Checker, CompiledConstraint, ConstraintSet, IncrementalChecker, NaiveChecker, StepReport,
+    WindowedChecker,
+};
 use rtic::temporal::Constraint;
 use rtic::workload::{Audit, Generated, Library, Monitor, RandomWorkload, Reservations};
 use rtic_oracle::{check_case, Case, Mode};
@@ -164,5 +169,66 @@ fn detections_happen_at_the_earliest_definite_state_not_before() {
             expected_times.contains(&t),
             "first detection at unexpected time {t}"
         );
+    }
+}
+
+/// An event stream with its checker names and latencies left out: the
+/// kind, the constraint and the witness count of each event.
+fn event_shape(events: &[StepEvent<'_>]) -> Vec<(&'static str, String, usize)> {
+    events
+        .iter()
+        .map(|e| match e {
+            StepEvent::ConstraintEval(e) => ("eval", e.constraint.to_string(), e.violations),
+            StepEvent::Violation(e) => {
+                let r = &e.report;
+                ("violation", r.constraint.to_string(), r.violation_count())
+            }
+            StepEvent::StepEnd(e) => ("step", String::new(), e.violations),
+            other => (other.kind(), String::new(), 0),
+        })
+        .collect()
+}
+
+/// `observe::step_all` over each reference backend and the fleet's
+/// `ConstraintSet::step_observed` emit one event sequence: the same kinds,
+/// constraints in the same order and the same witness counts, step by
+/// step, on a multi-constraint workload.
+#[test]
+fn both_observed_steppers_emit_the_same_events() {
+    let generated = Monitor {
+        steps: 60,
+        violation_rate: 0.3,
+        spike_rate: 0.05,
+        ..Default::default()
+    }
+    .generate();
+    assert!(
+        generated.constraints.len() > 1,
+        "constraint order is pinned"
+    );
+    let catalog = &generated.catalog;
+    let mut set = ConstraintSet::new(generated.constraints.iter().cloned(), Arc::clone(catalog))
+        .expect("workload constraints compile");
+    let mut fleet = CollectingObserver::default();
+    for tr in &generated.transitions {
+        set.step_observed(tr.time, &tr.update, &mut fleet).unwrap();
+    }
+    let expected = event_shape(&fleet.events);
+    assert!(expected.iter().any(|(kind, _, _)| *kind == "violation"));
+    type Make = fn(CompiledConstraint) -> Box<dyn Checker>;
+    let backends: [(&str, Make); 3] = [
+        ("naive", |c| Box::new(NaiveChecker::from_compiled(c))),
+        ("windowed", |c| Box::new(WindowedChecker::from_compiled(c))),
+        ("active", |c| Box::new(ActiveChecker::from_compiled(c))),
+    ];
+    for (name, make) in backends {
+        let mut checkers: Vec<Box<dyn Checker>> = (generated.constraints.iter())
+            .map(|c| make(CompiledConstraint::compile(c.clone(), Arc::clone(catalog)).unwrap()))
+            .collect();
+        let mut obs = CollectingObserver::default();
+        for tr in &generated.transitions {
+            step_all(&mut checkers, tr.time, &tr.update, &mut obs).unwrap();
+        }
+        assert_eq!(event_shape(&obs.events), expected, "{name} vs the fleet");
     }
 }
