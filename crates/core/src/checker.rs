@@ -4,7 +4,7 @@ use rtic_history::{HistoryError, Transition};
 use rtic_relation::Update;
 use rtic_temporal::{Constraint, TimePoint};
 
-use crate::plan::{PlanProfile, RuntimePlanStats};
+use crate::plan::RuntimePlanStats;
 use crate::report::{SpaceStats, StepReport};
 
 /// An online integrity-constraint checker: consumes one transition at a
@@ -34,14 +34,6 @@ pub trait Checker {
     /// (node counts, cached index shapes, scratch high-water marks), or
     /// `None` when the checker runs the interpreting evaluator instead.
     fn plan_stats(&self) -> Option<RuntimePlanStats> {
-        None
-    }
-
-    /// The accumulated per-plan-node execution profile (wall time,
-    /// cardinalities, memo-cache hit rates), or `None` when the checker
-    /// was not built with profiling enabled (see
-    /// `EncodingOptions::profile_plans`). Profiling never changes reports.
-    fn plan_profile(&self) -> Option<PlanProfile> {
         None
     }
 

@@ -92,9 +92,8 @@ pub struct EncodingOptions {
     /// plan-vs-interpret benchmarks. Reports are byte-identical either way.
     pub interpret_eval: bool,
     /// Collect per-plan-node profiler counters (wall time, cardinalities,
-    /// memo-cache hits) during planned execution. Reports stay
-    /// byte-identical; only [`crate::Checker::plan_profile`] gains data.
-    /// Ignored under `interpret_eval` (there are no plan nodes to profile).
+    /// memo-cache hits) for [`IncrementalChecker::plan_profile`]; reports stay
+    /// byte-identical. Ignored under `interpret_eval` (no plan nodes to profile).
     pub profile_plans: bool,
     /// Accepted and ignored: the columnar kernels this used to select are
     /// the only compiled path now. The field survives because the frozen
@@ -683,6 +682,11 @@ impl IncrementalChecker {
     pub fn node_stats(&self) -> Vec<NodeStat> {
         self.0.engines()[0].node_stats()
     }
+
+    /// The per-node execution profile, `None` unless built with `profile_plans`.
+    pub fn plan_profile(&self) -> Option<crate::plan::PlanProfile> {
+        self.0.plan_profiles().pop().map(|(_, profile)| profile)
+    }
 }
 
 impl Checker for IncrementalChecker {
@@ -710,10 +714,6 @@ impl Checker for IncrementalChecker {
     fn plan_stats(&self) -> Option<crate::plan::RuntimePlanStats> {
         let planned = self.0.engines().iter().all(|e| !e.interpret);
         planned.then(|| self.0.plan_stats())
-    }
-
-    fn plan_profile(&self) -> Option<crate::plan::PlanProfile> {
-        self.0.plan_profiles().pop().map(|(_, profile)| profile)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -1134,7 +1134,7 @@ mod tests {
     /// rebuild streams the node's whole input, an advance only the input
     /// delta plus the window's flips).
     fn probe_rows_streamed(c: &IncrementalChecker) -> u64 {
-        let profile = engine(c).plan_profile().expect("profiling enabled");
+        let profile = c.plan_profile().expect("profiling enabled");
         let probes = profile.nodes.iter().filter(|n| n.desc.probe);
         probes.map(|n| n.counts.block_rows).sum()
     }
@@ -1401,7 +1401,7 @@ mod tests {
             (db.rel_gen("reserved".into()), db.rel_gen("pair".into()))
         };
         let hits = |c: &IncrementalChecker, label: &str| {
-            let profile = engine(c).plan_profile().expect("profiling enabled");
+            let profile = c.plan_profile().expect("profiling enabled");
             let mut nodes = profile.nodes.into_iter().filter(|n| n.desc.label == label);
             let n = nodes.next().expect("the atom is in the plan");
             (n.desc.memoized, n.counts.cache_hits)
