@@ -16,8 +16,8 @@ use std::time::Instant;
 use rtic_active::ActiveChecker;
 use rtic_core::observe::step_all;
 use rtic_core::{
-    checkpoint, BackendId, Checker, ConstraintSet, DispatchStats, EncodingOptions,
-    IncrementalChecker, NaiveChecker, NopObserver, WindowedChecker,
+    checkpoint, BackendId, Checker, CompiledConstraint, ConstraintSet, DispatchStats,
+    EncodingOptions, IncrementalChecker, NaiveChecker, NopObserver,
 };
 use rtic_history::Transition;
 use rtic_relation::{tuple, Schema, Sort, Update};
@@ -209,12 +209,12 @@ fn interpreted() -> EncodingOptions {
     }
 }
 
-fn win(c: &Constraint, g: &Generated) -> WindowedChecker {
-    WindowedChecker::new(c.clone(), Arc::clone(&g.catalog)).expect("compiles")
+fn compiled(c: &Constraint, g: &Generated) -> CompiledConstraint {
+    CompiledConstraint::compile(c.clone(), Arc::clone(&g.catalog)).expect("compiles")
 }
 
 fn nai(c: &Constraint, g: &Generated) -> NaiveChecker {
-    NaiveChecker::new(c.clone(), Arc::clone(&g.catalog)).expect("compiles")
+    NaiveChecker::from_compiled(compiled(c, g))
 }
 
 fn act(c: &Constraint, g: &Generated) -> ActiveChecker {
@@ -227,7 +227,7 @@ fn backend_checker(b: BackendId, c: &Constraint, g: &Generated) -> Box<dyn Check
     match b {
         BackendId::Incremental => Box::new(inc(c, g)),
         BackendId::Naive => Box::new(nai(c, g)),
-        BackendId::Windowed => Box::new(win(c, g)),
+        BackendId::Windowed => Box::new(NaiveChecker::windowed(compiled(c, g))),
         BackendId::Active => Box::new(act(c, g)),
     }
 }
@@ -251,7 +251,7 @@ pub fn t1_space(scale: &Scale) -> Table {
         let g = reservations_at(n);
         let c = &g.constraints[0];
         let mi = run_instrumented(&mut inc(c, &g), &g.transitions, 16);
-        let mw = run_instrumented(&mut win(c, &g), &g.transitions, 16);
+        let mw = run_instrumented(&mut *inc_win_naive(1, &g), &g.transitions, 16);
         let mn = run_instrumented(&mut nai(c, &g), &g.transitions, 16);
         assert_eq!(mi.violations, mn.violations, "checkers must agree");
         inc_units.push(mi.max_retained_units as f64);

@@ -24,7 +24,7 @@ pub enum BackendId {
     /// Full-history re-evaluation ([`crate::NaiveChecker`]), the
     /// semantics-defining reference.
     Naive,
-    /// Horizon-window re-evaluation ([`crate::WindowedChecker`]).
+    /// Horizon-window re-evaluation ([`crate::NaiveChecker::windowed`]).
     Windowed,
     /// The trigger-based realization (`rtic-active`'s `ActiveChecker`).
     Active,

@@ -1,6 +1,6 @@
 //! The common checker interface.
 
-use rtic_history::{HistoryError, Transition};
+use rtic_history::HistoryError;
 use rtic_relation::Update;
 use rtic_temporal::{Constraint, TimePoint};
 
@@ -10,13 +10,12 @@ use crate::report::{SpaceStats, StepReport};
 /// An online integrity-constraint checker: consumes one transition at a
 /// time and reports violations at each state.
 ///
-/// All four implementations ([`crate::IncrementalChecker`],
-/// [`crate::NaiveChecker`], [`crate::WindowedChecker`] and the
-/// `ActiveChecker` of `rtic-active`) produce *identical
-/// reports* on identical input (the differential oracle, `crates/oracle`,
-/// diffs them on seeded random cases); they differ in what they
-/// store and how long a step takes — exactly the axes the paper's
-/// evaluation compares.
+/// Every implementation ([`crate::IncrementalChecker`], the naive and
+/// windowed forms of [`crate::NaiveChecker`], and the `ActiveChecker` of
+/// `rtic-active`) produces *identical reports* on identical input (the
+/// differential oracle, `crates/oracle`, diffs them on seeded random
+/// cases); they differ in what they store and how long a step takes —
+/// exactly the axes the paper's evaluation compares.
 pub trait Checker {
     /// The constraint being checked.
     fn constraint(&self) -> &Constraint;
@@ -37,22 +36,8 @@ pub trait Checker {
         None
     }
 
-    /// Downcasting support (e.g. the CLI checkpoints the concrete
+    /// Downcasting support (the pipeline benchmark's traced driver,
+    /// `benchmark/src/traced.rs`, checkpoints the concrete
     /// [`crate::IncrementalChecker`] behind a `Box<dyn Checker>`).
     fn as_any(&self) -> &dyn std::any::Any;
-
-    /// Convenience: run a whole transition sequence, collecting reports.
-    fn run(
-        &mut self,
-        transitions: impl IntoIterator<Item = Transition>,
-    ) -> Result<Vec<StepReport>, HistoryError>
-    where
-        Self: Sized,
-    {
-        let mut out = Vec::new();
-        for t in transitions {
-            out.push(self.step(t.time, &t.update)?);
-        }
-        Ok(out)
-    }
 }

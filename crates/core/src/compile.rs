@@ -305,4 +305,38 @@ mod tests {
         assert!(matches!(c.nodes[0], Formula::Once(..)));
         assert!(matches!(c.nodes[1], Formula::Since(..)));
     }
+
+    /// The accepted language is the optimized compile's. The peephole
+    /// rewrite collapses `hist hist` into `hist` before the safe-range
+    /// check, so `p(x) && hist hist q(x)` compiles while the unoptimized
+    /// compile (the oracle's naive reference, which then falls back to the
+    /// optimized one) refuses it; a bounded `hist[a,b] hist` does not
+    /// collapse, and both compiles refuse it.
+    #[test]
+    fn safe_range_verdicts_of_the_optimized_and_unoptimized_compiles() {
+        let catalog = Arc::new(
+            Catalog::new()
+                .with("p", Schema::of(&[("x", Sort::Str)]))
+                .unwrap()
+                .with("q", Schema::of(&[("x", Sort::Str)]))
+                .unwrap(),
+        );
+        let verdicts = |body: &str| {
+            let c = parse_constraint(&format!("deny d: p(x) && {body}")).unwrap();
+            let unsafe_range = |r: Result<_, CompileError>| match r {
+                Ok(_) => false,
+                Err(CompileError::Safety(_)) => true,
+                Err(e) => panic!("`{body}`: {e}"),
+            };
+            let cat = || Arc::clone(&catalog);
+            (
+                unsafe_range(CompiledConstraint::compile(c.clone(), cat())),
+                unsafe_range(CompiledConstraint::compile_unoptimized(c, cat())),
+            )
+        };
+        assert_eq!(verdicts("hist hist q(x)"), (false, true));
+        for body in ["hist[0,3] hist q(x)", "hist[2,2] hist q(x)"] {
+            assert_eq!(verdicts(body), (true, true), "`{body}`");
+        }
+    }
 }

@@ -6,18 +6,18 @@
 //! auxiliary relations whose size is bounded by the constraint's metric
 //! bounds and the active domain — independent of history length.
 //!
-//! Four interchangeable [`Checker`] implementations, three of them here:
+//! Three interchangeable [`Checker`] implementations, two of them here:
 //!
 //! * [`IncrementalChecker`] — the paper's bounded history encoding: a
 //!   [`ConstraintSet`] of one, stepping the loop every fleet steps.
-//! * [`NaiveChecker`] — stores the full history, re-evaluates from scratch
-//!   (the semantics-defining baseline).
-//! * [`WindowedChecker`] — stores only the formula's lookback horizon and
-//!   evaluates naively over the window (the intermediate baseline).
+//! * [`NaiveChecker`] — stores past states and re-evaluates from scratch
+//!   (the semantics-defining baseline). Its windowed form
+//!   ([`NaiveChecker::windowed`]) stores only the formula's lookback
+//!   horizon (the intermediate baseline).
 //! * `ActiveChecker` (crate `rtic-active`) — the same encoding stored as
 //!   database relations and advanced by triggers.
 //!
-//! All four produce identical [`StepReport`]s on identical input — the
+//! All of them produce identical [`StepReport`]s on identical input — the
 //! differential oracle (`crates/oracle`) diffs them on seeded random
 //! cases — and expose [`SpaceStats`] so the paper's space and
 //! time claims can be measured (see `rtic-bench`).
@@ -63,12 +63,11 @@ pub mod eval;
 pub mod explain;
 mod incremental;
 mod monitor;
-pub mod naive;
+mod naive;
 pub mod observe;
 pub mod plan;
 mod report;
 mod set;
-mod windowed;
 
 pub use backend::BackendId;
 pub use binding::{Bindings, Scratch};
@@ -85,4 +84,3 @@ pub use plan::{
 };
 pub use report::{SpaceStats, StepReport};
 pub use set::{ConstraintSet, DispatchStats, FleetHealth, ShardStats};
-pub use windowed::WindowedChecker;

@@ -1,81 +1,80 @@
-//! The naive baseline checker: store the whole history, re-evaluate the
-//! temporal formula from scratch at every state.
+//! The stored-history checker: keep past states, re-evaluate the
+//! temporal formula over them at every state.
 //!
 //! This is the semantics-defining implementation: temporal operators are
 //! evaluated by direct recursion over stored past states, transliterating
 //! the satisfaction relation from the paper (see [`rtic_temporal::ast`]).
-//! Its space grows linearly with history length and its step time grows
-//! with it too — the comparison point for experiments T1/F1.
+//! It comes in the paper's two baseline forms:
+//!
+//! * **naive** keeps the whole history, so its space and step time grow
+//!   with history length — the comparison point for experiments T1/F1;
+//! * **windowed** drops the states older than the constraint's lookback
+//!   horizon: space is bounded (by the horizon, when finite) but each step
+//!   still re-evaluates over every stored state. With an unbounded
+//!   interval the horizon is infinite and nothing is pruned (no pruning is
+//!   sound then), so this form degenerates into the naive one.
 
 use std::sync::Arc;
 
 use rtic_history::{History, HistoryError};
-use rtic_relation::{Catalog, FastMap, Tuple, Update};
+use rtic_relation::{FastMap, Tuple, Update};
 use rtic_temporal::ast::Formula;
-use rtic_temporal::{Constraint, TimePoint};
+use rtic_temporal::{Constraint, Horizon, TimePoint};
 
 use crate::binding::{Bindings, Scratch};
 use crate::checker::Checker;
 use crate::compile::CompiledConstraint;
-use crate::error::CompileError;
 use crate::eval::{eval, Node, Oracle};
 use crate::report::{SpaceStats, StepReport};
 
-/// Full-history, recompute-everything checker.
+/// Stored-history, recompute-everything checker.
 #[derive(Clone, Debug)]
 pub struct NaiveChecker {
     compiled: CompiledConstraint,
     history: History,
-    /// Evaluate the body through the interpreter instead of the compiled
-    /// plan — the reference mode for the differential oracle.
-    interpret: bool,
+    form: Form,
     scratch: Scratch,
 }
 
+/// How a [`NaiveChecker`] evaluates its body and what history it keeps.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Form {
+    /// The interpreting [`eval`] over the whole history.
+    Interpreted,
+    /// The compiled body plan over the whole history.
+    Planned,
+    /// The compiled body plan over the horizon's window.
+    Windowed,
+}
+
 impl NaiveChecker {
-    /// Compiles and initializes a checker for `constraint`.
-    pub fn new(
-        constraint: Constraint,
-        catalog: Arc<Catalog>,
-    ) -> Result<NaiveChecker, CompileError> {
-        let compiled = CompiledConstraint::compile(constraint, Arc::clone(&catalog))?;
-        Ok(Self::from_compiled(compiled))
-    }
-
-    /// [`NaiveChecker::new`], evaluating the body through the interpreting
-    /// [`eval`] instead of the compiled plan. This is the reference
-    /// executor the differential oracle compares every planned backend
-    /// against; reports are byte-identical either way.
-    pub fn new_interpreted(
-        constraint: Constraint,
-        catalog: Arc<Catalog>,
-    ) -> Result<NaiveChecker, CompileError> {
-        let compiled = CompiledConstraint::compile(constraint, Arc::clone(&catalog))?;
-        Ok(Self::from_compiled_interpreted(compiled))
-    }
-
-    /// Builds a checker from an already-compiled constraint.
+    /// The naive checker: the whole history, the body through its
+    /// compiled plan.
     pub fn from_compiled(compiled: CompiledConstraint) -> NaiveChecker {
+        Self::with_form(compiled, Form::Planned)
+    }
+
+    /// The windowed checker: [`NaiveChecker::from_compiled`] over only the
+    /// states the constraint's horizon can still reach.
+    pub fn windowed(compiled: CompiledConstraint) -> NaiveChecker {
+        Self::with_form(compiled, Form::Windowed)
+    }
+
+    /// The reference the differential oracle diffs every other checker
+    /// against: the whole history, the body through the interpreting
+    /// [`eval`]. Reports are byte-identical to the planned forms'.
+    pub fn interpreted(compiled: CompiledConstraint) -> NaiveChecker {
+        Self::with_form(compiled, Form::Interpreted)
+    }
+
+    fn with_form(compiled: CompiledConstraint, form: Form) -> NaiveChecker {
         let history = History::new(Arc::clone(&compiled.catalog));
         NaiveChecker {
             compiled,
             history,
-            interpret: false,
+            form,
             scratch: Scratch::new(),
         }
-    }
-
-    /// [`NaiveChecker::from_compiled`] in interpreting reference mode.
-    pub fn from_compiled_interpreted(compiled: CompiledConstraint) -> NaiveChecker {
-        NaiveChecker {
-            interpret: true,
-            ..Self::from_compiled(compiled)
-        }
-    }
-
-    /// The stored history (grows without bound).
-    pub fn history(&self) -> &History {
-        &self.history
     }
 }
 
@@ -86,11 +85,27 @@ impl Checker for NaiveChecker {
 
     fn step(&mut self, time: TimePoint, update: &Update) -> Result<StepReport, HistoryError> {
         self.history.append(time, update)?;
+        if let (Form::Windowed, Horizon::Finite(h)) = (self.form, self.compiled.horizon) {
+            // Keep states with age ≤ h: drop those with t < time − h. The
+            // evaluation over the pruned window is exact because no
+            // temporal operator can look past the horizon (and a pruned
+            // `prev`-predecessor would have been age-gated out anyway).
+            if let Some(cutoff) = time.minus(h) {
+                self.history.prune_before(cutoff);
+            }
+        }
         let i = self.history.len() - 1;
-        let violations = if self.interpret {
-            eval_at(&self.history, i, &self.compiled.body)
-        } else {
-            eval_at_planned(&self.history, i, &self.compiled, &mut self.scratch)
+        let (state, oracle) = (self.history.state(i), NaiveOracle::new(&self.history, i));
+        let unit = Bindings::unit();
+        // Temporal subformulas are answered by the interpreting recursion
+        // (the oracle below) either way: the plan only replaces the
+        // per-step first-order work.
+        let violations = match self.form {
+            Form::Interpreted => eval(&self.compiled.body, state, &oracle, &unit),
+            Form::Planned | Form::Windowed => {
+                let plan = &self.compiled.plans.body;
+                plan.execute(state, &oracle, &unit, &mut self.scratch)
+            }
         };
         Ok(self.compiled.report(time, violations))
     }
@@ -105,11 +120,14 @@ impl Checker for NaiveChecker {
     }
 
     fn name(&self) -> &'static str {
-        "naive"
+        match self.form {
+            Form::Windowed => "windowed",
+            Form::Interpreted | Form::Planned => "naive",
+        }
     }
 
     fn plan_stats(&self) -> Option<crate::plan::RuntimePlanStats> {
-        if self.interpret {
+        if self.form == Form::Interpreted {
             return None;
         }
         // Only the body plan runs here; the temporal recursion stays
@@ -126,34 +144,12 @@ impl Checker for NaiveChecker {
     }
 }
 
-/// Evaluates `f` at position `i` of `history` by recursion, returning the
-/// satisfying assignments over `f`'s free variables.
-pub fn eval_at(history: &History, i: usize, f: &Formula) -> Bindings {
-    let oracle = NaiveOracle::new(history, i);
-    eval(f, history.state(i), &oracle, &Bindings::unit())
-}
-
-/// Evaluates `f` at position `i` under candidate assignments `input`.
-pub fn eval_at_with(history: &History, i: usize, f: &Formula, input: &Bindings) -> Bindings {
+/// Evaluates `f` at position `i` of `history` by recursion under candidate
+/// assignments `input`, returning the satisfying assignments over `f`'s
+/// free variables.
+fn eval_at(history: &History, i: usize, f: &Formula, input: &Bindings) -> Bindings {
     let oracle = NaiveOracle::new(history, i);
     eval(f, history.state(i), &oracle, input)
-}
-
-/// Evaluates `compiled`'s body at position `i` through its compiled plan.
-/// Temporal subformulas are still answered by the interpreting recursion
-/// (the oracle below) — the plan only replaces the per-step first-order
-/// work, exactly as in the other checkers.
-pub fn eval_at_planned(
-    history: &History,
-    i: usize,
-    compiled: &CompiledConstraint,
-    scratch: &mut Scratch,
-) -> Bindings {
-    let oracle = NaiveOracle::new(history, i);
-    compiled
-        .plans
-        .body
-        .execute(history.state(i), &oracle, &Bindings::unit(), scratch)
 }
 
 struct NaiveOracle<'h> {
@@ -215,7 +211,7 @@ impl Oracle for NaiveOracle<'_> {
                 break;
             }
             if age >= interval.lo() {
-                let sat = eval_at(h, j, g).project(&vars);
+                let sat = eval_at(h, j, g, &Bindings::unit()).project(&vars);
                 if !sat.contains(key) {
                     return false;
                 }
@@ -236,7 +232,7 @@ impl NaiveOracle<'_> {
                 }
                 let age = t_i.age_of(h.time(self.i - 1));
                 if interval.contains(age) {
-                    eval_at(h, self.i - 1, g)
+                    eval_at(h, self.i - 1, g, &Bindings::unit())
                 } else {
                     Bindings::none(node.sorted_free_vars())
                 }
@@ -249,7 +245,7 @@ impl NaiveOracle<'_> {
                         break; // even older states only get older
                     }
                     if age >= interval.lo() {
-                        result.union_in_place(&eval_at(h, j, g));
+                        result.union_in_place(&eval_at(h, j, g, &Bindings::unit()));
                     }
                 }
                 result
@@ -268,12 +264,12 @@ impl NaiveOracle<'_> {
                     if age < interval.lo() {
                         continue; // too recent to anchor, but keep scanning
                     }
-                    let mut anchors = eval_at(h, j, g).project(&vars);
+                    let mut anchors = eval_at(h, j, g, &Bindings::unit()).project(&vars);
                     for k in (j + 1)..=self.i {
                         if anchors.is_empty() {
                             break;
                         }
-                        anchors = eval_at_with(h, k, f, &anchors).project(&vars);
+                        anchors = eval_at(h, k, f, &anchors).project(&vars);
                     }
                     result.union_in_place(&anchors);
                 }
@@ -287,8 +283,9 @@ impl NaiveOracle<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtic_relation::{tuple, Schema, Sort};
+    use rtic_relation::{tuple, Catalog, Schema, Sort};
     use rtic_temporal::parser::parse_constraint;
+    use rtic_temporal::Duration;
 
     fn catalog() -> Arc<Catalog> {
         Arc::new(
@@ -300,8 +297,16 @@ mod tests {
         )
     }
 
+    fn compiled(src: &str) -> CompiledConstraint {
+        CompiledConstraint::compile(parse_constraint(src).unwrap(), catalog()).unwrap()
+    }
+
     fn checker(src: &str) -> NaiveChecker {
-        NaiveChecker::new(parse_constraint(src).unwrap(), catalog()).unwrap()
+        NaiveChecker::from_compiled(compiled(src))
+    }
+
+    fn windowed(src: &str) -> NaiveChecker {
+        NaiveChecker::windowed(compiled(src))
     }
 
     #[test]
@@ -394,5 +399,66 @@ mod tests {
         let s2 = c.space();
         assert!(s2.stored_states > s1.stored_states);
         assert!(s2.stored_tuples > s1.stored_tuples);
+    }
+
+    #[test]
+    fn window_stays_bounded_for_finite_horizon() {
+        let mut c = windowed("deny d: p(x) && once[0,3] q(x)");
+        assert_eq!(c.compiled.horizon, Horizon::Finite(Duration(3)));
+        for t in 0..100u64 {
+            c.step(TimePoint(t), &Update::new()).unwrap();
+            assert!(
+                c.space().stored_states <= 4,
+                "window of span 3 keeps ≤ 4 states"
+            );
+        }
+    }
+
+    #[test]
+    fn unbounded_horizon_degenerates_to_naive() {
+        let mut c = windowed("deny d: p(x) && once[2,*] q(x)");
+        assert_eq!(c.compiled.horizon, Horizon::Unbounded);
+        for t in 0..20u64 {
+            c.step(TimePoint(t), &Update::new()).unwrap();
+        }
+        assert_eq!(c.space().stored_states, 20);
+    }
+
+    #[test]
+    fn pruning_preserves_answers() {
+        // once[0,2] q: a q-witness matters for exactly 2 ticks.
+        let mut c = windowed("deny d: p(x) && once[0,2] q(x)");
+        c.step(TimePoint(0), &Update::new().with_insert("q", tuple!["a"]))
+            .unwrap();
+        c.step(
+            TimePoint(1),
+            &Update::new()
+                .with_insert("p", tuple!["a"])
+                .with_delete("q", tuple!["a"]),
+        )
+        .unwrap();
+        let r = c.step(TimePoint(2), &Update::new()).unwrap();
+        assert_eq!(r.violation_count(), 1, "age 2 in window");
+        let r = c.step(TimePoint(3), &Update::new()).unwrap();
+        assert!(r.ok(), "witness expired with the window");
+    }
+
+    #[test]
+    fn nested_horizons_add() {
+        let c = windowed("deny d: p(x) && once[0,2] once[0,3] q(x)");
+        assert_eq!(c.compiled.horizon, Horizon::Finite(Duration(5)));
+    }
+
+    #[test]
+    fn each_form_names_itself_and_only_the_interpreted_one_has_no_plan() {
+        let src = "deny d: p(x) && once[0,2] q(x)";
+        let forms = [
+            (checker(src), "naive", true),
+            (windowed(src), "windowed", true),
+            (NaiveChecker::interpreted(compiled(src)), "naive", false),
+        ];
+        for (c, name, planned) in forms {
+            assert_eq!((c.name(), c.plan_stats().is_some()), (name, planned));
+        }
     }
 }

@@ -23,8 +23,8 @@
 //! [`Plan::execute`] then mirrors the interpreter arm for arm over the same
 //! [`Bindings`] kernels, threading a reusable [`Scratch`] buffer through
 //! the shaped join paths. Planned execution is byte-identical to
-//! interpretation by construction; the differential oracle's `naive-plan`
-//! and `inc-interp` modes pin it.
+//! interpretation by construction; the differential oracle's `windowed`
+//! (against `naive`) and `inc-interp` (against `set`) modes pin it.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;

@@ -1,4 +1,4 @@
-//! Horizon-boundary audit for `WindowedChecker` pruning.
+//! Horizon-boundary audit for the windowed `NaiveChecker`'s pruning.
 //!
 //! The checker keeps states with age ≤ h (h = the compiled horizon) by
 //! dropping those with timestamp < time − h. Two edges are easy to get
@@ -11,12 +11,12 @@
 //!   in-window state reaches back exactly a + b ticks.
 //!
 //! The regression tests pin both edges; the differential sweep checks
-//! pruned evaluation against the full-history `NaiveChecker` over gappy
+//! pruned evaluation against the full-history naive checker over gappy
 //! pseudo-random streams whose alignments repeatedly land on the cutoff.
 
 use std::sync::Arc;
 
-use rtic_core::{Checker, NaiveChecker, WindowedChecker};
+use rtic_core::{Checker, CompiledConstraint, NaiveChecker};
 use rtic_relation::{tuple, Catalog, Schema, Sort, Update};
 use rtic_temporal::parser::parse_constraint;
 use rtic_temporal::TimePoint;
@@ -31,11 +31,12 @@ fn catalog() -> Arc<Catalog> {
     )
 }
 
-fn pair(src: &str) -> (WindowedChecker, NaiveChecker) {
-    let c = parse_constraint(src).unwrap();
+/// The windowed and the full-history form of one compiled constraint.
+fn pair(src: &str) -> (NaiveChecker, NaiveChecker) {
+    let c = CompiledConstraint::compile(parse_constraint(src).unwrap(), catalog()).unwrap();
     (
-        WindowedChecker::new(c.clone(), catalog()).unwrap(),
-        NaiveChecker::new(c, catalog()).unwrap(),
+        NaiveChecker::windowed(c.clone()),
+        NaiveChecker::from_compiled(c),
     )
 }
 

@@ -10,9 +10,10 @@
 //!    random histories (timestamp clusters, horizon-expiring clock gaps,
 //!    relation churn, empty states, quiet runs landing on window edges).
 //! 2. [`modes`] runs each case through every checker realization — naive
-//!    reference, incremental, windowed, active, `ConstraintSet`, a
-//!    kill-at-a-random-step checkpoint/resume stitch, and a live `rtic
-//!    serve` daemon killed and resumed mid-stream (`soak.rs`) —
+//!    reference, windowed, active, the interpreted engine, `ConstraintSet`
+//!    (the incremental checker is a set of one), a kill-at-a-random-step
+//!    checkpoint/resume stitch, and a live `rtic serve` daemon killed and
+//!    resumed mid-stream (`soak.rs`) —
 //!    and [`diff`] asserts byte-identical violation reports. The `set`
 //!    and `stitch` modes check more on the way (observer events, a
 //!    forced-full twin, plan profiles, checkpoint refusals); a failed

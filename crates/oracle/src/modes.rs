@@ -13,7 +13,7 @@ use rtic_core::checkpoint::{self, CheckpointError};
 use rtic_core::observe::CollectingObserver;
 use rtic_core::{
     BackendId, Checker, CompiledConstraint, ConstraintSet, EncodingOptions, IncrementalChecker,
-    NaiveChecker, StepEvent, StepReport, WindowedChecker,
+    NaiveChecker, StepEvent, StepReport,
 };
 use rtic_history::Transition;
 use rtic_relation::{Catalog, Database, Sort, Symbol, Tuple, Value};
@@ -27,15 +27,13 @@ use crate::generate::{Case, SPARE};
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Mode {
     /// A single standalone checker from the shared backend enumeration.
+    /// `Single(Incremental)` is no entry of [`Mode::ALL`]: that checker is
+    /// a one-member [`ConstraintSet`], which `set` steps with more checks.
     Single(BackendId),
-    /// The naive checker evaluating its body through the compiled plan.
-    /// The reference (`Single(Naive)`) runs the interpreting evaluator,
-    /// so this entry diffs planned against interpreted execution over the
-    /// very same history storage.
-    NaivePlanned,
     /// The incremental checker forced back onto the interpreting
-    /// evaluator (`EncodingOptions::interpret_eval`) — the converse
-    /// plan-vs-interpret probe, through the bounded encoding.
+    /// evaluator (`EncodingOptions::interpret_eval`) — the one fuzzed
+    /// check of the executor the engine's planned path is measured and
+    /// tested against.
     IncrementalInterpreted,
     /// A [`ConstraintSet`] of the constraint plus one or two companions
     /// over the spare relation, stepped line by line — pins relevance
@@ -58,13 +56,13 @@ pub enum Mode {
 impl Mode {
     /// Every mode, reference first. The naive checker re-evaluates the
     /// full stored history through the interpreting evaluator and is the
-    /// semantics-defining baseline all other modes are diffed against.
-    pub const ALL: [Mode; 9] = [
+    /// semantics-defining baseline all other modes are diffed against;
+    /// `windowed` runs the same stored-history checker through its
+    /// compiled plan over the horizon's window.
+    pub const ALL: [Mode; 7] = [
         Mode::Single(BackendId::Naive),
-        Mode::Single(BackendId::Incremental),
         Mode::Single(BackendId::Windowed),
         Mode::Single(BackendId::Active),
-        Mode::NaivePlanned,
         Mode::IncrementalInterpreted,
         Mode::SetSequential,
         Mode::Stitch,
@@ -75,7 +73,6 @@ impl Mode {
     pub fn name(self) -> &'static str {
         match self {
             Mode::Single(b) => b.name(),
-            Mode::NaivePlanned => "naive-plan",
             Mode::IncrementalInterpreted => "inc-interp",
             Mode::SetSequential => "set",
             Mode::Stitch => "stitch",
@@ -131,12 +128,6 @@ pub fn run_constraint(
             let checker = single_checker(b, constraint, catalog)?;
             run_single(checker, transitions)
         }
-        Mode::NaivePlanned => {
-            let err = |e: rtic_core::CompileError| format!("constraint `{}`: {e}", constraint.name);
-            let checker =
-                NaiveChecker::new(constraint.clone(), Arc::clone(catalog)).map_err(err)?;
-            run_single(Box::new(checker), transitions)
-        }
         Mode::IncrementalInterpreted => {
             let err = |e: rtic_core::CompileError| format!("constraint `{}`: {e}", constraint.name);
             let options = EncodingOptions {
@@ -188,9 +179,12 @@ pub fn single_checker(
             let plain = CompiledConstraint::compile_unoptimized(c.clone(), Arc::clone(&cat));
             let compiled = plain.or_else(|_| CompiledConstraint::compile(c, cat));
             let compiled = compiled.map_err(err)?;
-            Box::new(NaiveChecker::from_compiled_interpreted(compiled))
+            Box::new(NaiveChecker::interpreted(compiled))
         }
-        BackendId::Windowed => Box::new(WindowedChecker::new(c, cat).map_err(err)?),
+        BackendId::Windowed => {
+            let compiled = CompiledConstraint::compile(c, cat).map_err(err)?;
+            Box::new(NaiveChecker::windowed(compiled))
+        }
         BackendId::Active => Box::new(ActiveChecker::new(c, cat).map_err(err)?),
     })
 }
@@ -566,15 +560,25 @@ mod tests {
         for m in Mode::ALL {
             assert_eq!(Mode::parse(m.name()), Ok(m));
         }
-        assert!(Mode::parse("bogus")
-            .unwrap_err()
-            .contains("unknown backend"));
+        // `naive-plan` and `incremental` were retired with no tombstone:
+        // `windowed` runs the planned naive body, `set` the incremental
+        // checker's one-member fleet.
+        for gone in ["bogus", "naive-plan", "incremental"] {
+            let err = Mode::parse(gone).unwrap_err();
+            assert!(
+                err.starts_with(&format!("unknown backend `{gone}`")),
+                "{err}"
+            );
+        }
         let gone = Mode::parse("fleet-sharded").unwrap_err();
         assert!(
             gone.contains("was removed") && gone.contains("§6a"),
             "{gone}"
         );
-        assert!(Mode::flag_help().starts_with("naive|incremental"));
+        assert_eq!(
+            Mode::flag_help(),
+            "naive|windowed|active|inc-interp|set|stitch|serve"
+        );
     }
 
     #[test]

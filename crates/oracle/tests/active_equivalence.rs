@@ -1,5 +1,6 @@
 //! The active-database checker as seeded oracle runs: its reports are the
-//! incremental checker's, and its space does not grow with the history.
+//! incremental engine's (stepped as a `set` fleet), and its space does not
+//! grow with the history.
 //! A failure panics with the case shrunk to a repro, ready for
 //! `tests/corpus/`.
 
@@ -8,10 +9,7 @@ use rtic_oracle::{fuzz, space_fuzz, GenConfig, Mode};
 
 #[test]
 fn active_agrees_with_incremental() {
-    let modes = [
-        Mode::Single(BackendId::Incremental),
-        Mode::Single(BackendId::Active),
-    ];
+    let modes = [Mode::SetSequential, Mode::Single(BackendId::Active)];
     if let Some(found) = fuzz(19, 32, &GenConfig::default(), &modes) {
         panic!("{found}");
     }

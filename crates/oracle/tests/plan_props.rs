@@ -13,22 +13,13 @@ fn assert_agree(seed: u64, cases: usize, modes: &[Mode]) {
     }
 }
 
-/// The naive checker through its compiled plans against the interpreting
-/// reference.
-#[test]
-fn planned_naive_matches_interpreted_byte_for_byte() {
-    assert_agree(11, 32, &[NAIVE, Mode::NaivePlanned]);
-}
-
-/// The incremental checker through its compiled plans against the same
-/// checker forced onto the interpreting evaluator.
+/// The incremental engine through its compiled plans (the `set` fleet)
+/// against the same engine forced onto the interpreting evaluator. The
+/// naive checker's planned body against its interpreting reference is
+/// `equivalence_props::peephole_optimizer_preserves_reports`.
 #[test]
 fn planned_incremental_matches_interpreted_byte_for_byte() {
-    let modes = [
-        Mode::IncrementalInterpreted,
-        Mode::Single(BackendId::Incremental),
-    ];
-    assert_agree(12, 32, &modes);
+    assert_agree(12, 32, &[Mode::IncrementalInterpreted, Mode::SetSequential]);
 }
 
 /// The `stitch` mode builds its fleet with `profile_plans: true`, checks

@@ -239,7 +239,7 @@ impl Audit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtic_core::{Checker, IncrementalChecker, NaiveChecker};
+    use rtic_core::{Checker, CompiledConstraint, IncrementalChecker, NaiveChecker};
 
     #[test]
     fn deterministic() {
@@ -265,7 +265,7 @@ mod tests {
         assert!(!approvals.is_empty());
         let mut checker =
             IncrementalChecker::new(gen.constraints[0].clone(), Arc::clone(&gen.catalog)).unwrap();
-        let reports = checker.run(gen.transitions.clone()).unwrap();
+        let reports = crate::run(&mut checker, &gen.transitions);
         for exp in &approvals {
             assert!(
                 reports.iter().any(|r| exp.found_in(r)),
@@ -294,7 +294,7 @@ mod tests {
         assert!(!stales.is_empty());
         let mut checker =
             IncrementalChecker::new(gen.constraints[1].clone(), Arc::clone(&gen.catalog)).unwrap();
-        let reports = checker.run(gen.transitions.clone()).unwrap();
+        let reports = crate::run(&mut checker, &gen.transitions);
         for exp in &stales {
             assert!(
                 reports.iter().any(|r| exp.found_in(r)),
@@ -313,7 +313,8 @@ mod tests {
         .generate();
         for c in &gen.constraints {
             let mut inc = IncrementalChecker::new(c.clone(), Arc::clone(&gen.catalog)).unwrap();
-            let mut nai = NaiveChecker::new(c.clone(), Arc::clone(&gen.catalog)).unwrap();
+            let compiled = CompiledConstraint::compile(c.clone(), Arc::clone(&gen.catalog));
+            let mut nai = NaiveChecker::from_compiled(compiled.unwrap());
             for tr in &gen.transitions {
                 let a = inc.step(tr.time, &tr.update).unwrap();
                 let b = nai.step(tr.time, &tr.update).unwrap();
@@ -334,7 +335,7 @@ mod tests {
         assert!(gen.expected.is_empty());
         for c in &gen.constraints {
             let mut checker = IncrementalChecker::new(c.clone(), Arc::clone(&gen.catalog)).unwrap();
-            for r in checker.run(gen.transitions.clone()).unwrap() {
+            for r in crate::run(&mut checker, &gen.transitions) {
                 assert!(r.ok(), "spurious {} violation at {}", r.constraint, r.time);
             }
         }

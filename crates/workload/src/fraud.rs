@@ -338,7 +338,7 @@ mod tests {
         .generate();
         let structuring = gen.constraints[0].clone();
         let mut checker = IncrementalChecker::new(structuring, Arc::clone(&gen.catalog)).unwrap();
-        let reports = checker.run(gen.transitions.clone()).unwrap();
+        let reports = crate::run(&mut checker, &gen.transitions);
         let fired: usize = reports.iter().map(|r| r.violation_count()).sum();
         let injected = gen
             .expected

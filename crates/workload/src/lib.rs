@@ -46,7 +46,9 @@
 //!     Arc::clone(&generated.catalog),
 //! )
 //! .unwrap();
-//! let reports = checker.run(generated.transitions.clone()).unwrap();
+//! let reports: Vec<_> = (generated.transitions.iter())
+//!     .map(|t| checker.step(t.time, &t.update).unwrap())
+//!     .collect();
 //! // Every injected violation is reported at its deadline state.
 //! for expected in &generated.expected {
 //!     assert!(reports.iter().any(|r| expected.found_in(r)));
@@ -99,4 +101,11 @@ pub struct Generated {
     pub transitions: Vec<Transition>,
     /// Injected violations, each at its first-definite state.
     pub expected: Vec<Expected>,
+}
+
+/// Steps `checker` through `transitions`, collecting its reports.
+#[cfg(test)]
+fn run(checker: &mut dyn rtic_core::Checker, ts: &[Transition]) -> Vec<rtic_core::StepReport> {
+    let step = |t: &Transition| checker.step(t.time, &t.update).unwrap();
+    ts.iter().map(step).collect()
 }

@@ -142,7 +142,7 @@ impl Library {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtic_core::{Checker, IncrementalChecker, WindowedChecker};
+    use rtic_core::{Checker, CompiledConstraint, IncrementalChecker, NaiveChecker};
 
     #[test]
     fn deterministic() {
@@ -162,7 +162,7 @@ mod tests {
         assert!(!gen.expected.is_empty());
         let mut checker =
             IncrementalChecker::new(gen.constraints[0].clone(), Arc::clone(&gen.catalog)).unwrap();
-        let reports = checker.run(gen.transitions.clone()).unwrap();
+        let reports = crate::run(&mut checker, &gen.transitions);
         for exp in &gen.expected {
             let report = reports.iter().find(|r| r.time == exp.time).unwrap();
             assert!(exp.found_in(report), "missing overdue loan at {}", exp.time);
@@ -179,7 +179,7 @@ mod tests {
         .generate();
         let mut checker =
             IncrementalChecker::new(gen.constraints[0].clone(), Arc::clone(&gen.catalog)).unwrap();
-        for r in checker.run(gen.transitions.clone()).unwrap() {
+        for r in crate::run(&mut checker, &gen.transitions) {
             assert!(r.ok(), "spurious violation at {}", r.time);
         }
     }
@@ -193,9 +193,10 @@ mod tests {
             ..Default::default()
         }
         .generate();
-        let mut w =
-            WindowedChecker::new(gen.constraints[0].clone(), Arc::clone(&gen.catalog)).unwrap();
-        w.run(gen.transitions.clone()).unwrap();
+        let compiled =
+            CompiledConstraint::compile(gen.constraints[0].clone(), Arc::clone(&gen.catalog));
+        let mut w = NaiveChecker::windowed(compiled.unwrap());
+        crate::run(&mut w, &gen.transitions);
         assert_eq!(w.space().stored_states, 30);
     }
 }

@@ -240,7 +240,7 @@ mod tests {
         assert!(gen.expected.is_empty());
         for c in &gen.constraints {
             let mut checker = IncrementalChecker::new(c.clone(), Arc::clone(&gen.catalog)).unwrap();
-            for r in checker.run(gen.transitions.clone()).unwrap() {
+            for r in crate::run(&mut checker, &gen.transitions) {
                 assert!(
                     r.ok(),
                     "spurious violation of {} at {}",
@@ -262,7 +262,7 @@ mod tests {
         .generate();
         let spike = gen.constraints[1].clone();
         let mut checker = IncrementalChecker::new(spike, Arc::clone(&gen.catalog)).unwrap();
-        let reports = checker.run(gen.transitions.clone()).unwrap();
+        let reports = crate::run(&mut checker, &gen.transitions);
         let fired: usize = reports.iter().map(|r| r.violation_count()).sum();
         assert_eq!(fired, gen.expected.len());
     }

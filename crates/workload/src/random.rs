@@ -102,7 +102,7 @@ impl RandomWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtic_core::{Checker, IncrementalChecker, NaiveChecker};
+    use rtic_core::{Checker, CompiledConstraint, IncrementalChecker, NaiveChecker};
 
     #[test]
     fn deterministic() {
@@ -124,8 +124,9 @@ mod tests {
         .generate();
         let mut inc =
             IncrementalChecker::new(gen.constraints[0].clone(), Arc::clone(&gen.catalog)).unwrap();
-        let mut naive =
-            NaiveChecker::new(gen.constraints[0].clone(), Arc::clone(&gen.catalog)).unwrap();
+        let compiled =
+            CompiledConstraint::compile(gen.constraints[0].clone(), Arc::clone(&gen.catalog));
+        let mut naive = NaiveChecker::from_compiled(compiled.unwrap());
         for tr in &gen.transitions {
             let a = inc.step(tr.time, &tr.update).unwrap();
             let b = naive.step(tr.time, &tr.update).unwrap();

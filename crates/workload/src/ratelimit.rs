@@ -287,7 +287,7 @@ mod tests {
         .generate();
         let hammer = gen.constraints[0].clone();
         let mut checker = IncrementalChecker::new(hammer, Arc::clone(&gen.catalog)).unwrap();
-        let reports = checker.run(gen.transitions.clone()).unwrap();
+        let reports = crate::run(&mut checker, &gen.transitions);
         let fired: usize = reports.iter().map(|r| r.violation_count()).sum();
         assert_eq!(fired, gen.expected.len(), "one firing per injected run");
     }

@@ -173,7 +173,7 @@ impl Reservations {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtic_core::{Checker, IncrementalChecker};
+    use rtic_core::IncrementalChecker;
 
     #[test]
     fn deterministic_given_seed() {
@@ -203,7 +203,7 @@ mod tests {
         );
         let mut checker =
             IncrementalChecker::new(gen.constraints[0].clone(), Arc::clone(&gen.catalog)).unwrap();
-        let reports = checker.run(gen.transitions.clone()).unwrap();
+        let reports = crate::run(&mut checker, &gen.transitions);
         // Every injected violation is found at its first-definite state.
         for exp in &gen.expected {
             let report = reports
@@ -241,7 +241,7 @@ mod tests {
         assert!(gen.expected.is_empty());
         let mut checker =
             IncrementalChecker::new(gen.constraints[0].clone(), Arc::clone(&gen.catalog)).unwrap();
-        for r in checker.run(gen.transitions.clone()).unwrap() {
+        for r in crate::run(&mut checker, &gen.transitions) {
             assert!(r.ok(), "spurious violation at {}", r.time);
         }
     }

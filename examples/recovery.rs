@@ -11,8 +11,15 @@
 use std::sync::Arc;
 
 use rtic::core::checkpoint::{restore, save};
-use rtic::core::{Checker, EncodingOptions, IncrementalChecker};
+use rtic::core::{Checker, EncodingOptions, IncrementalChecker, StepReport};
+use rtic::history::Transition;
 use rtic::workload::Monitor;
+
+/// Steps `checker` through `transitions`, collecting its reports.
+fn run(checker: &mut IncrementalChecker, transitions: &[Transition]) -> Vec<StepReport> {
+    let step = |t: &Transition| checker.step(t.time, &t.update).unwrap();
+    transitions.iter().map(step).collect()
+}
 
 fn main() {
     let spec = Monitor {
@@ -31,16 +38,14 @@ fn main() {
     // Reference: an uninterrupted run.
     let mut reference =
         IncrementalChecker::new(constraint.clone(), Arc::clone(&generated.catalog)).unwrap();
-    let reference_reports = reference.run(generated.transitions.clone()).unwrap();
+    let reference_reports = run(&mut reference, &generated.transitions);
 
     // Interrupted run: process half, checkpoint, drop the checker ("crash"),
     // restore from the text, continue.
     let half = generated.transitions.len() / 2;
     let mut first_half =
         IncrementalChecker::new(constraint.clone(), Arc::clone(&generated.catalog)).unwrap();
-    let mut reports = first_half
-        .run(generated.transitions[..half].to_vec())
-        .unwrap();
+    let mut reports = run(&mut first_half, &generated.transitions[..half]);
     let checkpoint_text = save(&first_half);
     println!(
         "\ncheckpoint after {} transitions: {} bytes, {} lines \
@@ -62,7 +67,7 @@ fn main() {
         &checkpoint_text,
     )
     .unwrap();
-    reports.extend(resumed.run(generated.transitions[half..].to_vec()).unwrap());
+    reports.extend(run(&mut resumed, &generated.transitions[half..]));
 
     assert_eq!(
         reports, reference_reports,

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use rtic::core::{Checker, IncrementalChecker, NaiveChecker, WindowedChecker};
+use rtic::core::{Checker, CompiledConstraint, IncrementalChecker, NaiveChecker};
 use rtic::workload::Reservations;
 
 fn main() {
@@ -27,9 +27,9 @@ fn main() {
     let constraint = generated.constraints[0].clone();
     let mut incremental =
         IncrementalChecker::new(constraint.clone(), Arc::clone(&generated.catalog)).unwrap();
-    let mut windowed =
-        WindowedChecker::new(constraint.clone(), Arc::clone(&generated.catalog)).unwrap();
-    let mut naive = NaiveChecker::new(constraint, Arc::clone(&generated.catalog)).unwrap();
+    let compiled = CompiledConstraint::compile(constraint, Arc::clone(&generated.catalog)).unwrap();
+    let mut windowed = NaiveChecker::windowed(compiled.clone());
+    let mut naive = NaiveChecker::from_compiled(compiled);
 
     let mut caught = 0usize;
     let mut first_detections = 0usize;

@@ -9,7 +9,9 @@
 use std::sync::Arc;
 
 use rtic::core::observe::{sample_space, step_all};
-use rtic::core::{explain, Checker, ConstraintSet, EncodingOptions, NaiveChecker};
+use rtic::core::{
+    explain, Checker, CompiledConstraint, ConstraintSet, EncodingOptions, NaiveChecker,
+};
 use rtic::obs::{ChromeTraceWriter, MetricsRegistry, MultiObserver};
 use rtic::workload::Reservations;
 
@@ -45,9 +47,8 @@ fn main() {
         },
     )
     .unwrap();
-    let mut naive: Vec<Box<dyn Checker>> = vec![Box::new(
-        NaiveChecker::new(constraint, Arc::clone(&generated.catalog)).unwrap(),
-    )];
+    let compiled = CompiledConstraint::compile(constraint, Arc::clone(&generated.catalog)).unwrap();
+    let mut naive: Vec<Box<dyn Checker>> = vec![Box::new(NaiveChecker::from_compiled(compiled))];
     let mut registries = [MetricsRegistry::new(), MetricsRegistry::new()];
 
     // The incremental run also streams to a Chrome trace: open the

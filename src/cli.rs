@@ -13,12 +13,12 @@ use std::time::Duration;
 use rtic_active::ActiveChecker;
 use rtic_core::observe;
 use rtic_core::{explain, BackendId, Checker, CompiledConstraint, EncodingOptions};
-use rtic_core::{ConstraintSet, NaiveChecker, WindowedChecker};
+use rtic_core::{ConstraintSet, NaiveChecker};
 use rtic_core::{StepEvent, StepObserver};
 use rtic_history::log::{format_log, LogErrorKind, LogReader};
 use rtic_history::Transition;
 use rtic_obs::{json, report, ChromeTraceWriter, MetricsRegistry, MultiObserver, TraceWriter};
-use rtic_relation::Symbol;
+use rtic_relation::{LexError, Symbol};
 use rtic_resilience::{
     write_atomic, CheckpointPolicy, CheckpointTicker, FailAction, FailPlan, Rotation,
 };
@@ -362,7 +362,7 @@ fn reference_backend(backend: BackendId) -> Option<MakeReference> {
     match backend {
         BackendId::Incremental => None,
         BackendId::Naive => Some(|c| Box::new(NaiveChecker::from_compiled(c))),
-        BackendId::Windowed => Some(|c| Box::new(WindowedChecker::from_compiled(c))),
+        BackendId::Windowed => Some(|c| Box::new(NaiveChecker::windowed(c))),
         BackendId::Active => Some(|c| Box::new(ActiveChecker::from_compiled(c))),
     }
 }
@@ -957,13 +957,15 @@ fn send_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
     let do_drain = args.iter().any(|a| a == "--drain");
     let connect_timeout: u64 = parsed_flag(args, "--connect-timeout-ms")?.unwrap_or(5000);
 
-    let text = std::fs::read_to_string(log_path)
+    let log = std::fs::File::open(log_path)
         .map_err(|e| format!("cannot read log file `{log_path}`: {e}"))?;
     let mut client = Client::connect_retry(&listen, Duration::from_millis(connect_timeout))?;
-    let mut sent = 0u64;
-    let mut replayed = 0u64;
-    let mut witnesses = 0u64;
-    for line in text.lines() {
+    let (mut sent, mut replayed, mut witnesses) = (0u64, 0u64, 0u64);
+    // Line by line, as `check` reads: the lines before a bad one are sent.
+    for (line, n) in std::io::BufRead::split(std::io::BufReader::new(log), b'\n').zip(1..) {
+        let line = line.map_err(|e| format!("{log_path}:line {n}: I/O error: {e}"))?;
+        let line = std::str::from_utf8(&line)
+            .map_err(|e| format!("{log_path}:line {n}: {}", LexError::Utf8(e.valid_up_to())))?;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
@@ -989,12 +991,9 @@ fn send_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
             "{replayed} update(s) acked as already covered by the server's checkpoint"
         );
     }
-    if client.busy_retries() > 0 {
-        let _ = writeln!(
-            out,
-            "absorbed {} BUSY rejection(s) with backoff",
-            client.busy_retries()
-        );
+    let busy = client.busy_retries();
+    if busy > 0 {
+        let _ = writeln!(out, "absorbed {busy} BUSY rejection(s) with backoff");
     }
     if do_drain {
         let drained = client.drain()?;

@@ -13,7 +13,6 @@ use rtic::active::ActiveChecker;
 use rtic::core::observe::{step_all, CollectingObserver, StepEvent};
 use rtic::core::{
     Checker, CompiledConstraint, ConstraintSet, IncrementalChecker, NaiveChecker, StepReport,
-    WindowedChecker,
 };
 use rtic::temporal::Constraint;
 use rtic::workload::{Audit, Generated, Library, Monitor, RandomWorkload, Reservations};
@@ -218,7 +217,7 @@ fn both_observed_steppers_emit_the_same_events() {
     type Make = fn(CompiledConstraint) -> Box<dyn Checker>;
     let backends: [(&str, Make); 3] = [
         ("naive", |c| Box::new(NaiveChecker::from_compiled(c))),
-        ("windowed", |c| Box::new(WindowedChecker::from_compiled(c))),
+        ("windowed", |c| Box::new(NaiveChecker::windowed(c))),
         ("active", |c| Box::new(ActiveChecker::from_compiled(c))),
     ];
     for (name, make) in backends {

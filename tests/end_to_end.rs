@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use rtic::active::ActiveChecker;
-use rtic::core::{Checker, IncrementalChecker, NaiveChecker, WindowedChecker};
+use rtic::core::{Checker, CompiledConstraint, IncrementalChecker, NaiveChecker};
 use rtic::history::log::parse_log;
 use rtic::temporal::parser::parse_file;
 
@@ -41,12 +41,9 @@ fn checkers_for(file: &rtic::temporal::parser::ConstraintFile) -> Vec<Box<dyn Ch
         out.push(Box::new(
             IncrementalChecker::new(c.clone(), Arc::clone(&catalog)).unwrap(),
         ));
-        out.push(Box::new(
-            NaiveChecker::new(c.clone(), Arc::clone(&catalog)).unwrap(),
-        ));
-        out.push(Box::new(
-            WindowedChecker::new(c.clone(), Arc::clone(&catalog)).unwrap(),
-        ));
+        let compiled = CompiledConstraint::compile(c.clone(), Arc::clone(&catalog)).unwrap();
+        out.push(Box::new(NaiveChecker::from_compiled(compiled.clone())));
+        out.push(Box::new(NaiveChecker::windowed(compiled)));
         out.push(Box::new(
             ActiveChecker::new(c.clone(), Arc::clone(&catalog)).unwrap(),
         ));

@@ -843,3 +843,35 @@ fn serve_resume_flag_validation_and_first_boot() {
     assert_eq!(code.unwrap(), 0, "{out}");
     assert!(!out.contains("resumed from"), "{out}");
 }
+
+/// `rtic send` streams its log line by line, as `check` reads it: a
+/// non-UTF-8 byte on line 4 stops it there, naming the line and byte as
+/// `check` does, after the three lines before it were sent.
+#[test]
+fn send_streams_its_log_and_names_a_line_that_is_not_utf8() {
+    let c = temp_file("send-utf8.rtic", CONSTRAINTS);
+    let l = temp_path("send-utf8.rticlog");
+    let log: &[u8] = b"@0 +reserved(\"ann\", 17)\n@1\n@2\n@4 +reserved(\"b\xff\", 2)\n@5\n";
+    std::fs::write(&l, log).unwrap();
+    let (c, l) = (c.to_str().unwrap(), l.to_str().unwrap());
+    let (code, _) = run(&["check", c, l]);
+    let checked = code.unwrap_err();
+    assert!(
+        checked.ends_with("line 4: invalid UTF-8 at byte 16"),
+        "{checked}"
+    );
+
+    let sock = temp_path("send-utf8.sock");
+    let listen = format!("unix:{}", sock.display());
+    let server = spawn_server(&["serve", c, "--listen", &listen]);
+    let (code, out) = run(&["send", l, "--connect", &listen]);
+    assert_eq!(code.unwrap_err(), checked, "{out}");
+    let mut client = connect(&sock);
+    let status = client.status().unwrap();
+    assert!(
+        status.contains("steps=3"),
+        "the lines before it were sent: {status}"
+    );
+    client.drain().unwrap();
+    assert_eq!(server.join().unwrap().0.unwrap(), 0);
+}
