@@ -77,6 +77,11 @@ pub fn format_log(transitions: &[Transition]) -> String {
     out
 }
 
+/// Room for the run being read, taken once per line that has a change:
+/// longer than the runs of a production line (`serve-mixed`'s longest is
+/// ≈ 40 tuples), so the buffer is not regrown as a run is read.
+const RUN_ROOM: usize = 64;
+
 /// The one line parser behind [`parse_log`], [`LogReader`] and the serve
 /// `UPDATE` payload: the line grammar around the value literals that
 /// [`Lexer`] reads, as checkpoints read theirs.
@@ -84,15 +89,11 @@ pub fn format_log(transitions: &[Transition]) -> String {
 struct LineParser<'s> {
     lex: Lexer<'s>,
     line_no: usize,
-    /// The last relation name read and its symbol: logs list a relation's
-    /// changes together, so a run of equal names is interned once.
-    rel: Option<(&'s [u8], Symbol)>,
     /// The fields of the tuple being read (one buffer per line).
     fields: Vec<Value>,
-    /// The changes read since the sign or the relation last changed, handed
-    /// to the update as one run.
+    /// The run of changes being read, handed to the update whole, so that
+    /// its relation's run is allocated once (one buffer per line).
     run: Vec<Tuple>,
-    run_of: Option<(bool, Symbol)>,
 }
 
 impl<'s> LineParser<'s> {
@@ -140,19 +141,19 @@ impl<'s> LineParser<'s> {
         }
     }
 
-    fn change(&mut self, update: &mut Update) -> Result<(), LogError> {
+    /// A change's sign (`true` inserts) and relation name.
+    fn head(&mut self) -> Result<(bool, &'s [u8]), LogError> {
         let insert = match self.lex.peek() {
             Some(b'+') => true,
             Some(b'-') => false,
             _ => return Err(self.err("expected `+rel(…)` or `-rel(…)`")),
         };
         self.lex.pos += 1;
-        let name = self.ident()?;
-        let rel = match self.rel {
-            Some((last, rel)) if last == name => rel,
-            _ => Symbol::intern(std::str::from_utf8(name).expect("identifiers are ASCII")),
-        };
-        self.rel = Some((name, rel));
+        Ok((insert, self.ident()?))
+    }
+
+    /// A change's parenthesized values.
+    fn tuple(&mut self) -> Result<Tuple, LogError> {
         self.expect(b'(')?;
         self.fields.clear();
         self.skip_ws()?;
@@ -165,21 +166,27 @@ impl<'s> LineParser<'s> {
             self.skip_ws()?;
         }
         self.lex.pos += 1;
-        if self.run_of != Some((insert, rel)) {
-            self.flush(update);
-            self.run_of = Some((insert, rel));
-        }
-        self.run.push(Tuple::new(self.fields.iter().copied()));
-        Ok(())
+        Ok(Tuple::new(self.fields.iter().copied()))
     }
 
-    fn flush(&mut self, update: &mut Update) {
-        if let Some((insert, rel)) = self.run_of.take() {
-            update.extend(insert, rel, self.run.drain(..));
+    /// The next change's tuple, if it is a well-formed change with the
+    /// given sign and relation; otherwise nothing is consumed, and the
+    /// caller reads (or rejects) that change on its own.
+    fn same_run(&mut self, head: (bool, &[u8])) -> Option<Tuple> {
+        let mark = self.lex.pos;
+        let same = !self.at_end().unwrap_or(true) && self.head().is_ok_and(|h| h == head);
+        match same.then(|| self.tuple()) {
+            Some(Ok(tuple)) => Some(tuple),
+            _ => {
+                self.lex.pos = mark;
+                None
+            }
         }
     }
 
-    /// The whole line: `None` when it is blank or only a comment.
+    /// The whole line: `None` when it is blank or only a comment. Each run
+    /// of changes with one sign and one relation is read whole, its
+    /// relation interned once, and appended to the update in one piece.
     fn line(&mut self) -> Result<Option<Transition>, LogError> {
         if self.at_end()? {
             return Ok(None);
@@ -191,9 +198,16 @@ impl<'s> LineParser<'s> {
         }
         let mut update = Update::new();
         while !self.at_end()? {
-            self.change(&mut update)?;
+            let head @ (insert, name) = self.head()?;
+            let rel = Symbol::intern(std::str::from_utf8(name).expect("identifiers are ASCII"));
+            let first = self.tuple()?;
+            self.run.reserve(RUN_ROOM);
+            self.run.push(first);
+            while let Some(tuple) = self.same_run(head) {
+                self.run.push(tuple);
+            }
+            update.extend(insert, rel, self.run.drain(..));
         }
-        self.flush(&mut update);
         Ok(Some(Transition::new(TimePoint(t as u64), update)))
     }
 }
@@ -335,6 +349,26 @@ mod tests {
         for seed in 0..24 {
             let ts = generated_log(seed, 40);
             assert_eq!(parse_log(&format_log(&ts)).unwrap(), ts, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_run_out_of_order_split_or_repeated_parses_to_one_sorted_run() {
+        for (line, values) in [
+            ("@1 +r(\"b\") +r(\"a\")", ["b", "a"]),
+            ("@1 +r(\"a\") +s(1) +r(\"c\")", ["a", "c"]),
+            ("@1 -r(\"d\") -r(\"d\") -r(\"e\")", ["d", "e"]),
+        ] {
+            let update = parse_line(line.as_bytes(), 1).unwrap().unwrap().update;
+            let mut want: Vec<Tuple> = values.iter().map(|v| tuple![*v]).collect();
+            want.sort();
+            let runs = update.inserts().chain(update.deletes());
+            let r = runs.filter(|(rel, _)| rel.as_str() == "r");
+            assert_eq!(
+                r.map(|(_, run)| run.to_vec()).collect::<Vec<_>>(),
+                [want],
+                "on {line}"
+            );
         }
     }
 

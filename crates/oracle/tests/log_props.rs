@@ -5,6 +5,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rtic_history::log::{format_log, parse_log, LogReader};
 use rtic_history::Transition;
+use rtic_oracle::generate::{case, GenConfig, HistoryBias};
 use rtic_oracle::property::{chars, check, vec_of, Shrink};
 use rtic_relation::{Tuple, Update, Value};
 
@@ -113,5 +114,22 @@ fn formatting_is_deterministic() {
     check(4, 256, steps, |s| {
         let ts = transitions(s);
         assert_eq!(format_log(&ts), format_log(&ts));
+    });
+}
+
+/// The oracle's own histories, under either bias, survive the text format:
+/// the updates its generator builds tuple by tuple are the ones the parser
+/// builds run by run.
+#[test]
+fn generated_histories_round_trip() {
+    let draw = |rng: &mut StdRng| (rng.gen_range(0..=u64::MAX), rng.gen_range(0..2) == 1);
+    check(5, 64, draw, |&(seed, resident)| {
+        let bias = [HistoryBias::Churn, HistoryBias::Resident][usize::from(resident)];
+        let cfg = GenConfig {
+            bias,
+            ..GenConfig::default()
+        };
+        let ts = case(seed, 0, &cfg).transitions;
+        assert_eq!(parse_log(&format_log(&ts)).unwrap(), ts);
     });
 }

@@ -227,55 +227,87 @@ impl Database {
     /// Deletions are applied before insertions, so a tuple both deleted and
     /// inserted in the same update ends up present. Deleting an absent tuple
     /// or inserting a present one is a no-op (set semantics). Each relation
-    /// that changed records its net [`RelDelta`].
+    /// that changed records its net [`RelDelta`]. Each tuple costs about
+    /// one hash probe.
     pub fn apply(&mut self, update: &Update) -> Result<(), RelationError> {
         // Validate first — no partial application on error.
-        for (name, tuples) in &update.inserts {
-            let rel = self.relation(*name)?;
+        for (name, tuples) in update.inserts() {
+            let rel = self.relation(name)?;
             for t in tuples {
                 rel.schema().check(t)?;
             }
         }
-        for name in update.deletes.keys() {
-            self.relation(*name)?;
+        for (name, _) in update.deletes() {
+            self.relation(name)?;
         }
-        let none = BTreeSet::new();
-        let inserted_only = (update.inserts.keys()).filter(|n| !update.deletes.contains_key(n));
-        for &name in update.deletes.keys().chain(inserted_only) {
-            let del = update.deletes.get(&name).unwrap_or(&none);
-            let ins = update.inserts.get(&name).unwrap_or(&none);
+        let deleted = update
+            .deletes()
+            .map(|(n, del)| (n, update.inserts.run(n), del));
+        let inserted_only = (update.inserts())
+            .filter(|&(n, _)| update.deletes.run(n).is_empty())
+            .map(|(n, ins)| (n, ins, &[][..]));
+        for (name, ins, del) in deleted.chain(inserted_only) {
             let rel = self.relations.get_mut(&name).expect("validated above");
-            let present = |t: &&Tuple| rel.contains(t);
-            let mut removed: Vec<Tuple> = (del.iter().filter(present))
-                .filter(|t| !ins.contains(*t))
-                .cloned()
-                .collect();
-            let added: Vec<Tuple> = ins.iter().filter(|t| !rel.contains(t)).cloned().collect();
-            let gone = removed.len();
-            if self.unnetted_reinsert {
-                let again = del.iter().filter(present).filter(|t| ins.contains(*t));
-                removed.extend(again.cloned());
-            }
-            if added.is_empty() && removed.is_empty() {
-                continue;
-            }
             let from = rel.version();
-            let set = rel.edit(&mut self.rows_copied);
-            for t in &removed[..gone] {
-                set.remove(t);
-            }
-            set.extend(added.iter().cloned());
+            let (added, removed) =
+                apply_runs(rel, ins, del, self.unnetted_reinsert, &mut self.rows_copied);
             let to = rel.version();
-            let delta = RelDelta {
-                from,
-                to,
-                added,
-                removed,
-            };
-            self.deltas.insert(name, Arc::new(delta));
+            if to != from {
+                let delta = RelDelta {
+                    from,
+                    to,
+                    added,
+                    removed,
+                };
+                self.deltas.insert(name, Arc::new(delta));
+            }
         }
         Ok(())
     }
+}
+
+/// Deletes `del` from `rel` and inserts `ins`, both sorted runs, under the
+/// net-delta rules of [`Database::apply`], and returns what was added and
+/// what removed. The tuples before the first change are probed; from there
+/// on each is probed by its removal or insertion, so every tuple costs one
+/// hash probe, and the version moves only if something changed. `unnetted`
+/// is the planted fault: a tuple deleted and re-inserted is reported
+/// removed as well.
+fn apply_runs(
+    rel: &mut Relation,
+    ins: &[Tuple],
+    del: &[Tuple],
+    unnetted: bool,
+    copied: &mut u64,
+) -> (Vec<Tuple>, Vec<Tuple>) {
+    let reinserted = |t: &Tuple| ins.binary_search(t).is_ok();
+    let first_del = (del.iter()).position(|t| (unnetted || !reinserted(t)) && rel.contains(t));
+    let first_ins = ins.iter().position(|t| !rel.contains(t));
+    if first_del.is_none() && first_ins.is_none() {
+        return (Vec::new(), Vec::new());
+    }
+    let set = rel.edit(copied);
+    let deleting = &del[first_del.unwrap_or(del.len())..];
+    let inserting = &ins[first_ins.unwrap_or(ins.len())..];
+    let (mut removed, mut again) = (Vec::with_capacity(deleting.len()), Vec::new());
+    for t in deleting {
+        if !reinserted(t) {
+            if set.remove(t) {
+                removed.push(t.clone());
+            }
+        } else if unnetted && set.contains(t) {
+            again.push(t.clone());
+        }
+    }
+    removed.append(&mut again);
+    set.reserve(inserting.len());
+    let mut added = Vec::with_capacity(inserting.len());
+    for t in inserting {
+        if set.insert(t.clone()) {
+            added.push(t.clone());
+        }
+    }
+    (added, removed)
 }
 
 impl fmt::Display for Database {
@@ -287,14 +319,62 @@ impl fmt::Display for Database {
     }
 }
 
-/// A transactional update: sets of tuples to delete and insert, per relation.
+/// A transactional update: tuples to delete and insert, per relation.
 ///
 /// This is the unit in which a history advances: one update plus one
-/// timestamp produces the next database state.
+/// timestamp produces the next database state. Each side holds, per
+/// relation, one run of tuples that is sorted and free of repeats, the
+/// runs in name order. Tuples that arrive in order are appended to their
+/// relation's run, and a run is sorted only when one arrives out of order.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Update {
-    inserts: BTreeMap<Symbol, BTreeSet<Tuple>>,
-    deletes: BTreeMap<Symbol, BTreeSet<Tuple>>,
+    inserts: Runs,
+    deletes: Runs,
+}
+
+/// One side of an [`Update`]: each relation with a non-empty run, in name
+/// order, and its run, sorted and free of repeats.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+struct Runs(Vec<(Symbol, Vec<Tuple>)>);
+
+impl Runs {
+    fn iter(&self) -> impl Iterator<Item = (Symbol, &[Tuple])> {
+        self.0.iter().map(|(rel, run)| (*rel, &run[..]))
+    }
+
+    /// `relation`'s run; empty when it has none.
+    fn run(&self, relation: Symbol) -> &[Tuple] {
+        match self.0.binary_search_by_key(&relation, |(r, _)| *r) {
+            Ok(at) => &self.0[at].1,
+            Err(_) => &[],
+        }
+    }
+
+    /// Appends `tuples` to `relation`'s run, and sorts the run only if one
+    /// of them arrived before its predecessor.
+    fn add(&mut self, relation: Symbol, tuples: impl IntoIterator<Item = Tuple>) {
+        let at = match self.0.binary_search_by_key(&relation, |(r, _)| *r) {
+            Ok(at) => at,
+            Err(at) => {
+                self.0.insert(at, (relation, Vec::new()));
+                at
+            }
+        };
+        let run = &mut self.0[at].1;
+        let old = run.len();
+        run.extend(tuples);
+        if !run[old.saturating_sub(1)..].is_sorted_by(|a, b| a < b) {
+            run.sort();
+            run.dedup();
+        }
+        if run.is_empty() {
+            self.0.remove(at);
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.0.iter().map(|(_, run)| run.len()).sum()
+    }
 }
 
 impl Update {
@@ -305,31 +385,26 @@ impl Update {
 
     /// Whether the update changes nothing.
     pub fn is_empty(&self) -> bool {
-        self.inserts.values().all(BTreeSet::is_empty)
-            && self.deletes.values().all(BTreeSet::is_empty)
+        self.inserts.0.is_empty() && self.deletes.0.is_empty()
     }
 
     /// Records an insertion.
     pub fn insert(&mut self, relation: impl Into<Symbol>, tuple: Tuple) -> &mut Update {
-        self.inserts
-            .entry(relation.into())
-            .or_default()
-            .insert(tuple);
+        self.inserts.add(relation.into(), std::iter::once(tuple));
         self
     }
 
     /// Records a deletion.
     pub fn delete(&mut self, relation: impl Into<Symbol>, tuple: Tuple) -> &mut Update {
-        self.deletes
-            .entry(relation.into())
-            .or_default()
-            .insert(tuple);
+        self.deletes.add(relation.into(), std::iter::once(tuple));
         self
     }
 
     /// Records a run of insertions (`insert = true`) or deletions into one
-    /// relation. A run into a still-empty set is built in one pass instead
-    /// of tuple by tuple — how a log line that loads a table arrives.
+    /// relation: the tuples are appended to the relation's run, which is
+    /// sorted once, at the end, only if one of them arrived out of order.
+    /// How a log line hands over each run of changes with one sign and one
+    /// relation.
     pub fn extend(
         &mut self,
         insert: bool,
@@ -341,12 +416,7 @@ impl Update {
         } else {
             &mut self.deletes
         };
-        let set = side.entry(relation.into()).or_default();
-        if set.is_empty() {
-            *set = tuples.into_iter().collect();
-        } else {
-            set.extend(tuples);
-        }
+        side.add(relation.into(), tuples);
     }
 
     /// Builder-style [`Update::insert`].
@@ -361,20 +431,19 @@ impl Update {
         self
     }
 
-    /// Insertions, per relation, in deterministic order.
-    pub fn inserts(&self) -> impl Iterator<Item = (Symbol, &BTreeSet<Tuple>)> {
-        self.inserts.iter().map(|(n, s)| (*n, s))
+    /// Insertions: each relation's sorted run, in name order.
+    pub fn inserts(&self) -> impl Iterator<Item = (Symbol, &[Tuple])> {
+        self.inserts.iter()
     }
 
-    /// Deletions, per relation, in deterministic order.
-    pub fn deletes(&self) -> impl Iterator<Item = (Symbol, &BTreeSet<Tuple>)> {
-        self.deletes.iter().map(|(n, s)| (*n, s))
+    /// Deletions: each relation's sorted run, in name order.
+    pub fn deletes(&self) -> impl Iterator<Item = (Symbol, &[Tuple])> {
+        self.deletes.iter()
     }
 
     /// Total number of tuple insertions and deletions recorded.
     pub fn len(&self) -> usize {
-        self.inserts.values().map(BTreeSet::len).sum::<usize>()
-            + self.deletes.values().map(BTreeSet::len).sum::<usize>()
+        self.inserts.len() + self.deletes.len()
     }
 }
 
@@ -517,6 +586,13 @@ mod tests {
         db.apply(&Update::new().with_delete("r", tuple!["missing"]))
             .unwrap();
         assert_eq!(db.rel_gen(r), r1, "deleting an absent tuple is a no-op");
+        // Both in one update: still no change, and no delta recorded.
+        let delta = db.rel_delta(r).cloned();
+        let both = Update::new()
+            .with_delete("r", tuple!["missing"])
+            .with_insert("r", tuple!["a"]);
+        db.apply(&both).unwrap();
+        assert_eq!((db.rel_gen(r), db.rel_delta(r).cloned()), (r1, delta));
         assert_eq!(db.rel_gen(Symbol::intern("zzz")), 0);
     }
 
@@ -653,6 +729,37 @@ mod tests {
             (whole.rel_gen(s), whole.rel_delta(s).cloned()),
             (gen, delta)
         );
+    }
+
+    #[test]
+    fn each_relation_is_one_sorted_run_however_its_tuples_arrive() {
+        let (r, s) = (Symbol::intern("r"), Symbol::intern("s"));
+        let (lo, hi) = (r.min(s), r.max(s));
+        let t = |k: i64| tuple![k];
+        let mut u = Update::new();
+        u.extend(true, hi, [t(5), t(1)]); // out of order
+        u.extend(true, lo, [t(2), t(2)]); // a repeat, in front of `hi`'s run
+        u.extend(true, hi, [t(3), t(1)]); // `hi` split over two runs
+        u.extend(true, lo, [t(0)]); // out of order, in front of `hi`'s run
+        u.extend(true, lo, []);
+        assert_eq!(u.len(), 5);
+        let (lo_run, hi_run) = ([t(0), t(2)], [t(1), t(3), t(5)]);
+        let runs: Vec<(Symbol, &[Tuple])> = vec![(lo, &lo_run), (hi, &hi_run)];
+        assert_eq!(u.inserts().collect::<Vec<_>>(), runs);
+        assert_eq!(u.deletes().count(), 0, "an empty run records nothing");
+        let mut one_by_one = Update::new();
+        for (rel, k) in [
+            (hi, 5),
+            (hi, 1),
+            (lo, 2),
+            (lo, 2),
+            (hi, 3),
+            (hi, 1),
+            (lo, 0),
+        ] {
+            one_by_one.insert(rel, t(k));
+        }
+        assert_eq!(u, one_by_one);
     }
 
     #[test]

@@ -229,7 +229,9 @@ fn flood_never_exceeds_the_queue_bound_and_rejects_with_busy() {
 }
 
 /// The bundled client's capped-backoff retry absorbs `BUSY` until the
-/// queue frees up, then the update lands.
+/// queue frees up, then the update lands. Each side waits on `QUERY status`
+/// rather than on a clock: the client sends only once the queue is full,
+/// and the queue is resumed only once the daemon has shed an attempt.
 #[test]
 fn bundled_client_retries_busy_until_capacity_frees() {
     let c = temp_file("retry.rtic", CONSTRAINTS);
@@ -249,13 +251,14 @@ fn bundled_client_retries_busy_until_capacity_frees() {
     assert_eq!(control.read_line(), "OK paused");
     control.send("@1");
     control.send("@2");
+    status_until(&mut Raw::connect(&sock), |s| s.contains("queue=2/2"));
 
-    // Resume 150ms from now, while the bundled client is retrying.
+    // Resume once the bundled client has been turned away at least once.
     let resumer = std::thread::spawn({
         let sock = sock.clone();
         move || {
-            std::thread::sleep(Duration::from_millis(150));
             let mut raw = Raw::connect(&sock);
+            status_until(&mut raw, |s| !s.contains(" shed=0 "));
             raw.send("RESUME");
             assert_eq!(raw.read_line(), "OK resumed");
         }
@@ -680,15 +683,18 @@ fn crash_inside_a_drain_acks_nothing_and_resumes_to_batch_check() {
     assert_eq!(reported, violations(&batch));
 }
 
-/// Polls `QUERY status` until it contains `want`.
-fn status_until(raw: &mut Raw, want: &str) -> String {
+/// Polls `QUERY status` until `ready` holds of the status line.
+fn status_until(raw: &mut Raw, ready: impl Fn(&str) -> bool) -> String {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let status = raw.read_line_after(&mut |raw| raw.send("QUERY status"));
-        if status.contains(want) {
+        if ready(&status) {
             return status;
         }
-        assert!(Instant::now() < deadline, "never saw `{want}`: {status}");
+        assert!(
+            Instant::now() < deadline,
+            "status never got there: {status}"
+        );
         std::thread::sleep(Duration::from_millis(5));
     }
 }
@@ -722,7 +728,7 @@ fn status_reports_the_durable_checkpoint_not_the_hand_off() {
     assert!(status.contains(" ckpt_age_ms=- sealed=- "), "{status}");
     raw.send("@0 +reserved(\"ann\", 17)");
     assert_eq!(raw.read_line(), "OK 0");
-    let status = status_until(&mut raw, "sealed=@0 ");
+    let status = status_until(&mut raw, |s| s.contains("sealed=@0 "));
     assert!(!status.contains("ckpt_age_ms=-"), "{status}");
     // The second checkpoint's write fails on the writer thread, after
     // its pass was acked: nothing about it became durable.
