@@ -21,7 +21,10 @@
 use std::fmt;
 use std::sync::Arc;
 
-use rtic_relation::{fresh_version, FastMap, Relation, Symbol, Tuple, TupleMap, TupleSet, Value};
+use rtic_relation::{
+    fresh_version, index_by, ColumnIndex, FastMap, Relation, Symbol, Tuple, TupleMap, TupleSet,
+    Value,
+};
 use rtic_temporal::ast::{Term, Var};
 
 /// A finite set of assignments over a sorted variable list.
@@ -51,16 +54,14 @@ impl PartialEq for Bindings {
 
 impl Eq for Bindings {}
 
-/// Reusable executor scratch: the probe-key buffer join kernels fill once
-/// per input row, the memo of database-pure plan-node results, and the
-/// row-delta records that let downstream consumers advance in O(|delta|).
-/// Threading one `Scratch` through a whole run means steady-state stepping
-/// reuses a single key allocation instead of building a fresh `Vec` on
-/// every probe, and steps that leave a subtree's relations alone replay
+/// Reusable executor scratch: the memo of database-pure plan-node results,
+/// the row-delta records that let downstream consumers advance in
+/// O(|delta|), and the kernels' statistics. Join and index keys are inline
+/// tuples, so no probe needs a key buffer. Threading one `Scratch` through
+/// a whole run means steps that leave a subtree's relations alone replay
 /// its memoized result instead of re-hashing every tuple.
 #[derive(Clone, Debug, Default)]
 pub struct Scratch {
-    key: Vec<Value>,
     high_water: usize,
     /// Memo of database-pure unit-input subtrees, keyed by cache slot and
     /// validated against the versions of the relations the subtree reads,
@@ -129,7 +130,7 @@ pub(crate) struct ProbePartition {
     /// For a projecting probe, the input's rows by probed key, so a
     /// flipped key finds its rows: built by the first advance with flips
     /// to apply, then kept up to date. `None` while rows are their keys.
-    by_key: Option<TupleMap<Vec<Tuple>>>,
+    by_key: Option<ColumnIndex>,
 }
 
 impl ProbePartition {
@@ -190,11 +191,7 @@ impl ProbePartition {
             }
         }
         if let (Some(p), None, false) = (proj, &self.by_key, flipped.is_empty()) {
-            let mut ix: TupleMap<Vec<Tuple>> = TupleMap::default();
-            for row in input.rows() {
-                ix.entry(row.project(p)).or_default().push(row.clone());
-            }
-            self.by_key = Some(ix);
+            self.by_key = Some(index_by(input.rows(), p));
         }
         // Whether each flipped key's rows, and each added row, belong on
         // the kept side.
@@ -240,7 +237,7 @@ impl ProbePartition {
 /// The input rows of a flipped key: filed under it by a projecting
 /// partition, or the key itself when the input holds it.
 fn keyed_rows<'k>(
-    by_key: &'k Option<TupleMap<Vec<Tuple>>>,
+    by_key: &'k Option<ColumnIndex>,
     input: &Bindings,
     key: &'k Arc<Tuple>,
 ) -> &'k [Tuple] {
@@ -261,12 +258,7 @@ fn probe(proj: Option<&[usize]>, row: &Tuple, holds_key: &dyn Fn(&Tuple) -> bool
 
 /// Files `row` under its key in a projecting partition's index, once
 /// built (or takes it out).
-fn index(
-    by_key: &mut Option<TupleMap<Vec<Tuple>>>,
-    proj: Option<&[usize]>,
-    row: &Tuple,
-    add: bool,
-) {
+fn index(by_key: &mut Option<ColumnIndex>, proj: Option<&[usize]>, row: &Tuple, add: bool) {
     let (Some(ix), Some(p)) = (by_key, proj) else {
         return;
     };
@@ -287,7 +279,8 @@ impl Scratch {
         Scratch::default()
     }
 
-    /// Widest probe key the buffer has ever held (plan statistics).
+    /// Widest join or index key any kernel has probed with (plan
+    /// statistics).
     pub fn high_water(&self) -> usize {
         self.high_water
     }
@@ -851,60 +844,23 @@ impl Bindings {
         if self.vars.is_empty() && self.len() == 1 {
             return other.clone();
         }
-        // Single-key fast path: gather the build side's key column into
-        // one flat block and hash `Value → row ids` over it — no per-row
-        // `Vec<Value>` key allocations on either side.
-        if shape.lpos.len() == 1 {
-            return self.natural_join_single_key(other, shape, scratch);
-        }
-        let mut table: FastMap<Vec<Value>, Vec<&Tuple>> =
-            FastMap::with_capacity_and_hasher(other.rows.len(), Default::default());
-        for r in other.rows.iter() {
-            table
-                .entry(shape.rpos.iter().map(|&i| r[i]).collect())
-                .or_default()
-                .push(r);
-        }
+        // Build side `other`, probe side `self`: each streamed as a block,
+        // noted before an empty side returns so the statistics read alike.
         scratch.note_width(shape.lpos.len());
-        let mut rows = TupleSet::default();
-        for l in self.rows.iter() {
-            scratch.key.clear();
-            scratch.key.extend(shape.lpos.iter().map(|&i| l[i]));
-            if let Some(matches) = table.get(&scratch.key) {
+        scratch.note_block(other.len() as u64);
+        scratch.note_block(self.len() as u64);
+        if self.is_empty() || other.is_empty() {
+            return Bindings::build(shape.vars.clone(), TupleSet::default());
+        }
+        let mut table: TupleMap<Vec<&Tuple>> =
+            TupleMap::with_capacity_and_hasher(other.len(), Default::default());
+        for r in other.rows() {
+            table.entry(r.project(&shape.rpos)).or_default().push(r);
+        }
+        let mut rows = TupleSet::with_capacity_and_hasher(self.len(), Default::default());
+        for l in self.rows() {
+            if let Some(matches) = table.get(&l.project(&shape.lpos)) {
                 rows.extend(matches.iter().map(|r| shape.joined(l, r)));
-            }
-        }
-        Bindings::build(shape.vars.clone(), rows)
-    }
-
-    /// The columnar build/probe kernel behind [`Bindings::natural_join_shaped`]
-    /// for single-variable join keys: build once over the key column slice,
-    /// probe with bare `Value`s.
-    fn natural_join_single_key(
-        &self,
-        other: &Bindings,
-        shape: &JoinShape,
-        scratch: &mut Scratch,
-    ) -> Bindings {
-        let rkey = shape.rpos[0];
-        let lkey = shape.lpos[0];
-        // Columnar build: one pass gathers row handles and the flat key
-        // column, then the hash table maps each key value to row ids.
-        let build: Vec<&Tuple> = other.rows.iter().collect();
-        let keys: Vec<Value> = build.iter().map(|r| r[rkey]).collect();
-        let mut table: FastMap<Value, Vec<u32>> =
-            FastMap::with_capacity_and_hasher(build.len(), Default::default());
-        for (i, k) in keys.iter().enumerate() {
-            #[allow(clippy::cast_possible_truncation)]
-            table.entry(*k).or_default().push(i as u32);
-        }
-        scratch.note_block(build.len() as u64);
-        scratch.note_block(self.rows.len() as u64);
-        scratch.note_width(1);
-        let mut rows = TupleSet::with_capacity_and_hasher(self.rows.len(), Default::default());
-        for l in self.rows.iter() {
-            if let Some(matches) = table.get(&l[lkey]) {
-                rows.extend(matches.iter().map(|&i| shape.joined(l, build[i as usize])));
             }
         }
         Bindings::build(shape.vars.clone(), rows)
@@ -952,26 +908,26 @@ impl Bindings {
         shape: &AtomShape,
         scratch: &mut Scratch,
     ) -> Bindings {
+        // The scan streams the input rows as one block. No input rows
+        // return before `index_on`, which could rebuild a whole index.
+        scratch.note_width(shape.index_cols.len());
+        scratch.note_block(self.rows.len() as u64);
+        if self.is_empty() {
+            return Bindings::build(shape.vars.clone(), TupleSet::default());
+        }
         // Probe through the relation's cached index, keyed by the constant
         // positions followed by the bound-variable positions — the index is
         // built once per relation version and shared by every atom
-        // evaluation with the same shape.
+        // evaluation with the same shape. Size the output for the common
+        // one-match-per-probe case up front.
         let index = rel.index_on(&shape.index_cols);
-        scratch.note_width(shape.index_cols.len());
-        // The scan streams the input rows as one block; size the output
-        // for the common one-match-per-probe case up front.
-        scratch.note_block(self.rows.len() as u64);
         let mut rows =
             TupleSet::with_capacity_and_hasher(self.rows.len().max(rel.len()), Default::default());
         for l in self.rows.iter() {
-            scratch.key.clear();
-            scratch
-                .key
-                .extend(shape.const_checks.iter().map(|&(_, c)| c));
-            scratch
-                .key
-                .extend(shape.bound_positions.iter().map(|&(_, col)| l[col]));
-            let Some(matches) = index.get(&scratch.key) else {
+            let key: Tuple = (shape.const_checks.iter().map(|&(_, c)| c))
+                .chain(shape.bound_positions.iter().map(|&(_, col)| l[col]))
+                .collect();
+            let Some(matches) = index.get(&key) else {
                 continue;
             };
             for t in matches.iter().filter(|t| shape.consistent(t)) {
@@ -1149,6 +1105,45 @@ mod tests {
         assert_eq!(Bindings::unit().natural_join(&l), l);
     }
 
+    /// The natural join as a nested loop over both sides: the reference
+    /// the hash kernel must match.
+    fn nested_loop_join(l: &Bindings, r: &Bindings) -> Bindings {
+        let shared: Vec<(usize, usize)> = (l.vars().iter().enumerate())
+            .filter_map(|(i, v)| Some((i, r.position(*v)?)))
+            .collect();
+        let fresh: Vec<usize> = (0..r.vars().len())
+            .filter(|j| !shared.iter().any(|&(_, k)| k == *j))
+            .collect();
+        let mut vars = l.vars().to_vec();
+        vars.extend(fresh.iter().map(|&j| r.vars()[j]));
+        let mut rows = Vec::new();
+        for lr in l.rows() {
+            for rr in r.rows() {
+                if shared.iter().all(|&(i, j)| lr[i] == rr[j]) {
+                    let tail = fresh.iter().map(|&j| rr[j]);
+                    rows.push(lr.values().iter().copied().chain(tail).collect());
+                }
+            }
+        }
+        Bindings::from_rows(vars, rows)
+    }
+
+    /// `n` rows over `width` key columns `jk0…`, which every side shares,
+    /// plus a column of the side's own, `{p}own`: keys repeat every three
+    /// rows, so two sides match many-to-many.
+    fn keyed(p: &str, width: usize, n: i64) -> Bindings {
+        let mut names: Vec<String> = (0..width).map(|j| format!("jk{j}")).collect();
+        names.push(format!("{p}own"));
+        let vars = names.iter().map(|v| var(v)).collect();
+        let row = |i: i64| {
+            (0..width as i64)
+                .map(|j| Value::Int((i * (j + 1)) % 3))
+                .chain([Value::Int(i)])
+                .collect()
+        };
+        Bindings::from_rows(vars, (0..n).map(row))
+    }
+
     #[test]
     fn shaped_join_matches_unshaped_and_reuses_scratch() {
         let l = b(&["jx", "jy"], vec![tuple![1, 10], tuple![2, 20]]);
@@ -1158,6 +1153,39 @@ mod tests {
         let shaped = l.natural_join_shaped(&r, &shape, &mut scratch);
         assert_eq!(shaped, l.natural_join(&r));
         assert_eq!(scratch.high_water(), 1, "one shared join-key column");
+        // Key widths 0 (a cross product) to 5 (a key past a tuple's inline
+        // arity), against a nested loop; an empty side and the unit too.
+        for width in [0, 1, 2, 4, 5] {
+            let (l, r) = (keyed("jl", width, 9), keyed("jr", width, 7));
+            let empty = Bindings::none(r.vars().iter().copied());
+            for (l, r) in [(&l, &r), (&r, &l), (&l, &empty), (&empty, &l)] {
+                let shape = JoinShape::compute(l.vars(), r.vars());
+                let mut scratch = Scratch::new();
+                let joined = l.natural_join_shaped(r, &shape, &mut scratch);
+                assert_eq!(joined, nested_loop_join(l, r), "width {width}");
+                assert_eq!(scratch.high_water(), width, "width {width}");
+            }
+            for (l, r) in [(&l, &Bindings::unit()), (&Bindings::unit(), &l)] {
+                let shape = JoinShape::compute(l.vars(), r.vars());
+                let joined = l.natural_join_shaped(r, &shape, &mut Scratch::new());
+                assert_eq!(joined, nested_loop_join(l, r), "width {width}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_hash_join_notes_both_sides_as_blocks() {
+        for width in [0, 1, 2, 4, 5] {
+            let (l, r) = (keyed("bl", width, 9), keyed("br", width, 7));
+            let empty = Bindings::none(r.vars().iter().copied());
+            for (l, r) in [(&l, &r), (&l, &empty)] {
+                let shape = JoinShape::compute(l.vars(), r.vars());
+                let mut scratch = Scratch::new();
+                l.natural_join_shaped(r, &shape, &mut scratch);
+                let rows = (l.len() + r.len()) as u64;
+                assert_eq!(scratch.block_counts(), (2, rows), "width {width}");
+            }
+        }
     }
 
     #[test]
@@ -1197,6 +1225,133 @@ mod tests {
 
     fn rel(rows: Vec<Tuple>) -> Relation {
         Relation::from_tuples(Schema::of(&[("a", Sort::Int), ("b", Sort::Int)]), rows).unwrap()
+    }
+
+    /// The atom join as a filtering scan of every (input row, tuple)
+    /// pair: the reference the index probe must match.
+    fn filtering_scan(input: &Bindings, rel: &Relation, terms: &[Term]) -> Bindings {
+        let mut new: Vec<Var> = Vec::new();
+        for t in terms {
+            if let Term::Var(v) = t {
+                if input.position(*v).is_none() && !new.contains(v) {
+                    new.push(*v);
+                }
+            }
+        }
+        let mut vars = input.vars().to_vec();
+        vars.extend(&new);
+        let mut rows = Vec::new();
+        for l in input.rows() {
+            for t in rel.iter() {
+                let mut bound: Vec<Option<Value>> = vec![None; new.len()];
+                let passes = (terms.iter().enumerate()).all(|(i, term)| match term {
+                    Term::Const(c) => t[i] == *c,
+                    Term::Var(v) => match (input.position(*v), new.iter().position(|u| u == v)) {
+                        (Some(col), _) => t[i] == l[col],
+                        (None, Some(n)) => *bound[n].get_or_insert(t[i]) == t[i],
+                        (None, None) => unreachable!("every variable is bound or new"),
+                    },
+                });
+                if passes {
+                    let tail = bound.into_iter().map(|v| v.expect("new variable bound"));
+                    rows.push(l.values().iter().copied().chain(tail).collect());
+                }
+            }
+        }
+        Bindings::from_rows(vars, rows)
+    }
+
+    /// A five-column relation: about two in five of the 3⁵ rows over
+    /// `{0, 1, 2}`.
+    fn rel5() -> Relation {
+        let schema = ["c0", "c1", "c2", "c3", "c4"].map(|c| (c, Sort::Int));
+        let digits = |i: i64| {
+            (0..5)
+                .map(move |j| Value::Int(i / 3_i64.pow(j) % 3))
+                .collect()
+        };
+        let rows = (0..243).filter(|i| i * 7 % 5 < 2).map(digits);
+        Relation::from_tuples(Schema::of(&schema), rows).unwrap()
+    }
+
+    /// An atom over [`rel5`] whose first `width` positions are bound by the
+    /// input (`ab0…`, beside an input column `aio` the atom does not
+    /// read), the rest a constant, a repeated new variable, another new
+    /// variable and a second constant; and that input.
+    fn bound_atom(width: usize) -> (Bindings, Vec<Term>) {
+        let rest = [
+            Term::int(1),
+            Term::var("an"),
+            Term::var("an"),
+            Term::var("am"),
+            Term::int(0),
+        ];
+        let bound: Vec<String> = (0..width).map(|j| format!("ab{j}")).collect();
+        let terms: Vec<Term> = (bound.iter().map(|v| Term::var(v.as_str())))
+            .chain(rest.iter().take(5 - width).cloned())
+            .collect();
+        let mut vars: Vec<Var> = bound.iter().map(|v| var(v)).collect();
+        vars.push(var("aio"));
+        let row = |i: i64| {
+            (0..width as i64)
+                .map(|j| Value::Int((i * (j + 1) + i / 4) % 3))
+                .chain([Value::Int(i)])
+                .collect()
+        };
+        (Bindings::from_rows(vars, (0..24).map(row)), terms)
+    }
+
+    #[test]
+    fn join_atom_matches_a_filtering_scan() {
+        let r = rel5();
+        // Bound widths 0–5, with constants and a repeated new variable
+        // beside them: index keys up to five columns wide.
+        for width in 0..=5 {
+            let (input, terms) = bound_atom(width);
+            let empty = Bindings::none(input.vars().iter().copied());
+            for input in [&input, &empty, &Bindings::unit()] {
+                let shape = AtomShape::compute(input.vars(), &terms);
+                let mut scratch = Scratch::new();
+                let out = input.join_atom_shaped(&r, &shape, &mut scratch);
+                assert_eq!(out, filtering_scan(input, &r, &terms), "width {width}");
+                assert_eq!(
+                    scratch.high_water(),
+                    shape.index_cols.len(),
+                    "width {width}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn join_atom_reuses_its_index_until_an_edit() {
+        let mut r = rel5();
+        let (input, terms) = bound_atom(2);
+        let shape = AtomShape::compute(input.vars(), &terms);
+        let mut scratch = Scratch::new();
+        let first = input.join_atom_shaped(&r, &shape, &mut scratch);
+        let index = r.index_on(&shape.index_cols);
+        let second = input.join_atom_shaped(&r, &shape, &mut scratch);
+        assert!(Arc::ptr_eq(&index, &r.index_on(&shape.index_cols)));
+        assert_eq!(first, second);
+        assert_eq!(second, filtering_scan(&input, &r, &terms));
+        // An edit drops the index; the next probe rebuilds it and sees
+        // the new tuple.
+        let (x, y) = (var("ab0"), var("ab1"));
+        let (x, y) = (input.position(x).unwrap(), input.position(y).unwrap());
+        let mut candidates = input.rows().flat_map(|l| {
+            let (x, y) = (l[x], l[y]);
+            (0..3).map(move |z| Tuple::new([x, y, Value::Int(1), Value::Int(z), Value::Int(z)]))
+        });
+        let absent = candidates.find(|t| !r.contains(t)).unwrap();
+        r.insert(absent).unwrap();
+        let third = input.join_atom_shaped(&r, &shape, &mut scratch);
+        assert!(!Arc::ptr_eq(&index, &r.index_on(&shape.index_cols)));
+        assert_eq!(third, filtering_scan(&input, &r, &terms));
+        assert!(
+            third.len() > second.len(),
+            "the new tuple matches an input row"
+        );
     }
 
     #[test]

@@ -187,7 +187,7 @@ pub(crate) struct NodeEngine {
     sleep_bug: Option<SleepBug>,
     /// Evaluate through the interpreter instead of the compiled plans.
     interpret: bool,
-    /// Reusable probe-key buffers for the planned join kernels.
+    /// The planned kernels' memo, row deltas and probe partitions.
     scratch: Scratch,
 }
 

@@ -325,8 +325,8 @@ impl PlanStats {
 pub struct RuntimePlanStats {
     /// Static statistics of the plans this checker executes.
     pub plan: PlanStats,
-    /// Widest probe key, in columns, the reusable scratch buffers have
-    /// held across all planned joins so far.
+    /// Widest join or index key, in columns, any planned kernel has
+    /// probed with so far.
     pub scratch_high_water: usize,
     /// Rows duplicated because a memoized or partitioned row set was
     /// still shared when a delta or flip arrived, or a relation was still

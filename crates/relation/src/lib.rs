@@ -49,7 +49,7 @@ pub use database::{Catalog, Database, RelDelta, Update};
 pub use error::RelationError;
 pub use hash::{BuildWordHasher, FastMap, FastSet, TupleMap, TupleSet, WordHasher};
 pub use lex::{LexError, Lexer};
-pub use relation::{fresh_version, Relation};
+pub use relation::{fresh_version, index_by, ColumnIndex, Relation};
 pub use schema::{Attribute, Schema};
 pub use symbol::{Names, Symbol};
 pub use tuple::Tuple;

@@ -7,13 +7,23 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::error::RelationError;
-use crate::hash::{FastMap, TupleSet};
+use crate::hash::{FastMap, TupleMap, TupleSet};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
-use crate::value::Value;
 
-/// A hash index on a column subset: key values → matching tuples.
-pub type ColumnIndex = FastMap<Vec<Value>, Vec<Tuple>>;
+/// A hash index on a column subset: each tuple filed under its projection
+/// onto the indexed columns, an inline tuple like every other hash key.
+pub type ColumnIndex = TupleMap<Vec<Tuple>>;
+
+/// Groups `rows` by their projection onto `cols`: the one way a
+/// [`ColumnIndex`] is built.
+pub fn index_by<'t>(rows: impl IntoIterator<Item = &'t Tuple>, cols: &[usize]) -> ColumnIndex {
+    let mut index = ColumnIndex::default();
+    for t in rows {
+        index.entry(t.project(cols)).or_default().push(t.clone());
+    }
+    index
+}
 
 /// A process-unique row-set version token (never 0). Relations and the
 /// evaluator's row sets draw from this one counter, so a row set that *is*
@@ -96,9 +106,10 @@ impl Relation {
         Arc::make_mut(&mut self.tuples)
     }
 
-    /// The (cached) hash index keyed by the values at `cols`. Building is
-    /// O(n); subsequent calls with the same columns are O(1) until the
-    /// relation mutates.
+    /// The (cached) hash index keyed by each tuple's projection onto
+    /// `cols`, probed with a [`Tuple`] of those values in that order.
+    /// Building is O(n); subsequent calls with the same columns are O(1)
+    /// until the relation mutates.
     ///
     /// # Panics
     /// Panics on out-of-range columns (callers derive them from the
@@ -108,12 +119,7 @@ impl Relation {
         if let Some(idx) = cache.get(cols) {
             return Arc::clone(idx);
         }
-        let mut index = ColumnIndex::default();
-        for t in self.tuples.iter() {
-            let key: Vec<Value> = cols.iter().map(|&c| t[c]).collect();
-            index.entry(key).or_default().push(t.clone());
-        }
-        let index = Arc::new(index);
+        let index = Arc::new(index_by(self.tuples.iter(), cols));
         cache.insert(cols.to_vec(), Arc::clone(&index));
         index
     }
@@ -326,15 +332,17 @@ mod tests {
             Relation::from_tuples(schema(), [tuple!["a", 1], tuple!["b", 1], tuple!["a", 2]])
                 .unwrap();
         let idx = r.index_on(&[1]);
-        assert_eq!(idx[&vec![crate::Value::Int(1)]].len(), 2);
-        assert_eq!(idx[&vec![crate::Value::Int(2)]].len(), 1);
+        assert_eq!(idx[&tuple![1]].len(), 2);
+        assert_eq!(idx[&tuple![2]].len(), 1);
+        // A key lists the values in the order of the indexed columns.
+        assert_eq!(r.index_on(&[1, 0])[&tuple![1, "a"]], [tuple!["a", 1]]);
         let again = r.index_on(&[1]);
         assert!(Arc::ptr_eq(&idx, &again), "second lookup hits the cache");
         // Mutation invalidates.
         r.insert(tuple!["c", 1]).unwrap();
         let rebuilt = r.index_on(&[1]);
         assert!(!Arc::ptr_eq(&idx, &rebuilt));
-        assert_eq!(rebuilt[&vec![crate::Value::Int(1)]].len(), 3);
+        assert_eq!(rebuilt[&tuple![1]].len(), 3);
     }
 
     #[test]
@@ -349,20 +357,20 @@ mod tests {
         assert!(r.remove(&tuple!["b", 1]));
         let after_delete = r.index_on(&[1]);
         assert!(!Arc::ptr_eq(&idx, &after_delete));
-        assert_eq!(after_delete[&vec![crate::Value::Int(1)]].len(), 1);
+        assert_eq!(after_delete[&tuple![1]].len(), 1);
 
         // Insert-side again after the delete rebuild.
         r.insert(tuple!["c", 1]).unwrap();
         let after_insert = r.index_on(&[1]);
         assert!(!Arc::ptr_eq(&after_delete, &after_insert));
-        assert_eq!(after_insert[&vec![crate::Value::Int(1)]].len(), 2);
+        assert_eq!(after_insert[&tuple![1]].len(), 2);
 
         // retain() is a bulk delete: also invalidates.
         r.retain(|t| t[1] == crate::Value::Int(2));
         let after_retain = r.index_on(&[1]);
         assert!(!Arc::ptr_eq(&after_insert, &after_retain));
-        assert!(!after_retain.contains_key(&vec![crate::Value::Int(1)]));
-        assert_eq!(after_retain[&vec![crate::Value::Int(2)]].len(), 1);
+        assert!(!after_retain.contains_key(&tuple![1]));
+        assert_eq!(after_retain[&tuple![2]].len(), 1);
 
         // A no-op remove still conservatively invalidates (cheap and safe).
         let before = r.index_on(&[1]);
@@ -374,7 +382,7 @@ mod tests {
     fn index_on_empty_columns_groups_everything() {
         let r = Relation::from_tuples(schema(), [tuple!["a", 1], tuple!["b", 2]]).unwrap();
         let idx = r.index_on(&[]);
-        assert_eq!(idx[&Vec::new()].len(), 2);
+        assert_eq!(idx[&Tuple::empty()].len(), 2);
     }
 
     #[test]
