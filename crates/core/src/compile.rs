@@ -92,7 +92,7 @@ impl CompiledConstraint {
         let mut node_ids = FastMap::default();
         collect_temporal_postorder(&body, &mut nodes, &mut node_ids);
         let horizon = analysis::horizon(&body);
-        let relations = analysis::touched_relations(&body);
+        let relations = body.relations();
         let plans = EvalPlans::build(&body, &nodes);
         let node_keys = nodes.iter().map(|n| NameOrder::of(&n.sorted_free_vars()));
         Ok(CompiledConstraint {

@@ -14,12 +14,14 @@
 //!   interval the horizon is infinite and nothing is pruned (no pruning is
 //!   sound then), so this form degenerates into the naive one.
 
+use std::cell::{Ref, RefCell};
+use std::ops::Range;
 use std::sync::Arc;
 
 use rtic_history::{History, HistoryError};
 use rtic_relation::{FastMap, Tuple, Update};
 use rtic_temporal::ast::Formula;
-use rtic_temporal::{Constraint, Horizon, TimePoint};
+use rtic_temporal::{Constraint, Horizon, Interval, TimePoint};
 
 use crate::binding::{Bindings, Scratch};
 use crate::checker::Checker;
@@ -155,10 +157,11 @@ fn eval_at(history: &History, i: usize, f: &Formula, input: &Bindings) -> Bindin
 struct NaiveOracle<'h> {
     history: &'h History,
     i: usize,
-    /// Per-evaluation memo of node extensions, so the semijoin-pushdown
-    /// `contains` probes don't recompute the (expensive, history-scanning)
-    /// extension once per candidate row.
-    extensions: std::cell::RefCell<FastMap<Formula, Bindings>>,
+    /// Per-evaluation memo of node extensions (a `hist` node's: the keys
+    /// it holds for), so the semijoin-pushdown `contains` and `hist_holds`
+    /// probes don't recompute the (expensive, history-scanning) extension
+    /// once per candidate row.
+    extensions: RefCell<FastMap<Formula, Bindings>>,
 }
 
 impl<'h> NaiveOracle<'h> {
@@ -170,54 +173,50 @@ impl<'h> NaiveOracle<'h> {
         }
     }
 
-    fn cached_extension(&self, node: &Formula) -> Bindings {
-        if let Some(b) = self.extensions.borrow().get(node) {
-            return b.clone();
+    /// `node`'s extension, computed on first use; a probe reads it in
+    /// place, without a clone per row.
+    fn cached_extension(&self, node: &Formula) -> Ref<'_, Bindings> {
+        if !self.extensions.borrow().contains_key(node) {
+            let b = self.compute_extension(node);
+            self.extensions.borrow_mut().insert(node.clone(), b);
         }
-        let b = self.compute_extension(node);
-        self.extensions.borrow_mut().insert(node.clone(), b.clone());
-        b
+        Ref::map(self.extensions.borrow(), |cached| &cached[node])
+    }
+
+    /// The positions of the stored states whose age lies in `interval`.
+    /// Ages grow towards older states, so those states are one run.
+    fn window(&self, interval: Interval) -> Range<usize> {
+        let (h, t_i) = (self.history, self.history.time(self.i));
+        let (mut start, mut end) = (self.i + 1, 0);
+        for j in (0..=self.i).rev() {
+            let age = t_i.age_of(h.time(j));
+            if !interval.hi().admits(age) {
+                break; // older states only get older
+            }
+            if age >= interval.lo() {
+                end = end.max(j + 1);
+                start = j;
+            }
+        }
+        start.min(end)..end
     }
 }
 
 impl Oracle for NaiveOracle<'_> {
     fn extension(&self, node: Node<'_>) -> Bindings {
-        self.cached_extension(node.formula)
+        self.cached_extension(node.formula).clone()
     }
 
     fn contains(&self, node: Node<'_>, key: &Tuple) -> bool {
-        let node = node.formula;
-        // Probe through the cache WITHOUT cloning the extension per row.
-        if let Some(b) = self.extensions.borrow().get(node) {
-            return b.contains(key);
-        }
-        let b = self.compute_extension(node);
-        let hit = b.contains(key);
-        self.extensions.borrow_mut().insert(node.clone(), b);
-        hit
+        self.cached_extension(node.formula).contains(key)
     }
 
     fn hist_holds(&self, node: Node<'_>, key: &Tuple) -> bool {
-        let node = node.formula;
-        let Formula::Hist(interval, g) = node else {
-            panic!("hist query for non-hist node `{node}`")
+        let Formula::Hist(interval, _) = node.formula else {
+            panic!("hist query for non-hist node `{}`", node.formula)
         };
-        let h = self.history;
-        let t_i = h.time(self.i);
-        let vars = node.sorted_free_vars();
-        for j in (0..=self.i).rev() {
-            let age = t_i.age_of(h.time(j));
-            if !interval.hi().admits(age) {
-                break;
-            }
-            if age >= interval.lo() {
-                let sat = eval_at(h, j, g, &Bindings::unit()).project(&vars);
-                if !sat.contains(key) {
-                    return false;
-                }
-            }
-        }
-        true
+        // With no stored state in its window, `hist` holds vacuously.
+        self.window(*interval).is_empty() || self.contains(node, key)
     }
 }
 
@@ -225,6 +224,7 @@ impl NaiveOracle<'_> {
     fn compute_extension(&self, node: &Formula) -> Bindings {
         let h = self.history;
         let t_i = h.time(self.i);
+        let unit = Bindings::unit();
         match node {
             Formula::Prev(interval, g) => {
                 if self.i == 0 {
@@ -232,23 +232,37 @@ impl NaiveOracle<'_> {
                 }
                 let age = t_i.age_of(h.time(self.i - 1));
                 if interval.contains(age) {
-                    eval_at(h, self.i - 1, g, &Bindings::unit())
+                    eval_at(h, self.i - 1, g, &unit)
                 } else {
                     Bindings::none(node.sorted_free_vars())
                 }
             }
             Formula::Once(interval, g) => {
                 let mut result = Bindings::none(node.sorted_free_vars());
-                for j in (0..=self.i).rev() {
-                    let age = t_i.age_of(h.time(j));
-                    if !interval.hi().admits(age) {
-                        break; // even older states only get older
-                    }
-                    if age >= interval.lo() {
-                        result.union_in_place(&eval_at(h, j, g, &Bindings::unit()));
-                    }
+                for j in self.window(*interval).rev() {
+                    result.union_in_place(&eval_at(h, j, g, &unit));
                 }
                 result
+            }
+            // The keys whose operand rows hold at every state of a non-empty
+            // window (`hist_holds` answers the empty one): each state is
+            // evaluated once, however many keys are probed.
+            Formula::Hist(interval, g) => {
+                let vars = node.sorted_free_vars();
+                let mut keys: Option<Bindings> = None;
+                for j in self.window(*interval).rev() {
+                    let sat = eval_at(h, j, g, &unit).project(&vars);
+                    let held = match keys {
+                        Some(keys) => keys.semijoin(&sat),
+                        None => sat,
+                    };
+                    let none_left = held.is_empty();
+                    keys = Some(held);
+                    if none_left {
+                        break; // no key can hold at an older state either
+                    }
+                }
+                keys.unwrap_or_else(|| Bindings::none(vars))
             }
             Formula::Since(interval, f, g) => {
                 // ∃ j ≤ i: age(j) ∈ I, g at j, and f at every k with
@@ -256,15 +270,8 @@ impl NaiveOracle<'_> {
                 // the point of this baseline).
                 let vars = node.sorted_free_vars();
                 let mut result = Bindings::none(vars.clone());
-                for j in (0..=self.i).rev() {
-                    let age = t_i.age_of(h.time(j));
-                    if !interval.hi().admits(age) {
-                        break; // older anchors only get older
-                    }
-                    if age < interval.lo() {
-                        continue; // too recent to anchor, but keep scanning
-                    }
-                    let mut anchors = eval_at(h, j, g, &Bindings::unit()).project(&vars);
+                for j in self.window(*interval).rev() {
+                    let mut anchors = eval_at(h, j, g, &unit).project(&vars);
                     for k in (j + 1)..=self.i {
                         if anchors.is_empty() {
                             break;

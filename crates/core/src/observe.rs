@@ -268,6 +268,21 @@ impl StepEvent<'_> {
             StepEvent::ServeSample(_) => "serve_sample",
         }
     }
+
+    /// The constraint the event concerns, where it concerns one.
+    pub fn constraint(&self) -> Option<Symbol> {
+        match self {
+            StepEvent::ConstraintEval(ConstraintEval { constraint, .. })
+            | StepEvent::CheckpointSave(CheckpointSection { constraint, .. })
+            | StepEvent::CheckpointRestore(CheckpointSection { constraint, .. })
+            | StepEvent::ConstraintQuarantined(ConstraintQuarantined { constraint, .. })
+            | StepEvent::PlanStatsSample(PlanStatsSample { constraint, .. })
+            | StepEvent::PlanProfileSample(PlanProfileSample { constraint, .. })
+            | StepEvent::SpaceSample(SpaceSample { constraint, .. }) => Some(*constraint),
+            StepEvent::Violation(e) => Some(e.report.constraint),
+            _ => None,
+        }
+    }
 }
 
 /// A sink for [`StepEvent`]s.

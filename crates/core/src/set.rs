@@ -110,13 +110,6 @@ pub struct FleetHealth {
     pub quarantined: usize,
 }
 
-impl FleetHealth {
-    /// Whether any engine is quarantined.
-    pub fn is_degraded(&self) -> bool {
-        self.quarantined > 0
-    }
-}
-
 /// A set of constraints checked together over one database.
 #[derive(Clone, Debug)]
 pub struct ConstraintSet {

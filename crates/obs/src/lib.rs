@@ -5,10 +5,10 @@
 //!
 //! * [`MetricsRegistry`] — counters, gauges, and fixed-bucket latency
 //!   histograms, with JSON and Prometheus text exposition.
-//! * [`TraceWriter`] — span-style structured trace: one JSON line per
-//!   step event, to a file or stderr.
-//! * [`ChromeTraceWriter`] — the same event stream as a Chrome trace
-//!   format JSON array, viewable in Perfetto / `chrome://tracing`.
+//! * [`TraceWriter`] — the structured trace: each step event's one JSON
+//!   document, to a file or stderr, as JSON lines or as a Chrome trace
+//!   format array (viewable in Perfetto / `chrome://tracing`) whose spans
+//!   carry the documents as their `args` ([`TraceLayout`]).
 //! * [`MultiObserver`] — fans one event stream out to several observers.
 //! * [`report`] — renders a saved metrics JSON file as a summary table
 //!   (the `rtic report` subcommand).
@@ -31,4 +31,4 @@ mod multi;
 pub use metrics::MetricsRegistry;
 pub use multi::MultiObserver;
 pub use rtic_core::{NopObserver, StepEvent, StepObserver};
-pub use trace::{ChromeTraceWriter, TraceWriter};
+pub use trace::{TraceLayout, TraceWriter};

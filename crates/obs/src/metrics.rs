@@ -782,7 +782,7 @@ impl MetricsRegistry {
             family(
                 &mut out,
                 "plan_scratch_high_water",
-                "Peak reusable scratch-buffer size per checker backend.",
+                "Widest join or index key, in columns, any plan kernel probed with per checker backend.",
                 plans(|stats| stats.scratch_high_water as u64),
             );
             family(

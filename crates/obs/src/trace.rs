@@ -1,4 +1,5 @@
-//! Structured trace writer: one JSON line per step event.
+//! The trace writer: each step event's one JSON document, laid out as JSON
+//! lines or as a Chrome trace format array.
 
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Stderr, Write};
@@ -9,12 +10,16 @@ use rtic_core::{StepEvent, StepObserver};
 use crate::json::Json;
 use crate::metrics::{plan_stats_json, profiled_node_json, serve_json, space_json};
 
-/// Converts one event into its trace-line JSON document.
+/// Converts one event into its trace JSON document.
 ///
-/// Every line carries `seq` (delivery order) and `event` (the kind name
-/// from [`StepEvent::kind`]); the remaining fields are per-kind.
+/// Every document carries `seq` (delivery order), `event` (the kind name
+/// from [`StepEvent::kind`]) and the event's `constraint` where it has one;
+/// the remaining fields are per-kind.
 pub fn event_json(seq: u64, event: &StepEvent<'_>) -> Json {
-    let base = Json::object().set("seq", seq).set("event", event.kind());
+    let mut base = Json::object().set("seq", seq).set("event", event.kind());
+    if let Some(constraint) = event.constraint() {
+        base = base.set("constraint", constraint.as_str());
+    }
     match event {
         StepEvent::StepStart(e) => base
             .set("checker", e.checker)
@@ -22,13 +27,11 @@ pub fn event_json(seq: u64, event: &StepEvent<'_>) -> Json {
             .set("tuples", e.tuples),
         StepEvent::ConstraintEval(e) => base
             .set("checker", e.checker)
-            .set("constraint", e.constraint.as_str())
             .set("time", e.time.0)
             .set("violations", e.violations)
             .set("latency_ns", e.latency_ns),
         StepEvent::Violation(e) => base
             .set("checker", e.checker)
-            .set("constraint", e.report.constraint.as_str())
             .set("time", e.report.time.0)
             .set("violations", e.report.violation_count())
             .set("witnesses", format!("{}", e.report.violations)),
@@ -37,12 +40,11 @@ pub fn event_json(seq: u64, event: &StepEvent<'_>) -> Json {
             .set("time", e.time.0)
             .set("violations", e.violations)
             .set("latency_ns", e.latency_ns),
-        StepEvent::CheckpointSave(e) | StepEvent::CheckpointRestore(e) => base
-            .set("constraint", e.constraint.as_str())
-            .set("bytes", e.bytes),
+        StepEvent::CheckpointSave(e) | StepEvent::CheckpointRestore(e) => {
+            base.set("bytes", e.bytes)
+        }
         StepEvent::ConstraintQuarantined(e) => base
             .set("checker", e.checker)
-            .set("constraint", e.constraint.as_str())
             .set("time", e.time.0)
             .set("detail", e.detail.as_str()),
         StepEvent::CheckpointFallback(e) => base
@@ -52,14 +54,10 @@ pub fn event_json(seq: u64, event: &StepEvent<'_>) -> Json {
             .set("line", e.line as u64)
             .set("detail", e.detail.as_str()),
         StepEvent::PlanStatsSample(e) => {
-            let doc = base
-                .set("checker", e.checker)
-                .set("constraint", e.constraint.as_str());
-            plan_stats_json(doc, "plan_nodes", &e.stats)
+            plan_stats_json(base.set("checker", e.checker), "plan_nodes", &e.stats)
         }
         StepEvent::PlanProfileSample(e) => base
             .set("checker", e.checker)
-            .set("constraint", e.constraint.as_str())
             .set("total_time_ns", e.profile.total_time_ns())
             .set(
                 "nodes",
@@ -68,7 +66,6 @@ pub fn event_json(seq: u64, event: &StepEvent<'_>) -> Json {
         StepEvent::SpaceSample(e) => {
             let doc = base
                 .set("checker", e.checker)
-                .set("constraint", e.constraint.as_str())
                 .set("time", e.time.0)
                 .set("step", e.step_index);
             space_json(doc, &e.stats)
@@ -77,7 +74,20 @@ pub fn event_json(seq: u64, event: &StepEvent<'_>) -> Json {
     }
 }
 
-enum Sink {
+/// How a [`TraceWriter`] lays its events out.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TraceLayout {
+    /// JSON Lines: each event's document on a line of its own.
+    Lines,
+    /// A [Chrome trace format] array, viewable in Perfetto or
+    /// `chrome://tracing`, whose spans and instants carry the event
+    /// documents as their `args`.
+    ///
+    /// [Chrome trace format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
+    Chrome,
+}
+
+enum Target {
     File {
         writer: BufWriter<File>,
         tmp: PathBuf,
@@ -87,44 +97,30 @@ enum Sink {
     Memory(Vec<u8>),
 }
 
-/// Opens a file sink writing to a same-directory `<path>.tmp`; the commit
-/// in [`finish_sink`] renames it over `path`.
-fn file_sink(path: impl AsRef<Path>) -> io::Result<Sink> {
-    let dest = path.as_ref().to_path_buf();
-    let mut name = dest
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_else(|| "trace".into());
-    name.push(".tmp");
-    let tmp = dest.with_file_name(name);
-    let file = File::create(&tmp)?;
-    Ok(Sink::File {
-        writer: BufWriter::new(file),
-        tmp,
-        dest,
-    })
+/// Where the trace goes, and how many writes to it failed.
+struct Sink {
+    target: Target,
+    write_errors: u64,
 }
 
 impl Sink {
-    fn write_line(&mut self, line: &str) -> io::Result<()> {
-        match self {
-            Sink::File { writer, .. } => writeln!(writer, "{line}"),
-            Sink::Stderr(w) => writeln!(w, "{line}"),
-            Sink::Memory(buf) => writeln!(buf, "{line}"),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Sink::File { writer, .. } => writer.flush(),
-            Sink::Stderr(w) => w.flush(),
-            Sink::Memory(_) => Ok(()),
+    /// Writes `line` and its newline with one `write_all`.
+    fn line(&mut self, mut line: String) {
+        line.push('\n');
+        let written = match &mut self.target {
+            Target::File { writer, .. } => writer.write_all(line.as_bytes()),
+            Target::Stderr(w) => w.write_all(line.as_bytes()),
+            Target::Memory(buf) => buf.write_all(line.as_bytes()),
+        };
+        if written.is_err() {
+            self.write_errors += 1;
         }
     }
 }
 
-/// A [`StepObserver`] that appends one JSON line per event to a file,
-/// stderr, or an in-memory buffer.
+/// A [`StepObserver`] that writes each event's [`event_json`] document to
+/// a file, stderr, or an in-memory buffer, in the [`TraceLayout`] chosen
+/// at construction.
 ///
 /// I/O errors after construction are counted, not propagated — tracing
 /// must never fail the checking run. Call [`TraceWriter::finish`] to flush
@@ -132,88 +128,121 @@ impl Sink {
 pub struct TraceWriter {
     sink: Sink,
     seq: u64,
-    write_errors: u64,
+    layout: TraceLayout,
+    /// The Chrome layout's timeline.
+    timeline: Timeline,
 }
 
 impl TraceWriter {
-    /// Traces to `path`. The lines accumulate in a same-directory
+    /// Traces to `path`. The trace accumulates in a same-directory
     /// `<path>.tmp` file; [`TraceWriter::finish`] flushes, fsyncs, and
     /// atomically renames it into place, so `path` only ever holds a
     /// complete trace — a crash mid-run leaves any previous trace at
     /// `path` untouched.
-    pub fn to_file(path: impl AsRef<Path>) -> io::Result<TraceWriter> {
-        Ok(TraceWriter::with_sink(file_sink(path)?))
+    pub fn to_file(path: impl AsRef<Path>, layout: TraceLayout) -> io::Result<TraceWriter> {
+        let dest = path.as_ref().to_path_buf();
+        let mut name = dest
+            .file_name()
+            .map(|n| n.to_os_string())
+            .unwrap_or_else(|| "trace".into());
+        name.push(".tmp");
+        let tmp = dest.with_file_name(name);
+        let writer = BufWriter::new(File::create(&tmp)?);
+        Ok(TraceWriter::new(Target::File { writer, tmp, dest }, layout))
     }
 
     /// Traces to stderr.
-    pub fn to_stderr() -> TraceWriter {
-        TraceWriter::with_sink(Sink::Stderr(io::stderr()))
+    pub fn to_stderr(layout: TraceLayout) -> TraceWriter {
+        TraceWriter::new(Target::Stderr(io::stderr()), layout)
     }
 
     /// Traces to an in-memory buffer (for tests; read back via `finish`).
-    pub fn in_memory() -> TraceWriter {
-        TraceWriter::with_sink(Sink::Memory(Vec::new()))
+    pub fn in_memory(layout: TraceLayout) -> TraceWriter {
+        TraceWriter::new(Target::Memory(Vec::new()), layout)
     }
 
-    fn with_sink(sink: Sink) -> TraceWriter {
+    fn new(target: Target, layout: TraceLayout) -> TraceWriter {
         TraceWriter {
-            sink,
+            sink: Sink {
+                target,
+                write_errors: 0,
+            },
             seq: 0,
-            write_errors: 0,
+            layout,
+            timeline: Timeline::default(),
         }
     }
 
-    /// Events written so far.
-    pub fn lines_written(&self) -> u64 {
+    /// Events observed so far.
+    pub fn events_written(&self) -> u64 {
         self.seq
     }
 
     /// Flushes and consumes the writer, returning any buffered content
     /// (in-memory sink only) or an error if any write or the flush failed.
-    /// For a file sink this is also the commit point: the temp file is
-    /// fsynced and renamed over the destination.
-    pub fn finish(self) -> Result<String, String> {
-        finish_sink(self.sink, self.write_errors)
-    }
-}
-
-/// Shared commit path for trace sinks: flush, surface counted write
-/// errors, and (file sinks) fsync + atomically rename into place.
-fn finish_sink(mut sink: Sink, write_errors: u64) -> Result<String, String> {
-    sink.flush()
-        .map_err(|e| format!("trace flush failed: {e}"))?;
-    if write_errors > 0 {
-        return Err(format!("{write_errors} trace write(s) failed"));
-    }
-    match sink {
-        Sink::Memory(buf) => String::from_utf8(buf).map_err(|e| format!("non-utf8 trace: {e}")),
-        Sink::File { writer, tmp, dest } => {
-            let file = writer
-                .into_inner()
-                .map_err(|e| format!("trace flush failed: {e}"))?;
-            file.sync_all()
-                .map_err(|e| format!("trace fsync failed: {e}"))?;
-            drop(file);
-            fs::rename(&tmp, &dest).map_err(|e| {
-                format!(
-                    "renaming trace {} -> {} failed: {e}",
-                    tmp.display(),
-                    dest.display()
-                )
-            })?;
-            Ok(String::new())
+    /// A Chrome trace first closes a step still open (no `StepEnd`) and its
+    /// array; a trace with no events at all still names its process. For a
+    /// file sink this is also the commit point: the temp file is fsynced
+    /// and renamed over the destination.
+    pub fn finish(mut self) -> Result<String, String> {
+        if self.layout == TraceLayout::Chrome {
+            if self.seq == 0 {
+                preamble(&mut self.sink);
+            }
+            self.timeline.close_open_step(&mut self.sink);
+            self.sink.line("]".into());
         }
-        Sink::Stderr(_) => Ok(String::new()),
+        let Sink {
+            mut target,
+            write_errors,
+        } = self.sink;
+        let flushed = match &mut target {
+            Target::File { writer, .. } => writer.flush(),
+            Target::Stderr(w) => w.flush(),
+            Target::Memory(_) => Ok(()),
+        };
+        flushed.map_err(|e| format!("trace flush failed: {e}"))?;
+        if write_errors > 0 {
+            return Err(format!("{write_errors} trace write(s) failed"));
+        }
+        match target {
+            Target::Memory(buf) => {
+                String::from_utf8(buf).map_err(|e| format!("non-utf8 trace: {e}"))
+            }
+            Target::File { writer, tmp, dest } => {
+                let file = writer
+                    .into_inner()
+                    .map_err(|e| format!("trace flush failed: {e}"))?;
+                file.sync_all()
+                    .map_err(|e| format!("trace fsync failed: {e}"))?;
+                drop(file);
+                fs::rename(&tmp, &dest).map_err(|e| {
+                    format!(
+                        "renaming trace {} -> {} failed: {e}",
+                        tmp.display(),
+                        dest.display()
+                    )
+                })?;
+                Ok(String::new())
+            }
+            Target::Stderr(_) => Ok(String::new()),
+        }
     }
 }
 
 impl StepObserver for TraceWriter {
     fn observe(&mut self, event: &StepEvent<'_>) {
-        let line = event_json(self.seq, event).render();
-        self.seq += 1;
-        if self.sink.write_line(&line).is_err() {
-            self.write_errors += 1;
+        let doc = event_json(self.seq, event);
+        match self.layout {
+            TraceLayout::Lines => self.sink.line(doc.render()),
+            TraceLayout::Chrome => {
+                if self.seq == 0 {
+                    preamble(&mut self.sink);
+                }
+                self.timeline.draw(event, doc, &mut self.sink);
+            }
         }
+        self.seq += 1;
     }
 }
 
@@ -224,366 +253,76 @@ const CHROME_STEP_TID: u64 = 1;
 /// First track used for per-constraint plan-node profiles.
 const CHROME_PLAN_TID_BASE: u64 = 100;
 
-/// A [`StepObserver`] that renders the event stream as [Chrome trace
-/// format] — a JSON array of complete (`"ph": "X"`) span events viewable
-/// in Perfetto or `chrome://tracing`.
+/// The Chrome layout's synthetic timeline.
 ///
-/// Events carry no absolute wall-clock timestamps, so the writer lays
-/// steps end-to-end on a synthetic timeline: each step span starts where
-/// the previous one ended and lasts its measured `latency_ns`. Within a
-/// step the causal hierarchy is rendered as nested spans on one track:
-/// *step* ⊇ *dispatch* ⊇ one *eval* span per constraint (sequentially, in
-/// delivery order). Violations, checkpoints, quarantines, and bad lines
-/// become instant events; space samples become counter tracks; a final
-/// [`StepEvent::PlanProfileSample`] becomes a per-constraint track whose
-/// nested spans show each plan node's inclusive wall time.
-///
-/// Like [`TraceWriter`], I/O errors are counted, not propagated, and a
-/// file sink commits atomically on [`ChromeTraceWriter::finish`].
-///
-/// [Chrome trace format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
-pub struct ChromeTraceWriter {
-    sink: Sink,
-    events_written: u64,
-    write_errors: u64,
-    /// Whether the process/thread `"M"` metadata events were written.
-    preamble_emitted: bool,
-    /// Synthetic timeline cursor (µs since trace start).
+/// Events carry no absolute wall-clock timestamps, so steps are laid end
+/// to end: each step span starts where the previous one ended and lasts
+/// its measured `latency_ns`. Within a step the causal hierarchy is nested
+/// spans on one track: *step* ⊇ *dispatch* ⊇ one *eval* span per
+/// constraint (sequentially, in delivery order), each followed by its
+/// violation instant. The other events become instants, counters (space
+/// and serve samples) or, for a plan profile, a per-constraint track whose
+/// nested spans show each plan node's inclusive wall time. A span's or
+/// instant's `args` is its event's [`event_json`] document; a counter's
+/// are its sample's series, a plan-node span's its node's row.
+#[derive(Default)]
+struct Timeline {
+    /// Where the next step starts (µs since trace start).
     cursor_us: f64,
-    /// The in-flight step: `(time, tuples)` from `StepStart`.
-    step: Option<(u64, usize)>,
-    /// Eval spans collected since `StepStart`:
-    /// `(checker, constraint, violations, latency_ns)`.
-    evals: Vec<(&'static str, &'static str, usize, u64)>,
-    /// Track id per profiled constraint (insertion order).
-    plan_tids: Vec<&'static str>,
+    /// The open step: its time and its `step_start` document.
+    step: Option<(u64, Json)>,
+    /// The open step's eval spans (with a duration in µs) and violation
+    /// instants (without), in delivery order.
+    pending: Vec<(String, Option<f64>, Json)>,
+    /// Constraints with a plan-profile track, in first-profile order.
+    plan_tracks: Vec<&'static str>,
 }
 
-impl ChromeTraceWriter {
-    /// Traces to `path` (committed atomically on finish).
-    pub fn to_file(path: impl AsRef<Path>) -> io::Result<ChromeTraceWriter> {
-        Ok(ChromeTraceWriter::with_sink(file_sink(path)?))
-    }
-
-    /// Traces to stderr.
-    pub fn to_stderr() -> ChromeTraceWriter {
-        ChromeTraceWriter::with_sink(Sink::Stderr(io::stderr()))
-    }
-
-    /// Traces to an in-memory buffer (read back via `finish`).
-    pub fn in_memory() -> ChromeTraceWriter {
-        ChromeTraceWriter::with_sink(Sink::Memory(Vec::new()))
-    }
-
-    fn with_sink(sink: Sink) -> ChromeTraceWriter {
-        ChromeTraceWriter {
-            sink,
-            events_written: 0,
-            write_errors: 0,
-            preamble_emitted: false,
-            cursor_us: 0.0,
-            step: None,
-            evals: Vec::new(),
-            plan_tids: Vec::new(),
-        }
-    }
-
-    /// Emits the process/thread name metadata once. Runs before the first
-    /// real event and unconditionally at [`ChromeTraceWriter::finish`], so
-    /// even a zero-step trace names its process and step track.
-    fn ensure_preamble(&mut self) {
-        if self.preamble_emitted {
-            return;
-        }
-        self.preamble_emitted = true;
-        self.emit(
-            Json::object()
-                .set("name", "process_name")
-                .set("ph", "M")
-                .set("pid", CHROME_PID)
-                .set("args", Json::object().set("name", "rtic")),
-        );
-        self.emit(
-            Json::object()
-                .set("name", "thread_name")
-                .set("ph", "M")
-                .set("pid", CHROME_PID)
-                .set("tid", CHROME_STEP_TID)
-                .set("args", Json::object().set("name", "steps")),
-        );
-    }
-
-    /// Trace events emitted so far (spans, instants, counters, metadata).
-    pub fn events_written(&self) -> u64 {
-        self.events_written
-    }
-
-    fn emit(&mut self, event: Json) {
-        let lead = if self.events_written == 0 { '[' } else { ',' };
-        self.events_written += 1;
-        if self
-            .sink
-            .write_line(&format!("{lead}{}", event.render()))
-            .is_err()
-        {
-            self.write_errors += 1;
-        }
-    }
-
-    fn span(name: &str, ts_us: f64, dur_us: f64, tid: u64, args: Json) -> Json {
-        Json::object()
-            .set("name", name)
-            .set("cat", "rtic")
-            .set("ph", "X")
-            .set("ts", ts_us)
-            .set("dur", dur_us)
-            .set("pid", CHROME_PID)
-            .set("tid", tid)
-            .set("args", args)
-    }
-
-    fn instant(name: &str, ts_us: f64, tid: u64, args: Json) -> Json {
-        Json::object()
-            .set("name", name)
-            .set("cat", "rtic")
-            .set("ph", "i")
-            .set("s", "t")
-            .set("ts", ts_us)
-            .set("pid", CHROME_PID)
-            .set("tid", tid)
-            .set("args", args)
-    }
-
-    /// The track id for a profiled constraint, naming it on first use.
-    fn plan_tid(&mut self, constraint: &'static str) -> u64 {
-        if let Some(i) = self.plan_tids.iter().position(|c| *c == constraint) {
-            return CHROME_PLAN_TID_BASE + i as u64;
-        }
-        self.plan_tids.push(constraint);
-        let tid = CHROME_PLAN_TID_BASE + (self.plan_tids.len() - 1) as u64;
-        self.emit(
-            Json::object()
-                .set("name", "thread_name")
-                .set("ph", "M")
-                .set("pid", CHROME_PID)
-                .set("tid", tid)
-                .set(
-                    "args",
-                    Json::object().set("name", format!("plan {constraint}")),
-                ),
-        );
-        tid
-    }
-
-    /// Lays the collected eval spans (and violation instants) end-to-end
-    /// from `start` on the step track; returns the timeline frontier.
-    fn layout_evals(
-        &mut self,
-        start: f64,
-        evals: Vec<(&'static str, &'static str, usize, u64)>,
-    ) -> f64 {
-        let mut at = start;
-        for (eval_checker, constraint, eval_violations, eval_ns) in evals {
-            let dur = eval_ns as f64 / 1e3;
-            self.emit(Self::span(
-                &format!("eval {constraint}"),
-                at,
-                dur,
-                CHROME_STEP_TID,
-                Json::object()
-                    .set("checker", eval_checker)
-                    .set("constraint", constraint)
-                    .set("violations", eval_violations)
-                    .set("latency_ns", eval_ns),
-            ));
-            at += dur;
-            if eval_violations > 0 {
-                self.emit(Self::instant(
-                    &format!("violation {constraint}"),
-                    at,
-                    CHROME_STEP_TID,
-                    Json::object().set("violations", eval_violations),
-                ));
-            }
-        }
-        at
-    }
-
-    /// Closes a step whose `StepEnd` never arrived (the run aborted or was
-    /// quarantined mid-step): its collected eval spans are laid out under
-    /// a step span marked unfinished, so no span is silently dropped.
-    fn close_open_step(&mut self) {
-        let Some((step_time, tuples)) = self.step.take() else {
-            return;
+impl Timeline {
+    fn draw(&mut self, event: &StepEvent<'_>, doc: Json, sink: &mut Sink) {
+        let name = match event.constraint() {
+            Some(constraint) => format!("{} {constraint}", event.kind()),
+            None => event.kind().to_string(),
         };
-        let start = self.cursor_us;
-        let evals = std::mem::take(&mut self.evals);
-        let step_us: f64 = evals.iter().map(|e| e.3 as f64 / 1e3).sum();
-        self.emit(Self::span(
-            &format!("step t={step_time} (unfinished)"),
-            start,
-            step_us,
-            CHROME_STEP_TID,
-            Json::object()
-                .set("time", step_time)
-                .set("tuples", tuples)
-                .set("unfinished", true),
-        ));
-        self.layout_evals(start, evals);
-        self.cursor_us = start + step_us;
-    }
-
-    /// Finishes the array and commits (file sinks: fsync + rename). Any
-    /// step still open (no `StepEnd`) is closed first, and a trace with no
-    /// events at all still gets its metadata preamble.
-    pub fn finish(mut self) -> Result<String, String> {
-        self.ensure_preamble();
-        self.close_open_step();
-        if self.sink.write_line("]").is_err() {
-            self.write_errors += 1;
-        }
-        finish_sink(self.sink, self.write_errors)
-    }
-}
-
-impl StepObserver for ChromeTraceWriter {
-    fn observe(&mut self, event: &StepEvent<'_>) {
-        self.ensure_preamble();
+        let at = self.cursor_us;
         match event {
             StepEvent::StepStart(e) => {
-                self.step = Some((e.time.0, e.tuples));
-                self.evals.clear();
+                self.step = Some((e.time.0, doc));
+                self.pending.clear();
             }
             StepEvent::ConstraintEval(e) => {
-                let eval = (e.checker, e.constraint.as_str(), e.violations, e.latency_ns);
-                self.evals.push(eval);
+                let dur = e.latency_ns as f64 / 1e3;
+                self.pending.push((name, Some(dur), doc));
             }
-            // The eval span already carries the violation count; the
-            // instant marker is emitted during StepEnd layout.
-            StepEvent::Violation(_) => {}
-            StepEvent::StepEnd(end) => {
-                let (step_time, tuples) = self.step.take().unwrap_or((end.time.0, 0));
-                let start = self.cursor_us;
-                let evals_us: f64 = self.evals.iter().map(|e| e.3 as f64 / 1e3).sum();
+            StepEvent::Violation(_) => self.pending.push((name, None, doc)),
+            StepEvent::StepEnd(e) => {
+                let (time, start) = self.step.take().unwrap_or((e.time.0, Json::object()));
                 // Measured eval time can exceed the step reading by jitter;
                 // widen the step span so children always nest.
-                let step_us = (end.latency_ns as f64 / 1e3).max(evals_us);
-                self.emit(Self::span(
-                    &format!("step t={step_time}"),
-                    start,
-                    step_us,
-                    CHROME_STEP_TID,
-                    Json::object()
-                        .set("checker", end.checker)
-                        .set("time", step_time)
-                        .set("tuples", tuples)
-                        .set("violations", end.violations),
-                ));
-                let evals = std::mem::take(&mut self.evals);
-                self.emit(Self::span(
-                    "dispatch",
-                    start,
-                    step_us,
-                    CHROME_STEP_TID,
-                    Json::object().set("constraints", evals.len()),
-                ));
-                self.layout_evals(start, evals);
-                self.cursor_us = start + step_us;
-            }
-            StepEvent::CheckpointSave(e) | StepEvent::CheckpointRestore(e) => {
-                let ts = self.cursor_us;
-                self.emit(Self::instant(
-                    &format!("{} {}", event.kind(), e.constraint),
-                    ts,
-                    CHROME_STEP_TID,
-                    Json::object().set("bytes", e.bytes),
-                ));
-            }
-            StepEvent::ConstraintQuarantined(quarantine) => {
-                // Mid-step, the marker lands at the frontier of the eval
-                // spans collected so far, so it stays inside the step span
-                // and after the work that already completed.
-                let ts = self.cursor_us + self.evals.iter().map(|e| e.3 as f64 / 1e3).sum::<f64>();
-                self.emit(Self::instant(
-                    &format!("quarantine {}", quarantine.constraint),
-                    ts,
-                    CHROME_STEP_TID,
-                    Json::object().set("detail", quarantine.detail.as_str()),
-                ));
-            }
-            StepEvent::CheckpointFallback(e) => {
-                let ts = self.cursor_us;
-                self.emit(Self::instant(
-                    "checkpoint_fallback",
-                    ts,
-                    CHROME_STEP_TID,
-                    Json::object()
-                        .set("path", e.path.as_str())
-                        .set("detail", e.detail.as_str()),
-                ));
-            }
-            StepEvent::BadLine(e) => {
-                let ts = self.cursor_us;
-                self.emit(Self::instant(
-                    "bad_line",
-                    ts,
-                    CHROME_STEP_TID,
-                    Json::object()
-                        .set("line", e.line as u64)
-                        .set("detail", e.detail.as_str()),
-                ));
-            }
-            StepEvent::PlanStatsSample(e) => {
-                let ts = self.cursor_us;
-                self.emit(Self::instant(
-                    &format!("plan_stats {}", e.constraint),
-                    ts,
-                    CHROME_STEP_TID,
-                    Json::object()
-                        .set("nodes", e.stats.plan.nodes)
-                        .set("scratch_high_water", e.stats.scratch_high_water)
-                        .set("rows_copied", e.stats.rows_copied),
-                ));
+                let step_us = (e.latency_ns as f64 / 1e3).max(self.evals_us());
+                // The step's document, plus the tuples its start counted.
+                let (name, args) = (format!("step t={time}"), merged(start, doc));
+                emit(sink, at, span(&name, step_us, CHROME_STEP_TID, args));
+                let constraints = self.pending.iter().filter(|p| p.1.is_some()).count();
+                let args = Json::object().set("constraints", constraints);
+                emit(sink, at, span("dispatch", step_us, CHROME_STEP_TID, args));
+                self.lay_out(sink, step_us);
             }
             StepEvent::SpaceSample(e) => {
-                // Counter track: Perfetto renders these as a line chart.
-                let ts = self.cursor_us;
-                self.emit(
-                    Json::object()
-                        .set("name", format!("retained_units {}", e.constraint))
-                        .set("ph", "C")
-                        .set("ts", ts)
-                        .set("pid", CHROME_PID)
-                        .set(
-                            "args",
-                            Json::object().set("units", e.stats.retained_units()),
-                        ),
-                );
+                let series = space_json(Json::object(), &e.stats);
+                emit(sink, at, counter(&name, series));
             }
             StepEvent::ServeSample(gauges) => {
-                // Counter track: ingest queue pressure on the server.
-                let ts = self.cursor_us;
-                self.emit(
-                    Json::object()
-                        .set("name", "serve queue")
-                        .set("ph", "C")
-                        .set("ts", ts)
-                        .set("pid", CHROME_PID)
-                        .set(
-                            "args",
-                            Json::object()
-                                .set("depth", gauges.queue_depth)
-                                .set("shed", gauges.shed),
-                        ),
-                );
+                let series = serve_json(Json::object(), gauges);
+                emit(sink, at, counter(&name, series));
             }
             StepEvent::PlanProfileSample(e) => {
-                // One track per constraint; node spans nest by tree depth,
-                // children laid sequentially from the parent's start (their
-                // inclusive times sum to at most the parent's).
-                let tid = self.plan_tid(e.constraint.as_str());
+                let tid = self.plan_track(e.constraint.as_str(), sink);
+                // Node spans nest by tree depth, children laid sequentially
+                // from the parent's start (their inclusive times sum to at
+                // most the parent's). `stack` holds the open ancestor
+                // chain's (depth, child cursor).
                 let mut base = 0.0f64;
-                // (depth, child-cursor) of the open ancestor chain.
                 let mut stack: Vec<(usize, f64)> = Vec::new();
                 for node in &e.profile.nodes {
                     while stack.last().is_some_and(|&(d, _)| d >= node.desc.depth) {
@@ -591,31 +330,140 @@ impl StepObserver for ChromeTraceWriter {
                     }
                     let start = stack.last().map_or(base, |&(_, at)| at);
                     let dur = node.counts.time_ns as f64 / 1e3;
-                    let mut args = Json::object()
-                        .set("path", node.desc.path.clone())
-                        .set("calls", node.counts.calls)
-                        .set("rows_in", node.counts.rows_in)
-                        .set("rows_out", node.counts.rows_out)
-                        .set("cache_hits", node.counts.cache_hits)
-                        .set("cache_misses", node.counts.cache_misses);
-                    // Vectorized nodes report their columnar batch shape.
-                    if let Some(rpb) = node.counts.rows_per_block() {
-                        args = args
-                            .set("blocks", node.counts.blocks)
-                            .set("rows_per_block", rpb);
-                    }
-                    self.emit(Self::span(&node.desc.label, start, dur, tid, args));
-                    if let Some(top) = stack.last_mut() {
-                        top.1 += dur;
-                    } else {
-                        base += dur;
+                    let args = profiled_node_json(node);
+                    emit(sink, start, span(&node.desc.label, dur, tid, args));
+                    match stack.last_mut() {
+                        Some(top) => top.1 += dur,
+                        None => base += dur,
                     }
                     stack.push((node.desc.depth, start));
                 }
-                let _ = base;
+            }
+            // Every other event is an instant. Mid-step, a quarantine lands
+            // at the frontier of the eval spans collected so far, so it stays
+            // inside the step span and after the work that already completed.
+            _ => {
+                let quarantine = matches!(event, StepEvent::ConstraintQuarantined(_));
+                let ts = if quarantine { at + self.evals_us() } else { at };
+                emit(sink, ts, instant(&name, doc));
             }
         }
     }
+
+    /// The summed duration of the open step's eval spans.
+    fn evals_us(&self) -> f64 {
+        self.pending.iter().filter_map(|p| p.1).sum()
+    }
+
+    /// Lays the open step's eval spans and violation instants end to end
+    /// from the cursor, then moves the cursor past the step.
+    fn lay_out(&mut self, sink: &mut Sink, step_us: f64) {
+        let mut at = self.cursor_us;
+        for (name, dur, args) in self.pending.drain(..) {
+            match dur {
+                Some(dur) => {
+                    emit(sink, at, span(&name, dur, CHROME_STEP_TID, args));
+                    at += dur;
+                }
+                None => emit(sink, at, instant(&name, args)),
+            }
+        }
+        self.cursor_us += step_us;
+    }
+
+    /// Closes a step whose `StepEnd` never arrived (the run aborted or was
+    /// quarantined mid-step): its eval spans are laid out under a step span
+    /// marked unfinished, so no span is silently dropped.
+    fn close_open_step(&mut self, sink: &mut Sink) {
+        let Some((time, start)) = self.step.take() else {
+            return;
+        };
+        let (at, step_us) = (self.cursor_us, self.evals_us());
+        let name = format!("step t={time} (unfinished)");
+        let args = start.set("unfinished", true);
+        emit(sink, at, span(&name, step_us, CHROME_STEP_TID, args));
+        self.lay_out(sink, step_us);
+    }
+
+    /// The track id for a profiled constraint, naming it on first use.
+    fn plan_track(&mut self, constraint: &'static str, sink: &mut Sink) -> u64 {
+        if let Some(index) = self.plan_tracks.iter().position(|c| *c == constraint) {
+            return CHROME_PLAN_TID_BASE + index as u64;
+        }
+        let tid = CHROME_PLAN_TID_BASE + self.plan_tracks.len() as u64;
+        self.plan_tracks.push(constraint);
+        name_track(sink, Some(tid), &format!("plan {constraint}"));
+        tid
+    }
+}
+
+/// `over`'s fields on top of `under`'s.
+fn merged(under: Json, over: Json) -> Json {
+    match (under, over) {
+        (Json::Obj(mut fields), Json::Obj(over)) => {
+            fields.extend(over);
+            Json::Obj(fields)
+        }
+        (_, over) => over,
+    }
+}
+
+/// Opens the array with the process and step-track names, so even a
+/// zero-step trace renders an identified (if empty) timeline.
+fn preamble(sink: &mut Sink) {
+    name_track(sink, None, "rtic");
+    name_track(sink, Some(CHROME_STEP_TID), "steps");
+}
+
+/// Writes one array element after the first, at `ts_us` on the timeline.
+fn emit(sink: &mut Sink, ts_us: f64, event: Json) {
+    sink.line(format!(",{}", event.set("ts", ts_us).render()));
+}
+
+/// Writes the `"M"` event naming the process (`tid` `None`; it opens the
+/// array) or a track.
+fn name_track(sink: &mut Sink, tid: Option<u64>, name: &str) {
+    let event = Json::object()
+        .set("ph", "M")
+        .set("pid", CHROME_PID)
+        .set("args", Json::object().set("name", name));
+    let line = match tid {
+        None => format!("[{}", event.set("name", "process_name").render()),
+        Some(tid) => {
+            let event = event.set("name", "thread_name").set("tid", tid);
+            format!(",{}", event.render())
+        }
+    };
+    sink.line(line);
+}
+
+/// An event for the timeline (its `ts` is set as it is written): a span,
+/// an instant or a counter.
+fn drawn(name: &str, ph: &str, args: Json) -> Json {
+    Json::object()
+        .set("name", name)
+        .set("ph", ph)
+        .set("pid", CHROME_PID)
+        .set("args", args)
+}
+
+fn span(name: &str, dur_us: f64, tid: u64, args: Json) -> Json {
+    drawn(name, "X", args)
+        .set("cat", "rtic")
+        .set("dur", dur_us)
+        .set("tid", tid)
+}
+
+fn instant(name: &str, args: Json) -> Json {
+    drawn(name, "i", args)
+        .set("cat", "rtic")
+        .set("s", "t")
+        .set("tid", CHROME_STEP_TID)
+}
+
+/// A counter track: Perfetto plots each of its `args` as a series.
+fn counter(name: &str, series: Json) -> Json {
+    drawn(name, "C", series)
 }
 
 #[cfg(test)]
@@ -640,7 +488,7 @@ mod tests {
         let dest = dir.join("run.trace");
         std::fs::write(&dest, "previous trace\n").unwrap();
 
-        let mut trace = TraceWriter::to_file(&dest).unwrap();
+        let mut trace = TraceWriter::to_file(&dest, TraceLayout::Lines).unwrap();
         trace.observe(&StepEvent::BadLine(BadLine {
             line: 3,
             detail: "expected `@`".into(),
@@ -673,13 +521,13 @@ mod tests {
             )
             .unwrap(),
         )];
-        let mut trace = TraceWriter::in_memory();
+        let mut trace = TraceWriter::in_memory(TraceLayout::Lines);
         let insert = Update::new().with_insert("p", tuple!["a"]);
         step_all(&mut checkers, TimePoint(1), &insert, &mut trace).unwrap();
         step_all(&mut checkers, TimePoint(2), &Update::new(), &mut trace).unwrap();
         // Both steps violate (hist over the empty prefix is vacuously
         // true), so each emits start/eval/violation/step.
-        assert_eq!(trace.lines_written(), 8);
+        assert_eq!(trace.events_written(), 8);
         let text = trace.finish().unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 8);
@@ -701,7 +549,9 @@ mod tests {
 
     #[test]
     fn chrome_trace_with_no_steps_still_carries_the_preamble() {
-        let text = ChromeTraceWriter::in_memory().finish().unwrap();
+        let text = TraceWriter::in_memory(TraceLayout::Chrome)
+            .finish()
+            .unwrap();
         let doc = json::parse(text.trim()).unwrap();
         let events = doc.as_arr().expect("a valid JSON array");
         // Even a zero-step trace names its process and step track, so
@@ -723,7 +573,7 @@ mod tests {
     #[test]
     fn quarantine_before_any_eval_closes_the_open_step() {
         use rtic_relation::Symbol;
-        let mut trace = ChromeTraceWriter::in_memory();
+        let mut trace = TraceWriter::in_memory(TraceLayout::Chrome);
         // A step starts, the first constraint panics before any eval
         // lands, and the run aborts: no StepEnd ever arrives.
         trace.observe(&StepEvent::StepStart(StepStart {
@@ -778,7 +628,7 @@ mod tests {
             },
         )
         .unwrap();
-        let mut trace = ChromeTraceWriter::in_memory();
+        let mut trace = TraceWriter::in_memory(TraceLayout::Chrome);
         for t in 1..=3u64 {
             set.step_observed(
                 TimePoint(t),

@@ -4,7 +4,8 @@
 //! latencies, so the metrics JSON (compact; `render_json` pretty-prints the
 //! same document), the Prometheus text, the JSON-lines trace, the Chrome
 //! trace and the `rtic report` table are deterministic. A change to any
-//! renderer shows up as a diff against `tests/fixtures/expositions/`.
+//! renderer shows up as a diff against `tests/fixtures/expositions/`, and
+//! a payload field the Chrome trace fails to carry as a failed check.
 
 use std::sync::Arc;
 
@@ -14,7 +15,8 @@ use rtic_core::observe::{
 };
 use rtic_core::plan::{NodeCounters, NodeDesc, PlanProfile, PlanStats, ProfiledNode};
 use rtic_core::{Checker, IncrementalChecker, RuntimePlanStats, SpaceStats};
-use rtic_obs::{json, report, ChromeTraceWriter, MetricsRegistry, MultiObserver, TraceWriter};
+use rtic_obs::json::Json;
+use rtic_obs::{json, report, MetricsRegistry, MultiObserver, TraceLayout, TraceWriter};
 use rtic_obs::{StepEvent, StepObserver};
 use rtic_relation::{tuple, Catalog, Schema, Sort, Symbol, Update};
 use rtic_temporal::parser::parse_constraint;
@@ -52,8 +54,8 @@ fn profile() -> PlanProfile {
     PlanProfile { nodes }
 }
 
-/// Renders the five expositions of the scripted stream, by fixture name.
-fn expositions() -> Vec<(&'static str, String)> {
+/// Runs `f` over the scripted stream.
+fn scripted<R>(f: impl FnOnce(&[StepEvent<'_>]) -> R) -> R {
     let catalog = Catalog::new().with("p", Schema::of(&[("x", Sort::Str)]));
     let constraint = parse_constraint("deny d: p(x) && hist[0,1] p(x)").expect("parses");
     let mut checker = IncrementalChecker::new(constraint, Arc::new(catalog.expect("one relation")))
@@ -168,22 +170,30 @@ fn expositions() -> Vec<(&'static str, String)> {
             profile: Cow::Borrowed(&profile),
         }),
     ];
-    let (mut registry, mut trace) = (MetricsRegistry::new(), TraceWriter::in_memory());
-    let mut chrome = ChromeTraceWriter::in_memory();
-    let mut all = MultiObserver::new()
-        .with(&mut registry)
-        .with(&mut trace)
-        .with(&mut chrome);
-    events.iter().for_each(|event| all.observe(event));
-    drop(all);
-    let doc = json::parse(&registry.render_json()).expect("the registry renders valid JSON");
-    vec![
-        ("metrics.json", format!("{}\n", registry.to_json().render())),
-        ("metrics.prom", registry.render_prometheus()),
-        ("trace.jsonl", trace.finish().expect("in memory")),
-        ("chrome.json", chrome.finish().expect("in memory")),
-        ("report.txt", report::render(&doc).expect("renders")),
-    ]
+    f(&events)
+}
+
+/// Renders the five expositions of the scripted stream, by fixture name.
+fn expositions() -> Vec<(&'static str, String)> {
+    scripted(|events| {
+        let mut registry = MetricsRegistry::new();
+        let mut trace = TraceWriter::in_memory(TraceLayout::Lines);
+        let mut chrome = TraceWriter::in_memory(TraceLayout::Chrome);
+        let mut all = MultiObserver::new()
+            .with(&mut registry)
+            .with(&mut trace)
+            .with(&mut chrome);
+        events.iter().for_each(|event| all.observe(event));
+        drop(all);
+        let doc = json::parse(&registry.render_json()).expect("the registry renders valid JSON");
+        vec![
+            ("metrics.json", format!("{}\n", registry.to_json().render())),
+            ("metrics.prom", registry.render_prometheus()),
+            ("trace.jsonl", trace.finish().expect("in memory")),
+            ("chrome.json", chrome.finish().expect("in memory")),
+            ("report.txt", report::render(&doc).expect("renders")),
+        ]
+    })
 }
 
 #[test]
@@ -198,6 +208,89 @@ fn every_exposition_of_the_scripted_stream_is_byte_identical_to_its_fixture() {
             "{name} differs from its fixture\n--- expected\n{expected}\n--- actual\n{actual}"
         );
     }
+}
+
+/// Each event is declared once, as its trace document, and the Chrome
+/// layout draws that document: every span or instant drawn from an event
+/// carries all of the event's `trace.jsonl` fields in its `args`, each
+/// counter plots its sample's series as the registry renders them, and
+/// each plan-node span carries its node's row. A field added to a payload
+/// so reaches both layouts with no renderer edit.
+#[test]
+fn the_chrome_trace_carries_every_field_of_each_event_document() {
+    let rendered = expositions();
+    let text = |name| {
+        let (_, text) = rendered.iter().find(|(n, _)| *n == name).expect("rendered");
+        text.as_str()
+    };
+    let lines: Vec<Json> = text("trace.jsonl")
+        .lines()
+        .map(|line| json::parse(line).expect("a JSON line"))
+        .collect();
+    let chrome = json::parse(text("chrome.json")).expect("a JSON array");
+    let drawn = chrome.as_arr().expect("an array");
+    let str_of = |entry: &Json, key| entry.get(key).and_then(Json::as_str).map(String::from);
+    let args = |entry: &Json| entry.get("args").cloned().expect("every entry has args");
+    let mut counters = drawn
+        .iter()
+        .filter(|e| str_of(e, "ph").as_deref() == Some("C"));
+    let plan_nodes: Vec<Json> = drawn
+        .iter()
+        .filter(|e| e.get("tid").and_then(Json::as_u64) >= Some(100))
+        .filter(|e| str_of(e, "ph").as_deref() == Some("X"))
+        .map(args)
+        .collect();
+    scripted(|events| {
+        assert_eq!(events.len(), lines.len());
+        for (seq, (event, doc)) in events.iter().zip(&lines).enumerate() {
+            match event {
+                StepEvent::SpaceSample(_) | StepEvent::ServeSample(_) => {
+                    let counter = counters.next().expect("one counter per sample");
+                    let name = match event.constraint() {
+                        Some(c) => format!("{} {c}", event.kind()),
+                        None => event.kind().to_string(),
+                    };
+                    assert_eq!(str_of(counter, "name"), Some(name));
+                    // The series are the registry's rendering of the sample.
+                    let mut one = MetricsRegistry::new();
+                    one.observe(event);
+                    let series = match event.constraint() {
+                        Some(_) => "space",
+                        None => "serve",
+                    };
+                    assert_eq!(Some(&args(counter)), one.to_json().get(series));
+                }
+                StepEvent::PlanProfileSample(_) => {
+                    let rows = doc.get("nodes").and_then(Json::as_arr);
+                    assert_eq!(rows, Some(plan_nodes.as_slice()));
+                }
+                _ => {
+                    let from: Vec<Json> = drawn
+                        .iter()
+                        .map(args)
+                        .filter(|a| a.get("seq").and_then(Json::as_u64) == Some(seq as u64))
+                        .collect();
+                    if let StepEvent::StepStart(start) = event {
+                        // A finished step's span carries its start's tuples.
+                        let name = format!("step t={}", start.time.0);
+                        let step = drawn
+                            .iter()
+                            .find(|e| str_of(e, "name").is_some_and(|n| n.starts_with(&name)))
+                            .expect("a step span");
+                        assert_eq!(args(step).get("tuples"), doc.get("tuples"));
+                    } else {
+                        assert!(!from.is_empty(), "event {seq} is drawn");
+                    }
+                    for args in from {
+                        for (key, value) in doc.as_obj().expect("an object") {
+                            assert_eq!(args.get(key), Some(value), "event {seq}'s `{key}`");
+                        }
+                    }
+                }
+            }
+        }
+    });
+    assert!(counters.next().is_none(), "a counter per sample, no more");
 }
 
 /// Per-constraint counters are keyed by symbol, whose order is intern

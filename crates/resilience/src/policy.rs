@@ -20,13 +20,6 @@ pub struct CheckpointPolicy {
     pub every: Option<Duration>,
 }
 
-impl CheckpointPolicy {
-    /// `true` if the policy has any periodic trigger.
-    pub fn is_periodic(&self) -> bool {
-        self.every_steps.is_some() || self.every.is_some()
-    }
-}
-
 /// Tracks steps and elapsed time against a [`CheckpointPolicy`].
 #[derive(Debug)]
 pub struct CheckpointTicker {

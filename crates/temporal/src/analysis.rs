@@ -1,9 +1,4 @@
-//! Static analysis of formulas: lookback horizon, aux-space bound, and
-//! touched relations (relevance dispatch).
-
-use std::collections::BTreeSet;
-
-use rtic_relation::Symbol;
+//! Static analysis of formulas: lookback horizon and aux-space bound.
 
 use crate::ast::Formula;
 use crate::time::{Duration, UpperBound};
@@ -110,15 +105,6 @@ pub fn per_key_timestamp_bound(f: &Formula) -> UpperBound {
     worst
 }
 
-/// The set of relations whose contents the truth of `f` can depend on —
-/// the *touched-relation set* used for relevance dispatch: an update that
-/// inserts into / deletes from none of these relations cannot change `f`'s
-/// extension at the new state (it can still change it through pure time
-/// passage — the checker's node deadlines bound that axis at run time).
-pub fn touched_relations(f: &Formula) -> BTreeSet<Symbol> {
-    f.relations()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,15 +152,6 @@ mod tests {
     fn prev_adds_its_bound() {
         let f = p().prev(Interval::up_to(2)).prev(Interval::up_to(2));
         assert_eq!(horizon(&f), Horizon::Finite(Duration(4)));
-    }
-
-    #[test]
-    fn touched_relations_collects_all_atoms() {
-        let f = p().and(Formula::atom("q", [Term::var("x")]).once(Interval::up_to(3)));
-        let rels = touched_relations(&f);
-        assert_eq!(rels.len(), 2);
-        assert!(rels.contains(&Symbol::from("p")));
-        assert!(rels.contains(&Symbol::from("q")));
     }
 
     #[test]

@@ -133,14 +133,6 @@ impl Term {
     pub fn str(s: &str) -> Term {
         Term::Const(Value::str(s))
     }
-
-    /// The variable, if this is one.
-    pub fn as_var(&self) -> Option<Var> {
-        match self {
-            Term::Var(v) => Some(*v),
-            Term::Const(_) => None,
-        }
-    }
 }
 
 impl fmt::Display for Term {
@@ -624,6 +616,15 @@ mod tests {
             Formula::atom("confirmed", [Term::var("p")]),
         );
         assert_eq!(f.free_vars().len(), 2);
+    }
+
+    #[test]
+    fn relations_collects_all_atoms() {
+        let f = reserved().and(Formula::atom("q", [Term::var("x")]).once(Interval::up_to(3)));
+        let rels = f.relations();
+        assert_eq!(rels.len(), 2);
+        assert!(rels.contains(&Symbol::from("reserved")));
+        assert!(rels.contains(&Symbol::from("q")));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use rtic::core::observe::{sample_space, step_all};
 use rtic::core::{
     explain, Checker, CompiledConstraint, ConstraintSet, EncodingOptions, NaiveChecker,
 };
-use rtic::obs::{ChromeTraceWriter, MetricsRegistry, MultiObserver};
+use rtic::obs::{MetricsRegistry, MultiObserver, TraceLayout, TraceWriter};
 use rtic::workload::Reservations;
 
 /// Space is sampled every this many steps (`rtic check --sample-space`).
@@ -55,7 +55,7 @@ fn main() {
     // written file in https://ui.perfetto.dev to see the step → dispatch
     // → eval span hierarchy plus a per-constraint plan-profile track.
     let trace_path = std::env::temp_dir().join("rtic-telemetry.trace.json");
-    let mut trace = ChromeTraceWriter::to_file(&trace_path).unwrap();
+    let mut trace = TraceWriter::to_file(&trace_path, TraceLayout::Chrome).unwrap();
 
     let [inc_registry, naive_registry] = &mut registries;
     for (index, tr) in generated.transitions.iter().enumerate() {

@@ -17,7 +17,7 @@ use rtic_core::{ConstraintSet, NaiveChecker};
 use rtic_core::{StepEvent, StepObserver};
 use rtic_history::log::{format_log, LogErrorKind, LogReader};
 use rtic_history::Transition;
-use rtic_obs::{json, report, ChromeTraceWriter, MetricsRegistry, MultiObserver, TraceWriter};
+use rtic_obs::{json, report, MetricsRegistry, MultiObserver, TraceLayout, TraceWriter};
 use rtic_relation::{LexError, Symbol};
 use rtic_resilience::{
     write_atomic, CheckpointPolicy, CheckpointTicker, FailAction, FailPlan, Rotation,
@@ -75,9 +75,7 @@ it used to select are the only compiled path. `--shard V` and
 the per-key shard plane they selected lost every comparison with the one
 engine and was removed (`--resume` refuses a checkpoint it wrote, naming
 the line). So is `--batch N` on `serve` (the daemon always drains what
-is queued); on `check` it is rejected — every driver steps one
-transition at a time.
-Any other unknown `--flag` is a usage error.
+is queued). Any other unknown `--flag` is a usage error.
 
 Checkpoints: `--checkpoint FILE` durably saves the checkers' bounded
 state (checksummed container, written atomically) after the run and,
@@ -138,7 +136,6 @@ pub fn run(args: &[String], out: &mut String) -> Result<i32, String> {
         Some("report") => report_cmd(&args[1..], out),
         Some("explain") => explain_cmd(&args[1..], out),
         Some("generate") => generate(&args[1..], out),
-        Some("smc") => Err(SMC_REMOVED.into()),
         Some("serve") => serve_cmd(&args[1..], out),
         Some("send") => send_cmd(&args[1..], out),
         Some("--help") | Some("-h") | None => {
@@ -239,25 +236,6 @@ fn failpoints(args: &[String]) -> Result<FailPlan, String> {
     }
 }
 
-/// `rtic smc` sampled scenario histories; its two cross-checks moved into
-/// the oracle.
-const SMC_REMOVED: &str = "`rtic smc` was removed: its daemon-vs-batch and naive re-checks \
-     are the oracle's `serve` mode and scenario corpus (`rtic-oracle --backends naive,serve`, \
-     docs/TESTING.md); the violation-rate estimate described the generator, not the engine";
-
-/// `--parallel` selected a per-step worker pool that no longer exists;
-/// say so instead of rejecting the flag like any other unknown one.
-fn reject_parallel(args: &[String]) -> Result<(), String> {
-    if args.iter().any(|a| a == "--parallel") {
-        return Err(
-            "--parallel was removed: the worker pool was slower than sequential stepping \
-             at every measured point (EXPERIMENTS.md T8, docs/PERFORMANCE.md §6a); drop the flag"
-                .into(),
-        );
-    }
-    Ok(())
-}
-
 fn load_constraints(path: &str) -> Result<ConstraintFile, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read constraints file `{path}`: {e}"))?;
@@ -309,42 +287,10 @@ impl CheckEngine {
     }
 }
 
-/// The trace writer behind `--trace`, in the format `--trace-format`
-/// picked: JSON lines (the default) or a Chrome trace format array.
-enum AnyTrace {
-    Json(TraceWriter),
-    Chrome(ChromeTraceWriter),
-}
-
-impl AnyTrace {
-    fn events_written(&self) -> u64 {
-        match self {
-            AnyTrace::Json(t) => t.lines_written(),
-            AnyTrace::Chrome(t) => t.events_written(),
-        }
-    }
-
-    fn finish(self) -> Result<String, String> {
-        match self {
-            AnyTrace::Json(t) => t.finish(),
-            AnyTrace::Chrome(t) => t.finish(),
-        }
-    }
-}
-
-impl StepObserver for AnyTrace {
-    fn observe(&mut self, event: &StepEvent<'_>) {
-        match self {
-            AnyTrace::Json(t) => t.observe(event),
-            AnyTrace::Chrome(t) => t.observe(event),
-        }
-    }
-}
-
 /// The run's observers: the metrics registry, and the trace if one is on.
 fn observers<'a>(
     registry: &'a mut MetricsRegistry,
-    trace: &'a mut Option<AnyTrace>,
+    trace: &'a mut Option<TraceWriter>,
 ) -> MultiObserver<'a> {
     let mut obs = MultiObserver::new().with(registry);
     if let Some(t) = trace.as_mut() {
@@ -384,15 +330,6 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     let [constraints_path, log_path] = positional.as_slice() else {
         return Err("check needs <constraints-file> and <log-file>; try --help".into());
     };
-    reject_parallel(args)?;
-    if args.iter().any(|a| a == "--batch") {
-        return Err(
-            "--batch was removed: micro-batched ingestion was flat at every recorded batch \
-             size (docs/PERFORMANCE.md §6b); drop the flag — `--checkpoint-every N` spaces \
-             checkpoints"
-                .into(),
-        );
-    }
     reject_unknown_flags(args, CHECK_FLAGS)?;
     let quiet = args.iter().any(|a| a == "--quiet");
     let stats = args.iter().any(|a| a == "--stats");
@@ -441,12 +378,13 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     let extra_constraint_paths = flag_values(args, "--constraints")?;
     let metrics_path = flag_value(args, "--metrics")?;
     let trace_path = flag_value(args, "--trace")?;
-    let trace_chrome = match flag_value(args, "--trace-format")? {
-        None | Some("json") => false,
-        Some("chrome") => true,
+    let trace_format = flag_value(args, "--trace-format")?;
+    let layout = match trace_format {
+        None | Some("json") => TraceLayout::Lines,
+        Some("chrome") => TraceLayout::Chrome,
         Some(other) => return Err(format!("bad --trace-format `{other}` (json|chrome)")),
     };
-    if flag_value(args, "--trace-format")?.is_some() && trace_path.is_none() {
+    if trace_format.is_some() && trace_path.is_none() {
         return Err("--trace-format requires --trace".into());
     }
     let sample_every: u64 = parsed_flag(args, "--sample-space")?.unwrap_or(0);
@@ -454,18 +392,13 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     // Every run aggregates into a registry; the summary line, the exit
     // code, --stats and --metrics all read its counts of the event stream.
     let mut registry = MetricsRegistry::new();
-    let mut trace = match (trace_path, trace_chrome) {
-        (Some("-"), false) => Some(AnyTrace::Json(TraceWriter::to_stderr())),
-        (Some("-"), true) => Some(AnyTrace::Chrome(ChromeTraceWriter::to_stderr())),
-        (Some(path), chrome) => Some(
-            (if chrome {
-                ChromeTraceWriter::to_file(path).map(AnyTrace::Chrome)
-            } else {
-                TraceWriter::to_file(path).map(AnyTrace::Json)
-            })
-            .map_err(|e| format!("cannot open trace file `{path}`: {e}"))?,
+    let mut trace = match trace_path {
+        Some("-") => Some(TraceWriter::to_stderr(layout)),
+        Some(path) => Some(
+            TraceWriter::to_file(path, layout)
+                .map_err(|e| format!("cannot open trace file `{path}`: {e}"))?,
         ),
-        (None, _) => None,
+        None => None,
     };
 
     let file = load_merged_constraints(constraints_path, &extra_constraint_paths)?;
@@ -905,7 +838,6 @@ fn serve_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
     let [constraints_path] = positional.as_slice() else {
         return Err("serve needs <constraints-file>; try --help".into());
     };
-    reject_parallel(args)?;
     reject_unknown_flags(args, SERVE_FLAGS)?;
     let listen_spec =
         flag_value(args, "--listen")?.ok_or("serve needs --listen unix:<path>|tcp:<host:port>")?;
